@@ -331,6 +331,11 @@ def _cmd_graphflat(args) -> int:
     )
     _print_shuffle_summary(result.round_stats, args.shuffle_codec,
                            args.shuffle_transport)
+    print(
+        "receptive field: {} of {} nodes, {} of {} propagations".format(
+            *result.receptive_nodes, *result.propagations
+        )
+    )
     _print_fault_summary(result.round_stats)
     return 0
 

@@ -28,7 +28,6 @@ claim into something this reproduction can actually measure.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +35,12 @@ import numpy as np
 
 from repro.core.graphflat.records import InEdgeInfo, OutEdgeInfo, SubgraphInfo
 from repro.core.graphflat.sampling import SamplingStrategy, make_sampler
+from repro.core.propagation import (
+    ReceptiveField,
+    distance_to_targets,
+    plain_key,
+    propagation_key,
+)
 from repro.graph.subgraph import GraphFeature, merge_graph_features
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.graph.validate import validate_tables
@@ -209,6 +214,13 @@ class GraphFlatResult:
     round_stats: list[RunStats] = field(default_factory=list)
     neighborhood_nodes: np.ndarray | None = None
     neighborhood_edges: np.ndarray | None = None
+    receptive_nodes: tuple[int, int] = (0, 0)
+    """``(inside, total)``: nodes within ``hops`` reverse hops of a target —
+    the only ones that take part in any round — out of all nodes."""
+    propagations: tuple[int, int] = (0, 0)
+    """``(sent, ungated)``: in-edge records propagated over all rounds,
+    against the ``hops x edges`` a pipeline without the receptive-field
+    gate would send."""
 
     def summary(self) -> dict:
         out = {
@@ -222,14 +234,6 @@ class GraphFlatResult:
             out["mean_edges"] = float(self.neighborhood_edges.mean())
             out["max_edges"] = int(self.neighborhood_edges.max())
         return out
-
-
-def _suffix(src: int, dst: int, fanout: int) -> int:
-    """Deterministic 'random suffix' for re-indexing: stable across task
-    re-execution (fault tolerance), across runs, and across rounds (so the
-    per-slice sampling draw is the same every round — see repro.core.
-    graphflat.sampling)."""
-    return zlib.crc32(f"{src}|{dst}".encode()) % fanout
 
 
 def _degree_mapper(key, value):
@@ -263,14 +267,18 @@ def build_partition_plan(
     fanout: int,
     reindex_active: bool,
     num_reducers: int,
+    needed: ReceptiveField,
 ) -> PartitionPlan:
     """Degree-aware placement plan covering every intermediate round's key
     forms (GraphFlat and GraphInfer share them).
 
     A node's expected shuffle load is its in-degree — the number of ``in``
     records propagated to it each round, known before any round runs
-    because the degree job already counted it.  Per node of in-degree
-    ``deg``, the weighted key set is:
+    because the degree job already counted it.  Propagation is
+    demand-driven, so a node outside every target's receptive field
+    (``not needed(node, 1)``) receives nothing and is left out of the plan:
+    the planner balances what is actually shuffled.  Per remaining node of
+    in-degree ``deg``, the weighted key set is:
 
     * reindex off — the plain int key at weight ``deg`` (both the merge
       rounds' routing and the no-hub case).
@@ -290,6 +298,8 @@ def build_partition_plan(
         for node, deg in degree_pairs:
             node = int(node)
             deg = float(deg)
+            if not needed(node, 1):
+                continue
             if not reindex_active:
                 yield node, deg
             elif node in hubs:
@@ -388,6 +398,23 @@ def _graph_flat(
             raise KeyError(f"{len(missing)} target ids not in node table (e.g. {missing[:5]})")
     type_table = _TypeTable.from_tables(nodes, edges)
 
+    # ---- demand: GraphFlat only has to materialise the *targets'* k-hop
+    # neighborhoods (§3.2), so a node d reverse hops from the nearest target
+    # takes part in rounds 1..K-d only — the same receptive-field rule
+    # GraphInfer prunes with (§3.4).  No targets = everything is needed.
+    distance = None
+    if target_set is not None:
+        distance = distance_to_targets(edges, target_set, config.hops)
+    needed = ReceptiveField(distance, config.hops)
+    in_field = len(nodes)
+    if distance is not None:
+        in_field = sum(1 for node_id in distance if node_id in nodes)
+    dst = np.asarray(edges.dst, dtype=np.int64)
+    demand = dict(
+        receptive_nodes=(in_field, len(nodes)),
+        propagations=(needed.propagations(dst), config.hops * len(dst)),
+    )
+
     edge_rows = [
         (int(s), (int(s), int(d), float(w), f))
         for s, d, f, w in edges.rows()
@@ -408,7 +435,7 @@ def _graph_flat(
     if config.partitioner == "planned":
         plan = build_partition_plan(
             degree_pairs, hubs, config.reindex_fanout, reindex_active,
-            config.num_reducers,
+            config.num_reducers, needed,
         )
         partition_broadcast, planned = publish_plan(plan, runtime.needs_pickling)
     try:
@@ -417,10 +444,11 @@ def _graph_flat(
         # is reduce-only, so the runtime hands partitions reducer-to-reducer
         # and intermediate state never funnels through this process.
         node_rows = [(int(i), ("node", feat)) for i, feat, _ in nodes.rows()]
+        routing = _Routing(hubs, config.reindex_fanout, reindex_active, needed)
         jobs = [
             MapReduceJob(
                 "graphflat-map",
-                PrepareReducer(hubs, config.reindex_fanout, reindex_active),
+                PrepareReducer(routing),
                 num_reducers=config.num_reducers,
             )
         ]
@@ -436,16 +464,7 @@ def _graph_flat(
             jobs.append(
                 MapReduceJob(
                     f"graphflat-reduce{k}",
-                    MergeReducer(
-                        sampler,
-                        k,
-                        config.hops,
-                        hubs,
-                        config.reindex_fanout,
-                        reindex_active,
-                        None if target_set is None else frozenset(target_set),
-                        edge_fanout,
-                    ),
+                    MergeReducer(sampler, k, config.hops, routing, edge_fanout),
                     num_reducers=config.num_reducers,
                 )
             )
@@ -513,6 +532,7 @@ def _graph_flat(
                 neighborhood_edges=np.asarray(
                     [n for _, _, n_edges in summaries for n in n_edges], dtype=np.int64
                 ),
+                **demand,
             )
 
         data = runtime.run_rounds(jobs, node_rows + edge_rows)
@@ -548,6 +568,7 @@ def _graph_flat(
         round_stats=round_stats,
         neighborhood_nodes=np.asarray(n_nodes, dtype=np.int64),
         neighborhood_edges=np.asarray(n_edges, dtype=np.int64),
+        **demand,
     )
     if fs is not None and config.dataset_layout == "columnar":
         # Columnar shards take the triples directly — no per-sample
@@ -732,25 +753,46 @@ class SampleShardSink:
         return count, n_nodes, n_edges
 
 
-def _propagation_key(dst: int, src: int, hubs, fanout, reindex_active):
-    if not reindex_active:
-        return dst
-    if dst in hubs:
-        return (dst, 1 + _suffix(src, dst, fanout))
-    return (dst, 0)
+@dataclass(frozen=True)
+class _Routing:
+    """Where a node's records go next round: the shuffle-key dialect (hub
+    re-indexing) plus the receptive-field gate that makes propagation
+    demand-driven.  Shared by the Map phase and every Reduce round."""
 
+    hubs: frozenset[int]
+    fanout: int
+    reindex_active: bool
+    needed: ReceptiveField
 
-def _plain_key(node_id: int, reindex_active: bool):
-    return (node_id, 0) if reindex_active else node_id
+    def propagate(self, node_id: int, info: SubgraphInfo, outs, next_round: int):
+        """What ``node_id`` hands to round ``next_round`` after building
+        ``info``: the self information travels on only if the node merges
+        again; the out-edge list is trimmed to the destinations some
+        *later* round still propagates to; an in-edge record goes only to
+        destinations that merge next round.  A destination that does merge
+        still receives every one of its in-edge records (the gate is per
+        destination, never per edge), so its sampling draw — and therefore
+        the pipeline's output — is exactly the ungated pipeline's."""
+        needed = self.needed
+        key = plain_key(node_id, self.reindex_active)
+        if needed(node_id, next_round):
+            yield key, ("self", info)
+            later = [out for out in outs if needed(out.dst, next_round + 1)]
+            if later:
+                yield key, ("out", later)
+        for out in outs:
+            if needed(out.dst, next_round):
+                key = propagation_key(
+                    out.dst, node_id, self.hubs, self.fanout, self.reindex_active
+                )
+                yield key, ("in", InEdgeInfo(node_id, out.weight, out.edge_feat, info))
 
 
 @dataclass(frozen=True)
 class PrepareReducer:
     """The Map phase: build S_0, gather out-edges, propagate for round 1."""
 
-    hubs: frozenset[int]
-    fanout: int
-    reindex_active: bool
+    routing: _Routing
 
     def __call__(self, node_id, values):
         feature = None
@@ -767,15 +809,9 @@ class PrepareReducer:
             # rejected by validation; reaching here means validation was
             # disabled — drop the stray records.
             return
-        self_info = SubgraphInfo.seed(int(node_id), feature)
-        yield _plain_key(int(node_id), self.reindex_active), ("self", self_info)
-        if outs:
-            yield _plain_key(int(node_id), self.reindex_active), ("out", outs)
-            for out in outs:
-                key = _propagation_key(
-                    out.dst, int(node_id), self.hubs, self.fanout, self.reindex_active
-                )
-                yield key, ("in", InEdgeInfo(int(node_id), out.weight, out.edge_feat, self_info))
+        node_id = int(node_id)
+        seed = SubgraphInfo.seed(node_id, feature)
+        yield from self.routing.propagate(node_id, seed, outs, 1)
 
 
 @dataclass(frozen=True)
@@ -808,10 +844,7 @@ class MergeReducer:
     sampler: SamplingStrategy
     round_index: int
     total_rounds: int
-    hubs: frozenset[int]
-    fanout: int
-    reindex_active: bool
-    target_set: frozenset[int] | None
+    routing: _Routing
     edge_fanout: _EdgeFanout | None = None
 
     @property
@@ -819,6 +852,13 @@ class MergeReducer:
         return self.round_index == self.total_rounds
 
     def __call__(self, node_id, values):
+        # Outside every target's receptive field this round (on the final
+        # round: not a target) — nothing downstream reads this node's
+        # merge, so skip it before doing the work.  Upstream rounds already
+        # stop propagating to such nodes; the check keeps the reducer
+        # correct for records that arrive anyway.
+        if not self.routing.needed(node_id, self.round_index):
+            return
         self_info: SubgraphInfo | None = None
         outs: list[OutEdgeInfo] = []
         ins: list[InEdgeInfo] = []
@@ -846,25 +886,17 @@ class MergeReducer:
         for in_edge in sampled:
             merged.absorb_neighbor(in_edge.subgraph, in_edge.weight, in_edge.edge_feat)
 
-        if self.final_round:
-            if self.edge_fanout is not None:
-                # Edge-level task: the k-hop neighborhood of this endpoint
-                # fans out to every target edge it terminates, keyed by
-                # edge index for the pairing round.  The merged object is
-                # shared across emissions — the pairing round only reads it.
-                for edge_index, role in self.edge_fanout.entries(node_id):
-                    yield edge_index, ("end", role, merged)
-            elif self.target_set is None or node_id in self.target_set:
-                yield node_id, ("final", merged)
-            return
-        yield _plain_key(node_id, self.reindex_active), ("self", merged)
-        if outs:
-            yield _plain_key(node_id, self.reindex_active), ("out", outs)
-            for out in outs:
-                key = _propagation_key(
-                    out.dst, node_id, self.hubs, self.fanout, self.reindex_active
-                )
-                yield key, ("in", InEdgeInfo(node_id, out.weight, out.edge_feat, merged))
+        if not self.final_round:
+            yield from self.routing.propagate(node_id, merged, outs, self.round_index + 1)
+        elif self.edge_fanout is not None:
+            # Edge-level task: the k-hop neighborhood of this endpoint
+            # fans out to every target edge it terminates, keyed by
+            # edge index for the pairing round.  The merged object is
+            # shared across emissions — the pairing round only reads it.
+            for edge_index, role in self.edge_fanout.entries(node_id):
+                yield edge_index, ("end", role, merged)
+        else:
+            yield node_id, ("final", merged)
 
 
 @dataclass(frozen=True)

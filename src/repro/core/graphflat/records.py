@@ -13,11 +13,19 @@ dicts of per-node tuples, which is where the process backend's per-object
 serialization tax lived.  Encoding preserves dict insertion order, float
 bits and array dtypes exactly, so a job's output is byte-identical under
 either codec.
+
+:class:`SubgraphInfo` is additionally *wire-resident*: its encoded block is
+kept on the object once produced (a merged neighborhood fanned out over
+``deg_out`` in-edge records is encoded once, then copied), and decoding only
+finds the block's end and keeps the bytes — the ``nodes`` / ``edges`` dicts
+are built on first access.  Records that merely pass through a reducer
+(non-hub rows of the re-index rounds, in-edges a sampler drops) never leave
+their wire form.  The spill grammar is unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,24 +36,85 @@ from repro.proto.framing import (
     encode_edge_fields,
     encode_value,
     register_record,
+    skip_array,
 )
 from repro.proto.varint import decode_signed, decode_unsigned, encode_signed, encode_unsigned
 
 __all__ = ["SubgraphInfo", "InEdgeInfo", "OutEdgeInfo", "PartialMerge"]
 
 
-@dataclass
 class SubgraphInfo:
     """Accumulated neighborhood of ``root`` (the "self information").
 
     ``nodes`` maps node id -> (feature, hop distance to root along directed
     paths); ``edges`` maps (src, dst) -> (weight, edge_feature).  Dedup by
     construction: re-discovered nodes keep the *minimum* hop.
+
+    Wire-resident: a record decoded from a binary spill holds only its
+    encoded block until ``nodes`` / ``edges`` is first read, and a record
+    that has been encoded keeps the block for the next encode.  Mutate
+    through :meth:`absorb_neighbor` / :meth:`absorb_partial` only — they
+    drop the cached block; writing into the dicts directly would leave a
+    stale one behind.
     """
 
-    root: int
-    nodes: dict[int, tuple[np.ndarray, int]] = field(default_factory=dict)
-    edges: dict[tuple[int, int], tuple[float, np.ndarray | None]] = field(default_factory=dict)
+    __slots__ = ("root", "_nodes", "_edges", "_wire")
+
+    def __init__(
+        self,
+        root: int,
+        nodes: dict[int, tuple[np.ndarray, int]] | None = None,
+        edges: dict[tuple[int, int], tuple[float, np.ndarray | None]] | None = None,
+    ):
+        self.root = root
+        self._nodes = {} if nodes is None else nodes
+        self._edges = {} if edges is None else edges
+        self._wire: bytes | None = None
+
+    @classmethod
+    def from_wire(cls, root: int, wire: bytes) -> "SubgraphInfo":
+        """A record backed by its encoded block alone (``wire`` must be a
+        complete block as :func:`_encode_subgraph` writes it)."""
+        info = cls.__new__(cls)
+        info.root = root
+        info._nodes = info._edges = None
+        info._wire = wire
+        return info
+
+    def _materialize(self) -> None:
+        _, self._nodes, self._edges, _ = _parse_subgraph(memoryview(self._wire), 0)
+
+    @property
+    def nodes(self) -> dict[int, tuple[np.ndarray, int]]:
+        if self._nodes is None:
+            self._materialize()
+        return self._nodes
+
+    @property
+    def edges(self) -> dict[tuple[int, int], tuple[float, np.ndarray | None]]:
+        if self._edges is None:
+            self._materialize()
+        return self._edges
+
+    def __getstate__(self) -> dict:
+        # A materialised record pickles exactly as the plain dataclass it
+        # used to be (the pickle shuffle codec's bytes are unchanged); a
+        # wire-resident one as its block.  Never both: the cached block of
+        # a materialised record is only a cache.
+        if self._nodes is None:
+            return {"root": self.root, "wire": self._wire}
+        return {"root": self.root, "nodes": self._nodes, "edges": self._edges}
+
+    def __setstate__(self, state: dict) -> None:
+        self.root = state["root"]
+        self._nodes = state.get("nodes")
+        self._edges = state.get("edges")
+        self._wire = state.get("wire")
+
+    def __repr__(self) -> str:
+        if self._nodes is None:
+            return f"SubgraphInfo(root={self.root}, <{len(self._wire)} wire bytes>)"
+        return f"SubgraphInfo(root={self.root}, nodes={self._nodes!r}, edges={self._edges!r})"
 
     @staticmethod
     def seed(node_id: int, feature: np.ndarray) -> "SubgraphInfo":
@@ -71,27 +140,31 @@ class SubgraphInfo:
         Every node of the neighbor's subgraph lands one hop further from our
         root; the connecting edge ``neighbor.root -> self.root`` is added.
         """
+        nodes, edges = self.nodes, self.edges
+        self._wire = None
         for node_id, (feat, hop) in neighbor.nodes.items():
-            mine = self.nodes.get(node_id)
+            mine = nodes.get(node_id)
             if mine is None or hop + 1 < mine[1]:
-                self.nodes[node_id] = (feat, hop + 1)
+                nodes[node_id] = (feat, hop + 1)
         for key, value in neighbor.edges.items():
-            if key not in self.edges:
-                self.edges[key] = value
-        self.edges[(neighbor.root, self.root)] = (weight, edge_feat)
+            if key not in edges:
+                edges[key] = value
+        edges[(neighbor.root, self.root)] = (weight, edge_feat)
 
     def absorb_partial(self, other: "SubgraphInfo") -> None:
         """Merge a partial result from a re-indexed (suffixed) reducer —
         hops are already relative to our root, so no +1."""
         if other.root != self.root:
             raise ValueError(f"partial merge root mismatch: {other.root} != {self.root}")
+        nodes, edges = self.nodes, self.edges
+        self._wire = None
         for node_id, (feat, hop) in other.nodes.items():
-            mine = self.nodes.get(node_id)
+            mine = nodes.get(node_id)
             if mine is None or hop < mine[1]:
-                self.nodes[node_id] = (feat, hop)
+                nodes[node_id] = (feat, hop)
         for key, value in other.edges.items():
-            if key not in self.edges:
-                self.edges[key] = value
+            if key not in edges:
+                edges[key] = value
 
     def to_graph_feature(self) -> GraphFeature:
         """Flatten to the storage/training form (§3.2.1 "Storing")."""
@@ -207,35 +280,46 @@ def _decode_vectors(buf: memoryview, offset: int, count: int):
 
 
 def _encode_subgraph(info: SubgraphInfo, out: bytearray) -> None:
+    # Encode once, copy afterwards: a neighborhood propagated along
+    # ``deg_out`` out-edges (or passing through a reducer untouched) reuses
+    # the block it already has.
+    wire = info._wire
+    if wire is None:
+        wire = info._wire = _build_wire(info)
+    out += wire
+
+
+def _build_wire(info: SubgraphInfo) -> bytes:
     # Node and edge tables go out as contiguous little-endian blocks
     # (ids/hops as raw int64, weights as raw float64, features stacked into
     # one matrix): every hot loop is a numpy bulk conversion, not a
     # per-element Python encode — this is where the codec's wall-clock win
     # over per-object pickling comes from.
-    out += encode_signed(info.root)
-    n = len(info.nodes)
+    out = bytearray(encode_signed(info.root))
+    nodes, edges = info.nodes, info.edges
+    n = len(nodes)
     out += encode_unsigned(n)
-    ids = np.fromiter(info.nodes.keys(), dtype=np.int64, count=n)
+    ids = np.fromiter(nodes.keys(), dtype=np.int64, count=n)
     out += ids.astype("<i8", copy=False).tobytes()
     hops = np.empty(n, dtype=np.int64)
     feats = []
-    for i, (feat, hop) in enumerate(info.nodes.values()):
+    for i, (feat, hop) in enumerate(nodes.values()):
         hops[i] = hop
         feats.append(feat)
     out += hops.astype("<i8", copy=False).tobytes()
     _encode_vectors(feats, out)
 
-    m = len(info.edges)
+    m = len(edges)
     out += encode_unsigned(m)
     if not m:
-        return
+        return bytes(out)
     pairs = np.fromiter(
-        (i for pair in info.edges.keys() for i in pair), dtype=np.int64, count=2 * m
+        (i for pair in edges.keys() for i in pair), dtype=np.int64, count=2 * m
     )
     out += pairs.astype("<i8", copy=False).tobytes()
     weights = np.empty(m, dtype=np.float64)
     efeats = []
-    for i, (weight, ef) in enumerate(info.edges.values()):
+    for i, (weight, ef) in enumerate(edges.values()):
         weights[i] = weight
         efeats.append(ef)
     out += weights.astype("<f8", copy=False).tobytes()
@@ -243,6 +327,7 @@ def _encode_subgraph(info: SubgraphInfo, out: bytearray) -> None:
         out.append(0)
     else:
         _encode_vectors(efeats, out)
+    return bytes(out)
 
 
 def _read_block(buf: memoryview, offset: int, count: int, dtype: str):
@@ -253,7 +338,8 @@ def _read_block(buf: memoryview, offset: int, count: int, dtype: str):
     return block, offset + nbytes
 
 
-def _decode_subgraph(buf: memoryview, offset: int):
+def _parse_subgraph(buf: memoryview, offset: int):
+    """Full parse of one block: ``(root, nodes, edges, next_offset)``."""
     root, offset = decode_signed(buf, offset)
     n, offset = decode_unsigned(buf, offset)
     ids, offset = _read_block(buf, offset, n, "<i8")
@@ -264,7 +350,7 @@ def _decode_subgraph(buf: memoryview, offset: int):
     }
     m, offset = decode_unsigned(buf, offset)
     if not m:
-        return SubgraphInfo(root, nodes, {}), offset
+        return root, nodes, {}, offset
     pairs, offset = _read_block(buf, offset, 2 * m, "<i8")
     weights, offset = _read_block(buf, offset, m, "<f8")
     mode = buf[offset]
@@ -279,7 +365,43 @@ def _decode_subgraph(buf: memoryview, offset: int):
             pairs.reshape(m, 2).tolist(), weights.tolist(), efeats
         )
     }
-    return SubgraphInfo(root, nodes, edges), offset
+    return root, nodes, edges, offset
+
+
+def _skip_fixed(buf: memoryview, offset: int, nbytes: int) -> int:
+    if offset + nbytes > len(buf):
+        raise ValueError("truncated SubgraphInfo block")
+    return offset + nbytes
+
+
+def _skip_vectors(buf: memoryview, offset: int) -> int | None:
+    """End of a vector block whose size its header gives away (empty, or
+    the stacked-matrix fast path); ``None`` for the generic fallback, whose
+    end is only known by decoding it."""
+    mode = buf[offset]
+    if mode == 0:
+        return offset + 1
+    if mode == 1:
+        return skip_array(buf, offset + 1)
+    return None
+
+
+def _decode_subgraph(buf: memoryview, offset: int):
+    """Skip-parse: walk the block headers to its end and keep the bytes.
+    Blocks with a generic-fallback vector section (ragged / ``None``
+    features) are decoded eagerly instead."""
+    start = offset
+    root, offset = decode_signed(buf, offset)
+    n, offset = decode_unsigned(buf, offset)
+    offset = _skip_vectors(buf, _skip_fixed(buf, offset, 16 * n))
+    if offset is not None:
+        m, offset = decode_unsigned(buf, offset)
+        if m:
+            offset = _skip_vectors(buf, _skip_fixed(buf, offset, 24 * m))
+    if offset is None:
+        root, nodes, edges, offset = _parse_subgraph(buf, start)
+        return SubgraphInfo(root, nodes, edges), offset
+    return SubgraphInfo.from_wire(root, bytes(buf[start:offset])), offset
 
 
 def _encode_in_edge(info: InEdgeInfo, out: bytearray) -> None:

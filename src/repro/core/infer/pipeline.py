@@ -16,7 +16,6 @@ float tolerance — an integration test asserts this.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +28,12 @@ from repro.core.graphflat.pipeline import (
 )
 from repro.core.graphflat.sampling import SamplingStrategy, make_sampler
 from repro.core.infer.segmentation import ModelSlice, broadcast_slices, segment_model
+from repro.core.propagation import (
+    ReceptiveField,
+    distance_to_targets,
+    plain_key,
+    propagation_key,
+)
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.graph.validate import validate_tables
 from repro.mapreduce.fs import DATASET_LAYOUTS, DistFileSystem
@@ -270,48 +275,6 @@ def _detect_hubs(edges: EdgeTable, hub_threshold: int) -> frozenset[int]:
     return frozenset(int(v) for v in uniq[counts > hub_threshold])
 
 
-def _distance_to_targets(
-    edges: EdgeTable, target_set: set[int], max_hops: int
-) -> dict[int, int]:
-    """``d(target_set, u)`` for every u within ``max_hops`` reverse hops.
-
-    BFS from the targets along edges *backwards* (an edge ``u -> v`` means
-    u's embedding feeds v), i.e. the same distance GraphTrainer's pruning
-    uses (§3.3.2) lifted to the inference pipeline.
-
-    The reverse adjacency is built with one stable argsort over ``dst``
-    instead of a per-edge dict-append loop: in-neighbors of ``v`` are a
-    contiguous run of the src column.  The BFS itself visits nodes in the
-    same hop order, so the returned distances are identical.
-    """
-    src = np.asarray(edges.src, dtype=np.int64)
-    dst = np.asarray(edges.dst, dtype=np.int64)
-    order = np.argsort(dst, kind="stable")
-    sorted_src = src[order]
-    sorted_dst = dst[order]
-    uniq, starts = np.unique(sorted_dst, return_index=True)
-    ends = np.append(starts[1:], len(sorted_dst))
-    spans = {
-        int(v): (int(lo), int(hi)) for v, lo, hi in zip(uniq, starts, ends)
-    }
-    dist = {t: 0 for t in target_set}
-    frontier = list(target_set)
-    for hop in range(1, max_hops + 1):
-        nxt: list[int] = []
-        for v in frontier:
-            span = spans.get(v)
-            if span is None:
-                continue
-            for u in sorted_src[span[0] : span[1]].tolist():
-                if u not in dist:
-                    dist[u] = hop
-                    nxt.append(u)
-        if not nxt:
-            break
-        frontier = nxt
-    return dist
-
-
 def graph_infer(
     model: GNNModel,
     nodes: NodeTable,
@@ -443,7 +406,10 @@ def _graph_infer_rounds(
             raise KeyError(
                 f"{len(missing)} target ids not in node table (e.g. {missing[:5]})"
             )
-        distance = _distance_to_targets(edges, target_set, len(gnn_slices))
+        distance = distance_to_targets(edges, target_set, len(gnn_slices))
+
+    total_rounds = len(gnn_slices)
+    needed = ReceptiveField(distance, total_rounds)
 
     uniq_dst, dst_counts = _degree_counts(edges)
     hubs = frozenset(
@@ -462,13 +428,11 @@ def _graph_infer_rounds(
             config.reindex_fanout,
             reindex_active,
             config.num_reducers,
+            needed,
         )
         partition_broadcast, planned = publish_plan(plan, runtime.needs_pickling)
 
     # ---- Map: self embedding h^(0) = x, out-edges, propagate h^(0) --------
-    total_rounds = len(gnn_slices)
-    needed = ReceptiveField(distance, total_rounds)
-
     node_rows = [(int(i), ("node", feat)) for i, feat, _ in nodes.rows()]
     edge_rows = [(int(s), (int(s), int(d), float(w), f)) for s, d, f, w in edges.rows()]
     jobs = [
@@ -601,36 +565,8 @@ def _graph_infer_rounds(
     return result
 
 
-# --------------------------------------------------------------------- keys
-def _suffix_key(dst: int, src: int, hubs, fanout, reindex_active):
-    if not reindex_active:
-        return dst
-    if dst in hubs:
-        # Round-independent, matching GraphFlat's suffix exactly.
-        return (dst, 1 + zlib.crc32(f"{src}|{dst}".encode()) % fanout)
-    return (dst, 0)
-
-
-def _plain_key(node_id: int, reindex_active: bool):
-    return (node_id, 0) if reindex_active else node_id
-
-
 # ----------------------------------------------------------------- reducers
 # Callable dataclasses (not closures) so jobs pickle to worker processes.
-
-
-@dataclass(frozen=True)
-class ReceptiveField:
-    """Targeted-inference pruning predicate: is a node's layer-k embedding
-    inside some target's receptive field?  ``distance=None`` = everything."""
-
-    distance: dict[int, int] | None
-    total_rounds: int
-
-    def __call__(self, node_id: int, k: int) -> bool:
-        if self.distance is None:
-            return True
-        return self.distance.get(node_id, self.total_rounds + 1) <= self.total_rounds - k
 
 
 @dataclass(frozen=True)
@@ -656,13 +592,13 @@ class InferPrepareReducer:
         if not self.needed(int(node_id), 0):
             return
         h0 = np.asarray(feature, dtype=np.float32)
-        yield _plain_key(int(node_id), self.reindex_active), ("self", h0)
+        yield plain_key(int(node_id), self.reindex_active), ("self", h0)
         if outs:
-            yield _plain_key(int(node_id), self.reindex_active), ("out", outs)
+            yield plain_key(int(node_id), self.reindex_active), ("out", outs)
             for out in outs:
                 if not self.needed(out.dst, 1):
                     continue
-                key = _suffix_key(
+                key = propagation_key(
                     out.dst, int(node_id), self.hubs, self.fanout, self.reindex_active
                 )
                 yield key, ("in", _InEmb(int(node_id), out.weight, out.edge_feat, h0))
@@ -766,13 +702,13 @@ class EmbeddingReducer:
                 return
             yield node_id, ("self", h_next)
             return
-        yield _plain_key(node_id, self.reindex_active), ("self", h_next)
+        yield plain_key(node_id, self.reindex_active), ("self", h_next)
         if outs:
-            yield _plain_key(node_id, self.reindex_active), ("out", outs)
+            yield plain_key(node_id, self.reindex_active), ("out", outs)
             for out in outs:
                 if not self.needed(out.dst, self.round_index + 1):
                     continue
-                key = _suffix_key(
+                key = propagation_key(
                     out.dst, node_id, self.hubs, self.fanout, self.reindex_active
                 )
                 yield key, ("in", _InEmb(node_id, out.weight, out.edge_feat, h_next))

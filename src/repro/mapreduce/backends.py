@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import threading
 import time
 import weakref
@@ -76,6 +77,18 @@ BACKEND_REGISTRY: dict[str, type["Backend"]] = {}
 
 _POLL_S = 0.05
 """Future-poll period of the timeout/speculation coordinator loop."""
+
+_WORKER_PRELOAD = [
+    "numpy",
+    "repro.core.graphflat",
+    "repro.core.infer",
+    "repro.core.trainer",
+]
+"""Modules the forkserver imports once, so pool workers fork with them
+loaded instead of each re-importing numpy and the pipelines (~0.2 s per
+worker — paid again by every pool, i.e. every job that owns its runtime)."""
+
+_FORKSERVER_START_LOCK = threading.Lock()
 
 
 class WorkerCrashError(RuntimeError):
@@ -265,6 +278,37 @@ class _RemoteCall:
                 monitor.count_launch()
 
 
+def _start_warm_forkserver() -> None:
+    """Start multiprocessing's (default, process-wide) forkserver with
+    :data:`_WORKER_PRELOAD` imported.  A no-op once it is running.
+
+    The forkserver is a fresh interpreter: it sees ``PYTHONPATH`` but not
+    the parent's run-time ``sys.path`` (Python 3.11 hands it ``sys_path``
+    and ignores it), so a ``repro`` that is only reachable through
+    ``sys.path`` could not be preloaded.  The parent's path is therefore
+    lent to it through the environment, for the moment of its start only.
+
+    Best effort: a module the forkserver cannot import is skipped there,
+    and whatever fails here fails again — visibly — when the pool starts
+    its first worker; workers then import what they need themselves.
+    """
+    with _FORKSERVER_START_LOCK:
+        saved = os.environ.get("PYTHONPATH")
+        try:
+            from multiprocessing import forkserver
+
+            multiprocessing.set_forkserver_preload(_WORKER_PRELOAD)
+            os.environ["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+            forkserver.ensure_running()
+        except Exception:  # noqa: BLE001 - warm-up only, see docstring
+            pass
+        finally:
+            if saved is None:
+                os.environ.pop("PYTHONPATH", None)
+            else:
+                os.environ["PYTHONPATH"] = saved
+
+
 @register_backend("processes")
 class ProcessesBackend(Backend):
     needs_pickling = True
@@ -286,10 +330,11 @@ class ProcessesBackend(Backend):
                 # fork() is deadlock-prone; forkserver spawns workers from
                 # a clean single-threaded helper.  Jobs are already
                 # verified picklable, so no fork-only state is lost.
-                methods = multiprocessing.get_all_start_methods()
-                context = multiprocessing.get_context(
-                    "forkserver" if "forkserver" in methods else None
-                )
+                method = None
+                if "forkserver" in multiprocessing.get_all_start_methods():
+                    method = "forkserver"
+                    _start_warm_forkserver()
+                context = multiprocessing.get_context(method)
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers or os.cpu_count() or 1,
                     mp_context=context,

@@ -39,6 +39,7 @@ or binary records — tests assert this for the full pipelines.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from collections.abc import Callable
@@ -60,6 +61,7 @@ __all__ = [
     "read_frame",
     "read_stream_header",
     "register_record",
+    "skip_array",
     "write_frame",
     "write_stream_header",
 ]
@@ -258,21 +260,42 @@ def _decode(buf: memoryview, offset: int):
     raise FrameCorruptionError(f"unknown value tag {tag:#x} at offset {offset - 1}")
 
 
-def _decode_array(buf: memoryview, offset: int):
+def _array_header(buf: memoryview, offset: int):
+    """Parse an array block's header (after its tag byte); returns
+    ``(dtype, shape, data_offset, end_offset)`` with the data bounds
+    checked against the buffer."""
     dlen, offset = decode_unsigned(buf, offset)
-    dtype = np.dtype(str(buf[offset : offset + dlen], "ascii"))
+    try:
+        dtype = np.dtype(str(buf[offset : offset + dlen], "ascii"))
+    except (TypeError, ValueError) as exc:  # cut short or garbled
+        raise FrameCorruptionError("unreadable array dtype") from exc
     offset += dlen
     ndim, offset = decode_unsigned(buf, offset)
     shape = []
     for _ in range(ndim):
         dim, offset = decode_unsigned(buf, offset)
         shape.append(dim)
-    count = int(np.prod(shape)) if shape else 1
-    nbytes = count * dtype.itemsize
-    if offset + nbytes > len(buf):
+    end = offset + math.prod(shape) * dtype.itemsize
+    if end > len(buf):
         raise FrameCorruptionError("truncated array block")
-    arr = np.frombuffer(buf[offset : offset + nbytes], dtype=dtype).reshape(shape).copy()
-    return arr, offset + nbytes
+    return dtype, shape, offset, end
+
+
+def _decode_array(buf: memoryview, offset: int):
+    dtype, shape, offset, end = _array_header(buf, offset)
+    arr = np.frombuffer(buf[offset:end], dtype=dtype).reshape(shape).copy()
+    return arr, end
+
+
+def skip_array(buf: memoryview, offset: int) -> int:
+    """Offset just past the encoded array value at ``offset`` — header
+    parsed, data bounds-checked, nothing copied.  Lets a record decoder
+    find the end of an array-bearing block it means to keep as bytes."""
+    if buf[offset] != _T_ARRAY:
+        raise FrameCorruptionError(
+            f"expected an array block at offset {offset}, found tag {buf[offset]:#x}"
+        )
+    return _array_header(buf, offset + 1)[3]
 
 
 def decode_value(data: bytes | memoryview, offset: int = 0):

@@ -1,0 +1,393 @@
+"""Demand-driven GraphFlat: receptive-field-pruned propagation and
+wire-resident ``SubgraphInfo`` records.
+
+The oracle is knob-free: ``graph_flat(..., targets=None)`` never prunes (its
+``ReceptiveField`` has no distances), so a *targeted* run's sample for target
+``t`` must be byte-identical to the same ``t`` cut out of the untargeted run —
+whatever the hop count, hub re-indexing, sampler, backend, spill codec or
+task.  The shuffle counters then show the point of the exercise: fewer
+records and bytes for sparse targets, exactly the ungated counts without
+targets, and a pinned budget so a regression fails as loudly as a
+byte-identity break does.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cli import main
+from repro.core.graphflat import GraphFlatConfig, graph_flat
+from repro.core.graphflat.pipeline import MergeReducer, PartialReducer, _Routing
+from repro.core.graphflat.records import InEdgeInfo, SubgraphInfo
+from repro.core.graphflat.sampling import make_sampler
+from repro.core.propagation import ReceptiveField, distance_to_targets
+from repro.datasets import uug_like, write_edge_table, write_node_table
+from repro.graph.subgraph import GraphFeature, merge_graph_features
+from repro.graph.tables import NodeTable
+from repro.mapreduce import LocalRuntime
+from repro.proto.codec import decode_sample, encode_sample
+from repro.proto.framing import decode_value, encode_value
+from repro.tasks import make_task
+
+HUB_THRESHOLD = {"reindex": 8, "plain": 10**9}
+
+
+@pytest.fixture(scope="module")
+def graph():
+    """~120-node power-law graph with two hubs (in-degree 30), plus three
+    nodes no edge touches — targets that nothing can reach and that reach
+    nothing must still come out as their 0-hop sample."""
+    ds = uug_like(
+        seed=5, num_nodes=120, avg_degree=4, feature_dim=6, num_hubs=2, hub_degree=30
+    )
+    isolated = np.arange(3) + int(ds.nodes.ids.max()) + 1
+    nodes = NodeTable(
+        np.concatenate([ds.nodes.ids, isolated]),
+        np.concatenate([ds.nodes.features, np.ones((3, 6), np.float32)]),
+        np.concatenate([ds.nodes.labels, np.zeros(3, ds.nodes.labels.dtype)]),
+    )
+    edges = ds.edges.coalesce()
+    no_in_edges = sorted(set(ds.nodes.ids.tolist()) - set(edges.dst.tolist()))
+    assert no_in_edges, "fixture needs sources that are nobody's destination"
+    targets = np.concatenate([ds.train_ids[:20], isolated[:2], no_in_edges[:2]])
+    return nodes, edges, targets.astype(np.int64)
+
+
+def flat_config(mode="reindex", **overrides):
+    base = dict(
+        hops=2, max_neighbors=4, hub_threshold=HUB_THRESHOLD[mode],
+        num_reducers=4, seed=0,
+    )
+    base.update(overrides)
+    return GraphFlatConfig(**base)
+
+
+def sample_id(record: bytes) -> int:
+    return decode_sample(record)[0]
+
+
+_UNTARGETED: dict[tuple, list[bytes]] = {}
+
+
+def untargeted(graph, mode, **overrides) -> list[bytes]:
+    """The oracle run (serial, in memory), once per configuration."""
+    key = (mode, *sorted(overrides.items()))
+    if key not in _UNTARGETED:
+        nodes, edges, _ = graph
+        _UNTARGETED[key] = graph_flat(
+            nodes, edges, None, flat_config(mode, **overrides)
+        ).samples
+    return _UNTARGETED[key]
+
+
+def cut_out(samples: list[bytes], targets) -> list[bytes]:
+    wanted = {int(t) for t in targets}
+    return [record for record in samples if sample_id(record) in wanted]
+
+
+class TestTargetedEqualsUntargetedCut:
+    @pytest.mark.parametrize("sampling", ["uniform", "weighted", "topk"])
+    @pytest.mark.parametrize("mode", ["reindex", "plain"])
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_node_samples(self, graph, hops, mode, sampling):
+        nodes, edges, targets = graph
+        knobs = dict(hops=hops, sampling=sampling)
+        result = graph_flat(nodes, edges, targets, flat_config(mode, **knobs))
+        assert bool(result.hub_nodes) == (mode == "reindex")
+        assert len(result.samples) == len(targets)
+        # order included: both runs are partition-major under the same hash
+        assert result.samples == cut_out(untargeted(graph, mode, **knobs), targets)
+
+    @pytest.mark.parametrize("codec", ["binary", "pickle"])
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("hops", [2, 3])
+    def test_node_samples_through_the_spill(self, graph, tmp_path, hops, backend, codec):
+        nodes, edges, targets = graph
+        with LocalRuntime(
+            backend=backend, max_workers=2, spill_dir=tmp_path, shuffle_codec=codec,
+            # tiny runs: every writer flushes several, so the k-way merge
+            # re-assembles groups from runs whose boundaries pruning moved
+            spill_run_records=16,
+        ) as runtime:
+            result = graph_flat(
+                nodes, edges, targets, flat_config(hops=hops), runtime
+            )
+        assert result.samples == cut_out(untargeted(graph, "reindex", hops=hops), targets)
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    @pytest.mark.parametrize("mode", ["reindex", "plain"])
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_link_prediction_samples(self, graph, tmp_path, hops, mode, backend):
+        """Edge tasks have no untargeted form (their endpoints *are* the
+        targets), so the oracle is rebuilt from the untargeted node run:
+        sample ``i`` joins the two endpoint neighborhoods exactly as the
+        pairing round does."""
+        nodes, edges, _ = graph
+        knobs = dict(task="link_prediction", edge_targets=15, hops=hops)
+        spill = {} if backend == "serial" else dict(spill_dir=tmp_path)
+        with LocalRuntime(backend=backend, max_workers=2, **spill) as runtime:
+            result = graph_flat(
+                nodes, edges, config=flat_config(mode, **knobs), runtime=runtime
+            )
+        table = make_task("link_prediction").build_edge_targets(
+            nodes, edges, seed=0, max_targets=15, negative_ratio=1
+        )
+        neighborhood = {
+            sample_id(r): decode_sample(r)[2]
+            for r in untargeted(graph, mode, hops=hops)
+        }
+        expected = {}
+        for i, (s, d) in enumerate(zip(table.src.tolist(), table.dst.tolist())):
+            joined = merge_graph_features([neighborhood[s], neighborhood[d]])
+            pair = GraphFeature(
+                np.asarray([s, d], dtype=np.int64), joined.node_ids, joined.x,
+                joined.hops, joined.edge_src, joined.edge_dst, joined.edge_feat,
+                joined.edge_weight,
+            )
+            expected[i] = encode_sample(i, int(table.labels[i]), pair)
+        assert {sample_id(r): r for r in result.samples} == expected
+
+    def test_isolated_and_sourceless_targets_emit_their_zero_hop_sample(self, graph):
+        nodes, edges, targets = graph
+        result = graph_flat(nodes, edges, targets[-4:], flat_config())
+        decoded = {sample_id(r): decode_sample(r)[2] for r in result.samples}
+        assert sorted(decoded) == sorted(targets[-4:].tolist())
+        for node_id, gf in decoded.items():
+            assert gf.node_ids.tolist() == [node_id] and gf.num_edges == 0
+
+
+# ------------------------------------------------------------------ counters
+def shuffle_totals(result) -> tuple[int, int]:
+    rounds = result.round_stats[1:]  # [0] is the degree job, never gated
+    return (
+        sum(s.shuffled_records for s in rounds),
+        sum(s.shuffle_bytes_written for s in rounds),
+    )
+
+
+class TestShuffleVolume:
+    def test_sparse_targets_shuffle_strictly_less(self, graph, tmp_path):
+        nodes, edges, targets = graph
+        with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
+            full = graph_flat(nodes, edges, None, flat_config(), runtime)
+            sparse = graph_flat(nodes, edges, targets[:5], flat_config(), runtime)
+        full_records, full_bytes = shuffle_totals(full)
+        records, nbytes = shuffle_totals(sparse)
+        assert 0 < records < full_records and 0 < nbytes < full_bytes
+        # same job structure: pruning empties groups, never rounds or tasks
+        assert [s.job for s in sparse.round_stats] == [s.job for s in full.round_stats]
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_without_targets_the_gate_is_a_no_op(self, graph, hops):
+        """Ungated record count, from first principles: the Map input is
+        one row per node and per edge; every round then carries one self
+        record per node, one out-list per node with out-edges, and one
+        in-record per edge (hub re-indexing off: no extra rounds)."""
+        nodes, edges, _ = graph
+        result = graph_flat(nodes, edges, None, flat_config("plain", hops=hops))
+        n, e = len(nodes), len(edges.src)
+        senders = len(np.unique(edges.src))
+        records, _ = shuffle_totals(result)
+        assert records == (n + e) + hops * (n + senders + e)
+        assert result.receptive_nodes == (n, n)
+        assert result.propagations == (hops * e, hops * e)
+
+    def test_result_counts_match_a_brute_force_walk(self, graph):
+        nodes, edges, targets = graph
+        hops = 3
+        result = graph_flat(nodes, edges, targets[:6], flat_config(hops=hops))
+        dist = distance_to_targets(edges, {int(t) for t in targets[:6]}, hops)
+        sent = sum(
+            1
+            for k in range(1, hops + 1)
+            for w in edges.dst.tolist()
+            if dist.get(w, hops + 1) <= hops - k
+        )
+        assert result.receptive_nodes == (len(dist), len(nodes))
+        assert result.propagations == (sent, hops * len(edges.dst))
+        assert 0 < sent < hops * len(edges.dst)
+
+    def test_shuffle_budget(self, tmp_path):
+        """The deterministic perf budget: counts, not timings, so it cannot
+        flake.  uug_like(seed=11) with 25 % of the nodes as targets, two
+        hops, re-indexed hubs, binary spill: without the receptive-field
+        gate this shuffled 16 966 records / 5 543 138 bytes; with it,
+        11 413 / 2 032 201."""
+        ds = uug_like(
+            seed=11, num_nodes=400, avg_degree=6, feature_dim=16, num_hubs=3,
+            hub_degree=60,
+        )
+        targets = np.sort(ds.nodes.ids)[::4]
+        with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
+            result = graph_flat(
+                ds.nodes, ds.edges, targets,
+                GraphFlatConfig(
+                    hops=2, max_neighbors=8, hub_threshold=40, num_reducers=4, seed=0
+                ),
+                runtime,
+            )
+        assert result.hub_nodes and result.num_targets == 100
+        records = sum(s.shuffled_records for s in result.round_stats)
+        nbytes = sum(s.shuffle_bytes_written for s in result.round_stats)
+        assert records <= 12_000, records
+        assert nbytes <= 2_200_000, nbytes
+
+
+# ------------------------------------------------------- wire-resident records
+def make_subgraph(rng, *, num_nodes=6, num_edges=8, dim=5, edge_feat="uniform"):
+    ids = rng.choice(10_000, size=num_nodes, replace=False).astype(np.int64)
+    nodes = {
+        int(i): (rng.standard_normal(dim).astype(np.float32), int(rng.integers(0, 4)))
+        for i in ids
+    }
+    edges = {}
+    for _ in range(num_edges):
+        s, d = (int(x) for x in rng.choice(ids, size=2))
+        ef = {
+            "uniform": lambda: rng.standard_normal(3).astype(np.float32),
+            "none": lambda: None,
+            "mixed": lambda: rng.standard_normal(3).astype(np.float32)
+            if rng.random() < 0.5 else None,
+        }[edge_feat]()
+        edges[(s, d)] = (float(rng.standard_normal()), ef)
+    return SubgraphInfo(int(ids[0]), nodes, edges)
+
+
+def assert_same_subgraph(a: SubgraphInfo, b: SubgraphInfo):
+    assert a.root == b.root
+    assert list(a.nodes) == list(b.nodes) and list(a.edges) == list(b.edges)
+    for (fa, ha), (fb, hb) in zip(a.nodes.values(), b.nodes.values()):
+        assert ha == hb and fa.dtype == fb.dtype and np.array_equal(fa, fb)
+    for (wa, ea), (wb, eb) in zip(a.edges.values(), b.edges.values()):
+        assert wa == wb
+        assert (ea is None and eb is None) or (
+            ea.dtype == eb.dtype and np.array_equal(ea, eb)
+        )
+
+
+class TestWireResidentRecords:
+    @given(seed=st.integers(0, 2**16), num_nodes=st.integers(1, 12),
+           num_edges=st.integers(0, 20), dim=st.integers(0, 8),
+           edge_feat=st.sampled_from(["uniform", "none"]))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_re_encodes_without_materialising(
+        self, seed, num_nodes, num_edges, dim, edge_feat
+    ):
+        original = make_subgraph(
+            np.random.default_rng(seed), num_nodes=num_nodes, num_edges=num_edges,
+            dim=dim, edge_feat=edge_feat,
+        )
+        wire = encode_value(("in", InEdgeInfo(3, 0.5, None, original)))
+        (_, decoded), end = decode_value(wire)
+        assert end == len(wire)
+        assert decoded.subgraph._nodes is None and decoded.subgraph._edges is None
+        assert encode_value(("in", decoded)) == wire
+        assert pickle.loads(pickle.dumps(decoded)).subgraph._nodes is None
+        assert decoded.subgraph._nodes is None  # still never built
+        assert_same_subgraph(original, decoded.subgraph)  # first access builds it
+        assert encode_value(("in", decoded)) == wire
+
+    def test_pickled_lazy_record_materialises_on_the_other_side(self):
+        original = make_subgraph(np.random.default_rng(1))
+        lazy, _ = decode_value(encode_value(original))
+        clone = pickle.loads(pickle.dumps(lazy))
+        assert clone._nodes is None
+        assert_same_subgraph(original, clone)
+        # a materialised record pickles as its dicts, without the cached block
+        assert b"wire" not in pickle.dumps(original)
+        assert_same_subgraph(original, pickle.loads(pickle.dumps(original)))
+
+    @pytest.mark.parametrize("absorb", ["neighbor", "partial"])
+    def test_mutation_after_encode_invalidates_the_cached_block(self, absorb):
+        rng = np.random.default_rng(2)
+        info = make_subgraph(rng)
+        before = encode_value(info)
+        assert info._wire is not None and encode_value(info) == before
+        lazy, _ = decode_value(before)
+        other = make_subgraph(rng)
+        for record in (info, lazy):
+            if absorb == "neighbor":
+                record.absorb_neighbor(other, 1.5, None)
+            else:
+                record.absorb_partial(SubgraphInfo(record.root, other.nodes, other.edges))
+            assert record._wire is None
+        after = encode_value(info)
+        assert after != before and encode_value(lazy) == after
+        assert_same_subgraph(info, decode_value(after)[0])
+
+    def test_generic_fallback_blocks_decode_eagerly(self):
+        rng = np.random.default_rng(3)
+        mixed = make_subgraph(rng, edge_feat="mixed")  # None among edge features
+        ragged = SubgraphInfo(1, {
+            1: (np.zeros(2, np.float32), 0),
+            2: (np.zeros(5, np.float32), 1),  # ragged node features
+        })
+        for original in (mixed, ragged):
+            wire = encode_value(original)
+            decoded, end = decode_value(wire)
+            assert end == len(wire)
+            assert decoded._nodes is not None
+            assert_same_subgraph(original, decoded)
+            assert encode_value(decoded) == wire
+
+    @pytest.mark.parametrize("edge_feat", ["uniform", "none"])
+    def test_truncated_block_raises_at_decode_time(self, edge_feat):
+        """Skip-parsing must not defer corruption to first access: every
+        strict prefix of a record fails inside ``decode_value``."""
+        wire = encode_value(make_subgraph(np.random.default_rng(4), edge_feat=edge_feat))
+        for cut in range(1, len(wire)):
+            with pytest.raises((ValueError, IndexError)):
+                decode_value(wire[:cut])
+        # 6 nodes: ids + hops fill bytes ~4..100, the 6x5 float32 feature
+        # matrix the ~120 bytes after its header
+        with pytest.raises(ValueError, match="truncated SubgraphInfo block"):
+            decode_value(wire[:40])
+        with pytest.raises(ValueError, match="truncated array block"):
+            decode_value(wire[:150])
+
+    def test_untouched_records_stay_on_the_wire_through_the_reducers(self):
+        """The two places the laziness pays: non-hub rows passing through a
+        re-index round, and in-edges the sampler drops."""
+        rng = np.random.default_rng(5)
+        sampler = make_sampler("uniform", 3, seed=0)
+
+        def shuffled(value):
+            return decode_value(encode_value(value))[0]
+
+        rows = [("self", shuffled(make_subgraph(rng)))] + [
+            ("in", shuffled(InEdgeInfo(src, 1.0, None, make_subgraph(rng))))
+            for src in range(12)
+        ]
+        passed = list(PartialReducer(sampler, 1, 4)((7, 0), rows))
+        assert [value for _, value in passed] == rows
+        assert rows[0][1]._nodes is None
+        assert all(row[1].subgraph._nodes is None for row in rows[1:])
+
+        routing = _Routing(frozenset(), 4, False, ReceptiveField(None, 2))
+        rows[0] = ("self", shuffled(SubgraphInfo.seed(7, np.zeros(5, np.float32))))
+        list(MergeReducer(sampler, 2, 2, routing)(7, rows))
+        built = [row[1].subgraph._nodes is not None for row in rows[1:]]
+        assert sum(built) == 3  # the sampled ones, and only those
+
+
+class TestCommandLine:
+    def test_graphflat_prints_the_receptive_field(self, graph, tmp_path, capsys):
+        nodes, edges, targets = graph
+        write_node_table(tmp_path / "nodes.tsv", nodes)
+        write_edge_table(tmp_path / "edges.tsv", edges)
+        np.savetxt(tmp_path / "targets.txt", targets[:5], fmt="%d")
+        assert main([
+            "graphflat", "-n", str(tmp_path / "nodes.tsv"),
+            "-e", str(tmp_path / "edges.tsv"), "--hops", "2",
+            "--targets", str(tmp_path / "targets.txt"),
+            "--dfs", str(tmp_path / "dfs"), "--output", "flat/train",
+        ]) == 0
+        out = capsys.readouterr().out
+        dist = distance_to_targets(edges, {int(t) for t in targets[:5]}, 2)
+        assert f"receptive field: {len(dist)} of {len(nodes)} nodes, " in out
+        assert f" of {2 * len(edges.src)} propagations" in out

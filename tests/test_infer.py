@@ -239,8 +239,8 @@ class TestOutput:
 
 
 def _ref_distance_to_targets(edges, target_set, max_hops):
-    """The pre-vectorization dict-loop adjacency build, kept as the
-    reference the argsort version must reproduce exactly."""
+    """The dict-loop BFS, kept as the reference the numpy-frontier version
+    (shared by GraphFlat and GraphInfer) must reproduce exactly."""
     in_neighbors = {}
     for s, d in zip(edges.src.tolist(), edges.dst.tolist()):
         in_neighbors.setdefault(d, []).append(s)
@@ -261,13 +261,19 @@ def _ref_distance_to_targets(edges, target_set, max_hops):
 
 class TestVectorizedGraphPrep:
     def test_distance_matches_dict_loop_reference(self, hub_graph):
-        from repro.core.infer.pipeline import _distance_to_targets
+        from repro.core.propagation import distance_to_targets
 
         edges = hub_graph.edges.coalesce()
-        targets = {int(t) for t in hub_graph.val_ids[:15]}
-        for hops in (1, 2, 3):
-            assert _distance_to_targets(edges, targets, hops) == \
-                _ref_distance_to_targets(edges, targets, hops)
+        no_in_edges = set(hub_graph.nodes.ids.tolist()) - set(edges.dst.tolist())
+        for targets in (
+            {int(t) for t in hub_graph.val_ids[:15]},
+            {int(hub_graph.val_ids[0])},
+            set(sorted(no_in_edges)[:3]),  # frontier dies at hop 1
+            {10**12},  # not in the graph at all
+        ):
+            for hops in (1, 2, 3, 50):
+                assert distance_to_targets(edges, targets, hops) == \
+                    _ref_distance_to_targets(edges, targets, hops)
 
     def test_hub_set_matches_dict_loop_reference(self, hub_graph):
         from repro.core.infer.pipeline import _detect_hubs

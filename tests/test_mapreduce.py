@@ -240,6 +240,64 @@ def _inc_reducer(k, vs):
     yield k, sum(vs) + 1
 
 
+_WARM_START_SCRIPT = """
+import os, sys
+sys.path.insert(0, {src!r})  # the only way this interpreter can find repro
+from multiprocessing import forkserver, resource_tracker
+from repro.mapreduce import LocalRuntime, MapReduceJob
+
+def probe(key, values):
+    # nothing this job ships imports the pipelines: only a forkserver that
+    # preloaded them explains their presence in a fresh worker
+    yield key, sorted(m for m in ("numpy", "repro.core.infer") if m in sys.modules)
+
+if __name__ == "__main__":
+    assert "PYTHONPATH" not in os.environ
+    with LocalRuntime("processes", max_workers=2) as runtime:
+        out = runtime.run(MapReduceJob("probe", probe, num_reducers=2), [(1, 1), (2, 2)])
+    assert "PYTHONPATH" not in os.environ  # lent for the start only
+    assert forkserver._forkserver._forkserver_pid is not None  # the default one
+    forkserver._forkserver._stop()
+    resource_tracker._resource_tracker._stop()
+    print(sorted(out))
+"""
+
+
+class TestWarmWorkerStart:
+    def test_workers_fork_with_the_pipelines_loaded(self, tmp_path):
+        """``repro`` reachable through ``sys.path`` alone (how
+        ``python3 bench/run.py`` runs): the forkserver must still preload
+        it, stay multiprocessing's default one, and leave the environment
+        as it found it."""
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = tmp_path / "warm.py"
+        script.write_text(_WARM_START_SCRIPT.format(src=str(src)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        loaded = ["numpy", "repro.core.infer"]
+        assert proc.stdout.strip() == str([(1, loaded), (2, loaded)])
+
+    def test_failed_warm_up_degrades_silently(self, monkeypatch):
+        from multiprocessing import forkserver
+
+        from repro.mapreduce import backends
+
+        def refuse():
+            raise OSError("no forkserver for you")
+
+        monkeypatch.setattr(forkserver, "ensure_running", refuse)
+        monkeypatch.setenv("PYTHONPATH", "/somewhere/else")
+        backends._start_warm_forkserver()  # must not raise
+        assert os.environ["PYTHONPATH"] == "/somewhere/else"
+
+
 class TestBackendRegistry:
     def test_known_backends_registered(self):
         assert {"serial", "threads", "processes"} <= set(BACKEND_REGISTRY)

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.graphflat.pipeline import build_partition_plan
 from repro.core.infer import GraphInferConfig, graph_infer
+from repro.core.propagation import ReceptiveField
 from repro.mapreduce import (
     FailureInjector,
     HashPartitioner,
@@ -434,9 +435,10 @@ class TestPipelinePartitionerMatrix:
         in its slice keys (its plain key carries only post-sampling
         partials); a heavy *non-hub* node keeps both forms."""
         degrees = [(1, 1000), (2, 100)] + [(n, 1) for n in range(10, 40)]
+        everything = ReceptiveField(None, 2)
         plan = build_partition_plan(
             degrees, frozenset({1}), fanout=4, reindex_active=True,
-            num_reducers=4,
+            num_reducers=4, needed=everything,
         )
         for s in range(1, 5):  # the hub's split slices are the heavy keys
             assert key_bytes((1, s)) in plan.assignments
@@ -445,8 +447,23 @@ class TestPipelinePartitionerMatrix:
         # reindex off: plain keys only, at full degree weight
         flat = build_partition_plan(
             degrees, frozenset(), fanout=4, reindex_active=False,
-            num_reducers=4,
+            num_reducers=4, needed=everything,
         )
         assert key_bytes(1) in flat.assignments
         assert all(isinstance(k, bytes) for k in flat.assignments)
         assert key_bytes((1, 0)) not in flat.assignments
+
+    def test_build_partition_plan_follows_the_receptive_field(self):
+        """Propagation is demand-driven: a node no target can be reached
+        from receives no in-records, so the planner must not spend a
+        placement on it — however heavy its in-degree."""
+        degrees = [(1, 1000), (2, 900)] + [(n, 1) for n in range(10, 40)]
+        # hops=2: node 2 sits 1 hop from a target (merges in round 1),
+        # node 1 sits 2 hops away (only ever *sends*).
+        needed = ReceptiveField({2: 1, 1: 2, 10: 0}, 2)
+        plan = build_partition_plan(
+            degrees, frozenset(), fanout=4, reindex_active=False,
+            num_reducers=4, needed=needed,
+        )
+        assert key_bytes(2) in plan.assignments
+        assert key_bytes(1) not in plan.assignments
