@@ -12,7 +12,10 @@ decoding — the dataset:
   DFS dataset.  ``batch()`` returns a tiny picklable
   :class:`ColumnarBatchRef` instead of sample objects, so a process-pool
   prefetch worker ships a few ints per batch and slices the shard out of
-  its own mapping (per-process shard cache).
+  its own mapping (per-process shard cache).  The ref's ``gather()`` hands
+  the batch over as stacked columns (``repro.graph.subgraph.StackedFeatures``)
+  — the training loop never builds a per-sample object; ``load_samples()``
+  still decodes them for callers that want objects.
 
 :func:`open_sample_source` picks the right source for a DFS dataset from
 its layout metadata; both sources present samples in ``read_dataset``
@@ -22,13 +25,15 @@ trainer sees — per-epoch losses are bit-identical across layouts (tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.trainer.vectorize import TrainSample, decode_samples
-from repro.proto.columnar import ColumnarShard
+from repro.graph.subgraph import StackedFeatures
+from repro.proto.columnar import ColumnarShard, gather_column, gather_samples
 
 __all__ = [
     "ColumnarBatchRef",
@@ -48,7 +53,7 @@ class SampleSource:
     :meth:`batch` may return any object the
     :class:`~repro.core.trainer.pipeline.BatchPipeline` preparer
     understands (a list of samples, or a picklable ref with a
-    ``load_samples()`` method).
+    ``gather()`` method).
     """
 
     def __len__(self) -> int:
@@ -134,7 +139,9 @@ _SHARD_CACHE_LIMIT = 256
 
 
 def _cached_shard(path: str) -> ColumnarShard:
-    stat = Path(path).stat()
+    """Costs one ``stat``; callers resolve a shard once per batch, not per
+    sample."""
+    stat = os.stat(path)
     key = (path, stat.st_mtime_ns, stat.st_size)
     shard = _SHARD_CACHE.get(key)
     if shard is not None:
@@ -148,151 +155,149 @@ def _cached_shard(path: str) -> ColumnarShard:
     return shard
 
 
-def _load_locator(shard_paths: tuple[str, ...], locator: tuple[int, int]) -> TrainSample:
-    shard, row = locator
-    return TrainSample(*_cached_shard(shard_paths[shard]).sample(row))
+def _open_shards(shard_paths: tuple[str, ...], locators: np.ndarray):
+    """Resolve the shards a locator array touches, each once: returns
+    ``(shards, shard_of, rows)`` with ``shard_of`` indexing ``shards``."""
+    used, shard_of = np.unique(locators[:, 0], return_inverse=True)
+    shards = [_cached_shard(shard_paths[index]) for index in used]
+    return shards, shard_of, locators[:, 1]
 
 
-@dataclass(frozen=True)
+def _iter_samples(shard_paths: tuple[str, ...], locators: np.ndarray):
+    """Decode the located samples one by one, in locator order."""
+    shards, shard_of, rows = _open_shards(shard_paths, locators)
+    for k, row in zip(shard_of.tolist(), rows.tolist()):
+        yield TrainSample(*shards[k].sample(row))
+
+
+@dataclass(frozen=True, eq=False)
 class ColumnarBatchRef:
-    """Picklable pointer to one batch: shard paths + (shard, row) locators.
+    """Picklable pointer to one batch: shard paths + ``(B, 2) int64``
+    ``(shard, row)`` locators.
 
     This is what crosses the process boundary under the ``processes``
     prefetch backend — a few dozen ints instead of the batch's tensors.
     """
 
     shard_paths: tuple[str, ...]
-    locators: tuple[tuple[int, int], ...]
+    locators: np.ndarray = field(repr=False)
+
+    def gather(self) -> StackedFeatures:
+        """The batch as stacked columns in locator order, sliced straight
+        out of the shard mappings — what the trainer vectorizes."""
+        return gather_samples(*_open_shards(self.shard_paths, self.locators))
 
     def load_samples(self) -> list[TrainSample]:
-        return [_load_locator(self.shard_paths, loc) for loc in self.locators]
+        """The batch as decoded per-sample objects (the list feeder)."""
+        return list(_iter_samples(self.shard_paths, self.locators))
 
 
-@dataclass
+@dataclass(eq=False)
 class ColumnarSlice(SampleSource):
     """Picklable worker shard: a fixed subsequence of a columnar dataset.
 
     This is how a distributed-training worker *process* receives its data
-    assignment: shard paths plus ``(shard, row)`` locators — a few ints per
-    sample — instead of the samples themselves.  The worker opens the
-    mmap'd shards through the per-process cache, so sample bytes never
-    transit the parent.  Built by :meth:`ColumnarDataset.slice`.
+    assignment: shard paths plus ``(N, 2) int64`` ``(shard, row)`` locators
+    — two ints per sample — instead of the samples themselves.  The worker
+    opens the mmap'd shards through the per-process cache, so sample bytes
+    never transit the parent.  Built by :meth:`ColumnarDataset.slice`.
+    Labels and ids are answered from the shard columns; no sample is
+    decoded for them.
     """
 
     shard_paths: tuple[str, ...]
-    locators: tuple[tuple[int, int], ...]
+    locators: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.locators)
 
     def sample(self, i: int) -> TrainSample:
-        return _load_locator(self.shard_paths, self.locators[int(i)])
+        shard, row = self.locators[int(i)]
+        return TrainSample(*_cached_shard(self.shard_paths[shard]).sample(int(row)))
+
+    def iter_samples(self):
+        return _iter_samples(self.shard_paths, self.locators)
+
+    def _column(self, name: str) -> np.ndarray:
+        """Per-sample shard column ``name`` in source order."""
+        return gather_column(*_open_shards(self.shard_paths, self.locators), name)
 
     def ids(self) -> np.ndarray:
-        if not self.locators:
+        if not len(self):
             return np.zeros(0, dtype=np.int64)
-        locs = np.asarray(self.locators, dtype=np.int64)
-        out = np.empty(len(locs), dtype=np.int64)
-        for shard in np.unique(locs[:, 0]):  # one id-column read per shard
-            mask = locs[:, 0] == shard
-            ids = _cached_shard(self.shard_paths[int(shard)]).array("sample_ids")
-            out[mask] = ids[locs[mask, 1]]
-        return out
+        return self._column("sample_ids")
 
     def batch(self, indices) -> ColumnarBatchRef:
         return ColumnarBatchRef(
-            self.shard_paths, tuple(self.locators[int(i)] for i in indices)
+            self.shard_paths, self.locators[np.asarray(indices, dtype=np.int64)]
         )
 
+    def slice(self, indices) -> "ColumnarSlice":
+        """Picklable sub-source over ``indices`` (worker shard assignment)."""
+        return ColumnarSlice(
+            self.shard_paths, self.locators[np.asarray(indices, dtype=np.int64)]
+        )
 
-class ColumnarDataset(SampleSource):
-    """Random access over the columnar shards of one dataset.
+    # ------------------------------------------------------------- labels
+    def _meta(self) -> dict:
+        """Shard header meta of the first sample (labels are homogeneous
+        per dataset); empty for an empty source."""
+        if not len(self):
+            return {}
+        return _cached_shard(self.shard_paths[self.locators[0, 0]]).meta
+
+    @property
+    def label_kind(self) -> str:
+        return self._meta().get("label", "none")
+
+    @property
+    def label_dim(self) -> int:
+        meta = self._meta()
+        return int(meta.get("label_dim", 0)) if meta.get("label") == "vector" else 0
+
+    def max_int_label(self) -> int:
+        if self.label_kind != "int":
+            raise ValueError("max_int_label needs int labels")
+        return int(self._column("labels").max())
+
+    def labels_by_id(self) -> dict[int, object]:
+        kind = self.label_kind
+        ids = self.ids().tolist()
+        if kind == "none":
+            return dict.fromkeys(ids)
+        labels = self._column("labels")
+        return dict(zip(ids, labels.tolist() if kind == "int" else labels))
+
+
+class ColumnarDataset(ColumnarSlice):
+    """Random access over the columnar shards of one dataset: the slice
+    that covers every row.
 
     Global sample index is shard-major (shard 0's rows, then shard 1's …),
     matching ``DistFileSystem.read_dataset`` order for the row layout.
     """
 
     def __init__(self, shard_paths):
-        self._paths = tuple(str(p) for p in shard_paths)
-        if not self._paths:
+        paths = tuple(str(p) for p in shard_paths)
+        if not paths:
             raise ValueError("columnar dataset has no shards")
-        self._shards = [_cached_shard(p) for p in self._paths]
-        for shard in self._shards:
+        blocks = []
+        for index, path in enumerate(paths):
+            shard = _cached_shard(path)
             if shard.kind != "samples":
                 raise ValueError(
                     f"{shard.path} holds {shard.kind!r} records, not training samples"
                 )
-        counts = [len(s) for s in self._shards]
-        self._starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._ids: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return int(self._starts[-1])
-
-    def _locate(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < len(self):
-            raise IndexError(f"dataset has {len(self)} samples")
-        shard = int(np.searchsorted(self._starts, i, side="right")) - 1
-        return shard, i - int(self._starts[shard])
+            block = np.empty((len(shard), 2), dtype=np.int64)
+            block[:, 0] = index
+            block[:, 1] = np.arange(len(shard))
+            blocks.append(block)
+        super().__init__(paths, np.concatenate(blocks))
 
     def sample(self, i: int) -> TrainSample:
-        shard, row = self._locate(int(i))
-        return TrainSample(*self._shards[shard].sample(row))
-
-    def ids(self) -> np.ndarray:
-        if self._ids is None:
-            blocks = [s.array("sample_ids") for s in self._shards if len(s)]
-            self._ids = (
-                np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
-            )
-        return self._ids
-
-    def batch(self, indices) -> ColumnarBatchRef:
-        return ColumnarBatchRef(
-            self._paths, tuple(self._locate(int(i)) for i in indices)
-        )
-
-    def slice(self, indices) -> ColumnarSlice:
-        """Picklable sub-source over ``indices`` (worker shard assignment)."""
-        return ColumnarSlice(
-            self._paths, tuple(self._locate(int(i)) for i in indices)
-        )
-
-    # ------------------------------------------------------------- labels
-    @property
-    def label_kind(self) -> str:
-        for shard in self._shards:
-            if len(shard):
-                return shard.label_kind
-        return "none"
-
-    @property
-    def label_dim(self) -> int:
-        for shard in self._shards:
-            if len(shard) and shard.label_kind == "vector":
-                return int(shard.meta.get("label_dim", 0))
-        return 0
-
-    def max_int_label(self) -> int:
-        if self.label_kind != "int":
-            raise ValueError("max_int_label needs int labels")
-        return max(int(s.array("labels").max()) for s in self._shards if len(s))
-
-    def labels_by_id(self) -> dict[int, object]:
-        out: dict[int, object] = {}
-        for shard in self._shards:
-            if not len(shard):
-                continue
-            ids = shard.array("sample_ids")
-            if shard.label_kind == "none":
-                out.update((int(i), None) for i in ids)
-            elif shard.label_kind == "int":
-                labels = shard.array("labels")
-                out.update((int(i), int(lbl)) for i, lbl in zip(ids, labels))
-            else:
-                labels = shard.array("labels")
-                out.update((int(i), labels[row]) for row, i in enumerate(ids))
-        return out
+        if not 0 <= i < len(self):
+            raise IndexError(f"dataset has {len(self)} samples")
+        return super().sample(i)
 
 
 def as_sample_source(data) -> SampleSource:

@@ -11,7 +11,7 @@ is pluggable: it reuses the MapReduce backend registry
 minibatch preprocessing shards across cores while the main process trains
 — the GIL no longer caps the storage layer.  Batches may be lists of
 wire-format bytes, decoded :class:`TrainSample` objects, or picklable refs
-with a ``load_samples()`` method (columnar shard slices — see
+with a ``gather()`` method (columnar shard slices — see
 ``repro.core.trainer.dataset``), which is what keeps the process backend's
 per-batch IPC to a few ints each way plus the prepared tensors back.
 """
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.trainer.vectorize import TrainSample, decode_samples, vectorize_batch
+from repro.graph.subgraph import StackedFeatures
 from repro.mapreduce.backends import (
     BACKEND_REGISTRY,
     Backend,
@@ -66,10 +67,11 @@ class BatchPreparer:
     aggregator_factory: object | None = None
     edge_level: bool = False
 
-    def resolve(self, batch) -> list[TrainSample]:
-        """Materialise a batch: bytes are decoded, refs are loaded."""
-        if hasattr(batch, "load_samples"):
-            return batch.load_samples()
+    def resolve(self, batch) -> StackedFeatures | list[TrainSample]:
+        """What :func:`vectorize_batch` takes: columnar refs gather their
+        stacked columns, bytes are decoded, sample lists pass through."""
+        if hasattr(batch, "gather"):
+            return batch.gather()
         if batch and isinstance(batch[0], (bytes, bytearray)):
             return decode_samples(batch)
         return batch
@@ -122,7 +124,7 @@ class BatchPipeline:
     batches:
         iterable of batches; each batch is a list of wire-format ``bytes``
         records, already-decoded :class:`TrainSample` objects, or a batch
-        ref with ``load_samples()`` (columnar shard slice).
+        ref with ``gather()`` (columnar shard slice).
     num_layers / pruning / aggregator_factory:
         forwarded to :func:`vectorize_batch`.
     enabled:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.trainer.pruning import prune_blocks
-from repro.graph.subgraph import GraphFeature, merge_graph_features
+from repro.graph.subgraph import GraphFeature, StackedFeatures, merge_stacked
 from repro.nn.gnn.block import BatchInputs, EdgeBlock
 from repro.proto.codec import decode_sample
 
-__all__ = ["TrainSample", "decode_samples", "vectorize_batch"]
+__all__ = ["TrainSample", "decode_samples", "stack_samples", "vectorize_batch"]
 
 
 @dataclass
@@ -35,14 +35,38 @@ def decode_samples(records) -> list[TrainSample]:
     return [TrainSample(*decode_sample(r)) for r in records]
 
 
+def stack_samples(samples: list[TrainSample]) -> StackedFeatures:
+    """Stack decoded samples (memory/row sources, wire bytes) into the
+    columns :func:`vectorize_batch` works on."""
+    raw = [s.label for s in samples]
+    labels = None
+    if any(label is not None for label in raw):
+        if any(label is None for label in raw):
+            raise ValueError("batch mixes labeled and unlabeled samples")
+        if np.ndim(raw[0]) == 0:
+            labels = np.asarray([int(label) for label in raw], dtype=np.int64)
+        else:
+            labels = np.stack([np.asarray(label, dtype=np.float32) for label in raw])
+    return StackedFeatures.from_features(
+        [s.graph_feature for s in samples],
+        sample_ids=np.asarray([int(s.target_id) for s in samples], dtype=np.int64),
+        labels=labels,
+    )
+
+
 def vectorize_batch(
-    samples: list[TrainSample],
+    samples: StackedFeatures | list[TrainSample],
     num_layers: int,
     pruning: bool = True,
     aggregator_factory=None,
     edge_level: bool = False,
 ) -> tuple[BatchInputs, np.ndarray | None]:
     """Merge + vectorize a batch of samples into model inputs.
+
+    ``samples`` is a :class:`StackedFeatures` record (what columnar sources
+    gather straight from their shards) or a list of decoded
+    :class:`TrainSample` objects, which is stacked first — one merge either
+    way.
 
     Returns ``(batch, labels)``.  Node-level batches (the default) align
     ``labels`` with ``batch.target_index`` rows (int vector for
@@ -58,14 +82,13 @@ def vectorize_batch(
     otherwise every layer sees the full ``A_B``.  ``aggregator_factory``
     installs an edge-partitioned aggregation backend on each block.
     """
-    if not samples:
-        raise ValueError("cannot vectorize an empty batch")
-    merged = merge_graph_features([s.graph_feature for s in samples])
+    stacked = samples if isinstance(samples, StackedFeatures) else stack_samples(samples)
+    merged = merge_stacked(stacked)  # rejects an empty batch
 
     base = EdgeBlock(
         merged.edge_src,
         merged.edge_dst,
-        merged.num_nodes,
+        len(merged.node_ids),
         merged.edge_weight,
         merged.edge_feat,
     )
@@ -76,36 +99,39 @@ def vectorize_batch(
             base.aggregator = aggregator_factory(base)
         blocks = [base] * num_layers
 
+    labels = stacked.labels
     if edge_level:
-        for s in samples:
-            if len(s.graph_feature.target_ids) != 2:
-                raise ValueError(
-                    "edge-level samples need exactly two targets (src, dst); "
-                    f"sample {s.target_id} has {len(s.graph_feature.target_ids)}"
-                )
-        pairs = np.stack([s.graph_feature.target_ids for s in samples])
-        # merged.target_ids is sorted-unique, so searchsorted is an exact
-        # lookup into the merged target rows.
-        pair_index = np.searchsorted(merged.target_ids, pairs)
+        counts = np.diff(stacked.target_offsets)
+        bad = np.flatnonzero(counts != 2)
+        if len(bad):
+            raise ValueError(
+                "edge-level samples need exactly two targets (src, dst); "
+                f"sample {stacked.sample_ids[bad[0]]} has {counts[bad[0]]}"
+            )
+        # Row of each endpoint in the merged targets.  Those are sorted
+        # unique ids, except that a batch of one keeps its sample's own
+        # [src, dst] order — hence the sorter.
+        sorter = np.argsort(merged.target_ids, kind="stable")
+        pair_index = sorter[
+            np.searchsorted(
+                merged.target_ids, stacked.target_ids.reshape(-1, 2), sorter=sorter
+            )
+        ]
         batch = BatchInputs(merged.x, merged.target_index, blocks, pair_index)
-        raw = [s.label for s in samples]
-        labels = None
-        if any(label is not None for label in raw):
-            if any(label is None for label in raw):
-                raise ValueError("batch mixes labeled and unlabeled samples")
-            labels = np.asarray([int(label) for label in raw], dtype=np.int64)
+        if labels is not None:
+            labels = np.asarray(labels, dtype=np.int64)
         return batch, labels
 
     batch = BatchInputs(merged.x, merged.target_index, blocks)
-
-    labels = None
-    sample_labels = {int(s.target_id): s.label for s in samples}
-    if any(label is not None for label in sample_labels.values()):
-        ordered = [sample_labels[int(t)] for t in merged.target_ids]
-        if any(o is None for o in ordered):
-            raise ValueError("batch mixes labeled and unlabeled samples")
-        if np.ndim(ordered[0]) == 0:
-            labels = np.asarray(ordered, dtype=np.int64)
-        else:
-            labels = np.stack([np.asarray(o, dtype=np.float32) for o in ordered])
+    if labels is not None:
+        # One label row per merged target: the sample keyed by that id
+        # (the last one, should the batch repeat a sample).
+        sorter = np.argsort(stacked.sample_ids, kind="stable")
+        row = np.searchsorted(
+            stacked.sample_ids, merged.target_ids, side="right", sorter=sorter
+        ) - 1
+        row = sorter[row]
+        if (stacked.sample_ids[row] != merged.target_ids).any():
+            raise ValueError("a batch target is not the id of any sample in the batch")
+        labels = labels[row]
     return batch, labels

@@ -14,10 +14,20 @@ operation that GraphTrainer's vectorization phase performs (§3.3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["GraphFeature", "merge_graph_features"]
+__all__ = [
+    "GatheredRows",
+    "GraphFeature",
+    "MergedSubgraph",
+    "StackedFeatures",
+    "merge_graph_features",
+    "merge_stacked",
+    "split_by_source",
+    "take_rows",
+]
 
 
 @dataclass
@@ -82,11 +92,11 @@ class GraphFeature:
         if self.edge_type is not None:
             self.edge_type = np.asarray(self.edge_type, dtype=np.int64)
         self._validate()
-        self._pos = {int(i): p for p, i in enumerate(self.node_ids)}
 
     def _validate(self) -> None:
         n, m = len(self.node_ids), len(self.edge_src)
-        if len(np.unique(self.node_ids)) != n:
+        ordered = np.sort(self.node_ids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("GraphFeature node_ids contain duplicates")
         if self.x.shape[0] != n:
             raise ValueError(f"x has {self.x.shape[0]} rows for {n} nodes")
@@ -104,10 +114,14 @@ class GraphFeature:
             raise ValueError("node_type must have one entry per node")
         if self.edge_type is not None and self.edge_type.shape != (m,):
             raise ValueError("edge_type must have one entry per edge")
-        target_set = set(int(t) for t in self.target_ids)
-        present = set(int(i) for i in self.node_ids)
-        if not target_set <= present:
-            raise ValueError("targets must be contained in node_ids")
+        _rows_of(ordered, self.target_ids)  # raises unless every target is a node
+
+    def _positions(self) -> dict[int, int]:
+        """Global id -> local row, built on first lookup: most features
+        (decoded, re-encoded, merged) are never asked."""
+        if self._pos is None:
+            self._pos = {int(i): p for p, i in enumerate(self.node_ids)}
+        return self._pos
 
     # ---------------------------------------------------------------- sizes
     @property
@@ -129,14 +143,15 @@ class GraphFeature:
     @property
     def target_index(self) -> np.ndarray:
         """Local row indices of the targets inside ``node_ids``/``x``."""
+        pos = self._positions()
         return np.fromiter(
-            (self._pos[int(t)] for t in self.target_ids),
+            (pos[int(t)] for t in self.target_ids),
             dtype=np.int64,
             count=len(self.target_ids),
         )
 
     def local_index_of(self, node_id: int) -> int:
-        return self._pos[int(node_id)]
+        return self._positions()[int(node_id)]
 
     # ------------------------------------------------------------ utilities
     def sorted_by_destination(self) -> "GraphFeature":
@@ -159,8 +174,205 @@ class GraphFeature:
         return int(self.hops.max(initial=0))
 
 
-def merge_graph_features(features: list[GraphFeature]) -> GraphFeature:
-    """Merge a batch of GraphFeatures into one subgraph (§3.3.1 step 1).
+def split_by_source(which: np.ndarray | None, num_sources: int) -> list[np.ndarray] | None:
+    """Per source, the output positions it fills (``None``: a single source
+    fills them all)."""
+    if which is None or num_sources == 1:
+        return None
+    return [np.flatnonzero(which == k) for k in range(num_sources)]
+
+
+def take_rows(sources: list[np.ndarray], groups, rows: np.ndarray) -> np.ndarray:
+    """``out[j] = sources[source of j][rows[j]]`` with ``groups`` from
+    :func:`split_by_source` — one fancy-index per source, scattered into
+    output order."""
+    if groups is None:
+        return sources[0][rows]
+    first = sources[0]
+    out = np.empty((len(rows),) + first.shape[1:], dtype=first.dtype)
+    for source, where in zip(sources, groups):
+        out[where] = source[rows[where]]
+    return out
+
+
+class GatheredRows:
+    """Feature rows left where they are until asked for: row ``j`` is
+    ``sources[which[j]][rows[j]]`` (``which`` is ``None`` with one source).
+
+    Columnar shards hand a batch's ``x`` over like this — the shard columns
+    themselves plus row numbers — so that the merge copies features for the
+    nodes it keeps and never for their duplicates, which a batch of
+    overlapping neighborhoods is mostly made of.
+    """
+
+    __slots__ = ("sources", "which", "rows")
+
+    def __init__(self, sources: list[np.ndarray], which: np.ndarray | None, rows: np.ndarray):
+        self.sources = sources
+        self.which = which
+        self.rows = rows
+
+    def take(self, positions: np.ndarray | None = None) -> np.ndarray:
+        """Materialise the rows at ``positions`` (default: all of them)."""
+        rows, which = self.rows, self.which
+        if positions is not None:
+            rows = rows[positions]
+            which = None if which is None else which[positions]
+        return take_rows(self.sources, split_by_source(which, len(self.sources)), rows)
+
+
+@dataclass
+class StackedFeatures:
+    """A batch of GraphFeatures as stacked columns plus offset tables.
+
+    Sample ``i`` owns ``node_ids[node_offsets[i]:node_offsets[i + 1]]`` (and
+    the same range of every per-node column), likewise for edges and
+    targets; ``edge_src``/``edge_dst`` stay *local* to their sample's node
+    range.  This is the layout columnar shards store on disk, so a batch is
+    gathered out of the mmap with one fancy-index per column and fed to
+    :func:`merge_stacked` without a per-sample object in between.
+
+    ``x`` is the ``(n, fn) float32`` matrix or a :class:`GatheredRows` over
+    it.  ``sample_ids``/``labels`` ride along for the trainer (``labels`` is
+    a ``(B,) int64`` vector, a ``(B, d) float32`` matrix, or ``None``).
+    """
+
+    target_offsets: np.ndarray
+    target_ids: np.ndarray
+    node_offsets: np.ndarray
+    node_ids: np.ndarray
+    hops: np.ndarray
+    x: np.ndarray | GatheredRows
+    edge_offsets: np.ndarray
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    edge_weight: np.ndarray
+    edge_feat: np.ndarray | None = None
+    node_type: np.ndarray | None = None
+    edge_type: np.ndarray | None = None
+    sample_ids: np.ndarray | None = None
+    labels: np.ndarray | None = None
+
+    @property
+    def num_samples(self) -> int:
+        return len(self.node_offsets) - 1
+
+    def node_features(self, positions: np.ndarray | None = None) -> np.ndarray:
+        """Feature rows of the stacked nodes at ``positions`` (default: all)."""
+        if isinstance(self.x, GatheredRows):
+            return self.x.take(positions)
+        return self.x if positions is None else self.x[positions]
+
+    @classmethod
+    def from_features(
+        cls,
+        features: list[GraphFeature],
+        sample_ids: np.ndarray | None = None,
+        labels: np.ndarray | None = None,
+    ) -> "StackedFeatures":
+        """Stack in-memory features by concatenation."""
+        if not features:
+            raise ValueError("cannot merge an empty batch")
+        fe_dims = {f.edge_feature_dim for f in features}
+        if len(fe_dims) != 1:
+            raise ValueError(f"inconsistent edge feature dims in batch: {fe_dims}")
+        fn_dims = {f.feature_dim for f in features}
+        if len(fn_dims) != 1:
+            raise ValueError(f"inconsistent node feature dims in batch: {fn_dims}")
+
+        def offsets(counts) -> np.ndarray:
+            out = np.zeros(len(features) + 1, dtype=np.int64)
+            np.cumsum(counts, out=out[1:])
+            return out
+
+        def column(name):
+            return np.concatenate([getattr(f, name) for f in features])
+
+        def typed(name):  # typed only when every member is
+            if any(getattr(f, name) is None for f in features):
+                return None
+            return column(name)
+
+        edge_feat = None
+        if features[0].edge_feat is not None:
+            width = fe_dims.pop()
+            edge_feat = np.concatenate(
+                [
+                    f.edge_feat
+                    if f.edge_feat is not None
+                    else np.zeros((f.num_edges, width), np.float32)
+                    for f in features
+                ],
+                axis=0,
+            )
+        return cls(
+            target_offsets=offsets([len(f.target_ids) for f in features]),
+            target_ids=column("target_ids"),
+            node_offsets=offsets([f.num_nodes for f in features]),
+            node_ids=column("node_ids"),
+            hops=column("hops"),
+            x=column("x"),
+            edge_offsets=offsets([f.num_edges for f in features]),
+            edge_src=column("edge_src"),
+            edge_dst=column("edge_dst"),
+            edge_weight=column("edge_weight"),
+            edge_feat=edge_feat,
+            node_type=typed("node_type"),
+            edge_type=typed("edge_type"),
+            sample_ids=sample_ids,
+            labels=labels,
+        )
+
+
+class MergedSubgraph(NamedTuple):
+    """:func:`merge_stacked` output: :class:`GraphFeature`'s ten arrays in
+    constructor order, then the targets' local rows."""
+
+    target_ids: np.ndarray
+    node_ids: np.ndarray
+    x: np.ndarray
+    hops: np.ndarray
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    edge_feat: np.ndarray | None
+    edge_weight: np.ndarray
+    node_type: np.ndarray | None
+    edge_type: np.ndarray | None
+    target_index: np.ndarray
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)`` without
+    its stable sort: the group minimum of the sort permutation *is* the
+    first occurrence, whatever order ties landed in."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[starts], np.minimum.reduceat(order, starts), inverse
+
+
+def _rows_of(node_ids: np.ndarray, targets: np.ndarray, sorter=None) -> np.ndarray:
+    """Row of every target inside ``node_ids`` (sorted, or with its argsort)."""
+    if not len(targets):
+        return np.zeros(0, dtype=np.int64)
+    if not len(node_ids):
+        raise ValueError("targets must be contained in node_ids")
+    rows = np.searchsorted(node_ids, targets, sorter=sorter).clip(max=len(node_ids) - 1)
+    if sorter is not None:
+        rows = sorter[rows]
+    if (node_ids[rows] != targets).any():
+        raise ValueError("targets must be contained in node_ids")
+    return rows
+
+
+def merge_stacked(stacked: StackedFeatures) -> MergedSubgraph:
+    """Merge a stacked batch into one subgraph (§3.3.1 step 1) — the single
+    merge implementation behind the trainer and :func:`merge_graph_features`.
 
     Overlapping neighborhoods share nodes and edges; the merge dedupes nodes
     by global id and edges by ``(global_src, global_dst)`` (parallel edges
@@ -169,76 +381,72 @@ def merge_graph_features(features: list[GraphFeature]) -> GraphFeature:
     *minimum* distance to any target in the batch, which is exactly
     ``d(V_B, u)`` of the pruning section (§3.3.2).
 
-    The result's edges are sorted by destination, matching the paper's
-    adjacency-matrix contract.
+    Node rows come out sorted by global id, each with the features of its
+    first occurrence.  Of duplicate edges the first in batch order is kept,
+    and the survivors are sorted by destination (the paper's
+    adjacency-matrix contract) with edges into one destination left in
+    batch order — the order float aggregation sums them in.  A batch of one
+    is returned as stored (its node order kept), only destination-sorted.
     """
-    if not features:
+    num_samples = stacked.num_samples
+    if num_samples < 1:
         raise ValueError("cannot merge an empty batch")
-    if len(features) == 1:
-        return features[0].sorted_by_destination()
+    edge_counts = np.diff(stacked.edge_offsets)
+    limit = np.repeat(np.diff(stacked.node_offsets), edge_counts)
+    if (stacked.edge_src >= limit).any() or (stacked.edge_dst >= limit).any():
+        raise ValueError("edge endpoints out of range")
+    if (stacked.edge_src < 0).any() or (stacked.edge_dst < 0).any():
+        raise ValueError("edge endpoints must be non-negative")
 
-    fe_dims = {f.edge_feature_dim for f in features}
-    if len(fe_dims) != 1:
-        raise ValueError(f"inconsistent edge feature dims in batch: {fe_dims}")
-    fn_dims = {f.feature_dim for f in features}
-    if len(fn_dims) != 1:
-        raise ValueError(f"inconsistent node feature dims in batch: {fn_dims}")
-
-    all_ids = np.concatenate([f.node_ids for f in features])
-    merged_ids, first_occurrence = np.unique(all_ids, return_index=True)
-    all_x = np.concatenate([f.x for f in features], axis=0)
-    merged_x = all_x[first_occurrence]
-
-    # hops = min over all batch members that contain the node
-    all_hops = np.concatenate([f.hops for f in features])
-    merged_hops = np.full(len(merged_ids), np.iinfo(np.int64).max, dtype=np.int64)
-    slot = np.searchsorted(merged_ids, all_ids)
-    np.minimum.at(merged_hops, slot, all_hops)
-
-    # edges: translate to global ids, dedupe on (src, dst)
-    g_src = np.concatenate([f.node_ids[f.edge_src] for f in features])
-    g_dst = np.concatenate([f.node_ids[f.edge_dst] for f in features])
-    g_w = np.concatenate([f.edge_weight for f in features])
-    g_ef = (
-        None
-        if features[0].edge_feat is None
-        else np.concatenate(
-            [
-                f.edge_feat
-                if f.edge_feat is not None
-                else np.zeros((f.num_edges, fe_dims.pop()), np.float32)
-                for f in features
-            ],
-            axis=0,
+    if num_samples == 1:
+        node_ids, x, hops = stacked.node_ids, stacked.node_features(), stacked.hops
+        node_type = stacked.node_type
+        targets = stacked.target_ids
+        target_index = _rows_of(
+            node_ids, targets, sorter=np.argsort(node_ids, kind="stable")
         )
-    )
-    pair = np.stack([g_src, g_dst], axis=1)
-    if len(pair):
-        _, keep = np.unique(pair, axis=0, return_index=True)
-        keep.sort()
+        src, dst = stacked.edge_src, stacked.edge_dst
+        order = np.argsort(dst, kind="stable")
     else:
-        keep = np.empty(0, dtype=np.int64)
-    l_src = np.searchsorted(merged_ids, g_src[keep])
-    l_dst = np.searchsorted(merged_ids, g_dst[keep])
+        node_ids, first, slot = _first_occurrences(stacked.node_ids)
+        x = stacked.node_features(first)
+        hops = np.full(len(node_ids), np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(hops, slot, stacked.hops)
+        node_type = None if stacked.node_type is None else stacked.node_type[first]
+        targets = np.unique(stacked.target_ids)
+        target_index = _rows_of(node_ids, targets)
 
-    node_type = None
-    if all(f.node_type is not None for f in features):
-        node_type = np.concatenate([f.node_type for f in features])[first_occurrence]
-    edge_type = None
-    if all(f.edge_type is not None for f in features):
-        edge_type = np.concatenate([f.edge_type for f in features])[keep]
+        # Edges: local endpoints -> stacked rows -> merged rows; dedupe on
+        # one int64 key per edge, then order the kept ones by (destination,
+        # batch position) with a plain sort of that pair packed into one
+        # int64 (both factors are array lengths, so it cannot overflow).
+        base = np.repeat(stacked.node_offsets[:-1], edge_counts)
+        src = slot[stacked.edge_src + base]
+        dst = slot[stacked.edge_dst + base]
+        _, keep, _ = _first_occurrences(src * len(node_ids) + dst)
+        packed = dst[keep] * len(src) + keep
+        packed.sort()
+        order = packed % len(src)
 
-    targets = np.unique(np.concatenate([f.target_ids for f in features]))
-    merged = GraphFeature(
+    def edges(column):
+        return None if column is None else column[order]
+
+    return MergedSubgraph(
         targets,
-        merged_ids,
-        merged_x,
-        merged_hops,
-        l_src,
-        l_dst,
-        None if g_ef is None else g_ef[keep],
-        g_w[keep],
+        node_ids,
+        x,
+        hops,
+        edges(src),
+        edges(dst),
+        edges(stacked.edge_feat),
+        edges(stacked.edge_weight),
         node_type,
-        edge_type,
+        edges(stacked.edge_type),
+        target_index,
     )
-    return merged.sorted_by_destination()
+
+
+def merge_graph_features(features: list[GraphFeature]) -> GraphFeature:
+    """Merge a batch of GraphFeatures into one — :func:`merge_stacked` over
+    their concatenation (see there for the dedupe and ordering contract)."""
+    return GraphFeature(*merge_stacked(StackedFeatures.from_features(features))[:10])

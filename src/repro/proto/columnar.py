@@ -44,7 +44,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.graph.subgraph import GraphFeature
+from repro.graph.subgraph import (
+    GatheredRows,
+    GraphFeature,
+    StackedFeatures,
+    split_by_source,
+    take_rows,
+)
 from repro.proto.codec import (
     CodecError,
     decode_prediction,
@@ -56,6 +62,8 @@ from repro.proto.codec import (
 __all__ = [
     "SHARD_MAGIC",
     "ColumnarShard",
+    "gather_column",
+    "gather_samples",
     "shard_record_count",
     "write_prediction_shard",
     "write_sample_shard",
@@ -305,7 +313,8 @@ class ColumnarShard:
     mapping, so opening a shard costs the header parse and nothing else.
     ``sample(i)`` / ``batch_samples(rows)`` build :class:`GraphFeature`
     objects whose arrays alias the mapping (vectorized decode: pure
-    slicing, no varint loops).
+    slicing, no varint loops); ``gather(rows)`` skips the objects and
+    returns the batch as stacked columns, which is what the trainer reads.
     """
 
     def __init__(self, path: str | Path):
@@ -404,6 +413,11 @@ class ColumnarShard:
         """Triples for a whole batch of rows — one slicing pass per sample."""
         return [self.sample(int(i)) for i in rows]
 
+    def gather(self, rows) -> StackedFeatures:
+        """The samples at ``rows``, in that order, as one stacked record
+        (see :func:`gather_samples`)."""
+        return gather_samples([self], np.zeros(len(rows), dtype=np.int64), rows)
+
     # --------------------------------------------------------- predictions
     def prediction(self, i: int) -> tuple[int, np.ndarray]:
         self._check_kind("predictions")
@@ -427,3 +441,78 @@ class ColumnarShard:
                 yield encode_prediction(node_id, scores)
         else:  # pragma: no cover - defensive
             raise CodecError(f"unknown columnar shard kind {self.kind!r}")
+
+
+# ------------------------------------------------------------ batch gather
+def _read(shards, groups, name: str, positions: np.ndarray) -> np.ndarray:
+    """Column ``name`` at ``positions[j]`` of the shard that owns output
+    slot ``j`` (``groups`` from :func:`split_by_source`)."""
+    return take_rows([shard.array(name) for shard in shards], groups, positions)
+
+
+def gather_column(
+    shards: list[ColumnarShard], shard_of: np.ndarray, rows: np.ndarray, name: str
+) -> np.ndarray:
+    """Per-record column ``name`` (``sample_ids``, ``labels``) for records
+    ``rows[j]`` of ``shards[shard_of[j]]``, in ``j`` order."""
+    return _read(shards, split_by_source(shard_of, len(shards)), name, rows)
+
+
+def gather_samples(
+    shards: list[ColumnarShard], shard_of: np.ndarray, rows: np.ndarray
+) -> StackedFeatures:
+    """A batch as one stacked record: sample ``j`` is row ``rows[j]`` of
+    ``shards[shard_of[j]]``.
+
+    A ragged-range gather: each offset table turns the batch's rows into
+    element positions (``np.repeat`` + ``arange``), then every column is
+    read with one fancy-index per shard straight off the mapping and
+    scattered into batch order — no per-sample objects, no decoding.  ``x``
+    stays in the shards as :class:`GatheredRows`; the merge copies only the
+    rows it keeps.
+    """
+    for shard in shards:
+        shard._check_kind("samples")
+    rows = np.asarray(rows, dtype=np.int64)
+    sizes = np.asarray([len(shard) for shard in shards], dtype=np.int64)
+    if len(rows) and ((rows < 0).any() or (rows >= sizes[shard_of]).any()):
+        raise IndexError("sample row outside its shard")
+    head = shards[0]
+    samples = split_by_source(shard_of, len(shards))
+
+    def ragged(table: str):
+        """Batch offsets of one ragged block, plus where its elements
+        live: shard-local positions, their shard, and the shard groups."""
+        starts = _read(shards, samples, table, rows)
+        counts = _read(shards, samples, table, rows + 1) - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        positions = np.arange(offsets[-1], dtype=np.int64)
+        positions += np.repeat(starts - offsets[:-1], counts)
+        which = None if samples is None else np.repeat(shard_of, counts)
+        return offsets, positions, which, split_by_source(which, len(shards))
+
+    t_off, t_pos, _, t_groups = ragged("target_offsets")
+    n_off, n_pos, n_which, n_groups = ragged("node_offsets")
+    e_off, e_pos, _, e_groups = ragged("edge_offsets")
+
+    def optional(name, groups, positions):
+        return _read(shards, groups, name, positions) if name in head._specs else None
+
+    return StackedFeatures(
+        target_offsets=t_off,
+        target_ids=_read(shards, t_groups, "target_ids", t_pos),
+        node_offsets=n_off,
+        node_ids=_read(shards, n_groups, "node_ids", n_pos),
+        hops=_read(shards, n_groups, "hops", n_pos),
+        x=GatheredRows([shard.array("x") for shard in shards], n_which, n_pos),
+        edge_offsets=e_off,
+        edge_src=_read(shards, e_groups, "edge_src", e_pos),
+        edge_dst=_read(shards, e_groups, "edge_dst", e_pos),
+        edge_weight=_read(shards, e_groups, "edge_weight", e_pos),
+        edge_feat=optional("edge_feat", e_groups, e_pos),
+        node_type=optional("node_type", n_groups, n_pos),
+        edge_type=optional("edge_type", e_groups, e_pos),
+        sample_ids=_read(shards, samples, "sample_ids", rows),
+        labels=optional("labels", samples, rows),
+    )

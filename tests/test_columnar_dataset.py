@@ -13,10 +13,12 @@ from repro.core.trainer import (
     ColumnarDataset,
     GraphTrainer,
     MemorySamples,
+    SampleSource,
     TrainerConfig,
     decode_samples,
     open_sample_source,
 )
+from repro.graph.subgraph import GraphFeature
 from repro.mapreduce import DistFileSystem
 from repro.nn.gnn import GCNModel
 from repro.proto.codec import decode_prediction, decode_sample
@@ -221,6 +223,25 @@ class TestColumnarDatasetSource:
             col.sample(i).target_id for i in (3, 0, 5)
         ]
 
+    @pytest.mark.parametrize("feeder", ["gather", "load_samples"])
+    def test_batch_resolves_each_shard_once(self, fs_both, monkeypatch, feeder):
+        """One shard lookup (a ``stat``) per shard a batch touches — not per
+        sample — on the stacked and the per-sample feeder alike."""
+        from repro.core.trainer import dataset as dataset_module
+
+        col = open_sample_source(fs_both, "flat/columnar")
+        ref = col.batch(np.arange(len(col)))
+        touched = len(np.unique(ref.locators[:, 0]))
+        assert 1 < touched < len(col)
+        calls = []
+        cached_shard = dataset_module._cached_shard
+        monkeypatch.setattr(
+            dataset_module, "_cached_shard",
+            lambda path: calls.append(path) or cached_shard(path),
+        )
+        getattr(ref, feeder)()
+        assert len(calls) == touched
+
     def test_slice_is_picklable_sub_source(self, fs_both):
         """ColumnarSlice — the process-worker shard assignment — round-trips
         through pickle and serves the same samples as direct indexing."""
@@ -239,6 +260,47 @@ class TestColumnarDatasetSource:
         assert [s.target_id for s in ref.load_samples()] == [
             col.sample(6).target_id, col.sample(4).target_id,
         ]
+
+    def test_slice_answers_labels_from_the_columns(self, fs_both, monkeypatch):
+        """``labels_by_id`` & co. on a slice read the ``labels`` /
+        ``sample_ids`` columns; the base-class versions (decode every
+        sample) are the reference."""
+        col = open_sample_source(fs_both, "flat/columnar")
+        sliced = col.slice(np.asarray([4, 1, 6, 1, len(col) - 1]))
+        expected = SampleSource.labels_by_id(sliced)
+        assert len(expected) == 4
+        monkeypatch.setattr(
+            GraphFeature, "__post_init__", lambda self: pytest.fail("decoded a sample")
+        )
+        assert sliced.labels_by_id() == expected
+        assert all(type(v) is int for v in sliced.labels_by_id().values())
+        assert sliced.label_kind == "int" and sliced.label_dim == 0
+        assert sliced.max_int_label() == max(expected.values())
+        empty = col.slice(np.asarray([], dtype=np.int64))
+        assert empty.label_kind == "none" and empty.labels_by_id() == {}
+        assert empty.ids().shape == (0,)
+
+    def test_slice_vector_and_absent_labels(self, tmp_path, flat_cora):
+        triples = [decode_sample(r) for r in flat_cora[:6]]
+        vectors = np.arange(18, dtype=np.float32).reshape(6, 3)
+        for k, part in enumerate(([0, 1, 2], [3, 4, 5])):
+            write_sample_shard(
+                tmp_path / f"vec-{k}", [(triples[i][0], vectors[i], triples[i][2]) for i in part]
+            )
+            write_sample_shard(
+                tmp_path / f"bare-{k}", [(triples[i][0], None, triples[i][2]) for i in part]
+            )
+        vec = ColumnarDataset([tmp_path / "vec-0", tmp_path / "vec-1"]).slice([5, 0, 3])
+        assert vec.label_kind == "vector" and vec.label_dim == 3
+        by_id = vec.labels_by_id()
+        assert list(by_id) == [triples[i][0] for i in (5, 0, 3)]
+        for i in (5, 0, 3):
+            np.testing.assert_array_equal(by_id[triples[i][0]], vectors[i])
+        with pytest.raises(ValueError):
+            vec.max_int_label()
+        bare = ColumnarDataset([tmp_path / "bare-0", tmp_path / "bare-1"]).slice([4, 1])
+        assert bare.label_kind == "none" and bare.label_dim == 0
+        assert bare.labels_by_id() == {triples[4][0]: None, triples[1][0]: None}
 
     def test_rewritten_dataset_not_served_stale(self, mini_cora, tmp_path):
         ds = mini_cora

@@ -238,6 +238,70 @@ class TestShuffleVolume:
         assert nbytes <= 2_200_000, nbytes
 
 
+class TestTrainerBudget:
+    def test_columnar_epoch_budget(self, tmp_path, monkeypatch):
+        """The trainer's deterministic budget, counted like the shuffle's:
+        an epoch over columnar shards builds its batches from the shard
+        columns — not one ``GraphFeature`` or ``TrainSample`` — and resolves
+        (one ``stat``) each shard at most once per batch that touches it."""
+        from repro.core.trainer import GraphTrainer, TrainerConfig, open_sample_source
+        from repro.core.trainer import dataset as dataset_module
+        from repro.core.trainer.vectorize import TrainSample
+        from repro.mapreduce import DistFileSystem
+        from repro.nn.gnn import GCNModel
+
+        ds = uug_like(
+            seed=11, num_nodes=200, avg_degree=6, feature_dim=8, num_hubs=2, hub_degree=30
+        )
+        fs = DistFileSystem(tmp_path)
+        graph_flat(
+            ds.nodes, ds.edges, ds.train_ids[:50],
+            GraphFlatConfig(hops=2, max_neighbors=6, num_reducers=4, seed=0),
+            fs=fs, dataset_name="train",
+        )
+        source = open_sample_source(fs, "train")
+        assert len(source.shard_paths) == 4
+        trainer = GraphTrainer(
+            GCNModel(ds.feature_dim, 8, ds.num_classes, num_layers=2, seed=0),
+            TrainerConfig(batch_size=16, seed=0),
+        )
+
+        built = {"GraphFeature": 0, "TrainSample": 0, "stat": 0, "batch x shard": 0}
+
+        def counting(cls, name, method):
+            original = getattr(cls, method)
+
+            def wrapper(self, *args, **kwargs):
+                built[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        counting(GraphFeature, "GraphFeature", "__post_init__")
+        counting(TrainSample, "TrainSample", "__init__")
+
+        cached_shard = dataset_module._cached_shard
+
+        def counting_cached_shard(path):
+            built["stat"] += 1
+            return cached_shard(path)
+
+        monkeypatch.setattr(dataset_module, "_cached_shard", counting_cached_shard)
+        batch = type(source).batch
+
+        def counting_batch(self, indices):
+            ref = batch(self, indices)
+            built["batch x shard"] += len(np.unique(ref.locators[:, 0]))
+            return ref
+
+        monkeypatch.setattr(type(source), "batch", counting_batch)
+
+        loss = trainer.train_epoch(source)
+        assert np.isfinite(loss)
+        assert built["GraphFeature"] == 0 and built["TrainSample"] == 0, built
+        assert 0 < built["stat"] <= built["batch x shard"], built
+
+
 # ------------------------------------------------------- wire-resident records
 def make_subgraph(rng, *, num_nodes=6, num_edges=8, dim=5, edge_feat="uniform"):
     ids = rng.choice(10_000, size=num_nodes, replace=False).astype(np.int64)
