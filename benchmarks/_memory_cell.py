@@ -41,7 +41,6 @@ def run_graphflat(args) -> dict:
             num_workers=args.workers,
             num_reducers=max(args.workers, 4),
             spill_dir=f"{tmp}/spill",
-            dataset_sink="reducer",
             # Small runs force real external sorting even at bench scale.
             spill_run_records=2048,
             spill_run_bytes=1 << 18,

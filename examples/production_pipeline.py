@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.infer import GraphInferConfig, graph_infer
-from repro.core.infer.pipeline import decode_prediction
+from repro.proto.codec import decode_prediction
 from repro.core.trainer import GraphTrainer, TrainerConfig, open_sample_source
 from repro.datasets import cora_like, read_edge_table, read_node_table, write_edge_table, write_node_table
 from repro.mapreduce import DistFileSystem, FailureInjector, LocalRuntime

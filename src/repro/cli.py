@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.graphflat import SAMPLING_REGISTRY, GraphFlatConfig, graph_flat
-from repro.core.graphflat.pipeline import DATASET_SINKS
 from repro.core.infer import GraphInferConfig, graph_infer
 from repro.core.trainer import (
     GraphTrainer,
@@ -30,7 +29,6 @@ from repro.core.trainer import (
     open_sample_source,
 )
 from repro.datasets.io import read_edge_table, read_node_table
-from repro.core.infer.pipeline import SLICE_TRANSPORTS
 from repro.mapreduce import BACKEND_REGISTRY, PARTITIONERS, DistFileSystem
 from repro.mapreduce.fs import DATASET_LAYOUTS
 from repro.nn.gnn import MODEL_REGISTRY, build_model
@@ -115,6 +113,73 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "a duplicate attempt; first completion wins",
     )
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_dataflow(parser: argparse.ArgumentParser, config_cls, *, output: str,
+                  targets_help: str, task_help: str) -> None:
+    """The flags GraphFlat and GraphInfer share — one per
+    :class:`~repro.core.propagation.DataflowConfig` field the CLI exposes,
+    defaults read off the pipeline's own config class."""
+    defaults = config_cls()
+    parser.add_argument("-n", "--node-table", required=True)
+    parser.add_argument("-e", "--edge-table", required=True)
+    parser.add_argument(
+        "-s", "--sampling", choices=sorted(SAMPLING_REGISTRY), default=defaults.sampling
+    )
+    parser.add_argument("--max-neighbors", type=int, default=defaults.max_neighbors)
+    parser.add_argument("--hub-threshold", type=int, default=defaults.hub_threshold)
+    parser.add_argument("--targets", help=targets_help)
+    parser.add_argument(
+        "--task", choices=sorted(TASK_REGISTRY), default=defaults.task, help=task_help
+    )
+    parser.add_argument("--output", default=output)
+    parser.add_argument(
+        "--shards", type=int, default=defaults.num_shards,
+        help="shard count of row-layout output (columnar output has one "
+        "shard per final-round reducer)",
+    )
+    parser.add_argument(
+        "--dataset-layout", choices=DATASET_LAYOUTS, default=defaults.dataset_layout,
+        help="output shard layout: mmap-able columnar matrices, each "
+        "written by the final-round reducer that produced it (default), or "
+        "framed per-record rows collected and written centrally",
+    )
+    parser.add_argument(
+        "--partitioner", choices=PARTITIONERS, default=defaults.partitioner,
+        help="shuffle partition strategy: 'hash' (crc32 of the key) or "
+        "'planned' (degree-aware plan that spreads heavy keys across "
+        "reducers; output stays byte-identical to hash)",
+    )
+    _add_common(parser)
+
+
+def _dataflow_kwargs(args) -> dict:
+    """``DataflowConfig`` fields from the flags :func:`_add_dataflow` adds."""
+    return dict(
+        sampling=args.sampling,
+        max_neighbors=args.max_neighbors,
+        hub_threshold=args.hub_threshold,
+        num_shards=args.shards,
+        seed=args.seed,
+        task=args.task,
+        backend=_backend_name(args),
+        num_workers=args.num_workers,
+        spill_dir=args.spill_dir,
+        shuffle_codec=args.shuffle_codec,
+        shuffle_transport=args.shuffle_transport,
+        hosts=args.hosts,
+        partitioner=args.partitioner,
+        dataset_layout=args.dataset_layout,
+        max_attempts=args.max_attempts,
+        task_timeout_s=args.task_timeout_s,
+        speculation_factor=args.speculation_factor,
+    )
+
+
+def _load_targets(args):
+    if not args.targets:
+        return None
+    return np.loadtxt(args.targets, dtype=np.int64, ndmin=1)
 
 
 def _add_dist(parser: argparse.ArgumentParser) -> None:
@@ -292,35 +357,17 @@ def _print_fault_summary(round_stats) -> None:
 def _cmd_graphflat(args) -> int:
     nodes = read_node_table(args.node_table)
     edges = read_edge_table(args.edge_table)
-    targets = None
-    if args.targets:
-        targets = np.loadtxt(args.targets, dtype=np.int64, ndmin=1)
     config = GraphFlatConfig(
         hops=args.hops,
-        sampling=args.sampling,
-        max_neighbors=args.max_neighbors,
-        hub_threshold=args.hub_threshold,
-        num_shards=args.shards,
-        seed=args.seed,
-        task=args.task,
         edge_targets=args.edge_targets,
         negative_ratio=args.negative_ratio,
-        backend=_backend_name(args),
-        num_workers=args.num_workers,
-        spill_dir=args.spill_dir,
-        shuffle_codec=args.shuffle_codec,
-        shuffle_transport=args.shuffle_transport,
-        hosts=args.hosts,
-        partitioner=args.partitioner,
-        dataset_layout=args.dataset_layout,
-        dataset_sink=args.dataset_sink,
-        max_attempts=args.max_attempts,
-        task_timeout_s=args.task_timeout_s,
-        speculation_factor=args.speculation_factor,
+        **_dataflow_kwargs(args),
     )
     fs = DistFileSystem(args.dfs)
     # The config owns the runtime (graph_flat builds and closes it).
-    result = graph_flat(nodes, edges, targets, config, fs=fs, dataset_name=args.output)
+    result = graph_flat(
+        nodes, edges, _load_targets(args), config, fs=fs, dataset_name=args.output
+    )
     unit = "edge samples" if args.task in EDGE_TASKS else "GraphFeatures"
     print(
         f"GraphFlat: wrote {result.num_targets} {unit} to "
@@ -549,37 +596,14 @@ def _cmd_graphinfer(args) -> int:
     model = load_model(args.model)
     nodes = read_node_table(args.node_table)
     edges = read_edge_table(args.edge_table)
-    config = GraphInferConfig(
-        sampling=args.sampling,
-        max_neighbors=args.max_neighbors,
-        hub_threshold=args.hub_threshold,
-        num_shards=args.shards,
-        seed=args.seed,
-        backend=_backend_name(args),
-        num_workers=args.num_workers,
-        spill_dir=args.spill_dir,
-        shuffle_codec=args.shuffle_codec,
-        shuffle_transport=args.shuffle_transport,
-        hosts=args.hosts,
-        partitioner=args.partitioner,
-        dataset_layout=args.dataset_layout,
-        dataset_sink=args.dataset_sink,
-        slice_transport=args.slice_transport,
-        max_attempts=args.max_attempts,
-        task_timeout_s=args.task_timeout_s,
-        speculation_factor=args.speculation_factor,
-        task=args.task,
-    )
-    targets = None
-    if args.targets:
-        targets = np.loadtxt(args.targets, dtype=np.int64, ndmin=1)
+    config = GraphInferConfig(**_dataflow_kwargs(args))
     candidates = None
     if args.candidates:
         candidates = np.loadtxt(args.candidates, dtype=np.int64, ndmin=2)
     fs = DistFileSystem(args.dfs)
     result = graph_infer(
         model, nodes, edges, config, fs=fs, dataset_name=args.output,
-        targets=targets, candidates=candidates,
+        targets=_load_targets(args), candidates=candidates,
     )
     unit = "candidate edges" if args.task in EDGE_TASKS else "nodes"
     print(
@@ -601,21 +625,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     flat = sub.add_parser("graphflat", help="generate k-hop GraphFeatures")
-    flat.add_argument("-n", "--node-table", required=True)
-    flat.add_argument("-e", "--edge-table", required=True)
+    _add_dataflow(
+        flat, GraphFlatConfig, output="graphflat/output",
+        targets_help="file with one target node id per line",
+        task_help="what a sample targets: a labeled node (default), or a "
+        "target edge (link_prediction draws seeded negatives; "
+        "edge_classification uses label= columns of the edge table)",
+    )
     flat.add_argument("--hops", type=int, default=2)
-    flat.add_argument(
-        "-s", "--sampling", choices=sorted(SAMPLING_REGISTRY), default="uniform"
-    )
-    flat.add_argument("--max-neighbors", type=int, default=32)
-    flat.add_argument("--hub-threshold", type=int, default=1000)
-    flat.add_argument("--targets", help="file with one target node id per line")
-    flat.add_argument(
-        "--task", choices=sorted(TASK_REGISTRY), default="node_classification",
-        help="what a sample targets: a labeled node (default), or a target "
-        "edge (link_prediction draws seeded negatives; edge_classification "
-        "uses label= columns of the edge table)",
-    )
     flat.add_argument(
         "--edge-targets", type=int, default=None, metavar="N",
         help="edge tasks: cap the number of positive target edges "
@@ -625,27 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--negative-ratio", type=int, default=1, metavar="R",
         help="link prediction: negative edges drawn per positive edge",
     )
-    flat.add_argument("--output", default="graphflat/output")
-    flat.add_argument("--shards", type=int, default=4)
-    flat.add_argument(
-        "--dataset-layout", choices=DATASET_LAYOUTS, default="columnar",
-        help="output shard layout: mmap-able columnar matrices (default) or "
-        "framed per-sample row records",
-    )
-    flat.add_argument(
-        "--dataset-sink", choices=DATASET_SINKS, default="auto",
-        help="who writes the output shards: 'reducer' streams each final "
-        "partition straight to its own columnar shard (constant parent "
-        "memory), 'parent' collects and re-shards centrally; 'auto' picks "
-        "reducer for columnar output",
-    )
-    flat.add_argument(
-        "--partitioner", choices=PARTITIONERS, default="hash",
-        help="shuffle partition strategy: 'hash' (crc32 of the key) or "
-        "'planned' (degree-aware plan that spreads heavy keys across "
-        "reducers; output stays byte-identical to hash)",
-    )
-    _add_common(flat)
     flat.set_defaults(func=_cmd_graphflat)
 
     train = sub.add_parser("graphtrainer", help="train a GNN from GraphFeatures")
@@ -693,21 +689,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     infer = sub.add_parser("graphinfer", help="segmented-model inference")
     infer.add_argument("-m", "--model", required=True, help="trained model file")
-    infer.add_argument("-n", "--node-table", required=True)
-    infer.add_argument("-e", "--edge-table", required=True)
-    infer.add_argument(
-        "-s", "--sampling", choices=sorted(SAMPLING_REGISTRY), default="uniform"
-    )
-    infer.add_argument("--max-neighbors", type=int, default=10**9)
-    infer.add_argument("--hub-threshold", type=int, default=10**9)
-    infer.add_argument("--output", default="graphinfer/output")
-    infer.add_argument("--shards", type=int, default=4)
-    infer.add_argument("--targets",
-                       help="file of node ids: score only these (pruned pipeline)")
-    infer.add_argument(
-        "--task", choices=sorted(TASK_REGISTRY), default="node_classification",
-        help="node_classification scores every node; edge-level tasks score "
-        "candidate edges (--candidates, defaulting to the graph's edges)",
+    _add_dataflow(
+        infer, GraphInferConfig, output="graphinfer/output",
+        targets_help="file of node ids: score only these (pruned pipeline)",
+        task_help="node_classification scores every node; edge-level tasks "
+        "score candidate edges (--candidates, defaulting to the graph's edges)",
     )
     infer.add_argument(
         "--candidates",
@@ -715,31 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'src<TAB>dst' (or 'src dst') pair per line; default scores the "
         "graph's own edges",
     )
-    infer.add_argument(
-        "--dataset-layout", choices=DATASET_LAYOUTS, default="columnar",
-        help="prediction shard layout: stacked columnar scores (default) or "
-        "framed per-record rows",
-    )
-    infer.add_argument(
-        "--dataset-sink", choices=DATASET_SINKS, default="auto",
-        help="who writes the prediction shards: 'reducer' streams each "
-        "final partition straight to its own shard, 'parent' collects and "
-        "re-shards centrally; 'auto' picks reducer for columnar output",
-    )
-    infer.add_argument(
-        "--slice-transport", choices=SLICE_TRANSPORTS, default="auto",
-        help="how model slices reach reducers: 'shm' publishes them once "
-        "into a shared-memory slab (zero parameter bytes per task), "
-        "'pickle' embeds them in every pickled reducer; 'auto' picks shm "
-        "under the processes backend",
-    )
-    infer.add_argument(
-        "--partitioner", choices=PARTITIONERS, default="hash",
-        help="shuffle partition strategy: 'hash' (crc32 of the key) or "
-        "'planned' (degree-aware plan that spreads heavy keys across "
-        "reducers; output stays byte-identical to hash)",
-    )
-    _add_common(infer)
     infer.set_defaults(func=_cmd_graphinfer)
 
     worker = sub.add_parser(

@@ -5,6 +5,8 @@ co-locates each node's self / in-edge / out-edge information, then K Reduce
 rounds that (1) merge self + in-edge information into the new self
 information — the k-hop neighborhood — and (2) propagate it along out-edges.
 Hub nodes are handled by the re-indexing + sampling framework of §3.2.2.
+The rounds are :mod:`repro.core.propagation`'s; this package supplies the
+subgraph records, the sampling strategies and the merge.
 """
 
 from repro.core.graphflat.records import InEdgeInfo, OutEdgeInfo, SubgraphInfo
@@ -20,15 +22,11 @@ from repro.core.graphflat.pipeline import (
     GraphFlatConfig,
     GraphFlatResult,
     MergeReducer,
-    PartialReducer,
-    PrepareReducer,
     graph_flat,
 )
 
 __all__ = [
     "MergeReducer",
-    "PartialReducer",
-    "PrepareReducer",
     "SubgraphInfo",
     "InEdgeInfo",
     "OutEdgeInfo",

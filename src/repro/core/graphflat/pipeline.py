@@ -1,204 +1,75 @@
 """The GraphFlat MapReduce pipeline (§3.2.1) with re-indexing + sampling
-(§3.2.2).
+(§3.2.2): the propagation engine (:mod:`repro.core.propagation`) instantiated
+with *subgraphs* as the self information.
 
-Rounds:
-
-* **Map** (runs once): co-locates, per node ``v``, the self information
-  ``S_0(v)`` (its feature), and v's out-edges; then propagates
-  ``S_0(v)`` along out-edges as the in-edge information of the destinations.
-* **Reduce × K**: round ``k`` merges each node's self information with its
-  (sampled) in-edge information — producing the k-hop neighborhood — and
-  propagates the merged result via out-edges for round ``k+1``.  Out-edge
-  information passes through unchanged.
+* **Map / Reduce × K**: the engine's rounds; round ``k``'s merge absorbs the
+  sampled in-edge neighbors' (k-1)-hop neighborhoods into the node's own —
+  producing its k-hop neighborhood (:class:`MergeReducer`).
+* **Pairing** (edge-level tasks): one extra round joins the two endpoint
+  neighborhoods of every target edge (:class:`PairReducer`).
 * **Storing**: final self informations of the target nodes are flattened to
-  wire bytes (``repro.proto``) and written to the DFS.
+  wire bytes (``repro.proto``) and written to the DFS (:class:`SampleStore`).
 
-Hub handling: when a destination's in-degree exceeds ``hub_threshold``
-(degrees are pre-computed by a small MapReduce job), propagation appends a
-deterministic suffix to the shuffle key, splitting the hub's in-edge records
-across ``reindex_fanout`` reducers which pre-sample and pre-merge; an
-inverted-indexing step restores the original key for the final merge.  This
-is Figure 3 verbatim.
-
-Every operator here is a top-level callable dataclass (not a closure) so a
-job can be pickled to worker processes under the runtime's ``processes``
-backend — which is what turns §3.2's "scales near-linearly with workers"
-claim into something this reproduction can actually measure.
+Hub in-degrees are pre-computed by a small MapReduce job; everything about
+the rounds themselves — keys, gates, re-indexing, placement, who writes the
+shards — is the engine's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from repro.core.graphflat.records import InEdgeInfo, OutEdgeInfo, SubgraphInfo
-from repro.core.graphflat.sampling import SamplingStrategy, make_sampler
+from repro.core.graphflat.records import InEdgeInfo, SubgraphInfo
 from repro.core.propagation import (
+    DataflowConfig,
+    EdgeFanout,
+    MessagePassingReducer,
     ReceptiveField,
-    distance_to_targets,
-    plain_key,
-    propagation_key,
+    canonical_tables,
+    run_dataflow,
 )
 from repro.graph.subgraph import GraphFeature, merge_graph_features
 from repro.graph.tables import EdgeTable, NodeTable
-from repro.graph.validate import validate_tables
-from repro.mapreduce.fs import DATASET_LAYOUTS, DistFileSystem
+from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.job import MapReduceJob, SumCombiner
-from repro.mapreduce.partition import PARTITIONERS, PartitionPlan, plan_partitions, publish_plan
 from repro.mapreduce.runtime import LocalRuntime, RunStats
-from repro.mapreduce.spill import DEFAULT_RUN_BYTES, DEFAULT_RUN_RECORDS
 from repro.proto.codec import encode_sample
 from repro.proto.columnar import write_sample_shard
 from repro.tasks import make_task
 
 __all__ = [
-    "DATASET_SINKS",
     "GraphFlatConfig",
     "GraphFlatResult",
     "MergeReducer",
     "PairReducer",
-    "PartialReducer",
-    "PrepareReducer",
-    "SampleShardSink",
-    "build_partition_plan",
+    "SampleStore",
     "graph_flat",
 ]
 
-DATASET_SINKS = ("auto", "parent", "reducer")
-
 
 @dataclass
-class GraphFlatConfig:
+class GraphFlatConfig(DataflowConfig):
     """Knobs of the pipeline (the CLI flags of Figure 6's ``GraphFlat -n
-    node_table -e edge_table -h hops -s sampling_strategy``)."""
+    node_table -e edge_table -h hops -s sampling_strategy``); everything but
+    the three below is :class:`~repro.core.propagation.DataflowConfig`'s."""
 
     hops: int = 2
-    sampling: str = "uniform"
-    max_neighbors: int = 32
-    task: str = "node_classification"
-    """Task plugin (``repro.tasks``) the samples are built for.  Node-level
-    tasks keep the classic per-node flow byte-for-byte; edge-level tasks
-    (``link_prediction`` / ``edge_classification``) derive a target-edge
-    table, flatten *both* endpoints' k-hop neighborhoods, and join them in
-    one extra pairing round keyed by edge index."""
     edge_targets: int | None = None
     """Edge-level tasks: cap on the number of positive target edges
     (seeded downsample); ``None`` keeps every eligible edge."""
     negative_ratio: int = 1
     """Link prediction: sampled negative edges per positive edge."""
-    hub_threshold: int = 1_000
-    reindex_fanout: int = 8
-    num_reducers: int = 4
-    num_shards: int = 4
-    seed: int = 0
-    validate: bool = True
-    backend: str = "serial"
-    """MapReduce backend (``serial`` / ``threads`` / ``processes``) used
-    when no explicit runtime is passed to :func:`graph_flat`."""
-    num_workers: int | None = None
-    """Worker count for the pooled backends; ``None`` = backend default."""
-    spill_dir: str | None = None
-    """Shuffle spill directory; ``None`` = in-memory (serial/threads) or a
-    private temp dir (processes)."""
-    shuffle_codec: str = "binary"
-    """Spill record encoding: ``binary`` (flat SubgraphInfo/edge records
-    instead of pickled object graphs — the default; output is byte-identical
-    to ``pickle``, tested) or ``pickle``."""
-    partitioner: str = "hash"
-    """Shuffle partition function for the intermediate rounds: ``hash``
-    (crc32 of the key, the classic default) or ``planned`` (degree-aware
-    greedy bin-packing built from the degree job's output — heavy keys get
-    explicit placements, the light tail keeps hashing; see
-    ``repro.mapreduce.partition``).  The *final* round always partitions by
-    hash: output record order is partition-major, so pinning the last
-    round's placement is what keeps pipeline output byte-identical across
-    partitioners (tested)."""
-    dataset_layout: str = "columnar"
-    """DFS shard layout for the output dataset: ``columnar`` (mmap-able
-    stacked matrices that GraphTrainer slices batches from — the default;
-    samples go straight from the final reduce into the shard writer, no
-    per-sample re-framing pass) or ``row`` (framed per-sample byte strings,
-    the compatibility fallback).  ``read_dataset`` yields byte-identical
-    records either way."""
-    dataset_sink: str = "auto"
-    """Who writes the output shards.  ``reducer``: each final-round reducer
-    writes its own columnar shard directly into the DFS — the sample
-    triples never funnel through the parent process, and shard count equals
-    ``num_reducers`` (``num_shards`` is ignored).  ``parent``: the classic
-    collect-then-write path (``num_shards`` shards).  ``auto`` (default)
-    picks ``reducer`` whenever a DFS is given with columnar layout.  The
-    global record stream (``read_dataset``) is byte-identical either way —
-    only shard boundaries differ."""
-    spill_run_records: int = DEFAULT_RUN_RECORDS
-    """External-sort run bound: records buffered per spill writer before a
-    sorted run is flushed (see ``repro.mapreduce.spill.SpillRunWriter``)."""
-    spill_run_bytes: int = DEFAULT_RUN_BYTES
-    """External-sort run bound in encoded bytes (binary codec only)."""
-    max_attempts: int = 3
-    """Attempt budget per MapReduce task before the job fails."""
-    task_timeout_s: float | None = None
-    """Per-attempt deadline: an attempt running longer is discarded (pool
-    kill under ``processes``, cooperative check elsewhere) and retried as a
-    :class:`~repro.mapreduce.fault.TaskTimeoutError`.  ``None`` = none."""
-    speculation_factor: float | None = None
-    """Straggler speculation (processes backend): a task running longer
-    than this factor x the phase's median completed duration races a
-    duplicate attempt; first completion wins.  ``None`` = off."""
-    shuffle_transport: str = "local"
-    """How reducers reach map-side shuffle runs: ``local`` (direct file
-    reads — the intra-host fast path, byte-identical to the historical
-    spill layout), ``tcp`` (shuffle peering over the frame wire protocol)
-    or ``shared-dir`` (runs pushed to per-partition peer directories under
-    a shared ``spill_dir`` mount).  Output is byte-identical across all
-    three (tested)."""
-    hosts: str | None = None
-    """Cluster roster for the TCP transports (``host:port,host:port,...``;
-    first entry is the coordinator).  ``None`` binds ephemeral loopback."""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
-        if self.reindex_fanout < 2:
-            raise ValueError("reindex_fanout must be >= 2")
-        make_task(self.task)  # unknown task names fail here, not mid-pipeline
         if self.edge_targets is not None and self.edge_targets < 1:
             raise ValueError("edge_targets must be >= 1")
         if self.negative_ratio < 1:
             raise ValueError("negative_ratio must be >= 1")
-        if self.dataset_layout not in DATASET_LAYOUTS:
-            raise ValueError(f"dataset_layout must be one of {DATASET_LAYOUTS}")
-        if self.dataset_sink not in DATASET_SINKS:
-            raise ValueError(f"dataset_sink must be one of {DATASET_SINKS}")
-        if self.partitioner not in PARTITIONERS:
-            raise ValueError(f"partitioner must be one of {PARTITIONERS}")
-        from repro.transport.shuffle import SHUFFLE_TRANSPORTS
-
-        if self.shuffle_transport not in SHUFFLE_TRANSPORTS:
-            raise ValueError(
-                f"shuffle_transport must be one of {SHUFFLE_TRANSPORTS}"
-            )
-
-    def make_runtime(self) -> LocalRuntime:
-        cluster = None
-        if self.hosts:
-            from repro.transport.cluster import ClusterSpec
-
-            cluster = ClusterSpec.parse(self.hosts)
-        return LocalRuntime(
-            backend=self.backend,
-            max_workers=self.num_workers,
-            max_attempts=self.max_attempts,
-            spill_dir=self.spill_dir,
-            shuffle_codec=self.shuffle_codec,
-            spill_run_records=self.spill_run_records,
-            spill_run_bytes=self.spill_run_bytes,
-            task_timeout_s=self.task_timeout_s,
-            speculation_factor=self.speculation_factor,
-            shuffle_transport=self.shuffle_transport,
-            cluster=cluster,
-        )
 
 
 @dataclass
@@ -261,60 +132,6 @@ def _degree_job(num_reducers: int) -> MapReduceJob:
     )
 
 
-def build_partition_plan(
-    degree_pairs,
-    hubs: frozenset[int],
-    fanout: int,
-    reindex_active: bool,
-    num_reducers: int,
-    needed: ReceptiveField,
-) -> PartitionPlan:
-    """Degree-aware placement plan covering every intermediate round's key
-    forms (GraphFlat and GraphInfer share them).
-
-    A node's expected shuffle load is its in-degree — the number of ``in``
-    records propagated to it each round, known before any round runs
-    because the degree job already counted it.  Propagation is
-    demand-driven, so a node outside every target's receptive field
-    (``not needed(node, 1)``) receives nothing and is left out of the plan:
-    the planner balances what is actually shuffled.  Per remaining node of
-    in-degree ``deg``, the weighted key set is:
-
-    * reindex off — the plain int key at weight ``deg`` (both the merge
-      rounds' routing and the no-hub case).
-    * reindex on, non-hub — ``(node, 0)`` at ``deg`` (routing into the
-      re-index rounds, where in-records pass through unsampled) and the
-      plain int at ``deg`` (routing into the merge rounds, whose keys are
-      inverted back to plain ids).
-    * reindex on, hub — each slice key ``(node, 1+s)`` at ``deg / fanout``
-      (the split the re-indexing performs), ``(node, 0)`` at ~2 (self +
-      out records only), and the plain int at ``2 + fanout`` (post-sampling
-      partials).
-
-    :func:`~repro.mapreduce.partition.plan_partitions` then LPT-packs the
-    heavy head of that set; everything else keeps hashing."""
-
-    def weighted():
-        for node, deg in degree_pairs:
-            node = int(node)
-            deg = float(deg)
-            if not needed(node, 1):
-                continue
-            if not reindex_active:
-                yield node, deg
-            elif node in hubs:
-                share = deg / fanout
-                for s in range(1, fanout + 1):
-                    yield (node, s), share
-                yield (node, 0), 2.0
-                yield node, 2.0 + fanout
-            else:
-                yield (node, 0), deg
-                yield node, deg
-
-    return plan_partitions(weighted(), num_reducers)
-
-
 def graph_flat(
     nodes: NodeTable,
     edges: EdgeTable,
@@ -339,258 +156,96 @@ def graph_flat(
         samples are returned in memory (``result.samples``).
     """
     config = config or GraphFlatConfig()
-    owns_runtime = runtime is None
-    runtime = runtime or config.make_runtime()
-    try:
-        return _graph_flat(
-            nodes, edges, targets, config, runtime, fs, dataset_name
-        )
-    finally:
-        if owns_runtime:
-            runtime.close()
+    with config.runtime_scope(runtime) as runtime:
+        edges, node_rows, edge_rows = canonical_tables(nodes, edges, config.validate)
 
-
-def _graph_flat(
-    nodes: NodeTable,
-    edges: EdgeTable,
-    targets: np.ndarray | None,
-    config: GraphFlatConfig,
-    runtime: LocalRuntime,
-    fs: DistFileSystem | None,
-    dataset_name: str,
-) -> GraphFlatResult:
-    if config.validate:
-        validate_tables(nodes, edges)
-    edges = edges.coalesce()  # one A_{v,u} entry per node pair (see EdgeTable)
-
-    sampler = make_sampler(config.sampling, config.max_neighbors, config.seed)
-    task_obj = make_task(config.task)
-    # Meta records the task only when it deviates from the classic default,
-    # so node-classification output (shards *and* _META.json) stays
-    # byte-identical to the pre-task-layer pipeline.
-    meta_task = None if config.task == "node_classification" else config.task
-    edge_fanout = None
-    if task_obj.edge_level:
-        if targets is not None:
-            raise ValueError(
-                f"task {config.task!r} derives its targets from the edge "
-                "table; explicit node targets only apply to node-level tasks"
-            )
-        # Parent-side + seeded: the target-edge table (including link
-        # prediction's negative draws) is fixed before any MapReduce round
-        # runs, so retries/speculation/backend choice cannot change it.
-        edge_table = task_obj.build_edge_targets(
-            nodes,
-            edges,
-            seed=config.seed,
-            max_targets=config.edge_targets,
-            negative_ratio=config.negative_ratio,
-        )
-        target_set = {int(t) for t in edge_table.endpoint_ids}
-        label_of = _EdgeLabelTable(edge_table.labels)
-        edge_fanout = _EdgeFanout.from_targets(edge_table)
-    else:
-        target_set = None if targets is None else {int(t) for t in np.asarray(targets)}
-        label_of = _LabelTable.from_nodes(nodes)
-    if target_set is not None:
-        missing = [t for t in sorted(target_set) if t not in nodes]
-        if missing:
-            raise KeyError(f"{len(missing)} target ids not in node table (e.g. {missing[:5]})")
-    type_table = _TypeTable.from_tables(nodes, edges)
-
-    # ---- demand: GraphFlat only has to materialise the *targets'* k-hop
-    # neighborhoods (§3.2), so a node d reverse hops from the nearest target
-    # takes part in rounds 1..K-d only — the same receptive-field rule
-    # GraphInfer prunes with (§3.4).  No targets = everything is needed.
-    distance = None
-    if target_set is not None:
-        distance = distance_to_targets(edges, target_set, config.hops)
-    needed = ReceptiveField(distance, config.hops)
-    in_field = len(nodes)
-    if distance is not None:
-        in_field = sum(1 for node_id in distance if node_id in nodes)
-    dst = np.asarray(edges.dst, dtype=np.int64)
-    demand = dict(
-        receptive_nodes=(in_field, len(nodes)),
-        propagations=(needed.propagations(dst), config.hops * len(dst)),
-    )
-
-    edge_rows = [
-        (int(s), (int(s), int(d), float(w), f))
-        for s, d, f, w in edges.rows()
-    ]
-
-    # ---- hub detection (a tiny MR job over the edge table) ----------------
-    degree_pairs = runtime.run(_degree_job(config.num_reducers), edge_rows)
-    degree_stats: list[RunStats] = list(runtime.round_stats)
-    hubs = frozenset(int(v) for v, deg in degree_pairs if deg > config.hub_threshold)
-    reindex_active = bool(hubs)
-
-    # ---- degree-aware placement plan (tentpole of the pluggable
-    # partitioner): built from the degree job's output the pipeline already
-    # ran for hub detection, broadcast once (shared memory under pickling
-    # backends), applied to every intermediate round below.
-    partition_broadcast = None
-    planned = None
-    if config.partitioner == "planned":
-        plan = build_partition_plan(
-            degree_pairs, hubs, config.reindex_fanout, reindex_active,
-            config.num_reducers, needed,
-        )
-        partition_broadcast, planned = publish_plan(plan, runtime.needs_pickling)
-    try:
-        # ---- Map phase ("runs only once at the beginning", §3.2.1) followed
-        # by K Reduce rounds, submitted as one chained sequence: every round
-        # is reduce-only, so the runtime hands partitions reducer-to-reducer
-        # and intermediate state never funnels through this process.
-        node_rows = [(int(i), ("node", feat)) for i, feat, _ in nodes.rows()]
-        routing = _Routing(hubs, config.reindex_fanout, reindex_active, needed)
-        jobs = [
-            MapReduceJob(
-                "graphflat-map",
-                PrepareReducer(routing),
-                num_reducers=config.num_reducers,
-            )
-        ]
-        for k in range(1, config.hops + 1):
-            if reindex_active:
-                jobs.append(
-                    MapReduceJob(
-                        f"graphflat-reduce{k}-reindex",
-                        PartialReducer(sampler, k, config.reindex_fanout),
-                        num_reducers=config.num_reducers,
-                    )
+        task_obj = make_task(config.task)
+        edge_fanout = None
+        if task_obj.edge_level:
+            if targets is not None:
+                raise ValueError(
+                    f"task {config.task!r} derives its targets from the edge "
+                    "table; explicit node targets only apply to node-level tasks"
                 )
-            jobs.append(
-                MapReduceJob(
-                    f"graphflat-reduce{k}",
-                    MergeReducer(sampler, k, config.hops, routing, edge_fanout),
-                    num_reducers=config.num_reducers,
-                )
+            # Parent-side + seeded: the target-edge table (including link
+            # prediction's negative draws) is fixed before any MapReduce round
+            # runs, so retries/speculation/backend choice cannot change it.
+            edge_table = task_obj.build_edge_targets(
+                nodes,
+                edges,
+                seed=config.seed,
+                max_targets=config.edge_targets,
+                negative_ratio=config.negative_ratio,
             )
+            targets = edge_table.endpoint_ids
+            label_of = _EdgeLabelTable(edge_table.labels)
+            edge_fanout = EdgeFanout.from_pairs(edge_table.src, edge_table.dst)
+        else:
+            label_of = _LabelTable.from_nodes(nodes)
+
+        # ---- demand: GraphFlat only has to materialise the *targets'* k-hop
+        # neighborhoods (§3.2), so a node d reverse hops from the nearest target
+        # takes part in rounds 1..K-d only — the same receptive-field rule
+        # GraphInfer prunes with (§3.4).  No targets = everything is needed.
+        needed = ReceptiveField.of(nodes, edges, targets, config.hops)
+        in_field = len(nodes)
+        if needed.distance is not None:
+            in_field = sum(1 for node_id in needed.distance if node_id in nodes)
+        dst = np.asarray(edges.dst, dtype=np.int64)
+
+        # ---- in-degrees for hub detection (a tiny MR job over the edge table)
+        degree_pairs = runtime.run(_degree_job(config.num_reducers), edge_rows)
+        degree_stats: list[RunStats] = list(runtime.round_stats)
+
+        store = SampleStore(
+            label_of, _TypeTable.from_tables(nodes, edges), config.recorded_task
+        )
+        final = None
         if edge_fanout is not None:
             # Pairing round: join the two endpoints' flattened neighborhoods
             # per target edge.  Keyed by edge index and hash-partitioned —
-            # being the new final round, it inherits the determinism
-            # contract (output order is partition-major over edge indices).
-            jobs.append(
-                MapReduceJob(
-                    "graphflat-pair",
-                    PairReducer(),
-                    num_reducers=config.num_reducers,
-                )
-            )
-        if planned is not None:
-            # Intermediate rounds get planned placement; the *final* round
-            # keeps the hash default: output record order is partition-major
-            # and reducer-sink shards are per-partition, so pinning the last
-            # round's placement is the planner's determinism contract —
-            # pipeline output stays byte-identical across partitioners.
-            for job in jobs[:-1]:
-                job.partitioner = planned
-        sink_mode = config.dataset_sink
-        if sink_mode == "auto":
-            sink_mode = (
-                "reducer"
-                if fs is not None and config.dataset_layout == "columnar"
-                else "parent"
-            )
-        elif sink_mode == "reducer" and (fs is None or config.dataset_layout != "columnar"):
-            raise ValueError(
-                "dataset_sink='reducer' requires a DFS and columnar dataset_layout"
-            )
-
-        if sink_mode == "reducer":
-            # ---- Storing, reducer-owned: each final-round reducer writes
-            # its own AGLC shard straight into the (pre-cleared) dataset
-            # directory; sample triples never travel through this process.
-            # Shard order = partition order and keys are sorted within a
-            # partition, so the global record stream matches the parent-side
-            # write exactly.
-            directory = fs.prepare_dataset(dataset_name)
-            sink = SampleShardSink(str(directory), label_of, type_table, meta_task)
-            summaries = runtime.run_rounds(jobs, node_rows + edge_rows, final_sink=sink)
-            round_stats = degree_stats + list(runtime.round_stats)
-            counts = [count for count, _, _ in summaries]
-            fs.finalize_dataset(
-                dataset_name,
-                layout="columnar",
-                kind="samples",
-                record_counts=counts,
-                task=meta_task,
-            )
-            return GraphFlatResult(
-                num_targets=sum(counts),
-                hops=config.hops,
-                task=config.task,
-                dataset=dataset_name,
-                hub_nodes=sorted(hubs),
-                round_stats=round_stats,
-                neighborhood_nodes=np.asarray(
-                    [n for _, n_nodes, _ in summaries for n in n_nodes], dtype=np.int64
-                ),
-                neighborhood_edges=np.asarray(
-                    [n for _, _, n_edges in summaries for n in n_edges], dtype=np.int64
-                ),
-                **demand,
-            )
-
-        data = runtime.run_rounds(jobs, node_rows + edge_rows)
-    finally:
-        # Single unlink point for the plan slab — covers failed rounds too.
-        if partition_broadcast is not None:
-            partition_broadcast.close()
-    # Degree-job stats included: the CLI/bench shuffle accounting must cover
-    # every round the pipeline actually ran.
-    round_stats: list[RunStats] = degree_stats + list(runtime.round_stats)
-
-    # ---- Storing, parent-side -----------------------------------------------
-    # ``sample_id`` is the node id (node tasks) or edge index (edge tasks);
-    # edge tasks' final pairing round already yields GraphFeatures.
-    triples: list[tuple] = []
-    n_nodes: list[int] = []
-    n_edges: list[int] = []
-    for sample_id, (tag, info) in data:
-        if tag != "final":  # pragma: no cover - defensive
-            raise RuntimeError(f"unexpected record tag {tag!r} after final round")
-        gf = info if isinstance(info, GraphFeature) else info.to_graph_feature()
-        if type_table is not None:
-            gf = type_table.attach(gf)
-        n_nodes.append(gf.num_nodes)
-        n_edges.append(gf.num_edges)
-        triples.append((sample_id, label_of(sample_id), gf))
-
-    result = GraphFlatResult(
-        num_targets=len(triples),
-        hops=config.hops,
-        task=config.task,
-        hub_nodes=sorted(hubs),
-        round_stats=round_stats,
-        neighborhood_nodes=np.asarray(n_nodes, dtype=np.int64),
-        neighborhood_edges=np.asarray(n_edges, dtype=np.int64),
-        **demand,
-    )
-    if fs is not None and config.dataset_layout == "columnar":
-        # Columnar shards take the triples directly — no per-sample
-        # re-framing pass between the final reduce and the DFS.
-        fs.write_dataset(
-            dataset_name,
-            triples,
-            num_shards=config.num_shards,
-            layout="columnar",
-            task=meta_task,
+            # being the new final round, it inherits the determinism contract
+            # (output order is partition-major over edge indices).
+            final = ("pair", PairReducer())
+        out = run_dataflow(
+            "graphflat",
+            config,
+            runtime,
+            node_rows + edge_rows,
+            degree_pairs=degree_pairs,
+            needed=needed,
+            in_record=InEdgeInfo,
+            seed=SubgraphInfo.seed,
+            reducers=[MergeReducer] * config.hops,
+            final=final,
+            edge_fanout=edge_fanout,
+            store=store,
+            fs=fs,
+            dataset_name=dataset_name,
         )
-        result.dataset = dataset_name
-        return result
-    encoded = [encode_sample(sample_id, label, gf) for sample_id, label, gf in triples]
-    if fs is not None:
-        fs.write_dataset(
-            dataset_name, encoded, num_shards=config.num_shards, task=meta_task
+        summaries, samples = out.summaries, None
+        if out.data is not None:
+            samples, n_nodes, n_edges = store.encode(out.data)
+            summaries = [(len(samples), n_nodes, n_edges)]
+        return GraphFlatResult(
+            num_targets=sum(count for count, _, _ in summaries),
+            hops=config.hops,
+            task=config.task,
+            dataset=None if fs is None else dataset_name,
+            samples=samples,
+            hub_nodes=sorted(out.hubs),
+            # Degree-job stats included: the CLI/bench shuffle accounting must
+            # cover every round the pipeline actually ran.
+            round_stats=degree_stats + out.round_stats,
+            neighborhood_nodes=np.asarray(
+                [n for _, n_nodes, _ in summaries for n in n_nodes], dtype=np.int64
+            ),
+            neighborhood_edges=np.asarray(
+                [n for _, _, n_edges in summaries for n in n_edges], dtype=np.int64
+            ),
+            receptive_nodes=(in_field, len(nodes)),
+            propagations=(needed.propagations(dst), config.hops * len(dst)),
         )
-        result.dataset = dataset_name
-    else:
-        result.samples = encoded
-    return result
 
 
 @dataclass(frozen=True)
@@ -598,9 +253,9 @@ class _LabelTable:
     """Picklable label lookup: sorted node ids + aligned label rows.
 
     The closure variant of this (capturing the whole :class:`NodeTable`)
-    cannot ship inside a reducer-owned sink under the process backend;
-    this table can, and both sink modes use it so label semantics cannot
-    drift between them."""
+    cannot ship inside a reducer-written shard's store under the process
+    backend; this table can, and the collecting paths use it too so label
+    semantics cannot drift between them."""
 
     ids: np.ndarray
     values: np.ndarray | None
@@ -634,39 +289,13 @@ class _EdgeLabelTable:
 
 
 @dataclass(frozen=True)
-class _EdgeFanout:
-    """Broadcast table for edge-level tasks: node id -> the target edges it
-    terminates, as ``(edge_index, role)`` entries (role 0 = src endpoint,
-    role 1 = dst).  Built parent-side from the seeded target table, shipped
-    inside the final MergeReducer, so every re-execution fans out the exact
-    same records."""
-
-    entries_by_node: dict[int, tuple[tuple[int, int], ...]]
-
-    @classmethod
-    def from_targets(cls, edge_table) -> "_EdgeFanout":
-        return cls.from_pairs(edge_table.src, edge_table.dst)
-
-    @classmethod
-    def from_pairs(cls, src, dst) -> "_EdgeFanout":
-        out: dict[int, list[tuple[int, int]]] = {}
-        for idx in range(len(src)):
-            out.setdefault(int(src[idx]), []).append((idx, 0))
-            out.setdefault(int(dst[idx]), []).append((idx, 1))
-        return cls({node: tuple(pairs) for node, pairs in out.items()})
-
-    def entries(self, node_id: int) -> tuple[tuple[int, int], ...]:
-        return self.entries_by_node.get(int(node_id), ())
-
-
-@dataclass(frozen=True)
 class _TypeTable:
     """Picklable node/edge type lookup for heterogeneous tables.
 
     Types ride *outside* the MapReduce rounds: the shuffled SubgraphInfo
     records stay exactly as they were (byte-identical spills), and types
-    are attached to the flattened GraphFeatures at the storage boundary —
-    the sink (reducer path) or the parent storing loop."""
+    are attached to the flattened GraphFeatures at the storage boundary
+    (:class:`SampleStore`)."""
 
     node_types: dict[int, int] | None
     edge_types: dict[tuple[int, int], int] | None
@@ -719,23 +348,25 @@ class _TypeTable:
 
 
 @dataclass(frozen=True)
-class SampleShardSink:
-    """Reducer-owned columnar sink: the final-round reducer streams its
-    output pairs straight into one AGLC shard (``part-<task>``), buffering
-    one shard's triples — never the whole dataset.  Returns ``(count,
-    n_nodes, n_edges)`` per partition; the parent only ever sees these
-    summaries.
+class SampleStore:
+    """Storing (§3.2.1): flatten the final round's output pairs to ``(id,
+    label, GraphFeature)`` triples and write them — as one columnar shard
+    per final partition (reducer-side; the triples go straight into the
+    shard writer, no per-sample re-framing pass) or as wire records for the
+    collecting paths.  Either way the trailing summary is the per-sample
+    ``(n_nodes, n_edges)`` lists.
 
     Handles both final-round shapes: node flows yield SubgraphInfos to
     flatten, edge flows yield already-joined GraphFeatures keyed by edge
     index (``labels`` is the matching lookup either way)."""
 
-    directory: str
     labels: _LabelTable | _EdgeLabelTable
-    types: _TypeTable | None = None
-    task: str | None = None
+    types: _TypeTable | None
+    task: str | None
 
-    def store(self, task_index: int, pairs):
+    kind = "samples"
+
+    def flatten(self, pairs):
         triples: list[tuple] = []
         n_nodes: list[int] = []
         n_edges: list[int] = []
@@ -748,155 +379,28 @@ class SampleShardSink:
             n_nodes.append(gf.num_nodes)
             n_edges.append(gf.num_edges)
             triples.append((sample_id, self.labels(sample_id), gf))
-        path = Path(self.directory) / f"part-{task_index:05d}"
-        count = write_sample_shard(path, triples, task=self.task)
-        return count, n_nodes, n_edges
+        return triples, n_nodes, n_edges
+
+    def write_shard(self, path, pairs):
+        triples, n_nodes, n_edges = self.flatten(pairs)
+        return write_sample_shard(path, triples, task=self.task), n_nodes, n_edges
+
+    def encode(self, pairs):
+        triples, n_nodes, n_edges = self.flatten(pairs)
+        return [encode_sample(*triple) for triple in triples], n_nodes, n_edges
 
 
-@dataclass(frozen=True)
-class _Routing:
-    """Where a node's records go next round: the shuffle-key dialect (hub
-    re-indexing) plus the receptive-field gate that makes propagation
-    demand-driven.  Shared by the Map phase and every Reduce round."""
+class MergeReducer(MessagePassingReducer):
+    """GraphFlat's merge: a node's k-hop neighborhood is its own (k-1)-hop
+    one plus its sampled in-edge neighbors' (k-1)-hop ones."""
 
-    hubs: frozenset[int]
-    fanout: int
-    reindex_active: bool
-    needed: ReceptiveField
-
-    def propagate(self, node_id: int, info: SubgraphInfo, outs, next_round: int):
-        """What ``node_id`` hands to round ``next_round`` after building
-        ``info``: the self information travels on only if the node merges
-        again; the out-edge list is trimmed to the destinations some
-        *later* round still propagates to; an in-edge record goes only to
-        destinations that merge next round.  A destination that does merge
-        still receives every one of its in-edge records (the gate is per
-        destination, never per edge), so its sampling draw — and therefore
-        the pipeline's output — is exactly the ungated pipeline's."""
-        needed = self.needed
-        key = plain_key(node_id, self.reindex_active)
-        if needed(node_id, next_round):
-            yield key, ("self", info)
-            later = [out for out in outs if needed(out.dst, next_round + 1)]
-            if later:
-                yield key, ("out", later)
-        for out in outs:
-            if needed(out.dst, next_round):
-                key = propagation_key(
-                    out.dst, node_id, self.hubs, self.fanout, self.reindex_active
-                )
-                yield key, ("in", InEdgeInfo(node_id, out.weight, out.edge_feat, info))
-
-
-@dataclass(frozen=True)
-class PrepareReducer:
-    """The Map phase: build S_0, gather out-edges, propagate for round 1."""
-
-    routing: _Routing
-
-    def __call__(self, node_id, values):
-        feature = None
-        outs: list[OutEdgeInfo] = []
-        for value in values:
-            tag = value[0]
-            if tag == "node":
-                feature = value[1]
-            else:  # edge row keyed by source
-                _, dst, weight, edge_feat = value
-                outs.append(OutEdgeInfo(int(dst), weight, edge_feat))
-        if feature is None:
-            # Edge rows whose source never appears in the node table are
-            # rejected by validation; reaching here means validation was
-            # disabled — drop the stray records.
-            return
-        node_id = int(node_id)
-        seed = SubgraphInfo.seed(node_id, feature)
-        yield from self.routing.propagate(node_id, seed, outs, 1)
-
-
-@dataclass(frozen=True)
-class PartialReducer:
-    """Re-indexed stage (Figure 3): sample/pre-merge hub slices, then
-    inverted-index back to the original shuffle key."""
-
-    sampler: SamplingStrategy
-    round_index: int
-    fanout: int
-
-    def __call__(self, key, values):
-        node_id, sfx = key
-        if sfx == 0:
-            # Non-hub records pass through unchanged (inverted index is a
-            # no-op for them).
-            for value in values:
-                yield node_id, value
-            return
-        in_edges = [value[1] for value in values]  # only "in" records get suffixes
-        sampled = self.sampler.select(in_edges, node_id, salt=sfx)
-        yield node_id, ("partial", sampled)
-
-
-@dataclass(frozen=True)
-class MergeReducer:
-    """The paper's Reduce: merge self + in-edge info, propagate via
-    out-edges (or emit the final neighborhoods on the last round)."""
-
-    sampler: SamplingStrategy
-    round_index: int
-    total_rounds: int
-    routing: _Routing
-    edge_fanout: _EdgeFanout | None = None
-
-    @property
-    def final_round(self) -> bool:
-        return self.round_index == self.total_rounds
-
-    def __call__(self, node_id, values):
-        # Outside every target's receptive field this round (on the final
-        # round: not a target) — nothing downstream reads this node's
-        # merge, so skip it before doing the work.  Upstream rounds already
-        # stop propagating to such nodes; the check keeps the reducer
-        # correct for records that arrive anyway.
-        if not self.routing.needed(node_id, self.round_index):
-            return
-        self_info: SubgraphInfo | None = None
-        outs: list[OutEdgeInfo] = []
-        ins: list[InEdgeInfo] = []
-        for value in values:
-            tag = value[0]
-            if tag == "self":
-                self_info = value[1]
-            elif tag == "out":
-                outs = value[1]
-            elif tag == "in":
-                ins.append(value[1])
-            elif tag == "partial":
-                ins.extend(value[1])
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown record tag {tag!r}")
-        if self_info is None:
-            # A node that only ever appears as an edge destination of
-            # dropped strays (validation disabled); nothing to do.
-            return
-
-        sampled = self.sampler.select(ins, node_id, salt=0)
+    def merge(self, self_info: SubgraphInfo, sampled: list[InEdgeInfo]) -> SubgraphInfo:
         # Copy-on-merge: the previous round's object is shared with every
         # reducer we propagated it to — never mutate it.
         merged = SubgraphInfo(self_info.root, dict(self_info.nodes), dict(self_info.edges))
         for in_edge in sampled:
             merged.absorb_neighbor(in_edge.subgraph, in_edge.weight, in_edge.edge_feat)
-
-        if not self.final_round:
-            yield from self.routing.propagate(node_id, merged, outs, self.round_index + 1)
-        elif self.edge_fanout is not None:
-            # Edge-level task: the k-hop neighborhood of this endpoint
-            # fans out to every target edge it terminates, keyed by
-            # edge index for the pairing round.  The merged object is
-            # shared across emissions — the pairing round only reads it.
-            for edge_index, role in self.edge_fanout.entries(node_id):
-                yield edge_index, ("end", role, merged)
-        else:
-            yield node_id, ("final", merged)
+        return merged
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ The paper's Reduce phase handles "three kinds of information" per node
 (§3.2.1): the **self information** (here :class:`SubgraphInfo` — the
 accumulated (k-1)-hop neighborhood), the **in-edge information**
 (:class:`InEdgeInfo` — edge feature/weight plus the sender's self
-information) and the **out-edge information** (:class:`OutEdgeInfo` — where
-to propagate next round).  All three pickle cleanly so the runtime can spill
-shuffles to disk — and each registers a *flat* wire form with the binary
-shuffle codec (bottom of this module): node/edge state is spilled as
+information) and the **out-edge information** (``OutEdgeInfo`` — where to
+propagate next round; the propagation engine's, re-exported here because it
+is the same record in GraphInfer).  All three pickle cleanly so the runtime
+can spill shuffles to disk — and each registers a *flat* wire form with the
+binary shuffle codec (bottom of this module): node/edge state is spilled as
 varint id/hop blocks plus contiguous feature matrices instead of pickled
 dicts of per-node tuples, which is where the process backend's per-object
 serialization tax lived.  Encoding preserves dict insertion order, float
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.propagation import OutEdgeInfo
 from repro.graph.subgraph import GraphFeature
 from repro.proto.framing import (
     decode_edge_fields,
@@ -40,7 +42,7 @@ from repro.proto.framing import (
 )
 from repro.proto.varint import decode_signed, decode_unsigned, encode_signed, encode_unsigned
 
-__all__ = ["SubgraphInfo", "InEdgeInfo", "OutEdgeInfo", "PartialMerge"]
+__all__ = ["SubgraphInfo", "InEdgeInfo", "OutEdgeInfo"]
 
 
 class SubgraphInfo:
@@ -53,9 +55,8 @@ class SubgraphInfo:
     Wire-resident: a record decoded from a binary spill holds only its
     encoded block until ``nodes`` / ``edges`` is first read, and a record
     that has been encoded keeps the block for the next encode.  Mutate
-    through :meth:`absorb_neighbor` / :meth:`absorb_partial` only — they
-    drop the cached block; writing into the dicts directly would leave a
-    stale one behind.
+    through :meth:`absorb_neighbor` only — it drops the cached block;
+    writing into the dicts directly would leave a stale one behind.
     """
 
     __slots__ = ("root", "_nodes", "_edges", "_wire")
@@ -151,21 +152,6 @@ class SubgraphInfo:
                 edges[key] = value
         edges[(neighbor.root, self.root)] = (weight, edge_feat)
 
-    def absorb_partial(self, other: "SubgraphInfo") -> None:
-        """Merge a partial result from a re-indexed (suffixed) reducer —
-        hops are already relative to our root, so no +1."""
-        if other.root != self.root:
-            raise ValueError(f"partial merge root mismatch: {other.root} != {self.root}")
-        nodes, edges = self.nodes, self.edges
-        self._wire = None
-        for node_id, (feat, hop) in other.nodes.items():
-            mine = nodes.get(node_id)
-            if mine is None or hop < mine[1]:
-                nodes[node_id] = (feat, hop)
-        for key, value in other.edges.items():
-            if key not in edges:
-                edges[key] = value
-
     def to_graph_feature(self) -> GraphFeature:
         """Flatten to the storage/training form (§3.2.1 "Storing")."""
         node_ids = np.fromiter(self.nodes.keys(), dtype=np.int64, count=len(self.nodes))
@@ -217,27 +203,10 @@ class InEdgeInfo:
     subgraph: SubgraphInfo
 
 
-@dataclass
-class OutEdgeInfo:
-    """Out-edge information: propagation target for the next round.
-    "All of the out-edge information remain unchanged" (§3.2.1)."""
-
-    dst: int
-    weight: float
-    edge_feat: np.ndarray | None
-
-
-@dataclass
-class PartialMerge:
-    """Output of a suffixed (re-indexed) reducer: the in-edge records of one
-    slice of a hub node, pre-sampled and pre-merged (§3.2.2)."""
-
-    in_edges: list[InEdgeInfo]
-
-
 # --------------------------------------------------------------- wire forms
 # Flat binary encodings for the spill shuffle (repro.proto.framing).  Tags
-# 0x20-0x2F are reserved for GraphFlat records.
+# 0x20-0x2F are reserved for GraphFlat records (0x22, the out-edge record,
+# is registered by ``repro.core.propagation``).
 
 def _encode_vectors(arrays: list, out: bytearray) -> None:
     """A block of per-row vectors: ``0`` = empty, ``1`` = uniform (stacked
@@ -415,25 +384,5 @@ def _decode_in_edge(buf: memoryview, offset: int):
     return InEdgeInfo(src, weight, edge_feat, subgraph), offset
 
 
-def _encode_out_edge(info: OutEdgeInfo, out: bytearray) -> None:
-    encode_edge_fields(info.dst, info.weight, info.edge_feat, out)
-
-
-def _decode_out_edge(buf: memoryview, offset: int):
-    dst, weight, edge_feat, offset = decode_edge_fields(buf, offset)
-    return OutEdgeInfo(dst, weight, edge_feat), offset
-
-
-def _encode_partial(partial: PartialMerge, out: bytearray) -> None:
-    out += encode_value(partial.in_edges)
-
-
-def _decode_partial(buf: memoryview, offset: int):
-    in_edges, offset = decode_value(buf, offset)
-    return PartialMerge(in_edges), offset
-
-
 register_record(0x20, SubgraphInfo, _encode_subgraph, _decode_subgraph)
 register_record(0x21, InEdgeInfo, _encode_in_edge, _decode_in_edge)
-register_record(0x22, OutEdgeInfo, _encode_out_edge, _decode_out_edge)
-register_record(0x23, PartialMerge, _encode_partial, _decode_partial)

@@ -14,8 +14,6 @@ from repro.core.infer.pipeline import (
     EmbeddingReducer,
     GraphInferConfig,
     GraphInferResult,
-    InferPartialReducer,
-    InferPrepareReducer,
     PredictionReducer,
     ReceptiveField,
     graph_infer,
@@ -28,8 +26,6 @@ __all__ = [
     "EmbeddingReducer",
     "GraphInferConfig",
     "GraphInferResult",
-    "InferPartialReducer",
-    "InferPrepareReducer",
     "PredictionReducer",
     "ReceptiveField",
     "graph_infer",

@@ -307,6 +307,12 @@ def uug_like(
         raise ValueError("zipf_exponent must be > 1")
     if max_plain_degree < 1:
         raise ValueError("max_plain_degree must be >= 1")
+    if max(num_hubs, hub_degree) > num_nodes:
+        # Hubs and each hub's followers are drawn without replacement.
+        raise ValueError(
+            f"num_hubs ({num_hubs}) and hub_degree ({hub_degree}) must each "
+            f"be <= num_nodes ({num_nodes})"
+        )
     rng = new_rng(seed)
     labels = (rng.random(num_nodes) < 0.5).astype(np.int64)
 

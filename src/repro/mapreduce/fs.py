@@ -28,6 +28,8 @@ sniffing record bytes.
 from __future__ import annotations
 
 import json
+import os
+import re
 import shutil
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -45,6 +47,10 @@ __all__ = ["DATASET_LAYOUTS", "DistFileSystem"]
 
 DATASET_LAYOUTS = ("row", "columnar")
 _META_NAME = "_META.json"
+# A committed shard.  Writers stage under ``<name>.tmp<pid>`` in the same
+# directory and rename into place, so anything else matching ``part-*`` (or
+# ``_META.json.*``) is the leftover of an attempt that died mid-write.
+_SHARD_NAME = re.compile(r"part-\d+")
 
 
 class DistFileSystem:
@@ -157,15 +163,26 @@ class DistFileSystem:
         }
         if task is not None:
             meta["task"] = task
-        (directory / _META_NAME).write_text(json.dumps(meta, sort_keys=True))
+        # Sweep what killed attempts (task-timeout pool kills, crashes,
+        # speculation losers) left behind, then commit atomically: a reader
+        # sees the previous metadata or the new one, never a truncated file.
+        strays = [p for p in directory.glob("part-*") if not _SHARD_NAME.fullmatch(p.name)]
+        for stray in (*strays, *directory.glob(f"{_META_NAME}.*")):
+            stray.unlink(missing_ok=True)
+        staged = directory / f"{_META_NAME}.tmp{os.getpid()}"
+        staged.write_text(json.dumps(meta, sort_keys=True))
+        os.replace(staged, directory / _META_NAME)
 
     # -------------------------------------------------------------- reading
     def shards(self, name: str) -> list[Path]:
-        """Sorted shard paths of a dataset (raises if absent)."""
+        """Sorted committed shard paths of a dataset (raises if absent);
+        writers' staging files are not shards."""
         directory = self._dataset_dir(name)
         if not directory.is_dir():
             raise FileNotFoundError(f"dataset {name!r} not found under {self.root}")
-        return sorted(directory.glob("part-*"))
+        return sorted(
+            p for p in directory.glob("part-*") if _SHARD_NAME.fullmatch(p.name)
+        )
 
     @staticmethod
     def _shard_records(path: Path, layout: str) -> Iterator[bytes]:

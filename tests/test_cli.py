@@ -255,20 +255,88 @@ class TestDescribe:
         with pytest.raises(CodecError):
             main(["describe", "flat/legacy", "--dfs", dfs])
 
-    def test_graphinfer_slice_transport_flag(self, inferred, capsys):
-        """--slice-transport shm works from the CLI (even single-process)
-        and the resolved transport is reported."""
+    @pytest.mark.parametrize(
+        "backend,workers,transport",
+        [("serial", "1", "pickle"), ("processes", "2", "shm")],
+    )
+    def test_graphinfer_reports_the_slice_transport(
+        self, inferred, capsys, backend, workers, transport
+    ):
+        """The slice transport follows the backend (shm slab iff tasks are
+        pickled) and the CLI reports which one ran; scores do not move."""
         tmp_path, dfs = inferred
         rc = main([
             "graphinfer", "-m", str(tmp_path / "model.pkl"),
             "-n", str(tmp_path / "nodes.tsv"), "-e", str(tmp_path / "edges.tsv"),
-            "--max-neighbors", "20", "--output", "scores/shm",
-            "--dfs", dfs, "--workers", "1", "--slice-transport", "shm",
+            "--max-neighbors", "20", "--output", f"scores/{backend}",
+            "--dfs", dfs, "--backend", backend, "--workers", workers,
         ])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "shm slice transport" in out
+        assert f"{transport} slice transport" in out
         fs = DistFileSystem(dfs)
-        assert list(fs.read_dataset("scores/shm")) == list(
+        assert list(fs.read_dataset(f"scores/{backend}")) == list(
             fs.read_dataset("scores/columnar")
         )
+
+
+class TestDataflowSurface:
+    """GraphFlat and GraphInfer are one engine, so they expose one set of
+    dataflow knobs — declared once in code, added to both parsers by one
+    helper — and nothing the engine decides for itself is a knob."""
+
+    FLAT_ONLY = {"--hops", "--edge-targets", "--negative-ratio"}
+    INFER_ONLY = {"-m", "--model", "--candidates"}
+
+    @staticmethod
+    def flags(command: str) -> set[str]:
+        from repro.cli import build_parser
+
+        subparsers = build_parser()._subparsers._group_actions[0]
+        return {
+            option
+            for action in subparsers.choices[command]._actions
+            for option in action.option_strings
+        }
+
+    def test_both_commands_accept_the_same_dataflow_flags(self):
+        flat, infer = self.flags("graphflat"), self.flags("graphinfer")
+        assert self.FLAT_ONLY <= flat and self.INFER_ONLY <= infer
+        assert flat - self.FLAT_ONLY == infer - self.INFER_ONLY
+        assert {"--targets", "--task", "--partitioner", "--dataset-layout"} <= flat
+
+    @pytest.mark.parametrize("command", ["graphflat", "graphinfer"])
+    @pytest.mark.parametrize("flag", ["--dataset-sink", "--slice-transport"])
+    def test_engine_decisions_are_not_flags(self, command, flag, capsys):
+        from repro.cli import build_parser
+
+        argv = [command, "-n", "n.tsv", "-e", "e.tsv", "--dfs", "dfs"]
+        if command == "graphinfer":
+            argv += ["-m", "model.pkl"]
+        build_parser().parse_args(argv)  # well-formed without the flag
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + [flag, "auto"])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_shared_config_fields_are_declared_once(self):
+        from dataclasses import fields
+
+        from repro.core.graphflat import GraphFlatConfig
+        from repro.core.infer import GraphInferConfig
+        from repro.core.propagation import DataflowConfig
+
+        shared = DataflowConfig.__dataclass_fields__
+        flat = GraphFlatConfig.__dataclass_fields__
+        infer = GraphInferConfig.__dataclass_fields__
+        assert all(flat[name] is declared for name, declared in shared.items())
+        assert set(flat) - set(shared) == {"hops", "edge_targets", "negative_ratio"}
+        # GraphInfer re-declares exactly the two defaults it lifts, adds nothing
+        redeclared = {name for name in shared if infer[name] is not shared[name]}
+        assert redeclared == {"max_neighbors", "hub_threshold"}
+        assert set(infer) == set(shared)
+        assert (len(fields(GraphFlatConfig)), len(fields(GraphInferConfig))) == (25, 22)
+        for cls in (GraphFlatConfig, GraphInferConfig):
+            assert cls.make_runtime is DataflowConfig.make_runtime
+            for removed in ("dataset_sink", "slice_transport"):
+                with pytest.raises(TypeError):
+                    cls(**{removed: "auto"})

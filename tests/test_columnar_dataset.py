@@ -152,6 +152,79 @@ class TestFilesystemLayouts:
             fs.kind("absent")
 
 
+class TestStrayStagingFiles:
+    """Shard writers stage ``part-NNNNN.tmp<pid>`` inside the dataset
+    directory and rename into place, so an attempt killed mid-write (a
+    task-timeout pool kill, a crash, a speculation loser) leaves a file
+    there.  It is not a shard: every reader must see the dataset exactly as
+    committed, and the next commit sweeps it."""
+
+    @pytest.fixture()
+    def committed(self, mini_cora, tmp_path):
+        ds = mini_cora
+        fs = DistFileSystem(tmp_path)
+        graph_flat(
+            ds.nodes, ds.edges, ds.train_ids[:20],
+            GraphFlatConfig(hops=2, max_neighbors=20, hub_threshold=10**9),
+            fs=fs, dataset_name="flat",
+        )
+        return fs, self.observe(fs)
+
+    @staticmethod
+    def observe(fs, capsys=None):
+        from repro.cli import main
+
+        source = open_sample_source(fs, "flat")
+        seen = dict(
+            num_shards=fs.num_shards("flat"),
+            count_records=fs.count_records("flat"),
+            size_bytes=fs.size_bytes("flat"),
+            records=list(fs.read_dataset("flat")),
+            source_ids=source.ids().tolist(),
+            layout_kind_task=(fs.layout("flat"), fs.kind("flat"), fs.task("flat")),
+        )
+        if capsys is not None:
+            assert main(["describe", "flat", "--dfs", str(fs.root)]) == 0
+            seen["describe"] = capsys.readouterr().out
+        return seen
+
+    @pytest.mark.parametrize(
+        "stray",
+        ["truncated shard", "complete shard", "truncated _META.json"],
+    )
+    def test_stray_leaves_every_reader_unchanged(self, committed, capsys, stray):
+        fs, _ = committed
+        before = self.observe(fs, capsys)
+        assert before["num_shards"] == 4
+        assert before["count_records"] == len(before["records"]) > 0
+        directory = fs.root / "flat"
+        shard = (directory / "part-00001").read_bytes()
+        if stray == "truncated shard":
+            (directory / "part-00001.tmp4242").write_bytes(shard[: len(shard) // 3])
+        elif stray == "complete shard":
+            (directory / "part-00001.tmp4242").write_bytes(shard)
+        else:
+            meta = (directory / "_META.json").read_bytes()
+            (directory / "_META.json.tmp4242").write_bytes(meta[: len(meta) // 2])
+        assert self.observe(fs, capsys) == before
+
+    def test_commit_sweeps_strays_and_stages_the_metadata(self, committed):
+        fs, before = committed
+        directory = fs.root / "flat"
+        (directory / "part-00002.tmp4242").write_bytes(b"half a shard")
+        (directory / "_META.json.tmp4242").write_text('{"layout": "colu')
+        meta = (directory / "_META.json").read_text()
+        fs.finalize_dataset(
+            "flat", layout="columnar", kind="samples",
+            record_counts=[shard_record_count(p) for p in fs.shards("flat")],
+        )
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "_META.json", "part-00000", "part-00001", "part-00002", "part-00003",
+        ]
+        assert (directory / "_META.json").read_text() == meta
+        assert self.observe(fs) == before
+
+
 class TestGraphFlatLayouts:
     def test_dfs_outputs_byte_identical_across_layouts(self, mini_cora, tmp_path):
         ds = mini_cora

@@ -259,13 +259,15 @@ class TestBoundedReducerMemory:
 class TestSinkMatrix:
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     @pytest.mark.parametrize("codec", ["binary", "pickle"])
-    @pytest.mark.parametrize("sink", ["parent", "reducer"])
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
     def test_graphflat_stream_invariant(
-        self, mini_cora, tmp_path, backend, codec, sink
+        self, mini_cora, tmp_path, backend, codec, layout
     ):
+        """``row`` is collected and written by the parent, ``columnar`` by
+        the final-round reducers: one record stream either way."""
         ds = mini_cora
         targets = ds.train_ids[:10]
-        fs = DistFileSystem(tmp_path / f"{backend}-{codec}-{sink}")
+        fs = DistFileSystem(tmp_path / f"{backend}-{codec}-{layout}")
         config = GraphFlatConfig(
             hops=2,
             max_neighbors=10**9,
@@ -274,7 +276,7 @@ class TestSinkMatrix:
             num_workers=2,
             spill_dir=tmp_path / "spill",
             shuffle_codec=codec,
-            dataset_sink=sink,
+            dataset_layout=layout,
         )
         result = graph_flat(
             ds.nodes, ds.edges, targets, config, fs=fs, dataset_name="flat"

@@ -143,6 +143,17 @@ class TestUugLike:
         with pytest.raises(ValueError, match="max_plain_degree"):
             uug_like(seed=0, num_nodes=50, max_plain_degree=0)
 
+    def test_hub_knobs_checked_against_graph_size(self):
+        """Hubs and their followers are drawn without replacement: asking
+        for more than there are nodes is reported by name, not from inside
+        numpy — and before any draw, so valid arguments keep their tables."""
+        with pytest.raises(ValueError, match="hub_degree.*num_nodes"):
+            uug_like(num_nodes=120)  # default hub_degree=2000
+        with pytest.raises(ValueError, match="num_hubs.*num_nodes"):
+            uug_like(num_nodes=10, num_hubs=11, hub_degree=5)
+        edge = uug_like(seed=3, num_nodes=40, num_hubs=40, hub_degree=40, feature_dim=4)
+        assert len(edge.hub_ids) == 40
+
 
 class TestGraphDataset:
     def test_split_overlap_rejected(self):

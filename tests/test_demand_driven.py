@@ -22,14 +22,22 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.graphflat import GraphFlatConfig, graph_flat
-from repro.core.graphflat.pipeline import MergeReducer, PartialReducer, _Routing
+from repro.core.graphflat.pipeline import MergeReducer
 from repro.core.graphflat.records import InEdgeInfo, SubgraphInfo
 from repro.core.graphflat.sampling import make_sampler
-from repro.core.propagation import ReceptiveField, distance_to_targets
+from repro.core.infer import GraphInferConfig, graph_infer
+from repro.core.propagation import (
+    MessagePassingReducer,
+    PartialReducer,
+    ReceptiveField,
+    Routing,
+    distance_to_targets,
+)
 from repro.datasets import uug_like, write_edge_table, write_node_table
 from repro.graph.subgraph import GraphFeature, merge_graph_features
 from repro.graph.tables import NodeTable
 from repro.mapreduce import LocalRuntime
+from repro.nn.gnn import GraphSAGEModel
 from repro.proto.codec import decode_sample, encode_sample
 from repro.proto.framing import decode_value, encode_value
 from repro.tasks import make_task
@@ -238,6 +246,94 @@ class TestShuffleVolume:
         assert nbytes <= 2_200_000, nbytes
 
 
+class TestGraphInferInheritsTheGates:
+    """GraphInfer emits through the same ``Routing.propagate`` as GraphFlat,
+    so targeted inference (node ``targets`` or link-prediction
+    ``candidates``) stops shipping ``self``/``out`` records into rounds that
+    never read them.  Same fixture as GraphFlat's budget above; before the
+    pipelines shared one engine the targeted run shuffled 11 799 records /
+    979 803 bytes and the candidate run 11 737 / 988 631."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ds = uug_like(
+            seed=11, num_nodes=400, avg_degree=6, feature_dim=16, num_hubs=3,
+            hub_degree=60,
+        )
+        model = GraphSAGEModel(16, 16, 2, num_layers=2, seed=0)
+        knobs = dict(max_neighbors=8, hub_threshold=40, num_reducers=4, seed=0)
+        return ds, model, knobs
+
+    @staticmethod
+    def run(setup, tmp_path, monkeypatch, task="node_classification", **kwargs):
+        """``(result, tags seen by each embedding round)`` through the
+        binary spill."""
+        ds, model, knobs = setup
+        seen: dict[int, set] = {}
+        merge_round = MessagePassingReducer.__call__
+
+        def spy(self, node_id, values):
+            values = list(values)
+            seen.setdefault(self.round_index, set()).update(v[0] for v in values)
+            return merge_round(self, node_id, values)
+
+        monkeypatch.setattr(MessagePassingReducer, "__call__", spy)
+        with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
+            result = graph_infer(
+                model, ds.nodes, ds.edges, GraphInferConfig(task=task, **knobs),
+                runtime, **kwargs,
+            )
+        return result, seen
+
+    @staticmethod
+    def volume(result) -> tuple[int, int]:
+        return (
+            sum(s.shuffled_records for s in result.round_stats),
+            sum(s.shuffle_bytes_written for s in result.round_stats),
+        )
+
+    def test_whole_graph_volume_is_unchanged_to_the_byte(
+        self, setup, tmp_path, monkeypatch
+    ):
+        """No targets, no gate: exactly the records and spill bytes of the
+        forked pipeline (record tags are one byte, so moving the out-edge
+        record from tag 0x30 to 0x22 moves no sizes)."""
+        result, seen = self.run(setup, tmp_path, monkeypatch)
+        assert self.volume(result) == (16_224, 1_415_977)
+        assert seen[2] == {"self", "out", "in", "partial"}
+
+    def test_node_targets(self, setup, tmp_path, monkeypatch):
+        ds = setup[0]
+        targets = np.sort(ds.nodes.ids)[::4]
+        full, _ = self.run(setup, tmp_path, monkeypatch)
+        subset, seen = self.run(setup, tmp_path, monkeypatch, targets=targets)
+        assert sorted(subset.scores) == targets.tolist()
+        for t in targets.tolist():
+            assert np.array_equal(subset.scores[t], full.scores[t])
+        # the Kth round reads no out-edge list, so none is shipped into it
+        assert "out" in seen[1] and "out" not in seen[2]
+        records, nbytes = self.volume(subset)
+        assert records <= 10_400 < 11_799, records
+        assert nbytes <= 810_000 < 979_803, nbytes
+
+    def test_link_prediction_candidates(self, setup, tmp_path, monkeypatch):
+        ds = setup[0]
+        edges = ds.edges.coalesce()
+        candidates = np.stack([edges.src[:50], edges.dst[:50]], axis=1)
+        lp = dict(task="link_prediction")
+        full, _ = self.run(setup, tmp_path, monkeypatch, **lp)  # every edge
+        subset, seen = self.run(
+            setup, tmp_path, monkeypatch, candidates=candidates, **lp
+        )
+        assert sorted(subset.scores) == list(range(50))
+        for i in range(50):
+            assert np.array_equal(subset.scores[i], full.scores[i])
+        assert "out" in seen[1] and "out" not in seen[2]
+        records, nbytes = self.volume(subset)
+        assert records <= 10_300 < 11_737, records
+        assert nbytes <= 810_000 < 988_631, nbytes
+
+
 class TestTrainerBudget:
     def test_columnar_epoch_budget(self, tmp_path, monkeypatch):
         """The trainer's deterministic budget, counted like the shuffle's:
@@ -366,8 +462,7 @@ class TestWireResidentRecords:
         assert b"wire" not in pickle.dumps(original)
         assert_same_subgraph(original, pickle.loads(pickle.dumps(original)))
 
-    @pytest.mark.parametrize("absorb", ["neighbor", "partial"])
-    def test_mutation_after_encode_invalidates_the_cached_block(self, absorb):
+    def test_mutation_after_encode_invalidates_the_cached_block(self):
         rng = np.random.default_rng(2)
         info = make_subgraph(rng)
         before = encode_value(info)
@@ -375,10 +470,7 @@ class TestWireResidentRecords:
         lazy, _ = decode_value(before)
         other = make_subgraph(rng)
         for record in (info, lazy):
-            if absorb == "neighbor":
-                record.absorb_neighbor(other, 1.5, None)
-            else:
-                record.absorb_partial(SubgraphInfo(record.root, other.nodes, other.edges))
+            record.absorb_neighbor(other, 1.5, None)
             assert record._wire is None
         after = encode_value(info)
         assert after != before and encode_value(lazy) == after
@@ -427,12 +519,12 @@ class TestWireResidentRecords:
             ("in", shuffled(InEdgeInfo(src, 1.0, None, make_subgraph(rng))))
             for src in range(12)
         ]
-        passed = list(PartialReducer(sampler, 1, 4)((7, 0), rows))
+        passed = list(PartialReducer(sampler, InEdgeInfo)((7, 0), rows))
         assert [value for _, value in passed] == rows
         assert rows[0][1]._nodes is None
         assert all(row[1].subgraph._nodes is None for row in rows[1:])
 
-        routing = _Routing(frozenset(), 4, False, ReceptiveField(None, 2))
+        routing = Routing(frozenset(), 4, False, ReceptiveField(None, 2), InEdgeInfo)
         rows[0] = ("self", shuffled(SubgraphInfo.seed(7, np.zeros(5, np.float32))))
         list(MergeReducer(sampler, 2, 2, routing)(7, rows))
         built = [row[1].subgraph._nodes is not None for row in rows[1:]]

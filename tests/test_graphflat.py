@@ -201,7 +201,7 @@ class TestFaultTolerance:
 
 class TestStoring:
     def test_writes_sharded_dataset(self, tiny_tables, tmp_path):
-        """Default (reducer-owned) sink: one shard per final-round reducer."""
+        """Columnar DFS output: one shard per final-round reducer."""
         nodes, edges = tiny_tables
         fs = DistFileSystem(tmp_path)
         config = GraphFlatConfig(hops=2, num_reducers=4, **NO_SAMPLING)
@@ -211,11 +211,11 @@ class TestStoring:
         decoded = [decode_sample(r)[0] for r in fs.read_dataset("flat/all")]
         assert sorted(decoded) == sorted(nodes.ids.tolist())
 
-    def test_parent_sink_honors_num_shards(self, tiny_tables, tmp_path):
+    def test_row_layout_honors_num_shards(self, tiny_tables, tmp_path):
         nodes, edges = tiny_tables
         fs = DistFileSystem(tmp_path)
         config = GraphFlatConfig(
-            hops=2, num_shards=2, dataset_sink="parent", **NO_SAMPLING
+            hops=2, num_shards=2, dataset_layout="row", **NO_SAMPLING
         )
         res = graph_flat(nodes, edges, None, config, fs=fs, dataset_name="flat/all")
         assert res.dataset == "flat/all"
@@ -223,15 +223,19 @@ class TestStoring:
         decoded = [decode_sample(r)[0] for r in fs.read_dataset("flat/all")]
         assert sorted(decoded) == sorted(nodes.ids.tolist())
 
-    def test_sink_modes_byte_identical_stream(self, tiny_tables, tmp_path):
-        """The global record stream must not depend on who wrote the shards."""
+    def test_record_stream_independent_of_who_wrote_the_shards(self, tiny_tables, tmp_path):
+        """Reducer-written columnar shards, the parent-collected row
+        dataset and the in-memory result are one global record stream."""
         nodes, edges = tiny_tables
         fs = DistFileSystem(tmp_path)
         base = GraphFlatConfig(hops=2, **NO_SAMPLING)
         graph_flat(nodes, edges, None, base, fs=fs, dataset_name="flat/reducer")
-        parent_cfg = GraphFlatConfig(hops=2, dataset_sink="parent", **NO_SAMPLING)
+        parent_cfg = GraphFlatConfig(hops=2, dataset_layout="row", **NO_SAMPLING)
         graph_flat(nodes, edges, None, parent_cfg, fs=fs, dataset_name="flat/parent")
         assert list(fs.read_dataset("flat/reducer")) == list(fs.read_dataset("flat/parent"))
+        assert graph_flat(nodes, edges, None, base).samples == list(
+            fs.read_dataset("flat/parent")
+        )
 
 
 class TestSubgraphInfo:
@@ -247,12 +251,6 @@ class TestSubgraphInfo:
         far = SubgraphInfo(root=3, nodes={3: (np.ones(1, np.float32), 0), 1: (np.zeros(1, np.float32), 5)})
         a.absorb_neighbor(far, 1.0, None)
         assert a.nodes[1][1] == 0  # own distance never degraded
-
-    def test_partial_merge_requires_same_root(self):
-        a = SubgraphInfo.seed(1, np.zeros(1, np.float32))
-        b = SubgraphInfo.seed(2, np.zeros(1, np.float32))
-        with pytest.raises(ValueError):
-            a.absorb_partial(b)
 
     def test_to_graph_feature_round_trip(self):
         a = SubgraphInfo.seed(5, np.array([1.0, 2.0], np.float32))

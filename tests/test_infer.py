@@ -1,10 +1,13 @@
 """GraphInfer: segmentation contract, equivalence with batched forward
 ("unbiased inference"), sampling consistency, hub handling, DFS output,
 fault tolerance, the no-repetition cost claim, and the slice-transport
-matrix (shm broadcast vs pickled slices, across backends and codecs)."""
+matrix (shm broadcast under the pickling backend, inline slices otherwise,
+across backends and codecs)."""
 
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -276,15 +279,17 @@ class TestVectorizedGraphPrep:
                     _ref_distance_to_targets(edges, targets, hops)
 
     def test_hub_set_matches_dict_loop_reference(self, hub_graph):
-        from repro.core.infer.pipeline import _detect_hubs
+        from repro.core.infer.pipeline import _degree_pairs
+        from repro.core.propagation import detect_hubs
 
         edges = hub_graph.edges.coalesce()
         in_deg = {}
         for dst in edges.dst:
             in_deg[int(dst)] = in_deg.get(int(dst), 0) + 1
+        assert dict(_degree_pairs(edges)) == in_deg
         for threshold in (8, 20, 10**9):
             expected = frozenset(v for v, d in in_deg.items() if d > threshold)
-            assert _detect_hubs(edges, threshold) == expected
+            assert detect_hubs(_degree_pairs(edges), threshold) == expected
 
 
 def _shm_entries():
@@ -298,67 +303,61 @@ def _infer_config(**overrides):
 
 
 class TestSliceTransportMatrix:
-    """The tentpole acceptance bar: the shm model-slice broadcast must be
-    byte-identical to the pickled-slice path across backends x shuffle
-    codecs — with hub re-indexing active — ship zero parameter bytes inside
-    pickled reducers, and never leak a slab."""
+    """How model slices reach the reducers follows from the runtime: one
+    shm slab + locators when it pickles its tasks, inline arrays otherwise.
+    Scores must be byte-identical across backends x shuffle codecs — with
+    hub re-indexing active — the pickling backend must ship zero parameter
+    bytes inside pickled reducers, and never leak a slab."""
 
     @pytest.fixture(scope="class")
     def scored(self, hub_graph):
         ds = hub_graph
         model = GCNModel(6, 8, 2, num_layers=2, seed=0)
-        serial = graph_infer(
-            model, ds.nodes, ds.edges, _infer_config(slice_transport="pickle")
-        )
+        serial = graph_infer(model, ds.nodes, ds.edges, _infer_config())
         assert serial.slice_transport == "pickle"
         return ds, model, serial.scores
 
     @pytest.mark.parametrize(
-        "backend,workers,codec,transport",
+        "backend,workers,codec",
         [
-            ("serial", None, "binary", "shm"),
-            ("threads", 2, "binary", "shm"),
-            ("threads", 2, "pickle", "shm"),
-            ("processes", 2, "pickle", "pickle"),
-            ("processes", 2, "binary", "pickle"),
-            ("processes", 2, "pickle", "shm"),
-            ("processes", 2, "binary", "shm"),
+            ("serial", None, "binary"),
+            ("threads", 2, "binary"),
+            ("threads", 2, "pickle"),
+            ("processes", 2, "pickle"),
+            ("processes", 2, "binary"),
         ],
     )
-    def test_matrix_byte_identical(self, scored, backend, workers, codec, transport):
+    def test_matrix_byte_identical(self, scored, monkeypatch, backend, workers, codec):
+        from repro.core.infer import pipeline
+
         ds, model, baseline = scored
+        published = []
+
+        def counting_broadcast(slices):
+            published.append(len(slices))
+            return broadcast_slices(slices)
+
+        monkeypatch.setattr(pipeline, "broadcast_slices", counting_broadcast)
         with LocalRuntime(
             backend=backend, max_workers=workers, shuffle_codec=codec
         ) as runtime:
-            result = graph_infer(
-                model, ds.nodes, ds.edges,
-                _infer_config(slice_transport=transport), runtime,
-            )
-        assert result.slice_transport == transport
+            result = graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)
+        # one slab for the whole run (all K+1 slices), only where tasks pickle
+        pickles = backend == "processes"
+        assert result.slice_transport == ("shm" if pickles else "pickle")
+        assert published == ([3] if pickles else [])
         assert set(result.scores) == set(baseline)
         for node_id, scores in baseline.items():
             assert np.array_equal(result.scores[node_id], scores)
-
-    def test_auto_resolution(self, scored):
-        ds, model, _ = scored
-        serial = graph_infer(model, ds.nodes, ds.edges, _infer_config())
-        assert serial.slice_transport == "pickle"
-        with LocalRuntime(backend="processes", max_workers=2) as runtime:
-            procs = graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)
-        assert procs.slice_transport == "shm"
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError):
-            GraphInferConfig(slice_transport="carrier-pigeon")
 
     def test_targeted_inference_under_shm_processes(self, scored):
         ds, model, baseline = scored
         targets = ds.val_ids[:10]
         with LocalRuntime(backend="processes", max_workers=2) as runtime:
             subset = graph_infer(
-                model, ds.nodes, ds.edges,
-                _infer_config(slice_transport="shm"), runtime, targets=targets,
+                model, ds.nodes, ds.edges, _infer_config(), runtime, targets=targets,
             )
+        assert subset.slice_transport == "shm"
         assert set(subset.scores) == {int(t) for t in targets}
         for t in targets:
             np.testing.assert_allclose(
@@ -366,10 +365,11 @@ class TestSliceTransportMatrix:
             )
 
     def test_locator_reducers_carry_no_parameter_arrays(self):
-        """A pickled shm-mode reducer is a few hundred bytes no matter the
-        model size — the parameters live in the slab, not the pickle."""
-        from repro.core.infer.pipeline import EmbeddingReducer, ReceptiveField
+        """A pickled locator-backed reducer is a few hundred bytes no matter
+        the model size — the parameters live in the slab, not the pickle."""
+        from repro.core.infer.pipeline import EmbeddingReducer, _InEmb
         from repro.core.graphflat.sampling import make_sampler
+        from repro.core.propagation import ReceptiveField, Routing
 
         model = GCNModel(64, 256, 8, num_layers=2, seed=0)
         slices = segment_model(model)
@@ -377,16 +377,14 @@ class TestSliceTransportMatrix:
         broadcast, located = broadcast_slices(slices)
         try:
             sampler = make_sampler("uniform", 10, 0)
-            needed = ReceptiveField(None, 2)
+            routing = Routing(frozenset(), 8, False, ReceptiveField(None, 2), _InEmb)
 
             def reducer(mslice):
-                return EmbeddingReducer(
-                    mslice, sampler, 1, 2, frozenset(), 8, False, needed
-                )
+                return EmbeddingReducer(sampler, 1, 2, routing, mslice=mslice)
 
             fat = pickle.dumps(reducer(slices[0]))
             thin = pickle.dumps(reducer(located[0]))
-            assert len(fat) > param_bytes  # pickled path ships the arrays
+            assert len(fat) > param_bytes  # inline slices ship the arrays
             assert len(thin) < param_bytes / 10  # locator path ships none
             clone = pickle.loads(thin)
             assert clone.mslice.state is None
@@ -398,15 +396,41 @@ class TestSliceTransportMatrix:
         finally:
             broadcast.close()
 
+    def test_fresh_worker_can_decode_what_a_reindex_round_receives(self, tmp_path):
+        """The re-index reducer is the engine's, the embedding record is
+        GraphInfer's: a worker whose first task is a re-index round (a pool
+        rebuilt after a task-timeout kill) must still learn the record's
+        wire form from unpickling the reducer alone."""
+        from repro.core.graphflat.sampling import make_sampler
+        from repro.core.infer.pipeline import _InEmb
+        from repro.core.propagation import PartialReducer
+        from repro.proto.framing import encode_value
+
+        reducer = PartialReducer(make_sampler("uniform", 3, 0), _InEmb)
+        (tmp_path / "reducer.pkl").write_bytes(pickle.dumps(reducer))
+        record = ("in", _InEmb(1, 0.5, None, np.arange(3, dtype=np.float32)))
+        (tmp_path / "record.bin").write_bytes(encode_value(record))
+        code = (
+            "import pickle, sys; from pathlib import Path\n"
+            "from repro.proto.framing import decode_value\n"
+            "d = Path(sys.argv[1])\n"
+            "pickle.loads((d / 'reducer.pkl').read_bytes())\n"
+            "(tag, emb), _ = decode_value((d / 'record.bin').read_bytes())\n"
+            "assert tag == 'in' and emb.h.tolist() == [0.0, 1.0, 2.0]\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
     def test_slabs_unlinked_after_run(self, scored):
         ds, model, baseline = scored
         before = _shm_entries()
         with LocalRuntime(backend="processes", max_workers=2) as runtime:
-            result = graph_infer(
-                model, ds.nodes, ds.edges, _infer_config(slice_transport="shm"),
-                runtime,
-            )
+            result = graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)
         assert result.slice_transport == "shm"
         assert _shm_entries() - before == frozenset()
 
@@ -421,10 +445,8 @@ class TestSliceTransportMatrix:
             backend="processes", max_workers=2, max_attempts=10,
             failure_injector=injector,
         ) as runtime:
-            result = graph_infer(
-                model, ds.nodes, ds.edges, _infer_config(slice_transport="shm"),
-                runtime,
-            )
+            result = graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)
+        assert result.slice_transport == "shm"
         assert injector.injected > 0
         for node_id, scores in baseline.items():
             assert np.array_equal(result.scores[node_id], scores)
@@ -441,8 +463,5 @@ class TestSliceTransportMatrix:
             failure_injector=FailureInjector(rate=1.0, seed=3),
         ) as runtime:
             with pytest.raises(JobFailedError):
-                graph_infer(
-                    model, ds.nodes, ds.edges,
-                    _infer_config(slice_transport="shm"), runtime,
-                )
+                graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)
         assert _shm_entries() - before == frozenset()

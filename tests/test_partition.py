@@ -24,9 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graphflat import GraphFlatConfig, graph_flat
-from repro.core.graphflat.pipeline import build_partition_plan
 from repro.core.infer import GraphInferConfig, graph_infer
-from repro.core.propagation import ReceptiveField
+from repro.core.propagation import ReceptiveField, build_partition_plan
 from repro.mapreduce import (
     FailureInjector,
     HashPartitioner,

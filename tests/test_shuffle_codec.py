@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.graphflat.records import InEdgeInfo, OutEdgeInfo, PartialMerge, SubgraphInfo
-from repro.core.infer.pipeline import _InEmb, _OutEdge
+from repro.core import propagation
+from repro.core.graphflat.records import InEdgeInfo, OutEdgeInfo, SubgraphInfo
+from repro.core.infer.pipeline import _InEmb
 from repro.mapreduce.shuffle import decode_key, key_bytes
 from repro.proto.framing import (
     FrameCorruptionError,
@@ -217,27 +218,30 @@ class TestGraphFlatRecords:
         assert_array_equal_strict(edge.edge_feat, decoded.edge_feat)
         assert_subgraph_equal(inner, decoded.subgraph)
 
-    def test_out_edge_round_trip(self):
-        edge = OutEdgeInfo(-3, 2.5, None)
+    @pytest.mark.parametrize("edge_feat", [None, np.asarray([1.0], dtype=np.float32)])
+    def test_out_edge_round_trip(self, edge_feat):
+        """One out-edge record for both pipelines, on one wire tag."""
+        assert OutEdgeInfo is propagation.OutEdgeInfo
+        edge = OutEdgeInfo(-3, 2.5, edge_feat)
+        assert encode_value(edge)[0] == 0x22
         decoded = round_trip(edge)
-        assert decoded == edge
+        assert type(decoded) is OutEdgeInfo
+        assert decoded.dst == -3 and decoded.weight == 2.5
+        if edge_feat is None:
+            assert decoded.edge_feat is None
+        else:
+            assert_array_equal_strict(edge_feat, decoded.edge_feat)
+
+    @pytest.mark.parametrize("tag", [0x23, 0x30])
+    def test_retired_record_tags_are_unassigned(self, tag):
+        """0x23 (PartialMerge) and 0x30 (GraphInfer's own out-edge copy)
+        are gone: a stream carrying them is corrupt, not silently decoded."""
+        with pytest.raises(FrameCorruptionError):
+            decode_value(bytes([tag, 0]))
 
     def test_out_edge_list(self):
         outs = [OutEdgeInfo(i, float(i), None) for i in range(5)]
         assert round_trip(outs) == outs
-
-    def test_partial_merge_round_trip(self):
-        rng = np.random.default_rng(23)
-        partial = PartialMerge([
-            InEdgeInfo(int(i), float(i) / 3, None, make_subgraph(rng, num_nodes=2, num_edges=1))
-            for i in range(3)
-        ])
-        decoded = round_trip(partial)
-        assert isinstance(decoded, PartialMerge)
-        assert len(decoded.in_edges) == 3
-        for a, b in zip(partial.in_edges, decoded.in_edges):
-            assert a.src == b.src and a.weight == b.weight
-            assert_subgraph_equal(a.subgraph, b.subgraph)
 
     def test_tagged_tuples_as_shuffled(self):
         """The exact value shapes GraphFlat ships: ("self", info),
@@ -263,12 +267,6 @@ class TestInferRecords:
         decoded = round_trip(emb)
         assert decoded.src == 5 and decoded.weight == 0.125 and decoded.edge_feat is None
         assert_array_equal_strict(emb.h, decoded.h)
-
-    def test_out_edge_round_trip(self):
-        edge = _OutEdge(9, 1.5, np.asarray([1.0], dtype=np.float32))
-        decoded = round_trip(edge)
-        assert decoded.dst == 9 and decoded.weight == 1.5
-        assert_array_equal_strict(edge.edge_feat, decoded.edge_feat)
 
 
 class TestKeyCodec:
