@@ -7,40 +7,33 @@ accumulated (k-1)-hop neighborhood), the **in-edge information**
 information) and the **out-edge information** (``OutEdgeInfo`` — where to
 propagate next round; the propagation engine's, re-exported here because it
 is the same record in GraphInfer).  All three pickle cleanly so the runtime
-can spill shuffles to disk — and each registers a *flat* wire form with the
-binary shuffle codec (bottom of this module): node/edge state is spilled as
-varint id/hop blocks plus contiguous feature matrices instead of pickled
-dicts of per-node tuples, which is where the process backend's per-object
-serialization tax lived.  Encoding preserves dict insertion order, float
-bits and array dtypes exactly, so a job's output is byte-identical under
-either codec.
+can spill shuffles to disk — and each declares its wire fields to the binary
+shuffle codec (bottom of this module): in a spill block a chunk of records
+goes out as id / weight columns plus the subgraphs' flat wire blocks, not as
+pickled dicts of per-node tuples, which is where the process backend's
+per-object serialization tax lived.  Encoding preserves dict insertion
+order, float bits and array dtypes exactly, so a job's output is
+byte-identical under either codec.
 
-:class:`SubgraphInfo` is additionally *wire-resident*: its encoded block is
+:class:`SubgraphInfo` is additionally *wire-resident*: its wire block
+(:attr:`SubgraphInfo.wire` — the one field besides ``root`` it declares) is
 kept on the object once produced (a merged neighborhood fanned out over
-``deg_out`` in-edge records is encoded once, then copied), and decoding only
-finds the block's end and keeps the bytes — the ``nodes`` / ``edges`` dicts
-are built on first access.  Records that merely pass through a reducer
-(non-hub rows of the re-index rounds, in-edges a sampler drops) never leave
-their wire form.  The spill grammar is unchanged.
+``deg_out`` in-edge records is encoded once, then copied), and a decoded
+record holds only that block — the ``nodes`` / ``edges`` dicts are built on
+first access.  Records that merely pass through a reducer (non-hub rows of
+the re-index rounds, in-edges a sampler drops) never leave their wire form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.core.propagation import OutEdgeInfo
 from repro.graph.subgraph import GraphFeature
-from repro.proto.framing import (
-    decode_edge_fields,
-    decode_value,
-    encode_edge_fields,
-    encode_value,
-    register_record,
-    skip_array,
-)
-from repro.proto.varint import decode_signed, decode_unsigned, encode_signed, encode_unsigned
+from repro.proto.framing import decode_block, encode_block, register_record
 
 __all__ = ["SubgraphInfo", "InEdgeInfo", "OutEdgeInfo"]
 
@@ -53,10 +46,10 @@ class SubgraphInfo:
     construction: re-discovered nodes keep the *minimum* hop.
 
     Wire-resident: a record decoded from a binary spill holds only its
-    encoded block until ``nodes`` / ``edges`` is first read, and a record
-    that has been encoded keeps the block for the next encode.  Mutate
-    through :meth:`absorb_neighbor` only — it drops the cached block;
-    writing into the dicts directly would leave a stale one behind.
+    :attr:`wire` block until ``nodes`` / ``edges`` is first read, and a
+    record that has been encoded keeps the block for the next encode.
+    Mutate through :meth:`absorb_neighbor` only — it drops the cached
+    block; writing into the dicts directly would leave a stale one behind.
     """
 
     __slots__ = ("root", "_nodes", "_edges", "_wire")
@@ -75,7 +68,7 @@ class SubgraphInfo:
     @classmethod
     def from_wire(cls, root: int, wire: bytes) -> "SubgraphInfo":
         """A record backed by its encoded block alone (``wire`` must be a
-        complete block as :func:`_encode_subgraph` writes it)."""
+        complete block as :attr:`wire` produces it)."""
         info = cls.__new__(cls)
         info.root = root
         info._nodes = info._edges = None
@@ -83,7 +76,17 @@ class SubgraphInfo:
         return info
 
     def _materialize(self) -> None:
-        _, self._nodes, self._edges, _ = _parse_subgraph(memoryview(self._wire), 0)
+        self._nodes, self._edges = _parse_wire(self._wire)
+
+    @property
+    def wire(self) -> bytes:
+        """The nodes and edges as one flat block.  Encode once, copy
+        afterwards: a neighborhood propagated along ``deg_out`` out-edges
+        (or passing through a reducer untouched) reuses the block it
+        already has."""
+        if self._wire is None:
+            self._wire = _build_wire(self)
+        return self._wire
 
     @property
     def nodes(self) -> dict[int, tuple[np.ndarray, int]]:
@@ -204,185 +207,69 @@ class InEdgeInfo:
 
 
 # --------------------------------------------------------------- wire forms
-# Flat binary encodings for the spill shuffle (repro.proto.framing).  Tags
-# 0x20-0x2F are reserved for GraphFlat records (0x22, the out-edge record,
-# is registered by ``repro.core.propagation``).
+# Tags 0x20-0x2F are reserved for GraphFlat records (0x22, the out-edge
+# record, is registered by ``repro.core.propagation``).
 
-def _encode_vectors(arrays: list, out: bytearray) -> None:
-    """A block of per-row vectors: ``0`` = empty, ``1`` = uniform (stacked
-    into one contiguous matrix — the flat fast path), ``2`` = generic
-    fallback (ragged shapes, mixed dtypes, or ``None`` entries)."""
-    if not arrays:
-        out.append(0)
-        return
-    first = arrays[0]
-    uniform = isinstance(first, np.ndarray) and first.ndim == 1 and all(
-        isinstance(a, np.ndarray) and a.dtype == first.dtype and a.shape == first.shape
-        for a in arrays
-    )
-    if uniform:
-        out.append(1)
-        out += encode_value(np.stack(arrays))
-    else:
-        out.append(2)
-        out += encode_value(list(arrays))
-
-
-def _decode_vectors(buf: memoryview, offset: int, count: int):
-    mode = buf[offset]
-    offset += 1
-    if mode == 0:
-        rows = []
-    elif mode == 1:
-        matrix, offset = decode_value(buf, offset)
-        # Owned per-row copies, not views: reducers sample rows and keep a
-        # subset alive across the round — a view would pin the whole stacked
-        # matrix and break the streamed reduce's memory bound.
-        rows = [np.array(row) for row in matrix]
-    else:
-        rows, offset = decode_value(buf, offset)
-    if len(rows) != count:
-        raise ValueError(
-            f"vector block holds {len(rows)} rows, header promised {count}"
-        )
-    return rows, offset
-
-
-def _encode_subgraph(info: SubgraphInfo, out: bytearray) -> None:
-    # Encode once, copy afterwards: a neighborhood propagated along
-    # ``deg_out`` out-edges (or passing through a reducer untouched) reuses
-    # the block it already has.
-    wire = info._wire
-    if wire is None:
-        wire = info._wire = _build_wire(info)
-    out += wire
+_INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 
 
 def _build_wire(info: SubgraphInfo) -> bytes:
-    # Node and edge tables go out as contiguous little-endian blocks
-    # (ids/hops as raw int64, weights as raw float64, features stacked into
-    # one matrix): every hot loop is a numpy bulk conversion, not a
-    # per-element Python encode — this is where the codec's wall-clock win
-    # over per-object pickling comes from.
-    out = bytearray(encode_signed(info.root))
-    nodes, edges = info.nodes, info.edges
-    n = len(nodes)
-    out += encode_unsigned(n)
-    ids = np.fromiter(nodes.keys(), dtype=np.int64, count=n)
-    out += ids.astype("<i8", copy=False).tobytes()
-    hops = np.empty(n, dtype=np.int64)
-    feats = []
-    for i, (feat, hop) in enumerate(nodes.values()):
-        hops[i] = hop
-        feats.append(feat)
-    out += hops.astype("<i8", copy=False).tobytes()
-    _encode_vectors(feats, out)
+    """``width code | ints | feature block | weights | [edge-feature block]``.
 
-    m = len(edges)
-    out += encode_unsigned(m)
-    if not m:
-        return bytes(out)
-    pairs = np.fromiter(
-        (i for pair in edges.keys() for i in pair), dtype=np.int64, count=2 * m
+    Every integer of the record — node count, edge count, byte length of the
+    feature block, then node ids, hops and edge ``(src, dst)`` pairs — goes
+    out as one little-endian column at the narrowest signed width that holds
+    them all; weights as raw float64; feature vectors as value blocks (a
+    single stacked matrix when they are uniform; the edge block is left out
+    when no edge has features).  Every hot loop is a numpy bulk conversion,
+    not a per-element Python encode.
+    """
+    nodes, edges = info.nodes, info.edges
+    n, m = len(nodes), len(edges)
+    feats, hops = zip(*nodes.values()) if n else ((), ())
+    feat_block = encode_block(list(feats))
+    ints = np.fromiter(
+        chain((n, m, len(feat_block)), nodes.keys(), hops, chain.from_iterable(edges.keys())),
+        dtype=np.int64,
+        count=3 + 2 * n + 2 * m,
     )
-    out += pairs.astype("<i8", copy=False).tobytes()
-    weights = np.empty(m, dtype=np.float64)
-    efeats = []
-    for i, (weight, ef) in enumerate(edges.values()):
-        weights[i] = weight
-        efeats.append(ef)
-    out += weights.astype("<f8", copy=False).tobytes()
-    if all(ef is None for ef in efeats):
-        out.append(0)
-    else:
-        _encode_vectors(efeats, out)
+    bits = max(int(ints.max()).bit_length(), (~int(ints.min())).bit_length())
+    code = 0 if bits < 8 else 1 if bits < 16 else 2 if bits < 32 else 3
+    out = bytearray((code,))
+    out += ints.astype(_INT_DTYPES[code]).tobytes()
+    out += feat_block
+    if m:
+        weights, efeats = zip(*edges.values())
+        out += np.array(weights, dtype="<f8").tobytes()
+        if set(map(type, efeats)) != {type(None)}:
+            out += encode_block(list(efeats))
     return bytes(out)
 
 
-def _read_block(buf: memoryview, offset: int, count: int, dtype: str):
-    nbytes = count * np.dtype(dtype).itemsize
-    block = np.frombuffer(buf[offset : offset + nbytes], dtype=dtype)
-    if len(block) != count:
-        raise ValueError("truncated SubgraphInfo block")
-    return block, offset + nbytes
-
-
-def _parse_subgraph(buf: memoryview, offset: int):
-    """Full parse of one block: ``(root, nodes, edges, next_offset)``."""
-    root, offset = decode_signed(buf, offset)
-    n, offset = decode_unsigned(buf, offset)
-    ids, offset = _read_block(buf, offset, n, "<i8")
-    hops, offset = _read_block(buf, offset, n, "<i8")
-    feats, offset = _decode_vectors(buf, offset, n)
-    nodes = {
-        nid: (feat, hop) for nid, feat, hop in zip(ids.tolist(), feats, hops.tolist())
-    }
-    m, offset = decode_unsigned(buf, offset)
+def _parse_wire(wire: bytes):
+    """Inverse of :func:`_build_wire`: ``(nodes, edges)``."""
+    buf = memoryview(wire)
+    dtype = np.dtype(_INT_DTYPES[buf[0]])
+    n, m, feat_bytes = np.frombuffer(buf, dtype=dtype, count=3, offset=1).tolist()
+    offset = 1 + 3 * dtype.itemsize
+    ints = np.frombuffer(buf, dtype=dtype, count=2 * n + 2 * m, offset=offset).tolist()
+    offset += (2 * n + 2 * m) * dtype.itemsize
+    feats = decode_block(buf[offset : offset + feat_bytes])
+    offset += feat_bytes
+    if len(feats) != n:
+        raise ValueError(f"feature block holds {len(feats)} rows, header promised {n}")
+    nodes = dict(zip(ints[:n], zip(feats, ints[n : 2 * n])))
     if not m:
-        return root, nodes, {}, offset
-    pairs, offset = _read_block(buf, offset, 2 * m, "<i8")
-    weights, offset = _read_block(buf, offset, m, "<f8")
-    mode = buf[offset]
-    if mode == 0:  # all-None edge features: mode byte only
-        offset += 1
-        efeats = [None] * m
-    else:
-        efeats, offset = _decode_vectors(buf, offset, m)
-    edges = {
-        (src, dst): (weight, ef)
-        for (src, dst), weight, ef in zip(
-            pairs.reshape(m, 2).tolist(), weights.tolist(), efeats
-        )
-    }
-    return root, nodes, edges, offset
+        return nodes, {}
+    weights = np.frombuffer(buf, dtype="<f8", count=m, offset=offset).tolist()
+    offset += 8 * m
+    efeats = decode_block(buf[offset:]) if offset < len(buf) else [None] * m
+    if len(efeats) != m:
+        raise ValueError(f"edge-feature block holds {len(efeats)} rows, header promised {m}")
+    pairs = ints[2 * n :]
+    edges = dict(zip(zip(pairs[0::2], pairs[1::2]), zip(weights, efeats)))
+    return nodes, edges
 
 
-def _skip_fixed(buf: memoryview, offset: int, nbytes: int) -> int:
-    if offset + nbytes > len(buf):
-        raise ValueError("truncated SubgraphInfo block")
-    return offset + nbytes
-
-
-def _skip_vectors(buf: memoryview, offset: int) -> int | None:
-    """End of a vector block whose size its header gives away (empty, or
-    the stacked-matrix fast path); ``None`` for the generic fallback, whose
-    end is only known by decoding it."""
-    mode = buf[offset]
-    if mode == 0:
-        return offset + 1
-    if mode == 1:
-        return skip_array(buf, offset + 1)
-    return None
-
-
-def _decode_subgraph(buf: memoryview, offset: int):
-    """Skip-parse: walk the block headers to its end and keep the bytes.
-    Blocks with a generic-fallback vector section (ragged / ``None``
-    features) are decoded eagerly instead."""
-    start = offset
-    root, offset = decode_signed(buf, offset)
-    n, offset = decode_unsigned(buf, offset)
-    offset = _skip_vectors(buf, _skip_fixed(buf, offset, 16 * n))
-    if offset is not None:
-        m, offset = decode_unsigned(buf, offset)
-        if m:
-            offset = _skip_vectors(buf, _skip_fixed(buf, offset, 24 * m))
-    if offset is None:
-        root, nodes, edges, offset = _parse_subgraph(buf, start)
-        return SubgraphInfo(root, nodes, edges), offset
-    return SubgraphInfo.from_wire(root, bytes(buf[start:offset])), offset
-
-
-def _encode_in_edge(info: InEdgeInfo, out: bytearray) -> None:
-    encode_edge_fields(info.src, info.weight, info.edge_feat, out)
-    _encode_subgraph(info.subgraph, out)
-
-
-def _decode_in_edge(buf: memoryview, offset: int):
-    src, weight, edge_feat, offset = decode_edge_fields(buf, offset)
-    subgraph, offset = _decode_subgraph(buf, offset)
-    return InEdgeInfo(src, weight, edge_feat, subgraph), offset
-
-
-register_record(0x20, SubgraphInfo, _encode_subgraph, _decode_subgraph)
-register_record(0x21, InEdgeInfo, _encode_in_edge, _decode_in_edge)
+register_record(0x20, SubgraphInfo, ("root", "wire"), make=SubgraphInfo.from_wire)
+register_record(0x21, InEdgeInfo, ("src", "weight", "edge_feat", "subgraph"))

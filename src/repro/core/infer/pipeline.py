@@ -38,13 +38,7 @@ from repro.mapreduce.runtime import LocalRuntime, RunStats
 from repro.nn.gnn.base import GNNModel
 from repro.proto.codec import encode_prediction
 from repro.proto.columnar import write_prediction_shard
-from repro.proto.framing import (
-    decode_edge_fields,
-    decode_value,
-    encode_edge_fields,
-    encode_value,
-    register_record,
-)
+from repro.proto.framing import register_record
 from repro.tasks import make_task
 
 __all__ = [
@@ -72,24 +66,10 @@ class _InEmb:
     h: np.ndarray
 
 
-# Flat wire form for the binary spill codec (tags 0x30-0x3F are reserved
-# for GraphInfer records): embeddings go to disk as raw little-endian
-# blocks instead of pickled object graphs.  The leading (id, weight,
-# edge_feat) triple shares GraphFlat's wire shape via encode_edge_fields.
-
-
-def _encode_in_emb(emb: _InEmb, out: bytearray) -> None:
-    encode_edge_fields(emb.src, emb.weight, emb.edge_feat, out)
-    out += encode_value(emb.h)
-
-
-def _decode_in_emb(buf, offset: int):
-    src, weight, edge_feat, offset = decode_edge_fields(buf, offset)
-    h, offset = decode_value(buf, offset)
-    return _InEmb(src, weight, edge_feat, h), offset
-
-
-register_record(0x31, _InEmb, _encode_in_emb, _decode_in_emb)
+# Wire fields for the binary spill codec (tags 0x30-0x3F are reserved for
+# GraphInfer records): in a spill block the embeddings of a chunk go to disk
+# as one stacked little-endian matrix instead of pickled object graphs.
+register_record(0x31, _InEmb, ("src", "weight", "edge_feat", "h"))
 
 
 @dataclass

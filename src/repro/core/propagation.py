@@ -54,7 +54,7 @@ from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.partition import PARTITIONERS, PartitionPlan, plan_partitions, publish_plan
 from repro.mapreduce.runtime import LocalRuntime, RunStats
 from repro.mapreduce.spill import DEFAULT_RUN_BYTES, DEFAULT_RUN_RECORDS
-from repro.proto.framing import decode_edge_fields, encode_edge_fields, register_record
+from repro.proto.framing import register_record
 from repro.tasks import make_task
 
 if TYPE_CHECKING:
@@ -141,7 +141,8 @@ class DataflowConfig:
     """External-sort run bound: records buffered per spill writer before a
     sorted run is flushed (see ``repro.mapreduce.spill.SpillRunWriter``)."""
     spill_run_bytes: int = DEFAULT_RUN_BYTES
-    """External-sort run bound in encoded bytes (binary codec only)."""
+    """External-sort run bound in (approximate) encoded bytes of the values
+    a spill writer buffers before a sorted run is flushed; both codecs."""
     max_attempts: int = 3
     """Attempt budget per MapReduce task before the job fails."""
     task_timeout_s: float | None = None
@@ -166,6 +167,10 @@ class DataflowConfig:
     def __post_init__(self):
         if self.reindex_fanout < 2:
             raise ValueError("reindex_fanout must be >= 2")
+        if self.spill_run_records < 1:
+            raise ValueError(f"spill_run_records must be >= 1, got {self.spill_run_records}")
+        if self.spill_run_bytes < 1:
+            raise ValueError(f"spill_run_bytes must be >= 1, got {self.spill_run_bytes}")
         make_task(self.task)  # unknown task names fail here, not mid-pipeline
         if self.dataset_layout not in DATASET_LAYOUTS:
             raise ValueError(f"dataset_layout must be one of {DATASET_LAYOUTS}")
@@ -360,18 +365,9 @@ class OutEdgeInfo:
     edge_feat: np.ndarray | None
 
 
-def _encode_out_edge(info: OutEdgeInfo, out: bytearray) -> None:
-    encode_edge_fields(info.dst, info.weight, info.edge_feat, out)
-
-
-def _decode_out_edge(buf: memoryview, offset: int):
-    dst, weight, edge_feat, offset = decode_edge_fields(buf, offset)
-    return OutEdgeInfo(dst, weight, edge_feat), offset
-
-
-# Flat wire form for the binary spill codec; 0x22 sits in the block
-# GraphFlat's records occupy (0x20-0x2F, ``repro.core.graphflat.records``).
-register_record(0x22, OutEdgeInfo, _encode_out_edge, _decode_out_edge)
+# Wire fields for the binary spill codec; 0x22 sits in the block GraphFlat's
+# records occupy (0x20-0x2F, ``repro.core.graphflat.records``).
+register_record(0x22, OutEdgeInfo, ("dst", "weight", "edge_feat"))
 
 
 @dataclass(frozen=True)

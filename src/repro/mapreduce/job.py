@@ -19,7 +19,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.mapreduce.shuffle import default_partition
-from repro.proto.framing import decode_value, encode_value
 
 __all__ = [
     "Combiner",
@@ -45,11 +44,9 @@ class Combiner:
     Classic callable combiners (``combiner(key, values) -> iterable[(key,
     value)]``) may re-key, which forces the runtime to decode, re-group and
     re-partition their output.  A :class:`Combiner` promises it only folds
-    the *values* of one key, which unlocks frame-level map-side combine: the
-    spill writer can fold each key's run every time it fills — before the
-    records hit disk — and, for the binary codec, fold the **encoded**
-    records directly via :meth:`combine_encoded` without a decode/encode
-    round trip.
+    the *values* of one key, which unlocks run-level map-side combine: the
+    spill writer folds each key's buffered values every time a run fills —
+    before the records hit disk.
 
     Instances are also plain callables with the classic signature, so the
     in-memory (non-spilling) shuffle path treats them like any combiner.
@@ -63,15 +60,6 @@ class Combiner:
         """
         raise NotImplementedError
 
-    def combine_encoded(self, key_bytes: bytes, items: list[bytes]) -> list[bytes] | None:
-        """Fold binary-encoded value records without object decode.
-
-        Each entry of ``items`` is one ``encode_value`` body.  Return the
-        folded encodings, or ``None`` to fall back to the object path
-        (:meth:`combine`).  The default always falls back.
-        """
-        return None
-
     def __call__(self, key, values: list) -> Iterable[tuple]:
         for value in self.combine(key, values):
             yield key, value
@@ -79,27 +67,12 @@ class Combiner:
 
 @dataclass(frozen=True)
 class SumCombiner(Combiner):
-    """Numeric-sum combiner — the degree-counting workhorse.
-
-    ``combine_encoded`` decodes each record (a bare varint/float frame —
-    no object graph), sums, and re-encodes one record, so a map task that
-    emits ``(dst, 1)`` per edge spills one partial count per key per run.
-    """
+    """Numeric-sum combiner — the degree-counting workhorse: a map task
+    that emits ``(dst, 1)`` per edge spills one partial count per key per
+    run."""
 
     def combine(self, key, values: list) -> list:
         return [sum(values)]
-
-    def combine_encoded(self, key_bytes: bytes, items: list[bytes]) -> list[bytes] | None:
-        total = 0
-        for item in items:
-            try:
-                value, end = decode_value(item)
-            except Exception:
-                return None
-            if end != len(item) or not isinstance(value, (int, float)) or isinstance(value, bool):
-                return None
-            total += value
-        return [encode_value(total)]
 
 
 @dataclass

@@ -29,19 +29,19 @@ are atomic and idempotent, retries and duplicates cannot change job output
 
 Shuffle spill: with ``spill_dir`` set (or always under the ``processes``
 backend, which uses a private temp directory unless told otherwise), each
-map task spills key-sorted frame files per reduce partition and reducers
+map task spills key-sorted run files per reduce partition and reducers
 *stream-merge* their partition's files (:mod:`repro.mapreduce.spill`):
-groups are fed to the reducer one at a time through a bounded per-file
-buffer, so a reducer's *input* partition never has to be resident in RAM.
+groups are fed to the reducer one at a time, one bounded chunk per file
+resident, so a reducer's *input* partition never has to be resident in RAM.
 The write side is bounded too: map tasks and chain reducers stream their
 output through :class:`~repro.mapreduce.spill.SpillRunWriter`, which
 external-sorts into bounded runs (``spill_run_records`` / ``spill_run_bytes``
 knobs) that the next round's read-side merge recombines — so neither side
-of a shuffle ever materializes a partition.  Spill records are encoded by a
-pluggable codec
-(``shuffle_codec``): ``"pickle"`` for arbitrary jobs, or ``"binary"`` flat
-records (:mod:`repro.proto.framing`) which GraphFlat/GraphInfer use to avoid
-the per-object pickling tax on their dominant shuffle volumes.
+of a shuffle ever materializes a partition.  Runs are written a chunk of key
+groups at a time; the chunk's values are encoded by a pluggable codec
+(``shuffle_codec``): ``"pickle"`` for arbitrary jobs, or ``"binary"`` column
+blocks (:mod:`repro.proto.framing`) which GraphFlat/GraphInfer use to avoid
+the per-object serialization tax on their dominant shuffle volumes.
 
 Chained rounds (:meth:`LocalRuntime.run_rounds`): when round ``i+1`` is a
 reduce-only job (identity mapper, no combiner — every GraphFlat/GraphInfer
@@ -296,10 +296,7 @@ class _SpillChainSink:
         writer = self.layout.run_writer(
             task_index, run_records=self.run_records, run_bytes=self.run_bytes
         )
-        num = self.layout.num_partitions
-        partitioner = self.partitioner
-        for key, value in pairs:
-            writer.append(partitioner(key, num), key, value)
+        writer.extend(pairs, self.partitioner)
         return writer.finish()
 
 
@@ -405,11 +402,12 @@ def _map_task_spill(
     """Spilling map task: partition files go straight to disk; only the
     per-partition counts and byte totals travel back to the parent.
 
-    Mapper output streams through a bounded-run writer.  A
-    :class:`~repro.mapreduce.job.Combiner` is pushed down into the writer,
-    which folds each key's run right before it hits disk (frame-level
-    map-side combine — no whole-output grouping pass).  Classic callable
-    combiners may re-key, so they keep the eager grouped path."""
+    Mapper output streams through a bounded-run writer, which partitions
+    each distinct key once per run.  A :class:`~repro.mapreduce.job.Combiner`
+    is pushed down into the writer, which folds each key's run right before
+    it hits disk (run-level map-side combine — no whole-output grouping
+    pass).  Classic callable combiners may re-key, so they keep the eager
+    grouped path."""
     combiner = job.combiner if isinstance(job.combiner, Combiner) else None
     if combiner is None and job.combiner is not None:
         buckets, mapped, combined = _map_chunk(job, chunk)
@@ -418,13 +416,16 @@ def _map_task_spill(
         index, combiner=combiner, run_records=run_records, run_bytes=run_bytes
     )
     mapped = 0
-    partitioner = job.partitioner
-    num = job.num_reducers
-    for key, value in chunk:
-        maybe_check_deadline()
-        for out_key, out_value in job.mapper(key, value):
-            mapped += 1
-            writer.append(partitioner(out_key, num), out_key, out_value)
+
+    def mapped_pairs():
+        nonlocal mapped
+        for key, value in chunk:
+            maybe_check_deadline()
+            for pair in job.mapper(key, value):
+                mapped += 1
+                yield pair
+
+    writer.extend(mapped_pairs(), job.partitioner)
     written = writer.finish()
     combined = sum(written.counts) if combiner is not None else 0
     return written, mapped, combined
@@ -433,8 +434,8 @@ def _map_task_spill(
 def _reduce_task(job: MapReduceJob, source, sink, task_index: int):
     """Stream groups from the source through the reducer into the sink:
     with a spill source the input partition is never resident — one group
-    at a time.  (Chain sinks still buffer the task's own output to sort it
-    before writing; bounding that too is a ROADMAP item.)"""
+    at a time — and a spill chain sink external-sorts the task's output
+    into bounded runs as it is produced."""
     counters = [0, 0, 0]  # reduced pairs, groups, largest group
 
     def produced():
@@ -565,6 +566,10 @@ class LocalRuntime:
             raise ValueError(
                 f"speculation_factor must be > 1, got {speculation_factor}"
             )
+        if spill_run_records < 1:
+            raise ValueError(f"spill_run_records must be >= 1, got {spill_run_records}")
+        if spill_run_bytes < 1:
+            raise ValueError(f"spill_run_bytes must be >= 1, got {spill_run_bytes}")
         self._backend: Backend = make_backend(backend, max_workers)
         self.backend = backend
         self.max_workers = max_workers
@@ -771,7 +776,6 @@ class LocalRuntime:
                 stats.input_records = len(data)
                 stats.mapped_records = len(data)
                 stats.shuffled_records = len(data)
-                buckets = _partition_pairs(data, job.partitioner, job.num_reducers)
                 if spill_root is not None:
                     run_dir = tempfile.mkdtemp(prefix=f"{job.name}.", dir=spill_root)
                     self._transport.register_root(run_dir)
@@ -787,7 +791,13 @@ class LocalRuntime:
                     # mid-spill, the finally block still removes the run
                     # directory (and any .tmp partial).
                     consumed = _ChainState(num_tasks=1, layout=layout)
-                    written = layout.write_map_output(0, buckets)
+                    writer = layout.run_writer(
+                        0,
+                        run_records=self.spill_run_records,
+                        run_bytes=self.spill_run_bytes,
+                    )
+                    writer.extend(data, job.partitioner)
+                    written = writer.finish()
                     stats.shuffle_bytes_written += written.bytes_written
                     _note_partitions(stats, written.counts, written.partition_bytes)
                     sources = [
@@ -795,6 +805,7 @@ class LocalRuntime:
                         for p in range(job.num_reducers)
                     ]
                 else:
+                    buckets = _partition_pairs(data, job.partitioner, job.num_reducers)
                     _note_partitions(stats, [len(b) for b in buckets])
                     sources = [_MemorySource(b) for b in buckets]
             elif incoming is None:

@@ -17,7 +17,7 @@ import zlib
 
 from repro.proto.varint import decode_signed, encode_signed
 
-__all__ = ["key_bytes", "decode_key", "default_partition", "group_sorted"]
+__all__ = ["key_bytes", "key_ident", "decode_key", "default_partition", "group_sorted"]
 
 
 def key_bytes(key) -> bytes:
@@ -46,6 +46,26 @@ def key_bytes(key) -> bytes:
             out += p
         return bytes(out)
     raise TypeError(f"unsupported shuffle key type {type(key).__name__}: {key!r}")
+
+
+_PLAIN_KEY_TYPES = frozenset((int, str, bytes))
+
+
+def key_ident(key):
+    """A hashable that is equal for two keys exactly when their
+    :func:`key_bytes` are — what a dict may group shuffle keys under.
+
+    The key itself would not do: ``True == 1`` (and ``1.0``, and
+    ``numpy.int64(1)``) hash and compare equal to ``1`` but encode
+    differently or not at all.  Plain ints and flat tuples of ints / strs /
+    bytes — the engine's node-id and ``(node, suffix)`` keys — are safe as
+    they are, which is what makes this cheap; every other key is replaced by
+    its canonical bytes (raising ``TypeError`` for unsupported ones)."""
+    if type(key) is int:
+        return key
+    if type(key) is tuple and _PLAIN_KEY_TYPES.issuperset(map(type, key)):
+        return key
+    return key_bytes(key)
 
 
 def decode_key(data: bytes):

@@ -1,41 +1,58 @@
-"""Partitioned shuffle spill: map-side sorted frame writes, reduce-side
+"""Partitioned shuffle spill: map-side sorted chunk writes, reduce-side
 streamed merge.
 
 Each map task (or chain reducer) writes its output for reduce partition
 ``p`` to run files ``<root>/<job>.m<task>.p<p>.r<run>.<ext>``.  Within a
-file, records are *stably sorted by canonical key bytes* (the map-side sort
-of real MapReduce), so each reduce task can k-way-merge its partition's
-files through a bounded buffer — one frame per file in flight — instead of
-materializing the whole partition in RAM.  Merge streams are ordered
-task-major then run-order and ties prefer the earlier stream, which makes
-the merged stream exactly the stable sort of the old concatenation order:
-grouping, and therefore job output, stays byte-identical.
+file, key groups are *sorted by canonical key bytes* (the map-side sort of
+real MapReduce) and each group's values keep their emission order, so each
+reduce task can k-way-merge its partition's files through a bounded buffer
+instead of materializing the whole partition in RAM.  Merge streams are
+ordered task-major then run-order and ties prefer the earlier stream, which
+makes the merged stream exactly the stable sort of the old concatenation
+order: grouping, and therefore job output, stays byte-identical.
 
-Two write paths share that on-disk shape:
+Run-file grammar (AGLS version 3) — one format, whatever the codec::
 
-* :meth:`SpillLayout.write_map_output` — eager: one run (run 0) per
-  partition from a fully materialized bucket list.
-* :class:`SpillRunWriter` — the external sort: ``append`` streams records
-  into bounded per-partition buffers and every time the run bounds fill,
-  all non-empty buffers flush as key-sorted run files.  Peak writer memory
-  is one run, not one task's whole output, no matter how large the shard.
-  With an associative :class:`~repro.mapreduce.job.Combiner`, each key's
-  buffered run is folded *before* it hits disk — for the binary codec
-  directly on the encoded records (frame-level map-side combine).
+    file   := "AGLS" version=3 codec-id  chunk*
+    chunk  := frame(key = key table, payload = value block)     (CRC-trailed,
+              :func:`repro.proto.framing.write_frame`)
+    key table := <u4 groups | <u4 key lengths | <u4 value counts | key bytes
 
-Record encoding is pluggable (the ``codec`` knob):
+A *chunk* is a slice of the run's sorted groups: the key table lists each
+group's canonical key bytes (:func:`repro.mapreduce.shuffle.key_bytes` —
+simultaneously the merge sort key and, via ``decode_key``, the key
+serialization) and how many of the chunk's values belong to it; the payload
+holds those values, in (sorted key, emission) order, as **one block**.  The
+codec (the ``codec`` knob) only chooses the block function:
 
-* ``"pickle"`` — one pickle per record value; works for arbitrary jobs.
-* ``"binary"`` — flat tagged records via :mod:`repro.proto.framing`; node
-  and edge state goes to disk as raw little-endian blocks instead of pickled
-  object graphs, which is the serialization tax AGL's C++ GraphFlat avoids
-  with flat protobuf records (§3.2).  GraphFlat/GraphInfer register their
-  record types' wire forms and default to this codec.
+* ``"binary"`` — :func:`repro.proto.framing.encode_block`: the chunk's values
+  column-wise (a kind column to re-interleave mixed record shapes, stacked
+  matrices for same-shape arrays, one column per declared record field, a
+  per-value fallback column for anything else).  No Python-level encode call
+  per record — the serialization tax AGL's C++ GraphFlat avoids with flat
+  protobuf records (§3.2).  GraphFlat/GraphInfer default to this codec.
+* ``"pickle"`` — ``pickle.dumps`` of the chunk's value list; works for
+  arbitrary jobs.
 
-Keys are stored once per frame, as their canonical shuffle encoding
-(:func:`repro.mapreduce.shuffle.key_bytes`) — it is simultaneously the merge
-sort key and, via :func:`~repro.mapreduce.shuffle.decode_key`, the key
-serialization.
+Chunks are cut at about :data:`_CHUNK_BYTES`; a group larger than that (a
+hub) is split over several single-group chunks, which the reader re-joins.
+So the reduce side holds, per run file, one chunk (its frame bytes and the
+values decoded from them) and one :data:`_IO_BUFFER_BYTES` file buffer, plus
+the one group being assembled — never a partition, and never a whole hub
+group per file.
+
+Two write entry points share one writer:
+
+* :class:`SpillRunWriter` — the external sort: ``append`` / ``extend``
+  buffer the emitted *objects* per ``(partition, key)`` and every time the
+  run bounds fill, all non-empty buffers flush as key-sorted run files.
+  Nothing is encoded, and no key is hashed or partitioned, per record: keys
+  are partitioned and canonically encoded once per distinct key per run.
+  Peak writer memory is one run, not one task's whole output.  With an
+  associative :class:`~repro.mapreduce.job.Combiner`, each key's buffered
+  values are folded *before* they hit disk.
+* :meth:`SpillLayout.write_map_output` — the same writer with unbounded
+  runs: one run (run 0) per partition from a materialized bucket list.
 
 Writes are atomic (temp file + ``os.replace``) so a task attempt that dies
 mid-write can never leave a partial file for its re-execution to read, and
@@ -49,23 +66,26 @@ import heapq
 import io
 import os
 import pickle
+import sys
 from dataclasses import dataclass
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
-from repro.mapreduce.fault import take_read_fault
+import numpy as np
 
+from repro.mapreduce.fault import take_read_fault
+from repro.mapreduce.shuffle import decode_key, key_bytes, key_ident
 from repro.proto.framing import (
     FrameCorruptionError,
-    decode_value,
-    encode_list_payload,
-    encode_value,
+    approx_nbytes,
+    decode_block,
+    encode_block,
     iter_frames,
     read_stream_header,
     write_frame,
     write_stream_header,
 )
-from repro.mapreduce.shuffle import decode_key, key_bytes
 
 __all__ = [
     "DEFAULT_RUN_BYTES",
@@ -81,25 +101,80 @@ SPILL_CODECS = ("pickle", "binary")
 _CODEC_IDS = {"pickle": 0, "binary": 1}
 _CODEC_EXTS = {"pickle": "pkl", "binary": "bin"}
 
-_READ_BUFFER_BYTES = 1 << 16
-"""Per-file read buffer of the merge iterator — the explicit bound on how
-much of a partition is ever resident during a streamed reduce."""
+_CHUNK_BYTES = 1 << 14
+"""Target size of one chunk frame — the explicit bound on how much of a run
+file is resident during a streamed reduce (the frame's bytes plus the values
+decoded from it), and the amount over which a block's fixed cost is spread."""
 
 DEFAULT_RUN_RECORDS = 1 << 16
-"""Run bound by record count — caps buffered *objects* for both codecs."""
+"""Run bound by record count — caps the number of buffered objects."""
 
 DEFAULT_RUN_BYTES = 32 << 20
-"""Run bound by encoded bytes (binary codec only, where per-record
-encodings are produced at append time): payloads plus each frame's key
-and fixed framing overhead, approximating the run's size on disk."""
+"""Run bound by bytes: the buffered values' sizes as
+:func:`~repro.proto.framing.approx_nbytes` sees them (arrays and wire blocks
+exactly, scalars at a flat rate) plus a per-group allowance — an estimate of
+the run's size on disk that needs no encoding."""
 
+_GROUP_BYTES = 16
+"""Per-group allowance in the byte budget: key bytes plus key-table entry."""
 
 _STREAM_HEADER_BYTES = 6  # AGLS magic + version + codec id
 
-_FRAME_FIXED_BYTES = 8
-"""Approximate per-frame overhead beyond key and payload: two length
-varints (1-2 bytes each for typical frames) plus the 4-byte CRC trailer.
-Used by the run writer's byte budget so flushes track file bytes."""
+_IO_BUFFER_BYTES = 1 << 16
+"""File buffer of an open run, reading or writing: several chunk frames per
+system call instead of several system calls per chunk frame (the default
+8 KiB buffer is smaller than a chunk, so every frame would go to the kernel
+in pieces).  Resident once per run file being merged and once in the writer."""
+
+
+def _encode_key_table(keys: list[bytes], counts: list[int]) -> bytes:
+    """The key field of a chunk frame (module docstring)."""
+    words = np.fromiter(
+        chain((len(keys),), map(len, keys), counts), dtype="<u4", count=1 + 2 * len(keys)
+    )
+    return words.tobytes() + b"".join(keys)
+
+
+def _decode_key_table(table: bytes) -> tuple[list[bytes], list[int]]:
+    groups = int.from_bytes(table[:4], "little")
+    offset = 4 + 8 * groups
+    if len(table) < max(4, offset):
+        raise FrameCorruptionError("truncated chunk key table")
+    words = np.frombuffer(table, dtype="<u4", count=2 * groups, offset=4).tolist()
+    keys = []
+    for length in words[:groups]:
+        keys.append(table[offset : offset + length])
+        offset += length
+    if offset != len(table):
+        raise FrameCorruptionError("chunk key table disagrees with its key lengths")
+    return keys, words[groups:]
+
+
+def _iter_chunks(groups: list[tuple[bytes, list, int]]):
+    """Cut a run's sorted ``(key bytes, values, nbytes)`` groups into chunks
+    of about :data:`_CHUNK_BYTES`: ``(keys, counts, values)`` per chunk.  A
+    group bigger than a chunk goes out alone, in near-equal pieces."""
+    keys: list[bytes] = []
+    counts: list[int] = []
+    chunk: list = []
+    size = 0
+    for kb, values, nbytes in groups:
+        if size and size + nbytes > _CHUNK_BYTES:
+            yield keys, counts, chunk
+            keys, counts, chunk, size = [], [], [], 0
+        if nbytes > _CHUNK_BYTES and len(values) > 1:
+            pieces = min(len(values), -(-nbytes // _CHUNK_BYTES))
+            step = -(-len(values) // pieces)
+            for start in range(0, len(values), step):
+                piece = values[start : start + step]
+                yield [kb], [len(piece)], piece
+            continue
+        keys.append(kb)
+        counts.append(len(values))
+        chunk.extend(values)
+        size += nbytes + _GROUP_BYTES
+    if keys:
+        yield keys, counts, chunk
 
 
 def _damage(data: bytes, kind: str) -> bytes:
@@ -107,10 +182,10 @@ def _damage(data: bytes, kind: str) -> bytes:
 
     ``truncate-run`` chops the tail mid-CRC (the trailer is the last four
     bytes of every frame, so any short chop is guaranteed detectable);
-    ``corrupt-run`` flips a byte in the middle of the frame region, which
-    the per-frame CRC32 — covering key and payload — catches.  The header
-    is left intact: the point is a *frame* integrity failure, not a codec
-    mismatch."""
+    ``corrupt-run`` flips a byte in the middle of the chunk region, which
+    the per-frame CRC32 — covering key table and value block — catches.
+    The header is left intact: the point is a *frame* integrity failure,
+    not a codec mismatch."""
     if kind == "truncate-run" and len(data) > _STREAM_HEADER_BYTES + 3:
         return data[:-3]
     injured = bytearray(data)
@@ -188,25 +263,18 @@ class SpillLayout:
             return Path(self.root) / f"p{partition:05d}" / name
         return Path(self.root) / name
 
-    # ------------------------------------------------------------ record codec
-    def _encode_payload(self, values: list) -> bytes:
-        """Encode one key-run (every value a map task emitted under one
-        key).  Run-level framing amortizes per-frame overhead and, for the
-        pickle codec, lets same-key records share pickle memoization."""
+    # -------------------------------------------------------------- block codec
+    def _encode_block(self, values: list) -> bytes:
+        """One chunk's values as a frame payload — the only thing the codec
+        decides."""
         if self.codec == "binary":
-            return encode_value(values)
+            return encode_block(values)
         return pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def _decode_payload(self, payload: bytes) -> list:
+    def _decode_block(self, block: bytes) -> list:
         if self.codec == "binary":
-            values, end = decode_value(payload)
-            if end != len(payload):
-                raise FrameCorruptionError(
-                    f"{len(payload) - end} trailing bytes after spill run "
-                    "(corrupt length varint inside the payload)"
-                )
-            return values
-        return pickle.loads(payload)
+            return decode_block(block)
+        return pickle.loads(block)
 
     # ------------------------------------------------------------- map side
     def run_writer(
@@ -226,42 +294,11 @@ class SpillLayout:
         """Spill one map task's partitioned output eagerly (one run per
         partition); returns per-partition record counts and bytes written
         (the only things shipped back to the parent)."""
-        Path(self.root).mkdir(parents=True, exist_ok=True)
-        counts = []
-        partition_bytes = []
+        writer = self.run_writer(map_task, run_records=sys.maxsize, run_bytes=sys.maxsize)
         for partition, bucket in enumerate(buckets):
-            counts.append(len(bucket))
-            if not bucket:
-                partition_bytes.append(0)
-                continue
-            final = self.path(map_task, partition)
-            if self.partition_subdirs:
-                final.parent.mkdir(exist_ok=True)
-            tmp = final.with_suffix(f".tmp{os.getpid()}")
-            with open(tmp, "wb") as fh:
-                partition_bytes.append(self._write_bucket(fh, bucket))
-            os.replace(tmp, final)
-        return SpillWriteResult(
-            counts, sum(partition_bytes), partition_bytes=tuple(partition_bytes)
-        )
-
-    def _write_bucket(self, fh, bucket: list[tuple]) -> int:
-        """Encode one bucket as key-sorted run frames — one frame per
-        distinct key, holding that key's values in emission order (so the
-        merged stream reproduces the in-memory shuffle's value order
-        exactly); returns bytes written."""
-        runs: dict[bytes, list] = {}
-        for key, value in bucket:
-            kb = key_bytes(key)
-            values = runs.get(kb)
-            if values is None:
-                runs[kb] = [value]
-            else:
-                values.append(value)
-        written = write_stream_header(fh, _CODEC_IDS[self.codec])
-        for kb in sorted(runs):
-            written += write_frame(fh, kb, self._encode_payload(runs[kb]))
-        return written
+            for key, value in bucket:
+                writer.append(partition, key, value)
+        return writer.finish()
 
     # ---------------------------------------------------------- reduce side
     def _iter_task_runs(self, map_task: int, partition: int):
@@ -275,8 +312,8 @@ class SpillLayout:
             run += 1
 
     def _iter_file(self, path: Path):
-        """Yield ``(key_bytes, values)`` run frames from one spill file,
-        streamed through a bounded buffer.
+        """Yield ``(key_bytes, values)`` group pieces from one run file, one
+        chunk resident at a time.
 
         An armed read fault (the ``corrupt-run``/``truncate-run`` kinds of
         :class:`~repro.mapreduce.fault.FaultPlan`) damages this attempt's
@@ -284,7 +321,7 @@ class SpillLayout:
         the frame CRC machinery fails the attempt loudly and its retry,
         reading the intact file, reproduces byte-identical output."""
         fault = take_read_fault()
-        with open(path, "rb", buffering=_READ_BUFFER_BYTES) as fh:
+        with open(path, "rb", buffering=_IO_BUFFER_BYTES) as fh:
             if fault is not None:
                 fh = io.BytesIO(_damage(fh.read(), fault))
             codec_id = read_stream_header(fh)
@@ -293,13 +330,22 @@ class SpillLayout:
                     f"spill file {path} written with codec id {codec_id}, "
                     f"layout expects {self.codec!r}"
                 )
-            for kb, payload in iter_frames(fh):
-                yield kb, self._decode_payload(payload)
+            for table, block in iter_frames(fh):
+                keys, counts = _decode_key_table(table)
+                values = self._decode_block(block)
+                if sum(counts) != len(values):
+                    raise FrameCorruptionError(
+                        f"chunk key table counts {sum(counts)} values, "
+                        f"its block holds {len(values)}"
+                    )
+                values = iter(values)
+                for kb, count in zip(keys, counts):
+                    yield kb, list(islice(values, count))
 
     def _iter_merged(self, partition: int, num_map_tasks: int):
         """K-way merge of one partition's run files: globally key-sorted
-        ``(key_bytes, values)`` run stream, holding one frame per file in
-        memory.  Streams are ordered task-major then run-order and
+        ``(key_bytes, values)`` stream of group pieces, holding one chunk
+        per file in memory.  Streams are ordered task-major then run-order and
         ``heapq.merge`` is stable, so same-key values concatenate in their
         original emission order — exactly the order a single eager sorted
         write per task would have produced."""
@@ -323,7 +369,7 @@ class SpillLayout:
     def iter_groups(self, partition: int, num_map_tasks: int):
         """Streamed reduce groups ``(key, values)`` — the external-merge
         replacement for ``group_sorted(read_partition(...))``: peak memory
-        is one group (plus one buffered run per spill file), not the whole
+        is one group (plus one chunk per spill file), not the whole
         partition."""
         current_kb: bytes | None = None
         current_key = None
@@ -332,7 +378,7 @@ class SpillLayout:
             if kb != current_kb:
                 if current_kb is not None:
                     yield current_key, acc
-                current_kb, current_key, acc = kb, decode_key(kb), list(values)
+                current_kb, current_key, acc = kb, decode_key(kb), values
             else:
                 acc.extend(values)
         if current_kb is not None:
@@ -355,20 +401,26 @@ class SpillLayout:
 class SpillRunWriter:
     """External sort on the write side: streamed append, bounded sorted runs.
 
-    Records are buffered per ``(partition, canonical key bytes)``.  Once the
-    buffered volume crosses ``run_records`` (both codecs) or ``run_bytes``
-    (binary codec — per-record encodings are produced at append time, so
-    byte accounting is exact), every non-empty partition buffer is flushed
-    as one key-sorted run file and the buffers reset.  Flush points are a
+    Values are buffered *as objects* per ``(partition, key)`` — a reducer
+    must not mutate what it has emitted, exactly as under the in-memory
+    shuffle, which holds the same references.  Once the buffered volume
+    crosses ``run_records`` or ``run_bytes`` (sized by
+    :func:`~repro.proto.framing.approx_nbytes`, so no encoding happens at
+    append), every non-empty partition buffer is flushed as one key-sorted
+    run file of chunk frames and the buffers reset.  Flush points are a
     deterministic function of the append sequence, so a re-executed task
     attempt rewrites byte-identical runs over any partials a crashed attempt
     left behind (each run write is itself atomic: temp file + ``os.replace``).
 
+    Keys are buffered under :func:`~repro.mapreduce.shuffle.key_ident`, so
+    grouping is exactly grouping by canonical key bytes, but ``key_bytes``
+    runs once per distinct key per run (at flush, where an unencodable key
+    raises) and :meth:`extend` calls the partitioner once per distinct key
+    per run.
+
     ``combiner`` (a :class:`~repro.mapreduce.job.Combiner`) folds each key's
-    buffered values at flush time — before they reach disk.  Under the
-    binary codec the fold runs on the encoded records via
-    ``combine_encoded``, falling back to decode/combine/encode only if the
-    combiner declines.
+    buffered values with ``combine()`` at flush time — before they reach
+    disk.
 
     Reported ``counts`` are post-combine; ``peak_buffer_bytes`` is the
     largest single flush in file bytes — the writer's actual buffering
@@ -392,11 +444,10 @@ class SpillRunWriter:
         self._combiner = combiner
         self._run_records = run_records
         self._run_bytes = run_bytes
-        self._binary = layout.codec == "binary"
         num = layout.num_partitions
-        # partition -> key_bytes -> (key, values) where values are encoded
-        # item bytes (binary) or plain objects (pickle).
-        self._buffers: list[dict[bytes, tuple[object, list]]] = [{} for _ in range(num)]
+        # partition -> key ident -> [key, values, approximate bytes]
+        self._buffers: list[dict[object, list]] = [{} for _ in range(num)]
+        self._routes: dict[object, int] = {}
         self._pending_records = 0
         self._pending_bytes = 0
         self._next_run = [0] * num
@@ -407,74 +458,84 @@ class SpillRunWriter:
         self._made_root = False
 
     def append(self, partition: int, key, value) -> None:
-        kb = key_bytes(key)
+        """Buffer ``value`` under ``key`` for reduce partition ``partition``."""
+        self._add(partition, key_ident(key), key, value)
+
+    def extend(self, pairs, partitioner) -> None:
+        """Buffer every ``(key, value)`` of ``pairs`` under the partition
+        ``partitioner(key, num_partitions)`` assigns its key."""
+        num = self._layout.num_partitions
+        routes = self._routes
+        add = self._add
+        for key, value in pairs:
+            ident = key if type(key) is int else key_ident(key)
+            partition = routes.get(ident)
+            if partition is None:
+                partition = routes[ident] = partitioner(key, num)
+            add(partition, ident, key, value)
+
+    def _add(self, partition: int, ident, key, value) -> None:
+        nbytes = approx_nbytes(value)
         buffer = self._buffers[partition]
-        if self._binary:
-            value = encode_value(value)
-            self._pending_bytes += len(value)
-        entry = buffer.get(kb)
+        entry = buffer.get(ident)
         if entry is None:
-            buffer[kb] = (key, [value])
-            if self._binary:
-                # A new key means a new frame at flush time: account its
-                # fixed cost (key bytes, length varints, CRC trailer) so
-                # the byte budget tracks file bytes, not just payloads.
-                self._pending_bytes += len(kb) + _FRAME_FIXED_BYTES
+            buffer[ident] = [key, [value], nbytes]
+            self._pending_bytes += nbytes + _GROUP_BYTES
         else:
             entry[1].append(value)
+            entry[2] += nbytes
+            self._pending_bytes += nbytes
         self._pending_records += 1
-        if self._pending_records >= self._run_records or (
-            self._binary and self._pending_bytes >= self._run_bytes
+        if (
+            self._pending_records >= self._run_records
+            or self._pending_bytes >= self._run_bytes
         ):
             self._flush()
 
-    def _combine_buffer(self, buffer: dict[bytes, tuple[object, list]]) -> None:
-        for kb, (key, items) in buffer.items():
-            if len(items) <= 1:
-                continue
-            if self._binary:
-                folded = self._combiner.combine_encoded(kb, items)
-                if folded is None:
-                    values = [decode_value(item)[0] for item in items]
-                    folded = [encode_value(v) for v in self._combiner.combine(key, values)]
-                buffer[kb] = (key, folded)
-            else:
-                buffer[kb] = (key, list(self._combiner.combine(key, items)))
+    def _sorted_groups(self, buffer: dict[object, list]) -> list[tuple[bytes, list, int]]:
+        """One partition's buffered groups as ``(key bytes, values, nbytes)``,
+        combined and in canonical key order."""
+        groups = []
+        for ident, (key, values, nbytes) in buffer.items():
+            if self._combiner is not None and len(values) > 1:
+                values = list(self._combiner.combine(key, values))
+                nbytes = sum(map(approx_nbytes, values))
+            # Idents of keys that are not plain ints / flat tuples already
+            # are their canonical bytes.
+            kb = ident if type(ident) is bytes else key_bytes(key)
+            groups.append((kb, values, nbytes))
+        groups.sort(key=itemgetter(0))
+        return groups
 
     def _flush(self) -> None:
         if self._pending_records == 0:
             return
+        layout = self._layout
         if not self._made_root:
-            Path(self._layout.root).mkdir(parents=True, exist_ok=True)
+            Path(layout.root).mkdir(parents=True, exist_ok=True)
             self._made_root = True
-        codec_id = _CODEC_IDS[self._layout.codec]
         flushed = 0
         for partition, buffer in enumerate(self._buffers):
             if not buffer:
                 continue
-            if self._combiner is not None:
-                self._combine_buffer(buffer)
-            final = self._layout.run_path(
-                self._map_task, partition, self._next_run[partition]
-            )
-            if self._layout.partition_subdirs:
+            groups = self._sorted_groups(buffer)
+            buffer.clear()
+            final = layout.run_path(self._map_task, partition, self._next_run[partition])
+            if layout.partition_subdirs:
                 final.parent.mkdir(exist_ok=True)
             tmp = final.with_suffix(f".tmp{os.getpid()}")
-            with open(tmp, "wb") as fh:
-                written = write_stream_header(fh, codec_id)
-                for kb in sorted(buffer):
-                    _, items = buffer[kb]
-                    self._counts[partition] += len(items)
-                    if self._binary:
-                        payload = encode_list_payload(items)
-                    else:
-                        payload = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
-                    written += write_frame(fh, kb, payload)
+            with open(tmp, "wb", buffering=_IO_BUFFER_BYTES) as fh:
+                written = write_stream_header(fh, _CODEC_IDS[layout.codec])
+                for keys, counts, values in _iter_chunks(groups):
+                    self._counts[partition] += len(values)
+                    written += write_frame(
+                        fh, _encode_key_table(keys, counts), layout._encode_block(values)
+                    )
             os.replace(tmp, final)
             self._next_run[partition] += 1
-            self._buffers[partition] = {}
             self._partition_bytes[partition] += written
             flushed += written
+        self._routes.clear()
         self._bytes_written += flushed
         if flushed > self._peak_flush:
             self._peak_flush = flushed

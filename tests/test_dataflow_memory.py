@@ -1,4 +1,4 @@
-"""Constant-memory dataflow: external-sorted reducer spill, frame-level
+"""Constant-memory dataflow: external-sorted reducer spill, run-level
 map-side combine, reducer-owned columnar sinks, shm prefetch handoff, and
 spill-session hygiene."""
 
@@ -22,7 +22,6 @@ from repro.mapreduce import (
     SumCombiner,
     default_partition,
 )
-from repro.proto.framing import encode_value
 
 
 # Top-level operators: picklable, so they ship to worker processes.
@@ -133,19 +132,23 @@ class TestExternalSortedSpill:
 
 
 # --------------------------------------------------------------------------
-# Tentpole (b): frame-level map-side combine
+# Tentpole (b): run-level map-side combine
 # --------------------------------------------------------------------------
-class TestFrameLevelCombine:
-    def test_combine_encoded_folds_without_decoding_loss(self):
-        combiner = SumCombiner()
-        items = [encode_value(v) for v in [1, 2, 3.5]]
-        (folded,) = combiner.combine_encoded(b"k", items)
-        assert folded == encode_value(6.5)
+class TestRunLevelCombine:
+    def test_combine_folds_mixed_numerics(self):
+        assert SumCombiner().combine("k", [1, 2, 3.5]) == [6.5]
 
-    def test_combine_encoded_refuses_non_numeric(self):
-        combiner = SumCombiner()
-        assert combiner.combine_encoded(b"k", [encode_value("x")]) is None
-        assert combiner.combine_encoded(b"k", [encode_value(True)]) is None
+    @pytest.mark.parametrize("codec", ["binary", "pickle"])
+    def test_writer_folds_buffered_objects_at_each_flush(self, tmp_path, codec):
+        """The writer folds the objects it buffered — one partial per key
+        per run — and the reader re-joins the partials in run order."""
+        layout = SpillLayout(str(tmp_path), "job", 1, codec)
+        writer = layout.run_writer(0, combiner=SumCombiner(), run_records=4)
+        for i in range(10):
+            writer.append(0, "k", i)
+        result = writer.finish()
+        assert result.counts == [3]  # runs of 4 + 4 + 2 records, one partial each
+        assert list(layout.iter_groups(0, 1)) == [("k", [6, 22, 17])]
 
     def test_classic_protocol_matches_combine(self):
         combiner = SumCombiner()

@@ -19,12 +19,15 @@ from repro.mapreduce import (
     MapReduceJob,
     RunStats,
     SpillLayout,
+    SumCombiner,
     default_partition,
     key_bytes,
     make_backend,
     register_backend,
 )
 from repro.mapreduce.backends import SerialBackend
+from repro.mapreduce.spill import SpillWriteResult
+from repro.proto.framing import decode_value, encode_value
 
 
 def word_count_job(**kwargs):
@@ -386,38 +389,39 @@ class TestSpill:
     def test_merge_streams_with_bounded_read_buffer(self, tmp_path, codec, monkeypatch):
         """The reduce-side merge must not materialize the partition: after
         consuming a handful of records from a large partition, only a
-        bounded prefix of the spill bytes may have been decoded."""
+        bounded prefix of the spill bytes — a chunk or so per run file —
+        may have been read."""
         from repro.mapreduce import spill as spill_mod
-        from repro.proto.framing import iter_frames, read_stream_header
+        from repro.proto.framing import iter_frames
 
         layout = SpillLayout(str(tmp_path), "big", num_partitions=1, codec=codec)
         per_task = 20_000
-        payload = "x" * 64
         total_bytes = 0
         for task in range(3):
-            bucket = [(task * per_task + i, payload) for i in range(per_task)]
+            bucket = [
+                (task * per_task + i, f"{task * per_task + i:064d}")
+                for i in range(per_task)
+            ]
             total_bytes += layout.write_map_output(task, [bucket]).bytes_written
-        bound = 4 * spill_mod._READ_BUFFER_BYTES  # one buffer per file + slack
+        bound = 4 << 16  # 64 KiB of chunk + read-ahead per file, plus slack
         assert total_bytes > 4 * bound  # the partition dwarfs the bound
 
         consumed = {}
 
-        def tracking_iter_file(self, path):
-            with open(path, "rb", buffering=spill_mod._READ_BUFFER_BYTES) as fh:
-                read_stream_header(fh)
-                for kb, payload_bytes in iter_frames(fh):
-                    consumed[path] = fh.tell()
-                    yield kb, self._decode_payload(payload_bytes)
+        def tracking_iter_frames(fh):
+            for frame in iter_frames(fh):
+                consumed[fh.name] = fh.tell()
+                yield frame
 
-        monkeypatch.setattr(SpillLayout, "_iter_file", tracking_iter_file)
+        monkeypatch.setattr(spill_mod, "iter_frames", tracking_iter_frames)
         stream = layout.iter_partition(0, num_map_tasks=3)
         head = [next(stream) for _ in range(100)]
         assert len(head) == 100
-        assert sum(consumed.values()) <= bound
+        assert len(consumed) == 3 and sum(consumed.values()) <= bound
         # sanity: a full drain still yields every record
         everything = list(layout.iter_partition(0, num_map_tasks=3))
         assert len(everything) == 3 * per_task
-        assert all(v == payload for _, v in everything[:50])
+        assert all(v == f"{k:064d}" for k, v in everything[:50])
 
     def test_spill_round_trip_is_deterministic(self, tmp_path):
         runs = [
@@ -520,6 +524,187 @@ class TestParentSidePartitioning:
         out = dict(runtime.run_rounds([inc, inc, inc], [(0, 0)]))
         assert out == {0: 3}
         assert all(rs.map_attempts == 0 for rs in runtime.round_stats)
+
+
+def emit_mapper(_, pair):
+    yield pair
+
+
+def collect_reducer(key, values):
+    yield key, list(values)
+
+
+def regroup_reducer(key, values):
+    for value in values:
+        yield key, value
+
+
+class TestKeyIdentity:
+    """The spill writer groups under the Python key, the shuffle contract is
+    grouping by canonical key bytes: ``True`` / ``1`` (equal and hash-equal
+    in a dict) stay apart, and what ``key_bytes`` rejects still raises."""
+
+    SHUFFLES = {
+        "memory": dict(),
+        "spill-binary": dict(shuffle_codec="binary"),
+        "spill-pickle": dict(shuffle_codec="pickle"),
+    }
+    KEYS = [1, True, (1, 0), (True, 0), 0, False, (1, "a"), (True, "a")]
+
+    def run(self, tmp_path, name, pairs, **runtime_kwargs):
+        kwargs = dict(self.SHUFFLES[name], **runtime_kwargs)
+        if name != "memory":
+            kwargs["spill_dir"] = tmp_path / name
+        # a mapped round (map-task writers), a chained reduce-only round
+        # (chain-sink writers) and a terminal collect
+        jobs = [
+            MapReduceJob("emit", regroup_reducer, mapper=emit_mapper, num_reducers=2),
+            MapReduceJob("group", collect_reducer, num_reducers=2),
+        ]
+        with LocalRuntime(**kwargs) as runtime:
+            out = runtime.run_rounds(jobs, list(enumerate(pairs)))
+        # repr tells True from 1 where == does not
+        return [(repr(key), values) for key, values in out]
+
+    @pytest.mark.parametrize("run_records", [1 << 16, 3])
+    def test_equal_but_distinct_keys_group_apart_on_every_shuffle(
+        self, tmp_path, run_records
+    ):
+        pairs = [(key, i) for i, key in enumerate(self.KEYS * 3)]
+        expected = self.run(tmp_path, "memory", pairs)
+        assert len(expected) == len(self.KEYS)
+        assert all(len(values) == 3 for _, values in expected)
+        for name in ("spill-binary", "spill-pickle"):
+            assert self.run(
+                tmp_path, name, pairs, spill_run_records=run_records
+            ) == expected, name
+
+    def test_parent_side_first_round_keeps_them_apart_too(self, tmp_path):
+        pairs = [(key, i) for i, key in enumerate(self.KEYS * 2)]
+        job = MapReduceJob("group", collect_reducer, num_reducers=2)
+        expected = [(repr(k), v) for k, v in LocalRuntime().run(job, pairs)]
+        for codec in ("binary", "pickle"):
+            with LocalRuntime(spill_dir=tmp_path / codec, shuffle_codec=codec) as runtime:
+                out = runtime.run(job, pairs)
+            assert [(repr(k), v) for k, v in out] == expected
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (1.0, "unsupported shuffle key type float"),
+            (np.int64(1), "unsupported shuffle key type int64"),
+            ((1, 2.5), "unsupported shuffle key type float"),
+            (1 << 70, "64 bits"),
+        ],
+    )
+    @pytest.mark.parametrize("shuffle", sorted(SHUFFLES))
+    def test_unsupported_keys_raise_on_every_shuffle(self, tmp_path, shuffle, bad, match):
+        """Also when an equal, supported key (1) was buffered first."""
+        with pytest.raises(TypeError, match=match):
+            self.run(tmp_path, shuffle, [(1, "ok"), (bad, "boom")])
+
+    def test_writer_append_rejects_and_separates_like_extend(self, tmp_path):
+        layout = SpillLayout(str(tmp_path), "job", 1, "binary")
+        writer = layout.run_writer(0)
+        for i, key in enumerate(self.KEYS):
+            writer.append(0, key, i)
+        with pytest.raises(TypeError, match="unsupported shuffle key type"):
+            writer.append(0, 1.0, "boom")
+        writer.finish()
+        groups = list(layout.iter_groups(0, 1))
+        assert sorted(repr(k) for k, _ in groups) == sorted(map(repr, self.KEYS))
+        big = layout.run_writer(1)
+        big.append(0, 1 << 70, "boom")  # plain ints are only encoded at flush
+        with pytest.raises(TypeError, match="64 bits"):
+            big.finish()
+
+
+class TestRunBounds:
+    """The run bounds are checked where the caller set them — before any
+    pool, session directory or round exists — not inside the first spilling
+    task (where the error used to name ``run_bytes`` and, under
+    ``processes``, surface from a worker after earlier rounds had run)."""
+
+    @pytest.mark.parametrize("knob", ["spill_run_records", "spill_run_bytes"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_runtime_rejects_bad_bounds_at_construction(self, tmp_path, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
+            LocalRuntime(backend="processes", spill_dir=tmp_path, **{knob: value})
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("knob", ["spill_run_records", "spill_run_bytes"])
+    def test_pipeline_configs_reject_bad_bounds(self, knob):
+        from repro.core.graphflat import GraphFlatConfig
+        from repro.core.infer import GraphInferConfig
+
+        for config in (GraphFlatConfig, GraphInferConfig):
+            with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
+                config(**{knob: -5})
+            assert getattr(config(**{knob: 1}), knob) == 1
+
+
+def degree_mapper(key, value):
+    yield value[1], 1
+
+
+class TestBenchmarkSurface:
+    """``bench/`` may not be edited, so the signatures it drives are pinned
+    here exactly as ``bench/probes.py`` calls them (``spill_and_framing`` and
+    ``runtime_records_per_s``)."""
+
+    def test_spill_probe_calls(self, tmp_path):
+        count, width, num_keys = 256, 16, 32
+        rng = np.random.default_rng(0)
+        payload = rng.standard_normal((count, width)).astype(np.float32)
+        keys = (np.arange(count, dtype=np.int64) * 2654435761) % num_keys
+        values = [(int(k), 1.0, payload[i]) for i, k in enumerate(keys)]
+
+        blobs = [encode_value(v) for v in values]
+        decoded = [decode_value(b) for b in blobs]
+        assert all(end == len(blob) for (_, end), blob in zip(decoded, blobs))
+        assert all(np.array_equal(d[2], v[2]) for (d, _), v in zip(decoded, values))
+
+        layout = SpillLayout(str(tmp_path / "probe"), "bench-probe", 4, codec="binary")
+        writer = layout.run_writer(0, run_bytes=1 << 12)
+        for key, value in zip(keys.tolist(), values):
+            writer.append(key % 4, key, value)
+        written = writer.finish()
+        assert isinstance(written, SpillWriteResult)
+        assert sum(written.counts) == count
+        assert written.bytes_written == sum(written.partition_bytes) > 0
+        assert 0 < written.peak_buffer_bytes < written.bytes_written  # several runs
+        merged = sum(
+            len(group) for p in range(4) for _, group in layout.iter_groups(p, 1)
+        )
+        assert merged == count
+        assert sum(1 for p in range(4) for _ in layout.iter_partition(p, 1)) == count
+        layout.cleanup(1)
+        assert not list((tmp_path / "probe").iterdir())
+
+        other = SpillLayout(str(tmp_path / "probe"), "bench-probe", 4, codec="binary")
+        counts = other.write_map_output(0, [[(1, values[0])], [], [], []]).counts
+        assert counts == [1, 0, 0, 0]
+        assert other.run_writer(1, run_records=8, run_bytes=64).finish().counts == [0] * 4
+
+    @pytest.mark.parametrize("backend, workers", [("serial", None), ("processes", 2)])
+    def test_runtime_probe_calls(self, tmp_path, backend, workers):
+        rows = [(s, (s, d, 1.0, None)) for s in range(40) for d in range(s % 5)]
+        job = MapReduceJob(
+            "bench-degree", sum_reducer, mapper=degree_mapper,
+            combiner=SumCombiner(), num_reducers=4,
+        )
+        with LocalRuntime(
+            backend=backend, max_workers=workers, shuffle_codec="binary",
+            spill_dir=str(tmp_path),
+        ) as runtime:
+            out = runtime.run(job, rows)
+        assert sum(count for _, count in out) == len(rows)
+        assert runtime.last_stats.combined_records > 0
+        with LocalRuntime(
+            shuffle_codec="binary", spill_run_records=4, spill_run_bytes=1 << 10,
+            spill_dir=str(tmp_path),
+        ) as bounded:
+            assert bounded.run(job, rows) == out
 
 
 def _echo_reducer(key, values):

@@ -1,5 +1,6 @@
 """Binary shuffle-record codec: round-trip fidelity for every record type
-that crosses a GraphFlat/GraphInfer spill, plus the frame stream format.
+that crosses a GraphFlat/GraphInfer spill — one value at a time and as a
+column block — plus the frame stream format and the chunk-framed run file.
 
 The contract under test is *exact* reproduction — dict insertion order,
 array dtypes, float bits — because the pipelines' byte-identity across
@@ -20,9 +21,12 @@ from repro.core import propagation
 from repro.core.graphflat.records import InEdgeInfo, OutEdgeInfo, SubgraphInfo
 from repro.core.infer.pipeline import _InEmb
 from repro.mapreduce.shuffle import decode_key, key_bytes
+from repro.mapreduce.spill import SpillLayout, _decode_key_table
 from repro.proto.framing import (
     FrameCorruptionError,
+    decode_block,
     decode_value,
+    encode_block,
     encode_value,
     iter_frames,
     read_stream_header,
@@ -175,11 +179,11 @@ class TestGenericValues:
 class TestRecordRegistry:
     def test_conflicting_tag_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_record(0x20, dict, lambda *a: None, lambda *a: None)
+            register_record(0x20, dict, ("keys",))
 
     def test_reserved_tag_range_enforced(self):
         with pytest.raises(ValueError, match="record tag"):
-            register_record(0x05, dict, lambda *a: None, lambda *a: None)
+            register_record(0x05, dict, ("keys",))
 
 
 class TestGraphFlatRecords:
@@ -308,8 +312,6 @@ class TestKeyCodec:
     def test_corrupt_run_payload_raises_in_spill(self, tmp_path):
         """A length-varint bit-flip inside a frame payload must surface as
         FrameCorruptionError, not silently truncated reducer input."""
-        from repro.mapreduce.spill import SpillLayout
-
         layout = SpillLayout(str(tmp_path), "job", num_partitions=1, codec="binary")
         layout.write_map_output(0, [[(1, "hello-world")]])
         path = layout.path(0, 0)
@@ -345,3 +347,244 @@ class TestFrameStreams:
         read_stream_header(fh)
         with pytest.raises(FrameCorruptionError, match="truncated"):
             list(iter_frames(fh))
+
+
+# ---------------------------------------------------------------- block codec
+def assert_same(a, b, owned=False):
+    """Strict equality: types, dtypes, shapes, float bits, dict order —
+    and, with ``owned``, no array of ``b`` is a view into a shared buffer."""
+    assert type(a) is type(b), (a, b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.dtype.str == b.dtype.str
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not owned or (b.flags.owndata and b.flags.writeable)
+    elif isinstance(a, float):
+        assert struct.pack("<d", a) == struct.pack("<d", b)
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y, owned)
+    elif isinstance(a, SubgraphInfo):
+        assert_subgraph_equal(a, b)
+    elif isinstance(a, (InEdgeInfo, OutEdgeInfo, _InEmb)):
+        for field in a.__dataclass_fields__:
+            assert_same(getattr(a, field), getattr(b, field), owned)
+    else:
+        assert a == b
+
+
+def block_round_trip(values):
+    decoded = decode_block(encode_block(values))
+    assert_same(values, decoded, owned=True)
+    return decoded
+
+
+ARRAYS = st.sampled_from([
+    np.arange(3, dtype=np.float32),
+    np.arange(3, dtype=np.float32) + 1,
+    np.arange(5, dtype=np.float32),        # ragged next to the (3,) ones
+    np.arange(3, dtype=">f8"),             # big-endian
+    np.array(2.5, dtype=np.float64),       # 0-d
+    np.array(7, dtype=">i4"),              # 0-d and big-endian
+    np.zeros((2, 0), dtype=np.int16),
+    np.arange(6, dtype=np.int64).reshape(2, 3),
+    np.array([True, False]),
+])
+
+GENERIC = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**63, 2**63 - 1) | st.floats()
+    | st.text(max_size=8) | st.binary(max_size=8) | ARRAYS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.tuples(inner, inner, inner),
+    max_leaves=8,
+)
+
+
+@st.composite
+def engine_records(draw):
+    """The ``(tag, ...)`` values both pipelines shuffle, ``edge_feat`` None /
+    present / mixed, subgraphs materialised or wire-resident."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def edge_feat():
+        mode = draw(st.sampled_from(["none", "present", "mixed"]))
+        if mode == "none" or (mode == "mixed" and rng.random() < 0.5):
+            return None
+        return rng.standard_normal(2).astype(np.float32)
+
+    def emb():
+        return rng.standard_normal(4).astype(np.float32)
+
+    def subgraph():
+        sg = make_subgraph(
+            rng, num_nodes=int(rng.integers(1, 5)), num_edges=int(rng.integers(0, 5)),
+            edge_feat=draw(st.sampled_from(["uniform", "mixed", "none", "empty"])),
+        )
+        if draw(st.booleans()):
+            sg = SubgraphInfo.from_wire(sg.root, sg.wire)
+        return sg
+
+    self_info = draw(st.sampled_from([emb, subgraph]))
+    if self_info is emb:
+        def in_record():
+            return _InEmb(int(rng.integers(-5, 10**6)), float(rng.random()), edge_feat(), emb())
+    else:
+        def in_record():
+            return InEdgeInfo(int(rng.integers(-5, 10**6)), float(rng.random()), edge_feat(), subgraph())
+
+    kind = draw(st.sampled_from(["self", "out", "in", "partial", "final", "end"]))
+    if kind in ("self", "final"):
+        return (kind, self_info())
+    if kind == "out":
+        return ("out", [
+            OutEdgeInfo(int(rng.integers(0, 99)), float(rng.random()), edge_feat())
+            for _ in range(draw(st.integers(0, 4)))
+        ])
+    if kind == "in":
+        return ("in", in_record())
+    if kind == "partial":
+        return ("partial", [in_record() for _ in range(draw(st.integers(0, 3)))])
+    return ("end", draw(st.integers(0, 1)), self_info())
+
+
+class TestBlockCodec:
+    @given(st.lists(GENERIC | engine_records(), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_block_round_trip_property(self, values):
+        block_round_trip(values)
+
+    def test_engine_chunk_uses_no_fallback_column(self):
+        """A chunk as GraphInfer spills it: every value has a column form,
+        so nothing is encoded one value at a time."""
+        rng = np.random.default_rng(0)
+        h = [rng.standard_normal(8).astype(np.float32) for _ in range(40)]
+        values = [("in", _InEmb(i, 0.5, None, h[i])) for i in range(40)]
+        values += [("self", h[0]), ("out", [OutEdgeInfo(1, 1.0, None)] * 3), ("out", [])]
+        values += [("partial", [_InEmb(3, 1.0, None, h[1])]), ("end", 1, h[2])]
+        block = encode_block(values)
+        block_round_trip(values)
+        assert len(block) < sum(len(encode_value(v)) for v in values)
+        # 40 embeddings, one stacked matrix: 40 * 8 float32 once, contiguous
+        assert np.stack(h).tobytes() in block
+
+    def test_empty_and_degenerate_blocks(self):
+        for values in ([], [None], [()], [[]], [[], [1]], [(), (1,)], [b"", ""]):
+            block_round_trip(values)
+
+    @pytest.mark.parametrize("value", [object(), np.float32(1.0), 1 << 63, {1: 2}])
+    def test_unencodable_values_raise_like_the_value_codec(self, value):
+        with pytest.raises(TypeError):
+            encode_block([1, value])
+
+    def test_wire_resident_subgraph_drops_its_cache_when_absorbing(self):
+        rng = np.random.default_rng(9)
+        original = make_subgraph(rng, edge_feat="none")
+        (_, decoded), = decode_block(encode_block([("self", original)]))
+        assert decoded._nodes is None and decoded._wire == original.wire
+        before = encode_block([decoded])
+        decoded.absorb_neighbor(make_subgraph(rng), 1.0, None)
+        assert decoded._wire is None
+        assert encode_block([decoded]) != before
+
+    def test_truncated_or_padded_block_is_frame_corruption(self):
+        block = encode_block([("in", _InEmb(1, 1.0, None, np.ones(3, np.float32)))] * 3)
+        for cut in range(len(block)):
+            with pytest.raises(FrameCorruptionError):
+                decode_block(block[:cut])
+        with pytest.raises(FrameCorruptionError, match="trailing"):
+            decode_block(block + b"\x00")
+
+
+# -------------------------------------------------------------- chunked runs
+def read_chunks(data: bytes):
+    """``[(keys, counts)]`` of every chunk frame of one run file's bytes."""
+    fh = io.BytesIO(data)
+    read_stream_header(fh)
+    return [_decode_key_table(table) for table, _ in iter_frames(fh)]
+
+
+@pytest.mark.parametrize("codec", ["binary", "pickle"])
+class TestChunkedRuns:
+    HUB, ROW = 7, np.arange(256, dtype=np.float32)  # 1 KiB per value
+
+    def hub_pairs(self, n=300):
+        """A hub group far larger than one chunk between two small ones."""
+        pairs = [(self.HUB, (i, self.ROW + i)) for i in range(n)]
+        pairs[10:10] = [(3, (-1, self.ROW)), (9, (-2, self.ROW))]
+        return pairs
+
+    def test_hub_group_is_split_across_chunks_and_rejoined(self, tmp_path, codec):
+        layout = SpillLayout(str(tmp_path), "job", 1, codec)
+        layout.write_map_output(0, [self.hub_pairs()])
+        chunks = read_chunks(layout.run_path(0, 0, 0).read_bytes())
+        hub_chunks = [c for c in chunks if key_bytes(self.HUB) in c[0]]
+        assert len(hub_chunks) > 10, "300 KiB under one key must span many chunks"
+        assert all(keys == [key_bytes(self.HUB)] for keys, _ in hub_chunks)
+        assert sum(counts[0] for _, counts in hub_chunks) == 300
+        groups = list(layout.iter_groups(0, 1))
+        assert [key for key, _ in groups] == [3, self.HUB, 9]
+        assert [i for i, _ in groups[1][1]] == list(range(300))  # emission order
+        assert_same(groups[1][1][299][1], self.ROW + 299)
+
+    def test_hub_group_split_across_runs_too(self, tmp_path, codec):
+        layout = SpillLayout(str(tmp_path), "job", 1, codec)
+        writer = layout.run_writer(0, run_records=100)
+        for key, value in self.hub_pairs():
+            writer.append(0, key, value)
+        assert writer.finish().counts == [302]
+        assert layout.run_path(0, 0, 3).exists()
+        groups = dict(layout.iter_groups(0, 1))
+        assert [i for i, _ in groups[self.HUB]] == list(range(300))
+
+    def small_run(self, tmp_path, codec, monkeypatch):
+        """A run of several chunks that is small enough to damage at every
+        byte (the chunk bound is shrunk for it)."""
+        monkeypatch.setattr("repro.mapreduce.spill._CHUNK_BYTES", 256)
+        layout = SpillLayout(str(tmp_path), "job", 1, codec)
+        layout.write_map_output(
+            0, [[(k, (k, "tag", np.full(8, k, np.float32))) for k in range(12)] * 2]
+        )
+        path = layout.run_path(0, 0, 0)
+        data = path.read_bytes()
+        assert len(read_chunks(data)) >= 4
+        return layout, path, data
+
+    def test_every_truncation_is_detected_or_a_whole_number_of_chunks(
+        self, tmp_path, codec, monkeypatch
+    ):
+        layout, path, data = self.small_run(tmp_path, codec, monkeypatch)
+        whole = list(layout.iter_groups(0, 1))
+        clean_cuts = 0
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            try:
+                groups = list(layout.iter_groups(0, 1))
+            except FrameCorruptionError:
+                continue
+            # the only undetectable cut is between two frames: a shorter,
+            # still valid run
+            clean_cuts += 1
+            assert len(groups) < len(whole)
+            assert_same(groups, whole[: len(groups)])
+        assert clean_cuts == len(read_chunks(data))
+
+    def test_flipped_byte_in_key_table_or_block_is_detected(
+        self, tmp_path, codec, monkeypatch
+    ):
+        layout, path, data = self.small_run(tmp_path, codec, monkeypatch)
+        for position in range(6, len(data)):  # past the stream header
+            injured = bytearray(data)
+            injured[position] ^= 0x40
+            path.write_bytes(bytes(injured))
+            with pytest.raises(FrameCorruptionError):
+                list(layout.iter_groups(0, 1))
+
+    def test_version_2_run_is_rejected(self, tmp_path, codec, monkeypatch):
+        layout, path, data = self.small_run(tmp_path, codec, monkeypatch)
+        assert data[:5] == b"AGLS\x03"
+        path.write_bytes(b"AGLS\x02" + data[5:])
+        with pytest.raises(FrameCorruptionError, match="version 2"):
+            list(layout.iter_groups(0, 1))
+        with pytest.raises(FrameCorruptionError, match="version 2"):
+            read_stream_header(io.BytesIO(b"AGLS\x02\x01"))
+
