@@ -18,17 +18,22 @@ Everything that scheme fixes lives here, once:
   ``hub_threshold``, propagation appends a deterministic suffix to the
   shuffle key, splitting the hub's in-edge records across ``reindex_fanout``
   reducers which pre-sample (:class:`PartialReducer`); an inverted-indexing
-  step restores the original key for the merge.
+  step restores the original key for the merge.  The re-index round is a
+  *side stage* of the chain (``MapReduceJob.accepts``): it takes the suffixed
+  slice keys and nothing else, while every non-hub in-record and every self /
+  out record — keyed by the plain node id from the start — goes straight to
+  the merge round.  A re-index round shuffles exactly the in-edge records of
+  the hubs that merge that hop.
 * **Demand**: both pipelines only have to produce results for a *target*
   set, and a node ``u`` that is ``d`` reverse hops away from the nearest
   target contributes only through its rounds ``k <= K - d``.
   :class:`ReceptiveField` is that rule — §3.3.2's pruning lifted to the
   MapReduce pipelines — and :meth:`Routing.propagate` is the only place
   records are emitted, so every gate applies to both pipelines.
-* **Driver** (:func:`run_dataflow`): builds the ``map -> [reindex, reduce] x
-  K -> final`` job chain, plans placement, decides who writes the output
-  shards, runs the chain and commits the dataset.  :class:`DataflowConfig`
-  owns the knobs the two pipelines share.
+* **Driver** (:func:`run_dataflow`): builds the ``map -> [reindex (hub
+  slices only), reduce] x K -> final`` job chain, plans placement, decides
+  who writes the output shards, runs the chain and commits the dataset.
+  :class:`DataflowConfig` owns the knobs the two pipelines share.
 
 Every operator here is a top-level callable dataclass (not a closure) so a
 job can be pickled to worker processes under the runtime's ``processes``
@@ -75,7 +80,7 @@ __all__ = [
     "canonical_tables",
     "detect_hubs",
     "distance_to_targets",
-    "plain_key",
+    "is_hub_slice",
     "propagation_key",
     "run_dataflow",
     "suffix",
@@ -243,19 +248,19 @@ def suffix(src: int, dst: int, fanout: int) -> int:
     return zlib.crc32(f"{src}|{dst}".encode()) % fanout
 
 
-def propagation_key(dst: int, src: int, hubs, fanout: int, reindex_active: bool):
+def propagation_key(dst: int, src: int, hubs, fanout: int):
     """Shuffle key of an in-edge record ``src -> dst``: hub destinations
-    get a suffixed slice key (Figure 3), everything else the plain key."""
-    if not reindex_active:
-        return dst
+    get a suffixed slice key ``(dst, 1 + s)`` (Figure 3), everything else —
+    like every node's own self / out-edge records — the plain node id."""
     if dst in hubs:
         return (dst, 1 + suffix(src, dst, fanout))
-    return (dst, 0)
+    return dst
 
 
-def plain_key(node_id: int, reindex_active: bool):
-    """Shuffle key of a node's own (self / out-edge) records."""
-    return (node_id, 0) if reindex_active else node_id
+def is_hub_slice(key) -> bool:
+    """The keys a re-index round accepts: suffixed hub slices, and nothing
+    else — plain node ids go straight to the merge round."""
+    return type(key) is tuple
 
 
 # ---------------------------------------------------------- receptive field
@@ -395,13 +400,12 @@ class EdgeFanout:
 # ----------------------------------------------------------------- reducers
 @dataclass(frozen=True)
 class Routing:
-    """Where a node's records go next round: the shuffle-key dialect (hub
-    re-indexing) plus the receptive-field gate that makes propagation
+    """Where a node's records go next round: the shuffle key (hub slices
+    for re-indexing) plus the receptive-field gate that makes propagation
     demand-driven.  Shared by the Map phase and every Reduce round."""
 
     hubs: frozenset[int]
     fanout: int
-    reindex_active: bool
     needed: ReceptiveField
     in_record: Callable
     """``in_record(src, weight, edge_feat, info)``: the pipeline's in-edge
@@ -417,17 +421,14 @@ class Routing:
         destination, never per edge), so its sampling draw — and therefore
         the pipeline's output — is exactly the ungated pipeline's."""
         needed = self.needed
-        key = plain_key(node_id, self.reindex_active)
         if needed(node_id, next_round):
-            yield key, ("self", info)
+            yield node_id, ("self", info)
             later = [out for out in outs if needed(out.dst, next_round + 1)]
             if later:
-                yield key, ("out", later)
+                yield node_id, ("out", later)
         for out in outs:
             if needed(out.dst, next_round):
-                key = propagation_key(
-                    out.dst, node_id, self.hubs, self.fanout, self.reindex_active
-                )
+                key = propagation_key(out.dst, node_id, self.hubs, self.fanout)
                 yield key, ("in", self.in_record(node_id, out.weight, out.edge_feat, info))
 
 
@@ -462,8 +463,9 @@ class PrepareReducer:
 
 @dataclass(frozen=True)
 class PartialReducer:
-    """Re-indexed stage (Figure 3): pre-sample hub slices, then
-    inverted-index back to the original shuffle key."""
+    """Re-indexed stage (Figure 3): pre-sample one hub slice, then
+    inverted-index back to the hub's plain shuffle key.  Only slice keys
+    reach it (:func:`is_hub_slice`)."""
 
     sampler: SamplingStrategy
     in_record: type
@@ -474,12 +476,6 @@ class PartialReducer:
 
     def __call__(self, key, values):
         node_id, sfx = key
-        if sfx == 0:
-            # Non-hub records pass through unchanged (inverted index is a
-            # no-op for them).
-            for value in values:
-                yield node_id, value
-            return
         in_edges = [value[1] for value in values]  # only "in" records get suffixes
         yield node_id, ("partial", self.sampler.select(in_edges, node_id, salt=sfx))
 
@@ -562,12 +558,10 @@ def build_partition_plan(
     degree_pairs,
     hubs: frozenset[int],
     fanout: int,
-    reindex_active: bool,
     num_reducers: int,
     needed: ReceptiveField,
 ) -> PartitionPlan:
-    """Degree-aware placement plan covering every intermediate round's key
-    forms.
+    """Degree-aware placement plan covering every intermediate round's keys.
 
     A node's expected shuffle load is its in-degree — the number of ``in``
     records propagated to it each round, known before any round runs
@@ -577,16 +571,12 @@ def build_partition_plan(
     the planner balances what is actually shuffled.  Per remaining node of
     in-degree ``deg``, the weighted key set is:
 
-    * reindex off — the plain int key at weight ``deg`` (both the merge
-      rounds' routing and the no-hub case).
-    * reindex on, non-hub — ``(node, 0)`` at ``deg`` (routing into the
-      re-index rounds, where in-records pass through unsampled) and the
-      plain int at ``deg`` (routing into the merge rounds, whose keys are
-      inverted back to plain ids).
-    * reindex on, hub — each slice key ``(node, 1+s)`` at ``deg / fanout``
-      (the split the re-indexing performs), ``(node, 0)`` at ~2 (self +
-      out records only), and the plain int at ``2 + fanout`` (post-sampling
-      partials).
+    * non-hub — the plain int key at weight ``deg`` (its in-records go
+      straight to the merge rounds).
+    * hub — each slice key ``(node, 1+s)`` at ``deg / fanout`` (the split
+      the re-indexing performs, routing into the re-index rounds) and the
+      plain int at ``2 + fanout`` (self + out records and the post-sampling
+      partials, routing into the merge rounds).
 
     :func:`~repro.mapreduce.partition.plan_partitions` then LPT-packs the
     heavy head of that set; everything else keeps hashing."""
@@ -594,20 +584,14 @@ def build_partition_plan(
     def weighted():
         for node, deg in degree_pairs:
             node = int(node)
-            deg = float(deg)
             if not needed(node, 1):
                 continue
-            if not reindex_active:
-                yield node, deg
-            elif node in hubs:
-                share = deg / fanout
+            if node in hubs:
                 for s in range(1, fanout + 1):
-                    yield (node, s), share
-                yield (node, 0), 2.0
+                    yield (node, s), float(deg) / fanout
                 yield node, 2.0 + fanout
             else:
-                yield (node, 0), deg
-                yield node, deg
+                yield node, float(deg)
 
     return plan_partitions(weighted(), num_reducers)
 
@@ -676,8 +660,8 @@ def run_dataflow(
     fs: DistFileSystem | None = None,
     dataset_name: str,
 ) -> DataflowOutput:
-    """Run ``map -> [reindex, reduce] x K -> final`` over the Map input
-    ``rows`` and store the result.
+    """Run ``map -> [reindex (hub slices only), reduce] x K -> final`` over
+    the Map input ``rows`` and store the result.
 
     ``reducers`` holds one :class:`MessagePassingReducer` constructor per
     round (``K = len(reducers)``); ``final`` optionally names one more
@@ -698,8 +682,7 @@ def run_dataflow(
     row layout and in-memory results are collected by this process.
     """
     hubs = detect_hubs(degree_pairs, config.hub_threshold)
-    reindex_active = bool(hubs)
-    routing = Routing(hubs, config.reindex_fanout, reindex_active, needed, in_record)
+    routing = Routing(hubs, config.reindex_fanout, needed, in_record)
     sampler = config.make_sampler()
     total_rounds = len(reducers)
 
@@ -707,13 +690,18 @@ def run_dataflow(
     # K Reduce rounds, submitted as one chained sequence: every round is
     # reduce-only, so the runtime hands partitions reducer-to-reducer and
     # intermediate state never funnels through this process.
-    def job(stage: str, reducer) -> MapReduceJob:
-        return MapReduceJob(f"{name}-{stage}", reducer, num_reducers=config.num_reducers)
+    def job(stage: str, reducer, accepts=None) -> MapReduceJob:
+        return MapReduceJob(
+            f"{name}-{stage}", reducer, num_reducers=config.num_reducers, accepts=accepts
+        )
 
     jobs = [job("map", PrepareReducer(routing, seed))]
     for k, make_reducer in enumerate(reducers, start=1):
-        if reindex_active:
-            jobs.append(job(f"reduce{k}-reindex", PartialReducer(sampler, in_record)))
+        if hubs:
+            # A side stage: the round before sends it the hub slices and
+            # everything else straight on to ``reduce{k}``.
+            reindex = PartialReducer(sampler, in_record)
+            jobs.append(job(f"reduce{k}-reindex", reindex, accepts=is_hub_slice))
         fanout = edge_fanout if k == total_rounds else None
         jobs.append(
             job(f"reduce{k}", make_reducer(sampler, k, total_rounds, routing, fanout))
@@ -727,8 +715,7 @@ def run_dataflow(
     partition_broadcast = None
     if config.partitioner == "planned":
         plan = build_partition_plan(
-            degree_pairs, hubs, config.reindex_fanout, reindex_active,
-            config.num_reducers, needed,
+            degree_pairs, hubs, config.reindex_fanout, config.num_reducers, needed
         )
         partition_broadcast, planned = publish_plan(plan, runtime.needs_pickling)
         # The *final* round keeps the hash default: output record order is

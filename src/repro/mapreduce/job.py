@@ -94,6 +94,12 @@ class MapReduceJob:
     partitioner:
         ``(key, num_partitions) -> partition`` — deterministic; defaults to
         crc32 of the canonical key bytes.
+    accepts:
+        ``key -> bool`` — engine-internal (a dataflow driver sets it, never
+        a user): this round of a chain is a *side stage* that only takes the
+        keys it accepts.  The round before it routes every other key straight
+        into the round after it, which merges both rounds' output — see
+        :meth:`~repro.mapreduce.runtime.LocalRuntime.run_rounds`.
     """
 
     name: str
@@ -103,6 +109,7 @@ class MapReduceJob:
     num_reducers: int = 4
     num_mappers: int | None = None
     partitioner: Callable[[object, int], int] = field(default=default_partition)
+    accepts: Callable[[object], bool] | None = None
 
     def __post_init__(self):
         if self.num_reducers <= 0:

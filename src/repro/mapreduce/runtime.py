@@ -56,6 +56,22 @@ the job input directly instead of shipping chunks through identity map
 tasks, skipping one full IPC pass.  Record order is provably identical to
 the unchained execution (reduce-task order = the order identity map tasks
 would have preserved), so output stays byte-identical.
+
+Side stages: a chained job may *accept only some keys*
+(``MapReduceJob.accepts`` — set by a dataflow driver such as
+``repro.core.propagation.run_dataflow``, never by a user).  The round before
+it then splits its output: accepted keys go into the side stage's shuffle,
+every other key straight into the shuffle of the round *after* the side
+stage, partitioned by that round's partitioner.  The side stage writes its
+own output into that same layout (or bucket list) as additional writer
+tasks, numbered after the previous round's, so the round after it is an
+ordinary chained round whose k-way merge simply sees more runs — in memory,
+spilled, fetched over TCP or pushed to a shared directory alike, under the
+same atomic-write, retry, speculation and session-cleanup discipline.  A
+record the side stage has nothing to do with is never shuffled through it:
+GraphFlat/GraphInfer's hub re-index rounds take the hub slices and nothing
+else.  Within a reduce group the bypassing records arrive before the side
+stage's; a job that uses a side stage must not depend on that order.
 """
 
 from __future__ import annotations
@@ -258,27 +274,53 @@ class _CollectSink:
         return list(pairs)
 
 
+class _BucketWriter:
+    """In-memory twin of :class:`~repro.mapreduce.spill.SpillRunWriter`:
+    partitioned output as one list of pairs per partition."""
+
+    def __init__(self, num_partitions: int):
+        self._buckets: list[list[tuple]] = [[] for _ in range(num_partitions)]
+
+    def extend(self, pairs, partitioner: Callable) -> None:
+        buckets = self._buckets
+        num = len(buckets)
+        for key, value in pairs:
+            buckets[partitioner(key, num)].append((key, value))
+
+    def finish(self) -> list[list[tuple]]:
+        return self._buckets
+
+
 def _partition_pairs(pairs, partitioner: Callable, num_partitions: int):
-    buckets: list[list[tuple]] = [[] for _ in range(num_partitions)]
-    for key, value in pairs:
-        buckets[partitioner(key, num_partitions)].append((key, value))
-    return buckets
+    writer = _BucketWriter(num_partitions)
+    writer.extend(pairs, partitioner)
+    return writer.finish()
+
+
+class _ChainSink:
+    """A chained round's sink: ``writer(task_index)`` opens one reduce
+    task's partitioned output, ``store`` streams the task's pairs into it."""
+
+    def store(self, task_index: int, pairs):
+        writer = self.writer(task_index)
+        writer.extend(pairs, self.partitioner)
+        return writer.finish()
 
 
 @dataclass(frozen=True)
-class _MemoryChainSink:
+class _MemoryChainSink(_ChainSink):
     """Chained round (in-memory): partition output for the next round's
     reducers; the skipped identity map phase would have done the same."""
 
     partitioner: Callable
     num_partitions: int
 
-    def store(self, task_index: int, pairs):
-        return _partition_pairs(pairs, self.partitioner, self.num_partitions)
+    def writer(self, task_index: int) -> _BucketWriter:
+        return _BucketWriter(self.num_partitions)
 
 
 @dataclass(frozen=True)
-class _SpillChainSink:
+class _SpillChainSink(_ChainSink):
     """Chained round (spilled): partition output straight to the next
     round's shuffle files; only counters go back to the parent.
 
@@ -291,74 +333,121 @@ class _SpillChainSink:
     partitioner: Callable
     run_records: int = DEFAULT_RUN_RECORDS
     run_bytes: int = DEFAULT_RUN_BYTES
+    task_offset: int = 0
+    """Writer tasks already in the layout: a side stage writes after the
+    round before it, as tasks ``task_offset + p``."""
+
+    def writer(self, task_index: int):
+        return self.layout.run_writer(
+            self.task_offset + task_index,
+            run_records=self.run_records,
+            run_bytes=self.run_bytes,
+        )
+
+
+@dataclass(frozen=True)
+class _SplitSink:
+    """The round before a side stage: keys the side stage accepts go into
+    its shuffle, every other key straight into the shuffle of the round
+    after it.  Both outputs stream — neither is buffered whole."""
+
+    accepts: Callable
+    side: _MemoryChainSink | _SpillChainSink
+    main: _MemoryChainSink | _SpillChainSink
 
     def store(self, task_index: int, pairs):
-        writer = self.layout.run_writer(
-            task_index, run_records=self.run_records, run_bytes=self.run_bytes
-        )
-        writer.extend(pairs, self.partitioner)
-        return writer.finish()
+        side = self.side.writer(task_index)
+        main = self.main.writer(task_index)
+        accepts, side_partitioner = self.accepts, self.side.partitioner
+
+        def bypassing():
+            for pair in pairs:
+                if accepts(pair[0]):
+                    side.extend((pair,), side_partitioner)
+                else:
+                    yield pair
+
+        main.extend(bypassing(), self.main.partitioner)
+        return main.finish(), side.finish()
 
 
-@dataclass
+@dataclass(eq=False)
 class _ChainState:
-    """Parent-side handle on a chained round's pre-partitioned input."""
+    """Parent-side handle on one job's pre-partitioned shuffle input: what
+    the reducer tasks of the round before it wrote — preceded, when that
+    round is a side stage, by what the round before *that* routed past it
+    (lower-numbered writer tasks of the same layout / bucket list, so the
+    consuming round's merge simply sees more runs)."""
 
-    num_tasks: int
+    partitioner: Callable
+    num_partitions: int
+    accepts: Callable | None = None
+    """The consuming job's key filter (``MapReduceJob.accepts``)."""
     layout: SpillLayout | None = None
-    counts: list[list[int]] | None = None
-    buckets: list[list[list]] | None = None
-    byte_counts: list[tuple[int, ...]] | None = None
+    source_fn: Callable | None = None
+    """Transport-aware source factory ``(layout, partition, num_tasks) ->
+    source`` (parent-side only, never pickled)."""
+    num_tasks: int = 0
+    counts: list[list[int]] = field(default_factory=list)
+    byte_counts: list[tuple[int, ...] | None] = field(default_factory=list)
+    buckets: list[list[list]] = field(default_factory=list)
 
-    @property
-    def total_records(self) -> int:
-        if self.counts is not None:
-            return sum(sum(c) for c in self.counts)
-        return sum(len(b) for task in self.buckets for b in task)
+    def sink(self, run_records: int, run_bytes: int):
+        """Where the next writer round's reduce tasks put their output."""
+        if self.layout is None:
+            return _MemoryChainSink(self.partitioner, self.num_partitions)
+        return _SpillChainSink(
+            self.layout, self.partitioner, run_records, run_bytes, self.num_tasks
+        )
+
+    def add(self, stored, stats: RunStats) -> None:
+        """Fold in what one writer task reported."""
+        self.num_tasks += 1
+        if self.layout is None:
+            self.buckets.append(stored)
+            return
+        assert isinstance(stored, SpillWriteResult)
+        self.counts.append(stored.counts)
+        self.byte_counts.append(stored.partition_bytes)
+        stats.shuffle_bytes_written += stored.bytes_written
+        stats.peak_reducer_buffer_bytes = max(
+            stats.peak_reducer_buffer_bytes, stored.peak_buffer_bytes
+        )
 
     def partition_totals(self) -> tuple[list[int], list[int] | None]:
         """Per-partition (records, file bytes) summed over writer tasks —
-        what the consuming round reports as its shuffle skew.  Bytes are
-        ``None`` for in-memory chains."""
-        if self.counts is not None:
-            num = self.layout.num_partitions
-            records = [0] * num
-            for task in self.counts:
-                for p, n in enumerate(task):
-                    records[p] += n
-            nbytes = None
-            if self.byte_counts and all(t is not None for t in self.byte_counts):
-                nbytes = [0] * num
-                for task in self.byte_counts:
-                    for p, b in enumerate(task):
-                        nbytes[p] += b
-            return records, nbytes
-        num = len(self.buckets[0]) if self.buckets else 0
-        records = [0] * num
-        for task in self.buckets:
-            for p, bucket in enumerate(task):
-                records[p] += len(bucket)
-        return records, None
-
-    source_fn: Callable | None = None
-    """Transport-aware source factory ``(layout, partition, num_tasks) ->
-    source`` (parent-side only, never pickled); ``None`` falls back to the
-    direct-read :class:`_SpillSource`."""
+        what the consuming round reports as its shuffle volume and skew.
+        Bytes are ``None`` for in-memory chains."""
+        records = [0] * self.num_partitions
+        if self.layout is None:
+            for task in self.buckets:
+                for p, bucket in enumerate(task):
+                    records[p] += len(bucket)
+            return records, None
+        for task in self.counts:
+            for p, n in enumerate(task):
+                records[p] += n
+        nbytes = None
+        if all(t is not None for t in self.byte_counts):
+            nbytes = [0] * self.num_partitions
+            for task in self.byte_counts:
+                for p, b in enumerate(task):
+                    nbytes[p] += b
+        return records, nbytes
 
     def source(self, partition: int):
         if self.layout is not None:
-            if self.source_fn is not None:
-                return self.source_fn(self.layout, partition, self.num_tasks)
-            return _SpillSource(self.layout, partition, self.num_tasks)
+            return self.source_fn(self.layout, partition, self.num_tasks)
         merged: list[tuple] = []
         for task in self.buckets:
             merged.extend(task[partition])
         return _MemorySource(merged)
 
     def cleanup(self) -> None:
+        self.buckets = []
         if self.layout is not None:
-            # The layout owns a per-round private directory — removing it
-            # wholesale also drops .tmp partials from crashed attempts.
+            # The layout owns a private directory — removing it wholesale
+            # also drops .tmp partials from crashed attempts.
             shutil.rmtree(self.layout.root, ignore_errors=True)
 
 
@@ -522,6 +611,34 @@ def _chainable(job: MapReduceJob) -> bool:
     return job.mapper is identity_mapper and job.combiner is None
 
 
+def _check_side_stages(jobs: list[MapReduceJob]) -> None:
+    """A job that ``accepts`` only some keys sits *between* two rounds of a
+    chain: the round before it routes the other keys past it, the round
+    after it merges both streams.  Anything else is ill-formed."""
+    for i, job in enumerate(jobs):
+        if job.accepts is None:
+            continue
+        if i == 0 or i == len(jobs) - 1:
+            raise ValueError(
+                f"job {job.name!r} accepts only some keys, so it must sit "
+                "between two rounds of a chain — it cannot be the "
+                f"{'first' if i == 0 else 'last'} job"
+            )
+        if jobs[i + 1].accepts is not None:
+            raise ValueError(
+                f"jobs {job.name!r} and {jobs[i + 1].name!r} both accept only "
+                "some keys; the keys a side stage does not accept need an "
+                "ordinary round to go to"
+            )
+        for other in (job, jobs[i + 1]):
+            if not _chainable(other):
+                raise ValueError(
+                    f"job {job.name!r} accepts only some keys, which needs "
+                    f"reducer-to-reducer chaining, but job {other.name!r} has "
+                    "a mapper or combiner"
+                )
+
+
 class LocalRuntime:
     """Runs MapReduce jobs locally with retries and optional disk spill."""
 
@@ -641,10 +758,11 @@ class LocalRuntime:
     def run(self, job: MapReduceJob, inputs: Iterable[tuple]) -> list[tuple]:
         """Execute one round; returns the reducer output pairs, ordered by
         (reduce partition, key order within partition)."""
+        _check_side_stages([job])
         job = self._resolve_partitioner(job)
         if self._backend.needs_pickling:
             self._check_shippable(job)
-        output, stats = self._run_one(job, list(inputs), incoming=None, next_job=None)
+        output, stats = self._run_one(job, list(inputs), incoming=None)
         self.round_stats = [stats]
         self.last_stats = stats
         return output
@@ -661,6 +779,11 @@ class LocalRuntime:
         — see the module docstring.  Per-round counters land in
         ``round_stats``; ``last_stats`` holds their merge.
 
+        A job that ``accepts`` only some keys is a *side stage*: the round
+        before it sends the keys it accepts into its shuffle and every other
+        key straight into the shuffle of the round after it, where the side
+        stage's own output joins them.
+
         ``final_sink`` replaces the terminal collect: instead of shipping
         the last round's output pairs back to the parent, each final
         reducer streams its pairs into ``final_sink.store(task_index,
@@ -670,6 +793,7 @@ class LocalRuntime:
         data = list(inputs)
         if not jobs:
             return data
+        _check_side_stages(jobs)
         jobs = [self._resolve_partitioner(job) for job in jobs]
         if self._backend.needs_pickling:
             for job in jobs:
@@ -678,27 +802,44 @@ class LocalRuntime:
                 self._check_shippable(final_sink, what="final sink")
         self.round_stats = []
         merged = RunStats(job="+".join(j.name for j in jobs))
-        incoming: _ChainState | None = None
+        live: list[_ChainState] = []
+
+        def open_chain(index: int) -> _ChainState:
+            # Round-unique spill namespace: consecutive jobs may share a
+            # name, and one round's chain input must not collide with the
+            # files the next round's input is being written to.
+            state = self._open_chain(f"chain{index:04d}.{jobs[index].name}", jobs[index])
+            live.append(state)
+            return state
+
+        incoming: _ChainState | None = None  # this round's input
+        bypassed: _ChainState | None = None  # next round's, begun past a side stage
         try:
             for i, job in enumerate(jobs):
-                next_job = jobs[i + 1] if i + 1 < len(jobs) else None
-                if next_job is not None and not _chainable(next_job):
-                    next_job = None
-                # Round-unique spill namespace: consecutive jobs may share a
-                # name, and round i+1's chain input must not collide with
-                # the files round i+2's input is being written to.
-                chain_name = None if next_job is None else f"chain{i + 1:04d}.{next_job.name}"
+                chain = side = None
+                if bypassed is not None:
+                    chain, bypassed = bypassed, None
+                elif i + 1 < len(jobs) and _chainable(jobs[i + 1]):
+                    if jobs[i + 1].accepts is not None:
+                        side, chain = open_chain(i + 1), open_chain(i + 2)
+                    else:
+                        chain = open_chain(i + 1)
                 sink = final_sink if i == len(jobs) - 1 else None
-                result, stats = self._run_one(job, data, incoming, next_job, chain_name, sink)
+                data, stats = self._run_one(job, data, incoming, chain, side, sink)
                 self.round_stats.append(stats)
                 merged.merge(stats)
-                if isinstance(result, _ChainState):
-                    incoming, data = result, []
+                if incoming is not None:  # consumed: free it before the next round
+                    incoming.cleanup()
+                    live.remove(incoming)
+                if side is not None:
+                    incoming, bypassed = side, chain
                 else:
-                    incoming, data = None, result
+                    incoming = chain
         finally:
-            if incoming is not None:  # exception mid-chain: drop spill files
-                incoming.cleanup()
+            # Empty unless a round raised: drop its input and whatever was
+            # written for the rounds that never ran.
+            for state in live:
+                state.cleanup()
         self.last_stats = merged
         return data
 
@@ -744,27 +885,52 @@ class LocalRuntime:
         )
         return str(self._session_dir)
 
+    def _new_layout(self, name: str, job: MapReduceJob, spill_root: str) -> SpillLayout:
+        """A private directory for one shuffle — the records on their way
+        into ``job``'s reducers — and the layout of its run files.
+        Deterministic file names from an earlier failed run can never leak
+        records into this one, and cleanup is one rmtree."""
+        run_dir = tempfile.mkdtemp(prefix=f"{name}.", dir=spill_root)
+        self._transport.register_root(run_dir)
+        return SpillLayout(
+            run_dir,
+            name,
+            job.num_reducers,
+            codec=self.shuffle_codec,
+            partition_tag=spill_tag(job.partitioner),
+            partition_subdirs=self._transport.partition_subdirs,
+        )
+
+    def _open_chain(self, name: str, job: MapReduceJob) -> _ChainState:
+        """Begin the pre-partitioned shuffle input of ``job``, to be written
+        by the reduce tasks of the round (or two) before it."""
+        state = _ChainState(job.partitioner, job.num_reducers, job.accepts)
+        spill_root = self._spill_root()
+        if spill_root is not None:
+            state.layout = self._new_layout(name, job, spill_root)
+            state.source_fn = self._transport.source
+        return state
+
     def _run_one(
         self,
         job: MapReduceJob,
         data: list[tuple],
         incoming: _ChainState | None,
-        next_job: MapReduceJob | None,
-        chain_name: str | None = None,
+        chain: _ChainState | None = None,
+        side: _ChainState | None = None,
         final_sink=None,
     ):
         """One map -> shuffle -> reduce round.  ``incoming`` replaces the
-        map phase with pre-partitioned chain input; ``next_job`` makes the
-        reduce phase emit chain input for the following round instead of
-        collecting output pairs; ``final_sink`` replaces the terminal
-        collect with a reducer-owned store (per-partition summaries come
-        back instead of pairs)."""
+        map phase with pre-partitioned chain input; ``chain`` makes the
+        reduce phase write the following round's chain input instead of
+        collecting output pairs — except for the keys ``side`` accepts,
+        which go into that side stage's input; ``final_sink`` replaces the
+        terminal collect with a reducer-owned store (per-partition summaries
+        come back instead of pairs)."""
         stats = RunStats(job=job.name)
         injected_before = self.injector.injected if self.injector is not None else 0
         spill_root = self._spill_root()
-        consumed: _ChainState | None = incoming
-        chain: _ChainState | None = None
-        success = False
+        layout: SpillLayout | None = None
 
         try:
             if incoming is None and _chainable(job):
@@ -777,20 +943,10 @@ class LocalRuntime:
                 stats.mapped_records = len(data)
                 stats.shuffled_records = len(data)
                 if spill_root is not None:
-                    run_dir = tempfile.mkdtemp(prefix=f"{job.name}.", dir=spill_root)
-                    self._transport.register_root(run_dir)
-                    layout = SpillLayout(
-                        run_dir,
-                        job.name,
-                        job.num_reducers,
-                        codec=self.shuffle_codec,
-                        partition_tag=spill_tag(job.partitioner),
-                        partition_subdirs=self._transport.partition_subdirs,
-                    )
-                    # Chain state before the write: if encoding fails
-                    # mid-spill, the finally block still removes the run
-                    # directory (and any .tmp partial).
-                    consumed = _ChainState(num_tasks=1, layout=layout)
+                    # Layout before the write: if encoding fails mid-spill,
+                    # the finally block still removes the run directory
+                    # (and any .tmp partial).
+                    layout = self._new_layout(job.name, job, spill_root)
                     writer = layout.run_writer(
                         0,
                         run_records=self.spill_run_records,
@@ -810,22 +966,8 @@ class LocalRuntime:
                     sources = [_MemorySource(b) for b in buckets]
             elif incoming is None:
                 stats.input_records = len(data)
-                layout = None
                 if spill_root is not None:
-                    # Private per-round directory: deterministic file names
-                    # from an earlier failed run can never leak records into
-                    # this one, and cleanup is one rmtree.
-                    run_dir = tempfile.mkdtemp(prefix=f"{job.name}.", dir=spill_root)
-                    self._transport.register_root(run_dir)
-                    layout = SpillLayout(
-                        run_dir,
-                        job.name,
-                        job.num_reducers,
-                        codec=self.shuffle_codec,
-                        partition_tag=spill_tag(job.partitioner),
-                        partition_subdirs=self._transport.partition_subdirs,
-                    )
-                    consumed = _ChainState(num_tasks=job.effective_mappers, layout=layout)
+                    layout = self._new_layout(job.name, job, spill_root)
                 map_outputs = self._map_phase(job, data, stats, layout)
                 if layout is None:
                     sources = []
@@ -848,55 +990,35 @@ class LocalRuntime:
             else:
                 # Chained round: the identity map phase is skipped — the
                 # records are already partitioned for this job's reducers.
-                total = incoming.total_records
+                records, nbytes = incoming.partition_totals()
+                total = sum(records)
                 stats.input_records = total
                 stats.mapped_records = total
                 stats.shuffled_records = total
-                records, nbytes = incoming.partition_totals()
                 _note_partitions(stats, records, nbytes)
                 sources = [incoming.source(p) for p in range(job.num_reducers)]
 
-            if next_job is None:
+            if chain is None:
                 sink = final_sink if final_sink is not None else _CollectSink()
-            elif spill_root is not None:
-                chain_dir = tempfile.mkdtemp(prefix=f"{chain_name}.", dir=spill_root)
-                self._transport.register_root(chain_dir)
-                chain_layout = SpillLayout(
-                    chain_dir,
-                    chain_name,
-                    next_job.num_reducers,
-                    codec=self.shuffle_codec,
-                    partition_tag=spill_tag(next_job.partitioner),
-                    partition_subdirs=self._transport.partition_subdirs,
-                )
-                sink = _SpillChainSink(
-                    chain_layout,
-                    next_job.partitioner,
-                    run_records=self.spill_run_records,
-                    run_bytes=self.spill_run_bytes,
-                )
-                chain = _ChainState(
-                    num_tasks=job.num_reducers,
-                    layout=chain_layout,
-                    counts=[],
-                    byte_counts=[],
-                    source_fn=self._transport.source,
-                )
             else:
-                sink = _MemoryChainSink(next_job.partitioner, next_job.num_reducers)
-                chain = _ChainState(num_tasks=job.num_reducers, buckets=[])
+                sink = chain.sink(self.spill_run_records, self.spill_run_bytes)
+                if side is not None:
+                    sink = _SplitSink(
+                        side.accepts,
+                        side.sink(self.spill_run_records, self.spill_run_bytes),
+                        sink,
+                    )
 
             tasks = [
                 (f"reduce-{p}", _reduce_task, (job, sources[p], sink, p))
                 for p in range(job.num_reducers)
             ]
             results = self._execute(job.name, tasks, stats, phase="reduce")
-            success = True
         finally:
-            if consumed is not None:
-                consumed.cleanup()
-            if not success and chain is not None:
-                chain.cleanup()
+            # The shuffle this round spilled for itself is spent, whether it
+            # finished or failed (chain input belongs to ``run_rounds``).
+            if layout is not None:
+                shutil.rmtree(layout.root, ignore_errors=True)
 
         output: list = []
         for p, (stored, reduced, groups, biggest) in enumerate(results):
@@ -908,21 +1030,16 @@ class LocalRuntime:
                     output.append(stored)  # per-partition sink summary
                 else:
                     output.extend(stored)
-            elif chain.layout is not None:
-                assert isinstance(stored, SpillWriteResult)
-                chain.counts.append(stored.counts)
-                chain.byte_counts.append(stored.partition_bytes)
-                stats.shuffle_bytes_written += stored.bytes_written
-                stats.peak_reducer_buffer_bytes = max(
-                    stats.peak_reducer_buffer_bytes, stored.peak_buffer_bytes
-                )
+            elif side is None:
+                chain.add(stored, stats)
             else:
-                chain.buckets.append(stored)
+                chain.add(stored[0], stats)
+                side.add(stored[1], stats)
 
         if self.injector is not None:
             stats.injected_failures = self.injector.injected - injected_before
         self._transport.account(stats)
-        return (chain if chain is not None else output), stats
+        return output, stats
 
     def _attempt_spec(self, fault: str | None) -> AttemptSpec | None:
         """Worker-side instructions for one attempt; ``None`` when there is

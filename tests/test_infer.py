@@ -377,7 +377,7 @@ class TestSliceTransportMatrix:
         broadcast, located = broadcast_slices(slices)
         try:
             sampler = make_sampler("uniform", 10, 0)
-            routing = Routing(frozenset(), 8, False, ReceptiveField(None, 2), _InEmb)
+            routing = Routing(frozenset(), 8, ReceptiveField(None, 2), _InEmb)
 
             def reducer(mslice):
                 return EmbeddingReducer(sampler, 1, 2, routing, mslice=mslice)

@@ -14,6 +14,7 @@ from repro.mapreduce import (
     BACKEND_REGISTRY,
     DistFileSystem,
     FailureInjector,
+    FaultPlan,
     JobFailedError,
     LocalRuntime,
     MapReduceJob,
@@ -800,3 +801,222 @@ class TestDeterminismProperty:
             failure_injector=FailureInjector(rate, seed=seed) if rate else None,
         )
         assert sorted(runtime.run(job, data)) == baseline
+
+
+# ------------------------------------------------------------------ side stages
+# A job that ``accepts`` only some keys: the round before it routes every
+# other key straight into the round after it.  The oracle is the same chain
+# with the filter taken off and a middle reducer that passes those keys
+# through by hand — the full extra shuffle the side stage exists to avoid.
+
+
+def spread_reducer(key, values):
+    """Round *i*: plain int keys for most records, tuple keys for a few."""
+    for value in values:
+        yield key, value
+        yield (key + value) % 7, value + 1
+        if value % 3 == 0:
+            yield (key % 5, 1 + value % 2), value
+
+
+def is_tuple_key(key):
+    return type(key) is tuple
+
+
+def fold_reducer(key, values):
+    """The side stage: only ever sees tuple keys."""
+    base, _ = key
+    yield base, ("sum", sum(values))
+
+
+def fold_or_pass_reducer(key, values):
+    """The oracle's middle round: folds tuple keys, passes the rest on."""
+    if type(key) is tuple:
+        yield from fold_reducer(key, values)
+        return
+    for value in values:
+        yield key, value
+
+
+def canonical_reducer(key, values):
+    """Round *i+2*: arrival order within a group is not part of the
+    contract (the two chains interleave writers differently)."""
+    yield key, sorted(values, key=repr)
+
+
+def respread_reducer(key, values):
+    """A merge round that itself feeds another side stage."""
+    for value in values:
+        n = value[1] if type(value) is tuple else value
+        yield from spread_reducer(key, [n % 11])
+
+
+SIDE_INPUT = [(i % 13, i) for i in range(240)]
+
+
+def side_chain(side: bool, long: bool = False) -> list[MapReduceJob]:
+    def job(name, reducer, **kwargs):
+        return MapReduceJob(name, reducer, num_reducers=3, **kwargs)
+
+    def middle(name):
+        if side:
+            return job(name, fold_reducer, accepts=is_tuple_key)
+        return job(name, fold_or_pass_reducer)
+
+    jobs = [job("spread", spread_reducer), middle("fold")]
+    if long:
+        jobs += [job("respread", respread_reducer), middle("fold2")]
+    return jobs + [job("collect", canonical_reducer)]
+
+
+def side_runtime(backend, shuffle, transport, tmp_path, **kwargs) -> LocalRuntime:
+    spill = shuffle == "spill" or transport != "local"
+    return LocalRuntime(
+        backend=backend, max_workers=2, shuffle_transport=transport,
+        spill_dir=tmp_path / "spill" if spill else None,
+        spill_run_records=64,  # several runs per writer: a real k-way merge
+        **kwargs,
+    )
+
+
+SIDE_MATRIX = [
+    (backend, shuffle, transport)
+    for backend in ("serial", "threads", "processes")
+    for shuffle, transport in [
+        ("memory", "local"), ("spill", "local"), ("spill", "tcp"), ("spill", "shared-dir"),
+    ]
+    if (backend, shuffle) != ("processes", "memory")  # that backend always spills
+]
+
+
+class RoundFaults(FaultPlan):
+    """Fault plan aimed at one round: the first attempt of every task of
+    ``job`` draws ``kind``; every other attempt runs clean."""
+
+    def __init__(self, job: str, kind: str):
+        super().__init__({kind: 1.0}, seed=0, slow_s=0.01, hang_limit_s=30.0)
+        self.job = job
+
+    def draw(self, job_name, task_id, attempt):
+        if job_name != self.job or attempt > 0:
+            return None
+        return super().draw(job_name, task_id, attempt)
+
+
+class TestSideStage:
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return {
+            long: LocalRuntime().run_rounds(side_chain(False, long), SIDE_INPUT)
+            for long in (False, True)
+        }
+
+    @pytest.mark.parametrize("long", [False, True], ids=["3-jobs", "5-jobs"])
+    @pytest.mark.parametrize("backend,shuffle,transport", SIDE_MATRIX)
+    def test_equals_the_explicit_pass_through_chain(
+        self, expected, tmp_path, backend, shuffle, transport, long
+    ):
+        with side_runtime(backend, shuffle, transport, tmp_path) as runtime:
+            out = runtime.run_rounds(side_chain(True, long), SIDE_INPUT)
+            stats = {s.job: s for s in runtime.round_stats}
+        assert out == expected[long]
+        # only the accepted keys took the extra shuffle ...
+        spread = LocalRuntime().run(side_chain(True)[0], SIDE_INPUT)
+        tuples = sum(1 for key, _ in spread if type(key) is tuple)
+        assert 0 < tuples < len(spread) // 4
+        assert stats["fold"].shuffled_records == tuples
+        # ... and the merge round saw the rest plus what the side stage made
+        assert stats["fold"].reduced_records == len({k for k, _ in spread if type(k) is tuple})
+        merge = "respread" if long else "collect"
+        assert stats[merge].shuffled_records == (
+            len(spread) - tuples + stats["fold"].reduced_records
+        )
+        if shuffle == "spill":
+            assert stats["spread"].shuffle_bytes_written > 0
+            assert not list((tmp_path / "spill").rglob("*.bin"))
+            assert not list((tmp_path / "spill").rglob("*.pkl"))
+
+    @pytest.mark.parametrize("victim", ["spread", "fold", "collect"])
+    @pytest.mark.parametrize(
+        "kind", ["crash", "hang", "slow", "corrupt-run", "truncate-run", "conn-reset"]
+    )
+    def test_faults_in_any_of_the_three_rounds_change_nothing(
+        self, expected, tmp_path, kind, victim
+    ):
+        """A retried side-stage attempt rewrites its own runs in the shared
+        layout (writer indices past the previous round's) — it can neither
+        duplicate nor lose what the round before routed past it."""
+        plan = RoundFaults(victim, kind)
+        with side_runtime(
+            "threads", "spill", "tcp" if kind == "conn-reset" else "local", tmp_path,
+            failure_injector=plan, max_attempts=3,
+            task_timeout_s=0.5 if kind == "hang" else None,
+        ) as runtime:
+            out = runtime.run_rounds(side_chain(True), SIDE_INPUT)
+            attempts = {s.job: s.reduce_attempts for s in runtime.round_stats}
+        assert out == expected[False]
+        assert plan.injected_by_kind[kind] == 3  # one per task of the victim round
+        retried = kind != "slow"
+        assert attempts == {
+            name: 6 if retried and name == victim else 3
+            for name in ("spread", "fold", "collect")
+        }
+
+    @pytest.mark.parametrize("victim", ["spread", "fold", "collect"])
+    @pytest.mark.parametrize("kind", ["crash", "corrupt-run"])
+    def test_faults_under_the_process_backend(self, expected, tmp_path, kind, victim):
+        plan = RoundFaults(victim, kind)
+        with side_runtime(
+            "processes", "spill", "local", tmp_path, failure_injector=plan
+        ) as runtime:
+            assert runtime.run_rounds(side_chain(True), SIDE_INPUT) == expected[False]
+        assert plan.injected_by_kind[kind] == 3
+
+    @pytest.mark.parametrize("victim", ["spread", "fold", "collect"])
+    @pytest.mark.parametrize("transport", ["local", "shared-dir"])
+    def test_a_failed_chain_leaves_no_run_directory_behind(
+        self, tmp_path, transport, victim
+    ):
+        runtime = side_runtime(
+            "serial", "spill", transport, tmp_path,
+            failure_injector=RoundFaults(victim, "crash"), max_attempts=1,
+        )
+        with pytest.raises(JobFailedError):
+            runtime.run_rounds(side_chain(True), SIDE_INPUT)
+        session = [p for p in (tmp_path / "spill").iterdir()]
+        assert len(session) == 1 and not list(session[0].iterdir())
+        runtime.close()
+        assert not list((tmp_path / "spill").iterdir())
+
+    def test_ill_formed_chains_raise_naming_the_job(self):
+        plain = MapReduceJob("plain", canonical_reducer)
+        side = MapReduceJob("side", fold_reducer, accepts=is_tuple_key)
+        runtime = LocalRuntime()
+        with pytest.raises(ValueError, match="'side'.*first job"):
+            runtime.run_rounds([side, plain, plain], SIDE_INPUT)
+        with pytest.raises(ValueError, match="'side'.*last job"):
+            runtime.run_rounds([plain, side], SIDE_INPUT)
+        with pytest.raises(ValueError, match="'side'.*first job"):
+            runtime.run(side, SIDE_INPUT)
+        other = MapReduceJob("side2", fold_reducer, accepts=is_tuple_key)
+        with pytest.raises(ValueError, match="'side' and 'side2' both accept"):
+            runtime.run_rounds([plain, side, other, plain], SIDE_INPUT)
+        mapped = MapReduceJob("mapped", canonical_reducer, mapper=emit_mapper)
+        with pytest.raises(ValueError, match="'side'.*'mapped' has a mapper or combiner"):
+            runtime.run_rounds([plain, side, mapped], SIDE_INPUT)
+        combined = MapReduceJob(
+            "side", fold_reducer, accepts=is_tuple_key, combiner=SumCombiner()
+        )
+        with pytest.raises(ValueError, match="'side'.*'side' has a mapper or combiner"):
+            runtime.run_rounds([plain, combined, plain], SIDE_INPUT)
+        # a mapper on the round *before* is fine: its reducers still split
+        out = runtime.run_rounds([mapped, side, plain], [(0, p) for p in SIDE_INPUT])
+        assert out
+
+    def test_unpicklable_predicate_rejected_with_guidance(self):
+        jobs = side_chain(True)
+        jobs[1].accepts = lambda key: type(key) is tuple
+        with LocalRuntime("processes", max_workers=2) as runtime:
+            with pytest.raises(TypeError, match="'fold' cannot be shipped"):
+                runtime.run_rounds(jobs, SIDE_INPUT)
+

@@ -428,29 +428,30 @@ class TestPipelinePartitionerMatrix:
             assert np.array_equal(planned.scores[node_id], scores)
 
     def test_build_partition_plan_covers_reindexed_key_forms(self):
-        """The degree-fed plan must speak both key dialects of the pipeline:
-        plain int node ids (the merge rounds' inverted index) and
-        ``(node, suffix)`` propagation keys.  A re-indexed hub's load lives
-        in its slice keys (its plain key carries only post-sampling
-        partials); a heavy *non-hub* node keeps both forms."""
+        """The degree-fed plan must speak both key forms of the pipeline:
+        plain int node ids (everything the merge rounds receive) and the
+        ``(hub, 1 + slice)`` keys the re-index rounds receive.  A re-indexed
+        hub's load lives in its slice keys (its plain key carries only self /
+        out records and post-sampling partials); a heavy *non-hub* node has
+        its plain key only — its records never see a re-index round."""
         degrees = [(1, 1000), (2, 100)] + [(n, 1) for n in range(10, 40)]
         everything = ReceptiveField(None, 2)
         plan = build_partition_plan(
-            degrees, frozenset({1}), fanout=4, reindex_active=True,
-            num_reducers=4, needed=everything,
+            degrees, frozenset({1}), fanout=4, num_reducers=4, needed=everything
         )
         for s in range(1, 5):  # the hub's split slices are the heavy keys
             assert key_bytes((1, s)) in plan.assignments
-        assert key_bytes((2, 0)) in plan.assignments  # reindex-round routing
         assert key_bytes(2) in plan.assignments  # merge-round routing
-        # reindex off: plain keys only, at full degree weight
+        tuple_keys = {key_bytes((node, s)) for node, _ in degrees for s in range(6)}
+        assert tuple_keys & set(plan.assignments) == {
+            key_bytes((1, s)) for s in range(1, 5)
+        }
+        # no hubs: plain keys only, at full degree weight
         flat = build_partition_plan(
-            degrees, frozenset(), fanout=4, reindex_active=False,
-            num_reducers=4, needed=everything,
+            degrees, frozenset(), fanout=4, num_reducers=4, needed=everything
         )
         assert key_bytes(1) in flat.assignments
-        assert all(isinstance(k, bytes) for k in flat.assignments)
-        assert key_bytes((1, 0)) not in flat.assignments
+        assert not tuple_keys & set(flat.assignments)
 
     def test_build_partition_plan_follows_the_receptive_field(self):
         """Propagation is demand-driven: a node no target can be reached
@@ -461,8 +462,7 @@ class TestPipelinePartitionerMatrix:
         # node 1 sits 2 hops away (only ever *sends*).
         needed = ReceptiveField({2: 1, 1: 2, 10: 0}, 2)
         plan = build_partition_plan(
-            degrees, frozenset(), fanout=4, reindex_active=False,
-            num_reducers=4, needed=needed,
+            degrees, frozenset(), fanout=4, num_reducers=4, needed=needed
         )
         assert key_bytes(2) in plan.assignments
         assert key_bytes(1) not in plan.assignments

@@ -23,7 +23,9 @@ from repro.core.infer.pipeline import _InEmb
 from repro.mapreduce.shuffle import decode_key, key_bytes
 from repro.mapreduce.spill import SpillLayout, _decode_key_table
 from repro.proto.framing import (
+    _RECORDS_BY_CLS,
     FrameCorruptionError,
+    approx_nbytes,
     decode_block,
     decode_value,
     encode_block,
@@ -447,11 +449,50 @@ def engine_records(draw):
     return ("end", draw(st.integers(0, 1)), self_info())
 
 
+def recursive_nbytes(value) -> int:
+    """``approx_nbytes`` as it was before records carried a per-class sizer
+    (kept verbatim): run boundaries and ``shuffle_bytes_written`` are
+    functions of these values, so the sizer must return exactly them."""
+    kind = type(value)
+    if kind is tuple or kind is list:
+        items = value
+    elif kind is np.ndarray:
+        return 8 + value.nbytes
+    elif kind is bytes or kind is str:
+        return 8 + len(value)
+    else:
+        record = _RECORDS_BY_CLS.get(kind)
+        if record is None:
+            return 8
+        items = record.fields_of(value)
+    total = 8
+    for item in items:
+        kind = type(item)
+        if kind is int or kind is float or item is None:
+            total += 8
+        elif kind is np.ndarray:
+            total += 8 + item.nbytes
+        elif kind is bytes or kind is str:
+            total += 8 + len(item)
+        else:
+            total += recursive_nbytes(item)
+    return total
+
+
 class TestBlockCodec:
     @given(st.lists(GENERIC | engine_records(), max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_mixed_block_round_trip_property(self, values):
         block_round_trip(values)
+
+    @given(st.lists(GENERIC | engine_records(), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_record_sizers_size_exactly_like_the_recursive_walk(self, values):
+        assert approx_nbytes(values) == recursive_nbytes(values)
+        for value in values:  # top level, nested in a pair, bare record
+            assert approx_nbytes(value) == recursive_nbytes(value)
+            if type(value) is tuple and len(value) > 1:
+                assert approx_nbytes(value[-1]) == recursive_nbytes(value[-1])
 
     def test_engine_chunk_uses_no_fallback_column(self):
         """A chunk as GraphInfer spills it: every value has a column form,
