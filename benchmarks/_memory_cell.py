@@ -90,7 +90,6 @@ def run_train(args) -> dict:
             pipeline=True,
             prefetch_backend="processes",
             prefetch_workers=args.workers,
-            prefetch_transport=args.transport,
         ),
     )
     start = time.perf_counter()
@@ -104,7 +103,6 @@ def main() -> int:
     parser.add_argument("stage", choices=["graphflat", "train"])
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--scale", type=int, default=1)
-    parser.add_argument("--transport", default="auto")
     args = parser.parse_args()
     out = run_graphflat(args) if args.stage == "graphflat" else run_train(args)
     json.dump(out, sys.stdout)

@@ -42,7 +42,7 @@ def bench_pipeline_ablation(benchmark, bench_uug, uug_flat, pipeline):
         model,
         TrainerConfig(
             batch_size=32, epochs=1, lr=0.01, task="binary", seed=0,
-            pipeline=pipeline, prefetch=4,
+            pipeline=pipeline,
         ),
     )
     trainer.timers = TimerRegistry(keep_intervals=True)

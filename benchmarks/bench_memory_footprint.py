@@ -104,8 +104,7 @@ GRID = [
     ("graphflat", dict(workers=2, scale=1)),
     ("graphflat", dict(workers=8, scale=1)),
     ("graphflat", dict(workers=8, scale=8)),
-    ("train", dict(workers=8, transport="pickle")),
-    ("train", dict(workers=8, transport="shm")),
+    ("train", dict(workers=8)),
 ]
 
 
@@ -125,8 +124,8 @@ def _run_cell(stage: str, **options) -> dict:
 def bench_dataflow_memory_grid(benchmark):
     """Constant-memory dataflow at 8 workers: as the GraphFlat input grows
     8x, spilled bytes grow with it but the reducer-side buffering
-    high-water mark stays pinned at the run bound; the trainer rows compare
-    the shm batch handoff against whole-batch pickling."""
+    high-water mark stays pinned at the run bound; the trainer row is a
+    process prefetch pool handing batches back through shm slabs."""
 
     def run_grid():
         return [(stage, opts, _run_cell(stage, **opts)) for stage, opts in GRID]

@@ -93,9 +93,9 @@ def bench_table4(benchmark, bench_ppi, ppi_flat_by_hops, model_name, depth, vari
 
 # --------------------------------------------------------------------------
 # Trainer ingest: DFS shard layout x preprocessing pool.  The grid measures
-# the *storage-layer* cost the columnar refactor removes: a row epoch must
-# varint-decode every sample before vectorizing, a columnar epoch slices
-# batches straight out of the mmap'd shard matrices.
+# the *storage-layer* cost the columnar format removes: an epoch over a
+# legacy row dataset must varint-decode every sample before vectorizing, a
+# columnar epoch slices batches straight out of the mmap'd shard matrices.
 
 INGEST_GRID = [
     ("row", "threads", 1),
@@ -108,18 +108,19 @@ INGEST_GRID = [
 
 @pytest.fixture(scope="session")
 def ppi_dfs_by_layout(tmp_path_factory, bench_ppi):
-    """The Table 4 PPI training set written to a DFS in both layouts."""
+    """The Table 4 PPI training set on a DFS in both layouts: columnar as
+    GraphFlat writes it, row as a dataset from before the columnar format
+    (the same samples through the DFS's generic record writer)."""
     ds = bench_ppi
     fs = DistFileSystem(tmp_path_factory.mktemp("table4-dfs"))
-    for layout in ("row", "columnar"):
-        config = GraphFlatConfig(
-            hops=2, max_neighbors=15, hub_threshold=10**9, seed=0,
-            num_shards=4, dataset_layout=layout,
-        )
-        graph_flat(
-            ds.nodes, ds.edges, ds.train_ids[:600], config, fs=fs,
-            dataset_name=f"flat/{layout}",
-        )
+    config = GraphFlatConfig(hops=2, max_neighbors=15, hub_threshold=10**9, seed=0)
+    graph_flat(
+        ds.nodes, ds.edges, ds.train_ids[:600], config, fs=fs,
+        dataset_name="flat/columnar",
+    )
+    fs.write_dataset(
+        "flat/row", fs.read_dataset("flat/columnar"), num_shards=4, layout="row"
+    )
     return fs
 
 

@@ -43,7 +43,7 @@ def main():
         max_attempts=8,
         failure_injector=FailureInjector(rate=0.1, seed=42),
     )
-    flat_config = GraphFlatConfig(hops=2, max_neighbors=20, num_shards=4)
+    flat_config = GraphFlatConfig(hops=2, max_neighbors=20)
     graph_flat(nodes, edges, dataset.train_ids, flat_config, runtime, fs, "flat/train")
     graph_flat(nodes, edges, dataset.test_ids, flat_config, runtime, fs, "flat/test")
     print(
@@ -70,7 +70,7 @@ def main():
     # --- GraphInfer writes the scored dataset for downstream jobs ---------
     graph_infer(
         model, nodes, edges,
-        GraphInferConfig(max_neighbors=20, num_shards=4),
+        GraphInferConfig(max_neighbors=20),
         runtime, fs, "scores/latest",
     )
     first = next(iter(fs.read_dataset("scores/latest")))

@@ -30,9 +30,8 @@ from repro.core.trainer import (
 )
 from repro.datasets.io import read_edge_table, read_node_table
 from repro.mapreduce import BACKEND_REGISTRY, PARTITIONERS, DistFileSystem
-from repro.mapreduce.fs import DATASET_LAYOUTS
 from repro.nn.gnn import MODEL_REGISTRY, build_model
-from repro.proto.codec import decode_prediction
+from repro.proto.codec import CodecError, decode_prediction
 from repro.tasks import EDGE_TASKS, TASK_REGISTRY
 from repro.transport import SHUFFLE_TRANSPORTS
 
@@ -134,17 +133,6 @@ def _add_dataflow(parser: argparse.ArgumentParser, config_cls, *, output: str,
     )
     parser.add_argument("--output", default=output)
     parser.add_argument(
-        "--shards", type=int, default=defaults.num_shards,
-        help="shard count of row-layout output (columnar output has one "
-        "shard per final-round reducer)",
-    )
-    parser.add_argument(
-        "--dataset-layout", choices=DATASET_LAYOUTS, default=defaults.dataset_layout,
-        help="output shard layout: mmap-able columnar matrices, each "
-        "written by the final-round reducer that produced it (default), or "
-        "framed per-record rows collected and written centrally",
-    )
-    parser.add_argument(
         "--partitioner", choices=PARTITIONERS, default=defaults.partitioner,
         help="shuffle partition strategy: 'hash' (crc32 of the key) or "
         "'planned' (degree-aware plan that spreads heavy keys across "
@@ -159,7 +147,6 @@ def _dataflow_kwargs(args) -> dict:
         sampling=args.sampling,
         max_neighbors=args.max_neighbors,
         hub_threshold=args.hub_threshold,
-        num_shards=args.shards,
         seed=args.seed,
         task=args.task,
         backend=_backend_name(args),
@@ -169,7 +156,6 @@ def _dataflow_kwargs(args) -> dict:
         shuffle_transport=args.shuffle_transport,
         hosts=args.hosts,
         partitioner=args.partitioner,
-        dataset_layout=args.dataset_layout,
         max_attempts=args.max_attempts,
         task_timeout_s=args.task_timeout_s,
         speculation_factor=args.speculation_factor,
@@ -371,7 +357,8 @@ def _cmd_graphflat(args) -> int:
     unit = "edge samples" if args.task in EDGE_TASKS else "GraphFeatures"
     print(
         f"GraphFlat: wrote {result.num_targets} {unit} to "
-        f"{args.dfs}/{args.output} ({args.dataset_layout} shards, "
+        f"{args.dfs}/{args.output} ({fs.num_shards(args.output)} "
+        f"{fs.layout(args.output)} shards, "
         f"task {result.task}, "
         f"{len(result.hub_nodes)} hub nodes re-indexed, "
         f"mean neighborhood {result.neighborhood_nodes.mean():.1f} nodes)"
@@ -389,9 +376,17 @@ def _cmd_graphflat(args) -> int:
 
 def _cmd_graphtrainer(args) -> int:
     fs = DistFileSystem(args.dfs)
-    # Layout-aware: columnar datasets train off mmap'd shards, row datasets
-    # are decoded into memory — the trainer sees the same samples either way.
-    source = open_sample_source(fs, args.input)
+    # Layout-aware: columnar datasets train off mmap'd shards, legacy row
+    # datasets are decoded into memory — the trainer sees the same samples
+    # either way.  A dataset that is not training data (e.g. GraphInfer
+    # scores) is a usage error; a corrupt one keeps its traceback.
+    try:
+        source = open_sample_source(fs, args.input)
+    except CodecError:
+        raise
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not len(source):
         print("no training samples found", file=sys.stderr)
         return 1
@@ -443,8 +438,6 @@ def _cmd_graphtrainer(args) -> int:
         task=task, seed=args.seed,
         prefetch_backend=args.prefetch_backend,
         prefetch_workers=args.prefetch_workers,
-        prefetch_transport=args.prefetch_transport,
-        prefetch_slab_bytes=args.prefetch_slab_mb << 20,
     )
     if args.dist_workers >= 1:
         import functools
@@ -669,19 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--prefetch-backend", choices=sorted(BACKEND_REGISTRY), default="threads",
         help="preprocessing pool backend; 'processes' shards preprocessing "
-        "across cores while the main process trains",
-    )
-    train.add_argument(
-        "--prefetch-transport", choices=["auto", "shm", "pickle"], default="auto",
-        help="how prepared batches return from prefetch workers: shared-"
-        "memory slabs (protocol-5 out-of-band buffers; kilobytes on the "
-        "result pipe) or whole-batch pickles; 'auto' picks shm for the "
-        "processes backend",
-    )
-    train.add_argument(
-        "--prefetch-slab-mb", type=int, default=64,
-        help="per-slot shm slab capacity in MiB; oversized batches fall "
-        "back to the pickle pipe",
+        "across cores while the main process trains (prepared batches come "
+        "back through shared-memory slabs)",
     )
     _add_common(train)
     _add_dist(train)

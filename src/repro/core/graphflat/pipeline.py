@@ -7,8 +7,9 @@ with *subgraphs* as the self information.
   producing its k-hop neighborhood (:class:`MergeReducer`).
 * **Pairing** (edge-level tasks): one extra round joins the two endpoint
   neighborhoods of every target edge (:class:`PairReducer`).
-* **Storing**: final self informations of the target nodes are flattened to
-  wire bytes (``repro.proto``) and written to the DFS (:class:`SampleStore`).
+* **Storing**: final self informations of the target nodes are flattened
+  (``repro.proto``) and written to the DFS, one columnar shard per
+  final-round reducer (:class:`SampleStore`).
 
 Hub in-degrees are pre-computed by a small MapReduce job; everything about
 the rounds themselves — keys, gates, re-indexing, placement, who writes the
@@ -157,7 +158,7 @@ def graph_flat(
     """
     config = config or GraphFlatConfig()
     with config.runtime_scope(runtime) as runtime:
-        edges, node_rows, edge_rows = canonical_tables(nodes, edges, config.validate)
+        edges, node_rows, edge_rows = canonical_tables(nodes, edges)
 
         task_obj = make_task(config.task)
         edge_fanout = None
@@ -254,7 +255,7 @@ class _LabelTable:
 
     The closure variant of this (capturing the whole :class:`NodeTable`)
     cannot ship inside a reducer-written shard's store under the process
-    backend; this table can, and the collecting paths use it too so label
+    backend; this table can, and the in-memory result uses it too so label
     semantics cannot drift between them."""
 
     ids: np.ndarray
@@ -353,7 +354,7 @@ class SampleStore:
     label, GraphFeature)`` triples and write them — as one columnar shard
     per final partition (reducer-side; the triples go straight into the
     shard writer, no per-sample re-framing pass) or as wire records for the
-    collecting paths.  Either way the trailing summary is the per-sample
+    in-memory result.  Either way the trailing summary is the per-sample
     ``(n_nodes, n_edges)`` lists.
 
     Handles both final-round shapes: node flows yield SubgraphInfos to

@@ -36,7 +36,6 @@ from repro.graph.tables import EdgeTable, NodeTable
 from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.runtime import LocalRuntime, RunStats
 from repro.nn.gnn.base import GNNModel
-from repro.proto.codec import encode_prediction
 from repro.proto.columnar import write_prediction_shard
 from repro.proto.framing import register_record
 from repro.tasks import make_task
@@ -127,7 +126,7 @@ def graph_infer(
     """Run segmented-model inference over the whole graph.
 
     Returns per-node prediction scores (in-memory dict keyed by node id, or
-    a DFS dataset of framed prediction records when ``fs`` is given).
+    a DFS dataset of prediction records when ``fs`` is given).
 
     ``targets`` restricts inference to a subset of nodes, enabling §3.4's
     pruning: "the pruning strategy similar to that in GraphTrainer also
@@ -146,7 +145,7 @@ def graph_infer(
     """
     config = config or GraphInferConfig()
     with config.runtime_scope(runtime) as runtime:
-        edges, node_rows, edge_rows = canonical_tables(nodes, edges, config.validate)
+        edges, node_rows, edge_rows = canonical_tables(nodes, edges)
 
         task_obj = make_task(config.task)
         edge_fanout = None
@@ -295,17 +294,13 @@ class EmbeddingReducer(MessagePassingReducer):
 
 class PredictionStore:
     """Storing for predictions: the final round's ``(id, scores)`` pairs as
-    one columnar shard per final partition (reducer-side), or as framed
-    prediction records for the collecting path.  No summary beyond the
-    count."""
+    one columnar shard per final partition (reducer-side).  No summary
+    beyond the count."""
 
     kind = "predictions"
 
     def write_shard(self, path, pairs):
         return (write_prediction_shard(path, [(int(v), s) for v, s in pairs]),)
-
-    def encode(self, pairs):
-        return ([encode_prediction(v, s) for v, s in pairs],)
 
 
 @dataclass

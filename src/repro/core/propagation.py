@@ -32,7 +32,7 @@ Everything that scheme fixes lives here, once:
   records are emitted, so every gate applies to both pipelines.
 * **Driver** (:func:`run_dataflow`): builds the ``map -> [reindex (hub
   slices only), reduce] x K -> final`` job chain, plans placement, decides
-  who writes the output shards, runs the chain and commits the dataset.
+  runs the chain and commits the dataset its final-round reducers wrote.
   :class:`DataflowConfig` owns the knobs the two pipelines share.
 
 Every operator here is a top-level callable dataclass (not a closure) so a
@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.graph.validate import validate_tables
-from repro.mapreduce.fs import DATASET_LAYOUTS, DistFileSystem
+from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.partition import PARTITIONERS, PartitionPlan, plan_partitions, publish_plan
 from repro.mapreduce.runtime import LocalRuntime, RunStats
@@ -107,12 +107,9 @@ class DataflowConfig:
     hub_threshold: int = 1_000
     reindex_fanout: int = 8
     num_reducers: int = 4
-    num_shards: int = 4
-    """Shard count of row-layout datasets.  Columnar DFS output is written
-    by the final-round reducers themselves, one shard each, so its shard
-    count is ``num_reducers``."""
+    """Reducers per round — and the shard count of DFS output: each
+    final-round reducer writes its own columnar shard."""
     seed: int = 0
-    validate: bool = True
     backend: str = "serial"
     """MapReduce backend (``serial`` / ``threads`` / ``processes``) used
     when no explicit runtime is passed to the pipeline."""
@@ -134,14 +131,6 @@ class DataflowConfig:
     partitions by hash: output record order is partition-major, so pinning
     the last round's placement is what keeps pipeline output byte-identical
     across partitioners (tested)."""
-    dataset_layout: str = "columnar"
-    """DFS shard layout for the output dataset: ``columnar`` (mmap-able
-    stacked matrices that GraphTrainer slices batches from — the default;
-    each final-round reducer writes its own shard straight into the DFS, so
-    the records never funnel through the parent process) or ``row`` (framed
-    per-record byte strings, collected and written by the parent — the
-    compatibility fallback).  ``read_dataset`` yields byte-identical records
-    either way."""
     spill_run_records: int = DEFAULT_RUN_RECORDS
     """External-sort run bound: records buffered per spill writer before a
     sorted run is flushed (see ``repro.mapreduce.spill.SpillRunWriter``)."""
@@ -177,8 +166,6 @@ class DataflowConfig:
         if self.spill_run_bytes < 1:
             raise ValueError(f"spill_run_bytes must be >= 1, got {self.spill_run_bytes}")
         make_task(self.task)  # unknown task names fail here, not mid-pipeline
-        if self.dataset_layout not in DATASET_LAYOUTS:
-            raise ValueError(f"dataset_layout must be one of {DATASET_LAYOUTS}")
         if self.partitioner not in PARTITIONERS:
             raise ValueError(f"partitioner must be one of {PARTITIONERS}")
         from repro.transport.shuffle import SHUFFLE_TRANSPORTS
@@ -454,8 +441,8 @@ class PrepareReducer:
                 outs.append(OutEdgeInfo(int(dst), weight, edge_feat))
         if feature is None:
             # Edge rows whose source never appears in the node table are
-            # rejected by validation; reaching here means validation was
-            # disabled — drop the stray records.
+            # rejected by ``canonical_tables``; rows that reach the engine
+            # some other way are dropped here.
             return
         node_id = int(node_id)
         yield from self.routing.propagate(node_id, self.seed(node_id, feature), outs, 1)
@@ -531,7 +518,7 @@ class MessagePassingReducer:
                 raise RuntimeError(f"unknown record tag {tag!r}")
         if self_info is None:
             # A node that only ever appears as an edge destination of
-            # dropped strays (validation disabled); nothing to do.
+            # strays the Map phase dropped; nothing to do.
             return
         merged = self.merge(self_info, self.sampler.select(ins, node_id, salt=0))
 
@@ -598,13 +585,13 @@ def build_partition_plan(
 
 # ------------------------------------------------------------------- driver
 def canonical_tables(
-    nodes: NodeTable, edges: EdgeTable, validate: bool
+    nodes: NodeTable, edges: EdgeTable
 ) -> tuple[EdgeTable, list[tuple], list[tuple]]:
-    """The Map phase's input: the coalesced edge table (one ``A_{v,u}``
-    entry per node pair — GraphInfer must see GraphFlat's adjacency), and
-    the ``node_rows`` / ``edge_rows`` keyed by node id / source id."""
-    if validate:
-        validate_tables(nodes, edges)
+    """The Map phase's input, validated (``repro.graph.validate``): the
+    coalesced edge table (one ``A_{v,u}`` entry per node pair — GraphInfer
+    must see GraphFlat's adjacency), and the ``node_rows`` / ``edge_rows``
+    keyed by node id / source id."""
+    validate_tables(nodes, edges)
     edges = edges.coalesce()
     node_rows = [(int(i), ("node", feat)) for i, feat, _ in nodes.rows()]
     edge_rows = [
@@ -636,9 +623,8 @@ class DataflowOutput:
     hubs: frozenset[int]
     round_stats: list[RunStats]
     summaries: list[tuple] | None = None
-    """DFS output: what the store reported, ``(count, ...)`` per shard
-    writer — one per final partition (columnar) or one for the collected
-    stream (row)."""
+    """DFS output: what the store reported, ``(count, ...)`` per shard —
+    one per final partition."""
     data: list | None = None
     """No DFS: the final round's output pairs, in partition-major order."""
 
@@ -670,16 +656,15 @@ def run_dataflow(
     detection and the placement plan are built from.
 
     ``store`` is the pipeline's storing step (§3.2.1 "Storing"):
-    ``store.kind`` names the record kind, ``store.write_shard(path, pairs)``
-    flattens one final partition into a columnar shard and
-    ``store.encode(pairs)`` flattens to wire records; both return ``(count
-    or records, ...)`` with the same trailing summary fields.
+    ``store.kind`` names the record kind and ``store.write_shard(path,
+    pairs)`` flattens one final partition into a columnar shard, returning
+    ``(count, ...)``.
 
-    Who writes the output is decided from what is there to observe: with a
-    DFS and columnar layout every final-round reducer writes its own shard
-    (shard order = partition order and keys are sorted within a partition,
-    so the global record stream matches a parent-side write exactly);
-    row layout and in-memory results are collected by this process.
+    Two outcomes: with a DFS (``fs``) every final-round reducer writes its
+    own shard (shard order = partition order and keys are sorted within a
+    partition, so ``read_dataset`` yields the in-memory result's record
+    stream exactly) and only the per-shard summaries come back; with no DFS
+    the final round's pairs are returned in memory.
     """
     hubs = detect_hubs(degree_pairs, config.hub_threshold)
     routing = Routing(hubs, config.reindex_fanout, needed, in_record)
@@ -726,30 +711,23 @@ def run_dataflow(
         for planned_job in jobs[:-1]:
             planned_job.partitioner = planned
 
-    meta = dict(kind=store.kind, task=config.recorded_task)
     try:
-        if fs is not None and config.dataset_layout == "columnar":
-            directory = fs.prepare_dataset(dataset_name)
-            summaries = runtime.run_rounds(
-                jobs, rows, final_sink=ShardSink(str(directory), store)
-            )
-            fs.finalize_dataset(
-                dataset_name,
-                layout="columnar",
-                record_counts=[summary[0] for summary in summaries],
-                **meta,
-            )
-            return DataflowOutput(hubs, list(runtime.round_stats), summaries)
-        data = runtime.run_rounds(jobs, rows)
+        if fs is None:
+            data = runtime.run_rounds(jobs, rows)
+            return DataflowOutput(hubs, list(runtime.round_stats), data=data)
+        directory = fs.prepare_dataset(dataset_name)
+        summaries = runtime.run_rounds(
+            jobs, rows, final_sink=ShardSink(str(directory), store)
+        )
+        fs.finalize_dataset(
+            dataset_name,
+            layout="columnar",
+            record_counts=[summary[0] for summary in summaries],
+            kind=store.kind,
+            task=config.recorded_task,
+        )
+        return DataflowOutput(hubs, list(runtime.round_stats), summaries)
     finally:
         # Single unlink point for the plan slab — covers failed rounds too.
         if partition_broadcast is not None:
             partition_broadcast.close()
-    output = DataflowOutput(hubs, list(runtime.round_stats))
-    if fs is None:
-        output.data = data
-    else:
-        records, *summary = store.encode(data)
-        fs.write_dataset(dataset_name, records, num_shards=config.num_shards, **meta)
-        output.summaries = [(len(records), *summary)]
-    return output

@@ -312,8 +312,17 @@ def as_sample_source(data) -> SampleSource:
 
 def open_sample_source(fs, name: str) -> SampleSource:
     """Layout-aware DFS reader: mmap'd :class:`ColumnarDataset` for
-    columnar datasets, a decoded :class:`MemorySamples` for row datasets.
-    Every consumer that loops ``read_dataset`` should go through this."""
+    columnar datasets, a decoded :class:`MemorySamples` for legacy row
+    datasets.  Every consumer that loops ``read_dataset`` should go through
+    this.  A dataset recorded as anything but samples is refused before a
+    shard is opened (row prediction records would otherwise die — or
+    mis-decode — inside the sample codec); datasets that predate kind
+    metadata are taken at their word."""
+    kind = fs.kind(name)
+    if kind not in (None, "samples"):
+        raise ValueError(
+            f"dataset {name!r} holds {kind!r} records, not training samples"
+        )
     if fs.layout(name) == "columnar":
         return ColumnarDataset([Path(p) for p in fs.shards(name)])
     return MemorySamples(decode_samples(fs.read_dataset(name)))

@@ -37,20 +37,21 @@ from repro.mapreduce.backends import (
 from repro.nn.gnn.block import BatchInputs
 from repro.utils.timer import TimerRegistry
 
-__all__ = ["BatchPipeline", "BatchPreparer", "PREFETCH_TRANSPORTS"]
+__all__ = ["BatchPipeline", "BatchPreparer"]
 
 _SENTINEL = object()
 
-PREFETCH_TRANSPORTS = ("auto", "shm", "pickle")
-"""How prepared batches travel from pool workers back to the trainer.
+QUEUE_DEPTH = 4
+"""How many vectorized batches may sit ready ahead of the training loop."""
 
-``pickle`` is the classic path: the whole ``(inputs, labels)`` tuple rides
-the result pipe.  ``shm`` parks the numpy payload in a parent-owned
-per-slot :class:`~repro.ps.shm.BatchSlab` and pickles only a tiny locator
-(protocol-5 out-of-band buffers), so the pipe carries kilobytes instead of
-the vectorized batch.  ``auto`` picks ``shm`` exactly when batches cross a
-process boundary (``backend.needs_pickling``) and ``pickle`` otherwise —
-same-process backends already hand over bare references."""
+SLAB_BYTES = 64 << 20
+"""Capacity of one batch slab.  When prepared batches cross a process
+boundary (``backend.needs_pickling``) a pool worker parks the numpy payload
+in a parent-owned per-slot :class:`~repro.ps.shm.BatchSlab` and pickles only
+a tiny locator (protocol-5 out-of-band buffers), so the result pipe carries
+kilobytes instead of the vectorized batch; a batch that outgrows the slab
+rides the pipe whole, for that batch only.  Same-process backends hand over
+bare references and use no slab."""
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,6 @@ class BatchPipeline:
     enabled:
         ``False`` degrades to strictly sequential preprocessing (AGL_base
         without the pipeline strategy — the ablation baseline).
-    prefetch:
-        queue depth; how many vectorized batches may sit ready.
     backend / workers:
         preprocessing pool: a backend name from the MapReduce registry
         (``serial``/``threads``/``processes``) and its worker count.  The
@@ -144,10 +143,11 @@ class BatchPipeline:
     timers:
         optional :class:`TimerRegistry`; preprocessing time lands in
         ``"preprocess"`` (regardless of which thread or process spent it).
-    transport / slab_bytes:
-        result-path transport, one of :data:`PREFETCH_TRANSPORTS`, and the
-        per-slot slab capacity for the ``shm`` path.  ``shm_batches`` /
-        ``inband_batches`` count which path each pool batch actually took.
+
+    How prepared batches come back from the pool is resolved from the
+    backend, not asked: shared-memory slabs (:data:`SLAB_BYTES` each)
+    exactly when it ``needs_pickling``.  ``shm_batches`` / ``inband_batches``
+    count which way each batch of a pickling pool actually took.
     """
 
     def __init__(
@@ -157,24 +157,13 @@ class BatchPipeline:
         pruning: bool = True,
         aggregator_factory=None,
         enabled: bool = True,
-        prefetch: int = 4,
         timers: TimerRegistry | None = None,
         backend: str | Backend = "threads",
         workers: int = 1,
-        transport: str = "auto",
-        slab_bytes: int = 64 << 20,
         edge_level: bool = False,
     ):
-        if prefetch < 1:
-            raise ValueError("prefetch must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if transport not in PREFETCH_TRANSPORTS:
-            raise ValueError(
-                f"unknown prefetch transport {transport!r}; known: {PREFETCH_TRANSPORTS}"
-            )
-        if slab_bytes < 1:
-            raise ValueError("slab_bytes must be >= 1")
         if isinstance(backend, Backend):
             self._backend_obj: Backend | None = backend
             backend = backend.name
@@ -184,19 +173,11 @@ class BatchPipeline:
             raise ValueError(
                 f"unknown prefetch backend {backend!r}; known: {sorted(BACKEND_REGISTRY)}"
             )
-        if transport == "shm" and not BACKEND_REGISTRY[backend].needs_pickling:
-            raise ValueError(
-                f"transport='shm' requires a pickling backend; {backend!r} hands over "
-                "in-process references already"
-            )
         self._batches = batches
         self._prepare = BatchPreparer(num_layers, pruning, aggregator_factory, edge_level)
         self._enabled = enabled
-        self._prefetch = prefetch
         self._backend = backend
         self._workers = workers
-        self._transport = transport
-        self._slab_bytes = slab_bytes
         self._timers = timers if timers is not None else TimerRegistry()
         self.shm_batches = 0
         self.inband_batches = 0
@@ -219,7 +200,7 @@ class BatchPipeline:
         Timing runs through ``timers.timing`` on the producer thread so
         interval records (used to *prove* stage overlap in the ablation
         benchmark) are preserved."""
-        out: queue.Queue = queue.Queue(maxsize=self._prefetch)
+        out: queue.Queue = queue.Queue(maxsize=QUEUE_DEPTH)
         error: list[BaseException] = []
 
         def producer():
@@ -245,7 +226,7 @@ class BatchPipeline:
         window's straggler); the bounded queue keeps the *consumer* fed
         across windows, which is the overlap that matters here — batch
         costs are near-uniform, so straggler slack stays small."""
-        out: queue.Queue = queue.Queue(maxsize=self._prefetch)
+        out: queue.Queue = queue.Queue(maxsize=QUEUE_DEPTH)
         error: list[BaseException] = []
 
         def plain_retrier(task_id, call):
@@ -261,9 +242,7 @@ class BatchPipeline:
         def producer():
             owns = self._backend_obj is None
             backend = self._backend_obj or make_backend(self._backend, self._workers)
-            use_shm = self._transport == "shm" or (
-                self._transport == "auto" and backend.needs_pickling
-            )
+            use_shm = backend.needs_pickling
             slabs = []
             try:
                 if use_shm:
@@ -274,7 +253,7 @@ class BatchPipeline:
                     # because each window's results are fully drained (and
                     # slab-loaded into private memory) before the next
                     # ``execute`` can overwrite a slot.
-                    slabs = [BatchSlab(self._slab_bytes) for _ in range(self._workers)]
+                    slabs = [BatchSlab(SLAB_BYTES) for _ in range(self._workers)]
                     by_name = {slab.name: slab for slab in slabs}
                     preparers = [
                         _SlabPreparer(self._prepare, slab.name, slab.capacity)

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.trainer.dataset import SampleSource, as_sample_source
 from repro.core.trainer.partition import partitioned_backend_factory
-from repro.core.trainer.pipeline import PREFETCH_TRANSPORTS, BatchPipeline
+from repro.core.trainer.pipeline import BatchPipeline
 from repro.core.trainer.vectorize import TrainSample, decode_samples
 from repro.mapreduce.backends import BACKEND_REGISTRY, make_backend
 from repro.metrics import accuracy, hits_at_k, micro_f1, roc_auc
@@ -56,22 +56,15 @@ class TrainerConfig:
     num_partitions: int = 4
     partition_threads: int = 1
     pipeline: bool = True
-    prefetch: int = 4
     prefetch_backend: str = "threads"
     """Preprocessing-pool backend (MapReduce backend registry name:
     ``serial`` / ``threads`` / ``processes``).  ``threads`` with one worker
     is the classic single prefetch thread; ``processes`` shards minibatch
     preprocessing across cores while the main process trains."""
     prefetch_workers: int = 1
-    """Worker count for the preprocessing pool."""
-    prefetch_transport: str = "auto"
-    """How prepared batches return from pool workers (see
-    ``repro.core.trainer.pipeline.PREFETCH_TRANSPORTS``): ``auto`` uses
-    shared-memory slabs whenever the pool crosses a process boundary,
-    ``shm``/``pickle`` force a path."""
-    prefetch_slab_bytes: int = 64 << 20
-    """Per-slot slab capacity for the shm transport; batches that outgrow
-    it fall back to the pickle pipe for that batch only."""
+    """Worker count for the preprocessing pool.  Prepared batches return
+    through shared-memory slabs exactly when the pool crosses a process
+    boundary (``repro.core.trainer.pipeline.SLAB_BYTES``)."""
     shuffle: bool = True
     seed: int = 0
     early_stopping_patience: int | None = None
@@ -94,19 +87,6 @@ class TrainerConfig:
             )
         if self.prefetch_workers < 1:
             raise ValueError("prefetch_workers must be >= 1")
-        if self.prefetch_transport not in PREFETCH_TRANSPORTS:
-            raise ValueError(
-                f"prefetch_transport must be one of {PREFETCH_TRANSPORTS}"
-            )
-        if self.prefetch_transport == "shm" and not BACKEND_REGISTRY[
-            self.prefetch_backend
-        ].needs_pickling:
-            raise ValueError(
-                "prefetch_transport='shm' requires a pickling prefetch_backend "
-                "(e.g. 'processes')"
-            )
-        if self.prefetch_slab_bytes < 1:
-            raise ValueError("prefetch_slab_bytes must be >= 1")
 
 
 class GraphTrainer:
@@ -178,12 +158,9 @@ class GraphTrainer:
             pruning=self.config.pruning,
             aggregator_factory=self._aggregator_factory,
             enabled=self.config.pipeline,
-            prefetch=self.config.prefetch,
             timers=self.timers,
             backend=self._prefetch_backend(),
             workers=self.config.prefetch_workers,
-            transport=self.config.prefetch_transport,
-            slab_bytes=self.config.prefetch_slab_bytes,
             edge_level=self._task_plugin is not None,
         )
 

@@ -7,12 +7,15 @@ is all the paper's pipelines require of the real DFS.
 
 Two shard layouts exist (see ``repro.proto``):
 
-* ``row`` — each shard is a framed stream of per-record byte strings
-  (``repro.proto.stream``); simple, append-friendly, but consumers must
-  decode record by record.
 * ``columnar`` — each shard is one mmap-able ``AGLC`` frame of stacked
   matrices + offset tables (``repro.proto.columnar``); trainers slice
-  batches out of the mapping instead of decoding.
+  batches out of the mapping instead of decoding.  What the pipelines
+  write: each final-round reducer commits its own shard
+  (:meth:`DistFileSystem.prepare_dataset` / ``finalize_dataset``).
+* ``row`` — each shard is a framed stream of per-record byte strings
+  (``repro.proto.stream``); what :meth:`DistFileSystem.write_dataset`
+  writes by default, and the layout of datasets older than the columnar
+  format, which stay readable.
 
 Reading is layout-transparent: :meth:`DistFileSystem.read_dataset` and
 :meth:`~DistFileSystem.read_shard` always yield row wire records (columnar

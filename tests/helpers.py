@@ -1,12 +1,33 @@
-"""Test utilities: finite-difference gradient checking for the autograd ops."""
+"""Test utilities: finite-difference gradient checking for the autograd ops,
+and the legacy row dataset the DFS readers are checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
+from repro.proto.codec import encode_prediction
 
-__all__ = ["numeric_grad", "check_gradients"]
+__all__ = ["numeric_grad", "check_gradients", "write_legacy_row_dataset"]
+
+
+def write_legacy_row_dataset(fs, name: str, result, num_shards: int = 3) -> list[bytes]:
+    """What a pipeline run from before the columnar format left on disk: the
+    in-memory result of ``graph_flat`` / ``graph_infer`` (run without ``fs``)
+    as framed row shards.  The pipelines only write columnar shards; this is
+    the dataset the *readers* — ``read_dataset``, ``count_records``,
+    ``open_sample_source``, ``repro describe`` / ``graphtrainer`` — must keep
+    serving.  Returns the wire records, i.e. the in-memory record stream."""
+    if hasattr(result, "samples"):
+        records, kind = list(result.samples), "samples"
+        task = None if result.task == "node_classification" else result.task
+    else:
+        records = [encode_prediction(v, s) for v, s in result.scores.items()]
+        kind, task = "predictions", None
+    fs.write_dataset(
+        name, records, num_shards=num_shards, layout="row", kind=kind, task=task
+    )
+    return records
 
 
 def numeric_grad(fn, value: np.ndarray, eps: float = 1e-3) -> np.ndarray:

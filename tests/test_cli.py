@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from repro.cli import load_model, main, save_model
+from repro.core.graphflat import GraphFlatConfig
+from repro.core.infer import GraphInferConfig, graph_infer
+from repro.core.propagation import DataflowConfig
+from repro.core.trainer import BatchPipeline, TrainerConfig
 from repro.datasets import cora_like, write_edge_table, write_node_table
+from repro.datasets.io import read_edge_table, read_node_table
 from repro.mapreduce import DistFileSystem
 from repro.nn.gnn import GATModel
+
+from .helpers import write_legacy_row_dataset
 
 
 @pytest.fixture()
@@ -180,7 +187,9 @@ class TestDescribe:
 
     @pytest.fixture()
     def inferred(self, workspace, capsys):
-        """A trained model plus prediction datasets in both layouts."""
+        """A trained model plus prediction datasets in both layouts:
+        ``scores/columnar`` as ``graphinfer`` writes it, ``scores/row`` as
+        the legacy row dataset of the same scores."""
         tmp_path, ds = workspace
         dfs = str(tmp_path / "dfs")
         main([
@@ -194,13 +203,23 @@ class TestDescribe:
             "--model-out", str(tmp_path / "model.pkl"),
             "--epochs", "1", "--hidden", "8", "--dfs", dfs,
         ])
-        for layout in ("columnar", "row"):
-            main([
-                "graphinfer", "-m", str(tmp_path / "model.pkl"),
-                "-n", str(tmp_path / "nodes.tsv"), "-e", str(tmp_path / "edges.tsv"),
-                "--max-neighbors", "20", "--output", f"scores/{layout}",
-                "--dfs", dfs, "--workers", "1", "--dataset-layout", layout,
-            ])
+        main([
+            "graphinfer", "-m", str(tmp_path / "model.pkl"),
+            "-n", str(tmp_path / "nodes.tsv"), "-e", str(tmp_path / "edges.tsv"),
+            "--max-neighbors", "20", "--output", "scores/columnar",
+            "--dfs", dfs, "--workers", "1",
+        ])
+        fs = DistFileSystem(dfs)
+        write_legacy_row_dataset(
+            fs, "scores/row",
+            graph_infer(
+                load_model(tmp_path / "model.pkl"),
+                read_node_table(tmp_path / "nodes.tsv"),
+                read_edge_table(tmp_path / "edges.tsv"),
+                GraphInferConfig(max_neighbors=20),
+            ),
+        )
+        assert list(fs.read_dataset("scores/row")) == list(fs.read_dataset("scores/columnar"))
         capsys.readouterr()
         return tmp_path, dfs
 
@@ -255,6 +274,56 @@ class TestDescribe:
         with pytest.raises(CodecError):
             main(["describe", "flat/legacy", "--dfs", dfs])
 
+    @pytest.fixture()
+    def legacy_samples(self, inferred):
+        """``flat/legacy``: ``flat/train``'s samples as a row dataset."""
+        tmp_path, dfs = inferred
+        fs = DistFileSystem(dfs)
+        fs.write_dataset("flat/legacy", fs.read_dataset("flat/train"), num_shards=2)
+        return tmp_path, dfs
+
+    @pytest.mark.parametrize("meta", [True, False], ids=["meta", "pre-meta"])
+    def test_legacy_row_samples_describe_and_train(self, legacy_samples, capsys, meta):
+        """Datasets on disk outlive the code that wrote them: a row-layout
+        sample dataset — with or without ``_META.json`` — still describes
+        and trains, to the loss the columnar dataset of the same samples
+        trains to."""
+        tmp_path, dfs = legacy_samples
+        if not meta:
+            (tmp_path / "dfs" / "flat/legacy" / "_META.json").unlink()
+        assert main(["describe", "flat/legacy", "--dfs", dfs]) == 0
+        out = capsys.readouterr().out
+        assert "layout:   row" in out and "shards:   2" in out
+        assert "GraphFeature samples" in out
+        assert f"records:  {DistFileSystem(dfs).count_records('flat/train')}" in out
+        losses = {}
+        for name, layout in (("flat/legacy", "row"), ("flat/train", "columnar")):
+            rc = main([
+                "graphtrainer", "-m", "gcn", "-i", name,
+                "--model-out", str(tmp_path / "again.pkl"),
+                "--epochs", "2", "--hidden", "8", "--dfs", dfs,
+            ])
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert f"({layout} shards" in out
+            losses[name] = out[out.index("loss "):]
+        assert losses["flat/legacy"] == losses["flat/train"]
+
+    @pytest.mark.parametrize("layout", ["columnar", "row"])
+    def test_graphtrainer_refuses_a_predictions_dataset(self, inferred, capsys, layout):
+        """Regression: a row-layout scores dataset used to reach the sample
+        codec (``CodecError: unknown label kind``, or a silent mis-decode);
+        both layouts now stop at the recorded kind, with one message."""
+        tmp_path, dfs = inferred
+        rc = main([
+            "graphtrainer", "-m", "gcn", "-i", f"scores/{layout}",
+            "--model-out", str(tmp_path / "never.pkl"), "--dfs", dfs,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"dataset 'scores/{layout}' holds 'predictions' records" in err
+        assert not (tmp_path / "never.pkl").exists()
+
     @pytest.mark.parametrize(
         "backend,workers,transport",
         [("serial", "1", "pickle"), ("processes", "2", "shm")],
@@ -303,27 +372,42 @@ class TestDataflowSurface:
         flat, infer = self.flags("graphflat"), self.flags("graphinfer")
         assert self.FLAT_ONLY <= flat and self.INFER_ONLY <= infer
         assert flat - self.FLAT_ONLY == infer - self.INFER_ONLY
-        assert {"--targets", "--task", "--partitioner", "--dataset-layout"} <= flat
+        assert {"--targets", "--task", "--partitioner"} <= flat
 
-    @pytest.mark.parametrize("command", ["graphflat", "graphinfer"])
-    @pytest.mark.parametrize("flag", ["--dataset-sink", "--slice-transport"])
+    ARGV = {
+        "graphflat": ["graphflat", "-n", "n.tsv", "-e", "e.tsv", "--dfs", "dfs"],
+        "graphinfer": [
+            "graphinfer", "-n", "n.tsv", "-e", "e.tsv", "--dfs", "dfs", "-m", "model.pkl",
+        ],
+        "graphtrainer": [
+            "graphtrainer", "-m", "gcn", "-i", "flat", "--model-out", "m.pkl", "--dfs", "dfs",
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            *(
+                (command, flag)
+                for command in ("graphflat", "graphinfer")
+                for flag in ("--dataset-sink", "--slice-transport", "--dataset-layout", "--shards")
+            ),
+            ("graphtrainer", "--prefetch-transport"),
+            ("graphtrainer", "--prefetch-slab-mb"),
+        ],
+    )
     def test_engine_decisions_are_not_flags(self, command, flag, capsys):
+        """Who writes the shards, in which layout and how many; how slices
+        reach reducers and batches leave prefetch workers: all observed."""
         from repro.cli import build_parser
 
-        argv = [command, "-n", "n.tsv", "-e", "e.tsv", "--dfs", "dfs"]
-        if command == "graphinfer":
-            argv += ["-m", "model.pkl"]
-        build_parser().parse_args(argv)  # well-formed without the flag
+        build_parser().parse_args(self.ARGV[command])  # well-formed without the flag
         with pytest.raises(SystemExit):
-            build_parser().parse_args(argv + [flag, "auto"])
+            build_parser().parse_args(self.ARGV[command] + [flag, "4"])
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_shared_config_fields_are_declared_once(self):
         from dataclasses import fields
-
-        from repro.core.graphflat import GraphFlatConfig
-        from repro.core.infer import GraphInferConfig
-        from repro.core.propagation import DataflowConfig
 
         shared = DataflowConfig.__dataclass_fields__
         flat = GraphFlatConfig.__dataclass_fields__
@@ -334,9 +418,30 @@ class TestDataflowSurface:
         redeclared = {name for name in shared if infer[name] is not shared[name]}
         assert redeclared == {"max_neighbors", "hub_threshold"}
         assert set(infer) == set(shared)
-        assert (len(fields(GraphFlatConfig)), len(fields(GraphInferConfig))) == (25, 22)
+        assert [
+            len(fields(cls))
+            for cls in (DataflowConfig, GraphFlatConfig, GraphInferConfig, TrainerConfig)
+        ] == [19, 22, 19, 17]
         for cls in (GraphFlatConfig, GraphInferConfig):
             assert cls.make_runtime is DataflowConfig.make_runtime
-            for removed in ("dataset_sink", "slice_transport"):
-                with pytest.raises(TypeError):
-                    cls(**{removed: "auto"})
+
+    @pytest.mark.parametrize(
+        "owner,keyword",
+        [
+            (GraphFlatConfig, "dataset_sink"),
+            (GraphInferConfig, "slice_transport"),
+            (GraphFlatConfig, "num_shards"),
+            (GraphInferConfig, "dataset_layout"),
+            (DataflowConfig, "validate"),
+            (TrainerConfig, "prefetch_transport"),
+            (TrainerConfig, "prefetch_slab_bytes"),
+            (TrainerConfig, "prefetch"),
+            (BatchPipeline, "transport"),
+            (BatchPipeline, "slab_bytes"),
+            (BatchPipeline, "prefetch"),
+        ],
+    )
+    def test_removed_selectors_are_not_keywords(self, owner, keyword):
+        positional = ([], 2) if owner is BatchPipeline else ()
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            owner(*positional, **{keyword: 1})

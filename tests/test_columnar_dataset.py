@@ -1,7 +1,7 @@
 """Columnar shard format + layout-aware dataset path: codec round-trips,
-byte-identity with the row layout, O(num_shards) counting, trainer-ingest
-numerical identity across layouts x prefetch backends, and the worker-pool
-prefetch pipeline."""
+byte-identity with legacy row datasets, O(num_shards) counting,
+trainer-ingest numerical identity across layouts x prefetch backends, and the
+worker-pool prefetch pipeline."""
 
 import numpy as np
 import pytest
@@ -23,6 +23,9 @@ from repro.mapreduce import DistFileSystem
 from repro.nn.gnn import GCNModel
 from repro.proto.codec import decode_prediction, decode_sample
 from repro.proto.columnar import ColumnarShard, shard_record_count, write_sample_shard
+from repro.tasks import EDGE_TASKS
+
+from .helpers import write_legacy_row_dataset
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +34,25 @@ def flat_cora(mini_cora):
     ds = mini_cora
     config = GraphFlatConfig(hops=2, max_neighbors=20, hub_threshold=10**9)
     return graph_flat(ds.nodes, ds.edges, ds.train_ids, config).samples
+
+
+def flat_in_both_layouts(ds, fs):
+    """``flat/columnar`` as the pipeline writes it, ``flat/row`` as the
+    legacy row dataset of the same samples."""
+    config = GraphFlatConfig(hops=2, max_neighbors=20)
+    graph_flat(ds.nodes, ds.edges, ds.train_ids, config, fs=fs, dataset_name="flat/columnar")
+    write_legacy_row_dataset(
+        fs, "flat/row", graph_flat(ds.nodes, ds.edges, ds.train_ids, config)
+    )
+    return fs
+
+
+@pytest.fixture(scope="module")
+def lp_tables():
+    """``(nodes, edges)`` with per-edge labels: input for both edge tasks."""
+    from repro.datasets import labeled_edges_like
+
+    return labeled_edges_like(seed=7, num_nodes=100, num_edges=360, feature_dim=6)
 
 
 class TestColumnarShard:
@@ -225,51 +247,57 @@ class TestStrayStagingFiles:
         assert self.observe(fs) == before
 
 
-class TestGraphFlatLayouts:
-    def test_dfs_outputs_byte_identical_across_layouts(self, mini_cora, tmp_path):
-        ds = mini_cora
-        fs = DistFileSystem(tmp_path)
-        for layout in ("row", "columnar"):
-            config = GraphFlatConfig(hops=2, max_neighbors=20, dataset_layout=layout)
-            result = graph_flat(
-                ds.nodes, ds.edges, ds.train_ids, config, fs=fs,
-                dataset_name=f"flat/{layout}",
-            )
-            assert result.dataset == f"flat/{layout}"
-        assert list(fs.read_dataset("flat/columnar")) == list(fs.read_dataset("flat/row"))
-        assert fs.layout("flat/columnar") == "columnar"
+class TestOneRecordStream:
+    """The pipelines write one layout — reducer-owned columnar shards — and
+    ``read_dataset`` over it is the in-memory result's record stream, which
+    is also what a legacy row dataset of the same records reads back as."""
 
-    def test_infer_outputs_byte_identical_across_layouts(self, mini_cora, tmp_path):
-        ds = mini_cora
+    @pytest.mark.parametrize("task", ["node_classification", *EDGE_TASKS])
+    def test_graph_flat(self, mini_cora, lp_tables, tmp_path, task):
         fs = DistFileSystem(tmp_path)
-        model = GCNModel(ds.feature_dim, 8, ds.num_classes, num_layers=2, seed=0)
-        for layout in ("row", "columnar"):
-            config = GraphInferConfig(max_neighbors=10**9, dataset_layout=layout)
-            graph_infer(model, ds.nodes, ds.edges, config, fs=fs,
-                        dataset_name=f"scores/{layout}")
-        row = list(fs.read_dataset("scores/row"))
-        col = list(fs.read_dataset("scores/columnar"))
-        assert row == col
-        node_id, scores = decode_prediction(col[0])
-        assert scores.shape == (ds.num_classes,)
+        if task == "node_classification":
+            nodes, edges, targets = mini_cora.nodes, mini_cora.edges, mini_cora.train_ids
+        else:
+            (nodes, edges), targets = lp_tables, None
+        config = GraphFlatConfig(hops=2, max_neighbors=20, task=task, edge_targets=30)
+        result = graph_flat(nodes, edges, targets, config, fs=fs, dataset_name="flat/dfs")
+        assert result.dataset == "flat/dfs"
+        assert fs.layout("flat/dfs") == "columnar"
+        assert fs.num_shards("flat/dfs") == config.num_reducers
+        samples = write_legacy_row_dataset(
+            fs, "flat/legacy", graph_flat(nodes, edges, targets, config)
+        )
+        assert list(fs.read_dataset("flat/dfs")) == samples
+        assert list(fs.read_dataset("flat/legacy")) == samples
+        assert (fs.kind("flat/legacy"), fs.task("flat/legacy")) == (
+            fs.kind("flat/dfs"), fs.task("flat/dfs"),
+        )
 
-    def test_invalid_layout_config(self):
-        with pytest.raises(ValueError):
-            GraphFlatConfig(dataset_layout="diagonal")
-        with pytest.raises(ValueError):
-            GraphInferConfig(dataset_layout="diagonal")
+    @pytest.mark.parametrize("task", ["node_classification", *EDGE_TASKS])
+    def test_graph_infer(self, mini_cora, lp_tables, tmp_path, task):
+        fs = DistFileSystem(tmp_path)
+        nodes, edges = (
+            (mini_cora.nodes, mini_cora.edges) if task == "node_classification" else lp_tables
+        )
+        model = GCNModel(nodes.feature_dim, 8, 3, num_layers=2, seed=0)
+        config = GraphInferConfig(task=task)
+        result = graph_infer(model, nodes, edges, config, fs=fs, dataset_name="scores/dfs")
+        assert fs.layout("scores/dfs") == "columnar"
+        assert fs.num_shards("scores/dfs") == config.num_reducers
+        scores = write_legacy_row_dataset(
+            fs, "scores/legacy", graph_infer(model, nodes, edges, config)
+        )
+        assert result.num_nodes == len(scores)
+        assert list(fs.read_dataset("scores/dfs")) == scores
+        assert list(fs.read_dataset("scores/legacy")) == scores
+        assert fs.kind("scores/legacy") == fs.kind("scores/dfs") == "predictions"
+        assert decode_prediction(scores[0])[1].dtype == np.float32
 
 
 class TestColumnarDatasetSource:
     @pytest.fixture()
     def fs_both(self, mini_cora, tmp_path):
-        ds = mini_cora
-        fs = DistFileSystem(tmp_path)
-        for layout in ("row", "columnar"):
-            config = GraphFlatConfig(hops=2, max_neighbors=20, dataset_layout=layout)
-            graph_flat(ds.nodes, ds.edges, ds.train_ids, config, fs=fs,
-                       dataset_name=f"flat/{layout}")
-        return fs
+        return flat_in_both_layouts(mini_cora, DistFileSystem(tmp_path))
 
     def test_source_matches_row_order_and_content(self, fs_both):
         row = open_sample_source(fs_both, "flat/row")
@@ -375,10 +403,34 @@ class TestColumnarDatasetSource:
         assert bare.label_kind == "none" and bare.label_dim == 0
         assert bare.labels_by_id() == {triples[4][0]: None, triples[1][0]: None}
 
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    def test_predictions_dataset_is_refused_by_kind(self, tmp_path, layout):
+        """Regression: row prediction records used to reach ``decode_sample``
+        (``CodecError: unknown label kind``, or a silent mis-decode on a
+        luckier byte pattern); both layouts now stop at the recorded kind."""
+        from repro.proto.codec import CodecError, encode_prediction
+
+        fs = DistFileSystem(tmp_path)
+        pairs = [(i, np.arange(3, dtype=np.float32) + i) for i in range(5)]
+        records = pairs if layout == "columnar" else [encode_prediction(*p) for p in pairs]
+        fs.write_dataset("scores", records, num_shards=2, layout=layout, kind="predictions")
+        with pytest.raises(ValueError, match="'scores' holds 'predictions' records") as caught:
+            open_sample_source(fs, "scores")
+        assert not isinstance(caught.value, CodecError)
+
+    def test_legacy_dataset_without_recorded_kind_still_opens(self, fs_both, tmp_path):
+        (tmp_path / "flat/row" / "_META.json").unlink()
+        assert fs_both.kind("flat/row") is None
+        legacy = open_sample_source(fs_both, "flat/row")
+        assert isinstance(legacy, MemorySamples)
+        np.testing.assert_array_equal(
+            legacy.ids(), open_sample_source(fs_both, "flat/columnar").ids()
+        )
+
     def test_rewritten_dataset_not_served_stale(self, mini_cora, tmp_path):
         ds = mini_cora
         fs = DistFileSystem(tmp_path)
-        config = GraphFlatConfig(hops=1, max_neighbors=10, dataset_layout="columnar")
+        config = GraphFlatConfig(hops=1, max_neighbors=10)
         graph_flat(ds.nodes, ds.edges, ds.train_ids, config, fs=fs, dataset_name="d")
         assert len(open_sample_source(fs, "d")) == len(ds.train_ids)
         graph_flat(ds.nodes, ds.edges, ds.train_ids[:3], config, fs=fs, dataset_name="d")
@@ -387,19 +439,15 @@ class TestColumnarDatasetSource:
 
 class TestTrainingIdentityAcrossLayouts:
     """Acceptance: columnar shards train to numerically identical per-epoch
-    losses/metrics as the row path, across prefetch backends x workers."""
+    losses/metrics as a legacy row dataset of the same samples, across
+    prefetch backends x workers."""
 
     @pytest.fixture(scope="class")
     def fs_both(self, tmp_path_factory):
         from repro.datasets import cora_like
 
         ds = cora_like(seed=7, num_nodes=300, num_edges=900)
-        fs = DistFileSystem(tmp_path_factory.mktemp("dfs"))
-        for layout in ("row", "columnar"):
-            config = GraphFlatConfig(hops=2, max_neighbors=20, dataset_layout=layout)
-            graph_flat(ds.nodes, ds.edges, ds.train_ids, config, fs=fs,
-                       dataset_name=f"flat/{layout}")
-        return ds, fs
+        return ds, flat_in_both_layouts(ds, DistFileSystem(tmp_path_factory.mktemp("dfs")))
 
     def _run(self, ds, fs, layout, backend, workers):
         model = GCNModel(ds.feature_dim, 12, ds.num_classes, num_layers=2, seed=5)

@@ -262,33 +262,28 @@ class TestBoundedReducerMemory:
 class TestSinkMatrix:
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     @pytest.mark.parametrize("codec", ["binary", "pickle"])
-    @pytest.mark.parametrize("layout", ["row", "columnar"])
-    def test_graphflat_stream_invariant(
-        self, mini_cora, tmp_path, backend, codec, layout
-    ):
-        """``row`` is collected and written by the parent, ``columnar`` by
-        the final-round reducers: one record stream either way."""
+    def test_graphflat_stream_invariant(self, mini_cora, tmp_path, backend, codec):
+        """The shards the final-round reducers wrote read back as the
+        in-memory result's record stream, whichever backend and spill codec
+        carried the rounds."""
         ds = mini_cora
         targets = ds.train_ids[:10]
-        fs = DistFileSystem(tmp_path / f"{backend}-{codec}-{layout}")
+        unsampled = dict(hops=2, max_neighbors=10**9, hub_threshold=10**9)
+        fs = DistFileSystem(tmp_path / "dfs")
         config = GraphFlatConfig(
-            hops=2,
-            max_neighbors=10**9,
-            hub_threshold=10**9,
             backend=backend,
             num_workers=2,
             spill_dir=tmp_path / "spill",
             shuffle_codec=codec,
-            dataset_layout=layout,
+            **unsampled,
         )
         result = graph_flat(
             ds.nodes, ds.edges, targets, config, fs=fs, dataset_name="flat"
         )
         assert result.num_targets == len(targets)
-        stream = list(fs.read_dataset("flat"))
-        if not hasattr(self, "_reference"):
-            type(self)._reference = stream
-        assert stream == self._reference
+        assert list(fs.read_dataset("flat")) == graph_flat(
+            ds.nodes, ds.edges, targets, GraphFlatConfig(**unsampled)
+        ).samples
 
 
 # --------------------------------------------------------------------------
@@ -350,44 +345,42 @@ class TestShmBatchHandoff:
         with pytest.raises(FileNotFoundError):
             attach_shared_memory(name)
 
-    def test_shm_requires_pickling_backend(self):
-        from repro.core.trainer.pipeline import BatchPipeline
-
-        with pytest.raises(ValueError, match="pickling backend"):
-            BatchPipeline([], num_layers=2, backend="threads", transport="shm")
-
-    def test_process_pool_shm_matches_pickle_transport(self, rng):
+    def test_process_pool_slabs_match_in_process_references(self, rng, monkeypatch):
+        """The hand-off follows the backend: ``processes`` returns every
+        batch through a slab, ``threads`` hands over references — array for
+        array the same batches."""
+        from repro.core.trainer import pipeline
         from repro.core.trainer.pipeline import BatchPipeline
 
         batches = [[_mk_sample(i * 3 + j, rng) for j in range(3)] for i in range(4)]
 
-        def run(transport, slab_bytes=64 << 20):
-            pipe = BatchPipeline(
-                batches,
-                num_layers=2,
-                backend="processes",
-                workers=2,
-                transport=transport,
-                slab_bytes=slab_bytes,
-            )
+        def run(backend):
+            pipe = BatchPipeline(batches, num_layers=2, backend=backend, workers=2)
             return list(pipe), pipe
 
-        ref, _ = run("pickle")
-        shm, pipe = run("shm")
-        assert pipe.shm_batches == len(batches) and pipe.inband_batches == 0
-        for (a_in, a_lab), (b_in, b_lab) in zip(ref, shm):
-            np.testing.assert_array_equal(np.asarray(a_lab), np.asarray(b_lab))
-            for field in a_in.__dataclass_fields__:
-                av, bv = getattr(a_in, field), getattr(b_in, field)
-                if isinstance(av, np.ndarray):
-                    np.testing.assert_array_equal(av, bv)
+        def assert_same_batches(got, ref):
+            assert len(got) == len(ref)
+            for (a_in, a_lab), (b_in, b_lab) in zip(ref, got):
+                np.testing.assert_array_equal(np.asarray(a_lab), np.asarray(b_lab))
+                for field in a_in.__dataclass_fields__:
+                    av, bv = getattr(a_in, field), getattr(b_in, field)
+                    if isinstance(av, np.ndarray):
+                        np.testing.assert_array_equal(av, bv)
 
-        # A slab too small for any batch degrades to the pickle pipe
-        # batch-by-batch without changing results.
-        tiny, tiny_pipe = run("shm", slab_bytes=1)
+        ref, ref_pipe = run("threads")
+        assert ref_pipe.shm_batches == ref_pipe.inband_batches == 0
+        shm, pipe = run("processes")
+        assert pipe.shm_batches == len(batches) and pipe.inband_batches == 0
+        assert_same_batches(shm, ref)
+
+        # A batch that outgrows its slab rides the result pipe whole — batch
+        # by batch, without changing results.  The parent sizes the slabs,
+        # so shrinking the constant here reaches the workers.
+        monkeypatch.setattr(pipeline, "SLAB_BYTES", 1)
+        tiny, tiny_pipe = run("processes")
         assert tiny_pipe.inband_batches == len(batches)
         assert tiny_pipe.shm_batches == 0
-        assert len(tiny) == len(ref)
+        assert_same_batches(tiny, ref)
 
 
 # --------------------------------------------------------------------------

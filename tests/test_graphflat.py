@@ -18,6 +18,8 @@ from repro.graph import AttributedGraph
 from repro.mapreduce import DistFileSystem, FailureInjector, LocalRuntime
 from repro.proto import decode_sample
 
+from .helpers import write_legacy_row_dataset
+
 NO_SAMPLING = dict(max_neighbors=10**9, hub_threshold=10**9)
 
 
@@ -211,31 +213,21 @@ class TestStoring:
         decoded = [decode_sample(r)[0] for r in fs.read_dataset("flat/all")]
         assert sorted(decoded) == sorted(nodes.ids.tolist())
 
-    def test_row_layout_honors_num_shards(self, tiny_tables, tmp_path):
+    def test_record_stream_is_the_in_memory_result(self, tiny_tables, tmp_path):
+        """Reducer-written columnar shards, a legacy row dataset of the same
+        samples (whatever its shard count) and the in-memory result are one
+        global record stream."""
         nodes, edges = tiny_tables
         fs = DistFileSystem(tmp_path)
-        config = GraphFlatConfig(
-            hops=2, num_shards=2, dataset_layout="row", **NO_SAMPLING
+        config = GraphFlatConfig(hops=2, **NO_SAMPLING)
+        graph_flat(nodes, edges, None, config, fs=fs, dataset_name="flat/reducer")
+        samples = write_legacy_row_dataset(
+            fs, "flat/legacy", graph_flat(nodes, edges, None, config), num_shards=2
         )
-        res = graph_flat(nodes, edges, None, config, fs=fs, dataset_name="flat/all")
-        assert res.dataset == "flat/all"
-        assert fs.num_shards("flat/all") == 2
-        decoded = [decode_sample(r)[0] for r in fs.read_dataset("flat/all")]
-        assert sorted(decoded) == sorted(nodes.ids.tolist())
-
-    def test_record_stream_independent_of_who_wrote_the_shards(self, tiny_tables, tmp_path):
-        """Reducer-written columnar shards, the parent-collected row
-        dataset and the in-memory result are one global record stream."""
-        nodes, edges = tiny_tables
-        fs = DistFileSystem(tmp_path)
-        base = GraphFlatConfig(hops=2, **NO_SAMPLING)
-        graph_flat(nodes, edges, None, base, fs=fs, dataset_name="flat/reducer")
-        parent_cfg = GraphFlatConfig(hops=2, dataset_layout="row", **NO_SAMPLING)
-        graph_flat(nodes, edges, None, parent_cfg, fs=fs, dataset_name="flat/parent")
-        assert list(fs.read_dataset("flat/reducer")) == list(fs.read_dataset("flat/parent"))
-        assert graph_flat(nodes, edges, None, base).samples == list(
-            fs.read_dataset("flat/parent")
-        )
+        assert fs.num_shards("flat/legacy") == 2
+        assert fs.layout("flat/legacy") == "row"
+        assert list(fs.read_dataset("flat/reducer")) == samples
+        assert list(fs.read_dataset("flat/legacy")) == samples
 
 
 class TestSubgraphInfo:

@@ -229,9 +229,10 @@ class TestOutput:
         fs = DistFileSystem(tmp_path)
         result = graph_infer(
             model, ds.nodes, ds.edges,
-            GraphInferConfig(num_shards=3), fs=fs, dataset_name="scores/all",
+            GraphInferConfig(num_reducers=3), fs=fs, dataset_name="scores/all",
         )
         assert result.dataset == "scores/all"
+        assert fs.num_shards("scores/all") == 3
         decoded = dict(
             decode_prediction(r) for r in fs.read_dataset("scores/all")
         )

@@ -32,9 +32,10 @@ class TestCoraWorkflow:
         assert test_acc > 0.5  # far beyond the 1/7 chance level
 
         result = graph_infer(
-            model, ds.nodes, ds.edges, GraphInferConfig(num_shards=2), runtime, fs, "scores"
+            model, ds.nodes, ds.edges, GraphInferConfig(num_reducers=2), runtime, fs, "scores"
         )
         assert result.dataset == "scores"
+        assert fs.num_shards("scores") == 2
         assert fs.count_records("scores") == len(ds.nodes)
 
     def test_agl_matches_inmemory_baseline_accuracy(self, mini_cora):

@@ -306,7 +306,7 @@ class TestGraphFlatEdgeTasks:
 
 
 class TestTrainerEdgeTasks:
-    def _train(self, fs, name, task, backend="serial", transport="auto", epochs=3):
+    def _train(self, fs, name, task, backend="serial", epochs=3):
         source = open_sample_source(fs, name)
         model = GraphSAGEModel(6, 8, 2, num_layers=2, seed=0)
         trainer = GraphTrainer(
@@ -314,7 +314,6 @@ class TestTrainerEdgeTasks:
             TrainerConfig(
                 task=task, epochs=epochs, batch_size=16, seed=0,
                 prefetch_backend=backend, prefetch_workers=2,
-                prefetch_transport=transport,
             ),
         )
         history = trainer.fit(source, val_samples=source)
@@ -347,8 +346,7 @@ class TestTrainerEdgeTasks:
             lp_dataset, "train", "link_prediction", backend="threads"
         )
         _, _, procs = self._train(
-            lp_dataset, "train", "link_prediction",
-            backend="processes", transport="shm",
+            lp_dataset, "train", "link_prediction", backend="processes"
         )
         assert [h["loss"] for h in serial] == [h["loss"] for h in threads]
         assert [h["loss"] for h in serial] == [h["loss"] for h in procs]
