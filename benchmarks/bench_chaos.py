@@ -47,7 +47,7 @@ def _runtime(plan: FaultPlan | None, kind: str | None) -> LocalRuntime:
         backend="processes",
         max_workers=2,
         max_attempts=10,
-        failure_injector=plan,
+        fault_plan=plan,
         shuffle_codec="binary",
         task_timeout_s=HANG_TIMEOUT_S if kind == "hang" else None,
         speculation_factor=1.5 if kind == "slow" else None,

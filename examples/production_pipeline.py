@@ -20,7 +20,7 @@ from repro.core.infer import GraphInferConfig, graph_infer
 from repro.proto.codec import decode_prediction
 from repro.core.trainer import GraphTrainer, TrainerConfig, open_sample_source
 from repro.datasets import cora_like, read_edge_table, read_node_table, write_edge_table, write_node_table
-from repro.mapreduce import DistFileSystem, FailureInjector, LocalRuntime
+from repro.mapreduce import DistFileSystem, FaultPlan, LocalRuntime
 from repro.nn.gnn import GCNModel
 
 
@@ -41,7 +41,7 @@ def main():
     runtime = LocalRuntime(
         backend="threads",
         max_attempts=8,
-        failure_injector=FailureInjector(rate=0.1, seed=42),
+        fault_plan=FaultPlan({"crash": 0.1}, seed=43),
     )
     flat_config = GraphFlatConfig(hops=2, max_neighbors=20)
     graph_flat(nodes, edges, dataset.train_ids, flat_config, runtime, fs, "flat/train")
@@ -50,7 +50,7 @@ def main():
         f"GraphFlat: {fs.count_records('flat/train')} train records in "
         f"{fs.num_shards('flat/train')} {fs.layout('flat/train')} shards "
         f"({fs.size_bytes('flat/train') / 2**10:.0f} KiB); "
-        f"{runtime.injector.injected} worker failures were injected and retried"
+        f"{runtime.fault_plan.injected} worker failures were injected and retried"
     )
 
     # --- training runs off the DFS shards through the layout-aware source

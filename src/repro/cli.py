@@ -58,7 +58,31 @@ def load_model(path: str | Path):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """What every command that opens the DFS reads."""
     parser.add_argument("--dfs", required=True, help="root directory of the local DFS")
+    parser.add_argument(
+        "--hosts", default=None,
+        help="cluster roster as comma-separated host:port entries; the "
+        "first entry is the coordinator (its base port seeds the "
+        "control/PS/shuffle/broadcast port plan, 0 = ephemeral). "
+        "Unset = single-host loopback",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_shuffle_transport(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--shuffle-transport", choices=SHUFFLE_TRANSPORTS, default="local",
+        help="how map-side runs reach reducers: 'local' (same-host spill "
+        "files), 'tcp' (length-prefixed frames from a shuffle peer server; "
+        "CRC trailers verified end-to-end), or 'shared-dir' (map tasks push "
+        "runs into per-partition subdirectories of --spill-dir, e.g. a DFS "
+        "mount); output is byte-identical across all three",
+    )
+
+
+def _add_runtime(parser: argparse.ArgumentParser) -> None:
+    """The MapReduce runtime knobs — read by the commands that run one."""
     parser.add_argument(
         "--backend",
         choices=["auto", *sorted(BACKEND_REGISTRY)],
@@ -75,21 +99,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="shuffle spill directory (out-of-core); processes backend spills "
         "to a private temp dir by default",
     )
-    parser.add_argument(
-        "--shuffle-transport", choices=SHUFFLE_TRANSPORTS, default="local",
-        help="how map-side runs reach reducers: 'local' (same-host spill "
-        "files), 'tcp' (length-prefixed frames from a shuffle peer server; "
-        "CRC trailers verified end-to-end), or 'shared-dir' (map tasks push "
-        "runs into per-partition subdirectories of --spill-dir, e.g. a DFS "
-        "mount); output is byte-identical across all three",
-    )
-    parser.add_argument(
-        "--hosts", default=None,
-        help="cluster roster as comma-separated host:port entries; the "
-        "first entry is the coordinator (its base port seeds the "
-        "control/PS/shuffle/broadcast port plan, 0 = ephemeral). "
-        "Unset = single-host loopback",
-    )
+    _add_shuffle_transport(parser)
     parser.add_argument(
         "--shuffle-codec", choices=["binary", "pickle"], default="binary",
         help="spill record encoding: flat binary records (default; faster, "
@@ -111,7 +121,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "longer than FACTOR x the phase's median completed duration races "
         "a duplicate attempt; first completion wins",
     )
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_dataflow(parser: argparse.ArgumentParser, config_cls, *, output: str,
@@ -139,6 +148,7 @@ def _add_dataflow(parser: argparse.ArgumentParser, config_cls, *, output: str,
         "reducers; output stays byte-identical to hash)",
     )
     _add_common(parser)
+    _add_runtime(parser)
 
 
 def _dataflow_kwargs(args) -> dict:
@@ -709,6 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     describe.add_argument("--sample", type=int, default=256,
                           help="records to decode for statistics")
     _add_common(describe)
+    _add_shuffle_transport(describe)
     _add_dist(describe)
     describe.set_defaults(func=_cmd_describe)
     return parser

@@ -27,7 +27,6 @@ import numpy as np
 from repro.core.trainer.dataset import SampleSource, as_sample_source
 from repro.core.trainer.partition import partitioned_backend_factory
 from repro.core.trainer.pipeline import BatchPipeline
-from repro.core.trainer.vectorize import TrainSample, decode_samples
 from repro.mapreduce.backends import BACKEND_REGISTRY, make_backend
 from repro.metrics import accuracy, hits_at_k, micro_f1, roc_auc
 from repro.nn import Adam, SGD, bce_with_logits_loss, no_grad, ops, softmax_cross_entropy
@@ -117,13 +116,6 @@ class GraphTrainer:
         self._prefetch_pool = None
 
     # ----------------------------------------------------------------- data
-    @staticmethod
-    def _as_samples(data) -> list[TrainSample]:
-        data = list(data)
-        if data and isinstance(data[0], (bytes, bytearray)):
-            return decode_samples(data)
-        return data
-
     @staticmethod
     def _as_source(data) -> SampleSource:
         """Accept wire bytes, decoded samples, or any :class:`SampleSource`

@@ -11,8 +11,9 @@ This package reproduces the programming contract those pipelines rely on:
   backends (see ``BACKEND_REGISTRY``), multi-round chaining, and a
   partitioned disk-spill shuffle (out-of-core operation; mandatory under
   the process backend so records never funnel through the parent);
-* ``FailureInjector`` — injects worker failures so tests can assert that
-  task re-execution produces byte-identical output (the fault-tolerance
+* ``FaultPlan`` — the one fault plan: injects worker crashes, hangs,
+  stragglers, damaged spill reads and connection resets so tests can assert
+  that task re-execution produces byte-identical output (the fault-tolerance
   property the paper gets for free from mature infrastructure);
 * ``DistFileSystem`` — a directory-backed stand-in for the cluster DFS that
   stores GraphFlat's sharded outputs.
@@ -39,7 +40,6 @@ from repro.mapreduce.partition import (
 from repro.mapreduce.runtime import LocalRuntime, RunStats
 from repro.mapreduce.fault import (
     FAULT_KINDS,
-    FailureInjector,
     FaultPlan,
     InjectedWorkerFailure,
     TaskTimeoutError,
@@ -59,7 +59,6 @@ __all__ = [
     "LocalRuntime",
     "RunStats",
     "FAULT_KINDS",
-    "FailureInjector",
     "FaultPlan",
     "InjectedWorkerFailure",
     "PhaseMonitor",

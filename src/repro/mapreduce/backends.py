@@ -11,7 +11,7 @@ is what keeps every backend byte-identical to ``serial``.
   Task functions and their arguments must be picklable (top-level
   callables / callable dataclasses, not closures).  A bounded pool of
   coordinator threads runs the retry loop in the parent — so failure
-  injection, attempt accounting and the shared injector cap behave
+  injection, attempt accounting and the shared fault-plan cap behave
   exactly as under ``serial`` — and each attempt ships the task to a
   worker process.  A crashed worker (``BrokenProcessPool``) is handled
   by rebuilding the pool and re-raising :class:`WorkerCrashError`, which
@@ -395,7 +395,7 @@ class ProcessesBackend(Backend):
             return []
         # Coordinator threads keep tasks in flight while the retry loop
         # (injection, attempt counts) runs parent-side against the shared
-        # injector — semantics identical to serial.  Excess tasks queue on
+        # fault plan — semantics identical to serial.  Excess tasks queue on
         # the coordinator pool; futures keep results position-ordered.
         count = self._coordinator_count(len(tasks))
         with ThreadPoolExecutor(max_workers=count) as coordinators:

@@ -5,31 +5,28 @@ The paper's pitch for building on MapReduce is that fault tolerance comes
 for free: a failed task is simply re-executed and, because tasks are
 deterministic functions of their input partition, the job output is
 unchanged.  This module makes that property *testable* across the whole
-failure surface, not just crash-before-work:
+failure surface, not just crash-before-work.  There is one plan class,
+:class:`FaultPlan`: it deterministically injects one of :data:`FAULT_KINDS`
+per sampled attempt, keyed by ``(job, task, attempt, kind)`` (crash-only is
+``FaultPlan({"crash": rate})``):
 
-* :class:`FailureInjector` — the classic injector: deterministically kill a
-  fraction of task attempts before they do any work.
-* :class:`FaultPlan` — the expanded fault plane.  Deterministically injects
-  one of :data:`FAULT_KINDS` per sampled attempt, keyed by ``(job, task,
-  attempt, kind)``:
-
-  - ``crash`` — the attempt dies before doing any work (parent-side raise,
-    exactly the ``FailureInjector`` behaviour);
-  - ``hang`` — the attempt wedges inside the worker until the runtime's
-    deadline machinery kills it (cooperative check under serial/threads,
-    parent-side future timeout + pool discard under processes);
-  - ``slow`` — the attempt runs to completion but takes ``slow_s`` longer,
-    a straggler for the speculation machinery to rescue;
-  - ``corrupt-run`` / ``truncate-run`` — the attempt's *view* of one spill
-    run file is corrupted / truncated at read time, so the frame CRC (or
-    frame framing) fails loudly mid-merge and the attempt is re-executed.
-    The fault is injected on the read path, never on disk: the retry reads
-    the intact file, which is what keeps re-execution byte-identical.
-  - ``conn-reset`` — the network twin of the read faults: the attempt's
-    shuffle-fetch *connection* dies mid-stream (``ConnectionResetError``,
-    retryable) while the peer's run files stay intact, so the retried
-    attempt re-fetches the same bytes.  Only the TCP shuffle transport
-    consumes it; elsewhere it arms and expires harmlessly.
+* ``crash`` — the attempt dies before doing any work (parent-side raise:
+  a worker that was lost before it produced anything);
+* ``hang`` — the attempt wedges inside the worker until the runtime's
+  deadline machinery kills it (cooperative check under serial/threads,
+  parent-side future timeout + pool discard under processes);
+* ``slow`` — the attempt runs to completion but takes ``slow_s`` longer,
+  a straggler for the speculation machinery to rescue;
+* ``corrupt-run`` / ``truncate-run`` — the attempt's *view* of one spill
+  run file is corrupted / truncated at read time, so the frame CRC (or
+  frame framing) fails loudly mid-merge and the attempt is re-executed.
+  The fault is injected on the read path, never on disk: the retry reads
+  the intact file, which is what keeps re-execution byte-identical.
+* ``conn-reset`` — the network twin of the read faults: the attempt's
+  shuffle-fetch *connection* dies mid-stream (``ConnectionResetError``,
+  retryable) while the peer's run files stay intact, so the retried
+  attempt re-fetches the same bytes.  Only the TCP shuffle transport
+  consumes it; elsewhere it arms and expires harmlessly.
 
 Decisions (which attempt gets which fault) are made in the *parent* — that
 keeps the injected-counter and ``max_faults`` cap exact under every backend
@@ -55,7 +52,6 @@ from repro.utils.rng import new_rng
 __all__ = [
     "FAULT_KINDS",
     "AttemptSpec",
-    "FailureInjector",
     "FaultPlan",
     "InjectedWorkerFailure",
     "TaskTimeoutError",
@@ -104,67 +100,17 @@ def _uniform(seed: int, material: str) -> float:
     return float(rng.random())
 
 
-# ------------------------------------------------------------- injection plans
-class FailureInjector:
-    """Deterministically crash task attempts (the crash-only plan).
-
-    ``rate`` is the probability that any given *attempt* fails.  Failures
-    are sampled from a seeded stream keyed by ``(job, task, attempt)`` so a
-    retried attempt of the same task gets an independent draw, and the whole
-    schedule is reproducible.  ``max_failures`` caps total injected failures
-    (so a high rate cannot starve a job forever in tests).
-    """
-
-    def __init__(self, rate: float, seed: int | None = 0, max_failures: int | None = None):
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"failure rate must be in [0, 1], got {rate}")
-        self.rate = rate
-        self._seed = 0 if seed is None else int(seed)
-        self.max_failures = max_failures
-        self.injected = 0
-        self._lock = threading.Lock()
-
-    def _draw(self, job_name: str, task_id: str, attempt: int) -> float:
-        # Key an independent generator off the task coordinates so the
-        # schedule does not depend on execution order (threads!).
-        return _uniform(self._seed, f"{job_name}|{task_id}|{attempt}")
-
-    def _count_one(self) -> bool:
-        with self._lock:
-            if self.max_failures is not None and self.injected >= self.max_failures:
-                return False
-            self.injected += 1
-        return True
-
-    def should_fail(self, job_name: str, task_id: str, attempt: int) -> bool:
-        """Whether this attempt should be killed (and count it if so)."""
-        if self.rate == 0.0:
-            return False
-        if self._draw(job_name, task_id, attempt) < self.rate:
-            return self._count_one()
-        return False
-
-    def maybe_fail(self, job_name: str, task_id: str, attempt: int) -> None:
-        """Raise :class:`InjectedWorkerFailure` if this attempt is sampled."""
-        if self.should_fail(job_name, task_id, attempt):
-            raise InjectedWorkerFailure(
-                f"injected failure: job={job_name} task={task_id} attempt={attempt}"
-            )
-
-    def draw(self, job_name: str, task_id: str, attempt: int) -> str | None:
-        """Fault kind for this attempt (``"crash"`` or ``None``) — the
-        plan interface the runtime's retry loop consumes."""
-        return "crash" if self.should_fail(job_name, task_id, attempt) else None
-
-
-class FaultPlan(FailureInjector):
+# -------------------------------------------------------------- injection plan
+class FaultPlan:
     """Deterministically inject the full fault plane.
 
     ``rates`` maps fault kind -> per-attempt probability (a bare float
     applies to every kind).  Each ``(job, task, attempt, kind)`` gets an
-    independent seeded draw; kinds are tried in :data:`FAULT_KINDS` order
-    and the first hit wins, so schedules are reproducible and independent
-    of execution order.  ``max_faults`` caps total injections across kinds.
+    independent seeded draw — keyed off the task coordinates, so a retried
+    attempt of the same task draws afresh and the schedule does not depend
+    on execution order (threads!); kinds are tried in :data:`FAULT_KINDS`
+    order and the first hit wins.  ``max_faults`` caps total injections
+    across kinds (so a high rate cannot starve a job forever in tests).
 
     ``corrupt-run``/``truncate-run`` only fire for spill-*reading* attempts
     (task ids starting with ``reduce-``): a map attempt has no run files to
@@ -190,15 +136,18 @@ class FaultPlan(FailureInjector):
         for kind, rate in rates.items():
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate for {kind!r} must be in [0, 1], got {rate}")
-        super().__init__(
-            rate=max(rates.values(), default=0.0), seed=seed, max_failures=max_faults
-        )
         self.rates = dict(rates)
+        self._seed = 0 if seed is None else int(seed)
+        self.max_faults = max_faults
         self.slow_s = slow_s
         self.hang_limit_s = hang_limit_s
+        self.injected = 0
         self.injected_by_kind: dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
+        self._lock = threading.Lock()
 
     def draw(self, job_name: str, task_id: str, attempt: int) -> str | None:
+        """Fault kind for this attempt, or ``None`` — what the runtime's
+        retry loop asks before every attempt (and counts, if it hits)."""
         for kind in FAULT_KINDS:
             rate = self.rates.get(kind, 0.0)
             if rate == 0.0:
@@ -206,9 +155,10 @@ class FaultPlan(FailureInjector):
             if kind in _REDUCE_ONLY_FAULTS and not task_id.startswith("reduce-"):
                 continue
             if _uniform(self._seed, f"{job_name}|{task_id}|{attempt}|{kind}") < rate:
-                if not self._count_one():
-                    return None
                 with self._lock:
+                    if self.max_faults is not None and self.injected >= self.max_faults:
+                        return None
+                    self.injected += 1
                     self.injected_by_kind[kind] += 1
                 return kind
         return None

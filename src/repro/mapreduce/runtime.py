@@ -29,12 +29,12 @@ are atomic and idempotent, retries and duplicates cannot change job output
 
 Shuffle spill: with ``spill_dir`` set (or always under the ``processes``
 backend, which uses a private temp directory unless told otherwise), each
-map task spills key-sorted run files per reduce partition and reducers
+writer task spills key-sorted run files per reduce partition and reducers
 *stream-merge* their partition's files (:mod:`repro.mapreduce.spill`):
 groups are fed to the reducer one at a time, one bounded chunk per file
 resident, so a reducer's *input* partition never has to be resident in RAM.
-The write side is bounded too: map tasks and chain reducers stream their
-output through :class:`~repro.mapreduce.spill.SpillRunWriter`, which
+The write side is bounded too: every writer task streams its output
+through :class:`~repro.mapreduce.spill.SpillRunWriter`, which
 external-sorts into bounded runs (``spill_run_records`` / ``spill_run_bytes``
 knobs) that the next round's read-side merge recombines — so neither side
 of a shuffle ever materializes a partition.  Runs are written a chunk of key
@@ -43,18 +43,21 @@ groups at a time; the chunk's values are encoded by a pluggable codec
 blocks (:mod:`repro.proto.framing`) which GraphFlat/GraphInfer use to avoid
 the per-object serialization tax on their dominant shuffle volumes.
 
-Chained rounds (:meth:`LocalRuntime.run_rounds`): when round ``i+1`` is a
-reduce-only job (identity mapper, no combiner — every GraphFlat/GraphInfer
-round is), round ``i``'s reducers partition their output *directly* for
-round ``i+1``'s reducers, and the identity map phase is skipped.  Under the
-process backend the partitions go to spill files, so intermediate records
-never travel through the parent at all — the parent only ever sees file
-counters between rounds, which is what makes multi-core scaling survive
-Python's serialization costs.  The *first* round gets the symmetric
-treatment: when it is itself reduce-only, the parent partitions (and spills)
-the job input directly instead of shipping chunks through identity map
-tasks, skipping one full IPC pass.  Record order is provably identical to
-the unchained execution (reduce-task order = the order identity map tasks
+How a round is fed: the records on their way into a job's reducers are one
+*shuffle* — in memory or spilled, whichever the runtime resolved — written by
+numbered writer tasks and read per partition.  Who the writers are is the
+only thing that differs between rounds.  A job with a mapper (or combiner)
+is written by its own map tasks.  A reduce-only job (identity mapper, no
+combiner — every GraphFlat/GraphInfer round is) skips the identity map
+phase: as the first round of a chain the parent partitions (and spills) the
+job input directly, as the single writer ``0``; as a later round
+(:meth:`LocalRuntime.run_rounds`) the *reducers of the round before it*
+partition their output straight into it.  Under the process backend the
+partitions go to spill files, so intermediate records never travel through
+the parent at all — the parent only ever sees file counters between rounds,
+which is what makes multi-core scaling survive Python's serialization
+costs.  Record order is provably identical to the unchained execution (one
+stably-sorted writer, or reduce-task order, is the order identity map tasks
 would have preserved), so output stays byte-identical.
 
 Side stages: a chained job may *accept only some keys*
@@ -89,7 +92,6 @@ from pathlib import Path
 from repro.mapreduce.backends import AttemptContext, Backend, make_backend
 from repro.mapreduce.fault import (
     AttemptSpec,
-    FailureInjector,
     FaultPlan,
     InjectedWorkerFailure,
     TaskTimeoutError,
@@ -240,10 +242,21 @@ def _chunk(seq: list, n: int) -> list[list]:
 
 
 # --------------------------------------------------------- sources and sinks
-# Reduce tasks pull their partition's *groups* from a source (streamed, for
-# spill sources) and push their output pairs into a *sink* as they are
-# produced.  All of these are picklable: under the "processes" backend they
-# ship to worker processes inside the task arguments.
+# A task pulls ``(key, values)`` groups from a *source* (streamed, for spill
+# sources) and pushes its output pairs into a *sink* as they are produced.
+# All of these are picklable: under the "processes" backend they ship to
+# worker processes inside the task arguments.
+
+
+@dataclass(frozen=True)
+class _ChunkSource:
+    """A map task's input chunk.  Its records are handed on as they are —
+    ``(key, value)``, each on its own: nothing here is a group to size."""
+
+    pairs: list
+
+    def groups(self):
+        return self.pairs
 
 
 @dataclass(frozen=True)
@@ -276,10 +289,14 @@ class _CollectSink:
 
 class _BucketWriter:
     """In-memory twin of :class:`~repro.mapreduce.spill.SpillRunWriter`:
-    partitioned output as one list of pairs per partition."""
+    partitioned output as one list of pairs per partition.  A combiner folds
+    each partition's key groups at ``finish`` — over the task's whole output,
+    so a classic callable combiner may re-key: what it emits stays in the
+    partition it was combined in."""
 
-    def __init__(self, num_partitions: int):
+    def __init__(self, num_partitions: int, combiner: Callable | None = None):
         self._buckets: list[list[tuple]] = [[] for _ in range(num_partitions)]
+        self._combiner = combiner
 
     def extend(self, pairs, partitioner: Callable) -> None:
         buckets = self._buckets
@@ -288,18 +305,34 @@ class _BucketWriter:
             buckets[partitioner(key, num)].append((key, value))
 
     def finish(self) -> list[list[tuple]]:
+        if self._combiner is not None:
+            for p, bucket in enumerate(self._buckets):
+                squeezed: list[tuple] = []
+                for key, values in group_sorted(bucket):
+                    squeezed.extend(self._combiner(key, values))
+                self._buckets[p] = squeezed
         return self._buckets
 
 
-def _partition_pairs(pairs, partitioner: Callable, num_partitions: int):
-    writer = _BucketWriter(num_partitions)
-    writer.extend(pairs, partitioner)
-    return writer.finish()
+class _FoldedSpillWriter(_BucketWriter):
+    """A classic callable combiner on the spilled medium: it has to see the
+    task's whole output grouped per partition (see :class:`_BucketWriter`),
+    so the output is folded in memory and then spilled eagerly, one run per
+    partition.  A :class:`~repro.mapreduce.job.Combiner` never comes here —
+    the bounded-run writer folds it run by run."""
+
+    def __init__(self, layout: SpillLayout, task: int, combiner: Callable):
+        super().__init__(layout.num_partitions, combiner)
+        self._layout = layout
+        self._task = task
+
+    def finish(self) -> SpillWriteResult:
+        return self._layout.write_map_output(self._task, super().finish())
 
 
-class _ChainSink:
-    """A chained round's sink: ``writer(task_index)`` opens one reduce
-    task's partitioned output, ``store`` streams the task's pairs into it."""
+class _ShuffleSink:
+    """Where one writer task of a shuffle puts its output: ``writer(task_index)``
+    opens the task's partitioned output, ``store`` streams its pairs in."""
 
     def store(self, task_index: int, pairs):
         writer = self.writer(task_index)
@@ -308,26 +341,28 @@ class _ChainSink:
 
 
 @dataclass(frozen=True)
-class _MemoryChainSink(_ChainSink):
-    """Chained round (in-memory): partition output for the next round's
-    reducers; the skipped identity map phase would have done the same."""
+class _MemorySink(_ShuffleSink):
+    """In-memory shuffle: one bucket list per writer task goes back to the
+    parent."""
 
     partitioner: Callable
     num_partitions: int
+    combiner: Callable | None = None
 
     def writer(self, task_index: int) -> _BucketWriter:
-        return _BucketWriter(self.num_partitions)
+        return _BucketWriter(self.num_partitions, self.combiner)
 
 
 @dataclass(frozen=True)
-class _SpillChainSink(_ChainSink):
-    """Chained round (spilled): partition output straight to the next
-    round's shuffle files; only counters go back to the parent.
+class _SpillSink(_ShuffleSink):
+    """Spilled shuffle: output goes straight to the shuffle's run files; only
+    counters go back to the parent.
 
     Output streams through a :class:`~repro.mapreduce.spill.SpillRunWriter`
-    — the reducer's own output is external-sorted into bounded runs as it
-    is produced, never buffered whole (tentpole of the constant-memory
-    dataflow)."""
+    — the task's own output is external-sorted into bounded runs as it is
+    produced, never buffered whole (tentpole of the constant-memory
+    dataflow) — with a :class:`~repro.mapreduce.job.Combiner` pushed down
+    into it: each key's run is folded right before it hits disk."""
 
     layout: SpillLayout
     partitioner: Callable
@@ -336,10 +371,15 @@ class _SpillChainSink(_ChainSink):
     task_offset: int = 0
     """Writer tasks already in the layout: a side stage writes after the
     round before it, as tasks ``task_offset + p``."""
+    combiner: Callable | None = None
 
     def writer(self, task_index: int):
+        task = self.task_offset + task_index
+        if self.combiner is not None and not isinstance(self.combiner, Combiner):
+            return _FoldedSpillWriter(self.layout, task, self.combiner)
         return self.layout.run_writer(
-            self.task_offset + task_index,
+            task,
+            combiner=self.combiner,
             run_records=self.run_records,
             run_bytes=self.run_bytes,
         )
@@ -352,8 +392,8 @@ class _SplitSink:
     after it.  Both outputs stream — neither is buffered whole."""
 
     accepts: Callable
-    side: _MemoryChainSink | _SpillChainSink
-    main: _MemoryChainSink | _SpillChainSink
+    side: _MemorySink | _SpillSink
+    main: _MemorySink | _SpillSink
 
     def store(self, task_index: int, pairs):
         side = self.side.writer(task_index)
@@ -372,12 +412,14 @@ class _SplitSink:
 
 
 @dataclass(eq=False)
-class _ChainState:
-    """Parent-side handle on one job's pre-partitioned shuffle input: what
-    the reducer tasks of the round before it wrote — preceded, when that
-    round is a side stage, by what the round before *that* routed past it
-    (lower-numbered writer tasks of the same layout / bucket list, so the
-    consuming round's merge simply sees more runs)."""
+class _Shuffle:
+    """Parent-side handle on the records on their way into one job's
+    reducers, in memory or spilled.  Whoever writes them does so as numbered
+    writer tasks of it — the parent (task ``0``), the job's map tasks, or the
+    reduce tasks of the round before; when that round is a side stage, they
+    come after what the round before *that* routed past it (lower-numbered
+    writer tasks of the same layout / bucket list, so the merge simply sees
+    more runs)."""
 
     partitioner: Callable
     num_partitions: int
@@ -389,19 +431,20 @@ class _ChainState:
     source`` (parent-side only, never pickled)."""
     num_tasks: int = 0
     counts: list[list[int]] = field(default_factory=list)
-    byte_counts: list[tuple[int, ...] | None] = field(default_factory=list)
+    byte_counts: list[tuple[int, ...]] = field(default_factory=list)
     buckets: list[list[list]] = field(default_factory=list)
 
-    def sink(self, run_records: int, run_bytes: int):
-        """Where the next writer round's reduce tasks put their output."""
+    def sink(self, run_records: int, run_bytes: int, combiner: Callable | None = None):
+        """Where the next writer tasks put their output."""
         if self.layout is None:
-            return _MemoryChainSink(self.partitioner, self.num_partitions)
-        return _SpillChainSink(
-            self.layout, self.partitioner, run_records, run_bytes, self.num_tasks
+            return _MemorySink(self.partitioner, self.num_partitions, combiner)
+        return _SpillSink(
+            self.layout, self.partitioner, run_records, run_bytes, self.num_tasks, combiner
         )
 
-    def add(self, stored, stats: RunStats) -> None:
-        """Fold in what one writer task reported."""
+    def add(self, stored, stats: RunStats, phase: str) -> None:
+        """Fold in what one writer task reported; ``stats`` is the round the
+        task ran in, ``phase`` what it was there."""
         self.num_tasks += 1
         if self.layout is None:
             self.buckets.append(stored)
@@ -410,34 +453,33 @@ class _ChainState:
         self.counts.append(stored.counts)
         self.byte_counts.append(stored.partition_bytes)
         stats.shuffle_bytes_written += stored.bytes_written
-        stats.peak_reducer_buffer_bytes = max(
-            stats.peak_reducer_buffer_bytes, stored.peak_buffer_bytes
-        )
+        if phase == "reduce":
+            stats.peak_reducer_buffer_bytes = max(
+                stats.peak_reducer_buffer_bytes, stored.peak_buffer_bytes
+            )
 
     def partition_totals(self) -> tuple[list[int], list[int] | None]:
         """Per-partition (records, file bytes) summed over writer tasks —
         what the consuming round reports as its shuffle volume and skew.
-        Bytes are ``None`` for in-memory chains."""
+        Bytes are ``None`` in memory."""
         records = [0] * self.num_partitions
         if self.layout is None:
             for task in self.buckets:
                 for p, bucket in enumerate(task):
                     records[p] += len(bucket)
             return records, None
-        for task in self.counts:
-            for p, n in enumerate(task):
-                records[p] += n
-        nbytes = None
-        if all(t is not None for t in self.byte_counts):
-            nbytes = [0] * self.num_partitions
-            for task in self.byte_counts:
-                for p, b in enumerate(task):
-                    nbytes[p] += b
+        nbytes = [0] * self.num_partitions
+        for task_records, task_bytes in zip(self.counts, self.byte_counts):
+            for p in range(self.num_partitions):
+                records[p] += task_records[p]
+                nbytes[p] += task_bytes[p]
         return records, nbytes
 
     def source(self, partition: int):
         if self.layout is not None:
             return self.source_fn(self.layout, partition, self.num_tasks)
+        if len(self.buckets) == 1:  # a single writer's bucket needs no merging
+            return _MemorySource(self.buckets[0][partition])
         merged: list[tuple] = []
         for task in self.buckets:
             merged.extend(task[partition])
@@ -451,89 +493,27 @@ class _ChainState:
             shutil.rmtree(self.layout.root, ignore_errors=True)
 
 
-# ----------------------------------------------------------------- task bodies
-# Top-level functions: they (and their arguments) are pickled to worker
-# processes under the "processes" backend.
+# ------------------------------------------------------------------ task body
+# Top-level: it (and its arguments) are pickled to worker processes under the
+# "processes" backend.
 
 
-def _map_chunk(job: MapReduceJob, chunk: list[tuple]):
-    """Map + partition + optional combine for one input chunk."""
-    out: list[list[tuple]] = [[] for _ in range(job.num_reducers)]
-    mapped = 0
-    for key, value in chunk:
-        maybe_check_deadline()
-        for out_key, out_value in job.mapper(key, value):
-            out[job.partitioner(out_key, job.num_reducers)].append((out_key, out_value))
-            mapped += 1
-    combined = 0
-    if job.combiner is not None:
-        for p in range(job.num_reducers):
-            squeezed: list[tuple] = []
-            for k, values in group_sorted(out[p]):
-                squeezed.extend(job.combiner(k, values))
-            out[p] = squeezed
-            combined += len(squeezed)
-    return out, mapped, combined
-
-
-def _map_task_memory(job: MapReduceJob, chunk: list[tuple]):
-    return _map_chunk(job, chunk)
-
-
-def _map_task_spill(
-    job: MapReduceJob,
-    chunk: list[tuple],
-    spill: SpillLayout,
-    index: int,
-    run_records: int = DEFAULT_RUN_RECORDS,
-    run_bytes: int = DEFAULT_RUN_BYTES,
-):
-    """Spilling map task: partition files go straight to disk; only the
-    per-partition counts and byte totals travel back to the parent.
-
-    Mapper output streams through a bounded-run writer, which partitions
-    each distinct key once per run.  A :class:`~repro.mapreduce.job.Combiner`
-    is pushed down into the writer, which folds each key's run right before
-    it hits disk (run-level map-side combine — no whole-output grouping
-    pass).  Classic callable combiners may re-key, so they keep the eager
-    grouped path."""
-    combiner = job.combiner if isinstance(job.combiner, Combiner) else None
-    if combiner is None and job.combiner is not None:
-        buckets, mapped, combined = _map_chunk(job, chunk)
-        return spill.write_map_output(index, buckets), mapped, combined
-    writer = spill.run_writer(
-        index, combiner=combiner, run_records=run_records, run_bytes=run_bytes
-    )
-    mapped = 0
-
-    def mapped_pairs():
-        nonlocal mapped
-        for key, value in chunk:
-            maybe_check_deadline()
-            for pair in job.mapper(key, value):
-                mapped += 1
-                yield pair
-
-    writer.extend(mapped_pairs(), job.partitioner)
-    written = writer.finish()
-    combined = sum(written.counts) if combiner is not None else 0
-    return written, mapped, combined
-
-
-def _reduce_task(job: MapReduceJob, source, sink, task_index: int):
-    """Stream groups from the source through the reducer into the sink:
-    with a spill source the input partition is never resident — one group
-    at a time — and a spill chain sink external-sorts the task's output
-    into bounded runs as it is produced."""
-    counters = [0, 0, 0]  # reduced pairs, groups, largest group
+def _run_task(fn: Callable, source, sink, task_index: int):
+    """The one task body, map or reduce: stream what the source yields
+    through ``fn`` into the sink.  With a spill source the input partition is
+    never resident — one group at a time — and a spill sink external-sorts
+    the task's output into bounded runs as it is produced."""
+    counters = [0, 0, 0]  # produced pairs, groups, largest group
+    grouped = not isinstance(source, _ChunkSource)
 
     def produced():
         for key, values in source.groups():
             maybe_check_deadline()
-            counters[1] += 1
-            if len(values) > counters[2]:
-                counters[2] = len(values)
-            for pair in job.reducer(key, values):
+            if grouped:
+                counters[1] += 1
+                if len(values) > counters[2]:
+                    counters[2] = len(values)
+            for pair in fn(key, values):
                 counters[0] += 1
                 yield pair
 
@@ -591,20 +571,6 @@ def _sweep_dead_sessions(spill_dir: Path) -> None:
             continue  # pid alive under another user, or unknowable — keep it
 
 
-def _note_partitions(
-    stats: RunStats, records: list[int], nbytes: list[int] | tuple[int, ...] | None = None
-) -> None:
-    """Fold one writer's per-partition record (and optionally byte) totals
-    into the round's skew counters.  Every partition index is recorded —
-    zeros included — so the skew factor's mean is over real partitions,
-    not just non-empty ones."""
-    for p, n in enumerate(records):
-        stats.partition_records[p] = stats.partition_records.get(p, 0) + n
-    if nbytes is not None:
-        for p, b in enumerate(nbytes):
-            stats.partition_bytes[p] = stats.partition_bytes.get(p, 0) + b
-
-
 def _chainable(job: MapReduceJob) -> bool:
     """A reduce-only round can consume the previous round's reducer output
     directly (its identity map phase is a no-op to skip)."""
@@ -647,7 +613,7 @@ class LocalRuntime:
         backend: str = "serial",
         max_workers: int | None = None,
         max_attempts: int = 3,
-        failure_injector: FailureInjector | None = None,
+        fault_plan: FaultPlan | None = None,
         spill_dir: str | Path | None = None,
         shuffle_codec: str = "pickle",
         spill_run_records: int = DEFAULT_RUN_RECORDS,
@@ -698,7 +664,7 @@ class LocalRuntime:
         self.max_attempts = self.retry_policy.max_attempts
         self.task_timeout_s = task_timeout_s
         self.speculation_factor = speculation_factor
-        self.injector = failure_injector
+        self.fault_plan = fault_plan
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.shuffle_codec = shuffle_codec
         self.partitioner = partitioner
@@ -756,16 +722,9 @@ class LocalRuntime:
 
     # ------------------------------------------------------------------ api
     def run(self, job: MapReduceJob, inputs: Iterable[tuple]) -> list[tuple]:
-        """Execute one round; returns the reducer output pairs, ordered by
-        (reduce partition, key order within partition)."""
-        _check_side_stages([job])
-        job = self._resolve_partitioner(job)
-        if self._backend.needs_pickling:
-            self._check_shippable(job)
-        output, stats = self._run_one(job, list(inputs), incoming=None)
-        self.round_stats = [stats]
-        self.last_stats = stats
-        return output
+        """Execute one round — a chain of one; returns the reducer output
+        pairs, ordered by (reduce partition, key order within partition)."""
+        return self._run_chain([job], list(inputs))
 
     def run_rounds(
         self,
@@ -793,6 +752,14 @@ class LocalRuntime:
         data = list(inputs)
         if not jobs:
             return data
+        return self._run_chain(jobs, data, final_sink)
+
+    def _run_chain(self, jobs: list[MapReduceJob], data: list, final_sink=None) -> list:
+        """Both public entry points: run ``jobs`` as one chain over ``data``,
+        owning every shuffle on the way — each is opened here, written by the
+        round(s) before its job (or by the job's own round when nothing is),
+        and removed here as soon as its job has consumed it, or when a round
+        raises."""
         _check_side_stages(jobs)
         jobs = [self._resolve_partitioner(job) for job in jobs]
         if self._backend.needs_pickling:
@@ -802,35 +769,37 @@ class LocalRuntime:
                 self._check_shippable(final_sink, what="final sink")
         self.round_stats = []
         merged = RunStats(job="+".join(j.name for j in jobs))
-        live: list[_ChainState] = []
+        live: list[_Shuffle] = []
 
-        def open_chain(index: int) -> _ChainState:
+        def open_shuffle(index: int) -> _Shuffle:
             # Round-unique spill namespace: consecutive jobs may share a
-            # name, and one round's chain input must not collide with the
-            # files the next round's input is being written to.
-            state = self._open_chain(f"chain{index:04d}.{jobs[index].name}", jobs[index])
-            live.append(state)
-            return state
+            # name, and one round's input must not collide with the files
+            # the next round's input is being written to.
+            shuffle = self._open_shuffle(f"chain{index:04d}.{jobs[index].name}", jobs[index])
+            live.append(shuffle)
+            return shuffle
 
-        incoming: _ChainState | None = None  # this round's input
-        bypassed: _ChainState | None = None  # next round's, begun past a side stage
+        incoming: _Shuffle | None = None  # this round's input, written upstream
+        bypassed: _Shuffle | None = None  # next round's, begun past a side stage
         try:
             for i, job in enumerate(jobs):
+                feed = None
+                if incoming is None:  # nobody upstream wrote it: the round feeds itself
+                    incoming, feed = open_shuffle(i), data
                 chain = side = None
                 if bypassed is not None:
                     chain, bypassed = bypassed, None
                 elif i + 1 < len(jobs) and _chainable(jobs[i + 1]):
                     if jobs[i + 1].accepts is not None:
-                        side, chain = open_chain(i + 1), open_chain(i + 2)
+                        side, chain = open_shuffle(i + 1), open_shuffle(i + 2)
                     else:
-                        chain = open_chain(i + 1)
+                        chain = open_shuffle(i + 1)
                 sink = final_sink if i == len(jobs) - 1 else None
-                data, stats = self._run_one(job, data, incoming, chain, side, sink)
+                data, stats = self._run_one(job, incoming, feed, chain, side, sink)
                 self.round_stats.append(stats)
                 merged.merge(stats)
-                if incoming is not None:  # consumed: free it before the next round
-                    incoming.cleanup()
-                    live.remove(incoming)
+                incoming.cleanup()  # consumed: free it before the next round
+                live.remove(incoming)
                 if side is not None:
                     incoming, bypassed = side, chain
                 else:
@@ -838,8 +807,8 @@ class LocalRuntime:
         finally:
             # Empty unless a round raised: drop its input and whatever was
             # written for the rounds that never ran.
-            for state in live:
-                state.cleanup()
+            for shuffle in live:
+                shuffle.cleanup()
         self.last_stats = merged
         return data
 
@@ -885,140 +854,96 @@ class LocalRuntime:
         )
         return str(self._session_dir)
 
-    def _new_layout(self, name: str, job: MapReduceJob, spill_root: str) -> SpillLayout:
-        """A private directory for one shuffle — the records on their way
-        into ``job``'s reducers — and the layout of its run files.
-        Deterministic file names from an earlier failed run can never leak
-        records into this one, and cleanup is one rmtree."""
-        run_dir = tempfile.mkdtemp(prefix=f"{name}.", dir=spill_root)
-        self._transport.register_root(run_dir)
-        return SpillLayout(
-            run_dir,
-            name,
-            job.num_reducers,
-            codec=self.shuffle_codec,
-            partition_tag=spill_tag(job.partitioner),
-            partition_subdirs=self._transport.partition_subdirs,
-        )
-
-    def _open_chain(self, name: str, job: MapReduceJob) -> _ChainState:
-        """Begin the pre-partitioned shuffle input of ``job``, to be written
-        by the reduce tasks of the round (or two) before it."""
-        state = _ChainState(job.partitioner, job.num_reducers, job.accepts)
+    def _open_shuffle(self, name: str, job: MapReduceJob) -> _Shuffle:
+        """Begin the shuffle into ``job``'s reducers, for its writer tasks to
+        fill — spilled when this runtime has a spill root, else in memory."""
+        shuffle = _Shuffle(job.partitioner, job.num_reducers, job.accepts)
         spill_root = self._spill_root()
         if spill_root is not None:
-            state.layout = self._new_layout(name, job, spill_root)
-            state.source_fn = self._transport.source
-        return state
+            # A private directory per shuffle: deterministic file names from
+            # an earlier failed run can never leak records into this one,
+            # and cleanup is one rmtree.
+            run_dir = tempfile.mkdtemp(prefix=f"{name}.", dir=spill_root)
+            self._transport.register_root(run_dir)
+            shuffle.layout = SpillLayout(
+                run_dir,
+                name,
+                job.num_reducers,
+                codec=self.shuffle_codec,
+                partition_tag=spill_tag(job.partitioner),
+                partition_subdirs=self._transport.partition_subdirs,
+            )
+            shuffle.source_fn = self._transport.source
+        return shuffle
 
     def _run_one(
         self,
         job: MapReduceJob,
-        data: list[tuple],
-        incoming: _ChainState | None,
-        chain: _ChainState | None = None,
-        side: _ChainState | None = None,
+        shuffle: _Shuffle,
+        data: list[tuple] | None = None,
+        chain: _Shuffle | None = None,
+        side: _Shuffle | None = None,
         final_sink=None,
     ):
-        """One map -> shuffle -> reduce round.  ``incoming`` replaces the
-        map phase with pre-partitioned chain input; ``chain`` makes the
-        reduce phase write the following round's chain input instead of
-        collecting output pairs — except for the keys ``side`` accepts,
-        which go into that side stage's input; ``final_sink`` replaces the
-        terminal collect with a reducer-owned store (per-partition summaries
-        come back instead of pairs)."""
+        """One (map ->) shuffle -> reduce round over ``shuffle``, the records
+        on their way into ``job``'s reducers.  ``data`` is the job input when
+        nobody upstream has written the shuffle: this round then writes it
+        first.  ``chain`` makes the reduce phase write the following round's
+        shuffle instead of collecting output pairs — except for the keys
+        ``side`` accepts, which go into that side stage's shuffle;
+        ``final_sink`` replaces the terminal collect with a reducer-owned
+        store (per-partition summaries come back instead of pairs)."""
         stats = RunStats(job=job.name)
-        injected_before = self.injector.injected if self.injector is not None else 0
-        spill_root = self._spill_root()
-        layout: SpillLayout | None = None
+        plan = self.fault_plan
+        injected_before = plan.injected if plan is not None else 0
+        run_bounds = (self.spill_run_records, self.spill_run_bytes)
 
-        try:
-            if incoming is None and _chainable(job):
-                # Parent-side partitioning: a reduce-only first round needs
-                # no map phase at all — the parent buckets (and spills) the
-                # input directly, skipping one full IPC pass.  A single
-                # stably-sorted writer produces the same merged order as N
-                # chunked identity map tasks, so output is unchanged.
-                stats.input_records = len(data)
+        if data is not None:
+            stats.input_records = len(data)
+            feed = shuffle.sink(*run_bounds, job.combiner)
+            if _chainable(job):
+                # A reduce-only first round needs no map phase at all — the
+                # parent buckets (and spills) the input directly, skipping
+                # one full IPC pass.  It is not a task: no attempt loop, no
+                # fault draw.  A single stably-sorted writer produces the
+                # same merged order as N chunked identity map tasks, so
+                # output is unchanged.
+                shuffle.add(feed.store(0, data), stats, "map")
                 stats.mapped_records = len(data)
-                stats.shuffled_records = len(data)
-                if spill_root is not None:
-                    # Layout before the write: if encoding fails mid-spill,
-                    # the finally block still removes the run directory
-                    # (and any .tmp partial).
-                    layout = self._new_layout(job.name, job, spill_root)
-                    writer = layout.run_writer(
-                        0,
-                        run_records=self.spill_run_records,
-                        run_bytes=self.spill_run_bytes,
-                    )
-                    writer.extend(data, job.partitioner)
-                    written = writer.finish()
-                    stats.shuffle_bytes_written += written.bytes_written
-                    _note_partitions(stats, written.counts, written.partition_bytes)
-                    sources = [
-                        self._transport.source(layout, p, 1)
-                        for p in range(job.num_reducers)
-                    ]
-                else:
-                    buckets = _partition_pairs(data, job.partitioner, job.num_reducers)
-                    _note_partitions(stats, [len(b) for b in buckets])
-                    sources = [_MemorySource(b) for b in buckets]
-            elif incoming is None:
-                stats.input_records = len(data)
-                if spill_root is not None:
-                    layout = self._new_layout(job.name, job, spill_root)
-                map_outputs = self._map_phase(job, data, stats, layout)
-                if layout is None:
-                    sources = []
-                    for p in range(job.num_reducers):
-                        part: list[tuple] = []
-                        for buckets in map_outputs:
-                            part.extend(buckets[p])
-                        stats.shuffled_records += len(part)
-                        stats.partition_records[p] = len(part)
-                        sources.append(_MemorySource(part))
-                else:
-                    for written in map_outputs:
-                        stats.shuffled_records += sum(written.counts)
-                        stats.shuffle_bytes_written += written.bytes_written
-                        _note_partitions(stats, written.counts, written.partition_bytes)
-                    sources = [
-                        self._transport.source(layout, p, job.effective_mappers)
-                        for p in range(job.num_reducers)
-                    ]
             else:
-                # Chained round: the identity map phase is skipped — the
-                # records are already partitioned for this job's reducers.
-                records, nbytes = incoming.partition_totals()
-                total = sum(records)
-                stats.input_records = total
-                stats.mapped_records = total
-                stats.shuffled_records = total
-                _note_partitions(stats, records, nbytes)
-                sources = [incoming.source(p) for p in range(job.num_reducers)]
+                tasks = [
+                    (f"map-{i}", _run_task, (job.mapper, _ChunkSource(chunk), feed, i))
+                    for i, chunk in enumerate(_chunk(data, job.effective_mappers))
+                ]
+                for stored, mapped, _, _ in self._execute(job.name, tasks, stats, "map"):
+                    shuffle.add(stored, stats, "map")
+                    stats.mapped_records += mapped
 
-            if chain is None:
-                sink = final_sink if final_sink is not None else _CollectSink()
-            else:
-                sink = chain.sink(self.spill_run_records, self.spill_run_bytes)
-                if side is not None:
-                    sink = _SplitSink(
-                        side.accepts,
-                        side.sink(self.spill_run_records, self.spill_run_bytes),
-                        sink,
-                    )
+        records, nbytes = shuffle.partition_totals()
+        stats.shuffled_records = sum(records)
+        if data is None:
+            # The identity map phase was skipped — the records came already
+            # partitioned for this job's reducers.
+            stats.input_records = stats.mapped_records = stats.shuffled_records
+        elif job.combiner is not None:
+            stats.combined_records = stats.shuffled_records
+        # Every partition index is recorded — zeros included — so the skew
+        # factor's mean is over real partitions, not just non-empty ones.
+        stats.partition_records = dict(enumerate(records))
+        if nbytes is not None:
+            stats.partition_bytes = dict(enumerate(nbytes))
 
-            tasks = [
-                (f"reduce-{p}", _reduce_task, (job, sources[p], sink, p))
-                for p in range(job.num_reducers)
-            ]
-            results = self._execute(job.name, tasks, stats, phase="reduce")
-        finally:
-            # The shuffle this round spilled for itself is spent, whether it
-            # finished or failed (chain input belongs to ``run_rounds``).
-            if layout is not None:
-                shutil.rmtree(layout.root, ignore_errors=True)
+        if chain is None:
+            sink = final_sink if final_sink is not None else _CollectSink()
+        else:
+            sink = chain.sink(*run_bounds)
+            if side is not None:
+                sink = _SplitSink(side.accepts, side.sink(*run_bounds), sink)
+        tasks = [
+            (f"reduce-{p}", _run_task, (job.reducer, shuffle.source(p), sink, p))
+            for p in range(job.num_reducers)
+        ]
+        results = self._execute(job.name, tasks, stats, "reduce")
 
         output: list = []
         for p, (stored, reduced, groups, biggest) in enumerate(results):
@@ -1031,24 +956,24 @@ class LocalRuntime:
                 else:
                     output.extend(stored)
             elif side is None:
-                chain.add(stored, stats)
+                chain.add(stored, stats, "reduce")
             else:
-                chain.add(stored[0], stats)
-                side.add(stored[1], stats)
+                chain.add(stored[0], stats, "reduce")
+                side.add(stored[1], stats, "reduce")
 
-        if self.injector is not None:
-            stats.injected_failures = self.injector.injected - injected_before
+        if plan is not None:
+            stats.injected_failures = plan.injected - injected_before
         self._transport.account(stats)
         return output, stats
 
     def _attempt_spec(self, fault: str | None) -> AttemptSpec | None:
         """Worker-side instructions for one attempt; ``None`` when there is
         nothing to apply (the common case — zero per-attempt overhead)."""
-        if fault is None and self.task_timeout_s is None:
+        if fault is not None:  # drawn from the plan, so there is one
+            return self.fault_plan.spec(fault, self.task_timeout_s)
+        if self.task_timeout_s is None:
             return None
-        if isinstance(self.injector, FaultPlan):
-            return self.injector.spec(fault, self.task_timeout_s)
-        return AttemptSpec(fault=fault, timeout_s=self.task_timeout_s)
+        return AttemptSpec(timeout_s=self.task_timeout_s)
 
     def _attempts(self, job_name: str, task_id: str, body, monitor=None):
         """Run one task under the retry policy; returns ``(result,
@@ -1066,8 +991,8 @@ class LocalRuntime:
         backoff_total = 0.0
         for attempt in range(policy.max_attempts):
             fault = None
-            if self.injector is not None:
-                fault = self.injector.draw(job_name, task_id, attempt)
+            if self.fault_plan is not None:
+                fault = self.fault_plan.draw(job_name, task_id, attempt)
             try:
                 if fault == "crash":
                     # Simulate a crash mid-task: the attempt produces nothing.
@@ -1098,30 +1023,6 @@ class LocalRuntime:
         raise JobFailedError(
             f"task {task_id} of job {job_name!r} failed {policy.max_attempts} attempts"
         ) from last_exc
-
-    def _map_phase(self, job: MapReduceJob, pairs, stats: RunStats, layout):
-        chunks = _chunk(pairs, job.effective_mappers)
-        if layout is None:
-            tasks = [
-                (f"map-{i}", _map_task_memory, (job, chunk))
-                for i, chunk in enumerate(chunks)
-            ]
-        else:
-            tasks = [
-                (
-                    f"map-{i}",
-                    _map_task_spill,
-                    (job, chunk, layout, i, self.spill_run_records, self.spill_run_bytes),
-                )
-                for i, chunk in enumerate(chunks)
-            ]
-        results = self._execute(job.name, tasks, stats, phase="map")
-        map_outputs = []
-        for out, mapped, combined in results:
-            map_outputs.append(out)
-            stats.mapped_records += mapped
-            stats.combined_records += combined
-        return map_outputs
 
     def _execute(self, job_name: str, tasks: list[tuple], stats: RunStats, phase: str):
         """Run ``(task_id, fn, args)`` tasks on the backend under the retry

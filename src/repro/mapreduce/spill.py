@@ -52,7 +52,8 @@ Two write entry points share one writer:
   associative :class:`~repro.mapreduce.job.Combiner`, each key's buffered
   values are folded *before* they hit disk.
 * :meth:`SpillLayout.write_map_output` — the same writer with unbounded
-  runs: one run (run 0) per partition from a materialized bucket list.
+  runs: one run (run 0) per partition from a materialized bucket list (what
+  a map task folded with a classic, possibly re-keying, combiner).
 
 Writes are atomic (temp file + ``os.replace``) so a task attempt that dies
 mid-write can never leave a partial file for its re-execution to read, and
@@ -202,11 +203,11 @@ class SpillWriteResult:
     largest single flush (the writer's actual buffering high-water mark)."""
 
     counts: list[int]
-    bytes_written: int = 0
-    peak_buffer_bytes: int = 0
-    partition_bytes: tuple[int, ...] | None = None
+    bytes_written: int
+    peak_buffer_bytes: int
+    partition_bytes: tuple[int, ...]
     """Per-partition file bytes (parallel to ``counts``), feeding the
-    runtime's shuffle-skew accounting.  ``None`` from legacy callers."""
+    runtime's shuffle-skew accounting."""
 
 
 @dataclass(frozen=True)
@@ -248,10 +249,6 @@ class SpillLayout:
         if self.partition_tag:
             return f"{self.job_name}.{self.partition_tag}"
         return self.job_name
-
-    def path(self, map_task: int, partition: int) -> Path:
-        """Path of the first (and, for eager writes, only) run file."""
-        return self.run_path(map_task, partition, 0)
 
     def run_path(self, map_task: int, partition: int, run: int) -> Path:
         """Path of one sorted run.  Runs are numbered contiguously from 0
@@ -549,5 +546,5 @@ class SpillRunWriter:
             list(self._counts),
             self._bytes_written,
             self._peak_flush,
-            partition_bytes=tuple(self._partition_bytes),
+            tuple(self._partition_bytes),
         )

@@ -311,10 +311,10 @@ class ColumnarShard:
 
     The file is mmap'd once; every array is a read-only view into that
     mapping, so opening a shard costs the header parse and nothing else.
-    ``sample(i)`` / ``batch_samples(rows)`` build :class:`GraphFeature`
-    objects whose arrays alias the mapping (vectorized decode: pure
-    slicing, no varint loops); ``gather(rows)`` skips the objects and
-    returns the batch as stacked columns, which is what the trainer reads.
+    ``sample(i)`` builds :class:`GraphFeature` objects whose arrays alias
+    the mapping (vectorized decode: pure slicing, no varint loops);
+    ``gather(rows)`` skips the objects and returns the batch as stacked
+    columns, which is what the trainer reads.
     """
 
     def __init__(self, path: str | Path):
@@ -408,10 +408,6 @@ class ColumnarShard:
         if not 0 <= i < self.num_records:
             raise IndexError(f"shard has {self.num_records} records")
         return int(self.array("sample_ids")[i]), self.label(i), self.graph_feature(i)
-
-    def batch_samples(self, rows) -> list:
-        """Triples for a whole batch of rows — one slicing pass per sample."""
-        return [self.sample(int(i)) for i in rows]
 
     def gather(self, rows) -> StackedFeatures:
         """The samples at ``rows``, in that order, as one stacked record

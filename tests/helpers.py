@@ -1,14 +1,29 @@
 """Test utilities: finite-difference gradient checking for the autograd ops,
-and the legacy row dataset the DFS readers are checked against."""
+the legacy row dataset the DFS readers are checked against, and the digest
+of a dataset's record stream."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
 from repro.proto.codec import encode_prediction
 
-__all__ = ["numeric_grad", "check_gradients", "write_legacy_row_dataset"]
+__all__ = ["numeric_grad", "check_gradients", "dataset_digest", "write_legacy_row_dataset"]
+
+
+def dataset_digest(fs, name: str) -> tuple[str, int]:
+    """sha256 over the length-prefixed records of ``read_dataset(name)``, and
+    how many there were."""
+    digest = hashlib.sha256()
+    count = 0
+    for record in fs.read_dataset(name):
+        digest.update(len(record).to_bytes(8, "little"))
+        digest.update(record)
+        count += 1
+    return digest.hexdigest(), count
 
 
 def write_legacy_row_dataset(fs, name: str, result, num_shards: int = 3) -> list[bytes]:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.infer import GraphInferConfig, graph_infer
-from repro.mapreduce import FailureInjector, LocalRuntime
+from repro.mapreduce import FaultPlan, LocalRuntime
 from repro.nn.gnn import build_model
 
 
@@ -57,13 +57,13 @@ class TestGraphFlatBackendMatrix:
         ds = hub_graph
         targets = ds.train_ids[:20]
         baseline = graph_flat(ds.nodes, ds.edges, targets, flat_config())
-        injector = FailureInjector(rate=0.2, seed=13)
+        plan = FaultPlan({"crash": 0.2}, seed=13)
         with LocalRuntime(
             backend="processes", max_workers=2, max_attempts=10,
-            failure_injector=injector,
+            fault_plan=plan,
         ) as runtime:
             faulty = graph_flat(ds.nodes, ds.edges, targets, flat_config(), runtime)
-        assert injector.injected > 0
+        assert plan.injected > 0
         assert faulty.samples == baseline.samples
 
     def test_spill_shuffle_byte_identical(self, hub_graph, tmp_path):
@@ -202,13 +202,13 @@ class TestTaskBackendMatrix:
     def test_graphflat_fault_injection_per_edge_task(self, edge_graph, task):
         nodes, edges = edge_graph
         baseline = graph_flat(nodes, edges, config=self.task_config(task))
-        injector = FailureInjector(rate=0.2, seed=13)
+        plan = FaultPlan({"crash": 0.2}, seed=13)
         with LocalRuntime(
             backend="processes", max_workers=2, max_attempts=10,
-            failure_injector=injector,
+            fault_plan=plan,
         ) as runtime:
             faulty = graph_flat(nodes, edges, config=self.task_config(task), runtime=runtime)
-        assert injector.injected > 0
+        assert plan.injected > 0
         assert faulty.samples == baseline.samples
 
 

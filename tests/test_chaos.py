@@ -21,7 +21,6 @@ from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.infer import GraphInferConfig, graph_infer
 from repro.mapreduce import (
     FAULT_KINDS,
-    FailureInjector,
     FaultPlan,
     JobFailedError,
     LocalRuntime,
@@ -114,7 +113,7 @@ def chaos_runtime(backend: str, plan: FaultPlan, spill_dir, kind: str) -> LocalR
         backend=backend,
         max_workers=2,
         max_attempts=10,
-        failure_injector=plan,
+        fault_plan=plan,
         spill_dir=spill_dir,
         shuffle_codec="binary",
         task_timeout_s=HANG_TIMEOUT_S if kind == "hang" else None,
@@ -226,7 +225,7 @@ class TestDeadlines:
         start = time.monotonic()
         with LocalRuntime(
             "processes", max_workers=2, max_attempts=10,
-            failure_injector=plan, task_timeout_s=1.0,
+            fault_plan=plan, task_timeout_s=1.0,
         ) as runtime:
             out = runtime.run(WC_JOB, WC_CORPUS)
         elapsed = time.monotonic() - start
@@ -239,7 +238,7 @@ class TestDeadlines:
     def test_cooperative_deadline_under_serial(self, wc_baseline):
         plan = FaultPlan({"hang": 0.5}, seed=1, hang_limit_s=60.0)
         with LocalRuntime(
-            "serial", max_attempts=10, failure_injector=plan, task_timeout_s=0.3
+            "serial", max_attempts=10, fault_plan=plan, task_timeout_s=0.3
         ) as runtime:
             out = runtime.run(WC_JOB, WC_CORPUS)
         assert out == wc_baseline
@@ -297,14 +296,14 @@ class TestRetryPolicy:
             LocalRuntime(max_attempts=10).run(job, WC_CORPUS)
 
     def test_backoff_feeds_run_stats(self, wc_baseline):
-        injector = FailureInjector(rate=1.0, seed=0, max_failures=2)
+        plan = FaultPlan({"crash": 1.0}, seed=0, max_faults=2)
         policy = RetryPolicy(max_attempts=5, backoff_base_s=0.01, seed=0)
         with LocalRuntime(
-            failure_injector=injector, retry_policy=policy
+            fault_plan=plan, retry_policy=policy
         ) as runtime:
             out = runtime.run(WC_JOB, WC_CORPUS)
         assert out == wc_baseline
-        assert injector.injected == 2
+        assert plan.injected == 2
         assert runtime.last_stats.backoff_total_s > 0.0
 
 
@@ -339,17 +338,17 @@ class TestFaultPlan:
         """Regression for the truncated-material draw bug: a (job, task)
         prefix longer than the old 32-byte window must not pin every
         attempt to the same draw."""
-        injector = FailureInjector(rate=0.5, seed=0)
+        plan = FaultPlan({"crash": 0.5}, seed=0)
         job = "a-very-long-job-name-that-overflows-the-old-window"
         task = "reduce-7"
-        draws = {injector.should_fail(job, task, attempt) for attempt in range(32)}
-        assert draws == {True, False}
+        draws = {plan.draw(job, task, attempt) for attempt in range(32)}
+        assert draws == {"crash", None}
 
-    def test_crash_only_plan_is_injector_compatible(self, wc_baseline):
-        """FaultPlan with only crash faults behaves like the classic
-        FailureInjector: retries absorb every injection."""
+    def test_crash_only_plan_is_absorbed_by_retries(self, wc_baseline):
+        """A plan with only crash faults — the classic worker-failure
+        injection: retries absorb every one."""
         plan = FaultPlan({"crash": 0.4}, seed=11)
-        with LocalRuntime(max_attempts=10, failure_injector=plan) as runtime:
+        with LocalRuntime(max_attempts=10, fault_plan=plan) as runtime:
             out = runtime.run(WC_JOB, WC_CORPUS)
         assert out == wc_baseline
         assert plan.injected == plan.injected_by_kind["crash"] > 0
@@ -366,7 +365,7 @@ class TestSpeculation:
         plan = FaultPlan({"slow": 0.4}, seed=7, slow_s=1.5)
         with LocalRuntime(
             "processes", max_workers=4, max_attempts=3,
-            failure_injector=plan, speculation_factor=1.5,
+            fault_plan=plan, speculation_factor=1.5,
         ) as runtime:
             out = runtime.run(job, WC_CORPUS)
         assert out == baseline
@@ -496,7 +495,7 @@ class TestSpillIntegrity:
         error; the retry reads the intact file and output is unchanged."""
         plan = FaultPlan({"corrupt-run": 1.0}, seed=0, max_faults=2)
         with LocalRuntime(
-            "serial", max_attempts=10, failure_injector=plan,
+            "serial", max_attempts=10, fault_plan=plan,
             spill_dir=tmp_path, shuffle_codec="binary",
         ) as runtime:
             out = runtime.run(WC_JOB, WC_CORPUS)
@@ -510,7 +509,7 @@ class TestSpillIntegrity:
         the retry re-fetches the intact runs and output is unchanged."""
         plan = FaultPlan({"conn-reset": 1.0}, seed=0, max_faults=2)
         with LocalRuntime(
-            "serial", max_attempts=10, failure_injector=plan,
+            "serial", max_attempts=10, fault_plan=plan,
             spill_dir=tmp_path, shuffle_codec="binary", shuffle_transport="tcp",
         ) as runtime:
             out = runtime.run(WC_JOB, WC_CORPUS)

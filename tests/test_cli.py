@@ -382,7 +382,12 @@ class TestDataflowSurface:
         "graphtrainer": [
             "graphtrainer", "-m", "gcn", "-i", "flat", "--model-out", "m.pkl", "--dfs", "dfs",
         ],
+        "describe": ["describe", "flat", "--dfs", "dfs"],
     }
+    RUNTIME_FLAGS = (
+        "--backend", "--num-workers", "--workers", "--spill-dir", "--shuffle-codec",
+        "--max-attempts", "--task-timeout", "--speculation-factor",
+    )
 
     @pytest.mark.parametrize(
         "command,flag",
@@ -394,11 +399,19 @@ class TestDataflowSurface:
             ),
             ("graphtrainer", "--prefetch-transport"),
             ("graphtrainer", "--prefetch-slab-mb"),
+            # parsed and never read: neither command runs a MapReduce job
+            *(
+                (command, flag)
+                for flag in RUNTIME_FLAGS
+                for command in ("graphtrainer", "describe")
+            ),
+            ("graphtrainer", "--shuffle-transport"),
         ],
     )
     def test_engine_decisions_are_not_flags(self, command, flag, capsys):
         """Who writes the shards, in which layout and how many; how slices
-        reach reducers and batches leave prefetch workers: all observed."""
+        reach reducers and batches leave prefetch workers: all observed.
+        And a command accepts no flag it does not read."""
         from repro.cli import build_parser
 
         build_parser().parse_args(self.ARGV[command])  # well-formed without the flag

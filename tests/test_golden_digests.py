@@ -12,8 +12,6 @@ byte for byte.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,8 @@ from repro.datasets import uug_like
 from repro.mapreduce import DistFileSystem
 from repro.nn.gnn import GraphSAGEModel
 from repro.tasks import make_task
+
+from .helpers import dataset_digest
 
 SAMPLINGS = ("uniform", "weighted", "topk")
 PARTITIONERS = ("hash", "planned")
@@ -66,16 +66,6 @@ def fixture():
         seed=11, num_nodes=400, avg_degree=6, feature_dim=16, num_hubs=3, hub_degree=60
     )
     return ds, GraphSAGEModel(16, 16, 2, num_layers=2, seed=0)
-
-
-def dataset_digest(fs: DistFileSystem, name: str) -> tuple[str, int]:
-    digest = hashlib.sha256()
-    count = 0
-    for record in fs.read_dataset(name):
-        digest.update(len(record).to_bytes(8, "little"))
-        digest.update(record)
-        count += 1
-    return digest.hexdigest(), count
 
 
 def run(fixture, tmp_path, pipeline, sampling, partitioner, task) -> tuple[str, int]:

@@ -15,7 +15,7 @@ from repro.core.graphflat import (
 )
 from repro.core.graphflat.records import InEdgeInfo
 from repro.graph import AttributedGraph
-from repro.mapreduce import DistFileSystem, FailureInjector, LocalRuntime
+from repro.mapreduce import DistFileSystem, FaultPlan, LocalRuntime
 from repro.proto import decode_sample
 
 from .helpers import write_legacy_row_dataset
@@ -180,11 +180,11 @@ class TestFaultTolerance:
         targets = ds.train_ids[:8]
         baseline = flat_samples(ds.nodes, ds.edges, targets, hops=2)
         runtime = LocalRuntime(
-            max_attempts=10, failure_injector=FailureInjector(0.25, seed=13)
+            max_attempts=10, fault_plan=FaultPlan({"crash": 0.25}, seed=13)
         )
         config = GraphFlatConfig(hops=2, **NO_SAMPLING)
         out = graph_flat(ds.nodes, ds.edges, targets, config, runtime=runtime).samples
-        assert runtime.injector.injected > 0
+        assert runtime.fault_plan.injected > 0
         assert sorted(baseline) == sorted(out)
 
     def test_sampling_stable_under_failures(self, mini_uug):
@@ -195,9 +195,10 @@ class TestFaultTolerance:
         config = GraphFlatConfig(hops=2, max_neighbors=6, hub_threshold=10**9, seed=3)
         baseline = graph_flat(ds.nodes, ds.edges, targets, config).samples
         runtime = LocalRuntime(
-            max_attempts=10, failure_injector=FailureInjector(0.25, seed=29)
+            max_attempts=10, fault_plan=FaultPlan({"crash": 0.25}, seed=29)
         )
         out = graph_flat(ds.nodes, ds.edges, targets, config, runtime=runtime).samples
+        assert runtime.fault_plan.injected > 0
         assert sorted(baseline) == sorted(out)
 
 

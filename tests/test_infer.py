@@ -20,7 +20,7 @@ from repro.core.infer import (
     graph_infer,
     segment_model,
 )
-from repro.mapreduce import DistFileSystem, FailureInjector, LocalRuntime
+from repro.mapreduce import DistFileSystem, FaultPlan, LocalRuntime
 from repro.proto.codec import decode_prediction
 from repro.mapreduce.job import JobFailedError
 from repro.nn import Tensor, no_grad
@@ -166,10 +166,10 @@ class TestHubsAndFaults:
         model = GCNModel(ds.feature_dim, 6, ds.num_classes, num_layers=2, seed=0)
         baseline = graph_infer(model, ds.nodes, ds.edges)
         runtime = LocalRuntime(
-            max_attempts=10, failure_injector=FailureInjector(0.2, seed=5)
+            max_attempts=10, fault_plan=FaultPlan({"crash": 0.2}, seed=5)
         )
         out = graph_infer(model, ds.nodes, ds.edges, runtime=runtime)
-        assert runtime.injector.injected > 0
+        assert runtime.fault_plan.injected > 0
         for node_id, scores in baseline.scores.items():
             np.testing.assert_allclose(out.scores[node_id], scores, rtol=1e-4)
 
@@ -441,14 +441,14 @@ class TestSliceTransportMatrix:
         is unchanged, and the slab is still unlinked at the end."""
         ds, model, baseline = scored
         before = _shm_entries()
-        injector = FailureInjector(rate=0.2, seed=5)
+        plan = FaultPlan({"crash": 0.2}, seed=5)
         with LocalRuntime(
             backend="processes", max_workers=2, max_attempts=10,
-            failure_injector=injector,
+            fault_plan=plan,
         ) as runtime:
             result = graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)
         assert result.slice_transport == "shm"
-        assert injector.injected > 0
+        assert plan.injected > 0
         for node_id, scores in baseline.items():
             assert np.array_equal(result.scores[node_id], scores)
         assert _shm_entries() - before == frozenset()
@@ -461,7 +461,7 @@ class TestSliceTransportMatrix:
         before = _shm_entries()
         with LocalRuntime(
             backend="processes", max_workers=2, max_attempts=1,
-            failure_injector=FailureInjector(rate=1.0, seed=3),
+            fault_plan=FaultPlan({"crash": 1.0}, seed=3),
         ) as runtime:
             with pytest.raises(JobFailedError):
                 graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)

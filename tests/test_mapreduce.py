@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.mapreduce import (
     BACKEND_REGISTRY,
     DistFileSystem,
-    FailureInjector,
     FaultPlan,
     JobFailedError,
     LocalRuntime,
@@ -156,41 +155,26 @@ class TestRuntimeBasics:
 class TestFaultTolerance:
     def test_output_identical_under_injected_failures(self):
         baseline = LocalRuntime().run(word_count_job(num_reducers=3), CORPUS)
-        injector = FailureInjector(rate=0.4, seed=11)
-        runtime = LocalRuntime(max_attempts=10, failure_injector=injector)
+        plan = FaultPlan({"crash": 0.4}, seed=11)
+        runtime = LocalRuntime(max_attempts=10, fault_plan=plan)
         out = runtime.run(word_count_job(num_reducers=3), CORPUS)
         assert out == baseline
-        assert injector.injected > 0
+        assert plan.injected > 0
         assert runtime.last_stats.map_attempts + runtime.last_stats.reduce_attempts > 3 + 3
 
     def test_exhausted_retries_raise(self):
-        injector = FailureInjector(rate=1.0, seed=0)
-        runtime = LocalRuntime(max_attempts=2, failure_injector=injector)
+        plan = FaultPlan({"crash": 1.0}, seed=0)
+        runtime = LocalRuntime(max_attempts=2, fault_plan=plan)
         with pytest.raises(JobFailedError):
             runtime.run(word_count_job(), CORPUS)
 
     def test_threaded_with_failures_matches_serial(self):
         baseline = LocalRuntime().run(word_count_job(num_reducers=4), CORPUS)
         runtime = LocalRuntime(
-            "threads", max_attempts=10, failure_injector=FailureInjector(0.3, seed=5)
+            "threads", max_attempts=10, fault_plan=FaultPlan({"crash": 0.3}, seed=5)
         )
         assert runtime.run(word_count_job(num_reducers=4), CORPUS) == baseline
-
-    def test_injector_schedule_is_deterministic(self):
-        a = FailureInjector(0.5, seed=3)
-        b = FailureInjector(0.5, seed=3)
-        draws_a = [a.should_fail("j", f"t{i}", 0) for i in range(50)]
-        draws_b = [b.should_fail("j", f"t{i}", 0) for i in range(50)]
-        assert draws_a == draws_b
-
-    def test_max_failures_cap(self):
-        injector = FailureInjector(1.0, seed=0, max_failures=2)
-        hits = sum(injector.should_fail("j", f"t{i}", 0) for i in range(10))
-        assert hits == 2
-
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            FailureInjector(1.5)
+        assert runtime.fault_plan.injected > 0
 
 
 class TestProcessBackend:
@@ -204,14 +188,14 @@ class TestProcessBackend:
 
     def test_processes_with_failures_match_serial(self):
         baseline = LocalRuntime().run(picklable_word_count_job(num_reducers=3), CORPUS)
-        injector = FailureInjector(rate=0.4, seed=11)
+        plan = FaultPlan({"crash": 0.4}, seed=11)
         with LocalRuntime(
-            "processes", max_workers=2, max_attempts=10, failure_injector=injector
+            "processes", max_workers=2, max_attempts=10, fault_plan=plan
         ) as runtime:
             out = runtime.run(picklable_word_count_job(num_reducers=3), CORPUS)
             stats = runtime.last_stats
         assert out == baseline
-        assert injector.injected > 0
+        assert plan.injected > 0
         assert stats.map_attempts + stats.reduce_attempts > 3 + 3
 
     def test_unpicklable_job_rejected_with_guidance(self):
@@ -798,7 +782,7 @@ class TestDeterminismProperty:
         runtime = LocalRuntime(
             backend="threads",
             max_attempts=12,
-            failure_injector=FailureInjector(rate, seed=seed) if rate else None,
+            fault_plan=FaultPlan({"crash": rate}, seed=seed) if rate else None,
         )
         assert sorted(runtime.run(job, data)) == baseline
 
@@ -949,7 +933,7 @@ class TestSideStage:
         plan = RoundFaults(victim, kind)
         with side_runtime(
             "threads", "spill", "tcp" if kind == "conn-reset" else "local", tmp_path,
-            failure_injector=plan, max_attempts=3,
+            fault_plan=plan, max_attempts=3,
             task_timeout_s=0.5 if kind == "hang" else None,
         ) as runtime:
             out = runtime.run_rounds(side_chain(True), SIDE_INPUT)
@@ -967,7 +951,7 @@ class TestSideStage:
     def test_faults_under_the_process_backend(self, expected, tmp_path, kind, victim):
         plan = RoundFaults(victim, kind)
         with side_runtime(
-            "processes", "spill", "local", tmp_path, failure_injector=plan
+            "processes", "spill", "local", tmp_path, fault_plan=plan
         ) as runtime:
             assert runtime.run_rounds(side_chain(True), SIDE_INPUT) == expected[False]
         assert plan.injected_by_kind[kind] == 3
@@ -979,7 +963,7 @@ class TestSideStage:
     ):
         runtime = side_runtime(
             "serial", "spill", transport, tmp_path,
-            failure_injector=RoundFaults(victim, "crash"), max_attempts=1,
+            fault_plan=RoundFaults(victim, "crash"), max_attempts=1,
         )
         with pytest.raises(JobFailedError):
             runtime.run_rounds(side_chain(True), SIDE_INPUT)
@@ -1020,3 +1004,129 @@ class TestSideStage:
             with pytest.raises(TypeError, match="'fold' cannot be shipped"):
                 runtime.run_rounds(jobs, SIDE_INPUT)
 
+
+
+# ------------------------------------------------------------- shuffle cleanup
+# Whoever writes a round's shuffle — the parent, the job's map tasks or the
+# reducers of the round before — the runtime's chain runner owns it: it is
+# gone when the call returns, however the call returns.
+
+
+def boom_reducer(key, values):
+    raise ValueError("reducer bug")
+
+
+def boom_mapper(key, value):
+    if value >= 150:  # several runs are on disk by now
+        raise ValueError("mapper bug")
+    yield key, value
+
+
+def emit_pair_mapper(key, value):
+    yield key, value
+
+
+def junk_mapper(key, value):
+    yield key, object() if value == 150 else value
+
+
+def junk_reducer(key, values):
+    for value in values:
+        yield key, object() if value == 150 else value
+
+
+CLEANUP_INPUT = [(i % 23, i) for i in range(200)]
+CLEANUP_JUNK_INPUT = [(k, object() if v == 150 else v) for k, v in CLEANUP_INPUT]
+
+
+def cleanup_job(name, reducer=regroup_reducer, **kwargs):
+    return MapReduceJob(name, reducer, num_reducers=3, **kwargs)
+
+
+FAILING_CHAINS = {
+    # way in / what goes wrong: (jobs, input, exception, message)
+    "parent/reducer-raises": (
+        lambda: [cleanup_job("a", boom_reducer)], CLEANUP_INPUT, ValueError, "reducer bug"),
+    "parent/codec-rejects-mid-write": (
+        lambda: [cleanup_job("a")], CLEANUP_JUNK_INPUT, TypeError, "no binary wire form"),
+    "map/reducer-raises": (
+        lambda: [cleanup_job("a", boom_reducer, mapper=emit_pair_mapper)],
+        CLEANUP_INPUT, ValueError, "reducer bug"),
+    "map/mapper-raises": (
+        lambda: [cleanup_job("a", mapper=boom_mapper)], CLEANUP_INPUT, ValueError, "mapper bug"),
+    "map/codec-rejects-mid-write": (
+        lambda: [cleanup_job("a", mapper=junk_mapper)],
+        CLEANUP_INPUT, TypeError, "no binary wire form"),
+    "chained/reducer-raises": (
+        lambda: [cleanup_job("a"), cleanup_job("b", boom_reducer)],
+        CLEANUP_INPUT, ValueError, "reducer bug"),
+    "chained/mapper-raises-upstream": (  # round b's shuffle is already open
+        lambda: [cleanup_job("a", mapper=boom_mapper), cleanup_job("b")],
+        CLEANUP_INPUT, ValueError, "mapper bug"),
+    "chained/codec-rejects-mid-write": (
+        lambda: [cleanup_job("a", junk_reducer), cleanup_job("b")],
+        CLEANUP_INPUT, TypeError, "no binary wire form"),
+    "side-stage/reducer-raises": (
+        lambda: [
+            cleanup_job("a", spread_reducer),
+            cleanup_job("s", fold_reducer, accepts=is_tuple_key),
+            cleanup_job("b", boom_reducer),
+        ],
+        CLEANUP_INPUT, ValueError, "reducer bug"),
+}
+
+
+def cleanup_runtime(backend, tmp_path, **kwargs) -> LocalRuntime:
+    return LocalRuntime(
+        backend=backend, max_workers=2, shuffle_codec="binary",
+        spill_dir=tmp_path / "spill", spill_run_records=16, **kwargs,
+    )
+
+
+def assert_session_is_empty(tmp_path):
+    """One session directory, holding no run directory, run file or
+    ``.tmp*`` partial."""
+    sessions = list((tmp_path / "spill").iterdir())
+    assert len(sessions) == 1
+    assert list(sessions[0].rglob("*")) == []
+
+
+class TestShuffleCleanup:
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    @pytest.mark.parametrize("scenario", sorted(FAILING_CHAINS))
+    def test_a_failed_round_leaves_nothing_in_the_session(self, tmp_path, scenario, backend):
+        jobs, data, exc_type, message = FAILING_CHAINS[scenario]
+        runtime = cleanup_runtime(backend, tmp_path)
+        try:
+            with pytest.raises(exc_type, match=message):
+                runtime.run_rounds(jobs(), list(data))
+            assert_session_is_empty(tmp_path)
+        finally:
+            runtime.close()
+        assert list((tmp_path / "spill").iterdir()) == []
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    @pytest.mark.parametrize(
+        "mapper,victim",
+        [(None, "a"), (emit_pair_mapper, "a"), (None, "b")],
+        ids=["parent-written", "map-written", "chained"],
+    )
+    def test_crashed_first_attempts_leave_nothing_either(
+        self, tmp_path, mapper, victim, backend
+    ):
+        """Every task of the victim round crashes once: the retries rewrite
+        the same runs, and the round's shuffle still goes when it is spent."""
+        def jobs():
+            kwargs = {} if mapper is None else dict(mapper=mapper)
+            return [cleanup_job("a", **kwargs), cleanup_job("b", collect_reducer)]
+
+        expected = LocalRuntime().run_rounds(jobs(), list(CLEANUP_INPUT))
+        plan = RoundFaults(victim, "crash")
+        runtime = cleanup_runtime(backend, tmp_path, fault_plan=plan)
+        try:
+            assert runtime.run_rounds(jobs(), list(CLEANUP_INPUT)) == expected
+            tasks = 3 + (3 if mapper is not None and victim == "a" else 0)
+            assert plan.injected == tasks  # the parent's own write is not a task
+            assert_session_is_empty(tmp_path)
+        finally:
+            runtime.close()

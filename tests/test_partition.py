@@ -27,7 +27,7 @@ from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.infer import GraphInferConfig, graph_infer
 from repro.core.propagation import ReceptiveField, build_partition_plan
 from repro.mapreduce import (
-    FailureInjector,
+    FaultPlan,
     HashPartitioner,
     LocalRuntime,
     MapReduceJob,
@@ -363,16 +363,16 @@ class TestPipelinePartitionerMatrix:
     def test_graphflat_planned_under_fault_injection(self, hub_graph, flat_baseline):
         ds = hub_graph
         targets, baseline = flat_baseline
-        injector = FailureInjector(rate=0.2, seed=13)
+        plan = FaultPlan({"crash": 0.2}, seed=13)
         with LocalRuntime(
             backend="processes", max_workers=2, max_attempts=10,
-            failure_injector=injector,
+            fault_plan=plan,
         ) as runtime:
             faulty = graph_flat(
                 ds.nodes, ds.edges, targets,
                 flat_config(partitioner="planned"), runtime,
             )
-        assert injector.injected > 0
+        assert plan.injected > 0
         assert faulty.samples == baseline.samples
 
     @pytest.mark.parametrize("sampling", ["weighted", "topk"])
@@ -394,16 +394,16 @@ class TestPipelinePartitionerMatrix:
                         backend="threads", num_workers=3),
         )
         assert planned.samples == baseline.samples
-        injector = FailureInjector(rate=0.25, seed=7)
+        plan = FaultPlan({"crash": 0.25}, seed=7)
         with LocalRuntime(
             backend="threads", max_workers=2, max_attempts=10,
-            failure_injector=injector,
+            fault_plan=plan,
         ) as runtime:
             retried = graph_flat(
                 ds.nodes, ds.edges, targets,
                 flat_config(sampling=sampling, partitioner="planned"), runtime,
             )
-        assert injector.injected > 0
+        assert plan.injected > 0
         assert retried.samples == baseline.samples
 
     @pytest.mark.parametrize("backend,workers", [("serial", None), ("processes", 2)])

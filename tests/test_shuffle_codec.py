@@ -316,7 +316,7 @@ class TestKeyCodec:
         FrameCorruptionError, not silently truncated reducer input."""
         layout = SpillLayout(str(tmp_path), "job", num_partitions=1, codec="binary")
         layout.write_map_output(0, [[(1, "hello-world")]])
-        path = layout.path(0, 0)
+        path = layout.run_path(0, 0, 0)
         data = bytearray(path.read_bytes())
         data[-8] ^= 0x01  # flip a bit inside the payload's string bytes/length
         truncated = bytes(data[:-4])  # and chop the tail so lengths disagree

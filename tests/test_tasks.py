@@ -50,6 +50,8 @@ from repro.tasks import (
     register_task,
 )
 
+from .helpers import dataset_digest
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -289,6 +291,28 @@ class TestGraphFlatEdgeTasks:
         a = graph_flat(nodes, edges, config=flat_config(task))
         b = graph_flat(nodes, edges, config=flat_config(task))
         assert a.samples == b.samples
+
+    @pytest.mark.parametrize("task", EDGE_TASKS)
+    def test_dfs_bytes_independent_of_worker_count(self, lp_graph, tmp_path, task):
+        """threads x 2 vs threads x 4 with ``num_reducers`` pinned: what the
+        reducers wrote to the DFS is the same record stream, byte for byte.
+        (With a DFS ``result.samples`` is ``None`` on both sides — comparing
+        that, as ``benchmarks/bench_tasks.py`` did, compares nothing.)"""
+        nodes, edges = lp_graph
+        digests = []
+        for workers in (2, 4):
+            fs = DistFileSystem(tmp_path / f"dfs-{workers}")
+            with LocalRuntime(
+                backend="threads", max_workers=workers, shuffle_codec="binary"
+            ) as runtime:
+                result = graph_flat(
+                    nodes, edges, config=flat_config(task), runtime=runtime,
+                    fs=fs, dataset_name="train",
+                )
+            assert result.samples is None
+            digests.append(dataset_digest(fs, "train"))
+        assert digests[0] == digests[1]
+        assert digests[0][1] == result.num_targets > 0
 
     def test_node_classification_path_ignores_edge_knobs(self, lp_graph):
         """The default task with no edge knobs still takes the classic
