@@ -9,7 +9,7 @@ The rounds are :mod:`repro.core.propagation`'s; this package supplies the
 subgraph records, the sampling strategies and the merge.
 """
 
-from repro.core.graphflat.records import InEdgeInfo, OutEdgeInfo, SubgraphInfo
+from repro.core.graphflat.records import InEdgeInfo, SubgraphInfo
 from repro.core.graphflat.sampling import (
     SAMPLING_REGISTRY,
     SamplingStrategy,
@@ -29,7 +29,6 @@ __all__ = [
     "MergeReducer",
     "SubgraphInfo",
     "InEdgeInfo",
-    "OutEdgeInfo",
     "SamplingStrategy",
     "UniformSampling",
     "WeightedSampling",

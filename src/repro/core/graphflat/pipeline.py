@@ -133,7 +133,7 @@ def graph_flat(
     """
     config = config or GraphFlatConfig()
     with config.runtime_scope(runtime) as runtime:
-        edges, node_rows, edge_rows = canonical_tables(nodes, edges)
+        edges, node_rows = canonical_tables(nodes, edges)
 
         task_obj = make_task(config.task)
         edge_fanout = None
@@ -184,7 +184,7 @@ def graph_flat(
             config,
             runtime,
             edges,
-            node_rows + edge_rows,
+            node_rows,
             needed=needed,
             in_record=InEdgeInfo,
             seed=SubgraphInfo.seed,

@@ -4,11 +4,12 @@ The paper's Reduce phase handles "three kinds of information" per node
 (§3.2.1): the **self information** (here :class:`SubgraphInfo` — the
 accumulated (k-1)-hop neighborhood), the **in-edge information**
 (:class:`InEdgeInfo` — edge feature/weight plus the sender's self
-information) and the **out-edge information** (``OutEdgeInfo`` — where to
-propagate next round; the propagation engine's, re-exported here because it
-is the same record in GraphInfer).  All three pickle cleanly so the runtime
-can spill shuffles to disk — and each declares its wire fields to the binary
-shuffle codec (bottom of this module): in a spill block a chunk of records
+information) and the **out-edge information** (where to propagate next
+round — unchanged from round to round, so it never crosses the shuffle: the
+propagation engine reads it from its ``OutEdges`` side input).  The two
+shuffled kinds pickle cleanly so the runtime can spill shuffles to disk —
+and each declares its wire fields to the binary shuffle codec (bottom of
+this module): in a spill block a chunk of records
 goes out as id / weight columns plus the subgraphs' flat wire blocks, not as
 pickled object graphs, which is where the process backend's per-object
 serialization tax lived.
@@ -38,13 +39,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.propagation import OutEdgeInfo
 from repro.graph.subgraph import GraphFeature
 from repro.proto.framing import decode_rows, encode_rows, register_record, rows_header
 
 __all__ = [
     "InEdgeInfo",
-    "OutEdgeInfo",
     "SubgraphColumns",
     "SubgraphInfo",
     "merge_neighborhoods",
@@ -222,6 +221,20 @@ class InEdgeInfo:
     def nbytes(self) -> int:
         return self.subgraph.nbytes
 
+    @staticmethod
+    def info_nbytes(subgraph: SubgraphInfo) -> int:
+        """What :func:`~repro.proto.framing.approx_nbytes` counts for a
+        subgraph: its root and its block (built here if it has none yet —
+        a spill writer encodes it anyway)."""
+        return 24 + len(subgraph.wire)
+
+    @property
+    def approx_size(self) -> int:
+        """What :func:`~repro.proto.framing.approx_nbytes` counts for this
+        record: ``src``, ``weight``, the edge features and the subgraph."""
+        feat = 8 if self.edge_feat is None else 8 + self.edge_feat.nbytes
+        return 24 + feat + self.info_nbytes(self.subgraph)
+
 
 # ------------------------------------------------------------ column checks
 def _int_column(field: str, values, count: int | None = None) -> np.ndarray:
@@ -293,8 +306,8 @@ def _concat_rows(field: str, parts: list[np.ndarray]) -> np.ndarray:
 
 
 # --------------------------------------------------------------- wire forms
-# Tags 0x20-0x2F are reserved for GraphFlat records (0x22, the out-edge
-# record, is registered by ``repro.core.propagation``).
+# Tags 0x20-0x2F are reserved for GraphFlat records (0x22 belonged to the
+# retired out-edge record and stays unassigned).
 
 _INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 _HEADERS = tuple(struct.Struct(f"<3{code}") for code in "bhiq")
@@ -410,7 +423,7 @@ def _stack(infos: list[SubgraphInfo]):
             layout = _layout(wire)
             by_width[layout[0]].append((index, wire, layout))
 
-    x_rows, edge_rows = _RowTemplate("x"), _RowTemplate("edge_feat")
+    x_rows, feat_rows = _RowTemplate("x"), _RowTemplate("edge_feat")
     x_chunks, edge_chunks, weight_chunks = [], [], []
     wired: list[tuple] = []  # per width: (dtype, int chunks, section lengths)
     order, n_counts, m_counts, x_count, edge_count = [], [], [], 0, 0
@@ -426,7 +439,7 @@ def _stack(infos: list[SubgraphInfo]):
                 weight_chunks.append(wire[feat_end:weights_end])
                 with_features.add(weights_end < len(wire))
                 if weights_end < len(wire):
-                    edge_chunks.append(edge_rows.raw(wire, weights_end, len(wire), m))
+                    edge_chunks.append(feat_rows.raw(wire, weights_end, len(wire), m))
                     edge_count += m
             order.append(index)
             n_counts.append(n)
@@ -456,7 +469,7 @@ def _stack(infos: list[SubgraphInfo]):
     if True in with_features:
         edge_feat = _concat_rows(
             "edge_feat",
-            [c.edge_feat for c in columns if len(c.src)] + edge_rows.rows(edge_chunks, edge_count),
+            [c.edge_feat for c in columns if len(c.src)] + feat_rows.rows(edge_chunks, edge_count),
         )
     stacked = SubgraphColumns(
         np.concatenate(ids),

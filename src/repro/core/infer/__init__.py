@@ -3,8 +3,8 @@
 A trained K-layer model is split into K+1 slices (hierarchical model
 segmentation); K MapReduce Reduce rounds then push *every* node's embedding
 up one layer per round — merging each node's in-edge neighbor embeddings,
-applying the slice, propagating via out-edges — and a final round applies
-the prediction slice.  "There is no repetition of embedding inference in the
+applying the slice, propagating via out-edges — and the Kth round applies
+the prediction slice too.  "There is no repetition of embedding inference in the
 above pipeline", unlike the original GraphFeature-based module
 (:mod:`repro.baselines.original`) that Table 5 compares against.
 """
@@ -14,7 +14,6 @@ from repro.core.infer.pipeline import (
     EmbeddingReducer,
     GraphInferConfig,
     GraphInferResult,
-    PredictionReducer,
     ReceptiveField,
     graph_infer,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "EmbeddingReducer",
     "GraphInferConfig",
     "GraphInferResult",
-    "PredictionReducer",
     "ReceptiveField",
     "graph_infer",
 ]

@@ -2,11 +2,14 @@
 engine (:mod:`repro.core.propagation`) instantiated with *embeddings* as the
 self information.
 
-Round structure mirrors GraphFlat — Map once, then K+1 Reduce rounds — but
+Round structure mirrors GraphFlat — Map once, then K Reduce rounds — but
 the "self information" is the node's *current-layer embedding* instead of an
 accumulated subgraph, which is why there is no repeated computation: each
 node's kth-layer embedding is computed exactly once and propagated to every
-out-edge neighbor that needs it.
+out-edge neighbor that needs it.  The Kth round applies the prediction
+slice to the embeddings it has just computed and writes the scores (node
+tasks); edge tasks take one more round that pairs the two endpoint
+embeddings of every candidate edge.
 
 Sampling and hub re-indexing are applied identically to GraphFlat (same
 engine, same strategies, same seeds), "to maintain the consistence of data
@@ -35,17 +38,17 @@ from repro.core.propagation import (
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.runtime import LocalRuntime, RunStats
+from repro.mapreduce.shuffle import RecordBatch
 from repro.nn.gnn.base import GNNModel
 from repro.proto.columnar import write_prediction_shard
 from repro.proto.framing import register_record
 from repro.tasks import make_task
 
 __all__ = [
-    "EdgePredictionReducer",
+    "EdgeScoreReducer",
     "EmbeddingReducer",
     "GraphInferConfig",
     "GraphInferResult",
-    "PredictionReducer",
     "PredictionStore",
     "ReceptiveField",
     "graph_infer",
@@ -67,6 +70,19 @@ class _InEmb:
     @property
     def nbytes(self) -> int:
         return self.h.nbytes
+
+    @staticmethod
+    def info_nbytes(h: np.ndarray) -> int:
+        """What :func:`~repro.proto.framing.approx_nbytes` counts for an
+        embedding."""
+        return 8 + h.nbytes
+
+    @property
+    def approx_size(self) -> int:
+        """What :func:`~repro.proto.framing.approx_nbytes` counts for this
+        record: ``src``, ``weight``, the edge features and the embedding."""
+        feat = 8 if self.edge_feat is None else 8 + self.edge_feat.nbytes
+        return 24 + feat + self.info_nbytes(self.h)
 
 
 # Wire fields for the binary spill codec (tags 0x30-0x3F are reserved for
@@ -140,7 +156,7 @@ def graph_infer(
     """
     config = config or GraphInferConfig()
     with config.runtime_scope(runtime) as runtime:
-        edges, node_rows, edge_rows = canonical_tables(nodes, edges)
+        edges, node_rows = canonical_tables(nodes, edges)
 
         task_obj = make_task(config.task)
         edge_fanout = None
@@ -194,24 +210,26 @@ def graph_infer(
             # per attempt).
             broadcast, slices = broadcast_slices(slices)
         head = slices[-1]
+        reducers = [partial(EmbeddingReducer, mslice=s) for s in slices[:-1]]
+        final = None
+        if task_obj.edge_level:
+            # K embedding rounds, then the candidate edges' pairing round.
+            final = ("predict", EdgeScoreReducer(head, config.task))
+        else:
+            # K embedding rounds, the Kth applying the prediction slice.
+            reducers[-1] = partial(EmbeddingReducer, mslice=slices[-2], head_slice=head)
         try:
-            # K embedding rounds, then the prediction slice as the final round.
             out = run_dataflow(
                 "graphinfer",
                 config,
                 runtime,
                 edges,
-                node_rows + edge_rows,
+                node_rows,
                 needed=needed,
                 in_record=_InEmb,
                 seed=_seed_embedding,
-                reducers=[partial(EmbeddingReducer, mslice=s) for s in slices[:-1]],
-                final=(
-                    "predict",
-                    EdgePredictionReducer(head, config.task)
-                    if task_obj.edge_level
-                    else PredictionReducer(head),
-                ),
+                reducers=reducers,
+                final=final,
                 edge_fanout=edge_fanout,
                 store=PredictionStore(),
                 fs=fs,
@@ -251,18 +269,23 @@ class EmbeddingReducer(MessagePassingReducer):
     lazily, once per process — exactly the production "each reducer loads
     its model slice" behavior (§3.4).  Under a pickling runtime the slice is
     locator-backed, so the pickled reducer carries no parameter arrays at
-    all; materialization attaches the broadcast slab instead."""
+    all; materialization attaches the broadcast slab instead.
+
+    The Kth round of a node task also carries the prediction slice
+    (``head_slice``) and writes each node's scores instead of its
+    embedding — no round re-shuffles the embeddings only to score them."""
 
     mslice: ModelSlice = field(kw_only=True)
-
-    final_tag = "self"
+    head_slice: ModelSlice | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         self._layer = None
+        self._head = None
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_layer"] = None  # rebuilt lazily on the other side
+        state["_head"] = None
         return state
 
     @property
@@ -270,6 +293,29 @@ class EmbeddingReducer(MessagePassingReducer):
         if self._layer is None:
             self._layer = self.mslice.materialize()
         return self._layer
+
+    @property
+    def head(self):
+        if self._head is None:
+            self._head = self.head_slice.materialize()
+        return self._head
+
+    def final_rows(self, node_ids: list[int], infos: list) -> RecordBatch:
+        """``(node, scores)``: ``h @ W (+ b)`` as float32, one node at a
+        time — the arithmetic every score was produced with so far."""
+        if self.head_slice is None:
+            return super().final_rows(node_ids, infos)
+        weight = self.head.weight.data
+        bias = None if self.head.bias is None else self.head.bias.data
+        scores = []
+        for h in infos:
+            s = h @ weight
+            if bias is not None:
+                s = s + bias
+            scores.append(s.astype(np.float32))
+        return RecordBatch(list(node_ids), scores, lambda: np.fromiter(
+            (8 + s.nbytes for s in scores), dtype=np.int64, count=len(scores)
+        ))
 
     def merge_batch(self, batch: list[tuple[np.ndarray, list[_InEmb]]]) -> list[np.ndarray]:
         """One ``layer.infer_node`` per node, in batch order — the per-node
@@ -305,42 +351,12 @@ class PredictionStore:
 
 
 @dataclass
-class PredictionReducer:
-    """The K+1th slice: the prediction head, materialized lazily per process."""
-
-    head_slice: ModelSlice
-
-    def __post_init__(self):
-        self._head = None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_head"] = None
-        return state
-
-    @property
-    def head(self):
-        if self._head is None:
-            self._head = self.head_slice.materialize()
-        return self._head
-
-    def __call__(self, node_id, values):
-        for value in values:
-            if value[0] == "self":
-                h = value[1]
-                scores = h @ self.head.weight.data
-                if self.head.bias is not None:
-                    scores = scores + self.head.bias.data
-                yield node_id, scores.astype(np.float32)
-
-
-@dataclass
-class EdgePredictionReducer:
+class EdgeScoreReducer:
     """Edge-task prediction round: pair up the two endpoint embeddings a
     candidate edge received from the Kth embedding round and apply the
     task's score function (dot product for link prediction, the head over
     the Hadamard product for edge classification).  The head slice rides
-    along like :class:`PredictionReducer`'s — link prediction simply
+    along, materialized lazily per process — link prediction simply
     ignores it."""
 
     head_slice: ModelSlice

@@ -6,24 +6,33 @@ The paper's design claim is that k-hop generation (§3.2.1) *and* inference
 neighbors and propagating values to out-edge neighbors via MapReduce".
 Everything that scheme fixes lives here, once:
 
-* **Map** (runs once): co-locates, per node ``v``, its self information and
-  its out-edges, then propagates the self information along the out-edges as
-  the in-edge information of the destinations (:class:`PrepareReducer`).
+* **Three kinds of information, two of them shuffled.**  Self and in-edge
+  information change every round and cross the shuffle; the out-edge
+  information "remain[s] unchanged" (§3.2.1), so it never does: the driver
+  builds it once as a CSR by source (:class:`OutEdges`) and publishes it as
+  a side input every round reads — inline for in-process backends, one
+  shared-memory slab under pickling ones.
+* **Map** (runs once): builds, per node ``v``, its self information from its
+  node row, then propagates it along ``v``'s out-edges as the in-edge
+  information of the destinations (:class:`PrepareReducer`).
 * **Reduce × K**: round ``k`` merges each node's self information with its
   (sampled) in-edge information and propagates the result via out-edges for
-  round ``k+1``; out-edge information passes through unchanged
-  (:class:`MessagePassingReducer` — a pipeline only supplies
+  round ``k+1`` (:class:`MessagePassingReducer` — a pipeline only supplies
   ``merge_batch``: merge a batch of nodes' sampled neighborhoods in one
   array kernel, or apply a GNN layer to each node's neighbors' embeddings).
+* **Batches**: every engine reducer emits one
+  :class:`~repro.mapreduce.shuffle.RecordBatch` per merge batch — keys,
+  record objects and array-computed sizes — which the runtime's writers
+  take whole (:meth:`Routing.propagate` is one array step over a batch).
 * **Hub handling** (§3.2.2, Figure 3): when a destination's in-degree exceeds
   ``hub_threshold``, propagation appends a deterministic suffix to the
   shuffle key, splitting the hub's in-edge records across ``reindex_fanout``
   reducers which pre-sample (:class:`PartialReducer`); an inverted-indexing
   step restores the original key for the merge.  The re-index round is a
   *side stage* of the chain (``MapReduceJob.accepts``): it takes the suffixed
-  slice keys and nothing else, while every non-hub in-record and every self /
-  out record — keyed by the plain node id from the start — goes straight to
-  the merge round.  A re-index round shuffles exactly the in-edge records of
+  slice keys and nothing else, while every non-hub in-record and every self
+  record — keyed by the plain node id from the start — goes straight to the
+  merge round.  A re-index round shuffles exactly the in-edge records of
   the hubs that merge that hop.
 * **Demand**: both pipelines only have to produce results for a *target*
   set, and a node ``u`` that is ``d`` reverse hops away from the nearest
@@ -32,9 +41,9 @@ Everything that scheme fixes lives here, once:
   MapReduce pipelines — and :meth:`Routing.propagate` is the only place
   records are emitted, so every gate applies to both pipelines.
 * **Driver** (:func:`run_dataflow`): counts in-degrees once, detects hubs,
-  builds the ``map -> [reindex (hub slices only), reduce] x K -> final`` job
-  chain, plans placement, runs the chain and commits the dataset its
-  final-round reducers wrote.
+  publishes the out-edges (and the placement plan), builds the ``map ->
+  [reindex (hub slices only), reduce] x K -> final`` job chain, runs it and
+  commits the dataset its final-round reducers wrote.
   :class:`DataflowConfig` owns the knobs the two pipelines share.
 
 Every operator here is a top-level callable dataclass (not a closure) so a
@@ -45,6 +54,7 @@ claim into something this reproduction can actually measure.
 
 from __future__ import annotations
 
+import pickle
 import zlib
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
@@ -58,10 +68,18 @@ from repro.graph.tables import EdgeTable, NodeTable
 from repro.graph.validate import validate_tables
 from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.partition import PARTITIONERS, PartitionPlan, plan_partitions, publish_plan
+from repro.mapreduce.partition import (
+    PARTITIONERS,
+    Inline,
+    PartitionPlan,
+    SlabLocator,
+    plan_partitions,
+    publish,
+    publish_plan,
+)
 from repro.mapreduce.runtime import LocalRuntime, RunStats
+from repro.mapreduce.shuffle import RecordBatch
 from repro.mapreduce.spill import DEFAULT_RUN_BYTES, DEFAULT_RUN_RECORDS, MERGE_BATCH_BYTES
-from repro.proto.framing import register_record
 from repro.tasks import make_task
 
 if TYPE_CHECKING:
@@ -72,7 +90,7 @@ __all__ = [
     "DataflowOutput",
     "EdgeFanout",
     "MessagePassingReducer",
-    "OutEdgeInfo",
+    "OutEdges",
     "PartialReducer",
     "PrepareReducer",
     "ReceptiveField",
@@ -84,7 +102,6 @@ __all__ = [
     "distance_to_targets",
     "in_degrees",
     "is_hub_slice",
-    "propagation_key",
     "run_dataflow",
     "suffix",
 ]
@@ -122,7 +139,7 @@ class DataflowConfig:
     """Shuffle spill directory; ``None`` = in-memory (serial/threads) or a
     private temp dir (processes)."""
     shuffle_codec: str = "binary"
-    """Spill record encoding: ``binary`` (flat SubgraphInfo/embedding/edge
+    """Spill record encoding: ``binary`` (flat SubgraphInfo/embedding
     records instead of pickled object graphs — the default; output is
     byte-identical to ``pickle``, tested) or ``pickle``."""
     partitioner: str = "hash"
@@ -238,15 +255,6 @@ def suffix(src: int, dst: int, fanout: int) -> int:
     return zlib.crc32(f"{src}|{dst}".encode()) % fanout
 
 
-def propagation_key(dst: int, src: int, hubs, fanout: int):
-    """Shuffle key of an in-edge record ``src -> dst``: hub destinations
-    get a suffixed slice key ``(dst, 1 + s)`` (Figure 3), everything else —
-    like every node's own self / out-edge records — the plain node id."""
-    if dst in hubs:
-        return (dst, 1 + suffix(src, dst, fanout))
-    return dst
-
-
 def is_hub_slice(key) -> bool:
     """The keys a re-index round accepts: suffixed hub slices, and nothing
     else — plain node ids go straight to the merge round."""
@@ -281,10 +289,33 @@ class ReceptiveField:
             )
         return cls(distance_to_targets(edges, target_set, total_rounds), total_rounds)
 
+    def __post_init__(self):
+        if self.distance is not None:  # sorted columns for the array form
+            ids = np.fromiter(self.distance, dtype=np.int64, count=len(self.distance))
+            dist = np.fromiter(self.distance.values(), dtype=np.int64, count=len(ids))
+            order = np.argsort(ids)
+            object.__setattr__(self, "_ids", ids[order])
+            object.__setattr__(self, "_dist", dist[order])
+
     def __call__(self, node_id: int, k: int) -> bool:
         if self.distance is None:
-            return True
+            return k <= self.total_rounds
         return self.distance.get(node_id, self.total_rounds + 1) <= self.total_rounds - k
+
+    def distances(self, node_ids: np.ndarray) -> np.ndarray:
+        """``dist(u -> targets)`` per id; ``K + 1`` for ids outside every
+        field (requires targets)."""
+        beyond = np.full(len(node_ids), self.total_rounds + 1, dtype=np.int64)
+        if not len(self._ids):
+            return beyond
+        pos = np.minimum(np.searchsorted(self._ids, node_ids), len(self._ids) - 1)
+        return np.where(self._ids[pos] == node_ids, self._dist[pos], beyond)
+
+    def mask(self, node_ids: np.ndarray, k: int) -> np.ndarray:
+        """:meth:`__call__` over an id column."""
+        if self.distance is None:
+            return np.full(len(node_ids), k <= self.total_rounds)
+        return self.distances(node_ids) <= self.total_rounds - k
 
     def propagations(self, dst: np.ndarray) -> int:
         """In-edge records propagated over all K rounds for the edge
@@ -292,12 +323,7 @@ class ReceptiveField:
         every round ``k`` with ``needed(w, k)`` — ``K - dist(w)`` of them."""
         if self.distance is None:
             return self.total_rounds * len(dst)
-        beyond = self.total_rounds + 1
-        d = np.fromiter(
-            (self.distance.get(w, beyond) for w in dst.tolist()),
-            dtype=np.int64,
-            count=len(dst),
-        )
+        d = self.distances(np.asarray(dst, dtype=np.int64))
         return int(np.clip(self.total_rounds - d, 0, None).sum())
 
 
@@ -347,22 +373,74 @@ def distance_to_targets(
     return dict(zip(ids[inside].tolist(), dist[inside].tolist()))
 
 
-# ------------------------------------------------------------------ records
-@dataclass
-class OutEdgeInfo:
-    """Out-edge information: propagation target for the next round.
-    "All of the out-edge information remain unchanged" (§3.2.1).  The
-    self and in-edge information are the pipeline's own (accumulated
-    subgraphs, or embeddings); this third kind is the same for both."""
+# ---------------------------------------------------------------- out-edges
+@dataclass(frozen=True)
+class OutEdges:
+    """The out-edge information of every node, as one CSR by source.
 
-    dst: int
-    weight: float
+    "All of the out-edge information remain unchanged" (§3.2.1) from round
+    to round, so it never crosses the shuffle: :func:`run_dataflow` builds
+    it once from the coalesced edge table and publishes it as a side input
+    (:func:`~repro.mapreduce.partition.publish`) that every round's
+    :class:`Routing` reads.  A node's out-edges keep the table's order."""
+
+    ids: np.ndarray
+    """``(s,) int64`` distinct sources, ascending."""
+    offsets: np.ndarray
+    """``(s + 1,) int64``: source ``ids[i]``'s edges are rows
+    ``offsets[i]:offsets[i + 1]``."""
+    dst: np.ndarray
+    """``(m,) int64`` edge destinations."""
+    weight: np.ndarray
+    """``(m,) float64``: each edge weight as ``float`` reads it — the values
+    weighted sampling draws with."""
     edge_feat: np.ndarray | None
+    """``(m, ...)`` edge-feature rows, or ``None``."""
 
+    @classmethod
+    def of(cls, edges: EdgeTable) -> "OutEdges":
+        src = np.asarray(edges.src, dtype=np.int64)
+        order = np.argsort(src, kind="stable")
+        ids, counts = np.unique(src[order], return_counts=True)
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(
+            ids,
+            offsets,
+            np.asarray(edges.dst, dtype=np.int64)[order],
+            np.asarray(edges.weights, dtype=np.float64)[order],
+            None if edges.features is None else edges.features[order],
+        )
 
-# Wire fields for the binary spill codec; 0x22 sits in the block GraphFlat's
-# records occupy (0x20-0x2F, ``repro.core.graphflat.records``).
-register_record(0x22, OutEdgeInfo, ("dst", "weight", "edge_feat"))
+    def encode(self) -> bytes:
+        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @classmethod
+    def decode(cls, data: bytes) -> "OutEdges":
+        return pickle.loads(data)
+
+    @property
+    def feat_nbytes(self) -> int:
+        """What :func:`~repro.proto.framing.approx_nbytes` counts for one
+        edge's feature field."""
+        if self.edge_feat is None:
+            return 8
+        return 8 + self.edge_feat.dtype.itemsize * int(np.prod(self.edge_feat.shape[1:]))
+
+    def of_nodes(self, node_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(owner, edge)``: every out-edge of ``node_ids`` as the index of
+        its node in ``node_ids`` and its CSR row — node-major, table order
+        within a node."""
+        if not len(self.ids):
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.ids, node_ids), len(self.ids) - 1)
+        has = self.ids[pos] == node_ids
+        lo = np.where(has, self.offsets[pos], 0)
+        counts = np.where(has, self.offsets[pos + 1] - lo, 0)
+        owner = np.repeat(np.arange(len(node_ids), dtype=np.int64), counts)
+        # position i of node j's run reads row lo[j] + i
+        edge = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(len(owner))
+        return owner, edge
 
 
 @dataclass(frozen=True)
@@ -390,65 +468,110 @@ class EdgeFanout:
 # ----------------------------------------------------------------- reducers
 @dataclass(frozen=True)
 class Routing:
-    """Where a node's records go next round: the shuffle key (hub slices
-    for re-indexing) plus the receptive-field gate that makes propagation
+    """Where a node's records go next round: the out-edges (the
+    :class:`OutEdges` side input), the shuffle key (hub slices for
+    re-indexing) and the receptive-field gate that makes propagation
     demand-driven.  Shared by the Map phase and every Reduce round."""
 
     hubs: frozenset[int]
     fanout: int
     needed: ReceptiveField
-    in_record: Callable
-    """``in_record(src, weight, edge_feat, info)``: the pipeline's in-edge
-    record (``InEdgeInfo`` around a subgraph, or an embedding record)."""
+    in_record: type
+    """The pipeline's in-edge record class (``InEdgeInfo`` around a
+    subgraph, or an embedding record): built as ``in_record(src, weight,
+    edge_feat, info)``, and ``in_record.info_nbytes(info)`` is what
+    :func:`~repro.proto.framing.approx_nbytes` counts for ``info``."""
+    out_edges: Inline | SlabLocator
+    """The carrier of the run's :class:`OutEdges`."""
 
-    def propagate(self, node_id: int, info, outs, next_round: int):
-        """What ``node_id`` hands to round ``next_round`` after building
-        ``info``: the self information travels on only if the node merges
-        again; the out-edge list is trimmed to the destinations some
-        *later* round still propagates to; an in-edge record goes only to
-        destinations that merge next round.  A destination that does merge
-        still receives every one of its in-edge records (the gate is per
-        destination, never per edge), so its sampling draw — and therefore
-        the pipeline's output — is exactly the ungated pipeline's."""
-        needed = self.needed
-        if needed(node_id, next_round):
-            yield node_id, ("self", info)
-            later = [out for out in outs if needed(out.dst, next_round + 1)]
-            if later:
-                yield node_id, ("out", later)
-        for out in outs:
-            if needed(out.dst, next_round):
-                key = propagation_key(out.dst, node_id, self.hubs, self.fanout)
-                yield key, ("in", self.in_record(node_id, out.weight, out.edge_feat, info))
+    def __post_init__(self):
+        hub_ids = np.fromiter(sorted(self.hubs), dtype=np.int64, count=len(self.hubs))
+        object.__setattr__(self, "_hub_ids", hub_ids)
+
+    def propagate(self, node_ids: list[int], infos: list, next_round: int) -> RecordBatch:
+        """What the nodes ``node_ids`` hand to round ``next_round`` after
+        building ``infos``, as one batch, node-major: a node's self
+        information travels on only if the node merges again, followed by
+        its in-edge records to the destinations that merge next round.  A
+        destination that does merge still receives every one of its in-edge
+        records (the gate is per destination, never per edge), so its
+        sampling draw — and therefore the pipeline's output — is exactly the
+        ungated pipeline's.  Keys are the destination, or its slice ``(dst,
+        1 + suffix)`` for hubs; each row's size comes from the per-node
+        sizes of ``infos``, computed only if a writer asks."""
+        out_edges = self.out_edges.get()
+        ids = np.asarray(node_ids, dtype=np.int64)
+        selves = np.flatnonzero(self.needed.mask(ids, next_round))
+        owner, edge = out_edges.of_nodes(ids)
+        dst = out_edges.dst[edge]
+        sent = self.needed.mask(dst, next_round)
+        owner, edge, dst = owner[sent], edge[sent], dst[sent]
+
+        in_keys = dst.tolist()
+        owners = owner.tolist()
+        node_ids = ids.tolist()
+        for j in np.flatnonzero(np.isin(dst, self._hub_ids)).tolist():
+            in_keys[j] = (in_keys[j], 1 + suffix(node_ids[owners[j]], in_keys[j], self.fanout))
+        feats = (
+            [None] * len(owners) if out_edges.edge_feat is None else list(out_edges.edge_feat[edge])
+        )
+        record = self.in_record
+        in_values = [
+            ("in", record(src, weight, feat, infos[i]))
+            for src, weight, feat, i in zip(
+                ids[owner].tolist(), out_edges.weight[edge].tolist(), feats, owners
+            )
+        ]
+
+        # node-major order: node i's self row first, then its in-rows
+        self_rows = np.zeros(len(ids), dtype=np.int64)
+        self_rows[selves] = 1
+        rows = self_rows + np.bincount(owner, minlength=len(ids))
+        first = np.cumsum(rows) - rows
+        order = np.empty(len(selves) + len(owner), dtype=np.int64)
+        order[first[selves]] = np.arange(len(selves))
+        in_rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        order[first[owner] + self_rows[owner] + in_rank] = len(selves) + np.arange(len(owner))
+        at = order.tolist()
+        keys = [node_ids[i] for i in selves.tolist()] + in_keys
+        values = [("self", infos[i]) for i in selves.tolist()] + in_values
+
+        def nbytes() -> np.ndarray:
+            # ("self", info): 8 + 12 + S;  ("in", record): 8 + 10 + 24 + feat + S
+            per_node = np.zeros(len(infos), dtype=np.int64)
+            for i in np.flatnonzero(rows).tolist():
+                per_node[i] = record.info_nbytes(infos[i])
+            return np.concatenate(
+                [20 + per_node[selves], 42 + out_edges.feat_nbytes + per_node[owner]]
+            )[order]
+
+        return RecordBatch([keys[i] for i in at], [values[i] for i in at], nbytes)
 
 
 @dataclass(frozen=True)
 class PrepareReducer:
-    """The Map phase: build the round-0 self information, gather out-edges,
-    propagate for round 1."""
+    """The Map phase: build the round-0 self information of a batch of
+    nodes and propagate it for round 1 (the out-edges are the
+    :class:`OutEdges` side input, so a node's group is its node row)."""
 
     routing: Routing
     seed: Callable
     """``seed(node_id, feature)``: the node's round-0 self information
     (its 0-hop subgraph, or ``h^(0) = x``)."""
 
-    def __call__(self, node_id, values):
-        feature = None
-        outs: list[OutEdgeInfo] = []
-        for value in values:
-            tag = value[0]
-            if tag == "node":
-                feature = value[1]
-            else:  # edge row keyed by source
-                _, dst, weight, edge_feat = value
-                outs.append(OutEdgeInfo(int(dst), weight, edge_feat))
-        if feature is None:
-            # Edge rows whose source never appears in the node table are
-            # rejected by ``canonical_tables``; rows that reach the engine
-            # some other way are dropped here.
-            return
-        node_id = int(node_id)
-        yield from self.routing.propagate(node_id, self.seed(node_id, feature), outs, 1)
+    def reduce_groups(self, groups):
+        node_ids, infos, nbytes = [], [], 0
+        for node_id, values in groups:
+            node_id = int(node_id)
+            feature = values[-1][1]  # the node's ("node", feature) row
+            node_ids.append(node_id)
+            infos.append(self.seed(node_id, feature))
+            nbytes += feature.nbytes
+            if nbytes >= MERGE_BATCH_BYTES:
+                yield self.routing.propagate(node_ids, infos, 1)
+                node_ids, infos, nbytes = [], [], 0
+        if node_ids:
+            yield self.routing.propagate(node_ids, infos, 1)
 
 
 @dataclass(frozen=True)
@@ -464,10 +587,21 @@ class PartialReducer:
     registers the record's wire form (the other rounds' reducers get there
     through :class:`Routing`)."""
 
-    def __call__(self, key, values):
-        node_id, sfx = key
-        in_edges = [value[1] for value in values]  # only "in" records get suffixes
-        yield node_id, ("partial", self.sampler.select(in_edges, node_id, salt=sfx))
+    def reduce_groups(self, groups):
+        keys, values, sizes, nbytes = [], [], [], 0
+        for (node_id, sfx), group in groups:
+            in_edges = [value[1] for value in group]  # only "in" records get suffixes
+            kept = self.sampler.select(in_edges, node_id, salt=sfx)
+            keys.append(node_id)
+            values.append(("partial", kept))
+            # ("partial", [records]): 8 + 15 + 8 + each record's size
+            sizes.append(31 + sum(record.approx_size for record in kept))
+            nbytes += sizes[-1]
+            if nbytes >= MERGE_BATCH_BYTES:
+                yield RecordBatch(keys, values, np.asarray(sizes, dtype=np.int64))
+                keys, values, sizes, nbytes = [], [], [], 0
+        if keys:
+            yield RecordBatch(keys, values, np.asarray(sizes, dtype=np.int64))
 
 
 @dataclass
@@ -475,17 +609,18 @@ class MessagePassingReducer:
     """The paper's Reduce: merge self + in-edge info, propagate via
     out-edges (or emit the result on the last round).  Subclasses say what
     merging means (:meth:`merge_batch`) and how the last round tags its
-    output (``final_tag``); parsing the three kinds of information, the
-    receptive-field gate, sampling, batching and every emission are shared.
+    output (``final_tag``, or :meth:`final_rows` itself); parsing the
+    shuffled kinds of information, the receptive-field gate, sampling,
+    batching and every emission are shared.
 
     The reducer takes its partition's whole group stream
     (:meth:`reduce_groups`, the runtime's ``Reducer.run()``): nodes are
     parsed, gated and sampled one at a time, buffered up to
     :data:`~repro.mapreduce.spill.MERGE_BATCH_BYTES` of self and sampled
     in-edge information (as the records' ``nbytes`` count it), merged by one
-    :meth:`merge_batch` call, and emitted
-    in node order — the pairs a reduce task appends are exactly those of a
-    node-at-a-time reducer."""
+    :meth:`merge_batch` call, and emitted as one
+    :class:`~repro.mapreduce.shuffle.RecordBatch` in node order — the rows
+    a reduce task writes are exactly those of a node-at-a-time reducer."""
 
     sampler: SamplingStrategy
     round_index: int
@@ -513,17 +648,17 @@ class MessagePassingReducer:
             if node is None:
                 continue
             batch.append(node)
-            _, _, sampled, self_info = node
+            _, sampled, self_info = node
             nbytes += self_info.nbytes + sum(record.nbytes for record in sampled)
             if nbytes >= MERGE_BATCH_BYTES:
-                yield from self._emit(batch)
+                yield self._emit(batch)
                 batch, nbytes = [], 0
         if batch:
-            yield from self._emit(batch)
+            yield self._emit(batch)
 
     def _gather(self, node_id, values):
-        """``(node_id, outs, sampled, self_info)``, or ``None`` when the node
-        does not merge this round."""
+        """``(node_id, sampled, self_info)``, or ``None`` when the node does
+        not merge this round."""
         # Outside every target's receptive field this round (on the final
         # round: not a target) — nothing downstream reads this node's
         # merge, so skip it before doing the work.  Upstream rounds already
@@ -532,14 +667,11 @@ class MessagePassingReducer:
         if not self.routing.needed(node_id, self.round_index):
             return None
         self_info = None
-        outs: list[OutEdgeInfo] = []
         ins: list = []
         for value in values:
             tag = value[0]
             if tag == "self":
                 self_info = value[1]
-            elif tag == "out":
-                outs = value[1]
             elif tag == "in":
                 ins.append(value[1])
             elif tag == "partial":
@@ -550,22 +682,37 @@ class MessagePassingReducer:
             # A node that only ever appears as an edge destination of
             # strays the Map phase dropped; nothing to do.
             return None
-        return node_id, outs, self.sampler.select(ins, node_id, salt=0), self_info
+        return node_id, self.sampler.select(ins, node_id, salt=0), self_info
 
-    def _emit(self, batch: list[tuple]):
-        merged = self.merge_batch([(self_info, sampled) for _, _, sampled, self_info in batch])
-        for (node_id, outs, _, _), info in zip(batch, merged):
-            if self.round_index < self.total_rounds:
-                yield from self.routing.propagate(node_id, info, outs, self.round_index + 1)
-            elif self.edge_fanout is not None:
-                # The result is shared across emissions — the joining round
-                # only reads it.
+    def _emit(self, batch: list[tuple]) -> RecordBatch:
+        node_ids = [node_id for node_id, _, _ in batch]
+        merged = self.merge_batch([(self_info, sampled) for _, sampled, self_info in batch])
+        if self.round_index < self.total_rounds:
+            return self.routing.propagate(node_ids, merged, self.round_index + 1)
+        return self.final_rows(node_ids, merged)
+
+    def final_rows(self, node_ids: list[int], infos: list) -> RecordBatch:
+        """The Kth round's output: "in the Kth round ... only need to output
+        it rather than all of the three information" (§3.4) — keyed by node,
+        or fanned out to the target edges a node terminates."""
+        info_nbytes = self.routing.in_record.info_nbytes
+        if self.edge_fanout is not None:
+            # The result is shared across emissions — the joining round
+            # only reads it.
+            keys, values, owners = [], [], []
+            for i, node_id in enumerate(node_ids):
                 for edge_index, role in self.edge_fanout.entries(node_id):
-                    yield edge_index, ("end", role, info)
-            else:
-                # "in the Kth round ... only need to output it rather than
-                # all of the three information" (§3.4).
-                yield node_id, (self.final_tag, info)
+                    keys.append(edge_index)
+                    values.append(("end", role, infos[i]))
+                    owners.append(i)
+            # ("end", role, info): 8 + 11 + 8 + S
+            return RecordBatch(keys, values, lambda: np.fromiter(
+                (27 + info_nbytes(infos[i]) for i in owners), dtype=np.int64, count=len(owners)
+            ))
+        tag = self.final_tag
+        return RecordBatch(list(node_ids), [(tag, info) for info in infos], lambda: np.fromiter(
+            (16 + len(tag) + info_nbytes(info) for info in infos), dtype=np.int64, count=len(infos)
+        ))
 
 
 # ------------------------------------------------------------------ planning
@@ -605,7 +752,7 @@ def build_partition_plan(
       straight to the merge rounds).
     * hub — each slice key ``(node, 1+s)`` at ``deg / fanout`` (the split
       the re-indexing performs, routing into the re-index rounds) and the
-      plain int at ``2 + fanout`` (self + out records and the post-sampling
+      plain int at ``2 + fanout`` (the self record and the post-sampling
       partials, routing into the merge rounds).
 
     :func:`~repro.mapreduce.partition.plan_partitions` then LPT-packs the
@@ -627,20 +774,15 @@ def build_partition_plan(
 
 
 # ------------------------------------------------------------------- driver
-def canonical_tables(
-    nodes: NodeTable, edges: EdgeTable
-) -> tuple[EdgeTable, list[tuple], list[tuple]]:
+def canonical_tables(nodes: NodeTable, edges: EdgeTable) -> tuple[EdgeTable, list[tuple]]:
     """The Map phase's input, validated (``repro.graph.validate``): the
     coalesced edge table (one ``A_{v,u}`` entry per node pair — GraphInfer
-    must see GraphFlat's adjacency), and the ``node_rows`` / ``edge_rows``
-    keyed by node id / source id."""
+    must see GraphFlat's adjacency; the out-edges every round reads,
+    :class:`OutEdges`) and the ``node_rows`` keyed by node id."""
     validate_tables(nodes, edges)
     edges = edges.coalesce()
     node_rows = [(int(i), ("node", feat)) for i, feat, _ in nodes.rows()]
-    edge_rows = [
-        (int(s), (int(s), int(d), float(w), f)) for s, d, f, w in edges.rows()
-    ]
-    return edges, node_rows, edge_rows
+    return edges, node_rows
 
 
 @dataclass(frozen=True)
@@ -690,8 +832,9 @@ def run_dataflow(
     dataset_name: str,
 ) -> DataflowOutput:
     """Run ``map -> [reindex (hub slices only), reduce] x K -> final`` over
-    the Map input ``rows`` of the coalesced ``edges`` (and the node table,
-    :func:`canonical_tables`) and store the result.
+    the Map input ``rows`` (the node rows, :func:`canonical_tables`) with
+    the out-edges of the coalesced ``edges`` as a side input, and store the
+    result.
 
     ``reducers`` holds one :class:`MessagePassingReducer` constructor per
     round (``K = len(reducers)``); ``final`` optionally names one more
@@ -713,51 +856,22 @@ def run_dataflow(
     """
     degree_pairs = in_degrees(edges)
     hubs = detect_hubs(degree_pairs, config.hub_threshold)
-    routing = Routing(hubs, config.reindex_fanout, needed, in_record)
-    sampler = config.make_sampler()
-    total_rounds = len(reducers)
-
-    # ---- Map phase ("runs only once at the beginning", §3.2.1) followed by
-    # K Reduce rounds, submitted as one chained sequence: every round is
-    # reduce-only, so the runtime hands partitions reducer-to-reducer and
-    # intermediate state never funnels through this process.
-    def job(stage: str, reducer, accepts=None) -> MapReduceJob:
-        return MapReduceJob(
-            f"{name}-{stage}", reducer, num_reducers=config.num_reducers, accepts=accepts
-        )
-
-    jobs = [job("map", PrepareReducer(routing, seed))]
-    for k, make_reducer in enumerate(reducers, start=1):
-        if hubs:
-            # A side stage: the round before sends it the hub slices and
-            # everything else straight on to ``reduce{k}``.
-            reindex = PartialReducer(sampler, in_record)
-            jobs.append(job(f"reduce{k}-reindex", reindex, accepts=is_hub_slice))
-        fanout = edge_fanout if k == total_rounds else None
-        jobs.append(
-            job(f"reduce{k}", make_reducer(sampler, k, total_rounds, routing, fanout))
-        )
-    if final is not None:
-        jobs.append(job(*final))
-
-    # ---- degree-aware placement plan: built from the in-degree counts hub
-    # detection already needed, broadcast once (shared memory under pickling
-    # backends), applied to every intermediate round.
-    partition_broadcast = None
-    if config.partitioner == "planned":
-        plan = build_partition_plan(
-            degree_pairs, hubs, config.reindex_fanout, config.num_reducers, needed
-        )
-        partition_broadcast, planned = publish_plan(plan, runtime.needs_pickling)
-        # The *final* round keeps the hash default: output record order is
-        # partition-major and reducer-written shards are per-partition, so
-        # pinning the last round's placement is the planner's determinism
-        # contract — pipeline output stays byte-identical across
-        # partitioners.
-        for planned_job in jobs[:-1]:
-            planned_job.partitioner = planned
-
+    # Side inputs every round reads, published once (inline for in-process
+    # backends, one shared-memory slab each under pickling ones): the
+    # out-edges, and the placement plan.
+    edges_broadcast = partition_broadcast = None
     try:
+        edges_broadcast, out_edges = publish(OutEdges.of(edges), runtime.needs_pickling)
+        planned = None
+        if config.partitioner == "planned":
+            # Degree-aware placement: built from the in-degree counts hub
+            # detection already needed, applied to every intermediate round.
+            plan = build_partition_plan(
+                degree_pairs, hubs, config.reindex_fanout, config.num_reducers, needed
+            )
+            partition_broadcast, planned = publish_plan(plan, runtime.needs_pickling)
+        routing = Routing(hubs, config.reindex_fanout, needed, in_record, out_edges)
+        jobs = _job_chain(name, config, routing, seed, reducers, final, edge_fanout, planned)
         if fs is None:
             data = runtime.run_rounds(jobs, rows)
             return DataflowOutput(hubs, list(runtime.round_stats), data=data)
@@ -774,6 +888,50 @@ def run_dataflow(
         )
         return DataflowOutput(hubs, list(runtime.round_stats), summaries)
     finally:
-        # Single unlink point for the plan slab — covers failed rounds too.
-        if partition_broadcast is not None:
-            partition_broadcast.close()
+        # Single unlink point for the side-input slabs — covers failed
+        # rounds too.
+        for broadcast in (edges_broadcast, partition_broadcast):
+            if broadcast is not None:
+                broadcast.close()
+
+
+def _job_chain(
+    name, config, routing, seed, reducers, final, edge_fanout, planned
+) -> list[MapReduceJob]:
+    """``map -> [reindex (hub slices only), reduce] x K -> final`` as jobs;
+    ``planned`` (a placement-plan partitioner, or ``None``) governs every
+    round but the last."""
+    sampler = config.make_sampler()
+    total_rounds = len(reducers)
+
+    # ---- Map phase ("runs only once at the beginning", §3.2.1) followed by
+    # K Reduce rounds, submitted as one chained sequence: every round is
+    # reduce-only, so the runtime hands partitions reducer-to-reducer and
+    # intermediate state never funnels through this process.
+    def job(stage: str, reducer, accepts=None) -> MapReduceJob:
+        return MapReduceJob(
+            f"{name}-{stage}", reducer, num_reducers=config.num_reducers, accepts=accepts
+        )
+
+    jobs = [job("map", PrepareReducer(routing, seed))]
+    for k, make_reducer in enumerate(reducers, start=1):
+        if routing.hubs:
+            # A side stage: the round before sends it the hub slices and
+            # everything else straight on to ``reduce{k}``.
+            reindex = PartialReducer(sampler, routing.in_record)
+            jobs.append(job(f"reduce{k}-reindex", reindex, accepts=is_hub_slice))
+        fanout = edge_fanout if k == total_rounds else None
+        jobs.append(
+            job(f"reduce{k}", make_reducer(sampler, k, total_rounds, routing, fanout))
+        )
+    if final is not None:
+        jobs.append(job(*final))
+    if planned is not None:
+        # The *final* round keeps the hash default: output record order is
+        # partition-major and reducer-written shards are per-partition, so
+        # pinning the last round's placement is the planner's determinism
+        # contract — pipeline output stays byte-identical across
+        # partitioners.
+        for planned_job in jobs[:-1]:
+            planned_job.partitioner = planned
+    return jobs

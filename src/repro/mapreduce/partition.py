@@ -26,10 +26,11 @@ This module makes the partition function a first-class object:
 * :class:`PlannedPartitioner` — applies a :class:`PartitionPlan`'s compact
   assignment table with a hash fallback for every key outside the plan (the
   light tail, keys of other rounds, and any ``num_partitions`` mismatch).
-  The table travels to worker processes either inline (serial/threads) or
-  as a :class:`~repro.ps.shm.BytesBroadcast` shared-memory locator
-  (processes backend) — published once per run, attached and decoded once
-  per worker process, zero table bytes pickled per task attempt.
+  The table is a *side input* (:func:`publish`): it travels to worker
+  processes either inline (serial/threads) or as a
+  :class:`~repro.ps.shm.BytesBroadcast` shared-memory locator (processes
+  backend) — published once per run, attached and decoded once per worker
+  process, zero table bytes pickled per task attempt.
 
 Value-order note: changing the partitioner of an intermediate round
 re-shards that round's reducers, which permutes the *task-major arrival
@@ -44,6 +45,7 @@ output byte-identical across partitioners (tested).
 from __future__ import annotations
 
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.mapreduce.shuffle import default_partition, key_bytes
@@ -52,10 +54,14 @@ from repro.proto.varint import decode_unsigned, encode_unsigned
 __all__ = [
     "PARTITIONERS",
     "HashPartitioner",
+    "Inline",
     "PartitionPlan",
     "Partitioner",
     "PlannedPartitioner",
+    "SlabLocator",
+    "bytes_partitioner",
     "plan_partitions",
+    "publish",
     "publish_plan",
     "spill_tag",
 ]
@@ -223,50 +229,77 @@ def plan_partitions(
     return PartitionPlan(num_partitions, assignments, planned, total)
 
 
-# ------------------------------------------------------------- table sources
-# The decoded assignment table is cached per process: pooled workers decode
-# a given plan once, then every task attempt (including retries and
-# speculative duplicates) reads the same immutable dict.
+# ------------------------------------------------------------- side inputs
+# A side input is an immutable table every task of a run reads — the
+# partition plan, the propagation engine's out-edge CSR.  It rides inline
+# when tasks stay in-process; under a pickling backend it is published once
+# into a shared-memory byte slab and tasks carry only a locator.  Decoded
+# slab payloads are cached per process: pooled workers decode a given side
+# input once, then every task attempt (retries and speculative duplicates
+# included) reads the same immutable object.
 
-_PLAN_CACHE: dict[object, PartitionPlan] = {}
-
-
-@dataclass(frozen=True)
-class _InlineTable:
-    """Plan payload pickled inside the partitioner (serial/threads, or any
-    context where the bytes are cheaper than a shared-memory segment)."""
-
-    payload: bytes
-
-    def cache_key(self):
-        return ("inline", self.payload)
-
-    def load(self) -> PartitionPlan:
-        return PartitionPlan.decode(self.payload)
+_SIDE_INPUTS: dict[object, object] = {}
 
 
 @dataclass(frozen=True)
-class _SlabTable:
-    """Locator for a plan published through a shared-memory byte slab
-    (:class:`~repro.ps.shm.BytesBroadcast`): the pickled partitioner
-    carries only (name, length), and each worker process attaches, copies,
-    and decodes the table once."""
+class Inline:
+    """A side input held by reference (in-process backends never pickle
+    it; pickled anyway, it travels whole)."""
+
+    value: object
+
+    def get(self):
+        return self.value
+
+
+@dataclass(frozen=True)
+class SlabLocator:
+    """Locator for a side input published through a shared-memory byte slab
+    (:class:`~repro.ps.shm.BytesBroadcast`): the pickled task carries only
+    (name, length, decoder), and each worker process attaches, copies and
+    decodes the payload once."""
 
     name: str
     nbytes: int
+    decode: Callable[[bytes], object]
 
     def cache_key(self):
         return ("shm", self.name, self.nbytes)
 
-    def load(self) -> PartitionPlan:
-        from repro.ps.shm import attach_shared_memory
+    def get(self):
+        key = self.cache_key()
+        value = _SIDE_INPUTS.get(key)
+        if value is None:
+            from repro.ps.shm import attach_shared_memory
 
-        seg = attach_shared_memory(self.name)
-        try:
-            payload = bytes(seg.buf[: self.nbytes])
-        finally:
-            seg.close()
-        return PartitionPlan.decode(payload)
+            seg = attach_shared_memory(self.name)
+            try:
+                payload = bytes(seg.buf[: self.nbytes])
+            finally:
+                seg.close()
+            value = _SIDE_INPUTS[key] = self.decode(payload)
+        return value
+
+
+def publish(value, needs_pickling: bool):
+    """``(broadcast, carrier)`` for a side input ``value`` (anything with
+    ``encode()`` and a ``decode(bytes)`` classmethod): an :class:`Inline`
+    when tasks stay in-process, else a :class:`SlabLocator` over a fresh
+    :class:`~repro.ps.shm.BytesBroadcast`.  The caller owns ``broadcast``
+    (``None`` inline) and must ``close()`` it after the run."""
+    if not needs_pickling:
+        return None, Inline(value)
+    from repro.ps.shm import BytesBroadcast
+
+    payload = value.encode()
+    broadcast = BytesBroadcast(payload)
+    return broadcast, SlabLocator(broadcast.name, len(payload), type(value).decode)
+
+
+def _hash_bytes(kb: bytes, num_partitions: int) -> int:
+    if num_partitions <= 0:
+        raise ValueError("num_partitions must be positive")
+    return zlib.crc32(kb) % num_partitions
 
 
 @dataclass(frozen=True)
@@ -279,61 +312,53 @@ class PlannedPartitioner(Partitioner):
     same runtime) — falls back to exactly the hash default, so a planned
     run degrades to hash behavior rather than misplacing records."""
 
-    source: _InlineTable | _SlabTable
+    source: Inline | SlabLocator
     num_partitions: int
     tag: str
 
     @classmethod
     def from_plan(cls, plan: PartitionPlan) -> "PlannedPartitioner":
-        payload = plan.encode()
-        return cls(
-            _InlineTable(payload), plan.num_partitions, f"plan{zlib.crc32(payload):08x}"
-        )
-
-    @classmethod
-    def from_slab(
-        cls, name: str, nbytes: int, num_partitions: int, checksum: int
-    ) -> "PlannedPartitioner":
-        return cls(_SlabTable(name, nbytes), num_partitions, f"plan{checksum:08x}")
+        return publish_plan(plan, needs_pickling=False)[1]
 
     @property
     def plan(self) -> PartitionPlan:
-        key = self.source.cache_key()
-        plan = _PLAN_CACHE.get(key)
-        if plan is None:
-            plan = _PLAN_CACHE[key] = self.source.load()
-        return plan
+        return self.source.get()
 
     def __call__(self, key, num_partitions: int) -> int:
-        kb = key_bytes(key)
+        return self.of_bytes(key_bytes(key), num_partitions)
+
+    def of_bytes(self, kb: bytes, num_partitions: int) -> int:
+        """The partition of the key whose canonical bytes are ``kb``."""
         if num_partitions == self.num_partitions:
             planned = self.plan.assignments.get(kb)
             if planned is not None:
                 return planned
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        return zlib.crc32(kb) % num_partitions
+        return _hash_bytes(kb, num_partitions)
 
     def spill_tag(self) -> str:
         return self.tag
 
 
+def bytes_partitioner(partitioner) -> Callable[[bytes, int], int] | None:
+    """``partitioner`` as a function of canonical key bytes — so a writer
+    that has encoded a key already reuses its bytes — for the shipped
+    partitioners; ``None`` for any other callable, which is called with the
+    key itself."""
+    if partitioner is default_partition or type(partitioner) is HashPartitioner:
+        return _hash_bytes
+    if isinstance(partitioner, PlannedPartitioner):
+        return partitioner.of_bytes
+    return None
+
+
 def publish_plan(plan: PartitionPlan, needs_pickling: bool):
-    """Turn a plan into a runnable partitioner plus an owned broadcast.
-
-    Under a pickling backend the encoded table is published once into a
-    shared-memory byte slab and the partitioner carries only a locator;
-    otherwise the table rides inline.  Returns ``(broadcast, partitioner)``
-    — the caller owns ``broadcast`` (may be ``None``) and must ``close()``
-    it after the run, mirroring GraphInfer's model-slice broadcast."""
-    if not needs_pickling:
-        return None, PlannedPartitioner.from_plan(plan)
-    from repro.ps.shm import BytesBroadcast
-
-    payload = plan.encode()
-    broadcast = BytesBroadcast(payload)
-    return broadcast, PlannedPartitioner.from_slab(
-        broadcast.name, len(payload), plan.num_partitions, zlib.crc32(payload)
+    """Turn a plan into a runnable partitioner plus an owned broadcast
+    (:func:`publish`).  Returns ``(broadcast, partitioner)`` — the caller
+    owns ``broadcast`` (may be ``None``) and must ``close()`` it after the
+    run, mirroring GraphInfer's model-slice broadcast."""
+    broadcast, source = publish(plan, needs_pickling)
+    return broadcast, PlannedPartitioner(
+        source, plan.num_partitions, f"plan{plan.checksum():08x}"
     )
 
 

@@ -63,9 +63,10 @@ would have preserved), so output stays byte-identical.
 Side stages: a chained job may *accept only some keys*
 (``MapReduceJob.accepts`` — set by a dataflow driver such as
 ``repro.core.propagation.run_dataflow``, never by a user).  The round before
-it then splits its output: accepted keys go into the side stage's shuffle,
-every other key straight into the shuffle of the round *after* the side
-stage, partitioned by that round's partitioner.  The side stage writes its
+it then splits its output — one ``accepts`` mask over each record batch's
+key column: accepted keys go into the side stage's shuffle, every other key
+straight into the shuffle of the round *after* the side stage, partitioned
+by that round's partitioner.  The side stage writes its
 own output into that same layout (or bucket list) as additional writer
 tasks, numbered after the previous round's, so the round after it is an
 ordinary chained round whose k-way merge simply sees more runs — in memory,
@@ -73,8 +74,9 @@ spilled, fetched over TCP or pushed to a shared directory alike, under the
 same atomic-write, retry, speculation and session-cleanup discipline.  A
 record the side stage has nothing to do with is never shuffled through it:
 GraphFlat/GraphInfer's hub re-index rounds take the hub slices and nothing
-else.  Within a reduce group the bypassing records arrive before the side
-stage's; a job that uses a side stage must not depend on that order.
+else.  Within a reduce group the records routed past the side stage arrive
+before the side stage's; a job that uses a side stage must not depend on
+that order.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from repro.mapreduce.backends import AttemptContext, Backend, make_backend
 from repro.mapreduce.fault import (
     AttemptSpec,
@@ -100,13 +104,20 @@ from repro.mapreduce.fault import (
 from repro.mapreduce.job import Combiner, JobFailedError, MapReduceJob, identity_mapper
 from repro.mapreduce.partition import spill_tag
 from repro.mapreduce.retry import PhaseMonitor, RetryPolicy
-from repro.mapreduce.shuffle import default_partition, group_sorted
+from repro.mapreduce.shuffle import (
+    RecordBatch,
+    default_partition,
+    factorize_keys,
+    group_sorted,
+    pair_batches,
+)
 from repro.mapreduce.spill import (
     DEFAULT_RUN_BYTES,
     DEFAULT_RUN_RECORDS,
     SPILL_CODECS,
     SpillLayout,
     SpillWriteResult,
+    route_keys,
 )
 
 __all__ = ["LocalRuntime", "RunStats"]
@@ -289,7 +300,8 @@ class _CollectSink:
 
 class _BucketWriter:
     """In-memory twin of :class:`~repro.mapreduce.spill.SpillRunWriter`:
-    partitioned output as one list of pairs per partition.  A combiner folds
+    partitioned output as one list of pairs per partition, taken a record
+    batch at a time (:meth:`add`; nothing is sized).  A combiner folds
     each partition's key groups at ``finish`` — over the task's whole output,
     so a classic callable combiner may re-key: what it emits stays in the
     partition it was combined in."""
@@ -297,12 +309,23 @@ class _BucketWriter:
     def __init__(self, num_partitions: int, combiner: Callable | None = None):
         self._buckets: list[list[tuple]] = [[] for _ in range(num_partitions)]
         self._combiner = combiner
+        self._routes: dict = {}
 
-    def extend(self, pairs, partitioner: Callable) -> None:
+    def add(self, batch: RecordBatch, partitioner: Callable) -> None:
+        """Route every row of ``batch`` into its partition's bucket, calling
+        the partitioner once per distinct key of the task."""
+        if not len(batch):
+            return
         buckets = self._buckets
-        num = len(buckets)
-        for key, value in pairs:
-            buckets[partitioner(key, num)].append((key, value))
+        codes, idents, firsts = factorize_keys(batch.keys)
+        routes = route_keys(self._routes, partitioner, idents, firsts, len(buckets))
+        parts = np.fromiter((p for p, _ in routes), dtype=np.int64, count=len(routes))[codes]
+        order = np.argsort(parts, kind="stable")
+        bounds = np.searchsorted(parts[order], np.arange(len(buckets) + 1)).tolist()
+        keys, values = batch.keys, batch.values
+        for p, bucket in enumerate(buckets):
+            rows = order[bounds[p] : bounds[p + 1]].tolist()
+            bucket.extend(zip([keys[i] for i in rows], [values[i] for i in rows]))
 
     def finish(self) -> list[list[tuple]]:
         if self._combiner is not None:
@@ -332,11 +355,13 @@ class _FoldedSpillWriter(_BucketWriter):
 
 class _ShuffleSink:
     """Where one writer task of a shuffle puts its output: ``writer(task_index)``
-    opens the task's partitioned output, ``store`` streams its pairs in."""
+    opens the task's partitioned output, ``store`` streams its record
+    batches in."""
 
-    def store(self, task_index: int, pairs):
+    def store(self, task_index: int, batches):
         writer = self.writer(task_index)
-        writer.extend(pairs, self.partitioner)
+        for batch in batches:
+            writer.add(batch, self.partitioner)
         return writer.finish()
 
 
@@ -359,10 +384,11 @@ class _SpillSink(_ShuffleSink):
     counters go back to the parent.
 
     Output streams through a :class:`~repro.mapreduce.spill.SpillRunWriter`
-    — the task's own output is external-sorted into bounded runs as it is
-    produced, never buffered whole (tentpole of the constant-memory
-    dataflow) — with a :class:`~repro.mapreduce.job.Combiner` pushed down
-    into it: each key's run is folded right before it hits disk."""
+    a record batch at a time — the task's own output is external-sorted
+    into bounded runs as it is produced, never buffered whole (tentpole of
+    the constant-memory dataflow) — with a
+    :class:`~repro.mapreduce.job.Combiner` pushed down into it: each key's
+    run is folded right before it hits disk."""
 
     layout: SpillLayout
     partitioner: Callable
@@ -389,25 +415,25 @@ class _SpillSink(_ShuffleSink):
 class _SplitSink:
     """The round before a side stage: keys the side stage accepts go into
     its shuffle, every other key straight into the shuffle of the round
-    after it.  Both outputs stream — neither is buffered whole."""
+    after it — one ``accepts`` mask over each batch's key column splits it.
+    Both outputs stream — neither is buffered whole."""
 
     accepts: Callable
     side: _MemorySink | _SpillSink
     main: _MemorySink | _SpillSink
 
-    def store(self, task_index: int, pairs):
+    def store(self, task_index: int, batches):
         side = self.side.writer(task_index)
         main = self.main.writer(task_index)
-        accepts, side_partitioner = self.accepts, self.side.partitioner
-
-        def bypassing():
-            for pair in pairs:
-                if accepts(pair[0]):
-                    side.extend((pair,), side_partitioner)
-                else:
-                    yield pair
-
-        main.extend(bypassing(), self.main.partitioner)
+        for batch in batches:
+            accepted = np.fromiter(map(self.accepts, batch.keys), dtype=bool, count=len(batch))
+            if not accepted.any():
+                main.add(batch, self.main.partitioner)
+            elif accepted.all():
+                side.add(batch, self.side.partitioner)
+            else:
+                side.add(batch.take(np.flatnonzero(accepted)), self.side.partitioner)
+                main.add(batch.take(np.flatnonzero(~accepted)), self.main.partitioner)
         return main.finish(), side.finish()
 
 
@@ -504,13 +530,16 @@ def _run_task(fn: Callable, source, sink, task_index: int):
     never resident — one group at a time — and a spill sink external-sorts
     the task's output into bounded runs as it is produced.
 
-    ``fn(key, values)`` is called once per group — unless ``fn`` defines
-    ``reduce_groups(groups)`` (Hadoop's ``Reducer.run()`` override), which
-    then takes the task's whole group stream and yields its output pairs,
-    e.g. to batch groups into one kernel call.  Either way the groups are
-    pulled through here, where the deadline is checked and the group
-    counters are kept."""
-    counters = [0, 0, 0]  # produced pairs, groups, largest group
+    ``fn(key, values)`` is called once per group and yields pairs — unless
+    ``fn`` defines ``reduce_groups(groups)`` (Hadoop's ``Reducer.run()``
+    override), which then takes the task's whole group stream and yields
+    :class:`~repro.mapreduce.shuffle.RecordBatch` es, e.g. one per batch of
+    groups merged by one kernel call.  Either way the groups are pulled
+    through here, where the deadline is checked and the group counters are
+    kept.  A shuffle sink takes batches — pairs reach it through the one
+    adapter, :func:`~repro.mapreduce.shuffle.pair_batches`; a final sink
+    takes pairs."""
+    counters = [0, 0, 0]  # produced records, groups, largest group
     grouped = not isinstance(source, _ChunkSource)
 
     def counted():
@@ -522,16 +551,25 @@ def _run_task(fn: Callable, source, sink, task_index: int):
                     counters[2] = len(values)
             yield key, values
 
-    def per_group(groups):
-        for key, values in groups:
-            yield from fn(key, values)
+    def pairs():
+        for key, values in counted():
+            for pair in fn(key, values):
+                counters[0] += 1
+                yield pair
 
-    def produced():
-        for pair in getattr(fn, "reduce_groups", per_group)(counted()):
-            counters[0] += 1
-            yield pair
+    def batches():
+        for batch in fn.reduce_groups(counted()):
+            counters[0] += len(batch)
+            yield batch
 
-    stored = sink.store(task_index, produced())
+    takes_batches = isinstance(sink, (_ShuffleSink, _SplitSink))
+    if not hasattr(fn, "reduce_groups"):
+        stream = pair_batches(pairs()) if takes_batches else pairs()
+    elif takes_batches:
+        stream = batches()
+    else:
+        stream = (pair for batch in batches() for pair in batch.pairs())
+    stored = sink.store(task_index, stream)
     return stored, counters[0], counters[1], counters[2]
 
 
@@ -922,7 +960,7 @@ class LocalRuntime:
                 # fault draw.  A single stably-sorted writer produces the
                 # same merged order as N chunked identity map tasks, so
                 # output is unchanged.
-                shuffle.add(feed.store(0, data), stats, "map")
+                shuffle.add(feed.store(0, pair_batches(data)), stats, "map")
                 stats.mapped_records = len(data)
             else:
                 tasks = [

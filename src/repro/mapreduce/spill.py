@@ -43,12 +43,14 @@ group per file.
 
 Two write entry points share one writer:
 
-* :class:`SpillRunWriter` — the external sort: ``append`` / ``extend``
-  buffer the emitted *objects* per ``(partition, key)`` and every time the
-  run bounds fill, all non-empty buffers flush as key-sorted run files.
-  Nothing is encoded, and no key is hashed or partitioned, per record: keys
-  are partitioned and canonically encoded once per distinct key per run.
-  Peak writer memory is one run, not one task's whole output.  With an
+* :class:`SpillRunWriter` — the external sort: ``add`` takes a
+  :class:`~repro.mapreduce.shuffle.RecordBatch` (``append`` is its one-row
+  form), buffers the emitted *objects* and, every time the run bounds fill,
+  flushes all of them as key-sorted run files per partition.  Nothing is
+  encoded, sized, hashed or partitioned per record: flush points come from
+  the batch's per-row sizes, and keys are canonically encoded (ints in one
+  vectorised pass) and partitioned once per distinct key per run.  Peak
+  writer memory is one run, not one task's whole output.  With an
   associative :class:`~repro.mapreduce.job.Combiner`, each key's buffered
   values are folded *before* they hit disk.
 * :meth:`SpillLayout.write_map_output` — the same writer with unbounded
@@ -76,10 +78,17 @@ from pathlib import Path
 import numpy as np
 
 from repro.mapreduce.fault import take_read_fault
-from repro.mapreduce.shuffle import decode_key, key_bytes, key_ident
+from repro.mapreduce.partition import bytes_partitioner
+from repro.mapreduce.shuffle import (
+    RecordBatch,
+    decode_key,
+    factorize_keys,
+    keys_bytes,
+    pair_batches,
+    record_sizes,
+)
 from repro.proto.framing import (
     FrameCorruptionError,
-    approx_nbytes,
     decode_block,
     encode_block,
     iter_frames,
@@ -302,8 +311,8 @@ class SpillLayout:
         (the only things shipped back to the parent)."""
         writer = self.run_writer(map_task, run_records=sys.maxsize, run_bytes=sys.maxsize)
         for partition, bucket in enumerate(buckets):
-            for key, value in bucket:
-                writer.append(partition, key, value)
+            for batch in pair_batches(bucket):
+                writer.place(batch, partition)
         return writer.finish()
 
     # ---------------------------------------------------------- reduce side
@@ -404,25 +413,49 @@ class SpillLayout:
                 path.unlink(missing_ok=True)
 
 
+def route_keys(routes: dict, partitioner, idents: list, firsts: list, num_partitions: int):
+    """``(partition, key bytes or None)`` of each distinct key of a batch
+    (``idents`` / ``firsts`` as :func:`~repro.mapreduce.shuffle.
+    factorize_keys` returns them), through the cache ``routes``: the
+    partitioner runs once per key the cache does not hold yet — over the
+    key's canonical bytes for the shipped partitioners, else over the key."""
+    missing = [code for code, ident in enumerate(idents) if ident not in routes]
+    if missing:
+        keys = [firsts[code] for code in missing]
+        of_bytes = bytes_partitioner(partitioner)
+        if of_bytes is None:
+            found = [(partitioner(key, num_partitions), None) for key in keys]
+        else:
+            found = [(of_bytes(kb, num_partitions), kb) for kb in keys_bytes(keys)]
+        for code, route in zip(missing, found):
+            routes[idents[code]] = route
+    return [routes[ident] for ident in idents]
+
+
 class SpillRunWriter:
-    """External sort on the write side: streamed append, bounded sorted runs.
+    """External sort on the write side: streamed batches, bounded sorted runs.
 
-    Values are buffered *as objects* per ``(partition, key)`` — a reducer
-    must not mutate what it has emitted, exactly as under the in-memory
-    shuffle, which holds the same references.  Once the buffered volume
-    crosses ``run_records`` or ``run_bytes`` (sized by
-    :func:`~repro.proto.framing.approx_nbytes`, so no encoding happens at
-    append), every non-empty partition buffer is flushed as one key-sorted
-    run file of chunk frames and the buffers reset.  Flush points are a
-    deterministic function of the append sequence, so a re-executed task
-    attempt rewrites byte-identical runs over any partials a crashed attempt
-    left behind (each run write is itself atomic: temp file + ``os.replace``).
+    Values are buffered *as objects*, a :class:`~repro.mapreduce.shuffle.
+    RecordBatch` at a time — a reducer must not mutate what it has emitted,
+    exactly as under the in-memory shuffle, which holds the same references.
+    Once the buffered volume crosses ``run_records`` or ``run_bytes`` (the
+    batches' per-row sizes, which equal
+    :func:`~repro.proto.framing.approx_nbytes`, plus :data:`_GROUP_BYTES` at
+    each key's first row in the run), every non-empty partition is flushed
+    as one key-sorted run file of chunk frames.  Flush points are found with
+    one cumulative sum over a window of rows, and are exactly those a
+    row-at-a-time writer finds for the same rows — a deterministic function
+    of the row sequence, however it was cut into batches — so a re-executed
+    task attempt rewrites byte-identical runs over any partials a crashed
+    attempt left behind (each run write is itself atomic: temp file +
+    ``os.replace``).
 
-    Keys are buffered under :func:`~repro.mapreduce.shuffle.key_ident`, so
-    grouping is exactly grouping by canonical key bytes, but ``key_bytes``
-    runs once per distinct key per run (at flush, where an unencodable key
-    raises) and :meth:`extend` calls the partitioner once per distinct key
-    per run.
+    Rows group under :func:`~repro.mapreduce.shuffle.key_ident`, so grouping
+    is exactly grouping by canonical key bytes (``True`` apart from ``1``);
+    :meth:`add` encodes keys (:func:`~repro.mapreduce.shuffle.keys_bytes`)
+    and calls the partitioner once per distinct key per run, reusing the
+    bytes for the shipped partitioners
+    (:func:`~repro.mapreduce.partition.bytes_partitioner`).
 
     ``combiner`` (a :class:`~repro.mapreduce.job.Combiner`) folds each key's
     buffered values with ``combine()`` at flush time — before they reach
@@ -451,9 +484,19 @@ class SpillRunWriter:
         self._run_records = run_records
         self._run_bytes = run_bytes
         num = layout.num_partitions
-        # partition -> key ident -> [key, values, approximate bytes]
-        self._buffers: list[dict[object, list]] = [{} for _ in range(num)]
-        self._routes: dict[object, int] = {}
+        # The run being buffered: its groups (partition -> key ident -> group
+        # index, and per group its first key, canonical bytes — ``None``
+        # until flush for keys placed without a partitioner — and partition)
+        # and its rows (per absorbed slice of a batch: each row's group and
+        # size; the values themselves, in arrival order).
+        self._groups: list[dict[object, int]] = [{} for _ in range(num)]
+        self._group_keys: list = []
+        self._group_kbs: list = []
+        self._group_parts: list[int] = []
+        self._row_groups: list[np.ndarray] = []
+        self._row_sizes: list[np.ndarray] = []
+        self._values: list = []
+        self._routes: dict[object, tuple[int, bytes | None]] = {}
         self._pending_records = 0
         self._pending_bytes = 0
         self._next_run = [0] * num
@@ -463,55 +506,97 @@ class SpillRunWriter:
         self._peak_flush = 0
         self._made_root = False
 
-    def append(self, partition: int, key, value) -> None:
-        """Buffer ``value`` under ``key`` for reduce partition ``partition``."""
-        self._add(partition, key_ident(key), key, value)
-
-    def extend(self, pairs, partitioner) -> None:
-        """Buffer every ``(key, value)`` of ``pairs`` under the partition
+    def add(self, batch: RecordBatch, partitioner) -> None:
+        """Buffer every row of ``batch`` under the partition
         ``partitioner(key, num_partitions)`` assigns its key."""
-        num = self._layout.num_partitions
-        routes = self._routes
-        add = self._add
-        for key, value in pairs:
-            ident = key if type(key) is int else key_ident(key)
-            partition = routes.get(ident)
-            if partition is None:
-                partition = routes[ident] = partitioner(key, num)
-            add(partition, ident, key, value)
+        if not len(batch):
+            return
+        codes, idents, firsts = factorize_keys(batch.keys)
+        routes = route_keys(self._routes, partitioner, idents, firsts, self._layout.num_partitions)
+        self._absorb(batch, codes, idents, firsts, routes)
 
-    def _add(self, partition: int, ident, key, value) -> None:
-        nbytes = approx_nbytes(value)
-        buffer = self._buffers[partition]
-        entry = buffer.get(ident)
-        if entry is None:
-            buffer[ident] = [key, [value], nbytes]
-            self._pending_bytes += nbytes + _GROUP_BYTES
-        else:
-            entry[1].append(value)
-            entry[2] += nbytes
-            self._pending_bytes += nbytes
-        self._pending_records += 1
-        if (
-            self._pending_records >= self._run_records
-            or self._pending_bytes >= self._run_bytes
-        ):
-            self._flush()
+    def place(self, batch: RecordBatch, partition: int) -> None:
+        """Buffer every row of ``batch`` for reduce partition ``partition``."""
+        if len(batch):
+            codes, idents, firsts = factorize_keys(batch.keys)
+            self._absorb(batch, codes, idents, firsts, [(partition, None)] * len(idents))
 
-    def _sorted_groups(self, buffer: dict[object, list]) -> list[tuple[bytes, list, int]]:
-        """One partition's buffered groups as ``(key bytes, values, nbytes)``,
-        combined and in canonical key order."""
-        groups = []
-        for ident, (key, values, nbytes) in buffer.items():
-            if self._combiner is not None and len(values) > 1:
-                values = list(self._combiner.combine(key, values))
-                nbytes = sum(map(approx_nbytes, values))
-            # Idents of keys that are not plain ints / flat tuples already
-            # are their canonical bytes.
-            kb = ident if type(ident) is bytes else key_bytes(key)
-            groups.append((kb, values, nbytes))
-        groups.sort(key=itemgetter(0))
-        return groups
+    def append(self, partition: int, key, value) -> None:
+        """Buffer ``value`` under ``key`` for reduce partition ``partition``
+        — the one-row entry."""
+        for batch in pair_batches(((key, value),)):
+            self.place(batch, partition)
+
+    def _absorb(self, batch: RecordBatch, codes, idents, firsts, routes) -> None:
+        """Take ``batch``'s rows into the run, flushing wherever the run
+        bounds fill: a window of rows at a time, the first row at which the
+        cumulative records or bytes reach a bound closes the run."""
+        sizes, values = batch.nbytes, batch.values
+        groups = self._groups
+        # the run's group of each distinct key of the batch; -1 = none yet
+        group = np.fromiter(
+            (groups[p].get(ident, -1) for ident, (p, _) in zip(idents, routes)),
+            dtype=np.int64,
+            count=len(idents),
+        )
+        start, window, total = 0, 64, len(batch)
+        while start < total:
+            stop = min(total, start + window, start + self._run_records - self._pending_records)
+            span = codes[start:stop]
+            opens = np.zeros(len(span), dtype=bool)  # a key's first row in the run
+            opens[np.unique(span, return_index=True)[1]] = True
+            opens &= group[span] < 0
+            held = self._pending_bytes + np.cumsum(sizes[start:stop] + _GROUP_BYTES * opens)
+            over = np.flatnonzero(held >= self._run_bytes)
+            if len(over):
+                stop = start + int(over[0]) + 1
+            span = codes[start:stop]
+            for code in np.unique(span[group[span] < 0]).tolist():
+                partition, kb = routes[code]
+                group[code] = groups[partition][idents[code]] = len(self._group_keys)
+                self._group_keys.append(firsts[code])
+                self._group_kbs.append(kb)
+                self._group_parts.append(partition)
+            self._row_groups.append(group[span])
+            self._row_sizes.append(sizes[start:stop])
+            self._values.extend(values[start:stop])
+            self._pending_records += stop - start
+            self._pending_bytes = int(held[stop - start - 1])
+            if (
+                self._pending_records >= self._run_records
+                or self._pending_bytes >= self._run_bytes
+            ):
+                self._flush()
+                group[:] = -1
+                window = 64
+            else:
+                window *= 2
+            start = stop
+
+    def _run_groups(self) -> list[list[tuple[bytes, list, int]]]:
+        """The run's groups per partition as ``(key bytes, values, nbytes)``
+        — combined, in canonical key order, values in arrival order."""
+        keys, kbs, parts = self._group_keys, self._group_kbs, self._group_parts
+        unencoded = [g for g, kb in enumerate(kbs) if kb is None]
+        for g, kb in zip(unencoded, keys_bytes([keys[g] for g in unencoded])):
+            kbs[g] = kb
+        order = sorted(range(len(kbs)), key=lambda g: (parts[g], kbs[g]))
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        rows = rank[np.concatenate(self._row_groups)]
+        arrival = np.argsort(rows, kind="stable")
+        bounds = np.searchsorted(rows[arrival], np.arange(len(order) + 1))
+        nbytes = np.add.reduceat(np.concatenate(self._row_sizes)[arrival], bounds[:-1])
+        values = self._values
+        values = [values[i] for i in arrival.tolist()]
+        out: list[list] = [[] for _ in range(self._layout.num_partitions)]
+        for g, a, b, size in zip(order, bounds[:-1].tolist(), bounds[1:].tolist(), nbytes.tolist()):
+            group = values[a:b]
+            if self._combiner is not None and len(group) > 1:
+                group = list(self._combiner.combine(keys[g], group))
+                size = int(record_sizes(group).sum())
+            out[parts[g]].append((kbs[g], group, size))
+        return out
 
     def _flush(self) -> None:
         if self._pending_records == 0:
@@ -520,12 +605,15 @@ class SpillRunWriter:
         if not self._made_root:
             Path(layout.root).mkdir(parents=True, exist_ok=True)
             self._made_root = True
+        run = self._run_groups()
+        for groups in self._groups:
+            groups.clear()
+        self._group_keys, self._group_kbs, self._group_parts = [], [], []
+        self._row_groups, self._row_sizes, self._values = [], [], []
         flushed = 0
-        for partition, buffer in enumerate(self._buffers):
-            if not buffer:
+        for partition, groups in enumerate(run):
+            if not groups:
                 continue
-            groups = self._sorted_groups(buffer)
-            buffer.clear()
             final = layout.run_path(self._map_task, partition, self._next_run[partition])
             if layout.partition_subdirs:
                 final.parent.mkdir(exist_ok=True)

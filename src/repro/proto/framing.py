@@ -9,7 +9,7 @@ our spill shuffle, in three layers:
   (raw little-endian float64), strings, bytes, tuples, lists, numpy arrays
   (dtype string + shape + raw block) and registered records.  Pipeline
   record types (GraphFlat's ``SubgraphInfo``/``InEdgeInfo``, GraphInfer's
-  embedding record, the engine's ``OutEdgeInfo``) plug in through
+  embedding record) plug in through
   :func:`register_record` by *declaring their fields once*; both this
   per-record form and the column form below derive from the declaration.
   ``repro.proto`` never imports ``repro.core`` — the module that defines a

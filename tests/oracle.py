@@ -8,20 +8,34 @@ time (:meth:`DictSubgraph.absorb_neighbor`), encoded in dict order
 (:meth:`DictSubgraph.wire`) and flattened by a per-edge loop
 (:meth:`DictSubgraph.to_graph_feature`).  The kernel must produce the same
 neighborhoods, the same flattened arrays and wire blocks of the same length.
+
+:class:`PairSpillWriter` is the shuffle's spill writer as it was written per
+pair before record batches; the batch writer must write its run files byte
+for byte.
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.graphflat.records import SubgraphInfo
 from repro.graph.subgraph import GraphFeature
-from repro.proto.framing import encode_block
+from repro.mapreduce.shuffle import key_bytes, key_ident
+from repro.mapreduce.spill import (
+    _CODEC_IDS,
+    _GROUP_BYTES,
+    _IO_BUFFER_BYTES,
+    SpillWriteResult,
+    _encode_key_table,
+    _iter_chunks,
+)
+from repro.proto.framing import approx_nbytes, encode_block, write_frame, write_stream_header
 
-__all__ = ["DictSubgraph", "assert_same_subgraph", "random_subgraph"]
+__all__ = ["DictSubgraph", "PairSpillWriter", "assert_same_subgraph", "random_subgraph"]
 
 _INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 
@@ -132,6 +146,96 @@ class DictSubgraph:
         return GraphFeature(
             np.asarray([self.root]), node_ids, x, hops, src[order], dst[order],
             None if efeat is None else efeat[order], weight[order],
+        )
+
+
+class PairSpillWriter:
+    """The spill writer as it was written per pair before record batches:
+    ``extend`` routes and ``_add`` buffers one ``(key, value)`` at a time,
+    sizing each value with ``approx_nbytes`` and flushing the moment the
+    run bounds fill.  The batch writer (``repro.mapreduce.spill.
+    SpillRunWriter``) must write the same run files byte for byte and
+    report the same ``SpillWriteResult`` for the same pairs."""
+
+    def __init__(self, layout, map_task, combiner=None, run_records=1 << 16, run_bytes=32 << 20):
+        self._layout = layout
+        self._map_task = map_task
+        self._combiner = combiner
+        self._run_records = run_records
+        self._run_bytes = run_bytes
+        num = layout.num_partitions
+        self._buffers = [{} for _ in range(num)]  # partition -> ident -> [key, values, nbytes]
+        self._routes = {}
+        self._pending_records = self._pending_bytes = 0
+        self._next_run = [0] * num
+        self._counts = [0] * num
+        self._partition_bytes = [0] * num
+        self._bytes_written = self._peak_flush = 0
+
+    def append(self, partition, key, value):
+        self._add(partition, key_ident(key), key, value)
+
+    def extend(self, pairs, partitioner):
+        num = self._layout.num_partitions
+        for key, value in pairs:
+            ident = key if type(key) is int else key_ident(key)
+            partition = self._routes.get(ident)
+            if partition is None:
+                partition = self._routes[ident] = partitioner(key, num)
+            self._add(partition, ident, key, value)
+
+    def _add(self, partition, ident, key, value):
+        nbytes = approx_nbytes(value)
+        entry = self._buffers[partition].get(ident)
+        if entry is None:
+            self._buffers[partition][ident] = [key, [value], nbytes]
+            self._pending_bytes += nbytes + _GROUP_BYTES
+        else:
+            entry[1].append(value)
+            entry[2] += nbytes
+            self._pending_bytes += nbytes
+        self._pending_records += 1
+        if self._pending_records >= self._run_records or self._pending_bytes >= self._run_bytes:
+            self._flush()
+
+    def _flush(self):
+        if not self._pending_records:
+            return
+        layout = self._layout
+        Path(layout.root).mkdir(parents=True, exist_ok=True)
+        flushed = 0
+        for partition, buffer in enumerate(self._buffers):
+            if not buffer:
+                continue
+            groups = []
+            for ident, (key, values, nbytes) in buffer.items():
+                if self._combiner is not None and len(values) > 1:
+                    values = list(self._combiner.combine(key, values))
+                    nbytes = sum(map(approx_nbytes, values))
+                groups.append((ident if type(ident) is bytes else key_bytes(key), values, nbytes))
+            groups.sort(key=lambda group: group[0])
+            buffer.clear()
+            path = layout.run_path(self._map_task, partition, self._next_run[partition])
+            with open(path, "wb", buffering=_IO_BUFFER_BYTES) as fh:
+                written = write_stream_header(fh, _CODEC_IDS[layout.codec])
+                for keys, counts, values in _iter_chunks(groups):
+                    self._counts[partition] += len(values)
+                    written += write_frame(
+                        fh, _encode_key_table(keys, counts), layout._encode_block(values)
+                    )
+            self._next_run[partition] += 1
+            self._partition_bytes[partition] += written
+            flushed += written
+        self._routes.clear()
+        self._bytes_written += flushed
+        self._peak_flush = max(self._peak_flush, flushed)
+        self._pending_records = self._pending_bytes = 0
+
+    def finish(self):
+        self._flush()
+        return SpillWriteResult(
+            list(self._counts), self._bytes_written, self._peak_flush,
+            tuple(self._partition_bytes),
         )
 
 

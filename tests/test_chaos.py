@@ -46,7 +46,7 @@ from repro.nn.gnn import build_model
 # task_timeout_s of wall clock.
 CHAOS_RATE = {
     "crash": 0.3,
-    "hang": 0.1,
+    "hang": 0.15,
     "slow": 0.3,
     "corrupt-run": 0.5,
     "truncate-run": 0.5,

@@ -29,6 +29,7 @@ from repro.core.graphflat.sampling import make_sampler
 from repro.core.infer import GraphInferConfig, graph_infer
 from repro.core.propagation import (
     MessagePassingReducer,
+    OutEdges,
     PartialReducer,
     ReceptiveField,
     Routing,
@@ -36,8 +37,9 @@ from repro.core.propagation import (
 )
 from repro.datasets import uug_like, write_edge_table, write_node_table
 from repro.graph.subgraph import GraphFeature, merge_graph_features
-from repro.graph.tables import NodeTable
+from repro.graph.tables import EdgeTable, NodeTable
 from repro.mapreduce import LocalRuntime
+from repro.mapreduce.partition import Inline
 from repro.nn.gnn import GraphSAGEModel
 from repro.proto.codec import decode_sample, encode_sample
 from repro.proto.framing import decode_value, encode_value
@@ -46,6 +48,7 @@ from repro.tasks import make_task
 from .oracle import DictSubgraph, assert_same_subgraph, random_subgraph
 
 HUB_THRESHOLD = {"reindex": 8, "plain": 10**9}
+NO_OUT_EDGES = Inline(OutEdges.of(EdgeTable(np.zeros(0, np.int64), np.zeros(0, np.int64))))
 
 
 @pytest.fixture(scope="module")
@@ -195,15 +198,15 @@ class TestShuffleVolume:
     @pytest.mark.parametrize("hops", [1, 2, 3])
     def test_without_targets_the_gate_is_a_no_op(self, graph, hops):
         """Ungated record count, from first principles: the Map input is
-        one row per node and per edge; every round then carries one self
-        record per node, one out-list per node with out-edges, and one
-        in-record per edge (hub re-indexing off: no extra rounds)."""
+        one row per node (the out-edges are a side input, never shuffled);
+        every round then carries one self record per node and one in-record
+        per edge (hub re-indexing off: no extra rounds).  With out-edges
+        shipped as records this was ``(n + e) + hops * (n + senders + e)``."""
         nodes, edges, _ = graph
         result = graph_flat(nodes, edges, None, flat_config("plain", hops=hops))
         n, e = len(nodes), len(edges.src)
-        senders = len(np.unique(edges.src))
         records, _ = shuffle_totals(result)
-        assert records == (n + e) + hops * (n + senders + e)
+        assert records == n + hops * (n + e)
         assert result.receptive_nodes == (n, n)
         assert result.propagations == (hops * e, hops * e)
 
@@ -228,8 +231,9 @@ class TestShuffleVolume:
         hops, re-indexed hubs, binary spill: without the receptive-field
         gate this shuffled 16 966 records / 5 543 138 bytes; with it,
         11 413 / 2 012 373 while every record still took the re-index
-        rounds, 8 235 / 1 263 305 once only hub slices did, and 7 093 /
-        1 240 338 without the in-degree MapReduce job."""
+        rounds, 8 235 / 1 263 305 once only hub slices did, 7 093 /
+        1 240 338 without the in-degree MapReduce job, and 4 142 /
+        1 158 318 once out-edges stopped crossing the shuffle."""
         ds = uug_like(
             seed=11, num_nodes=400, avg_degree=6, feature_dim=16, num_hubs=3,
             hub_degree=60,
@@ -246,22 +250,27 @@ class TestShuffleVolume:
         assert result.hub_nodes and result.num_targets == 100
         records = sum(s.shuffled_records for s in result.round_stats)
         nbytes = sum(s.shuffle_bytes_written for s in result.round_stats)
-        assert records <= 7_150, records
-        assert nbytes <= 1_250_000, nbytes
+        assert records <= 4_150, records
+        assert nbytes <= 1_160_000, nbytes
 
 
 class TestBatchedMerge:
     """The merge rounds' mechanism, pinned on the budget fixture above: a
     reduce task merges its nodes a batch at a time in one kernel call and
-    still appends exactly the pairs a node-at-a-time merge appended — so
-    every run file, and with it every round's volume, is the one recorded
-    before the kernel (on the commit whose merge built per-node dicts; its
-    in-degree MapReduce round is gone and not listed)."""
+    still writes exactly the rows a node-at-a-time merge wrote.  The volumes
+    are the ones recorded before the kernel (on the commit whose merge built
+    per-node dicts; its in-degree MapReduce round is gone and not listed),
+    less the out-edge records, which stopped crossing the shuffle: the Map
+    input went from 3 038 rows (400 nodes + 2 638 edges) to the 400 node
+    rows, ``reduce1``'s input lost the 313 out-lists the Map round sent it,
+    and the Map round's writes shrank by those out-lists' bytes.  The
+    rounds after ``reduce1`` never received out-lists on this fixture (its
+    targets' receptive field trimmed them), so they are unchanged."""
 
     ROUNDS = {  # job: (shuffled_records, shuffle_bytes_written, peak_reducer_buffer_bytes)
-        "graphflat-map": (3_038, 487_259, 90_714),
+        "graphflat-map": (400, 405_239, 86_311),
         "graphflat-reduce1-reindex": (555, 66_174, 16_856),
-        "graphflat-reduce1": (2_633, 562_265, 127_798),
+        "graphflat-reduce1": (2_320, 562_265, 127_798),
         "graphflat-reduce2-reindex": (210, 124_640, 33_635),
         "graphflat-reduce2": (657, 0, 0),
     }
@@ -347,7 +356,7 @@ class TestBatchedMerge:
             def store(self, task_index, pairs):
                 return sum(1 for _ in pairs)
 
-        routing = Routing(frozenset(), 4, ReceptiveField(None, 2), InEdgeInfo)
+        routing = Routing(frozenset(), 4, ReceptiveField(None, 2), InEdgeInfo, NO_OUT_EDGES)
         reducer = MergeReducer(make_sampler("uniform", 8, seed=0), 2, 2, routing)
         batches_of = -(-MERGE_BATCH_BYTES // group_bytes)  # groups per batch, about
         peaks, calls = {}, {}
@@ -441,12 +450,13 @@ class TestOnlyHubSlicesTakeTheExtraShuffle:
 class TestGraphInferInheritsTheGates:
     """GraphInfer emits through the same ``Routing.propagate`` as GraphFlat,
     so targeted inference (node ``targets`` or link-prediction
-    ``candidates``) stops shipping ``self``/``out`` records into rounds that
-    never read them.  Same fixture as GraphFlat's budget above; before the
-    pipelines shared one engine the targeted run shuffled 11 799 records /
-    979 803 bytes and the candidate run 11 737 / 988 631; with every record
-    passing through the re-index rounds it was 10 371 / 767 233 and 10 261 /
-    771 348."""
+    ``candidates``) stops shipping ``self`` records into rounds that never
+    read them, and no run ships out-edges at all (they are the engine's side
+    input).  Same fixture as GraphFlat's budget above; before the pipelines
+    shared one engine the targeted run shuffled 11 799 records / 979 803
+    bytes and the candidate run 11 737 / 988 631; with every record passing
+    through the re-index rounds it was 10 371 / 767 233 and 10 261 /
+    771 348; with out-edge records 7 193 / 497 360 and 7 274 / 519 783."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -492,12 +502,21 @@ class TestGraphInferInheritsTheGates:
     def test_whole_graph_volume_is_unchanged_to_the_byte(
         self, setup, tmp_path, monkeypatch
     ):
-        """No targets, no gate: every node's self / out / in records once
-        per round, plus one extra hop for the hub in-edge records only (a
-        re-index round that took every record shuffled 16 224 / 1 373 662)."""
+        """No targets, no gate: every node's self / in records once per
+        round, plus one extra hop for the hub in-edge records only (a
+        re-index round that took every record shuffled 16 224 / 1 373 662).
+
+        With out-edge records this was 10 466 / 834 670: the Map input held
+        the 2 638 edge rows besides the 400 node rows, ``reduce1`` and
+        ``reduce2`` each received 396 out-lists (``reduce2`` only because
+        the untargeted receptive field answered "needed" for round K + 1),
+        and a ``predict`` round re-shuffled the 400 final embeddings only to
+        apply the head, which the Kth round now does itself:
+        10 466 - 2 638 - 2 * 396 - 400 = 6 636."""
         result, seen = self.run(setup, tmp_path, monkeypatch)
-        assert self.volume(result) == (10_466, 834_670)
-        assert seen[2] == {"self", "out", "in", "partial"}
+        assert self.volume(result) == (6_636, 643_273)
+        assert [s.job for s in result.round_stats][-1] == "graphinfer-reduce2"
+        assert seen[2] == {"self", "in", "partial"}
 
     def test_node_targets(self, setup, tmp_path, monkeypatch):
         ds = setup[0]
@@ -507,11 +526,11 @@ class TestGraphInferInheritsTheGates:
         assert sorted(subset.scores) == targets.tolist()
         for t in targets.tolist():
             assert np.array_equal(subset.scores[t], full.scores[t])
-        # the Kth round reads no out-edge list, so none is shipped into it
-        assert "out" in seen[1] and "out" not in seen[2]
+        # out-edges never cross the shuffle
+        assert seen[1] | seen[2] <= {"self", "in", "partial"}
         records, nbytes = self.volume(subset)
-        assert records <= 7_300 < 10_371, records
-        assert nbytes <= 520_000 < 767_233, nbytes
+        assert records <= 4_150 < 7_193, records
+        assert nbytes <= 410_000 < 497_360, nbytes
 
     def test_link_prediction_candidates(self, setup, tmp_path, monkeypatch):
         ds = setup[0]
@@ -525,10 +544,107 @@ class TestGraphInferInheritsTheGates:
         assert sorted(subset.scores) == list(range(50))
         for i in range(50):
             assert np.array_equal(subset.scores[i], full.scores[i])
-        assert "out" in seen[1] and "out" not in seen[2]
+        assert seen[1] | seen[2] <= {"self", "in", "partial"}
         records, nbytes = self.volume(subset)
-        assert records <= 7_400 < 10_261, records
-        assert nbytes <= 540_000 < 771_348, nbytes
+        assert records <= 4_300 < 7_274, records
+        assert nbytes <= 440_000 < 519_783, nbytes
+
+
+def budget_fixture():
+    return uug_like(
+        seed=11, num_nodes=400, avg_degree=6, feature_dim=16, num_hubs=3,
+        hub_degree=60,
+    )
+
+
+def run_budget_infer(runtime):
+    ds = budget_fixture()
+    return graph_infer(
+        GraphSAGEModel(16, 16, 2, num_layers=2, seed=0), ds.nodes, ds.edges,
+        GraphInferConfig(max_neighbors=8, hub_threshold=40, num_reducers=4, seed=0),
+        runtime,
+    )
+
+
+def run_budget_flat(runtime):
+    ds = budget_fixture()
+    return graph_flat(
+        ds.nodes, ds.edges, np.sort(ds.nodes.ids)[::4],
+        GraphFlatConfig(hops=2, max_neighbors=8, hub_threshold=40, num_reducers=4, seed=0),
+        runtime,
+    )
+
+
+@pytest.fixture()
+def write_side_counts(monkeypatch):
+    """Counters on the shuffle's write side, spilled or not:
+
+    * ``codec`` — the per-value codec (``proto.framing._encode`` /
+      ``_decode`` and the varint functions as the value codec and
+      ``write_frame`` call them);
+    * ``keys_encoded`` — keys given canonical bytes: top-level
+      ``key_bytes`` calls plus the rows of each vectorised
+      ``int_key_bytes`` pass; ``key_varints`` — the per-key varints
+      ``key_bytes`` writes (tuple keys' elements);
+    * ``sized`` — ``approx_nbytes`` walks (the pair adapter's);
+    * ``group_runs`` — groups per flushed run; ``adds`` / ``rows`` — batch
+      writer entries and the rows they carried."""
+    from repro.mapreduce import partition, runtime, shuffle, spill
+    from repro.proto import framing
+
+    counts = dict.fromkeys(
+        ("codec", "keys_encoded", "key_varints", "sized", "group_runs", "adds", "rows"), 0
+    )
+
+    def counting(module, name, counter, weight=lambda args, out: 1):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            out = original(*args)
+            counts[counter] += weight(args, out)
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_encode", "_decode", "encode_signed", "decode_signed",
+                 "encode_unsigned", "decode_unsigned"):
+        counting(framing, name, "codec")
+    counting(shuffle, "approx_nbytes", "sized")
+    counting(shuffle, "encode_signed", "key_varints")
+    counting(shuffle, "int_key_bytes", "keys_encoded", lambda args, out: len(out))
+
+    key_bytes = shuffle.key_bytes
+    depth = [0]
+
+    def top_level_key_bytes(key):
+        counts["keys_encoded"] += not depth[0]  # tuple keys recurse
+        depth[0] += 1
+        try:
+            return key_bytes(key)
+        finally:
+            depth[0] -= 1
+
+    for module in (shuffle, partition):
+        monkeypatch.setattr(module, "key_bytes", top_level_key_bytes)
+
+    run_groups = spill.SpillRunWriter._run_groups
+
+    def counting_run_groups(self):
+        run = run_groups(self)
+        counts["group_runs"] += sum(map(len, run))
+        return run
+
+    monkeypatch.setattr(spill.SpillRunWriter, "_run_groups", counting_run_groups)
+    for writer in (spill.SpillRunWriter, runtime._BucketWriter):
+        add = writer.add
+
+        def counting_add(self, batch, partitioner, add=add):
+            counts["adds"] += 1
+            counts["rows"] += len(batch)
+            return add(self, batch, partitioner)
+
+        monkeypatch.setattr(writer, "add", counting_add)
+    return counts
 
 
 class TestShuffleCodecBudget:
@@ -536,104 +652,69 @@ class TestShuffleCodecBudget:
     target 0".  Counts, not timings, on the fixture of the budgets above
     (binary spill, serial backend), relative to ``sum(shuffled_records)``:
 
-    * the per-value codec — ``proto.framing._encode`` / ``_decode`` and the
-      varint functions as the value codec and ``write_frame`` call them —
-      runs per *chunk* (two frame-length varints), never per record.  With
-      the per-key frames of AGLS v2 it ran 31.6 times per record under
-      ``graph_infer`` and 30.7 under ``graph_flat`` (``_encode`` +
-      ``_decode`` alone: 12);
-    * ``key_bytes`` runs once where a group is partitioned and once where it
-      is written — per distinct key per run.  It used to run twice per
-      *record*: 2.0 / 2.3 calls per record, 12.7 / 14.5 per reduce group.
+    * the per-value codec runs per *chunk* (two frame-length varints), never
+      per record.  With the per-key frames of AGLS v2 it ran 31.6 times per
+      record under ``graph_infer`` and 30.7 under ``graph_flat``;
+    * a key is encoded at most once per run it has a group in: the batch
+      writer encodes a batch's distinct keys in one pass (ints vectorised)
+      and keeps the bytes for partitioning and for the run's sort.  It used
+      to run twice per *record* (2.0 / 2.3 calls per record), then once
+      where a group was partitioned and once where it was written.
 
-    The key codec's own varints (inside ``key_bytes`` / ``decode_key``) are
-    what the second budget bounds and are not counted by the first."""
-
-    @pytest.fixture()
-    def counts(self, monkeypatch):
-        from repro.mapreduce import partition, shuffle, spill
-        from repro.proto import framing
-
-        counts = {"codec": 0, "key_bytes": 0, "group_runs": 0}
-
-        def count_calls(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args):
-                counts["codec"] += 1
-                return original(*args)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        for name in ("_encode", "_decode", "encode_signed", "decode_signed",
-                     "encode_unsigned", "decode_unsigned"):
-            count_calls(framing, name)
-
-        key_bytes = shuffle.key_bytes
-        depth = [0]
-
-        def top_level_key_bytes(key):
-            counts["key_bytes"] += not depth[0]  # tuple keys recurse
-            depth[0] += 1
-            try:
-                return key_bytes(key)
-            finally:
-                depth[0] -= 1
-
-        for module in (shuffle, spill, partition):
-            monkeypatch.setattr(module, "key_bytes", top_level_key_bytes)
-
-        sorted_groups = spill.SpillRunWriter._sorted_groups
-
-        def counting_sorted_groups(self, buffer):
-            groups = sorted_groups(self, buffer)
-            counts["group_runs"] += len(groups)
-            return groups
-
-        monkeypatch.setattr(spill.SpillRunWriter, "_sorted_groups", counting_sorted_groups)
-        return counts
+    The key codec's own varints are counted apart (``key_varints``): only
+    hub-slice tuple keys still write them, two per distinct slice key."""
 
     @staticmethod
     def check(counts, round_stats, floors):
         """``floors``: the least records and group runs the fixture must
         shuffle for the ratios below to mean anything."""
         records = sum(s.shuffled_records for s in round_stats)
-        assert records > floors[0] and counts["group_runs"] > floors[1]
+        assert records > floors[0] and counts["group_runs"] > floors[1], (records, counts)
         assert counts["codec"] <= 0.1 * records, counts
-        # every group of every run is partitioned once and written once
-        assert counts["key_bytes"] <= 1.5 * (2 * counts["group_runs"]), counts
-        assert counts["key_bytes"] < records, counts
+        assert counts["keys_encoded"] <= counts["group_runs"], counts
+        assert counts["key_varints"] <= counts["group_runs"], counts
 
-    def test_graph_infer(self, counts, tmp_path):
-        ds = uug_like(
-            seed=11, num_nodes=400, avg_degree=6, feature_dim=16, num_hubs=3,
-            hub_degree=60,
-        )
+    def test_graph_infer(self, write_side_counts, tmp_path):
         with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
-            result = graph_infer(
-                GraphSAGEModel(16, 16, 2, num_layers=2, seed=0), ds.nodes, ds.edges,
-                GraphInferConfig(max_neighbors=8, hub_threshold=40, num_reducers=4, seed=0),
-                runtime,
-            )
-        self.check(counts, result.round_stats, (8_000, 3_000))
+            result = run_budget_infer(runtime)
+        # 6 636 records / 3 444 group runs (10 466 / 3 844 with out-edge
+        # records and the predict round)
+        self.check(write_side_counts, result.round_stats, (6_000, 3_000))
 
-    def test_graph_flat(self, counts, tmp_path):
-        ds = uug_like(
-            seed=11, num_nodes=400, avg_degree=6, feature_dim=16, num_hubs=3,
-            hub_degree=60,
-        )
+    def test_graph_flat(self, write_side_counts, tmp_path):
         with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
-            result = graph_flat(
-                ds.nodes, ds.edges, np.sort(ds.nodes.ids)[::4],
-                GraphFlatConfig(
-                    hops=2, max_neighbors=8, hub_threshold=40, num_reducers=4, seed=0
-                ),
-                runtime,
-            )
+            result = run_budget_flat(runtime)
         assert result.hub_nodes
-        # 7 093 records / 2 190 group runs: hub detection counts in-degrees
-        # without the MapReduce job that added 1 142 of each
-        self.check(counts, result.round_stats, (7_000, 2_000))
+        # 4 142 records / 2 190 group runs (7 093 / 2 190 with out-edge
+        # records: an out-list shared its node's group)
+        self.check(write_side_counts, result.round_stats, (4_000, 2_000))
+
+
+class TestRecordBatchMechanism:
+    """Only messages cross the shuffle, a batch at a time: on the budget
+    fixture the writers are entered once per record batch — one per merge
+    batch and side of a split, one per 1 024 rows the parent feeds — and the
+    only rows sized by an ``approx_nbytes`` walk are the 400 node rows the
+    parent feeds the Map round; every engine row's size comes from arrays."""
+
+    @pytest.mark.parametrize("spill", [True, False], ids=["spilled", "memory"])
+    @pytest.mark.parametrize("pipeline", ["flat", "infer"])
+    def test_writer_entries_are_batches_and_only_fed_rows_are_walked(
+        self, write_side_counts, tmp_path, spill, pipeline
+    ):
+        run = run_budget_flat if pipeline == "flat" else run_budget_infer
+        with LocalRuntime(spill_dir=tmp_path if spill else None, shuffle_codec="binary") as runtime:
+            result = run(runtime)
+        counts = write_side_counts
+        # the written rows are every round's shuffled records
+        assert counts["rows"] == sum(s.shuffled_records for s in result.round_stats)
+        # parent feed: 1 batch; per round and reduce task: one merge batch,
+        # written to the merge shuffle and (hub slices) the re-index one
+        assert counts["adds"] <= 1 + 2 * 4 * len(result.round_stats), counts
+        assert counts["rows"] > 50 * counts["adds"], counts
+        # only spilled writers budget bytes; in memory nothing is sized
+        # (the parent's feed batch is sized by the adapter either way)
+        assert counts["sized"] == 400, counts
 
 
 class TestTrainerBudget:
@@ -802,16 +883,18 @@ class TestWireResidentRecords:
             ("in", shuffled(InEdgeInfo(src, 1.0, None, make_subgraph(rng, edge_feat="none"))))
             for src in range(12)
         ]
-        [(key, (tag, kept))] = PartialReducer(sampler, InEdgeInfo)((7, 2), rows)
+        [batch] = PartialReducer(sampler, InEdgeInfo).reduce_groups([((7, 2), rows)])
+        [(key, (tag, kept))] = batch.pairs()
         assert key == 7 and tag == "partial" and len(kept) == 3
         assert all(row[1].subgraph._columns is None for row in rows)
 
         read = []
         stack = records._stack
         monkeypatch.setattr(records, "_stack", lambda infos: read.extend(infos) or stack(infos))
-        routing = Routing(frozenset(), 4, ReceptiveField(None, 2), InEdgeInfo)
+        routing = Routing(frozenset(), 4, ReceptiveField(None, 2), InEdgeInfo, NO_OUT_EDGES)
         rows.insert(0, ("self", shuffled(SubgraphInfo.seed(7, np.zeros(5, np.float32)))))
-        [(node, (tag, merged))] = MergeReducer(sampler, 2, 2, routing).reduce_groups([(7, rows)])
+        [batch] = MergeReducer(sampler, 2, 2, routing).reduce_groups([(7, rows)])
+        [(node, (tag, merged))] = batch.pairs()
         assert (node, tag) == (7, "final") and merged.num_nodes > 1
         sampled = [row[1].subgraph for row in rows[1:]]
         assert sum(any(info is sub for info in read) for sub in sampled) == 3

@@ -369,7 +369,9 @@ class TestSliceTransportMatrix:
         the model size — the parameters live in the slab, not the pickle."""
         from repro.core.infer.pipeline import EmbeddingReducer, _InEmb
         from repro.core.graphflat.sampling import make_sampler
-        from repro.core.propagation import ReceptiveField, Routing
+        from repro.core.propagation import OutEdges, ReceptiveField, Routing
+        from repro.graph.tables import EdgeTable
+        from repro.mapreduce.partition import Inline
 
         model = GCNModel(64, 256, 8, num_layers=2, seed=0)
         slices = segment_model(model)
@@ -377,7 +379,10 @@ class TestSliceTransportMatrix:
         broadcast, located = broadcast_slices(slices)
         try:
             sampler = make_sampler("uniform", 10, 0)
-            routing = Routing(frozenset(), 8, ReceptiveField(None, 2), _InEmb)
+            no_edges = EdgeTable(np.zeros(0, np.int64), np.zeros(0, np.int64))
+            routing = Routing(
+                frozenset(), 8, ReceptiveField(None, 2), _InEmb, Inline(OutEdges.of(no_edges))
+            )
 
             def reducer(mslice):
                 return EmbeddingReducer(sampler, 1, 2, routing, mslice=mslice)

@@ -40,7 +40,7 @@ from repro.mapreduce import (
     publish_plan,
     spill_tag,
 )
-from repro.mapreduce.partition import _PLAN_CACHE
+from repro.mapreduce.partition import _SIDE_INPUTS
 from repro.nn.gnn import build_model
 from repro.ps.shm import BytesBroadcast, attach_shared_memory
 
@@ -175,7 +175,7 @@ class TestPlannedPartitioner:
         broadcast, slab = publish_plan(plan, needs_pickling=True)
         try:
             assert slab.spill_tag() == inline.spill_tag()
-            _PLAN_CACHE.pop(slab.source.cache_key(), None)  # force a real attach
+            _SIDE_INPUTS.pop(slab.source.cache_key(), None)  # force a real attach
             for key in ASSORTED_KEYS + ["unplanned"]:
                 assert slab(key, 4) == inline(key, 4)
         finally:

@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import propagation
-from repro.core.graphflat.records import InEdgeInfo, OutEdgeInfo, SubgraphInfo
+from repro.core.graphflat.records import InEdgeInfo, SubgraphInfo
 from repro.core.infer.pipeline import _InEmb
 from repro.mapreduce.shuffle import decode_key, key_bytes
 from repro.mapreduce.spill import SpillLayout, _decode_key_table
@@ -190,43 +189,26 @@ class TestGraphFlatRecords:
         assert_array_equal_strict(edge.edge_feat, decoded.edge_feat)
         assert_same_subgraph(inner, decoded.subgraph)
 
-    @pytest.mark.parametrize("edge_feat", [None, np.asarray([1.0], dtype=np.float32)])
-    def test_out_edge_round_trip(self, edge_feat):
-        """One out-edge record for both pipelines, on one wire tag."""
-        assert OutEdgeInfo is propagation.OutEdgeInfo
-        edge = OutEdgeInfo(-3, 2.5, edge_feat)
-        assert encode_value(edge)[0] == 0x22
-        decoded = round_trip(edge)
-        assert type(decoded) is OutEdgeInfo
-        assert decoded.dst == -3 and decoded.weight == 2.5
-        if edge_feat is None:
-            assert decoded.edge_feat is None
-        else:
-            assert_array_equal_strict(edge_feat, decoded.edge_feat)
-
-    @pytest.mark.parametrize("tag", [0x23, 0x30])
+    @pytest.mark.parametrize("tag", [0x22, 0x23, 0x30])
     def test_retired_record_tags_are_unassigned(self, tag):
-        """0x23 (PartialMerge) and 0x30 (GraphInfer's own out-edge copy)
-        are gone: a stream carrying them is corrupt, not silently decoded."""
+        """0x22 (the out-edge record: out-edges are the engine's side input
+        now, never shuffled), 0x23 (PartialMerge) and 0x30 (GraphInfer's own
+        out-edge copy) are gone: a stream carrying them is corrupt, not
+        silently decoded."""
         with pytest.raises(FrameCorruptionError):
             decode_value(bytes([tag, 0]))
 
-    def test_out_edge_list(self):
-        outs = [OutEdgeInfo(i, float(i), None) for i in range(5)]
-        assert round_trip(outs) == outs
-
     def test_tagged_tuples_as_shuffled(self):
-        """The exact value shapes GraphFlat ships: ("self", info),
-        ("out", [outs]), ("in", in_edge), ("partial", [in_edges])."""
+        """The exact value shapes GraphFlat ships: ("node", feature) into
+        the Map round, then ("self", info), ("in", in_edge) and ("partial",
+        [in_edges])."""
         rng = np.random.default_rng(5)
         sg = make_subgraph(rng)
         for value in [
             ("self", sg),
-            ("out", [OutEdgeInfo(1, 1.0, None)]),
             ("in", InEdgeInfo(2, 0.5, None, sg)),
             ("partial", [InEdgeInfo(2, 0.5, None, sg)]),
             ("node", rng.standard_normal(4).astype(np.float32)),
-            (3, 9, 0.25, None),  # raw edge row
         ]:
             decoded = round_trip(value)
             assert type(decoded) is tuple and decoded[0] == value[0]
@@ -334,7 +316,7 @@ def assert_same(a, b, owned=False):
             assert_same(x, y, owned)
     elif isinstance(a, SubgraphInfo):
         assert_same_subgraph(a, b)
-    elif isinstance(a, (InEdgeInfo, OutEdgeInfo, _InEmb)):
+    elif isinstance(a, (InEdgeInfo, _InEmb)):
         for field in a.__dataclass_fields__:
             assert_same(getattr(a, field), getattr(b, field), owned)
     else:
@@ -400,14 +382,9 @@ def engine_records(draw):
         def in_record():
             return InEdgeInfo(int(rng.integers(-5, 10**6)), float(rng.random()), edge_feat(), subgraph())
 
-    kind = draw(st.sampled_from(["self", "out", "in", "partial", "final", "end"]))
+    kind = draw(st.sampled_from(["self", "in", "partial", "final", "end"]))
     if kind in ("self", "final"):
         return (kind, self_info())
-    if kind == "out":
-        return ("out", [
-            OutEdgeInfo(int(rng.integers(0, 99)), float(rng.random()), edge_feat())
-            for _ in range(draw(st.integers(0, 4)))
-        ])
     if kind == "in":
         return ("in", in_record())
     if kind == "partial":
@@ -466,7 +443,7 @@ class TestBlockCodec:
         rng = np.random.default_rng(0)
         h = [rng.standard_normal(8).astype(np.float32) for _ in range(40)]
         values = [("in", _InEmb(i, 0.5, None, h[i])) for i in range(40)]
-        values += [("self", h[0]), ("out", [OutEdgeInfo(1, 1.0, None)] * 3), ("out", [])]
+        values += [("self", h[0])]
         values += [("partial", [_InEmb(3, 1.0, None, h[1])]), ("end", 1, h[2])]
         block = encode_block(values)
         block_round_trip(values)
