@@ -1,6 +1,7 @@
 """Figure 8 — speedup vs number of workers.
 
-Three parts (see DESIGN.md substitution #2 / #6):
+Three parts (the cluster is simulated past the cores this host has — see
+``repro.ps.simulate``):
 
 1. **Measured (GraphFlat)**: actual wall-clock of the GraphFlat pipeline
    under the ``processes`` MapReduce backend at 1/2/4/8 workers against the

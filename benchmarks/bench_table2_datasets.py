@@ -36,6 +36,6 @@ def bench_table2_dataset_summary(benchmark, bench_cora, bench_ppi, bench_uug):
     table += (
         "\n\npaper scale: Cora 2708/5429, PPI 56944/818716 (24 graphs),"
         "\nUUG 6.23e9/3.38e11 — UUG-like keeps the hub/power-law/2-class shape"
-        "\nat 4k nodes (substitution #4 in DESIGN.md)."
+        "\nat 4k nodes (a stand-in at this scale, not the paper's graph)."
     )
     emit("table2_datasets", table)

@@ -3,7 +3,10 @@
 Datasets and GraphFlat outputs are session-scoped: every benchmark in a run
 sees the identical data, and expensive flattening happens once.  Scales are
 chosen so the whole suite finishes in minutes on two cores while preserving
-each experiment's *shape* (see EXPERIMENTS.md for the scale mapping).
+each experiment's *shape*: the fixtures below are the scale mapping (node /
+edge counts, feature widths, hop and sampling settings per stand-in
+dataset), and each benchmark's docstring states the paper figure it
+stands in for.
 """
 
 from __future__ import annotations

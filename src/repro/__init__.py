@@ -4,7 +4,7 @@ Full from-scratch reproduction of *AGL: A Scalable System for
 Industrial-purpose Graph Machine Learning* (Zhang et al., VLDB 2020),
 including every substrate the paper assumes: a MapReduce runtime, a
 parameter-server framework, a numpy autograd tensor engine and a GNN model
-zoo — see DESIGN.md for the system inventory.
+zoo — README.md maps each paper component to its module.
 
 Public entry points:
 

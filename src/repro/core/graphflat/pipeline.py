@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.graphflat.records import InEdgeInfo, SubgraphInfo, merge_neighborhoods
+from repro.core.graphflat.records import (
+    InEdgeInfo,
+    SubgraphInfo,
+    merge_neighborhoods,
+    stack_flattened,
+)
 from repro.core.propagation import (
     DataflowConfig,
     EdgeFanout,
@@ -33,12 +38,15 @@ from repro.core.propagation import (
     canonical_tables,
     run_dataflow,
 )
-from repro.graph.subgraph import GraphFeature, merge_graph_features
+from repro.graph.subgraph import GraphFeature, merge_groups
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.runtime import LocalRuntime, RunStats
+from repro.mapreduce.shuffle import RecordBatch, record_sizes
+from repro.mapreduce.spill import MERGE_BATCH_BYTES
 from repro.proto.codec import encode_sample
 from repro.proto.columnar import write_sample_shard
+from repro.proto.framing import Column, gather
 from repro.tasks import make_task
 
 __all__ = [
@@ -375,37 +383,105 @@ class MergeReducer(MessagePassingReducer):
 
 @dataclass(frozen=True)
 class PairReducer:
-    """Edge-task pairing round: join the two endpoint neighborhoods of one
+    """Edge-task pairing round: join the two endpoint neighborhoods of each
     target edge into a single GraphFeature whose targets are the *ordered*
     ``[src, dst]`` pair.
 
     Receives exactly two ``("end", role, SubgraphInfo)`` records per edge
-    index (role 0 = src, role 1 = dst); the merge dedupes overlapping
-    neighborhoods exactly like the trainer's batch merge, then the ordered
-    target pair is re-imposed on the merged arrays (the merge sorts its
-    targets, but edge readout needs to know which endpoint is which)."""
+    index (role 0 = src, role 1 = dst).  The reducer takes its partition's
+    whole group stream (:meth:`reduce_groups`) and buffers edges up to
+    :data:`~repro.mapreduce.spill.MERGE_BATCH_BYTES` of neighborhoods; a
+    buffer's endpoints are stacked straight from their columns (src before
+    dst, edge by edge) and merged by one
+    :func:`~repro.graph.subgraph.merge_groups` call, one group per edge —
+    deduplicating overlapping neighborhoods exactly like the trainer's batch
+    merge.  The ordered target pair is then re-imposed on each merged edge
+    (the merge sorts its targets, but edge readout needs to know which
+    endpoint is which), and the edges leave in key order.  A joined
+    neighborhood carries edge features when it has edges (and the graph
+    has them), whichever endpoint they came from — none when it has no
+    edges, as a node sample flattens."""
 
-    def __call__(self, edge_index, values):
-        ends = sorted(
-            ((value[1], value[2]) for value in values), key=lambda pair: pair[0]
+    def reduce_groups(self, groups):
+        keys, rows, nbytes = [], [], 0
+        sizes: dict[int, list[int]] = {}  # id(column) -> running info sizes
+        held: list[Column] = []  # keeps those ids from being reused
+        for edge_index, group in groups:
+            keys.append(edge_index)
+            rows.append(group.pieces)
+            for column, lo, hi in group.pieces:
+                prefix = sizes.get(id(column))
+                if prefix is None:
+                    held.append(column)
+                    infos = column.children[2]
+                    prefix = sizes[id(column)] = [0] + np.cumsum(
+                        InEdgeInfo.info_sizes(infos)
+                    ).tolist()
+                nbytes += prefix[hi] - prefix[lo]
+            if nbytes >= MERGE_BATCH_BYTES:
+                yield self._emit(keys, rows)
+                keys, rows, nbytes = [], [], 0
+                sizes.clear()
+                held.clear()
+        if keys:
+            yield self._emit(keys, rows)
+
+    @staticmethod
+    def _emit(keys: list, rows: list) -> RecordBatch:
+        columns: dict[int, tuple[int, Column]] = {}
+        which, index, counts = [], [], []
+        for pieces in rows:
+            for column, lo, hi in pieces:
+                k = columns.setdefault(id(column), (len(columns), column))[0]
+                which += [k] * (hi - lo)
+                index += range(lo, hi)
+            counts.append(sum(hi - lo for _, lo, hi in pieces))
+        values = gather(
+            [column for _, column in columns.values()],
+            np.asarray(which, dtype=np.int64),
+            np.asarray(index, dtype=np.int64),
         )
-        if [role for role, _ in ends] != [0, 1]:
+        roles = values.children[1].values
+        infos = values.children[2].rows()
+        counts = np.asarray(counts, dtype=np.int64)
+        starts = np.cumsum(counts) - counts
+        # one record per role, src first: within each edge, by role
+        order = np.lexsort((roles, np.repeat(np.arange(len(keys)), counts)))
+        ranked = roles[order]
+        bad = counts != 2
+        bad[~bad] = (ranked[starts[~bad]] != 0) | (ranked[starts[~bad] + 1] != 1)
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            got = ranked[starts[at] : starts[at] + counts[at]].tolist()
             raise RuntimeError(
-                f"target edge {edge_index} expected one record per endpoint "
-                f"role, got roles {[role for role, _ in ends]}"
+                f"target edge {keys[at]} expected one record per endpoint "
+                f"role, got roles {got}"
             )
-        src_info, dst_info = ends[0][1], ends[1][1]
-        merged = merge_graph_features(
-            [src_info.to_graph_feature(), dst_info.to_graph_feature()]
-        )
-        gf = GraphFeature(
-            np.asarray([src_info.root, dst_info.root], dtype=np.int64),
-            merged.node_ids,
-            merged.x,
-            merged.hops,
-            merged.edge_src,
-            merged.edge_dst,
-            merged.edge_feat,
-            merged.edge_weight,
-        )
-        yield edge_index, ("final", gf)
+        ends = [infos[i] for i in order.tolist()]
+        merged = merge_groups(stack_flattened(ends), np.arange(0, len(ends) + 1, 2))
+        pairs = np.asarray([info.root for info in ends], dtype=np.int64).reshape(-1, 2)
+        node_at = merged.node_offsets.tolist()
+        edge_at = merged.edge_offsets.tolist()
+        edge_feat = merged.edge_feat
+        features = []
+        for g, targets in enumerate(pairs):
+            n = slice(node_at[g], node_at[g + 1])
+            e = slice(edge_at[g], edge_at[g + 1])
+            features.append(
+                (
+                    "final",
+                    GraphFeature._of(
+                        targets,
+                        merged.node_ids[n],
+                        merged.x[n],
+                        merged.hops[n],
+                        merged.edge_src[e],
+                        merged.edge_dst[e],
+                        None if edge_feat is None or e.start == e.stop else edge_feat[e],
+                        merged.edge_weight[e],
+                        None,
+                        None,
+                    ),
+                )
+            )
+        return RecordBatch(keys, features, lambda: record_sizes(features))

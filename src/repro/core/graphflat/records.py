@@ -39,11 +39,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.graph.subgraph import GraphFeature
+from repro.graph.subgraph import GraphFeature, StackedFeatures
 from repro.proto.framing import (
     Column,
     ObjectColumn,
     RecordColumn,
+    _ranges,
     decode_rows,
     encode_rows,
     register_record,
@@ -55,6 +56,7 @@ __all__ = [
     "SubgraphColumns",
     "SubgraphInfo",
     "merge_neighborhoods",
+    "stack_flattened",
 ]
 
 
@@ -509,6 +511,54 @@ def _stack(infos: list[SubgraphInfo]):
         [len(c.src) for c in columns] + m_counts,
     )
     return stacked, np.asarray(held_order + order, dtype=np.int64), *map(np.asarray, counts)
+
+
+def stack_flattened(infos: list[SubgraphInfo]) -> StackedFeatures:
+    """What :meth:`SubgraphInfo.to_graph_feature` makes of each of
+    ``infos``, stacked in their order — one target (the root) per sample,
+    edge endpoints local to the sample, float32 features and weights — read
+    in bulk (:func:`_stack`), without a per-record object."""
+    stacked, held, n, m = _stack(infos)
+    node_offsets = np.zeros(len(infos) + 1, dtype=np.int64)
+    edge_offsets = np.zeros(len(infos) + 1, dtype=np.int64)
+    node_offsets[1:][held] = n
+    edge_offsets[1:][held] = m
+    np.cumsum(node_offsets, out=node_offsets)
+    np.cumsum(edge_offsets, out=edge_offsets)
+    nodes = edges = slice(None)
+    if np.any(held[1:] < held[:-1]):  # back into input order
+        position = np.empty(len(held), dtype=np.int64)
+        position[held] = np.arange(len(held))
+        nodes = _ranges((np.cumsum(n) - n)[position], n[position])
+        edges = _ranges((np.cumsum(m) - m)[position], m[position])
+    ids, x = stacked.ids[nodes], stacked.x[nodes]
+    src, dst = stacked.src[edges], stacked.dst[edges]
+    edge_feat = None if stacked.edge_feat is None else stacked.edge_feat[edges]
+
+    # Local endpoints: a sample's ids are ascending, so (sample, id rank)
+    # keys ascend over the whole stack and one search places every edge.
+    universe = np.unique(ids)
+    width = len(universe)
+    counts = np.diff(node_offsets)
+    node_keys = np.repeat(np.arange(len(infos)), counts) * width + np.searchsorted(universe, ids)
+    edge_sample = np.repeat(np.arange(len(infos)), np.diff(edge_offsets))
+    base = edge_sample * width
+    start = node_offsets[:-1][edge_sample]
+    local_src = np.searchsorted(node_keys, base + np.searchsorted(universe, src)) - start
+    local_dst = np.searchsorted(node_keys, base + np.searchsorted(universe, dst)) - start
+    return StackedFeatures(
+        target_offsets=np.arange(len(infos) + 1, dtype=np.int64),
+        target_ids=np.asarray([info.root for info in infos], dtype=np.int64),
+        node_offsets=node_offsets,
+        node_ids=ids,
+        hops=stacked.hops[nodes],
+        x=x.astype(np.float32),
+        edge_offsets=edge_offsets,
+        edge_src=local_src,
+        edge_dst=local_dst,
+        edge_weight=stacked.weight[edges].astype(np.float32),
+        edge_feat=None if edge_feat is None else edge_feat.astype(np.float32),
+    )
 
 
 def _firsts(*keys: np.ndarray) -> np.ndarray:

@@ -986,19 +986,31 @@ class MessagePassingReducer:
         """The Kth round's output: "in the Kth round ... only need to output
         it rather than all of the three information" (§3.4) — keyed by node,
         or fanned out to the target edges a node terminates."""
-        info_nbytes = self.routing.in_record.info_nbytes
+        record = self.routing.in_record
+        info_nbytes = record.info_nbytes
         if self.edge_fanout is not None:
             # The result is shared across emissions — the joining round
-            # only reads it.
-            keys, values, owners = [], [], []
+            # only reads it — so the rows point at it: a block is built
+            # only if a spill writer encodes one.
+            keys, roles, owners = [], [], []
             for i, node_id in enumerate(node_ids):
                 for edge_index, role in self.edge_fanout.entries(node_id):
                     keys.append(edge_index)
-                    values.append(("end", role, infos[i]))
+                    roles.append(role)
                     owners.append(i)
+            owners = np.asarray(owners, dtype=np.int64)
+            values = TupleColumn(
+                [
+                    StrColumn.of(["end"], np.zeros(len(keys), dtype=np.int64)),
+                    ScalarColumn(int, np.asarray(roles, dtype=np.int64)),
+                    GatherColumn([record.info_column(infos), None], owners),
+                ],
+                len(keys),
+            )
             # ("end", role, info): 8 + 11 + 8 + S
             return RecordBatch(keys, values, lambda: np.fromiter(
-                (27 + info_nbytes(infos[i]) for i in owners), dtype=np.int64, count=len(owners)
+                (27 + info_nbytes(infos[i]) for i in owners.tolist()),
+                dtype=np.int64, count=len(owners),
             ))
         tag = self.final_tag
         return RecordBatch(list(node_ids), [(tag, info) for info in infos], lambda: np.fromiter(

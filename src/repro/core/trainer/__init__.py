@@ -2,8 +2,9 @@
 
 Components map one-to-one onto the paper's Figure 4:
 
-* :mod:`vectorize` — merge a batch of GraphFeatures and build the three
-  matrices ``A_B`` (destination-sorted sparse adjacency), ``X_B``, ``E_B``;
+* :mod:`vectorize` — merge a window of batches of GraphFeatures and build
+  each batch's three matrices ``A_B`` (destination-sorted sparse
+  adjacency), ``X_B``, ``E_B``;
 * :mod:`dataset` — layout-aware sample sources (in-memory lists, or
   zero-copy slicing over mmap'd columnar DFS shards);
 * :mod:`pruning` — per-layer pruned adjacencies ``A^(k)_B`` (graph-level
@@ -16,7 +17,12 @@ Components map one-to-one onto the paper's Figure 4:
   servers.
 """
 
-from repro.core.trainer.vectorize import TrainSample, decode_samples, vectorize_batch
+from repro.core.trainer.vectorize import (
+    TrainSample,
+    decode_samples,
+    vectorize_batch,
+    vectorize_window,
+)
 from repro.core.trainer.dataset import (
     ColumnarDataset,
     ColumnarSlice,
@@ -25,7 +31,7 @@ from repro.core.trainer.dataset import (
     as_sample_source,
     open_sample_source,
 )
-from repro.core.trainer.pruning import layer_edge_masks, prune_blocks
+from repro.core.trainer.pruning import layer_edge_masks
 from repro.core.trainer.partition import EdgePartitionAggregator, partitioned_backend_factory
 from repro.core.trainer.pipeline import BatchPipeline, BatchPreparer
 from repro.core.trainer.trainer import GraphTrainer, TrainerConfig
@@ -34,6 +40,7 @@ __all__ = [
     "TrainSample",
     "decode_samples",
     "vectorize_batch",
+    "vectorize_window",
     "ColumnarDataset",
     "ColumnarSlice",
     "MemorySamples",
@@ -41,7 +48,6 @@ __all__ = [
     "as_sample_source",
     "open_sample_source",
     "layer_edge_masks",
-    "prune_blocks",
     "EdgePartitionAggregator",
     "partitioned_backend_factory",
     "BatchPipeline",

@@ -187,6 +187,17 @@ class ColumnarBatchRef:
         out of the shard mappings — what the trainer vectorizes."""
         return gather_samples(*_open_shards(self.shard_paths, self.locators))
 
+    @staticmethod
+    def gather_window(refs: list["ColumnarBatchRef"]) -> StackedFeatures:
+        """Several batches of one source as one stacked record, batch after
+        batch: one gather over their locators end to end."""
+        paths = refs[0].shard_paths
+        if any(ref.shard_paths != paths for ref in refs):
+            raise ValueError("a window's batches must come from one source")
+        return gather_samples(
+            *_open_shards(paths, np.concatenate([ref.locators for ref in refs]))
+        )
+
     def load_samples(self) -> list[TrainSample]:
         """The batch as decoded per-sample objects (the list feeder)."""
         return list(_iter_samples(self.shard_paths, self.locators))

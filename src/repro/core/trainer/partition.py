@@ -47,12 +47,27 @@ class EdgePartitionAggregator:
     threads:
         size of the shared thread pool; 1 (default) keeps execution serial —
         the segment-sum rewrite alone is the bulk of the win on CPython.
+    row_starts:
+        the edge indices where a new destination starts, when the caller
+        has them already (the trainer finds them for a whole window of
+        batches at once); ``dst`` is then taken as sorted.
     """
 
-    def __init__(self, dst: np.ndarray, num_partitions: int = 4, threads: int = 1):
+    def __init__(
+        self,
+        dst: np.ndarray,
+        num_partitions: int = 4,
+        threads: int = 1,
+        row_starts: np.ndarray | None = None,
+    ):
         dst = np.asarray(dst, dtype=np.int64)
-        if len(dst) and np.any(np.diff(dst) < 0):
-            raise ValueError("edge partitioning requires destination-sorted edges")
+        if row_starts is None:
+            step = np.diff(dst)
+            if len(dst) and np.any(step < 0):
+                raise ValueError("edge partitioning requires destination-sorted edges")
+            # Row boundaries: edge indices where a new destination starts.
+            row_starts = np.flatnonzero(step) + 1
+            row_starts = np.concatenate([[0], row_starts]) if len(dst) else row_starts
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         self.dst = dst
@@ -64,15 +79,13 @@ class EdgePartitionAggregator:
         if m == 0:
             self._parts: list[tuple[int, int, np.ndarray, np.ndarray]] = []
             return
-        # Row boundaries: absolute edge indices where a new destination starts.
-        row_starts = np.concatenate([[0], np.flatnonzero(np.diff(dst)) + 1])
-        row_dst = dst[row_starts]
         n_rows = len(row_starts)
         t = min(num_partitions, n_rows)
         # Cut at row boundaries closest to an even edge split.
-        ideal = (np.arange(1, t) * m) // t
-        cut_rows = np.unique(np.searchsorted(row_starts, ideal, side="right"))
-        bounds = np.concatenate([[0], cut_rows, [n_rows]])
+        ideal = [k * m // t for k in range(1, t)]
+        cuts = sorted(set(np.searchsorted(row_starts, ideal, side="right").tolist()))
+        bounds = [0, *cuts, n_rows]
+        row_dst = dst[row_starts]
         self._parts = []
         for lo_row, hi_row in zip(bounds[:-1], bounds[1:]):
             if lo_row == hi_row:
@@ -140,13 +153,17 @@ class EdgePartitionAggregator:
 class PartitionedAggregatorFactory:
     """Picklable factory suitable for ``vectorize_batch(aggregator_factory=
     ...)`` — a top-level dataclass (not a closure) so trainer configs using
-    edge partitioning work under the ``processes`` prefetch backend."""
+    edge partitioning work under the ``processes`` prefetch backend.
+    ``row_starts`` are the block's destination-row starts when the caller
+    knows them (see :class:`EdgePartitionAggregator`)."""
 
     num_partitions: int = 4
     threads: int = 1
 
-    def __call__(self, block: EdgeBlock) -> EdgePartitionAggregator:
-        return EdgePartitionAggregator(block.dst, self.num_partitions, self.threads)
+    def __call__(self, block: EdgeBlock, row_starts=None) -> EdgePartitionAggregator:
+        return EdgePartitionAggregator(
+            block.dst, self.num_partitions, self.threads, row_starts
+        )
 
 
 def partitioned_backend_factory(

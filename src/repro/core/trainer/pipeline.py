@@ -5,15 +5,19 @@ including data reading and subgraph vectorization, and model computation
 stage.  The two stages operate in a parallel manner."
 
 Preprocessing (decode + vectorize) runs ahead of the training loop and
-feeds a bounded queue the caller drains.  The preprocessing stage itself
-is pluggable: it reuses the MapReduce backend registry
+feeds a bounded queue the caller drains.  It works a *window* at a time:
+up to :data:`QUEUE_DEPTH` consecutive batches are read together — one shard
+gather or one stacking — and vectorized by one
+:func:`~repro.core.trainer.vectorize.vectorize_window` call, so the fixed
+cost of a merge is paid per window, not per batch.  The preprocessing stage
+itself is pluggable: it reuses the MapReduce backend registry
 (``serial``/``threads``/``processes``), so with ``backend="processes"``
-minibatch preprocessing shards across cores while the main process trains
-— the GIL no longer caps the storage layer.  Batches may be lists of
-wire-format bytes, decoded :class:`TrainSample` objects, or picklable refs
-with a ``gather()`` method (columnar shard slices — see
-``repro.core.trainer.dataset``), which is what keeps the process backend's
-per-batch IPC to a few ints each way plus the prepared tensors back.
+windows are prepared across cores while the main process trains — the GIL
+no longer caps the storage layer.  Batches may be lists of wire-format
+bytes, decoded :class:`TrainSample` objects, or columnar batch refs
+(:class:`~repro.core.trainer.dataset.ColumnarBatchRef`, picklable shard
+locators), which is what keeps the process backend's per-window IPC to a
+few ints each way plus the prepared tensors back.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ import threading
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from repro.core.trainer.vectorize import TrainSample, decode_samples, vectorize_batch
+from repro.core.trainer.dataset import ColumnarBatchRef
+from repro.core.trainer.vectorize import decode_samples, stack_samples, vectorize_window
 from repro.graph.subgraph import StackedFeatures
 from repro.mapreduce.backends import (
     BACKEND_REGISTRY,
@@ -42,21 +48,28 @@ __all__ = ["BatchPipeline", "BatchPreparer"]
 _SENTINEL = object()
 
 QUEUE_DEPTH = 4
-"""How many vectorized batches may sit ready ahead of the training loop."""
+"""How many vectorized batches may sit ready ahead of the training loop —
+and how many consecutive batches one window prepares together.  A window
+is prepared while the previous one waits in the queue, so at most two
+windows are in flight; a worker pool prepares one window per worker at a
+time on top of the queued one."""
 
 SLAB_BYTES = 64 << 20
-"""Capacity of one batch slab.  When prepared batches cross a process
+"""Capacity of one window slab.  When prepared windows cross a process
 boundary (``backend.needs_pickling``) a pool worker parks the numpy payload
 in a parent-owned per-slot :class:`~repro.ps.shm.BatchSlab` and pickles only
 a tiny locator (protocol-5 out-of-band buffers), so the result pipe carries
-kilobytes instead of the vectorized batch; a batch that outgrows the slab
-rides the pipe whole, for that batch only.  Same-process backends hand over
-bare references and use no slab."""
+kilobytes instead of the vectorized batches; a window that outgrows the
+slab rides the pipe whole, for that window only.  Same-process backends
+hand over bare references and use no slab."""
+
+Prepared = list[tuple[BatchInputs, "np.ndarray | None"]]
 
 
 @dataclass(frozen=True)
 class BatchPreparer:
-    """Picklable preprocessing operator: one batch in, model inputs out.
+    """Picklable preprocessing operator: one window of batches in, their
+    model inputs out.
 
     Top-level dataclass (not a closure) so the ``processes`` prefetch
     backend can ship it to worker processes, mirroring the GraphFlat
@@ -68,53 +81,63 @@ class BatchPreparer:
     aggregator_factory: object | None = None
     edge_level: bool = False
 
-    def resolve(self, batch) -> StackedFeatures | list[TrainSample]:
-        """What :func:`vectorize_batch` takes: columnar refs gather their
-        stacked columns, bytes are decoded, sample lists pass through."""
-        if hasattr(batch, "gather"):
-            return batch.gather()
-        if batch and isinstance(batch[0], (bytes, bytearray)):
-            return decode_samples(batch)
-        return batch
+    @staticmethod
+    def resolve(window: list) -> tuple[StackedFeatures, np.ndarray]:
+        """The window as one stacked record plus its batch offsets:
+        columnar refs are gathered together, bytes decoded and sample lists
+        stacked together."""
+        if isinstance(window[0], ColumnarBatchRef):
+            sizes = [len(batch.locators) for batch in window]
+            stacked = ColumnarBatchRef.gather_window(window)
+        else:
+            batches = [
+                decode_samples(batch)
+                if batch and isinstance(batch[0], (bytes, bytearray))
+                else batch
+                for batch in window
+            ]
+            sizes = [len(batch) for batch in batches]
+            stacked = stack_samples([sample for batch in batches for sample in batch])
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        return stacked, offsets
 
-    def __call__(self, batch) -> tuple[BatchInputs, np.ndarray | None, float]:
-        """Returns ``(inputs, labels, preprocess_seconds)`` — the elapsed
-        time rides along because pool workers cannot reach the caller's
+    def __call__(self, window: list) -> tuple[Prepared, float]:
+        """Returns ``(prepared, preprocess_seconds)`` — one ``(inputs,
+        labels)`` pair per batch of ``window``; the elapsed time rides along
+        because pool workers cannot reach the caller's
         :class:`TimerRegistry`."""
         start = time.perf_counter()
-        inputs, labels = vectorize_batch(
-            self.resolve(batch),
+        prepared = vectorize_window(
+            *self.resolve(window),
             self.num_layers,
             pruning=self.pruning,
             aggregator_factory=self.aggregator_factory,
             edge_level=self.edge_level,
         )
-        return inputs, labels, time.perf_counter() - start
+        return prepared, time.perf_counter() - start
 
 
 @dataclass(frozen=True)
 class _SlabPreparer:
-    """Pool-worker wrapper that parks the prepared batch in a shm slab.
+    """Pool-worker wrapper that parks a prepared window in a shm slab.
 
-    One instance per in-flight window slot, each bound to its own slab —
+    One instance per in-flight task slot, each bound to its own slab —
     the parent drains slot *i* before reissuing it, so overwriting is safe.
-    Falls back to shipping the tuple in-band (``ref is None``) when the
-    batch outgrows the slab."""
+    Falls back to shipping the window in-band when it outgrows the slab."""
 
     prepare: BatchPreparer
     slab: str
     capacity: int
 
-    def __call__(self, batch):
-        inputs, labels, seconds = self.prepare(batch)
+    def __call__(self, window):
+        prepared, seconds = self.prepare(window)
         start = time.perf_counter()
         from repro.ps.shm import slab_dump  # lazy: repro.ps imports the trainer
 
-        ref = slab_dump((inputs, labels), self.slab, self.capacity)
+        ref = slab_dump(prepared, self.slab, self.capacity)
         seconds += time.perf_counter() - start
-        if ref is None:
-            return inputs, labels, seconds
-        return ref, None, seconds
+        return (prepared if ref is None else ref), seconds
 
 
 class BatchPipeline:
@@ -124,10 +147,12 @@ class BatchPipeline:
     ----------
     batches:
         iterable of batches; each batch is a list of wire-format ``bytes``
-        records, already-decoded :class:`TrainSample` objects, or a batch
-        ref with ``gather()`` (columnar shard slice).
+        records, already-decoded :class:`TrainSample` objects, or a
+        :class:`~repro.core.trainer.dataset.ColumnarBatchRef` (columnar
+        shard slice).  Consecutive batches are prepared a window of
+        :data:`QUEUE_DEPTH` at a time.
     num_layers / pruning / aggregator_factory:
-        forwarded to :func:`vectorize_batch`.
+        forwarded to :func:`vectorize_window`.
     enabled:
         ``False`` degrades to strictly sequential preprocessing (AGL_base
         without the pipeline strategy — the ablation baseline).
@@ -135,19 +160,20 @@ class BatchPipeline:
         preprocessing pool: a backend name from the MapReduce registry
         (``serial``/``threads``/``processes``) and its worker count.  The
         default (``threads``, 1) is the classic single prefetch thread;
-        ``processes`` with N workers shards preprocessing across cores.
-        ``serial`` runs inline, like ``enabled=False``.  Passing a
+        ``processes`` with N workers prepares N windows at a time across
+        cores.  ``serial`` runs inline, like ``enabled=False``.  Passing a
         :class:`~repro.mapreduce.backends.Backend` *instance* borrows it
         (the caller keeps ownership — how GraphTrainer reuses one process
         pool across epochs instead of respawning workers every epoch).
     timers:
         optional :class:`TimerRegistry`; preprocessing time lands in
-        ``"preprocess"`` (regardless of which thread or process spent it).
+        ``"preprocess"`` (regardless of which thread or process spent it),
+        counted once per batch.
 
-    How prepared batches come back from the pool is resolved from the
+    How prepared windows come back from the pool is resolved from the
     backend, not asked: shared-memory slabs (:data:`SLAB_BYTES` each)
     exactly when it ``needs_pickling``.  ``shm_batches`` / ``inband_batches``
-    count which way each batch of a pickling pool actually took.
+    count the batches that took each way back from a pickling pool.
     """
 
     def __init__(
@@ -183,32 +209,37 @@ class BatchPipeline:
         self.inband_batches = 0
 
     # ----------------------------------------------------------- internals
-    def _record(self, seconds: float) -> None:
+    def _windows(self) -> Iterator[list]:
+        batches = iter(self._batches)
+        while window := list(islice(batches, QUEUE_DEPTH)):
+            yield window
+
+    def _prepared(self) -> Iterator[Prepared]:
+        """Each window prepared in this thread, timed on it (interval
+        records are what *prove* stage overlap in the ablation benchmark)."""
         timer = self._timers["preprocess"]
-        timer.total += seconds
-        timer.count += 1
+        for window in self._windows():
+            start = time.perf_counter()
+            prepared, _ = self._prepare(window)
+            stop = time.perf_counter()
+            timer.add(stop - start, len(window), (start, stop))
+            yield prepared
 
     def _iter_sequential(self) -> Iterator[tuple[BatchInputs, np.ndarray | None]]:
-        for batch in self._batches:
-            with self._timers.timing("preprocess"):
-                inputs, labels, _ = self._prepare(batch)
-            yield inputs, labels
+        for prepared in self._prepared():
+            yield from prepared
 
     def _iter_single_thread(self) -> Iterator[tuple[BatchInputs, np.ndarray | None]]:
-        """The classic two-stage pipeline: one background prefetch thread.
-
-        Timing runs through ``timers.timing`` on the producer thread so
-        interval records (used to *prove* stage overlap in the ablation
-        benchmark) are preserved."""
+        """The classic two-stage pipeline: one background prefetch thread
+        preparing the next window while the loop trains on the last."""
         out: queue.Queue = queue.Queue(maxsize=QUEUE_DEPTH)
         error: list[BaseException] = []
 
         def producer():
             try:
-                for batch in self._batches:
-                    with self._timers.timing("preprocess"):
-                        inputs, labels, _ = self._prepare(batch)
-                    out.put((inputs, labels))
+                for prepared in self._prepared():
+                    for item in prepared:
+                        out.put(item)
             except BaseException as exc:  # surface in the consumer thread
                 error.append(exc)
             finally:
@@ -217,17 +248,19 @@ class BatchPipeline:
         yield from self._drain(producer, out, error)
 
     def _iter_pool(self) -> Iterator[tuple[BatchInputs, np.ndarray | None]]:
-        """Worker-pool prefetch: the producer thread walks the batch list in
-        windows of ``workers`` tasks, executes each window on the registry
-        backend, and feeds results into the bounded queue in batch order.
+        """Worker-pool prefetch: the producer thread hands the pool
+        ``workers`` windows at a time (one task each), executes them on the
+        registry backend, and feeds the batches into the bounded queue in
+        batch order.
 
-        Windowed ``execute`` calls are the registry's phase contract, so a
-        window boundary is a mini-barrier (idle workers wait on the
-        window's straggler); the bounded queue keeps the *consumer* fed
-        across windows, which is the overlap that matters here — batch
-        costs are near-uniform, so straggler slack stays small."""
+        Each ``execute`` call is the registry's phase contract, so it is a
+        mini-barrier (idle workers wait on the slowest window); the bounded
+        queue keeps the *consumer* fed across calls, which is the overlap
+        that matters here — window costs are near-uniform, so straggler
+        slack stays small."""
         out: queue.Queue = queue.Queue(maxsize=QUEUE_DEPTH)
         error: list[BaseException] = []
+        timer = self._timers["preprocess"]
 
         def plain_retrier(task_id, call):
             # Preprocessing is pure, so a crashed pool worker is retried
@@ -245,51 +278,35 @@ class BatchPipeline:
             use_shm = backend.needs_pickling
             slabs = []
             try:
+                prepare = [self._prepare] * self._workers
                 if use_shm:
                     # Lazy: repro.ps imports the trainer package (circular).
                     from repro.ps.shm import BatchSlab, ShmBatchRef, slab_load
 
-                    # One slab per window slot, reused every window.  Safe
-                    # because each window's results are fully drained (and
+                    # One slab per task slot, reused every call.  Safe
+                    # because each call's results are fully drained (and
                     # slab-loaded into private memory) before the next
                     # ``execute`` can overwrite a slot.
                     slabs = [BatchSlab(SLAB_BYTES) for _ in range(self._workers)]
                     by_name = {slab.name: slab for slab in slabs}
-                    preparers = [
+                    prepare = [
                         _SlabPreparer(self._prepare, slab.name, slab.capacity)
                         for slab in slabs
                     ]
-                window: list = []
-                batch_iter = iter(self._batches)
-                exhausted = False
-                while not exhausted:
-                    window.clear()
-                    for batch in batch_iter:
-                        window.append(batch)
-                        if len(window) >= self._workers:
-                            break
-                    else:
-                        exhausted = True
-                    if not window:
-                        break
-                    tasks = [
-                        (
-                            f"prefetch-{i}",
-                            preparers[i] if use_shm else self._prepare,
-                            (batch,),
-                        )
-                        for i, batch in enumerate(window)
-                    ]
-                    for first, labels, seconds in backend.execute(tasks, plain_retrier):
-                        self._record(seconds)
-                        if use_shm and isinstance(first, ShmBatchRef):
-                            inputs, labels = slab_load(first, by_name[first.slab].buf)
-                            self.shm_batches += 1
-                        else:
-                            inputs = first
-                            if use_shm:
-                                self.inband_batches += 1
-                        out.put((inputs, labels))
+                windows = self._windows()
+                while tasks := [
+                    (f"prefetch-{i}", prepare[i], (window,))
+                    for i, window in enumerate(islice(windows, self._workers))
+                ]:
+                    for result, seconds in backend.execute(tasks, plain_retrier):
+                        if use_shm and isinstance(result, ShmBatchRef):
+                            result = slab_load(result, by_name[result.slab].buf)
+                            self.shm_batches += len(result)
+                        elif use_shm:
+                            self.inband_batches += len(result)
+                        timer.add(seconds, len(result))
+                        for item in result:
+                            out.put(item)
             except BaseException as exc:
                 error.append(exc)
             finally:

@@ -14,17 +14,21 @@ keeps edge ``u -> w`` iff ``hops[w] <= K - k - 1``:
   Table 4 observes;
 * the last layer keeps only edges pointing directly at targets.
 
-Pruning happens once per batch at vectorization time, so under the training
-pipeline it costs "nearly no extra time" (§3.3.2).
+Pruning happens at vectorization time, for a whole window of batches at
+once: one ``hops[dst]`` pass masks every layer of every batch in the window
+(:func:`layer_edge_masks` over the window's edges), and
+:func:`~repro.core.trainer.vectorize.vectorize_window` cuts each batch's
+pruned blocks out of those masks — so under the training pipeline it costs
+"nearly no extra time" (§3.3.2).  A mask depends on an edge's destination
+only, so it keeps or drops a destination's edges together, and a pruned
+block stays destination-sorted.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.gnn.block import EdgeBlock
-
-__all__ = ["layer_edge_masks", "prune_blocks"]
+__all__ = ["layer_edge_masks"]
 
 
 def layer_edge_masks(
@@ -39,38 +43,3 @@ def layer_edge_masks(
         raise ValueError("num_layers must be >= 1")
     dst_hops = hops[edge_dst]
     return [dst_hops <= num_layers - k - 1 for k in range(num_layers)]
-
-
-def prune_blocks(
-    base: EdgeBlock,
-    hops: np.ndarray,
-    num_layers: int,
-    aggregator_factory=None,
-) -> list[EdgeBlock]:
-    """Build the per-layer pruned ``EdgeBlock`` list for Equation 3.
-
-    Boolean masking preserves the destination-sorted order, so each pruned
-    block remains a valid partitioning target; ``aggregator_factory`` (if
-    given) installs a layout-bound aggregation backend on every block.
-    """
-    masks = layer_edge_masks(base.dst, hops, num_layers)
-    blocks: list[EdgeBlock] = []
-    for mask in masks:
-        if bool(mask.all()):
-            # Layer keeps every edge — share the base block (and its
-            # aggregator / self-loop caches) instead of copying.
-            if aggregator_factory is not None and base.aggregator is None:
-                base.aggregator = aggregator_factory(base)
-            blocks.append(base)
-            continue
-        block = EdgeBlock(
-            base.src[mask],
-            base.dst[mask],
-            base.num_nodes,
-            base.weight[mask],
-            None if base.edge_feat is None else base.edge_feat[mask],
-        )
-        if aggregator_factory is not None:
-            block.aggregator = aggregator_factory(block)
-        blocks.append(block)
-    return blocks

@@ -7,8 +7,15 @@ distances.  "Since the k-hop neighborhood w.r.t. a node helps discriminate
 the node from others, we also call it GraphFeature" (§3.2.1).
 
 The byte-level flattening ("protobuf strings" in the paper) lives in
-``repro.proto``; this module is the in-memory form plus the batch *merge*
-operation that GraphTrainer's vectorization phase performs (§3.3.1).
+``repro.proto``; this module is the in-memory form, its stacked form
+(:class:`StackedFeatures` — many GraphFeatures as columns plus offset
+tables, the layout columnar shards store) and the one *merge* kernel
+(:func:`merge_groups`).  The kernel merges G independent groups of stacked
+samples in a single array pass, each group exactly as if merged alone.  It
+has two callers: GraphTrainer's vectorization phase (§3.3.1), where a group
+is a batch and one call covers a window of batches, and GraphFlat's
+pairing round, where a group is the two endpoint neighborhoods of a
+target edge and one call covers a buffer of edges.
 """
 
 from __future__ import annotations
@@ -21,9 +28,10 @@ import numpy as np
 __all__ = [
     "GatheredRows",
     "GraphFeature",
+    "MergedGroups",
     "MergedSubgraph",
     "StackedFeatures",
-    "merge_graph_features",
+    "merge_groups",
     "merge_stacked",
     "split_by_source",
     "take_rows",
@@ -93,6 +101,15 @@ class GraphFeature:
             self.edge_type = np.asarray(self.edge_type, dtype=np.int64)
         self._validate()
 
+    @classmethod
+    def _of(cls, *columns) -> "GraphFeature":
+        """A feature over the ten columns in constructor order, already
+        typed and consistent (a merge kernel's output) — built without
+        checking them again."""
+        feature = cls.__new__(cls)
+        feature.__dict__.update(zip(_COLUMNS, columns), _pos=None)
+        return feature
+
     def _validate(self) -> None:
         n, m = len(self.node_ids), len(self.edge_src)
         ordered = np.sort(self.node_ids)
@@ -114,7 +131,7 @@ class GraphFeature:
             raise ValueError("node_type must have one entry per node")
         if self.edge_type is not None and self.edge_type.shape != (m,):
             raise ValueError("edge_type must have one entry per edge")
-        _rows_of(ordered, self.target_ids)  # raises unless every target is a node
+        _lookup(ordered, self.target_ids)  # raises unless every target is a node
 
     def _positions(self) -> dict[int, int]:
         """Global id -> local row, built on first lookup: most features
@@ -174,6 +191,12 @@ class GraphFeature:
         return int(self.hops.max(initial=0))
 
 
+_COLUMNS = (
+    "target_ids", "node_ids", "x", "hops", "edge_src", "edge_dst",
+    "edge_feat", "edge_weight", "node_type", "edge_type",
+)
+
+
 def split_by_source(which: np.ndarray | None, num_sources: int) -> list[np.ndarray] | None:
     """Per source, the output positions it fills (``None``: a single source
     fills them all)."""
@@ -228,9 +251,10 @@ class StackedFeatures:
     Sample ``i`` owns ``node_ids[node_offsets[i]:node_offsets[i + 1]]`` (and
     the same range of every per-node column), likewise for edges and
     targets; ``edge_src``/``edge_dst`` stay *local* to their sample's node
-    range.  This is the layout columnar shards store on disk, so a batch is
-    gathered out of the mmap with one fancy-index per column and fed to
-    :func:`merge_stacked` without a per-sample object in between.
+    range.  This is the layout columnar shards store on disk, so a window
+    of batches is gathered out of the mmap with one fancy-index per column
+    and shard and fed to :func:`merge_groups` without a per-sample object
+    in between.
 
     ``x`` is the ``(n, fn) float32`` matrix or a :class:`GatheredRows` over
     it.  ``sample_ids``/``labels`` ride along for the trainer (``labels`` is
@@ -341,112 +365,256 @@ class MergedSubgraph(NamedTuple):
     target_index: np.ndarray
 
 
-def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_index=True, return_inverse=True)`` without
-    its stable sort: the group minimum of the sort permutation *is* the
-    first occurrence, whatever order ties landed in."""
-    order = np.argsort(keys)
-    ranked = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return ranked[starts], np.minimum.reduceat(order, starts), inverse
+class MergedGroups(NamedTuple):
+    """:func:`merge_groups` output: G merged subgraphs as stacked columns
+    plus per-group offset tables — the AGLC layout.  Group ``g`` owns
+    ``node_ids[node_offsets[g]:node_offsets[g + 1]]`` (and that range of
+    every per-node column), likewise for edges and targets; ``edge_src`` /
+    ``edge_dst`` / ``target_index`` are rows *local* to the group's node
+    range."""
 
+    node_offsets: np.ndarray
+    node_ids: np.ndarray
+    x: np.ndarray
+    hops: np.ndarray
+    node_type: np.ndarray | None
+    edge_offsets: np.ndarray
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    edge_weight: np.ndarray
+    edge_feat: np.ndarray | None
+    edge_type: np.ndarray | None
+    target_offsets: np.ndarray
+    target_ids: np.ndarray
+    target_index: np.ndarray
 
-def _rows_of(node_ids: np.ndarray, targets: np.ndarray, sorter=None) -> np.ndarray:
-    """Row of every target inside ``node_ids`` (sorted, or with its argsort)."""
-    if not len(targets):
-        return np.zeros(0, dtype=np.int64)
-    if not len(node_ids):
-        raise ValueError("targets must be contained in node_ids")
-    rows = np.searchsorted(node_ids, targets, sorter=sorter).clip(max=len(node_ids) - 1)
-    if sorter is not None:
-        rows = sorter[rows]
-    if (node_ids[rows] != targets).any():
-        raise ValueError("targets must be contained in node_ids")
-    return rows
+    @property
+    def num_groups(self) -> int:
+        return len(self.node_offsets) - 1
 
+    def group(self, g: int) -> MergedSubgraph:
+        """Group ``g`` alone, as slices of the stacked columns."""
+        n = slice(*self.node_offsets[g : g + 2].tolist())
+        e = slice(*self.edge_offsets[g : g + 2].tolist())
+        t = slice(*self.target_offsets[g : g + 2].tolist())
 
-def merge_stacked(stacked: StackedFeatures) -> MergedSubgraph:
-    """Merge a stacked batch into one subgraph (§3.3.1 step 1) — the single
-    merge implementation behind the trainer and :func:`merge_graph_features`.
+        def part(column, rows):
+            return None if column is None else column[rows]
 
-    Overlapping neighborhoods share nodes and edges; the merge dedupes nodes
-    by global id and edges by ``(global_src, global_dst)`` (parallel edges
-    inside a single neighborhood are assumed already distinct-by-endpoint —
-    GraphFlat collapses duplicates the same way).  ``hops`` become the
-    *minimum* distance to any target in the batch, which is exactly
-    ``d(V_B, u)`` of the pruning section (§3.3.2).
-
-    Node rows come out sorted by global id, each with the features of its
-    first occurrence.  Of duplicate edges the first in batch order is kept,
-    and the survivors are sorted by destination (the paper's
-    adjacency-matrix contract) with edges into one destination left in
-    batch order — the order float aggregation sums them in.  A batch of one
-    is returned as stored (its node order kept), only destination-sorted.
-    """
-    num_samples = stacked.num_samples
-    if num_samples < 1:
-        raise ValueError("cannot merge an empty batch")
-    edge_counts = np.diff(stacked.edge_offsets)
-    limit = np.repeat(np.diff(stacked.node_offsets), edge_counts)
-    if (stacked.edge_src >= limit).any() or (stacked.edge_dst >= limit).any():
-        raise ValueError("edge endpoints out of range")
-    if (stacked.edge_src < 0).any() or (stacked.edge_dst < 0).any():
-        raise ValueError("edge endpoints must be non-negative")
-
-    if num_samples == 1:
-        node_ids, x, hops = stacked.node_ids, stacked.node_features(), stacked.hops
-        node_type = stacked.node_type
-        targets = stacked.target_ids
-        target_index = _rows_of(
-            node_ids, targets, sorter=np.argsort(node_ids, kind="stable")
+        return MergedSubgraph(
+            self.target_ids[t],
+            self.node_ids[n],
+            self.x[n],
+            self.hops[n],
+            self.edge_src[e],
+            self.edge_dst[e],
+            part(self.edge_feat, e),
+            self.edge_weight[e],
+            part(self.node_type, n),
+            part(self.edge_type, e),
+            self.target_index[t],
         )
-        src, dst = stacked.edge_src, stacked.edge_dst
-        order = np.argsort(dst, kind="stable")
-    else:
-        node_ids, first, slot = _first_occurrences(stacked.node_ids)
-        x = stacked.node_features(first)
-        hops = np.full(len(node_ids), np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(hops, slot, stacked.hops)
-        node_type = None if stacked.node_type is None else stacked.node_type[first]
-        targets = np.unique(stacked.target_ids)
-        target_index = _rows_of(node_ids, targets)
 
-        # Edges: local endpoints -> stacked rows -> merged rows; dedupe on
-        # one int64 key per edge, then order the kept ones by (destination,
-        # batch position) with a plain sort of that pair packed into one
-        # int64 (both factors are array lengths, so it cannot overflow).
-        base = np.repeat(stacked.node_offsets[:-1], edge_counts)
-        src = slot[stacked.edge_src + base]
-        dst = slot[stacked.edge_dst + base]
-        _, keep, _ = _first_occurrences(src * len(node_ids) + dst)
-        packed = dst[keep] * len(src) + keep
-        packed.sort()
-        order = packed % len(src)
+
+def _lookup(keys: np.ndarray, queries: np.ndarray, sorter=None) -> np.ndarray:
+    """Position of every query in ``keys`` (sorted, or with its argsort);
+    a query ``keys`` does not hold is a target outside its nodes."""
+    if not len(queries):
+        return np.zeros(0, dtype=np.int64)
+    if not len(keys):
+        raise ValueError("targets must be contained in node_ids")
+    at = np.searchsorted(keys, queries, sorter=sorter).clip(max=len(keys) - 1)
+    if sorter is not None:
+        at = sorter[at]
+    if (keys[at] != queries).any():
+        raise ValueError("targets must be contained in node_ids")
+    return at
+
+
+def _malformed(stacked: StackedFeatures, bad_edges: np.ndarray, message: str):
+    """Raise ``message``, naming the sample that owns the first bad edge."""
+    at = np.searchsorted(stacked.edge_offsets, np.flatnonzero(bad_edges)[0], side="right") - 1
+    sample = at if stacked.sample_ids is None else stacked.sample_ids[at]
+    raise ValueError(f"{message} (sample {sample})")
+
+
+def merge_groups(stacked: StackedFeatures, group_offsets) -> MergedGroups:
+    """Merge G independent groups of stacked samples in one array pass
+    (§3.3.1 step 1) — the one merge implementation: the trainer merges a
+    window of batches per call, GraphFlat's pairing round a buffer of
+    target edges (two endpoint samples each).  Group ``g`` is samples
+    ``group_offsets[g]:group_offsets[g + 1]``; each group's output is what
+    merging that group alone gives:
+
+    * **Nodes** are deduplicated by global id and sorted by it, each with
+      the features of its first occurrence; ``hops`` become the *minimum*
+      distance to any target of the group, which is exactly ``d(V_B, u)``
+      of the pruning section (§3.3.2).
+    * **Edges** are deduplicated on ``(global_src, global_dst)`` keeping the
+      first in group order (parallel edges inside one neighborhood are
+      assumed distinct-by-endpoint — GraphFlat collapses duplicates the
+      same way), then sorted by destination (the paper's adjacency-matrix
+      contract) with edges into one destination left in group order — the
+      order float aggregation sums them in.
+    * **Targets** are the group's distinct target ids, sorted.
+    * A **one-sample group** is returned as stored — node order and target
+      order kept, nothing deduplicated — with its edges only
+      destination-sorted.
+
+    Ids are arbitrary int64: they are ranked once, and ``(group, rank)``
+    pairs — never raw ids — are packed into the int64 sort keys.  Endpoint
+    ranges, non-negative endpoints and targets-within-nodes are checked
+    once for the whole call.
+    """
+    group_offsets = np.asarray(group_offsets, dtype=np.int64)
+    sizes = np.diff(group_offsets)
+    if not len(sizes) or (sizes < 1).any():
+        raise ValueError("cannot merge an empty batch")
+    if group_offsets[0] != 0 or group_offsets[-1] != stacked.num_samples:
+        raise ValueError("group offsets must cover the stacked samples")
+    node_counts = np.diff(stacked.node_offsets)
+    edge_counts = np.diff(stacked.edge_offsets)
+    beyond = np.maximum(stacked.edge_src, stacked.edge_dst) >= np.repeat(node_counts, edge_counts)
+    if beyond.any():
+        _malformed(stacked, beyond, "edge endpoints out of range")
+    negative = np.minimum(stacked.edge_src, stacked.edge_dst) < 0
+    if negative.any():
+        _malformed(stacked, negative, "edge endpoints must be non-negative")
+
+    num_groups = len(sizes)
+    single = sizes == 1
+    any_single = bool(single.any())
+    sample_group = np.repeat(np.arange(num_groups), sizes)
+    target_counts = np.diff(stacked.target_offsets)
+    group_nodes = np.diff(stacked.node_offsets[group_offsets])
+    # ``width`` exceeds every rank and every within-sample position, so
+    # ``group * width + rank_or_position`` orders by group first.
+    width = len(stacked.node_ids) + len(stacked.target_ids) + 1
+
+    # ---- nodes: sorted by id once, which ranks the ids, then stably by
+    # group (a radix pass over small ints).  A one-sample group's nodes are
+    # put back in stored order, and none of them is deduplicated.
+    num_nodes = len(stacked.node_ids)
+    by_id = np.argsort(stacked.node_ids)
+    ranked = stacked.node_ids[by_id]
+    new_id = np.empty(num_nodes, dtype=bool)
+    new_id[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new_id[1:])
+    ids = ranked[new_id]
+    # Stacked nodes are group-major already, so the group of the i-th node
+    # and of the i-th node in sorted order are one array.
+    node_group = np.repeat(np.arange(num_groups), group_nodes)
+    by_group = np.argsort(
+        node_group[by_id].astype(np.min_scalar_type(num_groups)), kind="stable"
+    )
+    order = by_id[by_group]
+    run_rank = (np.cumsum(new_id) - 1)[by_group]
+    new = np.empty(num_nodes, dtype=bool)
+    new[:1] = True
+    np.not_equal(run_rank[1:], run_rank[:-1], out=new[1:])
+    boundaries = np.cumsum(group_nodes)[:-1]
+    new[boundaries[boundaries < num_nodes]] = True
+    if any_single:
+        alone = np.repeat(single, group_nodes)
+        order[alone] = np.flatnonzero(alone)  # stored order, same place
+        new |= alone
+        run_rank[alone] = 0  # keeps ``keys`` ascending
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts) if num_nodes else starts
+    hops = np.minimum.reduceat(stacked.hops[order], starts) if num_nodes else stacked.hops[:0]
+    slot = np.empty(num_nodes, dtype=np.int64)
+    slot[order] = np.cumsum(new) - 1
+    run_group = node_group[starts]
+    keys = run_group * width + run_rank[starts]  # (group, rank) per merged node
+    node_offsets = np.searchsorted(run_group, np.arange(num_groups + 1))
+
+    # ---- targets, the same way: sorted distinct per multi-sample group,
+    # as stored per one-sample group.
+    target_group = np.repeat(sample_group, target_counts)
+    target_single = single[target_group]
+    target_rank = _lookup(ids, stacked.target_ids)
+    target_within = target_rank.copy()
+    if any_single:
+        position = np.arange(len(target_within)) - np.repeat(
+            stacked.target_offsets[:-1], target_counts
+        )
+        target_within[target_single] = position[target_single]
+    target_keys, target_first = np.unique(target_group * width + target_within, return_index=True)
+    target_offsets = np.searchsorted(target_keys, np.arange(num_groups + 1) * width)
+    target_ids = stacked.target_ids[target_first]
+    target_group = target_group[target_first]
+    target_rank = target_rank[target_first]
+    target_single = target_single[target_first]
+
+    # Each target's merged row: a multi-sample group's nodes are keyed by
+    # (group, rank) already; a one-sample group's are looked up by rank
+    # among that group's stored nodes.
+    wanted = target_group * width + target_rank
+    target_row = np.empty(len(target_ids), dtype=np.int64)
+    multi = ~target_single
+    target_row[multi] = _lookup(keys, wanted[multi])
+    if target_single.any():
+        alone = np.flatnonzero(np.repeat(single, group_nodes))
+        alone_keys = node_group[alone] * width + np.searchsorted(ids, stacked.node_ids[alone])
+        found = _lookup(
+            alone_keys, wanted[target_single], np.argsort(alone_keys, kind="stable")
+        )
+        target_row[target_single] = slot[alone[found]]
+    target_index = target_row - node_offsets[target_group]
+
+    # ---- edges: local endpoints -> stacked rows -> merged rows; dedupe on
+    # one int64 key per edge (one-sample groups' edges get keys of their
+    # own, past every pair key), then order the kept ones by (destination,
+    # position) with a plain sort of that pair packed into one int64 (every
+    # factor is an array length, so it cannot overflow).
+    base = np.repeat(stacked.node_offsets[:-1], edge_counts)
+    src = slot[stacked.edge_src + base]
+    dst = slot[stacked.edge_dst + base]
+    num_edges = len(src)
+    if single.all():
+        keep = np.arange(num_edges)
+    else:
+        pair = src * len(keys) + dst
+        if any_single:
+            edge_single = np.repeat(single, np.diff(stacked.edge_offsets[group_offsets]))
+            pair[edge_single] = len(keys) ** 2 + np.flatnonzero(edge_single)
+        by_pair = np.argsort(pair)
+        ranked = pair[by_pair]
+        new = np.empty(num_edges, dtype=bool)
+        new[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+        keep = np.minimum.reduceat(by_pair, np.flatnonzero(new)) if num_edges else by_pair
+    packed = dst[keep] * num_edges + keep
+    packed.sort()
+    edge_order = packed % max(num_edges, 1)
+    dst = dst[edge_order]
+    edge_offsets = np.searchsorted(dst, node_offsets)
+    shift = np.repeat(node_offsets[:-1], np.diff(edge_offsets))
 
     def edges(column):
-        return None if column is None else column[order]
+        return None if column is None else column[edge_order]
 
-    return MergedSubgraph(
-        targets,
-        node_ids,
-        x,
+    return MergedGroups(
+        node_offsets,
+        stacked.node_ids[first],
+        stacked.node_features(first),
         hops,
-        edges(src),
-        edges(dst),
-        edges(stacked.edge_feat),
+        None if stacked.node_type is None else stacked.node_type[first],
+        edge_offsets,
+        src[edge_order] - shift,
+        dst - shift,
         edges(stacked.edge_weight),
-        node_type,
+        edges(stacked.edge_feat),
         edges(stacked.edge_type),
+        target_offsets,
+        target_ids,
         target_index,
     )
 
 
-def merge_graph_features(features: list[GraphFeature]) -> GraphFeature:
-    """Merge a batch of GraphFeatures into one — :func:`merge_stacked` over
-    their concatenation (see there for the dedupe and ordering contract)."""
-    return GraphFeature(*merge_stacked(StackedFeatures.from_features(features))[:10])
+def merge_stacked(stacked: StackedFeatures) -> MergedSubgraph:
+    """Merge a stacked batch into one subgraph: :func:`merge_groups` with
+    the whole batch as its one group (see there for the contract)."""
+    if stacked.num_samples < 1:
+        raise ValueError("cannot merge an empty batch")
+    return merge_groups(stacked, [0, stacked.num_samples]).group(0)

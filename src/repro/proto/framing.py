@@ -321,12 +321,18 @@ def _decode(buf: memoryview, offset: int):
     raise FrameCorruptionError(f"unknown value tag {tag:#x} at offset {offset - 1}")
 
 
+def _parse_dtype(text: memoryview) -> np.dtype:
+    """The dtype a block names; a garbled name (numpy parses some of them
+    as Python literals) is a :class:`FrameCorruptionError`."""
+    try:
+        return np.dtype(str(text, "ascii"))
+    except (TypeError, ValueError, SyntaxError) as exc:  # cut short or garbled
+        raise FrameCorruptionError("unreadable array dtype") from exc
+
+
 def _decode_array(buf: memoryview, offset: int):
     dlen, offset = decode_unsigned(buf, offset)
-    try:
-        dtype = np.dtype(str(buf[offset : offset + dlen], "ascii"))
-    except (TypeError, ValueError) as exc:  # cut short or garbled
-        raise FrameCorruptionError("unreadable array dtype") from exc
+    dtype = _parse_dtype(buf[offset : offset + dlen])
     offset += dlen
     ndim, offset = decode_unsigned(buf, offset)
     shape = []
@@ -1092,7 +1098,7 @@ def _read_bytes(buf, offset, count):
 
 def _read_arrays(buf, offset, count):
     dlen = buf[offset]
-    dtype = np.dtype(str(buf[offset + 1 : offset + 1 + dlen], "ascii"))
+    dtype = _parse_dtype(buf[offset + 1 : offset + 1 + dlen])
     offset += 1 + dlen
     ndim = buf[offset]
     shape = struct.unpack_from(f"<{ndim}q", buf, offset + 1)

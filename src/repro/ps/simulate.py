@@ -7,7 +7,8 @@ a discrete-event simulation whose inputs are **measured on this machine**
 (per-batch compute seconds, per-batch parameter payload) and whose cluster
 parameters (NIC bandwidth, number of server shards, per-update service
 time, worker heterogeneity) follow the paper's §4.2.2 description of the
-environment.  See DESIGN.md substitution #2 and EXPERIMENTS.md F8.
+environment.  ``benchmarks/bench_fig8_speedup.py`` drives it with the
+costs it measures (README "Benchmarks").
 
 Model: each worker grinds through its share of the epoch's batches.  A
 batch costs ``compute`` seconds locally, then one pull+push transaction with

@@ -43,12 +43,18 @@ class Timer:
             raise RuntimeError(f"timer {self.name!r} not running")
         stopped = time.perf_counter()
         elapsed = stopped - self._started
-        if self.keep_intervals:
-            self.intervals.append((self._started, stopped))
+        self.add(elapsed, 1, (self._started, stopped))
         self._started = None
-        self.total += elapsed
-        self.count += 1
         return elapsed
+
+    def add(self, seconds: float, count: int = 1, interval: tuple | None = None) -> None:
+        """Account ``seconds`` spent on ``count`` items timed elsewhere —
+        on another thread or process — and, with ``keep_intervals``, the
+        ``(start, stop)`` interval they took, when known."""
+        self.total += seconds
+        self.count += count
+        if self.keep_intervals and interval is not None:
+            self.intervals.append(interval)
 
     @staticmethod
     def overlap_seconds(a: "Timer", b: "Timer") -> float:

@@ -21,6 +21,14 @@ neighborhoods, the same flattened arrays and wire blocks of the same length.
 :class:`PairSpillWriter` is the shuffle's spill writer as it was written per
 pair before record batches; the batch writer must write its run files byte
 for byte.
+
+:func:`oracle_merge` / :func:`oracle_prune_blocks` / :func:`oracle_vectorize`
+are the trainer's batch merge, pruning and vectorization as they were
+written per sample and per batch before the stacked kernel
+(``repro.graph.subgraph.merge_groups``), and :func:`oracle_pair` is
+GraphFlat's pairing round as it was written per target edge.  Every array
+the kernel's callers produce — dtype and order included — must equal
+these references' (:func:`assert_same_batch` / :func:`assert_same_feature`).
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import numpy as np
 from repro.core.graphflat.records import SubgraphInfo
 from repro.core.propagation import suffix
 from repro.graph.subgraph import GraphFeature
+from repro.nn.gnn.block import BatchInputs, EdgeBlock
 from repro.mapreduce.shuffle import RecordBatch, decode_key, key_bytes, key_ident
 from repro.mapreduce import spill
 from repro.mapreduce.spill import (
@@ -71,7 +80,19 @@ from repro.proto.framing import (
     write_stream_header,
 )
 
-__all__ = ["DictSubgraph", "PairSpillWriter", "assert_same_subgraph", "random_subgraph"]
+__all__ = [
+    "DictSubgraph",
+    "PairSpillWriter",
+    "assert_same_array",
+    "assert_same_batch",
+    "assert_same_feature",
+    "assert_same_subgraph",
+    "oracle_merge",
+    "oracle_pair",
+    "oracle_prune_blocks",
+    "oracle_vectorize",
+    "random_subgraph",
+]
 
 _INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 
@@ -713,3 +734,201 @@ def object_groups(layout, partition: int, num_map_tasks: int) -> list[tuple]:
         else:
             groups.append((kb, decode_key(kb), values))
     return [(key, values) for _, key, values in groups]
+
+
+# ------------------------------------------------------- batch merge / vectorize
+def oracle_merge(features: list[GraphFeature]) -> GraphFeature:
+    if not features:
+        raise ValueError("cannot merge an empty batch")
+    if len(features) == 1:
+        return features[0].sorted_by_destination()
+
+    fe_dims = {f.edge_feature_dim for f in features}
+    if len(fe_dims) != 1:
+        raise ValueError(f"inconsistent edge feature dims in batch: {fe_dims}")
+    fn_dims = {f.feature_dim for f in features}
+    if len(fn_dims) != 1:
+        raise ValueError(f"inconsistent node feature dims in batch: {fn_dims}")
+
+    all_ids = np.concatenate([f.node_ids for f in features])
+    merged_ids, first_occurrence = np.unique(all_ids, return_index=True)
+    all_x = np.concatenate([f.x for f in features], axis=0)
+    merged_x = all_x[first_occurrence]
+
+    all_hops = np.concatenate([f.hops for f in features])
+    merged_hops = np.full(len(merged_ids), np.iinfo(np.int64).max, dtype=np.int64)
+    slot = np.searchsorted(merged_ids, all_ids)
+    np.minimum.at(merged_hops, slot, all_hops)
+
+    g_src = np.concatenate([f.node_ids[f.edge_src] for f in features])
+    g_dst = np.concatenate([f.node_ids[f.edge_dst] for f in features])
+    g_w = np.concatenate([f.edge_weight for f in features])
+    g_ef = (
+        None
+        if features[0].edge_feat is None
+        else np.concatenate(
+            [
+                f.edge_feat
+                if f.edge_feat is not None
+                else np.zeros((f.num_edges, fe_dims.pop()), np.float32)
+                for f in features
+            ],
+            axis=0,
+        )
+    )
+    pair = np.stack([g_src, g_dst], axis=1)
+    if len(pair):
+        _, keep = np.unique(pair, axis=0, return_index=True)
+        keep.sort()
+    else:
+        keep = np.empty(0, dtype=np.int64)
+    l_src = np.searchsorted(merged_ids, g_src[keep])
+    l_dst = np.searchsorted(merged_ids, g_dst[keep])
+
+    node_type = None
+    if all(f.node_type is not None for f in features):
+        node_type = np.concatenate([f.node_type for f in features])[first_occurrence]
+    edge_type = None
+    if all(f.edge_type is not None for f in features):
+        edge_type = np.concatenate([f.edge_type for f in features])[keep]
+
+    targets = np.unique(np.concatenate([f.target_ids for f in features]))
+    merged = GraphFeature(
+        targets,
+        merged_ids,
+        merged_x,
+        merged_hops,
+        l_src,
+        l_dst,
+        None if g_ef is None else g_ef[keep],
+        g_w[keep],
+        node_type,
+        edge_type,
+    )
+    return merged.sorted_by_destination()
+
+
+def oracle_prune_blocks(base, hops, num_layers, aggregator_factory=None) -> list:
+    dst_hops = hops[base.dst]
+    blocks = []
+    for k in range(num_layers):
+        mask = dst_hops <= num_layers - k - 1
+        if bool(mask.all()):
+            if aggregator_factory is not None and base.aggregator is None:
+                base.aggregator = aggregator_factory(base)
+            blocks.append(base)
+            continue
+        block = EdgeBlock(
+            base.src[mask],
+            base.dst[mask],
+            base.num_nodes,
+            base.weight[mask],
+            None if base.edge_feat is None else base.edge_feat[mask],
+        )
+        if aggregator_factory is not None:
+            block.aggregator = aggregator_factory(block)
+        blocks.append(block)
+    return blocks
+
+
+def oracle_vectorize(samples, num_layers, pruning=True, edge_level=False, aggregator_factory=None):
+    merged = oracle_merge([s.graph_feature for s in samples])
+    base = EdgeBlock(
+        merged.edge_src, merged.edge_dst, merged.num_nodes,
+        merged.edge_weight, merged.edge_feat,
+    )
+    if pruning:
+        blocks = oracle_prune_blocks(base, merged.hops, num_layers, aggregator_factory)
+    else:
+        if aggregator_factory is not None:
+            base.aggregator = aggregator_factory(base)
+        blocks = [base] * num_layers
+    if edge_level:
+        pairs = np.stack([s.graph_feature.target_ids for s in samples])
+        sorter = np.argsort(merged.target_ids, kind="stable")
+        pair_index = sorter[np.searchsorted(merged.target_ids, pairs, sorter=sorter)]
+        batch = BatchInputs(merged.x, merged.target_index, blocks, pair_index)
+        raw = [s.label for s in samples]
+        labels = None
+        if any(label is not None for label in raw):
+            labels = np.asarray([int(label) for label in raw], dtype=np.int64)
+        return batch, labels
+
+    batch = BatchInputs(merged.x, merged.target_index, blocks)
+    labels = None
+    sample_labels = {int(s.target_id): s.label for s in samples}
+    if any(label is not None for label in sample_labels.values()):
+        ordered = [sample_labels[int(t)] for t in merged.target_ids]
+        if np.ndim(ordered[0]) == 0:
+            labels = np.asarray(ordered, dtype=np.int64)
+        else:
+            labels = np.stack([np.asarray(o, dtype=np.float32) for o in ordered])
+    return batch, labels
+
+
+def oracle_pair(src_info: SubgraphInfo, dst_info: SubgraphInfo) -> GraphFeature:
+    """GraphFlat's pairing round for one target edge, as it was written per
+    edge: flatten both endpoints, merge them, re-impose ``[src, dst]``.  An
+    edgeless endpoint flattens without an edge-feature block; next to an
+    endpoint whose edges have features it takes an empty one, so the pair
+    keeps its edge features whichever endpoint comes first — and a pair
+    without edges has none, as an edgeless node sample."""
+    ends = [src_info.to_graph_feature(), dst_info.to_graph_feature()]
+    width = max(end.edge_feature_dim for end in ends)
+    for end in ends:
+        if width and end.edge_feat is None:
+            end.edge_feat = np.zeros((0, width), dtype=np.float32)
+    merged = oracle_merge(ends)
+    return GraphFeature(
+        np.asarray([src_info.root, dst_info.root], dtype=np.int64),
+        merged.node_ids, merged.x, merged.hops, merged.edge_src, merged.edge_dst,
+        merged.edge_feat if merged.num_edges else None, merged.edge_weight,
+    )
+
+
+def assert_same_array(got, want, what):
+    if want is None:
+        assert got is None, what
+        return
+    assert got is not None, what
+    assert got.dtype == want.dtype, f"{what}: dtype {got.dtype} != {want.dtype}"
+    assert got.shape == want.shape, f"{what}: shape {got.shape} != {want.shape}"
+    assert np.array_equal(got, want), what
+
+
+def assert_same_batch(got, want):
+    """Two ``(BatchInputs, labels)`` pairs hold the same arrays, layer by
+    layer — and the same aggregator partitions, when they have any."""
+    (got_batch, got_labels), (want_batch, want_labels) = got, want
+    assert_same_array(got_batch.x, want_batch.x, "x")
+    assert_same_array(got_batch.target_index, want_batch.target_index, "target_index")
+    assert_same_array(got_batch.pair_index, want_batch.pair_index, "pair_index")
+    assert_same_array(got_labels, want_labels, "labels")
+    assert len(got_batch.layer_blocks) == len(want_batch.layer_blocks)
+    pairs = list(zip(got_batch.layer_blocks, want_batch.layer_blocks))
+    for k, (g, w) in enumerate(pairs):
+        assert g.num_nodes == w.num_nodes
+        for name in ("src", "dst", "weight", "edge_feat"):
+            assert_same_array(getattr(g, name), getattr(w, name), f"layer {k} {name}")
+        assert (g.aggregator is None) == (w.aggregator is None), f"layer {k} aggregator"
+        if w.aggregator is not None:
+            assert g.aggregator.num_partitions == w.aggregator.num_partitions
+            assert len(g.aggregator._parts) == len(w.aggregator._parts)
+            for gp, wp in zip(g.aggregator._parts, w.aggregator._parts):
+                assert gp[:2] == wp[:2], f"layer {k} partition bounds"
+                assert_same_array(gp[2], wp[2], f"layer {k} row starts")
+                assert_same_array(gp[3], wp[3], f"layer {k} rows")
+        for j, (g2, w2) in enumerate(pairs):  # which layers share one block
+            assert (g is g2) == (w is w2), f"layers {k} and {j} block sharing"
+
+
+_FEATURE_FIELDS = (
+    "target_ids", "node_ids", "x", "hops", "edge_src", "edge_dst",
+    "edge_feat", "edge_weight", "node_type", "edge_type",
+)
+
+
+def assert_same_feature(got: GraphFeature, want: GraphFeature):
+    for name in _FEATURE_FIELDS:
+        assert_same_array(getattr(got, name), getattr(want, name), name)
+    assert_same_array(got.target_index, want.target_index, "target_index")

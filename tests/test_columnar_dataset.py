@@ -532,3 +532,57 @@ class TestPipelineWorkerPool:
             TrainerConfig(prefetch_backend="hovercraft")
         with pytest.raises(ValueError):
             TrainerConfig(prefetch_workers=0)
+
+
+class TestWindowBudget:
+    """Mechanism pins: the trainer prepares a window of ``QUEUE_DEPTH``
+    batches per merge-kernel call and per shard gather, on every prefetch
+    path and in ``predict`` / ``evaluate`` too."""
+
+    @pytest.fixture(scope="class")
+    def fs(self, lp_tables, tmp_path_factory):
+        fs = DistFileSystem(tmp_path_factory.mktemp("window-dfs"))
+        graph_flat(
+            *lp_tables,
+            config=GraphFlatConfig(task="link_prediction", edge_targets=40, hops=2, seed=0),
+            fs=fs, dataset_name="lp",
+        )
+        return fs
+
+    @pytest.mark.parametrize(
+        "pipeline,backend,workers",
+        [(False, "threads", 1), (True, "threads", 1), (True, "threads", 2), (True, "serial", 1)],
+    )
+    def test_one_merge_and_one_gather_per_window(
+        self, fs, monkeypatch, pipeline, backend, workers
+    ):
+        from repro.core.trainer import dataset, vectorize
+        from repro.core.trainer.pipeline import QUEUE_DEPTH
+        from repro.nn.gnn import GraphSAGEModel
+
+        calls = {"merge": 0, "gather": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(vectorize, "merge_groups", counted("merge", vectorize.merge_groups))
+        monkeypatch.setattr(dataset, "gather_samples", counted("gather", dataset.gather_samples))
+        source = open_sample_source(fs, "lp")
+        trainer = GraphTrainer(
+            GraphSAGEModel(6, 8, 2, num_layers=2, seed=1),
+            TrainerConfig(
+                task="link_prediction", batch_size=7, epochs=1, seed=2,
+                pipeline=pipeline, prefetch_backend=backend, prefetch_workers=workers,
+            ),
+        )
+        batches = -(-len(source) // 7)
+        windows = -(-batches // QUEUE_DEPTH)
+        assert windows < batches  # the budget is per window, not per batch
+        trainer.train_epoch(source)
+        assert calls == {"merge": windows, "gather": windows}
+        trainer.evaluate(source)
+        assert calls == {"merge": 2 * windows, "gather": 2 * windows}
+        assert trainer.timers["preprocess"].count == 2 * batches

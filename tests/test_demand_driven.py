@@ -37,7 +37,7 @@ from repro.core.propagation import (
     distance_to_targets,
 )
 from repro.datasets import uug_like, write_edge_table, write_node_table
-from repro.graph.subgraph import GraphFeature, merge_graph_features
+from repro.graph.subgraph import GraphFeature
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.mapreduce import LocalRuntime
 from repro.mapreduce.partition import Inline
@@ -47,7 +47,7 @@ from repro.proto.codec import decode_sample, encode_sample
 from repro.proto.framing import decode_value, encode_value
 from repro.tasks import make_task
 
-from .oracle import DictSubgraph, assert_same_subgraph, random_subgraph
+from .oracle import DictSubgraph, assert_same_subgraph, oracle_merge, random_subgraph
 
 HUB_THRESHOLD = {"reindex": 8, "plain": 10**9}
 NO_OUT_EDGES = Inline(OutEdges.of(EdgeTable(np.zeros(0, np.int64), np.zeros(0, np.int64))))
@@ -159,7 +159,7 @@ class TestTargetedEqualsUntargetedCut:
         }
         expected = {}
         for i, (s, d) in enumerate(zip(table.src.tolist(), table.dst.tolist())):
-            joined = merge_graph_features([neighborhood[s], neighborhood[d]])
+            joined = oracle_merge([neighborhood[s], neighborhood[d]])
             pair = GraphFeature(
                 np.asarray([s, d], dtype=np.int64), joined.node_ids, joined.x,
                 joined.hops, joined.edge_src, joined.edge_dst, joined.edge_feat,

@@ -1,9 +1,8 @@
 """Fused columnar decode -> batch: the stacked merge kernel against the
 per-sample implementation it replaced.
 
-``oracle_merge`` / ``oracle_vectorize`` are the previous bodies of
-``merge_graph_features`` / ``vectorize_batch``, kept here verbatim as the
-reference.  Every array the new path produces — from stacked shard columns
+The references are ``tests/oracle.py``'s per-sample merge and per-batch
+vectorize.  Every array the new path produces — from stacked shard columns
 (``ColumnarBatchRef.gather``) and from sample lists alike — must equal the
 oracle's bit for bit, dtype and order included: that is what keeps loss
 trajectories, model bytes and shard hashes where they were.
@@ -23,159 +22,35 @@ from repro.core.trainer import (
     ColumnarDataset,
     TrainSample,
     open_sample_source,
+    partitioned_backend_factory,
     vectorize_batch,
+    vectorize_window,
 )
-from repro.core.trainer.pruning import prune_blocks
+from repro.core.trainer.pipeline import BatchPreparer
+from repro.core.trainer.vectorize import stack_samples
 from repro.datasets import labeled_edges_like, typed_like
 from repro.graph.subgraph import (
     GatheredRows,
     GraphFeature,
     StackedFeatures,
-    merge_graph_features,
+    merge_groups,
     merge_stacked,
 )
 from repro.mapreduce import DistFileSystem
-from repro.nn.gnn.block import BatchInputs, EdgeBlock
 from repro.proto.columnar import ColumnarShard, write_sample_shard
 
-
-# ------------------------------------------------------------------ the oracle
-def oracle_merge(features: list[GraphFeature]) -> GraphFeature:
-    if not features:
-        raise ValueError("cannot merge an empty batch")
-    if len(features) == 1:
-        return features[0].sorted_by_destination()
-
-    fe_dims = {f.edge_feature_dim for f in features}
-    if len(fe_dims) != 1:
-        raise ValueError(f"inconsistent edge feature dims in batch: {fe_dims}")
-    fn_dims = {f.feature_dim for f in features}
-    if len(fn_dims) != 1:
-        raise ValueError(f"inconsistent node feature dims in batch: {fn_dims}")
-
-    all_ids = np.concatenate([f.node_ids for f in features])
-    merged_ids, first_occurrence = np.unique(all_ids, return_index=True)
-    all_x = np.concatenate([f.x for f in features], axis=0)
-    merged_x = all_x[first_occurrence]
-
-    all_hops = np.concatenate([f.hops for f in features])
-    merged_hops = np.full(len(merged_ids), np.iinfo(np.int64).max, dtype=np.int64)
-    slot = np.searchsorted(merged_ids, all_ids)
-    np.minimum.at(merged_hops, slot, all_hops)
-
-    g_src = np.concatenate([f.node_ids[f.edge_src] for f in features])
-    g_dst = np.concatenate([f.node_ids[f.edge_dst] for f in features])
-    g_w = np.concatenate([f.edge_weight for f in features])
-    g_ef = (
-        None
-        if features[0].edge_feat is None
-        else np.concatenate(
-            [
-                f.edge_feat
-                if f.edge_feat is not None
-                else np.zeros((f.num_edges, fe_dims.pop()), np.float32)
-                for f in features
-            ],
-            axis=0,
-        )
-    )
-    pair = np.stack([g_src, g_dst], axis=1)
-    if len(pair):
-        _, keep = np.unique(pair, axis=0, return_index=True)
-        keep.sort()
-    else:
-        keep = np.empty(0, dtype=np.int64)
-    l_src = np.searchsorted(merged_ids, g_src[keep])
-    l_dst = np.searchsorted(merged_ids, g_dst[keep])
-
-    node_type = None
-    if all(f.node_type is not None for f in features):
-        node_type = np.concatenate([f.node_type for f in features])[first_occurrence]
-    edge_type = None
-    if all(f.edge_type is not None for f in features):
-        edge_type = np.concatenate([f.edge_type for f in features])[keep]
-
-    targets = np.unique(np.concatenate([f.target_ids for f in features]))
-    merged = GraphFeature(
-        targets,
-        merged_ids,
-        merged_x,
-        merged_hops,
-        l_src,
-        l_dst,
-        None if g_ef is None else g_ef[keep],
-        g_w[keep],
-        node_type,
-        edge_type,
-    )
-    return merged.sorted_by_destination()
-
-
-def oracle_vectorize(samples, num_layers, pruning=True, edge_level=False):
-    merged = oracle_merge([s.graph_feature for s in samples])
-    base = EdgeBlock(
-        merged.edge_src, merged.edge_dst, merged.num_nodes,
-        merged.edge_weight, merged.edge_feat,
-    )
-    blocks = (
-        prune_blocks(base, merged.hops, num_layers) if pruning else [base] * num_layers
-    )
-    if edge_level:
-        pairs = np.stack([s.graph_feature.target_ids for s in samples])
-        pair_index = np.searchsorted(merged.target_ids, pairs)
-        batch = BatchInputs(merged.x, merged.target_index, blocks, pair_index)
-        raw = [s.label for s in samples]
-        labels = None
-        if any(label is not None for label in raw):
-            labels = np.asarray([int(label) for label in raw], dtype=np.int64)
-        return batch, labels
-
-    batch = BatchInputs(merged.x, merged.target_index, blocks)
-    labels = None
-    sample_labels = {int(s.target_id): s.label for s in samples}
-    if any(label is not None for label in sample_labels.values()):
-        ordered = [sample_labels[int(t)] for t in merged.target_ids]
-        if np.ndim(ordered[0]) == 0:
-            labels = np.asarray(ordered, dtype=np.int64)
-        else:
-            labels = np.stack([np.asarray(o, dtype=np.float32) for o in ordered])
-    return batch, labels
-
-
-# ------------------------------------------------------------------ comparison
-def assert_same_array(got, want, what):
-    if want is None:
-        assert got is None, what
-        return
-    assert got is not None, what
-    assert got.dtype == want.dtype, f"{what}: dtype {got.dtype} != {want.dtype}"
-    assert got.shape == want.shape, f"{what}: shape {got.shape} != {want.shape}"
-    assert np.array_equal(got, want), what
-
-
-def assert_same_batch(got, want):
-    (got_batch, got_labels), (want_batch, want_labels) = got, want
-    assert_same_array(got_batch.x, want_batch.x, "x")
-    assert_same_array(got_batch.target_index, want_batch.target_index, "target_index")
-    assert_same_array(got_batch.pair_index, want_batch.pair_index, "pair_index")
-    assert_same_array(got_labels, want_labels, "labels")
-    assert len(got_batch.layer_blocks) == len(want_batch.layer_blocks)
-    for k, (g, w) in enumerate(zip(got_batch.layer_blocks, want_batch.layer_blocks)):
-        assert g.num_nodes == w.num_nodes
-        for name in ("src", "dst", "weight", "edge_feat"):
-            assert_same_array(getattr(g, name), getattr(w, name), f"layer {k} {name}")
-
-
-_FEATURE_FIELDS = (
-    "target_ids", "node_ids", "x", "hops", "edge_src", "edge_dst",
-    "edge_feat", "edge_weight", "node_type", "edge_type",
+from .oracle import (
+    assert_same_array,
+    assert_same_batch,
+    assert_same_feature,
+    oracle_merge,
+    oracle_vectorize,
 )
 
 
-def assert_same_feature(got: GraphFeature, want: GraphFeature):
-    for name in _FEATURE_FIELDS:
-        assert_same_array(getattr(got, name), getattr(want, name), name)
-    assert_same_array(got.target_index, want.target_index, "target_index")
+def merged_feature(features: list[GraphFeature]) -> GraphFeature:
+    """The kernel's merge of ``features`` as one GraphFeature."""
+    return GraphFeature(*merge_stacked(StackedFeatures.from_features(features))[:10])
 
 
 # ---------------------------------------------------------------- random data
@@ -348,7 +223,7 @@ class TestStackedPathMatchesOracle:
         with pytest.raises(ValueError, match="empty batch"):
             vectorize_batch([], 2)
         with pytest.raises(ValueError, match="empty batch"):
-            merge_graph_features([])
+            merged_feature([])
 
     def test_mixed_labels_rejected(self):
         rng = np.random.default_rng(3)
@@ -483,7 +358,7 @@ def overlapping_features(draw):
 @settings(max_examples=150)
 @given(overlapping_features())
 def test_merge_graph_features_equals_the_oracle(features):
-    assert_same_feature(merge_graph_features(features), oracle_merge(features))
+    assert_same_feature(merged_feature(features), oracle_merge(features))
 
 
 # ----------------------------------------------------- GraphFeature validation
@@ -526,3 +401,210 @@ class TestGraphFeatureValidation:
         assert gf.local_index_of(6) == 1
         with pytest.raises(KeyError):
             gf.local_index_of(8)
+
+
+# ------------------------------------------------------ the segmented kernel
+def far_apart(gf: GraphFeature) -> GraphFeature:
+    """``gf`` with its ids spread over the whole int64 range (negative ones
+    included): packing raw ids into sort keys would overflow."""
+
+    def spread(ids):
+        return ids * (1 << 55) - (1 << 62)
+
+    return GraphFeature(
+        spread(gf.target_ids), spread(gf.node_ids), gf.x, gf.hops, gf.edge_src,
+        gf.edge_dst, gf.edge_feat, gf.edge_weight, gf.node_type, gf.edge_type,
+    )
+
+
+@st.composite
+def feature_groups(draw):
+    """A window of groups over one small id universe, so nodes are shared
+    within and across groups: one-sample groups, edgeless samples and a
+    sample repeated inside its group all come up."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    edge_dim = draw(st.sampled_from([0, 2]))
+    typed = draw(st.booleans())
+    num_targets = draw(st.sampled_from([1, 2]))
+    universe = draw(st.integers(4, 30))
+    spread = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    groups = []
+    for size in sizes:
+        group = []
+        for _ in range(size):
+            if group and rng.random() < 0.2:
+                group.append(group[int(rng.integers(len(group)))])  # repeated
+                continue
+            gf = random_feature(
+                rng, universe=universe, edge_dim=edge_dim, typed=typed,
+                num_targets=num_targets, max_nodes=min(universe, 8), max_edges=10,
+                zero_edges=rng.random() < 0.2,
+            )
+            group.append(far_apart(gf) if spread else gf)
+        groups.append(group)
+    return groups
+
+
+def group_offsets(groups) -> np.ndarray:
+    return np.cumsum([0] + [len(group) for group in groups])
+
+
+@settings(max_examples=200)
+@given(feature_groups())
+def test_merge_groups_equals_the_oracle_group_by_group(groups):
+    """Each group of one kernel call is what merging that group alone gave."""
+    stacked = StackedFeatures.from_features([f for group in groups for f in group])
+    merged = merge_groups(stacked, group_offsets(groups))
+    assert merged.num_groups == len(groups)
+    for g, features in enumerate(groups):
+        got = merged.group(g)
+        want = oracle_merge(features)
+        assert_same_feature(GraphFeature(*got[:10]), want)
+        assert_same_array(got.target_index, want.target_index, "target_index")
+
+
+class TestMergeGroups:
+    def test_gathered_shard_columns_merge_like_stacked_features(self, tmp_path):
+        """Features left in the shards (``GatheredRows``) are copied for the
+        kept nodes only and come out the same."""
+        rng = np.random.default_rng(11)
+        samples = random_samples(rng, 12, typed=True, edge_dim=2)
+        source = write_shards(tmp_path, samples, num_shards=3)
+        ref = source.batch(np.asarray([4, 1, 7, 7, 0, 11, 3, 9, 2]))
+        offsets = [0, 3, 4, 8, 9]
+        stacked = ref.gather()
+        assert isinstance(stacked.x, GatheredRows)
+        got = merge_groups(stacked, offsets)
+        listed = [s.graph_feature for s in ref.load_samples()]
+        for g in range(len(offsets) - 1):
+            want = oracle_merge(listed[offsets[g] : offsets[g + 1]])
+            assert_same_feature(GraphFeature(*got.group(g)[:10]), want)
+
+    def test_empty_group_rejected(self):
+        rng = np.random.default_rng(6)
+        stacked = StackedFeatures.from_features(
+            [s.graph_feature for s in random_samples(rng, 3)]
+        )
+        with pytest.raises(ValueError, match="empty batch"):
+            merge_groups(stacked, [0, 2, 2, 3])
+        with pytest.raises(ValueError, match="cover"):
+            merge_groups(stacked, [0, 2])
+
+    def test_checks_run_once_per_window_with_todays_messages(self):
+        """A malformed sample anywhere in the window fails the whole call
+        with the message a merge of its group alone gives."""
+        rng = np.random.default_rng(8)
+        good = StackedFeatures.from_features(
+            [s.graph_feature for s in random_samples(rng, 6, max_edges=6)]
+        )
+
+        def broken(**changes):
+            return StackedFeatures(**{**vars(good), **changes})
+
+        edge_src = good.edge_src.copy()
+        last = good.edge_offsets[-1] - 1  # an edge of the last sample
+        edge_src[last] = np.diff(good.node_offsets)[-1]
+        with pytest.raises(ValueError, match=r"out of range \(sample 5\)"):
+            merge_groups(broken(edge_src=edge_src), [0, 2, 5, 6])
+        edge_src[last] = -1
+        with pytest.raises(ValueError, match=r"non-negative \(sample 5\)"):
+            merge_groups(broken(edge_src=edge_src), [0, 2, 5, 6])
+        # a target that is a node of another group only
+        target_ids = good.target_ids.copy()
+        target_ids[0] = good.node_ids[good.node_offsets[5]]
+        assert target_ids[0] not in good.node_ids[: good.node_offsets[1]]
+        with pytest.raises(ValueError, match="contained in node_ids"):
+            merge_groups(broken(target_ids=target_ids), [0, 1, 6])
+
+
+# ------------------------------------------------------------- trainer windows
+@st.composite
+def sample_windows(draw):
+    """Samples cut into batches of random sizes (one-sample batches
+    included), node- or edge-level, with or without labels."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    edge_level = draw(st.booleans())
+    label = draw(st.sampled_from(["int", "none"] if edge_level else ["int", "vector", "none"]))
+    variant = draw(st.sampled_from(sorted(VARIANTS)))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    rng = np.random.default_rng(seed)
+    samples = random_samples(
+        rng, sum(sizes), label=label, edge_level=edge_level, **VARIANTS[variant]
+    )
+    if not edge_level and len(samples) > 1 and draw(st.booleans()):
+        samples[-1] = samples[0]  # a sample repeated inside its window
+    return samples, sizes, edge_level
+
+
+@settings(max_examples=120)
+@given(
+    sample_windows(),
+    st.booleans(),
+    st.sampled_from([None, partitioned_backend_factory(3)]),
+    st.integers(1, 3),
+)
+def test_a_window_equals_its_batches_vectorized_one_by_one(case, pruning, factory, layers):
+    """Every ``BatchInputs`` array, block, aggregator partition and label of
+    a window is what vectorizing its batch alone gives — which in turn is
+    the per-batch oracle's."""
+    samples, sizes, edge_level = case
+    offsets = np.cumsum([0] + sizes)
+    got = vectorize_window(
+        stack_samples(samples), offsets, layers, pruning, factory, edge_level
+    )
+    assert len(got) == len(sizes)
+    for b, prepared in enumerate(got):
+        batch = samples[offsets[b] : offsets[b + 1]]
+        alone = vectorize_batch(batch, layers, pruning, factory, edge_level)
+        assert_same_batch(prepared, alone)
+        assert_same_batch(
+            prepared, oracle_vectorize(batch, layers, pruning, edge_level, factory)
+        )
+
+
+class TestWindowsOverShards:
+    @pytest.mark.parametrize("edge_level", [False, True])
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_one_gather_per_window(self, tmp_path, monkeypatch, edge_level, pruning):
+        """The preparer gathers a window of columnar refs with one
+        ``gather_samples`` call and matches the batches prepared alone."""
+        from repro.core.trainer import dataset
+
+        rng = np.random.default_rng(21)
+        samples = random_samples(rng, 22, edge_level=edge_level, edge_dim=2)
+        source = write_shards(
+            tmp_path, samples, 3, task="link_prediction" if edge_level else None
+        )
+        order = rng.permutation(len(source))
+        refs = [source.batch(order[lo : lo + 5]) for lo in range(0, 22, 5)]
+        calls = []
+        real = dataset.gather_samples
+        monkeypatch.setattr(
+            dataset, "gather_samples", lambda *a: calls.append(1) or real(*a)
+        )
+        factory = partitioned_backend_factory(4)
+        prepare = BatchPreparer(2, pruning, factory, edge_level)
+        prepared, seconds = prepare(refs)
+        assert len(calls) == 1 and seconds > 0
+        for ref, got in zip(refs, prepared):
+            want = oracle_vectorize(ref.load_samples(), 2, pruning, edge_level, factory)
+            assert_same_batch(got, want)
+
+    def test_a_malformed_batch_fails_its_window_naming_the_sample(self):
+        rng = np.random.default_rng(13)
+        good = random_samples(rng, 9, edge_level=True)
+        node_level = random_samples(np.random.default_rng(14), 1)[0]
+        lone = TrainSample(99, 1, node_level.graph_feature)  # one target only
+        prepare = BatchPreparer(2, edge_level=True)
+        with pytest.raises(ValueError, match="exactly two targets.*sample 99 has 1"):
+            prepare([good[:3], good[3:6], [good[6], lone], good[7:]])
+
+        gf = next(s.graph_feature for s in good if s.graph_feature.num_edges)
+        src = gf.edge_src.copy()
+        src[0] = gf.num_nodes  # out of range: only the window's check sees it
+        bad = GraphFeature.__new__(GraphFeature)
+        bad.__dict__.update(vars(gf), edge_src=src)
+        with pytest.raises(ValueError, match=r"edge endpoints out of range \(sample 4\)"):
+            prepare([good[:3], [TrainSample(4, 1, bad)], good[6:]])

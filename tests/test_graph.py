@@ -11,10 +11,15 @@ from repro.graph import (
     GraphFeature,
     GraphValidationError,
     NodeTable,
-    merge_graph_features,
     validate_graph,
     validate_tables,
 )
+from repro.graph.subgraph import StackedFeatures, merge_stacked
+
+
+def merge_graph_features(features):
+    """The kernel's merge of ``features`` as one GraphFeature."""
+    return GraphFeature(*merge_stacked(StackedFeatures.from_features(features))[:10])
 
 
 class TestNodeTable:

@@ -15,6 +15,7 @@ from repro.core.graphflat import (
     graph_flat,
     make_sampler,
 )
+from repro.core.graphflat.pipeline import PairReducer
 from repro.core.graphflat.records import merge_neighborhoods
 from repro.graph import AttributedGraph
 from repro.graph.subgraph import GraphFeature
@@ -22,7 +23,13 @@ from repro.mapreduce import DistFileSystem, FaultPlan, LocalRuntime
 from repro.proto import decode_sample
 
 from .helpers import write_legacy_row_dataset
-from .oracle import DictSubgraph, assert_same_subgraph, random_subgraph
+from .oracle import (
+    DictSubgraph,
+    assert_same_feature,
+    assert_same_subgraph,
+    oracle_pair,
+    random_subgraph,
+)
 
 NO_SAMPLING = dict(max_neighbors=10**9, hub_threshold=10**9)
 
@@ -394,3 +401,133 @@ class TestMergeKernel:
 
     def test_empty_batch(self):
         assert kernel([]) == []
+
+
+# ---------------------------------------------------------------- pairing round
+def endpoint_info(rng, universe: int, edge_dim: int) -> SubgraphInfo:
+    """An endpoint neighborhood over a small id universe (so a pair's two
+    neighborhoods share nodes and edges), column- or wire-resident."""
+    n = int(rng.integers(1, 8))
+    ids = rng.choice(universe, size=n, replace=False).astype(np.int64) * 5 - 40
+    hops = np.concatenate([[0], rng.integers(1, 3, size=n - 1)])
+    pairs = rng.choice(n * n, size=int(rng.integers(0, n * n + 1)) if n > 1 else 0, replace=False)
+    m = len(pairs)
+    info = SubgraphInfo(
+        int(ids[0]), ids, hops, rng.standard_normal((n, 3)).astype(np.float32),
+        ids[pairs // n], ids[pairs % n], rng.random(m) + 0.1,
+        rng.standard_normal((m, edge_dim)).astype(np.float32) if edge_dim and m else None,
+    )
+    return SubgraphInfo.from_wire(info.root, info.wire) if rng.random() < 0.5 else info
+
+
+def pair_groups(rng, ends, chunk: int):
+    """The pairing round's input as a shuffle delivers it: one group per
+    target edge, ``("end", role, info)`` rows in either role order, groups
+    cut out of shared chunks of ``chunk`` edges (object- or record-column
+    infos)."""
+    from repro.mapreduce.shuffle import Group
+    from repro.proto.framing import ObjectColumn, ScalarColumn, StrColumn, TupleColumn, columnize
+
+    groups = []
+    for lo in range(0, len(ends), chunk):
+        rows = []
+        for src, dst in ends[lo : lo + chunk]:
+            both = [("end", 0, src), ("end", 1, dst)]
+            rows += both if rng.random() < 0.5 else both[::-1]
+        if rng.random() < 0.5:
+            column = columnize(rows)
+        else:
+            infos = np.empty(len(rows), dtype=object)
+            infos[:] = [info for _, _, info in rows]
+            column = TupleColumn(
+                [
+                    StrColumn.of(["end"], np.zeros(len(rows), dtype=np.int64)),
+                    ScalarColumn(int, np.asarray([role for _, role, _ in rows])),
+                    ObjectColumn(infos),
+                ],
+                len(rows),
+            )
+        for k in range(len(rows) // 2):
+            groups.append((lo + k, Group([(column, 2 * k, 2 * k + 2)])))
+    return groups
+
+
+class TestPairingRound:
+    @settings(max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        edges=st.integers(1, 9),
+        chunk=st.integers(1, 4),
+        edge_dim=st.sampled_from([0, 2]),
+        budget=st.sampled_from([1, 1 << 20]),
+    )
+    def test_buffers_equal_the_per_pair_reference(self, seed, edges, chunk, edge_dim, budget):
+        """Every target edge of every buffer is what joining its two
+        endpoints alone gives; edges leave in key order."""
+        from repro.core.graphflat import pipeline
+
+        rng = np.random.default_rng(seed)
+        universe = int(rng.integers(8, 25))
+        ends = [
+            (endpoint_info(rng, universe, edge_dim), endpoint_info(rng, universe, edge_dim))
+            for _ in range(edges)
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "MERGE_BATCH_BYTES", budget)
+            batches = list(PairReducer().reduce_groups(iter(pair_groups(rng, ends, chunk))))
+        assert len(batches) == (edges if budget == 1 else 1)
+        pairs = [pair for batch in batches for pair in batch.pairs()]
+        assert [key for key, _ in pairs] == list(range(edges))
+        for (_, (tag, got)), (src, dst) in zip(pairs, ends):
+            assert tag == "final"
+            assert_same_feature(got, oracle_pair(src, dst))
+
+    def test_a_missing_role_keeps_its_error(self):
+        from repro.mapreduce.shuffle import Group
+
+        rng = np.random.default_rng(3)
+        a, b = endpoint_info(rng, 10, 0), endpoint_info(rng, 10, 0)
+        groups = [
+            (0, Group.of([("end", 0, a), ("end", 1, b)])),
+            (1, Group.of([("end", 0, a), ("end", 0, b)])),
+        ]
+        with pytest.raises(RuntimeError, match=r"target edge 1 expected one record per endpoint role, got roles \[0, 0\]"):
+            list(PairReducer().reduce_groups(iter(groups)))
+        with pytest.raises(RuntimeError, match=r"target edge 2 .* got roles \[1\]"):
+            list(PairReducer().reduce_groups(iter([(2, Group.of([("end", 1, b)]))])))
+
+    def test_one_merge_per_buffer_and_no_per_endpoint_object(self, monkeypatch):
+        """Mechanism pins: one ``merge_groups`` call per buffer (per final
+        partition at the default budget, per edge at a one-byte budget),
+        and no endpoint is flattened to a GraphFeature on its own."""
+        from repro.core.graphflat import pipeline
+        from repro.datasets import labeled_edges_like
+        from repro.graph import subgraph
+        from repro.mapreduce.shuffle import default_partition
+
+        assert not hasattr(subgraph, "merge_graph_features")
+        nodes, edges = labeled_edges_like(seed=7, num_nodes=100, num_edges=360, feature_dim=6)
+        calls = {"merge": 0, "flatten": 0}
+        real_merge = pipeline.merge_groups
+        real_flatten = SubgraphInfo.to_graph_feature
+
+        def merge(*args):
+            calls["merge"] += 1
+            return real_merge(*args)
+
+        def flatten(self):
+            calls["flatten"] += 1
+            return real_flatten(self)
+
+        monkeypatch.setattr(pipeline, "merge_groups", merge)
+        monkeypatch.setattr(SubgraphInfo, "to_graph_feature", flatten)
+        config = GraphFlatConfig(
+            task="link_prediction", edge_targets=30, hops=2, num_reducers=4, seed=0
+        )
+        reference = graph_flat(nodes, edges, config=config).samples
+        partitions = {default_partition(i, 4) for i in range(len(reference))}
+        assert calls == {"merge": len(partitions), "flatten": 0}
+        calls["merge"] = 0
+        monkeypatch.setattr(pipeline, "MERGE_BATCH_BYTES", 1)
+        assert graph_flat(nodes, edges, config=config).samples == reference
+        assert calls == {"merge": len(reference), "flatten": 0}

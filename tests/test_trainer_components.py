@@ -13,7 +13,6 @@ from repro.core.trainer import (
     decode_samples,
     layer_edge_masks,
     partitioned_backend_factory,
-    prune_blocks,
     vectorize_batch,
 )
 from repro.nn import Tensor, no_grad
