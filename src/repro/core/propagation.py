@@ -103,6 +103,7 @@ from repro.proto.framing import (
     union_of,
 )
 from repro.tasks import make_task
+from repro.utils.blas import single_threaded_blas
 
 if TYPE_CHECKING:
     from repro.core.graphflat.sampling import SamplingStrategy
@@ -1125,6 +1126,7 @@ class DataflowOutput:
     """No DFS: the final round's output pairs, in partition-major order."""
 
 
+@single_threaded_blas()
 def run_dataflow(
     name: str,
     config: DataflowConfig,
@@ -1164,6 +1166,9 @@ def run_dataflow(
     partition, so ``read_dataset`` yields the in-memory result's record
     stream exactly) and only the per-shard summaries come back; with no DFS
     the final round's pairs are returned in memory.
+
+    BLAS runs on one thread, process-wide, while the call is in flight
+    (:mod:`repro.utils.blas`); ``processes`` pool workers pin it for life.
     """
     degree_pairs = in_degrees(edges)
     hubs = detect_hubs(degree_pairs, config.hub_threshold)

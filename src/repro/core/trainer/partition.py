@@ -10,16 +10,21 @@ is a contiguous edge range cut only at destination boundaries.  Each
 partition is reduced with a single ``np.add.reduceat`` segment sum (one
 C-level pass), instead of the generic unbuffered ``np.add.at`` scatter that
 AGL_base uses — this is where the Table 4 speedup comes from.  Partitions
-can additionally run on a thread pool.
+can additionally run on a thread pool: one per process and size, shared by
+every aggregator.
 
 The aggregator is installed on an :class:`~repro.nn.gnn.block.EdgeBlock` as
 its ``segment_sum`` forward backend; backward passes are unaffected (the
 gradient of a segment sum is a gather), so this is purely a speed choice —
-tests assert bit-level agreement with the scatter backend.
+tests assert agreement with the scatter backend (to float tolerance:
+``reduceat`` sums in its own order) and bit-level agreement between serial
+and threaded partitions.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,6 +38,31 @@ __all__ = [
     "partitioned_backend_factory",
 ]
 
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+
+
+def _shared_pool(threads: int) -> ThreadPoolExecutor:
+    """This process's partition pool of ``threads`` workers, built on
+    first use and kept for the life of the process."""
+    with _pools_lock:
+        pool = _pools.get(threads)
+        if pool is None:
+            pool = _pools[threads] = ThreadPoolExecutor(
+                max_workers=threads, thread_name_prefix="agl-partition"
+            )
+        return pool
+
+
+def _forget_pools() -> None:
+    """A forked child inherits the pools but not their threads."""
+    global _pools_lock
+    _pools.clear()
+    _pools_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pools)
+
 
 class EdgePartitionAggregator:
     """Destination-partitioned segment-sum backend bound to one edge layout.
@@ -45,8 +75,9 @@ class EdgePartitionAggregator:
         target number of partitions ``t``; actual count can be lower when
         there are fewer destination rows than partitions.
     threads:
-        size of the shared thread pool; 1 (default) keeps execution serial —
-        the segment-sum rewrite alone is the bulk of the win on CPython.
+        size of the process's shared partition pool; 1 (default) keeps
+        execution serial — the segment-sum rewrite alone is the bulk of the
+        win on CPython.
     row_starts:
         the edge indices where a new destination starts, when the caller
         has them already (the trainer finds them for a whole window of
@@ -70,10 +101,11 @@ class EdgePartitionAggregator:
             row_starts = np.concatenate([[0], row_starts]) if len(dst) else row_starts
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
+        if threads < 1:
+            raise ValueError("threads must be >= 1")
         self.dst = dst
         self.num_partitions = num_partitions
-        self.threads = max(1, threads)
-        self._pool = ThreadPoolExecutor(max_workers=self.threads) if self.threads > 1 else None
+        self.threads = threads
 
         m = len(dst)
         if m == 0:
@@ -121,8 +153,8 @@ class EdgePartitionAggregator:
             sums = np.add.reduceat(values[edge_lo:edge_hi], rel_starts, axis=0)
             out[rows] = sums  # conflict-free: partitions never share a row
 
-        if self._pool is not None and len(self._parts) > 1:
-            list(self._pool.map(reduce_part, self._parts))
+        if self.threads > 1 and len(self._parts) > 1:
+            list(_shared_pool(self.threads).map(reduce_part, self._parts))
         else:
             for part in self._parts:
                 reduce_part(part)
@@ -133,20 +165,6 @@ class EdgePartitionAggregator:
         """New aggregator for a block with a different edge layout (e.g. the
         self-loop-augmented block GAT builds)."""
         return EdgePartitionAggregator(block.dst, self.num_partitions, self.threads)
-
-    # ----------------------------------------------------------- pickling
-    # Aggregators ride inside prepared batches across the process-pool
-    # prefetch boundary; the thread pool is per-process state, rebuilt on
-    # the receiving side.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_pool"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self.threads > 1:
-            self._pool = ThreadPoolExecutor(max_workers=self.threads)
 
 
 @dataclass(frozen=True)

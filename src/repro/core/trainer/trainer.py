@@ -32,6 +32,7 @@ from repro.metrics import accuracy, hits_at_k, micro_f1, roc_auc
 from repro.nn import Adam, SGD, bce_with_logits_loss, no_grad, ops, softmax_cross_entropy
 from repro.nn.gnn.base import GNNModel
 from repro.tasks import EDGE_TASKS, make_task
+from repro.utils.blas import single_threaded_blas
 from repro.utils.rng import new_rng
 from repro.utils.timer import TimerRegistry
 
@@ -86,6 +87,10 @@ class TrainerConfig:
             )
         if self.prefetch_workers < 1:
             raise ValueError("prefetch_workers must be >= 1")
+        if self.num_partitions < 1:
+            raise ValueError("num_partitions must be >= 1")
+        if self.partition_threads < 1:
+            raise ValueError("partition_threads must be >= 1")
 
 
 class GraphTrainer:
@@ -183,8 +188,11 @@ class GraphTrainer:
         return logits
 
     # ------------------------------------------------------------- training
+    @single_threaded_blas()
     def train_epoch(self, samples) -> float:
-        """One pass over the data; returns the mean batch loss."""
+        """One pass over the data; returns the mean batch loss.  BLAS runs
+        on one thread, process-wide, while the call is in flight
+        (:mod:`repro.utils.blas`)."""
         source = self._as_source(samples)
         if not len(source):
             raise ValueError("no training samples")
@@ -305,8 +313,10 @@ class GraphTrainer:
         self._rng.bit_generator.state = payload["rng_state"]
 
     # ------------------------------------------------------------ inference
+    @single_threaded_blas()
     def predict(self, samples) -> tuple[np.ndarray, np.ndarray]:
-        """``(target_ids, logits)`` over all samples, batched, no autograd."""
+        """``(target_ids, logits)`` over all samples, batched, no autograd;
+        one BLAS thread, process-wide, while the call is in flight."""
         source = self._as_source(samples)
         self.model.eval()
         outs = []

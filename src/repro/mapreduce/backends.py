@@ -60,6 +60,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.mapreduce.fault import AttemptSpec, TaskTimeoutError, run_with_effects
+from repro.utils.blas import pin_single_thread
 
 __all__ = [
     "BACKEND_REGISTRY",
@@ -288,25 +289,36 @@ def _start_warm_forkserver() -> None:
     ``sys.path`` could not be preloaded.  The parent's path is therefore
     lent to it through the environment, for the moment of its start only.
 
+    It also starts with one OpenBLAS thread, lent the same way.  Workers
+    run BLAS on one thread (:func:`~repro.utils.blas.pin_single_thread`),
+    but a forked child that inherits a multi-thread OpenBLAS rebuilds the
+    library's thread pool on its first thread-count call, and each rebuilt
+    thread spin-waits for ≈ 0.1 s of CPU.
+
     Best effort: a module the forkserver cannot import is skipped there,
     and whatever fails here fails again — visibly — when the pool starts
     its first worker; workers then import what they need themselves.
     """
     with _FORKSERVER_START_LOCK:
-        saved = os.environ.get("PYTHONPATH")
+        lent = {
+            "PYTHONPATH": os.pathsep.join(p for p in sys.path if p),
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        saved = {name: os.environ.get(name) for name in lent}
         try:
             from multiprocessing import forkserver
 
             multiprocessing.set_forkserver_preload(_WORKER_PRELOAD)
-            os.environ["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+            os.environ.update(lent)
             forkserver.ensure_running()
         except Exception:  # noqa: BLE001 - warm-up only, see docstring
             pass
         finally:
-            if saved is None:
-                os.environ.pop("PYTHONPATH", None)
-            else:
-                os.environ["PYTHONPATH"] = saved
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
 
 
 @register_backend("processes")
@@ -335,9 +347,12 @@ class ProcessesBackend(Backend):
                     method = "forkserver"
                     _start_warm_forkserver()
                 context = multiprocessing.get_context(method)
+                # Workers are the parallelism: each runs BLAS on one
+                # thread for its whole life.
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers or os.cpu_count() or 1,
                     mp_context=context,
+                    initializer=pin_single_thread,
                 )
                 self._finalizer = weakref.finalize(
                     self, ProcessPoolExecutor.shutdown, self._pool, wait=True

@@ -1,9 +1,11 @@
 """Test utilities: finite-difference gradient checking for the autograd ops,
-the legacy row dataset the DFS readers are checked against, and the digest
-of a dataset's record stream."""
+the legacy row dataset the DFS readers are checked against, the digest
+of a dataset's record stream, and a training set wide enough for BLAS to
+multithread its products."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -11,7 +13,56 @@ import numpy as np
 from repro.nn.tensor import Tensor
 from repro.proto.codec import encode_prediction
 
-__all__ = ["numeric_grad", "check_gradients", "dataset_digest", "write_legacy_row_dataset"]
+__all__ = [
+    "WIDE_BATCH",
+    "WIDE_HIDDEN",
+    "check_gradients",
+    "dataset_digest",
+    "model_digest",
+    "numeric_grad",
+    "wide_model",
+    "wide_training_set",
+    "write_legacy_row_dataset",
+]
+
+WIDE_HIDDEN = 32
+WIDE_BATCH = 64
+"""At this hidden width and batch size a batch holds well over 300 nodes,
+so a layer's ``(nodes x 32) @ (32 x 32)`` product is above OpenBLAS's
+multithreading threshold (M*N*K > 262 144): an unpinned BLAS would split
+it across threads and round differently than on one."""
+
+
+@functools.lru_cache(maxsize=1)
+def wide_training_set():
+    """``(dataset, samples)``: 1 500-node graph, 2-hop GraphFlat samples of
+    its training nodes, 32 features."""
+    from repro.core.graphflat import GraphFlatConfig, graph_flat
+    from repro.datasets import uug_like
+
+    ds = uug_like(
+        seed=3, num_nodes=1500, avg_degree=8, feature_dim=32, num_hubs=2,
+        hub_degree=150, feature_scale=0.12,
+    )
+    config = GraphFlatConfig(hops=2, max_neighbors=10, hub_threshold=10**9, seed=3)
+    return ds, graph_flat(ds.nodes, ds.edges, ds.train_ids, config).samples
+
+
+def wide_model(seed: int = 3):
+    """2-layer GraphSAGE at hidden :data:`WIDE_HIDDEN` over
+    :func:`wide_training_set`'s features."""
+    from repro.nn.gnn import GraphSAGEModel
+
+    return GraphSAGEModel(32, WIDE_HIDDEN, 2, num_layers=2, seed=seed)
+
+
+def model_digest(model) -> str:
+    """sha256 over a model's parameter names and bytes."""
+    digest = hashlib.sha256()
+    for name, value in sorted(model.state_dict().items()):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
 
 
 def dataset_digest(fs, name: str) -> tuple[str, int]:

@@ -1,6 +1,8 @@
 """GraphTrainer machinery: vectorization, pruning (Equation 3 invariance),
 edge partitioning (backend equivalence + balance), prefetch pipeline."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.trainer import (
     BatchPipeline,
+    GraphTrainer,
+    TrainerConfig,
     EdgePartitionAggregator,
     decode_samples,
     layer_edge_masks,
@@ -17,6 +21,7 @@ from repro.core.trainer import (
 )
 from repro.nn import Tensor, no_grad
 from repro.nn.gnn import EdgeBlock, GATModel, GCNModel
+from repro.core.trainer import partition
 from repro.nn.ops import scatter_add_backend
 from repro.utils.timer import TimerRegistry
 
@@ -134,6 +139,37 @@ class TestEdgePartition:
         serial = EdgePartitionAggregator(dst, 4, threads=1)(vals, dst, n)
         threaded = EdgePartitionAggregator(dst, 4, threads=3)(vals, dst, n)
         np.testing.assert_allclose(serial, threaded)
+
+    def test_one_shared_pool_per_process_and_size(
+        self, rng, monkeypatch, mini_cora, cora_samples
+    ):
+        """Aggregators (two per batch, one per rebind, one per unpickle)
+        share one lazily built pool: a trainer epoch builds at most one,
+        and a threaded aggregator still equals the serial one bit for bit."""
+        built = []
+
+        class CountingPool(partition.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(partition, "_pools", {})
+        feature_dim = cora_samples[0].graph_feature.feature_dim
+        trainer = GraphTrainer(
+            GATModel(feature_dim, 6, mini_cora.num_classes, num_layers=2, seed=0),
+            TrainerConfig(batch_size=6, epochs=1, partition_threads=3),
+        )
+        trainer.train_epoch(cora_samples)
+        assert built == [3]
+
+        dst = np.sort(rng.integers(0, 30, 400))
+        vals = rng.standard_normal((400, 3)).astype(np.float32)
+        agg = pickle.loads(pickle.dumps(EdgePartitionAggregator(dst, 4, threads=3)))
+        out = agg(vals, dst, 30)
+        assert np.array_equal(out, EdgePartitionAggregator(dst, 4)(vals, dst, 30))
+        np.testing.assert_allclose(out, scatter_add_backend(vals, dst, 30), rtol=1e-5, atol=1e-6)
+        assert built == [3]
 
     def test_3d_values(self, rng):
         m, n = 120, 20

@@ -9,6 +9,8 @@ from repro.core.trainer import GraphTrainer, TrainerConfig
 from repro.nn.gnn import GCNModel, GraphSAGEModel
 from repro.ps import ParameterServerGroup
 
+from .helpers import WIDE_BATCH, model_digest, wide_model, wide_training_set
+
 
 @pytest.fixture(scope="module")
 def mini_cora():
@@ -93,6 +95,27 @@ class TestOptimizationFlagInvariance:
         for ours, ref in zip(history, baseline):
             assert ours["loss"] == pytest.approx(ref["loss"], rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            dict(pipeline=False),
+            dict(prefetch_backend="processes", prefetch_workers=2),
+        ],
+    )
+    def test_exact_trajectory_at_blas_width(self, flags):
+        """Batches of 300+ nodes at hidden 32, where BLAS would multithread
+        its products: the pipeline switch and the prefetch hand-off change
+        no bit of the loss trajectory or the model."""
+        _, samples = wide_training_set()
+
+        def run(**flags):
+            model = wide_model()
+            config = TrainerConfig(batch_size=WIDE_BATCH, epochs=2, seed=3, **flags)
+            history = GraphTrainer(model, config).fit(samples)
+            return [entry["loss"] for entry in history], model_digest(model)
+
+        assert run(**flags) == run()
+
 
 class TestPSParity:
     def test_single_async_worker_matches_standalone(self, mini_cora, cora_flat):
@@ -145,6 +168,11 @@ class TestPlumbing:
             TrainerConfig(optimizer="lbfgs")
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
+
+    @pytest.mark.parametrize("field", ["num_partitions", "partition_threads"])
+    def test_partition_knobs_rejected_up_front(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{field: 0})
 
     def test_timers_capture_both_stages(self, mini_cora, cora_flat):
         train, _ = cora_flat
