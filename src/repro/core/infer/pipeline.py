@@ -14,9 +14,9 @@ embeddings of every candidate edge.
 Sampling and hub re-indexing are applied identically to GraphFlat (same
 engine, same strategies, same seeds), "to maintain the consistence of data
 processing ... which can provide unbiased inference with the model trained
-based on GraphFlat and GraphTrainer" (§3.4).  With sampling disabled
-(``max_neighbors = inf``), the pipeline's outputs equal the full-graph
-batched forward to float tolerance — an integration test asserts this.
+based on GraphFlat and GraphTrainer" (§3.4) — and each round runs the
+layer's own ``forward``, so a node's embedding and scores are bit for bit
+what the model computes over the node's GraphFlat sample (tested).
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.runtime import LocalRuntime, RunStats
 from repro.mapreduce.shuffle import RecordBatch
 from repro.nn.gnn.base import GNNModel
+from repro.nn.gnn.block import EdgeBlock
+from repro.nn.tensor import Tensor, no_grad
 from repro.proto.columnar import write_prediction_shard
 from repro.proto.framing import ArrayColumn, Column, columnize, register_record
 from repro.tasks import make_task
@@ -313,45 +315,44 @@ class EmbeddingReducer(MessagePassingReducer):
         return self._head
 
     def final_rows(self, node_ids: list[int], infos: list) -> RecordBatch:
-        """``(node, scores)``: ``h @ W (+ b)`` as float32, one node at a
-        time — the arithmetic every score was produced with so far."""
+        """``(node, scores)``: ``h @ W (+ b)`` as float32, for the whole
+        batch in one call made of vector-matrix products — so a node's
+        scores have the bits of its own ``h @ W``, whatever else is in the
+        batch."""
         if self.head_slice is None:
             return super().final_rows(node_ids, infos)
-        weight = self.head.weight.data
-        bias = None if self.head.bias is None else self.head.bias.data
-        scores = []
-        for h in infos:
-            s = h @ weight
-            if bias is not None:
-                s = s + bias
-            scores.append(s.astype(np.float32))
+        head = self.head
+        scores = (np.stack(infos)[:, None, :] @ head.weight.data)[:, 0]
+        if head.bias is not None:
+            scores = scores + head.bias.data
+        scores = list(scores.astype(np.float32))
         return RecordBatch(list(node_ids), scores, lambda: np.fromiter(
             (8 + s.nbytes for s in scores), dtype=np.int64, count=len(scores)
         ))
 
     def merge_batch(self, batch: NodeBatch) -> list[np.ndarray]:
-        """One ``layer.infer_node`` per node, in batch order — the per-node
-        summation order every score was produced with so far — over slices
-        of the batch's gathered neighbor rows."""
-        layer = self.layer
-        neighbors = batch.neighbors
-        if len(neighbors):
-            neighbors = neighbors.matrix if type(neighbors) is ArrayColumn else np.stack(neighbors.rows())
-        weight = batch.weight.astype(np.float32)
-        bounds = batch.offsets.tolist()
-        merged = []
-        for i, self_h in enumerate(batch.selves.rows()):
-            a, b = bounds[i], bounds[i + 1]
-            if b > a:
-                neigh_h = neighbors[a:b]
-                neigh_w = weight[a:b]
-                edge_feat = None if batch.edge_feat is None else batch.edge_feat[a:b]
-            else:
-                neigh_h = np.zeros((0, len(self_h)), dtype=np.float32)
-                neigh_w = np.zeros(0, dtype=np.float32)
-                edge_feat = None
-            merged.append(layer.infer_node(self_h, neigh_h, neigh_w, edge_feat))
-        return merged
+        """The layer's ``forward`` over one block: the batch's self rows
+        first, then every node's sampled neighbor rows, each node's in-edges
+        in the sampler's order — one layer call per batch."""
+        n, m = len(batch), len(batch.src)
+        rows = [_matrix(batch.selves)]
+        if m:
+            rows.append(_matrix(batch.neighbors))
+        block = EdgeBlock(
+            n + np.arange(m, dtype=np.int64),
+            np.repeat(np.arange(n, dtype=np.int64), np.diff(batch.offsets)),
+            n + m,
+            batch.weight,
+            batch.edge_feat,
+        )
+        with no_grad():
+            out = self.layer(Tensor(np.concatenate(rows)), block).data
+        return list(out[:n].copy())  # frees the neighbor rows' outputs
+
+
+def _matrix(column: Column) -> np.ndarray:
+    """The rows of an embedding column as one matrix."""
+    return column.matrix if type(column) is ArrayColumn else np.stack(column.rows())
 
 
 class PredictionStore:

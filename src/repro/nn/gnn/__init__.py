@@ -1,15 +1,12 @@
 """GNN layers and models (GCN, GraphSAGE, GAT) — substrate **S6**.
 
-Every layer implements the paper's Equation 1 twice, against the same
-parameters:
-
-* ``forward(h, block)`` — the batched matrix form used by GraphTrainer
-  (Equation 2/3), built on the autograd segment ops;
-* ``infer_node(self_h, neigh_h, neigh_weight, edge_feat)`` — the per-node
-  message-passing form used by GraphInfer's reducers (§3.4), plain numpy.
-
-An integration test asserts the two forms agree to float tolerance, which is
-the paper's "unbiased inference" property.
+Every layer implements the paper's Equation 1 once, as ``forward(h,
+block)``: the batched matrix form (Equation 2/3) built on the autograd
+segment ops.  GraphTrainer runs it over a batch's merged subgraphs and
+GraphInfer's reducers (§3.4) over one block per merge batch, so a node's
+GraphInfer embedding equals the one the model computes over its GraphFlat
+sample bit for bit — the paper's "unbiased inference" property, asserted by
+a tier-1 test.
 """
 
 from repro.nn.gnn.block import BatchInputs, EdgeBlock

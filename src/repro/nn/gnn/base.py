@@ -19,13 +19,12 @@ __all__ = ["GNNLayer", "GNNModel"]
 class GNNLayer(Module):
     """One message-passing layer φ^(k) of Equation 1.
 
-    Subclasses must implement the *pair* of computations and keep them
-    mathematically identical:
-
-    * :meth:`forward` — batched: ``H^(k+1) = Φ^(k)(H^(k), A_B, E_B; W)``;
-    * :meth:`infer_node` — per-node: ``h^(k+1)_v = φ^(k)(h_v, {h_u}, {e_vu})``
-      in plain numpy (GraphInfer runs it inside MapReduce reducers with no
-      autograd available).
+    :meth:`forward` is the layer's only definition:
+    ``H^(k+1) = Φ^(k)(H^(k), A_B, E_B; W)`` over an :class:`EdgeBlock`.
+    GraphTrainer runs it over a batch's merged subgraph; GraphInfer's
+    reducers run it under ``no_grad`` over one block per merge batch (the
+    batch's own rows, then their sampled in-neighbours' rows), so both
+    pipelines compute each node with the same arithmetic.
 
     ``slice_config()`` must return constructor kwargs sufficient for
     :func:`repro.nn.gnn.registry.build_layer` to rebuild the layer, which
@@ -35,15 +34,6 @@ class GNNLayer(Module):
     kind: str = "abstract"
 
     def forward(self, h: Tensor, block: EdgeBlock) -> Tensor:  # pragma: no cover
-        raise NotImplementedError
-
-    def infer_node(
-        self,
-        self_h: np.ndarray,
-        neigh_h: np.ndarray,
-        neigh_weight: np.ndarray,
-        edge_feat: np.ndarray | None = None,
-    ) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
     def slice_config(self) -> dict:  # pragma: no cover

@@ -102,41 +102,6 @@ class GATLayer(GNNLayer):
             out = agg.sum(axis=1) * (1.0 / self.num_heads)
         return self._activate(out + self.bias)
 
-    # ------------------------------------------------------------- per-node
-    def infer_node(
-        self,
-        self_h: np.ndarray,
-        neigh_h: np.ndarray,
-        neigh_weight: np.ndarray,
-        edge_feat: np.ndarray | None = None,
-    ) -> np.ndarray:
-        heads, out_dim = self.num_heads, self.out_dim_
-        # Stack self last, matching the self-loop edge added in batch mode.
-        if len(neigh_h):
-            pool = np.concatenate([neigh_h, self_h[None, :]], axis=0)
-        else:
-            pool = self_h[None, :]
-        z = (pool @ self.weight.data).reshape(len(pool), heads, out_dim)
-        z_self = z[-1]  # (heads, out)
-        s_src = (z * self.a_src.data).sum(axis=-1)  # (k+1, heads)
-        s_dst = (z_self * self.a_dst.data).sum(axis=-1)  # (heads,)
-        e = s_src + s_dst[None, :]
-        e = np.where(e > 0, e, self.negative_slope * e)
-        e -= e.max(axis=0, keepdims=True)
-        alpha = np.exp(e)
-        alpha /= alpha.sum(axis=0, keepdims=True)
-        agg = (z * alpha[:, :, None]).sum(axis=0)  # (heads, out)
-        if self.concat_heads:
-            out = agg.reshape(heads * out_dim)
-        else:
-            out = agg.mean(axis=0)
-        out = out + self.bias.data
-        if self.activation == "elu":
-            return np.where(out > 0, out, np.exp(np.minimum(out, 0.0)) - 1.0).astype(np.float32)
-        if self.activation == "relu":
-            return np.maximum(out, 0.0)
-        return out.astype(np.float32)
-
 
 class GATModel(GNNModel):
     name = "gat"

@@ -9,10 +9,10 @@ use the random-walk (mean) normalisation with self-loop
 
     h'_v = act( ( (h_v + Σ_u w_vu · m_u) / (deg_w(v) + 1) ) W + b ),
 
-whose coefficients depend only on v's own in-edges.  This keeps the batched
-training forward and the per-node inference slice *exactly* equal, which is
-what GraphInfer's correctness rests on.  ``m_u = h_u`` plus an optional
-edge-feature term ``e_vu W_e`` when the graph has edge features.
+whose coefficients depend only on v's own in-edges, so a node's output is
+the same in any subgraph that holds its sampled in-edges: GraphTrainer's
+batches and GraphInfer's merge batches alike.  ``m_u = h_u`` plus an
+optional edge-feature term ``e_vu W_e`` when the graph has edge features.
 """
 
 from __future__ import annotations
@@ -86,31 +86,6 @@ class GCNLayer(GNNLayer):
         agg = ops.segment_sum(messages, block.dst, block.num_nodes, backend=block.aggregator)
         combined = agg + h * Tensor((1.0 / denom)[:, None])
         return self._activate(combined @ self.weight + self.bias)
-
-    # ------------------------------------------------------------- per-node
-    def infer_node(
-        self,
-        self_h: np.ndarray,
-        neigh_h: np.ndarray,
-        neigh_weight: np.ndarray,
-        edge_feat: np.ndarray | None = None,
-    ) -> np.ndarray:
-        denom = float(neigh_weight.sum()) + 1.0
-        total = self_h.astype(np.float32).copy()
-        if len(neigh_h):
-            messages = neigh_h
-            if self.edge_dim and edge_feat is not None:
-                messages = messages + edge_feat @ self.edge_weight_mat.data
-            total += (messages * neigh_weight[:, None]).sum(axis=0)
-        combined = total / denom
-        out = combined @ self.weight.data + self.bias.data
-        if self.activation == "relu":
-            return np.maximum(out, 0.0)
-        if self.activation == "elu":
-            return np.where(out > 0, out, np.exp(np.minimum(out, 0.0)) - 1.0).astype(np.float32)
-        if self.activation == "tanh":
-            return np.tanh(out)
-        return out
 
 
 class GCNModel(GNNModel):

@@ -16,8 +16,7 @@ The per-node state is ``(h, C)``; to keep the GraphInfer contract (one
 embedding vector per node per round) a layer's output is the packed matrix
 ``[h' || C']``.  The first layer takes raw features and projects them
 (``first=True``); the last layer emits ``h'`` alone for the prediction head
-(``last=True``).  Batch and per-node forms are equal to float tolerance,
-exactly like the other layers.
+(``last=True``).
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ from repro.nn.tensor import Tensor
 from repro.utils.rng import new_rng
 
 __all__ = ["GeniePathLayer", "GeniePathModel"]
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    return (1.0 / (1.0 + np.exp(-x))).astype(np.float32)
 
 
 class GeniePathLayer(GNNLayer):
@@ -115,46 +110,6 @@ class GeniePathLayer(GNNLayer):
         if self.last:
             return h_next
         return ops.concat([h_next, c_next], axis=1)
-
-    # ------------------------------------------------------------- per-node
-    def infer_node(
-        self,
-        self_h: np.ndarray,
-        neigh_h: np.ndarray,
-        neigh_weight: np.ndarray,
-        edge_feat: np.ndarray | None = None,
-    ) -> np.ndarray:
-        d = self.hidden_dim
-        if self.first:
-            h_self = self_h @ self.w_x.data
-            c_self = np.zeros(d, dtype=np.float32)
-            h_neigh = neigh_h @ self.w_x.data if len(neigh_h) else np.zeros((0, d), np.float32)
-        else:
-            h_self, c_self = self_h[:d], self_h[d:]
-            h_neigh = neigh_h[:, :d] if len(neigh_h) else np.zeros((0, d), np.float32)
-
-        if len(h_neigh):
-            scores = np.tanh(
-                h_neigh @ self.w_src.data + h_self @ self.w_dst.data
-            ) @ self.v_att.data
-            scores = scores.reshape(-1)
-            scores -= scores.max()
-            alpha = np.exp(scores)
-            alpha /= alpha.sum()
-            agg = (alpha[:, None] * h_neigh).sum(axis=0)
-        else:
-            agg = np.zeros(d, dtype=np.float32)
-        tmp = np.tanh(agg @ self.w_t.data)
-
-        gate_i = _sigmoid_np(tmp @ self.w_i.data)
-        gate_f = _sigmoid_np(tmp @ self.w_f.data)
-        gate_o = _sigmoid_np(tmp @ self.w_o.data)
-        candidate = np.tanh(tmp @ self.w_c.data)
-        c_next = gate_f * c_self + gate_i * candidate
-        h_next = (gate_o * np.tanh(c_next)).astype(np.float32)
-        if self.last:
-            return h_next
-        return np.concatenate([h_next, c_next.astype(np.float32)])
 
 
 class GeniePathModel(GNNModel):

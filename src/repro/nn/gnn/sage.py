@@ -77,15 +77,6 @@ class GraphSAGELayer(GNNLayer):
             return ops.elu(x)
         raise ValueError(f"unsupported activation {self.activation!r}")
 
-    def _activate_np(self, x: np.ndarray) -> np.ndarray:
-        if self.activation is None:
-            return x
-        if self.activation == "relu":
-            return np.maximum(x, 0.0)
-        if self.activation == "elu":
-            return np.where(x > 0, x, np.exp(np.minimum(x, 0.0)) - 1.0).astype(np.float32)
-        raise ValueError(f"unsupported activation {self.activation!r}")
-
     # ---------------------------------------------------------------- batch
     def forward(self, h: Tensor, block: EdgeBlock) -> Tensor:
         messages = ops.gather_rows(h, block.src)
@@ -102,33 +93,6 @@ class GraphSAGELayer(GNNLayer):
         return ops.concat(
             [self._activate(self_part + self.bias), self._activate(neigh_part + self.bias)],
             axis=-1,
-        )
-
-    # ------------------------------------------------------------- per-node
-    def infer_node(
-        self,
-        self_h: np.ndarray,
-        neigh_h: np.ndarray,
-        neigh_weight: np.ndarray,
-        edge_feat: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if len(neigh_h) == 0:
-            agg = np.zeros(self.in_dim, dtype=np.float32)
-        elif self.aggregator == "mean":
-            agg = neigh_h.mean(axis=0)
-        elif self.aggregator == "sum":
-            agg = neigh_h.sum(axis=0)
-        else:
-            agg = neigh_h.max(axis=0)
-        self_part = self_h @ self.w_self.data
-        neigh_part = agg @ self.w_neigh.data
-        if self.combine == "add":
-            return self._activate_np(self_part + neigh_part + self.bias.data)
-        return np.concatenate(
-            [
-                self._activate_np(self_part + self.bias.data),
-                self._activate_np(neigh_part + self.bias.data),
-            ]
         )
 
 

@@ -272,12 +272,15 @@ def segment_mean(
     num_segments: int,
     backend=None,
 ) -> Tensor:
-    """Segment average; empty segments yield zeros (count clamped to 1)."""
+    """Segment average; empty segments yield zeros (count clamped to 1).
+
+    The sum is divided by the count (not multiplied by its reciprocal), as
+    ``np.mean`` does: a node's average has the bits of the mean of its rows."""
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float32)
     counts = np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (values.data.ndim - 1))
     total = segment_sum(values, segment_ids, num_segments, backend=backend)
-    return total * Tensor(1.0 / counts)
+    return total / Tensor(counts)
 
 
 def segment_max(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:

@@ -11,35 +11,69 @@ Design choices (kept deliberately boring):
 * gradients accumulate (``+=``) so shared sub-expressions are handled;
 * broadcasting in forward ops is undone in backward by summing the grad over
   the broadcast axes (:func:`unbroadcast`);
-* a module-level switch (:func:`no_grad`) disables graph recording for
-  inference paths, where AGL's GraphInfer runs millions of forwards.
+* a per-thread switch (:func:`no_grad`) disables graph recording for
+  inference paths, where AGL's GraphInfer runs millions of forwards — per
+  thread, so reducers inferring on pool threads never turn recording off
+  for a training thread;
+* a product's rows are computed in fixed blocks of :data:`MATMUL_ROWS`
+  (:func:`matmul`), so a row's bits never depend on which other rows share
+  its batch — the property that lets GraphInfer batch its merges and still
+  give every node the bits a one-sample batch gives it.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast"]
+__all__ = ["MATMUL_ROWS", "Tensor", "no_grad", "is_grad_enabled", "matmul", "unbroadcast"]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 
 def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _GRAD.enabled
 
 
 @contextmanager
 def no_grad():
-    """Disable autograd recording inside the block (inference fast path)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable autograd recording inside the block, on this thread only
+    (inference fast path)."""
+    prev = _GRAD.enabled
+    _GRAD.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD.enabled = prev
+
+
+MATMUL_ROWS = 64
+"""Rows per BLAS call in :func:`matmul`.  BLAS picks its kernel and its
+blocking from the operands' shapes, so a row of ``a @ b`` can change in the
+last bits with the number of rows it is multiplied alongside (OpenBLAS does
+so from a few hundred columns up).  Every call here has exactly this many
+rows, so every row goes through the same kernel."""
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D ``a``, computed :data:`MATMUL_ROWS` rows at a time
+    (the last block zero-padded): each row of the result depends on its own
+    row of ``a`` and on ``b`` alone."""
+    rows = a.shape[0]
+    blocks = -(-rows // MATMUL_ROWS)
+    if blocks * MATMUL_ROWS != rows:
+        padded = np.zeros((blocks * MATMUL_ROWS, a.shape[1]), dtype=a.dtype)
+        padded[:rows] = a
+        a = padded
+    out = a.reshape(blocks, MATMUL_ROWS, a.shape[1]) @ b
+    return out.reshape(blocks * MATMUL_ROWS, b.shape[1])[:rows]
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -79,7 +113,7 @@ class Tensor:
     def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward_fn) -> "Tensor":
         """Internal: result tensor of an op, wired into the tape."""
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _GRAD.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward_fn = backward_fn
@@ -241,7 +275,7 @@ class Tensor:
             raise ValueError(
                 f"matmul expects 2-D operands, got {self.data.shape} @ {other.data.shape}"
             )
-        out_data = self.data @ other.data
+        out_data = matmul(self.data, other.data)
 
         def backward(grad):
             if self.requires_grad:

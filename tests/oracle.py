@@ -22,6 +22,11 @@ neighborhoods, the same flattened arrays and wire blocks of the same length.
 pair before record batches; the batch writer must write its run files byte
 for byte.
 
+:func:`oracle_infer_node` is each GNN layer's per-node form, as GraphInfer's
+reducers ran it node by node in plain numpy before they ran the layer's
+``forward`` over one block per merge batch; ``forward`` must agree with it
+to float tolerance.
+
 :func:`oracle_merge` / :func:`oracle_prune_blocks` / :func:`oracle_vectorize`
 are the trainer's batch merge, pruning and vectorization as they were
 written per sample and per batch before the stacked kernel
@@ -87,6 +92,7 @@ __all__ = [
     "assert_same_batch",
     "assert_same_feature",
     "assert_same_subgraph",
+    "oracle_infer_node",
     "oracle_merge",
     "oracle_pair",
     "oracle_prune_blocks",
@@ -932,3 +938,110 @@ def assert_same_feature(got: GraphFeature, want: GraphFeature):
     for name in _FEATURE_FIELDS:
         assert_same_array(getattr(got, name), getattr(want, name), name)
     assert_same_array(got.target_index, want.target_index, "target_index")
+
+
+# ------------------------------------------------------- per-node GNN layers
+def _np_activate(out: np.ndarray, activation: str | None) -> np.ndarray:
+    if activation == "relu":
+        return np.maximum(out, 0.0)
+    if activation == "elu":
+        return np.where(out > 0, out, np.exp(np.minimum(out, 0.0)) - 1.0).astype(np.float32)
+    if activation == "tanh":
+        return np.tanh(out)
+    return out
+
+
+def _np_sigmoid(x: np.ndarray) -> np.ndarray:
+    return (1.0 / (1.0 + np.exp(-x))).astype(np.float32)
+
+
+def _gcn_node(layer, self_h, neigh_h, neigh_weight, edge_feat):
+    denom = float(neigh_weight.sum()) + 1.0
+    total = self_h.astype(np.float32).copy()
+    if len(neigh_h):
+        messages = neigh_h
+        if layer.edge_dim and edge_feat is not None:
+            messages = messages + edge_feat @ layer.edge_weight_mat.data
+        total += (messages * neigh_weight[:, None]).sum(axis=0)
+    combined = total / denom
+    return _np_activate(combined @ layer.weight.data + layer.bias.data, layer.activation)
+
+
+def _sage_node(layer, self_h, neigh_h, neigh_weight, edge_feat):
+    if len(neigh_h) == 0:
+        agg = np.zeros(layer.in_dim, dtype=np.float32)
+    elif layer.aggregator == "mean":
+        agg = neigh_h.mean(axis=0)
+    elif layer.aggregator == "sum":
+        agg = neigh_h.sum(axis=0)
+    else:
+        agg = neigh_h.max(axis=0)
+    self_part = self_h @ layer.w_self.data
+    neigh_part = agg @ layer.w_neigh.data
+    bias, act = layer.bias.data, layer.activation
+    if layer.combine == "add":
+        return _np_activate(self_part + neigh_part + bias, act)
+    return np.concatenate([_np_activate(self_part + bias, act), _np_activate(neigh_part + bias, act)])
+
+
+def _gat_node(layer, self_h, neigh_h, neigh_weight, edge_feat):
+    heads, out_dim = layer.num_heads, layer.out_dim_
+    # Stack self last, matching the self-loop edge added in batch mode.
+    if len(neigh_h):
+        pool = np.concatenate([neigh_h, self_h[None, :]], axis=0)
+    else:
+        pool = self_h[None, :]
+    z = (pool @ layer.weight.data).reshape(len(pool), heads, out_dim)
+    z_self = z[-1]  # (heads, out)
+    s_src = (z * layer.a_src.data).sum(axis=-1)  # (k+1, heads)
+    s_dst = (z_self * layer.a_dst.data).sum(axis=-1)  # (heads,)
+    e = s_src + s_dst[None, :]
+    e = np.where(e > 0, e, layer.negative_slope * e)
+    e -= e.max(axis=0, keepdims=True)
+    alpha = np.exp(e)
+    alpha /= alpha.sum(axis=0, keepdims=True)
+    agg = (z * alpha[:, :, None]).sum(axis=0)  # (heads, out)
+    out = agg.reshape(heads * out_dim) if layer.concat_heads else agg.mean(axis=0)
+    return _np_activate(out + layer.bias.data, layer.activation).astype(np.float32)
+
+
+def _geniepath_node(layer, self_h, neigh_h, neigh_weight, edge_feat):
+    d = layer.hidden_dim
+    if layer.first:
+        h_self = self_h @ layer.w_x.data
+        c_self = np.zeros(d, dtype=np.float32)
+        h_neigh = neigh_h @ layer.w_x.data if len(neigh_h) else np.zeros((0, d), np.float32)
+    else:
+        h_self, c_self = self_h[:d], self_h[d:]
+        h_neigh = neigh_h[:, :d] if len(neigh_h) else np.zeros((0, d), np.float32)
+
+    if len(h_neigh):
+        scores = np.tanh(h_neigh @ layer.w_src.data + h_self @ layer.w_dst.data) @ layer.v_att.data
+        scores = scores.reshape(-1)
+        scores -= scores.max()
+        alpha = np.exp(scores)
+        alpha /= alpha.sum()
+        agg = (alpha[:, None] * h_neigh).sum(axis=0)
+    else:
+        agg = np.zeros(d, dtype=np.float32)
+    tmp = np.tanh(agg @ layer.w_t.data)
+
+    gate_i = _np_sigmoid(tmp @ layer.w_i.data)
+    gate_f = _np_sigmoid(tmp @ layer.w_f.data)
+    gate_o = _np_sigmoid(tmp @ layer.w_o.data)
+    candidate = np.tanh(tmp @ layer.w_c.data)
+    c_next = gate_f * c_self + gate_i * candidate
+    h_next = (gate_o * np.tanh(c_next)).astype(np.float32)
+    if layer.last:
+        return h_next
+    return np.concatenate([h_next, c_next.astype(np.float32)])
+
+
+_NODE_FORMS = {"gcn": _gcn_node, "sage": _sage_node, "gat": _gat_node, "geniepath": _geniepath_node}
+
+
+def oracle_infer_node(layer, self_h, neigh_h, neigh_weight, edge_feat=None) -> np.ndarray:
+    """``h^(k+1)_v = φ^(k)(h_v, {h_u}, {e_vu})`` for one node, from its own
+    row ``self_h`` and its in-neighbours' rows ``neigh_h`` (with their edge
+    weights and edge features), in plain numpy."""
+    return _NODE_FORMS[layer.kind](layer, self_h, neigh_h, neigh_weight, edge_feat)

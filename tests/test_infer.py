@@ -26,6 +26,8 @@ from repro.mapreduce.job import JobFailedError
 from repro.nn import Tensor, no_grad
 from repro.nn.gnn import BatchInputs, EdgeBlock, GATModel, GCNModel, GraphSAGEModel
 
+from .oracle import oracle_infer_node
+
 
 @pytest.fixture(scope="module")
 def mini_cora():
@@ -76,12 +78,13 @@ class TestSegmentation:
     def test_materialize_is_runnable(self, rng):
         model = GCNModel(6, 8, 3, num_layers=1, seed=0)
         layer = segment_model(model)[0].materialize()
-        out = layer.infer_node(
-            rng.standard_normal(6).astype(np.float32),
-            rng.standard_normal((3, 6)).astype(np.float32),
-            np.ones(3, dtype=np.float32),
-        )
+        rows = rng.standard_normal((4, 6)).astype(np.float32)  # node 0, then 3 neighbors
+        block = EdgeBlock(np.array([1, 2, 3]), np.zeros(3, dtype=np.int64), 4)
+        with no_grad():
+            out = layer(Tensor(rows), block).data[0]
         assert out.shape == (8,)
+        want = oracle_infer_node(layer, rows[0], rows[1:], np.ones(3, dtype=np.float32))
+        np.testing.assert_allclose(out, want, rtol=1e-4, atol=1e-5)
 
 
 class TestUnbiasedInference:

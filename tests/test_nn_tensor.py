@@ -1,10 +1,12 @@
 """Autograd engine: forward values, backward gradients, graph mechanics."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, no_grad
-from repro.nn.tensor import unbroadcast
+from repro.nn import Tensor, is_grad_enabled, no_grad
+from repro.nn.tensor import MATMUL_ROWS, unbroadcast
 
 from .helpers import check_gradients
 
@@ -128,6 +130,68 @@ class TestNoGrad:
     def test_detach(self):
         x = Tensor(np.ones(3), requires_grad=True)
         assert not x.detach().requires_grad
+
+    def test_mode_is_per_thread(self):
+        """Two inference threads enter and leave ``no_grad`` interleaved (A
+        in, B in, A out, B out) and a training thread records and runs
+        backward while both are inside: the training thread is never
+        affected, and recording is still on everywhere afterwards."""
+        a_in, b_in, trained, a_out, b_out = (threading.Event() for _ in range(5))
+        seen = {}
+
+        def infer(name, wait_in, entered, wait_out, left):
+            if wait_in is not None:
+                wait_in.wait(5)
+            with no_grad():
+                seen[name] = is_grad_enabled()
+                entered.set()
+                wait_out.wait(5)
+            left.set()
+
+        def train():
+            x = Tensor(np.ones(3), requires_grad=True)
+            (x * 2).sum().backward()
+            seen["train"] = (is_grad_enabled(), x.grad.tolist())
+            trained.set()
+
+        a = threading.Thread(target=infer, args=("a", None, a_in, trained, a_out))
+        b = threading.Thread(target=infer, args=("b", a_in, b_in, a_out, b_out))
+        a.start()
+        b.start()
+        b_in.wait(5)
+        trainer = threading.Thread(target=train)
+        trainer.start()
+        for thread in (trainer, a, b):
+            thread.join(5)
+        assert b_out.is_set()
+        assert seen == {"a": False, "b": False, "train": (True, [2.0, 2.0, 2.0])}
+        assert is_grad_enabled()
+        x = Tensor(np.ones(2), requires_grad=True)
+        assert (x * 3).requires_grad
+
+
+class TestMatmulRows:
+    @pytest.mark.parametrize("width,out", [(1433, 8), (1433, 16), (32, 32)])
+    def test_row_independent_of_batch(self, rng, width, out):
+        """A row of a product has the same bits whichever other rows are
+        multiplied alongside it, even where BLAS picks its kernel by the
+        row count."""
+        x = rng.standard_normal((3 * MATMUL_ROWS + 5, width)).astype(np.float32)
+        w = rng.standard_normal((width, out)).astype(np.float32)
+        full = (Tensor(x) @ Tensor(w)).data
+        for rows in (1, 3, 37, MATMUL_ROWS, MATMUL_ROWS + 1, 150):
+            pick = np.sort(rng.choice(len(x), rows, replace=False))
+            part = (Tensor(x[pick]) @ Tensor(w)).data
+            assert np.array_equal(part, full[pick]), rows
+        np.testing.assert_allclose(full, x @ w, rtol=1e-4, atol=1e-4)
+
+    def test_empty_and_gradient(self, rng):
+        w = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+        assert (Tensor(np.zeros((0, 4))) @ w).shape == (0, 3)
+        x = Tensor(rng.standard_normal((MATMUL_ROWS + 6, 4)).astype(np.float32), requires_grad=True)
+        (x @ w).sum().backward()
+        np.testing.assert_allclose(x.grad, np.ones((len(x.data), 3)) @ w.data.T, rtol=1e-6)
+        np.testing.assert_allclose(w.grad, x.data.T @ np.ones((len(x.data), 3)), rtol=1e-5)
 
 
 class TestUnbroadcast:
