@@ -5,7 +5,8 @@ Grid: {GCN, GraphSAGE, GAT} x {1, 2, 3} layers x
 
 AGL variants train from GraphFlat samples exactly as §3.3 describes (the
 pipeline strategy is always on — it is AGL_base's baseline too, per the
-paper); the proxies are in-memory full-batch epochs.  pytest-benchmark's
+paper — so every AGL cell sets ``pipeline=True``; the trainer's own default
+is inline preprocessing); the proxies are in-memory full-batch epochs.  pytest-benchmark's
 own table carries the raw timings; the summary file prints the Table 4
 layout with seconds per epoch.
 
@@ -82,7 +83,7 @@ def bench_table4(benchmark, bench_ppi, ppi_flat_by_hops, model_name, depth, vari
             model,
             TrainerConfig(
                 batch_size=64, lr=0.01, task="multilabel", seed=0,
-                num_partitions=4, **AGL_FLAGS[variant],
+                num_partitions=4, pipeline=True, **AGL_FLAGS[variant],
             ),
         )
         epoch = lambda: trainer.train_epoch(samples)
@@ -133,7 +134,7 @@ def bench_table4_ingest(benchmark, bench_ppi, ppi_dfs_by_layout, layout, backend
         model,
         TrainerConfig(
             batch_size=64, lr=0.01, task="multilabel", seed=0,
-            prefetch_backend=backend, prefetch_workers=workers,
+            pipeline=True, prefetch_backend=backend, prefetch_workers=workers,
         ),
     )
 

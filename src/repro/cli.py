@@ -446,6 +446,7 @@ def _cmd_graphtrainer(args) -> int:
     trainer_config = TrainerConfig(
         batch_size=args.batch_size, epochs=args.epochs, lr=args.lr,
         task=task, seed=args.seed,
+        pipeline=args.prefetch_backend != "serial",
         prefetch_backend=args.prefetch_backend,
         prefetch_workers=args.prefetch_workers,
     )
@@ -484,10 +485,12 @@ def _cmd_graphtrainer(args) -> int:
     trainer = GraphTrainer(model, trainer_config)
     history = trainer.fit(source)
     save_model(args.model_out, model, args.model)
+    prefetch = "inline preprocessing"
+    if trainer_config.pipeline:
+        prefetch = f"{args.prefetch_backend} x{args.prefetch_workers} prefetch"
     print(
         f"GraphTrainer: {args.model} x{args.layers} on {len(source)} samples "
-        f"({fs.layout(args.input)} shards, {args.prefetch_backend} x"
-        f"{args.prefetch_workers} prefetch), "
+        f"({fs.layout(args.input)} shards, {prefetch}), "
         f"loss {history[0]['loss']:.4f} -> {history[-1]['loss']:.4f}, "
         f"model saved to {args.model_out}"
     )
@@ -670,10 +673,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="minibatch-preprocessing pool size (decode + vectorize)",
     )
     train.add_argument(
-        "--prefetch-backend", choices=sorted(BACKEND_REGISTRY), default="threads",
-        help="preprocessing pool backend; 'processes' shards preprocessing "
-        "across cores while the main process trains (prepared batches come "
-        "back through shared-memory slabs)",
+        "--prefetch-backend", choices=sorted(BACKEND_REGISTRY), default="serial",
+        help="preprocessing pool backend; 'serial' prepares batches inline, "
+        "any other overlaps preprocessing with training ('processes' across "
+        "cores, batches back through shared-memory slabs)",
     )
     _add_common(train)
     _add_dist(train)

@@ -4,17 +4,24 @@
 including data reading and subgraph vectorization, and model computation
 stage.  The two stages operate in a parallel manner."
 
-Preprocessing (decode + vectorize) runs ahead of the training loop and
-feeds a bounded queue the caller drains.  It works a *window* at a time:
-up to :data:`QUEUE_DEPTH` consecutive batches are read together — one shard
+Preprocessing (decode + vectorize) works a *window* at a time: up to
+:data:`QUEUE_DEPTH` consecutive batches are read together — one shard
 gather or one stacking — and vectorized by one
 :func:`~repro.core.trainer.vectorize.vectorize_window` call, so the fixed
-cost of a merge is paid per window, not per batch.  The preprocessing stage
-itself is pluggable: it reuses the MapReduce backend registry
-(``serial``/``threads``/``processes``), so with ``backend="processes"``
-windows are prepared across cores while the main process trains — the GIL
-no longer caps the storage layer.  Batches may be lists of wire-format
-bytes, decoded :class:`TrainSample` objects, or columnar batch refs
+cost of a merge is paid per window, not per batch.
+
+By default a window is prepared inline, on the training thread, right
+before its batches train.  Both stages are interpreter-bound numpy here,
+so a prefetch thread in the same process contends with the training loop
+for the GIL instead of using an idle core: on link prediction it made
+both stages about twice as slow and cost a fifth more CPU for no wall
+(README, "Threads and cores").  With ``enabled`` the stages overlap the
+way the paper describes: a producer thread hands windows to a
+preprocessing pool from the MapReduce backend registry
+(``serial``/``threads``/``processes``) and feeds a bounded queue the
+training loop drains; with ``backend="processes"`` windows are prepared
+across cores.  Batches may be lists of wire-format bytes, decoded
+:class:`TrainSample` objects, or columnar batch refs
 (:class:`~repro.core.trainer.dataset.ColumnarBatchRef`, picklable shard
 locators), which is what keeps the process backend's per-window IPC to a
 few ints each way plus the prepared tensors back.
@@ -102,11 +109,13 @@ class BatchPreparer:
         np.cumsum(sizes, out=offsets[1:])
         return stacked, offsets
 
-    def __call__(self, window: list) -> tuple[Prepared, float]:
-        """Returns ``(prepared, preprocess_seconds)`` — one ``(inputs,
-        labels)`` pair per batch of ``window``; the elapsed time rides along
-        because pool workers cannot reach the caller's
-        :class:`TimerRegistry`."""
+    def __call__(self, window: list) -> tuple[Prepared, tuple[float, float]]:
+        """Returns ``(prepared, (start, stop))`` — one ``(inputs, labels)``
+        pair per batch of ``window``, and the ``perf_counter`` interval the
+        preparation took.  The interval rides along because pool workers
+        cannot reach the caller's :class:`TimerRegistry`; the clock is
+        monotonic machine-wide, so a worker's interval lines up with the
+        caller's own timers."""
         start = time.perf_counter()
         prepared = vectorize_window(
             *self.resolve(window),
@@ -115,7 +124,7 @@ class BatchPreparer:
             aggregator_factory=self.aggregator_factory,
             edge_level=self.edge_level,
         )
-        return prepared, time.perf_counter() - start
+        return prepared, (start, time.perf_counter())
 
 
 @dataclass(frozen=True)
@@ -131,13 +140,11 @@ class _SlabPreparer:
     capacity: int
 
     def __call__(self, window):
-        prepared, seconds = self.prepare(window)
-        start = time.perf_counter()
+        prepared, (start, _) = self.prepare(window)
         from repro.ps.shm import slab_dump  # lazy: repro.ps imports the trainer
 
         ref = slab_dump(prepared, self.slab, self.capacity)
-        seconds += time.perf_counter() - start
-        return (prepared if ref is None else ref), seconds
+        return (prepared if ref is None else ref), (start, time.perf_counter())
 
 
 class BatchPipeline:
@@ -154,21 +161,25 @@ class BatchPipeline:
     num_layers / pruning / aggregator_factory:
         forwarded to :func:`vectorize_window`.
     enabled:
-        ``False`` degrades to strictly sequential preprocessing (AGL_base
-        without the pipeline strategy — the ablation baseline).
+        ``False`` prepares each window inline, on the iterating thread
+        (AGL_base without the pipeline strategy; what
+        :class:`~repro.core.trainer.trainer.GraphTrainer` does by default).
     backend / workers:
         preprocessing pool: a backend name from the MapReduce registry
-        (``serial``/``threads``/``processes``) and its worker count.  The
-        default (``threads``, 1) is the classic single prefetch thread;
-        ``processes`` with N workers prepares N windows at a time across
-        cores.  ``serial`` runs inline, like ``enabled=False``.  Passing a
+        (``serial``/``threads``/``processes``) and its worker count.  One
+        producer thread hands the pool ``workers`` windows at a time;
+        ``threads`` with one worker prepares them on the producer thread
+        itself (the classic single prefetch thread), ``processes`` with N
+        workers prepares N windows at a time across cores.  ``serial``
+        runs inline, like ``enabled=False``.  Passing a
         :class:`~repro.mapreduce.backends.Backend` *instance* borrows it
         (the caller keeps ownership — how GraphTrainer reuses one process
         pool across epochs instead of respawning workers every epoch).
     timers:
         optional :class:`TimerRegistry`; preprocessing time lands in
         ``"preprocess"`` (regardless of which thread or process spent it),
-        counted once per batch.
+        counted once per batch, with one ``(start, stop)`` interval per
+        window.
 
     How prepared windows come back from the pool is resolved from the
     backend, not asked: shared-memory slabs (:data:`SLAB_BYTES` each)
@@ -214,41 +225,15 @@ class BatchPipeline:
         while window := list(islice(batches, QUEUE_DEPTH)):
             yield window
 
-    def _prepared(self) -> Iterator[Prepared]:
-        """Each window prepared in this thread, timed on it (interval
-        records are what *prove* stage overlap in the ablation benchmark)."""
+    def _iter_sequential(self) -> Iterator[tuple[BatchInputs, np.ndarray | None]]:
         timer = self._timers["preprocess"]
         for window in self._windows():
-            start = time.perf_counter()
-            prepared, _ = self._prepare(window)
-            stop = time.perf_counter()
+            prepared, (start, stop) = self._prepare(window)
             timer.add(stop - start, len(window), (start, stop))
-            yield prepared
-
-    def _iter_sequential(self) -> Iterator[tuple[BatchInputs, np.ndarray | None]]:
-        for prepared in self._prepared():
             yield from prepared
 
-    def _iter_single_thread(self) -> Iterator[tuple[BatchInputs, np.ndarray | None]]:
-        """The classic two-stage pipeline: one background prefetch thread
-        preparing the next window while the loop trains on the last."""
-        out: queue.Queue = queue.Queue(maxsize=QUEUE_DEPTH)
-        error: list[BaseException] = []
-
-        def producer():
-            try:
-                for prepared in self._prepared():
-                    for item in prepared:
-                        out.put(item)
-            except BaseException as exc:  # surface in the consumer thread
-                error.append(exc)
-            finally:
-                out.put(_SENTINEL)
-
-        yield from self._drain(producer, out, error)
-
     def _iter_pool(self) -> Iterator[tuple[BatchInputs, np.ndarray | None]]:
-        """Worker-pool prefetch: the producer thread hands the pool
+        """Worker-pool prefetch: a producer thread hands the pool
         ``workers`` windows at a time (one task each), executes them on the
         registry backend, and feeds the batches into the bounded queue in
         batch order.
@@ -257,7 +242,9 @@ class BatchPipeline:
         mini-barrier (idle workers wait on the slowest window); the bounded
         queue keeps the *consumer* fed across calls, which is the overlap
         that matters here — window costs are near-uniform, so straggler
-        slack stays small."""
+        slack stays small.  Each window's ``(start, stop)`` interval is
+        recorded: the intervals are what *prove* stage overlap in the
+        ablation benchmark."""
         out: queue.Queue = queue.Queue(maxsize=QUEUE_DEPTH)
         error: list[BaseException] = []
         timer = self._timers["preprocess"]
@@ -298,16 +285,16 @@ class BatchPipeline:
                     (f"prefetch-{i}", prepare[i], (window,))
                     for i, window in enumerate(islice(windows, self._workers))
                 ]:
-                    for result, seconds in backend.execute(tasks, plain_retrier):
+                    for result, (start, stop) in backend.execute(tasks, plain_retrier):
                         if use_shm and isinstance(result, ShmBatchRef):
                             result = slab_load(result, by_name[result.slab].buf)
                             self.shm_batches += len(result)
                         elif use_shm:
                             self.inband_batches += len(result)
-                        timer.add(seconds, len(result))
+                        timer.add(stop - start, len(result), (start, stop))
                         for item in result:
                             out.put(item)
-            except BaseException as exc:
+            except BaseException as exc:  # surface in the consumer thread
                 error.append(exc)
             finally:
                 for slab in slabs:
@@ -316,9 +303,6 @@ class BatchPipeline:
                     backend.close()
                 out.put(_SENTINEL)
 
-        yield from self._drain(producer, out, error)
-
-    def _drain(self, producer, out: queue.Queue, error: list):
         worker = threading.Thread(target=producer, name="agl-preprocess", daemon=True)
         worker.start()
         try:
@@ -341,6 +325,4 @@ class BatchPipeline:
     def __iter__(self) -> Iterator[tuple[BatchInputs, np.ndarray | None]]:
         if not self._enabled or self._backend == "serial":
             return self._iter_sequential()
-        if self._workers == 1 and self._backend == "threads":
-            return self._iter_single_thread()
         return self._iter_pool()

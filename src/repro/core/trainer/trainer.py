@@ -4,10 +4,10 @@ Thanks to GraphFlat's information-complete neighborhoods, "the training
 workers become independent of each other ... the training of a GNN model
 becomes similar to the training of a conventional machine learning model".
 The loop below is therefore an ordinary mini-batch loop; all graph-specific
-machinery lives in the vectorizer and the optimization strategies, enabled
+machinery lives in the vectorizer and the optimization strategies, switched
 by three flags that Table 4 sweeps:
 
-* ``pipeline``       — overlap preprocessing with model computation;
+* ``pipeline``       — overlap preprocessing with model computation (off);
 * ``pruning``        — per-layer adjacency ``A^(k)_B`` (Equation 3);
 * ``edge_partition`` — conflict-free partitioned aggregation.
 
@@ -43,7 +43,13 @@ _TASKS = ("multiclass", "multilabel", "binary") + EDGE_TASKS
 
 @dataclass
 class TrainerConfig:
-    """Training hyper-parameters + the three optimization switches."""
+    """Training hyper-parameters + the three optimization switches.
+
+    ``pipeline`` is off by default: both stages are GIL-bound numpy in one
+    process, so a prefetch thread cost link prediction a fifth more CPU
+    for no wall.  ``fit`` / ``evaluate`` / ``predict`` and PS workers then
+    prepare each window on the training thread; ``pipeline=True`` (Table
+    4's "on" arm) prepares windows on the ``prefetch_backend`` pool."""
 
     batch_size: int = 32
     epochs: int = 10
@@ -55,7 +61,7 @@ class TrainerConfig:
     edge_partition: bool = True
     num_partitions: int = 4
     partition_threads: int = 1
-    pipeline: bool = True
+    pipeline: bool = False
     prefetch_backend: str = "threads"
     """Preprocessing-pool backend (MapReduce backend registry name:
     ``serial`` / ``threads`` / ``processes``).  ``threads`` with one worker

@@ -62,6 +62,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.mapreduce.backends import _start_warm_forkserver
 from repro.nn.module import StateLayout
 
 __all__ = [
@@ -108,9 +109,13 @@ def _resolve_ack_timeout(ack_timeout_s: float | None) -> float:
 def mp_context():
     """The start-method every shm participant agrees on.  The parent is
     multi-threaded (server thread, epoch coordinator), so plain fork() is
-    deadlock-prone; forkserver spawns workers from a clean helper."""
-    methods = mp.get_all_start_methods()
-    return mp.get_context("forkserver" if "forkserver" in methods else "spawn")
+    deadlock-prone; forkserver spawns workers from a clean helper — the one
+    MapReduce pools share, started with one OpenBLAS thread whoever comes
+    first (:func:`~repro.mapreduce.backends._start_warm_forkserver`)."""
+    if "forkserver" not in mp.get_all_start_methods():
+        return mp.get_context("spawn")
+    _start_warm_forkserver()
+    return mp.get_context("forkserver")
 
 
 def attach_shared_memory(name: str) -> shared_memory.SharedMemory:

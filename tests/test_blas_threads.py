@@ -140,7 +140,7 @@ class TestPinnedInsideCalls:
         trainer = GraphTrainer(
             wide_model(),
             TrainerConfig(
-                batch_size=WIDE_BATCH, epochs=1,
+                batch_size=WIDE_BATCH, epochs=1, pipeline=True,
                 prefetch_backend="processes", prefetch_workers=2,
             ),
         )
@@ -192,6 +192,65 @@ def test_processes_workers_start_without_a_blas_thread_pool():
     pool thread: the forkserver starts with one OpenBLAS thread, so the
     workers' pin does not rebuild a pool that would spin-wait."""
     assert run_child(WORKER_PROBE, OPENBLAS_NUM_THREADS="2") == [[1, 1], [1, 1]]
+
+
+PS_WORKER_PROBE = """
+import functools
+import json
+from repro.core.trainer import TrainerConfig
+from repro.mapreduce.backends import ProcessesBackend
+from repro.ps import DistributedConfig, DistributedTrainer
+from tests.helpers import WIDE_BATCH, wide_training_set
+from tests.test_blas_threads import probing_wide_model, worker_threads
+
+path = {path!r}
+_, samples = wide_training_set()
+dist = DistributedConfig(
+    num_workers=1, num_servers=1, mode="async", worker_backend="processes"
+)
+config = TrainerConfig(batch_size=WIDE_BATCH, epochs=2, seed=3)
+with DistributedTrainer(functools.partial(probing_wide_model, path), config, dist) as trainer:
+    trainer.fit(samples[: 4 * WIDE_BATCH])
+backend = ProcessesBackend(2)
+try:
+    tasks = [(f"probe-{{i}}", worker_threads, ()) for i in range(2)]
+    print(json.dumps(backend.execute(tasks, lambda _tid, call: call())))
+finally:
+    backend.close()
+"""
+
+
+def probing_wide_model(path: str):
+    """:func:`wide_model` whose every forward appends ``[OS threads, BLAS
+    threads, Python threads]`` of the calling process to ``path``."""
+    model = wide_model()
+    forward = model.forward
+
+    def probe(batch):
+        with open(path, "a") as fh:
+            fh.write(json.dumps([*worker_threads(), threading.active_count()]) + "\n")
+        return forward(batch)
+
+    model.forward = probe
+    return model
+
+
+@requires_openblas
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_ps_worker_started_first_leaves_no_blas_thread_pool(tmp_path):
+    """A fresh process starts a parameter-server worker before any pool.
+    The shm transport's start method starts the shared forkserver with one
+    OpenBLAS thread too, so neither the PS worker nor a later ``processes``
+    pool worker rebuilds a spinning BLAS pool thread.  The worker trains
+    its first epoch on one OS thread (inline preprocessing); afterwards
+    its only extra thread is the event queue's Python feeder."""
+    path = tmp_path / "forwards.jsonl"
+    pool = run_child(PS_WORKER_PROBE.format(path=str(path)), OPENBLAS_NUM_THREADS="2")
+    forwards = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(forwards) == 8  # 2 epochs x 4 batches
+    assert forwards[:4] == [[1, 1, 1]] * 4
+    assert all(blas == 1 and os_threads == py for os_threads, blas, py in forwards)
+    assert pool == [[1, 1], [1, 1]]
 
 
 CHILD = """

@@ -1,6 +1,8 @@
 """The Figure 6 command-line surface: graphflat -> graphtrainer -> graphinfer
 over TSV tables and a local DFS, plus the model save/load format."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.graphflat import GraphFlatConfig
 from repro.core.infer import GraphInferConfig, graph_infer
 from repro.core.propagation import DataflowConfig
 from repro.core.trainer import BatchPipeline, TrainerConfig
+from repro.core.trainer.pipeline import QUEUE_DEPTH
 from repro.datasets import cora_like, write_edge_table, write_node_table
 from repro.datasets.io import read_edge_table, read_node_table
 from repro.mapreduce import DistFileSystem
@@ -77,6 +80,63 @@ class TestPipelineCommands:
         assert rc == 0
         assert "scored" in capsys.readouterr().out
         assert DistFileSystem(dfs).count_records("scores") == len(ds.nodes)
+
+    @pytest.mark.parametrize(
+        "flags,summary,thread,slabs",
+        [
+            ([], "inline preprocessing", False, False),
+            (["--prefetch-backend", "threads"], "threads x1 prefetch", True, False),
+            (
+                ["--prefetch-backend", "processes", "--prefetch-workers", "2"],
+                "processes x2 prefetch", True, True,
+            ),
+        ],
+        ids=["default", "threads", "processes"],
+    )
+    def test_graphtrainer_prefetch_backend_selects_the_preparer(
+        self, workspace, capsys, monkeypatch, flags, summary, thread, slabs
+    ):
+        """``--prefetch-backend serial`` (the default) prepares batches
+        inline on the training thread; any other choice turns the pipeline
+        on, and ``processes`` really prepares them in pool workers (every
+        batch comes back through a shared-memory slab)."""
+        from repro.core.trainer import trainer as trainer_module
+
+        tmp_path, _ = workspace
+        dfs = str(tmp_path / "dfs")
+        main([
+            "graphflat",
+            "-n", str(tmp_path / "nodes.tsv"), "-e", str(tmp_path / "edges.tsv"),
+            "--hops", "1", "--max-neighbors", "10",
+            "--targets", str(tmp_path / "targets.txt"),
+            "--output", "flat/train", "--dfs", dfs, "--workers", "1",
+        ])
+        pipes, batches, threads = [], [], set()
+
+        class RecordingPipeline(BatchPipeline):
+            def __iter__(self):
+                pipes.append(self)
+                batches.append(0)
+                for item in super().__iter__():
+                    batches[-1] += 1
+                    threads.update(t.name for t in threading.enumerate())
+                    yield item
+
+        monkeypatch.setattr(trainer_module, "BatchPipeline", RecordingPipeline)
+        capsys.readouterr()
+        rc = main([
+            "graphtrainer", "-m", "gcn", "-i", "flat/train",
+            "--model-out", str(tmp_path / "model.pkl"),
+            "--epochs", "2", "--hidden", "8", "--batch-size", "1", "--dfs", dfs,
+            *flags,
+        ])
+        assert rc == 0
+        assert f"shards, {summary}), loss" in capsys.readouterr().out
+        assert len(pipes) == 2  # one per epoch
+        assert min(batches) > QUEUE_DEPTH + 1  # a producer outlives the first batch
+        assert ("agl-preprocess" in threads) == thread
+        assert [pipe.shm_batches for pipe in pipes] == (batches if slabs else [0, 0])
+        assert all(pipe.inband_batches == 0 for pipe in pipes)
 
     def test_distributed_training_knobs(self, workspace, capsys):
         """--dist-workers trains against the parameter servers with process

@@ -454,7 +454,7 @@ class TestTrainingIdentityAcrossLayouts:
         trainer = GraphTrainer(
             model,
             TrainerConfig(
-                batch_size=8, epochs=2, lr=0.01, seed=9,
+                batch_size=8, epochs=2, lr=0.01, seed=9, pipeline=True,
                 prefetch_backend=backend, prefetch_workers=workers,
             ),
         )

@@ -50,7 +50,7 @@ from repro.tasks import (
     register_task,
 )
 
-from .helpers import dataset_digest
+from .helpers import dataset_digest, model_digest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -330,15 +330,12 @@ class TestGraphFlatEdgeTasks:
 
 
 class TestTrainerEdgeTasks:
-    def _train(self, fs, name, task, backend="serial", epochs=3):
+    def _train(self, fs, name, task, epochs=3, **flags):
         source = open_sample_source(fs, name)
         model = GraphSAGEModel(6, 8, 2, num_layers=2, seed=0)
         trainer = GraphTrainer(
             model,
-            TrainerConfig(
-                task=task, epochs=epochs, batch_size=16, seed=0,
-                prefetch_backend=backend, prefetch_workers=2,
-            ),
+            TrainerConfig(task=task, epochs=epochs, batch_size=16, seed=0, **flags),
         )
         history = trainer.fit(source, val_samples=source)
         return trainer, source, history
@@ -365,15 +362,20 @@ class TestTrainerEdgeTasks:
         assert 0.0 <= hits <= 10 / 30  # 30 positives: hits@10 caps at 1/3
 
     def test_loss_trajectory_identical_across_prefetch_backends(self, lp_dataset):
-        _, _, serial = self._train(lp_dataset, "train", "link_prediction")
-        _, _, threads = self._train(
-            lp_dataset, "train", "link_prediction", backend="threads"
-        )
-        _, _, procs = self._train(
-            lp_dataset, "train", "link_prediction", backend="processes"
-        )
-        assert [h["loss"] for h in serial] == [h["loss"] for h in threads]
-        assert [h["loss"] for h in serial] == [h["loss"] for h in procs]
+        """Every prefetch pool trains the bits inline preprocessing (the
+        default) trains: same loss trajectory, same model."""
+
+        def run(**flags):
+            trainer, _, history = self._train(lp_dataset, "train", "link_prediction", **flags)
+            return [h["loss"] for h in history], model_digest(trainer.model)
+
+        inline = run()
+        for flags in (
+            dict(pipeline=True),
+            dict(pipeline=True, prefetch_workers=2),
+            dict(pipeline=True, prefetch_backend="processes", prefetch_workers=2),
+        ):
+            assert run(**flags) == inline, flags
 
     def test_edge_classification_learns_planted_structure(self, lp_graph, tmp_path):
         nodes, edges = lp_graph

@@ -1,13 +1,17 @@
 """GraphTrainer loop: convergence, optimization-flag invariance, PS parity,
 prediction/evaluation plumbing."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.graphflat import GraphFlatConfig, graph_flat
-from repro.core.trainer import GraphTrainer, TrainerConfig
+from repro.core.trainer import BatchPipeline, GraphTrainer, TrainerConfig
+from repro.core.trainer.pipeline import QUEUE_DEPTH, BatchPreparer
 from repro.nn.gnn import GCNModel, GraphSAGEModel
 from repro.ps import ParameterServerGroup
+from repro.utils.timer import TimerRegistry
 
 from .helpers import WIDE_BATCH, model_digest, wide_model, wide_training_set
 
@@ -98,14 +102,15 @@ class TestOptimizationFlagInvariance:
     @pytest.mark.parametrize(
         "flags",
         [
-            dict(pipeline=False),
-            dict(prefetch_backend="processes", prefetch_workers=2),
+            dict(pipeline=True),
+            dict(pipeline=True, prefetch_backend="processes", prefetch_workers=2),
         ],
     )
     def test_exact_trajectory_at_blas_width(self, flags):
         """Batches of 300+ nodes at hidden 32, where BLAS would multithread
         its products: the pipeline switch and the prefetch hand-off change
-        no bit of the loss trajectory or the model."""
+        no bit of the loss trajectory or the model against the default,
+        inline preprocessing."""
         _, samples = wide_training_set()
 
         def run(**flags):
@@ -115,6 +120,85 @@ class TestOptimizationFlagInvariance:
             return [entry["loss"] for entry in history], model_digest(model)
 
         assert run(**flags) == run()
+
+
+class TestPreprocessingThreads:
+    """Where preprocessing runs: inline on the training thread by default,
+    on one producer thread with ``pipeline=True``."""
+
+    @staticmethod
+    def thread_names_seen(trainer) -> set[str]:
+        """Names of every live thread at each optimizer step and model
+        call of ``trainer``."""
+        seen: set[str] = set()
+
+        def record(fn):
+            def call(*args, **kwargs):
+                seen.update(thread.name for thread in threading.enumerate())
+                return fn(*args, **kwargs)
+            return call
+
+        trainer.optimizer.step = record(trainer.optimizer.step)
+        trainer.model.forward = record(trainer.model.forward)
+        return seen
+
+    @pytest.mark.parametrize("pipeline", [None, True], ids=["default", "pipeline"])
+    def test_no_prefetch_thread_by_default(self, mini_cora, cora_flat, pipeline):
+        train, val = cora_flat
+        flags = {} if pipeline is None else {"pipeline": pipeline}
+        # More batches than the queue holds plus one: a producer thread is
+        # certainly still alive when the first batch trains.
+        assert len(train) > 2 * (QUEUE_DEPTH + 1)
+        trainer = GraphTrainer(
+            make_model(mini_cora), TrainerConfig(batch_size=2, epochs=2, **flags)
+        )
+        seen = self.thread_names_seen(trainer)
+        trainer.fit(train, val_samples=val[:24])
+        trainer.evaluate(val[:24])
+        trainer.predict(val[:24])
+        # the "pipeline" arm shows the probe sees the thread when it runs
+        assert ("agl-preprocess" in seen) == bool(pipeline)
+
+    def test_one_producer_one_interval_per_window(self, mini_cora, cora_flat, monkeypatch):
+        """``threads`` x 1 is the pool producer with one worker: every
+        window is prepared on that one thread, and the preprocess timer gets
+        one ``(start, stop)`` interval per window, in window order."""
+        train, _ = cora_flat
+        calls = {"pool": 0, "sequential": 0}
+        prepared_on: set[str] = set()
+
+        def counted(name, real):
+            def call(self):
+                calls[name] += 1
+                return real(self)
+            return call
+
+        def prepare(self, window):
+            prepared_on.add(threading.current_thread().name)
+            return real_prepare(self, window)
+
+        real_prepare = BatchPreparer.__call__
+        monkeypatch.setattr(BatchPreparer, "__call__", prepare)
+        for name in calls:
+            real = getattr(BatchPipeline, f"_iter_{name}")
+            monkeypatch.setattr(BatchPipeline, f"_iter_{name}", counted(name, real))
+        trainer = GraphTrainer(
+            make_model(mini_cora),
+            TrainerConfig(batch_size=2, epochs=1, pipeline=True, prefetch_workers=1),
+        )
+        trainer.timers = TimerRegistry(keep_intervals=True)
+        trainer.fit(train)
+        batches = -(-len(train) // 2)
+        windows = -(-batches // QUEUE_DEPTH)
+        assert windows > 1
+        assert calls == {"pool": 1, "sequential": 0}
+        assert prepared_on == {"agl-preprocess"}
+        timer = trainer.timers["preprocess"]
+        assert timer.count == batches
+        assert len(timer.intervals) == windows
+        flat = [t for interval in timer.intervals for t in interval]
+        assert flat == sorted(flat)
+        assert timer.total == pytest.approx(sum(b - a for a, b in timer.intervals))
 
 
 class TestPSParity:
