@@ -83,7 +83,7 @@ def bench_table4(benchmark, bench_ppi, ppi_flat_by_hops, model_name, depth, vari
             model,
             TrainerConfig(
                 batch_size=64, lr=0.01, task="multilabel", seed=0,
-                num_partitions=4, pipeline=True, **AGL_FLAGS[variant],
+                pipeline=True, **AGL_FLAGS[variant],
             ),
         )
         epoch = lambda: trainer.train_epoch(samples)

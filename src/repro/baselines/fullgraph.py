@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.trainer.partition import EdgePartitionAggregator
 from repro.datasets.base import GraphDataset
 from repro.metrics import accuracy, micro_f1, roc_auc
 from repro.nn import Adam, SGD, bce_with_logits_loss, no_grad, softmax_cross_entropy
@@ -40,8 +39,9 @@ class FullGraphConfig:
     weight_decay: float = 0.0
     task: str = "multiclass"
     aggregation: str = "fused"
-    """``"fused"`` = DGL proxy (segment reduction); ``"scatter"`` = PyG proxy
-    (unbuffered scatter-add)."""
+    """``"fused"`` = DGL proxy (the sorted segment-sum kernel GraphTrainer's
+    edge partitioning runs); ``"scatter"`` = PyG proxy (unbuffered
+    scatter-add)."""
     max_nodes_in_memory: int | None = None
     seed: int = 0
 
@@ -77,9 +77,8 @@ class FullGraphTrainer:
             graph.num_nodes,
             graph.edges.weights[in_eid],
             edge_feat,
+            sorted_kernel=config.aggregation == "fused",
         )
-        if config.aggregation == "fused":
-            self.block.aggregator = EdgePartitionAggregator(self.block.dst, num_partitions=1)
         self._graph = graph
         cls = Adam if config.optimizer == "adam" else SGD
         self.optimizer = cls(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)

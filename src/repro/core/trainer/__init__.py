@@ -9,8 +9,9 @@ Components map one-to-one onto the paper's Figure 4:
   zero-copy slicing over mmap'd columnar DFS shards);
 * :mod:`pruning` — per-layer pruned adjacencies ``A^(k)_B`` (graph-level
   optimization);
-* :mod:`partition` — conflict-free edge partitioning for parallel
-  aggregation (edge/operator-level optimization);
+* edge partitioning (edge/operator-level optimization) is the sorted
+  segment-sum kernel ``repro.nn.ops.reduceat_sum`` over each block's
+  destination rows, switched by ``TrainerConfig.edge_partition``;
 * :mod:`pipeline` — the two-stage prefetch pipeline overlapping
   preprocessing with model computation (batch-level optimization);
 * :mod:`trainer` — the training loop, standalone or against parameter
@@ -20,6 +21,7 @@ Components map one-to-one onto the paper's Figure 4:
 from repro.core.trainer.vectorize import (
     TrainSample,
     decode_samples,
+    partitioned_backend_factory,
     vectorize_batch,
     vectorize_window,
 )
@@ -32,7 +34,6 @@ from repro.core.trainer.dataset import (
     open_sample_source,
 )
 from repro.core.trainer.pruning import layer_edge_masks
-from repro.core.trainer.partition import EdgePartitionAggregator, partitioned_backend_factory
 from repro.core.trainer.pipeline import BatchPipeline, BatchPreparer
 from repro.core.trainer.trainer import GraphTrainer, TrainerConfig
 
@@ -48,7 +49,6 @@ __all__ = [
     "as_sample_source",
     "open_sample_source",
     "layer_edge_masks",
-    "EdgePartitionAggregator",
     "partitioned_backend_factory",
     "BatchPipeline",
     "BatchPreparer",

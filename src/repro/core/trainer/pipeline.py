@@ -85,7 +85,7 @@ class BatchPreparer:
 
     num_layers: int
     pruning: bool = True
-    aggregator_factory: object | None = None
+    edge_partition: bool = False
     edge_level: bool = False
 
     @staticmethod
@@ -121,7 +121,7 @@ class BatchPreparer:
             *self.resolve(window),
             self.num_layers,
             pruning=self.pruning,
-            aggregator_factory=self.aggregator_factory,
+            edge_partition=self.edge_partition,
             edge_level=self.edge_level,
         )
         return prepared, (start, time.perf_counter())
@@ -158,7 +158,7 @@ class BatchPipeline:
         :class:`~repro.core.trainer.dataset.ColumnarBatchRef` (columnar
         shard slice).  Consecutive batches are prepared a window of
         :data:`QUEUE_DEPTH` at a time.
-    num_layers / pruning / aggregator_factory:
+    num_layers / pruning / edge_partition:
         forwarded to :func:`vectorize_window`.
     enabled:
         ``False`` prepares each window inline, on the iterating thread
@@ -192,7 +192,7 @@ class BatchPipeline:
         batches: Iterable,
         num_layers: int,
         pruning: bool = True,
-        aggregator_factory=None,
+        edge_partition: bool = False,
         enabled: bool = True,
         timers: TimerRegistry | None = None,
         backend: str | Backend = "threads",
@@ -211,7 +211,7 @@ class BatchPipeline:
                 f"unknown prefetch backend {backend!r}; known: {sorted(BACKEND_REGISTRY)}"
             )
         self._batches = batches
-        self._prepare = BatchPreparer(num_layers, pruning, aggregator_factory, edge_level)
+        self._prepare = BatchPreparer(num_layers, pruning, edge_partition, edge_level)
         self._enabled = enabled
         self._backend = backend
         self._workers = workers

@@ -9,7 +9,9 @@ by three flags that Table 4 sweeps:
 
 * ``pipeline``       — overlap preprocessing with model computation (off);
 * ``pruning``        — per-layer adjacency ``A^(k)_B`` (Equation 3);
-* ``edge_partition`` — conflict-free partitioned aggregation.
+* ``edge_partition`` — destination-sorted segment sums (one ``reduceat``
+  kernel over each block's destination rows) instead of the ``np.add.at``
+  scatter.
 
 The trainer runs *standalone* (local optimizer; Tables 3/4) or against a
 parameter-server client (``ps_client``): pull fresh parameters before each
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.trainer.dataset import SampleSource, as_sample_source
-from repro.core.trainer.partition import partitioned_backend_factory
 from repro.core.trainer.pipeline import BatchPipeline
 from repro.mapreduce.backends import BACKEND_REGISTRY, make_backend
 from repro.metrics import accuracy, hits_at_k, micro_f1, roc_auc
@@ -59,8 +60,6 @@ class TrainerConfig:
     task: str = "multiclass"
     pruning: bool = True
     edge_partition: bool = True
-    num_partitions: int = 4
-    partition_threads: int = 1
     pipeline: bool = False
     prefetch_backend: str = "threads"
     """Preprocessing-pool backend (MapReduce backend registry name:
@@ -93,10 +92,6 @@ class TrainerConfig:
             )
         if self.prefetch_workers < 1:
             raise ValueError("prefetch_workers must be >= 1")
-        if self.num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        if self.partition_threads < 1:
-            raise ValueError("partition_threads must be >= 1")
 
 
 class GraphTrainer:
@@ -111,11 +106,6 @@ class GraphTrainer:
         # Edge-level task plugin (link prediction / edge classification);
         # None keeps every node-classification code path exactly as it was.
         self._task_plugin = make_task(config.task) if config.task in EDGE_TASKS else None
-        self._aggregator_factory = (
-            partitioned_backend_factory(config.num_partitions, config.partition_threads)
-            if config.edge_partition
-            else None
-        )
         if ps_client is None:
             cls = Adam if config.optimizer == "adam" else SGD
             self.optimizer = cls(
@@ -159,7 +149,7 @@ class GraphTrainer:
             [batch for batch, _ in batches],
             num_layers=self.model.num_layers,
             pruning=self.config.pruning,
-            aggregator_factory=self._aggregator_factory,
+            edge_partition=self.config.edge_partition,
             enabled=self.config.pipeline,
             timers=self.timers,
             backend=self._prefetch_backend(),

@@ -9,9 +9,10 @@ following three matrices": the destination-sorted sparse adjacency ``A_B``
 The unit of work is a *window* of batches (:func:`vectorize_window`): the
 window's samples are stacked once, merged by one
 :func:`~repro.graph.subgraph.merge_groups` call (one group per batch), and
-pruned, checked, partitioned, paired and labeled with one array pass each
-over the whole window.  What is left per batch is slicing and building the
-batch's objects.  :func:`vectorize_batch` is the window of one.
+pruned, checked, cut into destination rows, paired and labeled with one
+array pass each over the whole window.  What is left per batch is slicing
+and building the batch's objects.  :func:`vectorize_batch` is the window of
+one.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.proto.codec import decode_sample
 __all__ = [
     "TrainSample",
     "decode_samples",
+    "partitioned_backend_factory",
     "stack_samples",
     "vectorize_batch",
     "vectorize_window",
@@ -67,12 +69,29 @@ def stack_samples(samples: list[TrainSample]) -> StackedFeatures:
     )
 
 
+def partitioned_backend_factory(num_partitions: int = 4, threads: int = 1) -> bool:
+    """The ``aggregator_factory`` value of :func:`vectorize_batch` that
+    turns the sorted segment-sum kernel on, as ``edge_partition=True`` does.
+
+    Edge partitioning has no partitions or threads any more (one serial
+    kernel over the block's rows), so both arguments are only checked.  The
+    function stays, with ``aggregator_factory``, because the repo
+    benchmark's replay probe (``bench/probes.py``) calls it; both go when
+    the probe drops them."""
+    if num_partitions < 1:
+        raise ValueError("num_partitions must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    return True
+
+
 def vectorize_batch(
     samples: StackedFeatures | list[TrainSample],
     num_layers: int,
     pruning: bool = True,
-    aggregator_factory=None,
+    edge_partition: bool = False,
     edge_level: bool = False,
+    aggregator_factory=None,
 ) -> tuple[BatchInputs, np.ndarray | None]:
     """Merge + vectorize one batch of samples into model inputs: the window
     of one batch (see :func:`vectorize_window` for the arguments).
@@ -80,10 +99,13 @@ def vectorize_batch(
     ``samples`` is a :class:`StackedFeatures` record (what columnar sources
     gather straight from their shards) or a list of decoded
     :class:`TrainSample` objects, which is stacked first.
+    ``aggregator_factory=partitioned_backend_factory(...)`` is the old
+    spelling of ``edge_partition=True``.
     """
     stacked = samples if isinstance(samples, StackedFeatures) else stack_samples(samples)
+    edge_partition = edge_partition or bool(aggregator_factory)
     return vectorize_window(
-        stacked, [0, stacked.num_samples], num_layers, pruning, aggregator_factory, edge_level
+        stacked, [0, stacked.num_samples], num_layers, pruning, edge_partition, edge_level
     )[0]
 
 
@@ -92,7 +114,7 @@ def vectorize_window(
     batch_offsets,
     num_layers: int,
     pruning: bool = True,
-    aggregator_factory=None,
+    edge_partition: bool = False,
     edge_level: bool = False,
 ) -> list[tuple[BatchInputs, np.ndarray | None]]:
     """Merge + vectorize a window of batches into model inputs, one
@@ -112,10 +134,10 @@ def vectorize_window(
     endpoint).
 
     With ``pruning`` the per-layer adjacency list implements Equation 3;
-    otherwise every layer sees the full ``A_B``.  ``aggregator_factory``
-    installs an edge-partitioned aggregation backend on each block; it is
-    called as ``factory(block, row_starts)`` with the block's
-    destination-row starts, found for the whole window at once.
+    otherwise every layer sees the full ``A_B``.  Every block carries its
+    destination-row offsets, found for the whole window at once;
+    ``edge_partition`` turns on the sorted segment-sum kernel over them
+    (see :class:`~repro.nn.gnn.block.EdgeBlock`), off keeps the scatter.
     """
     batch_offsets = np.asarray(batch_offsets, dtype=np.int64)
     merged = merge_groups(stacked, batch_offsets)  # rejects an empty batch
@@ -141,7 +163,7 @@ def vectorize_window(
             labels = labels[_label_rows(stacked, merged, sample_batch, target_counts)]
         label_at = merged.target_offsets
 
-    blocks = _window_blocks(merged, num_layers, pruning, aggregator_factory)
+    blocks = _window_blocks(merged, num_layers, pruning, edge_partition)
     node_at = merged.node_offsets.tolist()
     target_at = merged.target_offsets.tolist()
     sample_at = batch_offsets.tolist()
@@ -187,28 +209,31 @@ def _label_rows(stacked, merged: MergedGroups, sample_batch, target_counts) -> n
     return row
 
 
-def _trusted_block(src, dst, num_nodes, weight, edge_feat) -> EdgeBlock:
+def _trusted_block(src, dst, num_nodes, weight, edge_feat, row_offsets, sorted_kernel) -> EdgeBlock:
     """An :class:`EdgeBlock` over columns the window has already typed and
-    checked (destination order, endpoint range) as a whole — built without
-    checking each block again."""
+    checked (destination order, endpoint range) and cut into rows as a
+    whole — built without checking each block again."""
     block = EdgeBlock.__new__(EdgeBlock)
     block.__dict__.update(
         src=src, dst=dst, num_nodes=num_nodes, weight=weight, edge_feat=edge_feat,
-        aggregator=None, _self_loop_cache=None,
+        sorted_kernel=sorted_kernel, row_offsets=row_offsets, _self_loop_cache=None,
     )
     return block
 
 
 def _window_blocks(
-    merged: MergedGroups, num_layers: int, pruning: bool, aggregator_factory
+    merged: MergedGroups, num_layers: int, pruning: bool, sorted_kernel: bool
 ) -> list[list[EdgeBlock]]:
     """Every batch's per-layer blocks.  One ``diff`` over the window's
     destination rows checks the order of every block and finds every
-    block's destination-row starts (a pruning mask keeps or drops a
-    destination's edges together, so a pruned block's row starts are the
-    kept ones); one ``hops[dst]`` pass masks every layer.  A layer that
-    keeps all of a batch's edges shares the batch's full block — and its
-    aggregator — as before."""
+    block's destination-row offsets (a pruning mask keeps or drops a
+    destination's edges together, so a pruned block's rows are the kept
+    ones); one ``hops[dst]`` pass masks every layer.  A layer that keeps
+    all of a batch's edges shares the batch's full block.
+
+    A batch boundary is a row start of the window (batches never share a
+    row) or its end, so the window's row starts with its edge count
+    appended hold every block's offsets, end included, as one slice."""
     node_offsets, edge_offsets = merged.node_offsets, merged.edge_offsets
     node_counts = np.diff(node_offsets)
     edge_counts = np.diff(edge_offsets)
@@ -230,7 +255,7 @@ def _window_blocks(
     num_batches = len(edge_counts)
     sizes = node_counts.tolist()
     full_at = edge_offsets.tolist()
-    full_starts = np.flatnonzero(row_start)
+    full_starts = np.append(np.flatnonzero(row_start), len(rows))
     full_cut = np.searchsorted(full_starts, edge_offsets).tolist()
     bases: list[EdgeBlock | None] = [None] * num_batches
 
@@ -239,12 +264,9 @@ def _window_blocks(
         if block is None:
             e = slice(full_at[b], full_at[b + 1])
             block = bases[b] = _trusted_block(
-                src[e], dst[e], sizes[b], weight[e], None if feat is None else feat[e]
+                src[e], dst[e], sizes[b], weight[e], None if feat is None else feat[e],
+                full_starts[full_cut[b] : full_cut[b + 1] + 1] - full_at[b], sorted_kernel,
             )
-            if aggregator_factory is not None:
-                block.aggregator = aggregator_factory(
-                    block, full_starts[full_cut[b] : full_cut[b + 1]] - full_at[b]
-                )
         return block
 
     if not pruning:
@@ -256,7 +278,7 @@ def _window_blocks(
         np.cumsum(mask, out=kept[1:])
         kept_at = kept[edge_offsets]
         whole = (np.diff(kept_at) == edge_counts).tolist()
-        starts = np.flatnonzero(row_start[mask])
+        starts = np.append(np.flatnonzero(row_start[mask]), kept[-1])
         layers.append(
             (
                 whole, kept_at.tolist(), np.searchsorted(starts, kept_at).tolist(), starts,
@@ -272,10 +294,9 @@ def _window_blocks(
                 continue
             e = slice(at[b], at[b + 1])
             block = _trusted_block(
-                l_src[e], l_dst[e], sizes[b], l_weight[e], None if l_feat is None else l_feat[e]
+                l_src[e], l_dst[e], sizes[b], l_weight[e], None if l_feat is None else l_feat[e],
+                starts[cut[b] : cut[b + 1] + 1] - at[b], sorted_kernel,
             )
-            if aggregator_factory is not None:
-                block.aggregator = aggregator_factory(block, starts[cut[b] : cut[b + 1]] - at[b])
             blocks.append(block)
         out.append(blocks)
     return out

@@ -4,7 +4,9 @@ This is the in-model form of the paper's three matrices (§3.3.1): the sparse
 adjacency ``A_B`` (as destination-sorted COO plus weights), with ``X_B`` and
 ``E_B`` carried alongside by :class:`BatchInputs`.  Edges **must** be sorted
 by destination: that is the contract that makes edge partitioning (§3.3.2)
-conflict-free, and the partitioned aggregation backend relies on it.
+conflict-free.  A block keeps where each destination's edges start, and the
+sorted segment-sum kernel (``repro.nn.ops.reduceat_sum``) reduces over those
+rows.
 """
 
 from __future__ import annotations
@@ -20,10 +22,14 @@ __all__ = ["EdgeBlock", "BatchInputs"]
 class EdgeBlock:
     """Destination-sorted sparse adjacency over ``num_nodes`` local nodes.
 
-    ``aggregator`` is an optional segment-sum forward backend (see
-    ``repro.nn.ops.segment_sum``); ``None`` selects the generic scatter-add.
-    GraphTrainer's edge-partitioning strategy installs its optimized backend
-    here — model code never changes.
+    ``row_offsets`` are the edge index where each destination's edges
+    start, then ``num_edges``: destination row ``k`` is edges
+    ``row_offsets[k]:row_offsets[k + 1]``.  They are found from ``dst``
+    when the block is built.  ``sorted_kernel`` picks the segment-sum
+    forward of the layers run over the block (see
+    ``repro.nn.ops.segment_sum``): the sorted kernel over those rows
+    (GraphTrainer's edge-partitioning strategy), or the generic scatter
+    when off (AGL_base, and GraphInfer) — model code never changes.
     """
 
     src: np.ndarray
@@ -31,7 +37,8 @@ class EdgeBlock:
     num_nodes: int
     weight: np.ndarray | None = None
     edge_feat: np.ndarray | None = None
-    aggregator: object | None = None
+    sorted_kernel: bool = False
+    row_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _self_loop_cache: "EdgeBlock | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -43,8 +50,12 @@ class EdgeBlock:
             self.weight = np.ones(len(self.src), dtype=np.float32)
         else:
             self.weight = np.asarray(self.weight, dtype=np.float32)
-        if len(self.dst) and np.any(np.diff(self.dst) < 0):
+        step = np.diff(self.dst)
+        if (step < 0).any():
             raise ValueError("EdgeBlock edges must be sorted by destination")
+        bounds = np.ones(len(self.dst) + 1, dtype=bool)
+        bounds[1:-1] = step != 0
+        self.row_offsets = np.flatnonzero(bounds)
         if len(self.src) and (
             self.src.max() >= self.num_nodes or self.dst.max() >= self.num_nodes
         ):
@@ -54,11 +65,19 @@ class EdgeBlock:
     def num_edges(self) -> int:
         return len(self.src)
 
+    @property
+    def kernel_offsets(self) -> np.ndarray | None:
+        """The ``row_offsets`` argument of the segment ops run over this
+        block: its row offsets under the sorted kernel, ``None`` (the
+        scatter) otherwise."""
+        return self.row_offsets if self.sorted_kernel else None
+
     def with_self_loops(self) -> "EdgeBlock":
         """Block with ``v -> v`` edges added for every node, re-sorted by
-        destination (GAT attends over ``{v} ∪ N+(v)``).  Cached: the result
-        is reused across layers/epochs.  Self-loop weight is 1, self-loop
-        edge features are zero."""
+        destination (GAT attends over ``{v} ∪ N+(v)``), with the row offsets
+        of its own ``dst`` and this block's kernel.  Cached: the result is
+        reused across layers/epochs.  Self-loop weight is 1, self-loop edge
+        features are zero."""
         if self._self_loop_cache is not None:
             return self._self_loop_cache
         loops = np.arange(self.num_nodes, dtype=np.int64)
@@ -77,12 +96,8 @@ class EdgeBlock:
             self.num_nodes,
             weight[order],
             None if edge_feat is None else edge_feat[order],
-            self.aggregator,
+            self.sorted_kernel,
         )
-        # Layout-bound aggregators (edge partitioning) must be rebuilt for
-        # the augmented edge list; stateless backends pass through.
-        if hasattr(block.aggregator, "rebind"):
-            block.aggregator = block.aggregator.rebind(block)
         self._self_loop_cache = block
         return block
 

@@ -91,11 +91,11 @@ class GATLayer(GNNLayer):
             ops.gather_rows(s_src, loop_block.src) + ops.gather_rows(s_dst, loop_block.dst),
             self.negative_slope,
         )  # (m', heads)
-        alpha = ops.segment_softmax(e, loop_block.dst, n, backend=loop_block.aggregator)
+        alpha = ops.segment_softmax(e, loop_block.dst, n, row_offsets=loop_block.kernel_offsets)
         weighted = ops.gather_rows(z, loop_block.src) * alpha.reshape(
             loop_block.num_edges, self.num_heads, 1
         )
-        agg = ops.segment_sum(weighted, loop_block.dst, n, backend=loop_block.aggregator)
+        agg = ops.segment_sum(weighted, loop_block.dst, n, row_offsets=loop_block.kernel_offsets)
         if self.concat_heads:
             out = agg.reshape(n, self.num_heads * self.out_dim_)
         else:

@@ -83,7 +83,7 @@ class GCNLayer(GNNLayer):
         if self.edge_dim and block.edge_feat is not None:
             messages = messages + Tensor(block.edge_feat) @ self.edge_weight_mat
         messages = messages * Tensor(coeff[:, None])
-        agg = ops.segment_sum(messages, block.dst, block.num_nodes, backend=block.aggregator)
+        agg = ops.segment_sum(messages, block.dst, block.num_nodes, row_offsets=block.kernel_offsets)
         combined = agg + h * Tensor((1.0 / denom)[:, None])
         return self._activate(combined @ self.weight + self.bias)
 

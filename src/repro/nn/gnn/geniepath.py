@@ -95,9 +95,9 @@ class GeniePathLayer(GNNLayer):
         src_part = ops.gather_rows(h @ self.w_src, block.src)
         dst_part = ops.gather_rows(h @ self.w_dst, block.dst)
         scores = (ops.tanh(src_part + dst_part) @ self.v_att).reshape(block.num_edges)
-        alpha = ops.segment_softmax(scores, block.dst, n, backend=block.aggregator)
+        alpha = ops.segment_softmax(scores, block.dst, n, row_offsets=block.kernel_offsets)
         messages = ops.gather_rows(h, block.src) * alpha.reshape(block.num_edges, 1)
-        agg = ops.segment_sum(messages, block.dst, n, backend=block.aggregator)
+        agg = ops.segment_sum(messages, block.dst, n, row_offsets=block.kernel_offsets)
         tmp = ops.tanh(agg @ self.w_t)
 
         # adaptive depth: LSTM gate over the running memory

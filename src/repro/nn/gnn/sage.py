@@ -80,10 +80,11 @@ class GraphSAGELayer(GNNLayer):
     # ---------------------------------------------------------------- batch
     def forward(self, h: Tensor, block: EdgeBlock) -> Tensor:
         messages = ops.gather_rows(h, block.src)
+        n, offsets = block.num_nodes, block.kernel_offsets
         if self.aggregator == "mean":
-            agg = ops.segment_mean(messages, block.dst, block.num_nodes, backend=block.aggregator)
+            agg = ops.segment_mean(messages, block.dst, n, row_offsets=offsets)
         elif self.aggregator == "sum":
-            agg = ops.segment_sum(messages, block.dst, block.num_nodes, backend=block.aggregator)
+            agg = ops.segment_sum(messages, block.dst, n, row_offsets=offsets)
         else:  # max
             agg = ops.segment_max(messages, block.dst, block.num_nodes)
         self_part = h @ self.w_self

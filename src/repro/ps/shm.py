@@ -42,9 +42,9 @@ the *opposite* direction: a prefetch worker pickles its prepared batch with
 protocol 5, diverts every out-of-band buffer (the numpy blocks — virtually
 all of the bytes) into a parent-owned reusable slab, and ships back only a
 small :class:`ShmBatchRef`; the parent rebuilds the object with one bulk
-copy out of the slab.  Array aliasing inside the batch (e.g. an edge-index
-array shared between blocks and a prepared aggregator) survives because
-pickle's memo handles it — the slab carries each distinct buffer once.
+copy out of the slab.  Aliasing inside the batch (e.g. one block shared by
+every layer that pruning leaves whole) survives because pickle's memo
+handles it — the slab carries each distinct buffer once.
 """
 
 from __future__ import annotations

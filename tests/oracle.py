@@ -814,40 +814,34 @@ def oracle_merge(features: list[GraphFeature]) -> GraphFeature:
     return merged.sorted_by_destination()
 
 
-def oracle_prune_blocks(base, hops, num_layers, aggregator_factory=None) -> list:
+def oracle_prune_blocks(base, hops, num_layers) -> list:
     dst_hops = hops[base.dst]
     blocks = []
     for k in range(num_layers):
         mask = dst_hops <= num_layers - k - 1
         if bool(mask.all()):
-            if aggregator_factory is not None and base.aggregator is None:
-                base.aggregator = aggregator_factory(base)
             blocks.append(base)
             continue
-        block = EdgeBlock(
+        blocks.append(EdgeBlock(
             base.src[mask],
             base.dst[mask],
             base.num_nodes,
             base.weight[mask],
             None if base.edge_feat is None else base.edge_feat[mask],
-        )
-        if aggregator_factory is not None:
-            block.aggregator = aggregator_factory(block)
-        blocks.append(block)
+            base.sorted_kernel,
+        ))
     return blocks
 
 
-def oracle_vectorize(samples, num_layers, pruning=True, edge_level=False, aggregator_factory=None):
+def oracle_vectorize(samples, num_layers, pruning=True, edge_level=False, edge_partition=False):
     merged = oracle_merge([s.graph_feature for s in samples])
     base = EdgeBlock(
         merged.edge_src, merged.edge_dst, merged.num_nodes,
-        merged.edge_weight, merged.edge_feat,
+        merged.edge_weight, merged.edge_feat, edge_partition,
     )
     if pruning:
-        blocks = oracle_prune_blocks(base, merged.hops, num_layers, aggregator_factory)
+        blocks = oracle_prune_blocks(base, merged.hops, num_layers)
     else:
-        if aggregator_factory is not None:
-            base.aggregator = aggregator_factory(base)
         blocks = [base] * num_layers
     if edge_level:
         pairs = np.stack([s.graph_feature.target_ids for s in samples])
@@ -904,7 +898,7 @@ def assert_same_array(got, want, what):
 
 def assert_same_batch(got, want):
     """Two ``(BatchInputs, labels)`` pairs hold the same arrays, layer by
-    layer — and the same aggregator partitions, when they have any."""
+    layer — row offsets and segment-sum kernel included."""
     (got_batch, got_labels), (want_batch, want_labels) = got, want
     assert_same_array(got_batch.x, want_batch.x, "x")
     assert_same_array(got_batch.target_index, want_batch.target_index, "target_index")
@@ -914,16 +908,9 @@ def assert_same_batch(got, want):
     pairs = list(zip(got_batch.layer_blocks, want_batch.layer_blocks))
     for k, (g, w) in enumerate(pairs):
         assert g.num_nodes == w.num_nodes
-        for name in ("src", "dst", "weight", "edge_feat"):
+        for name in ("src", "dst", "weight", "edge_feat", "row_offsets"):
             assert_same_array(getattr(g, name), getattr(w, name), f"layer {k} {name}")
-        assert (g.aggregator is None) == (w.aggregator is None), f"layer {k} aggregator"
-        if w.aggregator is not None:
-            assert g.aggregator.num_partitions == w.aggregator.num_partitions
-            assert len(g.aggregator._parts) == len(w.aggregator._parts)
-            for gp, wp in zip(g.aggregator._parts, w.aggregator._parts):
-                assert gp[:2] == wp[:2], f"layer {k} partition bounds"
-                assert_same_array(gp[2], wp[2], f"layer {k} row starts")
-                assert_same_array(gp[3], wp[3], f"layer {k} rows")
+        assert g.sorted_kernel == w.sorted_kernel, f"layer {k} kernel"
         for j, (g2, w2) in enumerate(pairs):  # which layers share one block
             assert (g is g2) == (w is w2), f"layers {k} and {j} block sharing"
 

@@ -494,7 +494,7 @@ class TestDataflowSurface:
         assert [
             len(fields(cls))
             for cls in (DataflowConfig, GraphFlatConfig, GraphInferConfig, TrainerConfig)
-        ] == [19, 22, 19, 17]
+        ] == [19, 22, 19, 15]
         for cls in (GraphFlatConfig, GraphInferConfig):
             assert cls.make_runtime is DataflowConfig.make_runtime
 

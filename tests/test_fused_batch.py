@@ -22,7 +22,6 @@ from repro.core.trainer import (
     ColumnarDataset,
     TrainSample,
     open_sample_source,
-    partitioned_backend_factory,
     vectorize_batch,
     vectorize_window,
 )
@@ -542,25 +541,25 @@ def sample_windows(draw):
 @given(
     sample_windows(),
     st.booleans(),
-    st.sampled_from([None, partitioned_backend_factory(3)]),
+    st.booleans(),
     st.integers(1, 3),
 )
-def test_a_window_equals_its_batches_vectorized_one_by_one(case, pruning, factory, layers):
-    """Every ``BatchInputs`` array, block, aggregator partition and label of
+def test_a_window_equals_its_batches_vectorized_one_by_one(case, pruning, kernel, layers):
+    """Every ``BatchInputs`` array, block, row start, kernel and label of
     a window is what vectorizing its batch alone gives — which in turn is
     the per-batch oracle's."""
     samples, sizes, edge_level = case
     offsets = np.cumsum([0] + sizes)
     got = vectorize_window(
-        stack_samples(samples), offsets, layers, pruning, factory, edge_level
+        stack_samples(samples), offsets, layers, pruning, kernel, edge_level
     )
     assert len(got) == len(sizes)
     for b, prepared in enumerate(got):
         batch = samples[offsets[b] : offsets[b + 1]]
-        alone = vectorize_batch(batch, layers, pruning, factory, edge_level)
+        alone = vectorize_batch(batch, layers, pruning, kernel, edge_level)
         assert_same_batch(prepared, alone)
         assert_same_batch(
-            prepared, oracle_vectorize(batch, layers, pruning, edge_level, factory)
+            prepared, oracle_vectorize(batch, layers, pruning, edge_level, kernel)
         )
 
 
@@ -584,12 +583,11 @@ class TestWindowsOverShards:
         monkeypatch.setattr(
             dataset, "gather_samples", lambda *a: calls.append(1) or real(*a)
         )
-        factory = partitioned_backend_factory(4)
-        prepare = BatchPreparer(2, pruning, factory, edge_level)
+        prepare = BatchPreparer(2, pruning, True, edge_level)
         prepared, (start, stop) = prepare(refs)
         assert len(calls) == 1 and stop > start
         for ref, got in zip(refs, prepared):
-            want = oracle_vectorize(ref.load_samples(), 2, pruning, edge_level, factory)
+            want = oracle_vectorize(ref.load_samples(), 2, pruning, edge_level, True)
             assert_same_batch(got, want)
 
     def test_a_malformed_batch_fails_its_window_naming_the_sample(self):

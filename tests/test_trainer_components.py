@@ -1,7 +1,7 @@
 """GraphTrainer machinery: vectorization, pruning (Equation 3 invariance),
-edge partitioning (backend equivalence + balance), prefetch pipeline."""
+edge partitioning (the sorted segment-sum kernel), prefetch pipeline."""
 
-import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,17 +13,16 @@ from repro.core.trainer import (
     BatchPipeline,
     GraphTrainer,
     TrainerConfig,
-    EdgePartitionAggregator,
     decode_samples,
     layer_edge_masks,
     partitioned_backend_factory,
     vectorize_batch,
 )
-from repro.nn import Tensor, no_grad
-from repro.nn.gnn import EdgeBlock, GATModel, GCNModel
-from repro.core.trainer import partition
-from repro.nn.ops import scatter_add_backend
+from repro.nn import Tensor, no_grad, ops
+from repro.nn.gnn import EdgeBlock, GATModel, GCNModel, build_model
 from repro.utils.timer import TimerRegistry
+
+from .helpers import model_digest
 
 
 @pytest.fixture(scope="module")
@@ -122,134 +121,132 @@ class TestPruning:
             layer_edge_masks(np.zeros(3, np.int64), np.zeros(3, np.int64), 0)
 
 
+def _sorted_block(rng, n, m):
+    """A destination-sorted block over ``n`` nodes, ``m`` edges."""
+    dst = np.sort(rng.integers(0, n, m))
+    return EdgeBlock(rng.integers(0, n, m), dst, n, sorted_kernel=True)
+
+
+def _kernel_sum(vals, block):
+    return ops.segment_sum(
+        Tensor(vals), block.dst, block.num_nodes, row_offsets=block.row_offsets
+    ).data
+
+
 class TestEdgePartition:
-    def test_matches_scatter_backend(self, rng):
-        m, n, f = 500, 60, 7
-        dst = np.sort(rng.integers(0, n, m))
-        vals = rng.standard_normal((m, f)).astype(np.float32)
-        agg = EdgePartitionAggregator(dst, num_partitions=4)
+    """Edge partitioning is the sorted segment-sum kernel over a block's
+    destination rows: the scatter's sums in a fixed order, chunked without
+    changing a bit."""
+
+    def test_matches_scatter(self, rng):
+        block = _sorted_block(rng, 60, 500)
+        vals = rng.standard_normal((500, 7)).astype(np.float32)
         np.testing.assert_allclose(
-            agg(vals, dst, n), scatter_add_backend(vals, dst, n), rtol=1e-5, atol=1e-6
+            _kernel_sum(vals, block), ops.scatter_sum(vals, block.dst, 60),
+            rtol=1e-5, atol=1e-6,
         )
-
-    def test_threaded_matches_serial(self, rng):
-        m, n = 400, 30
-        dst = np.sort(rng.integers(0, n, m))
-        vals = rng.standard_normal((m, 3)).astype(np.float32)
-        serial = EdgePartitionAggregator(dst, 4, threads=1)(vals, dst, n)
-        threaded = EdgePartitionAggregator(dst, 4, threads=3)(vals, dst, n)
-        np.testing.assert_allclose(serial, threaded)
-
-    def test_one_shared_pool_per_process_and_size(
-        self, rng, monkeypatch, mini_cora, cora_samples
-    ):
-        """Aggregators (two per batch, one per rebind, one per unpickle)
-        share one lazily built pool: a trainer epoch builds at most one,
-        and a threaded aggregator still equals the serial one bit for bit."""
-        built = []
-
-        class CountingPool(partition.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(partition, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(partition, "_pools", {})
-        feature_dim = cora_samples[0].graph_feature.feature_dim
-        trainer = GraphTrainer(
-            GATModel(feature_dim, 6, mini_cora.num_classes, num_layers=2, seed=0),
-            TrainerConfig(batch_size=6, epochs=1, partition_threads=3),
-        )
-        trainer.train_epoch(cora_samples)
-        assert built == [3]
-
-        dst = np.sort(rng.integers(0, 30, 400))
-        vals = rng.standard_normal((400, 3)).astype(np.float32)
-        agg = pickle.loads(pickle.dumps(EdgePartitionAggregator(dst, 4, threads=3)))
-        out = agg(vals, dst, 30)
-        assert np.array_equal(out, EdgePartitionAggregator(dst, 4)(vals, dst, 30))
-        np.testing.assert_allclose(out, scatter_add_backend(vals, dst, 30), rtol=1e-5, atol=1e-6)
-        assert built == [3]
 
     def test_3d_values(self, rng):
-        m, n = 120, 20
-        dst = np.sort(rng.integers(0, n, m))
-        vals = rng.standard_normal((m, 4, 2)).astype(np.float32)
-        agg = EdgePartitionAggregator(dst, 3)
+        block = _sorted_block(rng, 20, 120)
+        vals = rng.standard_normal((120, 4, 2)).astype(np.float32)
         np.testing.assert_allclose(
-            agg(vals, dst, n), scatter_add_backend(vals, dst, n), rtol=1e-5, atol=1e-6
+            _kernel_sum(vals, block), ops.scatter_sum(vals, block.dst, 20),
+            rtol=1e-5, atol=1e-6,
         )
 
-    def test_partitions_never_split_a_destination(self, rng):
-        dst = np.sort(rng.integers(0, 50, 1000))
-        agg = EdgePartitionAggregator(dst, num_partitions=8)
-        seen: set[int] = set()
-        for lo, hi, _, rows in agg._parts:
-            rows_set = set(rows.tolist())
-            assert not rows_set & seen  # conflict-free guarantee
-            seen |= rows_set
-
-    def test_balance_within_factor_two(self, rng):
-        dst = np.sort(rng.integers(0, 200, 4000))
-        sizes = EdgePartitionAggregator(dst, 8).partition_sizes()
-        assert len(sizes) == 8
-        assert max(sizes) <= 2 * (4000 // 8)
+    def test_empty_edges(self):
+        block = EdgeBlock(np.zeros(0, np.int64), np.zeros(0, np.int64), 7)
+        np.testing.assert_array_equal(block.row_offsets, [0])
+        out = _kernel_sum(np.zeros((0, 3), np.float32), block)
+        np.testing.assert_array_equal(out, np.zeros((7, 3)))
 
     def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            EdgePartitionAggregator(np.array([3, 1, 2]))
+        with pytest.raises(ValueError, match="sorted by destination"):
+            EdgeBlock(np.zeros(3, np.int64), np.array([2, 0, 1]), 3)
 
-    def test_layout_mismatch_rejected(self, rng):
-        dst = np.sort(rng.integers(0, 5, 20))
-        agg = EdgePartitionAggregator(dst, 2)
-        with pytest.raises(ValueError, match="rebind"):
-            agg(np.ones((5, 1), np.float32), dst[:5], 5)
-
-    def test_empty_edges(self):
-        agg = EdgePartitionAggregator(np.zeros(0, np.int64), 4)
-        out = agg(np.zeros((0, 3), np.float32), np.zeros(0, np.int64), 7)
-        np.testing.assert_allclose(out, np.zeros((7, 3)))
-
-    def test_rebind_for_self_loops(self, rng):
-        dst = np.sort(rng.integers(0, 8, 30))
-        src = rng.integers(0, 8, 30)
-        block = EdgeBlock(src, dst, 8)
-        block.aggregator = EdgePartitionAggregator(block.dst, 4)
+    def test_row_offsets_of_another_block_rejected(self, rng):
+        """The self-loop block has its own row offsets; summing its values
+        over its base's offsets is refused, never computed."""
+        block = _sorted_block(rng, 8, 30)
         aug = block.with_self_loops()
-        assert aug.aggregator is not block.aggregator
-        assert aug.aggregator.num_edges == aug.num_edges
+        step = np.diff(aug.dst)
+        assert (step >= 0).all() and aug.sorted_kernel
+        np.testing.assert_array_equal(
+            aug.row_offsets, np.concatenate([[0], np.flatnonzero(step) + 1, [aug.num_edges]])
+        )
+        vals = rng.standard_normal((aug.num_edges, 3)).astype(np.float32)
+        with pytest.raises(ValueError, match="belong to another block"):
+            ops.segment_sum(Tensor(vals), aug.dst, 8, row_offsets=block.row_offsets)
 
-    def test_gat_forward_same_with_partitioned_backend(self, cora_samples):
+    def test_gat_forward_same_with_kernel(self, cora_samples):
         feature_dim = cora_samples[0].graph_feature.feature_dim
         model = GATModel(feature_dim, 6, 4, num_layers=2, seed=0)
         model.eval()
         plain, _ = vectorize_batch(cora_samples[:8], 2, pruning=True)
-        fast, _ = vectorize_batch(
-            cora_samples[:8], 2, pruning=True,
-            aggregator_factory=partitioned_backend_factory(4),
-        )
+        fast, _ = vectorize_batch(cora_samples[:8], 2, pruning=True, edge_partition=True)
+        assert not plain.layer_blocks[0].sorted_kernel and fast.layer_blocks[0].sorted_kernel
         with no_grad():
             np.testing.assert_allclose(
                 model(plain).data, model(fast).data, rtol=1e-4, atol=1e-5
             )
 
+    def test_partitioned_backend_factory_turns_the_kernel_on(self, cora_samples):
+        """The old factory spelling still selects the kernel; its partition
+        and thread counts are checked and change nothing."""
+        fast, _ = vectorize_batch(cora_samples[:8], 2, edge_partition=True)
+        old, _ = vectorize_batch(
+            cora_samples[:8], 2, aggregator_factory=partitioned_backend_factory(4, 1)
+        )
+        for g, w in zip(old.layer_blocks, fast.layer_blocks):
+            assert g.sorted_kernel and w.sorted_kernel
+            np.testing.assert_array_equal(g.row_offsets, w.row_offsets)
+        for bad in (dict(num_partitions=0), dict(threads=0)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                partitioned_backend_factory(**bad)
+
     @given(
         seed=st.integers(0, 2**16),
         n=st.integers(1, 40),
         m=st.integers(0, 300),
-        parts=st.integers(1, 9),
+        width=st.integers(1, 5),
+        chunk=st.sampled_from(["one", "mid", "beyond"]),
     )
-    @settings(max_examples=40)
-    def test_property_equivalence(self, seed, n, m, parts):
-        """Property: any partitioning of any layout equals the scatter
-        reference — partitioning is purely a performance choice."""
+    @settings(max_examples=60)
+    def test_chunks_equal_one_reduceat_bit_for_bit(self, seed, n, m, width, chunk):
+        """Chunks of 1, of about half the rows, and of more rows than the
+        block has all give the bits of one unchunked ``np.add.reduceat`` —
+        destinations without edges included (they stay zero)."""
         rng = np.random.default_rng(seed)
-        dst = np.sort(rng.integers(0, n, m))
-        vals = rng.standard_normal((m, 2)).astype(np.float32)
-        agg = EdgePartitionAggregator(dst, parts)
-        np.testing.assert_allclose(
-            agg(vals, dst, n), scatter_add_backend(vals, dst, n), rtol=1e-4, atol=1e-5
-        )
+        block = _sorted_block(rng, n, m)
+        vals = rng.standard_normal((m, width)).astype(np.float32)
+        starts = block.row_offsets[:-1]
+        want = np.zeros((n, width), np.float32)
+        if len(starts):
+            want[block.dst[starts]] = np.add.reduceat(vals, starts, axis=0)
+        size = {"one": 1, "mid": max(1, len(starts) // 2), "beyond": len(starts) + 1}[chunk]
+        with mock.patch.object(ops, "SEGMENT_ROWS", size):
+            got = _kernel_sum(vals, block)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pruning", [True, False])
+    @pytest.mark.parametrize("name", ["gcn", "graphsage", "gat", "geniepath"])
+    def test_fit_bits_do_not_depend_on_the_chunk(self, cora_samples, mini_cora, name, pruning):
+        feature_dim = cora_samples[0].graph_feature.feature_dim
+
+        def run():
+            model = build_model(
+                name, in_dim=feature_dim, hidden_dim=6,
+                num_classes=mini_cora.num_classes, num_layers=2, seed=0,
+            )
+            config = TrainerConfig(batch_size=6, epochs=2, seed=1, pruning=pruning)
+            history = GraphTrainer(model, config).fit(cora_samples)
+            return [entry["loss"] for entry in history], model_digest(model)
+
+        with mock.patch.object(ops, "SEGMENT_ROWS", 1):
+            one_row = run()
+        with mock.patch.object(ops, "SEGMENT_ROWS", 10**9):
+            whole = run()
+        assert one_row == whole == run()
 
 
 class TestBatchPipeline:

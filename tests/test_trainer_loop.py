@@ -253,11 +253,6 @@ class TestPlumbing:
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
 
-    @pytest.mark.parametrize("field", ["num_partitions", "partition_threads"])
-    def test_partition_knobs_rejected_up_front(self, field):
-        with pytest.raises(ValueError, match=field):
-            TrainerConfig(**{field: 0})
-
     def test_timers_capture_both_stages(self, mini_cora, cora_flat):
         train, _ = cora_flat
         trainer = GraphTrainer(
