@@ -40,7 +40,7 @@ def bench_reindexing_load_balance(benchmark, bench_uug, tmp_path, reindex):
 
     def run():
         # spilled, so the shuffle's bytes are counted as well as its records
-        with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
+        with LocalRuntime(spill_dir=tmp_path) as runtime:
             return graph_flat(ds.nodes, ds.edges, ds.train_ids[:200], config, runtime)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -48,7 +48,6 @@ def _runtime(plan: FaultPlan | None, kind: str | None) -> LocalRuntime:
         max_workers=2,
         max_attempts=10,
         fault_plan=plan,
-        shuffle_codec="binary",
         task_timeout_s=HANG_TIMEOUT_S if kind == "hang" else None,
         speculation_factor=1.5 if kind == "slow" else None,
     )

@@ -39,19 +39,17 @@ from .conftest import emit
 
 WORKER_COUNTS = [1, 2, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
 FLAT_WORKER_COUNTS = [1, 2, 4]
-SHUFFLE_CODECS = ["pickle", "binary"]
 DIST_WORKER_COUNTS = [1, 2, 4, 8]
 DIST_BACKENDS = ["threads", "processes"]
 
 
 def bench_fig8_graphflat_worker_scaling(benchmark, bench_uug):
-    """GraphFlat wall-clock scaling: serial vs ``processes`` x 1/2/4 workers
-    x {pickle, binary} shuffle codec, with bytes-spilled accounting.
+    """GraphFlat wall-clock scaling: serial vs ``processes`` x 1/2/4 workers,
+    with bytes-spilled accounting.
 
-    The codec column is the point of the comparison: the process backend's
-    dominant cost is shuffle-record serialization, so the flat binary codec
-    must cut both bytes spilled and wall-clock at every worker count while
-    keeping output byte-identical."""
+    The spilled bytes are the same at every worker count (one run-file
+    encoding, a deterministic function of the records); only the wall clock
+    may move, and output stays byte-identical."""
     ds = bench_uug
     targets = ds.train_ids[:800]
     config = GraphFlatConfig(
@@ -67,47 +65,39 @@ def bench_fig8_graphflat_worker_scaling(benchmark, bench_uug):
     serial_result = run_serial()
     serial_seconds = time.perf_counter() - t0
 
-    rows = [("serial", "-", 1, serial_seconds, 1.0, 0.0, True)]
-    for codec in SHUFFLE_CODECS:
-        for workers in FLAT_WORKER_COUNTS:
-            with LocalRuntime(
-                backend="processes", max_workers=workers, shuffle_codec=codec
-            ) as runtime:
-                t0 = time.perf_counter()
-                result = graph_flat(ds.nodes, ds.edges, targets, config, runtime)
-                seconds = time.perf_counter() - t0
-            spilled_mib = sum(
-                rs.shuffle_bytes_written for rs in result.round_stats
-            ) / 2**20
-            rows.append(
-                (
-                    "processes", codec, workers, seconds,
-                    serial_seconds / seconds, spilled_mib,
-                    result.samples == serial_result.samples,
-                )
+    rows = [("serial", 1, serial_seconds, 1.0, 0.0, True)]
+    for workers in FLAT_WORKER_COUNTS:
+        with LocalRuntime(backend="processes", max_workers=workers) as runtime:
+            t0 = time.perf_counter()
+            result = graph_flat(ds.nodes, ds.edges, targets, config, runtime)
+            seconds = time.perf_counter() - t0
+        spilled_mib = sum(rs.shuffle_bytes_written for rs in result.round_stats) / 2**20
+        rows.append(
+            (
+                "processes", workers, seconds, serial_seconds / seconds, spilled_mib,
+                result.samples == serial_result.samples,
             )
+        )
     assert baseline.samples == serial_result.samples
 
     lines = [
         f"host cores: {os.cpu_count()} (speedup is bounded by physical cores;",
         "the per-round spill serialization runs inside the workers and",
-        "parallelizes with them, so single-core hosts only see its cost —",
-        "which is exactly what the binary codec shrinks)",
+        "parallelizes with them, so single-core hosts only see its cost)",
         "",
-        f"{'backend':>10}{'codec':>8}{'workers':>9}{'seconds':>10}"
+        f"{'backend':>10}{'workers':>9}{'seconds':>10}"
         f"{'speedup':>9}{'spill MiB':>11}{'identical':>11}",
-        "-" * 68,
+        "-" * 60,
     ]
-    for backend, codec, workers, seconds, speedup, spilled, identical in rows:
+    for backend, workers, seconds, speedup, spilled, identical in rows:
         lines.append(
-            f"{backend:>10}{codec:>8}{workers:>9}{seconds:>10.2f}{speedup:>9.2f}"
+            f"{backend:>10}{workers:>9}{seconds:>10.2f}{speedup:>9.2f}"
             f"{spilled:>11.1f}{str(identical):>11}"
         )
     lines += [
         "",
-        "acceptance shape: binary < pickle on both seconds and spill MiB at",
-        "every worker count; >1.5x speedup at 4 workers on >= 4 cores;",
-        "byte-identical output everywhere.",
+        "acceptance shape: the same spill MiB at every worker count; >1.5x",
+        "speedup at 4 workers on >= 4 cores; byte-identical output everywhere.",
     ]
     emit("fig8_graphflat_scaling", "\n".join(lines))
 

@@ -84,9 +84,7 @@ def bench_partition_grid():
     for workers in WORKER_GRID:
         reducers = 2 * workers
         for name in PARTITIONERS:
-            with LocalRuntime(
-                backend="processes", max_workers=workers, shuffle_codec="binary"
-            ) as runtime:
+            with LocalRuntime(backend="processes", max_workers=workers) as runtime:
                 start = time.perf_counter()
                 result = graph_flat(
                     ds.nodes, ds.edges, targets, config(name, reducers), runtime

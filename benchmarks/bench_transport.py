@@ -64,7 +64,7 @@ def bench_transport_grid():
             with tempfile.TemporaryDirectory() as spill:
                 with LocalRuntime(
                     backend="threads", max_workers=workers,
-                    shuffle_codec="binary", spill_dir=spill,
+                    spill_dir=spill,
                     shuffle_transport=name,
                 ) as runtime:
                     start = time.perf_counter()

@@ -101,11 +101,6 @@ def _add_runtime(parser: argparse.ArgumentParser) -> None:
     )
     _add_shuffle_transport(parser)
     parser.add_argument(
-        "--shuffle-codec", choices=["binary", "pickle"], default="binary",
-        help="spill record encoding: flat binary records (default; faster, "
-        "smaller, byte-identical output) or per-record pickles",
-    )
-    parser.add_argument(
         "--max-attempts", type=int, default=3,
         help="attempt budget per map/reduce task before the job fails",
     )
@@ -162,7 +157,6 @@ def _dataflow_kwargs(args) -> dict:
         backend=_backend_name(args),
         num_workers=args.num_workers,
         spill_dir=args.spill_dir,
-        shuffle_codec=args.shuffle_codec,
         shuffle_transport=args.shuffle_transport,
         hosts=args.hosts,
         partitioner=args.partitioner,
@@ -267,9 +261,9 @@ def _backend_name(args) -> str:
     return "threads" if args.num_workers > 1 else "serial"
 
 
-def _print_shuffle_summary(round_stats, codec: str, transport: str = "local") -> None:
-    """One line of shuffle accounting so codec wins are visible without
-    running the benchmark suite."""
+def _print_shuffle_summary(round_stats, transport: str = "local") -> None:
+    """One line of shuffle accounting, so what a run shuffled and spilled is
+    visible without running the benchmark suite."""
     records = sum(rs.shuffled_records for rs in round_stats)
     spilled = sum(rs.shuffle_bytes_written for rs in round_stats)
     combined = sum(rs.combined_records for rs in round_stats)
@@ -278,7 +272,7 @@ def _print_shuffle_summary(round_stats, codec: str, transport: str = "local") ->
     if spilled:
         print(
             f"shuffle: {records} records, {spilled / 2**20:.2f} MiB spilled "
-            f"({codec} codec, {len(round_stats)} rounds{detail}, "
+            f"({len(round_stats)} rounds{detail}, "
             f"peak reducer buffer {peak / 2**20:.2f} MiB)"
         )
     else:
@@ -373,8 +367,7 @@ def _cmd_graphflat(args) -> int:
         f"{len(result.hub_nodes)} hub nodes re-indexed, "
         f"mean neighborhood {result.neighborhood_nodes.mean():.1f} nodes)"
     )
-    _print_shuffle_summary(result.round_stats, args.shuffle_codec,
-                           args.shuffle_transport)
+    _print_shuffle_summary(result.round_stats, args.shuffle_transport)
     print(
         "receptive field: {} of {} nodes, {} of {} propagations".format(
             *result.receptive_nodes, *result.propagations
@@ -618,8 +611,7 @@ def _cmd_graphinfer(args) -> int:
         f"{result.slice_transport} slice transport) -> "
         f"{args.dfs}/{args.output}"
     )
-    _print_shuffle_summary(result.round_stats, args.shuffle_codec,
-                           args.shuffle_transport)
+    _print_shuffle_summary(result.round_stats, args.shuffle_transport)
     _print_fault_summary(result.round_stats)
     return 0
 

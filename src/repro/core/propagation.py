@@ -162,10 +162,6 @@ class DataflowConfig:
     spill_dir: str | None = None
     """Shuffle spill directory; ``None`` = in-memory (serial/threads) or a
     private temp dir (processes)."""
-    shuffle_codec: str = "binary"
-    """Spill record encoding: ``binary`` (flat SubgraphInfo/embedding
-    records instead of pickled object graphs — the default; output is
-    byte-identical to ``pickle``, tested) or ``pickle``."""
     partitioner: str = "hash"
     """Shuffle partition function for the intermediate rounds: ``hash``
     (crc32 of the key, the classic default) or ``planned`` (degree-aware
@@ -180,7 +176,7 @@ class DataflowConfig:
     sorted run is flushed (see ``repro.mapreduce.spill.SpillRunWriter``)."""
     spill_run_bytes: int = DEFAULT_RUN_BYTES
     """External-sort run bound in (approximate) encoded bytes of the values
-    a spill writer buffers before a sorted run is flushed; both codecs."""
+    a spill writer buffers before a sorted run is flushed."""
     max_attempts: int = 3
     """Attempt budget per MapReduce task before the job fails."""
     task_timeout_s: float | None = None
@@ -230,7 +226,6 @@ class DataflowConfig:
             max_workers=self.num_workers,
             max_attempts=self.max_attempts,
             spill_dir=self.spill_dir,
-            shuffle_codec=self.shuffle_codec,
             spill_run_records=self.spill_run_records,
             spill_run_bytes=self.spill_run_bytes,
             task_timeout_s=self.task_timeout_s,

@@ -47,7 +47,7 @@ from repro.mapreduce.fault import (
 from repro.mapreduce.retry import PhaseMonitor, RetryPolicy
 from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.shuffle import decode_key, default_partition, key_bytes
-from repro.mapreduce.spill import SPILL_CODECS, SpillLayout, SpillWriteResult
+from repro.mapreduce.spill import SpillLayout, SpillWriteResult
 
 __all__ = [
     "BACKEND_REGISTRY",
@@ -71,7 +71,6 @@ __all__ = [
     "PartitionPlan",
     "Partitioner",
     "PlannedPartitioner",
-    "SPILL_CODECS",
     "SpillLayout",
     "SpillWriteResult",
     "decode_key",

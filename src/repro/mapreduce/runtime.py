@@ -38,10 +38,11 @@ through :class:`~repro.mapreduce.spill.SpillRunWriter`, which
 external-sorts into bounded runs (``spill_run_records`` / ``spill_run_bytes``
 knobs) that the next round's read-side merge recombines — so neither side
 of a shuffle ever materializes a partition.  Runs are written a chunk of key
-groups at a time; the chunk's values are encoded by a pluggable codec
-(``shuffle_codec``): ``"pickle"`` for arbitrary jobs, or ``"binary"`` column
-blocks (:mod:`repro.proto.framing`) which GraphFlat/GraphInfer use to avoid
-the per-object serialization tax on their dominant shuffle volumes.
+groups at a time, the chunk's values as one binary column block
+(:mod:`repro.proto.framing`) — no per-object serialization tax on the
+pipelines' dominant shuffle volumes.  A spilled value needs a binary form:
+one without (an unregistered class, an int beyond 64 bits) fails its writer
+task with a ``TypeError`` naming its type.
 
 How a round is fed: the records on their way into a job's reducers are one
 *shuffle* — in memory or spilled, whichever the runtime resolved — written by
@@ -117,7 +118,6 @@ from repro.mapreduce.shuffle import (
 from repro.mapreduce.spill import (
     DEFAULT_RUN_BYTES,
     DEFAULT_RUN_RECORDS,
-    SPILL_CODECS,
     SpillLayout,
     SpillWriteResult,
     route_keys,
@@ -701,7 +701,12 @@ def _check_side_stages(jobs: list[MapReduceJob]) -> None:
 
 
 class LocalRuntime:
-    """Runs MapReduce jobs locally with retries and optional disk spill."""
+    """Runs MapReduce jobs locally with retries and optional disk spill.
+
+    ``shuffle_codec`` is checked, not stored: only ``"binary"`` is accepted
+    (spill runs have one encoding).  It stays a keyword because the repo
+    benchmark's runtime probe (``bench/probes.py``) passes it; ROADMAP 14(d)
+    removes it once the probe drops it."""
 
     def __init__(
         self,
@@ -710,7 +715,7 @@ class LocalRuntime:
         max_attempts: int = 3,
         fault_plan: FaultPlan | None = None,
         spill_dir: str | Path | None = None,
-        shuffle_codec: str = "pickle",
+        shuffle_codec: str = "binary",
         spill_run_records: int = DEFAULT_RUN_RECORDS,
         spill_run_bytes: int = DEFAULT_RUN_BYTES,
         task_timeout_s: float | None = None,
@@ -724,10 +729,8 @@ class LocalRuntime:
 
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if shuffle_codec not in SPILL_CODECS:
-            raise ValueError(
-                f"unknown shuffle codec {shuffle_codec!r}; known: {SPILL_CODECS}"
-            )
+        if shuffle_codec != "binary":
+            raise ValueError(f"shuffle_codec must be 'binary', got {shuffle_codec!r}")
         if shuffle_transport not in SHUFFLE_TRANSPORTS:
             raise ValueError(
                 f"unknown shuffle transport {shuffle_transport!r}; "
@@ -761,7 +764,6 @@ class LocalRuntime:
         self.speculation_factor = speculation_factor
         self.fault_plan = fault_plan
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self.shuffle_codec = shuffle_codec
         self.partitioner = partitioner
         """Runtime-level partition function: overrides every job that still
         carries the hash default (jobs with an explicit partitioner keep
@@ -968,7 +970,6 @@ class LocalRuntime:
                 run_dir,
                 name,
                 job.num_reducers,
-                codec=self.shuffle_codec,
                 partition_tag=spill_tag(job.partitioner),
                 partition_subdirs=self._transport.partition_subdirs,
             )

@@ -13,9 +13,9 @@ order: grouping, and therefore job output, stays byte-identical.  The merge
 advances a chunk at a time (:func:`_merge_chunks`), not a heap step per
 group piece.
 
-Run-file grammar (AGLS version 3) — one format, whatever the codec::
+Run-file grammar (AGLS version 3)::
 
-    file   := "AGLS" version=3 codec-id  chunk*
+    file   := "AGLS" version=3 codec-id=1  chunk*
     chunk  := frame(key = key table, payload = value block)     (CRC-trailed,
               :func:`repro.proto.framing.write_frame`)
     key table := <u4 groups | <u4 key lengths | <u4 value counts | key bytes
@@ -24,19 +24,17 @@ A *chunk* is a slice of the run's sorted groups: the key table lists each
 group's canonical key bytes (:func:`repro.mapreduce.shuffle.key_bytes` —
 simultaneously the merge sort key and, via ``decode_key``, the key
 serialization) and how many of the chunk's values belong to it; the payload
-holds those values, in (sorted key, emission) order, as **one block**.  The
-codec (the ``codec`` knob) only chooses the block function:
-
-* ``"binary"`` — :func:`repro.proto.framing.encode_columns` of the chunk's
-  values as columns (a kind column to re-interleave mixed record shapes,
-  stacked matrices for same-shape arrays, one column per declared record
-  field, a per-value fallback column for anything else).  No Python-level
-  encode or decode call per record — the serialization tax AGL's C++
-  GraphFlat avoids with flat protobuf records (§3.2).  GraphFlat/GraphInfer
-  default to this codec.
-* ``"pickle"`` — ``pickle.dumps`` of the chunk's value list; works for
-  arbitrary jobs.  It has no column form: columns become rows at this
-  boundary.
+holds those values, in (sorted key, emission) order, as **one block**:
+:func:`repro.proto.framing.encode_columns` of the chunk's values as columns
+(a kind column to re-interleave mixed record shapes, stacked matrices for
+same-shape arrays, one column per declared record field, a per-value
+fallback column for anything else).  No Python-level encode or decode call
+per record — the serialization tax AGL's C++ GraphFlat avoids with flat
+protobuf records (§3.2).  The header's codec byte is always ``1`` (the
+column block); a file with any other byte is corrupt.  A value with no
+binary form — an unregistered class, an int beyond 64 bits — fails the
+writing task with a ``TypeError`` naming its type: the spill never falls
+back to pickle.
 
 Chunks are cut at about :data:`_CHUNK_BYTES`; a group larger than that (a
 hub) is split over several single-group chunks, which the reader re-joins.
@@ -77,10 +75,9 @@ from __future__ import annotations
 
 import io
 import os
-import pickle
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -104,7 +101,6 @@ from repro.proto.framing import (
     columnize,
     concat_columns,
     decode_columns,
-    encode_block,
     encode_columns,
     iter_frames,
     read_stream_header,
@@ -116,16 +112,13 @@ __all__ = [
     "DEFAULT_RUN_BYTES",
     "DEFAULT_RUN_RECORDS",
     "MERGE_BATCH_BYTES",
-    "SPILL_CODECS",
     "SpillLayout",
     "SpillRunWriter",
     "SpillWriteResult",
 ]
 
-SPILL_CODECS = ("pickle", "binary")
-
-_CODEC_IDS = {"pickle": 0, "binary": 1}
-_CODEC_EXTS = {"pickle": "pkl", "binary": "bin"}
+_CODEC_ID = 1
+"""The header's codec byte: the column block (the only block encoding)."""
 
 _CHUNK_BYTES = 1 << 14
 """Target size of one chunk frame — the explicit bound on how much of a run
@@ -217,19 +210,13 @@ def _iter_chunks(groups: list[tuple[bytes, int, int, int]]):
 class _RunValues:
     """A run's buffered values, in arrival order, from the slices ``(values,
     start, stop)`` of the batches the run absorbed: one list of the value
-    objects (pair batches, or any batch under a codec without a column
-    form), else one column joined from the batches' columns."""
+    objects when every batch holds objects (pair batches), else one column
+    joined from the batches' columns."""
 
-    def __init__(self, slices: list[tuple[object, int, int]], as_rows: bool):
-        self._objects = as_rows or all(type(values) is list for values, _, _ in slices)
+    def __init__(self, slices: list[tuple[object, int, int]]):
+        self._objects = all(type(values) is list for values, _, _ in slices)
         if self._objects:
-            flat: list = []
-            for values, start, stop in slices:
-                if isinstance(values, Column):
-                    values = values.take(np.arange(start, stop)).rows()
-                    start, stop = 0, len(values)
-                flat.extend(values[start:stop])
-            self._flat = flat
+            self._flat = [v for values, start, stop in slices for v in values[start:stop]]
         else:
             self._column = concat_columns([
                 _as_column(values).take(np.arange(start, stop))
@@ -314,8 +301,7 @@ def _damage(data: bytes, kind: str) -> bytes:
     bytes of every frame, so any short chop is guaranteed detectable);
     ``corrupt-run`` flips a byte in the middle of the chunk region, which
     the per-frame CRC32 — covering key table and value block — catches.
-    The header is left intact: the point is a *frame* integrity failure,
-    not a codec mismatch."""
+    The header is left intact: the point is a *frame* integrity failure."""
     if kind == "truncate-run" and len(data) > _STREAM_HEADER_BYTES + 3:
         return data[:-3]
     injured = bytearray(data)
@@ -341,14 +327,17 @@ class SpillWriteResult:
 
 @dataclass(frozen=True)
 class SpillLayout:
-    """Where one job's shuffle files live, and how records are encoded.
-    Picklable: it crosses the process boundary inside every map/reduce task
-    of a spilling job."""
+    """Where one job's shuffle files live.  Picklable: it crosses the
+    process boundary inside every map/reduce task of a spilling job."""
 
     root: str
     job_name: str
     num_partitions: int
-    codec: str = "pickle"
+    codec: InitVar[str] = "binary"
+    """Checked, not stored: only ``"binary"`` is accepted (the run-file
+    block is the one encoding).  It stays a keyword because the repo
+    benchmark's spill probe (``bench/probes.py``) passes it; ROADMAP
+    14(d) removes it once the probe drops it."""
     partition_tag: str = ""
     """Spill-tag of the partition function that routed records into this
     layout (``Partitioner.spill_tag()``) — embedded in run-file names so a
@@ -362,11 +351,9 @@ class SpillLayout:
     unchanged — only the directory differs — so the merge order, and
     therefore the reduced output, is byte-identical to the flat layout."""
 
-    def __post_init__(self):
-        if self.codec not in SPILL_CODECS:
-            raise ValueError(
-                f"unknown spill codec {self.codec!r}; known: {SPILL_CODECS}"
-            )
+    def __post_init__(self, codec: str):
+        if codec != "binary":
+            raise ValueError(f"spill codec must be 'binary', got {codec!r}")
         if self.partition_tag and not self.partition_tag.isalnum():
             raise ValueError(
                 f"partition tag {self.partition_tag!r} must be alphanumeric "
@@ -383,30 +370,10 @@ class SpillLayout:
         """Path of one sorted run.  Runs are numbered contiguously from 0
         per ``(map_task, partition)``; the reader scans until the first
         missing index."""
-        ext = _CODEC_EXTS[self.codec]
-        name = f"{self._file_prefix}.m{map_task:05d}.p{partition:05d}.r{run:05d}.{ext}"
+        name = f"{self._file_prefix}.m{map_task:05d}.p{partition:05d}.r{run:05d}.bin"
         if self.partition_subdirs:
             return Path(self.root) / f"p{partition:05d}" / name
         return Path(self.root) / name
-
-    # -------------------------------------------------------------- block codec
-    def _encode_block(self, values) -> bytes:
-        """One chunk's values (a column, or a list of objects) as a frame
-        payload — the only thing the codec decides.  Pickle has no column
-        form: a column is pickled as its rows."""
-        if self.codec == "binary":
-            if isinstance(values, Column):
-                return encode_columns(values)
-            return encode_block(values)
-        if isinstance(values, Column):
-            values = values.rows()
-        return pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _decode_block(self, block: bytes):
-        """A frame payload's values: a column (binary) or a list (pickle)."""
-        if self.codec == "binary":
-            return decode_columns(block)
-        return pickle.loads(block)
 
     # ------------------------------------------------------------- map side
     def run_writer(
@@ -447,7 +414,8 @@ class SpillLayout:
         """Yield the chunks of one run file, one resident at a time, each as
         its ``(key_bytes, number, piece)`` group pieces.  A piece is a list
         of value objects (``as_rows``) or a slice ``(column, start, stop)``
-        of the chunk's decoded column.
+        of the chunk's decoded column.  A header whose codec byte is not the
+        column block's is corruption, like a bad frame.
 
         An armed read fault (the ``corrupt-run``/``truncate-run`` kinds of
         :class:`~repro.mapreduce.fault.FaultPlan`) damages this attempt's
@@ -459,24 +427,20 @@ class SpillLayout:
             if fault is not None:
                 fh = io.BytesIO(_damage(fh.read(), fault))
             codec_id = read_stream_header(fh)
-            if codec_id != _CODEC_IDS[self.codec]:
-                raise ValueError(
-                    f"spill file {path} written with codec id {codec_id}, "
-                    f"layout expects {self.codec!r}"
+            if codec_id != _CODEC_ID:
+                raise FrameCorruptionError(
+                    f"spill file {path} has codec byte {codec_id}, "
+                    f"not the column block's {_CODEC_ID}"
                 )
             for table, block in iter_frames(fh):
                 kbs, counts = _decode_key_table(table)
-                values = self._decode_block(block)
-                if sum(counts) != len(values):
+                column = decode_columns(block)
+                if sum(counts) != len(column):
                     raise FrameCorruptionError(
                         f"chunk key table counts {sum(counts)} values, "
-                        f"its block holds {len(values)}"
+                        f"its block holds {len(column)}"
                     )
-                if as_rows:
-                    if isinstance(values, Column):
-                        values = values.rows()
-                else:
-                    column = _as_column(values)
+                values = column.rows() if as_rows else None
                 pieces, start = [], 0
                 for kb, count in zip(kbs, counts):
                     stop = start + count
@@ -736,7 +700,7 @@ class SpillRunWriter:
         arrival = np.argsort(rows, kind="stable")
         bounds = np.searchsorted(rows[arrival], np.arange(len(order) + 1))
         nbytes = np.add.reduceat(np.concatenate(self._row_sizes)[arrival], bounds[:-1])
-        values = _RunValues(self._slices, as_rows=self._layout.codec == "pickle")
+        values = _RunValues(self._slices)
         out: list[list] = [[] for _ in range(self._layout.num_partitions)]
         spans = zip(order.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(), nbytes.tolist())
         if self._combiner is None:
@@ -753,7 +717,7 @@ class SpillRunWriter:
                 size = int(record_sizes(group).sum())
             out[parts[g]].append((kbs[g], len(combined), len(combined) + len(group), size))
             combined.extend(group)
-        return out, _RunValues([(combined, 0, len(combined))], True), np.arange(len(combined))
+        return out, _RunValues([(combined, 0, len(combined))]), np.arange(len(combined))
 
     def _flush(self) -> None:
         if self._pending_records == 0:
@@ -776,10 +740,10 @@ class SpillRunWriter:
                 final.parent.mkdir(exist_ok=True)
             tmp = final.with_suffix(f".tmp{os.getpid()}")
             with open(tmp, "wb", buffering=_IO_BUFFER_BYTES) as fh:
-                written = write_stream_header(fh, _CODEC_IDS[layout.codec])
+                written = write_stream_header(fh, _CODEC_ID)
                 for keys, counts, start, stop in _iter_chunks(groups):
                     self._counts[partition] += stop - start
-                    block = layout._encode_block(values.fetch(arrival[start:stop]))
+                    block = encode_columns(_as_column(values.fetch(arrival[start:stop])))
                     written += write_frame(fh, _encode_key_table(keys, counts), block)
             os.replace(tmp, final)
             self._next_run[partition] += 1

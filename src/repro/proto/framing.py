@@ -39,8 +39,10 @@ our spill shuffle, in three layers:
              of first appearance) + one column per kind — mixed types,
              mixed tuple arities; decoding re-interleaves by code
   blob       fallback: ``<i8`` lengths + concatenated ``encode_value``
-             bodies — ragged arrays, out-of-range ints, anything with no
-             column form (this is what keeps arbitrary user jobs working)
+             bodies — ragged arrays, and any other value with a value
+             encoding but no column form; a value with neither (an
+             unregistered class, an int beyond 64 bits) raises a
+             ``TypeError`` naming its type
   ========== ==========================================================
 
   Headers are fixed-width ``<I`` words, so a block costs a few dozen numpy
@@ -52,8 +54,9 @@ our spill shuffle, in three layers:
   (copies) just those, so what stays resident is its batch, not a block
   per kept row.
 
-* **Frame streams** — a spill file is ``AGLS | version | codec-id`` followed
-  by ``varint(len(key)) key varint(len(payload)) payload crc32`` frames.
+* **Frame streams** — a spill file is ``AGLS | version | codec-id`` (always
+  ``1``, the column block; any other byte is corruption) followed by
+  ``varint(len(key)) key varint(len(payload)) payload crc32`` frames.
   In a spill run (version 3) every frame is a *chunk* of key groups: the
   key field is the chunk's key table, the payload one block of the chunk's
   values (:mod:`repro.mapreduce.spill` owns that grammar); the same frame
@@ -66,8 +69,10 @@ our spill shuffle, in three layers:
 
 Round-trip fidelity is the contract: ``decode(encode(x))`` must reproduce
 ``x`` exactly (dtypes, dict insertion order inside records, float bits), so
-a job's output is byte-identical whether its shuffle spilled pickled objects
-or binary blocks — tests assert this for the full pipelines.
+a job's output is byte-identical whether its shuffle stayed in memory or
+spilled binary blocks — tests assert this for the full pipelines.  Nothing
+here ever unpickles: ``decode_value`` also parses the parameter server's and
+the TCP transport's wire messages.
 """
 
 from __future__ import annotations
@@ -213,8 +218,7 @@ def _encode(value, out: bytearray) -> None:
         # "corrupt stream" error long after the spill write succeeded.
         if not -(1 << 63) <= value < (1 << 63):
             raise TypeError(
-                f"int {value} exceeds the binary codec's 64-bit range; "
-                "use the 'pickle' shuffle codec"
+                f"int {value} exceeds the binary wire form's 64-bit range"
             )
         out.append(_T_INT)
         out += encode_signed(value)
@@ -245,7 +249,7 @@ def _encode(value, out: bytearray) -> None:
     else:
         raise TypeError(
             f"shuffle value of type {type(value).__name__} has no binary wire "
-            "form; use the 'pickle' shuffle codec or register_record() one"
+            "form; declare its fields with register_record()"
         )
 
 
@@ -254,7 +258,7 @@ def _encode_array(arr: np.ndarray, out: bytearray) -> None:
         raise TypeError("object-dtype arrays cannot be binary-encoded")
     # The dtype string records the byte order ('<f4', '>f8', '|b1'), and
     # tobytes() emits raw bytes in that same order — so arrays round-trip
-    # dtype-exactly, big-endian included, matching the pickle codec.
+    # dtype-exactly, big-endian included.
     dtype_str = arr.dtype.str.encode("ascii")
     out.append(_T_ARRAY)
     out += encode_unsigned(len(dtype_str))

@@ -54,7 +54,7 @@ from repro.nn.gnn.block import BatchInputs, EdgeBlock
 from repro.mapreduce.shuffle import RecordBatch, decode_key, key_bytes, key_ident
 from repro.mapreduce import spill
 from repro.mapreduce.spill import (
-    _CODEC_IDS,
+    _CODEC_ID,
     _GROUP_BYTES,
     _IO_BUFFER_BYTES,
     SpillWriteResult,
@@ -280,11 +280,11 @@ class PairSpillWriter:
             buffer.clear()
             path = layout.run_path(self._map_task, partition, self._next_run[partition])
             with open(path, "wb", buffering=_IO_BUFFER_BYTES) as fh:
-                written = write_stream_header(fh, _CODEC_IDS[layout.codec])
+                written = write_stream_header(fh, _CODEC_ID)
                 for keys, counts, values in _iter_chunks(groups):
                     self._counts[partition] += len(values)
                     written += write_frame(
-                        fh, _encode_key_table(keys, counts), layout._encode_block(values)
+                        fh, _encode_key_table(keys, counts), encode_block(values)
                     )
             self._next_run[partition] += 1
             self._partition_bytes[partition] += written
@@ -714,8 +714,6 @@ def object_groups(layout, partition: int, num_map_tasks: int) -> list[tuple]:
     """``(key, values)`` groups of one partition's run files, read as the
     reader read them before columns: every chunk decoded into objects, the
     runs merged by key bytes, values regrouped per key."""
-    import pickle
-
     from repro.mapreduce.spill import _decode_key_table
     from repro.proto.framing import iter_frames, read_stream_header
 
@@ -724,7 +722,7 @@ def object_groups(layout, partition: int, num_map_tasks: int) -> list[tuple]:
             read_stream_header(fh)
             for table, block in iter_frames(fh):
                 keys, counts = _decode_key_table(table)
-                values = iter(object_values(block) if layout.codec == "binary" else pickle.loads(block))
+                values = iter(object_values(block))
                 for kb, count in zip(keys, counts):
                     yield kb, list(islice(values, count))
 

@@ -75,54 +75,39 @@ class TestGraphFlatBackendMatrix:
         ) as runtime:
             spilled = graph_flat(ds.nodes, ds.edges, targets, flat_config(), runtime)
         assert spilled.samples == baseline.samples
-        assert not list(tmp_path.glob("*.pkl"))  # cleaned up per job
+        assert not list(tmp_path.rglob("*.bin"))  # cleaned up per job
 
 
-class TestShuffleCodecMatrix:
-    """The codec invariant of the binary spill format: GraphFlat/GraphInfer
-    output is byte-identical across {serial, threads, processes} x {pickle,
-    binary} x {1, 2, 4} workers — the acceptance bar for swapping pickled
-    object graphs for flat records on the hot shuffle path."""
+class TestSpilledShuffleMatrix:
+    """The invariant of the binary spill format: GraphFlat/GraphInfer output
+    from a spilled shuffle is byte-identical to the in-memory shuffle's,
+    across {serial, threads, processes} x {1, 2, 4} workers — the acceptance
+    bar for shipping flat records on the hot shuffle path."""
 
-    def test_graphflat_codecs_byte_identical(self, hub_graph, tmp_path):
+    def test_graphflat_spilled_byte_identical(self, hub_graph, tmp_path):
         ds = hub_graph
         targets = ds.train_ids[:30]
-        baseline = graph_flat(
-            ds.nodes, ds.edges, targets, flat_config(shuffle_codec="pickle")
-        )
+        baseline = graph_flat(ds.nodes, ds.edges, targets, flat_config())
         assert baseline.hub_nodes, "fixture must trigger re-indexing"
-        bytes_by_codec = {}
-        for codec in ("pickle", "binary"):
-            for backend, workers in [("serial", None), ("threads", 2)]:
-                with LocalRuntime(
-                    backend=backend, max_workers=workers,
-                    spill_dir=tmp_path / f"{codec}-{backend}", shuffle_codec=codec,
-                ) as runtime:
-                    result = graph_flat(
-                        ds.nodes, ds.edges, targets, flat_config(), runtime
-                    )
-                assert result.samples == baseline.samples, (codec, backend)
-                bytes_by_codec[codec] = sum(
-                    rs.shuffle_bytes_written for rs in result.round_stats
-                )
-        # the codec's point: same bytes out of the pipeline, fewer on disk
-        assert 0 < bytes_by_codec["binary"] < bytes_by_codec["pickle"]
+        for backend, workers in [("serial", None), ("threads", 2)]:
+            with LocalRuntime(
+                backend=backend, max_workers=workers, spill_dir=tmp_path / backend,
+            ) as runtime:
+                result = graph_flat(ds.nodes, ds.edges, targets, flat_config(), runtime)
+            assert result.samples == baseline.samples, backend
+            assert sum(rs.shuffle_bytes_written for rs in result.round_stats) > 0
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_graphflat_binary_processes_byte_identical(self, hub_graph, workers):
+    def test_graphflat_processes_byte_identical(self, hub_graph, workers):
         ds = hub_graph
         targets = ds.train_ids[:30]
-        baseline = graph_flat(
-            ds.nodes, ds.edges, targets, flat_config(shuffle_codec="pickle")
-        )
-        with LocalRuntime(
-            backend="processes", max_workers=workers, shuffle_codec="binary"
-        ) as runtime:
+        baseline = graph_flat(ds.nodes, ds.edges, targets, flat_config())
+        with LocalRuntime(backend="processes", max_workers=workers) as runtime:
             result = graph_flat(ds.nodes, ds.edges, targets, flat_config(), runtime)
         assert result.samples == baseline.samples
 
-    @pytest.mark.parametrize("codec", ["pickle", "binary"])
-    def test_graphinfer_codecs_identical_scores(self, hub_graph, tmp_path, codec):
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_graphinfer_spilled_identical_scores(self, hub_graph, tmp_path, backend):
         ds = hub_graph
         model = build_model(
             "gcn", in_dim=6, hidden_dim=8, num_classes=2, num_layers=2, seed=0
@@ -132,36 +117,19 @@ class TestShuffleCodecMatrix:
         )
         serial = graph_infer(model, ds.nodes, ds.edges, config)
         with LocalRuntime(
-            backend="threads", max_workers=2, spill_dir=tmp_path, shuffle_codec=codec
+            backend=backend, max_workers=2, spill_dir=tmp_path
         ) as runtime:
             spilled = graph_infer(model, ds.nodes, ds.edges, config, runtime)
         assert set(spilled.scores) == set(serial.scores)
         for node_id, scores in serial.scores.items():
             assert np.array_equal(spilled.scores[node_id], scores)
 
-    def test_graphinfer_binary_processes_identical_scores(self, hub_graph):
-        ds = hub_graph
-        model = build_model(
-            "gcn", in_dim=6, hidden_dim=8, num_classes=2, num_layers=2, seed=0
-        )
-        config = GraphInferConfig(
-            max_neighbors=4, hub_threshold=8, num_reducers=4, seed=0,
-        )
-        serial = graph_infer(model, ds.nodes, ds.edges, config)
-        with LocalRuntime(
-            backend="processes", max_workers=2, shuffle_codec="binary"
-        ) as runtime:
-            procs = graph_infer(model, ds.nodes, ds.edges, config, runtime)
-        assert set(procs.scores) == set(serial.scores)
-        for node_id, scores in serial.scores.items():
-            assert np.array_equal(procs.scores[node_id], scores)
-
 
 class TestTaskBackendMatrix:
     """The byte-identity bar extended across the task zoo: every task's
-    GraphFlat output is identical over {serial, threads, processes} x
-    {pickle, binary}, so the task plugin layer inherits the full
-    parallelism guarantee rather than re-proving it per task."""
+    GraphFlat output is identical over {serial, threads, processes}, so the
+    task plugin layer inherits the full parallelism guarantee rather than
+    re-proving it per task."""
 
     @pytest.fixture(scope="class")
     def edge_graph(self):
@@ -178,20 +146,15 @@ class TestTaskBackendMatrix:
     @pytest.mark.parametrize(
         "task", ["node_classification", "link_prediction", "edge_classification"]
     )
-    @pytest.mark.parametrize("backend,codec", [
-        ("threads", "pickle"), ("threads", "binary"), ("processes", "binary"),
-    ])
-    def test_graphflat_byte_identical_per_task(
-        self, edge_graph, tmp_path, task, backend, codec
-    ):
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_graphflat_byte_identical_per_task(self, edge_graph, tmp_path, task, backend):
         nodes, edges = edge_graph
         targets = None
         if task == "node_classification":
             targets = np.arange(0, 100, 4)
         baseline = graph_flat(nodes, edges, targets, self.task_config(task))
         with LocalRuntime(
-            backend=backend, max_workers=2,
-            spill_dir=tmp_path, shuffle_codec=codec,
+            backend=backend, max_workers=2, spill_dir=tmp_path,
         ) as runtime:
             result = graph_flat(
                 nodes, edges, targets, self.task_config(task), runtime

@@ -115,7 +115,6 @@ def chaos_runtime(backend: str, plan: FaultPlan, spill_dir, kind: str) -> LocalR
         max_attempts=10,
         fault_plan=plan,
         spill_dir=spill_dir,
-        shuffle_codec="binary",
         task_timeout_s=HANG_TIMEOUT_S if kind == "hang" else None,
         # conn-reset only bites a networked fetch: run it over the TCP
         # shuffle peering so the injected reset hits a real connection.
@@ -429,7 +428,7 @@ class TestBackendHardening:
 
 class TestSpillIntegrity:
     def _write_run(self, tmp_path):
-        layout = SpillLayout(str(tmp_path), "job", 1, "binary")
+        layout = SpillLayout(str(tmp_path), "job", 1)
         layout.write_map_output(0, [[(i, i * 7) for i in range(50)]])
         (path,) = list(tmp_path.glob("job.m*"))
         return layout, path
@@ -496,7 +495,7 @@ class TestSpillIntegrity:
         plan = FaultPlan({"corrupt-run": 1.0}, seed=0, max_faults=2)
         with LocalRuntime(
             "serial", max_attempts=10, fault_plan=plan,
-            spill_dir=tmp_path, shuffle_codec="binary",
+            spill_dir=tmp_path,
         ) as runtime:
             out = runtime.run(WC_JOB, WC_CORPUS)
         assert out == wc_baseline
@@ -510,7 +509,7 @@ class TestSpillIntegrity:
         plan = FaultPlan({"conn-reset": 1.0}, seed=0, max_faults=2)
         with LocalRuntime(
             "serial", max_attempts=10, fault_plan=plan,
-            spill_dir=tmp_path, shuffle_codec="binary", shuffle_transport="tcp",
+            spill_dir=tmp_path, shuffle_transport="tcp",
         ) as runtime:
             out = runtime.run(WC_JOB, WC_CORPUS)
         assert out == wc_baseline

@@ -1,6 +1,7 @@
 """The Figure 6 command-line surface: graphflat -> graphtrainer -> graphinfer
 over TSV tables and a local DFS, plus the model save/load format."""
 
+import re
 import threading
 
 import numpy as np
@@ -165,26 +166,32 @@ class TestPipelineCommands:
         assert "(0 transport bytes)" in out
         assert load_model(tmp_path / "dist-model.pkl") is not None
 
-    def test_graphflat_codec_flag_outputs_identical(self, workspace, capsys):
-        """--shuffle-codec pickle and binary (with a spill dir, so the codec
-        is actually exercised) must produce byte-identical datasets."""
+    def test_graphflat_spilled_output_identical(self, workspace, capsys):
+        """A --spill-dir run (binary run files on disk) writes the dataset
+        of the in-memory run, and its shuffle line counts the spilled
+        bytes."""
         tmp_path, ds = workspace
-        shards = {}
-        for codec in ("pickle", "binary"):
-            dfs = str(tmp_path / f"dfs-{codec}")
+        shards, lines = {}, {}
+        for name, extra in (("memory", []), ("spill", ["--spill-dir", str(tmp_path / "spill")])):
+            dfs = str(tmp_path / f"dfs-{name}")
             rc = main([
                 "graphflat",
                 "-n", str(tmp_path / "nodes.tsv"),
                 "-e", str(tmp_path / "edges.tsv"),
                 "--targets", str(tmp_path / "targets.txt"),
                 "--output", "flat/train", "--dfs", dfs, "--workers", "1",
-                "--spill-dir", str(tmp_path / f"spill-{codec}"),
-                "--shuffle-codec", codec,
+                *extra,
             ])
             assert rc == 0
-            assert f"({codec} codec" in capsys.readouterr().out
-            shards[codec] = list(DistFileSystem(dfs).read_dataset("flat/train"))
-        assert shards["pickle"] == shards["binary"]
+            lines[name] = next(
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("shuffle: ")
+            )
+            shards[name] = list(DistFileSystem(dfs).read_dataset("flat/train"))
+        assert shards["spill"] == shards["memory"]
+        assert "(in-memory, " in lines["memory"]
+        assert re.search(r"MiB spilled \(\d+ rounds", lines["spill"]), lines["spill"]
+        assert "codec" not in lines["spill"]
 
     def test_trainer_rejects_empty_dataset(self, tmp_path, capsys):
         fs = DistFileSystem(tmp_path / "dfs")
@@ -455,7 +462,10 @@ class TestDataflowSurface:
             *(
                 (command, flag)
                 for command in ("graphflat", "graphinfer")
-                for flag in ("--dataset-sink", "--slice-transport", "--dataset-layout", "--shards")
+                for flag in (
+                    "--dataset-sink", "--slice-transport", "--dataset-layout", "--shards",
+                    "--shuffle-codec",
+                )
             ),
             ("graphtrainer", "--prefetch-transport"),
             ("graphtrainer", "--prefetch-slab-mb"),
@@ -494,7 +504,7 @@ class TestDataflowSurface:
         assert [
             len(fields(cls))
             for cls in (DataflowConfig, GraphFlatConfig, GraphInferConfig, TrainerConfig)
-        ] == [19, 22, 19, 15]
+        ] == [18, 21, 18, 15]
         for cls in (GraphFlatConfig, GraphInferConfig):
             assert cls.make_runtime is DataflowConfig.make_runtime
 
@@ -506,6 +516,7 @@ class TestDataflowSurface:
             (GraphFlatConfig, "num_shards"),
             (GraphInferConfig, "dataset_layout"),
             (DataflowConfig, "validate"),
+            (DataflowConfig, "shuffle_codec"),
             (TrainerConfig, "prefetch_transport"),
             (TrainerConfig, "prefetch_slab_bytes"),
             (TrainerConfig, "prefetch"),

@@ -7,7 +7,7 @@ Over random typed, weighted, edge-featured and hub graphs:
   same keys, sizes and block bytes, and ``columnize`` of the oracle's
   objects is the engine's batch;
 * the spill writer writes the oracle writer's run files byte for byte from
-  those batches, under either codec, however the batches are cut;
+  those batches, however the batches are cut;
 * the readers regroup those runs exactly as the oracle's object reader;
 * every sampler keeps the oracle's record-list selection;
 * ``decode_columns`` inverts ``encode_columns`` and refuses what it cannot
@@ -127,19 +127,18 @@ class TestEngineBatchesAreTheOracleRecords:
 
     @given(
         propagations(),
-        st.sampled_from(["binary", "pickle"]),
         st.sampled_from([1, 5, 1 << 16]),
         st.sampled_from([1, 200, 2_000, 32 << 20]),
     )
     @settings(max_examples=80)
     def test_run_files_are_the_oracle_writers(
-        self, tmp_path_factory, case, codec, run_records, run_bytes
+        self, tmp_path_factory, case, run_records, run_bytes
     ):
         routing, batches, next_round = case
         root = tmp_path_factory.mktemp("runs")
         bounds = dict(run_records=run_records, run_bytes=run_bytes)
-        columns = SpillLayout(str(root / "columns"), "job", 3, codec)
-        objects = SpillLayout(str(root / "objects"), "job", 3, codec)
+        columns = SpillLayout(str(root / "columns"), "job", 3)
+        objects = SpillLayout(str(root / "objects"), "job", 3)
         writer = columns.run_writer(0, **bounds)
         reference = PairSpillWriter(objects, 0, **bounds)
         for node_ids, infos in batches:
@@ -266,7 +265,7 @@ class TestColumnCodec:
             pass
 
     def test_a_chunk_whose_key_table_disagrees_with_its_block(self, tmp_path):
-        layout = SpillLayout(str(tmp_path), "job", 1, "binary")
+        layout = SpillLayout(str(tmp_path), "job", 1)
         path = layout.run_path(0, 0, 0)
         with open(path, "wb") as fh:
             write_stream_header(fh, 1)
@@ -284,7 +283,7 @@ class TestColumnCodec:
 
 
 def test_pair_batches_carry_objects_and_columns_carry_columns():
-    """Generic pair jobs keep their objects up to the codec boundary; the
+    """Generic pair jobs keep their objects up to the block boundary; the
     column adapter is one ``columnize`` away and encodes the same block."""
     [batch] = list(pair_batches([(1, (2, "x")), (2, (3, "y"))]))
     assert type(batch.values) is list

@@ -59,11 +59,11 @@ class CountSink:
 class TestExternalSortedSpill:
     NUM_PARTITIONS = 3
 
-    def _write_both(self, pairs, codec, root, run_records):
+    def _write_both(self, pairs, root, run_records):
         """Same stream through the eager single-run writer and the bounded
         multi-run writer; returns both layouts."""
-        eager = SpillLayout(str(root / "eager"), "job", self.NUM_PARTITIONS, codec)
-        stream = SpillLayout(str(root / "stream"), "job", self.NUM_PARTITIONS, codec)
+        eager = SpillLayout(str(root / "eager"), "job", self.NUM_PARTITIONS)
+        stream = SpillLayout(str(root / "stream"), "job", self.NUM_PARTITIONS)
         buckets = [[] for _ in range(self.NUM_PARTITIONS)]
         writer = stream.run_writer(0, run_records=run_records)
         for key, value in pairs:
@@ -80,22 +80,20 @@ class TestExternalSortedSpill:
             st.tuples(st.integers(0, 9), st.integers(-(10**6), 10**6)),
             max_size=60,
         ),
-        codec=st.sampled_from(["binary", "pickle"]),
         run_records=st.integers(1, 8),
     )
-    def test_multi_run_merge_matches_eager_write(self, pairs, codec, run_records):
+    def test_multi_run_merge_matches_eager_write(self, pairs, run_records):
         with tempfile.TemporaryDirectory() as tmp:
-            eager, stream = self._write_both(pairs, codec, Path(tmp), run_records)
+            eager, stream = self._write_both(pairs, Path(tmp), run_records)
             for p in range(self.NUM_PARTITIONS):
                 assert list(stream.iter_partition(p, 1)) == list(
                     eager.iter_partition(p, 1)
                 )
                 assert list(stream.iter_groups(p, 1)) == list(eager.iter_groups(p, 1))
 
-    @pytest.mark.parametrize("codec", ["binary", "pickle"])
-    def test_small_run_bound_actually_spills_multiple_runs(self, tmp_path, codec):
+    def test_small_run_bound_actually_spills_multiple_runs(self, tmp_path):
         pairs = [(k, v) for v in range(20) for k in range(6)]
-        _, stream = self._write_both(pairs, codec, tmp_path, run_records=5)
+        _, stream = self._write_both(pairs, tmp_path, run_records=5)
         multi = [
             p
             for p in range(self.NUM_PARTITIONS)
@@ -104,7 +102,7 @@ class TestExternalSortedSpill:
         assert multi, "run bound of 5 over 120 records must produce >1 run"
 
     def test_byte_budget_bounds_binary_runs(self, tmp_path):
-        layout = SpillLayout(str(tmp_path), "job", 1, "binary")
+        layout = SpillLayout(str(tmp_path), "job", 1)
         writer = layout.run_writer(0, run_bytes=256)
         for i in range(200):
             writer.append(0, i, i * 7)
@@ -114,15 +112,13 @@ class TestExternalSortedSpill:
         # budget (a single appended record may overshoot it by one frame).
         assert 0 < result.peak_buffer_bytes < 4 * 256
 
-    @pytest.mark.parametrize("codec", ["binary", "pickle"])
-    def test_runtime_spill_output_matches_in_memory(self, tmp_path, codec):
+    def test_runtime_spill_output_matches_in_memory(self, tmp_path):
         job = MapReduceJob("wc", sum_reducer, mapper=split_mapper)
         memory = LocalRuntime(backend="serial")
         expected = memory.run(job, CORPUS)
         spilling = LocalRuntime(
             backend="serial",
             spill_dir=tmp_path,
-            shuffle_codec=codec,
             spill_run_records=2,
         )
         try:
@@ -138,11 +134,10 @@ class TestRunLevelCombine:
     def test_combine_folds_mixed_numerics(self):
         assert SumCombiner().combine("k", [1, 2, 3.5]) == [6.5]
 
-    @pytest.mark.parametrize("codec", ["binary", "pickle"])
-    def test_writer_folds_buffered_objects_at_each_flush(self, tmp_path, codec):
+    def test_writer_folds_buffered_objects_at_each_flush(self, tmp_path):
         """The writer folds the objects it buffered — one partial per key
         per run — and the reader re-joins the partials in run order."""
-        layout = SpillLayout(str(tmp_path), "job", 1, codec)
+        layout = SpillLayout(str(tmp_path), "job", 1)
         writer = layout.run_writer(0, combiner=SumCombiner(), run_records=4)
         for i in range(10):
             writer.append(0, "k", i)
@@ -154,8 +149,7 @@ class TestRunLevelCombine:
         combiner = SumCombiner()
         assert list(combiner("k", [1, 2, 3])) == [("k", 6)]
 
-    @pytest.mark.parametrize("codec", ["binary", "pickle"])
-    def test_combined_job_output_and_stats(self, tmp_path, codec):
+    def test_combined_job_output_and_stats(self, tmp_path):
         plain = MapReduceJob("wc", sum_reducer, mapper=split_mapper)
         combined = MapReduceJob(
             "wc", sum_reducer, mapper=split_mapper, combiner=SumCombiner()
@@ -164,9 +158,7 @@ class TestRunLevelCombine:
 
         runtimes = {}
         for name, job in [("plain", plain), ("combined", combined)]:
-            rt = LocalRuntime(
-                backend="serial", spill_dir=tmp_path / name, shuffle_codec=codec
-            )
+            rt = LocalRuntime(backend="serial", spill_dir=tmp_path / name)
             try:
                 assert rt.run(job, CORPUS) == baseline
             finally:
@@ -189,7 +181,6 @@ class TestRunLevelCombine:
         rt = LocalRuntime(
             backend="serial",
             spill_dir=tmp_path,
-            shuffle_codec="binary",
             spill_run_records=8,
         )
         try:
@@ -211,7 +202,6 @@ class TestBoundedReducerMemory:
         rt = LocalRuntime(
             backend="serial",
             spill_dir=tmp_path / tag,
-            shuffle_codec="binary",
             spill_run_records=64,
         )
         try:
@@ -235,7 +225,7 @@ class TestBoundedReducerMemory:
         partition."""
 
         def build_and_scan(payload_len, tag):
-            layout = SpillLayout(str(tmp_path / tag), "job", 1, "binary")
+            layout = SpillLayout(str(tmp_path / tag), "job", 1)
             writer = layout.run_writer(0, run_records=64)
             payload = list(range(payload_len))
             for i in range(512):
@@ -261,11 +251,10 @@ class TestBoundedReducerMemory:
 # --------------------------------------------------------------------------
 class TestSinkMatrix:
     @pytest.mark.parametrize("backend", ["serial", "threads"])
-    @pytest.mark.parametrize("codec", ["binary", "pickle"])
-    def test_graphflat_stream_invariant(self, mini_cora, tmp_path, backend, codec):
+    def test_graphflat_stream_invariant(self, mini_cora, tmp_path, backend):
         """The shards the final-round reducers wrote read back as the
-        in-memory result's record stream, whichever backend and spill codec
-        carried the rounds."""
+        in-memory result's record stream, whichever backend carried the
+        spilled rounds."""
         ds = mini_cora
         targets = ds.train_ids[:10]
         unsampled = dict(hops=2, max_neighbors=10**9, hub_threshold=10**9)
@@ -274,7 +263,6 @@ class TestSinkMatrix:
             backend=backend,
             num_workers=2,
             spill_dir=tmp_path / "spill",
-            shuffle_codec=codec,
             **unsampled,
         )
         result = graph_flat(
@@ -395,7 +383,7 @@ class TestSpillSessionHygiene:
         (stale / "round.abc").mkdir(parents=True)
         (stale / "round.abc" / "job.m00000.p00000.r00000.bin").write_bytes(b"x")
 
-        rt = LocalRuntime(backend="serial", spill_dir=tmp_path, shuffle_codec="binary")
+        rt = LocalRuntime(backend="serial", spill_dir=tmp_path)
         try:
             rt.run(MapReduceJob("wc", sum_reducer, mapper=split_mapper), CORPUS)
         finally:
@@ -407,7 +395,7 @@ class TestSpillSessionHygiene:
 
         live = tmp_path / f"mr{os.getpid()}.other"
         live.mkdir()
-        rt = LocalRuntime(backend="serial", spill_dir=tmp_path, shuffle_codec="binary")
+        rt = LocalRuntime(backend="serial", spill_dir=tmp_path)
         try:
             rt.run(MapReduceJob("wc", sum_reducer, mapper=split_mapper), CORPUS)
             assert live.exists()
@@ -419,7 +407,7 @@ class TestSpillSessionHygiene:
             MapReduceJob("expand", echo_reducer, mapper=split_mapper),
             MapReduceJob("count", sum_reducer),
         ]
-        rt = LocalRuntime(backend="serial", spill_dir=tmp_path, shuffle_codec="binary")
+        rt = LocalRuntime(backend="serial", spill_dir=tmp_path)
         try:
             rt.run_rounds(jobs, CORPUS)
             leftovers = [p for p in tmp_path.rglob("*") if p.is_file()]

@@ -4,8 +4,7 @@ wire-resident ``SubgraphInfo`` records.
 The oracle is knob-free: ``graph_flat(..., targets=None)`` never prunes (its
 ``ReceptiveField`` has no distances), so a *targeted* run's sample for target
 ``t`` must be byte-identical to the same ``t`` cut out of the untargeted run —
-whatever the hop count, hub re-indexing, sampler, backend, spill codec or
-task.  The shuffle counters then show the point of the exercise: fewer
+whatever the hop count, hub re-indexing, sampler, backend, spill or task.  The shuffle counters then show the point of the exercise: fewer
 records and bytes for sparse targets, exactly the ungated counts without
 targets, and a pinned budget so a regression fails as loudly as a
 byte-identity break does.
@@ -119,13 +118,12 @@ class TestTargetedEqualsUntargetedCut:
         # order included: both runs are partition-major under the same hash
         assert result.samples == cut_out(untargeted(graph, mode, **knobs), targets)
 
-    @pytest.mark.parametrize("codec", ["binary", "pickle"])
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     @pytest.mark.parametrize("hops", [2, 3])
-    def test_node_samples_through_the_spill(self, graph, tmp_path, hops, backend, codec):
+    def test_node_samples_through_the_spill(self, graph, tmp_path, hops, backend):
         nodes, edges, targets = graph
         with LocalRuntime(
-            backend=backend, max_workers=2, spill_dir=tmp_path, shuffle_codec=codec,
+            backend=backend, max_workers=2, spill_dir=tmp_path,
             # tiny runs: every writer flushes several, so the k-way merge
             # re-assembles groups from runs whose boundaries pruning moved
             spill_run_records=16,
@@ -188,7 +186,7 @@ def shuffle_totals(result) -> tuple[int, int]:
 class TestShuffleVolume:
     def test_sparse_targets_shuffle_strictly_less(self, graph, tmp_path):
         nodes, edges, targets = graph
-        with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
+        with LocalRuntime(spill_dir=tmp_path) as runtime:
             full = graph_flat(nodes, edges, None, flat_config(), runtime)
             sparse = graph_flat(nodes, edges, targets[:5], flat_config(), runtime)
         full_records, full_bytes = shuffle_totals(full)
@@ -241,7 +239,7 @@ class TestShuffleVolume:
             hub_degree=60,
         )
         targets = np.sort(ds.nodes.ids)[::4]
-        with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
+        with LocalRuntime(spill_dir=tmp_path) as runtime:
             result = graph_flat(
                 ds.nodes, ds.edges, targets,
                 GraphFlatConfig(
@@ -289,7 +287,7 @@ class TestBatchedMerge:
         return graph_flat(ds.nodes, ds.edges, np.sort(ds.nodes.ids)[::4], config, runtime)
 
     def test_every_round_moves_what_the_per_node_merge_moved(self, tmp_path):
-        with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
+        with LocalRuntime(spill_dir=tmp_path) as runtime:
             result = self.run(runtime)
         volumes = {
             s.job: (s.shuffled_records, s.shuffle_bytes_written, s.peak_reducer_buffer_bytes)
@@ -317,7 +315,7 @@ class TestBatchedMerge:
         monkeypatch.setattr(runtime_module, "_run_task", watched_task)
         monkeypatch.setattr(MergeReducer, "merge_batch", counted_merge)
         spill_dir = tmp_path if spill else None
-        with LocalRuntime(spill_dir=spill_dir, shuffle_codec="binary") as runtime:
+        with LocalRuntime(spill_dir=spill_dir) as runtime:
             self.run(runtime)
         assert calls == {
             (1, 0): [78], (1, 1): [88], (1, 2): [91], (1, 3): [80],
@@ -406,7 +404,7 @@ class TestOnlyHubSlicesTakeTheExtraShuffle:
         ds, in_degree = fixture
         by_threshold = {}
         for threshold in (40, 10**9):
-            with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
+            with LocalRuntime(spill_dir=tmp_path) as runtime:
                 by_threshold[threshold] = run(ds, threshold, runtime).round_stats
         hubs = {node for node, degree in in_degree.items() if degree > 40}
         assert len(hubs) >= 3
@@ -489,7 +487,7 @@ class TestGraphInferInheritsTheGates:
             return merge_round(self, watched())
 
         monkeypatch.setattr(MessagePassingReducer, "reduce_groups", spy)
-        with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
+        with LocalRuntime(spill_dir=tmp_path) as runtime:
             result = graph_infer(
                 model, ds.nodes, ds.edges, GraphInferConfig(task=task, **knobs),
                 runtime, **kwargs,
@@ -698,14 +696,14 @@ class TestShuffleCodecBudget:
         assert counts["records_built"] == 0, counts
 
     def test_graph_infer(self, write_side_counts, tmp_path):
-        with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
+        with LocalRuntime(spill_dir=tmp_path) as runtime:
             result = run_budget_infer(runtime)
         # 6 636 records / 3 444 group runs (10 466 / 3 844 with out-edge
         # records and the predict round)
         self.check(write_side_counts, result.round_stats, (6_000, 3_000))
 
     def test_graph_flat(self, write_side_counts, tmp_path):
-        with LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary") as runtime:
+        with LocalRuntime(spill_dir=tmp_path) as runtime:
             result = run_budget_flat(runtime)
         assert result.hub_nodes
         # 4 142 records / 2 190 group runs (7 093 / 2 190 with out-edge
@@ -730,7 +728,7 @@ class TestRecordBatchMechanism:
         self, write_side_counts, tmp_path, spill, pipeline
     ):
         run = run_budget_flat if pipeline == "flat" else run_budget_infer
-        with LocalRuntime(spill_dir=tmp_path if spill else None, shuffle_codec="binary") as runtime:
+        with LocalRuntime(spill_dir=tmp_path if spill else None) as runtime:
             result = run(runtime)
         counts = write_side_counts
         # the written rows are every round's shuffled records

@@ -93,7 +93,7 @@ def chain(kind: str) -> list[MapReduceJob]:
 
 
 def make_runtime(backend: str, spilled: bool, tmp_path) -> tuple[LocalRuntime, str]:
-    kwargs = dict(backend=backend, max_workers=2, shuffle_codec="binary")
+    kwargs = dict(backend=backend, max_workers=2)
     if spilled:
         return (
             LocalRuntime(spill_dir=tmp_path / "spill", spill_run_records=16, **kwargs),

@@ -2,7 +2,7 @@
 ("unbiased inference"), sampling consistency, hub handling, DFS output,
 fault tolerance, the no-repetition cost claim, and the slice-transport
 matrix (shm broadcast under the pickling backend, inline slices otherwise,
-across backends and codecs)."""
+across backends)."""
 
 import os
 import pickle
@@ -308,7 +308,7 @@ def _infer_config(**overrides):
 class TestSliceTransportMatrix:
     """How model slices reach the reducers follows from the runtime: one
     shm slab + locators when it pickles its tasks, inline arrays otherwise.
-    Scores must be byte-identical across backends x shuffle codecs — with
+    Scores must be byte-identical across backends — with
     hub re-indexing active — the pickling backend must ship zero parameter
     bytes inside pickled reducers, and never leak a slab."""
 
@@ -321,16 +321,9 @@ class TestSliceTransportMatrix:
         return ds, model, serial.scores
 
     @pytest.mark.parametrize(
-        "backend,workers,codec",
-        [
-            ("serial", None, "binary"),
-            ("threads", 2, "binary"),
-            ("threads", 2, "pickle"),
-            ("processes", 2, "pickle"),
-            ("processes", 2, "binary"),
-        ],
+        "backend,workers", [("serial", None), ("threads", 2), ("processes", 2)]
     )
-    def test_matrix_byte_identical(self, scored, monkeypatch, backend, workers, codec):
+    def test_matrix_byte_identical(self, scored, monkeypatch, backend, workers):
         from repro.core.infer import pipeline
 
         ds, model, baseline = scored
@@ -341,9 +334,7 @@ class TestSliceTransportMatrix:
             return broadcast_slices(slices)
 
         monkeypatch.setattr(pipeline, "broadcast_slices", counting_broadcast)
-        with LocalRuntime(
-            backend=backend, max_workers=workers, shuffle_codec=codec
-        ) as runtime:
+        with LocalRuntime(backend=backend, max_workers=workers) as runtime:
             result = graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)
         # one slab for the whole run (all K+1 slices), only where tasks pickle
         pickles = backend == "processes"

@@ -328,22 +328,20 @@ class TestSpill:
         assert spill.last_stats.shuffled_records == memory.last_stats.shuffled_records
         assert spill.last_stats.reducer_group_sizes == memory.last_stats.reducer_group_sizes
 
-    @pytest.mark.parametrize("codec", ["pickle", "binary"])
-    def test_layout_one_file_per_map_task_and_partition(self, tmp_path, codec):
-        ext = "pkl" if codec == "pickle" else "bin"
-        layout = SpillLayout(str(tmp_path), "job", num_partitions=3, codec=codec)
+    def test_layout_one_file_per_map_task_and_partition(self, tmp_path):
+        layout = SpillLayout(str(tmp_path), "job", num_partitions=3)
         res0 = layout.write_map_output(0, [[("a", 1)], [], [("c", 3), ("c", 4)]])
         res1 = layout.write_map_output(1, [[("a", 9)], [("b", 2)], []])
         assert res0.counts == [1, 0, 2]
         assert res1.counts == [1, 1, 0]
         assert res0.bytes_written > 0 and res1.bytes_written > 0
         # empty buckets produce no file; eager writes are a single run 0
-        names = sorted(p.name for p in tmp_path.glob(f"*.{ext}"))
+        names = sorted(p.name for p in tmp_path.glob("*.bin"))
         assert names == [
-            f"job.m00000.p00000.r00000.{ext}",
-            f"job.m00000.p00002.r00000.{ext}",
-            f"job.m00001.p00000.r00000.{ext}",
-            f"job.m00001.p00001.r00000.{ext}",
+            "job.m00000.p00000.r00000.bin",
+            "job.m00000.p00002.r00000.bin",
+            "job.m00001.p00000.r00000.bin",
+            "job.m00001.p00001.r00000.bin",
         ]
         # reduce-side merge: key-sorted, ties in map-task order (exactly the
         # stable sort of the in-memory shuffle's concatenation order)
@@ -352,7 +350,7 @@ class TestSpill:
         assert list(layout.iter_partition(2, num_map_tasks=2)) == [("c", 3), ("c", 4)]
         assert list(layout.iter_groups(2, num_map_tasks=2)) == [("c", [3, 4])]
         layout.cleanup(num_map_tasks=2)
-        assert not list(tmp_path.glob(f"*.{ext}"))
+        assert not list(tmp_path.glob("*.bin"))
 
     def test_cleanup_removes_orphaned_tmp_files(self, tmp_path):
         """A task attempt that dies mid-write leaves a ``.tmp<pid>`` partial;
@@ -364,14 +362,20 @@ class TestSpill:
         layout.cleanup(num_map_tasks=1)
         assert not list(tmp_path.iterdir())
 
-    def test_unknown_codec_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown spill codec"):
-            SpillLayout(str(tmp_path), "job", num_partitions=1, codec="json")
-        with pytest.raises(ValueError, match="unknown shuffle codec"):
-            LocalRuntime(shuffle_codec="json")
+    def test_codec_keywords_accept_only_binary(self, tmp_path):
+        """The two codec keywords are checks kept for the benchmark's
+        probes: ``"binary"`` passes, anything else — ``"pickle"`` too — is
+        a ``ValueError``, and neither object stores a codec."""
+        layout = SpillLayout(str(tmp_path), "job", num_partitions=1, codec="binary")
+        assert "codec" not in vars(layout)
+        assert "shuffle_codec" not in vars(LocalRuntime(shuffle_codec="binary"))
+        for codec in ("pickle", "json"):
+            with pytest.raises(ValueError, match="spill codec must be 'binary'"):
+                SpillLayout(str(tmp_path), "job", num_partitions=1, codec=codec)
+            with pytest.raises(ValueError, match="shuffle_codec must be 'binary'"):
+                LocalRuntime(shuffle_codec=codec)
 
-    @pytest.mark.parametrize("codec", ["pickle", "binary"])
-    def test_merge_streams_with_bounded_read_buffer(self, tmp_path, codec, monkeypatch):
+    def test_merge_streams_with_bounded_read_buffer(self, tmp_path, monkeypatch):
         """The reduce-side merge must not materialize the partition: after
         consuming a handful of records from a large partition, only a
         bounded prefix of the spill bytes — a chunk or so per run file —
@@ -379,7 +383,7 @@ class TestSpill:
         from repro.mapreduce import spill as spill_mod
         from repro.proto.framing import iter_frames
 
-        layout = SpillLayout(str(tmp_path), "big", num_partitions=1, codec=codec)
+        layout = SpillLayout(str(tmp_path), "big", num_partitions=1)
         per_task = 20_000
         total_bytes = 0
         for task in range(3):
@@ -422,27 +426,14 @@ class TestSpill:
 
 
 class TestShuffleCodecRuntime:
-    @pytest.mark.parametrize("codec", ["pickle", "binary"])
-    def test_codec_matches_memory_shuffle(self, tmp_path, codec):
+    def test_spill_matches_memory_shuffle(self, tmp_path):
         baseline = LocalRuntime("serial").run(
             picklable_word_count_job(num_reducers=3, num_mappers=2), CORPUS
         )
-        runtime = LocalRuntime(spill_dir=tmp_path, shuffle_codec=codec)
+        runtime = LocalRuntime(spill_dir=tmp_path)
         out = runtime.run(picklable_word_count_job(num_reducers=3, num_mappers=2), CORPUS)
         assert out == baseline
         assert runtime.last_stats.shuffle_bytes_written > 0
-
-    def test_binary_codec_spills_fewer_bytes_than_pickle(self, tmp_path):
-        """The point of the flat codec: identical records, fewer bytes."""
-        data = [(i, (i, float(i), np.full(32, i, dtype=np.float32))) for i in range(200)]
-        job = MapReduceJob("echo", _echo_reducer, num_mappers=2, num_reducers=2)
-        sizes = {}
-        for codec in ("pickle", "binary"):
-            runtime = LocalRuntime(spill_dir=tmp_path / codec, shuffle_codec=codec)
-            out = runtime.run(job, data)
-            sizes[codec] = runtime.last_stats.shuffle_bytes_written
-            assert len(out) == len(data)
-        assert 0 < sizes["binary"] < sizes["pickle"]
 
     def test_memory_shuffle_reports_zero_bytes(self):
         runtime = LocalRuntime()
@@ -451,7 +442,7 @@ class TestShuffleCodecRuntime:
 
     def test_run_rounds_accumulates_bytes(self, tmp_path):
         inc = MapReduceJob("inc", _inc_reducer, num_reducers=2)
-        runtime = LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary")
+        runtime = LocalRuntime(spill_dir=tmp_path)
         out = dict(runtime.run_rounds([inc, inc], [(0, 0), (1, 5)]))
         assert out == {0: 2, 1: 7}
         assert runtime.last_stats.shuffle_bytes_written > 0
@@ -479,12 +470,11 @@ class TestParentSidePartitioning:
         runtime.run(word_count_job(num_reducers=2), CORPUS)
         assert runtime.last_stats.map_attempts > 0
 
-    @pytest.mark.parametrize("codec", ["pickle", "binary"])
-    def test_spilled_first_round_matches_memory(self, tmp_path, codec):
+    def test_spilled_first_round_matches_memory(self, tmp_path):
         inc = MapReduceJob("inc", _inc_reducer, num_reducers=3)
         data = [(i % 5, i) for i in range(40)]
         baseline = LocalRuntime().run(inc, list(data))
-        runtime = LocalRuntime(spill_dir=tmp_path, shuffle_codec=codec)
+        runtime = LocalRuntime(spill_dir=tmp_path)
         assert runtime.run(inc, list(data)) == baseline
         assert runtime.last_stats.map_attempts == 0
         assert runtime.last_stats.shuffle_bytes_written > 0
@@ -494,7 +484,7 @@ class TestParentSidePartitioning:
         run directory (including any .tmp partial); closing the runtime
         removes the session directory itself."""
         inc = MapReduceJob("inc", _inc_reducer, num_reducers=2)
-        runtime = LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary")
+        runtime = LocalRuntime(spill_dir=tmp_path)
         with pytest.raises(TypeError, match="no binary wire form"):
             runtime.run(inc, [(0, 1), (1, object())])  # unencodable value
         assert not any(p for p in tmp_path.rglob("*") if not p.is_dir()), (
@@ -505,7 +495,7 @@ class TestParentSidePartitioning:
 
     def test_chained_rounds_first_round_parent_partitioned(self, tmp_path):
         inc = MapReduceJob("inc", _inc_reducer, num_reducers=2)
-        runtime = LocalRuntime(spill_dir=tmp_path, shuffle_codec="binary")
+        runtime = LocalRuntime(spill_dir=tmp_path)
         out = dict(runtime.run_rounds([inc, inc, inc], [(0, 0)]))
         assert out == {0: 3}
         assert all(rs.map_attempts == 0 for rs in runtime.round_stats)
@@ -531,8 +521,7 @@ class TestKeyIdentity:
 
     SHUFFLES = {
         "memory": dict(),
-        "spill-binary": dict(shuffle_codec="binary"),
-        "spill-pickle": dict(shuffle_codec="pickle"),
+        "spill": dict(),
     }
     KEYS = [1, True, (1, 0), (True, 0), 0, False, (1, "a"), (True, "a")]
 
@@ -559,19 +548,15 @@ class TestKeyIdentity:
         expected = self.run(tmp_path, "memory", pairs)
         assert len(expected) == len(self.KEYS)
         assert all(len(values) == 3 for _, values in expected)
-        for name in ("spill-binary", "spill-pickle"):
-            assert self.run(
-                tmp_path, name, pairs, spill_run_records=run_records
-            ) == expected, name
+        assert self.run(tmp_path, "spill", pairs, spill_run_records=run_records) == expected
 
     def test_parent_side_first_round_keeps_them_apart_too(self, tmp_path):
         pairs = [(key, i) for i, key in enumerate(self.KEYS * 2)]
         job = MapReduceJob("group", collect_reducer, num_reducers=2)
         expected = [(repr(k), v) for k, v in LocalRuntime().run(job, pairs)]
-        for codec in ("binary", "pickle"):
-            with LocalRuntime(spill_dir=tmp_path / codec, shuffle_codec=codec) as runtime:
-                out = runtime.run(job, pairs)
-            assert [(repr(k), v) for k, v in out] == expected
+        with LocalRuntime(spill_dir=tmp_path) as runtime:
+            out = runtime.run(job, pairs)
+        assert [(repr(k), v) for k, v in out] == expected
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -589,7 +574,7 @@ class TestKeyIdentity:
             self.run(tmp_path, shuffle, [(1, "ok"), (bad, "boom")])
 
     def test_writer_append_rejects_and_separates_like_extend(self, tmp_path):
-        layout = SpillLayout(str(tmp_path), "job", 1, "binary")
+        layout = SpillLayout(str(tmp_path), "job", 1)
         writer = layout.run_writer(0)
         for i, key in enumerate(self.KEYS):
             writer.append(0, key, i)
@@ -690,11 +675,6 @@ class TestBenchmarkSurface:
             spill_dir=str(tmp_path),
         ) as bounded:
             assert bounded.run(job, rows) == out
-
-
-def _echo_reducer(key, values):
-    for value in values:
-        yield key, value
 
 
 class TestRunStatsMerge:
@@ -1078,7 +1058,7 @@ FAILING_CHAINS = {
 
 def cleanup_runtime(backend, tmp_path, **kwargs) -> LocalRuntime:
     return LocalRuntime(
-        backend=backend, max_workers=2, shuffle_codec="binary",
+        backend=backend, max_workers=2,
         spill_dir=tmp_path / "spill", spill_run_records=16, **kwargs,
     )
 
@@ -1089,6 +1069,54 @@ def assert_session_is_empty(tmp_path):
     sessions = list((tmp_path / "spill").iterdir())
     assert len(sessions) == 1
     assert list(sessions[0].rglob("*")) == []
+
+
+class Opaque:
+    """A value class nobody registered: it has no binary wire form."""
+
+
+def opaque_mapper(key, value):
+    yield key, Opaque() if value == 150 else value
+
+
+def wide_int_mapper(key, value):
+    yield key, (1 << 63) + value if value == 150 else value
+
+
+@dataclass(frozen=True)
+class MarkingReducer:
+    """Leaves a file behind once any reduce task has run."""
+
+    marker: str
+
+    def __call__(self, key, values):
+        Path(self.marker).touch()
+        yield key, len(values)
+
+
+class TestValuesWithoutABinaryForm:
+    """A spilled shuffle has one encoding: a value without a binary form
+    fails its map task — there is no pickle fallback — before any reduce
+    task runs, and the error names the value's type."""
+
+    @pytest.mark.parametrize("backend, workers", [("serial", None), ("processes", 2)])
+    @pytest.mark.parametrize(
+        "mapper, named",
+        [(opaque_mapper, r"type Opaque .*register_record"), (wide_int_mapper, r"int \d+ exceeds")],
+    )
+    def test_fails_on_the_map_side(self, tmp_path, backend, workers, mapper, named):
+        marker = tmp_path / "reduced"
+        job = MapReduceJob(
+            "generic", MarkingReducer(str(marker)), mapper=mapper,
+            num_mappers=2, num_reducers=2,
+        )
+        with LocalRuntime(
+            backend=backend, max_workers=workers, spill_dir=tmp_path / "spill"
+        ) as runtime:
+            with pytest.raises(TypeError, match=named) as info:
+                runtime.run(job, CLEANUP_INPUT)
+        assert "pickle" not in str(info.value)
+        assert not marker.exists(), "a reduce task ran"
 
 
 class TestShuffleCleanup:

@@ -189,11 +189,11 @@ class TestPlannedPartitioner:
 
     def test_spill_layout_tagging(self, tmp_path):
         legacy = SpillLayout(str(tmp_path), "job", 4)
-        assert legacy.run_path(0, 0, 0).name == "job.m00000.p00000.r00000.pkl"
+        assert legacy.run_path(0, 0, 0).name == "job.m00000.p00000.r00000.bin"
         tagged = SpillLayout(str(tmp_path), "job", 4, partition_tag="plan1234abcd")
         assert (
             tagged.run_path(0, 0, 0).name
-            == "job.plan1234abcd.m00000.p00000.r00000.pkl"
+            == "job.plan1234abcd.m00000.p00000.r00000.bin"
         )
         with pytest.raises(ValueError, match="alphanumeric"):
             SpillLayout(str(tmp_path), "job", 4, partition_tag="../evil")

@@ -90,12 +90,11 @@ class TestBatchWriterWritesThePairWritersBytes:
         sizes=st.lists(st.integers(0, 25), max_size=6),
         run_records=st.sampled_from([1, 2, 7, 1 << 16]),
         run_bytes=st.sampled_from([1, 40, 300, 32 << 20]),
-        codec=st.sampled_from(["binary", "pickle"]),
         partitions=st.sampled_from([1, 3]),
         planned=st.booleans(),
     )
     def test_random_streams_random_cuts(
-        self, tmp_path_factory, pairs, sizes, run_records, run_bytes, codec, partitions, planned
+        self, tmp_path_factory, pairs, sizes, run_records, run_bytes, partitions, planned
     ):
         partitioner = default_partition
         if planned:
@@ -103,7 +102,7 @@ class TestBatchWriterWritesThePairWritersBytes:
             plan = plan_partitions([(key, 10.0) for key in keys], partitions)
             partitioner = PlannedPartitioner.from_plan(plan)
         root = tmp_path_factory.mktemp("w")
-        self.check(root, pairs, sizes, codec, partitions, partitioner, run_records, run_bytes)
+        self.check(root, pairs, sizes, partitions, partitioner, run_records, run_bytes)
 
     @settings(max_examples=60)
     @given(
@@ -115,21 +114,20 @@ class TestBatchWriterWritesThePairWritersBytes:
         sizes=st.lists(st.integers(0, 25), max_size=6),
         run_records=st.sampled_from([1, 3, 1 << 16]),
         run_bytes=st.sampled_from([1, 50, 32 << 20]),
-        codec=st.sampled_from(["binary", "pickle"]),
     )
-    def test_with_a_combiner(self, tmp_path_factory, pairs, sizes, run_records, run_bytes, codec):
+    def test_with_a_combiner(self, tmp_path_factory, pairs, sizes, run_records, run_bytes):
         root = tmp_path_factory.mktemp("c")
         self.check(
-            root, pairs, sizes, codec, 2, default_partition, run_records, run_bytes,
+            root, pairs, sizes, 2, default_partition, run_records, run_bytes,
             combiner=SumCombiner(),
         )
 
     @staticmethod
-    def check(root, pairs, sizes, codec, partitions, partitioner, run_records, run_bytes,
+    def check(root, pairs, sizes, partitions, partitioner, run_records, run_bytes,
               combiner=None):
         bounds = dict(combiner=combiner, run_records=run_records, run_bytes=run_bytes)
-        old = SpillLayout(str(root / "pairs"), "job", partitions, codec)
-        new = SpillLayout(str(root / "batches"), "job", partitions, codec)
+        old = SpillLayout(str(root / "pairs"), "job", partitions)
+        new = SpillLayout(str(root / "batches"), "job", partitions)
         reference = PairSpillWriter(old, 0, **bounds)
         reference.extend(pairs, partitioner)
         writer = new.run_writer(0, **bounds)
@@ -140,8 +138,7 @@ class TestBatchWriterWritesThePairWritersBytes:
             assert run_files(root / "batches") == run_files(root / "pairs")
 
     @pytest.mark.parametrize("run_bytes", [700, 5_000, 60_000])
-    @pytest.mark.parametrize("codec", ["binary", "pickle"])
-    def test_long_streams_of_few_keys(self, tmp_path, codec, run_bytes):
+    def test_long_streams_of_few_keys(self, tmp_path, run_bytes):
         """Thousands of rows over a few keys, in batches of every size: a
         run spans batches and a batch spans runs, and the flush windows
         grow past their first 64 rows."""
@@ -149,14 +146,14 @@ class TestBatchWriterWritesThePairWritersBytes:
         keys = rng.integers(0, 25, size=3_000).tolist()
         pairs = [(k, np.zeros(int(rng.integers(0, 30)), np.float32)) for k in keys]
         sizes = rng.integers(1, 400, size=30).tolist()
-        self.check(tmp_path, pairs, sizes, codec, 3, default_partition, 1 << 16, run_bytes)
+        self.check(tmp_path, pairs, sizes, 3, default_partition, 1 << 16, run_bytes)
 
     def test_append_is_the_one_row_entry(self, tmp_path):
         """``append`` with explicit partitions — also one key into two
         partitions, as a re-keying classic combiner's buckets can hold."""
         pairs = [(1, 1.0), ("k", None), (1, 2.0), (True, 3.0), ((2, 1), 4.0)]
-        old = SpillLayout(str(tmp_path / "pairs"), "job", 2, "binary")
-        new = SpillLayout(str(tmp_path / "batches"), "job", 2, "binary")
+        old = SpillLayout(str(tmp_path / "pairs"), "job", 2)
+        new = SpillLayout(str(tmp_path / "batches"), "job", 2)
         reference, writer = PairSpillWriter(old, 0, run_records=3), new.run_writer(0, run_records=3)
         for i, (key, value) in enumerate(pairs):
             reference.append(i % 2, key, value)
@@ -171,7 +168,7 @@ class TestBatchWriterWritesThePairWritersBytes:
             calls.append(key)
             return default_partition(key, num)
 
-        layout = SpillLayout(str(tmp_path), "job", 3, "binary")
+        layout = SpillLayout(str(tmp_path), "job", 3)
         writer = layout.run_writer(0, run_records=40)
         pairs = [(i % 7, float(i)) for i in range(100)]  # runs of 40, 40, 20 rows
         for batch in batches_of(pairs, [30, 30, 30]):

@@ -3,13 +3,15 @@ that crosses a GraphFlat/GraphInfer spill — one value at a time and as a
 column block — plus the frame stream format and the chunk-framed run file.
 
 The contract under test is *exact* reproduction — column order, array
-dtypes, float bits — because the pipelines' byte-identity across
-codecs (asserted in test_backend_matrix) rests on it.
+dtypes, float bits — because the pipelines' byte-identity between an
+in-memory and a spilled shuffle (asserted in test_backend_matrix) rests on
+it.
 """
 
 from __future__ import annotations
 
 import io
+import pickle
 import struct
 
 import numpy as np
@@ -118,18 +120,21 @@ class TestGenericValues:
             encode_value(object())
 
     def test_int_beyond_64_bits_rejected_at_encode_time(self):
-        """Out-of-range ints must fail on the map side with guidance, not
-        as a 'corrupt stream' error on the reduce side."""
+        """Out-of-range ints must fail on the map side, naming the range,
+        not as a 'corrupt stream' error on the reduce side."""
         for value in (1 << 63, -(1 << 63) - 1, 1 << 70):
-            with pytest.raises(TypeError, match="pickle"):
+            with pytest.raises(TypeError, match="int .* 64-bit range"):
                 encode_value(value)
         # boundary values survive
         assert round_trip((1 << 63) - 1) == (1 << 63) - 1
         assert round_trip(-(1 << 63)) == -(1 << 63)
 
     def test_unknown_tag_raises(self):
-        with pytest.raises(FrameCorruptionError):
-            decode_value(b"\xfe")
+        # decode_value also parses PS and transport wire messages: a pickle
+        # stream is an unknown tag, never unpickled
+        for payload in (b"\xfe", pickle.dumps(("boom", 1))):
+            with pytest.raises(FrameCorruptionError):
+                decode_value(payload)
 
     @given(st.recursive(
         st.none() | st.booleans() | st.integers(-2**62, 2**62) | st.floats(allow_nan=False)
@@ -262,7 +267,7 @@ class TestKeyCodec:
     def test_corrupt_run_payload_raises_in_spill(self, tmp_path):
         """A length-varint bit-flip inside a frame payload must surface as
         FrameCorruptionError, not silently truncated reducer input."""
-        layout = SpillLayout(str(tmp_path), "job", num_partitions=1, codec="binary")
+        layout = SpillLayout(str(tmp_path), "job", num_partitions=1)
         layout.write_map_output(0, [[(1, "hello-world")]])
         path = layout.run_path(0, 0, 0)
         data = bytearray(path.read_bytes())
@@ -290,7 +295,7 @@ class TestFrameStreams:
 
     def test_truncated_frame_rejected(self):
         buf = io.BytesIO()
-        write_stream_header(buf, codec_id=0)
+        write_stream_header(buf, codec_id=1)
         write_frame(buf, b"ikey", b"payload")
         data = buf.getvalue()[:-3]  # chop mid-payload
         fh = io.BytesIO(data)
@@ -519,7 +524,6 @@ def read_chunks(data: bytes):
     return [_decode_key_table(table) for table, _ in iter_frames(fh)]
 
 
-@pytest.mark.parametrize("codec", ["binary", "pickle"])
 class TestChunkedRuns:
     HUB, ROW = 7, np.arange(256, dtype=np.float32)  # 1 KiB per value
 
@@ -529,8 +533,8 @@ class TestChunkedRuns:
         pairs[10:10] = [(3, (-1, self.ROW)), (9, (-2, self.ROW))]
         return pairs
 
-    def test_hub_group_is_split_across_chunks_and_rejoined(self, tmp_path, codec):
-        layout = SpillLayout(str(tmp_path), "job", 1, codec)
+    def test_hub_group_is_split_across_chunks_and_rejoined(self, tmp_path):
+        layout = SpillLayout(str(tmp_path), "job", 1)
         layout.write_map_output(0, [self.hub_pairs()])
         chunks = read_chunks(layout.run_path(0, 0, 0).read_bytes())
         hub_chunks = [c for c in chunks if key_bytes(self.HUB) in c[0]]
@@ -542,8 +546,8 @@ class TestChunkedRuns:
         assert [i for i, _ in groups[1][1]] == list(range(300))  # emission order
         assert_same(groups[1][1][299][1], self.ROW + 299)
 
-    def test_hub_group_split_across_runs_too(self, tmp_path, codec):
-        layout = SpillLayout(str(tmp_path), "job", 1, codec)
+    def test_hub_group_split_across_runs_too(self, tmp_path):
+        layout = SpillLayout(str(tmp_path), "job", 1)
         writer = layout.run_writer(0, run_records=100)
         for key, value in self.hub_pairs():
             writer.append(0, key, value)
@@ -552,11 +556,11 @@ class TestChunkedRuns:
         groups = dict(layout.iter_groups(0, 1))
         assert [i for i, _ in groups[self.HUB]] == list(range(300))
 
-    def small_run(self, tmp_path, codec, monkeypatch):
+    def small_run(self, tmp_path, monkeypatch):
         """A run of several chunks that is small enough to damage at every
         byte (the chunk bound is shrunk for it)."""
         monkeypatch.setattr("repro.mapreduce.spill._CHUNK_BYTES", 256)
-        layout = SpillLayout(str(tmp_path), "job", 1, codec)
+        layout = SpillLayout(str(tmp_path), "job", 1)
         layout.write_map_output(
             0, [[(k, (k, "tag", np.full(8, k, np.float32))) for k in range(12)] * 2]
         )
@@ -566,9 +570,9 @@ class TestChunkedRuns:
         return layout, path, data
 
     def test_every_truncation_is_detected_or_a_whole_number_of_chunks(
-        self, tmp_path, codec, monkeypatch
+        self, tmp_path, monkeypatch
     ):
-        layout, path, data = self.small_run(tmp_path, codec, monkeypatch)
+        layout, path, data = self.small_run(tmp_path, monkeypatch)
         whole = list(layout.iter_groups(0, 1))
         clean_cuts = 0
         for cut in range(len(data)):
@@ -585,9 +589,9 @@ class TestChunkedRuns:
         assert clean_cuts == len(read_chunks(data))
 
     def test_flipped_byte_in_key_table_or_block_is_detected(
-        self, tmp_path, codec, monkeypatch
+        self, tmp_path, monkeypatch
     ):
-        layout, path, data = self.small_run(tmp_path, codec, monkeypatch)
+        layout, path, data = self.small_run(tmp_path, monkeypatch)
         for position in range(6, len(data)):  # past the stream header
             injured = bytearray(data)
             injured[position] ^= 0x40
@@ -595,8 +599,21 @@ class TestChunkedRuns:
             with pytest.raises(FrameCorruptionError):
                 list(layout.iter_groups(0, 1))
 
-    def test_version_2_run_is_rejected(self, tmp_path, codec, monkeypatch):
-        layout, path, data = self.small_run(tmp_path, codec, monkeypatch)
+    def test_flipped_codec_byte_is_frame_corruption(self, tmp_path, monkeypatch):
+        """The header's codec byte sits outside every frame CRC; a run whose
+        byte is not the column block's (``1``) is corrupt — the retryable
+        frame error — on both ways of reading it."""
+        layout, path, data = self.small_run(tmp_path, monkeypatch)
+        assert data[5] == 1
+        for flipped in (0, 2, 0xFF):
+            path.write_bytes(data[:5] + bytes([flipped]) + data[6:])
+            with pytest.raises(FrameCorruptionError, match="codec byte"):
+                list(layout.iter_groups(0, 1))
+            with pytest.raises(FrameCorruptionError, match="codec byte"):
+                list(layout.iter_column_groups(0, 1))
+
+    def test_version_2_run_is_rejected(self, tmp_path, monkeypatch):
+        layout, path, data = self.small_run(tmp_path, monkeypatch)
         assert data[:5] == b"AGLS\x03"
         path.write_bytes(b"AGLS\x02" + data[5:])
         with pytest.raises(FrameCorruptionError, match="version 2"):

@@ -302,9 +302,7 @@ class TestGraphFlatEdgeTasks:
         digests = []
         for workers in (2, 4):
             fs = DistFileSystem(tmp_path / f"dfs-{workers}")
-            with LocalRuntime(
-                backend="threads", max_workers=workers, shuffle_codec="binary"
-            ) as runtime:
+            with LocalRuntime(backend="threads", max_workers=workers) as runtime:
                 result = graph_flat(
                     nodes, edges, config=flat_config(task), runtime=runtime,
                     fs=fs, dataset_name="train",
