@@ -362,18 +362,18 @@ class TestSpill:
         layout.cleanup(num_map_tasks=1)
         assert not list(tmp_path.iterdir())
 
-    def test_codec_keywords_accept_only_binary(self, tmp_path):
+    @pytest.mark.parametrize("codec", ["pickle", "json", "", "BINARY", None])
+    def test_codec_keywords_accept_only_binary(self, tmp_path, codec):
         """The two codec keywords are checks kept for the benchmark's
         probes: ``"binary"`` passes, anything else — ``"pickle"`` too — is
         a ``ValueError``, and neither object stores a codec."""
         layout = SpillLayout(str(tmp_path), "job", num_partitions=1, codec="binary")
         assert "codec" not in vars(layout)
         assert "shuffle_codec" not in vars(LocalRuntime(shuffle_codec="binary"))
-        for codec in ("pickle", "json"):
-            with pytest.raises(ValueError, match="spill codec must be 'binary'"):
-                SpillLayout(str(tmp_path), "job", num_partitions=1, codec=codec)
-            with pytest.raises(ValueError, match="shuffle_codec must be 'binary'"):
-                LocalRuntime(shuffle_codec=codec)
+        with pytest.raises(ValueError, match="spill codec must be 'binary'"):
+            SpillLayout(str(tmp_path), "job", num_partitions=1, codec=codec)
+        with pytest.raises(ValueError, match="shuffle_codec must be 'binary'"):
+            LocalRuntime(shuffle_codec=codec)
 
     def test_merge_streams_with_bounded_read_buffer(self, tmp_path, monkeypatch):
         """The reduce-side merge must not materialize the partition: after
@@ -1075,12 +1075,27 @@ class Opaque:
     """A value class nobody registered: it has no binary wire form."""
 
 
-def opaque_mapper(key, value):
-    yield key, Opaque() if value == 150 else value
+@dataclass(frozen=True)
+class PlantingMapper:
+    """Passes its input through, but emits ``planted`` for input value 150."""
+
+    planted: object
+
+    def __call__(self, key, value):
+        yield key, self.planted if value == 150 else value
 
 
-def wide_int_mapper(key, value):
-    yield key, (1 << 63) + value if value == 150 else value
+# value planted in a spilled job -> what its map-side TypeError says
+UNENCODABLE = {
+    "unregistered-class": (Opaque(), r"type Opaque .*register_record"),
+    "int-above-64-bits": (1 << 63, r"int \d+ exceeds .*64-bit range"),
+    "int-below-64-bits": (-(1 << 63) - 1, r"int -\d+ exceeds .*64-bit range"),
+    "numpy-scalar": (np.int64(3), r"type int64 .*register_record"),
+    "set": ({1, 2}, r"type set .*register_record"),
+    "dict": ({"a": 1}, r"type dict .*register_record"),
+    "nested-in-a-tuple": ((1, frozenset({2})), r"type frozenset .*register_record"),
+    "object-array": (np.array([None, 1], dtype=object), r"object-dtype arrays"),
+}
 
 
 @dataclass(frozen=True)
@@ -1099,15 +1114,15 @@ class TestValuesWithoutABinaryForm:
     fails its map task — there is no pickle fallback — before any reduce
     task runs, and the error names the value's type."""
 
-    @pytest.mark.parametrize("backend, workers", [("serial", None), ("processes", 2)])
     @pytest.mark.parametrize(
-        "mapper, named",
-        [(opaque_mapper, r"type Opaque .*register_record"), (wide_int_mapper, r"int \d+ exceeds")],
+        "backend, workers", [("serial", None), ("threads", 2), ("processes", 2)]
     )
-    def test_fails_on_the_map_side(self, tmp_path, backend, workers, mapper, named):
+    @pytest.mark.parametrize("kind", sorted(UNENCODABLE))
+    def test_fails_on_the_map_side(self, tmp_path, backend, workers, kind):
+        planted, named = UNENCODABLE[kind]
         marker = tmp_path / "reduced"
         job = MapReduceJob(
-            "generic", MarkingReducer(str(marker)), mapper=mapper,
+            "generic", MarkingReducer(str(marker)), mapper=PlantingMapper(planted),
             num_mappers=2, num_reducers=2,
         )
         with LocalRuntime(

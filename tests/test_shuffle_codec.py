@@ -61,6 +61,20 @@ def make_subgraph(rng: np.random.Generator, **kwargs) -> SubgraphInfo:
     return random_subgraph(rng, **kwargs).to_info()
 
 
+def _touch(path: str) -> None:
+    open(path, "a").close()
+
+
+class TouchOnLoad:
+    """Pickles to a stream that touches ``path`` when it is unpickled."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __reduce__(self):
+        return _touch, (self.path,)
+
+
 class TestGenericValues:
     @pytest.mark.parametrize(
         "value",
@@ -128,6 +142,19 @@ class TestGenericValues:
         # boundary values survive
         assert round_trip((1 << 63) - 1) == (1 << 63) - 1
         assert round_trip(-(1 << 63)) == -(1 << 63)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_stream_is_never_unpickled(self, tmp_path, protocol):
+        """PS and transport messages are parsed by decode_value too: a live
+        pickle — one that touches a file when loaded — is an unknown tag,
+        and the file stays untouched."""
+        marker = tmp_path / "unpickled"
+        payload = pickle.dumps(("boom", TouchOnLoad(str(marker))), protocol=protocol)
+        with pytest.raises(FrameCorruptionError, match="unknown value tag"):
+            decode_value(payload)
+        assert not marker.exists()
+        pickle.loads(payload)  # the payload is live: loading it touches the file
+        assert marker.exists()
 
     def test_unknown_tag_raises(self):
         # decode_value also parses PS and transport wire messages: a pickle
@@ -611,6 +638,20 @@ class TestChunkedRuns:
                 list(layout.iter_groups(0, 1))
             with pytest.raises(FrameCorruptionError, match="codec byte"):
                 list(layout.iter_column_groups(0, 1))
+
+    @pytest.mark.parametrize("reader", ["iter_groups", "iter_column_groups"])
+    @pytest.mark.parametrize("offset", range(6))
+    def test_every_damaged_header_byte_is_frame_corruption(
+        self, tmp_path, monkeypatch, offset, reader
+    ):
+        """No header byte — magic, version or codec — is under a frame
+        CRC; damage to any of them is still the retryable frame error."""
+        layout, path, data = self.small_run(tmp_path, monkeypatch)
+        damaged = bytearray(data)
+        damaged[offset] ^= 0xFF
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(FrameCorruptionError):
+            list(getattr(layout, reader)(0, 1))
 
     def test_version_2_run_is_rejected(self, tmp_path, monkeypatch):
         layout, path, data = self.small_run(tmp_path, monkeypatch)
