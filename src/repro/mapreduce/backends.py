@@ -79,6 +79,9 @@ BACKEND_REGISTRY: dict[str, type["Backend"]] = {}
 _POLL_S = 0.05
 """Future-poll period of the timeout/speculation coordinator loop."""
 
+_SHUT_DOWN = "cannot schedule new futures after shutdown"
+"""What ``submit`` raises on an executor that was shut down."""
+
 _WORKER_PRELOAD = [
     "numpy",
     "repro.core.graphflat",
@@ -199,8 +202,12 @@ class _RemoteCall:
     crash is surfaced as a retryable :class:`WorkerCrashError`.  A
     cancelled future means a *sibling* coordinator killed the pool (its
     attempt timed out) — same treatment: this attempt produced nothing
-    and is simply re-executed.  With a timeout or speculation monitor
-    active, the blocking wait becomes the poll loop in :meth:`_race`.
+    and is simply re-executed.  So is a submit to a pool a sibling shut
+    down; any other ``RuntimeError`` from ``submit`` — say, a worker
+    process refusing to start others while it bootstraps — is no pool
+    failure and fails the task as it is.  With a timeout or speculation
+    monitor active, the blocking wait becomes the poll loop in
+    :meth:`_race`.
     """
 
     def __init__(self, backend: "ProcessesBackend", fn, args):
@@ -211,7 +218,11 @@ class _RemoteCall:
     def _submit(self, pool, generation, spec):
         try:
             return pool.submit(run_with_effects, spec, self.fn, self.args)
+        except BrokenProcessPool:
+            raise  # a worker died: the caller discards the pool
         except RuntimeError as exc:
+            if _SHUT_DOWN not in str(exc):
+                raise  # not a pool failure: the task fails as it is
             # Pool shut down under us (sibling timeout killed it between
             # our handle fetch and submit): retryable, next attempt gets
             # a fresh pool.
@@ -227,15 +238,18 @@ class _RemoteCall:
         timeout_s = ctx.timeout_s if ctx is not None else None
         monitor = ctx.monitor if ctx is not None else None
         pool, generation = self.backend._pool_handle()
-        future = self._submit(pool, generation, spec)
         try:
+            future = self._submit(pool, generation, spec)
             if timeout_s is None and monitor is None:
                 return future.result()
             return self._race(pool, generation, future, spec, timeout_s, monitor)
         except (BrokenProcessPool, CancelledError) as exc:
             self.backend._discard_pool(generation)
             raise WorkerCrashError(
-                f"worker process died while running {self._name()!r}"
+                f"worker process died while running {self._name()!r}; workers "
+                "may also have died while starting, for example in a script "
+                "that starts a 'processes' job without an "
+                "`if __name__ == \"__main__\":` guard"
             ) from exc
 
     def _race(self, pool, generation, future, spec, timeout_s, monitor):
@@ -338,6 +352,14 @@ class ProcessesBackend(Backend):
         """The live pool (created lazily, shared across phases and rounds)."""
         with self._lock:
             if self._pool is None:
+                if getattr(multiprocessing.current_process(), "_inheriting", False):
+                    # A worker importing a script's main module runs the
+                    # script's job again: it must not start workers itself.
+                    raise RuntimeError(
+                        "a 'processes' job started while this worker process "
+                        "was starting; start it under an "
+                        '`if __name__ == "__main__":` guard'
+                    )
                 # The parent is multi-threaded (coordinator threads), so
                 # fork() is deadlock-prone; forkserver spawns workers from
                 # a clean single-threaded helper.  Jobs are already

@@ -47,8 +47,12 @@ from __future__ import annotations
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
-from repro.mapreduce.shuffle import default_partition, key_bytes
+import numpy as np
+
+from repro.mapreduce.shuffle import decode_key, default_partition, key_bytes
 from repro.proto.varint import decode_unsigned, encode_unsigned
 
 __all__ = [
@@ -60,6 +64,8 @@ __all__ = [
     "PlannedPartitioner",
     "SlabLocator",
     "bytes_partitioner",
+    "int_key_partitions",
+    "key_partitions",
     "plan_partitions",
     "publish",
     "publish_plan",
@@ -167,6 +173,20 @@ class PartitionPlan:
 
     def checksum(self) -> int:
         return zlib.crc32(self.encode())
+
+    @cached_property
+    def int_assignments(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, partitions)``: the entries of plain int keys, keys
+        ascending — what :func:`int_key_partitions` looks a key array up
+        in."""
+        entries = sorted(
+            (decode_key(kb), partition)
+            for kb, partition in self.assignments.items()
+            if kb[:1] == b"i"
+        )
+        keys = np.fromiter((key for key, _ in entries), dtype=np.int64, count=len(entries))
+        parts = np.fromiter((part for _, part in entries), dtype=np.int64, count=len(entries))
+        return keys, parts
 
 
 def plan_partitions(
@@ -349,6 +369,62 @@ def bytes_partitioner(partitioner) -> Callable[[bytes, int], int] | None:
     if isinstance(partitioner, PlannedPartitioner):
         return partitioner.of_bytes
     return None
+
+
+def _crc32_table() -> np.ndarray:
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
+
+
+def _crc32_rows(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``zlib.crc32(bytes(rows[i, :lengths[i]]))`` for every row ``i`` of a
+    ``uint8`` matrix, a byte column at a time."""
+    crc = np.full(len(rows), 0xFFFFFFFF, dtype=np.uint32)
+    shortest = int(lengths.min()) if len(rows) else 0
+    for j in range(int(lengths.max()) if len(rows) else 0):
+        step = _CRC32_TABLE[(crc ^ rows[:, j]) & 0xFF] ^ (crc >> 8)
+        crc = step if j < shortest else np.where(j < lengths, step, crc)
+    return crc ^ np.uint32(0xFFFFFFFF)
+
+
+def int_key_partitions(
+    partitioner, keys: np.ndarray, rows: np.ndarray, lengths: np.ndarray, num_partitions: int
+) -> np.ndarray:
+    """The partition of each plain int key of ``keys`` (``rows`` /
+    ``lengths``: their :func:`~repro.mapreduce.shuffle.int_key_rows`): in
+    array passes for the shipped partitioners — the hash of the canonical
+    bytes, and a planned partitioner's table looked up by key — else one
+    ``partitioner(key, num_partitions)`` call per key."""
+    planned = isinstance(partitioner, PlannedPartitioner)
+    if planned or partitioner is default_partition or type(partitioner) is HashPartitioner:
+        if num_partitions <= 0:
+            raise ValueError("num_partitions must be positive")
+        parts = (_crc32_rows(rows, lengths) % np.uint32(num_partitions)).astype(np.int64)
+        if planned and num_partitions == partitioner.num_partitions:
+            planned, planned_parts = partitioner.plan.int_assignments
+            if len(planned):
+                at = np.minimum(np.searchsorted(planned, keys), len(planned) - 1)
+                hit = planned[at] == keys
+                parts[hit] = planned_parts[at[hit]]
+        return parts
+    return np.fromiter(
+        map(partitioner, keys.tolist(), repeat(num_partitions)), dtype=np.int64, count=len(keys)
+    )
+
+
+def key_partitions(partitioner, keys: list, kbs: list[bytes], num_partitions: int) -> list[int]:
+    """The partition of each key of ``keys`` (``kbs``: their canonical
+    bytes), one call per key: over the bytes for the shipped partitioners,
+    else over the key."""
+    of_bytes = bytes_partitioner(partitioner)
+    if of_bytes is None:
+        return list(map(partitioner, keys, repeat(num_partitions)))
+    return list(map(of_bytes, kbs, repeat(num_partitions)))
 
 
 def publish_plan(plan: PartitionPlan, needs_pickling: bool):

@@ -103,24 +103,27 @@ from repro.mapreduce.fault import (
     maybe_check_deadline,
 )
 from repro.mapreduce.job import Combiner, JobFailedError, MapReduceJob, identity_mapper
-from repro.mapreduce.partition import spill_tag
+from repro.mapreduce.partition import int_key_partitions, key_partitions, spill_tag
 from repro.mapreduce.retry import PhaseMonitor, RetryPolicy
 from repro.mapreduce.shuffle import (
     Group,
+    KeyCodes,
     RecordBatch,
+    canonical_order,
     default_partition,
-    factorize_keys,
     group_sorted,
+    int_key_rows,
+    key_codes,
     keys_bytes,
     pair_batches,
     record_sizes,
+    stable_order,
 )
 from repro.mapreduce.spill import (
     DEFAULT_RUN_BYTES,
     DEFAULT_RUN_RECORDS,
     SpillLayout,
     SpillWriteResult,
-    route_keys,
 )
 from repro.proto.framing import gather
 
@@ -295,13 +298,13 @@ class _MemorySource:
         batches = [batch for batch in self.batches if len(batch)]
         if not batches:
             return
-        codes, _, firsts = factorize_keys([key for batch in batches for key in batch.keys])
-        kbs = keys_bytes(firsts)
-        order = sorted(range(len(kbs)), key=kbs.__getitem__)
+        keys = key_codes([key for batch in batches for key in batch.keys])
+        order = canonical_order(int_key_rows(keys.ints)[0], keys_bytes(keys.firsts)).tolist()
+        firsts = keys.keys()
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
-        rows = rank[codes]
-        arrival = np.argsort(rows, kind="stable")
+        rows = rank[keys.codes]
+        arrival = stable_order(rows, len(order))
         bounds = np.searchsorted(rows[arrival], np.arange(len(order) + 1)).tolist()
         sizes = [len(batch) for batch in batches]
         which = np.repeat(np.arange(len(batches)), sizes)
@@ -350,15 +353,14 @@ class _BucketWriter:
         self._routes: dict = {}
 
     def add(self, batch: RecordBatch, partitioner: Callable) -> None:
-        """Route every row of ``batch`` into its partition's bucket, calling
-        the partitioner once per distinct key of the task."""
+        """Route every row of ``batch`` into its partition's bucket (see
+        :func:`_partitions`)."""
         if not len(batch):
             return
         buckets = self._buckets
-        codes, idents, firsts = factorize_keys(batch.keys)
-        routes = route_keys(self._routes, partitioner, idents, firsts, len(buckets))
-        parts = np.fromiter((p for p, _ in routes), dtype=np.int64, count=len(routes))[codes]
-        order = np.argsort(parts, kind="stable")
+        keys = batch.key_codes()
+        parts = _partitions(self._routes, partitioner, keys, len(buckets))[keys.codes]
+        order = stable_order(parts, len(buckets))
         bounds = np.searchsorted(parts[order], np.arange(len(buckets) + 1)).tolist()
         for p, bucket in enumerate(buckets):
             if bounds[p + 1] - bounds[p] == len(batch):
@@ -378,6 +380,23 @@ class _BucketWriter:
                     RecordBatch(keys, values, lambda values=values: record_sizes(values))
                 ]
         return self._buckets
+
+
+def _partitions(routes: dict, partitioner, keys: KeyCodes, num_partitions: int) -> np.ndarray:
+    """The partition of each distinct key of a batch: the plain ints' in
+    array passes (:func:`~repro.mapreduce.partition.int_key_partitions`),
+    every other key's through the cache ``routes`` — the partitioner runs
+    once per such key the cache does not hold yet."""
+    rows, lengths = int_key_rows(keys.ints)
+    missing = [code for code, ident in enumerate(keys.idents) if ident not in routes]
+    if missing:
+        firsts = [keys.firsts[code] for code in missing]
+        found = key_partitions(partitioner, firsts, keys_bytes(firsts), num_partitions)
+        routes.update(zip(map(keys.idents.__getitem__, missing), found))
+    return np.concatenate([
+        int_key_partitions(partitioner, keys.ints, rows, lengths, num_partitions),
+        np.fromiter(map(routes.__getitem__, keys.idents), dtype=np.int64, count=len(keys.idents)),
+    ])
 
 
 class _FoldedSpillWriter(_BucketWriter):
@@ -460,8 +479,8 @@ class _SpillSink(_ShuffleSink):
 class _SplitSink:
     """The round before a side stage: keys the side stage accepts go into
     its shuffle, every other key straight into the shuffle of the round
-    after it — one ``accepts`` mask over each batch's key column splits it.
-    Both outputs stream — neither is buffered whole."""
+    after it — ``accepts``, called once per distinct key of a batch, splits
+    it.  Both outputs stream — neither is buffered whole."""
 
     accepts: Callable
     side: _MemorySink | _SpillSink
@@ -471,14 +490,19 @@ class _SplitSink:
         side = self.side.writer(task_index)
         main = self.main.writer(task_index)
         for batch in batches:
-            accepted = np.fromiter(map(self.accepts, batch.keys), dtype=bool, count=len(batch))
+            keys = batch.key_codes()
+            accepted = np.fromiter(map(self.accepts, keys.keys()), dtype=bool, count=len(keys))
+            accepted = accepted[keys.codes]
             if not accepted.any():
                 main.add(batch, self.main.partitioner)
             elif accepted.all():
                 side.add(batch, self.side.partitioner)
             else:
-                side.add(batch.take(np.flatnonzero(accepted)), self.side.partitioner)
-                main.add(batch.take(np.flatnonzero(~accepted)), self.main.partitioner)
+                for writer, sink, rows in (
+                    (side, self.side, np.flatnonzero(accepted)),
+                    (main, self.main, np.flatnonzero(~accepted)),
+                ):
+                    writer.add(batch.take(rows, keys.take(rows)), sink.partitioner)
         return main.finish(), side.finish()
 
 
@@ -1123,8 +1147,10 @@ class LocalRuntime:
                 if delay > 0.0:
                     time.sleep(delay)
                     backoff_total += delay
+        reason = str(last_exc).splitlines()[0] if str(last_exc) else ""
         raise JobFailedError(
-            f"task {task_id} of job {job_name!r} failed {policy.max_attempts} attempts"
+            f"task {task_id} of job {job_name!r} failed {policy.max_attempts} attempts; "
+            f"the last with {type(last_exc).__name__}: {reason}"
         ) from last_exc
 
     def _execute(self, job_name: str, tasks: list[tuple], stats: RunStats, phase: str):

@@ -11,14 +11,18 @@ those.  GraphFlat keys are node ids (int) or suffixed ids (tuples) after
 re-indexing.
 
 Records travel into a shuffle as :class:`RecordBatch` es — a key column, a
-value column and per-row sizes — so that keys are encoded, hashed and
-partitioned once per distinct key, never once per record — and come out of
-one as :class:`Group` s of column slices.
+value column and per-row sizes — and come out of one as :class:`Group` s of
+column slices.  A batch's keys are factorized once (:class:`KeyCodes`): its
+plain int keys — the engine's node ids — become one ``int64`` array, which
+the writers encode (:func:`int_key_rows`), hash and sort by canonical bytes
+(:func:`int_key_order`) in array passes, with no Python step per key; every
+other key is handled one distinct key at a time.
 """
 
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from itertools import islice
 
 import numpy as np
@@ -29,17 +33,22 @@ from repro.proto.varint import decode_signed, encode_signed
 __all__ = [
     "PAIR_BATCH_ROWS",
     "Group",
+    "KeyCodes",
     "RecordBatch",
+    "canonical_order",
     "decode_key",
     "default_partition",
-    "factorize_keys",
     "group_sorted",
     "int_key_bytes",
+    "int_key_order",
+    "int_key_rows",
     "key_bytes",
+    "key_codes",
     "key_ident",
     "keys_bytes",
     "pair_batches",
     "record_sizes",
+    "stable_order",
 ]
 
 PAIR_BATCH_ROWS = 1024
@@ -75,25 +84,69 @@ def key_bytes(key) -> bytes:
     raise TypeError(f"unsupported shuffle key type {type(key).__name__}: {key!r}")
 
 
-def int_key_bytes(keys: np.ndarray) -> list[bytes]:
-    """:func:`key_bytes` of every int64 of ``keys``, in one vectorised
-    ZigZag-varint pass (bit-identical to ``b"i" + encode_signed(key)``)."""
+def int_key_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, lengths)``: :func:`key_bytes` of every int64 of ``keys`` as
+    row ``i`` of an ``(n, 11)`` ``uint8`` matrix — ``b"i"`` and the ZigZag
+    varint, zero-padded — and its length, in one vectorised pass
+    (``rows[i, :lengths[i]]`` is ``b"i" + encode_signed(key)``, bit for
+    bit)."""
     keys = np.asarray(keys, dtype=np.int64)
     rest = ((keys << 1) ^ (keys >> 63)).view(np.uint64)
-    out = np.zeros((len(keys), 11), dtype=np.uint8)
-    out[:, 0] = ord("i")
-    length = np.ones(len(keys), dtype=np.int64)  # varint bytes
+    rows = np.zeros((len(keys), 11), dtype=np.uint8)
+    rows[:, 0] = ord("i")
+    lengths = np.full(len(keys), 2, dtype=np.int64)  # kind byte + varint bytes
     seven, low = np.uint64(7), np.uint64(0x7F)
     for j in range(1, 11):
         byte = (rest & low).astype(np.uint8)
         rest = rest >> seven
         more = rest != 0
-        out[:, j] = byte | (more.astype(np.uint8) << np.uint8(7))
+        rows[:, j] = byte | (more.astype(np.uint8) << np.uint8(7))
         if not more.any():
             break
-        length += more
-    flat = out.tobytes()
-    return [flat[11 * i : 11 * i + 1 + n] for i, n in enumerate(length.tolist())]
+        lengths += more
+    return rows, lengths
+
+
+def int_key_bytes(keys: np.ndarray) -> list[bytes]:
+    """:func:`key_bytes` of every int64 of ``keys``, as bytes objects."""
+    rows, lengths = int_key_rows(keys)
+    flat = rows.tobytes()
+    return [flat[11 * i : 11 * i + n] for i, n in enumerate(lengths.tolist())]
+
+
+def int_key_order(rows: np.ndarray) -> np.ndarray:
+    """The order of the int keys whose :func:`int_key_rows` are ``rows`` by
+    canonical bytes, from array sorts.  The zero padding cannot reorder
+    them: a varint is prefix-free — its last byte is the only one without
+    the continuation bit — so two keys differ at or before the shorter's
+    last byte."""
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64)
+    high = np.ascontiguousarray(rows[:, 1:9]).view(">u8").ravel()  # byte 0 is b"i"
+    if not rows[:, 9:].any():
+        return np.argsort(high, kind="stable")
+    return np.lexsort((np.ascontiguousarray(rows[:, 9:]).view(">u2").ravel(), high))
+
+
+def stable_order(values: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of ints in ``[0, bound)``: a
+    radix sort, linear in the values, when they fit 16 bits (group ranks,
+    partitions, a batch's key codes)."""
+    if bound <= 1 << 16:
+        values = values.astype(np.uint16)
+    return np.argsort(values, kind="stable")
+
+
+def canonical_order(rows: np.ndarray, kbs: list[bytes]) -> np.ndarray:
+    """The order by canonical bytes of ``len(rows)`` plain int keys (their
+    :func:`int_key_rows`) followed by the keys with canonical bytes ``kbs``:
+    the ints by :func:`int_key_order`, the others one comparison at a time.
+    No other key starts with ``b"i"``, so the ints go between the bools
+    (``b"b"``) and every other kind (``b"s"``, ``b"t"``, ``b"y"``)."""
+    by_key = sorted(range(len(kbs)), key=kbs.__getitem__)
+    low = bisect_left(by_key, b"i", key=kbs.__getitem__)
+    others = np.asarray(by_key, dtype=np.int64) + len(rows)
+    return np.concatenate([others[:low], int_key_order(rows), others[low:]])
 
 
 def keys_bytes(keys: list) -> list[bytes]:
@@ -132,70 +185,79 @@ def key_ident(key):
     return key_bytes(key)
 
 
-_UNIQUE_ROWS = 64
-"""Batches of at least this many rows factorize their int keys with one
-``unique``; below it a dict pass is cheaper than numpy's per-call cost (a
-spill writer fed one ``append`` at a time sees one-row batches)."""
+class KeyCodes:
+    """A batch's keys factorized: row ``i``'s key is distinct key
+    ``codes[i]``.  The distinct plain int keys come first, as the ascending
+    ``int64`` array ``ints``; every other distinct key follows, as its
+    :func:`key_ident` (``idents``) and its first row's key object
+    (``firsts``), in order of first appearance.  Rows group exactly as their
+    canonical bytes do (``True`` and ``1`` apart)."""
+
+    __slots__ = ("codes", "ints", "idents", "firsts")
+
+    def __init__(self, codes: np.ndarray, ints: np.ndarray, idents: list, firsts: list):
+        self.codes, self.ints, self.idents, self.firsts = codes, ints, idents, firsts
+
+    def __len__(self) -> int:
+        return len(self.ints) + len(self.idents)
+
+    def keys(self) -> list:
+        """The distinct keys as objects, in code order."""
+        return self.ints.tolist() + self.firsts
+
+    def take(self, rows: np.ndarray) -> "KeyCodes":
+        """The factorization of the rows at ``rows``."""
+        codes = self.codes[rows]
+        used = np.flatnonzero(np.bincount(codes, minlength=len(self)))
+        renumber = np.zeros(len(self), dtype=np.int64)
+        renumber[used] = np.arange(len(used))
+        split = int(np.searchsorted(used, len(self.ints)))
+        others = (used[split:] - len(self.ints)).tolist()
+        return KeyCodes(
+            renumber[codes],
+            self.ints[used[:split]],
+            list(map(self.idents.__getitem__, others)),
+            list(map(self.firsts.__getitem__, others)),
+        )
 
 
-def factorize_keys(keys: list) -> tuple[np.ndarray, list, list]:
-    """``(codes, idents, firsts)``: row ``i``'s key is distinct key
-    ``codes[i]``; distinct keys are numbered by first appearance, each with
-    its :func:`key_ident` and its first row's key object.  Rows group
-    exactly as their canonical bytes do (``True`` and ``1`` apart).  In a
-    batch of :data:`_UNIQUE_ROWS` or more, plain int keys — the engine's
-    node ids — are factorized in one ``unique`` pass, the others one dict
-    lookup each."""
+def key_codes(keys: list) -> KeyCodes:
+    """Factorize ``keys`` (:class:`KeyCodes`): the plain ints in one
+    ``unique`` pass, every other key one dict entry per row.  An int wider
+    than 64 bits takes the dict path with the others, where encoding it
+    raises."""
     count = len(keys)
-    if count < _UNIQUE_ROWS:
-        return _factorize_rows(keys, np.arange(count), [])
-    is_int = np.fromiter(map(type, keys), dtype=object, count=count) == int
-    int_rows = np.flatnonzero(is_int)
+    kinds = set(map(type, keys))
+    int_rows = None  # every row
+    if kinds != {int}:
+        is_int = np.fromiter(map(type, keys), dtype=object, count=count) == int
+        int_rows = np.flatnonzero(is_int)
     try:
-        if len(int_rows) == count:
-            ints = np.fromiter(keys, np.int64, count)
+        if int_rows is None:
+            ints = np.fromiter(keys, dtype=np.int64, count=count)
         else:
-            ints = np.fromiter(map(keys.__getitem__, int_rows.tolist()), np.int64, len(int_rows))
-    except OverflowError:  # wider than 64 bits: every key one by one
-        return _factorize_rows(keys, np.arange(count), [])
-    distinct, first_int, int_codes = np.unique(ints, return_index=True, return_inverse=True)
-    return _factorize_rows(
-        keys, np.flatnonzero(~is_int), distinct.tolist(), int_rows, first_int, int_codes
-    )
-
-
-def _factorize_rows(keys, rows, idents, int_rows=None, first_int=None, int_codes=None):
-    """:func:`factorize_keys` of the keys at ``rows`` one dict lookup each,
-    joined with the int keys already factorized (``idents`` distinct ints,
-    first seen at ``int_rows[first_int]``; row ``int_rows[j]`` is
-    ``int_codes[j]``)."""
-    index: dict = {}
-    first_rows: list[int] = []
-    codes = np.empty(len(rows), dtype=np.int64)
-    for j, row in enumerate(rows.tolist()):
-        key = keys[row]
-        ident = key if type(key) is int else key_ident(key)
-        code = index.get(ident)
-        if code is None:
-            code = index[ident] = len(first_rows)
-            first_rows.append(row)
-        codes[j] = code
-    if int_rows is None:  # every key went through the dict: numbered already
-        return codes, list(index), [keys[row] for row in first_rows]
-    # number every distinct key by the row it first appears in
-    firsts = np.concatenate([int_rows[first_int], np.asarray(first_rows, dtype=np.int64)])
-    order = np.argsort(firsts, kind="stable")
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    out = np.empty(len(keys), dtype=np.int64)
-    out[int_rows] = rank[int_codes.reshape(-1)]
-    out[rows] = rank[len(idents) + codes]
-    idents = idents + list(index)
-    return (
-        out,
-        list(map(idents.__getitem__, order.tolist())),
-        list(map(keys.__getitem__, firsts[order].tolist())),
-    )
+            ints = np.fromiter(
+                map(keys.__getitem__, int_rows.tolist()), dtype=np.int64, count=len(int_rows)
+            )
+    except OverflowError:
+        int_rows = ints = np.zeros(0, dtype=np.int64)
+    distinct, inverse = np.unique(ints, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    if int_rows is None:
+        return KeyCodes(inverse, distinct, [], [])
+    codes = np.empty(count, dtype=np.int64)
+    codes[int_rows] = inverse
+    other_rows = np.ones(count, dtype=bool)
+    other_rows[int_rows] = False
+    other_rows = np.flatnonzero(other_rows).tolist()
+    others = list(map(keys.__getitem__, other_rows))
+    idents = list(map(key_ident, others))
+    distinct_others = list(dict.fromkeys(idents))  # in order of first appearance
+    first_row = dict(zip(reversed(idents), range(len(idents) - 1, -1, -1)))
+    index = dict(zip(distinct_others, range(len(distinct), len(distinct) + len(distinct_others))))
+    codes[other_rows] = np.fromiter(map(index.__getitem__, idents), np.int64, len(idents))
+    firsts = list(map(others.__getitem__, map(first_row.__getitem__, distinct_others)))
+    return KeyCodes(codes, distinct, distinct_others, firsts)
 
 
 def decode_key(data: bytes):
@@ -254,14 +316,16 @@ class RecordBatch:
     — an ``int64`` array, or a function computing one, which only a writer
     that budgets bytes calls.  The values are a
     :class:`~repro.proto.framing.Column` (what the propagation engine
-    emits), or a list of value objects (what the pair adapter cuts)."""
+    emits), or a list of value objects (what the pair adapter cuts).  The
+    keys are factorized (:meth:`key_codes`) at most once per batch."""
 
-    __slots__ = ("keys", "values", "_nbytes")
+    __slots__ = ("keys", "values", "_nbytes", "_codes")
 
-    def __init__(self, keys: list, values: list, nbytes):
+    def __init__(self, keys: list, values: list, nbytes, codes: KeyCodes | None = None):
         self.keys = keys
         self.values = values
         self._nbytes = nbytes
+        self._codes = codes
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -272,14 +336,23 @@ class RecordBatch:
             self._nbytes = self._nbytes()
         return self._nbytes
 
-    def take(self, rows: np.ndarray) -> "RecordBatch":
-        """The rows at the (ascending) indices ``rows``; sizes stay lazy."""
+    def key_codes(self) -> KeyCodes:
+        """The keys factorized (:func:`key_codes`)."""
+        if self._codes is None:
+            self._codes = key_codes(self.keys)
+        return self._codes
+
+    def take(self, rows: np.ndarray, codes: KeyCodes | None = None) -> "RecordBatch":
+        """The rows at the (ascending) indices ``rows``; sizes stay lazy.
+        ``codes``: their keys factorized, when the caller has that already
+        (``self.key_codes().take(rows)``)."""
         at = rows.tolist()
         values = self.values
         return RecordBatch(
-            [self.keys[i] for i in at],
+            list(map(self.keys.__getitem__, at)),
             values.take(rows) if isinstance(values, Column) else [values[i] for i in at],
             lambda: self.nbytes[rows],
+            codes,
         )
 
     def columns(self) -> Column:

@@ -56,11 +56,15 @@ Two write entry points share one writer:
   key-sorted run files per partition: a chunk is the run's rows in (key,
   arrival) order cut into ranges, encoded from one ``take`` of those rows.
   Nothing is encoded, sized, hashed or partitioned per record: flush points
-  come from the batch's per-row sizes, and keys are canonically encoded
-  (ints in one vectorised pass) and partitioned once per distinct key per
-  run.  Peak writer memory is one run, not one task's whole output.  With
-  an associative :class:`~repro.mapreduce.job.Combiner`, each key's
-  buffered values are folded *before* they hit disk.
+  come from the batch's per-row sizes, and a run's keys are encoded,
+  partitioned and sorted when it is flushed, once per group.  The plain int
+  keys — node ids, nearly every key of an engine round — live in arrays
+  indexed by group: a batch's ints are looked up in the run at once, and a
+  run's ints are encoded, hashed and sorted by canonical bytes in array
+  passes, so no Python step runs once per int key; any other key is handled
+  one at a time.  Peak writer memory is one run, not one task's whole
+  output.  With an associative :class:`~repro.mapreduce.job.Combiner`, each
+  key's buffered values are folded *before* they hit disk.
 * :meth:`SpillLayout.write_map_output` — the same writer with unbounded
   runs: one run (run 0) per partition from a materialized bucket list (what
   a map task folded with a classic, possibly re-keying, combiner).
@@ -75,29 +79,35 @@ from __future__ import annotations
 
 import io
 import os
+import struct
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from repro.mapreduce.fault import take_read_fault
-from repro.mapreduce.partition import bytes_partitioner
+from repro.mapreduce.partition import int_key_partitions, key_partitions
 from repro.mapreduce.shuffle import (
     Group,
     RecordBatch,
+    canonical_order,
     decode_key,
-    factorize_keys,
+    int_key_rows,
+    key_ident,
     keys_bytes,
     pair_batches,
     record_sizes,
+    stable_order,
 )
 from repro.proto.framing import (
     Column,
     FrameCorruptionError,
+    _ranges,
+    approx_nbytes,
     columnize,
     concat_columns,
     decode_columns,
@@ -147,6 +157,8 @@ _GROUP_BYTES = 16
 
 _STREAM_HEADER_BYTES = 6  # AGLS magic + version + codec id
 
+_U4 = struct.Struct("<I")
+
 _IO_BUFFER_BYTES = 1 << 16
 """File buffer of an open run, reading or writing: several chunk frames per
 system call instead of several system calls per chunk frame (the default
@@ -177,34 +189,66 @@ def _decode_key_table(table: bytes) -> tuple[list[bytes], list[int]]:
     return keys, words[groups:]
 
 
-def _iter_chunks(groups: list[tuple[bytes, int, int, int]]):
-    """Cut a run's sorted groups — ``(key bytes, start, stop, nbytes)``,
-    each the rows ``start:stop`` of the run in (key, arrival) order — into
-    chunks of about :data:`_CHUNK_BYTES`: ``(keys, counts, start, stop)``
-    per chunk.  A group bigger than a chunk goes out alone, in near-equal
-    pieces."""
-    keys: list[bytes] = []
-    counts: list[int] = []
-    first = end = size = 0
-    for kb, start, stop, nbytes in groups:
-        if size and size + nbytes > _CHUNK_BYTES:
-            yield keys, counts, first, end
-            keys, counts, size = [], [], 0
-        count = stop - start
-        if nbytes > _CHUNK_BYTES and count > 1:
-            pieces = min(count, -(-nbytes // _CHUNK_BYTES))
-            step = -(-count // pieces)
-            for at in range(start, stop, step):
-                yield [kb], [min(step, stop - at)], at, min(at + step, stop)
-            continue
-        if not keys:
-            first = start
-        keys.append(kb)
-        counts.append(count)
-        end = stop
-        size += nbytes + _GROUP_BYTES
-    if keys:
-        yield keys, counts, first, end
+class _SortedRun:
+    """A run's groups, sorted by (partition, canonical key bytes), laid out
+    once for cutting chunks: group ``g`` has key bytes ``lengths[g]`` long
+    (``keys``: all of them end to end), the rows ``bounds[g]:bounds[g + 1]``
+    of the run in (key, arrival) order, and values of ``nbytes[g]`` bytes;
+    partition ``p``'s groups are ``partitions[p]``."""
+
+    def __init__(self, lengths, keys, bounds, nbytes, cuts: list[int]):
+        self.partitions = [range(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+        counts = np.diff(bounds)
+        self._split = set(np.flatnonzero((nbytes > _CHUNK_BYTES) & (counts > 1)).tolist())
+        held = np.concatenate(([0], np.cumsum(nbytes + _GROUP_BYTES)))
+        self._reach = (held[:-1] + nbytes).tolist()
+        self._held = held.tolist()
+        self._nbytes = nbytes
+        self._bounds = bounds.tolist()
+        self._offsets = np.concatenate(([0], np.cumsum(lengths))).tolist()
+        self._lengths = lengths.astype("<u4").tobytes()
+        self._counts = counts.astype("<u4").tobytes()
+        self._keys = keys.tobytes()
+
+    def __len__(self) -> int:
+        return len(self._reach)
+
+    def records(self, groups: range) -> int:
+        """The rows of the groups ``groups``."""
+        return self._bounds[groups.stop] - self._bounds[groups.start]
+
+    def chunks(self, groups: range):
+        """Cut the groups ``groups`` (a partition's) into chunks of about
+        :data:`_CHUNK_BYTES`: ``(key table, start, stop)`` per chunk, its
+        values the run's rows ``start:stop``.  A group joins the chunk
+        unless the chunk holds groups already and its values would take the
+        chunk past the bound; a group bigger than a chunk goes out alone, in
+        near-equal pieces.
+
+        One bisection per chunk finds where it ends: with ``held[j]`` the
+        groups' bytes (plus :data:`_GROUP_BYTES` each) before group ``j``,
+        the chunk that starts at group ``i`` ends at the first ``j > i``
+        with ``held[j] + nbytes[j] > _CHUNK_BYTES + held[i]`` — strictly
+        increasing in ``j``, and true at every group bigger than a chunk."""
+        bound = _CHUNK_BYTES
+        reach, held, bounds, offsets = self._reach, self._held, self._bounds, self._offsets
+        lengths, counts, keys = self._lengths, self._counts, self._keys
+        i, last = groups.start, groups.stop
+        while i < last:
+            if i in self._split:
+                start, stop = bounds[i], bounds[i + 1]
+                pieces = min(stop - start, -(-int(self._nbytes[i]) // bound))
+                step = -(-(stop - start) // pieces)
+                key = keys[offsets[i] : offsets[i + 1]]
+                for at in range(start, stop, step):
+                    end = min(at + step, stop)
+                    yield _encode_key_table([key], [end - at]), at, end
+                i += 1
+                continue
+            j = max(i + 1, bisect_right(reach, bound + held[i], i, last))
+            table = _U4.pack(j - i) + lengths[4 * i : 4 * j] + counts[4 * i : 4 * j]
+            yield table + keys[offsets[i] : offsets[j]], bounds[i], bounds[j]
+            i = j
 
 
 class _RunValues:
@@ -522,23 +566,8 @@ class SpillLayout:
                 path.unlink(missing_ok=True)
 
 
-def route_keys(routes: dict, partitioner, idents: list, firsts: list, num_partitions: int):
-    """``(partition, key bytes or None)`` of each distinct key of a batch
-    (``idents`` / ``firsts`` as :func:`~repro.mapreduce.shuffle.
-    factorize_keys` returns them), through the cache ``routes``: the
-    partitioner runs once per key the cache does not hold yet — over the
-    key's canonical bytes for the shipped partitioners, else over the key."""
-    missing = [code for code, ident in enumerate(idents) if ident not in routes]
-    if missing:
-        keys = [firsts[code] for code in missing]
-        of_bytes = bytes_partitioner(partitioner)
-        if of_bytes is None:
-            found = [(partitioner(key, num_partitions), None) for key in keys]
-        else:
-            found = [(of_bytes(kb, num_partitions), kb) for kb in keys_bytes(keys)]
-        for code, route in zip(missing, found):
-            routes[idents[code]] = route
-    return [routes[ident] for ident in idents]
+def _joined(chunks: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
 
 class SpillRunWriter:
@@ -553,19 +582,32 @@ class SpillRunWriter:
     :func:`~repro.proto.framing.approx_nbytes`, plus :data:`_GROUP_BYTES` at
     each key's first row in the run), every non-empty partition is flushed
     as one key-sorted run file of chunk frames.  Flush points are found with
-    one cumulative sum over a window of rows, and are exactly those a
-    row-at-a-time writer finds for the same rows — a deterministic function
+    one cumulative sum over the rows up to where the sizes alone reach the
+    byte bound, and are exactly those a row-at-a-time writer finds for the
+    same rows — a deterministic function
     of the row sequence, however it was cut into batches — so a re-executed
     task attempt rewrites byte-identical runs over any partials a crashed
     attempt left behind (each run write is itself atomic: temp file +
     ``os.replace``).
 
-    Rows group under :func:`~repro.mapreduce.shuffle.key_ident`, so grouping
-    is exactly grouping by canonical key bytes (``True`` apart from ``1``);
-    :meth:`add` encodes keys (:func:`~repro.mapreduce.shuffle.keys_bytes`)
-    and calls the partitioner once per distinct key per run, reusing the
-    bytes for the shipped partitioners
-    (:func:`~repro.mapreduce.partition.bytes_partitioner`).
+    A writer either routes its rows (:meth:`add`, always with the same
+    partitioner) or places them (:meth:`place`, :meth:`append`).  Rows group
+    under :func:`~repro.mapreduce.shuffle.key_ident`, so grouping is exactly
+    grouping by canonical key bytes (``True`` apart from ``1``).  A routed
+    plain int key — a node id: every key of an engine round but the hub
+    slices — lives in arrays only.  A batch's ints (its
+    :class:`~repro.mapreduce.shuffle.KeyCodes`) are looked up in the run's
+    sorted key array at once, the groups a stretch of rows opens are opened
+    at once, and at flush the run's ints are encoded
+    (:func:`~repro.mapreduce.shuffle.int_key_rows`), partitioned
+    (:func:`~repro.mapreduce.partition.int_key_partitions`) and sorted by
+    canonical bytes in array passes, and chunks are cut from cumulative
+    group sizes (:meth:`_SortedRun.chunks`).  So the Python-level work of
+    writing them is per batch, run and chunk frame — never per key.  Every
+    other key, and every placed key, takes a dict entry per distinct key and
+    is encoded (:func:`~repro.mapreduce.shuffle.keys_bytes`) and, if routed,
+    partitioned once per run it has a group in: the partitioner, like the
+    encoding, runs when the run is flushed.
 
     ``combiner`` (a :class:`~repro.mapreduce.job.Combiner`) folds each key's
     buffered values with ``combine()`` at flush time — before they reach
@@ -593,22 +635,11 @@ class SpillRunWriter:
         self._combiner = combiner
         self._run_records = run_records
         self._run_bytes = run_bytes
+        self._partitioner = None
+        self._placing: bool | None = None
+        """``True`` once rows were placed, ``False`` once rows were routed."""
         num = layout.num_partitions
-        # The run being buffered: its groups (partition -> key ident -> group
-        # index, and per group its first key, canonical bytes — ``None``
-        # until flush for keys placed without a partitioner — and partition)
-        # and its rows (per absorbed slice of a batch: each row's group and
-        # size, and the slice of the batch's values), in arrival order.
-        self._groups: list[dict[object, int]] = [{} for _ in range(num)]
-        self._group_keys: list = []
-        self._group_kbs: list = []
-        self._group_parts: list[int] = []
-        self._row_groups: list[np.ndarray] = []
-        self._row_sizes: list[np.ndarray] = []
-        self._slices: list[tuple[object, int, int]] = []
-        self._routes: dict[object, tuple[int, bytes | None]] = {}
-        self._pending_records = 0
-        self._pending_bytes = 0
+        self._new_run()
         self._next_run = [0] * num
         self._counts = [0] * num
         self._partition_bytes = [0] * num
@@ -616,60 +647,146 @@ class SpillRunWriter:
         self._peak_flush = 0
         self._made_root = False
 
+    def _new_run(self) -> None:
+        """Start an empty run.  Its groups are numbered as they open.  The
+        groups of routed plain ints are the chunks ``_int_gids`` of keys
+        ``_int_keys`` (``_index``: the first ``_indexed`` chunks as one
+        sorted key array and its groups).  Every other group is an entry of
+        ``_objects[partition]`` (``-1``: routed), key ident -> group, with
+        its first key and partition (``-1``: routed).  The rows are, per
+        absorbed slice of a batch, each row's group and size and the slice
+        of the batch's values, in arrival order."""
+        self._groups = 0
+        self._int_keys: list[np.ndarray] = []
+        self._int_gids: list[np.ndarray] = []
+        self._index = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        self._indexed = 0
+        self._objects: list[dict] = [{} for _ in range(self._layout.num_partitions + 1)]
+        self._object_gids: list[int] = []
+        self._object_keys: list = []
+        self._object_parts: list[int] = []
+        self._row_groups: list[np.ndarray] = []
+        self._row_sizes: list[np.ndarray] = []
+        self._slices: list[tuple[object, int, int]] = []
+        self._appended: tuple[list, list, list] = ([], [], [])
+        self._pending_records = 0
+        self._pending_bytes = 0
+
     def add(self, batch: RecordBatch, partitioner) -> None:
         """Buffer every row of ``batch`` under the partition
         ``partitioner(key, num_partitions)`` assigns its key."""
         if not len(batch):
             return
-        codes, idents, firsts = factorize_keys(batch.keys)
-        routes = route_keys(self._routes, partitioner, idents, firsts, self._layout.num_partitions)
-        self._absorb(batch, codes, idents, firsts, routes)
+        if self._placing:
+            raise ValueError("this writer places its rows; it cannot also route them")
+        if self._partitioner is None:
+            self._partitioner, self._placing = partitioner, False
+        elif partitioner is not self._partitioner and partitioner != self._partitioner:
+            raise ValueError("a writer routes all its rows with one partitioner")
+        self._absorb(batch, -1)
 
     def place(self, batch: RecordBatch, partition: int) -> None:
         """Buffer every row of ``batch`` for reduce partition ``partition``."""
         if len(batch):
-            codes, idents, firsts = factorize_keys(batch.keys)
-            self._absorb(batch, codes, idents, firsts, [(partition, None)] * len(idents))
+            self._place_into(partition)
+            self._join_appended()
+            self._absorb(batch, partition)
 
     def append(self, partition: int, key, value) -> None:
         """Buffer ``value`` under ``key`` for reduce partition ``partition``
-        — the one-row entry."""
-        for batch in pair_batches(((key, value),)):
-            self.place(batch, partition)
+        — the one-row entry, kept scalar: appended rows wait in lists, which
+        join the run as one slice, and the flush test is the row-at-a-time
+        one."""
+        self._place_into(partition)
+        groups = self._objects[partition]
+        ident = key if type(key) is int else key_ident(key)
+        group = groups.get(ident)
+        size = approx_nbytes(value)
+        self._pending_bytes += size
+        if group is None:
+            group = groups[ident] = self._groups
+            self._groups += 1
+            self._object_gids.append(group)
+            self._object_keys.append(key)
+            self._object_parts.append(partition)
+            self._pending_bytes += _GROUP_BYTES
+        self._appended[0].append(group)
+        self._appended[1].append(size)
+        self._appended[2].append(value)
+        self._pending_records += 1
+        if self._pending_records >= self._run_records or self._pending_bytes >= self._run_bytes:
+            self._flush()
 
-    def _absorb(self, batch: RecordBatch, codes, idents, firsts, routes) -> None:
-        """Take ``batch``'s rows into the run, flushing wherever the run
-        bounds fill: a window of rows at a time, the first row at which the
-        cumulative records or bytes reach a bound closes the run."""
-        sizes, values = batch.nbytes, batch.values
-        groups = self._groups
+    def _place_into(self, partition: int) -> None:
+        if self._placing is False:
+            raise ValueError("this writer routes its rows; it cannot also place them")
+        if not 0 <= partition < self._layout.num_partitions:
+            raise ValueError(
+                f"partition {partition} is not in [0, {self._layout.num_partitions})"
+            )
+        self._placing = True
+
+    def _join_appended(self) -> None:
+        """Take the rows :meth:`append` buffered into the run's rows."""
+        groups, sizes, values = self._appended
+        if values:
+            self._row_groups.append(np.asarray(groups, dtype=np.int64))
+            self._row_sizes.append(np.asarray(sizes, dtype=np.int64))
+            self._slices.append((values, 0, len(values)))
+            self._appended = ([], [], [])
+
+    def _absorb(self, batch: RecordBatch, partition: int) -> None:
+        """Take ``batch``'s rows into the run — routed (``partition`` -1) or
+        placed — flushing wherever the run bounds fill: a window of rows at
+        a time, the first row at which the cumulative records or bytes reach
+        a bound closes the run."""
+        keys = batch.key_codes()
+        ints, idents, firsts = keys.ints, keys.idents, keys.firsts
+        if partition >= 0:  # placed: every key through the dicts
+            placed = ints.tolist()
+            ints, idents, firsts = ints[:0], placed + idents, placed + firsts
+        codes, sizes, values = keys.codes, batch.nbytes, batch.values
         # the run's group of each distinct key of the batch; -1 = none yet
-        group = np.fromiter(
-            (groups[p].get(ident, -1) for ident, (p, _) in zip(idents, routes)),
-            dtype=np.int64,
-            count=len(idents),
-        )
-        start, window, total = 0, 64, len(batch)
+        group = np.concatenate([
+            self._int_groups(ints),
+            np.fromiter(
+                map(self._objects[partition].get, idents, repeat(-1)),
+                dtype=np.int64,
+                count=len(idents),
+            ),
+        ])
+        # the sizes alone reach the byte bound no sooner than sizes and
+        # group allowances do, so the rows up to there hold the run's end
+        reached = np.cumsum(sizes)
+        start, total = 0, len(batch)
         while start < total:
-            stop = min(total, start + window, start + self._run_records - self._pending_records)
+            room = self._run_bytes - self._pending_bytes + (int(reached[start - 1]) if start else 0)
+            stop = min(
+                total,
+                start + self._run_records - self._pending_records,
+                int(np.searchsorted(reached, room)) + 1,
+            )
             span = codes[start:stop]
             opens = np.zeros(len(span), dtype=bool)  # a key's first row in the run
-            opens[np.unique(span, return_index=True)[1]] = True
-            opens &= group[span] < 0
+            fresh = np.flatnonzero(group[span] < 0)
+            if len(fresh):
+                fresh = fresh[stable_order(span[fresh], len(group))]  # by key, then row
+                ranked = span[fresh]
+                opens[fresh[np.concatenate(([True], ranked[1:] != ranked[:-1]))]] = True
             held = self._pending_bytes + np.cumsum(sizes[start:stop] + _GROUP_BYTES * opens)
             over = np.flatnonzero(held >= self._run_bytes)
             if len(over):
                 stop = start + int(over[0]) + 1
             span = codes[start:stop]
-            for code in np.unique(span[group[span] < 0]).tolist():
-                partition, kb = routes[code]
-                group[code] = groups[partition][idents[code]] = len(self._group_keys)
-                self._group_keys.append(firsts[code])
-                self._group_kbs.append(kb)
-                self._group_parts.append(partition)
+            new = span[opens[: stop - start]]
+            if len(new):
+                self._open(new, group, ints, idents, firsts, partition)
             self._row_groups.append(group[span])
             self._row_sizes.append(sizes[start:stop])
-            self._slices.append((values, start, stop))
+            if self._slices and self._slices[-1][0] is values and self._slices[-1][2] == start:
+                self._slices[-1] = (values, self._slices[-1][1], stop)
+            else:
+                self._slices.append((values, start, stop))
             self._pending_records += stop - start
             self._pending_bytes = int(held[stop - start - 1])
             if (
@@ -678,46 +795,115 @@ class SpillRunWriter:
             ):
                 self._flush()
                 group[:] = -1
-                window = 64
-            else:
-                window *= 2
             start = stop
 
-    def _run_groups(self) -> tuple[list[list[tuple]], _RunValues, np.ndarray]:
-        """``(groups, values, arrival)``: the run's groups per partition as
-        ``(key bytes, start, stop, nbytes)`` — combined, in canonical key
-        order — where ``values.fetch(arrival[start:stop])`` are a group's
-        values in arrival order."""
-        keys, kbs, parts = self._group_keys, self._group_kbs, self._group_parts
-        unencoded = [g for g, kb in enumerate(kbs) if kb is None]
-        for g, kb in zip(unencoded, keys_bytes([keys[g] for g in unencoded])):
-            kbs[g] = kb
-        by_key = np.asarray(sorted(range(len(kbs)), key=kbs.__getitem__), dtype=np.int64)
-        order = by_key[np.argsort(np.asarray(parts, dtype=np.int64)[by_key], kind="stable")]
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        rows = rank[np.concatenate(self._row_groups)]
-        arrival = np.argsort(rows, kind="stable")
-        bounds = np.searchsorted(rows[arrival], np.arange(len(order) + 1))
+    def _int_groups(self, ints: np.ndarray) -> np.ndarray:
+        """The run's group of each plain int of ``ints`` (-1: none yet), from
+        one ``searchsorted`` in the run's sorted key array — first merged
+        with the groups opened since the last lookup."""
+        keys, gids = self._index
+        if self._indexed < len(self._int_keys):
+            keys = np.concatenate([keys, *self._int_keys[self._indexed :]])
+            gids = np.concatenate([gids, *self._int_gids[self._indexed :]])
+            order = np.argsort(keys, kind="stable")
+            keys, gids = keys[order], gids[order]
+            self._index, self._indexed = (keys, gids), len(self._int_keys)
+        if not len(keys) or not len(ints):
+            return np.full(len(ints), -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(keys, ints), len(keys) - 1)
+        return np.where(keys[at] == ints, gids[at], -1)
+
+    def _open(self, new, group, ints, idents, firsts, partition) -> None:
+        """Open the run's groups of the batch's distinct keys ``new``
+        (codes: ``ints`` first, then ``idents``) and note them in
+        ``group``."""
+        gids = np.arange(self._groups, self._groups + len(new))
+        self._groups += len(new)
+        group[new] = gids
+        is_int = new < len(ints)
+        if len(ints):
+            self._int_keys.append(ints[new[is_int]])
+            self._int_gids.append(gids[is_int])
+        if len(idents):
+            objects = ~is_int
+            at = (new[objects] - len(ints)).tolist()
+            opened = gids[objects].tolist()
+            self._objects[partition].update(zip(map(idents.__getitem__, at), opened))
+            self._object_gids += opened
+            self._object_keys += map(firsts.__getitem__, at)
+            self._object_parts += repeat(partition, len(at))
+
+    def _run_groups(self) -> tuple[_SortedRun, _RunValues, np.ndarray]:
+        """``(run, values, arrival)``: the run's groups (:class:`_SortedRun`:
+        combined, in partition and canonical key order), where
+        ``values.fetch(arrival[start:stop])`` are the values of the rows
+        ``start:stop`` in (key, arrival) order.  Groups are handled in
+        *source* order — the plain int groups, then the others — in which
+        the key bytes are made."""
+        num = self._layout.num_partitions
+        count = self._groups
+        int_keys = _joined(self._int_keys)
+        keys = self._object_keys
+        rows, int_lengths = int_key_rows(int_keys)
+        kbs = keys_bytes(keys)
+        source = np.concatenate([
+            _joined(self._int_gids), np.asarray(self._object_gids, dtype=np.int64)
+        ])
+        if self._placing:
+            parts = np.asarray(self._object_parts, dtype=np.int64)
+        else:
+            parts = np.concatenate([
+                int_key_partitions(self._partitioner, int_keys, rows, int_lengths, num),
+                np.asarray(key_partitions(self._partitioner, keys, kbs, num), dtype=np.int64),
+            ])
+            if len(parts) and not (0 <= parts.min() and parts.max() < num):
+                raise ValueError(f"the partitioner assigned a partition outside [0, {num})")
+        by_key = canonical_order(rows, kbs)
+        ordered = by_key[stable_order(parts[by_key], num)]  # source positions
+        rank = np.empty(count, dtype=np.int64)
+        rank[source[ordered]] = np.arange(count)
+        row_rank = rank[np.concatenate(self._row_groups)]
+        arrival = stable_order(row_rank, count)
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(row_rank, minlength=count))))
         nbytes = np.add.reduceat(np.concatenate(self._row_sizes)[arrival], bounds[:-1])
         values = _RunValues(self._slices)
-        out: list[list] = [[] for _ in range(self._layout.num_partitions)]
-        spans = zip(order.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(), nbytes.tolist())
-        if self._combiner is None:
-            for g, start, stop, size in spans:
-                out[parts[g]].append((kbs[g], start, stop, size))
-            return out, values, arrival
+        if self._combiner is not None:
+            bounds, nbytes, values, arrival = self._combine(
+                int_keys.tolist() + keys, ordered, bounds, nbytes, values, arrival
+            )
+        # the key bytes, in the groups' order
+        lengths = np.concatenate([int_lengths, np.fromiter(map(len, kbs), np.int64, len(kbs))])
+        made = np.concatenate([
+            rows[np.arange(rows.shape[1]) < int_lengths[:, None]],
+            np.frombuffer(b"".join(kbs), dtype=np.uint8),
+        ])
+        key_lengths = lengths[ordered]
+        key_bytes = made[_ranges((np.cumsum(lengths) - lengths)[ordered], key_lengths)]
+        cuts = np.searchsorted(parts[ordered], np.arange(num + 1)).tolist()
+        return _SortedRun(key_lengths, key_bytes, bounds, nbytes, cuts), values, arrival
+
+    def _combine(self, source_keys, ordered, bounds, nbytes, values, arrival):
+        """Fold each group's values with the combiner: ``(bounds, nbytes,
+        values, arrival)`` of the combined run."""
         combined: list = []
-        for g, start, stop, size in spans:
+        counts, sizes = [], []
+        spans = zip(ordered.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(), nbytes.tolist())
+        for at, start, stop, size in spans:
             group = values.fetch(arrival[start:stop])
             if isinstance(group, Column):
                 group = group.rows()
             if len(group) > 1:
-                group = list(self._combiner.combine(keys[g], group))
+                group = list(self._combiner.combine(source_keys[at], group))
                 size = int(record_sizes(group).sum())
-            out[parts[g]].append((kbs[g], len(combined), len(combined) + len(group), size))
+            counts.append(len(group))
+            sizes.append(size)
             combined.extend(group)
-        return out, _RunValues([(combined, 0, len(combined))]), np.arange(len(combined))
+        return (
+            np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+            np.asarray(sizes, dtype=np.int64),
+            _RunValues([(combined, 0, len(combined))]),
+            np.arange(len(combined)),
+        )
 
     def _flush(self) -> None:
         if self._pending_records == 0:
@@ -726,13 +912,11 @@ class SpillRunWriter:
         if not self._made_root:
             Path(layout.root).mkdir(parents=True, exist_ok=True)
             self._made_root = True
+        self._join_appended()
         run, values, arrival = self._run_groups()
-        for groups in self._groups:
-            groups.clear()
-        self._group_keys, self._group_kbs, self._group_parts = [], [], []
-        self._row_groups, self._row_sizes, self._slices = [], [], []
+        self._new_run()
         flushed = 0
-        for partition, groups in enumerate(run):
+        for partition, groups in enumerate(run.partitions):
             if not groups:
                 continue
             final = layout.run_path(self._map_task, partition, self._next_run[partition])
@@ -741,20 +925,17 @@ class SpillRunWriter:
             tmp = final.with_suffix(f".tmp{os.getpid()}")
             with open(tmp, "wb", buffering=_IO_BUFFER_BYTES) as fh:
                 written = write_stream_header(fh, _CODEC_ID)
-                for keys, counts, start, stop in _iter_chunks(groups):
-                    self._counts[partition] += stop - start
+                for table, start, stop in run.chunks(groups):
                     block = encode_columns(_as_column(values.fetch(arrival[start:stop])))
-                    written += write_frame(fh, _encode_key_table(keys, counts), block)
+                    written += write_frame(fh, table, block)
             os.replace(tmp, final)
+            self._counts[partition] += run.records(groups)
             self._next_run[partition] += 1
             self._partition_bytes[partition] += written
             flushed += written
-        self._routes.clear()
         self._bytes_written += flushed
         if flushed > self._peak_flush:
             self._peak_flush = flushed
-        self._pending_records = 0
-        self._pending_bytes = 0
 
     def finish(self) -> SpillWriteResult:
         """Flush the final runs and report counts/bytes to the parent."""

@@ -846,10 +846,23 @@ class ObjectColumn(Column):
     neighborhood's wire block, say): it is built when the column is
     encoded, from the objects, exactly as :func:`columnize` builds it."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_form")
 
     def __init__(self, values: np.ndarray):
         self.values, self.count = values, len(values)
+        self._form = None
+
+    def form_at(self, index: np.ndarray) -> Column:
+        """The column form of the values at ``index``: rows of the column
+        form of all the values, built once for every gather of this column —
+        unless that form has a fallback column in it, as the rows could
+        have a column form of their own, which is then built from them."""
+        if self._form is None:
+            form = columnize(self.values.tolist())
+            self._form = form if _take_closed(form) else False
+        if self._form is False:
+            return columnize(self.values[index].tolist())
+        return self._form.take(index)
 
     @property
     def kind(self):
@@ -899,12 +912,32 @@ class GatherColumn(Column):
         return self.base[0].take(self.index)
 
     def _encode(self, out):
-        self.materialized()._encode(out)
+        base = self.base[0]
+        if type(base) is ObjectColumn:
+            base.form_at(self.index)._encode(out)
+        else:
+            base.take(self.index)._encode(out)
 
     def _concat(self, columns):
         if any(column.base is not self.base for column in columns):
             return concat_columns([column.materialized() for column in columns])
         return GatherColumn(self.base, np.concatenate([column.index for column in columns]))
+
+
+def _take_closed(column: Column) -> bool:
+    """Whether the rows :meth:`Column.take` gives of ``column`` are always
+    the column form of those rows: so unless it holds a fallback
+    (:class:`BlobColumn`) column anywhere — ragged arrays, say, some of
+    which may share a shape."""
+    if type(column) is BlobColumn:
+        return False
+    if type(column) is ListColumn:
+        return _take_closed(column.items)
+    if type(column) is RecordColumn:
+        return all(map(_take_closed, column.fields))
+    if type(column) in (TupleColumn, UnionColumn):
+        return all(map(_take_closed, column.children))
+    return True
 
 
 def concat_columns(columns: list[Column]) -> Column:

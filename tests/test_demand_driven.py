@@ -586,7 +586,7 @@ def write_side_counts(monkeypatch):
       ``write_frame`` call them);
     * ``keys_encoded`` — keys given canonical bytes: top-level
       ``key_bytes`` calls plus the rows of each vectorised
-      ``int_key_bytes`` pass; ``key_varints`` — the per-key varints
+      ``int_key_rows`` pass; ``key_varints`` — the per-key varints
       ``key_bytes`` writes (tuple keys' elements);
     * ``sized`` — ``approx_nbytes`` walks (the pair adapter's);
     * ``group_runs`` — groups per flushed run; ``adds`` / ``rows`` — batch
@@ -618,7 +618,8 @@ def write_side_counts(monkeypatch):
         counting(framing, name, "codec")
     counting(shuffle, "approx_nbytes", "sized")
     counting(shuffle, "encode_signed", "key_varints")
-    counting(shuffle, "int_key_bytes", "keys_encoded", lambda args, out: len(out))
+    for module in (shuffle, spill, runtime):
+        counting(module, "int_key_rows", "keys_encoded", lambda args, out: len(out[1]))
 
     key_bytes = shuffle.key_bytes
     depth = [0]
@@ -638,7 +639,7 @@ def write_side_counts(monkeypatch):
 
     def counting_run_groups(self):
         run = run_groups(self)
-        counts["group_runs"] += sum(map(len, run[0]))
+        counts["group_runs"] += len(run[0])
         return run
 
     monkeypatch.setattr(spill.SpillRunWriter, "_run_groups", counting_run_groups)

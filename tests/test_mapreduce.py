@@ -165,8 +165,13 @@ class TestFaultTolerance:
     def test_exhausted_retries_raise(self):
         plan = FaultPlan({"crash": 1.0}, seed=0)
         runtime = LocalRuntime(max_attempts=2, fault_plan=plan)
-        with pytest.raises(JobFailedError):
+        with pytest.raises(JobFailedError) as failed:
             runtime.run(word_count_job(), CORPUS)
+        # says why: the first line of the last attempt's error
+        assert str(failed.value).endswith(
+            "failed 2 attempts; the last with InjectedWorkerFailure: injected "
+            "failure: job=wordcount task=map-0 attempt=1"
+        )
 
     def test_threaded_with_failures_matches_serial(self):
         baseline = LocalRuntime().run(word_count_job(num_reducers=4), CORPUS)
@@ -284,6 +289,81 @@ class TestWarmWorkerStart:
         monkeypatch.setenv("PYTHONPATH", "/somewhere/else")
         backends._start_warm_forkserver()  # must not raise
         assert os.environ["PYTHONPATH"] == "/somewhere/else"
+
+
+_GUARDLESS_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.mapreduce import LocalRuntime, MapReduceJob
+
+def double(key, values):
+    yield key, 2 * sum(values)
+
+# no main guard: every worker process runs this job again as it starts
+runtime = LocalRuntime("processes", max_workers=2)
+print(runtime.run(MapReduceJob("double", double, num_reducers=2), [(i, i) for i in range(10)]))
+runtime.close()
+"""
+
+
+class TestPoolFailures:
+    """Which failures around the process pool are retried: a dead worker
+    and a submit to a pool a sibling shut down are; any other error from
+    ``submit`` fails the task as it is, on its first attempt."""
+
+    def test_a_script_without_a_main_guard_fails_naming_it(self, tmp_path):
+        import subprocess
+        import sys
+        import time
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = tmp_path / "guardless.py"
+        script.write_text(_GUARDLESS_SCRIPT.format(src=str(src)))
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert time.monotonic() - start < 30
+        assert proc.returncode != 0
+        last = proc.stderr.strip().splitlines()[-1]
+        assert 'if __name__ == "__main__":' in last, proc.stderr[-3000:]
+        assert last.startswith("repro.mapreduce.job.JobFailedError"), last
+
+    def test_a_submit_to_a_shut_down_pool_is_retried(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def refuse_once(pool, *args, **kwargs):
+            calls.append(pool)
+            if len(calls) == 1:
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", refuse_once)
+        with LocalRuntime("processes", max_workers=1) as runtime:
+            out = dict(runtime.run(MapReduceJob("inc", _inc_reducer, num_reducers=1), [(0, 0)]))
+            stats = runtime.last_stats
+        assert out == {0: 1}
+        assert stats.reduce_attempts == len(calls) == 2
+
+    def test_any_other_submit_error_fails_the_task_at_once(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        calls = []
+
+        def refuse(pool, *args, **kwargs):
+            calls.append(pool)
+            raise RuntimeError("no new workers here")
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", refuse)
+        with LocalRuntime("processes", max_workers=1) as runtime:
+            with pytest.raises(RuntimeError, match="no new workers here") as failed:
+                runtime.run(MapReduceJob("inc", _inc_reducer, num_reducers=1), [(0, 0)])
+        assert type(failed.value) is RuntimeError
+        assert len(calls) == 1
 
 
 class TestBackendRegistry:

@@ -9,6 +9,8 @@ must equal ``key_bytes``.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,17 +26,26 @@ from repro.core.propagation import (
     PartialReducer,
     ReceptiveField,
     Routing,
+    is_hub_slice,
 )
 from repro.graph.tables import EdgeTable
-from repro.mapreduce import SpillLayout, SumCombiner
+from repro.mapreduce import SpillLayout, SumCombiner, runtime
 from repro.mapreduce import shuffle
-from repro.mapreduce.partition import Inline, PlannedPartitioner, plan_partitions
+from repro.mapreduce.partition import (
+    HashPartitioner,
+    Inline,
+    PlannedPartitioner,
+    int_key_partitions,
+    plan_partitions,
+)
 from repro.mapreduce.shuffle import (
     Group,
     RecordBatch,
     default_partition,
     group_sorted,
     int_key_bytes,
+    int_key_order,
+    int_key_rows,
     key_bytes,
     pair_batches,
 )
@@ -177,6 +188,31 @@ class TestBatchWriterWritesThePairWritersBytes:
         assert len(calls) <= 3 * 7 and sorted(set(calls)) == list(range(7))
 
 
+class TestWriterEntries:
+    """A writer routes (``add``, with one partitioner) or places (``place``
+    / ``append``, into a partition that exists); the spill sinks use one
+    writer per task and shuffle, so neither mix can arise from them."""
+
+    def test_a_writer_routes_or_places(self, tmp_path):
+        layout = SpillLayout(str(tmp_path), "job", 2)
+        [batch] = pair_batches([(1, 1.0), (2, 2.0)])
+        routing = layout.run_writer(0)
+        routing.add(batch, HashPartitioner())
+        routing.add(batch, HashPartitioner())  # an equal one
+        with pytest.raises(ValueError, match="one partitioner"):
+            routing.add(batch, default_partition)
+        with pytest.raises(ValueError, match="cannot also place"):
+            routing.append(0, 1, 1.0)
+        placing = layout.run_writer(1)
+        placing.append(1, 1, 1.0)
+        with pytest.raises(ValueError, match="cannot also route"):
+            placing.add(batch, default_partition)
+        with pytest.raises(ValueError, match=r"partition 2 is not in \[0, 2\)"):
+            placing.place(batch, 2)
+        assert sum(routing.finish().counts) == 4
+        assert placing.finish().counts == [0, 1]
+
+
 class TestCanonicalKeyBytes:
     def test_vectorised_int_keys_equal_key_bytes(self):
         rng = np.random.default_rng(0)
@@ -186,6 +222,32 @@ class TestCanonicalKeyBytes:
             rng.integers(-300, 300, size=200),
         ])
         assert int_key_bytes(keys) == [key_bytes(int(k)) for k in keys.tolist()]
+
+    def test_vectorised_hash_order_and_plan_lookup(self):
+        """The array passes over a run's int keys — partition, canonical
+        byte order — equal the per-key definitions."""
+        rng = np.random.default_rng(1)
+        keys = np.unique(np.concatenate([
+            np.asarray(INT64, dtype=np.int64),
+            rng.integers(-(2**63), 2**63 - 1, size=3000, dtype=np.int64),
+            rng.integers(-300, 300, size=300),
+        ]))
+        rows, lengths = int_key_rows(keys)
+        kbs = int_key_bytes(keys)
+        assert [kbs[i] for i in int_key_order(rows).tolist()] == sorted(kbs)
+        small = keys[np.abs(keys) < 300]  # one or two varint bytes: the sort's other branch
+        small_kbs = int_key_bytes(small)
+        assert [small_kbs[i] for i in int_key_order(int_key_rows(small)[0]).tolist()] == sorted(
+            small_kbs
+        )
+        planned = PlannedPartitioner.from_plan(
+            plan_partitions([(int(k), 50.0) for k in keys[:40]] + [((1, 2), 50.0)], 5)
+        )
+        for partitioner in (default_partition, HashPartitioner(), planned):
+            for num in (1, 5, 7):
+                assert int_key_partitions(partitioner, keys, rows, lengths, num).tolist() == [
+                    partitioner(k, num) for k in keys.tolist()
+                ]
 
     def test_keys_wider_than_64_bits_still_raise(self):
         with pytest.raises(TypeError, match="64 bits"):
@@ -309,3 +371,182 @@ class TestReceptiveFieldAtTheLastRound:
         assert field.mask(ids, 2).tolist() == [True, False, False]
         assert field.mask(ids, 1).tolist() == [True, True, False]
         assert field.mask(ids, 3).tolist() == [False, False, False]
+
+
+# ------------------------------------------------------------------ at scale
+def scale_pairs(seed: int = 7) -> list[tuple]:
+    """A stream as big as an engine round's: over 20 000 distinct int keys,
+    one to three small values each; three hub keys with 600 values each
+    (over 16 KiB: more than a chunk); and a few tuple, str, bytes and bool
+    keys.  The first runs see ints of one to three varint bytes only — the
+    node-id case — the later ones the int64 extremes and other ten-byte
+    ints too."""
+    rng = np.random.default_rng(seed)
+    small = rng.permutation(np.arange(-150_000, 150_000))[:14_000].tolist()
+    large = np.unique(np.concatenate([
+        np.asarray(INT64, dtype=np.int64),
+        rng.integers(-(2**62), 2**62, size=7_000),
+        rng.integers(-5_000, 5_000, size=1_000),
+    ])).tolist()
+    others = [(1, 2), (3, "x"), (7, 1, 2), "alpha", "", b"yy", True, False]
+    hubs = (5, -7, (9, 4))
+    pairs = []
+    for block in ([small], [large, others, hubs]):
+        keys = [k for keys in block for k in keys for _ in range(int(rng.integers(1, 4)))]
+        keys += [k for k in block[-1] if k in hubs for _ in range(597)]
+        for i in rng.permutation(len(keys)).tolist():
+            width = 16 if keys[i] in hubs else int(rng.integers(0, 7))
+            pairs.append((keys[i], np.full(width, len(pairs), dtype=np.float32)))
+    return pairs
+
+
+SCALE_CUTS = [1, 7, 300, 5_000, 64, 2, 12_000, 999, 3, 20_000]
+
+
+def scale_partitioner(name: str, pairs: list):
+    if name == "default":
+        return default_partition
+    if name == "hash":
+        return HashPartitioner()
+    weights = [(5, 600.0), (-7, 600.0), ((9, 4), 600.0)] + [(k, 1.0) for k, _ in pairs[:300]]
+    return PlannedPartitioner.from_plan(plan_partitions(weights, 4))
+
+
+class TestRunFilesAtScale:
+    """The array path of the batch writer against the per-pair writer at an
+    engine round's scale: batches of mixed sizes, several flushes, hubs
+    bigger than a chunk, every shipped partitioner."""
+
+    @pytest.mark.parametrize("partitioner", ["default", "hash", "planned"])
+    def test_the_pair_writers_bytes(self, tmp_path, partitioner):
+        pairs = scale_pairs()
+        assert len({key_bytes(key) for key, _ in pairs}) > 20_000
+        TestBatchWriterWritesThePairWritersBytes.check(
+            tmp_path, pairs, SCALE_CUTS, 4, scale_partitioner(partitioner, pairs),
+            1 << 16, 300_000,
+        )
+        assert len(list((tmp_path / "batches").iterdir())) > 4 * 3  # several runs each
+
+    def test_with_a_combiner(self, tmp_path):
+        pairs = [(key, 1.0) for key, _ in scale_pairs()[:20_000]]
+        TestBatchWriterWritesThePairWritersBytes.check(
+            tmp_path, pairs, SCALE_CUTS, 3, default_partition, 7_000, 32 << 20,
+            combiner=SumCombiner(),
+        )
+
+
+def rows_of_buckets(buckets) -> list[list]:
+    return [[pair for batch in bucket for pair in batch.pairs()] for bucket in buckets]
+
+
+class TestSplitAndBuckets:
+    """The in-memory writer's buckets and a split's two sides hold the rows
+    a per-row router puts there, in arrival order."""
+
+    @staticmethod
+    def pairs():
+        return [(key, i) for i, (key, _) in enumerate(scale_pairs()[:30_000])]
+
+    @pytest.mark.parametrize("partitioner", ["default", "hash", "planned"])
+    def test_buckets(self, partitioner):
+        pairs = self.pairs()
+        partitioner = scale_partitioner(partitioner, pairs)
+        writer = runtime._BucketWriter(4)
+        for batch in batches_of(pairs, SCALE_CUTS):
+            writer.add(batch, partitioner)
+        assert rows_of_buckets(writer.finish()) == [
+            [pair for pair in pairs if partitioner(pair[0], 4) == p] for p in range(4)
+        ]
+
+    def test_a_split_in_memory(self):
+        """... asking ``accepts`` once per distinct key of a batch."""
+        pairs = self.pairs()
+        asked = []
+
+        def accepts(key):
+            asked.append(key)
+            return is_hub_slice(key)
+
+        side = runtime._MemorySink(HashPartitioner(), 3)
+        main = runtime._MemorySink(default_partition, 4)
+        sink = runtime._SplitSink(accepts, side, main)
+        got_main, got_side = sink.store(0, batches_of(pairs, SCALE_CUTS))
+        assert len(asked) == sum(
+            len({key_bytes(key) for key in batch.keys}) for batch in batches_of(pairs, SCALE_CUTS)
+        ) < len(pairs)
+        for got, accepted, num in ((got_side, True, 3), (got_main, False, 4)):
+            assert rows_of_buckets(got) == [
+                [
+                    (key, value) for key, value in pairs
+                    if is_hub_slice(key) == accepted and default_partition(key, num) == p
+                ]
+                for p in range(num)
+            ]
+
+    def test_a_spilled_split_writes_the_pair_writers_bytes(self, tmp_path):
+        pairs = scale_pairs()[:30_000]
+        layouts = {
+            name: SpillLayout(str(tmp_path / name), "job", 4) for name in ("main", "side")
+        }
+        sink = runtime._SplitSink(
+            is_hub_slice,
+            runtime._SpillSink(layouts["side"], default_partition, run_bytes=100_000),
+            runtime._SpillSink(layouts["main"], default_partition, run_bytes=100_000),
+        )
+        results = sink.store(0, batches_of(pairs, SCALE_CUTS))
+        for name, result in zip(("main", "side"), results):
+            reference = PairSpillWriter(
+                SpillLayout(str(tmp_path / f"{name}-pairs"), "job", 4), 0, run_bytes=100_000
+            )
+            reference.extend(
+                [pair for pair in pairs if is_hub_slice(pair[0]) == (name == "side")],
+                default_partition,
+            )
+            assert result == reference.finish()
+            assert run_files(tmp_path / name) == run_files(tmp_path / f"{name}-pairs")
+
+
+class TestWriterCallBudget:
+    """The write path's Python-level work is per batch, run and chunk
+    frame, never per key: on a stream of 20 000 distinct int keys the
+    ``call`` and ``c_call`` events ``add`` and ``finish`` raise grow with
+    the chunk frames written, at most :data:`PER_FRAME` a frame past a
+    constant.  (The per-key bookkeeping this replaced raised about 20
+    events per distinct key: some 400 000 here.)"""
+
+    PER_FRAME = 80
+    CONSTANT = 2_500
+
+    def test_events_grow_with_frames_not_keys(self, tmp_path):
+        from repro.proto.framing import ArrayColumn
+
+        rng = np.random.default_rng(0)
+        keys = np.repeat(rng.permutation(140_000)[:20_000], 2)
+        rng.shuffle(keys)
+        values = rng.standard_normal((len(keys), 4)).astype(np.float32)
+        batches = [
+            RecordBatch(
+                keys[at : at + 5_000].tolist(),
+                ArrayColumn(values[at : at + 5_000]),
+                np.full(len(keys[at : at + 5_000]), 32, dtype=np.int64),
+            )
+            for at in range(0, len(keys), 5_000)
+        ]
+        writer = SpillLayout(str(tmp_path), "job", 4).run_writer(0, run_bytes=1 << 20)
+        counts = {"events": 0, "frames": 0}
+
+        def profile(frame, event, arg):
+            if event == "call" or event == "c_call":
+                counts["events"] += 1
+                counts["frames"] += event == "call" and frame.f_code.co_name == "write_frame"
+
+        sys.setprofile(profile)
+        try:
+            for batch in batches:
+                writer.add(batch, default_partition)
+            result = writer.finish()
+        finally:
+            sys.setprofile(None)
+        assert sum(result.counts) == len(keys)
+        assert counts["frames"] > 50  # the count is made of frames
+        assert counts["events"] <= self.PER_FRAME * counts["frames"] + self.CONSTANT, counts
