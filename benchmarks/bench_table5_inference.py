@@ -13,11 +13,12 @@ CPU (~2x) and memory (~4x) savings, and its embedding-computation count is
 exactly |V| * K while the Original's grows with neighborhood overlap.
 
 The second table is the backend axis: GraphInfer on ``threads`` and on
-``processes`` at 1/2/4 workers, with the slice transport each run resolved
-to — inline arrays where reducers are handed over by reference, one
-shared-memory slab plus locators where tasks are pickled.  The quantity the
-slab removes is the serialized parameter bytes per task attempt — reported
-per transport — while output stays byte-identical.
+``processes`` at 1/2/4 workers, every run's scores byte-identical to the
+serial run.  The model slices are a side input like the out-edges: held by
+reference in-process, published once into one shared-memory slab where
+tasks are pickled.  The quantity the slab removes is the serialized
+parameter bytes per task attempt — the payload line compares one pickled
+reducer holding the slices inline with one holding the published carrier.
 """
 
 from __future__ import annotations
@@ -27,8 +28,18 @@ import time
 
 from repro.baselines import OriginalInference
 from repro.core.graphflat import GraphFlatConfig, graph_flat
-from repro.core.infer import GraphInferConfig, broadcast_slices, graph_infer, segment_model
+from repro.core.graphflat.sampling import make_sampler
+from repro.core.infer import (
+    EmbeddingReducer,
+    GraphInferConfig,
+    ModelSlices,
+    graph_infer,
+    segment_model,
+)
+from repro.core.infer.pipeline import _InEmb
+from repro.core.propagation import ReceptiveField, Routing
 from repro.core.trainer import decode_samples
+from repro.mapreduce.partition import Inline, publish
 from repro.nn.gnn import GATModel
 
 from .conftest import emit
@@ -83,9 +94,8 @@ def bench_table5_inference(benchmark, bench_uug):
             "scores": result.scores,
         }
 
-    def run_transport_grid():
-        """GraphInfer backend x worker-count, with the slice transport the
-        engine resolved for each."""
+    def run_backend_grid():
+        """GraphInfer backend x worker-count."""
         rows = []
         for backend, workers in (
             ("threads", 2), ("processes", 1), ("processes", 2), ("processes", 4),
@@ -96,16 +106,15 @@ def bench_table5_inference(benchmark, bench_uug):
             rows.append({
                 "backend": backend,
                 "workers": workers,
-                "transport": result.slice_transport,
                 "wall": time.perf_counter() - wall0,
                 "scores": result.scores,
             })
-        measurements["transport_grid"] = rows
+        measurements["backend_grid"] = rows
 
     def run_both():
         run_original()
         run_graphinfer()
-        run_transport_grid()
+        run_backend_grid()
 
     benchmark.pedantic(run_both, rounds=1, iterations=1)
 
@@ -139,28 +148,30 @@ def bench_table5_inference(benchmark, bench_uug):
         f"  ({orig['embeddings'] / gi['embeddings']:.1f}x repetition removed)",
     ]
 
-    # Per-task slice payloads: what one pickled reducer carries under each
-    # transport (the broadcast slab's whole point is the shm column).
-    slices = segment_model(model)
-    slab, located = broadcast_slices(slices)
-    pickled_bytes = max(len(pickle.dumps(s)) for s in slices)
-    locator_bytes = max(len(pickle.dumps(s)) for s in located)
+    # Per-task slice payload: one pickled first-round reducer holding the
+    # slices inline versus holding the published carrier (the slab's whole
+    # point is the second number).
+    slices = ModelSlices(tuple(segment_model(model)))
+    slab, carrier = publish(slices, needs_pickling=True)
+    routing = Routing(frozenset(), 8, ReceptiveField(None, 2), _InEmb, Inline(None))
+    sampler = make_sampler("weighted", 10, 0)
+    inline_bytes, carrier_bytes = (
+        len(pickle.dumps(EmbeddingReducer(sampler, 1, 2, routing, model=m)))
+        for m in (Inline(slices), carrier)
+    )
     slab.close()
 
     lines += [
         "",
-        "GraphInfer backend x workers, with the slice transport each "
-        "resolves to (largest per-task slice payload: "
-        f"pickle {pickled_bytes} B, shm locator {locator_bytes} B):",
+        "GraphInfer backend x workers, scores byte-identical to the serial run "
+        "(one pickled reducer: slices inline "
+        f"{inline_bytes} B, published carrier {carrier_bytes} B):",
         "",
-        f"{'Backend':<12}{'Workers':<10}{'Transport':<12}{'Time(s)':>10}",
-        "-" * 44,
+        f"{'Backend':<12}{'Workers':<10}{'Time(s)':>10}",
+        "-" * 32,
     ]
-    for row in measurements["transport_grid"]:
-        lines.append(
-            f"{row['backend']:<12}{row['workers']:<10}{row['transport']:<12}"
-            f"{row['wall']:>10.2f}"
-        )
+    for row in measurements["backend_grid"]:
+        lines.append(f"{row['backend']:<12}{row['workers']:<10}{row['wall']:>10.2f}")
 
     # sanity: the two modules agree on the scores they produce
     probe = next(iter(gi["scores"]))
@@ -170,11 +181,10 @@ def bench_table5_inference(benchmark, bench_uug):
         gi["scores"][probe], orig["scores"][probe], rtol=1e-3, atol=1e-4
     ), "GraphInfer and Original disagree — unbiased-inference property violated"
     # and every backend x worker combination is byte-identical to the
-    # serial GraphInfer run, whichever transport it resolved to
-    for row in measurements["transport_grid"]:
-        assert row["transport"] == ("shm" if row["backend"] == "processes" else "pickle")
+    # serial GraphInfer run
+    for row in measurements["backend_grid"]:
         assert set(row["scores"]) == set(gi["scores"])
         assert all(
-            np.array_equal(row["scores"][k], v) for k, v in gi["scores"].items()
-        ), f"{row['backend']} x{row['workers']} ({row['transport']}) diverged"
+            row["scores"][k].tobytes() == v.tobytes() for k, v in gi["scores"].items()
+        ), f"{row['backend']} x{row['workers']} diverged"
     emit("table5_inference", "\n".join(lines))

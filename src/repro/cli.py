@@ -607,8 +607,7 @@ def _cmd_graphinfer(args) -> int:
     unit = "candidate edges" if args.task in EDGE_TASKS else "nodes"
     print(
         f"GraphInfer: scored {result.num_nodes} {unit} "
-        f"({result.embedding_computations} embedding computations, "
-        f"{result.slice_transport} slice transport) -> "
+        f"({result.embedding_computations} embedding computations) -> "
         f"{args.dfs}/{args.output}"
     )
     _print_shuffle_summary(result.round_stats, args.shuffle_transport)

@@ -9,7 +9,7 @@ above pipeline", unlike the original GraphFeature-based module
 (:mod:`repro.baselines.original`) that Table 5 compares against.
 """
 
-from repro.core.infer.segmentation import ModelSlice, broadcast_slices, segment_model
+from repro.core.infer.segmentation import ModelSlice, ModelSlices, segment_model
 from repro.core.infer.pipeline import (
     EmbeddingReducer,
     GraphInferConfig,
@@ -20,7 +20,7 @@ from repro.core.infer.pipeline import (
 
 __all__ = [
     "ModelSlice",
-    "broadcast_slices",
+    "ModelSlices",
     "segment_model",
     "EmbeddingReducer",
     "GraphInferConfig",

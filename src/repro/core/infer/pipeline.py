@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.infer.segmentation import ModelSlice, broadcast_slices, segment_model
+from repro.core.infer.segmentation import ModelSlices, segment_model
 from repro.core.propagation import (
     DataflowConfig,
     EdgeFanout,
@@ -38,6 +38,7 @@ from repro.core.propagation import (
 )
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.mapreduce.fs import DistFileSystem
+from repro.mapreduce.partition import Inline, SlabLocator, publish
 from repro.mapreduce.runtime import LocalRuntime, RunStats
 from repro.mapreduce.shuffle import RecordBatch
 from repro.nn.gnn.base import GNNModel
@@ -127,14 +128,6 @@ class GraphInferResult:
     embedding_computations: int = 0
     """Total per-node layer evaluations — exactly ``K * |V|`` here; the
     original module's count grows with neighborhood overlap instead."""
-    slice_transport: str = "pickle"
-    """How this run's model slices reached the reducers: ``shm`` (every
-    slice published once into a shared-memory slab,
-    :class:`~repro.ps.shm.SlabBroadcast`; reducers ship only locators — zero
-    serialized parameter bytes per task attempt) when the runtime pickles
-    its tasks, ``pickle`` (the arrays ride inside the reducer objects, which
-    in-process backends never serialize) otherwise.  Scores are
-    byte-identical either way (tested)."""
 
 
 def graph_infer(
@@ -210,28 +203,21 @@ def graph_infer(
                 if d <= total_rounds - k and node_id in nodes
             )
 
-        # How the slices reach the reducers follows from what the runtime does
-        # with a reducer: a pickling backend would serialize the parameter
-        # arrays into every task attempt, so they are published once into one
-        # named slab and the reducers pickle only locators; an in-process
-        # backend hands reducers over by reference and needs no slab.
-        transport = "shm" if runtime.needs_pickling else "pickle"
-        broadcast = None
-        if transport == "shm":
-            # The slab is unlinked in the finally below — the single ownership
-            # point, which also covers failed rounds and mid-round worker
-            # crashes (retries re-attach the same slab; nothing is republished
-            # per attempt).
-            broadcast, slices = broadcast_slices(slices)
-        head = slices[-1]
-        reducers = [partial(EmbeddingReducer, mslice=s) for s in slices[:-1]]
+        # The slices are a side input like the out-edges: one slab for the
+        # whole run under a pickling backend (reducers carry its locator),
+        # held by reference otherwise.  The slab is unlinked in the finally
+        # below, which also covers failed rounds and mid-round worker
+        # crashes (retries read the same slab; nothing is republished per
+        # attempt).
+        slab, model_slices = publish(ModelSlices(tuple(slices)), runtime.needs_pickling)
+        reducers = [partial(EmbeddingReducer, model=model_slices)] * total_rounds
         final = None
         if task_obj.edge_level:
             # K embedding rounds, then the candidate edges' pairing round.
-            final = ("predict", EdgeScoreReducer(head, config.task))
+            final = ("predict", EdgeScoreReducer(model_slices, config.task))
         else:
             # K embedding rounds, the Kth applying the prediction slice.
-            reducers[-1] = partial(EmbeddingReducer, mslice=slices[-2], head_slice=head)
+            reducers[-1] = partial(EmbeddingReducer, model=model_slices, predicts=True)
         try:
             out = run_dataflow(
                 "graphinfer",
@@ -250,8 +236,8 @@ def graph_infer(
                 dataset_name=dataset_name,
             )
         finally:
-            if broadcast is not None:
-                broadcast.close()
+            if slab is not None:
+                slab.close()
 
         scores = None if out.data is None else {int(v): s for v, s in out.data}
         return GraphInferResult(
@@ -262,7 +248,6 @@ def graph_infer(
             dataset=None if fs is None else dataset_name,
             round_stats=out.round_stats,
             embedding_computations=embedding_computations,
-            slice_transport=transport,
         )
 
 
@@ -279,18 +264,18 @@ def _seed_embedding(node_id: int, feature) -> np.ndarray:
 class EmbeddingReducer(MessagePassingReducer):
     """One GNN layer's Reduce round: the merge applies the layer to the
     node's embedding and its sampled in-edge neighbors' embeddings.  Ships
-    the picklable :class:`ModelSlice` and materializes the runnable layer
-    lazily, once per process — exactly the production "each reducer loads
-    its model slice" behavior (§3.4).  Under a pickling runtime the slice is
-    locator-backed, so the pickled reducer carries no parameter arrays at
-    all; materialization attaches the broadcast slab instead.
+    the carrier of the run's :class:`~repro.core.infer.segmentation.ModelSlices`
+    and materializes its round's slice (``round_index - 1``) lazily — exactly
+    the production "each reducer loads its model slice" behavior (§3.4).
+    Under a pickling runtime the carrier is a slab locator, so the pickled
+    reducer carries no parameter arrays at all.
 
-    The Kth round of a node task also carries the prediction slice
-    (``head_slice``) and writes each node's scores instead of its
+    The Kth round of a node task also applies the prediction slice
+    (``predicts``) and writes each node's scores instead of its
     embedding — no round re-shuffles the embeddings only to score them."""
 
-    mslice: ModelSlice = field(kw_only=True)
-    head_slice: ModelSlice | None = field(default=None, kw_only=True)
+    model: Inline | SlabLocator = field(kw_only=True)
+    predicts: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         self._layer = None
@@ -305,13 +290,13 @@ class EmbeddingReducer(MessagePassingReducer):
     @property
     def layer(self):
         if self._layer is None:
-            self._layer = self.mslice.materialize()
+            self._layer = self.model.get()[self.round_index - 1].materialize()
         return self._layer
 
     @property
     def head(self):
         if self._head is None:
-            self._head = self.head_slice.materialize()
+            self._head = self.model.get()[-1].materialize()
         return self._head
 
     def final_rows(self, node_ids: list[int], infos: list) -> RecordBatch:
@@ -319,7 +304,7 @@ class EmbeddingReducer(MessagePassingReducer):
         batch in one call made of vector-matrix products — so a node's
         scores have the bits of its own ``h @ W``, whatever else is in the
         batch."""
-        if self.head_slice is None:
+        if not self.predicts:
             return super().final_rows(node_ids, infos)
         head = self.head
         scores = (np.stack(infos)[:, None, :] @ head.weight.data)[:, 0]
@@ -371,11 +356,12 @@ class EdgeScoreReducer:
     """Edge-task prediction round: pair up the two endpoint embeddings a
     candidate edge received from the Kth embedding round and apply the
     task's score function (dot product for link prediction, the head over
-    the Hadamard product for edge classification).  The head slice rides
-    along, materialized lazily per process — link prediction simply
-    ignores it."""
+    the Hadamard product for edge classification).  The prediction slice
+    (the last of the carried :class:`~repro.core.infer.segmentation.ModelSlices`)
+    is materialized lazily per process — link prediction simply ignores
+    it."""
 
-    head_slice: ModelSlice
+    model: Inline | SlabLocator
     task_name: str
 
     def __post_init__(self):
@@ -391,7 +377,7 @@ class EdgeScoreReducer:
     @property
     def head(self):
         if self._head is None:
-            self._head = self.head_slice.materialize()
+            self._head = self.model.get()[-1].materialize()
         return self._head
 
     @property

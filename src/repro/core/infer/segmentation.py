@@ -5,73 +5,67 @@ hierarchy: the kth slice consists of all parameters of the kth GNN layer,
 while the K+1th slice consists of all parameters of the final prediction
 model."
 
-A :class:`ModelSlice` is self-contained and picklable — (kind, constructor
-config, state) — so a MapReduce reducer can load exactly its slice without
-the rest of the model, mirroring how the production system ships slices to
-reducer processes.
-
-The state travels one of two ways:
-
-* **pickled** — ``state`` holds the parameter arrays and rides inside every
-  pickled reducer (the original behavior; fine for serial/thread backends,
-  where "shipping" is a reference copy);
-* **broadcast** — :func:`broadcast_slices` publishes every slice's arrays
-  into one shared-memory slab (:class:`~repro.ps.shm.SlabBroadcast`) and the
-  slice carries only a :class:`~repro.ps.shm.SlabSlice` locator.  A reducer
-  pickled to a worker process then contains *zero* parameter bytes;
-  ``materialize()`` attaches the slab (cached per process) and loads the
-  layer from layout views.
+A :class:`ModelSlice` is self-contained — (kind, constructor config,
+state) — so a MapReduce reducer can load exactly its slice without the rest
+of the model.  The K+1 slices of a run travel together as one
+:class:`ModelSlices` side input (:func:`~repro.mapreduce.partition.publish`,
+like the out-edges and the placement plan): held by reference when tasks
+stay in-process, encoded once into one shared-memory slab when they are
+pickled — a pickled reducer then carries a locator and its slice index, no
+parameter array.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.nn.gnn.base import GNNModel
 from repro.nn.gnn.registry import build_layer
-from repro.ps.shm import SlabBroadcast, SlabSlice
 
-__all__ = ["ModelSlice", "broadcast_slices", "segment_model"]
+__all__ = ["ModelSlice", "ModelSlices", "segment_model"]
 
 
 @dataclass
 class ModelSlice:
-    """One slice of a segmented model.
-
-    Exactly one of ``state`` (inline parameter arrays) and ``locator``
-    (shared-memory reference) is set.
-    """
+    """One slice of a segmented model."""
 
     index: int
     kind: str
     config: dict
-    state: dict[str, np.ndarray] | None = None
-    locator: SlabSlice | None = None
-
-    def __post_init__(self):
-        if (self.state is None) == (self.locator is None):
-            raise ValueError("ModelSlice needs exactly one of state / locator")
+    state: dict[str, np.ndarray]
 
     def materialize(self):
-        """Rebuild the runnable layer (reducer-side "load its model slice").
-
-        Locator-backed slices attach the broadcast slab here; the layer
-        copies the values out of the slab views (``load_state_dict``), so
-        the materialized layer outlives the slab.
-        """
-        state = self.state if self.state is not None else self.locator.state()
-        return build_layer(self.kind, self.config, state)
+        """Rebuild the runnable layer (reducer-side "load its model
+        slice"); the layer holds copies of the state's values."""
+        return build_layer(self.kind, self.config, self.state)
 
     @property
     def is_prediction(self) -> bool:
         return self.kind == "dense_head"
 
     def num_parameters(self) -> int:
-        if self.state is None:
-            return self.locator.num_values()
         return int(sum(v.size for v in self.state.values()))
+
+
+@dataclass(frozen=True)
+class ModelSlices:
+    """A segmented model's K+1 slices as one side input: slice ``k - 1`` is
+    round ``k``'s layer, the last one the prediction slice."""
+
+    slices: tuple[ModelSlice, ...]
+
+    def __getitem__(self, index: int) -> ModelSlice:
+        return self.slices[index]
+
+    def encode(self) -> bytes:
+        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @classmethod
+    def decode(cls, data: bytes) -> "ModelSlices":
+        return pickle.loads(data)
 
 
 def segment_model(model: GNNModel) -> list[ModelSlice]:
@@ -83,20 +77,3 @@ def segment_model(model: GNNModel) -> list[ModelSlice]:
     if not slices or not slices[-1].is_prediction:
         raise ValueError("model segmentation must end with the prediction slice")
     return slices
-
-
-def broadcast_slices(
-    slices: list[ModelSlice],
-) -> tuple[SlabBroadcast, list[ModelSlice]]:
-    """Publish every slice's state into one shared-memory slab.
-
-    Returns the owning :class:`~repro.ps.shm.SlabBroadcast` (the caller
-    must ``close()`` it — typically in a ``finally`` — to unlink the slab)
-    plus locator-backed twins of the input slices, in order.
-    """
-    broadcast = SlabBroadcast([s.state for s in slices])
-    located = [
-        ModelSlice(s.index, s.kind, s.config, locator=broadcast.slice(i))
-        for i, s in enumerate(slices)
-    ]
-    return broadcast, located

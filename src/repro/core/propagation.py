@@ -1170,9 +1170,9 @@ def run_dataflow(
     # Side inputs every round reads, published once (inline for in-process
     # backends, one shared-memory slab each under pickling ones): the
     # out-edges, and the placement plan.
-    edges_broadcast = partition_broadcast = None
+    edges_slab = plan_slab = None
     try:
-        edges_broadcast, out_edges = publish(OutEdges.of(edges), runtime.needs_pickling)
+        edges_slab, out_edges = publish(OutEdges.of(edges), runtime.needs_pickling)
         planned = None
         if config.partitioner == "planned":
             # Degree-aware placement: built from the in-degree counts hub
@@ -1180,7 +1180,7 @@ def run_dataflow(
             plan = build_partition_plan(
                 degree_pairs, hubs, config.reindex_fanout, config.num_reducers, needed
             )
-            partition_broadcast, planned = publish_plan(plan, runtime.needs_pickling)
+            plan_slab, planned = publish_plan(plan, runtime.needs_pickling)
         routing = Routing(hubs, config.reindex_fanout, needed, in_record, out_edges)
         jobs = _job_chain(name, config, routing, seed, reducers, final, edge_fanout, planned)
         if fs is None:
@@ -1201,9 +1201,9 @@ def run_dataflow(
     finally:
         # Single unlink point for the side-input slabs — covers failed
         # rounds too.
-        for broadcast in (edges_broadcast, partition_broadcast):
-            if broadcast is not None:
-                broadcast.close()
+        for slab in (edges_slab, plan_slab):
+            if slab is not None:
+                slab.close()
 
 
 def _job_chain(

@@ -48,6 +48,7 @@ from repro.mapreduce.backends import (
     make_backend,
 )
 from repro.nn.gnn.block import BatchInputs
+from repro.utils.shm import ShmBatchRef, Slab, slab_dump, slab_load
 from repro.utils.timer import TimerRegistry
 
 __all__ = ["BatchPipeline", "BatchPreparer"]
@@ -64,9 +65,10 @@ time on top of the queued one."""
 SLAB_BYTES = 64 << 20
 """Capacity of one window slab.  When prepared windows cross a process
 boundary (``backend.needs_pickling``) a pool worker parks the numpy payload
-in a parent-owned per-slot :class:`~repro.ps.shm.BatchSlab` and pickles only
-a tiny locator (protocol-5 out-of-band buffers), so the result pipe carries
-kilobytes instead of the vectorized batches; a window that outgrows the
+in a parent-owned per-slot :class:`~repro.utils.shm.Slab`
+(:func:`~repro.utils.shm.slab_dump`) and pickles only a tiny
+:class:`~repro.utils.shm.ShmBatchRef` (protocol-5 out-of-band buffers), so
+the result pipe carries kilobytes instead of the vectorized batches; a window that outgrows the
 slab rides the pipe whole, for that window only.  Same-process backends
 hand over bare references and use no slab."""
 
@@ -141,8 +143,6 @@ class _SlabPreparer:
 
     def __call__(self, window):
         prepared, (start, _) = self.prepare(window)
-        from repro.ps.shm import slab_dump  # lazy: repro.ps imports the trainer
-
         ref = slab_dump(prepared, self.slab, self.capacity)
         return (prepared if ref is None else ref), (start, time.perf_counter())
 
@@ -267,14 +267,11 @@ class BatchPipeline:
             try:
                 prepare = [self._prepare] * self._workers
                 if use_shm:
-                    # Lazy: repro.ps imports the trainer package (circular).
-                    from repro.ps.shm import BatchSlab, ShmBatchRef, slab_load
-
                     # One slab per task slot, reused every call.  Safe
                     # because each call's results are fully drained (and
                     # slab-loaded into private memory) before the next
                     # ``execute`` can overwrite a slot.
-                    slabs = [BatchSlab(SLAB_BYTES) for _ in range(self._workers)]
+                    slabs = [Slab(SLAB_BYTES) for _ in range(self._workers)]
                     by_name = {slab.name: slab for slab in slabs}
                     prepare = [
                         _SlabPreparer(self._prepare, slab.name, slab.capacity)

@@ -27,10 +27,10 @@ This module makes the partition function a first-class object:
   assignment table with a hash fallback for every key outside the plan (the
   light tail, keys of other rounds, and any ``num_partitions`` mismatch).
   The table is a *side input* (:func:`publish`): it travels to worker
-  processes either inline (serial/threads) or as a
-  :class:`~repro.ps.shm.BytesBroadcast` shared-memory locator (processes
-  backend) — published once per run, attached and decoded once per worker
-  process, zero table bytes pickled per task attempt.
+  processes either inline (serial/threads) or as a shared-memory
+  :class:`SlabLocator` (processes backend) — published once per run,
+  attached and decoded once per worker process, zero table bytes pickled
+  per task attempt.
 
 Value-order note: changing the partitioner of an intermediate round
 re-shards that round's reducers, which permutes the *task-major arrival
@@ -44,6 +44,7 @@ output byte-identical across partitioners (tested).
 
 from __future__ import annotations
 
+import threading
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -54,6 +55,7 @@ import numpy as np
 
 from repro.mapreduce.shuffle import decode_key, default_partition, key_bytes
 from repro.proto.varint import decode_unsigned, encode_unsigned
+from repro.utils.shm import Slab, attach_shared_memory
 
 __all__ = [
     "PARTITIONERS",
@@ -250,15 +252,21 @@ def plan_partitions(
 
 
 # ------------------------------------------------------------- side inputs
-# A side input is an immutable table every task of a run reads — the
-# partition plan, the propagation engine's out-edge CSR.  It rides inline
-# when tasks stay in-process; under a pickling backend it is published once
-# into a shared-memory byte slab and tasks carry only a locator.  Decoded
-# slab payloads are cached per process: pooled workers decode a given side
-# input once, then every task attempt (retries and speculative duplicates
-# included) reads the same immutable object.
+# A side input is an immutable value every task of a run reads — the
+# propagation engine's out-edge CSR, the placement plan, GraphInfer's model
+# slices.  It rides inline when tasks stay in-process; under a pickling
+# backend it is encoded once into a shared-memory slab and tasks carry only
+# a locator.  Decoded slab payloads are cached per process: pooled workers
+# decode a given side input once, then every task attempt (retries and
+# speculative duplicates included) reads the same immutable object.  A pool
+# outlives its runs, so the cache is a bounded FIFO: the newest run's values
+# stay, older runs' go.
 
-_SIDE_INPUTS: dict[object, object] = {}
+_SIDE_INPUTS: dict[tuple[str, int], object] = {}
+_SIDE_INPUTS_MAX = 3
+"""One run publishes at most three side inputs (out-edges, placement plan,
+model slices), so a run never evicts its own."""
+_SIDE_INPUTS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -274,46 +282,50 @@ class Inline:
 
 @dataclass(frozen=True)
 class SlabLocator:
-    """Locator for a side input published through a shared-memory byte slab
-    (:class:`~repro.ps.shm.BytesBroadcast`): the pickled task carries only
-    (name, length, decoder), and each worker process attaches, copies and
-    decodes the payload once."""
+    """Locator for a side input published through a shared-memory
+    :class:`~repro.utils.shm.Slab`: the pickled task carries only (name,
+    length, decoder), and each worker process attaches, copies and decodes
+    the payload once."""
 
     name: str
     nbytes: int
     decode: Callable[[bytes], object]
 
-    def cache_key(self):
-        return ("shm", self.name, self.nbytes)
-
     def get(self):
-        key = self.cache_key()
-        value = _SIDE_INPUTS.get(key)
+        key = (self.name, self.nbytes)
+        value = _SIDE_INPUTS.get(key)  # the hot path: no lock
         if value is None:
-            from repro.ps.shm import attach_shared_memory
-
-            seg = attach_shared_memory(self.name)
-            try:
-                payload = bytes(seg.buf[: self.nbytes])
-            finally:
-                seg.close()
-            value = _SIDE_INPUTS[key] = self.decode(payload)
+            with _SIDE_INPUTS_LOCK:
+                value = _SIDE_INPUTS.get(key)
+                if value is None:
+                    seg = attach_shared_memory(self.name)
+                    try:
+                        payload = bytes(seg.buf[: self.nbytes])
+                    finally:
+                        seg.close()
+                    value = self.decode(payload)
+                    while len(_SIDE_INPUTS) >= _SIDE_INPUTS_MAX:
+                        del _SIDE_INPUTS[next(iter(_SIDE_INPUTS))]
+                    _SIDE_INPUTS[key] = value
         return value
 
 
 def publish(value, needs_pickling: bool):
-    """``(broadcast, carrier)`` for a side input ``value`` (anything with
+    """``(slab, carrier)`` for a side input ``value`` (anything with
     ``encode()`` and a ``decode(bytes)`` classmethod): an :class:`Inline`
     when tasks stay in-process, else a :class:`SlabLocator` over a fresh
-    :class:`~repro.ps.shm.BytesBroadcast`.  The caller owns ``broadcast``
-    (``None`` inline) and must ``close()`` it after the run."""
+    :class:`~repro.utils.shm.Slab` holding the encoded value.  The caller
+    owns ``slab`` (``None`` inline) and must ``close()`` it after the run."""
     if not needs_pickling:
         return None, Inline(value)
-    from repro.ps.shm import BytesBroadcast
-
     payload = value.encode()
-    broadcast = BytesBroadcast(payload)
-    return broadcast, SlabLocator(broadcast.name, len(payload), type(value).decode)
+    slab = Slab(max(len(payload), 1))
+    try:
+        slab.buf[: len(payload)] = payload
+    except BaseException:
+        slab.close()
+        raise
+    return slab, SlabLocator(slab.name, len(payload), type(value).decode)
 
 
 def _hash_bytes(kb: bytes, num_partitions: int) -> int:
@@ -428,12 +440,11 @@ def key_partitions(partitioner, keys: list, kbs: list[bytes], num_partitions: in
 
 
 def publish_plan(plan: PartitionPlan, needs_pickling: bool):
-    """Turn a plan into a runnable partitioner plus an owned broadcast
-    (:func:`publish`).  Returns ``(broadcast, partitioner)`` — the caller
-    owns ``broadcast`` (may be ``None``) and must ``close()`` it after the
-    run, mirroring GraphInfer's model-slice broadcast."""
-    broadcast, source = publish(plan, needs_pickling)
-    return broadcast, PlannedPartitioner(
+    """Turn a plan into a runnable partitioner plus its owned slab
+    (:func:`publish`).  Returns ``(slab, partitioner)`` — the caller owns
+    ``slab`` (may be ``None``) and must ``close()`` it after the run."""
+    slab, source = publish(plan, needs_pickling)
+    return slab, PlannedPartitioner(
         source, plan.num_partitions, f"plan{plan.checksum():08x}"
     )
 

@@ -31,13 +31,12 @@ class StateLayout:
     back from :meth:`unflatten` is a *view* into the given slab, which is
     what makes a pull a view refresh instead of a serialization pass.
 
-    The contract is not PS-specific: any state dict — a whole model, one
-    GraphInfer model slice, a raw ``named_parameters`` mapping — flattens
-    the same way, which is what lets ``repro.ps.shm.SlabBroadcast`` pack
-    several heterogeneous state dicts into one slab back to back.
-    :meth:`flatten` accepts plain arrays or ``Parameter``/``Tensor``
-    values, and ``out`` may be any float32 view of the right length (e.g.
-    a sub-range of a larger slab).
+    The shared-memory and TCP parameter-server transports
+    (:mod:`repro.ps.shm`, :mod:`repro.ps.tcp`) both speak it; any state
+    dict — a whole model, a raw ``named_parameters`` mapping — flattens
+    the same way.  :meth:`flatten` accepts plain arrays or
+    ``Parameter``/``Tensor`` values, and ``out`` may be any float32 view
+    of the right length (e.g. a sub-range of a larger slab).
     """
 
     names: tuple[str, ...]

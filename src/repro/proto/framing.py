@@ -822,8 +822,10 @@ class BlobColumn(Column):
         self.kind = kinds.pop() if len(kinds) == 1 else None
 
     def take(self, rows):
-        values = self.values
-        return BlobColumn([values[i] for i in rows.tolist()])
+        # the taken rows may have a column form the whole has not: ragged
+        # arrays of which the taken ones share a shape, say, or ints that
+        # all fit in 64 bits
+        return columnize(list(map(self.values.__getitem__, rows.tolist())))
 
     def rows(self):
         return list(self.values)
@@ -854,14 +856,11 @@ class ObjectColumn(Column):
 
     def form_at(self, index: np.ndarray) -> Column:
         """The column form of the values at ``index``: rows of the column
-        form of all the values, built once for every gather of this column —
-        unless that form has a fallback column in it, as the rows could
-        have a column form of their own, which is then built from them."""
+        form of all the values, built once for every gather of this column
+        (every column's :meth:`~Column.take` is the column form of the
+        taken rows)."""
         if self._form is None:
-            form = columnize(self.values.tolist())
-            self._form = form if _take_closed(form) else False
-        if self._form is False:
-            return columnize(self.values[index].tolist())
+            self._form = columnize(self.values.tolist())
         return self._form.take(index)
 
     @property
@@ -922,22 +921,6 @@ class GatherColumn(Column):
         if any(column.base is not self.base for column in columns):
             return concat_columns([column.materialized() for column in columns])
         return GatherColumn(self.base, np.concatenate([column.index for column in columns]))
-
-
-def _take_closed(column: Column) -> bool:
-    """Whether the rows :meth:`Column.take` gives of ``column`` are always
-    the column form of those rows: so unless it holds a fallback
-    (:class:`BlobColumn`) column anywhere — ragged arrays, say, some of
-    which may share a shape."""
-    if type(column) is BlobColumn:
-        return False
-    if type(column) is ListColumn:
-        return _take_closed(column.items)
-    if type(column) is RecordColumn:
-        return all(map(_take_closed, column.fields))
-    if type(column) in (TupleColumn, UnionColumn):
-        return all(map(_take_closed, column.children))
-    return True
 
 
 def concat_columns(columns: list[Column]) -> Column:

@@ -30,54 +30,27 @@ after the copy) is what guards against torn float reads; single-writer
 discipline (only the server thread ever touches the parameter slab after
 initialisation) does the rest.
 
-:class:`SlabBroadcast` is the same slab machinery reduced to its one-shot
-form: immutable content published once by the parent (so no seqlock), read
-through picklable :class:`SlabSlice` locators by any number of attaching
-processes.  GraphInfer uses it to ship model slices to reducers without a
-single serialized parameter byte per task (see
-``repro.core.infer.segmentation``).
-
-:class:`BatchSlab` + :func:`slab_dump` / :func:`slab_load` run the slabs in
-the *opposite* direction: a prefetch worker pickles its prepared batch with
-protocol 5, diverts every out-of-band buffer (the numpy blocks — virtually
-all of the bytes) into a parent-owned reusable slab, and ships back only a
-small :class:`ShmBatchRef`; the parent rebuilds the object with one bulk
-copy out of the slab.  Aliasing inside the batch (e.g. one block shared by
-every layer that pruning leaves whole) survives because pickle's memo
-handles it — the slab carries each distinct buffer once.
+Every segment is a :class:`~repro.utils.shm.Slab` owned by the
+:class:`ShmTransport`; worker-side clients attach by name
+(:func:`~repro.utils.shm.attach_shared_memory`) and never unlink.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import pickle
 import queue as queue_mod
 import threading
 import time
-import weakref
 from collections import deque
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.mapreduce.backends import _start_warm_forkserver
 from repro.nn.module import StateLayout
+from repro.utils.shm import Slab, attach_shared_memory
 
-__all__ = [
-    "BatchSlab",
-    "BytesBroadcast",
-    "ShmBatchRef",
-    "ShmPSClient",
-    "ShmTransport",
-    "SlabBroadcast",
-    "SlabSlice",
-    "attach_shared_memory",
-    "mp_context",
-    "slab_dump",
-    "slab_load",
-]
+__all__ = ["ShmPSClient", "ShmTransport", "mp_context"]
 
 _HEADER_INT64S = 8
 _HEADER_BYTES = _HEADER_INT64S * 8
@@ -116,322 +89,6 @@ def mp_context():
         return mp.get_context("spawn")
     _start_warm_forkserver()
     return mp.get_context("forkserver")
-
-
-def attach_shared_memory(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing slab without adopting ownership.
-
-    Python < 3.13 registers *every* attachment with the resource tracker,
-    which then unlinks the slab when the attaching process exits — yanking
-    it out from under the parent (and double-unregistering trips KeyErrors
-    in the tracker because its cache is a set).  Suppress the registration
-    for the duration of the attach; the creator remains the sole
-    owner/unlinker.
-    """
-    try:  # pragma: no cover - tracker internals vary across versions
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def register(rt_name, rtype):
-            if rtype != "shared_memory":
-                original(rt_name, rtype)
-
-        resource_tracker.register = register
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-    except ImportError:
-        return shared_memory.SharedMemory(name=name)
-
-
-# --------------------------------------------------------------- broadcasts
-# One-shot "publish once, attach everywhere" slabs.  Unlike the parameter
-# server above there is no version counter: the content is immutable for the
-# slab's whole lifetime, so readers need no seqlock — just the layout.
-
-_ATTACH_CACHE: dict[str, shared_memory.SharedMemory] = {}
-_ATTACH_CACHE_MAX = 16
-"""Bounded FIFO.  Sized for a prefetch pool's worth of per-slot batch slabs
-plus a model broadcast or two — a worker that cycles every slab of one run
-must never thrash the cache."""
-_ATTACH_LOCK = threading.Lock()
-
-
-def _attach_segment_locked(name: str) -> shared_memory.SharedMemory:
-    """Cache lookup/attach for a named slab.  ``_ATTACH_LOCK`` must be held.
-
-    The cache means a worker process that runs many tasks against the same
-    slab maps it once, not once per task.  Eviction is oldest-first (dict
-    insertion order); a mapping whose views are still exported cannot be
-    closed — re-queue it as most-recent and keep the handle instead of
-    leaking an unclosable segment; the cache may transiently exceed the cap
-    while everything is pinned."""
-    seg = _ATTACH_CACHE.get(name)
-    if seg is None:
-        for stale in list(_ATTACH_CACHE):
-            if len(_ATTACH_CACHE) < _ATTACH_CACHE_MAX:
-                break
-            old = _ATTACH_CACHE.pop(stale)
-            try:
-                old.close()
-            except BufferError:  # live views into the mapping
-                _ATTACH_CACHE[stale] = old
-        seg = attach_shared_memory(name)
-        _ATTACH_CACHE[name] = seg
-    return seg
-
-
-def _attach_view(name: str, size: int, byte_offset: int) -> np.ndarray:
-    """Attach to a broadcast slab (cached per process) and return a float32
-    view into it.
-
-    Everything — lookup, eviction, attach, *and* view construction —
-    happens under one lock hold: reducers on the threads backend
-    materialize concurrently, and building the ndarray exports the
-    segment's buffer, which pins the mapping against a concurrent
-    eviction's ``close()``; a view built outside the lock could race an
-    eviction and read a closed segment."""
-    with _ATTACH_LOCK:
-        seg = _attach_segment_locked(name)
-        return np.ndarray(
-            (size,), dtype=np.float32, buffer=seg.buf, offset=byte_offset
-        )
-
-
-@dataclass(frozen=True)
-class SlabSlice:
-    """Picklable locator for one state dict inside a :class:`SlabBroadcast`.
-
-    This is what travels to worker processes instead of the parameter
-    arrays themselves: slab *name*, element offset, and the
-    :class:`~repro.nn.module.StateLayout` contract — a few hundred bytes
-    regardless of model size.  ``state()`` attaches lazily (cached per
-    process) and returns layout views into the mapping; callers that keep
-    the values past the slab's lifetime must copy them (loading them into a
-    module via ``load_state_dict`` does)."""
-
-    slab: str
-    index: int
-    offset: int
-    layout: StateLayout
-
-    def state(self) -> dict[str, np.ndarray]:
-        flat = _attach_view(self.slab, self.layout.total_size, 4 * self.offset)
-        return self.layout.unflatten(flat)
-
-    def num_values(self) -> int:
-        return self.layout.total_size
-
-
-class SlabBroadcast:
-    """Publish a sequence of state dicts into one named shared-memory slab.
-
-    The creating process is the sole owner: it flattens every state dict
-    through its :class:`~repro.nn.module.StateLayout` into a contiguous
-    float32 slab exactly once, hands out :class:`SlabSlice` locators, and
-    unlinks the slab in :meth:`close` (a ``weakref.finalize`` backstop
-    covers abandoned instances).  Attaching processes never adopt
-    ownership (:func:`attach_shared_memory`), so a worker exiting — or
-    crashing — cannot yank the slab out from under the survivors, and the
-    parent's ``finally`` is the single unlink point even when a round
-    fails mid-run."""
-
-    def __init__(self, states: list[dict[str, np.ndarray]]):
-        self.layouts = [StateLayout.from_state(state) for state in states]
-        offsets, total = [], 0
-        for layout in self.layouts:
-            offsets.append(total)
-            total += layout.total_size
-        self.offsets = offsets
-        self.total_size = total
-        self._seg = shared_memory.SharedMemory(create=True, size=max(4 * total, 1))
-        # Finalizer registered before the flatten loop: a state dict that
-        # fails to flatten must not leak the freshly created segment.
-        self.name = self._seg.name
-        self._closed = False
-        self._finalizer = weakref.finalize(self, _release_segments, self._seg, [])
-        try:
-            flat = np.ndarray((total,), dtype=np.float32, buffer=self._seg.buf)
-            for layout, offset, state in zip(self.layouts, offsets, states):
-                layout.flatten(state, out=flat[offset : offset + layout.total_size])
-        except BaseException:
-            self.close()
-            raise
-
-    def __len__(self) -> int:
-        return len(self.layouts)
-
-    def slice(self, index: int) -> SlabSlice:
-        if not 0 <= index < len(self.layouts):
-            raise IndexError(f"broadcast holds {len(self.layouts)} slices")
-        return SlabSlice(self.name, index, self.offsets[index], self.layouts[index])
-
-    def close(self) -> None:
-        """Unlink the slab (idempotent).  Existing mappings in attached
-        processes stay valid until they unmap; no new attach can succeed."""
-        if self._closed:
-            return
-        self._closed = True
-        self._finalizer()
-
-    def __enter__(self) -> "SlabBroadcast":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class BatchSlab:
-    """Parent-owned reusable raw-byte slab for prefetch batch handoff.
-
-    The trainer's prefetch pool creates one per in-flight window slot and
-    keeps reusing it: every window, the worker driving that slot overwrites
-    the slab with the out-of-band buffers of its freshly prepared batch
-    (:func:`slab_dump`) and the parent drains it (:func:`slab_load`) before
-    the slot is reissued.  Ownership mirrors :class:`SlabBroadcast`: only
-    the creating process unlinks, with a ``weakref.finalize`` backstop."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("slab capacity must be >= 1 byte")
-        self.capacity = int(capacity)
-        self._seg = shared_memory.SharedMemory(create=True, size=self.capacity)
-        self.name = self._seg.name
-        self._closed = False
-        self._finalizer = weakref.finalize(self, _release_segments, self._seg, [])
-
-    @property
-    def buf(self) -> memoryview:
-        return self._seg.buf
-
-    def close(self) -> None:
-        """Unlink the slab (idempotent); lingering worker mappings stay
-        valid until they unmap, but no new attach can succeed."""
-        if self._closed:
-            return
-        self._closed = True
-        self._finalizer()
-
-    def __enter__(self) -> "BatchSlab":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class BytesBroadcast:
-    """Publish one immutable byte payload into a named shared-memory slab.
-
-    The general-purpose sibling of :class:`SlabBroadcast` for non-float
-    payloads (e.g. an encoded partition-plan table): the creating process
-    writes the bytes exactly once, hands out only ``(name, len(payload))``
-    locators, and unlinks in :meth:`close` (``weakref.finalize`` backstop
-    for abandoned instances).  Readers attach with
-    :func:`attach_shared_memory` and copy the prefix out — the slab may be
-    rounded up by the OS, so the advertised length, not the segment size,
-    bounds the payload."""
-
-    def __init__(self, payload: bytes):
-        self.nbytes = len(payload)
-        self._seg = shared_memory.SharedMemory(
-            create=True, size=max(self.nbytes, 1)
-        )
-        self.name = self._seg.name
-        self._closed = False
-        self._finalizer = weakref.finalize(self, _release_segments, self._seg, [])
-        try:
-            self._seg.buf[: self.nbytes] = payload
-        except BaseException:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Unlink the slab (idempotent); lingering worker mappings stay
-        valid until they unmap, but no new attach can succeed."""
-        if self._closed:
-            return
-        self._closed = True
-        self._finalizer()
-
-    def __enter__(self) -> "BytesBroadcast":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-@dataclass(frozen=True)
-class ShmBatchRef:
-    """Locator for a batch parked in a :class:`BatchSlab`.
-
-    ``payload`` is the pickle-protocol-5 stream with every contiguous
-    buffer diverted out-of-band; ``spans`` gives each diverted buffer's
-    ``(offset, length)`` inside the slab, in ``buffer_callback`` order —
-    the order :func:`slab_load` must feed them back to ``pickle.loads``."""
-
-    slab: str
-    payload: bytes
-    spans: tuple[tuple[int, int], ...]
-
-    @property
-    def slab_bytes(self) -> int:
-        return sum(length for _, length in self.spans)
-
-
-_SLAB_ALIGN = 64
-
-
-def slab_dump(obj: object, slab_name: str, capacity: int) -> ShmBatchRef | None:
-    """Worker side: park ``obj``'s bulk bytes in the named slab.
-
-    Pickles with protocol 5, writing every out-of-band buffer back-to-back
-    (64-byte aligned) into the slab, and returns a small
-    :class:`ShmBatchRef` for the parent.  Returns ``None`` — caller ships
-    the object in-band instead — when the buffers don't fit ``capacity``;
-    determinism of the fallback matters more than squeezing edge cases."""
-    buffers: list[pickle.PickleBuffer] = []
-    payload = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    spans: list[tuple[int, int]] = []
-    raws: list[memoryview] = []
-    offset = 0
-    for pb in buffers:
-        try:
-            raw = pb.raw()
-        except BufferError:  # non-contiguous exporter; ship in-band
-            return None
-        offset = -(-offset // _SLAB_ALIGN) * _SLAB_ALIGN
-        spans.append((offset, raw.nbytes))
-        raws.append(raw)
-        offset += raw.nbytes
-    if offset > capacity:
-        return None
-    with _ATTACH_LOCK:
-        seg = _attach_segment_locked(slab_name)
-        buf = seg.buf
-        for (off, length), raw in zip(spans, raws):
-            buf[off : off + length] = raw.cast("B")
-    return ShmBatchRef(slab_name, payload, tuple(spans))
-
-
-def slab_load(ref: ShmBatchRef, buf: memoryview) -> object:
-    """Parent side: rebuild the object :func:`slab_dump` parked.
-
-    One bulk copy out of the slab into a private bytearray, then
-    ``pickle.loads`` with writable views into that copy — the slab can be
-    overwritten by the next window the moment this returns, and the
-    reconstructed arrays are backed by private memory, not the slab."""
-    total = sum(length for _, length in ref.spans)
-    private = bytearray(total)
-    views: list[memoryview] = []
-    mv = memoryview(private)
-    pos = 0
-    for off, length in ref.spans:
-        private[pos : pos + length] = buf[off : off + length]
-        views.append(mv[pos : pos + length])
-        pos += length
-    return pickle.loads(ref.payload, buffers=views)
 
 
 class _CtrlChannel:
@@ -643,20 +300,15 @@ class ShmTransport:
         self.layout = StateLayout.from_state(state)
         self.ctx = mp_context()
         size = self.layout.total_size
-        self._param_seg = shared_memory.SharedMemory(
-            create=True, size=_HEADER_BYTES + 4 * size
-        )
-        self._grad_segs = [
-            shared_memory.SharedMemory(create=True, size=4 * size)
-            for _ in range(group.num_workers)
-        ]
-        self._header = np.ndarray((_HEADER_INT64S,), dtype=np.int64, buffer=self._param_seg.buf)
+        self._param_slab = Slab(_HEADER_BYTES + 4 * size)
+        self._grad_slabs = [Slab(4 * size) for _ in range(group.num_workers)]
+        self._header = np.ndarray((_HEADER_INT64S,), dtype=np.int64, buffer=self._param_slab.buf)
         self._header[:] = 0
         self._params = np.ndarray(
-            (size,), dtype=np.float32, buffer=self._param_seg.buf, offset=_HEADER_BYTES
+            (size,), dtype=np.float32, buffer=self._param_slab.buf, offset=_HEADER_BYTES
         )
         self._grad_views = [
-            np.ndarray((size,), dtype=np.float32, buffer=seg.buf) for seg in self._grad_segs
+            np.ndarray((size,), dtype=np.float32, buffer=slab.buf) for slab in self._grad_slabs
         ]
         self._ctrl = _CtrlChannel(self.ctx)
         # Parent -> server-thread control messages (begin_epoch, mark_dead,
@@ -670,9 +322,6 @@ class ShmTransport:
         self._thread: threading.Thread | None = None
         self.server_error: BaseException | None = None
         self._closed = False
-        self._finalizer = weakref.finalize(
-            self, _release_segments, self._param_seg, list(self._grad_segs)
-        )
 
     # --------------------------------------------------------------- set-up
     def param_views(self) -> dict[str, np.ndarray]:
@@ -716,8 +365,8 @@ class ShmTransport:
         if worker_id not in self._clients:
             client = ShmPSClient(
                 self.layout,
-                self._param_seg.name,
-                self._grad_segs[worker_id].name,
+                self._param_slab.name,
+                self._grad_slabs[worker_id].name,
                 worker_id,
                 self._ctrl,
                 self._acks[worker_id],
@@ -858,19 +507,6 @@ class ShmTransport:
             self._local_ctrl.append(("stop", -1, None))
             self._thread.join(timeout=10)
         self._ctrl.close()
-        self._finalizer()
+        for slab in (self._param_slab, *self._grad_slabs):
+            slab.close()
 
-
-def _release_segments(param_seg, grad_segs) -> None:
-    # close and unlink attempted independently: a still-exported buffer
-    # (BufferError on close) must not stop the name being unlinked — the
-    # lingering mapping then dies with its last reference, not /dev/shm.
-    for seg in [param_seg, *grad_segs]:
-        try:
-            seg.close()
-        except Exception:  # pragma: no cover - exported views / already closed
-            pass
-        try:
-            seg.unlink()
-        except Exception:  # pragma: no cover - already unlinked
-            pass

@@ -6,13 +6,13 @@ traffic and broadcasts.
 * :mod:`repro.transport.cluster` — host roster + port plan (``--hosts``).
 * :mod:`repro.transport.shuffle` — ``local`` / ``tcp`` / ``shared-dir``
   shuffle transports behind one :class:`ShuffleTransport` seam.
-* :mod:`repro.transport.broadcast` — one-shot TCP fetch + local shm
-  re-publish for cross-host broadcasts.
+* :mod:`repro.transport.broadcast` — named immutable payloads served
+  over TCP and fetched once per joining host.
 * :mod:`repro.transport.worker` — the ``repro worker --join`` control
   plane for remote trainer workers.
 """
 
-from repro.transport.broadcast import BroadcastServer, fetch_broadcast, fetch_payload
+from repro.transport.broadcast import BroadcastServer, fetch_payload
 from repro.transport.cluster import ClusterSpec, HostSpec, host_tag
 from repro.transport.shuffle import (
     SHUFFLE_TRANSPORTS,
@@ -37,7 +37,6 @@ __all__ = [
     "TcpFetchSource",
     "TcpShuffleTransport",
     "connect",
-    "fetch_broadcast",
     "fetch_payload",
     "host_tag",
     "make_shuffle_transport",

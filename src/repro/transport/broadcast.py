@@ -1,15 +1,12 @@
-"""Broadcast over TCP: one-shot fetch + local shared-memory re-publish.
+"""Broadcast over TCP: named immutable payloads, fetched whole.
 
-``SlabBroadcast``/``BytesBroadcast`` (:mod:`repro.ps.shm`) are intra-host:
-publish once into /dev/shm, ship locators.  Across hosts the locator is
-meaningless, so the TCP fallback is *fetch once per host, then re-publish
-locally*: a :class:`BroadcastServer` on the coordinator serves named
-immutable payloads over the frame wire protocol, and
-:func:`fetch_broadcast` pulls a payload exactly once and republishes it as
-a local :class:`~repro.ps.shm.BytesBroadcast` — after which every process
-on the fetching host attaches the local slab as usual.  Payloads are
-immutable by contract (broadcasts always were), so there is no coherence
-protocol: a name is published once and fetched whole.
+Side inputs (:func:`repro.mapreduce.partition.publish`) are intra-host:
+published once into a shared-memory slab, read by locator.  Across hosts a
+locator is meaningless, so a :class:`BroadcastServer` on the coordinator
+serves named immutable payloads over the frame wire protocol and a joining
+host pulls each one exactly once with :func:`fetch_payload`.  Payloads are
+immutable by contract, so there is no coherence protocol: a name is
+published once and fetched whole.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ import threading
 from repro.proto.framing import FrameCorruptionError
 from repro.transport.wire import Conn, connect
 
-__all__ = ["BroadcastServer", "fetch_broadcast", "fetch_payload"]
+__all__ = ["BroadcastServer", "fetch_payload"]
 
 
 class BroadcastServer:
@@ -110,14 +107,3 @@ def fetch_payload(host: str, port: int, name: str) -> bytes:
         raise KeyError(f"broadcast {name!r} not published at {host}:{port}")
     raise ConnectionResetError(f"broadcast fetch failed: {kind!r}")
 
-
-def fetch_broadcast(host: str, port: int, name: str):
-    """Fetch ``name`` once and re-publish it into *local* shared memory.
-
-    Returns a :class:`~repro.ps.shm.BytesBroadcast` — the per-host slab
-    that local worker processes attach by locator, exactly as if the
-    payload had been published on this host to begin with.  The caller
-    owns the returned broadcast (``close()`` unlinks the local slab)."""
-    from repro.ps.shm import BytesBroadcast
-
-    return BytesBroadcast(fetch_payload(host, port, name))

@@ -4,10 +4,9 @@ The coordinator's :class:`~repro.ps.distributed.DistributedTrainer` (with
 ``remote_workers`` set) opens a :class:`WorkerHub`; worker processes —
 possibly on other hosts — dial its control port, are assigned worker ids,
 fetch their :class:`TrainSpec` payloads over the broadcast plane
-(:mod:`repro.transport.broadcast` — one TCP fetch per host, re-published
-into local shared memory), and then train their shards against the TCP
-parameter server directly.  The control plane carries only small
-coordination frames:
+(:mod:`repro.transport.broadcast` — one TCP fetch per worker id), and
+then train their shards against the TCP parameter server directly.  The
+control plane carries only small coordination frames:
 
     worker -> hub   ``join``  (capacity: how many worker ids to take)
     hub -> worker   ``assign`` (worker ids + broadcast endpoint) / ``full``
@@ -35,7 +34,7 @@ import traceback
 from dataclasses import dataclass
 
 from repro.proto.framing import FrameCorruptionError
-from repro.transport.broadcast import BroadcastServer, fetch_broadcast
+from repro.transport.broadcast import BroadcastServer, fetch_payload
 from repro.transport.wire import Conn, connect
 
 __all__ = ["TrainSpec", "WorkerHub", "run_worker"]
@@ -235,24 +234,6 @@ class WorkerHub:
                 self._events.put(("lost", ids, None))
 
 
-def _fetch_spec(host: str, port: int, worker_id: int) -> TrainSpec:
-    """Fetch one train spec via the broadcast plane: one TCP fetch, one
-    local shm re-publish (the documented cross-host broadcast fallback),
-    then attach-by-locator exactly like an intra-host reader."""
-    from repro.ps.shm import attach_shared_memory
-
-    bcast = fetch_broadcast(host, port, f"trainspec:{worker_id}")
-    try:
-        seg = attach_shared_memory(bcast.name)
-        try:
-            data = bytes(seg.buf[: bcast.nbytes])
-        finally:
-            seg.close()
-    finally:
-        bcast.close()
-    return pickle.loads(data)
-
-
 def run_worker(
     host: str,
     port: int,
@@ -292,7 +273,9 @@ def run_worker(
         assignment = pickle.loads(payload)
         ids = assignment["worker_ids"]
         bhost, bport = assignment["broadcast"]
-        specs = {w: _fetch_spec(bhost, bport, w) for w in ids}
+        specs = {
+            w: pickle.loads(fetch_payload(bhost, bport, f"trainspec:{w}")) for w in ids
+        }
         clients = {
             w: TcpPSClient(spec.ps_host, spec.ps_port, w)
             for w, spec in specs.items()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import load_model, main, save_model
 from repro.core.graphflat import GraphFlatConfig
-from repro.core.infer import GraphInferConfig, graph_infer
+from repro.core.infer import GraphInferConfig, GraphInferResult, ModelSlice, graph_infer
 from repro.core.propagation import DataflowConfig
 from repro.core.trainer import BatchPipeline, TrainerConfig
 from repro.core.trainer.pipeline import QUEUE_DEPTH
@@ -391,15 +391,13 @@ class TestDescribe:
         assert f"dataset 'scores/{layout}' holds 'predictions' records" in err
         assert not (tmp_path / "never.pkl").exists()
 
-    @pytest.mark.parametrize(
-        "backend,workers,transport",
-        [("serial", "1", "pickle"), ("processes", "2", "shm")],
-    )
-    def test_graphinfer_reports_the_slice_transport(
-        self, inferred, capsys, backend, workers, transport
+    @pytest.mark.parametrize("backend,workers", [("serial", "1"), ("processes", "2")])
+    def test_graphinfer_scores_do_not_follow_the_backend(
+        self, inferred, capsys, backend, workers
     ):
-        """The slice transport follows the backend (shm slab iff tasks are
-        pickled) and the CLI reports which one ran; scores do not move."""
+        """How the model slices reach the reducers is the engine's side-input
+        business (a shared-memory slab iff tasks are pickled): the CLI names
+        no slice transport, and the scores do not move."""
         tmp_path, dfs = inferred
         rc = main([
             "graphinfer", "-m", str(tmp_path / "model.pkl"),
@@ -409,7 +407,8 @@ class TestDescribe:
         ])
         out = capsys.readouterr().out
         assert rc == 0
-        assert f"{transport} slice transport" in out
+        assert "embedding computations) -> " in out
+        assert "slice transport" not in out
         fs = DistFileSystem(dfs)
         assert list(fs.read_dataset(f"scores/{backend}")) == list(
             fs.read_dataset("scores/columnar")
@@ -513,6 +512,8 @@ class TestDataflowSurface:
         [
             (GraphFlatConfig, "dataset_sink"),
             (GraphInferConfig, "slice_transport"),
+            (GraphInferResult, "slice_transport"),
+            (ModelSlice, "locator"),
             (GraphFlatConfig, "num_shards"),
             (GraphInferConfig, "dataset_layout"),
             (DataflowConfig, "validate"),

@@ -34,6 +34,8 @@ from repro.mapreduce.shuffle import default_partition, key_bytes, pair_batches
 from repro.mapreduce.spill import _encode_key_table
 from repro.proto.framing import (
     FrameCorruptionError,
+    GatherColumn,
+    ObjectColumn,
     columnize,
     decode_block,
     decode_columns,
@@ -202,6 +204,29 @@ VALUES = st.recursive(
 )
 
 
+FALLBACK_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=3)
+    | st.sampled_from([np.zeros(3), np.zeros(4), np.ones(3, np.float32),
+                       np.arange(2, dtype=">f8"), np.zeros((2, 0), np.int16)]),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner)
+    | st.tuples(inner, inner) | st.tuples(inner, inner, inner),
+    max_leaves=8,
+)
+"""Values some of which have no column form as a whole — ragged arrays,
+ints wider than 64 bits, unions of kinds and of tuple arities, nested —
+while a subset of them may."""
+
+
+def block_or_error(encode) -> bytes | type:
+    """The block ``encode()`` writes, or ``TypeError`` if it refuses the
+    values (an int past 64 bits)."""
+    try:
+        return encode()
+    except TypeError:
+        return TypeError
+
+
 def engine_block() -> bytes:
     rng = np.random.default_rng(0)
     h = rng.standard_normal((6, 4)).astype(np.float32)
@@ -222,6 +247,27 @@ class TestColumnCodec:
         assert encode_block(object_values(block)) == block
         rows = np.arange(len(values))[::-1]
         assert encode_columns(column.take(rows)) == object_block(values[::-1])
+
+    @given(st.lists(FALLBACK_VALUES, min_size=1, max_size=8), st.data())
+    @settings(max_examples=300)
+    def test_take_is_the_column_form_of_the_taken_rows(self, values, data):
+        """Every column kind's ``take`` is closed: the rows it gives encode
+        as ``encode_block`` of the same values, whatever fallback the whole
+        column needed — and so does a gather of held objects."""
+        rows = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=8))
+        index = np.asarray(rows, dtype=np.int64)
+        want = block_or_error(lambda: encode_block([values[i] for i in rows]))
+        taken = columnize(values).take(index)
+        assert block_or_error(lambda: encode_columns(taken)) == want
+        objects = np.fromiter(values, dtype=object, count=len(values))
+        gathered = GatherColumn(ObjectColumn(objects), index)
+        assert block_or_error(lambda: encode_columns(gathered)) == want
+
+    def test_a_take_of_same_shape_ragged_rows_is_a_matrix(self):
+        column = columnize([np.zeros(3), np.zeros(4), np.ones(3)])
+        taken = column.take(np.array([0, 2]))
+        assert encode_columns(taken) == encode_block([np.zeros(3), np.ones(3)])
+        assert encode_columns(columnize([2**70, 1]).take(np.array([1]))) == encode_block([1])
 
     def test_every_truncation_is_frame_corruption(self):
         block = engine_block()

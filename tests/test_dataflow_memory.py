@@ -298,13 +298,13 @@ def _mk_sample(i, rng):
 
 class TestShmBatchHandoff:
     def test_slab_round_trip_preserves_arrays_and_writability(self):
-        from repro.ps.shm import BatchSlab, ShmBatchRef, slab_dump, slab_load
+        from repro.utils.shm import ShmBatchRef, Slab, slab_dump, slab_load
 
         obj = (
             {"a": np.arange(1000, dtype=np.float32), "b": np.ones((3, 5))},
             np.array([1, 2, 3]),
         )
-        with BatchSlab(1 << 20) as slab:
+        with Slab(1 << 20) as slab:
             ref = slab_dump(obj, slab.name, slab.capacity)
             assert isinstance(ref, ShmBatchRef)
             assert ref.slab_bytes >= 4000
@@ -318,20 +318,10 @@ class TestShmBatchHandoff:
             assert obj[0]["a"][0] == 0.0
 
     def test_overflow_returns_none(self):
-        from repro.ps.shm import BatchSlab, slab_dump
+        from repro.utils.shm import Slab, slab_dump
 
-        with BatchSlab(64) as slab:
+        with Slab(64) as slab:
             assert slab_dump(np.zeros(1024), slab.name, slab.capacity) is None
-
-    def test_close_unlinks(self):
-        from repro.ps.shm import BatchSlab, attach_shared_memory
-
-        slab = BatchSlab(128)
-        name = slab.name
-        slab.close()
-        slab.close()  # idempotent
-        with pytest.raises(FileNotFoundError):
-            attach_shared_memory(name)
 
     def test_process_pool_slabs_match_in_process_references(self, rng, monkeypatch):
         """The hand-off follows the backend: ``processes`` returns every

@@ -1,8 +1,8 @@
 """GraphInfer: segmentation contract, equivalence with batched forward
 ("unbiased inference"), sampling consistency, hub handling, DFS output,
-fault tolerance, the no-repetition cost claim, and the slice-transport
-matrix (shm broadcast under the pickling backend, inline slices otherwise,
-across backends)."""
+fault tolerance, the no-repetition cost claim, and the model slices as a
+side input (one shared-memory slab under the pickling backend, held by
+reference otherwise, across backends)."""
 
 import os
 import pickle
@@ -16,11 +16,12 @@ from repro.baselines import OriginalInference
 from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.infer import (
     GraphInferConfig,
-    broadcast_slices,
+    ModelSlices,
     graph_infer,
     segment_model,
 )
 from repro.mapreduce import DistFileSystem, FaultPlan, LocalRuntime
+from repro.mapreduce.partition import publish
 from repro.proto.codec import decode_prediction
 from repro.mapreduce.job import JobFailedError
 from repro.nn import Tensor, no_grad
@@ -305,19 +306,18 @@ def _infer_config(**overrides):
     return GraphInferConfig(**base)
 
 
-class TestSliceTransportMatrix:
-    """How model slices reach the reducers follows from the runtime: one
-    shm slab + locators when it pickles its tasks, inline arrays otherwise.
-    Scores must be byte-identical across backends — with
-    hub re-indexing active — the pickling backend must ship zero parameter
-    bytes inside pickled reducers, and never leak a slab."""
+class TestSliceSideInput:
+    """The model slices are a side input like the out-edges: one slab for
+    the run's K+1 slices when the runtime pickles its tasks, held by
+    reference otherwise.  Scores must be byte-identical across backends —
+    with hub re-indexing active — a pickled reducer must carry no parameter
+    arrays, and no run may leak a slab."""
 
     @pytest.fixture(scope="class")
     def scored(self, hub_graph):
         ds = hub_graph
         model = GCNModel(6, 8, 2, num_layers=2, seed=0)
         serial = graph_infer(model, ds.nodes, ds.edges, _infer_config())
-        assert serial.slice_transport == "pickle"
         return ds, model, serial.scores
 
     @pytest.mark.parametrize(
@@ -329,48 +329,48 @@ class TestSliceTransportMatrix:
         ds, model, baseline = scored
         published = []
 
-        def counting_broadcast(slices):
-            published.append(len(slices))
-            return broadcast_slices(slices)
+        def counting_publish(value, needs_pickling):
+            slab, carrier = publish(value, needs_pickling)
+            if slab is not None:
+                published.append(len(value.slices))
+            return slab, carrier
 
-        monkeypatch.setattr(pipeline, "broadcast_slices", counting_broadcast)
+        monkeypatch.setattr(pipeline, "publish", counting_publish)
         with LocalRuntime(backend=backend, max_workers=workers) as runtime:
             result = graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)
         # one slab for the whole run (all K+1 slices), only where tasks pickle
-        pickles = backend == "processes"
-        assert result.slice_transport == ("shm" if pickles else "pickle")
-        assert published == ([3] if pickles else [])
+        assert published == ([3] if backend == "processes" else [])
         assert set(result.scores) == set(baseline)
         for node_id, scores in baseline.items():
             assert np.array_equal(result.scores[node_id], scores)
 
-    def test_targeted_inference_under_shm_processes(self, scored):
+    def test_targeted_inference_under_processes(self, scored):
         ds, model, baseline = scored
         targets = ds.val_ids[:10]
         with LocalRuntime(backend="processes", max_workers=2) as runtime:
             subset = graph_infer(
                 model, ds.nodes, ds.edges, _infer_config(), runtime, targets=targets,
             )
-        assert subset.slice_transport == "shm"
         assert set(subset.scores) == {int(t) for t in targets}
         for t in targets:
             np.testing.assert_allclose(
                 subset.scores[int(t)], baseline[int(t)], rtol=1e-5
             )
 
-    def test_locator_reducers_carry_no_parameter_arrays(self):
-        """A pickled locator-backed reducer is a few hundred bytes no matter
-        the model size — the parameters live in the slab, not the pickle."""
+    def test_published_reducers_carry_no_parameter_arrays(self):
+        """A pickled reducer over the published carrier is a few hundred
+        bytes no matter the model size — the parameters live in the slab,
+        not the pickle."""
         from repro.core.infer.pipeline import EmbeddingReducer, _InEmb
         from repro.core.graphflat.sampling import make_sampler
         from repro.core.propagation import OutEdges, ReceptiveField, Routing
         from repro.graph.tables import EdgeTable
-        from repro.mapreduce.partition import Inline
+        from repro.mapreduce.partition import Inline, SlabLocator, _SIDE_INPUTS
 
         model = GCNModel(64, 256, 8, num_layers=2, seed=0)
-        slices = segment_model(model)
+        slices = ModelSlices(tuple(segment_model(model)))
         param_bytes = 4 * slices[0].num_parameters()
-        broadcast, located = broadcast_slices(slices)
+        slab, carrier = publish(slices, needs_pickling=True)
         try:
             sampler = make_sampler("uniform", 10, 0)
             no_edges = EdgeTable(np.zeros(0, np.int64), np.zeros(0, np.int64))
@@ -378,22 +378,23 @@ class TestSliceTransportMatrix:
                 frozenset(), 8, ReceptiveField(None, 2), _InEmb, Inline(OutEdges.of(no_edges))
             )
 
-            def reducer(mslice):
-                return EmbeddingReducer(sampler, 1, 2, routing, mslice=mslice)
+            def reducer(model):
+                return EmbeddingReducer(sampler, 1, 2, routing, model=model)
 
-            fat = pickle.dumps(reducer(slices[0]))
-            thin = pickle.dumps(reducer(located[0]))
+            fat = pickle.dumps(reducer(Inline(slices)))
+            thin = pickle.dumps(reducer(carrier))
             assert len(fat) > param_bytes  # inline slices ship the arrays
-            assert len(thin) < param_bytes / 10  # locator path ships none
+            assert len(thin) < param_bytes / 10  # the locator ships none
             clone = pickle.loads(thin)
-            assert clone.mslice.state is None
-            layer = clone.mslice.materialize()
+            assert type(clone.model) is SlabLocator
+            _SIDE_INPUTS.pop((carrier.name, carrier.nbytes), None)  # a real attach
+            layer = clone.layer
             for name, value in slices[0].state.items():
                 np.testing.assert_array_equal(
                     dict(layer.named_parameters())[name].data, value
                 )
         finally:
-            broadcast.close()
+            slab.close()
 
     def test_fresh_worker_can_decode_what_a_reindex_round_receives(self, tmp_path):
         """The re-index reducer is the engine's, the embedding record is
@@ -430,7 +431,7 @@ class TestSliceTransportMatrix:
         before = _shm_entries()
         with LocalRuntime(backend="processes", max_workers=2) as runtime:
             result = graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)
-        assert result.slice_transport == "shm"
+        assert set(result.scores) == set(baseline)
         assert _shm_entries() - before == frozenset()
 
     @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
@@ -445,7 +446,6 @@ class TestSliceTransportMatrix:
             fault_plan=plan,
         ) as runtime:
             result = graph_infer(model, ds.nodes, ds.edges, _infer_config(), runtime)
-        assert result.slice_transport == "shm"
         assert plan.injected > 0
         for node_id, scores in baseline.items():
             assert np.array_equal(result.scores[node_id], scores)

@@ -15,8 +15,13 @@ The contract under test has three layers:
 
 from __future__ import annotations
 
+import os
 import pickle
+import sys
+import threading
+import time
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -40,9 +45,9 @@ from repro.mapreduce import (
     publish_plan,
     spill_tag,
 )
-from repro.mapreduce.partition import _SIDE_INPUTS
+from repro.mapreduce.partition import _SIDE_INPUTS, _SIDE_INPUTS_MAX, SlabLocator, publish
 from repro.nn.gnn import build_model
-from repro.ps.shm import BytesBroadcast, attach_shared_memory
+from repro.utils.shm import attach_shared_memory
 
 ASSORTED_KEYS = [
     0, 1, -7, 2**40, "node", "", b"\x00\xff", ("dst", 3), (12, (7, "s")), 10**9,
@@ -175,7 +180,8 @@ class TestPlannedPartitioner:
         broadcast, slab = publish_plan(plan, needs_pickling=True)
         try:
             assert slab.spill_tag() == inline.spill_tag()
-            _SIDE_INPUTS.pop(slab.source.cache_key(), None)  # force a real attach
+            # force a real attach
+            _SIDE_INPUTS.pop((slab.source.name, slab.source.nbytes), None)
             for key in ASSORTED_KEYS + ["unplanned"]:
                 assert slab(key, 4) == inline(key, 4)
         finally:
@@ -199,25 +205,137 @@ class TestPlannedPartitioner:
             SpillLayout(str(tmp_path), "job", 4, partition_tag="../evil")
 
 
-class TestBytesBroadcast:
+@dataclass(frozen=True)
+class _Payload:
+    """A side input: anything with ``encode()`` and a ``decode`` classmethod."""
+
+    data: bytes
+
+    def encode(self) -> bytes:
+        return self.data
+
+    @classmethod
+    def decode(cls, data: bytes) -> "_Payload":
+        return cls(data)
+
+
+class TestPublish:
     def test_publish_attach_close(self):
         payload = b"plan-table-bytes" * 100
-        bcast = BytesBroadcast(payload)
-        seg = attach_shared_memory(bcast.name)
+        slab, carrier = publish(_Payload(payload), needs_pickling=True)
+        assert type(carrier) is SlabLocator and carrier.nbytes == len(payload)
+        seg = attach_shared_memory(slab.name)
         try:
             assert bytes(seg.buf[: len(payload)]) == payload
         finally:
             seg.close()
-        bcast.close()
-        bcast.close()  # idempotent
+        assert carrier.get() == _Payload(payload)
+        slab.close()
+        slab.close()  # idempotent
         with pytest.raises(FileNotFoundError):
-            attach_shared_memory(bcast.name)
+            attach_shared_memory(slab.name)
 
-    def test_context_manager_unlinks(self):
-        with BytesBroadcast(b"x") as bcast:
-            name = bcast.name
-        with pytest.raises(FileNotFoundError):
-            attach_shared_memory(name)
+    def test_in_process_publish_is_a_reference(self):
+        value = _Payload(b"x")
+        slab, carrier = publish(value, needs_pickling=False)
+        assert slab is None and carrier.get() is value
+
+    def test_empty_payload(self):
+        slab, carrier = publish(_Payload(b""), needs_pickling=True)
+        with slab:
+            assert carrier.get() == _Payload(b"")
+
+    def test_decoded_side_inputs_are_a_bounded_fifo(self):
+        """Pooled workers outlive their runs: the decoded side inputs they
+        cache are the newest :data:`_SIDE_INPUTS_MAX` only."""
+        published = [
+            publish(_Payload(bytes([i]) * 8), needs_pickling=True)
+            for i in range(_SIDE_INPUTS_MAX + 2)
+        ]
+        try:
+            for i, (_, carrier) in enumerate(published):
+                assert carrier.get() == _Payload(bytes([i]) * 8)
+            keys = [(c.name, c.nbytes) for _, c in published]
+            assert len(_SIDE_INPUTS) <= _SIDE_INPUTS_MAX
+            assert [k for k in _SIDE_INPUTS if k in keys] == keys[-_SIDE_INPUTS_MAX:]
+        finally:
+            for slab, carrier in published:
+                _SIDE_INPUTS.pop((carrier.name, carrier.nbytes), None)
+                slab.close()
+
+
+class _SlowPayload(_Payload):
+    """A side input whose decoding yields the interpreter lock midway, as
+    unpickling a large value may."""
+
+    @classmethod
+    def decode(cls, data: bytes) -> "_Payload":
+        time.sleep(0.001)
+        return _Payload(data)
+
+
+def test_side_input_cache_under_concurrent_readers():
+    """Threads reading more side inputs than the cache holds each get their
+    own value, and the cache stays bounded."""
+    published = [
+        publish(_SlowPayload(bytes([i]) * 8), needs_pickling=True)
+        for i in range(_SIDE_INPUTS_MAX + 3)
+    ]
+    wrong = []
+
+    def read(offset):
+        for step in range(200):
+            i = (offset + step) % len(published)
+            try:
+                if published[i][1].get() != _Payload(bytes([i]) * 8):
+                    wrong.append(i)
+            except Exception as exc:  # a lost race, reported by the assert below
+                wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        for slab, carrier in published:
+            _SIDE_INPUTS.pop((carrier.name, carrier.nbytes), None)
+            slab.close()
+    assert wrong == []
+    assert len(_SIDE_INPUTS) <= _SIDE_INPUTS_MAX
+
+
+def _held_side_inputs(key, value):
+    """Probe mapper: which worker ran it, and how many decoded side inputs
+    that worker holds."""
+    time.sleep(0.05)  # keep every pool worker busy, so each one answers
+    yield os.getpid(), len(_SIDE_INPUTS)
+
+
+def _most(key, values):
+    yield key, max(values)
+
+
+def test_pooled_workers_keep_only_the_newest_side_inputs(hub_graph):
+    """A ``processes`` pool lives as long as its runtime: after four runs,
+    each worker still holds at most one run's worth of decoded side inputs,
+    not every run's out-edges."""
+    probe = MapReduceJob(
+        "probe", _most, mapper=_held_side_inputs, num_reducers=1, num_mappers=8
+    )
+    with LocalRuntime(backend="processes", max_workers=2) as runtime:
+        for seed in range(4):
+            graph_flat(hub_graph.nodes, hub_graph.edges, None, flat_config(seed=seed),
+                       runtime=runtime)
+        held = dict(runtime.run(probe, [(i, None) for i in range(16)]))
+    assert len(held) == 2
+    assert max(held.values()) <= _SIDE_INPUTS_MAX
+    assert min(held.values()) >= 1  # every worker read the out-edges
 
 
 # --------------------------------------------------------------- properties

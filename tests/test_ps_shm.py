@@ -111,74 +111,6 @@ class TestCtrlChannel:
         chan.close()
 
 
-class TestSlabBroadcast:
-    """The one-shot broadcast primitive GraphInfer ships model slices with:
-    publish N state dicts once, attach by locator, unlink exactly once."""
-
-    def test_locator_round_trip(self):
-        import pickle
-
-        from repro.ps.shm import SlabBroadcast
-
-        states = [small_state(0), small_state(1), {"solo": np.arange(5, dtype=np.float32)}]
-        with SlabBroadcast(states) as bc:
-            assert len(bc) == 3
-            for i, state in enumerate(states):
-                # the locator is what a reducer pickles: plain data only
-                locator = pickle.loads(pickle.dumps(bc.slice(i)))
-                back = locator.state()
-                assert set(back) == set(state)
-                for name in state:
-                    np.testing.assert_array_equal(back[name], state[name])
-                assert locator.num_values() == sum(v.size for v in state.values())
-
-    def test_close_unlinks_and_is_idempotent(self):
-        import os
-
-        from repro.ps.shm import SlabBroadcast
-
-        bc = SlabBroadcast([small_state()])
-        name = bc.name
-        shm_dir = "/dev/shm"
-        if os.path.isdir(shm_dir):
-            assert os.path.exists(os.path.join(shm_dir, name))
-        bc.close()
-        bc.close()
-        if os.path.isdir(shm_dir):
-            assert not os.path.exists(os.path.join(shm_dir, name))
-        with pytest.raises(FileNotFoundError):
-            from repro.ps.shm import attach_shared_memory
-
-            attach_shared_memory(name)
-
-    def test_out_of_range_slice_rejected(self):
-        from repro.ps.shm import SlabBroadcast
-
-        with SlabBroadcast([small_state()]) as bc:
-            with pytest.raises(IndexError):
-                bc.slice(1)
-
-    def test_attach_cache_bounded(self):
-        from repro.ps import shm as shm_mod
-
-        count = shm_mod._ATTACH_CACHE_MAX + 2
-        broadcasts = [shm_mod.SlabBroadcast([small_state(i)]) for i in range(count)]
-        try:
-            for bc in broadcasts:
-                bc.slice(0).state()
-            assert len(shm_mod._ATTACH_CACHE) <= shm_mod._ATTACH_CACHE_MAX
-            # FIFO: the *newest* attachments survive, the oldest are evicted
-            expected = [bc.name for bc in broadcasts[-shm_mod._ATTACH_CACHE_MAX:]]
-            assert [n for n in shm_mod._ATTACH_CACHE if n in expected] == expected
-            assert broadcasts[0].name not in shm_mod._ATTACH_CACHE
-        finally:
-            for bc in broadcasts:
-                seg = shm_mod._ATTACH_CACHE.pop(bc.name, None)
-                if seg is not None:
-                    seg.close()
-                bc.close()
-
-
 def _run_group_workers(group, num_workers, steps, grad_seed=100):
     """Drive a group with thread workers pushing deterministic gradients."""
     rngs = [np.random.default_rng(grad_seed + w) for w in range(num_workers)]

@@ -220,26 +220,6 @@ class TestBroadcastServer:
         finally:
             server.close()
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
-    def test_fetch_broadcast_republishes_locally(self):
-        from repro.ps.shm import attach_shared_memory
-        from repro.transport import fetch_broadcast
-
-        server = BroadcastServer()
-        try:
-            server.publish("spec", b"spec-bytes")
-            bcast = fetch_broadcast(server.host, server.port, "spec")
-            try:
-                seg = attach_shared_memory(bcast.name)
-                try:
-                    assert bytes(seg.buf[: bcast.nbytes]) == b"spec-bytes"
-                finally:
-                    seg.close()
-            finally:
-                bcast.close()
-        finally:
-            server.close()
-
 
 # ------------------------------------------------------- byte-identity matrix
 def split_mapper(key, value):
