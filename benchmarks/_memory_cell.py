@@ -15,6 +15,7 @@ import resource
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 
 def _rss_mib() -> dict:
@@ -24,10 +25,32 @@ def _rss_mib() -> dict:
     return {"rss_self_mib": self_kb / 1024, "rss_children_mib": child_kb / 1024}
 
 
+def _count_run_files() -> list[int]:
+    """Watch the run files of each spilled shuffle: the returned list's one
+    entry becomes the most that one reduce partition merged, counted in the
+    shuffle's directory just before the runtime removes it."""
+    from repro.mapreduce import runtime
+
+    most = [0]
+    cleanup = runtime._Shuffle.cleanup
+
+    def counting(self):
+        if self.layout is not None:
+            root = Path(self.layout.root)
+            for partition in range(self.layout.num_partitions):
+                files = sum(1 for _ in root.rglob(f"*.p{partition:05d}.r*.bin"))
+                most[0] = max(most[0], files)
+        cleanup(self)
+
+    runtime._Shuffle.cleanup = counting
+    return most
+
+
 def run_graphflat(args) -> dict:
     from repro.core.graphflat import GraphFlatConfig, graph_flat
     from repro.datasets import cora_like
     from repro.mapreduce import DistFileSystem
+    from repro.mapreduce.spill import _CHUNK_BYTES, _IO_BUFFER_BYTES
 
     ds = cora_like(
         seed=0, num_nodes=800 * args.scale, num_edges=2400 * args.scale
@@ -46,6 +69,7 @@ def run_graphflat(args) -> dict:
             spill_run_bytes=1 << 18,
         )
         fs = DistFileSystem(f"{tmp}/dfs")
+        run_files = _count_run_files()
         start = time.perf_counter()
         result = graph_flat(ds.nodes, ds.edges, targets, config, fs=fs, dataset_name="flat")
         wall = time.perf_counter() - start
@@ -58,6 +82,10 @@ def run_graphflat(args) -> dict:
         / 2**20,
         "spilled_mib": sum(rs.shuffle_bytes_written for rs in result.round_stats)
         / 2**20,
+        "run_files": run_files[0],
+        # the reduce side's stated bound (mapreduce/spill.py): one chunk
+        # frame and one I/O buffer per run file a reducer merges
+        "reader_bound_mib": run_files[0] * (_CHUNK_BYTES + _IO_BUFFER_BYTES) / 2**20,
         **_rss_mib(),
     }
 

@@ -125,7 +125,10 @@ def bench_dataflow_memory_grid(benchmark):
     """Constant-memory dataflow at 8 workers: as the GraphFlat input grows
     8x, spilled bytes grow with it but the reducer-side buffering
     high-water mark stays pinned at the run bound; the trainer row is a
-    process prefetch pool handing batches back through shm slabs."""
+    process prefetch pool handing batches back through shm slabs.  Beside
+    the RSS columns, ``files`` is the most run files one reduce partition
+    merged and ``bound`` the reader's stated resident bound for them
+    (``files x (_CHUNK_BYTES + _IO_BUFFER_BYTES)``, ``mapreduce/spill.py``)."""
 
     def run_grid():
         return [(stage, opts, _run_cell(stage, **opts)) for stage, opts in GRID]
@@ -136,17 +139,21 @@ def bench_dataflow_memory_grid(benchmark):
         "Dataflow memory grid (fresh interpreter per cell; processes backend):",
         "",
         f"  {'stage':<10} {'cell':<22} {'wall':>8} {'records':>8} "
-        f"{'spill':>10} {'peak-red':>9} {'rss':>9} {'rss-kids':>9}",
+        f"{'spill':>10} {'peak-red':>9} {'files':>6} {'bound':>8} {'rss':>9} {'rss-kids':>9}",
     ]
     for stage, opts, cell in cells:
         tag = " ".join(f"{k}={v}" for k, v in opts.items())
         spill = cell.get("spilled_mib")
         peak = cell.get("peak_reducer_buffer_mib")
+        files = cell.get("run_files")
+        bound = cell.get("reader_bound_mib")
         lines.append(
             f"  {stage:<10} {tag:<22} {cell['wall_s']:7.2f}s "
             f"{cell['records']:8d} "
             f"{(f'{spill:8.1f}M' if spill is not None else '       -')} "
             f"{(f'{peak:7.2f}M' if peak is not None else '      -')} "
+            f"{(f'{files:6d}' if files is not None else '     -')} "
+            f"{(f'{bound:7.2f}M' if bound is not None else '       -')} "
             f"{cell['rss_self_mib']:7.1f}M {cell['rss_children_mib']:7.1f}M"
         )
     flats = [c for s, _, c in cells if s == "graphflat"]

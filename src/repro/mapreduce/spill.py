@@ -42,10 +42,23 @@ The reader decodes each chunk once and hands it on as its groups' slices
 (:meth:`SpillLayout.iter_column_groups`: a
 :class:`~repro.mapreduce.shuffle.Group` of ``(column, start, stop)``
 pieces), or as value objects (:meth:`SpillLayout.iter_groups`, the rows of
-the same stream).  So the reduce side holds, per run file, about one chunk
-(its frame bytes and the columns viewing them) and one
-:data:`_IO_BUFFER_BYTES` file buffer, plus the groups a reducer is still
-assembling — never a partition, and never a whole hub group per file.
+the same stream).
+
+The reduce side's resident set is bounded per open run file, never by a
+partition or a whole hub group: a reduce task merging ``F`` run files holds
+about one chunk frame per file (:data:`_CHUNK_BYTES`, its bytes and the
+columns decoded from it, which view those bytes; value objects too under
+:meth:`SpillLayout.iter_groups`) and one :data:`_IO_BUFFER_BYTES` file
+buffer per file — ``F x (_CHUNK_BYTES + _IO_BUFFER_BYTES)`` of spill
+bytes — plus the groups a reducer is still assembling (one merge batch of
+about :data:`MERGE_BATCH_BYTES` for a batching reducer).  A ``graph_flat``
+or ``graph_infer`` of the bench graph under ``processes`` x 2 with 2 MiB
+runs writes 88 to 92 run files over its five shuffles, 22 or 23 per
+partition, but a reduce task merges at most 8 of them at once: about
+8 x 136 KiB = 1.1 MiB.  That is one chunk per file; the merge can hold
+up to two, because a stream whose last key equals the merge bound loads
+its next chunk before that key's pieces go out — and runs that share keys
+(a partition's usually do) meet that bound at every step.
 
 Two write entry points share one writer:
 
@@ -130,10 +143,17 @@ __all__ = [
 _CODEC_ID = 1
 """The header's codec byte: the column block (the only block encoding)."""
 
-_CHUNK_BYTES = 1 << 14
+_CHUNK_BYTES = 1 << 17
 """Target size of one chunk frame — the explicit bound on how much of a run
 file is resident during a streamed reduce (the frame's bytes plus the values
-decoded from it), and the amount over which a block's fixed cost is spread."""
+decoded from it), and the amount over which a frame's fixed cost (its key
+table, header, CRC and one decode, merge and regroup step) is spread.  A
+fixed constant, not a knob.  128 KiB is the knee of a serial spilled sweep
+on the bench graph (2 000 nodes, 2 MiB runs, a 2-vCPU VM, medians of 5):
+``graph_flat`` took 0.585 s at 16 KiB, 0.519 at 64, 0.499 at 128, 0.487 at
+256 and 0.504 at 512; ``graph_infer`` 0.468, 0.397, 0.368, 0.395 and
+0.395.  From 16 to 128 KiB, the bench's ``flat_powerlaw_spill`` (``processes``
+x 2) went from 0.475 to 0.382 s of CPU a repetition (10 alternating pairs)."""
 
 MERGE_BATCH_BYTES = 1 << 20
 """The reduce side's counterpart: how much input a batching reducer (one
@@ -159,11 +179,17 @@ _STREAM_HEADER_BYTES = 6  # AGLS magic + version + codec id
 
 _U4 = struct.Struct("<I")
 
-_IO_BUFFER_BYTES = 1 << 16
-"""File buffer of an open run, reading or writing: several chunk frames per
-system call instead of several system calls per chunk frame (the default
-8 KiB buffer is smaller than a chunk, so every frame would go to the kernel
-in pieces).  Resident once per run file being merged and once in the writer."""
+_IO_BUFFER_BYTES = io.DEFAULT_BUFFER_SIZE
+"""File buffer of an open run, reading or writing: 8 KiB, Python's default,
+because a bigger one buys nothing.  A chunk frame's block is longer than
+the buffer, so the buffered file passes it to or from the kernel mostly
+unbuffered; the buffer gathers each frame's varint header, key table and
+CRC.  On a 2-vCPU VM, with 128 KiB chunks, writing and merging 22 run files
+of about 0.5 MiB took 0.080 / 0.245 s with this buffer, 0.079 / 0.242 s
+with 64 KiB and 0.080 / 0.245 s with 128 KiB (medians of 12 interleaved
+runs; a serial spilled ``graph_infer``: 0.339 s with 8 KiB against 0.340 s
+with 64 KiB, 5 of 10 alternating pairs).  It is resident once per run file
+being merged, so the smallest is kept."""
 
 
 def _encode_key_table(keys: list[bytes], counts: list[int]) -> bytes:

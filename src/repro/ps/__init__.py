@@ -20,7 +20,7 @@ current version of the graph model parameters."
 """
 
 from repro.ps.server import ParameterServerGroup, PSClient
-from repro.ps.shm import ShmPSClient
+from repro.ps.shm import ShmPSClient, TransportClosedError
 from repro.ps.distributed import DistributedTrainer, DistributedConfig, WorkerError
 from repro.ps.simulate import ClusterModel, simulate_speedup
 
@@ -28,6 +28,7 @@ __all__ = [
     "ParameterServerGroup",
     "PSClient",
     "ShmPSClient",
+    "TransportClosedError",
     "DistributedTrainer",
     "DistributedConfig",
     "WorkerError",

@@ -50,7 +50,7 @@ from repro.mapreduce.backends import _start_warm_forkserver
 from repro.nn.module import StateLayout
 from repro.utils.shm import Slab, attach_shared_memory
 
-__all__ = ["ShmPSClient", "ShmTransport", "mp_context"]
+__all__ = ["ShmPSClient", "ShmTransport", "TransportClosedError", "mp_context"]
 
 _HEADER_INT64S = 8
 _HEADER_BYTES = _HEADER_INT64S * 8
@@ -139,6 +139,12 @@ class _CtrlChannel:
         self._writer.close()
 
 
+class TransportClosedError(RuntimeError):
+    """A :class:`ShmTransport`, or an in-parent client it handed out, was
+    used after ``close()`` unmapped its slabs.  Raised instead of reading
+    the unmapped memory, which would kill the interpreter."""
+
+
 class _SeqlockWrite:
     """Context manager the server holds while mutating the parameter slab:
     version goes odd on entry, next even on exit (commit)."""
@@ -187,6 +193,9 @@ class ShmPSClient:
         self.refreshes = 0
         self.pull_bytes = 0  # serialized transport bytes: always 0 for shm
         self._attached = False
+        # set by the owning transport's close() on the clients it handed
+        # out in-process: their views are into its slabs
+        self._closed = False
 
     # ------------------------------------------------------------- pickling
     def __getstate__(self):
@@ -215,7 +224,15 @@ class ShmPSClient:
         self._attached = True
 
     # ------------------------------------------------------------ pull/push
+    def _check_open(self, call: str) -> None:
+        if self._closed:
+            raise TransportClosedError(
+                f"ShmPSClient of worker {self.worker_id}: {call}() after its "
+                "ShmTransport was closed"
+            )
+
     def pull(self) -> dict[str, np.ndarray] | None:
+        self._check_open("pull")
         self._ensure_attached()
         self.pulls += 1
         while True:
@@ -239,6 +256,7 @@ class ShmPSClient:
         in the control message so the server skips their (stale) slab
         slots — matching the local transport, which simply never sees
         them."""
+        self._check_open("push")
         self._ensure_attached()
         slab_views = self._grad_slab_views
         missing = []
@@ -324,13 +342,19 @@ class ShmTransport:
         self._closed = False
 
     # --------------------------------------------------------------- set-up
+    def _check_open(self, call: str) -> None:
+        if self._closed:
+            raise TransportClosedError(f"ShmTransport: {call}() after close()")
+
     def param_views(self) -> dict[str, np.ndarray]:
         """Named views into the parameter slab — the authoritative storage
         the group's shards install their values into."""
+        self._check_open("param_views")
         return self.layout.unflatten(self._params)
 
     def commit_initial(self) -> None:
         """Publish the initial model: version 0 -> 2 (first even commit)."""
+        self._check_open("commit_initial")
         self._header[0] = 2
 
     def start(self) -> None:
@@ -341,13 +365,16 @@ class ShmTransport:
 
     # ------------------------------------------------------------- group API
     def version(self) -> int:
+        self._check_open("version")
         return int(self._header[0])
 
     def write_lock(self) -> _SeqlockWrite:
+        self._check_open("write_lock")
         return _SeqlockWrite(self._header)
 
     def read_state(self) -> dict[str, np.ndarray]:
         """Parent-side consistent snapshot (seqlock copy)."""
+        self._check_open("read_state")
         size = self.layout.total_size
         buffer = np.empty(size, dtype=np.float32)
         while True:
@@ -503,6 +530,8 @@ class ShmTransport:
         if self._closed:
             return
         self._closed = True
+        for client in self._clients.values():
+            client._closed = True
         if self._thread is not None and self._thread.is_alive():
             self._local_ctrl.append(("stop", -1, None))
             self._thread.join(timeout=10)

@@ -220,9 +220,12 @@ class TestBoundedReducerMemory:
 
     def test_streamed_reduce_read_is_flat_tracemalloc(self, tmp_path):
         """Consuming a partition with 8x the bytes must not allocate 8x the
-        peak: the merge holds one 64 KiB buffer per run (run count is fixed
-        here) plus one frame per run plus one reduce group — never the
-        partition."""
+        peak: the merge holds, per run (the run count is fixed here), about
+        one chunk frame with the values decoded from it and one I/O buffer,
+        plus one reduce group — never the partition.  Values are lists of
+        ints, 8 bytes an item, 64 to a run: the small shard's runs span two
+        chunks each, the large shard's sixteen."""
+        from repro.mapreduce.spill import _CHUNK_BYTES
 
         def build_and_scan(payload_len, tag):
             layout = SpillLayout(str(tmp_path / tag), "job", 1)
@@ -240,10 +243,12 @@ class TestBoundedReducerMemory:
             assert total == 512
             return peak, written.bytes_written
 
-        small_peak, small_bytes = build_and_scan(16, "small")
-        large_peak, large_bytes = build_and_scan(128, "large")
+        small_len = _CHUNK_BYTES // 256  # 64 x 8 bytes x small_len = 2 chunks
+        small_peak, small_bytes = build_and_scan(small_len, "small")
+        large_peak, large_bytes = build_and_scan(8 * small_len, "large")
+        assert small_bytes > 8 * 2 * _CHUNK_BYTES  # 8 runs of 2 chunks and more
         assert large_bytes >= 6 * small_bytes  # the shard really grew ~8x
-        assert large_peak < 2 * small_peak + (1 << 17)
+        assert large_peak < 2 * small_peak + _CHUNK_BYTES
 
 
 # --------------------------------------------------------------------------

@@ -265,13 +265,19 @@ class TestBatchedMerge:
     rows, ``reduce1``'s input lost the 313 out-lists the Map round sent it,
     and the Map round's writes shrank by those out-lists' bytes.  The
     rounds after ``reduce1`` never received out-lists on this fixture (its
-    targets' receptive field trimmed them), so they are unchanged."""
+    targets' receptive field trimmed them), so they are unchanged.
+
+    The spilled bytes were re-recorded when chunks grew from 16 to 128 KiB
+    (``spill._CHUNK_BYTES``): the 23 run files larger than 16 KiB became one
+    frame each, so they carry fewer frame headers and key tables —
+    ``graphflat-map`` 405 239 / 86 311, ``reduce1`` 562 265 / 127 798 and
+    ``reduce2-reindex`` 124 640 / 33 635 before.  No record moved."""
 
     ROUNDS = {  # job: (shuffled_records, shuffle_bytes_written, peak_reducer_buffer_bytes)
-        "graphflat-map": (400, 405_239, 86_311),
+        "graphflat-map": (400, 404_430, 86_081),
         "graphflat-reduce1-reindex": (555, 66_174, 16_856),
-        "graphflat-reduce1": (2_320, 562_265, 127_798),
-        "graphflat-reduce2-reindex": (210, 124_640, 33_635),
+        "graphflat-reduce1": (2_320, 561_371, 127_537),
+        "graphflat-reduce2-reindex": (210, 124_550, 33_590),
         "graphflat-reduce2": (657, 0, 0),
     }
 
@@ -294,6 +300,44 @@ class TestBatchedMerge:
             for s in result.round_stats
         }
         assert volumes == self.ROUNDS
+
+    def test_chunk_frames_and_crcs_are_one_per_run_file(self, tmp_path, monkeypatch):
+        """The spill's frame budget on this fixture, so the chunk cannot
+        silently shrink back.  Its five shuffles write 4 + 16 + 32 + 16 + 28
+        = 96 run files, the largest 44 020 bytes: each fits one
+        ``_CHUNK_BYTES`` (128 KiB) chunk, so each is one frame.  The merge
+        reads each frame once and each file to its end once, and every frame
+        costs 2 ``zlib.crc32`` calls written (key table, then block) and 2
+        read: 96 frames written, 96 read, 96 end-of-file reads and
+        4 x 96 = 384 CRC calls.  At 16 KiB the 23 files larger than a chunk
+        took 136 frames (544 CRC calls)."""
+        import types
+
+        from repro.mapreduce import spill
+        from repro.proto import framing
+
+        counts = {"written": 0, "read": 0, "ends": 0, "crc32": 0}
+        write_frame, read_frame, crc32 = spill.write_frame, framing.read_frame, framing.zlib.crc32
+
+        def counted_write(fh, key, payload):
+            counts["written"] += 1
+            return write_frame(fh, key, payload)
+
+        def counted_read(fh):
+            frame = read_frame(fh)
+            counts["read" if frame is not None else "ends"] += 1
+            return frame
+
+        def counted_crc32(*args):
+            counts["crc32"] += 1
+            return crc32(*args)
+
+        monkeypatch.setattr(spill, "write_frame", counted_write)
+        monkeypatch.setattr(framing, "read_frame", counted_read)
+        monkeypatch.setattr(framing, "zlib", types.SimpleNamespace(crc32=counted_crc32))
+        with LocalRuntime(spill_dir=tmp_path) as runtime:
+            self.run(runtime)
+        assert counts == {"written": 96, "read": 96, "ends": 96, "crc32": 384}
 
     @pytest.mark.parametrize("spill", [False, True], ids=["memory", "spilled"])
     def test_one_kernel_call_per_reduce_task(self, tmp_path, monkeypatch, spill):
@@ -514,9 +558,11 @@ class TestGraphInferInheritsTheGates:
         the untargeted receptive field answered "needed" for round K + 1),
         and a ``predict`` round re-shuffled the 400 final embeddings only to
         apply the head, which the Kth round now does itself:
-        10 466 - 2 638 - 2 * 396 - 400 = 6 636."""
+        10 466 - 2 638 - 2 * 396 - 400 = 6 636.  The bytes were 643 273
+        with 16 KiB chunks; 128 KiB chunks carry fewer frame headers and
+        key tables."""
         result, seen = self.run(setup, tmp_path, monkeypatch)
-        assert self.volume(result) == (6_636, 643_273)
+        assert self.volume(result) == (6_636, 642_171)
         assert [s.job for s in result.round_stats][-1] == "graphinfer-reduce2"
         assert seen[2] == {"self", "in", "partial"}
 

@@ -458,22 +458,25 @@ class TestSpill:
     def test_merge_streams_with_bounded_read_buffer(self, tmp_path, monkeypatch):
         """The reduce-side merge must not materialize the partition: after
         consuming a handful of records from a large partition, only a
-        bounded prefix of the spill bytes — a chunk or so per run file —
-        may have been read."""
+        bounded prefix of the spill bytes may have been read — the reader's
+        stated bound, one chunk frame and one I/O buffer per run file.  Each
+        task's run spans about ten chunks, so the partition dwarfs it."""
         from repro.mapreduce import spill as spill_mod
         from repro.proto.framing import iter_frames
 
         layout = SpillLayout(str(tmp_path), "big", num_partitions=1)
-        per_task = 20_000
-        total_bytes = 0
-        for task in range(3):
+        width, files = 64, 3  # a record takes a little over `width` bytes
+        per_task = 10 * spill_mod._CHUNK_BYTES // width
+        sizes = []
+        for task in range(files):
             bucket = [
-                (task * per_task + i, f"{task * per_task + i:064d}")
+                (task * per_task + i, f"{task * per_task + i:0{width}d}")
                 for i in range(per_task)
             ]
-            total_bytes += layout.write_map_output(task, [bucket]).bytes_written
-        bound = 4 << 16  # 64 KiB of chunk + read-ahead per file, plus slack
-        assert total_bytes > 4 * bound  # the partition dwarfs the bound
+            sizes.append(layout.write_map_output(task, [bucket]).bytes_written)
+        bound = files * (spill_mod._CHUNK_BYTES + spill_mod._IO_BUFFER_BYTES)
+        assert min(sizes) > 8 * spill_mod._CHUNK_BYTES  # every run spans chunks
+        assert sum(sizes) > 4 * bound  # the partition dwarfs the bound
 
         consumed = {}
 
@@ -483,14 +486,14 @@ class TestSpill:
                 yield frame
 
         monkeypatch.setattr(spill_mod, "iter_frames", tracking_iter_frames)
-        stream = layout.iter_partition(0, num_map_tasks=3)
+        stream = layout.iter_partition(0, num_map_tasks=files)
         head = [next(stream) for _ in range(100)]
         assert len(head) == 100
-        assert len(consumed) == 3 and sum(consumed.values()) <= bound
+        assert len(consumed) == files and sum(consumed.values()) <= bound
         # sanity: a full drain still yields every record
-        everything = list(layout.iter_partition(0, num_map_tasks=3))
-        assert len(everything) == 3 * per_task
-        assert all(v == f"{k:064d}" for k, v in everything[:50])
+        everything = list(layout.iter_partition(0, num_map_tasks=files))
+        assert len(everything) == files * per_task
+        assert all(v == f"{k:0{width}d}" for k, v in everything[:50])
 
     def test_spill_round_trip_is_deterministic(self, tmp_path):
         runs = [

@@ -226,6 +226,58 @@ class TestShmTransport:
         group.close()
         group.close()
 
+    USE_AFTER_CLOSE = """
+import numpy as np
+from repro.ps import ParameterServerGroup
+state = {"w": np.ones((4, 3), np.float32), "b": np.zeros(3, np.float32)}
+group = ParameterServerGroup(num_servers=1, num_workers=1, transport="shm")
+group.initialize(state)
+transport = group._shm
+client = transport.client(0)
+client.pull()
+grads = {name: np.ones_like(value) for name, value in state.items()}
+slabs = [transport._param_slab.name, *(slab.name for slab in transport._grad_slabs)]
+group.close()
+print(*slabs, flush=True)
+"""
+
+    @pytest.mark.parametrize(
+        "call, owner",
+        [
+            ("transport.version()", "ShmTransport"),
+            ("transport.read_state()", "ShmTransport"),
+            ("transport.write_lock()", "ShmTransport"),
+            ("transport.param_views()", "ShmTransport"),
+            ("transport.commit_initial()", "ShmTransport"),
+            ("client.pull()", "ShmPSClient"),
+            ("client.push(grads)", "ShmPSClient"),
+        ],
+    )
+    def test_use_after_close_raises_instead_of_crashing(self, call, owner):
+        """Every slab read or write after ``close()`` — on the transport or
+        on a client it handed out in this process — raises a typed error
+        naming the object: exit code 1 with a traceback, never a signal
+        from reading unmapped memory.  The closed transport's slabs are gone
+        from ``/dev/shm``."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.USE_AFTER_CLOSE + call],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, (proc.returncode, proc.stderr)
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("repro.ps.shm.TransportClosedError: " + owner), last
+        assert call.split(".")[1].split("(")[0] + "()" in last
+        slabs = proc.stdout.split()
+        assert len(slabs) == 2
+        if os.path.isdir("/dev/shm"):
+            assert not any(os.path.exists(f"/dev/shm/{name}") for name in slabs)
+
 
 class TestLocalPullCache:
     def test_pull_none_when_unchanged(self):

@@ -508,31 +508,36 @@ class TestSplitAndBuckets:
 
 class TestWriterCallBudget:
     """The write path's Python-level work is per batch, run and chunk
-    frame, never per key: on a stream of 20 000 distinct int keys the
-    ``call`` and ``c_call`` events ``add`` and ``finish`` raise grow with
-    the chunk frames written, at most :data:`PER_FRAME` a frame past a
-    constant.  (The per-key bookkeeping this replaced raised about 20
-    events per distinct key: some 400 000 here.)"""
+    frame, never per key: on a stream of ``10 * _CHUNK_BYTES // 8``
+    distinct int keys, each in two rows of 16 value bytes (120 chunk
+    frames over 2 runs x 4 partitions, so every run file spans several
+    chunks), the ``call`` and ``c_call`` events ``add`` and ``finish`` raise
+    grow with the chunk frames written, at most :data:`PER_FRAME` a frame
+    past a constant.  (The per-key bookkeeping this replaced raised about
+    20 events per distinct key: over 3 million here.)"""
 
     PER_FRAME = 80
     CONSTANT = 2_500
 
     def test_events_grow_with_frames_not_keys(self, tmp_path):
+        from repro.mapreduce.spill import _CHUNK_BYTES
         from repro.proto.framing import ArrayColumn
 
+        distinct = 10 * _CHUNK_BYTES // 8
         rng = np.random.default_rng(0)
-        keys = np.repeat(rng.permutation(140_000)[:20_000], 2)
+        keys = np.repeat(rng.permutation(7 * distinct)[:distinct], 2)
         rng.shuffle(keys)
         values = rng.standard_normal((len(keys), 4)).astype(np.float32)
+        rows = distinct // 4  # eight batches
         batches = [
             RecordBatch(
-                keys[at : at + 5_000].tolist(),
-                ArrayColumn(values[at : at + 5_000]),
-                np.full(len(keys[at : at + 5_000]), 32, dtype=np.int64),
+                keys[at : at + rows].tolist(),
+                ArrayColumn(values[at : at + rows]),
+                np.full(len(keys[at : at + rows]), 32, dtype=np.int64),
             )
-            for at in range(0, len(keys), 5_000)
+            for at in range(0, len(keys), rows)
         ]
-        writer = SpillLayout(str(tmp_path), "job", 4).run_writer(0, run_bytes=1 << 20)
+        writer = SpillLayout(str(tmp_path), "job", 4).run_writer(0, run_bytes=64 * _CHUNK_BYTES)
         counts = {"events": 0, "frames": 0}
 
         def profile(frame, event, arg):

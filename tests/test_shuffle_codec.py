@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.graphflat.records import InEdgeInfo, SubgraphInfo
 from repro.core.infer.pipeline import _InEmb
 from repro.mapreduce.shuffle import decode_key, key_bytes
-from repro.mapreduce.spill import SpillLayout, _decode_key_table
+from repro.mapreduce.spill import _CHUNK_BYTES, SpillLayout, _decode_key_table
 from repro.proto.framing import (
     _RECORDS_BY_CLS,
     FrameCorruptionError,
@@ -561,17 +561,18 @@ class TestChunkedRuns:
         return pairs
 
     def test_hub_group_is_split_across_chunks_and_rejoined(self, tmp_path):
+        n = 12 * _CHUNK_BYTES // self.ROW.nbytes  # twelve chunks' worth
         layout = SpillLayout(str(tmp_path), "job", 1)
-        layout.write_map_output(0, [self.hub_pairs()])
+        layout.write_map_output(0, [self.hub_pairs(n)])
         chunks = read_chunks(layout.run_path(0, 0, 0).read_bytes())
         hub_chunks = [c for c in chunks if key_bytes(self.HUB) in c[0]]
-        assert len(hub_chunks) > 10, "300 KiB under one key must span many chunks"
+        assert len(hub_chunks) > 10, "12 chunks' worth under one key must span many chunks"
         assert all(keys == [key_bytes(self.HUB)] for keys, _ in hub_chunks)
-        assert sum(counts[0] for _, counts in hub_chunks) == 300
+        assert sum(counts[0] for _, counts in hub_chunks) == n
         groups = list(layout.iter_groups(0, 1))
         assert [key for key, _ in groups] == [3, self.HUB, 9]
-        assert [i for i, _ in groups[1][1]] == list(range(300))  # emission order
-        assert_same(groups[1][1][299][1], self.ROW + 299)
+        assert [i for i, _ in groups[1][1]] == list(range(n))  # emission order
+        assert_same(groups[1][1][n - 1][1], self.ROW + n - 1)
 
     def test_hub_group_split_across_runs_too(self, tmp_path):
         layout = SpillLayout(str(tmp_path), "job", 1)
