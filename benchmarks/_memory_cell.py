@@ -11,24 +11,85 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import tempfile
+import threading
 import time
-from pathlib import Path
 
 
 def _rss_mib() -> dict:
     # ru_maxrss is KiB on Linux.
     self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return {"rss_self_mib": self_kb / 1024, "rss_children_mib": child_kb / 1024}
+    return {"rss_self_mib": self_kb / 1024}
+
+
+class WorkerPeak:
+    """The highest resident-set high-water mark (``VmHWM``) of any process
+    below this one, sampled from ``/proc``.  Pool workers are started by
+    the ``forkserver``, so they are grandchildren that ``RUSAGE_CHILDREN``
+    never counts; and a worker's ``VmHWM`` vanishes with it, hence the
+    sampling thread."""
+
+    def __init__(self, interval_s: float = 0.05):
+        self._interval = interval_s
+        self._peak_kb = 0
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+
+    @staticmethod
+    def _descendants() -> list[int]:
+        children: dict[int, list[int]] = {}
+        for name in os.listdir("/proc"):
+            if name.isdigit():
+                try:
+                    with open(f"/proc/{name}/stat") as fh:
+                        stat = fh.read()
+                except OSError:  # exited between listing and reading
+                    continue
+                # the parent pid follows the state, after "(comm)"
+                parent = int(stat[stat.rindex(")") + 2 :].split()[1])
+                children.setdefault(parent, []).append(int(name))
+        found, frontier = [], [os.getpid()]
+        while frontier:
+            kids = children.get(frontier.pop(), [])
+            found += kids
+            frontier += kids
+        return found
+
+    def _sample(self) -> None:
+        for pid in self._descendants():
+            try:
+                with open(f"/proc/{pid}/status") as fh:
+                    for line in fh:
+                        if line.startswith("VmHWM:"):
+                            self._peak_kb = max(self._peak_kb, int(line.split()[1]))
+                            break
+            except OSError:
+                continue
+
+    def _loop(self) -> None:
+        while not self._stop.wait(self._interval):
+            self._sample()
+
+    def __enter__(self) -> "WorkerPeak":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        self._thread.join()
+
+    @property
+    def mib(self) -> float:
+        return self._peak_kb / 1024
 
 
 def _count_run_files() -> list[int]:
     """Watch the run files of each spilled shuffle: the returned list's one
-    entry becomes the most that one reduce partition merged, counted in the
-    shuffle's directory just before the runtime removes it."""
+    entry becomes the most that one reduce partition merged, counted just
+    before the runtime removes the shuffle's files."""
     from repro.mapreduce import runtime
 
     most = [0]
@@ -36,9 +97,12 @@ def _count_run_files() -> list[int]:
 
     def counting(self):
         if self.layout is not None:
-            root = Path(self.layout.root)
             for partition in range(self.layout.num_partitions):
-                files = sum(1 for _ in root.rglob(f"*.p{partition:05d}.r*.bin"))
+                files = sum(
+                    1
+                    for task in range(self.num_tasks)
+                    for _ in self.layout._iter_task_runs(task, partition)
+                )
                 most[0] = max(most[0], files)
         cleanup(self)
 
@@ -71,7 +135,10 @@ def run_graphflat(args) -> dict:
         fs = DistFileSystem(f"{tmp}/dfs")
         run_files = _count_run_files()
         start = time.perf_counter()
-        result = graph_flat(ds.nodes, ds.edges, targets, config, fs=fs, dataset_name="flat")
+        with WorkerPeak() as workers:
+            result = graph_flat(
+                ds.nodes, ds.edges, targets, config, fs=fs, dataset_name="flat"
+            )
         wall = time.perf_counter() - start
     return {
         "wall_s": wall,
@@ -86,6 +153,7 @@ def run_graphflat(args) -> dict:
         # the reduce side's stated bound (mapreduce/spill.py): one chunk
         # frame and one I/O buffer per run file a reducer merges
         "reader_bound_mib": run_files[0] * (_CHUNK_BYTES + _IO_BUFFER_BYTES) / 2**20,
+        "rss_workers_mib": workers.mib,
         **_rss_mib(),
     }
 
@@ -120,9 +188,15 @@ def run_train(args) -> dict:
         ),
     )
     start = time.perf_counter()
-    trainer.fit(samples)
+    with WorkerPeak() as workers:
+        trainer.fit(samples)
     wall = time.perf_counter() - start
-    return {"wall_s": wall, "records": len(samples), **_rss_mib()}
+    return {
+        "wall_s": wall,
+        "records": len(samples),
+        "rss_workers_mib": workers.mib,
+        **_rss_mib(),
+    }
 
 
 def main() -> int:

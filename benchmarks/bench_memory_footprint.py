@@ -128,7 +128,10 @@ def bench_dataflow_memory_grid(benchmark):
     process prefetch pool handing batches back through shm slabs.  Beside
     the RSS columns, ``files`` is the most run files one reduce partition
     merged and ``bound`` the reader's stated resident bound for them
-    (``files x (_CHUNK_BYTES + _IO_BUFFER_BYTES)``, ``mapreduce/spill.py``)."""
+    (``files x (_CHUNK_BYTES + _IO_BUFFER_BYTES)``, ``mapreduce/spill.py``);
+    ``rss`` is the parent's peak resident set and ``rss-wkr`` the highest
+    peak of any pool worker (sampled from ``/proc``), the side the bound
+    is about — each worker's whole interpreter, not its spill reads alone."""
 
     def run_grid():
         return [(stage, opts, _run_cell(stage, **opts)) for stage, opts in GRID]
@@ -139,7 +142,7 @@ def bench_dataflow_memory_grid(benchmark):
         "Dataflow memory grid (fresh interpreter per cell; processes backend):",
         "",
         f"  {'stage':<10} {'cell':<22} {'wall':>8} {'records':>8} "
-        f"{'spill':>10} {'peak-red':>9} {'files':>6} {'bound':>8} {'rss':>9} {'rss-kids':>9}",
+        f"{'spill':>10} {'peak-red':>9} {'files':>6} {'bound':>8} {'rss':>9} {'rss-wkr':>9}",
     ]
     for stage, opts, cell in cells:
         tag = " ".join(f"{k}={v}" for k, v in opts.items())
@@ -154,7 +157,7 @@ def bench_dataflow_memory_grid(benchmark):
             f"{(f'{peak:7.2f}M' if peak is not None else '      -')} "
             f"{(f'{files:6d}' if files is not None else '     -')} "
             f"{(f'{bound:7.2f}M' if bound is not None else '       -')} "
-            f"{cell['rss_self_mib']:7.1f}M {cell['rss_children_mib']:7.1f}M"
+            f"{cell['rss_self_mib']:7.1f}M {cell['rss_workers_mib']:7.1f}M"
         )
     flats = [c for s, _, c in cells if s == "graphflat"]
     if len(flats) >= 3:

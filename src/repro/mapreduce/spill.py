@@ -180,16 +180,13 @@ _STREAM_HEADER_BYTES = 6  # AGLS magic + version + codec id
 _U4 = struct.Struct("<I")
 
 _IO_BUFFER_BYTES = io.DEFAULT_BUFFER_SIZE
-"""File buffer of an open run, reading or writing: 8 KiB, Python's default,
-because a bigger one buys nothing.  A chunk frame's block is longer than
-the buffer, so the buffered file passes it to or from the kernel mostly
-unbuffered; the buffer gathers each frame's varint header, key table and
-CRC.  On a 2-vCPU VM, with 128 KiB chunks, writing and merging 22 run files
-of about 0.5 MiB took 0.080 / 0.245 s with this buffer, 0.079 / 0.242 s
+"""File buffer of an open run file, reading or writing: ``open()``'s
+default (8 KiB), a term of the reader bound above.  A bigger one buys
+nothing: a chunk frame's block is longer than any of them and passes to or
+from the kernel mostly unbuffered.  On a 2-vCPU VM, writing and merging 22
+run files of about 0.5 MiB took 0.080 / 0.245 s with 8 KiB, 0.079 / 0.242 s
 with 64 KiB and 0.080 / 0.245 s with 128 KiB (medians of 12 interleaved
-runs; a serial spilled ``graph_infer``: 0.339 s with 8 KiB against 0.340 s
-with 64 KiB, 5 of 10 alternating pairs).  It is resident once per run file
-being merged, so the smallest is kept."""
+runs)."""
 
 
 def _encode_key_table(keys: list[bytes], counts: list[int]) -> bytes:
@@ -493,7 +490,7 @@ class SpillLayout:
         the frame CRC machinery fails the attempt loudly and its retry,
         reading the intact file, reproduces byte-identical output."""
         fault = take_read_fault()
-        with open(path, "rb", buffering=_IO_BUFFER_BYTES) as fh:
+        with open(path, "rb") as fh:
             if fault is not None:
                 fh = io.BytesIO(_damage(fh.read(), fault))
             codec_id = read_stream_header(fh)
@@ -949,7 +946,7 @@ class SpillRunWriter:
             if layout.partition_subdirs:
                 final.parent.mkdir(exist_ok=True)
             tmp = final.with_suffix(f".tmp{os.getpid()}")
-            with open(tmp, "wb", buffering=_IO_BUFFER_BYTES) as fh:
+            with open(tmp, "wb") as fh:
                 written = write_stream_header(fh, _CODEC_ID)
                 for table, start, stop in run.chunks(groups):
                     block = encode_columns(_as_column(values.fetch(arrival[start:stop])))

@@ -156,6 +156,7 @@ class ParameterServerGroup:
         self._placement: dict[str, int] = {}
         self._initialized = False
         self._shm = None  # ShmTransport when transport == "shm"
+        self._shm_closed = False  # the shards' values were views into its slabs
         self._tcp = None  # TcpPSServer when transport == "tcp"
         self.tcp_host = tcp_host
         self.tcp_port = tcp_port
@@ -213,10 +214,21 @@ class ParameterServerGroup:
         if not self._initialized:
             raise RuntimeError("ParameterServerGroup.initialize() was never called")
 
+    def _check_open(self, call: str) -> None:
+        """After an shm ``close()`` the shards' values are views into
+        unmapped slabs: refuse instead of reading or writing them."""
+        if self._shm_closed:
+            from repro.ps.shm import TransportClosedError
+
+            raise TransportClosedError(
+                f"ParameterServerGroup: {call}() after close() unmapped its shm slabs"
+            )
+
     # -------------------------------------------------------------- version
     @property
     def version(self) -> int:
         """Monotonic update counter; clients key their pull cache on it."""
+        self._check_open("version")
         if self._shm is not None:
             return self._shm.version()
         return self._version
@@ -225,6 +237,7 @@ class ParameterServerGroup:
     def pull(self) -> dict[str, np.ndarray]:
         """Gather the full current model from all shards."""
         self._require_init()
+        self._check_open("pull")
         if self._shm is not None:
             return self._shm.read_state()
         state: dict[str, np.ndarray] = {}
@@ -248,6 +261,7 @@ class ParameterServerGroup:
     def push(self, worker_id: int, grads: dict[str, np.ndarray]) -> None:
         """Contribute one worker's gradients under the configured mode."""
         self._require_init()
+        self._check_open("push")
         if not 0 <= worker_id < self.num_workers:
             raise ValueError(f"worker_id {worker_id} out of range")
         if self._shm is not None:
@@ -297,6 +311,7 @@ class ParameterServerGroup:
     def begin_epoch(self) -> None:
         """Re-arm the BSP barrier for a fresh epoch: every worker is again a
         required contributor (``finish_worker`` removes them as they end)."""
+        self._check_open("begin_epoch")
         if self._shm is not None:
             self._shm.begin_epoch()
             return
@@ -306,6 +321,7 @@ class ParameterServerGroup:
     def finish_worker(self, worker_id: int) -> None:
         """Mark a worker done for the epoch so SSP stragglers don't deadlock
         and a BSP step never waits on an exhausted (or crashed) worker."""
+        self._check_open("finish_worker")
         if self._shm is not None:
             self._shm.finish_worker(worker_id)
             return
@@ -320,6 +336,7 @@ class ParameterServerGroup:
                     self._bsp_flush_locked()
 
     def client(self, worker_id: int):
+        self._check_open("client")
         if self._shm is not None:
             return self._shm.client(worker_id)
         if self._tcp is not None:
@@ -335,10 +352,13 @@ class ParameterServerGroup:
     # -------------------------------------------------------------- teardown
     def close(self) -> None:
         """Release transport resources (shared-memory slabs, server thread).
-        Idempotent; a no-op for the local transport."""
+        Idempotent; a no-op for the local transport.  A group closed on the
+        shm transport refuses every later call with
+        :class:`~repro.ps.shm.TransportClosedError`."""
         if self._shm is not None:
             self._shm.close()
             self._shm = None
+            self._shm_closed = True
         if self._tcp is not None:
             self._tcp.close()
             self._tcp = None

@@ -529,12 +529,14 @@ class ShmTransport:
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
-        for client in self._clients.values():
-            client._closed = True
+        # the server thread drains first: a push it has already taken still
+        # needs the open write_lock() to land
         if self._thread is not None and self._thread.is_alive():
             self._local_ctrl.append(("stop", -1, None))
             self._thread.join(timeout=10)
+        self._closed = True
+        for client in self._clients.values():
+            client._closed = True
         self._ctrl.close()
         for slab in (self._param_slab, *self._grad_slabs):
             slab.close()

@@ -56,7 +56,6 @@ from repro.mapreduce import spill
 from repro.mapreduce.spill import (
     _CODEC_ID,
     _GROUP_BYTES,
-    _IO_BUFFER_BYTES,
     SpillWriteResult,
     _encode_key_table,
 )
@@ -279,7 +278,7 @@ class PairSpillWriter:
             groups.sort(key=lambda group: group[0])
             buffer.clear()
             path = layout.run_path(self._map_task, partition, self._next_run[partition])
-            with open(path, "wb", buffering=_IO_BUFFER_BYTES) as fh:
+            with open(path, "wb") as fh:
                 written = write_stream_header(fh, _CODEC_ID)
                 for keys, counts, values in _iter_chunks(groups):
                     self._counts[partition] += len(values)

@@ -339,6 +339,32 @@ class TestBatchedMerge:
             self.run(runtime)
         assert counts == {"written": 96, "read": 96, "ends": 96, "crc32": 384}
 
+    def test_runs_over_several_chunks_merge_to_the_same_samples(self, tmp_path, monkeypatch):
+        """The engine's merge across chunk boundaries, which the shipped
+        chunk no longer reaches on this fixture: cut at 16 KiB, the 23 run
+        files larger than that take 136 frames for 96 files, and the
+        samples are the same bytes as from one frame a file."""
+        from repro.mapreduce import spill
+
+        with LocalRuntime(spill_dir=tmp_path / "shipped") as runtime:
+            shipped = self.run(runtime)
+        frames, write_frame = [0], spill.write_frame
+
+        def counted_write(fh, key, payload):
+            frames[0] += 1
+            return write_frame(fh, key, payload)
+
+        monkeypatch.setattr(spill, "_CHUNK_BYTES", 1 << 14)
+        monkeypatch.setattr(spill, "write_frame", counted_write)
+        with LocalRuntime(spill_dir=tmp_path / "small") as runtime:
+            small = self.run(runtime)
+        assert len(shipped.samples) == 100
+        assert small.samples == shipped.samples
+        assert frames[0] == 136
+        assert [s.shuffled_records for s in small.round_stats] == [
+            records for records, _, _ in self.ROUNDS.values()
+        ]
+
     @pytest.mark.parametrize("spill", [False, True], ids=["memory", "spilled"])
     def test_one_kernel_call_per_reduce_task(self, tmp_path, monkeypatch, spill):
         """At this size a merge task's whole partition fits one batch: one

@@ -251,13 +251,19 @@ print(*slabs, flush=True)
             ("transport.commit_initial()", "ShmTransport"),
             ("client.pull()", "ShmPSClient"),
             ("client.push(grads)", "ShmPSClient"),
+            ("group.version", "ParameterServerGroup"),
+            ("group.pull()", "ParameterServerGroup"),
+            ("group.push(0, grads)", "ParameterServerGroup"),
+            ("group.client(0)", "ParameterServerGroup"),
+            ("group.begin_epoch()", "ParameterServerGroup"),
+            ("group.finish_worker(0)", "ParameterServerGroup"),
         ],
     )
     def test_use_after_close_raises_instead_of_crashing(self, call, owner):
-        """Every slab read or write after ``close()`` — on the transport or
-        on a client it handed out in this process — raises a typed error
-        naming the object: exit code 1 with a traceback, never a signal
-        from reading unmapped memory.  The closed transport's slabs are gone
+        """Every slab read or write after ``close()`` — on the group, its
+        transport or a client it handed out in this process — raises a
+        typed error naming the object: exit code 1 with a traceback, never
+        a signal from reading unmapped memory.  The closed transport's slabs are gone
         from ``/dev/shm``."""
         import subprocess
         import sys

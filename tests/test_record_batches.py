@@ -30,7 +30,7 @@ from repro.core.propagation import (
 )
 from repro.graph.tables import EdgeTable
 from repro.mapreduce import SpillLayout, SumCombiner, runtime
-from repro.mapreduce import shuffle
+from repro.mapreduce import shuffle, spill
 from repro.mapreduce.partition import (
     HashPartitioner,
     Inline,
@@ -49,7 +49,7 @@ from repro.mapreduce.shuffle import (
     key_bytes,
     pair_batches,
 )
-from repro.proto.framing import approx_nbytes
+from repro.proto.framing import approx_nbytes, iter_frames, read_stream_header
 
 from .oracle import PairSpillWriter
 
@@ -92,6 +92,22 @@ def batches_of(pairs, sizes):
 
 def run_files(root) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+
+def key_frames(root) -> list[list[list[bytes]]]:
+    """Per run file under ``root``, the keys of each of its chunk frames."""
+    runs = []
+    for path in sorted(root.iterdir()):
+        with open(path, "rb") as fh:
+            read_stream_header(fh)
+            runs.append([spill._decode_key_table(table)[0] for table, _ in iter_frames(fh)])
+    return runs
+
+
+def most_frames_per_run(root, key) -> int:
+    """The most chunk frames ``key``'s group spans in one run file."""
+    kb = key_bytes(key)
+    return max(sum(kb in keys for keys in frames) for frames in key_frames(root))
 
 
 class TestBatchWriterWritesThePairWritersBytes:
@@ -377,7 +393,8 @@ class TestReceptiveFieldAtTheLastRound:
 def scale_pairs(seed: int = 7) -> list[tuple]:
     """A stream as big as an engine round's: over 20 000 distinct int keys,
     one to three small values each; three hub keys with 600 values each
-    (over 16 KiB: more than a chunk); and a few tuple, str, bytes and bool
+    (600 x 72 bytes, about 43 KB; over 300 KB flushes, about 21 KB a run:
+    more than a 16 KiB chunk); and a few tuple, str, bytes and bool
     keys.  The first runs see ints of one to three varint bytes only — the
     node-id case — the later ones the int64 extremes and other ten-byte
     ints too."""
@@ -414,9 +431,19 @@ def scale_partitioner(name: str, pairs: list):
 
 class TestRunFilesAtScale:
     """The array path of the batch writer against the per-pair writer at an
-    engine round's scale: batches of mixed sizes, several flushes, hubs
-    bigger than a chunk, every shipped partitioner."""
+    engine round's scale: batches of mixed sizes, several flushes, runs of
+    several chunks, hubs bigger than a chunk, every shipped partitioner.
 
+    :func:`scale_pairs` is sized for 16 KiB chunks — its runs are 35-40 KB
+    a partition, its hubs about 21 KB a run — so the first two tests cut
+    chunks at 16 KiB (the oracle reads the same ``spill._CHUNK_BYTES``);
+    the last one holds the same properties at the shipped chunk size."""
+
+    @pytest.fixture
+    def chunks_of_16_kib(self, monkeypatch):
+        monkeypatch.setattr(spill, "_CHUNK_BYTES", 1 << 14)
+
+    @pytest.mark.usefixtures("chunks_of_16_kib")
     @pytest.mark.parametrize("partitioner", ["default", "hash", "planned"])
     def test_the_pair_writers_bytes(self, tmp_path, partitioner):
         pairs = scale_pairs()
@@ -426,13 +453,34 @@ class TestRunFilesAtScale:
             1 << 16, 300_000,
         )
         assert len(list((tmp_path / "batches").iterdir())) > 4 * 3  # several runs each
+        for hub in (5, -7, (9, 4)):  # each split over chunks in some run
+            assert most_frames_per_run(tmp_path / "batches", hub) > 1
 
+    @pytest.mark.usefixtures("chunks_of_16_kib")
     def test_with_a_combiner(self, tmp_path):
         pairs = [(key, 1.0) for key, _ in scale_pairs()[:20_000]]
         TestBatchWriterWritesThePairWritersBytes.check(
             tmp_path, pairs, SCALE_CUTS, 3, default_partition, 7_000, 32 << 20,
             combiner=SumCombiner(),
         )
+        assert min(map(len, key_frames(tmp_path / "batches"))) > 1  # every run spans chunks
+
+    def test_hubs_over_the_shipped_chunk(self, tmp_path):
+        """At the shipped ``spill._CHUNK_BYTES``: the first 20 000 pairs of
+        :func:`scale_pairs` and three hubs of ``3 * _CHUNK_BYTES // 72``
+        values of 72 bytes each, in one run per partition — every hub split
+        over at least three chunks, every run over more than one."""
+        hub_value = np.zeros(16, dtype=np.float32)
+        per_hub = 3 * spill._CHUNK_BYTES // approx_nbytes(hub_value)
+        hubs = (5, -7, (9, 4))
+        pairs = scale_pairs()[:20_000] + [(hub, hub_value + i) for hub in hubs for i in range(per_hub)]
+        pairs = [pairs[i] for i in np.random.default_rng(3).permutation(len(pairs)).tolist()]
+        TestBatchWriterWritesThePairWritersBytes.check(
+            tmp_path, pairs, SCALE_CUTS, 4, default_partition, 1 << 16, 32 << 20,
+        )
+        assert min(map(len, key_frames(tmp_path / "batches"))) > 1
+        for hub in hubs:
+            assert most_frames_per_run(tmp_path / "batches", hub) >= 3
 
 
 def rows_of_buckets(buckets) -> list[list]:
