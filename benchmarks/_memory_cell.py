@@ -150,9 +150,9 @@ def run_graphflat(args) -> dict:
         "spilled_mib": sum(rs.shuffle_bytes_written for rs in result.round_stats)
         / 2**20,
         "run_files": run_files[0],
-        # the reduce side's stated bound (mapreduce/spill.py): one chunk
-        # frame and one I/O buffer per run file a reducer merges
-        "reader_bound_mib": run_files[0] * (_CHUNK_BYTES + _IO_BUFFER_BYTES) / 2**20,
+        # the reduce side's stated bound (mapreduce/spill.py): two chunk
+        # frames and one I/O buffer per run file a reducer merges
+        "reader_bound_mib": run_files[0] * (2 * _CHUNK_BYTES + _IO_BUFFER_BYTES) / 2**20,
         "rss_workers_mib": workers.mib,
         **_rss_mib(),
     }

@@ -196,7 +196,7 @@ def graph_flat(
             node_batch,
             needed=needed,
             in_record=InEdgeInfo,
-            seed=SubgraphInfo.seed,
+            seed=SubgraphInfo.seeds,
             reducers=[MergeReducer] * config.hops,
             final=final,
             edge_fanout=edge_fanout,
@@ -335,9 +335,10 @@ class SampleStore:
     in-memory result.  Either way the trailing summary is the per-sample
     ``(n_nodes, n_edges)`` lists.
 
-    Handles both final-round shapes: node flows yield SubgraphInfos to
-    flatten, edge flows yield already-joined GraphFeatures keyed by edge
-    index (``labels`` is the matching lookup either way)."""
+    Both final-round shapes yield flattened GraphFeatures: node flows keyed
+    by node (:meth:`MergeReducer.final_rows`), edge flows joined per target
+    edge and keyed by edge index (``labels`` is the matching lookup either
+    way)."""
 
     labels: _LabelTable | _EdgeLabelTable
     types: _TypeTable | None
@@ -349,10 +350,9 @@ class SampleStore:
         triples: list[tuple] = []
         n_nodes: list[int] = []
         n_edges: list[int] = []
-        for sample_id, (tag, info) in pairs:
+        for sample_id, (tag, gf) in pairs:
             if tag != "final":  # pragma: no cover - defensive
                 raise RuntimeError(f"unexpected record tag {tag!r} after final round")
-            gf = info if isinstance(info, GraphFeature) else info.to_graph_feature()
             if self.types is not None:
                 gf = self.types.attach(gf)
             n_nodes.append(gf.num_nodes)
@@ -372,13 +372,48 @@ class SampleStore:
 class MergeReducer(MessagePassingReducer):
     """GraphFlat's merge: a node's k-hop neighborhood is its own (k-1)-hop
     one plus its sampled in-edge neighbors' (k-1)-hop ones — for a batch of
-    nodes per kernel call (:func:`~repro.core.graphflat.records.merge_neighborhoods`)."""
+    nodes per kernel call (:func:`~repro.core.graphflat.records.merge_neighborhoods`),
+    as one ragged column.  The last round of a node flow flattens the batch
+    for storing there and then, in one pass over its arrays."""
 
-    def merge_batch(self, batch: NodeBatch) -> list[SubgraphInfo]:
+    def merge_batch(self, batch: NodeBatch) -> Column:
         return merge_neighborhoods(
-            batch.selves.rows(), batch.neighbors.rows(), batch.offsets, batch.weight,
-            batch.edge_feat,
+            batch.selves, batch.neighbors, batch.offsets, batch.weight, batch.edge_feat
         )
+
+    def final_rows(self, node_ids: list[int], infos: Column) -> RecordBatch:
+        if self.edge_fanout is not None:
+            return super().final_rows(node_ids, infos)
+        values = [(self.final_tag, gf) for gf in _features(stack_flattened(infos))]
+        return RecordBatch(list(node_ids), values, lambda: record_sizes(values))
+
+
+def _features(stacked) -> list[GraphFeature]:
+    """The samples of :func:`~repro.core.graphflat.records.stack_flattened`
+    output, each a GraphFeature over slices of its arrays — what
+    ``SubgraphInfo.to_graph_feature`` makes of each."""
+    node_at = stacked.node_offsets.tolist()
+    edge_at = stacked.edge_offsets.tolist()
+    edge_feat = stacked.edge_feat
+    features = []
+    for g, target in enumerate(stacked.target_ids.tolist()):
+        n = slice(node_at[g], node_at[g + 1])
+        e = slice(edge_at[g], edge_at[g + 1])
+        features.append(
+            GraphFeature._of(
+                np.asarray([target]),
+                stacked.node_ids[n],
+                stacked.x[n],
+                stacked.hops[n],
+                stacked.edge_src[e],
+                stacked.edge_dst[e],
+                None if edge_feat is None or e.start == e.stop else edge_feat[e],
+                stacked.edge_weight[e],
+                None,
+                None,
+            )
+        )
+    return features
 
 
 @dataclass(frozen=True)
@@ -442,7 +477,7 @@ class PairReducer:
             np.asarray(index, dtype=np.int64),
         )
         roles = values.children[1].values
-        infos = values.children[2].rows()
+        infos = values.children[2]
         counts = np.asarray(counts, dtype=np.int64)
         starts = np.cumsum(counts) - counts
         # one record per role, src first: within each edge, by role
@@ -457,9 +492,9 @@ class PairReducer:
                 f"target edge {keys[at]} expected one record per endpoint "
                 f"role, got roles {got}"
             )
-        ends = [infos[i] for i in order.tolist()]
-        merged = merge_groups(stack_flattened(ends), np.arange(0, len(ends) + 1, 2))
-        pairs = np.asarray([info.root for info in ends], dtype=np.int64).reshape(-1, 2)
+        stacked = stack_flattened(infos.take(order))
+        merged = merge_groups(stacked, np.arange(0, len(order) + 1, 2))
+        pairs = stacked.target_ids.reshape(-1, 2)
         node_at = merged.node_offsets.tolist()
         edge_at = merged.edge_offsets.tolist()
         edge_feat = merged.edge_feat

@@ -7,33 +7,29 @@ accumulated (k-1)-hop neighborhood), the **in-edge information**
 information) and the **out-edge information** (where to propagate next
 round — unchanged from round to round, so it never crosses the shuffle: the
 propagation engine reads it from its ``OutEdges`` side input).  The two
-shuffled kinds pickle cleanly so the runtime can spill shuffles to disk —
-and each declares its wire fields to the binary shuffle codec (bottom of
-this module): in a spill block a chunk of records
-goes out as id / weight columns plus the subgraphs' flat wire blocks, not as
-pickled object graphs, which is where the process backend's per-object
-serialization tax lived.
+shuffled kinds are registered with the binary shuffle codec (bottom of this
+module).
 
-:class:`SubgraphInfo` is *columns or its wire*: a neighborhood is either
-sorted column arrays (:class:`SubgraphColumns` — node ids, hops, feature
-rows, ``(dst, src)``-sorted edges, weights, edge-feature rows) or the flat
-block the spill codec ships (:attr:`SubgraphInfo.wire`, the one field besides
-``root`` it declares); each form is built from the other on first use and
-kept.  A merged neighborhood fanned out over ``deg_out`` in-edge records is
-encoded once; a record decoded from a spill holds only its block.
+A batch of neighborhoods is one ragged column
+(:class:`~repro.proto.framing.RaggedColumn`): per record its root and its
+node and edge counts; node ids, hops and feature rows end to end at node
+level; edge sources, destinations, weights and feature rows at edge level —
+each record's nodes sorted by id, its edges by ``(dst, src)``, the order the
+stored GraphFeature has.  That is what the merge kernel emits, what a spill
+chunk holds (ints narrowed once per chunk, no header per record) and what
+the next merge reads, as ``(block, rows)`` segments: no neighborhood is
+built, sized or parsed one record at a time on its way through a shuffle.
+:class:`SubgraphInfo` is one neighborhood as an object — a row of such a
+column, or a record built from its parts.
 
 :func:`merge_neighborhoods` is the Reduce phase's merge for a whole batch of
-nodes at once: it concatenates every input subgraph's columns — reading
-wire-resident ones in bulk, without giving them columns — and deduplicates
-nodes and edges with one sort each.  No per-node dict is ever built, and
-records that merely pass through a reducer (re-index rounds, in-edges a
-sampler drops) never leave their wire form; in-memory shuffles never build
-one.
+nodes at once: it gathers the batch's self and neighbor rows into one block
+and deduplicates nodes and edges with one sort each — no per-node dict, no
+per-record step.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,13 +38,12 @@ import numpy as np
 from repro.graph.subgraph import GraphFeature, StackedFeatures
 from repro.proto.framing import (
     Column,
-    ObjectColumn,
-    RecordColumn,
-    _ranges,
-    decode_rows,
-    encode_rows,
+    NoneColumn,
+    RaggedColumn,
+    columnize,
+    concat_columns,
+    register_ragged,
     register_record,
-    rows_header,
 )
 
 __all__ = [
@@ -93,15 +88,14 @@ class SubgraphColumns(NamedTuple):
 
 
 class SubgraphInfo:
-    """Accumulated neighborhood of ``root`` (the "self information").
-
-    Held as :class:`SubgraphColumns`, as its :attr:`wire` block, or both —
-    whichever was needed first; never as per-node Python objects.  Records
+    """Accumulated neighborhood of ``root`` (the "self information"), as
+    :class:`SubgraphColumns` — never as per-node Python objects.  Records
     are immutable: the merge builds new ones, so a record shared by every
-    reducer it was propagated to is never changed under them.
-    """
+    reducer it was propagated to is never changed under them.  In a shuffle
+    a batch of them is one ragged column (module docstring); a record
+    pickles as its columns."""
 
-    __slots__ = ("root", "_columns", "_wire")
+    __slots__ = ("root", "columns")
 
     def __init__(
         self,
@@ -120,26 +114,14 @@ class SubgraphInfo:
         among edge features, duplicate nodes or edges, a root missing from
         ``ids`` — is a ``ValueError`` naming the field."""
         self.root = int(root)
-        self._columns = _validated(self.root, ids, hops, x, src, dst, weight, edge_feat)
-        self._wire: bytes | None = None
+        self.columns = _validated(self.root, ids, hops, x, src, dst, weight, edge_feat)
 
     @classmethod
     def _of(cls, root: int, columns: SubgraphColumns) -> "SubgraphInfo":
-        """A record over canonical columns, unchecked (the kernel's output)."""
+        """A record over canonical columns, unchecked."""
         info = cls.__new__(cls)
         info.root = root
-        info._columns = columns
-        info._wire = None
-        return info
-
-    @classmethod
-    def from_wire(cls, root: int, wire: bytes) -> "SubgraphInfo":
-        """A record backed by its encoded block alone (``wire`` must be a
-        complete block as :attr:`wire` produces it)."""
-        info = cls.__new__(cls)
-        info.root = root
-        info._columns = None
-        info._wire = wire
+        info.columns = columns
         return info
 
     @classmethod
@@ -153,29 +135,23 @@ class SubgraphInfo:
             ),
         )
 
-    @property
-    def columns(self) -> SubgraphColumns:
-        if self._columns is None:
-            self._columns = _parse_wire(self._wire)
-        return self._columns
-
-    @property
-    def wire(self) -> bytes:
-        """The nodes and edges as one flat block.  Encode once, copy
-        afterwards: a neighborhood propagated along ``deg_out`` out-edges
-        (or passing through a reducer untouched) reuses the block it
-        already has."""
-        if self._wire is None:
-            self._wire = _build_wire(self._columns)
-        return self._wire
+    @staticmethod
+    def seeds(node_ids, x: np.ndarray) -> RaggedColumn:
+        """:meth:`seed` of every node ``node_ids[i]`` with the feature row
+        ``x[i]``, as one ragged column."""
+        ids = np.asarray(node_ids, dtype=np.int64)
+        count = len(ids)
+        return RaggedColumn.of(
+            SubgraphInfo,
+            ids,
+            (np.arange(count + 1), np.zeros(count + 1, dtype=np.int64)),
+            ((ids, np.zeros(count, dtype=np.int64), x), (_NO_INTS, _NO_INTS, None, None)),
+        )
 
     @property
     def nbytes(self) -> int:
-        """Bytes the record holds, converting nothing: its block's length
-        when it has one, else its columns'."""
-        if self._wire is not None:
-            return len(self._wire)
-        return sum(column.nbytes for column in self._columns if column is not None)
+        """Bytes the record's columns hold."""
+        return sum(column.nbytes for column in self.columns if column is not None)
 
     @property
     def num_nodes(self) -> int:
@@ -185,18 +161,7 @@ class SubgraphInfo:
     def num_edges(self) -> int:
         return len(self.columns.src)
 
-    def __getstate__(self) -> dict:
-        # One pickled form: the block (what the binary codec ships too).
-        return {"root": self.root, "wire": self.wire}
-
-    def __setstate__(self, state: dict) -> None:
-        self.root = state["root"]
-        self._columns = None
-        self._wire = state["wire"]
-
     def __repr__(self) -> str:
-        if self._columns is None:
-            return f"SubgraphInfo(root={self.root}, <{len(self._wire)} wire bytes>)"
         return f"SubgraphInfo(root={self.root}, nodes={self.num_nodes}, edges={self.num_edges})"
 
     def to_graph_feature(self) -> GraphFeature:
@@ -232,34 +197,26 @@ class InEdgeInfo:
         return self.subgraph.nbytes
 
     @staticmethod
-    def info_nbytes(subgraph: SubgraphInfo) -> int:
-        """What :func:`~repro.proto.framing.approx_nbytes` counts for a
-        subgraph: its root and its block (built here if it has none yet —
-        a spill writer encodes it anyway)."""
-        return 24 + len(subgraph.wire)
-
-    @staticmethod
-    def info_column(subgraphs: list) -> Column:
-        """A batch's per-node subgraphs as a column: the records as they
-        are — a subgraph's block is built only if a spill writer encodes
-        it."""
-        return ObjectColumn(np.fromiter(subgraphs, dtype=object, count=len(subgraphs)))
+    def info_column(subgraphs) -> Column:
+        """A batch's per-node subgraphs as a column: the ragged column the
+        merge (or the seeding) made, as it is."""
+        return subgraphs if isinstance(subgraphs, Column) else columnize(list(subgraphs))
 
     @staticmethod
     def info_sizes(column: Column) -> np.ndarray:
-        """The :attr:`SubgraphInfo.nbytes` of each subgraph of ``column``;
-        decoded ones are their blocks."""
-        if type(column) is RecordColumn:
-            wires = column.fields[1].values.tolist()
-            return np.fromiter(map(len, wires), dtype=np.int64, count=len(wires))
-        return np.fromiter((info.nbytes for info in column.rows()), np.int64, len(column))
+        """The :attr:`SubgraphInfo.nbytes` of each subgraph of ``column``,
+        from its offsets."""
+        if not len(column):
+            return np.zeros(0, dtype=np.int64)
+        return column.materialized().sizes()
 
     @staticmethod
     def info_approx(column: Column) -> np.ndarray:
-        """:meth:`info_nbytes` of each subgraph of ``column``."""
-        if type(column) is RecordColumn:
-            return 24 + InEdgeInfo.info_sizes(column)
-        return np.fromiter(map(InEdgeInfo.info_nbytes, column.rows()), np.int64, len(column))
+        """What :func:`~repro.proto.framing.approx_nbytes` counts for each
+        subgraph of ``column``."""
+        if not len(column):
+            return np.zeros(0, dtype=np.int64)
+        return column.materialized().approx_sizes()
 
 
 # ------------------------------------------------------------ column checks
@@ -331,232 +288,76 @@ def _concat_rows(field: str, parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts)
 
 
-# --------------------------------------------------------------- wire forms
+# ------------------------------------------------------------- codec forms
 # Tags 0x20-0x2F are reserved for GraphFlat records (0x22 belonged to the
 # retired out-edge record and stays unassigned).
 
-_INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
-_HEADERS = tuple(struct.Struct(f"<3{code}") for code in "bhiq")
+
+def _parts(info: SubgraphInfo) -> tuple:
+    return (info.root, *info.columns)
 
 
-def _build_wire(c: SubgraphColumns) -> bytes:
-    """``width code | ints | feature block | weights | [edge-feature block]``.
-
-    Every integer of the record — node count, edge count, byte length of the
-    feature block, then node ids, hops and edge ``(src, dst)`` pairs — goes
-    out as one little-endian column at the narrowest signed width that holds
-    them all; weights as raw float64; feature rows as one row block
-    (:func:`~repro.proto.framing.encode_rows`; the edge block is left out
-    when there are no edge features).
-    """
-    n, m = len(c.ids), len(c.src)
-    feat_block = encode_rows(c.x)
-    ints = np.empty(3 + 2 * n + 2 * m, dtype=np.int64)
-    ints[:3] = (n, m, len(feat_block))
-    ints[3 : 3 + n] = c.ids
-    ints[3 + n : 3 + 2 * n] = c.hops
-    ints[3 + 2 * n :: 2] = c.src
-    ints[4 + 2 * n :: 2] = c.dst
-    bits = max(int(ints.max()).bit_length(), (~int(ints.min())).bit_length())
-    code = 0 if bits < 8 else 1 if bits < 16 else 2 if bits < 32 else 3
-    parts = [bytes((code,)), ints.astype(_INT_DTYPES[code]).tobytes(), feat_block]
-    if m:
-        parts.append(c.weight.astype("<f8").tobytes())
-        if c.edge_feat is not None:
-            parts.append(encode_rows(c.edge_feat))
-    return b"".join(parts)
+def _make(root, ids, hops, x, src, dst, weight, edge_feat) -> SubgraphInfo:
+    return SubgraphInfo._of(
+        root,
+        SubgraphColumns(
+            ids, hops, x, src, dst, _NO_WEIGHTS if weight is None else weight,
+            edge_feat if len(src) else None,
+        ),
+    )
 
 
-def _layout(wire) -> tuple[int, int, int, int, int, int]:
-    """One header read: ``(width code, n, m, end of ints, end of the feature
-    block, end of the weights)``."""
-    code = wire[0]
-    if code >= len(_HEADERS):
-        raise ValueError(f"unknown int width code {code}")
-    head = _HEADERS[code]
-    n, m, feat_bytes = head.unpack_from(wire, 1)
-    ints_end = 1 + head.size + (2 * n + 2 * m) * (head.size // 3)
-    feat_end = ints_end + feat_bytes
-    if min(n, m, feat_bytes) < 0 or feat_end + 8 * m > len(wire):
-        raise ValueError("wire block shorter than its header says")
-    return code, n, m, ints_end, feat_end, feat_end + 8 * m
-
-
-def _block_rows(field: str, block, count: int) -> np.ndarray:
-    try:
-        rows = decode_rows(block)
-    except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from exc
-    if (0 if rows is None else len(rows)) != count:
-        raise ValueError(f"{field} block holds a different row count than the header's {count}")
-    return rows
-
-
-def _parse_wire(wire: bytes) -> SubgraphColumns:
-    """Inverse of :func:`_build_wire` — the bulk reader over one block."""
-    return _canonical(_stack([SubgraphInfo.from_wire(0, wire)])[0])
-
-
-register_record(0x20, SubgraphInfo, ("root", "wire"), make=SubgraphInfo.from_wire)
+register_ragged(
+    0x20, SubgraphInfo, (("ids", "hops", "x"), ("src", "dst", "weight", "edge_feat")), _parts, _make
+)
 register_record(0x21, InEdgeInfo, ("src", "weight", "edge_feat", "subgraph"))
 
 
 # ------------------------------------------------------------- merge kernel
-class _RowTemplate:
-    """Bulk reading of one row block per wire: the first block read fixes
-    the rows' dtype and shape, after which a block matching its header is
-    taken as raw bytes — no per-block parse."""
-
-    def __init__(self, field: str):
-        self.field = field
-        self.header: bytes | None = None
-        self.row_bytes = 0
-        self.dtype = self.shape = None
-
-    def raw(self, wire: memoryview, start: int, end: int, count: int) -> memoryview:
-        """The ``count`` raw rows of the block at ``wire[start:end]``."""
-        if self.header is None:
-            rows = _block_rows(self.field, wire[start:end], count)
-            self.dtype, self.shape = rows.dtype, rows.shape[1:]
-            self.header = rows_header(self.dtype, self.shape)
-            self.row_bytes = rows[0].nbytes
-        body = start + 4 + len(self.header)
-        if wire[start + 4 : body] != self.header or end - body != count * self.row_bytes:
-            raise ValueError(f"{self.field}: rows differ in dtype or shape across subgraphs")
-        return wire[body:end]
-
-    def rows(self, chunks: list, count: int) -> list[np.ndarray]:
-        if not chunks:
-            return []
-        return [np.frombuffer(b"".join(chunks), dtype=self.dtype).reshape((count, *self.shape))]
-
-
-def _stack(infos: list[SubgraphInfo]):
-    """Every column of ``infos`` end to end: ``(columns, order, n, m)`` where
-    ``order[j]`` is the index of the record whose ``n[j]`` nodes and ``m[j]``
-    edges come ``j``-th.  Column-resident records are concatenated as they
-    are; wire-resident ones are read in bulk — one header read per block,
-    one ``frombuffer`` per int width, feature and edge rows as raw bytes —
-    and never given columns."""
-    columns, held_order = [], []
-    by_width: tuple[list, ...] = ([], [], [], [])
-    for index, info in enumerate(infos):
-        if info._columns is not None:
-            columns.append(info._columns)
-            held_order.append(index)
-        else:
-            wire = memoryview(info._wire)
-            layout = _layout(wire)
-            by_width[layout[0]].append((index, wire, layout))
-
-    x_rows, feat_rows = _RowTemplate("x"), _RowTemplate("edge_feat")
-    x_chunks, edge_chunks, weight_chunks = [], [], []
-    wired: list[tuple] = []  # per width: (dtype, int chunks, section lengths)
-    order, n_counts, m_counts, x_count, edge_count = [], [], [], 0, 0
-    with_features = set()
-    for code, wires in enumerate(by_width):
-        int_chunks, lengths = [], []
-        for index, wire, (_, n, m, ints_end, feat_end, weights_end) in wires:
-            int_chunks.append(wire[1 + _HEADERS[code].size : ints_end])
-            lengths += (n, n, 2 * m)
-            x_chunks.append(x_rows.raw(wire, ints_end, feat_end, n))
-            x_count += n
-            if m:
-                weight_chunks.append(wire[feat_end:weights_end])
-                with_features.add(weights_end < len(wire))
-                if weights_end < len(wire):
-                    edge_chunks.append(feat_rows.raw(wire, weights_end, len(wire), m))
-                    edge_count += m
-            order.append(index)
-            n_counts.append(n)
-            m_counts.append(m)
-        if int_chunks:
-            wired.append((_INT_DTYPES[code], int_chunks, lengths))
-
-    ids = [c.ids for c in columns]
-    hops = [c.hops for c in columns]
-    src = [_NO_INTS] + [c.src for c in columns]
-    dst = [_NO_INTS] + [c.dst for c in columns]
-    for dtype, int_chunks, lengths in wired:
-        ints = np.frombuffer(b"".join(int_chunks), dtype=dtype).astype(np.int64)
-        section = np.repeat(np.tile(np.arange(3), len(lengths) // 3), lengths)
-        ids.append(ints[section == 0])
-        hops.append(ints[section == 1])
-        pairs = ints[section == 2]
-        src.append(pairs[0::2])
-        dst.append(pairs[1::2])
-    with_features.update(c.edge_feat is not None for c in columns if len(c.src))
-    if len(with_features) > 1:
-        raise ValueError("edge_feat: some subgraphs' edges have features and some not")
-    weights = [_NO_WEIGHTS] + [c.weight for c in columns]
-    if weight_chunks:
-        weights.append(np.frombuffer(b"".join(weight_chunks), dtype="<f8"))
-    edge_feat = None
-    if True in with_features:
-        edge_feat = _concat_rows(
-            "edge_feat",
-            [c.edge_feat for c in columns if len(c.src)] + feat_rows.rows(edge_chunks, edge_count),
-        )
-    stacked = SubgraphColumns(
-        np.concatenate(ids),
-        np.concatenate(hops),
-        _concat_rows("x", [c.x for c in columns] + x_rows.rows(x_chunks, x_count)),
-        np.concatenate(src),
-        np.concatenate(dst),
-        np.concatenate(weights),
-        edge_feat,
+def _levels(column: Column):
+    """``column``'s rows as one block: ``(roots, node counts, (ids, hops,
+    x), edge counts, (src, dst, weight, edge_feat))``."""
+    block = column.materialized().block()
+    (ids, hops, x), (src, dst, weight, edge_feat) = block.members
+    node_offsets, edge_offsets = block.offsets
+    return (
+        block.heads, node_offsets, (ids, hops, x), edge_offsets,
+        (src, dst, _NO_WEIGHTS if weight is None else weight, edge_feat),
     )
-    counts = (
-        [len(c.ids) for c in columns] + n_counts,
-        [len(c.src) for c in columns] + m_counts,
-    )
-    return stacked, np.asarray(held_order + order, dtype=np.int64), *map(np.asarray, counts)
 
 
-def stack_flattened(infos: list[SubgraphInfo]) -> StackedFeatures:
-    """What :meth:`SubgraphInfo.to_graph_feature` makes of each of
-    ``infos``, stacked in their order — one target (the root) per sample,
+def stack_flattened(column: Column) -> StackedFeatures:
+    """What :meth:`SubgraphInfo.to_graph_feature` makes of each subgraph of
+    ``column``, stacked in row order — one target (the root) per sample,
     edge endpoints local to the sample, float32 features and weights — read
-    in bulk (:func:`_stack`), without a per-record object."""
-    stacked, held, n, m = _stack(infos)
-    node_offsets = np.zeros(len(infos) + 1, dtype=np.int64)
-    edge_offsets = np.zeros(len(infos) + 1, dtype=np.int64)
-    node_offsets[1:][held] = n
-    edge_offsets[1:][held] = m
-    np.cumsum(node_offsets, out=node_offsets)
-    np.cumsum(edge_offsets, out=edge_offsets)
-    nodes = edges = slice(None)
-    if np.any(held[1:] < held[:-1]):  # back into input order
-        position = np.empty(len(held), dtype=np.int64)
-        position[held] = np.arange(len(held))
-        nodes = _ranges((np.cumsum(n) - n)[position], n[position])
-        edges = _ranges((np.cumsum(m) - m)[position], m[position])
-    ids, x = stacked.ids[nodes], stacked.x[nodes]
-    src, dst = stacked.src[edges], stacked.dst[edges]
-    edge_feat = None if stacked.edge_feat is None else stacked.edge_feat[edges]
-
+    as one block, without a per-record object."""
+    roots, node_offsets, (ids, hops, x), edge_offsets, (src, dst, weight, edge_feat) = (
+        _levels(column)
+    )
+    count = len(roots)
     # Local endpoints: a sample's ids are ascending, so (sample, id rank)
     # keys ascend over the whole stack and one search places every edge.
     universe = np.unique(ids)
     width = len(universe)
-    counts = np.diff(node_offsets)
-    node_keys = np.repeat(np.arange(len(infos)), counts) * width + np.searchsorted(universe, ids)
-    edge_sample = np.repeat(np.arange(len(infos)), np.diff(edge_offsets))
+    node_keys = np.repeat(np.arange(count), np.diff(node_offsets)) * width + np.searchsorted(
+        universe, ids
+    )
+    edge_sample = np.repeat(np.arange(count), np.diff(edge_offsets))
     base = edge_sample * width
     start = node_offsets[:-1][edge_sample]
     local_src = np.searchsorted(node_keys, base + np.searchsorted(universe, src)) - start
     local_dst = np.searchsorted(node_keys, base + np.searchsorted(universe, dst)) - start
     return StackedFeatures(
-        target_offsets=np.arange(len(infos) + 1, dtype=np.int64),
-        target_ids=np.asarray([info.root for info in infos], dtype=np.int64),
+        target_offsets=np.arange(count + 1, dtype=np.int64),
+        target_ids=roots,
         node_offsets=node_offsets,
         node_ids=ids,
-        hops=stacked.hops[nodes],
+        hops=hops,
         x=x.astype(np.float32),
         edge_offsets=edge_offsets,
         edge_src=local_src,
         edge_dst=local_dst,
-        edge_weight=stacked.weight[edges].astype(np.float32),
+        edge_weight=weight.astype(np.float32),
         edge_feat=None if edge_feat is None else edge_feat.astype(np.float32),
     )
 
@@ -571,65 +372,64 @@ def _firsts(*keys: np.ndarray) -> np.ndarray:
 
 
 def merge_neighborhoods(
-    selves: list[SubgraphInfo],
-    neighbors: list[SubgraphInfo],
+    selves: Column,
+    neighbors: Column,
     offsets: np.ndarray,
     weight: np.ndarray,
     edge_feat: np.ndarray | None,
-) -> list[SubgraphInfo]:
+) -> Column:
     """GraphFlat's merge for a batch of nodes, one kernel call: node ``i``'s
-    k-hop neighborhood is its own (k-1)-hop one (``selves[i]``) plus every
-    sampled neighbor's (k-1)-hop one a hop further out, plus the connecting
-    edges ``neighbor -> i``.  Node ``i``'s sampled in-edges are the rows
-    ``offsets[i]:offsets[i + 1]`` of the edge columns: the senders'
-    neighborhoods ``neighbors``, ``weight`` and ``edge_feat`` (a matrix, or
-    ``None`` without edge features).
+    k-hop neighborhood is its own (k-1)-hop one (row ``i`` of ``selves``)
+    plus every sampled neighbor's (k-1)-hop one a hop further out, plus the
+    connecting edges ``neighbor -> i``.  Node ``i``'s sampled in-edges are
+    the rows ``offsets[i]:offsets[i + 1]`` of the edge columns: the
+    senders' neighborhoods ``neighbors``, ``weight`` and ``edge_feat`` (a
+    matrix, or ``None`` without edge features).  Returns the batch's
+    neighborhoods as one ragged column over the merged arrays.
 
-    1. Concatenate the batch's self columns and sampled-neighbor columns
-       (neighbor hops + 1), plus the connecting edges.
+    1. Gather the batch's self and neighbor rows into one block — a ranged
+       copy per segment of the chunks they are rows of (neighbor hops + 1),
+       plus the connecting edges.
     2. Deduplicate nodes with one lexsort: per batch node and id, the
        minimum hop.
     3. Deduplicate edges with one lexsort: per batch node, dst and src.
-    4. Slice the result per batch node.
+    4. The offsets of each batch node's rows are two searches.
 
     A node's feature row and an edge's weight / features are functions of
     its id (they come from the node and edge tables), so which duplicate is
     kept only decides the hop — the minimum, as Definition 1 asks."""
-    if not selves:
-        return []
+    count = len(selves)
+    if not count:
+        return NoneColumn(0)
     offsets = np.asarray(offsets, dtype=np.int64)
     counts = np.diff(offsets)
-    infos: list[SubgraphInfo] = []
-    for i, self_info in enumerate(selves):  # each node, then its neighbors
-        infos.append(self_info)
-        infos.extend(neighbors[offsets[i] : offsets[i + 1]])
-    owner = np.repeat(np.arange(len(selves)), counts + 1)
-    lift = np.ones(len(infos), dtype=np.int64)
-    lift[np.cumsum(counts + 1) - (counts + 1)] = 0
-    link_owner = np.repeat(np.arange(len(selves)), counts)
-    link_src = [neighbor.root for neighbor in neighbors]
-    link_dst = np.repeat(np.asarray([info.root for info in selves], dtype=np.int64), counts)
-    stacked, order, n_counts, m_counts = _stack(infos)
-    owner = owner[order]
-    lift = lift[order]
+    heads, node_offsets, (ids, hops, x), edge_offsets, (src, dst, weights, feats) = _levels(
+        concat_columns([selves, neighbors])
+    )
+    roots = heads[:count]
+    owner = np.concatenate([np.arange(count), np.repeat(np.arange(count), counts)])
+    lift = np.repeat([0, 1], [count, len(neighbors)])
 
     # ---- nodes: minimum hop per (batch node, id)
+    n_counts = np.diff(node_offsets)
     node_owner = np.repeat(owner, n_counts)
-    hops = stacked.hops + np.repeat(lift, n_counts)
-    ranked = np.lexsort((hops, stacked.ids, node_owner))
-    keep = ranked[_firsts(node_owner[ranked], stacked.ids[ranked])]
-    node_owner, ids, hops, x = node_owner[keep], stacked.ids[keep], hops[keep], stacked.x[keep]
+    hops = hops + np.repeat(lift, n_counts)
+    ranked = np.lexsort((hops, ids, node_owner))
+    keep = ranked[_firsts(node_owner[ranked], ids[ranked])]
+    node_owner, ids, hops, x = node_owner[keep], ids[keep], hops[keep], x[keep]
 
     # ---- edges: connecting edges first, then every subgraph's, one per
     # (batch node, dst, src)
     links = edge_feat
-    edge_owner = np.concatenate([link_owner, np.repeat(owner, m_counts)])
-    src = np.concatenate([np.asarray(link_src, dtype=np.int64), stacked.src])
-    dst = np.concatenate([link_dst, stacked.dst])
-    weight = np.concatenate([np.asarray(weight, dtype=np.float64), stacked.weight])
-    edge_feat = stacked.edge_feat
-    if link_src:
-        if len(stacked.src) and (links is None) != (edge_feat is None):
+    edge_owner = np.concatenate(
+        [np.repeat(np.arange(count), counts), np.repeat(owner, np.diff(edge_offsets))]
+    )
+    src = np.concatenate([heads[count:], src])
+    dst = np.concatenate([np.repeat(roots, counts), dst])
+    weight = np.concatenate([np.asarray(weight, dtype=np.float64), weights])
+    edge_feat = feats
+    if len(neighbors):
+        if int(edge_offsets[-1]) and (links is None) != (edge_feat is None):
             raise ValueError("edge_feat: some edges have features and some not")
         if links is not None:
             edge_feat = links if edge_feat is None else _concat_rows("edge_feat", [links, edge_feat])
@@ -639,21 +439,10 @@ def merge_neighborhoods(
     if edge_feat is not None:
         edge_feat = edge_feat[keep]
 
-    # ---- one record per batch node, over slices of the merged columns
-    bounds = np.arange(len(selves) + 1)
-    node_at = np.searchsorted(node_owner, bounds).tolist()
-    edge_at = np.searchsorted(edge_owner, bounds).tolist()
-    merged = []
-    for i, self_info in enumerate(selves):
-        a, b = node_at[i], node_at[i + 1]
-        c, d = edge_at[i], edge_at[i + 1]
-        merged.append(
-            SubgraphInfo._of(
-                self_info.root,
-                SubgraphColumns(
-                    ids[a:b], hops[a:b], x[a:b], src[c:d], dst[c:d], weight[c:d],
-                    None if edge_feat is None or c == d else edge_feat[c:d],
-                ),
-            )
-        )
-    return merged
+    bounds = np.arange(count + 1)
+    return RaggedColumn.of(
+        SubgraphInfo,
+        roots,
+        (np.searchsorted(node_owner, bounds), np.searchsorted(edge_owner, bounds)),
+        ((ids, hops, x), (src, dst, weight, edge_feat)),
+    )

@@ -76,15 +76,10 @@ class _InEmb:
         return self.h.nbytes
 
     @staticmethod
-    def info_nbytes(h: np.ndarray) -> int:
-        """What :func:`~repro.proto.framing.approx_nbytes` counts for an
-        embedding."""
-        return 8 + h.nbytes
-
-    @staticmethod
-    def info_column(hs: list) -> Column:
-        """A batch's per-node embeddings as one column: a stacked matrix."""
-        return columnize(hs)
+    def info_column(hs) -> Column:
+        """A batch's per-node embeddings (a list, or a stacked matrix) as
+        one column: a stacked matrix."""
+        return ArrayColumn(hs) if isinstance(hs, np.ndarray) else columnize(hs)
 
     @staticmethod
     def info_sizes(column: Column) -> np.ndarray:
@@ -96,7 +91,8 @@ class _InEmb:
 
     @staticmethod
     def info_approx(column: Column) -> np.ndarray:
-        """:meth:`info_nbytes` of each embedding of ``column``."""
+        """What :func:`~repro.proto.framing.approx_nbytes` counts for each
+        embedding of ``column``."""
         return 8 + _InEmb.info_sizes(column)
 
 
@@ -255,9 +251,9 @@ def graph_infer(
 # Callable dataclasses (not closures) so jobs pickle to worker processes.
 
 
-def _seed_embedding(node_id: int, feature) -> np.ndarray:
-    """``h^(0) = x``."""
-    return np.asarray(feature, dtype=np.float32)
+def _seed_embedding(node_ids, features: np.ndarray) -> np.ndarray:
+    """``h^(0) = x``, for a batch of nodes."""
+    return features.astype(np.float32)
 
 
 @dataclass

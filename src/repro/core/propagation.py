@@ -500,10 +500,9 @@ class Routing:
     subgraph, or an embedding record), registered with the block codec
     under the wire fields ``(src, weight, edge_feat, info)``.  It says how
     a batch's per-node information is held as a column
-    (``in_record.info_column(infos)``) and sized: ``info_nbytes(info)`` is
-    what :func:`~repro.proto.framing.approx_nbytes` counts for ``info``,
-    ``info_sizes`` / ``info_approx`` the ``nbytes`` / ``info_nbytes`` of
-    each info of a column."""
+    (``in_record.info_column(infos)``) and sized, a column at a time:
+    ``info_sizes`` is each info's ``nbytes``, ``info_approx`` what
+    :func:`~repro.proto.framing.approx_nbytes` counts for it."""
     out_edges: Inline | SlabLocator
     """The carrier of the run's :class:`OutEdges`."""
 
@@ -571,9 +570,7 @@ class Routing:
 
         def nbytes() -> np.ndarray:
             # ("self", info): 8 + 12 + S;  ("in", record): 8 + 10 + 24 + feat + S
-            per_node = np.zeros(len(infos), dtype=np.int64)
-            for i in np.flatnonzero(rows).tolist():
-                per_node[i] = record.info_nbytes(infos[i])
+            per_node = record.info_approx(info[0])
             return np.concatenate(
                 [20 + per_node[selves], 42 + out_edges.feat_nbytes + per_node[owner]]
             )[order]
@@ -824,8 +821,9 @@ class PrepareReducer:
 
     routing: Routing
     seed: Callable
-    """``seed(node_id, feature)``: the node's round-0 self information
-    (its 0-hop subgraph, or ``h^(0) = x``)."""
+    """``seed(node_ids, features)``: the round-0 self information of the
+    nodes ``node_ids`` (their 0-hop subgraphs, or ``h^(0) = x``) from their
+    feature rows, one batch at a time."""
 
     def reduce_groups(self, groups):
         node_ids, rows, nbytes = [], [], 0
@@ -848,9 +846,8 @@ class PrepareReducer:
             [c for _, c in columns.values()],
             np.asarray(which, dtype=np.int64),
             np.asarray([row for _, row in rows], dtype=np.int64),
-        ).rows()
-        infos = [self.seed(node_id, feature) for node_id, feature in zip(node_ids, features)]
-        return self.routing.propagate(node_ids, infos, 1)
+        )
+        return self.routing.propagate(node_ids, self.seed(node_ids, features.matrix), 1)
 
 
 @dataclass(frozen=True)
@@ -924,9 +921,10 @@ class MessagePassingReducer:
 
     final_tag = "final"
 
-    def merge_batch(self, batch: NodeBatch) -> list:
+    def merge_batch(self, batch: NodeBatch):
         """The next self information of each node of ``batch`` — from its
-        current one and its sampled in-edges — in batch order.  Must not
+        current one and its sampled in-edges — in batch order, as what
+        ``in_record.info_column`` takes (a list, or a column).  Must not
         mutate any input: the previous round's information is shared with
         every reducer it was propagated to."""
         raise NotImplementedError
@@ -978,12 +976,11 @@ class MessagePassingReducer:
             return self.routing.propagate(node_ids, merged, self.round_index + 1)
         return self.final_rows(node_ids, merged)
 
-    def final_rows(self, node_ids: list[int], infos: list) -> RecordBatch:
+    def final_rows(self, node_ids: list[int], infos) -> RecordBatch:
         """The Kth round's output: "in the Kth round ... only need to output
         it rather than all of the three information" (§3.4) — keyed by node,
         or fanned out to the target edges a node terminates."""
         record = self.routing.in_record
-        info_nbytes = record.info_nbytes
         if self.edge_fanout is not None:
             # The result is shared across emissions — the joining round
             # only reads it — so the rows point at it: a block is built
@@ -995,23 +992,23 @@ class MessagePassingReducer:
                     roles.append(role)
                     owners.append(i)
             owners = np.asarray(owners, dtype=np.int64)
+            info = record.info_column(infos)
             values = TupleColumn(
                 [
                     StrColumn.of(["end"], np.zeros(len(keys), dtype=np.int64)),
                     ScalarColumn(int, np.asarray(roles, dtype=np.int64)),
-                    GatherColumn([record.info_column(infos), None], owners),
+                    GatherColumn([info, None], owners),
                 ],
                 len(keys),
             )
             # ("end", role, info): 8 + 11 + 8 + S
-            return RecordBatch(keys, values, lambda: np.fromiter(
-                (27 + info_nbytes(infos[i]) for i in owners.tolist()),
-                dtype=np.int64, count=len(owners),
-            ))
+            return RecordBatch(keys, values, lambda: 27 + record.info_approx(info)[owners])
         tag = self.final_tag
-        return RecordBatch(list(node_ids), [(tag, info) for info in infos], lambda: np.fromiter(
-            (16 + len(tag) + info_nbytes(info) for info in infos), dtype=np.int64, count=len(infos)
-        ))
+        return RecordBatch(
+            list(node_ids),
+            [(tag, info) for info in infos],
+            lambda: 16 + len(tag) + record.info_approx(record.info_column(infos)),
+        )
 
 
 # ------------------------------------------------------------------ planning

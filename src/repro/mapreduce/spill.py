@@ -13,9 +13,9 @@ order: grouping, and therefore job output, stays byte-identical.  The merge
 advances a chunk at a time (:func:`_merge_chunks`), not a heap step per
 group piece.
 
-Run-file grammar (AGLS version 3)::
+Run-file grammar (AGLS version 4)::
 
-    file   := "AGLS" version=3 codec-id=1  chunk*
+    file   := "AGLS" version=4 codec-id=1  chunk*
     chunk  := frame(key = key table, payload = value block)     (CRC-trailed,
               :func:`repro.proto.framing.write_frame`)
     key table := <u4 groups | <u4 key lengths | <u4 value counts | key bytes
@@ -27,8 +27,12 @@ serialization) and how many of the chunk's values belong to it; the payload
 holds those values, in (sorted key, emission) order, as **one block**:
 :func:`repro.proto.framing.encode_columns` of the chunk's values as columns
 (a kind column to re-interleave mixed record shapes, stacked matrices for
-same-shape arrays, one column per declared record field, a per-value
-fallback column for anything else).  No Python-level encode or decode call
+same-shape arrays, one column per declared record field, one ragged column
+for GraphFlat's neighborhoods — per-record node and edge counts, then
+every record's node and edge rows end to end, ints narrowed once per chunk
+— and a per-value fallback column for anything else).  Version 4 is the
+version whose neighborhoods are ragged columns; version 3 shipped one
+encoded blob per neighborhood and is rejected.  No Python-level encode or decode call
 per record — the serialization tax AGL's C++ GraphFlat avoids with flat
 protobuf records (§3.2).  The header's codec byte is always ``1`` (the
 column block); a file with any other byte is corrupt.  A value with no
@@ -46,19 +50,19 @@ the same stream).
 
 The reduce side's resident set is bounded per open run file, never by a
 partition or a whole hub group: a reduce task merging ``F`` run files holds
-about one chunk frame per file (:data:`_CHUNK_BYTES`, its bytes and the
-columns decoded from it, which view those bytes; value objects too under
-:meth:`SpillLayout.iter_groups`) and one :data:`_IO_BUFFER_BYTES` file
-buffer per file — ``F x (_CHUNK_BYTES + _IO_BUFFER_BYTES)`` of spill
-bytes — plus the groups a reducer is still assembling (one merge batch of
-about :data:`MERGE_BATCH_BYTES` for a batching reducer).  A ``graph_flat``
-or ``graph_infer`` of the bench graph under ``processes`` x 2 with 2 MiB
-runs writes 88 to 92 run files over its five shuffles, 22 or 23 per
-partition, but a reduce task merges at most 8 of them at once: about
-8 x 136 KiB = 1.1 MiB.  That is one chunk per file; the merge can hold
-up to two, because a stream whose last key equals the merge bound loads
-its next chunk before that key's pieces go out — and runs that share keys
-(a partition's usually do) meet that bound at every step.
+at most two chunk frames per file (:data:`_CHUNK_BYTES` each, their bytes
+and the columns decoded from them, which view those bytes; value objects
+too under :meth:`SpillLayout.iter_groups`) and one :data:`_IO_BUFFER_BYTES`
+file buffer per file — ``F x (2 x _CHUNK_BYTES + _IO_BUFFER_BYTES)`` of
+spill bytes — plus the groups a reducer is still assembling (one merge
+batch of about :data:`MERGE_BATCH_BYTES` for a batching reducer).  Two, not
+one: a stream whose last key equals the merge bound loads its next chunk
+before that key's pieces go out, and runs that share keys (a partition's
+usually do) meet that bound at every step; a tier-1 test pins the two.  A
+``graph_flat`` or ``graph_infer`` of the bench graph under ``processes`` x
+2 with 2 MiB runs writes 88 to 92 run files over its five shuffles, 22 or
+23 per partition, but a reduce task merges at most 8 of them at once:
+at most 8 x 264 KiB = 2.1 MiB.
 
 Two write entry points share one writer:
 
@@ -168,9 +172,10 @@ DEFAULT_RUN_RECORDS = 1 << 16
 
 DEFAULT_RUN_BYTES = 32 << 20
 """Run bound by bytes: the buffered values' sizes as
-:func:`~repro.proto.framing.approx_nbytes` sees them (arrays and wire blocks
-exactly, scalars at a flat rate) plus a per-group allowance — an estimate of
-the run's size on disk that needs no encoding."""
+:func:`~repro.proto.framing.approx_nbytes` sees them (arrays exactly, a
+neighborhood by its columns' bytes, scalars at a flat rate) plus a
+per-group allowance — an estimate of the run's size on disk that needs no
+encoding."""
 
 _GROUP_BYTES = 16
 """Per-group allowance in the byte budget: key bytes plus key-table entry."""

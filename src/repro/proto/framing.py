@@ -9,8 +9,8 @@ our spill shuffle, in three layers:
   (raw little-endian float64), strings, bytes, tuples, lists, numpy arrays
   (dtype string + shape + raw block) and registered records.  Pipeline
   record types (GraphFlat's ``SubgraphInfo``/``InEdgeInfo``, GraphInfer's
-  embedding record) plug in through
-  :func:`register_record` by *declaring their fields once*; both this
+  embedding record) plug in through :func:`register_record` (or
+  :func:`register_ragged`) by *declaring their fields once*; both this
   per-record form and the column form below derive from the declaration.
   ``repro.proto`` never imports ``repro.core`` — the module that defines a
   record registers it.
@@ -35,6 +35,11 @@ our spill shuffle, in three layers:
   tuple      same arity: one column per position
   list       ``<i8`` lengths + one column of the flattened items
   record     one column per declared field
+  ragged     records of a :func:`register_ragged` class: heads, per level
+             the per-record row counts and each member's rows of every
+             record end to end — int columns at the narrowest of
+             ``i1``/``i2``/``i4``/``i8`` holding them, rows as an array
+             column, no header per record
   union      the *kind column* (one ``u1`` code per value, codes in order
              of first appearance) + one column per kind — mixed types,
              mixed tuple arities; decoding re-interleaves by code
@@ -57,7 +62,7 @@ our spill shuffle, in three layers:
 * **Frame streams** — a spill file is ``AGLS | version | codec-id`` (always
   ``1``, the column block; any other byte is corruption) followed by
   ``varint(len(key)) key varint(len(payload)) payload crc32`` frames.
-  In a spill run (version 3) every frame is a *chunk* of key groups: the
+  In a spill run (version 4) every frame is a *chunk* of key groups: the
   key field is the chunk's key table, the payload one block of the chunk's
   values (:mod:`repro.mapreduce.spill` owns that grammar); the same frame
   primitive carries the TCP transport's messages.  The trailing CRC32
@@ -99,7 +104,8 @@ __all__ = [
     "GatherColumn",
     "ListColumn",
     "NoneColumn",
-    "ObjectColumn",
+    "RaggedBlock",
+    "RaggedColumn",
     "RecordColumn",
     "STREAM_MAGIC",
     "ScalarColumn",
@@ -111,18 +117,16 @@ __all__ = [
     "concat_columns",
     "decode_block",
     "decode_columns",
-    "decode_rows",
     "decode_value",
     "encode_block",
     "encode_columns",
-    "encode_rows",
     "encode_value",
     "gather",
     "iter_frames",
     "read_frame",
     "read_stream_header",
+    "register_ragged",
     "register_record",
-    "rows_header",
     "union_of",
     "write_frame",
     "write_stream_header",
@@ -158,6 +162,7 @@ class _RecordCodec(NamedTuple):
     arity: int
     make: Callable  # (*field values) -> record
     nbytes: Callable  # record -> its approx_nbytes
+    levels: tuple | None = None  # a ragged record's member names per level
 
 
 _RECORDS_BY_TAG: dict[int, _RecordCodec] = {}
@@ -173,28 +178,52 @@ def register_record(
     ``fields`` names the attributes that make up the record, in order;
     ``make(*values)`` rebuilds one (default: ``cls`` itself, positionally).
     Both wire forms derive from the declaration: alone, a record is its tag
-    plus each field as a value; in a block, one column per field.  A field
-    may be a property that produces the bytes to store (``SubgraphInfo``
-    declares its cached wire block).  Registration lives next to the class
-    definition, so any process that can *construct* the record (e.g. a
-    worker that unpickled a job whose operators emit it) can also decode it.
+    plus each field as a value; in a block, one column per field.
+    Registration lives next to the class definition, so any process that
+    can *construct* the record (e.g. a worker that unpickled a job whose
+    operators emit it) can also decode it.
     """
-    if tag < _FIRST_RECORD_TAG or tag > 0xFF:
-        raise ValueError(f"record tag must be in [{_FIRST_RECORD_TAG:#x}, 0xff], got {tag:#x}")
     if not fields:
         raise ValueError(f"record {cls.__name__} must declare at least one field")
+    fields_of = attrgetter(*fields)
+    if len(fields) == 1:  # attrgetter of one name returns the bare value
+        fields_of = lambda record, get=fields_of: (get(record),)  # noqa: E731
+    _register(_RecordCodec(
+        tag, cls, fields_of, len(fields), cls if make is None else make,
+        _record_sizer(fields_of),
+    ))
+
+
+def register_ragged(
+    tag: int, cls: type, levels: tuple[tuple[str, ...], ...], parts: Callable, make: Callable
+) -> None:
+    """Register ``cls`` under ``tag`` as a *ragged* record (idempotent per
+    class): an int head, and per level of ``levels`` member arrays that
+    share one row count per record — a neighborhood's node rows and its
+    edge rows, say.  ``levels`` names each level's members (a level's first
+    member is never absent: its length is the level's row count);
+    ``parts(record)`` is ``(head, *members)``, level by level, and
+    ``make(head, *members)`` rebuilds a record from them.
+
+    In a block, records of the class are one :class:`RaggedColumn`: the
+    heads, each level's row counts, and each member's rows of every record
+    end to end — int members narrowed once per block, no header per
+    record.  Alone, a record is its tag and a one-record block."""
+    names = [name for level in levels for name in level]
+    _register(_RecordCodec(
+        tag, cls, parts, 1 + len(names), make, _record_sizer(parts), tuple(map(tuple, levels))
+    ))
+
+
+def _register(codec: _RecordCodec) -> None:
+    tag, cls = codec.tag, codec.cls
+    if tag < _FIRST_RECORD_TAG or tag > 0xFF:
+        raise ValueError(f"record tag must be in [{_FIRST_RECORD_TAG:#x}, 0xff], got {tag:#x}")
     existing = _RECORDS_BY_TAG.get(tag)
     if existing is not None and existing.cls is not cls:
         raise ValueError(
             f"record tag {tag:#x} already registered for {existing.cls.__name__}"
         )
-    fields_of = attrgetter(*fields)
-    if len(fields) == 1:  # attrgetter of one name returns the bare value
-        fields_of = lambda record, get=fields_of: (get(record),)  # noqa: E731
-    codec = _RecordCodec(
-        tag, cls, fields_of, len(fields), cls if make is None else make,
-        _record_sizer(fields_of),
-    )
     _RECORDS_BY_TAG[tag] = codec
     _RECORDS_BY_CLS[cls] = codec
 
@@ -204,6 +233,12 @@ def _encode(value, out: bytearray) -> None:
     record = _RECORDS_BY_CLS.get(type(value))
     if record is not None:
         out.append(record.tag)
+        if record.levels is not None:
+            block = bytearray()
+            RaggedColumn.of_records(record, [value])._encode(block)
+            out += encode_unsigned(len(block))
+            out += block
+            return
         for field in record.fields_of(value):
             _encode(field, out)
     elif value is None:
@@ -316,6 +351,15 @@ def _decode(buf: memoryview, offset: int):
     if tag == _T_ARRAY:
         return _decode_array(buf, offset)
     record = _RECORDS_BY_TAG.get(tag)
+    if record is not None and record.levels is not None:
+        length, offset = decode_unsigned(buf, offset)
+        end = offset + length
+        if end > len(buf):
+            raise FrameCorruptionError("truncated ragged record")
+        column, stop = _read(buf[:end], offset, 1)
+        if stop != end or type(column) is not RaggedColumn:
+            raise FrameCorruptionError("ragged record disagrees with its length")
+        return column.rows()[0], end
     if record is not None:
         values = []
         for _ in range(record.arity):
@@ -368,6 +412,7 @@ _C_LIST = 0x08
 _C_RECORD = 0x09
 _C_UNION = 0x0A
 _C_BLOB = 0x0B
+_C_RAGGED = 0x0C
 
 _U4 = struct.Struct("<I")
 _SCALARS = {bool: (_C_BOOL, "?"), int: (_C_INT, "<i8"), float: (_C_FLOAT, "<f8")}
@@ -842,44 +887,302 @@ class BlobColumn(Column):
         return BlobColumn(list(chain.from_iterable(column.values for column in columns)))
 
 
-class ObjectColumn(Column):
-    """Value objects of one kind held as they are — what a producer hands
-    over when a value's column form would cost work nobody may need (a
-    neighborhood's wire block, say): it is built when the column is
-    encoded, from the objects, exactly as :func:`columnize` builds it."""
+class RaggedBlock(NamedTuple):
+    """Records of a ragged class (:func:`register_ragged`) end to end:
+    record ``i`` has the head ``heads[i]`` and, at level ``l``, the rows
+    ``offsets[l][i]:offsets[l][i + 1]`` of each member of ``members[l]``.
+    A member is ``(rows,) int64`` ints, rows of any other array, or ``None``
+    (absent) — as every rows member of a level with no rows is."""
 
-    __slots__ = ("values", "_form")
+    heads: np.ndarray
+    offsets: tuple
+    members: tuple
 
-    def __init__(self, values: np.ndarray):
-        self.values, self.count = values, len(values)
-        self._form = None
 
-    def form_at(self, index: np.ndarray) -> Column:
-        """The column form of the values at ``index``: rows of the column
-        form of all the values, built once for every gather of this column
-        (every column's :meth:`~Column.take` is the column form of the
-        taken rows)."""
-        if self._form is None:
-            self._form = columnize(self.values.tolist())
-        return self._form.take(index)
+def _is_ints(member) -> bool:
+    return member is not None and member.ndim == 1 and member.dtype == np.int64
+
+
+def _ragged_block(heads, offsets, members) -> RaggedBlock:
+    """A block in canonical form: rows members of empty levels absent."""
+    levels = []
+    for ends, level in zip(offsets, members):
+        if not ends[-1]:
+            level = [m if _is_ints(m) else None for m in level]
+        levels.append(tuple(level))
+    return RaggedBlock(heads, tuple(offsets), tuple(levels))
+
+
+def _member_form(name: str, parts: list, counts: list[int]):
+    """What one member's rows over ``parts`` (arrays, or ``None``) holding
+    ``counts`` rows each are: a part whose dtype and row shape every part
+    with rows shares, an empty int column, or ``None`` (absent).  Rows of
+    different dtypes or shapes, or a member some parts with rows lack, are
+    a ``ValueError`` naming the member."""
+    form, absent = None, False
+    for part, count in zip(parts, counts):
+        if not count:
+            continue
+        if (part is None) != absent and (form is not None or absent):
+            raise ValueError(f"{name}: some records have it and some not")
+        if part is None:
+            absent = True
+        elif form is None:
+            form = part
+        elif part.dtype != form.dtype or part.shape[1:] != form.shape[1:]:
+            raise ValueError(f"{name}: rows differ in dtype or shape across records")
+    if form is None and not absent and _is_ints(parts[0]):
+        return parts[0][:0]  # no rows at all: an empty int column
+    return form
+
+
+class RaggedColumn(Column):
+    """Records of a ragged class (:func:`register_ragged`) as references
+    into blocks: row ``j`` is record ``index[j]`` of ``blocks[which[j]]``.
+    A decoded chunk, or a merge's output, is one block whose records are
+    the rows in order; :meth:`take` and :func:`concat_columns` move row
+    references only, and :meth:`block` gathers the rows into one block —
+    what is encoded — with one ranged copy per block and member.  Sizes
+    (:meth:`sizes`) come from the offsets, one array expression per block."""
+
+    __slots__ = ("record", "blocks", "which", "index")
+
+    def __init__(self, record: _RecordCodec, blocks: list, which: np.ndarray, index: np.ndarray):
+        self.record, self.blocks, self.which, self.index = record, blocks, which, index
+        self.count = len(index)
+
+    @classmethod
+    def of(cls, record_cls: type, heads, offsets, members) -> "RaggedColumn":
+        """Every record of one block of the ragged class ``record_cls``, in
+        order: ``offsets`` and ``members`` per level, as :class:`RaggedBlock`."""
+        block = _ragged_block(np.asarray(heads, dtype=np.int64), offsets, members)
+        return cls._of_block(_RECORDS_BY_CLS[record_cls], block)
+
+    @classmethod
+    def _of_block(cls, record: _RecordCodec, block: RaggedBlock) -> "RaggedColumn":
+        count = len(block.heads)
+        return cls(record, [block], np.zeros(count, dtype=np.int64), np.arange(count))
+
+    @classmethod
+    def of_records(cls, record: _RecordCodec, values: list) -> "RaggedColumn":
+        """The column form of record objects (one pass over them)."""
+        parts = list(map(record.fields_of, values))
+        heads = np.fromiter((part[0] for part in parts), dtype=np.int64, count=len(parts))
+        offsets, members, field = [], [], 1
+        for names in record.levels:
+            counts = [len(part[field]) for part in parts]
+            ends = np.zeros(len(parts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=ends[1:])
+            offsets.append(ends)
+            level = []
+            for j, name in enumerate(names):
+                column = [part[field + j] for part in parts]
+                form = _member_form(name, column, counts)
+                if form is not None and len(form):
+                    form = np.concatenate([m for m, count in zip(column, counts) if count])
+                level.append(form)
+            members.append(level)
+            field += len(names)
+        return cls._of_block(record, _ragged_block(heads, offsets, members))
 
     @property
     def kind(self):
-        return type(self.values[0]) if self.count else type(None)
+        return self.record.cls
 
     def take(self, rows):
-        return ObjectColumn(self.values[rows])
+        return RaggedColumn(self.record, self.blocks, self.which[rows], self.index[rows])
+
+    def sizes(self) -> np.ndarray:
+        """Each row's bytes in memory: its rows of every member (ints at
+        8 bytes)."""
+        per_block = []
+        for block in self.blocks:
+            total = np.zeros(len(block.heads), dtype=np.int64)
+            for ends, members in zip(block.offsets, block.members):
+                row = 0
+                for m in members:
+                    if m is not None:
+                        row += m.itemsize * math.prod(m.shape[1:])
+                total += row * np.diff(ends)
+            per_block.append(total)
+        if len(per_block) == 1:
+            return per_block[0][self.index]
+        base = np.cumsum([0] + [len(sizes) for sizes in per_block[:-1]])
+        return np.concatenate(per_block)[base[self.which] + self.index]
+
+    def approx_sizes(self) -> np.ndarray:
+        """Each row's :func:`approx_nbytes`: its :meth:`sizes` and 8 bytes
+        for the record, its head and each member."""
+        return self.sizes() + 8 * (self.record.arity + 1)
+
+    def block(self) -> RaggedBlock:
+        """The rows as one block, in row order."""
+        blocks, index, count = self.blocks, self.index, self.count
+        if len(blocks) > 1:
+            return self._gathered()
+        block = blocks[0]
+        if count == len(block.heads) and np.array_equal(index, np.arange(count)):
+            return block
+        offsets, members = [], []
+        for starts, level in zip(block.offsets, block.members):
+            lengths = np.diff(starts)[index]
+            ends = np.zeros(count + 1, dtype=np.int64)
+            np.cumsum(lengths, out=ends[1:])
+            source = _ranges(starts[index], lengths)
+            offsets.append(ends)
+            members.append([None if m is None else m[source] for m in level])
+        return _ragged_block(block.heads[index], offsets, members)
+
+    def _gathered(self) -> RaggedBlock:
+        """:meth:`block` of rows of several blocks: per block, one ranged
+        copy of each member into its rows' places."""
+        blocks, index, count = self.blocks, self.index, self.count
+        order = np.argsort(self.which, kind="stable")
+        bounds = np.searchsorted(self.which[order], np.arange(len(blocks) + 1)).tolist()
+        picks = []  # (block, its records, the rows they are)
+        for k, block in enumerate(blocks):
+            if bounds[k + 1] > bounds[k]:
+                at = order[bounds[k] : bounds[k + 1]]
+                picks.append((block, index[at], at))
+        heads = np.empty(count, dtype=np.int64)
+        for block, records, at in picks:
+            heads[at] = block.heads[records]
+        offsets, members = [], []
+        for level, names in enumerate(self.record.levels):
+            lengths = np.empty(count, dtype=np.int64)
+            for block, records, at in picks:
+                lengths[at] = np.diff(block.offsets[level])[records]
+            ends = np.zeros(count + 1, dtype=np.int64)
+            np.cumsum(lengths, out=ends[1:])
+            moves = []  # per pick: (its rows in its block, their places)
+            for block, records, at in picks:
+                moves.append((
+                    _ranges(block.offsets[level][records], lengths[at]),
+                    _ranges(ends[at], lengths[at]),
+                ))
+            level_members = []
+            for j, name in enumerate(names):
+                parts = [block.members[level][j] for block, _, _ in picks]
+                member = _member_form(name, parts, [len(source) for source, _ in moves])
+                if member is not None and len(member):
+                    member = np.empty((int(ends[-1]), *member.shape[1:]), dtype=member.dtype)
+                    for part, (source, target) in zip(parts, moves):
+                        if len(source):
+                            member[target] = part[source]
+                level_members.append(member)
+            offsets.append(ends)
+            members.append(level_members)
+        return _ragged_block(heads, offsets, members)
 
     def rows(self):
-        return self.values.tolist()
+        block = self.block()
+        make = self.record.make
+        spans = [offsets.tolist() for offsets in block.offsets]
+        values = []
+        for i, head in enumerate(block.heads.tolist()):
+            fields = []
+            for level, members in zip(spans, block.members):
+                a, b = level[i], level[i + 1]
+                fields += [None if m is None else m[a:b] for m in members]
+            values.append(make(head, *fields))
+        return values
 
     def _encode(self, out):
-        columnize(self.values.tolist())._encode(out)
+        block = self.block()
+        out.append(_C_RAGGED)
+        out.append(self.record.tag)
+        _put_ints(block.heads, out)
+        for offsets, members in zip(block.offsets, block.members):
+            _put_ints(np.diff(offsets), out)
+            for member in members:
+                if member is None:
+                    out.append(_M_ABSENT)
+                elif member.ndim == 1 and member.dtype == np.int64:
+                    _put_ints(member, out)
+                else:
+                    ArrayColumn(member)._encode(out)
 
     def _concat(self, columns):
-        if any(column.kind is not self.kind for column in columns):
+        if any(column.record is not self.record for column in columns):
             return None
-        return ObjectColumn(np.concatenate([column.values for column in columns]))
+        numbers: dict[int, int] = {}
+        blocks, which = [], []
+        for column in columns:
+            renumber = []
+            for block in column.blocks:
+                if id(block) not in numbers:
+                    numbers[id(block)] = len(blocks)
+                    blocks.append(block)
+                renumber.append(numbers[id(block)])
+            which.append(np.asarray(renumber, dtype=np.int64)[column.which])
+        return RaggedColumn(
+            self.record, blocks, np.concatenate(which),
+            np.concatenate([column.index for column in columns]),
+        )
+
+
+_INT_WIDTHS = ("<i1", "<i2", "<i4", "<i8")
+_M_ABSENT = 0x00
+"""Ragged member kinds: absent, ints (``1 + width code``), or rows (an
+array column, :data:`_C_ARRAY`)."""
+
+
+def _width_code(values: np.ndarray) -> int:
+    """Index in :data:`_INT_WIDTHS` of the narrowest width holding ``values``."""
+    if not len(values):
+        return 0
+    low, high = int(values.min()), int(values.max())
+    bits = max(high.bit_length() if high > 0 else 0, (~low).bit_length() if low < 0 else 0)
+    return 0 if bits < 8 else 1 if bits < 16 else 2 if bits < 32 else 3
+
+
+def _put_ints(values: np.ndarray, out: bytearray) -> None:
+    code = _width_code(values)
+    out.append(1 + code)
+    out += values.astype(_INT_WIDTHS[code]).tobytes()
+
+
+def _read_ints(buf, offset: int, count: int):
+    kind = buf[offset]
+    if not 1 <= kind <= len(_INT_WIDTHS):
+        raise ValueError(f"int column kind {kind} names no int width")
+    values, offset = _view(buf, offset + 1, count, _INT_WIDTHS[kind - 1])
+    values = values.astype(np.int64)
+    if _width_code(values) != kind - 1:
+        raise ValueError("int column wider than its values need")
+    return values, offset
+
+
+def _read_ragged(buf, offset, count):
+    record = _RECORDS_BY_TAG[buf[offset]]
+    if record.levels is None:
+        raise ValueError(f"record tag {record.tag:#x} has no ragged form")
+    heads, offset = _read_ints(buf, offset + 1, count)
+    offsets, members = [], []
+    for names in record.levels:
+        lengths, offset = _read_ints(buf, offset, count)
+        if count and lengths.min() < 0:
+            raise ValueError("negative row count")
+        ends = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(lengths, out=ends[1:])
+        total = int(ends[-1])
+        level = []
+        for _ in names:
+            kind = buf[offset]
+            if kind == _M_ABSENT:
+                member, offset = None, offset + 1
+            elif kind == _C_ARRAY:
+                column, offset = _read_arrays(buf, offset + 1, total)
+                member = column.matrix
+                if not total or (member.ndim == 1 and member.dtype == np.int64):
+                    raise ValueError("rows member in a non-canonical form")
+            else:
+                member, offset = _read_ints(buf, offset, total)
+            level.append(member)
+        offsets.append(ends)
+        members.append(tuple(level))
+    block = RaggedBlock(heads, tuple(offsets), tuple(members))
+    return RaggedColumn._of_block(record, block), offset
 
 
 class GatherColumn(Column):
@@ -911,11 +1214,7 @@ class GatherColumn(Column):
         return self.base[0].take(self.index)
 
     def _encode(self, out):
-        base = self.base[0]
-        if type(base) is ObjectColumn:
-            base.form_at(self.index)._encode(out)
-        else:
-            base.take(self.index)._encode(out)
+        self.base[0].take(self.index)._encode(out)
 
     def _concat(self, columns):
         if any(column.base is not self.base for column in columns):
@@ -1042,6 +1341,11 @@ def columnize(values: list) -> Column:
     record = _RECORDS_BY_CLS.get(kind)
     if record is None:
         return BlobColumn(values)
+    if record.levels is not None:
+        try:
+            return RaggedColumn.of_records(record, values)
+        except ValueError:  # rows no one column holds (mixed widths): one by one
+            return BlobColumn(values)
     return RecordColumn(
         record,
         [columnize(list(field)) for field in zip(*map(record.fields_of, values))],
@@ -1146,6 +1450,8 @@ def _read_lists(buf, offset, count):
 
 def _read_records(buf, offset, count):
     record = _RECORDS_BY_TAG[buf[offset]]
+    if record.levels is not None:
+        raise ValueError(f"record tag {record.tag:#x} has a ragged form, not a field per column")
     offset += 1
     fields = []
     for _ in range(record.arity):
@@ -1191,6 +1497,7 @@ _READERS = {
     _C_RECORD: _read_records,
     _C_UNION: _read_union,
     _C_BLOB: _read_blobs,
+    _C_RAGGED: _read_ragged,
 }
 
 
@@ -1225,35 +1532,6 @@ def encode_block(values: list) -> bytes:
 def decode_block(data: bytes | memoryview) -> list:
     """Inverse of :func:`encode_block` (errors as :func:`decode_columns`)."""
     return decode_columns(data).rows()
-
-
-def encode_rows(matrix: np.ndarray) -> bytes:
-    """``encode_block(list(matrix))`` — a stacked matrix's rows as one array
-    column — built from the matrix itself instead of its rows one by one."""
-    if matrix.dtype.hasobject:
-        raise TypeError("object-dtype arrays cannot be binary-encoded")
-    return encode_columns(ArrayColumn(matrix))
-
-
-def rows_header(dtype: np.dtype, shape: tuple) -> bytes:
-    """The bytes between the row count and the raw rows of an
-    :func:`encode_rows` block of ``dtype`` rows shaped ``shape`` — the same
-    for every such block, so a reader of many can check it by comparison."""
-    out = bytearray()
-    ArrayColumn(np.zeros((0, *shape), dtype=dtype))._encode(out)
-    return bytes(out)
-
-
-def decode_rows(block: bytes | memoryview) -> np.ndarray | None:
-    """Inverse of :func:`encode_rows`: the rows as one ``(count, *shape)``
-    matrix viewing ``block`` — ``None`` for a block of no rows.  Any other
-    block (ragged or mixed rows, ``None`` among them) is a ``ValueError``."""
-    column = decode_columns(block)
-    if type(column) is ArrayColumn:
-        return column.matrix
-    if not len(column):
-        return None
-    raise ValueError("rows are not one array column (ragged, mixed or missing rows)")
 
 
 def approx_nbytes(value) -> int:
@@ -1309,7 +1587,10 @@ def _record_sizer(fields_of: Callable) -> Callable:
 
 # ------------------------------------------------------------- frame streams
 STREAM_MAGIC = b"AGLS"
-_STREAM_VERSION = 3  # v3: every spill frame is a chunk of key groups (mapreduce.spill)
+_STREAM_VERSION = 4
+"""v3: every spill frame is a chunk of key groups (:mod:`repro.mapreduce.spill`);
+v4: ragged records (GraphFlat's neighborhoods) are one ragged column per
+block, not one encoded blob per record."""
 _CRC = struct.Struct("<I")
 
 

@@ -13,10 +13,9 @@ and draws must be these references' exactly.
 the batch kernel (``repro.core.graphflat.records.merge_neighborhoods``): a
 neighborhood is two dicts — ``nodes``: id -> (feature row, hop), ``edges``:
 (src, dst) -> (weight, edge-feature row) — grown one sampled neighbor at a
-time (:meth:`DictSubgraph.absorb_neighbor`), encoded in dict order
-(:meth:`DictSubgraph.wire`) and flattened by a per-edge loop
+time (:meth:`DictSubgraph.absorb_neighbor`) and flattened by a per-edge loop
 (:meth:`DictSubgraph.to_graph_feature`).  The kernel must produce the same
-neighborhoods, the same flattened arrays and wire blocks of the same length.
+neighborhoods, column for column, and the same flattened arrays.
 
 :class:`PairSpillWriter` is the shuffle's spill writer as it was written per
 pair before record batches; the batch writer must write its run files byte
@@ -68,6 +67,7 @@ from repro.proto.framing import (
     _C_INT,
     _C_LIST,
     _C_NONE,
+    _C_RAGGED,
     _C_RECORD,
     _C_STR,
     _C_TUPLE,
@@ -158,29 +158,6 @@ class DictSubgraph:
         for neighbor, weight, edge_feat in sampled:
             merged.absorb_neighbor(neighbor, weight, edge_feat)
         return merged
-
-    def wire(self) -> bytes:
-        """The record's wire block, ids and edges in dict order."""
-        nodes, edges = self.nodes, self.edges
-        n, m = len(nodes), len(edges)
-        feats, hops = zip(*nodes.values()) if n else ((), ())
-        feat_block = encode_block(list(feats))
-        ints = np.fromiter(
-            chain((n, m, len(feat_block)), nodes.keys(), hops, chain.from_iterable(edges.keys())),
-            dtype=np.int64,
-            count=3 + 2 * n + 2 * m,
-        )
-        bits = max(int(ints.max()).bit_length(), (~int(ints.min())).bit_length())
-        code = 0 if bits < 8 else 1 if bits < 16 else 2 if bits < 32 else 3
-        out = bytearray((code,))
-        out += ints.astype(_INT_DTYPES[code]).tobytes()
-        out += feat_block
-        if m:
-            weights, efeats = zip(*edges.values())
-            out += np.array(weights, dtype="<f8").tobytes()
-            if set(map(type, efeats)) != {type(None)}:
-                out += encode_block(list(efeats))
-        return bytes(out)
 
     def to_graph_feature(self) -> GraphFeature:
         node_ids = np.fromiter(self.nodes.keys(), dtype=np.int64, count=len(self.nodes))
@@ -503,10 +480,78 @@ def _encode_column(values: list, out: bytearray) -> None:
     if record is None:
         _encode_blobs(values, out)
         return
+    if record.levels is not None:
+        _encode_ragged(record, values, out)
+        return
     out.append(_C_RECORD)
     out.append(record.tag)
     for column in zip(*map(record.fields_of, values)):
         _encode_column(list(column), out)
+
+
+def _put_narrow(ints: list[int], out: bytearray) -> None:
+    bits = max((v.bit_length() if v >= 0 else (~v).bit_length() for v in ints), default=0)
+    code = 0 if bits < 8 else 1 if bits < 16 else 2 if bits < 32 else 3
+    out.append(1 + code)
+    out += np.array(ints, dtype=_INT_DTYPES[code]).tobytes()
+
+
+def _encode_ragged(record, values: list, out: bytearray) -> None:
+    """A ragged record column walked record by record: the heads, then per
+    level the row counts and each member's rows of every record — ints at
+    the narrowest width, rows as an array column, absent when no record
+    has the member (or the level has no rows and the member is not ints)."""
+    parts = [record.fields_of(value) for value in values]
+    out.append(_C_RAGGED)
+    out.append(record.tag)
+    _put_narrow([part[0] for part in parts], out)
+    field = 1
+    for names in record.levels:
+        counts = [len(part[field]) for part in parts]
+        _put_narrow(counts, out)
+        for j in range(len(names)):
+            members = [part[field + j] for part in parts]
+            rows = [m for m, count in zip(members, counts) if count and m is not None]
+            first = members[0]
+            if first is not None and first.ndim == 1 and first.dtype == np.int64:
+                _put_narrow([int(v) for m in rows for v in m.tolist()], out)
+            elif rows:
+                _encode_arrays([row for m in rows for row in m], out)
+            else:
+                out.append(0)
+        field += len(names)
+
+
+def _decode_ragged(buf: memoryview, offset: int, count: int):
+    record = _RECORDS_BY_TAG[buf[offset]]
+
+    def ints(offset, count):
+        width = _INT_DTYPES[buf[offset] - 1]
+        values, offset = _take(buf, offset + 1, count, width)
+        return values.astype(np.int64).tolist(), offset
+
+    heads, offset = ints(offset + 1, count)
+    fields = [[head] for head in heads]
+    for names in record.levels:
+        counts, offset = ints(offset, count)
+        for _ in names:
+            kind = buf[offset]
+            if kind == 0:
+                rows, offset = [None] * sum(counts), offset + 1
+            elif kind == _C_ARRAY:
+                rows, offset = _decode_arrays(buf, offset + 1, sum(counts))
+            else:
+                rows, offset = ints(offset, sum(counts))
+            at = 0
+            for field, n in zip(fields, counts):
+                part = rows[at : at + n]
+                if kind == _C_ARRAY:
+                    part = np.stack(part) if n else None
+                elif kind:
+                    part = np.asarray(part, dtype=np.int64)
+                field.append(None if kind == 0 else part)
+                at += n
+    return [record.make(*field) for field in fields], offset
 
 
 def object_block(values: list) -> bytes:
@@ -645,6 +690,7 @@ _COLUMN_DECODERS = {
     _C_RECORD: _decode_records,
     _C_UNION: _decode_union,
     _C_BLOB: _decode_blobs,
+    _C_RAGGED: _decode_ragged,
 }
 
 
@@ -670,7 +716,10 @@ def object_values(data: bytes | memoryview) -> list:
 def object_propagate(routing, node_ids: list[int], infos: list, next_round: int) -> RecordBatch:
     """``Routing.propagate`` as it built one record object per in-edge:
     ``("self", info)`` and ``("in", in_record(src, weight, edge_feat,
-    info))`` values, node-major, sized by ``approx_nbytes``."""
+    info))`` values, node-major, sized by ``approx_nbytes``.  ``infos``
+    may be a column: its rows are the objects."""
+    if not isinstance(infos, list):
+        infos = infos.rows()
     out_edges = routing.out_edges.get()
     ids = np.asarray(node_ids, dtype=np.int64)
     keys, values = [], []

@@ -35,7 +35,6 @@ from repro.mapreduce.spill import _encode_key_table
 from repro.proto.framing import (
     FrameCorruptionError,
     GatherColumn,
-    ObjectColumn,
     columnize,
     decode_block,
     decode_columns,
@@ -81,17 +80,18 @@ def propagations(draw):
 
     def info(v: int):
         x = rng.standard_normal(4).astype(np.float32)
-        if record is _InEmb:
-            return x
-        seed = SubgraphInfo.seed(v, x)
-        return SubgraphInfo.from_wire(v, seed.wire) if rng.random() < 0.5 else seed
+        return x if record is _InEmb else SubgraphInfo.seed(v, x)
 
     nodes = rng.permutation(ids).tolist()
     cuts = sorted(rng.choice(len(nodes) + 1, size=draw(st.integers(0, 3))).tolist())
     batches = []
     for a, b in zip([0] + cuts, cuts + [len(nodes)]):
         if b > a:
-            batches.append((nodes[a:b], [info(v) for v in nodes[a:b]]))
+            infos = [info(v) for v in nodes[a:b]]
+            # a subgraph batch built from columns, or decoded from a spilled chunk
+            if record is InEdgeInfo and rng.random() < 0.5:
+                infos = decode_columns(encode_block(infos))
+            batches.append((nodes[a:b], infos))
     return routing, batches, draw(st.integers(1, total))
 
 
@@ -253,14 +253,13 @@ class TestColumnCodec:
     def test_take_is_the_column_form_of_the_taken_rows(self, values, data):
         """Every column kind's ``take`` is closed: the rows it gives encode
         as ``encode_block`` of the same values, whatever fallback the whole
-        column needed — and so does a gather of held objects."""
+        column needed — and so does a lazy gather of the column."""
         rows = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=8))
         index = np.asarray(rows, dtype=np.int64)
         want = block_or_error(lambda: encode_block([values[i] for i in rows]))
         taken = columnize(values).take(index)
         assert block_or_error(lambda: encode_columns(taken)) == want
-        objects = np.fromiter(values, dtype=object, count=len(values))
-        gathered = GatherColumn(ObjectColumn(objects), index)
+        gathered = GatherColumn(columnize(values), index)
         assert block_or_error(lambda: encode_columns(gathered)) == want
 
     def test_a_take_of_same_shape_ragged_rows_is_a_matrix(self):

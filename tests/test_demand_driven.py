@@ -1,5 +1,5 @@
 """Demand-driven GraphFlat: receptive-field-pruned propagation and
-wire-resident ``SubgraphInfo`` records.
+``SubgraphInfo`` records as ragged columns.
 
 The oracle is knob-free: ``graph_flat(..., targets=None)`` never prunes (its
 ``ReceptiveField`` has no distances), so a *targeted* run's sample for target
@@ -43,7 +43,16 @@ from repro.mapreduce.partition import Inline
 from repro.mapreduce.shuffle import Group
 from repro.nn.gnn import GraphSAGEModel
 from repro.proto.codec import decode_sample, encode_sample
-from repro.proto.framing import decode_value, encode_value
+from repro.proto.framing import (
+    _RECORDS_BY_CLS,
+    FrameCorruptionError,
+    RaggedColumn,
+    columnize,
+    decode_columns,
+    decode_value,
+    encode_block,
+    encode_value,
+)
 from repro.tasks import make_task
 
 from .oracle import DictSubgraph, assert_same_subgraph, oracle_merge, random_subgraph
@@ -271,13 +280,20 @@ class TestBatchedMerge:
     (``spill._CHUNK_BYTES``): the 23 run files larger than 16 KiB became one
     frame each, so they carry fewer frame headers and key tables —
     ``graphflat-map`` 405 239 / 86 311, ``reduce1`` 562 265 / 127 798 and
-    ``reduce2-reindex`` 124 640 / 33 635 before.  No record moved."""
+    ``reduce2-reindex`` 124 640 / 33 635 before.  No record moved.
+
+    They were re-recorded again when neighborhoods became ragged columns
+    (run files of version 4): a chunk's neighborhoods are one block, ints
+    narrowed once per chunk, with no per-record header, width code, row
+    block header or byte length.  Before: ``graphflat-map`` 404 430 /
+    86 081, ``reduce1-reindex`` 66 174 / 16 856, ``reduce1`` 561 371 /
+    127 537 and ``reduce2-reindex`` 124 550 / 33 590.  No record moved."""
 
     ROUNDS = {  # job: (shuffled_records, shuffle_bytes_written, peak_reducer_buffer_bytes)
-        "graphflat-map": (400, 404_430, 86_081),
-        "graphflat-reduce1-reindex": (555, 66_174, 16_856),
-        "graphflat-reduce1": (2_320, 561_371, 127_537),
-        "graphflat-reduce2-reindex": (210, 124_550, 33_590),
+        "graphflat-map": (400, 304_401, 62_649),
+        "graphflat-reduce1-reindex": (555, 48_406, 12_329),
+        "graphflat-reduce1": (2_320, 518_627, 118_008),
+        "graphflat-reduce2-reindex": (210, 114_785, 30_846),
         "graphflat-reduce2": (657, 0, 0),
     }
 
@@ -341,9 +357,12 @@ class TestBatchedMerge:
 
     def test_runs_over_several_chunks_merge_to_the_same_samples(self, tmp_path, monkeypatch):
         """The engine's merge across chunk boundaries, which the shipped
-        chunk no longer reaches on this fixture: cut at 16 KiB, the 23 run
-        files larger than that take 136 frames for 96 files, and the
-        samples are the same bytes as from one frame a file."""
+        chunk no longer reaches on this fixture: cut at 16 KiB, the run
+        files larger than that take 145 frames for 96 files, and the
+        samples are the same bytes as from one frame a file.  (136 when a
+        neighborhood was sized by its encoded blob: the writer now sizes it
+        by its columns in memory, int64 ids and hops included, so 16 KiB
+        chunks are cut a little sooner.)"""
         from repro.mapreduce import spill
 
         with LocalRuntime(spill_dir=tmp_path / "shipped") as runtime:
@@ -360,7 +379,7 @@ class TestBatchedMerge:
             small = self.run(runtime)
         assert len(shipped.samples) == 100
         assert small.samples == shipped.samples
-        assert frames[0] == 136
+        assert frames[0] == 145
         assert [s.shuffled_records for s in small.round_stats] == [
             records for records, _, _ in self.ROUNDS.values()
         ]
@@ -392,6 +411,65 @@ class TestBatchedMerge:
             (2, 0): [24], (2, 1): [24], (2, 2): [21], (2, 3): [31],
         }
 
+    def test_an_in_memory_run_encodes_no_neighborhood(self, monkeypatch):
+        """Serial and in memory nothing is spilled, so no neighborhood
+        block is ever encoded — not even to size one.  (When each
+        neighborhood had a wire blob, this run built 492 of them, only for
+        the sizes a spill writer would have budgeted with.)"""
+        calls = [0]
+        encode = RaggedColumn._encode
+
+        def counted(self, out):
+            calls[0] += 1
+            return encode(self, out)
+
+        monkeypatch.setattr(RaggedColumn, "_encode", counted)
+        with LocalRuntime() as runtime:
+            result = self.run(runtime)
+        assert len(result.samples) == 100
+        assert calls[0] == 0
+
+    EVENTS_PER_UNIT = 90
+    """``call`` events in the codec and the merge kernel per unit of
+    batches and frames (see below): 69 on this fixture when it was set."""
+
+    def test_codec_and_merge_calls_grow_with_batches_and_frames(self, tmp_path):
+        """The spilled run's Python-level work in ``core/graphflat/records.py``
+        and ``proto/framing.py`` — the interpreter's ``call`` events there —
+        is bounded by :data:`EVENTS_PER_UNIT` times the batches the
+        reducers emit plus the frames written and read (a ``read_frame``
+        per frame and per file end): a few calls per column of a batch or
+        chunk, none per record.  Here: 20 batches, 96 frames written, 192
+        reads, 21 307 events.  When each neighborhood crossed the shuffle
+        as its own wire blob, the same run made 35 082 (114 a unit): a
+        ``from_wire``, ``_layout`` and ``_RowTemplate.raw`` per decoded
+        neighborhood, a ``_build_wire`` and ``info_nbytes`` per encoded one
+        and a ``seed`` per node."""
+        import sys
+
+        counts = {"events": 0, "batches": 0, "frames": 0}
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            code = frame.f_code
+            if code.co_filename.endswith(("graphflat/records.py", "proto/framing.py")):
+                counts["events"] += 1
+                counts["frames"] += code.co_name in ("write_frame", "read_frame")
+            elif code.co_name == "_emit" and code.co_filename.endswith("core/propagation.py"):
+                counts["batches"] += 1
+
+        with LocalRuntime(spill_dir=tmp_path) as runtime:
+            sys.setprofile(profile)
+            try:
+                result = self.run(runtime)
+            finally:
+                sys.setprofile(None)
+        assert len(result.samples) == 100
+        assert counts["frames"] == 96 + 192 and counts["batches"] > 10
+        units = counts["batches"] + counts["frames"]
+        assert counts["events"] <= self.EVENTS_PER_UNIT * units, counts
+
     def test_a_reduce_task_holds_one_batch_not_its_partition(self):
         """Batches are cut at ``MERGE_BATCH_BYTES`` of input and emitted
         before the next is read: a task over 8x the groups makes about 8x
@@ -402,12 +480,12 @@ class TestBatchedMerge:
         from repro.mapreduce.spill import MERGE_BATCH_BYTES
 
         rng = np.random.default_rng(0)
-        neighbors = [
-            SubgraphInfo.from_wire(sub.root, sub.wire)
-            for sub in (make_subgraph(rng, num_nodes=20, num_edges=30, dim=64, edge_feat="none")
-                        for _ in range(16))
-        ]
-        group_bytes = 4 * neighbors[0].nbytes  # about: one seed besides
+        neighbors = decode_columns(encode_block([  # rows of a spilled chunk
+            make_subgraph(rng, num_nodes=20, num_edges=30, dim=64, edge_feat="none")
+            for _ in range(16)
+        ])).rows()
+        # at most: every group holds a seed and 4 of these, sized by columns
+        group_bytes = 4 * min(info.nbytes for info in neighbors)
 
         class Groups:
             def __init__(self, count):
@@ -586,7 +664,9 @@ class TestGraphInferInheritsTheGates:
         apply the head, which the Kth round now does itself:
         10 466 - 2 638 - 2 * 396 - 400 = 6 636.  The bytes were 643 273
         with 16 KiB chunks; 128 KiB chunks carry fewer frame headers and
-        key tables."""
+        key tables.  Run files of version 4 (neighborhoods as ragged
+        columns) left these bytes as they were: GraphInfer ships
+        embeddings, never a neighborhood."""
         result, seen = self.run(setup, tmp_path, monkeypatch)
         assert self.volume(result) == (6_636, 642_171)
         assert [s.job for s in result.round_stats][-1] == "graphinfer-reduce2"
@@ -878,19 +958,22 @@ class TestTrainerBudget:
         assert 0 < built["stat"] <= built["batch x shard"], built
 
 
-# ------------------------------------------------------- wire-resident records
+# ------------------------------------------------------- records as columns
 def make_subgraph(rng, **kwargs) -> SubgraphInfo:
     return random_subgraph(rng, **kwargs).to_info()
 
 
-class TestWireResidentRecords:
+class TestRecordsAsColumns:
     @given(seed=st.integers(0, 2**16), num_nodes=st.integers(1, 12),
            num_edges=st.integers(0, 20), dim=st.integers(0, 8),
            edge_feat=st.sampled_from(["uniform", "empty", "none"]))
     @settings(max_examples=60)
-    def test_round_trip_re_encodes_without_parsing(
+    def test_a_decoded_record_re_encodes_to_its_bytes(
         self, seed, num_nodes, num_edges, dim, edge_feat
     ):
+        """A record decoded from its block (a one-record ragged column) is
+        the record built from columns, and encodes back to the same bytes —
+        also after a pickle round trip, which keeps its columns."""
         original = make_subgraph(
             np.random.default_rng(seed), num_nodes=num_nodes, num_edges=num_edges,
             dim=dim, edge_feat=edge_feat,
@@ -898,33 +981,39 @@ class TestWireResidentRecords:
         wire = encode_value(("in", InEdgeInfo(3, 0.5, None, original)))
         (_, decoded), end = decode_value(wire)
         assert end == len(wire)
-        assert decoded.subgraph._columns is None
+        assert_same_subgraph(original, decoded.subgraph)
         assert encode_value(("in", decoded)) == wire
-        assert pickle.loads(pickle.dumps(decoded)).subgraph._columns is None
-        assert decoded.subgraph._columns is None  # still never parsed
-        assert_same_subgraph(original, decoded.subgraph)  # first access parses it
-        assert encode_value(("in", decoded)) == wire
+        clone = pickle.loads(pickle.dumps(decoded))
+        assert_same_subgraph(original, clone.subgraph)
+        assert encode_value(("in", clone)) == wire
 
-    def test_records_pickle_as_their_block(self):
-        """One pickled form, column-resident or not: the wire block."""
+    def test_records_pickle_as_their_columns(self):
+        """One pickled form, built from columns or decoded from a chunk:
+        the columns."""
         original = make_subgraph(np.random.default_rng(1))
-        lazy, _ = decode_value(encode_value(original))
-        for record in (original, lazy):
+        decoded, _ = decode_value(encode_value(original))
+        for record in (original, decoded):
             clone = pickle.loads(pickle.dumps(record))
-            assert clone._columns is None and clone.wire == original.wire
+            assert set(type(clone).__slots__) == {"root", "columns"}
             assert_same_subgraph(original, clone)
 
     def test_ragged_node_features_are_rejected_by_construction(self):
         """A node table has one feature width; rows that differ cannot make
-        a record, from parts or from a block."""
+        a record from parts, nor a column from records."""
         ragged = DictSubgraph(1, {
             1: (np.zeros(2, np.float32), 0),
             2: (np.zeros(5, np.float32), 1),
         })
         with pytest.raises(ValueError, match="^x: "):
             ragged.to_info()
+        narrow = SubgraphInfo(1, [1], [0], np.zeros((1, 2), np.float32))
+        wide = SubgraphInfo(2, [2], [0], np.zeros((1, 5), np.float32))
         with pytest.raises(ValueError, match="^x: "):
-            SubgraphInfo.from_wire(1, ragged.wire()).columns
+            RaggedColumn.of_records(_RECORDS_BY_CLS[SubgraphInfo], [narrow, wide])
+        with pytest.raises(ValueError, match="^x: "):
+            records.merge_neighborhoods(
+                columnize([narrow]), columnize([wide]), [0, 1], np.ones(1), None
+            )
         mixed_dtypes = [np.zeros(2, np.float32), np.zeros(2, np.float64)]
         with pytest.raises(ValueError, match="^x: "):
             SubgraphInfo(1, [1, 2], [0, 1], mixed_dtypes)
@@ -933,12 +1022,18 @@ class TestWireResidentRecords:
         """An edge table has features on every edge or on none."""
         rng = np.random.default_rng(3)
         mixed = random_subgraph(rng, num_edges=4, edge_feat="uniform")
+        with_features = mixed.to_info()
         first = next(iter(mixed.edges))
         mixed.edges[first] = (mixed.edges[first][0], None)  # None among edge features
         with pytest.raises(ValueError, match="^edge_feat: "):
             mixed.to_info()
+        without = make_subgraph(rng, num_edges=4, edge_feat="none")
         with pytest.raises(ValueError, match="^edge_feat: "):
-            SubgraphInfo.from_wire(mixed.root, mixed.wire()).columns
+            RaggedColumn.of_records(_RECORDS_BY_CLS[SubgraphInfo], [with_features, without])
+        with pytest.raises(ValueError, match="^edge_feat: "):
+            records.merge_neighborhoods(
+                columnize([with_features]), columnize([without]), [0, 1], np.ones(1), None
+            )
 
     def test_construction_names_the_field(self):
         for kwargs, field in [
@@ -955,51 +1050,56 @@ class TestWireResidentRecords:
                 SubgraphInfo(1, **kwargs)
 
     @pytest.mark.parametrize("edge_feat", ["uniform", "none"])
-    def test_truncated_block_raises_at_decode_time(self, edge_feat):
-        """Laziness must not defer truncation to first access: every strict
-        prefix of a record fails inside ``decode_value``."""
+    def test_truncated_record_raises_at_decode_time(self, edge_feat):
+        """Every strict prefix of a record fails inside ``decode_value``."""
         wire = encode_value(make_subgraph(np.random.default_rng(4), edge_feat=edge_feat))
         for cut in range(1, len(wire)):
             with pytest.raises((ValueError, IndexError)):
                 decode_value(wire[:cut])
-        with pytest.raises(ValueError, match="truncated bytes block"):
+        with pytest.raises(FrameCorruptionError, match="truncated ragged record"):
             decode_value(wire[:40])
 
-    def test_untouched_records_stay_on_the_wire_through_the_reducers(self, monkeypatch):
-        """Where the laziness pays: a hub slice pre-sampled by a re-index
-        round is inverted back to the hub's plain key without being parsed,
-        and a merge round reads the in-edges its sampler keeps straight off
-        their blocks — the very block objects the records arrived with, none
-        of them ever given columns."""
+    def test_records_pass_through_the_reducers_as_row_references(self, monkeypatch):
+        """A hub slice pre-sampled by a re-index round is inverted back to
+        the hub's plain key as row references into the chunk it arrived in,
+        and a merge round reads the in-edges its sampler keeps as rows of
+        that chunk's one block — no record object, no copy per record."""
+        from repro.core.graphflat import pipeline
+
         rng = np.random.default_rng(5)
         sampler = make_sampler("uniform", 3, seed=0)
-
-        def shuffled(value):
-            return decode_value(encode_value(value))[0]
-
         rows = [
-            ("in", shuffled(InEdgeInfo(src, 1.0, None, make_subgraph(rng, edge_feat="none"))))
+            ("in", InEdgeInfo(src, 1.0, None, make_subgraph(rng, edge_feat="none")))
             for src in range(12)
         ]
-        [batch] = PartialReducer(sampler, InEdgeInfo).reduce_groups([((7, 2), Group.of(rows))])
-        [(key, (tag, kept))] = batch.pairs()
-        assert key == 7 and tag == "partial" and len(kept) == 3
-        assert all(row[1].subgraph._columns is None for row in rows)
-        assert all(record.subgraph._columns is None for record in kept)
+        chunk = decode_columns(encode_block(rows))  # as a spill delivers them
+        [block] = chunk.children[1].fields[3].blocks
+        [batch] = PartialReducer(sampler, InEdgeInfo).reduce_groups(
+            [((7, 2), Group([(chunk, 0, len(rows))]))]
+        )
+        assert batch.keys == [7]
+        kept = batch.values.children[1].items.fields[3]
+        assert len(kept) == 3 and kept.blocks == [block]
 
-        read = []
-        stack = records._stack
-        monkeypatch.setattr(records, "_stack", lambda infos: read.extend(infos) or stack(infos))
+        seen = []
+        merge = pipeline.merge_neighborhoods
+
+        def watched(selves, neighbors, *rest):
+            seen.append(neighbors)
+            return merge(selves, neighbors, *rest)
+
+        monkeypatch.setattr(pipeline, "merge_neighborhoods", watched)
         routing = Routing(frozenset(), 4, ReceptiveField(None, 2), InEdgeInfo, NO_OUT_EDGES)
-        rows.insert(0, ("self", shuffled(SubgraphInfo.seed(7, np.zeros(5, np.float32)))))
-        [batch] = MergeReducer(sampler, 2, 2, routing).reduce_groups([(7, Group.of(rows))])
+        own = SubgraphInfo.seed(7, np.zeros(5, np.float32))
+        own = decode_columns(encode_block([("self", own)]))
+        [batch] = MergeReducer(sampler, 2, 2, routing).reduce_groups(
+            [(7, Group([(own, 0, 1), (chunk, 0, len(rows))]))]
+        )
         [(node, (tag, merged))] = batch.pairs()
         assert (node, tag) == (7, "final") and merged.num_nodes > 1
-        sampled = [row[1].subgraph for row in rows[1:]]
-        assert len(read) == 4 and all(info._columns is None for info in read)
-        assert sum(any(info._wire is sub._wire for info in read) for sub in sampled) == 3
-        assert rows[0][1]._columns is None
-        assert all(sub._columns is None for sub in sampled)
+        [neighbors] = seen
+        assert type(neighbors) is RaggedColumn and neighbors.blocks == [block]
+        assert len(neighbors) == 3
 
 
 class TestCommandLine:

@@ -21,6 +21,7 @@ from repro.graph import AttributedGraph
 from repro.graph.subgraph import GraphFeature
 from repro.mapreduce import DistFileSystem, FaultPlan, LocalRuntime
 from repro.proto import decode_sample
+from repro.proto.framing import columnize, concat_columns, decode_columns, encode_columns
 
 from .helpers import write_legacy_row_dataset
 from .oracle import (
@@ -243,15 +244,16 @@ class TestStoring:
         assert list(fs.read_dataset("flat/legacy")) == samples
 
 
-def kernel(batch):
+def kernel(batch, form=columnize):
     """``merge_neighborhoods`` over ``(self_info, [(neighbor, weight,
-    edge_feat)])`` nodes: their subgraphs and edge columns."""
+    edge_feat)])`` nodes: their subgraphs as columns (``form`` makes them)
+    and edge columns."""
     selves = [self_info for self_info, _ in batch]
     sampled = [edge for _, edges in batch for edge in edges]
     offsets = np.cumsum([0] + [len(edges) for _, edges in batch])
     feats = [ef for _, _, ef in sampled]
     return merge_neighborhoods(
-        selves, [n for n, _, _ in sampled], offsets,
+        form(selves), form([n for n, _, _ in sampled]), offsets,
         np.asarray([w for _, w, _ in sampled], dtype=np.float64),
         None if all(ef is None for ef in feats) else np.stack(feats),
     )
@@ -260,7 +262,7 @@ def kernel(batch):
 def merged_pair(self_info, sampled):
     """Kernel and oracle merge of one node: ``sampled`` is ``(neighbor,
     weight, edge_feat)`` with neighbors as oracle dicts."""
-    [out] = kernel([(self_info.to_info(), [(n.to_info(), w, ef) for n, w, ef in sampled])])
+    [out] = kernel([(self_info.to_info(), [(n.to_info(), w, ef) for n, w, ef in sampled])]).rows()
     return out, DictSubgraph.merge(self_info, sampled)
 
 
@@ -307,20 +309,20 @@ class TestSubgraphInfo:
 
     def test_inputs_are_never_changed(self):
         """Records are shared with every reducer they were propagated to:
-        the kernel builds new ones and leaves its inputs (and their cached
-        blocks) alone."""
+        the kernel builds new ones and leaves its inputs alone — a column
+        built from records, and one decoded from a spilled chunk."""
         rng = np.random.default_rng(2)
-        self_info = random_subgraph(rng, edge_feat="none").to_info()
-        neighbor = random_subgraph(rng, edge_feat="none").to_info()
-        neighbor = SubgraphInfo.from_wire(neighbor.root, neighbor.wire)
-        before = (self_info.wire, neighbor.wire)
-        [out] = kernel([(self_info, [(neighbor, 1.0, None)])])
-        assert out is not self_info and out.wire != self_info.wire
-        assert (self_info.wire, neighbor.wire) == before
-        assert neighbor._columns is None  # read in bulk, never given columns
+        selves = columnize([random_subgraph(rng, edge_feat="none").to_info()])
+        neighbors = decode_columns(encode_columns(columnize(
+            [random_subgraph(rng, edge_feat="none").to_info()]
+        )))
+        before = (encode_columns(selves), encode_columns(neighbors))
+        out = merge_neighborhoods(selves, neighbors, [0, 1], np.ones(1), None)
+        assert encode_columns(out) != before[0]
+        assert (encode_columns(selves), encode_columns(neighbors)) == before
 
 
-# ids drawn below 2**bits force the wire's int width: i1, i2, i4, i8
+# ids drawn below 2**bits force a chunk's int width: i1, i2, i4, i8
 ID_BITS = {"i1": 6, "i2": 14, "i4": 30, "i8": 62}
 
 
@@ -359,15 +361,6 @@ def merge_batches(draw):
         }
         return DictSubgraph(root, nodes, edges)
 
-    def resident(sub: DictSubgraph) -> SubgraphInfo:
-        info = sub.to_info()
-        form = draw(st.sampled_from(["columns", "wire", "dict-order wire"]))
-        if form == "wire":
-            return SubgraphInfo.from_wire(info.root, info.wire)
-        if form == "dict-order wire":
-            return SubgraphInfo.from_wire(info.root, sub.wire())
-        return info
-
     batch, expected = [], []
     for _ in range(draw(st.integers(1, 5))):
         root = int(rng.choice(ids))
@@ -378,35 +371,53 @@ def merge_batches(draw):
              weight[(s, root)], feat[(s, root)])
             for s in sources
         ]
-        batch.append((
-            resident(self_sub),
-            [(resident(n), w, ef) for n, w, ef in sampled],
-        ))
+        batch.append((self_sub.to_info(), [(n.to_info(), w, ef) for n, w, ef in sampled]))
         expected.append(DictSubgraph.merge(self_sub, sampled))
-    return batch, expected
+    form = draw(st.sampled_from(["columns", "one chunk", "chunks"]))
+    return batch, expected, lambda infos: column_form(rng, infos, form)
+
+
+def column_form(rng, infos: list[SubgraphInfo], form: str):
+    """``infos`` as a merge reads them: a column built from the records
+    (``columns``), decoded from one spilled chunk (``one chunk``), or rows
+    of several chunks (``chunks``, cut at random)."""
+    if form == "columns":
+        return columnize(infos)
+    cuts = [0, len(infos)]
+    if form == "chunks":
+        cuts[1:1] = sorted(rng.integers(0, len(infos) + 1, size=2).tolist())
+    return concat_columns([
+        decode_columns(encode_columns(columnize(infos[a:b])))
+        for a, b in zip(cuts[:-1], cuts[1:])
+        if b > a
+    ])
 
 
 class TestMergeKernel:
     @given(merge_batches())
     @settings(max_examples=200)
     def test_kernel_equals_the_per_node_dict_merge(self, case):
-        batch, expected = case
-        merged = kernel(batch)
-        assert len(merged) == len(expected)
-        for out, oracle in zip(merged, expected):
+        """Inputs built from columns or decoded from spilled chunks; the
+        merged column, and the same column decoded from a chunk, are the
+        oracle's records column for column."""
+        batch, expected, form = case
+        merged = kernel(batch, form)
+        decoded = decode_columns(encode_columns(merged)).rows()
+        merged = merged.rows()
+        assert len(merged) == len(decoded) == len(expected)
+        for out, back, oracle in zip(merged, decoded, expected):
             assert_same_subgraph(out, oracle.to_info())
+            assert_same_subgraph(back, oracle.to_info())
             assert_flattens_alike(out.to_graph_feature(), oracle.to_graph_feature())
-            assert len(out.wire) == len(oracle.wire())
-            assert_same_subgraph(SubgraphInfo.from_wire(out.root, out.wire), out)
 
     def test_empty_batch(self):
-        assert kernel([]) == []
+        assert kernel([]).rows() == []
 
 
 # ---------------------------------------------------------------- pairing round
 def endpoint_info(rng, universe: int, edge_dim: int) -> SubgraphInfo:
     """An endpoint neighborhood over a small id universe (so a pair's two
-    neighborhoods share nodes and edges), column- or wire-resident."""
+    neighborhoods share nodes and edges)."""
     n = int(rng.integers(1, 8))
     ids = rng.choice(universe, size=n, replace=False).astype(np.int64) * 5 - 40
     hops = np.concatenate([[0], rng.integers(1, 3, size=n - 1)])
@@ -417,16 +428,15 @@ def endpoint_info(rng, universe: int, edge_dim: int) -> SubgraphInfo:
         ids[pairs // n], ids[pairs % n], rng.random(m) + 0.1,
         rng.standard_normal((m, edge_dim)).astype(np.float32) if edge_dim and m else None,
     )
-    return SubgraphInfo.from_wire(info.root, info.wire) if rng.random() < 0.5 else info
+    return info
 
 
 def pair_groups(rng, ends, chunk: int):
     """The pairing round's input as a shuffle delivers it: one group per
     target edge, ``("end", role, info)`` rows in either role order, groups
-    cut out of shared chunks of ``chunk`` edges (object- or record-column
-    infos)."""
+    cut out of shared chunks of ``chunk`` edges (columns built from the
+    rows, or decoded from a spilled chunk)."""
     from repro.mapreduce.shuffle import Group
-    from repro.proto.framing import ObjectColumn, ScalarColumn, StrColumn, TupleColumn, columnize
 
     groups = []
     for lo in range(0, len(ends), chunk):
@@ -434,19 +444,9 @@ def pair_groups(rng, ends, chunk: int):
         for src, dst in ends[lo : lo + chunk]:
             both = [("end", 0, src), ("end", 1, dst)]
             rows += both if rng.random() < 0.5 else both[::-1]
+        column = columnize(rows)
         if rng.random() < 0.5:
-            column = columnize(rows)
-        else:
-            infos = np.empty(len(rows), dtype=object)
-            infos[:] = [info for _, _, info in rows]
-            column = TupleColumn(
-                [
-                    StrColumn.of(["end"], np.zeros(len(rows), dtype=np.int64)),
-                    ScalarColumn(int, np.asarray([role for _, role, _ in rows])),
-                    ObjectColumn(infos),
-                ],
-                len(rows),
-            )
+            column = decode_columns(encode_columns(column))
         for k in range(len(rows) // 2):
             groups.append((lo + k, Group([(column, 2 * k, 2 * k + 2)])))
     return groups

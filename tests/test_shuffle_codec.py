@@ -10,7 +10,9 @@ it.
 
 from __future__ import annotations
 
+import collections
 import io
+import math
 import pickle
 import struct
 
@@ -26,12 +28,15 @@ from repro.mapreduce.spill import _CHUNK_BYTES, SpillLayout, _decode_key_table
 from repro.proto.framing import (
     _RECORDS_BY_CLS,
     FrameCorruptionError,
+    RaggedColumn,
     approx_nbytes,
+    columnize,
+    concat_columns,
     decode_block,
-    decode_rows,
+    decode_columns,
     decode_value,
     encode_block,
-    encode_rows,
+    encode_columns,
     encode_value,
     iter_frames,
     read_stream_header,
@@ -40,7 +45,7 @@ from repro.proto.framing import (
     write_stream_header,
 )
 
-from .oracle import assert_same_subgraph, random_subgraph
+from .oracle import assert_same_subgraph, object_block, random_subgraph
 
 
 def round_trip(value):
@@ -386,7 +391,7 @@ GENERIC = st.recursive(
 @st.composite
 def engine_records(draw):
     """The ``(tag, ...)`` values both pipelines shuffle, ``edge_feat`` None /
-    present / mixed, subgraphs materialised or wire-resident."""
+    present / mixed, subgraphs built from columns or decoded from a chunk."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
 
     def edge_feat():
@@ -403,8 +408,8 @@ def engine_records(draw):
             rng, num_nodes=int(rng.integers(1, 5)), num_edges=int(rng.integers(0, 5)),
             edge_feat=draw(st.sampled_from(["uniform", "none", "empty"])),
         )
-        if draw(st.booleans()):
-            sg = SubgraphInfo.from_wire(sg.root, sg.wire)
+        if draw(st.booleans()):  # decoded from a spilled chunk
+            sg = decode_block(encode_block([sg]))[0]
         return sg
 
     self_info = draw(st.sampled_from([emb, subgraph]))
@@ -493,46 +498,15 @@ class TestBlockCodec:
         with pytest.raises(TypeError):
             encode_block([1, value])
 
-    def test_wire_resident_subgraph_re_encodes_its_block(self):
+    def test_decoded_subgraph_re_encodes_its_block(self):
+        """A subgraph decoded from a spilled chunk is the one built from
+        columns, and encodes back to the chunk's block."""
         rng = np.random.default_rng(9)
         original = make_subgraph(rng, edge_feat="none")
         block = encode_block([("self", original)])
         (_, decoded), = decode_block(block)
-        assert decoded._columns is None and decoded._wire == original.wire
+        assert_same_subgraph(original, decoded)
         assert encode_block([("self", decoded)]) == block
-        assert decoded._columns is None
-
-    @pytest.mark.parametrize("matrix", [
-        np.arange(12, dtype=np.float32).reshape(4, 3),
-        np.zeros((3, 0), dtype=np.float32),            # zero-width rows
-        np.arange(6, dtype=">f8").reshape(3, 2),       # big-endian
-        np.arange(8, dtype=np.int16).reshape(2, 2, 2),
-        np.zeros((0, 5), dtype=np.float32),            # no rows
-    ])
-    def test_row_blocks_are_the_blocks_of_the_rows(self, matrix):
-        """``encode_rows`` writes, from the matrix, exactly the block
-        ``encode_block`` makes of its rows; ``decode_rows`` reads it back
-        as one matrix."""
-        block = encode_rows(matrix)
-        assert block == encode_block(list(matrix))
-        rows = decode_rows(block)
-        if not len(matrix):
-            assert rows is None
-        else:
-            assert_same(matrix, rows)
-
-    def test_row_blocks_refuse_what_is_not_one_array_column(self):
-        ragged = encode_block([np.zeros(2, np.float32), np.zeros(3, np.float32)])
-        with pytest.raises(ValueError, match="not one array column"):
-            decode_rows(ragged)
-        with pytest.raises(ValueError, match="not one array column"):
-            decode_rows(encode_block([np.zeros(2, np.float32), None]))
-        block = encode_rows(np.ones((3, 2), np.float32))
-        for cut in range(len(block)):
-            with pytest.raises(ValueError):
-                decode_rows(block[:cut])
-        with pytest.raises(FrameCorruptionError, match="trailing"):
-            decode_rows(block + b"\x00")
 
     def test_truncated_or_padded_block_is_frame_corruption(self):
         block = encode_block([("in", _InEmb(1, 1.0, None, np.ones(3, np.float32)))] * 3)
@@ -551,8 +525,214 @@ def read_chunks(data: bytes):
     return [_decode_key_table(table) for table, _ in iter_frames(fh)]
 
 
+# ids drawn below these force a chunk's int width: i1, i2, i4, i8
+ID_BOUNDS = {"i1": 1 << 6, "i2": 1 << 14, "i4": 1 << 30, "i8": 1 << 62}
+INT64_EDGES = np.array(
+    [-(2**63), -(2**63) + 1, -1, 0, 5, 2**63 - 2, 2**63 - 1], dtype=np.int64
+)
+
+
+@st.composite
+def ragged_records(draw, min_size=0):
+    """Neighborhoods one chunk could hold: one feature dtype and width, edge
+    features on every edge or on none; 0-edge records among them, ids of
+    every int width (up to the ``int64`` limits)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.sampled_from([*ID_BOUNDS, "limits"]))
+    dim = draw(st.sampled_from([0, 1, 3]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    edge_dim = draw(st.sampled_from([None, 0, 2]))
+    records = []
+    for _ in range(draw(st.integers(min_size, 6))):
+        if width == "limits":
+            ids = rng.choice(INT64_EDGES, size=int(rng.integers(1, 6)), replace=False)
+        else:
+            bound = ID_BOUNDS[width]
+            ids = np.unique(rng.integers(-bound, bound, size=int(rng.integers(1, 6))))
+        n = len(ids)
+        m = int(rng.integers(0, min(n * n, 6) + 1)) if draw(st.booleans()) else 0
+        pairs = rng.choice(n * n, size=m, replace=False)
+        records.append(SubgraphInfo(
+            int(ids[0]), ids, np.concatenate([[0], rng.integers(1, 4, size=n - 1)]),
+            rng.standard_normal((n, dim)).astype(dtype), ids[pairs // n], ids[pairs % n],
+            rng.random(m) + 0.5,
+            None if edge_dim is None or not m
+            else rng.standard_normal((m, edge_dim)).astype(np.float32),
+        ))
+    return records
+
+
+def ragged_header_bytes(block: bytes) -> list[int]:
+    """Positions of every byte of a ragged block's headers — the count
+    word, tags, kind and width bytes, row counts, dtypes and row shapes:
+    everything but the heads, the int members' values and the raw rows."""
+    levels = _RECORDS_BY_CLS[SubgraphInfo].levels
+    count = int.from_bytes(block[:4], "little")
+
+    def ints(pos: int, n: int):
+        width = 1 << (block[pos] - 1)
+        values = np.frombuffer(block, dtype=f"<i{width}", count=n, offset=pos + 1)
+        return pos + 1 + n * width, values
+
+    positions = [0, 1, 2, 3, 4, 5, 6]  # count word, column tag, record tag, heads' width
+    pos, _ = ints(6, count)
+    for names in levels:
+        start = pos
+        pos, lengths = ints(pos, count)
+        positions += range(start, pos)
+        total = int(lengths.sum())
+        for _ in names:
+            kind = block[pos]
+            positions.append(pos)
+            if kind == 0:
+                pos += 1
+            elif kind == 0x06:  # rows: dtype and row shape, then the rows
+                dlen = block[pos + 1]
+                ndim = block[pos + 2 + dlen]
+                rows_at = pos + 3 + dlen + 8 * ndim
+                positions += range(pos + 1, rows_at)
+                dtype = np.dtype(block[pos + 2 : pos + 2 + dlen].decode())
+                shape = struct.unpack_from(f"<{ndim}q", block, pos + 3 + dlen)
+                pos = rows_at + total * math.prod(shape) * dtype.itemsize
+            else:
+                pos, _ = ints(pos, total)
+    assert pos == len(block)
+    return positions
+
+
+class TestRaggedColumn:
+    """A chunk's neighborhoods as one ragged column."""
+
+    @given(ragged_records(), st.data())
+    @settings(max_examples=150)
+    def test_round_trip_take_and_concat(self, records, data):
+        """Encoded, decoded, taken and joined — from records, from a
+        decoded chunk, or from both — a column writes exactly the block of
+        its rows, which is the object walk's, and decodes to its records."""
+        column = columnize(records)
+        block = encode_columns(column)
+        assert block == object_block(records) == encode_block(records)
+        decoded = decode_columns(block)
+        assert encode_columns(decoded) == block
+        assert len(decoded.rows()) == len(records)
+        for out, want in zip(decoded.rows(), records):
+            assert_same_subgraph(out, want)
+        rows = data.draw(st.lists(st.integers(0, max(len(records) - 1, 0)), max_size=8))
+        rows = rows if records else []
+        index = np.asarray(rows, dtype=np.int64)
+        taken = encode_block([records[i] for i in rows])
+        assert encode_columns(decoded.take(index)) == taken
+        cut = data.draw(st.integers(0, len(records)))
+        joined = concat_columns([
+            decode_columns(encode_columns(columnize(records[:cut]))), columnize(records[cut:]),
+        ])
+        assert encode_columns(joined) == block
+        assert encode_columns(joined.take(index)) == taken
+        if records:
+            sizes = [info.nbytes for info in records]
+            assert decoded.sizes().tolist() == joined.sizes().tolist() == sizes
+            assert joined.approx_sizes().tolist() == [approx_nbytes(r) for r in records]
+
+    @pytest.mark.parametrize("field", ["x", "edge_feat"])
+    @pytest.mark.parametrize("differ", ["dtype", "shape"])
+    def test_rows_that_differ_across_records_name_the_field(self, field, differ):
+        """Feature rows of one field differ in dtype or shape from record to
+        record: no column holds them, built from records or joined from a
+        decoded chunk — a ``ValueError`` naming the field."""
+        def record(root, odd):
+            kind = np.float64 if odd and differ == "dtype" else np.float32
+            width = 3 if odd and differ == "shape" else 2
+            x_kind, x_width = (kind, width) if field == "x" else (np.float32, 2)
+            e_kind, e_width = (kind, width) if field == "edge_feat" else (np.float32, 2)
+            return SubgraphInfo(
+                root, [root, 9], [0, 1], np.ones((2, x_width), x_kind), [9], [root], [1.0],
+                np.ones((1, e_width), e_kind),
+            )
+
+        a, b = record(1, False), record(2, True)
+        with pytest.raises(ValueError, match=f"^{field}: rows differ"):
+            RaggedColumn.of_records(_RECORDS_BY_CLS[SubgraphInfo], [a, b])
+        chunk = decode_columns(encode_columns(columnize([a])))
+        joined = concat_columns([chunk, columnize([b])])
+        with pytest.raises(ValueError, match=f"^{field}: rows differ"):
+            joined.block()
+        with pytest.raises(ValueError, match=f"^{field}: rows differ"):
+            encode_columns(joined)
+
+    @given(ragged_records(min_size=1))
+    @settings(max_examples=60)
+    def test_damaged_or_truncated_headers_are_refused(self, records):
+        """Every header byte of a ragged block, damaged, and every strict
+        prefix of the block is a ``FrameCorruptionError`` — never a decode."""
+        block = encode_columns(columnize(records))
+        for at in ragged_header_bytes(block):
+            damaged = bytearray(block)
+            damaged[at] ^= 0xFF
+            with pytest.raises(FrameCorruptionError):
+                decode_columns(bytes(damaged))
+        for cut in range(len(block)):
+            with pytest.raises(FrameCorruptionError):
+                decode_columns(block[:cut])
+
+    def test_every_int_width_is_chosen(self):
+        """Each int column of a chunk is narrowed to the narrowest width
+        holding its values: ids at 1, 2, 4 and 8 bytes."""
+        widths = set()
+        for ids in ([3, 100], [3, 1000], [3, 1 << 20], [3, 1 << 40], [-(2**63), 2**63 - 1]):
+            info = SubgraphInfo(ids[0], ids, [0, 1], np.zeros((2, 1), np.float32))
+            block = encode_columns(columnize([info]))
+            # the 7 leading header bytes, the node level's one row count
+            # (kind byte and value), then the ids' kind byte
+            widths.add(block[ragged_header_bytes(block)[9]])
+        assert widths == {1, 2, 3, 4}
+
+
 class TestChunkedRuns:
     HUB, ROW = 7, np.arange(256, dtype=np.float32)  # 1 KiB per value
+
+    def test_a_stream_holds_at_most_two_chunks_not_yet_yielded(self, tmp_path, monkeypatch):
+        """The reader bound (``repro.mapreduce.spill``'s docstring) on 8
+        runs of the same 64 keys, 3 values a chunk, read through
+        ``iter_groups``: a stream whose last key equals the merge bound
+        loads its next chunk before that key's pieces go out, so it holds
+        up to two chunks it has loaded but not fully yielded — never
+        more."""
+        from repro.mapreduce import spill
+
+        monkeypatch.setattr(spill, "_CHUNK_BYTES", 60)  # three 8-byte values and their groups
+        layout = SpillLayout(str(tmp_path), "job", 1)
+        for task in range(8):
+            layout.write_map_output(task, [[(key, task) for key in range(64)]])
+        chunks = read_chunks(layout.run_path(0, 0, 0).read_bytes())
+        assert [sum(counts) for _, counts in chunks] == [3] * 21 + [1]
+
+        loaded = collections.defaultdict(list)  # stream -> pieces of each chunk it loaded
+        yielded = collections.Counter()  # stream -> pieces the merge yielded
+        held = []
+
+        def open_chunks(stream: int) -> int:
+            done = int(np.searchsorted(np.cumsum(loaded[stream]), yielded[stream], "right"))
+            return len(loaded[stream]) - done
+
+        iter_file, merge = SpillLayout._iter_file, spill._merge_chunks
+
+        def counted_file(self, path, as_rows, number):
+            for pieces in iter_file(self, path, as_rows, number):
+                loaded[number].append(len(pieces))
+                held.append(open_chunks(number))
+                yield pieces
+
+        def counted_merge(streams):
+            for piece in merge(streams):
+                yielded[piece[1]] += 1
+                held.append(max(map(open_chunks, loaded)))
+                yield piece
+
+        monkeypatch.setattr(SpillLayout, "_iter_file", counted_file)
+        monkeypatch.setattr(spill, "_merge_chunks", counted_merge)
+        groups = list(layout.iter_groups(0, 8))
+        assert groups == [(key, list(range(8))) for key in range(64)]
+        assert max(held) <= 2, held
 
     def hub_pairs(self, n=300):
         """A hub group far larger than one chunk between two small ones."""
@@ -654,12 +834,15 @@ class TestChunkedRuns:
         with pytest.raises(FrameCorruptionError):
             list(getattr(layout, reader)(0, 1))
 
-    def test_version_2_run_is_rejected(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_older_runs_are_rejected(self, tmp_path, monkeypatch, version):
+        """Version 2 (a frame per key) and version 3 (a blob per
+        neighborhood) are other grammars; run files are version 4."""
         layout, path, data = self.small_run(tmp_path, monkeypatch)
-        assert data[:5] == b"AGLS\x03"
-        path.write_bytes(b"AGLS\x02" + data[5:])
-        with pytest.raises(FrameCorruptionError, match="version 2"):
+        assert data[:5] == b"AGLS\x04"
+        path.write_bytes(b"AGLS" + bytes([version]) + data[5:])
+        with pytest.raises(FrameCorruptionError, match=f"version {version}"):
             list(layout.iter_groups(0, 1))
-        with pytest.raises(FrameCorruptionError, match="version 2"):
-            read_stream_header(io.BytesIO(b"AGLS\x02\x01"))
+        with pytest.raises(FrameCorruptionError, match=f"version {version}"):
+            read_stream_header(io.BytesIO(b"AGLS" + bytes([version, 1])))
 
