@@ -29,7 +29,7 @@ from repro.core.trainer import (
     open_sample_source,
 )
 from repro.datasets.io import read_edge_table, read_node_table
-from repro.mapreduce import BACKEND_REGISTRY, PARTITIONERS, DistFileSystem
+from repro.mapreduce import BACKEND_REGISTRY, DistFileSystem
 from repro.nn.gnn import MODEL_REGISTRY, build_model
 from repro.proto.codec import CodecError, decode_prediction
 from repro.tasks import EDGE_TASKS, TASK_REGISTRY
@@ -136,12 +136,6 @@ def _add_dataflow(parser: argparse.ArgumentParser, config_cls, *, output: str,
         "--task", choices=sorted(TASK_REGISTRY), default=defaults.task, help=task_help
     )
     parser.add_argument("--output", default=output)
-    parser.add_argument(
-        "--partitioner", choices=PARTITIONERS, default=defaults.partitioner,
-        help="shuffle partition strategy: 'hash' (crc32 of the key) or "
-        "'planned' (degree-aware plan that spreads heavy keys across "
-        "reducers; output stays byte-identical to hash)",
-    )
     _add_common(parser)
     _add_runtime(parser)
 
@@ -159,7 +153,6 @@ def _dataflow_kwargs(args) -> dict:
         spill_dir=args.spill_dir,
         shuffle_transport=args.shuffle_transport,
         hosts=args.hosts,
-        partitioner=args.partitioner,
         max_attempts=args.max_attempts,
         task_timeout_s=args.task_timeout_s,
         speculation_factor=args.speculation_factor,

@@ -10,9 +10,9 @@ their source-id and weight arrays and returns the indices of the ones it
 keeps.  Selections are *canonical in source-id order*: every ``select`` —
 including the under-cap early return — orders its result by ``src``, never
 by arrival order.  Arrival order within a reduce group is a function of which
-upstream task emitted each record, i.e. of the shuffle partition function;
-canonical ordering is what keeps pipeline output byte-identical across
-partitioners (hash vs planned), backends, and re-executed attempts.  A node
+upstream task emitted each record, i.e. of the backend and the task that
+won; canonical ordering is what keeps pipeline output byte-identical across
+backends, transports, and re-executed attempts.  A node
 with at most ``max_neighbors`` in-edges keeps them all, in that order, under
 every strategy: the propagation engine relies on it to order such nodes a
 whole merge batch at a time instead of calling ``select`` per node.

@@ -9,7 +9,7 @@ A :class:`ModelSlice` is self-contained — (kind, constructor config,
 state) — so a MapReduce reducer can load exactly its slice without the rest
 of the model.  The K+1 slices of a run travel together as one
 :class:`ModelSlices` side input (:func:`~repro.mapreduce.partition.publish`,
-like the out-edges and the placement plan): held by reference when tasks
+like the out-edges): held by reference when tasks
 stay in-process, encoded once into one shared-memory slab when they are
 pickled — a pickled reducer then carries a locator and its slice index, no
 parameter array.

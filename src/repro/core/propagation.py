@@ -47,7 +47,7 @@ Everything that scheme fixes lives here, once:
   MapReduce pipelines — and :meth:`Routing.propagate` is the only place
   records are emitted, so every gate applies to both pipelines.
 * **Driver** (:func:`run_dataflow`): counts in-degrees once, detects hubs,
-  publishes the out-edges (and the placement plan), builds the ``map ->
+  publishes the out-edges, builds the ``map ->
   [reindex (hub slices only), reduce] x K -> final`` job chain, runs it and
   commits the dataset its final-round reducers wrote.
   :class:`DataflowConfig` owns the knobs the two pipelines share.
@@ -74,15 +74,7 @@ from repro.graph.tables import EdgeTable, NodeTable
 from repro.graph.validate import validate_tables
 from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.partition import (
-    PARTITIONERS,
-    Inline,
-    PartitionPlan,
-    SlabLocator,
-    plan_partitions,
-    publish,
-    publish_plan,
-)
+from repro.mapreduce.partition import Inline, SlabLocator, publish
 from repro.mapreduce.runtime import LocalRuntime, RunStats
 from repro.mapreduce.shuffle import Group, RecordBatch
 from repro.mapreduce.spill import DEFAULT_RUN_BYTES, DEFAULT_RUN_RECORDS, MERGE_BATCH_BYTES
@@ -120,7 +112,6 @@ __all__ = [
     "ReceptiveField",
     "Routing",
     "ShardSink",
-    "build_partition_plan",
     "canonical_tables",
     "detect_hubs",
     "distance_to_targets",
@@ -162,15 +153,6 @@ class DataflowConfig:
     spill_dir: str | None = None
     """Shuffle spill directory; ``None`` = in-memory (serial/threads) or a
     private temp dir (processes)."""
-    partitioner: str = "hash"
-    """Shuffle partition function for the intermediate rounds: ``hash``
-    (crc32 of the key, the classic default) or ``planned`` (degree-aware
-    greedy bin-packing built from the in-degree counts hub detection already
-    needs — heavy keys get explicit placements, the light tail keeps
-    hashing; see ``repro.mapreduce.partition``).  The *final* round always
-    partitions by hash: output record order is partition-major, so pinning
-    the last round's placement is what keeps pipeline output byte-identical
-    across partitioners (tested)."""
     spill_run_records: int = DEFAULT_RUN_RECORDS
     """External-sort run bound: records buffered per spill writer before a
     sorted run is flushed (see ``repro.mapreduce.spill.SpillRunWriter``)."""
@@ -206,8 +188,6 @@ class DataflowConfig:
         if self.spill_run_bytes < 1:
             raise ValueError(f"spill_run_bytes must be >= 1, got {self.spill_run_bytes}")
         make_task(self.task)  # unknown task names fail here, not mid-pipeline
-        if self.partitioner not in PARTITIONERS:
-            raise ValueError(f"partitioner must be one of {PARTITIONERS}")
         from repro.transport.shuffle import SHUFFLE_TRANSPORTS
 
         if self.shuffle_transport not in SHUFFLE_TRANSPORTS:
@@ -1011,12 +991,11 @@ class MessagePassingReducer:
         )
 
 
-# ------------------------------------------------------------------ planning
+# ---------------------------------------------------------------------- hubs
 def in_degrees(edges: EdgeTable) -> list[tuple[int, int]]:
     """Per-destination ``(node, in-degree)`` of the coalesced edge table —
-    one vectorized unique+count pass over the dst column.  Feeds both hub
-    detection and the degree-aware partition plan (equality with a per-edge
-    dict loop is reference-tested)."""
+    one vectorized unique+count pass over the dst column.  Feeds hub
+    detection (equality with a per-edge dict loop is reference-tested)."""
     uniq, counts = np.unique(np.asarray(edges.dst, dtype=np.int64), return_counts=True)
     return list(zip(uniq.tolist(), counts.tolist()))
 
@@ -1024,49 +1003,6 @@ def in_degrees(edges: EdgeTable) -> list[tuple[int, int]]:
 def detect_hubs(degree_pairs, hub_threshold: int) -> frozenset[int]:
     """Nodes whose in-degree exceeds ``hub_threshold`` (§3.2.2)."""
     return frozenset(int(v) for v, deg in degree_pairs if deg > hub_threshold)
-
-
-def build_partition_plan(
-    degree_pairs,
-    hubs: frozenset[int],
-    fanout: int,
-    num_reducers: int,
-    needed: ReceptiveField,
-) -> PartitionPlan:
-    """Degree-aware placement plan covering every intermediate round's keys.
-
-    A node's expected shuffle load is its in-degree — the number of ``in``
-    records propagated to it each round, known before any round runs
-    because hub detection already counted it (:func:`in_degrees`).
-    Propagation is
-    demand-driven, so a node outside every target's receptive field
-    (``not needed(node, 1)``) receives nothing and is left out of the plan:
-    the planner balances what is actually shuffled.  Per remaining node of
-    in-degree ``deg``, the weighted key set is:
-
-    * non-hub — the plain int key at weight ``deg`` (its in-records go
-      straight to the merge rounds).
-    * hub — each slice key ``(node, 1+s)`` at ``deg / fanout`` (the split
-      the re-indexing performs, routing into the re-index rounds) and the
-      plain int at ``2 + fanout`` (the self record and the post-sampling
-      partials, routing into the merge rounds).
-
-    :func:`~repro.mapreduce.partition.plan_partitions` then LPT-packs the
-    heavy head of that set; everything else keeps hashing."""
-
-    def weighted():
-        for node, deg in degree_pairs:
-            node = int(node)
-            if not needed(node, 1):
-                continue
-            if node in hubs:
-                for s in range(1, fanout + 1):
-                    yield (node, s), float(deg) / fanout
-                yield node, 2.0 + fanout
-            else:
-                yield node, float(deg)
-
-    return plan_partitions(weighted(), num_reducers)
 
 
 # ------------------------------------------------------------------- driver
@@ -1144,9 +1080,10 @@ def run_dataflow(
     ``reducers`` holds one :class:`MessagePassingReducer` constructor per
     round (``K = len(reducers)``); ``final`` optionally names one more
     round (``(job suffix, reducer)``) that joins or scores the Kth round's
-    output.  Hub detection and the placement plan are built from the
-    ``(node, in-degree)`` counts of ``edges`` (:func:`in_degrees`), counted
-    here once — no MapReduce job.
+    output.  Hub detection reads the ``(node, in-degree)`` counts of
+    ``edges`` (:func:`in_degrees`), counted here once — no MapReduce job.
+    Every round partitions by the hash default
+    (:func:`~repro.mapreduce.shuffle.default_partition`).
 
     ``store`` is the pipeline's storing step (§3.2.1 "Storing"):
     ``store.kind`` names the record kind and ``store.write_shard(path,
@@ -1162,24 +1099,14 @@ def run_dataflow(
     BLAS runs on one thread, process-wide, while the call is in flight
     (:mod:`repro.utils.blas`); ``processes`` pool workers pin it for life.
     """
-    degree_pairs = in_degrees(edges)
-    hubs = detect_hubs(degree_pairs, config.hub_threshold)
-    # Side inputs every round reads, published once (inline for in-process
-    # backends, one shared-memory slab each under pickling ones): the
-    # out-edges, and the placement plan.
-    edges_slab = plan_slab = None
+    hubs = detect_hubs(in_degrees(edges), config.hub_threshold)
+    # The side input every round reads, published once (inline for
+    # in-process backends, one shared-memory slab under pickling ones).
+    edges_slab = None
     try:
         edges_slab, out_edges = publish(OutEdges.of(edges), runtime.needs_pickling)
-        planned = None
-        if config.partitioner == "planned":
-            # Degree-aware placement: built from the in-degree counts hub
-            # detection already needed, applied to every intermediate round.
-            plan = build_partition_plan(
-                degree_pairs, hubs, config.reindex_fanout, config.num_reducers, needed
-            )
-            plan_slab, planned = publish_plan(plan, runtime.needs_pickling)
         routing = Routing(hubs, config.reindex_fanout, needed, in_record, out_edges)
-        jobs = _job_chain(name, config, routing, seed, reducers, final, edge_fanout, planned)
+        jobs = _job_chain(name, config, routing, seed, reducers, final, edge_fanout)
         if fs is None:
             data = runtime.run_rounds(jobs, rows)
             return DataflowOutput(hubs, list(runtime.round_stats), data=data)
@@ -1196,19 +1123,14 @@ def run_dataflow(
         )
         return DataflowOutput(hubs, list(runtime.round_stats), summaries)
     finally:
-        # Single unlink point for the side-input slabs — covers failed
-        # rounds too.
-        for slab in (edges_slab, plan_slab):
-            if slab is not None:
-                slab.close()
+        # Single unlink point for the side-input slab — covers failed rounds
+        # too.
+        if edges_slab is not None:
+            edges_slab.close()
 
 
-def _job_chain(
-    name, config, routing, seed, reducers, final, edge_fanout, planned
-) -> list[MapReduceJob]:
-    """``map -> [reindex (hub slices only), reduce] x K -> final`` as jobs;
-    ``planned`` (a placement-plan partitioner, or ``None``) governs every
-    round but the last."""
+def _job_chain(name, config, routing, seed, reducers, final, edge_fanout) -> list[MapReduceJob]:
+    """``map -> [reindex (hub slices only), reduce] x K -> final`` as jobs."""
     sampler = config.make_sampler()
     total_rounds = len(reducers)
 
@@ -1234,12 +1156,4 @@ def _job_chain(
         )
     if final is not None:
         jobs.append(job(*final))
-    if planned is not None:
-        # The *final* round keeps the hash default: output record order is
-        # partition-major and reducer-written shards are per-partition, so
-        # pinning the last round's placement is the planner's determinism
-        # contract — pipeline output stays byte-identical across
-        # partitioners.
-        for planned_job in jobs[:-1]:
-            planned_job.partitioner = planned
     return jobs

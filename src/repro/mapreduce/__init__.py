@@ -5,8 +5,8 @@ they inherit the infrastructure's fault tolerance and scalability (§1, §3.1).
 This package reproduces the programming contract those pipelines rely on:
 
 * ``MapReduceJob`` — mapper / optional combiner / reducer over key-value
-  pairs, with a pluggable deterministic partition function (hash default,
-  degree-aware planned placement — see ``repro.mapreduce.partition``);
+  pairs, partitioned by ``crc32`` of the key (``default_partition``) or by
+  a job's own deterministic callable;
 * ``LocalRuntime`` — pluggable ``serial`` / ``threads`` / ``processes``
   backends (see ``BACKEND_REGISTRY``), multi-round chaining, and a
   partitioned disk-spill shuffle (out-of-core operation; mandatory under
@@ -27,16 +27,6 @@ from repro.mapreduce.backends import (
     register_backend,
 )
 from repro.mapreduce.job import Combiner, JobFailedError, MapReduceJob, SumCombiner
-from repro.mapreduce.partition import (
-    PARTITIONERS,
-    HashPartitioner,
-    PartitionPlan,
-    Partitioner,
-    PlannedPartitioner,
-    plan_partitions,
-    publish_plan,
-    spill_tag,
-)
 from repro.mapreduce.runtime import LocalRuntime, RunStats
 from repro.mapreduce.fault import (
     FAULT_KINDS,
@@ -66,19 +56,11 @@ __all__ = [
     "TaskTimeoutError",
     "WorkerCrashError",
     "DistFileSystem",
-    "PARTITIONERS",
-    "HashPartitioner",
-    "PartitionPlan",
-    "Partitioner",
-    "PlannedPartitioner",
     "SpillLayout",
     "SpillWriteResult",
     "decode_key",
     "default_partition",
     "key_bytes",
     "make_backend",
-    "plan_partitions",
-    "publish_plan",
     "register_backend",
-    "spill_tag",
 ]

@@ -92,8 +92,11 @@ class MapReduceJob:
         Number of map tasks the input is split into; defaults to
         ``num_reducers``.
     partitioner:
-        ``(key, num_partitions) -> partition`` — deterministic; defaults to
-        crc32 of the canonical key bytes.
+        ``(key, num_partitions) -> partition``; defaults to crc32 of the
+        canonical key bytes (``default_partition``, which every engine round
+        uses).  A job's own callable must be deterministic — a re-executed
+        or speculated attempt places every record where the first attempt
+        did — and picklable under the ``processes`` backend.
     accepts:
         ``key -> bool`` — engine-internal (a dataflow driver sets it, never
         a user): this round of a chain is a *side stage* that only takes the

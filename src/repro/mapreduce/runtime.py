@@ -89,7 +89,7 @@ import tempfile
 import time
 import weakref
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -103,14 +103,13 @@ from repro.mapreduce.fault import (
     maybe_check_deadline,
 )
 from repro.mapreduce.job import Combiner, JobFailedError, MapReduceJob, identity_mapper
-from repro.mapreduce.partition import int_key_partitions, key_partitions, spill_tag
+from repro.mapreduce.partition import int_key_partitions, key_partitions
 from repro.mapreduce.retry import PhaseMonitor, RetryPolicy
 from repro.mapreduce.shuffle import (
     Group,
     KeyCodes,
     RecordBatch,
     canonical_order,
-    default_partition,
     group_sorted,
     int_key_rows,
     key_codes,
@@ -175,7 +174,7 @@ class RunStats:
     the quantity hub re-indexing exists to bound (§3.2.2)."""
     partition_records: dict[int, int] = field(default_factory=dict)
     """partition -> records shuffled *into* that reduce partition this round
-    — the skew the pluggable partitioner exists to control."""
+    — the load balance the hash placement leaves (``records_skew``)."""
     partition_bytes: dict[int, int] = field(default_factory=dict)
     """partition -> shuffle file bytes destined for that reduce partition
     (spilled shuffles only; empty for in-memory rounds)."""
@@ -227,8 +226,8 @@ class RunStats:
 
 def _skew_factor(per_partition: dict[int, int]) -> float:
     """Max/mean of a per-partition counter.  The imbalance number the bench
-    grid tracks: hashing a power-law key set pushes it well above 1; the
-    planned partitioner pulls it back toward 1."""
+    tracks: hashing a power-law key set pushes it above 1; hub re-indexing
+    splits the heaviest groups and so pulls it back toward 1."""
     if len(per_partition) < 2:
         return 0.0
     total = sum(per_partition.values())
@@ -745,7 +744,6 @@ class LocalRuntime:
         task_timeout_s: float | None = None,
         speculation_factor: float | None = None,
         retry_policy: RetryPolicy | None = None,
-        partitioner: Callable[[object, int], int] | None = None,
         shuffle_transport: str = "local",
         cluster=None,
     ):
@@ -788,11 +786,6 @@ class LocalRuntime:
         self.speculation_factor = speculation_factor
         self.fault_plan = fault_plan
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self.partitioner = partitioner
-        """Runtime-level partition function: overrides every job that still
-        carries the hash default (jobs with an explicit partitioner keep
-        it).  Must be deterministic and, under the process backend,
-        picklable — see :class:`~repro.mapreduce.partition.Partitioner`."""
         self.spill_run_records = spill_run_records
         self.spill_run_bytes = spill_run_bytes
         self.shuffle_transport = shuffle_transport
@@ -827,19 +820,6 @@ class LocalRuntime:
         pick broadcast transports: inline payloads for in-process backends,
         shared-memory locators for pickling ones."""
         return self._backend.needs_pickling
-
-    def _resolve_partitioner(self, job: MapReduceJob | None) -> MapReduceJob | None:
-        """Apply the runtime-level partitioner to jobs still on the hash
-        default.  A job that names its own partitioner is explicit intent
-        (e.g. a final round pinned to hash for output-order stability) and
-        is left alone."""
-        if (
-            job is None
-            or self.partitioner is None
-            or job.partitioner is not default_partition
-        ):
-            return job
-        return replace(job, partitioner=self.partitioner)
 
     # ------------------------------------------------------------------ api
     def run(self, job: MapReduceJob, inputs: Iterable[tuple]) -> list[tuple]:
@@ -886,7 +866,6 @@ class LocalRuntime:
         and removed here as soon as its job has consumed it, or when a round
         raises."""
         _check_side_stages(jobs)
-        jobs = [self._resolve_partitioner(job) for job in jobs]
         if self._backend.needs_pickling:
             for job in jobs:
                 self._check_shippable(job)
@@ -994,7 +973,6 @@ class LocalRuntime:
                 run_dir,
                 name,
                 job.num_reducers,
-                partition_tag=spill_tag(job.partitioner),
                 partition_subdirs=self._transport.partition_subdirs,
             )
             shuffle.source_fn = self._transport.source

@@ -3,8 +3,8 @@
 Python's builtin ``hash`` is salted per process, which would make shuffle
 placement non-deterministic across runs and across the (re-executed) attempts
 of a failed task.  We therefore hash a canonical byte encoding of the key
-with crc32 — stable everywhere — exactly as production MapReduce systems pin
-their partitioners.
+with crc32 — stable everywhere.  :func:`default_partition` is the partition
+function of every round the engine runs.
 
 Supported key types: ``int``, ``str``, ``bytes`` and (nested) tuples of
 those.  GraphFlat keys are node ids (int) or suffixed ids (tuples) after

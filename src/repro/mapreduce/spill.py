@@ -410,12 +410,6 @@ class SpillLayout:
     block is the one encoding).  It stays a keyword because the repo
     benchmark's spill probe (``bench/probes.py``) passes it; ROADMAP
     14(d) removes it once the probe drops it."""
-    partition_tag: str = ""
-    """Spill-tag of the partition function that routed records into this
-    layout (``Partitioner.spill_tag()``) — embedded in run-file names so a
-    spill directory self-describes how its partitions were assigned, and so
-    runs of the same job under different partitioners can never be merged
-    together.  ``""`` keeps the historical tag-less naming."""
     partition_subdirs: bool = False
     """Route each partition's runs into a ``p00007/`` peer directory under
     ``root`` (the shared-dir shuffle transport: writers push straight to
@@ -426,23 +420,12 @@ class SpillLayout:
     def __post_init__(self, codec: str):
         if codec != "binary":
             raise ValueError(f"spill codec must be 'binary', got {codec!r}")
-        if self.partition_tag and not self.partition_tag.isalnum():
-            raise ValueError(
-                f"partition tag {self.partition_tag!r} must be alphanumeric "
-                "(it is embedded in spill file names)"
-            )
-
-    @property
-    def _file_prefix(self) -> str:
-        if self.partition_tag:
-            return f"{self.job_name}.{self.partition_tag}"
-        return self.job_name
 
     def run_path(self, map_task: int, partition: int, run: int) -> Path:
         """Path of one sorted run.  Runs are numbered contiguously from 0
         per ``(map_task, partition)``; the reader scans until the first
         missing index."""
-        name = f"{self._file_prefix}.m{map_task:05d}.p{partition:05d}.r{run:05d}.bin"
+        name = f"{self.job_name}.m{map_task:05d}.p{partition:05d}.r{run:05d}.bin"
         if self.partition_subdirs:
             return Path(self.root) / f"p{partition:05d}" / name
         return Path(self.root) / name
@@ -587,9 +570,9 @@ class SpillLayout:
         the reduce is done."""
         root = Path(self.root)
         if root.exists():
-            pattern = f"{self._file_prefix}.m*"
+            pattern = f"{self.job_name}.m*"
             if self.partition_subdirs:
-                pattern = f"p[0-9]*/{self._file_prefix}.m*"
+                pattern = f"p[0-9]*/{self.job_name}.m*"
             for path in root.glob(pattern):
                 path.unlink(missing_ok=True)
 

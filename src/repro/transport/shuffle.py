@@ -20,7 +20,7 @@ reducer* and how they get to it:
 * ``shared-dir`` — the DFS-mediated transport (lithops-style, SNIPPETS.md
   Snippet 3): map-side runs are *pushed at write time* into per-reduce-
   partition peer directories (``p00007/``) under the shared ``spill_dir``
-  mount, keyed by the same ``Partitioner`` plan that names the partition.
+  mount, one directory per partition the job's partition function names.
   Reducers on any host merge straight out of their partition's directory.
 
 All three produce byte-identical job output: the run files are the same
@@ -232,10 +232,7 @@ class TcpFetchSource:
         # the intact runs — the network twin of corrupt-run/truncate-run.
         fault = take_conn_fault()
         ext = self.layout.run_path(0, 0, 0).suffix.lstrip(".")
-        prefix = self.layout.job_name
-        if self.layout.partition_tag:
-            prefix = f"{prefix}.{self.layout.partition_tag}"
-        pattern = f"{prefix}.m*.p{self.partition:05d}.r*.{ext}"
+        pattern = f"{self.layout.job_name}.m*.p{self.partition:05d}.r*.{ext}"
         with connect(self.host, self.port) as conn:
             conn.send(b"fetch", encode_value((self.layout.root, pattern)))
             received: list[str] = []

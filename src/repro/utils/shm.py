@@ -7,7 +7,7 @@ Three users sit on top of it:
 
 * side inputs (:func:`repro.mapreduce.partition.publish`): a payload written
   once into a slab, read by locator in every worker process — the out-edge
-  CSR, the placement plan, GraphInfer's model slices;
+  CSR and GraphInfer's model slices;
 * the shared-memory parameter server (:mod:`repro.ps.shm`): one parameter
   slab and one gradient slab per worker, rewritten in place;
 * the trainer's prefetch hand-off (:func:`slab_dump` / :func:`slab_load`):

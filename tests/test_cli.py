@@ -15,7 +15,7 @@ from repro.core.trainer import BatchPipeline, TrainerConfig
 from repro.core.trainer.pipeline import QUEUE_DEPTH
 from repro.datasets import cora_like, write_edge_table, write_node_table
 from repro.datasets.io import read_edge_table, read_node_table
-from repro.mapreduce import DistFileSystem
+from repro.mapreduce import DistFileSystem, LocalRuntime
 from repro.nn.gnn import GATModel
 
 from .helpers import write_legacy_row_dataset
@@ -438,7 +438,7 @@ class TestDataflowSurface:
         flat, infer = self.flags("graphflat"), self.flags("graphinfer")
         assert self.FLAT_ONLY <= flat and self.INFER_ONLY <= infer
         assert flat - self.FLAT_ONLY == infer - self.INFER_ONLY
-        assert {"--targets", "--task", "--partitioner"} <= flat
+        assert {"--targets", "--task"} <= flat
 
     ARGV = {
         "graphflat": ["graphflat", "-n", "n.tsv", "-e", "e.tsv", "--dfs", "dfs"],
@@ -463,7 +463,7 @@ class TestDataflowSurface:
                 for command in ("graphflat", "graphinfer")
                 for flag in (
                     "--dataset-sink", "--slice-transport", "--dataset-layout", "--shards",
-                    "--shuffle-codec",
+                    "--shuffle-codec", "--partitioner",
                 )
             ),
             ("graphtrainer", "--prefetch-transport"),
@@ -503,7 +503,7 @@ class TestDataflowSurface:
         assert [
             len(fields(cls))
             for cls in (DataflowConfig, GraphFlatConfig, GraphInferConfig, TrainerConfig)
-        ] == [18, 21, 18, 15]
+        ] == [17, 20, 17, 15]
         for cls in (GraphFlatConfig, GraphInferConfig):
             assert cls.make_runtime is DataflowConfig.make_runtime
 
@@ -518,6 +518,8 @@ class TestDataflowSurface:
             (GraphInferConfig, "dataset_layout"),
             (DataflowConfig, "validate"),
             (DataflowConfig, "shuffle_codec"),
+            (DataflowConfig, "partitioner"),
+            (LocalRuntime, "partitioner"),
             (TrainerConfig, "prefetch_transport"),
             (TrainerConfig, "prefetch_slab_bytes"),
             (TrainerConfig, "prefetch"),

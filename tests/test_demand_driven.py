@@ -746,7 +746,7 @@ def write_side_counts(monkeypatch):
     * ``records_built`` — in-edge record objects (``InEdgeInfo`` /
       GraphInfer's embedding record) constructed anywhere, the read side's
       per-record objects included."""
-    from repro.mapreduce import partition, runtime, shuffle, spill
+    from repro.mapreduce import runtime, shuffle, spill
     from repro.proto import framing
 
     counts = dict.fromkeys(
@@ -784,8 +784,7 @@ def write_side_counts(monkeypatch):
         finally:
             depth[0] -= 1
 
-    for module in (shuffle, partition):
-        monkeypatch.setattr(module, "key_bytes", top_level_key_bytes)
+    monkeypatch.setattr(shuffle, "key_bytes", top_level_key_bytes)  # its only caller
 
     run_groups = spill.SpillRunWriter._run_groups
 

@@ -5,9 +5,8 @@ through the re-index round) and pinned here.
 
 Re-routing records between rounds may change how many of them are shuffled,
 never what comes out: sampling (``uniform`` / ``weighted`` / ``topk``) x
-partitioner (``hash`` / ``planned``) x task (node classification, link
-prediction whose endpoints include hubs) must reproduce these sha256 digests
-byte for byte.
+task (node classification, link prediction whose endpoints include hubs)
+must reproduce these sha256 digests byte for byte.
 """
 
 from __future__ import annotations
@@ -25,12 +24,10 @@ from repro.tasks import make_task
 from .helpers import dataset_digest
 
 SAMPLINGS = ("uniform", "weighted", "topk")
-PARTITIONERS = ("hash", "planned")
 TASKS = ("node_classification", "link_prediction")
 
 GOLDEN = {
-    # (pipeline, sampling, task): (sha256, records) -- the same under either
-    # partitioner, which the parent commit's recording confirmed.
+    # (pipeline, sampling, task): (sha256, records)
     ("graph_flat", "uniform", "node_classification"): (
         "c984f6fcab74cb5cd65266618092d01cdab8878449409675d0f6dfeb7457f56b", 100),
     ("graph_flat", "uniform", "link_prediction"): (
@@ -68,11 +65,11 @@ def fixture():
     return ds, GraphSAGEModel(16, 16, 2, num_layers=2, seed=0)
 
 
-def run(fixture, tmp_path, pipeline, sampling, partitioner, task) -> tuple[str, int]:
+def run(fixture, tmp_path, pipeline, sampling, task) -> tuple[str, int]:
     ds, model = fixture
     fs = DistFileSystem(tmp_path)
     knobs = dict(
-        sampling=sampling, partitioner=partitioner, task=task, max_neighbors=8,
+        sampling=sampling, task=task, max_neighbors=8,
         hub_threshold=40, num_reducers=4, seed=0,
     )
     edges = ds.edges.coalesce()
@@ -103,11 +100,10 @@ def run(fixture, tmp_path, pipeline, sampling, partitioner, task) -> tuple[str, 
 
 
 @pytest.mark.parametrize("task", TASKS)
-@pytest.mark.parametrize("partitioner", PARTITIONERS)
 @pytest.mark.parametrize("sampling", SAMPLINGS)
 @pytest.mark.parametrize("pipeline", ["graph_flat", "graph_infer"])
 def test_output_matches_the_digest_recorded_before_the_reroute(
-    fixture, tmp_path, pipeline, sampling, partitioner, task
+    fixture, tmp_path, pipeline, sampling, task
 ):
-    digest = run(fixture, tmp_path, pipeline, sampling, partitioner, task)
+    digest = run(fixture, tmp_path, pipeline, sampling, task)
     assert digest == GOLDEN[(pipeline, sampling, task)]

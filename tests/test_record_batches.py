@@ -10,6 +10,7 @@ must equal ``key_bytes``.
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -31,13 +32,7 @@ from repro.core.propagation import (
 from repro.graph.tables import EdgeTable
 from repro.mapreduce import SpillLayout, SumCombiner, runtime
 from repro.mapreduce import shuffle, spill
-from repro.mapreduce.partition import (
-    HashPartitioner,
-    Inline,
-    PlannedPartitioner,
-    int_key_partitions,
-    plan_partitions,
-)
+from repro.mapreduce.partition import Inline, int_key_partitions
 from repro.mapreduce.shuffle import (
     Group,
     RecordBatch,
@@ -118,16 +113,14 @@ class TestBatchWriterWritesThePairWritersBytes:
         run_records=st.sampled_from([1, 2, 7, 1 << 16]),
         run_bytes=st.sampled_from([1, 40, 300, 32 << 20]),
         partitions=st.sampled_from([1, 3]),
-        planned=st.booleans(),
+        custom=st.booleans(),
     )
     def test_random_streams_random_cuts(
-        self, tmp_path_factory, pairs, sizes, run_records, run_bytes, partitions, planned
+        self, tmp_path_factory, pairs, sizes, run_records, run_bytes, partitions, custom
     ):
         partitioner = default_partition
-        if planned:
-            keys = [key for key, _ in pairs[:5]]
-            plan = plan_partitions([(key, 10.0) for key in keys], partitions)
-            partitioner = PlannedPartitioner.from_plan(plan)
+        if custom:  # a caller's own callable: the per-key fallback
+            partitioner = lambda key, n: (default_partition(key, n) + 1) % n  # noqa: E731
         root = tmp_path_factory.mktemp("w")
         self.check(root, pairs, sizes, partitions, partitioner, run_records, run_bytes)
 
@@ -204,6 +197,16 @@ class TestBatchWriterWritesThePairWritersBytes:
         assert len(calls) <= 3 * 7 and sorted(set(calls)) == list(range(7))
 
 
+@dataclass(frozen=True)
+class _Shifted:
+    """A caller's own partition function that compares by value."""
+
+    by: int
+
+    def __call__(self, key, num_partitions: int) -> int:
+        return (default_partition(key, num_partitions) + self.by) % num_partitions
+
+
 class TestWriterEntries:
     """A writer routes (``add``, with one partitioner) or places (``place``
     / ``append``, into a partition that exists); the spill sinks use one
@@ -213,8 +216,8 @@ class TestWriterEntries:
         layout = SpillLayout(str(tmp_path), "job", 2)
         [batch] = pair_batches([(1, 1.0), (2, 2.0)])
         routing = layout.run_writer(0)
-        routing.add(batch, HashPartitioner())
-        routing.add(batch, HashPartitioner())  # an equal one
+        routing.add(batch, _Shifted(1))
+        routing.add(batch, _Shifted(1))  # an equal one
         with pytest.raises(ValueError, match="one partitioner"):
             routing.add(batch, default_partition)
         with pytest.raises(ValueError, match="cannot also place"):
@@ -239,9 +242,11 @@ class TestCanonicalKeyBytes:
         ])
         assert int_key_bytes(keys) == [key_bytes(int(k)) for k in keys.tolist()]
 
-    def test_vectorised_hash_order_and_plan_lookup(self):
+    def test_vectorised_hash_order_and_custom_fallback(self):
         """The array passes over a run's int keys — partition, canonical
-        byte order — equal the per-key definitions."""
+        byte order — equal the per-key definitions; a caller's own callable
+        takes the per-key fallback and places each key, int64 extremes
+        included, where a direct call does."""
         rng = np.random.default_rng(1)
         keys = np.unique(np.concatenate([
             np.asarray(INT64, dtype=np.int64),
@@ -256,10 +261,7 @@ class TestCanonicalKeyBytes:
         assert [small_kbs[i] for i in int_key_order(int_key_rows(small)[0]).tolist()] == sorted(
             small_kbs
         )
-        planned = PlannedPartitioner.from_plan(
-            plan_partitions([(int(k), 50.0) for k in keys[:40]] + [((1, 2), 50.0)], 5)
-        )
-        for partitioner in (default_partition, HashPartitioner(), planned):
+        for partitioner in (default_partition, lambda key, n: key % n, _Shifted(3)):
             for num in (1, 5, 7):
                 assert int_key_partitions(partitioner, keys, rows, lengths, num).tolist() == [
                     partitioner(k, num) for k in keys.tolist()
@@ -420,19 +422,18 @@ def scale_pairs(seed: int = 7) -> list[tuple]:
 SCALE_CUTS = [1, 7, 300, 5_000, 64, 2, 12_000, 999, 3, 20_000]
 
 
-def scale_partitioner(name: str, pairs: list):
+def scale_partitioner(name: str):
     if name == "default":
         return default_partition
-    if name == "hash":
-        return HashPartitioner()
-    weights = [(5, 600.0), (-7, 600.0), ((9, 4), 600.0)] + [(k, 1.0) for k, _ in pairs[:300]]
-    return PlannedPartitioner.from_plan(plan_partitions(weights, 4))
+    hubs = {key_bytes(5): 1, key_bytes(-7): 2, key_bytes((9, 4)): 3}  # one reducer each
+    return lambda key, n: hubs.get(key_bytes(key), default_partition(key, n))
 
 
 class TestRunFilesAtScale:
     """The array path of the batch writer against the per-pair writer at an
     engine round's scale: batches of mixed sizes, several flushes, runs of
-    several chunks, hubs bigger than a chunk, every shipped partitioner.
+    several chunks, hubs bigger than a chunk, the hash default and a
+    caller's own callable.
 
     :func:`scale_pairs` is sized for 16 KiB chunks — its runs are 35-40 KB
     a partition, its hubs about 21 KB a run — so the first two tests cut
@@ -444,12 +445,12 @@ class TestRunFilesAtScale:
         monkeypatch.setattr(spill, "_CHUNK_BYTES", 1 << 14)
 
     @pytest.mark.usefixtures("chunks_of_16_kib")
-    @pytest.mark.parametrize("partitioner", ["default", "hash", "planned"])
+    @pytest.mark.parametrize("partitioner", ["default", "custom"])
     def test_the_pair_writers_bytes(self, tmp_path, partitioner):
         pairs = scale_pairs()
         assert len({key_bytes(key) for key, _ in pairs}) > 20_000
         TestBatchWriterWritesThePairWritersBytes.check(
-            tmp_path, pairs, SCALE_CUTS, 4, scale_partitioner(partitioner, pairs),
+            tmp_path, pairs, SCALE_CUTS, 4, scale_partitioner(partitioner),
             1 << 16, 300_000,
         )
         assert len(list((tmp_path / "batches").iterdir())) > 4 * 3  # several runs each
@@ -495,10 +496,10 @@ class TestSplitAndBuckets:
     def pairs():
         return [(key, i) for i, (key, _) in enumerate(scale_pairs()[:30_000])]
 
-    @pytest.mark.parametrize("partitioner", ["default", "hash", "planned"])
+    @pytest.mark.parametrize("partitioner", ["default", "custom"])
     def test_buckets(self, partitioner):
         pairs = self.pairs()
-        partitioner = scale_partitioner(partitioner, pairs)
+        partitioner = scale_partitioner(partitioner)
         writer = runtime._BucketWriter(4)
         for batch in batches_of(pairs, SCALE_CUTS):
             writer.add(batch, partitioner)
@@ -515,7 +516,7 @@ class TestSplitAndBuckets:
             asked.append(key)
             return is_hub_slice(key)
 
-        side = runtime._MemorySink(HashPartitioner(), 3)
+        side = runtime._MemorySink(default_partition, 3)
         main = runtime._MemorySink(default_partition, 4)
         sink = runtime._SplitSink(accepts, side, main)
         got_main, got_side = sink.store(0, batches_of(pairs, SCALE_CUTS))

@@ -2,7 +2,7 @@
 
 The contract under test: a shuffle transport changes *where run bytes
 travel*, never *what the job outputs* — ``local``, ``tcp`` and
-``shared-dir`` are byte-identical on every backend and partitioner, the
+``shared-dir`` are byte-identical on every backend, the
 wire grammar is the spill frame grammar (CRC verified end-to-end), and the
 spill-session sweep never reaps another host's sessions off a shared
 mount.
@@ -278,11 +278,8 @@ class TestByteIdentityMatrix:
         else:
             assert stats.transport_bytes_sent > 0
 
-    @pytest.mark.parametrize("partitioner", ("hash", "planned"))
     @pytest.mark.parametrize("transport", ("tcp", "shared-dir"))
-    def test_graphflat_identical(
-        self, hub_graph, flat_baseline, tmp_path, transport, partitioner
-    ):
+    def test_graphflat_identical(self, hub_graph, flat_baseline, tmp_path, transport):
         ds = hub_graph
         with LocalRuntime(
             backend="threads", max_workers=2, spill_dir=tmp_path,
@@ -290,7 +287,7 @@ class TestByteIdentityMatrix:
         ) as runtime:
             result = graph_flat(
                 ds.nodes, ds.edges, ds.train_ids[:20],
-                flat_config(partitioner=partitioner), runtime,
+                flat_config(), runtime,
             )
         assert result.hub_nodes == flat_baseline.hub_nodes
         assert result.samples == flat_baseline.samples  # encoded wire bytes
