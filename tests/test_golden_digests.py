@@ -5,8 +5,9 @@ through the re-index round) and pinned here.
 
 Re-routing records between rounds may change how many of them are shuffled,
 never what comes out: sampling (``uniform`` / ``weighted`` / ``topk``) x
-task (node classification, link prediction whose endpoints include hubs)
-must reproduce these sha256 digests byte for byte.
+task (node classification, link prediction whose endpoints include hubs) x
+runtime (in-memory ``serial``; ``threads`` and ``processes`` spilling every
+round to run files) must reproduce these sha256 digests byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.infer import GraphInferConfig, graph_infer
 from repro.datasets import uug_like
-from repro.mapreduce import DistFileSystem
+from repro.mapreduce import DistFileSystem, LocalRuntime
 from repro.nn.gnn import GraphSAGEModel
 from repro.tasks import make_task
 
@@ -25,6 +26,7 @@ from .helpers import dataset_digest
 
 SAMPLINGS = ("uniform", "weighted", "topk")
 TASKS = ("node_classification", "link_prediction")
+RUNTIMES = ("serial", "threads", "processes")
 
 GOLDEN = {
     # (pipeline, sampling, task): (sha256, records)
@@ -65,7 +67,22 @@ def fixture():
     return ds, GraphSAGEModel(16, 16, 2, num_layers=2, seed=0)
 
 
-def run(fixture, tmp_path, pipeline, sampling, task) -> tuple[str, int]:
+@pytest.fixture(scope="module")
+def runtimes(tmp_path_factory):
+    """One runtime per axis value, shared by its cells: a pool lives as long
+    as its runtime, so the ``processes`` cells pay for one pool start."""
+    made = {"serial": None}
+    for backend in RUNTIMES[1:]:
+        made[backend] = LocalRuntime(
+            backend=backend, max_workers=2, spill_dir=tmp_path_factory.mktemp(backend)
+        )
+    yield made
+    for runtime in made.values():
+        if runtime is not None:
+            runtime.close()
+
+
+def run(fixture, tmp_path, pipeline, sampling, task, runtime=None) -> tuple[str, int]:
     ds, model = fixture
     fs = DistFileSystem(tmp_path)
     knobs = dict(
@@ -85,7 +102,9 @@ def run(fixture, tmp_path, pipeline, sampling, task) -> tuple[str, int]:
                 ds.nodes, edges, seed=0, max_targets=80, negative_ratio=1
             )
             assert set(table.endpoint_ids.tolist()) & set(ds.hub_ids.tolist())
-        result = graph_flat(ds.nodes, ds.edges, targets, config, fs=fs, dataset_name="out")
+        result = graph_flat(
+            ds.nodes, ds.edges, targets, config, runtime, fs=fs, dataset_name="out"
+        )
         assert set(result.hub_nodes) >= set(ds.hub_ids.tolist())
     else:
         candidates = None
@@ -93,17 +112,21 @@ def run(fixture, tmp_path, pipeline, sampling, task) -> tuple[str, int]:
             rows = np.concatenate([np.arange(40), into_hubs[:20]])
             candidates = np.stack([edges.src[rows], edges.dst[rows]], axis=1)
         graph_infer(
-            model, ds.nodes, ds.edges, GraphInferConfig(**knobs), fs=fs,
+            model, ds.nodes, ds.edges, GraphInferConfig(**knobs), runtime, fs=fs,
             dataset_name="out", candidates=candidates,
         )
     return dataset_digest(fs, "out")
 
 
 @pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("backend", RUNTIMES)
 @pytest.mark.parametrize("sampling", SAMPLINGS)
 @pytest.mark.parametrize("pipeline", ["graph_flat", "graph_infer"])
 def test_output_matches_the_digest_recorded_before_the_reroute(
-    fixture, tmp_path, pipeline, sampling, task
+    fixture, runtimes, tmp_path, pipeline, sampling, backend, task
 ):
-    digest = run(fixture, tmp_path, pipeline, sampling, task)
+    runtime = runtimes[backend]
+    digest = run(fixture, tmp_path, pipeline, sampling, task, runtime)
     assert digest == GOLDEN[(pipeline, sampling, task)]
+    if runtime is not None:
+        assert runtime.last_stats.shuffle_bytes_written > 0  # rounds spilled

@@ -23,6 +23,7 @@ import time
 import zlib
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,15 @@ from repro.mapreduce import (
     default_partition,
     key_bytes,
 )
-from repro.mapreduce.partition import _SIDE_INPUTS, _SIDE_INPUTS_MAX, SlabLocator, publish
+from repro.mapreduce.partition import (
+    _SIDE_INPUTS,
+    _SIDE_INPUTS_MAX,
+    SlabLocator,
+    int_key_partitions,
+    key_partitions,
+    publish,
+)
+from repro.mapreduce.shuffle import int_key_rows
 from repro.utils.shm import attach_shared_memory
 
 
@@ -239,18 +248,59 @@ def test_any_partitioner_preserves_grouping_and_reexecution(keys, num_partitions
             )
 
 
+class TestDefaultPartition:
+    """The one partition function of every engine round: crc32 of the key's
+    canonical bytes, modulo the reducer count — the same number on every
+    process and every run, which the writers' array pass must reproduce."""
+
+    @pytest.mark.parametrize("key", [
+        0, 1, -1, 2**63 - 1, -(2**63), "hub", "", b"\x00\xff", (7, 2), (-3, 0),
+    ], ids=repr)
+    def test_is_crc32_of_the_canonical_bytes(self, key):
+        for num_partitions in (1, 2, 5, 64):
+            assert default_partition(key, num_partitions) == (
+                zlib.crc32(key_bytes(key)) % num_partitions
+            )
+        assert key_partitions(default_partition, [key], [key_bytes(key)], 5) == [
+            default_partition(key, 5)
+        ]
+        if isinstance(key, int):  # the shuffle writers' array pass
+            keys = np.array([key], dtype=np.int64)
+            assert int_key_partitions(default_partition, keys, *int_key_rows(keys), 5).tolist() == [
+                default_partition(key, 5)
+            ]
+
+    def test_pickles_by_reference(self):
+        """Shipped to a pool worker it is still the default, so the writers
+        there take the array pass, not the per-key fallback."""
+        assert pickle.loads(pickle.dumps(default_partition)) is default_partition
+
+    @pytest.mark.parametrize("num_partitions", [0, -1])
+    def test_rejects_a_non_positive_partition_count(self, num_partitions):
+        keys = np.array([1, 2, 3], dtype=np.int64)
+        rows, lengths = int_key_rows(keys)
+        with pytest.raises(ValueError, match="positive"):
+            default_partition(1, num_partitions)
+        with pytest.raises(ValueError, match="positive"):
+            key_partitions(default_partition, [1], [key_bytes(1)], num_partitions)
+        with pytest.raises(ValueError, match="positive"):
+            int_key_partitions(default_partition, keys, rows, lengths, num_partitions)
+
+
 # ------------------------------------------------------- runtime integration
 
 
+def _word_mapper(_, line):
+    for word in line.split():
+        yield word, 1
+
+
+def _word_reducer(word, counts):
+    yield word, sum(counts)
+
+
 def _word_count_job(**overrides):
-    def mapper(_, line):
-        for word in line.split():
-            yield word, 1
-
-    def reducer(word, counts):
-        yield word, sum(counts)
-
-    return MapReduceJob("wordcount", reducer, mapper=mapper, **overrides)
+    return MapReduceJob("wordcount", _word_reducer, mapper=_word_mapper, **overrides)
 
 
 CORPUS = [(i, text) for i, text in enumerate(
@@ -259,17 +309,28 @@ CORPUS = [(i, text) for i, text in enumerate(
 
 
 class TestJobPartitioner:
-    def test_custom_partitioner_is_output_identical_and_spills_clean(self, tmp_path):
+    @pytest.mark.parametrize("partitioner", [_reversed_hash, _ModuloLength(2)],
+                             ids=["function", "callable-object"])
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_custom_partitioner_is_output_identical_and_spills_clean(
+        self, tmp_path, backend, partitioner
+    ):
         """A job's own callable re-shards the round, never its result: a
-        spilled threaded run equals the in-memory hash run, and the run
-        files are gone afterwards."""
+        spilled run on every backend — ``processes`` ships the callable
+        pickled — equals the in-memory hash run, its reducers receive the
+        records the callable placed, and the run files are gone afterwards."""
         baseline = LocalRuntime().run(_word_count_job(num_reducers=3), CORPUS)
-        with LocalRuntime(backend="threads", max_workers=3, spill_dir=tmp_path) as runtime:
-            out = runtime.run(
-                _word_count_job(num_reducers=3, partitioner=_reversed_hash), CORPUS
-            )
+        custom = _word_count_job(num_reducers=3, partitioner=partitioner)
+        placed: dict[int, int] = {}
+        for _, line in CORPUS:
+            for word in line.split():
+                where = partitioner(word, 3)
+                placed[where] = placed.get(where, 0) + 1
+        with LocalRuntime(backend=backend, max_workers=2, spill_dir=tmp_path) as runtime:
+            out = runtime.run(custom, CORPUS)
             assert sorted(out) == sorted(baseline)
-            assert runtime.last_stats.records_skew() > 0
+            assert runtime.last_stats.partition_records == placed
+            assert runtime.last_stats.shuffle_bytes_written > 0
         assert not list(tmp_path.glob("*"))
 
     def test_job_partitioner_is_the_one_invoked(self):
@@ -300,9 +361,9 @@ class TestJobPartitioner:
 # ------------------------------------------------------- pipeline byte-identity
 
 
-@pytest.mark.parametrize("sampling", ["weighted", "topk"])
+@pytest.mark.parametrize("sampling", ["uniform", "weighted", "topk"])
 def test_stochastic_samplers_identical_across_backends_and_retries(hub_graph, sampling):
-    """WeightedSampling / TopKSampling under hub reindex: neighborhoods are
+    """Uniform / Weighted / TopK sampling under hub reindex: neighborhoods are
     byte-identical across backends and re-executed attempts — the canonical
     source-id ordering at work."""
     ds = hub_graph

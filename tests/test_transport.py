@@ -278,11 +278,12 @@ class TestByteIdentityMatrix:
         else:
             assert stats.transport_bytes_sent > 0
 
+    @pytest.mark.parametrize("backend", ("threads", "processes"))
     @pytest.mark.parametrize("transport", ("tcp", "shared-dir"))
-    def test_graphflat_identical(self, hub_graph, flat_baseline, tmp_path, transport):
+    def test_graphflat_identical(self, hub_graph, flat_baseline, tmp_path, transport, backend):
         ds = hub_graph
         with LocalRuntime(
-            backend="threads", max_workers=2, spill_dir=tmp_path,
+            backend=backend, max_workers=2, spill_dir=tmp_path,
             shuffle_transport=transport,
         ) as runtime:
             result = graph_flat(
