@@ -29,7 +29,7 @@ from repro.nn.gnn import build_model
 from .conftest import emit
 
 RESULTS: dict[tuple[str, int, str], float] = {}
-INGEST_RESULTS: dict[tuple[str, str, int], tuple[float, float, float]] = {}
+INGEST_RESULTS: dict[tuple[str, int], tuple[float, float, float]] = {}
 """cell -> (epoch wall-clock, preprocess, compute) seconds, means per epoch."""
 
 MODELS = ["gcn", "graphsage", "gat"]
@@ -93,42 +93,33 @@ def bench_table4(benchmark, bench_ppi, ppi_flat_by_hops, model_name, depth, vari
 
 
 # --------------------------------------------------------------------------
-# Trainer ingest: DFS shard layout x preprocessing pool.  The grid measures
-# the *storage-layer* cost the columnar format removes: an epoch over a
-# legacy row dataset must varint-decode every sample before vectorizing, a
-# columnar epoch slices batches straight out of the mmap'd shard matrices.
+# Trainer ingest: DFS shards x preprocessing pool.  A columnar epoch slices
+# batches straight out of the mmap'd shard matrices; the grid measures what
+# each prefetch pool makes of that.
 
 INGEST_GRID = [
-    ("row", "threads", 1),
-    ("row", "threads", 2),
-    ("columnar", "threads", 1),
-    ("columnar", "threads", 2),
-    ("columnar", "processes", 2),
+    ("threads", 1),
+    ("threads", 2),
+    ("processes", 2),
 ]
 
 
 @pytest.fixture(scope="session")
-def ppi_dfs_by_layout(tmp_path_factory, bench_ppi):
-    """The Table 4 PPI training set on a DFS in both layouts: columnar as
-    GraphFlat writes it, row as a dataset from before the columnar format
-    (the same samples through the DFS's generic record writer)."""
+def ppi_dfs(tmp_path_factory, bench_ppi):
+    """The Table 4 PPI training set on a DFS, as GraphFlat writes it."""
     ds = bench_ppi
     fs = DistFileSystem(tmp_path_factory.mktemp("table4-dfs"))
     config = GraphFlatConfig(hops=2, max_neighbors=15, hub_threshold=10**9, seed=0)
     graph_flat(
         ds.nodes, ds.edges, ds.train_ids[:600], config, fs=fs,
-        dataset_name="flat/columnar",
-    )
-    fs.write_dataset(
-        "flat/row", fs.read_dataset("flat/columnar"), num_shards=4, layout="row"
+        dataset_name="flat/train",
     )
     return fs
 
 
-@pytest.mark.parametrize("layout,backend,workers", INGEST_GRID)
-def bench_table4_ingest(benchmark, bench_ppi, ppi_dfs_by_layout, layout, backend, workers):
+@pytest.mark.parametrize("backend,workers", INGEST_GRID)
+def bench_table4_ingest(benchmark, bench_ppi, ppi_dfs, backend, workers):
     ds = bench_ppi
-    fs = ppi_dfs_by_layout
     model = make_model("gcn", ds.feature_dim, ds.num_classes, 2)
     trainer = GraphTrainer(
         model,
@@ -139,16 +130,16 @@ def bench_table4_ingest(benchmark, bench_ppi, ppi_dfs_by_layout, layout, backend
     )
 
     def epoch_from_dfs():
-        # Source opened inside the timed region: the row layout pays its
-        # full per-record decode here, columnar only the header parse.
-        trainer.train_epoch(open_sample_source(fs, f"flat/{layout}"))
+        # Source opened inside the timed region: the header parse and mmap
+        # are part of the epoch.
+        trainer.train_epoch(open_sample_source(ppi_dfs, "flat/train"))
 
     rounds, warmup = 3, 1
     benchmark.pedantic(epoch_from_dfs, rounds=rounds, warmup_rounds=warmup, iterations=1)
     # Stage seconds from the trainer's own timers, averaged over every
     # epoch it ran (the warm-up one too).
     stage = trainer.timers.totals()
-    INGEST_RESULTS[(layout, backend, workers)] = (
+    INGEST_RESULTS[(backend, workers)] = (
         benchmark.stats["mean"],
         stage["preprocess"] / (rounds + warmup),
         stage["compute"] / (rounds + warmup),
@@ -158,30 +149,23 @@ def bench_table4_ingest(benchmark, bench_ppi, ppi_dfs_by_layout, layout, backend
 def bench_table4_ingest_report(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     lines = [
-        "Trainer ingest from DFS shards (GCN-2L/16 on PPI-like, 600 targets,",
-        "epoch wall-clock incl. dataset open; shard layout x prefetch pool):",
+        "Trainer ingest from columnar DFS shards (GCN-2L/16 on PPI-like,",
+        "600 targets, epoch wall-clock incl. dataset open; prefetch pool):",
         "",
-        f"{'layout':<10}{'prefetch':<22}{'s/epoch':>10}{'preprocess_s':>14}{'compute_s':>11}",
-        "-" * 67,
+        f"{'prefetch':<22}{'s/epoch':>10}{'preprocess_s':>14}{'compute_s':>11}",
+        "-" * 57,
     ]
-    for (layout, backend, workers), (secs, pre, comp) in INGEST_RESULTS.items():
+    for (backend, workers), (secs, pre, comp) in INGEST_RESULTS.items():
         lines.append(
-            f"{layout:<10}{f'{backend} x{workers}':<22}{secs:>10.3f}{pre:>14.3f}{comp:>11.3f}"
+            f"{f'{backend} x{workers}':<22}{secs:>10.3f}{pre:>14.3f}{comp:>11.3f}"
         )
-    row_ref = INGEST_RESULTS.get(("row", "threads", 1))
-    col_proc = INGEST_RESULTS.get(("columnar", "processes", 2))
-    if row_ref and col_proc:
-        lines += [
-            "",
-            f"columnar + process prefetch vs row + thread prefetch: "
-            f"{row_ref[0] / col_proc[0]:.2f}x faster epoch",
-            "(row epochs re-decode every record through the varint codec in a",
-            "single GIL-bound thread — at dataset open, so in s/epoch but not in",
-            "preprocess_s — then stack a GraphFeature per sample; columnar epochs",
-            "gather each batch's stacked columns out of the mmap'd shard matrices.",
-            "preprocess_s / compute_s are GraphTrainer.timers means per epoch;",
-            "preprocess_s sums over pool workers, so it can exceed the wall-clock).",
-        ]
+    lines += [
+        "",
+        "(epochs gather each batch's stacked columns out of the mmap'd shard",
+        "matrices. preprocess_s / compute_s are GraphTrainer.timers means per",
+        "epoch; preprocess_s sums over pool workers, so it can exceed the",
+        "wall-clock).",
+    ]
     emit("table4_training_ingest", "\n".join(lines))
 
 

@@ -48,14 +48,13 @@ def main():
     graph_flat(nodes, edges, dataset.test_ids, flat_config, runtime, fs, "flat/test")
     print(
         f"GraphFlat: {fs.count_records('flat/train')} train records in "
-        f"{fs.num_shards('flat/train')} {fs.layout('flat/train')} shards "
+        f"{fs.num_shards('flat/train')} columnar shards "
         f"({fs.size_bytes('flat/train') / 2**10:.0f} KiB); "
         f"{runtime.fault_plan.injected} worker failures were injected and retried"
     )
 
-    # --- training runs off the DFS shards through the layout-aware source
-    # (mmap'd batch slicing for columnar shards, per-record decoding for
-    # row shards — same samples either way) --------------------------------
+    # --- training runs off the DFS shards: batches are sliced out of the
+    # mmap'd columnar shards, no per-record decoding ------------------------
     model = GCNModel(
         in_dim=nodes.feature_dim, hidden_dim=16,
         num_classes=dataset.num_classes, num_layers=2, seed=0,

@@ -354,8 +354,7 @@ def _cmd_graphflat(args) -> int:
     unit = "edge samples" if args.task in EDGE_TASKS else "GraphFeatures"
     print(
         f"GraphFlat: wrote {result.num_targets} {unit} to "
-        f"{args.dfs}/{args.output} ({fs.num_shards(args.output)} "
-        f"{fs.layout(args.output)} shards, "
+        f"{args.dfs}/{args.output} ({fs.num_shards(args.output)} columnar shards, "
         f"task {result.task}, "
         f"{len(result.hub_nodes)} hub nodes re-indexed, "
         f"mean neighborhood {result.neighborhood_nodes.mean():.1f} nodes)"
@@ -372,10 +371,9 @@ def _cmd_graphflat(args) -> int:
 
 def _cmd_graphtrainer(args) -> int:
     fs = DistFileSystem(args.dfs)
-    # Layout-aware: columnar datasets train off mmap'd shards, legacy row
-    # datasets are decoded into memory — the trainer sees the same samples
-    # either way.  A dataset that is not training data (e.g. GraphInfer
-    # scores) is a usage error; a corrupt one keeps its traceback.
+    # Training runs off the mmap'd columnar shards.  A dataset that is not
+    # training data (e.g. GraphInfer scores) is a usage error; a corrupt one
+    # (a shard that is not an AGLC frame included) keeps its traceback.
     try:
         source = open_sample_source(fs, args.input)
     except CodecError:
@@ -459,7 +457,7 @@ def _cmd_graphtrainer(args) -> int:
         print(_topology_line(dist))
         print(
             f"GraphTrainer: {args.model} x{args.layers} on {len(source)} samples "
-            f"({fs.layout(args.input)} shards, {dist.num_workers} "
+            f"(columnar shards, {dist.num_workers} "
             f"{dist.worker_backend} workers, {dist.transport} transport), "
             f"loss {history[0]['loss']:.4f} -> {history[-1]['loss']:.4f}, "
             f"{pulls['refreshes']}/{pulls['pulls']} pulls refreshed "
@@ -476,25 +474,11 @@ def _cmd_graphtrainer(args) -> int:
         prefetch = f"{args.prefetch_backend} x{args.prefetch_workers} prefetch"
     print(
         f"GraphTrainer: {args.model} x{args.layers} on {len(source)} samples "
-        f"({fs.layout(args.input)} shards, {prefetch}), "
+        f"(columnar shards, {prefetch}), "
         f"loss {history[0]['loss']:.4f} -> {history[-1]['loss']:.4f}, "
         f"model saved to {args.model_out}"
     )
     return 0
-
-
-def _sniff_kind(record: bytes) -> str:
-    """Legacy row datasets (written before kinds landed in ``_META.json``)
-    record nothing, so classify the first record by its wire format.  Only
-    a record that is a well-formed prediction after failing to parse as a
-    sample is called one — anything else raises, so corruption is reported
-    instead of being silently misfiled."""
-    try:
-        decode_samples([record])
-        return "samples"
-    except ValueError:  # CodecError or a truncated varint: not a sample
-        decode_prediction(record)  # corruption propagates from here
-        return "predictions"
 
 
 def _cmd_describe(args) -> int:
@@ -506,10 +490,9 @@ def _cmd_describe(args) -> int:
               file=sys.stderr)
         return 1
     # Only the inspected sample is materialized; the count comes from the
-    # O(num_shards) metadata instead of a full dataset scan.
+    # shard headers (O(num_shards)) instead of a full dataset scan.
     records = list(itertools.islice(fs.read_dataset(args.dataset), args.sample))
     print(f"dataset:  {args.dataset}")
-    print(f"layout:   {fs.layout(args.dataset)}")
     # Only non-default tasks are recorded, so both legacy datasets and
     # node-classification output render as the default with a marker.
     recorded_task = fs.task(args.dataset)
@@ -531,12 +514,9 @@ def _cmd_describe(args) -> int:
     print(f"transport: shuffle={args.shuffle_transport} hosts={hosts}")
     if not records:
         return 0
-    # Dispatch on the recorded kind (metadata / columnar header) — decode
-    # errors below are real corruption and propagate, never a reason to
-    # reclassify the dataset.  Sniffing is reserved for legacy row datasets
-    # that predate kind metadata.
-    kind = fs.kind(args.dataset) or _sniff_kind(records[0])
-    if kind == "predictions":
+    # Dispatch on the recorded kind — decode errors below are real
+    # corruption and propagate, never a reason to reclassify the dataset.
+    if fs.kind(args.dataset) == "predictions":
         scores = [decode_prediction(r)[1] for r in records]
         dims = {len(s) for s in scores}
         print(f"kind:     predictions (score dims {sorted(dims)})")

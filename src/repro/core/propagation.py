@@ -1116,7 +1116,6 @@ def run_dataflow(
         )
         fs.finalize_dataset(
             dataset_name,
-            layout="columnar",
             record_counts=[summary[0] for summary in summaries],
             kind=store.kind,
             task=config.recorded_task,

@@ -5,7 +5,7 @@ Components map one-to-one onto the paper's Figure 4:
 * :mod:`vectorize` — merge a window of batches of GraphFeatures and build
   each batch's three matrices ``A_B`` (destination-sorted sparse
   adjacency), ``X_B``, ``E_B``;
-* :mod:`dataset` — layout-aware sample sources (in-memory lists, or
+* :mod:`dataset` — sample sources (in-memory lists, or
   zero-copy slicing over mmap'd columnar DFS shards);
 * :mod:`pruning` — per-layer pruned adjacencies ``A^(k)_B`` (graph-level
   optimization);

@@ -1,4 +1,4 @@
-"""Sample sources — the trainer's layout-aware view of a dataset.
+"""Sample sources — the trainer's view of a dataset.
 
 GraphTrainer used to accept only in-memory lists (wire bytes or decoded
 :class:`TrainSample` objects).  A :class:`SampleSource` generalises that to
@@ -17,17 +17,17 @@ decoding — the dataset:
   — the training loop never builds a per-sample object; ``load_samples()``
   still decodes them for callers that want objects.
 
-:func:`open_sample_source` picks the right source for a DFS dataset from
-its layout metadata; both sources present samples in ``read_dataset``
-order (shard-major), so switching layouts never changes the data order a
-trainer sees — per-epoch losses are bit-identical across layouts (tested).
+:func:`open_sample_source` opens a committed DFS dataset as a
+:class:`ColumnarDataset`.  Both sources present samples in the order they
+were produced (``read_dataset`` order, shard-major, for a DFS dataset), so
+training off the DFS or off the in-memory ``graph_flat`` result gives
+bit-identical per-epoch losses (tested).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -285,7 +285,7 @@ class ColumnarDataset(ColumnarSlice):
     that covers every row.
 
     Global sample index is shard-major (shard 0's rows, then shard 1's …),
-    matching ``DistFileSystem.read_dataset`` order for the row layout.
+    matching ``DistFileSystem.read_dataset`` order.
     """
 
     def __init__(self, shard_paths):
@@ -322,18 +322,14 @@ def as_sample_source(data) -> SampleSource:
 
 
 def open_sample_source(fs, name: str) -> SampleSource:
-    """Layout-aware DFS reader: mmap'd :class:`ColumnarDataset` for
-    columnar datasets, a decoded :class:`MemorySamples` for legacy row
-    datasets.  Every consumer that loops ``read_dataset`` should go through
-    this.  A dataset recorded as anything but samples is refused before a
-    shard is opened (row prediction records would otherwise die — or
-    mis-decode — inside the sample codec); datasets that predate kind
-    metadata are taken at their word."""
+    """Mmap'd :class:`ColumnarDataset` over a committed DFS dataset.  Every
+    consumer that loops ``read_dataset`` should go through this.  A dataset
+    recorded as anything but samples is refused before a shard is opened;
+    an uncommitted one raises :class:`FileNotFoundError`, and a shard that
+    is not an ``AGLC`` frame a ``CodecError`` naming its path."""
     kind = fs.kind(name)
-    if kind not in (None, "samples"):
+    if kind != "samples":
         raise ValueError(
             f"dataset {name!r} holds {kind!r} records, not training samples"
         )
-    if fs.layout(name) == "columnar":
-        return ColumnarDataset([Path(p) for p in fs.shards(name)])
-    return MemorySamples(decode_samples(fs.read_dataset(name)))
+    return ColumnarDataset(fs.shards(name))

@@ -28,11 +28,12 @@ are atomic and idempotent, retries and duplicates cannot change job output
 :class:`~repro.mapreduce.fault.FaultPlan` on every backend.
 
 Shuffle spill: with ``spill_dir`` set (or always under the ``processes``
-backend, which uses a private temp directory unless told otherwise), each
-writer task spills key-sorted run files per reduce partition and reducers
-*stream-merge* their partition's files (:mod:`repro.mapreduce.spill`):
-groups are fed to the reducer one at a time, one bounded chunk per file
-resident, so a reducer's *input* partition never has to be resident in RAM.
+backend, which spills under ``<tempdir>/repro-mr-spill/`` unless told
+otherwise), each writer task spills key-sorted run files per reduce
+partition and reducers *stream-merge* their partition's files
+(:mod:`repro.mapreduce.spill`): groups are fed to the reducer one at a
+time, one bounded chunk per file resident, so a reducer's *input*
+partition never has to be resident in RAM.
 The write side is bounded too: every writer task streams its output
 through :class:`~repro.mapreduce.spill.SpillRunWriter`, which
 external-sorts into bounded runs (``spill_run_records`` / ``spill_run_bytes``
@@ -639,6 +640,12 @@ def _run_task(fn: Callable, source, sink, task_index: int):
     return stored, counters[0], counters[1], counters[2]
 
 
+_TEMP_SPILL_DIR = "repro-mr-spill"
+"""Parent of the spill sessions of runtimes given no ``spill_dir``, under
+the system temp directory: one fixed place, so the dead-session sweep
+reaches what a killed process left there."""
+
+
 def _session_prefix() -> str:
     """Session-directory name prefix: ``mr<pid>.h<hosttag>.``.
 
@@ -930,29 +937,28 @@ class LocalRuntime:
 
     def _spill_root(self) -> str | None:
         """Directory for this runtime's shuffle files: a per-runtime
-        *session* directory (``mr<pid>.<token>``) under the user's
-        ``spill_dir``, a private temp dir under the process backend, else
-        ``None`` (in-memory).
+        *session* directory (``mr<pid>.h<hosttag>.<token>``) under the
+        user's ``spill_dir`` — or, with none given, under
+        ``<tempdir>/repro-mr-spill/`` when the process backend or a remote
+        transport needs run files — else ``None`` (in-memory).
 
         All of a session's round and chain directories live inside its
         session directory, so one rmtree — at :meth:`close`, via the
-        garbage-collection finalizer, or by a later runtime sweeping
-        sessions whose owning process is dead — removes every intermediate
-        run file a crashed round could have stranded."""
+        garbage-collection finalizer, or by a later runtime sweeping the
+        same parent for sessions whose owning process is dead — removes
+        every intermediate run file a crashed round could have stranded."""
         if self._session_dir is not None:
             return str(self._session_dir)
-        if self.spill_dir is not None:
-            self.spill_dir.mkdir(parents=True, exist_ok=True)
-            _sweep_dead_sessions(self.spill_dir)
-            self._session_dir = Path(
-                tempfile.mkdtemp(prefix=_session_prefix(), dir=self.spill_dir)
-            )
-        elif self._backend.needs_pickling or self.shuffle_transport != "local":
+        parent = self.spill_dir
+        if parent is None:
+            if not (self._backend.needs_pickling or self.shuffle_transport != "local"):
+                return None
             # A TCP shuffle without an explicit spill_dir still needs run
-            # files to serve — spill into a private temp session.
-            self._session_dir = Path(tempfile.mkdtemp(prefix="repro-mr-spill-"))
-        else:
-            return None
+            # files to serve.
+            parent = Path(tempfile.gettempdir()) / _TEMP_SPILL_DIR
+        parent.mkdir(parents=True, exist_ok=True)
+        _sweep_dead_sessions(parent)
+        self._session_dir = Path(tempfile.mkdtemp(prefix=_session_prefix(), dir=parent))
         self._finalizer = weakref.finalize(
             self, shutil.rmtree, str(self._session_dir), ignore_errors=True
         )

@@ -3,8 +3,10 @@
 GraphFlat stores each k-hop neighborhood as a compact, self-contained byte
 string on the distributed file system (§3.2.1 "Storing").  Protobuf itself is
 not available offline, so this package implements an equivalent wire format
-from scratch: varint-coded headers + raw little-endian tensors, plus a framed
-record stream for files holding many records.
+from scratch: varint-coded headers + raw little-endian tensors for one
+record (``codec``), the columnar ``AGLC`` shard that stores many of them on
+the DFS (``columnar``), and the checksummed frames of the shuffle's run
+files (``framing``).
 """
 
 from repro.proto.varint import (
@@ -22,7 +24,6 @@ from repro.proto.codec import (
     encode_prediction,
     encode_sample,
 )
-from repro.proto.stream import read_records, write_records
 from repro.proto.columnar import (
     ColumnarShard,
     shard_record_count,
@@ -52,8 +53,6 @@ __all__ = [
     "encode_prediction",
     "decode_prediction",
     "CodecError",
-    "read_records",
-    "write_records",
     "ColumnarShard",
     "shard_record_count",
     "write_prediction_shard",

@@ -248,7 +248,6 @@ class DistributedTrainer:
                 for s in source.iter_samples()
             ),
             num_shards=1,
-            layout="columnar",
         )
         dataset = ColumnarDataset([str(p) for p in fs.shards("train")])
         return dataset, tmp

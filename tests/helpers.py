@@ -1,28 +1,29 @@
 """Test utilities: finite-difference gradient checking for the autograd ops,
-the legacy row dataset the DFS readers are checked against, the digest
-of a dataset's record stream, and a training set wide enough for BLAS to
-multithread its products."""
+a row shard under a committed ``_META.json`` (which every DFS reader must
+refuse), the digest of a dataset's record stream, and a training set wide
+enough for BLAS to multithread its products."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import zlib
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
-from repro.proto.codec import encode_prediction
+from repro.proto.varint import encode_unsigned
 
 __all__ = [
     "WIDE_BATCH",
     "WIDE_HIDDEN",
     "check_gradients",
+    "commit_row_shard",
     "dataset_digest",
     "model_digest",
     "numeric_grad",
     "wide_model",
     "wide_training_set",
-    "write_legacy_row_dataset",
 ]
 
 WIDE_HIDDEN = 32
@@ -77,23 +78,19 @@ def dataset_digest(fs, name: str) -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
-def write_legacy_row_dataset(fs, name: str, result, num_shards: int = 3) -> list[bytes]:
-    """What a pipeline run from before the columnar format left on disk: the
-    in-memory result of ``graph_flat`` / ``graph_infer`` (run without ``fs``)
-    as framed row shards.  The pipelines only write columnar shards; this is
-    the dataset the *readers* — ``read_dataset``, ``count_records``,
-    ``open_sample_source``, ``repro describe`` / ``graphtrainer`` — must keep
-    serving.  Returns the wire records, i.e. the in-memory record stream."""
-    if hasattr(result, "samples"):
-        records, kind = list(result.samples), "samples"
-        task = None if result.task == "node_classification" else result.task
-    else:
-        records = [encode_prediction(v, s) for v, s in result.scores.items()]
-        kind, task = "predictions", None
-    fs.write_dataset(
-        name, records, num_shards=num_shards, layout="row", kind=kind, task=task
-    )
-    return records
+def commit_row_shard(fs, name: str, records: list[bytes], kind: str = "samples"):
+    """A dataset of one row shard — ``varint(len) varint(crc32) payload``
+    per record, the framing datasets had before the columnar format —
+    committed with a ``_META.json`` like any other.  Returns the shard
+    path, which every reader's ``CodecError`` must name."""
+    path = fs.prepare_dataset(name) / "part-00000"
+    with open(path, "wb") as fh:
+        for record in records:
+            fh.write(encode_unsigned(len(record)))
+            fh.write(encode_unsigned(zlib.crc32(record)))
+            fh.write(record)
+    fs.finalize_dataset(name, kind=kind, record_counts=[len(records)])
+    return path
 
 
 def numeric_grad(fn, value: np.ndarray, eps: float = 1e-3) -> np.ndarray:

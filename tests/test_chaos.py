@@ -38,7 +38,6 @@ from repro.proto.framing import (
     write_frame,
     write_stream_header,
 )
-from repro.proto.stream import StreamCorruptionError, read_records, write_records
 from repro.nn.gnn import build_model
 
 # Per-kind (rate, extra-knob) tuning: rates verified to inject at seed 0 on
@@ -480,14 +479,6 @@ class TestSpillIntegrity:
         header[4] = 1  # CRC-less v1 layout
         with pytest.raises(FrameCorruptionError, match="version"):
             read_stream_header(io.BytesIO(bytes(header)))
-
-    def test_row_stream_corruption_raises(self, tmp_path):
-        path = tmp_path / "records.bin"
-        write_records(path, [b"record-%d" % i for i in range(20)])
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        with pytest.raises(StreamCorruptionError):
-            list(read_records(bytes(data)))
 
     def test_runtime_retries_reduce_on_corrupt_run(self, tmp_path, wc_baseline):
         """An injected read-path corruption surfaces as a retryable frame

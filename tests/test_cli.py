@@ -9,16 +9,15 @@ import pytest
 
 from repro.cli import load_model, main, save_model
 from repro.core.graphflat import GraphFlatConfig
-from repro.core.infer import GraphInferConfig, GraphInferResult, ModelSlice, graph_infer
+from repro.core.infer import GraphInferConfig, GraphInferResult, ModelSlice
 from repro.core.propagation import DataflowConfig
 from repro.core.trainer import BatchPipeline, TrainerConfig
 from repro.core.trainer.pipeline import QUEUE_DEPTH
 from repro.datasets import cora_like, write_edge_table, write_node_table
-from repro.datasets.io import read_edge_table, read_node_table
 from repro.mapreduce import DistFileSystem, LocalRuntime
 from repro.nn.gnn import GATModel
 
-from .helpers import write_legacy_row_dataset
+from .helpers import commit_row_shard
 
 
 @pytest.fixture()
@@ -254,9 +253,8 @@ class TestDescribe:
 
     @pytest.fixture()
     def inferred(self, workspace, capsys):
-        """A trained model plus prediction datasets in both layouts:
-        ``scores/columnar`` as ``graphinfer`` writes it, ``scores/row`` as
-        the legacy row dataset of the same scores."""
+        """A trained model plus ``scores/columnar``, the prediction dataset
+        ``graphinfer`` writes with it."""
         tmp_path, ds = workspace
         dfs = str(tmp_path / "dfs")
         main([
@@ -276,39 +274,18 @@ class TestDescribe:
             "--max-neighbors", "20", "--output", "scores/columnar",
             "--dfs", dfs, "--workers", "1",
         ])
-        fs = DistFileSystem(dfs)
-        write_legacy_row_dataset(
-            fs, "scores/row",
-            graph_infer(
-                load_model(tmp_path / "model.pkl"),
-                read_node_table(tmp_path / "nodes.tsv"),
-                read_edge_table(tmp_path / "edges.tsv"),
-                GraphInferConfig(max_neighbors=20),
-            ),
-        )
-        assert list(fs.read_dataset("scores/row")) == list(fs.read_dataset("scores/columnar"))
         capsys.readouterr()
         return tmp_path, dfs
 
-    @pytest.mark.parametrize("layout", ["columnar", "row"])
-    def test_describe_predictions_dispatches_on_metadata(self, inferred, capsys, layout):
-        """Prediction datasets are recognised from the recorded kind in both
-        layouts — no decode-and-see sniffing involved."""
+    def test_describe_predictions_dispatches_on_metadata(self, inferred, capsys):
+        """Prediction datasets are recognised from the recorded kind — no
+        decode-and-see sniffing involved."""
         _, dfs = inferred
-        rc = main(["describe", f"scores/{layout}", "--dfs", dfs])
+        rc = main(["describe", "scores/columnar", "--dfs", dfs])
         out = capsys.readouterr().out
         assert rc == 0
         assert "kind:     predictions" in out
-
-    def test_describe_legacy_row_predictions_sniffed(self, inferred, capsys):
-        """A row dataset with no _META.json (pre-metadata era) still gets
-        classified — by wire format, the only option left."""
-        tmp_path, dfs = inferred
-        (tmp_path / "dfs" / "scores/row" / "_META.json").unlink()
-        rc = main(["describe", "scores/row", "--dfs", dfs])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "kind:     predictions" in out
+        assert "layout:" not in out
 
     def test_describe_corrupt_shard_raises(self, inferred, capsys):
         """Regression: a corrupt sample dataset used to be silently
@@ -324,71 +301,40 @@ class TestDescribe:
         with pytest.raises(CodecError):
             main(["describe", "flat/train", "--dfs", dfs])
 
-    def test_describe_corrupt_legacy_row_raises(self, inferred, capsys):
-        """Sniffing a legacy (meta-less) row dataset must not misfile a
-        corrupt sample record as predictions: decode_prediction is strict
-        about the payload length, so garbage raises instead."""
+    @pytest.mark.parametrize("command", ["describe", "graphtrainer"])
+    def test_a_row_shard_is_refused_naming_it(self, inferred, capsys, command):
+        """A row shard (the framing datasets had before the columnar format)
+        under a committed ``_META.json`` fails the ``AGLC`` magic check with
+        a ``CodecError`` naming the shard; nothing decodes it as rows."""
         from repro.proto.codec import CodecError
 
         tmp_path, dfs = inferred
         fs = DistFileSystem(dfs)
-        # rebuild flat/train as a legacy row dataset with a truncated
-        # (corrupt) first record and no metadata
-        records = list(fs.read_dataset("flat/train"))
-        records[0] = records[0][:-3]
-        fs.write_dataset("flat/legacy", records, num_shards=1)
-        (tmp_path / "dfs" / "flat/legacy" / "_META.json").unlink()
-        with pytest.raises(CodecError):
-            main(["describe", "flat/legacy", "--dfs", dfs])
+        path = commit_row_shard(fs, "flat/row", list(fs.read_dataset("flat/train")))
+        args = {
+            "describe": ["describe", "flat/row", "--dfs", dfs],
+            "graphtrainer": [
+                "graphtrainer", "-m", "gcn", "-i", "flat/row",
+                "--model-out", str(tmp_path / "never.pkl"), "--dfs", dfs,
+            ],
+        }[command]
+        with pytest.raises(CodecError, match=re.escape(f"{path}: bad magic")):
+            main(args)
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "never.pkl").exists()
 
-    @pytest.fixture()
-    def legacy_samples(self, inferred):
-        """``flat/legacy``: ``flat/train``'s samples as a row dataset."""
-        tmp_path, dfs = inferred
-        fs = DistFileSystem(dfs)
-        fs.write_dataset("flat/legacy", fs.read_dataset("flat/train"), num_shards=2)
-        return tmp_path, dfs
-
-    @pytest.mark.parametrize("meta", [True, False], ids=["meta", "pre-meta"])
-    def test_legacy_row_samples_describe_and_train(self, legacy_samples, capsys, meta):
-        """Datasets on disk outlive the code that wrote them: a row-layout
-        sample dataset — with or without ``_META.json`` — still describes
-        and trains, to the loss the columnar dataset of the same samples
-        trains to."""
-        tmp_path, dfs = legacy_samples
-        if not meta:
-            (tmp_path / "dfs" / "flat/legacy" / "_META.json").unlink()
-        assert main(["describe", "flat/legacy", "--dfs", dfs]) == 0
-        out = capsys.readouterr().out
-        assert "layout:   row" in out and "shards:   2" in out
-        assert "GraphFeature samples" in out
-        assert f"records:  {DistFileSystem(dfs).count_records('flat/train')}" in out
-        losses = {}
-        for name, layout in (("flat/legacy", "row"), ("flat/train", "columnar")):
-            rc = main([
-                "graphtrainer", "-m", "gcn", "-i", name,
-                "--model-out", str(tmp_path / "again.pkl"),
-                "--epochs", "2", "--hidden", "8", "--dfs", dfs,
-            ])
-            assert rc == 0
-            out = capsys.readouterr().out
-            assert f"({layout} shards" in out
-            losses[name] = out[out.index("loss "):]
-        assert losses["flat/legacy"] == losses["flat/train"]
-
-    @pytest.mark.parametrize("layout", ["columnar", "row"])
-    def test_graphtrainer_refuses_a_predictions_dataset(self, inferred, capsys, layout):
-        """Regression: a row-layout scores dataset used to reach the sample
-        codec (``CodecError: unknown label kind``, or a silent mis-decode);
-        both layouts now stop at the recorded kind, with one message."""
+    def test_graphtrainer_refuses_a_predictions_dataset(self, inferred, capsys):
+        """Regression: a scores dataset used to reach the sample codec
+        (``CodecError: unknown label kind``, or a silent mis-decode); the
+        recorded kind stops it first, with one message."""
         tmp_path, dfs = inferred
         rc = main([
-            "graphtrainer", "-m", "gcn", "-i", f"scores/{layout}",
+            "graphtrainer", "-m", "gcn", "-i", "scores/columnar",
             "--model-out", str(tmp_path / "never.pkl"), "--dfs", dfs,
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"dataset 'scores/{layout}' holds 'predictions' records" in err
+        assert "dataset 'scores/columnar' holds 'predictions' records" in err
         assert not (tmp_path / "never.pkl").exists()
 
     @pytest.mark.parametrize("backend,workers", [("serial", "1"), ("processes", "2")])

@@ -1,7 +1,11 @@
-"""Columnar shard format + layout-aware dataset path: codec round-trips,
-byte-identity with legacy row datasets, O(num_shards) counting,
-trainer-ingest numerical identity across layouts x prefetch backends, and the
+"""Columnar shard format + the DFS dataset path: codec round-trips,
+byte-identity with the in-memory record stream, the commit rule, the
+refusal of any other shard format, trainer-ingest numerical identity
+between the DFS and the in-memory result x prefetch backends, and the
 worker-pool prefetch pipeline."""
+
+import json
+import re
 
 import numpy as np
 import pytest
@@ -12,20 +16,20 @@ from repro.core.trainer import (
     BatchPipeline,
     ColumnarDataset,
     GraphTrainer,
-    MemorySamples,
     SampleSource,
     TrainerConfig,
+    as_sample_source,
     decode_samples,
     open_sample_source,
 )
 from repro.graph.subgraph import GraphFeature
 from repro.mapreduce import DistFileSystem
 from repro.nn.gnn import GCNModel
-from repro.proto.codec import decode_prediction, decode_sample
+from repro.proto.codec import CodecError, decode_prediction, decode_sample, encode_prediction
 from repro.proto.columnar import ColumnarShard, shard_record_count, write_sample_shard
 from repro.tasks import EDGE_TASKS
 
-from .helpers import write_legacy_row_dataset
+from .helpers import commit_row_shard
 
 
 @pytest.fixture(scope="module")
@@ -36,15 +40,12 @@ def flat_cora(mini_cora):
     return graph_flat(ds.nodes, ds.edges, ds.train_ids, config).samples
 
 
-def flat_in_both_layouts(ds, fs):
-    """``flat/columnar`` as the pipeline writes it, ``flat/row`` as the
-    legacy row dataset of the same samples."""
+def flat_on_dfs_and_in_memory(ds, fs):
+    """``flat/columnar`` as the pipeline writes it, and the in-memory
+    ``graph_flat`` result of the same run (wire records)."""
     config = GraphFlatConfig(hops=2, max_neighbors=20)
     graph_flat(ds.nodes, ds.edges, ds.train_ids, config, fs=fs, dataset_name="flat/columnar")
-    write_legacy_row_dataset(
-        fs, "flat/row", graph_flat(ds.nodes, ds.edges, ds.train_ids, config)
-    )
-    return fs
+    return fs, graph_flat(ds.nodes, ds.edges, ds.train_ids, config).samples
 
 
 @pytest.fixture(scope="module")
@@ -118,60 +119,153 @@ class TestColumnarShard:
             ColumnarShard(path)
 
 
-class TestFilesystemLayouts:
-    def test_read_dataset_layout_transparent(self, tmp_path, flat_cora):
+class TestFilesystemDatasets:
+    def test_read_dataset_yields_the_written_wire_records(self, tmp_path, flat_cora):
+        """Wire records and structured triples write the same shards, and
+        reading them back is the input stream, shard by shard."""
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("row", flat_cora, num_shards=3)
-        fs.write_dataset(
-            "col", [decode_sample(r) for r in flat_cora], num_shards=3, layout="columnar"
-        )
-        assert fs.layout("row") == "row"
-        assert fs.layout("col") == "columnar"
-        assert list(fs.read_dataset("col")) == list(fs.read_dataset("row"))
-        assert [len(list(fs.read_shard("col", i))) for i in range(3)] == [
-            len(list(fs.read_shard("row", i))) for i in range(3)
+        fs.write_dataset("wire", flat_cora, num_shards=3)
+        fs.write_dataset("triples", [decode_sample(r) for r in flat_cora], num_shards=3)
+        assert list(fs.read_dataset("wire")) == list(flat_cora)
+        assert list(fs.read_dataset("triples")) == list(flat_cora)
+        n = len(flat_cora)
+        assert [len(list(fs.read_shard("triples", i))) for i in range(3)] == [
+            n // 3 + (1 if i < n % 3 else 0) for i in range(3)
         ]
 
-    def test_count_records_uses_metadata(self, tmp_path, flat_cora):
+    def test_count_records_reads_headers_against_the_commit(self, tmp_path, flat_cora):
         fs = DistFileSystem(tmp_path)
-        for layout in ("row", "columnar"):
-            fs.write_dataset(f"d/{layout}", flat_cora, num_shards=3, layout=layout)
-            assert fs.count_records(f"d/{layout}") == len(flat_cora)
-        # Columnar headers still answer in O(num_shards) without metadata;
-        # legacy row datasets fall back to the scan.
-        for layout in ("row", "columnar"):
-            (tmp_path / f"d/{layout}" / "_META.json").unlink()
-            assert fs.count_records(f"d/{layout}") == len(flat_cora)
+        fs.write_dataset("d", flat_cora, num_shards=3)
+        assert fs.count_records("d") == len(flat_cora)
+        # A shard set that disagrees with what was committed is corruption.
+        meta_path = tmp_path / "d" / "_META.json"
+        meta = json.loads(meta_path.read_text())
+        meta["record_counts"][0] += 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(CodecError, match="dataset 'd'"):
+            fs.count_records("d")
 
-    def test_open_shard_requires_columnar(self, tmp_path, flat_cora):
+    def test_open_shard_covers_the_dataset(self, tmp_path, flat_cora):
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("row", flat_cora, num_shards=2)
-        with pytest.raises(ValueError):
-            fs.open_shard("row", 0)
-        fs.write_dataset("col", flat_cora, num_shards=2, layout="columnar")
+        fs.write_dataset("col", flat_cora, num_shards=2)
         assert len(fs.open_shard("col", 0)) + len(fs.open_shard("col", 1)) == len(flat_cora)
+        with pytest.raises(IndexError):
+            fs.open_shard("col", 2)
 
-    def test_bad_layout_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DistFileSystem(tmp_path).write_dataset("x", [], layout="diagonal")
-
-    def test_kind_recorded_for_every_layout(self, tmp_path, flat_cora):
+    def test_no_layout_keyword(self, tmp_path):
+        """One shard format: neither writer takes a ``layout``."""
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("row", flat_cora, num_shards=2)
+        with pytest.raises(TypeError):
+            fs.write_dataset("x", [], layout="columnar")
+        fs.prepare_dataset("y")
+        with pytest.raises(TypeError):
+            fs.finalize_dataset("y", layout="columnar", kind="samples", record_counts=[])
+        assert not hasattr(fs, "layout")
+
+    def test_kind_is_recorded(self, tmp_path, flat_cora):
+        fs = DistFileSystem(tmp_path)
+        fs.write_dataset("samples", [decode_sample(r) for r in flat_cora], num_shards=2)
         fs.write_dataset(
-            "col", [decode_sample(r) for r in flat_cora], num_shards=2,
-            layout="columnar",
+            "scores", [(i, np.ones(2, dtype=np.float32)) for i in range(3)],
+            kind="predictions",
         )
-        assert fs.kind("row") == "samples"
-        assert fs.kind("col") == "samples"
-        # columnar datasets survive metadata loss via the shard header;
-        # legacy row datasets genuinely have nothing recorded
-        for name in ("row", "col"):
-            (tmp_path / name / "_META.json").unlink()
-        assert fs.kind("col") == "samples"
-        assert fs.kind("row") is None
+        assert fs.kind("samples") == "samples"
+        assert fs.kind("scores") == "predictions"
         with pytest.raises(FileNotFoundError):
             fs.kind("absent")
+
+
+class TestCommitRule:
+    """A dataset exists only once its ``_META.json`` is committed: the shard
+    set a driver killed before the commit leaves is absent to every
+    reader, however complete its shards are."""
+
+    @pytest.fixture()
+    def uncommitted(self, mini_cora, tmp_path):
+        ds = mini_cora
+        fs = DistFileSystem(tmp_path / "dfs")
+        graph_flat(
+            ds.nodes, ds.edges, ds.train_ids,
+            GraphFlatConfig(hops=2, max_neighbors=20, hub_threshold=10**9),
+            fs=fs, dataset_name="flat/train",
+        )
+        assert fs.exists("flat/train") and fs.count_records("flat/train") > 0
+        (tmp_path / "dfs" / "flat/train" / "_META.json").unlink()
+        assert len(list((tmp_path / "dfs" / "flat/train").glob("part-*"))) == 4
+        return fs
+
+    @pytest.mark.parametrize(
+        "reader",
+        ["shards", "read_dataset", "read_shard", "count_records", "kind",
+         "num_shards", "size_bytes", "open_sample_source"],
+    )
+    def test_every_reader_raises_naming_the_dataset(self, uncommitted, reader):
+        fs = uncommitted
+        calls = {
+            "read_dataset": lambda: list(fs.read_dataset("flat/train")),
+            "read_shard": lambda: list(fs.read_shard("flat/train", 0)),
+            "open_sample_source": lambda: open_sample_source(fs, "flat/train"),
+        }
+        call = calls.get(reader, lambda: getattr(fs, reader)("flat/train"))
+        with pytest.raises(FileNotFoundError, match="dataset 'flat/train' not found"):
+            call()
+
+    def test_it_is_not_listed_and_does_not_exist(self, uncommitted):
+        assert not uncommitted.exists("flat/train")
+        assert uncommitted.list_datasets() == []
+
+    def test_describe_says_not_found(self, uncommitted, capsys):
+        from repro.cli import main
+
+        assert main(["describe", "flat/train", "--dfs", str(uncommitted.root)]) == 1
+        err = capsys.readouterr().err
+        assert "dataset 'flat/train' not found; available: []" in err
+
+    def test_recommitting_makes_it_whole_again(self, uncommitted, mini_cora):
+        fs = uncommitted
+        counts = [shard_record_count(p) for p in sorted((fs.root / "flat/train").glob("part-*"))]
+        fs.finalize_dataset("flat/train", kind="samples", record_counts=counts)
+        assert fs.list_datasets() == ["flat/train"]
+        assert fs.count_records("flat/train") == len(mini_cora.train_ids)
+
+    @pytest.mark.parametrize("field", ["kind", "record_counts"])
+    def test_metadata_without_a_required_field_is_refused(self, tmp_path, flat_cora, field):
+        fs = DistFileSystem(tmp_path)
+        fs.write_dataset("d", flat_cora)
+        meta_path = tmp_path / "d" / "_META.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[field]
+        meta_path.write_text(json.dumps(meta))
+        for read in (fs.shards, fs.kind, fs.count_records, lambda n: list(fs.read_dataset(n))):
+            with pytest.raises(ValueError, match=f"dataset 'd': _META.json lacks {field}"):
+                read("d")
+
+
+class TestRowShardsAreRefused:
+    """A row shard (the framing datasets had before the columnar format)
+    under a committed ``_META.json`` fails the ``AGLC`` magic check in
+    every reader, with a ``CodecError`` naming the shard; nothing falls
+    back to a row decoder.  The CLI readers are covered in ``test_cli``."""
+
+    @pytest.fixture()
+    def row(self, tmp_path, flat_cora):
+        fs = DistFileSystem(tmp_path)
+        return fs, commit_row_shard(fs, "flat/row", list(flat_cora))
+
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda fs: list(fs.read_dataset("flat/row")),
+            lambda fs: fs.count_records("flat/row"),
+            lambda fs: open_sample_source(fs, "flat/row"),
+        ],
+        ids=["read_dataset", "count_records", "open_sample_source"],
+    )
+    def test_reader_raises_naming_the_shard(self, row, reader):
+        fs, path = row
+        assert fs.exists("flat/row") and fs.kind("flat/row") == "samples"
+        with pytest.raises(CodecError, match=re.escape(f"{path}: bad magic")):
+            reader(fs)
 
 
 class TestStrayStagingFiles:
@@ -203,7 +297,7 @@ class TestStrayStagingFiles:
             size_bytes=fs.size_bytes("flat"),
             records=list(fs.read_dataset("flat")),
             source_ids=source.ids().tolist(),
-            layout_kind_task=(fs.layout("flat"), fs.kind("flat"), fs.task("flat")),
+            kind_task=(fs.kind("flat"), fs.task("flat")),
         )
         if capsys is not None:
             assert main(["describe", "flat", "--dfs", str(fs.root)]) == 0
@@ -234,10 +328,10 @@ class TestStrayStagingFiles:
         fs, before = committed
         directory = fs.root / "flat"
         (directory / "part-00002.tmp4242").write_bytes(b"half a shard")
-        (directory / "_META.json.tmp4242").write_text('{"layout": "colu')
+        (directory / "_META.json.tmp4242").write_text('{"kind": "sam')
         meta = (directory / "_META.json").read_text()
         fs.finalize_dataset(
-            "flat", layout="columnar", kind="samples",
+            "flat", kind="samples",
             record_counts=[shard_record_count(p) for p in fs.shards("flat")],
         )
         assert sorted(p.name for p in directory.iterdir()) == [
@@ -248,9 +342,10 @@ class TestStrayStagingFiles:
 
 
 class TestOneRecordStream:
-    """The pipelines write one layout — reducer-owned columnar shards — and
-    ``read_dataset`` over it is the in-memory result's record stream, which
-    is also what a legacy row dataset of the same records reads back as."""
+    """The pipelines write reducer-owned columnar shards, and
+    ``read_dataset`` over them is the in-memory result's record stream —
+    which is also what ``write_dataset`` of that result (whatever its shard
+    count) reads back as."""
 
     @pytest.mark.parametrize("task", ["node_classification", *EDGE_TASKS])
     def test_graph_flat(self, mini_cora, lp_tables, tmp_path, task):
@@ -262,14 +357,15 @@ class TestOneRecordStream:
         config = GraphFlatConfig(hops=2, max_neighbors=20, task=task, edge_targets=30)
         result = graph_flat(nodes, edges, targets, config, fs=fs, dataset_name="flat/dfs")
         assert result.dataset == "flat/dfs"
-        assert fs.layout("flat/dfs") == "columnar"
         assert fs.num_shards("flat/dfs") == config.num_reducers
-        samples = write_legacy_row_dataset(
-            fs, "flat/legacy", graph_flat(nodes, edges, targets, config)
+        memory = graph_flat(nodes, edges, targets, config)
+        samples = list(memory.samples)
+        fs.write_dataset(
+            "flat/written", samples, num_shards=3, task=config.recorded_task
         )
         assert list(fs.read_dataset("flat/dfs")) == samples
-        assert list(fs.read_dataset("flat/legacy")) == samples
-        assert (fs.kind("flat/legacy"), fs.task("flat/legacy")) == (
+        assert list(fs.read_dataset("flat/written")) == samples
+        assert (fs.kind("flat/written"), fs.task("flat/written")) == (
             fs.kind("flat/dfs"), fs.task("flat/dfs"),
         )
 
@@ -282,41 +378,48 @@ class TestOneRecordStream:
         model = GCNModel(nodes.feature_dim, 8, 3, num_layers=2, seed=0)
         config = GraphInferConfig(task=task)
         result = graph_infer(model, nodes, edges, config, fs=fs, dataset_name="scores/dfs")
-        assert fs.layout("scores/dfs") == "columnar"
         assert fs.num_shards("scores/dfs") == config.num_reducers
-        scores = write_legacy_row_dataset(
-            fs, "scores/legacy", graph_infer(model, nodes, edges, config)
+        memory = graph_infer(model, nodes, edges, config)
+        scores = [encode_prediction(v, s) for v, s in memory.scores.items()]
+        fs.write_dataset(
+            "scores/written", list(memory.scores.items()), num_shards=3,
+            kind="predictions",
         )
         assert result.num_nodes == len(scores)
         assert list(fs.read_dataset("scores/dfs")) == scores
-        assert list(fs.read_dataset("scores/legacy")) == scores
-        assert fs.kind("scores/legacy") == fs.kind("scores/dfs") == "predictions"
+        assert list(fs.read_dataset("scores/written")) == scores
+        assert fs.kind("scores/written") == fs.kind("scores/dfs") == "predictions"
         assert decode_prediction(scores[0])[1].dtype == np.float32
 
 
 class TestColumnarDatasetSource:
     @pytest.fixture()
-    def fs_both(self, mini_cora, tmp_path):
-        return flat_in_both_layouts(mini_cora, DistFileSystem(tmp_path))
+    def dfs_and_memory(self, mini_cora, tmp_path):
+        return flat_on_dfs_and_in_memory(mini_cora, DistFileSystem(tmp_path))
 
-    def test_source_matches_row_order_and_content(self, fs_both):
-        row = open_sample_source(fs_both, "flat/row")
-        col = open_sample_source(fs_both, "flat/columnar")
-        assert isinstance(row, MemorySamples) and isinstance(col, ColumnarDataset)
-        assert len(row) == len(col)
-        np.testing.assert_array_equal(row.ids(), col.ids())
-        for i in range(len(row)):
-            a, b = row.sample(i), col.sample(i)
+    @pytest.fixture()
+    def dfs(self, dfs_and_memory):
+        return dfs_and_memory[0]
+
+    def test_source_matches_the_in_memory_order_and_content(self, dfs_and_memory):
+        fs, samples = dfs_and_memory
+        memory = as_sample_source(samples)
+        col = open_sample_source(fs, "flat/columnar")
+        assert isinstance(col, ColumnarDataset)
+        assert len(memory) == len(col)
+        np.testing.assert_array_equal(memory.ids(), col.ids())
+        for i in range(len(memory)):
+            a, b = memory.sample(i), col.sample(i)
             assert a.target_id == b.target_id and a.label == b.label
             np.testing.assert_array_equal(a.graph_feature.x, b.graph_feature.x)
-        assert row.labels_by_id() == col.labels_by_id()
-        assert row.label_kind == col.label_kind == "int"
-        assert row.max_int_label() == col.max_int_label()
+        assert memory.labels_by_id() == col.labels_by_id()
+        assert memory.label_kind == col.label_kind == "int"
+        assert memory.max_int_label() == col.max_int_label()
 
-    def test_batch_ref_pickles_and_loads(self, fs_both):
+    def test_batch_ref_pickles_and_loads(self, dfs):
         import pickle
 
-        col = open_sample_source(fs_both, "flat/columnar")
+        col = open_sample_source(dfs, "flat/columnar")
         ref = col.batch(np.asarray([3, 0, 5]))
         clone = pickle.loads(pickle.dumps(ref))
         samples = clone.load_samples()
@@ -325,12 +428,12 @@ class TestColumnarDatasetSource:
         ]
 
     @pytest.mark.parametrize("feeder", ["gather", "load_samples"])
-    def test_batch_resolves_each_shard_once(self, fs_both, monkeypatch, feeder):
+    def test_batch_resolves_each_shard_once(self, dfs, monkeypatch, feeder):
         """One shard lookup (a ``stat``) per shard a batch touches — not per
         sample — on the stacked and the per-sample feeder alike."""
         from repro.core.trainer import dataset as dataset_module
 
-        col = open_sample_source(fs_both, "flat/columnar")
+        col = open_sample_source(dfs, "flat/columnar")
         ref = col.batch(np.arange(len(col)))
         touched = len(np.unique(ref.locators[:, 0]))
         assert 1 < touched < len(col)
@@ -343,12 +446,12 @@ class TestColumnarDatasetSource:
         getattr(ref, feeder)()
         assert len(calls) == touched
 
-    def test_slice_is_picklable_sub_source(self, fs_both):
+    def test_slice_is_picklable_sub_source(self, dfs):
         """ColumnarSlice — the process-worker shard assignment — round-trips
         through pickle and serves the same samples as direct indexing."""
         import pickle
 
-        col = open_sample_source(fs_both, "flat/columnar")
+        col = open_sample_source(dfs, "flat/columnar")
         indices = np.asarray([4, 1, 6, 1])
         sliced = pickle.loads(pickle.dumps(col.slice(indices)))
         assert len(sliced) == 4
@@ -362,11 +465,11 @@ class TestColumnarDatasetSource:
             col.sample(6).target_id, col.sample(4).target_id,
         ]
 
-    def test_slice_answers_labels_from_the_columns(self, fs_both, monkeypatch):
+    def test_slice_answers_labels_from_the_columns(self, dfs, monkeypatch):
         """``labels_by_id`` & co. on a slice read the ``labels`` /
         ``sample_ids`` columns; the base-class versions (decode every
         sample) are the reference."""
-        col = open_sample_source(fs_both, "flat/columnar")
+        col = open_sample_source(dfs, "flat/columnar")
         sliced = col.slice(np.asarray([4, 1, 6, 1, len(col) - 1]))
         expected = SampleSource.labels_by_id(sliced)
         assert len(expected) == 4
@@ -403,29 +506,18 @@ class TestColumnarDatasetSource:
         assert bare.label_kind == "none" and bare.label_dim == 0
         assert bare.labels_by_id() == {triples[4][0]: None, triples[1][0]: None}
 
-    @pytest.mark.parametrize("layout", ["row", "columnar"])
-    def test_predictions_dataset_is_refused_by_kind(self, tmp_path, layout):
-        """Regression: row prediction records used to reach ``decode_sample``
+    @pytest.mark.parametrize("form", ["pairs", "wire"])
+    def test_predictions_dataset_is_refused_by_kind(self, tmp_path, form):
+        """Regression: prediction records used to reach ``decode_sample``
         (``CodecError: unknown label kind``, or a silent mis-decode on a
-        luckier byte pattern); both layouts now stop at the recorded kind."""
-        from repro.proto.codec import CodecError, encode_prediction
-
+        luckier byte pattern); the recorded kind stops them first."""
         fs = DistFileSystem(tmp_path)
         pairs = [(i, np.arange(3, dtype=np.float32) + i) for i in range(5)]
-        records = pairs if layout == "columnar" else [encode_prediction(*p) for p in pairs]
-        fs.write_dataset("scores", records, num_shards=2, layout=layout, kind="predictions")
+        records = pairs if form == "pairs" else [encode_prediction(*p) for p in pairs]
+        fs.write_dataset("scores", records, num_shards=2, kind="predictions")
         with pytest.raises(ValueError, match="'scores' holds 'predictions' records") as caught:
             open_sample_source(fs, "scores")
         assert not isinstance(caught.value, CodecError)
-
-    def test_legacy_dataset_without_recorded_kind_still_opens(self, fs_both, tmp_path):
-        (tmp_path / "flat/row" / "_META.json").unlink()
-        assert fs_both.kind("flat/row") is None
-        legacy = open_sample_source(fs_both, "flat/row")
-        assert isinstance(legacy, MemorySamples)
-        np.testing.assert_array_equal(
-            legacy.ids(), open_sample_source(fs_both, "flat/columnar").ids()
-        )
 
     def test_rewritten_dataset_not_served_stale(self, mini_cora, tmp_path):
         ds = mini_cora
@@ -438,18 +530,24 @@ class TestColumnarDatasetSource:
 
 
 class TestTrainingIdentityAcrossLayouts:
-    """Acceptance: columnar shards train to numerically identical per-epoch
-    losses/metrics as a legacy row dataset of the same samples, across
-    prefetch backends x workers."""
+    """Acceptance: the columnar DFS dataset trains to numerically identical
+    per-epoch losses/metrics as the in-memory ``graph_flat`` result of the
+    same run (``MemorySamples``), across prefetch backends x workers."""
 
     @pytest.fixture(scope="class")
-    def fs_both(self, tmp_path_factory):
+    def sources(self, tmp_path_factory):
         from repro.datasets import cora_like
 
         ds = cora_like(seed=7, num_nodes=300, num_edges=900)
-        return ds, flat_in_both_layouts(ds, DistFileSystem(tmp_path_factory.mktemp("dfs")))
+        fs, samples = flat_on_dfs_and_in_memory(
+            ds, DistFileSystem(tmp_path_factory.mktemp("dfs"))
+        )
+        return ds, {
+            "dfs": lambda: open_sample_source(fs, "flat/columnar"),
+            "memory": lambda: as_sample_source(samples),
+        }
 
-    def _run(self, ds, fs, layout, backend, workers):
+    def _run(self, ds, sources, source, backend, workers):
         model = GCNModel(ds.feature_dim, 12, ds.num_classes, num_layers=2, seed=5)
         trainer = GraphTrainer(
             model,
@@ -458,31 +556,31 @@ class TestTrainingIdentityAcrossLayouts:
                 prefetch_backend=backend, prefetch_workers=workers,
             ),
         )
-        source = open_sample_source(fs, f"flat/{layout}")
-        history = trainer.fit(source)
-        return [h["loss"] for h in history], trainer.evaluate(source)
+        data = sources[source]()
+        history = trainer.fit(data)
+        return [h["loss"] for h in history], trainer.evaluate(data)
 
     @pytest.mark.parametrize(
-        "layout,backend,workers",
+        "source,backend,workers",
         [
-            ("columnar", "threads", 1),
-            ("columnar", "threads", 3),
-            ("columnar", "serial", 1),
-            ("row", "threads", 3),
+            ("dfs", "threads", 1),
+            ("dfs", "threads", 3),
+            ("dfs", "serial", 1),
+            ("memory", "threads", 3),
         ],
     )
-    def test_loss_trajectory_identical(self, fs_both, layout, backend, workers):
-        ds, fs = fs_both
-        ref = self._run(ds, fs, "row", "threads", 1)
-        got = self._run(ds, fs, layout, backend, workers)
+    def test_loss_trajectory_identical(self, sources, source, backend, workers):
+        ds, sources = sources
+        ref = self._run(ds, sources, "memory", "threads", 1)
+        got = self._run(ds, sources, source, backend, workers)
         assert got == ref
 
-    def test_loss_trajectory_identical_processes(self, fs_both):
+    def test_loss_trajectory_identical_processes(self, sources):
         """Process-pool prefetch: batches ship as shard locators, prepared
         tensors come back — same losses to the bit."""
-        ds, fs = fs_both
-        ref = self._run(ds, fs, "row", "threads", 1)
-        got = self._run(ds, fs, "columnar", "processes", 2)
+        ds, sources = sources
+        ref = self._run(ds, sources, "memory", "threads", 1)
+        got = self._run(ds, sources, "dfs", "processes", 2)
         assert got == ref
 
 

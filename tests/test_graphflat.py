@@ -23,7 +23,6 @@ from repro.mapreduce import DistFileSystem, FaultPlan, LocalRuntime
 from repro.proto import decode_sample
 from repro.proto.framing import columnize, concat_columns, decode_columns, encode_columns
 
-from .helpers import write_legacy_row_dataset
 from .oracle import (
     DictSubgraph,
     assert_same_feature,
@@ -228,20 +227,18 @@ class TestStoring:
         assert sorted(decoded) == sorted(nodes.ids.tolist())
 
     def test_record_stream_is_the_in_memory_result(self, tiny_tables, tmp_path):
-        """Reducer-written columnar shards, a legacy row dataset of the same
-        samples (whatever its shard count) and the in-memory result are one
-        global record stream."""
+        """Reducer-written shards, ``write_dataset`` of the same samples
+        (whatever its shard count) and the in-memory result are one global
+        record stream."""
         nodes, edges = tiny_tables
         fs = DistFileSystem(tmp_path)
         config = GraphFlatConfig(hops=2, **NO_SAMPLING)
         graph_flat(nodes, edges, None, config, fs=fs, dataset_name="flat/reducer")
-        samples = write_legacy_row_dataset(
-            fs, "flat/legacy", graph_flat(nodes, edges, None, config), num_shards=2
-        )
-        assert fs.num_shards("flat/legacy") == 2
-        assert fs.layout("flat/legacy") == "row"
+        samples = list(graph_flat(nodes, edges, None, config).samples)
+        fs.write_dataset("flat/written", samples, num_shards=2)
+        assert fs.num_shards("flat/written") == 2
         assert list(fs.read_dataset("flat/reducer")) == samples
-        assert list(fs.read_dataset("flat/legacy")) == samples
+        assert list(fs.read_dataset("flat/written")) == samples
 
 
 def kernel(batch, form=columnize):

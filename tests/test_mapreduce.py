@@ -27,6 +27,8 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.backends import SerialBackend
 from repro.mapreduce.spill import SpillWriteResult
+from repro.graph.subgraph import GraphFeature
+from repro.proto.codec import encode_sample
 from repro.proto.framing import decode_value, encode_value
 
 
@@ -306,29 +308,72 @@ runtime.close()
 """
 
 
+def run_guardless_script(tmp_path):
+    """Run :data:`_GUARDLESS_SCRIPT` with ``tmp_path`` as its temp dir."""
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = tmp_path / "guardless.py"
+    script.write_text(_GUARDLESS_SCRIPT.format(src=str(src)))
+    return subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path,
+        env={**os.environ, "TMPDIR": str(tmp_path)},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def _session_owner_alive(session: Path) -> bool:
+    """Whether the process a ``mr<pid>.h<hosttag>.<token>`` session names
+    still exists."""
+    try:
+        os.kill(int(session.name.split(".")[0][2:]), 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestPoolFailures:
     """Which failures around the process pool are retried: a dead worker
     and a submit to a pool a sibling shut down are; any other error from
     ``submit`` fails the task as it is, on its first attempt."""
 
     def test_a_script_without_a_main_guard_fails_naming_it(self, tmp_path):
-        import subprocess
-        import sys
         import time
 
-        src = Path(__file__).resolve().parents[1] / "src"
-        script = tmp_path / "guardless.py"
-        script.write_text(_GUARDLESS_SCRIPT.format(src=str(src)))
         start = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, str(script)], cwd=tmp_path,
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_guardless_script(tmp_path)
         assert time.monotonic() - start < 30
         assert proc.returncode != 0
         last = proc.stderr.strip().splitlines()[-1]
         assert 'if __name__ == "__main__":' in last, proc.stderr[-3000:]
         assert last.startswith("repro.mapreduce.job.JobFailedError"), last
+
+    def test_the_spill_sessions_its_workers_strand_are_swept(self, tmp_path, monkeypatch):
+        """The guard-less script's workers each start a spilling runtime and
+        die without closing it, stranding their sessions under
+        ``<tempdir>/repro-mr-spill/``; the next spilling runtime on that
+        temp dir reaps every session whose pid is dead."""
+        import tempfile
+        import time
+
+        assert run_guardless_script(tmp_path).returncode != 0
+        root = tmp_path / "repro-mr-spill"
+        stranded = list(root.iterdir())
+        assert stranded, "the script's workers left no session to sweep"
+        deadline = time.monotonic() + 30
+        while any(map(_session_owner_alive, stranded)):
+            assert time.monotonic() < deadline, "a stranded session's owner lives on"
+            time.sleep(0.05)
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with LocalRuntime("processes", max_workers=1) as runtime:
+            out = dict(runtime.run(MapReduceJob("inc", _inc_reducer, num_reducers=1), [(0, 0)]))
+            assert runtime.last_stats.shuffle_bytes_written > 0
+            (session,) = root.iterdir()  # its own; every dead one is gone
+            assert _session_owner_alive(session)
+        assert out == {0: 1}
+        assert list(root.iterdir()) == []
 
     def test_a_submit_to_a_shut_down_pool_is_retried(self, monkeypatch):
         from concurrent.futures import ProcessPoolExecutor
@@ -781,25 +826,43 @@ class TestRunStatsMerge:
         assert sum(stats.reducer_group_sizes.values()) == 4
 
 
+def sample_records(n: int, first: int = 0) -> list[bytes]:
+    """``n`` wire-format samples: one-node neighborhoods with int labels."""
+    return [
+        encode_sample(
+            i, i % 3,
+            GraphFeature(
+                [i], np.asarray([i]), np.full((1, 2), i, dtype=np.float32),
+                np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.int64), None, np.zeros(0, dtype=np.float32),
+            ),
+        )
+        for i in range(first, first + n)
+    ]
+
+
 class TestDistFileSystem:
     def test_write_read_round_trip(self, tmp_path):
         fs = DistFileSystem(tmp_path)
-        records = [f"rec{i}".encode() for i in range(10)]
+        records = sample_records(10)
         assert fs.write_dataset("out/data", records, num_shards=3) == 10
         assert fs.num_shards("out/data") == 3
-        assert sorted(fs.read_dataset("out/data")) == sorted(records)
+        assert list(fs.read_dataset("out/data")) == records
 
     def test_shard_roundrobin_balance(self, tmp_path):
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("ds", [b"x"] * 10, num_shards=3)
-        sizes = [len(list(fs.read_shard("ds", i))) for i in range(3)]
-        assert sizes == [4, 3, 3]
+        records = sample_records(10)
+        fs.write_dataset("ds", records, num_shards=3)
+        shards = [list(fs.read_shard("ds", i)) for i in range(3)]
+        assert [len(shard) for shard in shards] == [4, 3, 3]
+        assert [r for shard in shards for r in shard] == records
 
     def test_overwrite_replaces(self, tmp_path):
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("ds", [b"old"] * 5, num_shards=2)
-        fs.write_dataset("ds", [b"new"], num_shards=1)
-        assert list(fs.read_dataset("ds")) == [b"new"]
+        fs.write_dataset("ds", sample_records(5), num_shards=2)
+        new = sample_records(1, first=7)
+        fs.write_dataset("ds", new, num_shards=1)
+        assert list(fs.read_dataset("ds")) == new
         assert fs.num_shards("ds") == 1
 
     def test_missing_dataset_raises(self, tmp_path):
@@ -814,7 +877,7 @@ class TestDistFileSystem:
 
     def test_metadata(self, tmp_path):
         fs = DistFileSystem(tmp_path)
-        fs.write_dataset("a/b", [b"12345"] * 4, num_shards=2)
+        fs.write_dataset("a/b", sample_records(4), num_shards=2)
         assert fs.exists("a/b")
         assert fs.count_records("a/b") == 4
         assert fs.size_bytes("a/b") > 0

@@ -1,7 +1,5 @@
-"""Wire format: varints, GraphFeature codec, framed streams (property-based
-round trips — this is what 'flattened to protobuf strings' must guarantee)."""
-
-import io
+"""Wire format: varints and the GraphFeature codec (property-based round
+trips — this is what 'flattened to protobuf strings' must guarantee)."""
 
 import numpy as np
 import pytest
@@ -19,10 +17,7 @@ from repro.proto import (
     encode_sample,
     encode_signed,
     encode_unsigned,
-    read_records,
-    write_records,
 )
-from repro.proto.stream import StreamCorruptionError
 
 
 class TestVarint:
@@ -154,39 +149,3 @@ class TestSampleCodec:
         data = encode_sample(1, None, make_gf(rng)) + b"junk"
         with pytest.raises(CodecError):
             decode_sample(data)
-
-
-class TestRecordStream:
-    def test_round_trip_file(self, tmp_path):
-        records = [b"alpha", b"", b"x" * 1000]
-        path = tmp_path / "part-00000"
-        assert write_records(path, records) == 3
-        assert list(read_records(path)) == records
-
-    def test_round_trip_buffer(self):
-        buf = io.BytesIO()
-        write_records(buf, [b"a", b"bb"])
-        assert list(read_records(buf.getvalue())) == [b"a", b"bb"]
-
-    def test_crc_corruption_detected(self, tmp_path):
-        path = tmp_path / "part"
-        write_records(path, [b"hello world"])
-        raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(StreamCorruptionError):
-            list(read_records(path))
-
-    def test_truncation_detected(self, tmp_path):
-        path = tmp_path / "part"
-        write_records(path, [b"hello world"])
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(StreamCorruptionError):
-            list(read_records(path))
-
-    @given(st.lists(st.binary(max_size=200), max_size=20))
-    @settings(max_examples=30)
-    def test_arbitrary_payloads(self, records):
-        buf = io.BytesIO()
-        write_records(buf, records)
-        assert list(read_records(buf.getvalue())) == records
