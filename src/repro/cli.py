@@ -371,14 +371,15 @@ def _cmd_graphflat(args) -> int:
 
 def _cmd_graphtrainer(args) -> int:
     fs = DistFileSystem(args.dfs)
-    # Training runs off the mmap'd columnar shards.  A dataset that is not
-    # training data (e.g. GraphInfer scores) is a usage error; a corrupt one
-    # (a shard that is not an AGLC frame included) keeps its traceback.
+    # Training runs off the mmap'd columnar shards.  A dataset that is absent
+    # (never committed) or not training data (e.g. GraphInfer scores) is a
+    # usage error; a corrupt one (a shard that is not an AGLC frame
+    # included) keeps its traceback.
     try:
         source = open_sample_source(fs, args.input)
     except CodecError:
         raise
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not len(source):

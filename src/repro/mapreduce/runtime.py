@@ -28,7 +28,7 @@ are atomic and idempotent, retries and duplicates cannot change job output
 :class:`~repro.mapreduce.fault.FaultPlan` on every backend.
 
 Shuffle spill: with ``spill_dir`` set (or always under the ``processes``
-backend, which spills under ``<tempdir>/repro-mr-spill/`` unless told
+backend, which spills under ``<tempdir>/repro-mr-spill-<uid>/`` unless told
 otherwise), each writer task spills key-sorted run files per reduce
 partition and reducers *stream-merge* their partition's files
 (:mod:`repro.mapreduce.spill`): groups are fed to the reducer one at a
@@ -86,8 +86,10 @@ from __future__ import annotations
 import os
 import pickle
 import shutil
+import stat
 import tempfile
 import time
+import warnings
 import weakref
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -641,9 +643,35 @@ def _run_task(fn: Callable, source, sink, task_index: int):
 
 
 _TEMP_SPILL_DIR = "repro-mr-spill"
-"""Parent of the spill sessions of runtimes given no ``spill_dir``, under
-the system temp directory: one fixed place, so the dead-session sweep
-reaches what a killed process left there."""
+"""Name stem of the parent of the spill sessions of runtimes given no
+``spill_dir``: ``<tempdir>/repro-mr-spill-<uid>``, one fixed place per user,
+so the dead-session sweep reaches what a killed process left there."""
+
+
+def _temp_spill_parent() -> Path | None:
+    """This user's private parent for spill sessions in the system temp
+    directory, made with mode 0700 if it is not there yet.
+
+    The temp directory is shared, so anyone may have made the name first.
+    A parent that is not a real directory owned by this user with no group
+    or other access is refused (``None``): whoever controls it could move,
+    replace or block every session under it."""
+    path = Path(tempfile.gettempdir()) / f"{_TEMP_SPILL_DIR}-{os.getuid()}"
+    try:
+        path.mkdir(mode=0o700)
+    except FileExistsError:
+        pass
+    st = os.lstat(path)
+    if not stat.S_ISDIR(st.st_mode) or st.st_uid != os.getuid() or st.st_mode & 0o077:
+        warnings.warn(
+            f"refusing {path} as the spill-session parent: it is not a private "
+            "directory of this user; this runtime's session goes straight into "
+            "the temp directory, where no later runtime sweeps it",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+    return path
 
 
 def _session_prefix() -> str:
@@ -939,8 +967,8 @@ class LocalRuntime:
         """Directory for this runtime's shuffle files: a per-runtime
         *session* directory (``mr<pid>.h<hosttag>.<token>``) under the
         user's ``spill_dir`` — or, with none given, under
-        ``<tempdir>/repro-mr-spill/`` when the process backend or a remote
-        transport needs run files — else ``None`` (in-memory).
+        ``<tempdir>/repro-mr-spill-<uid>/`` when the process backend or a
+        remote transport needs run files — else ``None`` (in-memory).
 
         All of a session's round and chain directories live inside its
         session directory, so one rmtree — at :meth:`close`, via the
@@ -955,9 +983,10 @@ class LocalRuntime:
                 return None
             # A TCP shuffle without an explicit spill_dir still needs run
             # files to serve.
-            parent = Path(tempfile.gettempdir()) / _TEMP_SPILL_DIR
-        parent.mkdir(parents=True, exist_ok=True)
-        _sweep_dead_sessions(parent)
+            parent = _temp_spill_parent()
+        if parent is not None:  # None: a refused temp parent, never swept
+            parent.mkdir(parents=True, exist_ok=True)
+            _sweep_dead_sessions(parent)
         self._session_dir = Path(tempfile.mkdtemp(prefix=_session_prefix(), dir=parent))
         self._finalizer = weakref.finalize(
             self, shutil.rmtree, str(self._session_dir), ignore_errors=True

@@ -32,10 +32,19 @@ def host_tag() -> str:
     """Filesystem-safe token identifying this host — embedded in shared
     spill-session directory names so the dead-session sweep can tell its
     own sessions from a remote host's (pids are only meaningful locally).
-    ``REPRO_HOST_TAG`` overrides for tests that emulate two hosts."""
-    name = os.environ.get("REPRO_HOST_TAG") or socket.gethostname() or "localhost"
-    safe = "".join(c for c in name if c.isalnum())
-    return (safe or "localhost")[:32]
+    ``REPRO_HOST_TAG`` overrides for tests that emulate two hosts.  Without
+    it the tag also names this process's pid namespace (where Linux exposes
+    one), so containers that share a hostname and a temp directory never
+    judge each other's pids."""
+    override = os.environ.get("REPRO_HOST_TAG")
+    name = override or socket.gethostname() or "localhost"
+    tag = ("".join(c for c in name if c.isalnum()) or "localhost")[:32]
+    if not override:
+        try:
+            tag += f"n{os.stat('/proc/self/ns/pid').st_ino}"
+        except OSError:
+            pass
+    return tag
 
 
 @dataclass(frozen=True)

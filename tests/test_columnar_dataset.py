@@ -221,6 +221,16 @@ class TestCommitRule:
         err = capsys.readouterr().err
         assert "dataset 'flat/train' not found; available: []" in err
 
+    def test_graphtrainer_says_not_found(self, uncommitted, tmp_path, capsys):
+        from repro.cli import main
+
+        args = ["graphtrainer", "-m", "gcn", "-i", "flat/train", "--dfs", str(uncommitted.root),
+                "--model-out", str(tmp_path / "model.pkl"), "--epochs", "1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset 'flat/train' not found"), err
+        assert not (tmp_path / "model.pkl").exists()
+
     def test_recommitting_makes_it_whole_again(self, uncommitted, mini_cora):
         fs = uncommitted
         counts = [shard_record_count(p) for p in sorted((fs.root / "flat/train").glob("part-*"))]
@@ -529,7 +539,7 @@ class TestColumnarDatasetSource:
         assert len(open_sample_source(fs, "d")) == 3
 
 
-class TestTrainingIdentityAcrossLayouts:
+class TestTrainingIdentityDfsVsMemory:
     """Acceptance: the columnar DFS dataset trains to numerically identical
     per-epoch losses/metrics as the in-memory ``graph_flat`` result of the
     same run (``MemorySamples``), across prefetch backends x workers."""

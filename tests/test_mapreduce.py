@@ -352,13 +352,13 @@ class TestPoolFailures:
     def test_the_spill_sessions_its_workers_strand_are_swept(self, tmp_path, monkeypatch):
         """The guard-less script's workers each start a spilling runtime and
         die without closing it, stranding their sessions under
-        ``<tempdir>/repro-mr-spill/``; the next spilling runtime on that
-        temp dir reaps every session whose pid is dead."""
+        ``<tempdir>/repro-mr-spill-<uid>/``; the next spilling runtime on
+        that temp dir reaps every session whose pid is dead."""
         import tempfile
         import time
 
         assert run_guardless_script(tmp_path).returncode != 0
-        root = tmp_path / "repro-mr-spill"
+        root = tmp_path / f"repro-mr-spill-{os.getuid()}"
         stranded = list(root.iterdir())
         assert stranded, "the script's workers left no session to sweep"
         deadline = time.monotonic() + 30
@@ -409,6 +409,66 @@ class TestPoolFailures:
                 runtime.run(MapReduceJob("inc", _inc_reducer, num_reducers=1), [(0, 0)])
         assert type(failed.value) is RuntimeError
         assert len(calls) == 1
+
+
+class TestTempSpillParent:
+    """A runtime with no ``spill_dir`` keeps its spill sessions under
+    ``<tempdir>/repro-mr-spill-<uid>/``, made private to the user.  The
+    temp dir is shared, so a parent that is not a real directory owned by
+    this user with no group or other access is refused: the session then
+    goes straight into the temp dir, and nothing is written under it."""
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with LocalRuntime("processes", max_workers=1) as runtime:
+            out = dict(runtime.run(MapReduceJob("inc", _inc_reducer, num_reducers=1), [(0, 0)]))
+            assert runtime.last_stats.shuffle_bytes_written > 0
+            session = Path(runtime._spill_root())
+        assert out == {0: 1}
+        assert not session.exists()
+        return session
+
+    def test_the_parent_is_made_private_to_the_user(self, tmp_path, monkeypatch):
+        import stat
+
+        session = self._run(tmp_path, monkeypatch)
+        parent = tmp_path / f"repro-mr-spill-{os.getuid()}"
+        assert session.parent == parent
+        st = os.lstat(parent)
+        assert stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
+        assert st.st_mode & 0o077 == 0
+
+    @pytest.mark.parametrize("planted", ["open mode", "other owner", "symlink"])
+    def test_a_parent_it_does_not_own_privately_is_refused(
+        self, tmp_path, monkeypatch, planted
+    ):
+        parent = tmp_path / f"repro-mr-spill-{os.getuid()}"
+        if planted == "symlink":
+            elsewhere = tmp_path / "elsewhere"
+            elsewhere.mkdir(mode=0o700)
+            parent.symlink_to(elsewhere)
+        else:
+            parent.mkdir(mode=0o700)
+        if planted == "open mode":
+            parent.chmod(0o777)
+        elif planted == "other owner":
+            # The runtime now takes the planted directory for someone else's.
+            uid = os.getuid() + 1
+            monkeypatch.setattr(os, "getuid", lambda: uid)
+            parent = parent.rename(tmp_path / f"repro-mr-spill-{uid}")
+        from repro.transport import host_tag
+
+        dead = parent / f"mr999999.h{host_tag()}.dead"  # what a sweep would reap
+        dead.mkdir()
+        with pytest.warns(RuntimeWarning, match=f"refusing {parent}"):
+            session = self._run(tmp_path, monkeypatch)
+        assert session.parent == tmp_path
+        assert session.name.startswith(f"mr{os.getpid()}.")
+        assert dead.exists(), "a refused parent was swept"
+        assert sorted(p.name for p in parent.iterdir()) == [dead.name]
 
 
 class TestBackendRegistry:
