@@ -36,6 +36,7 @@ from repro.core.propagation import (
     NodeBatch,
     ReceptiveField,
     canonical_tables,
+    merge_batch_cuts,
     run_dataflow,
 )
 from repro.graph.subgraph import GraphFeature, merge_groups
@@ -46,7 +47,7 @@ from repro.mapreduce.shuffle import RecordBatch, record_sizes
 from repro.mapreduce.spill import MERGE_BATCH_BYTES
 from repro.proto.codec import encode_sample
 from repro.proto.columnar import write_sample_shard
-from repro.proto.framing import Column, gather
+from repro.proto.framing import Column, concat_columns
 from repro.tasks import make_task
 
 __all__ = [
@@ -424,8 +425,9 @@ class PairReducer:
 
     Receives exactly two ``("end", role, SubgraphInfo)`` records per edge
     index (role 0 = src, role 1 = dst).  The reducer takes its partition's
-    whole group stream (:meth:`reduce_groups`) and buffers edges up to
-    :data:`~repro.mapreduce.spill.MERGE_BATCH_BYTES` of neighborhoods; a
+    whole group stream a segment at a time (:meth:`reduce_segments`) and
+    buffers edges up to :data:`~repro.mapreduce.spill.MERGE_BATCH_BYTES` of
+    neighborhoods, cut where one cumulative sum of their sizes says; a
     buffer's endpoints are stacked straight from their columns (src before
     dst, edge by edge) and merged by one
     :func:`~repro.graph.subgraph.merge_groups` call, one group per edge —
@@ -437,48 +439,38 @@ class PairReducer:
     has them), whichever endpoint they came from — none when it has no
     edges, as a node sample flattens."""
 
-    def reduce_groups(self, groups):
-        keys, rows, nbytes = [], [], 0
-        sizes: dict[int, list[int]] = {}  # id(column) -> running info sizes
-        held: list[Column] = []  # keeps those ids from being reused
-        for edge_index, group in groups:
-            keys.append(edge_index)
-            rows.append(group.pieces)
-            for column, lo, hi in group.pieces:
-                prefix = sizes.get(id(column))
-                if prefix is None:
-                    held.append(column)
-                    infos = column.children[2]
-                    prefix = sizes[id(column)] = [0] + np.cumsum(
-                        InEdgeInfo.info_sizes(infos)
-                    ).tolist()
-                nbytes += prefix[hi] - prefix[lo]
-            if nbytes >= MERGE_BATCH_BYTES:
-                yield self._emit(keys, rows)
-                keys, rows, nbytes = [], [], 0
-                sizes.clear()
-                held.clear()
-        if keys:
-            yield self._emit(keys, rows)
+    def reduce_segments(self, segments):
+        parts, nbytes = [], 0  # the open buffer: stretches (segment, start, stop) of groups
+        for segment in segments:
+            columns = segment.columns
+            rows = np.cumsum([0] + [len(column) for column in columns])[segment.which]
+            infos = np.concatenate(
+                [InEdgeInfo.info_sizes(column.children[2]) for column in columns]
+            )
+            prefix = np.concatenate(([0], np.cumsum(infos[rows + segment.index])))
+            sizes = prefix[segment.bounds[1:]] - prefix[segment.bounds[:-1]]
+            start = 0
+            for stop in merge_batch_cuts(sizes, nbytes, MERGE_BATCH_BYTES):
+                parts.append((segment, start, stop))
+                yield self._emit(parts)
+                parts, nbytes, start = [], 0, stop
+            if start < len(segment):
+                parts.append((segment, start, len(segment)))
+                nbytes += int(sizes[start:].sum())
+        if parts:
+            yield self._emit(parts)
 
     @staticmethod
-    def _emit(keys: list, rows: list) -> RecordBatch:
-        columns: dict[int, tuple[int, Column]] = {}
-        which, index, counts = [], [], []
-        for pieces in rows:
-            for column, lo, hi in pieces:
-                k = columns.setdefault(id(column), (len(columns), column))[0]
-                which += [k] * (hi - lo)
-                index += range(lo, hi)
-            counts.append(sum(hi - lo for _, lo, hi in pieces))
-        values = gather(
-            [column for _, column in columns.values()],
-            np.asarray(which, dtype=np.int64),
-            np.asarray(index, dtype=np.int64),
-        )
+    def _emit(parts: list) -> RecordBatch:
+        keys, columns, counts = [], [], []
+        for segment, start, stop in parts:
+            keys += segment.key_list()[start:stop]
+            columns.append(segment.values(start, stop))
+            counts.append(np.diff(segment.bounds[start : stop + 1]))
+        values = concat_columns(columns)
+        counts = np.concatenate(counts)
         roles = values.children[1].values
         infos = values.children[2]
-        counts = np.asarray(counts, dtype=np.int64)
         starts = np.cumsum(counts) - counts
         # one record per role, src first: within each edge, by role
         order = np.lexsort((roles, np.repeat(np.arange(len(keys)), counts)))

@@ -26,10 +26,18 @@ Everything that scheme fixes lives here, once:
   — which the runtime's writers take whole: :meth:`Routing.propagate` is
   one array step over a batch, gathering ``src`` / ``weight`` / edge
   features from the out-edge CSR and pointing every in-edge row at its
-  sender's one per-node information.  Reducers take their groups as slices
-  of the shuffled chunks' columns, sample over the ``src`` / ``weight``
-  columns and gather the rows they keep — no record object is built per
-  value between one merge and the next.
+  sender's one per-node information.
+* **Segments in**: every engine reducer reads its partition a
+  :class:`~repro.mapreduce.shuffle.Segment` at a time — a merge window of
+  groups whose keys and boundaries are arrays, its values row references
+  into the shuffled chunks' columns (:class:`_Read`).  A node's record
+  count and kept bytes come from running sums at the group boundaries, the
+  receptive-field gate is one mask over the segment's ids, only the nodes
+  over the sampler's cap reach ``select``, and merge batches are cut where
+  one cumulative sum of the nodes' sizes says (:func:`merge_batch_cuts`).
+  A batch's rows are gathered column by column once — no record object is
+  built, and no Python step runs, per node or per value between one merge
+  and the next, but for a node the sampler draws for.
 * **Hub handling** (§3.2.2, Figure 3): when a destination's in-degree exceeds
   ``hub_threshold``, propagation appends a deterministic suffix to the
   shuffle key, splitting the hub's in-edge records across ``reindex_fanout``
@@ -76,7 +84,7 @@ from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.partition import Inline, SlabLocator, publish
 from repro.mapreduce.runtime import LocalRuntime, RunStats
-from repro.mapreduce.shuffle import Group, RecordBatch
+from repro.mapreduce.shuffle import RecordBatch, Segment
 from repro.mapreduce.spill import DEFAULT_RUN_BYTES, DEFAULT_RUN_RECORDS, MERGE_BATCH_BYTES
 from repro.proto.framing import (
     ArrayColumn,
@@ -117,6 +125,7 @@ __all__ = [
     "distance_to_targets",
     "in_degrees",
     "is_hub_slice",
+    "merge_batch_cuts",
     "run_dataflow",
     "suffix",
 ]
@@ -430,38 +439,58 @@ class OutEdges:
         """``(owner, edge)``: every out-edge of ``node_ids`` as the index of
         its node in ``node_ids`` and its CSR row — node-major, table order
         within a node."""
-        if not len(self.ids):
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self.ids, node_ids), len(self.ids) - 1)
-        has = self.ids[pos] == node_ids
-        lo = np.where(has, self.offsets[pos], 0)
-        counts = np.where(has, self.offsets[pos + 1] - lo, 0)
-        owner = np.repeat(np.arange(len(node_ids), dtype=np.int64), counts)
-        # position i of node j's run reads row lo[j] + i
-        edge = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(len(owner))
-        return owner, edge
+        return _csr_rows(self.ids, self.offsets, node_ids)
+
+
+def _csr_rows(ids: np.ndarray, offsets: np.ndarray, node_ids: np.ndarray):
+    """``(owner, row)``: the rows of a CSR by node (``ids`` ascending, node
+    ``ids[i]``'s rows ``offsets[i]:offsets[i + 1]``) of every node of
+    ``node_ids``, as the index of its node in ``node_ids`` and the row —
+    node-major, in row order within a node; a node not in ``ids`` has
+    none."""
+    if not len(ids):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(ids, node_ids), len(ids) - 1)
+    has = ids[pos] == node_ids
+    lo = np.where(has, offsets[pos], 0)
+    counts = np.where(has, offsets[pos + 1] - lo, 0)
+    owner = np.repeat(np.arange(len(node_ids), dtype=np.int64), counts)
+    return owner, _ranges(lo, counts)
 
 
 @dataclass(frozen=True)
 class EdgeFanout:
     """Broadcast table for edge-level tasks: node id -> the target (or
     candidate) edges it terminates, as ``(edge_index, role)`` entries (role
-    0 = src endpoint, role 1 = dst).  Built parent-side from a table that is
-    fixed before any round runs, shipped inside the Kth round's reducer
-    only, so every re-execution fans out the exact same records."""
+    0 = src endpoint, role 1 = dst), ordered by edge index, then role (a
+    self-loop's node has both).  A CSR by node: node ``ids[i]``'s entries
+    are rows ``offsets[i]:offsets[i + 1]`` of ``edge_index`` and ``role``.
+    Built parent-side from a table that is fixed before any round runs,
+    shipped inside the Kth round's reducer only, so every re-execution fans
+    out the exact same records."""
 
-    entries_by_node: dict[int, tuple[tuple[int, int], ...]]
+    ids: np.ndarray
+    offsets: np.ndarray
+    edge_index: np.ndarray
+    role: np.ndarray
 
     @classmethod
     def from_pairs(cls, src, dst) -> "EdgeFanout":
-        out: dict[int, list[tuple[int, int]]] = {}
-        for idx in range(len(src)):
-            out.setdefault(int(src[idx]), []).append((idx, 0))
-            out.setdefault(int(dst[idx]), []).append((idx, 1))
-        return cls({node: tuple(pairs) for node, pairs in out.items()})
+        src = np.asarray(src, dtype=np.int64)
+        count = len(src)
+        nodes = np.concatenate([src, np.asarray(dst, dtype=np.int64)])
+        edge_index = np.tile(np.arange(count, dtype=np.int64), 2)
+        role = np.repeat(np.arange(2, dtype=np.int64), count)
+        order = np.lexsort((role, edge_index, nodes))
+        ids, counts = np.unique(nodes[order], return_counts=True)
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(ids, offsets, edge_index[order], role[order])
 
-    def entries(self, node_id: int) -> tuple[tuple[int, int], ...]:
-        return self.entries_by_node.get(int(node_id), ())
+    def of_nodes(self, node_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(owner, entry)``: every entry of ``node_ids``, node-major, as
+        the index of its node in ``node_ids`` and its CSR row."""
+        return _csr_rows(self.ids, self.offsets, node_ids)
 
 
 # ----------------------------------------------------------------- reducers
@@ -563,16 +592,17 @@ _ROLES = {"self": 0, "in": 1, "partial": 2}
 
 
 class _Inbox:
-    """One chunk of shuffled engine messages (or an in-memory partition),
-    read once for every group that has a slice of it: where each row's self
-    information is, and its in-edge records — one for an ``in`` row, the
-    pre-sampled list of a ``partial`` one — as one record column in row
-    order, so a group slice ``lo:hi`` has the records ``cum[lo]:cum[hi]``
-    and its self informations ``self_cum[lo]:self_cum[hi]``."""
+    """One column of shuffled engine messages — a decoded chunk, or an
+    in-memory partition's batch — read once for every segment that has rows
+    of it: where each row's self information is, and its in-edge records —
+    one for an ``in`` row, the pre-sampled list of a ``partial`` one — as
+    one record column in row order, so row ``r`` has the records
+    ``cum[r]:cum[r + 1]`` and, if ``is_self[r]``, the self information
+    ``self_cum[r]`` of ``infos``."""
 
     def __init__(self, column: Column, in_record: type):
         self.in_record = in_record
-        tags, payload = column.children  # decoded, or gathered in memory: materialized
+        tags, payload = column.children  # decoded, or materialized in memory
         try:
             roles = np.asarray([_ROLES[tag] for tag in tags.table], dtype=np.int64)
         except KeyError as exc:
@@ -587,45 +617,37 @@ class _Inbox:
             child = {int(role[0]): payload}
         self.infos = child.get(0, NoneColumn(0))
         ins, partials = child.get(1, NoneColumn(0)), child.get(2)
-        self.self_cum = [0] + np.cumsum(role == 0).tolist()
+        is_in = role == 1
+        per_row = is_in.astype(np.int64)  # each row's records
         self.records = ins
-        if partials is None:  # the in-rows' records are in row order already
-            self.cum = [0] + np.cumsum(role == 1).tolist()
-        else:
-            # One pass over the rows (a chunk holds tens of them): each
-            # row's records — its own, or its list's items — in row order.
-            lengths = partials.lengths.tolist()
-            cum, order = [0], []
-            own = listed = 0
-            item = len(ins)  # the lists' items follow the in-rows' records
-            for r in role.tolist():
-                if r == 1:
-                    order.append(own)
-                    own += 1
-                elif r == 2:
-                    order.extend(range(item, item + lengths[listed]))
-                    item += lengths[listed]
-                    listed += 1
-                cum.append(len(order))
-            self.cum = cum
-            joined = concat_columns([ins, partials.items])
-            self.records = joined.take(np.asarray(order, dtype=np.int64))
+        if partials is not None:
+            # each row's records — its own, or its list's items (which
+            # follow the in-rows' records) — in row order
+            listed = role == 2
+            per_row[listed] = partials.lengths
+            first = np.zeros(len(role), dtype=np.int64)
+            first[is_in] = np.arange(len(ins))
+            first[listed] = len(ins) + np.cumsum(partials.lengths) - partials.lengths
+            self.records = concat_columns([ins, partials.items]).take(
+                _ranges(first[per_row > 0], per_row[per_row > 0])
+            )
+        self.cum = np.concatenate(([0], np.cumsum(per_row)))
+        self.is_self = role == 0
+        self.self_cum = np.concatenate(([0], np.cumsum(self.is_self)))
         if len(self.records):
             self.src = self.records.fields[0].values
             self.weight = self.records.fields[1].values
         else:
             self.src, self.weight = np.zeros(0, np.int64), np.zeros(0, np.float64)
-        self._sizes: dict[str, list[int]] = {}
-        self.prefix: dict[str, list[int]] = {}
-        """:meth:`size_prefix` tables built so far."""
+        self._sizes: dict[str, np.ndarray] = {}
 
-    def self_sizes(self) -> list[int]:
+    def self_sizes(self) -> np.ndarray:
         """``nbytes`` of each self information."""
         if "self" not in self._sizes:
-            self._sizes["self"] = self.in_record.info_sizes(self.infos).tolist()
+            self._sizes["self"] = self.in_record.info_sizes(self.infos)
         return self._sizes["self"]
 
-    def size_table(self, name: str) -> list[int]:
+    def size_table(self, name: str) -> np.ndarray:
         """Per in-edge record: its information's ``nbytes``
         (``record_sizes``), or its :func:`~repro.proto.framing.approx_nbytes`
         (``record_approx``: ``src``, ``weight``, edge features and info)."""
@@ -636,14 +658,99 @@ class _Inbox:
                 feat = self.records.fields[2]
                 feat_nbytes = 8 if type(feat) is NoneColumn else 8 + feat.matrix[0].nbytes
                 sizes = 24 + feat_nbytes + self.in_record.info_approx(info)
-            self._sizes[name] = sizes.tolist()
-            self.prefix[name] = [0] + np.cumsum(sizes).tolist()
+            self._sizes[name] = sizes
         return self._sizes[name]
 
-    def size_prefix(self, name: str) -> list[int]:
-        """Running sums of :meth:`size_table` (from 0)."""
-        self.size_table(name)
-        return self.prefix[name]
+
+class _Read:
+    """A segment as an engine reducer reads it, over the inboxes of its
+    columns (``boxes``; their records, and their infos, numbered end to
+    end): per group ``g``, its in-edge records in merge order —
+    ``records[rb[g]:rb[g + 1]]``, with their ``src`` and ``weight`` in the
+    same positions — and its last self row, ``self_at[g]`` (where
+    ``has_self[g]``).  Every number comes from the segment's arrays and the
+    inboxes' running counts: nothing is read per group."""
+
+    def __init__(self, segment: Segment, boxes: list[_Inbox]):
+        self.boxes = boxes
+        self.rec_base = np.cumsum([0] + [len(box.records) for box in boxes])
+        self.self_base = np.cumsum([0] + [len(box.infos) for box in boxes])
+        row_base = np.cumsum([0] + [len(box.is_self) for box in boxes])
+        rows = row_base[segment.which] + segment.index  # each value's row, end to end
+        first = np.concatenate([box.cum[:-1] + base for box, base in zip(boxes, self.rec_base)])
+        counts = np.concatenate([np.diff(box.cum) for box in boxes])[rows]
+        self.records = _ranges(first[rows], counts)
+        starts = segment.bounds[:-1]
+        self.rb = np.concatenate(([0], np.cumsum(np.add.reduceat(counts, starts))))
+        is_self = np.concatenate([box.is_self for box in boxes])[rows]
+        last = np.maximum.reduceat(np.where(is_self, np.arange(len(rows)), -1), starts)
+        self.has_self = last >= 0
+        self_of = np.concatenate(
+            [box.self_cum[:-1] + base for box, base in zip(boxes, self.self_base)]
+        )
+        self.self_at = self_of[rows[last]]
+        self.src = np.concatenate([box.src for box in boxes])[self.records]
+        self.weight = np.concatenate([box.weight for box in boxes])[self.records]
+
+    def sizes(self, name: str) -> np.ndarray:
+        """The size table ``name`` (:meth:`_Inbox.size_table`) of the
+        records, in merge order."""
+        return np.concatenate([box.size_table(name) for box in self.boxes])[self.records]
+
+    def self_sizes(self) -> np.ndarray:
+        """``nbytes`` of each group's last self information."""
+        return np.concatenate([box.self_sizes() for box in self.boxes])[self.self_at]
+
+    def sample(self, groups: np.ndarray, node_ids: list, sampler, salts, table: str):
+        """Sample the groups ``groups`` (their node ids ``node_ids``, their
+        draws salted ``salts``: one int, or one per group): ``(over,
+        picks, kept)`` — which groups are over the sampler's cap, the
+        positions in ``records`` each of those keeps (in the sampler's
+        order), and the bytes every group keeps by the size table
+        ``table``.  A group at most at the cap keeps every record, so only
+        the groups over it reach ``sampler.select``."""
+        sizes = self.sizes(table)
+        prefix = np.concatenate(([0], np.cumsum(sizes)))
+        lo, hi = self.rb[groups], self.rb[groups + 1]
+        kept = prefix[hi] - prefix[lo]
+        over = hi - lo > sampler.max_neighbors
+        picks = []
+        for i in np.flatnonzero(over).tolist():
+            a, b = int(lo[i]), int(hi[i])
+            salt = salts if type(salts) is int else salts[i]
+            keep = a + sampler.select(self.src[a:b], self.weight[a:b], node_ids[i], salt)
+            picks.append(keep)
+            kept[i] = sizes[keep].sum()
+        return over, picks, kept
+
+
+def _inboxes(segment: Segment, held: dict, in_record: type) -> list[_Inbox]:
+    """The inboxes of ``segment``'s columns: the ones ``held`` (``id`` of a
+    column -> ``(column, inbox)``: the segment before's) or new ones;
+    ``held`` is left holding this segment's."""
+    boxes = {}
+    for column in segment.columns:
+        entry = held.get(id(column))
+        boxes[id(column)] = entry if entry is not None else (column, _Inbox(column, in_record))
+    held.clear()
+    held.update(boxes)
+    return [boxes[id(column)][1] for column in segment.columns]
+
+
+def merge_batch_cuts(sizes: np.ndarray, held: int, limit: int) -> list[int]:
+    """Where merge batches close over a run of nodes of ``sizes`` bytes,
+    the open batch holding ``held`` bytes already: a batch closes after
+    the node that takes it to ``limit`` bytes or more.  Each cut is the
+    position after such a node — one cumulative sum and a bisection per
+    batch, exactly the batches a node-at-a-time reducer closes."""
+    total = np.cumsum(sizes)
+    cuts, base = [], -held  # base: the cumulative bytes the open batch starts after
+    while True:
+        at = int(np.searchsorted(total, limit + base))
+        if at >= len(total):
+            return cuts
+        cuts.append(at + 1)
+        base = int(total[at])
 
 
 class NodeBatch(NamedTuple):
@@ -667,130 +774,88 @@ class NodeBatch(NamedTuple):
 
 class _Gathering:
     """The nodes a reducer has read since its last emission, as references
-    into the chunks their groups are slices of: per node, its self row and
-    the in-edge records its sampler keeps.  A node over the sampler's cap is
-    sampled as it is read; every other node keeps all its records in source
-    order, which the sampling contract fixes, so their sort waits for the
-    batch — one ``lexsort`` for all of them.  Nothing is copied until
-    :meth:`records` / :meth:`selves` gather the whole batch at once."""
+    into the segments (:class:`_Read` s) their groups are in: per node, its
+    self row and the in-edge records it keeps — all its records, in source
+    order, or the ones its sampler drew.  Nothing is copied until
+    :meth:`records` / :meth:`selves` gather the whole batch at once — one
+    ``lexsort`` orders every node that keeps all its records."""
 
-    def __init__(self, in_record: type, sizes: str):
-        self.in_record = in_record
-        self.sizes = sizes
-        """The :class:`_Inbox` size table nodes are counted by."""
-        self.boxes: list[_Inbox] = []
-        self.tables: list[tuple[list, list, list]] = []
-        """Per inbox: its ``cum``, ``self_cum`` and running record sizes."""
-        self._numbers: dict[int, int] = {}  # id(column) -> its inbox number
-        self._held: list[Column] = []  # keeps those ids from being reused
+    def __init__(self):
         self.node_ids: list = []
-        self.self_at: list[tuple[int, int]] = []
-        self.kept_all: list[tuple[int, int, int, int]] = []
-        """``(node, inbox, start, stop)``: record slices a node keeps whole."""
-        self.sampled: list[tuple[int, object, np.ndarray]] = []
-        """``(node, inbox(es), record indices)`` of the nodes over the cap."""
+        self.parts: list[tuple] = []
+        """Per stretch of a segment taken: ``(first node, read, groups,
+        over, picks)``, as :meth:`_Read.sample` made them."""
         self.nbytes = 0
 
     def __len__(self) -> int:
         return len(self.node_ids)
 
-    def _open(self, column: Column) -> int:
-        k = self._numbers[id(column)] = len(self.boxes)
-        inbox = _Inbox(column, self.in_record)
-        self.boxes.append(inbox)
-        self._held.append(column)
-        self.tables.append((inbox.cum, inbox.self_cum, inbox.size_prefix(self.sizes)))
-        return k
+    def take(self, read: _Read, node_ids, groups, over, picks, kept, start: int, stop: int):
+        """Add the nodes ``start:stop`` of a segment's read — the groups
+        ``groups`` (ids ``node_ids``), sampled as ``over`` / ``picks`` say,
+        keeping ``kept`` bytes each."""
+        if start == stop:
+            return
+        first = int(np.count_nonzero(over[:start]))
+        drawn = picks[first : first + int(np.count_nonzero(over[start:stop]))]
+        self.parts.append((len(self.node_ids), read, groups[start:stop], over[start:stop], drawn))
+        self.node_ids += node_ids[start:stop]
+        self.nbytes += int(kept[start:stop].sum())
 
-    def add(self, node_id, group: Group, sampler, salt: int, merges: bool):
-        """Read one node's group and add the node: returns ``(self_ref,
-        nbytes)`` — its (last) self row as ``(inbox number, self index)``,
-        and the summed sizes of the records it keeps.  A node that
-        ``merges`` but has no self row is not added: ``(None, 0)``."""
-        numbers, tables = self._numbers, self.tables
-        self_ref = None
-        parts = []
-        count = nbytes = 0
-        for column, lo, hi in group.pieces:
-            k = numbers.get(id(column))
-            if k is None:
-                k = self._open(column)
-            cum, selves, prefix = tables[k]
-            if selves[hi] > selves[lo]:
-                self_ref = (k, selves[hi] - 1)
-            a, b = cum[lo], cum[hi]
-            if b > a:
-                parts.append((k, a, b))
-                count += b - a
-                nbytes += prefix[b] - prefix[a]
-        if merges and self_ref is None:
-            return None, 0
-        node = len(self.node_ids)
-        self.node_ids.append(node_id)
-        self.self_at.append(self_ref)
-        if count <= sampler.max_neighbors:  # keeps them all, in src order
-            self.kept_all.extend((node, k, a, b) for k, a, b in parts)
-            return self_ref, nbytes
-        boxes = self.boxes
-        if len(parts) == 1:
-            k, a, b = parts[0]
-            inbox = boxes[k]
-            keep = sampler.select(inbox.src[a:b], inbox.weight[a:b], node_id, salt)
-            which, index = np.full(len(keep), k), a + keep
-        else:
-            candidates = np.concatenate([np.arange(a, b) for _, a, b in parts])
-            owners = np.repeat([k for k, _, _ in parts], [b - a for _, a, b in parts])
-            keep = sampler.select(
-                np.concatenate([boxes[k].src[a:b] for k, a, b in parts]),
-                np.concatenate([boxes[k].weight[a:b] for k, a, b in parts]),
-                node_id,
-                salt,
-            )
-            which, index = owners[keep], candidates[keep]
-        self.sampled.append((node, which, index))
-        return self_ref, sum(
-            boxes[k].size_table(self.sizes)[i] for k, i in zip(which.tolist(), index.tolist())
-        )
+    def _boxes(self, part: str):
+        """``(columns, translate)``: the column ``part`` (``records`` or
+        ``infos``) of every inbox the batch reads, once each, and a function
+        from a read and its numbers of those rows to the columns' end to
+        end."""
+        numbers: dict[int, int] = {}
+        columns = []
+        for _, read, _, _, _ in self.parts:
+            for box in read.boxes:
+                if id(box) not in numbers:
+                    numbers[id(box)] = len(columns)
+                    columns.append(getattr(box, part))
+        base = np.cumsum([0] + [len(column) for column in columns])
 
-    def _columns(self, part: str) -> list[Column]:
-        return [getattr(inbox, part) for inbox in self.boxes]
+        def translate(read: _Read, ids: np.ndarray) -> np.ndarray:
+            bases = read.rec_base if part == "records" else read.self_base
+            k = np.searchsorted(bases, ids, "right") - 1
+            into = np.asarray([numbers[id(box)] for box in read.boxes], dtype=np.int64)
+            return base[into[k]] + ids - bases[k]
+
+        return columns, translate
 
     def records(self) -> tuple[Column, np.ndarray]:
         """``(records, counts)``: every kept in-edge record, node by node
         and in source order within a node, as one column; and how many each
         node kept."""
-        boxes = self.boxes
-        base = np.cumsum([0] + [len(box.records) for box in boxes])
-        nodes, ranks, records = [], [], []
-        if self.kept_all:
-            node, k, a, b = (np.asarray(part, dtype=np.int64) for part in zip(*self.kept_all))
-            lengths = b - a
-            candidates = _ranges(base[k] + a, lengths)
-            owner = np.repeat(node, lengths)
-            src = np.concatenate([box.src for box in boxes])[candidates]
-            order = np.lexsort((src, owner))
-            owner = owner[order]
-            nodes.append(owner)
-            ranks.append(np.arange(len(owner)) - np.searchsorted(owner, owner))
-            records.append(candidates[order])
-        for node, which, index in self.sampled:
-            nodes.append(np.full(len(index), node))
-            ranks.append(np.arange(len(index)))
-            records.append(base[which] + index)
+        columns, translate = self._boxes("records")
+        nodes, order, records = [], [], []  # per record: its node, its rank key, its row
+        for first, read, groups, over, picks in self.parts:
+            node = first + np.arange(len(groups))
+            lo = read.rb[groups]
+            counts = np.where(over, 0, read.rb[groups + 1] - lo)  # the drawn keep their picks
+            positions = _ranges(lo, counts)
+            nodes.append(np.repeat(node, counts))
+            order.append(read.src[positions])  # a node that keeps all: in source order
+            if picks:
+                drawn = [len(keep) for keep in picks]
+                nodes.append(np.repeat(node[over], drawn))
+                order.append(_ranges(np.zeros(len(picks), dtype=np.int64), np.asarray(drawn)))
+                positions = np.concatenate([positions, *picks])
+            records.append(translate(read, read.records[positions]))
         counts = np.zeros(len(self.node_ids), dtype=np.int64)
-        if not records:
+        nodes, order, records = map(np.concatenate, (nodes, order, records))
+        if not len(records):
             return NoneColumn(0), counts
-        nodes, ranks, records = map(np.concatenate, (nodes, ranks, records))
-        records = records[np.lexsort((ranks, nodes))]
+        records = records[np.lexsort((order, nodes))]  # stable: ties keep arrival order
         counts += np.bincount(nodes, minlength=len(counts))
-        return concat_columns(self._columns("records")).take(records), counts
+        return concat_columns(columns).take(records), counts
 
     def selves(self) -> Column:
         """Every node's self information, as one column."""
-        infos = self._columns("infos")
-        base = np.cumsum([0] + [len(column) for column in infos])
-        which, index = (np.asarray(part, dtype=np.int64) for part in zip(*self.self_at))
-        return concat_columns(infos).take(base[which] + index)
+        columns, translate = self._boxes("infos")
+        rows = [translate(read, read.self_at[groups]) for _, read, groups, _, _ in self.parts]
+        return concat_columns(columns).take(np.concatenate(rows))
 
 
 @dataclass(frozen=True)
@@ -805,28 +870,28 @@ class PrepareReducer:
     nodes ``node_ids`` (their 0-hop subgraphs, or ``h^(0) = x``) from their
     feature rows, one batch at a time."""
 
-    def reduce_groups(self, groups):
+    def reduce_segments(self, segments):
         node_ids, rows, nbytes = [], [], 0
-        for node_id, group in groups:
-            column, _, stop = group.pieces[-1]  # the node's ("node", feature) row
-            features = column.children[1]
-            node_ids.append(int(node_id))
-            rows.append((features, stop - 1))
-            nbytes += features.matrix[0].nbytes
-            if nbytes >= MERGE_BATCH_BYTES:
-                yield self._emit(node_ids, rows)
-                node_ids, rows, nbytes = [], [], 0
+        for segment in segments:
+            features = [column.children[1] for column in segment.columns]
+            last = segment.bounds[1:] - 1  # each node's ("node", feature) row
+            which, index = segment.which[last], segment.index[last]
+            ids = segment.key_list()
+            sizes = np.full(len(segment), features[0].matrix[0].nbytes)
+            start = 0
+            for stop in merge_batch_cuts(sizes, nbytes, MERGE_BATCH_BYTES) + [len(ids)]:
+                node_ids += ids[start:stop]
+                rows.append(gather(features, which[start:stop], index[start:stop]))
+                nbytes += int(sizes[start:stop].sum())
+                if nbytes >= MERGE_BATCH_BYTES:
+                    yield self._emit(node_ids, rows)
+                    node_ids, rows, nbytes = [], [], 0
+                start = stop
         if node_ids:
             yield self._emit(node_ids, rows)
 
-    def _emit(self, node_ids: list[int], rows: list) -> RecordBatch:
-        columns: dict[int, tuple[int, Column]] = {}
-        which = [columns.setdefault(id(c), (len(columns), c))[0] for c, _ in rows]
-        features = gather(
-            [c for _, c in columns.values()],
-            np.asarray(which, dtype=np.int64),
-            np.asarray([row for _, row in rows], dtype=np.int64),
-        )
+    def _emit(self, node_ids: list[int], rows: list[Column]) -> RecordBatch:
+        features = concat_columns(rows)
         return self.routing.propagate(node_ids, self.seed(node_ids, features.matrix), 1)
 
 
@@ -844,21 +909,28 @@ class PartialReducer:
     record's wire form (the other rounds' reducers get there through
     :class:`Routing`), and for the sizes of its info column."""
 
-    def reduce_groups(self, groups):
-        batch, sizes = _Gathering(self.in_record, "record_approx"), []
-        for (node_id, sfx), group in groups:
-            _, kept = batch.add(node_id, group, self.sampler, sfx, False)
-            # ("partial", [records]): 8 + 15 + 8 + each record's size
-            sizes.append(31 + kept)
-            batch.nbytes += sizes[-1]
-            if batch.nbytes >= MERGE_BATCH_BYTES:
-                yield self._emit(batch, sizes)
-                batch, sizes = _Gathering(self.in_record, "record_approx"), []
+    def reduce_segments(self, segments):
+        batch, sizes, held = _Gathering(), [], {}
+        for segment in segments:
+            read = _Read(segment, _inboxes(segment, held, self.in_record))
+            node_ids = [node_id for node_id, _ in segment.keys]
+            salts = [sfx for _, sfx in segment.keys]
+            groups = np.arange(len(segment))
+            over, picks, kept = read.sample(groups, node_ids, self.sampler, salts, "record_approx")
+            kept += 31  # ("partial", [records]): 8 + 15 + 8 + each record's size
+            start = 0
+            for stop in merge_batch_cuts(kept, batch.nbytes, MERGE_BATCH_BYTES) + [len(groups)]:
+                batch.take(read, node_ids, groups, over, picks, kept, start, stop)
+                sizes.append(kept[start:stop])
+                if batch.nbytes >= MERGE_BATCH_BYTES:
+                    yield self._emit(batch, sizes)
+                    batch, sizes = _Gathering(), []
+                start = stop
         if batch:
             yield self._emit(batch, sizes)
 
     @staticmethod
-    def _emit(batch: _Gathering, sizes: list[int]) -> RecordBatch:
+    def _emit(batch: _Gathering, sizes: list[np.ndarray]) -> RecordBatch:
         records, counts = batch.records()
         values = TupleColumn(
             [
@@ -867,7 +939,7 @@ class PartialReducer:
             ],
             len(batch),
         )
-        return RecordBatch(batch.node_ids, values, np.asarray(sizes, dtype=np.int64))
+        return RecordBatch(batch.node_ids, values, np.concatenate(sizes))
 
 
 @dataclass
@@ -880,13 +952,16 @@ class MessagePassingReducer:
     batching and every emission are shared.
 
     The reducer takes its partition's whole group stream
-    (:meth:`reduce_groups`, the runtime's ``Reducer.run()``), each group as
-    slices of column chunks: nodes are gated and sampled one at a time over
-    their ``src`` / ``weight`` columns, and remembered as row references up
-    to :data:`~repro.mapreduce.spill.MERGE_BATCH_BYTES` of self and sampled
-    in-edge information (as the infos' ``nbytes`` count it); then the batch's
-    rows are gathered column by column — no record object is built — merged
-    by one :meth:`merge_batch` call, and emitted as one
+    (:meth:`reduce_segments`, the runtime's ``Reducer.run()``) a segment at
+    a time: a segment's nodes are gated by one receptive-field mask, the
+    ones over the sampler's cap are sampled over their ``src`` / ``weight``
+    columns, and every node's kept bytes — its self information and its
+    kept in-edges' (as the infos' ``nbytes`` count them) — come from
+    prefix sums at the group boundaries.  Nodes are remembered as row
+    references up to :data:`~repro.mapreduce.spill.MERGE_BATCH_BYTES`
+    (cut points from one cumulative sum); then the batch's rows are
+    gathered column by column — no record object is built — merged by one
+    :meth:`merge_batch` call, and emitted as one
     :class:`~repro.mapreduce.shuffle.RecordBatch` in node order — the rows
     a reduce task writes are exactly those of a node-at-a-time reducer."""
 
@@ -909,29 +984,35 @@ class MessagePassingReducer:
         every reducer it was propagated to."""
         raise NotImplementedError
 
-    def reduce_groups(self, groups):
+    def reduce_segments(self, segments):
         in_record = self.routing.in_record
-        batch = _Gathering(in_record, "record_sizes")
-        for node_id, group in groups:
+        batch, held = _Gathering(), {}
+        for segment in segments:
+            read = _Read(segment, _inboxes(segment, held, in_record))
+            ids = np.asarray(segment.keys, dtype=np.int64)
             # Outside every target's receptive field this round (on the
-            # final round: not a target) — nothing downstream reads this
-            # node's merge, so skip it before doing the work.  Upstream
-            # rounds already stop propagating to such nodes; the check keeps
-            # the reducer correct for records that arrive anyway.
-            if not self.routing.needed(node_id, self.round_index):
-                continue
-            self_ref, kept = batch.add(node_id, group, self.sampler, 0, True)
-            if self_ref is None:
-                # A node that only ever appears as an edge destination of
-                # strays the Map phase dropped; nothing to do.
-                continue
-            k, at = self_ref
-            batch.nbytes += batch.boxes[k].self_sizes()[at] + kept
-            if batch.nbytes >= MERGE_BATCH_BYTES:
-                yield self._emit(batch)
-                batch = _Gathering(in_record, "record_sizes")
+            # final round: not a target) nothing downstream reads a node's
+            # merge, so it is skipped before doing the work; upstream rounds
+            # already stop propagating to such nodes, and the mask keeps the
+            # reducer correct for records that arrive anyway.  A node with
+            # no self row only ever appears as an edge destination of
+            # strays the Map phase dropped: nothing to do.
+            groups = np.flatnonzero(
+                self.routing.needed.mask(ids, self.round_index) & read.has_self
+            )
+            node_ids = ids[groups].tolist()
+            over, picks, kept = read.sample(groups, node_ids, self.sampler, 0, "record_sizes")
+            kept += read.self_sizes()[groups]
+            start = 0
+            for stop in merge_batch_cuts(kept, batch.nbytes, MERGE_BATCH_BYTES) + [len(groups)]:
+                batch.take(read, node_ids, groups, over, picks, kept, start, stop)
+                if batch.nbytes >= MERGE_BATCH_BYTES:
+                    yield self._emit(batch)
+                    batch = _Gathering()
+                start = stop
         if batch:
             yield self._emit(batch)
+
 
     def _emit(self, batch: _Gathering) -> RecordBatch:
         records, counts = batch.records()
@@ -965,18 +1046,14 @@ class MessagePassingReducer:
             # The result is shared across emissions — the joining round
             # only reads it — so the rows point at it: a block is built
             # only if a spill writer encodes one.
-            keys, roles, owners = [], [], []
-            for i, node_id in enumerate(node_ids):
-                for edge_index, role in self.edge_fanout.entries(node_id):
-                    keys.append(edge_index)
-                    roles.append(role)
-                    owners.append(i)
-            owners = np.asarray(owners, dtype=np.int64)
+            owners, entries = self.edge_fanout.of_nodes(np.asarray(node_ids, dtype=np.int64))
+            keys = self.edge_fanout.edge_index[entries].tolist()
+            roles = self.edge_fanout.role[entries]
             info = record.info_column(infos)
             values = TupleColumn(
                 [
                     StrColumn.of(["end"], np.zeros(len(keys), dtype=np.int64)),
-                    ScalarColumn(int, np.asarray(roles, dtype=np.int64)),
+                    ScalarColumn(int, roles),
                     GatherColumn([info, None], owners),
                 ],
                 len(keys),

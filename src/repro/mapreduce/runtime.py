@@ -31,9 +31,9 @@ Shuffle spill: with ``spill_dir`` set (or always under the ``processes``
 backend, which spills under ``<tempdir>/repro-mr-spill-<uid>/`` unless told
 otherwise), each writer task spills key-sorted run files per reduce
 partition and reducers *stream-merge* their partition's files
-(:mod:`repro.mapreduce.spill`): groups are fed to the reducer one at a
-time, one bounded chunk per file resident, so a reducer's *input*
-partition never has to be resident in RAM.
+(:mod:`repro.mapreduce.spill`): groups are fed to the reducer a merge
+window at a time, at most two bounded chunks per file resident, so a
+reducer's *input* partition never has to be resident in RAM.
 The write side is bounded too: every writer task streams its output
 through :class:`~repro.mapreduce.spill.SpillRunWriter`, which
 external-sorts into bounded runs (``spill_run_records`` / ``spill_run_bytes``
@@ -109,9 +109,9 @@ from repro.mapreduce.job import Combiner, JobFailedError, MapReduceJob, identity
 from repro.mapreduce.partition import int_key_partitions, key_partitions
 from repro.mapreduce.retry import PhaseMonitor, RetryPolicy
 from repro.mapreduce.shuffle import (
-    Group,
     KeyCodes,
     RecordBatch,
+    Segment,
     canonical_order,
     group_sorted,
     int_key_rows,
@@ -127,7 +127,6 @@ from repro.mapreduce.spill import (
     SpillLayout,
     SpillWriteResult,
 )
-from repro.proto.framing import gather
 
 __all__ = ["LocalRuntime", "RunStats"]
 
@@ -265,11 +264,11 @@ def _chunk(seq: list, n: int) -> list[list]:
 # A task pulls ``(key, values)`` groups from a *source* (streamed, for spill
 # sources) and pushes its output pairs into a *sink* as they are produced.
 # A grouped source delivers its groups two ways: ``groups()`` with the values
-# as objects (for ``fn(key, values)``), ``column_groups()`` as a
-# :class:`~repro.mapreduce.shuffle.Group` of column slices (for a reducer
-# that takes its whole group stream).  All of these are picklable: under the
-# "processes" backend they ship to worker processes inside the task
-# arguments.
+# as objects (for ``fn(key, values)``), ``segments()`` as
+# :class:`~repro.mapreduce.shuffle.Segment` s — windows of groups with array
+# keys and boundaries (for a reducer that takes its whole group stream).
+# All of these are picklable: under the "processes" backend they ship to
+# worker processes inside the task arguments.
 
 
 @dataclass(frozen=True)
@@ -293,29 +292,29 @@ class _MemorySource:
     def groups(self):
         return group_sorted([pair for batch in self.batches for pair in batch.pairs()])
 
-    def column_groups(self):
+    def segments(self):
         """The groups :meth:`groups` makes — keys in canonical byte order,
-        values in arrival order — as slices of one column gathered from the
-        batches' columns in that order."""
+        values in arrival order — as one segment over the batches' columns."""
         batches = [batch for batch in self.batches if len(batch)]
         if not batches:
             return
         keys = key_codes([key for batch in batches for key in batch.keys])
-        order = canonical_order(int_key_rows(keys.ints)[0], keys_bytes(keys.firsts)).tolist()
-        firsts = keys.keys()
+        order = canonical_order(int_key_rows(keys.ints)[0], keys_bytes(keys.firsts))
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
         rows = rank[keys.codes]
         arrival = stable_order(rows, len(order))
-        bounds = np.searchsorted(rows[arrival], np.arange(len(order) + 1)).tolist()
+        bounds = np.searchsorted(rows[arrival], np.arange(len(order) + 1))
         sizes = [len(batch) for batch in batches]
         which = np.repeat(np.arange(len(batches)), sizes)
         index = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        column = gather(
-            [batch.columns() for batch in batches], which[arrival], index[arrival]
-        ).materialized()
-        for g, start, stop in zip(order, bounds[:-1], bounds[1:]):
-            yield firsts[g], Group([(column, start, stop)])
+        columns = [batch.columns().materialized() for batch in batches]
+        if keys.idents:
+            firsts = keys.keys()
+            group_keys = [firsts[g] for g in order.tolist()]
+        else:
+            group_keys = keys.ints[order]
+        yield Segment(columns, which[arrival], index[arrival], bounds, group_keys)
 
 
 @dataclass(frozen=True)
@@ -325,12 +324,12 @@ class _SpillSource:
     num_map_tasks: int
 
     def groups(self):
-        # Streamed external merge: one group resident at a time, never the
+        # Streamed external merge: one segment resident at a time, never the
         # whole partition (see SpillLayout.iter_groups).
         return self.layout.iter_groups(self.partition, self.num_map_tasks)
 
-    def column_groups(self):
-        return self.layout.iter_column_groups(self.partition, self.num_map_tasks)
+    def segments(self):
+        return self.layout.iter_segments(self.partition, self.num_map_tasks)
 
 
 @dataclass(frozen=True)
@@ -593,32 +592,42 @@ class _Shuffle:
 def _run_task(fn: Callable, source, sink, task_index: int):
     """The one task body, map or reduce: stream what the source yields
     through ``fn`` into the sink.  With a spill source the input partition is
-    never resident — one group at a time — and a spill sink external-sorts
-    the task's output into bounded runs as it is produced.
+    never resident — one merge window at a time — and a spill sink
+    external-sorts the task's output into bounded runs as it is produced.
 
     ``fn(key, values)`` is called once per group, with the values as
     objects, and yields pairs — unless ``fn`` defines
-    ``reduce_groups(groups)`` (Hadoop's ``Reducer.run()`` override), which
-    then takes the task's whole group stream, each group a
-    :class:`~repro.mapreduce.shuffle.Group` of column slices, and yields
+    ``reduce_segments(segments)`` (Hadoop's ``Reducer.run()`` override),
+    which then takes the task's whole group stream as
+    :class:`~repro.mapreduce.shuffle.Segment` s — windows of groups whose
+    keys and boundaries are arrays — and yields
     :class:`~repro.mapreduce.shuffle.RecordBatch` es, e.g. one per batch of
-    groups merged by one kernel call.  Either way the groups are pulled
-    through here, where the deadline is checked and the group counters are
-    kept.  A shuffle sink takes batches — pairs reach it through the one
-    adapter, :func:`~repro.mapreduce.shuffle.pair_batches`; a final sink
-    takes pairs."""
+    groups merged by one kernel call.  Either way the input is pulled
+    through here, where the group counters are kept — from a segment's
+    boundary arrays, never per group — and the deadline is checked: once
+    per group of the object API, once per segment and once per emitted
+    batch of the segment one.  A shuffle sink takes batches — pairs reach
+    it through the one adapter, :func:`~repro.mapreduce.shuffle.pair_batches`;
+    a final sink takes pairs."""
     counters = [0, 0, 0]  # produced records, groups, largest group
     grouped = not isinstance(source, _ChunkSource)
-    columnar = hasattr(fn, "reduce_groups")
+    segmented = hasattr(fn, "reduce_segments")
 
     def counted():
-        for key, values in source.column_groups() if columnar else source.groups():
+        for key, values in source.groups():
             maybe_check_deadline()
             if grouped:
                 counters[1] += 1
                 if len(values) > counters[2]:
                     counters[2] = len(values)
             yield key, values
+
+    def segments():
+        for segment in source.segments():
+            maybe_check_deadline()
+            counters[1] += len(segment)
+            counters[2] = max(counters[2], int(segment.counts().max()))
+            yield segment
 
     def pairs():
         for key, values in counted():
@@ -627,12 +636,13 @@ def _run_task(fn: Callable, source, sink, task_index: int):
                 yield pair
 
     def batches():
-        for batch in fn.reduce_groups(counted()):
+        for batch in fn.reduce_segments(segments()):
+            maybe_check_deadline()
             counters[0] += len(batch)
             yield batch
 
     takes_batches = isinstance(sink, (_ShuffleSink, _SplitSink))
-    if not columnar:
+    if not segmented:
         stream = pair_batches(pairs()) if takes_batches else pairs()
     elif takes_batches:
         stream = batches()

@@ -11,10 +11,11 @@ those.  GraphFlat keys are node ids (int) or suffixed ids (tuples) after
 re-indexing.
 
 Records travel into a shuffle as :class:`RecordBatch` es — a key column, a
-value column and per-row sizes — and come out of one as :class:`Group` s of
-column slices.  A batch's keys are factorized once (:class:`KeyCodes`): its
-plain int keys — the engine's node ids — become one ``int64`` array, which
-the writers encode (:func:`int_key_rows`), hash and sort by canonical bytes
+value column and per-row sizes — and come out of one as :class:`Segment` s:
+windows of groups whose keys and boundaries are arrays.  A batch's keys are
+factorized once (:class:`KeyCodes`): its plain int keys — the engine's node
+ids — become one ``int64`` array, which the writers encode
+(:func:`int_key_rows`), hash and sort by canonical bytes
 (:func:`int_key_order`) in array passes, with no Python step per key; every
 other key is handled one distinct key at a time.
 """
@@ -27,14 +28,14 @@ from itertools import islice
 
 import numpy as np
 
-from repro.proto.framing import Column, approx_nbytes, columnize
-from repro.proto.varint import decode_signed, encode_signed
+from repro.proto.framing import Column, approx_nbytes, columnize, gather
+from repro.proto.varint import decode_signed, encode_array, encode_signed, zigzag
 
 __all__ = [
     "PAIR_BATCH_ROWS",
-    "Group",
     "KeyCodes",
     "RecordBatch",
+    "Segment",
     "canonical_order",
     "decode_key",
     "default_partition",
@@ -90,21 +91,11 @@ def int_key_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     varint, zero-padded — and its length, in one vectorised pass
     (``rows[i, :lengths[i]]`` is ``b"i" + encode_signed(key)``, bit for
     bit)."""
-    keys = np.asarray(keys, dtype=np.int64)
-    rest = ((keys << 1) ^ (keys >> 63)).view(np.uint64)
-    rows = np.zeros((len(keys), 11), dtype=np.uint8)
+    varints, lengths = encode_array(zigzag(keys))
+    rows = np.zeros((len(varints), 11), dtype=np.uint8)
     rows[:, 0] = ord("i")
-    lengths = np.full(len(keys), 2, dtype=np.int64)  # kind byte + varint bytes
-    seven, low = np.uint64(7), np.uint64(0x7F)
-    for j in range(1, 11):
-        byte = (rest & low).astype(np.uint8)
-        rest = rest >> seven
-        more = rest != 0
-        rows[:, j] = byte | (more.astype(np.uint8) << np.uint8(7))
-        if not more.any():
-            break
-        lengths += more
-    return rows, lengths
+    rows[:, 1 : 1 + varints.shape[1]] = varints
+    return rows, lengths + 1  # kind byte + varint bytes
 
 
 def int_key_bytes(keys: np.ndarray) -> list[bytes]:
@@ -375,26 +366,49 @@ def pair_batches(pairs, rows: int = PAIR_BATCH_ROWS):
         yield RecordBatch([pair[0] for pair in chunk], values, record_sizes(values))
 
 
-class Group:
-    """One reduce group's values as a shuffle delivers them to a reducer
-    that takes columns: slices ``(column, start, stop)`` of decoded chunks
-    (or of an in-memory partition), in merge order — nothing is copied or
-    built per value until the reducer gathers the rows it keeps."""
+class Segment:
+    """A window of one reduce partition's group stream, as arrays: groups
+    in canonical key order, group ``g`` keyed ``keys[g]`` with the values
+    ``bounds[g]:bounds[g + 1]`` of the segment's value sequence, in arrival
+    order — value ``j`` is row ``index[j]`` of ``columns[which[j]]``.
+    ``keys`` is an ``int64`` array when every key is a plain int (a node id
+    — every key of an engine round but the hub slices), else a list of the
+    key objects.  A shuffle hands a reducer that takes columns its
+    partition as segments — the spill reader one per merge window, over the
+    chunks it released groups of
+    (:meth:`~repro.mapreduce.spill.SpillLayout.iter_segments`), the
+    in-memory shuffle one over its batches — so nothing is built, copied or
+    decoded per group."""
 
-    __slots__ = ("pieces", "count")
+    __slots__ = ("columns", "which", "index", "bounds", "keys")
 
-    def __init__(self, pieces: list[tuple[Column, int, int]], count: int | None = None):
-        self.pieces = pieces
-        self.count = sum(stop - start for _, start, stop in pieces) if count is None else count
+    def __init__(self, columns: list[Column], which, index, bounds, keys):
+        self.columns, self.which, self.index = columns, which, index
+        self.bounds, self.keys = bounds, keys
 
     def __len__(self) -> int:
-        return self.count
+        return len(self.bounds) - 1
 
-    @classmethod
-    def of(cls, values: list) -> "Group":
-        """The group of the value objects ``values``."""
-        column = columnize(list(values))
-        return cls([(column, 0, len(column))])
+    def counts(self) -> np.ndarray:
+        """The values of each group."""
+        return np.diff(self.bounds)
+
+    def key_list(self) -> list:
+        """The keys as objects."""
+        keys = self.keys
+        return keys.tolist() if isinstance(keys, np.ndarray) else keys
+
+    def values(self, start: int = 0, stop: int | None = None) -> Column:
+        """The values of the groups ``start:stop`` as one column."""
+        lo, hi = self.bounds[start], self.bounds[len(self) if stop is None else stop]
+        return gather(self.columns, self.which[lo:hi], self.index[lo:hi])
+
+    def groups(self):
+        """``(key, values)`` per group, the values as objects."""
+        values = self.values().rows()
+        spans = self.bounds.tolist()
+        for key, start, stop in zip(self.key_list(), spans[:-1], spans[1:]):
+            yield key, values[start:stop]
 
 
 def group_sorted(pairs: list[tuple]) -> list[tuple[object, list]]:

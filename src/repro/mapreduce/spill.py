@@ -10,8 +10,8 @@ instead of materializing the whole partition in RAM.  Merge streams are
 ordered task-major then run-order and ties prefer the earlier stream, which
 makes the merged stream exactly the stable sort of the old concatenation
 order: grouping, and therefore job output, stays byte-identical.  The merge
-advances a chunk at a time (:func:`_merge_chunks`), not a heap step per
-group piece.
+advances a window of chunks at a time (:func:`_merge_windows`), not a heap
+step per group piece, and hands each window on as arrays.
 
 Run-file grammar (AGLS version 4)::
 
@@ -42,27 +42,35 @@ back to pickle.
 
 Chunks are cut at about :data:`_CHUNK_BYTES`; a group larger than that (a
 hub) is split over several single-group chunks, which the reader re-joins.
-The reader decodes each chunk once and hands it on as its groups' slices
-(:meth:`SpillLayout.iter_column_groups`: a
-:class:`~repro.mapreduce.shuffle.Group` of ``(column, start, stop)``
-pieces), or as value objects (:meth:`SpillLayout.iter_groups`, the rows of
-the same stream).
+The reader decodes each chunk once — its values' column, and its key table
+in array passes: a plain int key (a node id) is read from the table's bytes
+into an int64 array, and only any other key (a hub slice's tuple) is kept
+as bytes and decoded on its own.  It hands the partition on as
+:class:`~repro.mapreduce.shuffle.Segment` s
+(:meth:`SpillLayout.iter_segments`): each the groups one merge window
+released, in key order, with their keys and boundaries as arrays and their
+values as row references into the chunks — or as ``(key, values)`` pairs of
+objects (:meth:`SpillLayout.iter_groups`, the rows of the same segments).
 
 The reduce side's resident set is bounded per open run file, never by a
 partition or a whole hub group: a reduce task merging ``F`` run files holds
-at most two chunk frames per file (:data:`_CHUNK_BYTES` each, their bytes
-and the columns decoded from them, which view those bytes; value objects
-too under :meth:`SpillLayout.iter_groups`) and one :data:`_IO_BUFFER_BYTES`
-file buffer per file — ``F x (2 x _CHUNK_BYTES + _IO_BUFFER_BYTES)`` of
-spill bytes — plus the groups a reducer is still assembling (one merge
-batch of about :data:`MERGE_BATCH_BYTES` for a batching reducer).  Two, not
-one: a stream whose last key equals the merge bound loads its next chunk
-before that key's pieces go out, and runs that share keys (a partition's
-usually do) meet that bound at every step; a tier-1 test pins the two.  A
-``graph_flat`` or ``graph_infer`` of the bench graph under ``processes`` x
-2 with 2 MiB runs writes 88 to 92 run files over its five shuffles, 22 or
-23 per partition, but a reduce task merges at most 8 of them at once:
-at most 8 x 264 KiB = 2.1 MiB.
+at most two chunk frames per file that it has loaded and not fully released
+(:data:`_CHUNK_BYTES` each, their bytes and the columns decoded from them,
+which view those bytes; value objects too under
+:meth:`SpillLayout.iter_groups`) and one :data:`_IO_BUFFER_BYTES` file
+buffer per file — ``F x (2 x _CHUNK_BYTES + _IO_BUFFER_BYTES)`` of spill
+bytes — plus what a reducer still references: the segment it reads (row
+references into those chunks) and the groups it is still assembling (one
+merge batch of about :data:`MERGE_BATCH_BYTES` for a batching reducer,
+which keeps the chunks its nodes' rows are in).  Two, not one: a stream
+whose last key equals the merge bound loads its next chunk before that
+key's groups go out, and so does a stream once any of its one chunk is
+released, so that the next window releases about a chunk per stream rather
+than the few groups left below one stream's last key; a tier-1 test pins
+the two.  A ``graph_flat`` or ``graph_infer`` of the bench graph under
+``processes`` x 2 with 2 MiB runs writes 88 to 92 run files over its five
+shuffles, 22 or 23 per partition, but a reduce task merges at most 8 of
+them at once: at most 8 x 264 KiB = 2.1 MiB.
 
 Two write entry points share one writer:
 
@@ -98,10 +106,9 @@ import io
 import os
 import struct
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -109,10 +116,11 @@ import numpy as np
 from repro.mapreduce.fault import take_read_fault
 from repro.mapreduce.partition import int_key_partitions, key_partitions
 from repro.mapreduce.shuffle import (
-    Group,
     RecordBatch,
+    Segment,
     canonical_order,
     decode_key,
+    int_key_order,
     int_key_rows,
     key_ident,
     keys_bytes,
@@ -134,6 +142,7 @@ from repro.proto.framing import (
     write_frame,
     write_stream_header,
 )
+from repro.proto.varint import decode_rows, unzigzag
 
 __all__ = [
     "DEFAULT_RUN_BYTES",
@@ -184,6 +193,10 @@ _STREAM_HEADER_BYTES = 6  # AGLS magic + version + codec id
 
 _U4 = struct.Struct("<I")
 
+_ELEVEN = np.arange(11)
+"""Column numbers of a key-table row: a plain int key is at most 11 bytes
+(``b"i"`` and a varint of at most 10)."""
+
 _IO_BUFFER_BYTES = io.DEFAULT_BUFFER_SIZE
 """File buffer of an open run file, reading or writing: ``open()``'s
 default (8 KiB), a term of the reader bound above.  A bigger one buys
@@ -202,19 +215,91 @@ def _encode_key_table(keys: list[bytes], counts: list[int]) -> bytes:
     return words.tobytes() + b"".join(keys)
 
 
-def _decode_key_table(table: bytes) -> tuple[list[bytes], list[int]]:
-    groups = int.from_bytes(table[:4], "little")
-    offset = 4 + 8 * groups
-    if len(table) < max(4, offset):
-        raise FrameCorruptionError("truncated chunk key table")
-    words = np.frombuffer(table, dtype="<u4", count=2 * groups, offset=4).tolist()
-    keys = []
-    for length in words[:groups]:
-        keys.append(table[offset : offset + length])
-        offset += length
-    if offset != len(table):
-        raise FrameCorruptionError("chunk key table disagrees with its key lengths")
-    return keys, words[groups:]
+class _Chunk:
+    """One chunk frame of a run file, decoded: its values' column, group
+    ``g``'s rows ``starts[g]:starts[g + 1]`` of it, and its key table —
+    group ``g``'s canonical key bytes are :meth:`key`, and once
+    :func:`_read_keys` has read the table (with the tables of the other
+    chunks a merge window takes in) its keys are arrays: a plain int key —
+    ``b"i"`` and a minimal ZigZag varint — is ``ids[g]`` (where ``is_int``),
+    its bytes zero-padded in ``rows[g]``; any other key stays its canonical
+    bytes, ``others[g]``.  ``done``: the groups the merge has released;
+    ``last``: the last group's key bytes."""
+
+    __slots__ = (
+        "column", "starts", "lengths", "is_int", "ids", "rows", "others", "done", "last",
+        "_table", "_ends",
+    )
+
+    def __init__(self, table: bytes, block: bytes):
+        groups = int.from_bytes(table[:4], "little")
+        offset = 4 + 8 * groups
+        if len(table) < max(4, offset):
+            raise FrameCorruptionError("truncated chunk key table")
+        words = np.frombuffer(table, dtype="<u4", count=2 * groups, offset=4).astype(np.int64)
+        lengths, counts = words[:groups], words[groups:]
+        ends = offset + np.cumsum(lengths)
+        if (int(ends[-1]) if groups else offset) != len(table):
+            raise FrameCorruptionError("chunk key table disagrees with its key lengths")
+        if groups and lengths.min() < 1:
+            raise FrameCorruptionError("empty key in a chunk key table")
+        self.column = decode_columns(block)
+        if int(counts.sum()) != len(self.column):
+            raise FrameCorruptionError(
+                f"chunk key table counts {int(counts.sum())} values, "
+                f"its block holds {len(self.column)}"
+            )
+        self.starts = np.concatenate(([0], np.cumsum(counts)))
+        self.lengths = lengths
+        self.ids = None  # until _read_keys
+        self.done = 0
+        self._table, self._ends = table, [offset] + ends.tolist()
+        self.last = self.key(groups - 1) if groups else None
+
+    def __len__(self) -> int:
+        return len(self._ends) - 1
+
+    def key(self, g: int) -> bytes:
+        """Group ``g``'s canonical key bytes."""
+        return self._table[self._ends[g] : self._ends[g + 1]]
+
+
+def _read_keys(chunks: list[_Chunk]) -> None:
+    """Read the key tables of ``chunks`` in one set of array passes: every
+    key's first 11 bytes, zero-padded — a plain int key whole, as no other
+    key starts with ``b"i"`` — and its varint, which makes it a plain int
+    key when it ends the key, is minimal and fits int64."""
+    lengths = np.concatenate([chunk.lengths for chunk in chunks])
+    data = np.frombuffer(b"".join(chunk._table[chunk._ends[0] :] for chunk in chunks), np.uint8)
+    count = len(lengths)
+    ends = np.cumsum(lengths)
+    rows = np.zeros((count, 11), dtype=np.uint8)
+    is_int = np.zeros(count, dtype=bool)
+    ids = np.zeros(count, dtype=np.int64)
+    kind = data[ends - lengths] == ord("i")
+    if kind.any():
+        if lengths.max() <= 11:  # the key bytes fill the rows in order
+            rows[_ELEVEN < lengths[:, None]] = data
+        else:
+            clipped = np.minimum(lengths, 11)
+            rows[_ELEVEN < clipped[:, None]] = data[_ranges(ends - lengths, clipped)]
+        raw, varint_lengths = decode_rows(rows[:, 1:])
+        tail = rows[np.arange(count), np.minimum(lengths, 11) - 1]
+        is_int = (
+            kind
+            & (varint_lengths == lengths - 1)  # the varint ends the key
+            & ((tail != 0) | (lengths == 2))  # and is minimal
+            & (rows[:, 10] <= 1)  # a tenth byte over 1 leaves int64
+        )
+        ids = unzigzag(raw)
+    at = 0
+    for chunk in chunks:
+        part = slice(at, at + len(chunk))
+        chunk.rows, chunk.is_int, chunk.ids = rows[part], is_int[part], ids[part]
+        chunk.others = {}
+        if not chunk.is_int.all():
+            chunk.others = {g: chunk.key(g) for g in np.flatnonzero(~chunk.is_int).tolist()}
+        at = part.stop
 
 
 class _SortedRun:
@@ -308,62 +393,144 @@ def _as_column(values) -> Column:
     return values if isinstance(values, Column) else columnize(values)
 
 
-def _merge_chunks(streams: list):
-    """Merge streams of chunks — lists of ``(key_bytes, stream number,
-    piece)`` sorted by key bytes, a stream's chunks in order — into one
-    stream of pieces ordered by ``(key_bytes, stream number)``, stably.
+def _merge_windows(streams: list):
+    """Merge streams of :class:`_Chunk` s — each stream's groups sorted by
+    canonical key bytes, its chunks in order — into one stream of
+    :class:`~repro.mapreduce.shuffle.Segment` s whose groups are in
+    ``(key bytes, stream number)`` order, stably: the standard batched
+    external merge.
 
-    A chunk at a time instead of a heap step per piece: every piece below
-    the smallest last key of the chunks loaded (the *bound*) is final — no
-    stream can still produce one below it — so those pieces are sorted and
-    yielded together, and the streams whose chunks ran down to the bound
-    load their next chunk.  A key equal to the bound waits until the bound
-    passes it, so a key split over several chunks of a stream (a hub)
-    keeps its stream order."""
-    loaded = []  # [chunks, pieces left] of the streams with chunks to load
-    finished: list[list] = []  # pieces left of the streams without
-    for chunks in streams:
-        pieces = next(chunks, None)
-        if pieces:
-            loaded.append([chunks, pieces])
-    while loaded or finished:
-        bound = min(pieces[-1][0] for _, pieces in loaded) if loaded else None
-        ready = []
-        for entry in loaded:
-            cut = _below(entry[1], bound)
-            ready.extend(entry[1][:cut])
-            entry[1] = entry[1][cut:]
-        left = []
-        for pieces in finished:
-            cut = _below(pieces, bound)
-            ready.extend(pieces[:cut])
-            if cut < len(pieces):
-                left.append(pieces[cut:])
-        finished = left
-        ready.sort(key=_MERGE_ORDER)
-        yield from ready
-        refilled = []
-        for chunks, pieces in loaded:
-            while not pieces or pieces[-1][0] == bound:  # ran down to the bound
-                more = next(chunks, None)
-                if more is None:
+    A window at a time (:class:`_Window`): the chunks the streams have
+    loaded hold their groups not released yet.  Every one of those groups
+    below the smallest last key of the streams that may still load (the
+    *bound*) is final — no stream can still produce one below it — so they
+    go out together as one segment.  Then each stream whose groups ran down
+    to the bound loads its next chunk, until its last key passes the bound;
+    a key equal to the bound waits until the bound passes it, so a key
+    split over several chunks of a stream (a hub) keeps its stream order.
+    A stream that holds one chunk, some of it released, loads its next one
+    too: the next window then releases about a chunk per stream, not just
+    the few groups left below one stream's last key.  Either way a stream
+    holds at most two chunks not fully released (a hub split over more
+    chunks aside)."""
+    held: list[list[_Chunk]] = [[] for _ in streams]  # per stream: chunks not fully released
+    live = list(range(len(streams)))  # the streams with chunks left to load
+    bound = None  # canonical bytes of the smallest last key of the live streams
+    while True:
+        for number in list(live):
+            chunks = held[number]
+            while not chunks or chunks[-1].last == bound or (
+                len(chunks) == 1 and chunks[0].done
+            ):
+                chunk = next(streams[number], None)
+                if chunk is None:
+                    live.remove(number)
                     break
-                pieces = pieces + more
-            if pieces and pieces[-1][0] != bound:
-                refilled.append([chunks, pieces])
-            elif pieces:
-                finished.append(pieces)
-        loaded = refilled
+                chunks.append(chunk)
+        if not any(held):
+            return
+        if live:
+            # only the chunks with a group below the bound take part, and the
+            # one whose last key sets it
+            bound = min(held[number][-1].last for number in live)
+            lead = next(held[n][-1] for n in live if held[n][-1].last == bound)
+            window = _Window([
+                chunk for chunks in held for chunk in chunks
+                if chunk is lead or chunk.key(chunk.done) < bound
+            ])
+            released = window.below(window.last_of(window.chunks.index(lead)))
+        else:
+            window = _Window([chunk for chunks in held for chunk in chunks])
+            released = len(window)
+        if released:
+            yield window.segment(released)
+            held = [[chunk for chunk in chunks if chunk.done < len(chunk)] for chunks in held]
 
 
-def _below(pieces: list, bound) -> int:
-    """How many of the key-sorted ``pieces`` have key bytes below ``bound``
-    (all of them for no bound)."""
-    return len(pieces) if bound is None else bisect_left(pieces, bound, key=_KEY_BYTES)
+class _Window:
+    """The groups a merge window holds — of ``chunks``, each from its
+    ``done``-th group on, stream-major — in one stable order by canonical
+    bytes: the plain ints by :func:`~repro.mapreduce.shuffle.int_key_order`
+    over the key tables' bytes, any other key one comparison at a time.
+    ``order`` lists the window's pieces (a chunk's group each) in merge
+    order and ``gid`` numbers the distinct keys along it."""
 
+    def __init__(self, chunks: list[_Chunk]):
+        self.chunks = chunks
+        unread = [chunk for chunk in chunks if chunk.ids is None]
+        if unread:
+            _read_keys(unread)
+        sizes = [len(chunk) - chunk.done for chunk in chunks]
+        self.ends = np.cumsum(sizes)
+        self.which = np.repeat(np.arange(len(chunks)), sizes)
+        self.group = np.concatenate([np.arange(chunk.done, len(chunk)) for chunk in chunks])
+        self.is_int = is_int = np.concatenate([chunk.is_int[chunk.done :] for chunk in chunks])
+        self.ids = ids = np.concatenate([chunk.ids[chunk.done :] for chunk in chunks])
+        rows = np.concatenate([chunk.rows[chunk.done :] for chunk in chunks])
+        self.kbs: dict[int, bytes] = {}
+        if is_int.all():  # the usual window: node ids only
+            self.order = order = int_key_order(rows)
+            key = ids[order]
+            self.new = np.concatenate(([True], key[1:] != key[:-1]))
+        else:
+            ints, others = np.flatnonzero(is_int), np.flatnonzero(~is_int)
+            kbs = [
+                chunks[w].others[g]
+                for w, g in zip(self.which[others].tolist(), self.group[others].tolist())
+            ]
+            self.kbs = dict(zip(others.tolist(), kbs))
+            self.order = order = np.concatenate([ints, others])[canonical_order(rows[ints], kbs)]
+            # a piece's key, for equality: its int, or a number per distinct other key
+            code = ids.copy()
+            numbers: dict[bytes, int] = {}
+            code[others] = [numbers.setdefault(kb, len(numbers)) for kb in kbs]
+            kind, code = is_int[order], code[order]
+            self.new = np.concatenate(([True], (kind[1:] != kind[:-1]) | (code[1:] != code[:-1])))
+        self.gid = np.cumsum(self.new) - 1
+        self.rank = np.empty(len(order), dtype=np.int64)
+        self.rank[order] = np.arange(len(order))
 
-_KEY_BYTES = itemgetter(0)
-_MERGE_ORDER = itemgetter(0, 1)
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def last_of(self, chunk: int) -> int:
+        """The key number of the last pending group of the window's chunk
+        ``chunk``."""
+        return int(self.gid[self.rank[self.ends[chunk] - 1]])
+
+    def below(self, bound: int) -> int:
+        """How many pieces, in merge order, have keys below key ``bound``."""
+        return int(np.searchsorted(self.gid, bound))
+
+    def segment(self, count: int) -> Segment:
+        """The first ``count`` pieces in merge order as a segment, their
+        chunks' groups marked released."""
+        pieces = self.order[:count]
+        w, g = self.which[pieces], self.group[pieces]
+        released = np.bincount(w, minlength=len(self.chunks))
+        used = np.flatnonzero(released)  # the chunks the segment has rows of
+        chunks = [self.chunks[k] for k in used.tolist()]
+        for chunk, done in zip(chunks, released[used].tolist()):
+            chunk.done += done
+        renumber = np.cumsum(released > 0) - 1
+        w = renumber[w]
+        starts = np.concatenate([chunk.starts for chunk in chunks])
+        at = np.cumsum([0] + [len(chunk.starts) for chunk in chunks])[w] + g
+        lo = starts[at]
+        lengths = starts[at + 1] - lo
+        columns = [chunk.column for chunk in chunks]
+        which, index = np.repeat(w, lengths), _ranges(lo, lengths)
+        first = np.flatnonzero(self.new[:count])
+        bounds = np.concatenate(([0], np.cumsum(np.add.reduceat(lengths, first))))
+        heads = pieces[first]
+        if self.is_int[heads].all():
+            return Segment(columns, which, index, bounds, self.ids[heads])
+        kbs = self.kbs
+        keys = [
+            decode_key(kbs[at]) if at in kbs else value
+            for at, value in zip(heads.tolist(), self.ids[heads].tolist())
+        ]
+        return Segment(columns, which, index, bounds, keys)
 
 
 def _damage(data: bytes, kind: str) -> bytes:
@@ -465,12 +632,10 @@ class SpillLayout:
             yield path
             run += 1
 
-    def _iter_file(self, path: Path, as_rows: bool, number: int):
-        """Yield the chunks of one run file, one resident at a time, each as
-        its ``(key_bytes, number, piece)`` group pieces.  A piece is a list
-        of value objects (``as_rows``) or a slice ``(column, start, stop)``
-        of the chunk's decoded column.  A header whose codec byte is not the
-        column block's is corruption, like a bad frame.
+    def _iter_file(self, path: Path):
+        """Yield the chunks of one run file, one resident at a time, each a
+        :class:`_Chunk`.  A header whose codec byte is not the column
+        block's is corruption, like a bad frame.
 
         An armed read fault (the ``corrupt-run``/``truncate-run`` kinds of
         :class:`~repro.mapreduce.fault.FaultPlan`) damages this attempt's
@@ -488,36 +653,25 @@ class SpillLayout:
                     f"not the column block's {_CODEC_ID}"
                 )
             for table, block in iter_frames(fh):
-                kbs, counts = _decode_key_table(table)
-                column = decode_columns(block)
-                if sum(counts) != len(column):
-                    raise FrameCorruptionError(
-                        f"chunk key table counts {sum(counts)} values, "
-                        f"its block holds {len(column)}"
-                    )
-                values = column.rows() if as_rows else None
-                pieces, start = [], 0
-                for kb, count in zip(kbs, counts):
-                    stop = start + count
-                    piece = values[start:stop] if as_rows else (column, start, stop)
-                    pieces.append((kb, number, piece))
-                    start = stop
-                yield pieces
+                chunk = _Chunk(table, block)
+                if len(chunk):
+                    yield chunk
 
-    def _iter_merged(self, partition: int, num_map_tasks: int, as_rows: bool):
-        """K-way merge of one partition's run files: globally key-sorted
-        stream of ``(key_bytes, stream, piece)`` group pieces, holding about
-        one chunk per file in memory.  Streams are numbered task-major then
-        run-order and ties go to the lower number, so same-key values
-        concatenate in their original emission order — exactly the order a
-        single eager sorted write per task would have produced."""
-        streams = []
-        for map_task in range(num_map_tasks):
-            for path in self._iter_task_runs(map_task, partition):
-                streams.append(self._iter_file(path, as_rows, len(streams)))
-        if len(streams) == 1:
-            return chain.from_iterable(streams[0])
-        return _merge_chunks(streams)
+    def iter_segments(self, partition: int, num_map_tasks: int):
+        """The reduce side's one reader: one partition's run files merged
+        (:func:`_merge_windows`) into a key-sorted stream of
+        :class:`~repro.mapreduce.shuffle.Segment` s, holding at most two
+        chunks per file that are not fully released (the module docstring).
+        Streams are numbered task-major then run-order and ties go to the
+        lower number, so same-key values concatenate in their original
+        emission order — exactly the order a single eager sorted write per
+        task would have produced."""
+        streams = [
+            self._iter_file(path)
+            for map_task in range(num_map_tasks)
+            for path in self._iter_task_runs(map_task, partition)
+        ]
+        return _merge_windows(streams)
 
     def iter_partition(self, partition: int, num_map_tasks: int):
         """Streamed ``(key, value)`` pairs of one partition, key-sorted."""
@@ -526,42 +680,12 @@ class SpillLayout:
                 yield key, value
 
     def iter_groups(self, partition: int, num_map_tasks: int):
-        """Streamed reduce groups ``(key, values)`` — the external-merge
-        replacement for ``group_sorted(read_partition(...))``: peak memory
-        is one group (plus one chunk per spill file), not the whole
-        partition.  The rows of :meth:`iter_column_groups`."""
-        current_kb: bytes | None = None
-        current_key = None
-        acc: list = []
-        for kb, _, values in self._iter_merged(partition, num_map_tasks, True):
-            if kb != current_kb:
-                if current_kb is not None:
-                    yield current_key, acc
-                current_kb, current_key, acc = kb, decode_key(kb), values
-            else:
-                acc.extend(values)
-        if current_kb is not None:
-            yield current_key, acc
-
-    def iter_column_groups(self, partition: int, num_map_tasks: int):
-        """Streamed reduce groups ``(key, group)``: each a
-        :class:`~repro.mapreduce.shuffle.Group` of slices of the decoded
-        chunks, so a reducer that takes columns gathers the rows it keeps
-        instead of receiving an object per value."""
-        current_kb: bytes | None = None
-        current_key = None
-        pieces: list = []
-        count = 0
-        for kb, _, piece in self._iter_merged(partition, num_map_tasks, False):
-            if kb != current_kb:
-                if current_kb is not None:
-                    yield current_key, Group(pieces, count)
-                current_kb, current_key, pieces, count = kb, decode_key(kb), [piece], 0
-            else:
-                pieces.append(piece)
-            count += piece[2] - piece[1]
-        if current_kb is not None:
-            yield current_key, Group(pieces, count)
+        """Streamed reduce groups ``(key, values)``, the values as objects —
+        the object API over :meth:`iter_segments`, a segment's rows at a
+        time: peak memory is one segment (plus the chunks the merge holds),
+        not the whole partition."""
+        for segment in self.iter_segments(partition, num_map_tasks):
+            yield from segment.groups()
 
     # ------------------------------------------------------------- cleanup
     def cleanup(self, num_map_tasks: int | None = None) -> None:

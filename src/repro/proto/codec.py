@@ -31,7 +31,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.subgraph import GraphFeature
-from repro.proto.varint import decode_signed, decode_unsigned, encode_signed, encode_unsigned
+from repro.proto.varint import (
+    decode_array,
+    decode_signed,
+    decode_unsigned,
+    encode_array,
+    encode_signed,
+    encode_unsigned,
+    join_rows,
+    unzigzag,
+    zigzag,
+)
 
 __all__ = [
     "CodecError",
@@ -59,44 +69,104 @@ class CodecError(ValueError):
     """Raised when a byte string cannot be decoded as a GraphFeature."""
 
 
-def _encode_signed_block(values: np.ndarray, delta: bool = False) -> bytes:
+_SIGNED, _DELTA, _UNSIGNED = range(3)
+"""How a varint block codes its values: ``encode_signed`` of each, of each
+one's difference from the one before, or ``encode_unsigned`` of each."""
+
+
+def _encode_blocks(blocks: list[tuple[np.ndarray, int]]) -> bytes:
+    """The varint blocks ``blocks`` — ``(values, coding)`` each — end to
+    end, every run of consecutive blocks in one array pass.  A block the
+    pass cannot code — a value, or a difference, outside ``int64``, a
+    negative unsigned value, an array of another kind — is coded one value
+    at a time, which makes the same bytes or raises the same error."""
+    out, pending = [], []
+    for values, coding in blocks:
+        raw = _raw(np.asarray(values), coding)
+        if raw is not None:
+            pending.append(raw)
+            continue
+        if pending:
+            out.append(join_rows(*encode_array(np.concatenate(pending))))
+            pending = []
+        out.append(_encode_scalars(values, coding))
+    if pending:
+        out.append(join_rows(*encode_array(np.concatenate(pending))))
+    return b"".join(out)
+
+
+def _raw(values: np.ndarray, coding: int) -> np.ndarray | None:
+    """The ``uint64`` varint payloads of a block, or ``None`` when the
+    array pass cannot code it."""
+    if not (values.dtype.kind == "i" or (values.dtype.kind == "u" and values.dtype.itemsize < 8)):
+        return None
+    values = values.astype(np.int64, copy=False)
+    if coding == _UNSIGNED:
+        return values.astype(np.uint64) if not len(values) or values.min() >= 0 else None
+    if coding == _DELTA and len(values):
+        before = np.concatenate(([0], values[:-1]))
+        steps = values - before
+        if (((values ^ before) & (values ^ steps)) < 0).any():  # wrapped past int64
+            return None
+        values = steps
+    return zigzag(values)
+
+
+def _encode_scalars(values: np.ndarray, coding: int) -> bytes:
     out = bytearray()
     prev = 0
-    for v in values.tolist():
-        if delta:
+    for v in np.asarray(values).tolist():
+        if coding == _DELTA:
             out += encode_signed(v - prev)
             prev = v
-        else:
+        elif coding == _SIGNED:
             out += encode_signed(v)
+        else:
+            out += encode_unsigned(v)
     return bytes(out)
 
 
-def _decode_signed_block(
-    buf: memoryview, offset: int, count: int, delta: bool = False
-) -> tuple[np.ndarray, int]:
-    values = np.empty(count, dtype=np.int64)
-    prev = 0
-    for i in range(count):
-        v, offset = decode_signed(buf, offset)
-        if delta:
-            v += prev
-            prev = v
-        values[i] = v
-    return values, offset
-
-
-def _encode_unsigned_block(values: np.ndarray) -> bytes:
-    out = bytearray()
-    for v in values.tolist():
-        out += encode_unsigned(v)
-    return bytes(out)
-
-
-def _decode_unsigned_block(buf: memoryview, offset: int, count: int) -> tuple[np.ndarray, int]:
-    values = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        v, offset = decode_unsigned(buf, offset)
-        values[i] = v
+def _decode_blocks(
+    buf: memoryview, offset: int, blocks: list[tuple[int, int]]
+) -> tuple[list[np.ndarray], int]:
+    """Inverse of :func:`_encode_blocks` for the blocks ``blocks`` —
+    ``(count, coding)`` each — at ``offset``: their values as ``int64``
+    arrays, and the offset after them.  One array pass reads them all when
+    every varint is complete and below ``2**63`` and no delta-coded sum can
+    leave ``int64``; any other input is read one value at a time, which
+    raises as it did."""
+    decoded = decode_array(buf, offset, sum(count for count, _ in blocks))
+    if decoded is not None:
+        raw, end = decoded
+        values, at = [], 0
+        for count, coding in blocks:
+            part = raw[at : at + count]
+            at += count
+            if coding == _UNSIGNED:
+                values.append(part.astype(np.int64))
+                continue
+            part = unzigzag(part)
+            if coding == _DELTA:
+                if len(part) and int(np.abs(part).max()) * len(part) >= 1 << 63:
+                    break
+                part = np.cumsum(part)
+            values.append(part)
+        else:
+            return values, end
+    values = []
+    for count, coding in blocks:
+        block = np.empty(count, dtype=np.int64)
+        prev = 0
+        for i in range(count):
+            if coding == _UNSIGNED:
+                v, offset = decode_unsigned(buf, offset)
+            else:
+                v, offset = decode_signed(buf, offset)
+                if coding == _DELTA:
+                    v += prev
+                    prev = v
+            block[i] = v
+        values.append(block)
     return values, offset
 
 
@@ -125,19 +195,21 @@ def encode_graph_feature(gf: GraphFeature) -> bytes:
     out += encode_unsigned(gf.feature_dim)
     out += encode_unsigned(gf.edge_feature_dim)
 
-    out += _encode_signed_block(gf.target_ids)
-    out += _encode_signed_block(gf.node_ids, delta=True)
-    out += _encode_unsigned_block(gf.hops)
-    out += _encode_unsigned_block(gf.edge_src)
-    out += _encode_unsigned_block(gf.edge_dst)
+    out += _encode_blocks([
+        (gf.target_ids, _SIGNED),
+        (gf.node_ids, _DELTA),
+        (gf.hops, _UNSIGNED),
+        (gf.edge_src, _UNSIGNED),
+        (gf.edge_dst, _UNSIGNED),
+    ])
     out += np.ascontiguousarray(gf.x, dtype="<f4").tobytes()
     out += np.ascontiguousarray(gf.edge_weight, dtype="<f4").tobytes()
     if gf.edge_feat is not None:
         out += np.ascontiguousarray(gf.edge_feat, dtype="<f4").tobytes()
     if gf.node_type is not None:
-        out += _encode_unsigned_block(gf.node_type)
+        out += _encode_blocks([(gf.node_type, _UNSIGNED)])
     if gf.edge_type is not None:
-        out += _encode_unsigned_block(gf.edge_type)
+        out += _encode_blocks([(gf.edge_type, _UNSIGNED)])
     return bytes(out)
 
 
@@ -159,11 +231,9 @@ def decode_graph_feature(data: bytes, offset: int = 0) -> tuple[GraphFeature, in
     fn, offset = decode_unsigned(buf, offset)
     fe, offset = decode_unsigned(buf, offset)
 
-    target_ids, offset = _decode_signed_block(buf, offset, t)
-    node_ids, offset = _decode_signed_block(buf, offset, n, delta=True)
-    hops, offset = _decode_unsigned_block(buf, offset, n)
-    edge_src, offset = _decode_unsigned_block(buf, offset, m)
-    edge_dst, offset = _decode_unsigned_block(buf, offset, m)
+    (target_ids, node_ids, hops, edge_src, edge_dst), offset = _decode_blocks(
+        buf, offset, [(t, _SIGNED), (n, _DELTA), (n, _UNSIGNED), (m, _UNSIGNED), (m, _UNSIGNED)]
+    )
     x_flat, offset = _decode_floats(buf, offset, n * fn)
     weight, offset = _decode_floats(buf, offset, m)
     edge_feat = None
@@ -172,9 +242,9 @@ def decode_graph_feature(data: bytes, offset: int = 0) -> tuple[GraphFeature, in
         edge_feat = ef_flat.reshape(m, fe)
     node_type = edge_type = None
     if flags & _HAS_NODE_TYPE:
-        node_type, offset = _decode_unsigned_block(buf, offset, n)
+        (node_type,), offset = _decode_blocks(buf, offset, [(n, _UNSIGNED)])
     if flags & _HAS_EDGE_TYPE:
-        edge_type, offset = _decode_unsigned_block(buf, offset, m)
+        (edge_type,), offset = _decode_blocks(buf, offset, [(m, _UNSIGNED)])
     try:
         gf = GraphFeature(
             target_ids,

@@ -213,8 +213,8 @@ class TcpFetchSource:
     def groups(self):
         return self._merged("iter_groups")
 
-    def column_groups(self):
-        return self._merged("iter_column_groups")
+    def segments(self):
+        return self._merged("iter_segments")
 
     def _merged(self, reader: str):
         staging = tempfile.mkdtemp(prefix="mrfetch.")

@@ -1,7 +1,8 @@
 """Test utilities: finite-difference gradient checking for the autograd ops,
 a row shard under a committed ``_META.json`` (which every DFS reader must
-refuse), the digest of a dataset's record stream, and a training set wide
-enough for BLAS to multithread its products."""
+refuse), the digest of a dataset's record stream, a reducer's input segment
+built from value objects, and a training set wide enough for BLAS to
+multithread its products."""
 
 from __future__ import annotations
 
@@ -18,10 +19,12 @@ __all__ = [
     "WIDE_BATCH",
     "WIDE_HIDDEN",
     "check_gradients",
+    "column_segment",
     "commit_row_shard",
     "dataset_digest",
     "model_digest",
     "numeric_grad",
+    "segment_of",
     "wide_model",
     "wide_training_set",
 ]
@@ -91,6 +94,31 @@ def commit_row_shard(fs, name: str, records: list[bytes], kind: str = "samples")
             fh.write(record)
     fs.finalize_dataset(name, kind=kind, record_counts=[len(records)])
     return path
+
+
+def column_segment(column, bounds, keys):
+    """The :class:`~repro.mapreduce.shuffle.Segment` whose values are the
+    rows of ``column`` in order, group ``g`` the rows
+    ``bounds[g]:bounds[g + 1]``."""
+    from repro.mapreduce.shuffle import Segment
+
+    index = np.arange(len(column))
+    return Segment([column], np.zeros_like(index), index, np.asarray(bounds), keys)
+
+
+def segment_of(groups: list[tuple]):
+    """The :class:`~repro.mapreduce.shuffle.Segment` of the ``(key,
+    values)`` groups ``groups`` (value objects), as an in-memory shuffle
+    hands a partition on: the values one column, the keys an array when
+    they are all plain ints."""
+    from repro.proto.framing import columnize
+
+    keys = [key for key, _ in groups]
+    column = columnize([value for _, values in groups for value in values])
+    bounds = np.concatenate(([0], np.cumsum([len(values) for _, values in groups])))
+    if all(type(key) is int for key in keys):
+        keys = np.asarray(keys, dtype=np.int64)
+    return column_segment(column, bounds.astype(np.int64), keys)
 
 
 def numeric_grad(fn, value: np.ndarray, eps: float = 1e-3) -> np.ndarray:

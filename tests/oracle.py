@@ -758,18 +758,31 @@ def select_records(sampler, in_edges: list, node_id: int, salt: int = 0) -> list
     return [ordered[i] for i in keep]
 
 
+def key_table(table: bytes) -> tuple[list[bytes], list[int]]:
+    """``(keys, counts)`` of a run file chunk's key table, read as its
+    grammar says (``<u4`` groups, ``<u4`` key lengths, ``<u4`` value
+    counts, then the key bytes end to end), one key at a time."""
+    groups = int.from_bytes(table[:4], "little")
+    words = [int.from_bytes(table[4 + 4 * i : 8 + 4 * i], "little") for i in range(2 * groups)]
+    keys, offset = [], 4 + 8 * groups
+    for length in words[:groups]:
+        keys.append(table[offset : offset + length])
+        offset += length
+    assert offset == len(table)
+    return keys, words[groups:]
+
+
 def object_groups(layout, partition: int, num_map_tasks: int) -> list[tuple]:
     """``(key, values)`` groups of one partition's run files, read as the
     reader read them before columns: every chunk decoded into objects, the
     runs merged by key bytes, values regrouped per key."""
-    from repro.mapreduce.spill import _decode_key_table
     from repro.proto.framing import iter_frames, read_stream_header
 
     def pieces(path):
         with open(path, "rb") as fh:
             read_stream_header(fh)
             for table, block in iter_frames(fh):
-                keys, counts = _decode_key_table(table)
+                keys, counts = key_table(table)
                 values = iter(object_values(block))
                 for kb, count in zip(keys, counts):
                     yield kb, list(islice(values, count))

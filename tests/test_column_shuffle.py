@@ -99,12 +99,13 @@ def run_files(root) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
 
 
-def rows_of(group) -> list:
-    """A column group's values as objects, piece by piece."""
+def column_groups(layout, partition: int) -> list[tuple]:
+    """``(key, count, block)`` per group of a partition's segments: each
+    group's values gathered from the chunks as one column, encoded."""
     return [
-        value
-        for column, start, stop in group.pieces
-        for value in column.take(np.arange(start, stop)).rows()
+        (key, int(count), encode_columns(segment.values(g, g + 1)))
+        for segment in layout.iter_segments(partition, 1)
+        for g, (key, count) in enumerate(zip(segment.key_list(), segment.counts()))
     ]
 
 
@@ -155,10 +156,9 @@ class TestEngineBatchesAreTheOracleRecords:
                 assert [(k, encode_block(v)) for k, v in columns.iter_groups(p, 1)] == [
                     (k, encode_block(v)) for k, v in expected
                 ]
-                assert [
-                    (k, len(group), encode_block(rows_of(group)))
-                    for k, group in columns.iter_column_groups(p, 1)
-                ] == [(k, len(v), encode_block(v)) for k, v in expected]
+                assert column_groups(columns, p) == [
+                    (k, len(v), encode_block(v)) for k, v in expected
+                ]
 
 
 @dataclass
@@ -315,7 +315,7 @@ class TestColumnCodec:
         with open(path, "wb") as fh:
             write_stream_header(fh, 1)
             write_frame(fh, _encode_key_table([key_bytes(1)], [3]), encode_block([1.0, 2.0]))
-        for groups in (layout.iter_groups, layout.iter_column_groups):
+        for groups in (layout.iter_groups, layout.iter_segments):
             with pytest.raises(FrameCorruptionError, match="counts 3 values"):
                 list(groups(0, 1))
 

@@ -40,7 +40,7 @@ from repro.graph.subgraph import GraphFeature
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.mapreduce import LocalRuntime
 from repro.mapreduce.partition import Inline
-from repro.mapreduce.shuffle import Group
+from repro.mapreduce.shuffle import Segment
 from repro.nn.gnn import GraphSAGEModel
 from repro.proto.codec import decode_sample, encode_sample
 from repro.proto.framing import (
@@ -55,6 +55,7 @@ from repro.proto.framing import (
 )
 from repro.tasks import make_task
 
+from .helpers import column_segment, segment_of
 from .oracle import DictSubgraph, assert_same_subgraph, oracle_merge, random_subgraph
 
 HUB_THRESHOLD = {"reindex": 8, "plain": 10**9}
@@ -384,6 +385,44 @@ class TestBatchedMerge:
             records for records, _, _ in self.ROUNDS.values()
         ]
 
+    def test_keys_are_read_as_arrays_and_no_group_is_built(self, tmp_path, monkeypatch):
+        """The reduce side's mechanism on this fixture.  The per-group
+        reader before segments built a ``Group`` per reduce group (949 on
+        this run), decoded every key on its own (949 ``decode_key`` calls,
+        112 of them hub slices) and handed each node to a
+        ``_Gathering.add`` call (549): that reader fails this test.  Now the
+        twenty reduce tasks read their partitions in 40 segments, the plain
+        int keys come from the key tables in array passes, and only the hub
+        slices' tuple keys are decoded one at a time."""
+        from repro.mapreduce import shuffle, spill
+
+        calls = {"int": 0, "other": 0}
+        decode = shuffle.decode_key
+
+        def counted(data):
+            calls["int" if data[:1] == b"i" else "other"] += 1
+            return decode(data)
+
+        windows, segment = [0], spill._Window.segment
+
+        def counted_segment(self, count):
+            windows[0] += 1
+            return segment(self, count)
+
+        monkeypatch.setattr(shuffle, "decode_key", counted)
+        monkeypatch.setattr(spill, "decode_key", counted)
+        monkeypatch.setattr(spill._Window, "segment", counted_segment)
+        with LocalRuntime(spill_dir=tmp_path) as runtime:
+            result = self.run(runtime)
+        assert not hasattr(shuffle, "Group")
+        assert calls["int"] == 0 and calls["other"] <= 112, calls
+        assert windows[0] == 40, windows  # one segment per merge window, 949 groups
+        volumes = {
+            s.job: (s.shuffled_records, s.shuffle_bytes_written, s.peak_reducer_buffer_bytes)
+            for s in result.round_stats
+        }
+        assert volumes == self.ROUNDS
+
     @pytest.mark.parametrize("spill", [False, True], ids=["memory", "spilled"])
     def test_one_kernel_call_per_reduce_task(self, tmp_path, monkeypatch, spill):
         """At this size a merge task's whole partition fits one batch: one
@@ -491,14 +530,14 @@ class TestBatchedMerge:
             def __init__(self, count):
                 self.count = count
 
-            def column_groups(self):
+            def segments(self):
                 for node_id in range(self.count):
                     own = SubgraphInfo.seed(10_000 + node_id, np.zeros(64, np.float32))
                     picks = rng.choice(len(neighbors), size=4, replace=False).tolist()
-                    yield node_id, Group.of([("self", own)] + [
+                    yield segment_of([(node_id, [("self", own)] + [
                         ("in", InEdgeInfo(neighbors[i].root, 1.0, None, neighbors[i]))
                         for i in picks
-                    ])
+                    ])])
 
         class Discard:
             def store(self, task_index, pairs):
@@ -529,6 +568,74 @@ class TestBatchedMerge:
         assert calls[large] > 4 * calls[small] > 8, calls
         assert peaks[large] < 1.5 * peaks[small], peaks
         assert peaks[small] > MERGE_BATCH_BYTES  # a batch really is held
+
+
+class TestWindowInvariance:
+    """The merged reader cuts a partition into windows wherever its runs'
+    chunks end, so where it cuts must not show: with chunks of a few
+    hundred bytes each partition is read in many windows, and GraphFlat's
+    samples and GraphInfer's scores are still the bytes of the serial
+    in-memory run — re-indexed hubs included — under every sampler.  Under
+    ``processes`` the patched chunk size reaches the parent only (it spills
+    the Map input; pool workers write with the shipped one), so the
+    workers' output is cut into runs of a few records as well."""
+
+    CHUNK_BYTES = 300
+
+    def small_chunks(self, monkeypatch) -> list[int]:
+        """Shrink the chunks; returns the count of segments read
+        in-process, as it grows."""
+        from repro.mapreduce import spill
+
+        monkeypatch.setattr(spill, "_CHUNK_BYTES", self.CHUNK_BYTES)
+        windows, segment = [0], spill._Window.segment
+
+        def counted(self, count):
+            windows[0] += 1
+            return segment(self, count)
+
+        monkeypatch.setattr(spill._Window, "segment", counted)
+        return windows
+
+    @staticmethod
+    def runtime(backend: str, tmp_path) -> LocalRuntime:
+        if backend == "serial":
+            return LocalRuntime(spill_dir=tmp_path)
+        return LocalRuntime(
+            backend="processes", max_workers=2, spill_dir=tmp_path, spill_run_records=16
+        )
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    @pytest.mark.parametrize("sampling", ["uniform", "weighted", "topk"])
+    def test_graph_flat(self, graph, tmp_path, monkeypatch, sampling, backend):
+        nodes, edges, targets = graph
+        config = flat_config(sampling=sampling)
+        expected = graph_flat(nodes, edges, targets, config).samples
+        windows = self.small_chunks(monkeypatch)
+        with self.runtime(backend, tmp_path) as runtime:
+            result = graph_flat(nodes, edges, targets, config, runtime)
+        assert result.hub_nodes and result.samples == expected
+        if backend == "serial":  # 20 reduce tasks, each over many windows
+            assert windows[0] > 10 * 20, windows
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    @pytest.mark.parametrize("sampling", ["uniform", "weighted", "topk"])
+    def test_graph_infer(self, graph, tmp_path, monkeypatch, sampling, backend):
+        nodes, edges, _ = graph
+        model = GraphSAGEModel(6, 8, 2, num_layers=2, seed=0)
+        config = GraphInferConfig(
+            sampling=sampling, max_neighbors=4, hub_threshold=HUB_THRESHOLD["reindex"],
+            num_reducers=4, seed=0,
+        )
+        expected = graph_infer(model, nodes, edges, config).scores
+        windows = self.small_chunks(monkeypatch)
+        with self.runtime(backend, tmp_path) as runtime:
+            scores = graph_infer(model, nodes, edges, config, runtime).scores
+        assert {k: v.tobytes() for k, v in scores.items()} == {
+            k: v.tobytes() for k, v in expected.items()
+        }
+        if backend == "serial":
+            assert windows[0] > 10 * 20, windows
 
 
 class TestOnlyHubSlicesTakeTheExtraShuffle:
@@ -622,19 +729,18 @@ class TestGraphInferInheritsTheGates:
         binary spill."""
         ds, model, knobs = setup
         seen: dict[int, set] = {}
-        merge_round = MessagePassingReducer.reduce_groups
+        merge_round = MessagePassingReducer.reduce_segments
 
-        def spy(self, groups):
+        def spy(self, segments):
             def watched():
-                for node_id, group in groups:
+                for segment in segments:
                     tags = seen.setdefault(self.round_index, set())
-                    for column, start, stop in group.pieces:
-                        tags.update(column.children[0].take(np.arange(start, stop)).rows())
-                    yield node_id, group
+                    tags.update(segment.values().children[0].rows())
+                    yield segment
 
             return merge_round(self, watched())
 
-        monkeypatch.setattr(MessagePassingReducer, "reduce_groups", spy)
+        monkeypatch.setattr(MessagePassingReducer, "reduce_segments", spy)
         with LocalRuntime(spill_dir=tmp_path) as runtime:
             result = graph_infer(
                 model, ds.nodes, ds.edges, GraphInferConfig(task=task, **knobs),
@@ -1073,8 +1179,8 @@ class TestRecordsAsColumns:
         ]
         chunk = decode_columns(encode_block(rows))  # as a spill delivers them
         [block] = chunk.children[1].fields[3].blocks
-        [batch] = PartialReducer(sampler, InEdgeInfo).reduce_groups(
-            [((7, 2), Group([(chunk, 0, len(rows))]))]
+        [batch] = PartialReducer(sampler, InEdgeInfo).reduce_segments(
+            [column_segment(chunk, [0, len(rows)], [(7, 2)])]
         )
         assert batch.keys == [7]
         kept = batch.values.children[1].items.fields[3]
@@ -1091,8 +1197,14 @@ class TestRecordsAsColumns:
         routing = Routing(frozenset(), 4, ReceptiveField(None, 2), InEdgeInfo, NO_OUT_EDGES)
         own = SubgraphInfo.seed(7, np.zeros(5, np.float32))
         own = decode_columns(encode_block([("self", own)]))
-        [batch] = MergeReducer(sampler, 2, 2, routing).reduce_groups(
-            [(7, Group([(own, 0, 1), (chunk, 0, len(rows))]))]
+        [batch] = MergeReducer(sampler, 2, 2, routing).reduce_segments(
+            [Segment(
+                [own, chunk],
+                np.repeat([0, 1], [1, len(rows)]),
+                np.concatenate([[0], np.arange(len(rows))]),
+                np.array([0, 1 + len(rows)]),
+                np.array([7]),
+            )]
         )
         [(node, (tag, merged))] = batch.pairs()
         assert (node, tag) == (7, "final") and merged.num_nodes > 1

@@ -23,6 +23,7 @@ from repro.mapreduce import DistFileSystem, FaultPlan, LocalRuntime
 from repro.proto import decode_sample
 from repro.proto.framing import columnize, concat_columns, decode_columns, encode_columns
 
+from .helpers import column_segment, segment_of
 from .oracle import (
     DictSubgraph,
     assert_same_feature,
@@ -428,14 +429,12 @@ def endpoint_info(rng, universe: int, edge_dim: int) -> SubgraphInfo:
     return info
 
 
-def pair_groups(rng, ends, chunk: int):
+def pair_segments(rng, ends, chunk: int):
     """The pairing round's input as a shuffle delivers it: one group per
-    target edge, ``("end", role, info)`` rows in either role order, groups
-    cut out of shared chunks of ``chunk`` edges (columns built from the
-    rows, or decoded from a spilled chunk)."""
-    from repro.mapreduce.shuffle import Group
-
-    groups = []
+    target edge, ``("end", role, info)`` rows in either role order, one
+    segment per ``chunk`` edges (its column built from the rows, or decoded
+    from a spilled chunk)."""
+    segments = []
     for lo in range(0, len(ends), chunk):
         rows = []
         for src, dst in ends[lo : lo + chunk]:
@@ -444,9 +443,11 @@ def pair_groups(rng, ends, chunk: int):
         column = columnize(rows)
         if rng.random() < 0.5:
             column = decode_columns(encode_columns(column))
-        for k in range(len(rows) // 2):
-            groups.append((lo + k, Group([(column, 2 * k, 2 * k + 2)])))
-    return groups
+        count = len(rows) // 2
+        segments.append(
+            column_segment(column, np.arange(0, 2 * count + 1, 2), np.arange(lo, lo + count))
+        )
+    return segments
 
 
 class TestPairingRound:
@@ -471,7 +472,7 @@ class TestPairingRound:
         ]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pipeline, "MERGE_BATCH_BYTES", budget)
-            batches = list(PairReducer().reduce_groups(iter(pair_groups(rng, ends, chunk))))
+            batches = list(PairReducer().reduce_segments(iter(pair_segments(rng, ends, chunk))))
         assert len(batches) == (edges if budget == 1 else 1)
         pairs = [pair for batch in batches for pair in batch.pairs()]
         assert [key for key, _ in pairs] == list(range(edges))
@@ -480,18 +481,16 @@ class TestPairingRound:
             assert_same_feature(got, oracle_pair(src, dst))
 
     def test_a_missing_role_keeps_its_error(self):
-        from repro.mapreduce.shuffle import Group
-
         rng = np.random.default_rng(3)
         a, b = endpoint_info(rng, 10, 0), endpoint_info(rng, 10, 0)
-        groups = [
-            (0, Group.of([("end", 0, a), ("end", 1, b)])),
-            (1, Group.of([("end", 0, a), ("end", 0, b)])),
-        ]
+        segment = segment_of([
+            (0, [("end", 0, a), ("end", 1, b)]),
+            (1, [("end", 0, a), ("end", 0, b)]),
+        ])
         with pytest.raises(RuntimeError, match=r"target edge 1 expected one record per endpoint role, got roles \[0, 0\]"):
-            list(PairReducer().reduce_groups(iter(groups)))
+            list(PairReducer().reduce_segments(iter([segment])))
         with pytest.raises(RuntimeError, match=r"target edge 2 .* got roles \[1\]"):
-            list(PairReducer().reduce_groups(iter([(2, Group.of([("end", 1, b)]))])))
+            list(PairReducer().reduce_segments(iter([segment_of([(2, [("end", 1, b)])])])))
 
     def test_one_merge_per_buffer_and_no_per_endpoint_object(self, monkeypatch):
         """Mechanism pins: one ``merge_groups`` call per buffer (per final

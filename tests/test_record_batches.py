@@ -34,7 +34,6 @@ from repro.mapreduce import SpillLayout, SumCombiner, runtime
 from repro.mapreduce import shuffle, spill
 from repro.mapreduce.partition import Inline, int_key_partitions
 from repro.mapreduce.shuffle import (
-    Group,
     RecordBatch,
     default_partition,
     group_sorted,
@@ -46,7 +45,8 @@ from repro.mapreduce.shuffle import (
 )
 from repro.proto.framing import approx_nbytes, iter_frames, read_stream_header
 
-from .oracle import PairSpillWriter
+from .helpers import segment_of
+from .oracle import PairSpillWriter, key_table
 
 INT64 = (-(2**63), -(2**63) + 1, -1, 0, 1, 63, 64, -64, -65, 2**62, 2**63 - 2, 2**63 - 1)
 
@@ -95,7 +95,7 @@ def key_frames(root) -> list[list[list[bytes]]]:
     for path in sorted(root.iterdir()):
         with open(path, "rb") as fh:
             read_stream_header(fh)
-            runs.append([spill._decode_key_table(table)[0] for table, _ in iter_frames(fh)])
+            runs.append([key_table(table)[0] for table, _ in iter_frames(fh)])
     return runs
 
 
@@ -351,11 +351,13 @@ class TestEngineRowSizes:
     def test_partial_and_final_rows(self, features, in_record, infos):
         route = routing(in_record, features)
         rows = route.propagate([1, 2, 4], infos([1, 2, 4]), 1)
-        slices = [
-            (key, Group.of([value for k, value in rows.pairs() if k == key]))
+        slices = segment_of([
+            (key, [value for k, value in rows.pairs() if k == key])
             for key in sorted({k for k in rows.keys if type(k) is tuple})
-        ]
-        [partials] = PartialReducer(make_sampler("uniform", 8, 0), in_record).reduce_groups(slices)
+        ])
+        [partials] = PartialReducer(make_sampler("uniform", 8, 0), in_record).reduce_segments(
+            [slices]
+        )
         assert_sizes_are_approx_nbytes(partials)
 
         reducer = MessagePassingReducer(make_sampler("uniform", 8, 0), 2, 2, route)
@@ -368,6 +370,27 @@ def shuffle_suffix(src, dst):
     from repro.core.propagation import suffix
 
     return suffix(src, dst, 4)
+
+
+class TestEdgeFanout:
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=20),
+        st.lists(st.integers(-1, 8), max_size=10),
+    )
+    def test_a_node_fans_out_by_edge_index_then_role(self, pairs, nodes):
+        """The CSR's entries are the ``(edge_index, role)`` lists a loop
+        over the edges makes — by edge index, then role, a self-loop's node
+        holding both — fanned out node by node."""
+        listed: dict[int, list] = {}
+        for index, (src, dst) in enumerate(pairs):
+            listed.setdefault(src, []).append((index, 0))
+            listed.setdefault(dst, []).append((index, 1))
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        fanout = EdgeFanout.from_pairs(ends[:, 0], ends[:, 1])
+        owner, entry = fanout.of_nodes(np.asarray(nodes, dtype=np.int64))
+        assert list(zip(
+            owner.tolist(), fanout.edge_index[entry].tolist(), fanout.role[entry].tolist()
+        )) == [(i, *pair) for i, node in enumerate(nodes) for pair in listed.get(node, [])]
 
 
 class TestReceptiveFieldAtTheLastRound:

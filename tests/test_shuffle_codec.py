@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.graphflat.records import InEdgeInfo, SubgraphInfo
 from repro.core.infer.pipeline import _InEmb
 from repro.mapreduce.shuffle import decode_key, key_bytes
-from repro.mapreduce.spill import _CHUNK_BYTES, SpillLayout, _decode_key_table
+from repro.mapreduce.spill import _CHUNK_BYTES, SpillLayout
 from repro.proto.framing import (
     _RECORDS_BY_CLS,
     FrameCorruptionError,
@@ -45,7 +45,7 @@ from repro.proto.framing import (
     write_stream_header,
 )
 
-from .oracle import assert_same_subgraph, object_block, random_subgraph
+from .oracle import assert_same_subgraph, key_table, object_block, random_subgraph
 
 
 def round_trip(value):
@@ -522,7 +522,7 @@ def read_chunks(data: bytes):
     """``[(keys, counts)]`` of every chunk frame of one run file's bytes."""
     fh = io.BytesIO(data)
     read_stream_header(fh)
-    return [_decode_key_table(table) for table, _ in iter_frames(fh)]
+    return [key_table(table) for table, _ in iter_frames(fh)]
 
 
 # ids drawn below these force a chunk's int width: i1, i2, i4, i8
@@ -693,10 +693,10 @@ class TestChunkedRuns:
     def test_a_stream_holds_at_most_two_chunks_not_yet_yielded(self, tmp_path, monkeypatch):
         """The reader bound (``repro.mapreduce.spill``'s docstring) on 8
         runs of the same 64 keys, 3 values a chunk, read through
-        ``iter_groups``: a stream whose last key equals the merge bound
-        loads its next chunk before that key's pieces go out, so it holds
-        up to two chunks it has loaded but not fully yielded — never
-        more."""
+        ``iter_groups``: a stream whose last key equals the merge bound, or
+        that has had some of its one chunk released, loads its next chunk
+        before the rest of that chunk goes out, so it holds up to two
+        chunks it has loaded but not fully released — never more."""
         from repro.mapreduce import spill
 
         monkeypatch.setattr(spill, "_CHUNK_BYTES", 60)  # three 8-byte values and their groups
@@ -706,32 +706,37 @@ class TestChunkedRuns:
         chunks = read_chunks(layout.run_path(0, 0, 0).read_bytes())
         assert [sum(counts) for _, counts in chunks] == [3] * 21 + [1]
 
-        loaded = collections.defaultdict(list)  # stream -> pieces of each chunk it loaded
-        yielded = collections.Counter()  # stream -> pieces the merge yielded
+        streams: list = []
+        loaded = collections.defaultdict(list)  # stream -> the chunks it loaded
         held = []
 
         def open_chunks(stream: int) -> int:
-            done = int(np.searchsorted(np.cumsum(loaded[stream]), yielded[stream], "right"))
-            return len(loaded[stream]) - done
+            return sum(chunk.done < len(chunk) for chunk in loaded[stream])
 
-        iter_file, merge = SpillLayout._iter_file, spill._merge_chunks
+        iter_file, merge = SpillLayout._iter_file, spill._merge_windows
 
-        def counted_file(self, path, as_rows, number):
-            for pieces in iter_file(self, path, as_rows, number):
-                loaded[number].append(len(pieces))
-                held.append(open_chunks(number))
-                yield pieces
+        def counted_file(self, path):
+            number = len(streams)
+            streams.append(path)
 
-        def counted_merge(streams):
-            for piece in merge(streams):
-                yielded[piece[1]] += 1
+            def chunks():
+                for chunk in iter_file(self, path):
+                    loaded[number].append(chunk)
+                    held.append(open_chunks(number))
+                    yield chunk
+
+            return chunks()
+
+        def counted_merge(runs):
+            for segment in merge(runs):
                 held.append(max(map(open_chunks, loaded)))
-                yield piece
+                yield segment
 
         monkeypatch.setattr(SpillLayout, "_iter_file", counted_file)
-        monkeypatch.setattr(spill, "_merge_chunks", counted_merge)
+        monkeypatch.setattr(spill, "_merge_windows", counted_merge)
         groups = list(layout.iter_groups(0, 8))
         assert groups == [(key, list(range(8))) for key in range(64)]
+        assert len(streams) == 8 and sum(map(len, loaded.values())) == 8 * 22
         assert max(held) <= 2, held
 
     def hub_pairs(self, n=300):
@@ -818,9 +823,9 @@ class TestChunkedRuns:
             with pytest.raises(FrameCorruptionError, match="codec byte"):
                 list(layout.iter_groups(0, 1))
             with pytest.raises(FrameCorruptionError, match="codec byte"):
-                list(layout.iter_column_groups(0, 1))
+                list(layout.iter_segments(0, 1))
 
-    @pytest.mark.parametrize("reader", ["iter_groups", "iter_column_groups"])
+    @pytest.mark.parametrize("reader", ["iter_groups", "iter_segments"])
     @pytest.mark.parametrize("offset", range(6))
     def test_every_damaged_header_byte_is_frame_corruption(
         self, tmp_path, monkeypatch, offset, reader
