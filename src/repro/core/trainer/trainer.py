@@ -115,6 +115,9 @@ class GraphTrainer:
             self.optimizer = None
         self.history: list[dict] = []
         self._prefetch_pool = None
+        # Taken once: load_state_dict writes into these same parameters, so
+        # the list stays valid across PS pulls and checkpoint loads.
+        self._named_params = list(model.named_parameters())
 
     # ----------------------------------------------------------------- data
     @staticmethod
@@ -206,7 +209,8 @@ class GraphTrainer:
                     state = self.ps.pull()
                     if state is not None:
                         self.model.load_state_dict(state)
-                self.model.zero_grad()
+                for _, param in self._named_params:
+                    param.grad = None
                 logits = self._forward(batch)
                 loss = self._loss(logits, labels)
                 loss.backward()
@@ -214,7 +218,7 @@ class GraphTrainer:
                     self.ps.push(
                         {
                             name: p.grad
-                            for name, p in self.model.named_parameters()
+                            for name, p in self._named_params
                             if p.grad is not None
                         }
                     )

@@ -82,15 +82,13 @@ _POLL_S = 0.05
 _SHUT_DOWN = "cannot schedule new futures after shutdown"
 """What ``submit`` raises on an executor that was shut down."""
 
-_WORKER_PRELOAD = [
-    "numpy",
-    "repro.core.graphflat",
-    "repro.core.infer",
-    "repro.core.trainer",
-]
+_WORKER_PRELOAD = ["numpy", "repro.mapreduce.worker_preload"]
 """Modules the forkserver imports once, so pool workers fork with them
-loaded instead of each re-importing numpy and the pipelines (~0.2 s per
-worker — paid again by every pool, i.e. every job that owns its runtime)."""
+loaded instead of each loading numpy, the pipelines and the BLAS handle
+inside its first tasks (~0.2 s per worker — paid again by every pool,
+i.e. every job that owns its runtime): see
+:mod:`repro.mapreduce.worker_preload`.  numpy comes first and on its own,
+so a forkserver that cannot import ``repro`` still preloads it."""
 
 _FORKSERVER_START_LOCK = threading.Lock()
 

@@ -19,12 +19,13 @@ from repro.nn import init, ops
 from repro.nn.gnn.base import GNNLayer, GNNModel
 from repro.nn.gnn.block import EdgeBlock
 from repro.nn.module import Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, matmul
 from repro.utils.rng import new_rng
 
 __all__ = ["GraphSAGELayer", "GraphSAGEModel"]
 
 _AGGREGATORS = ("mean", "sum", "max")
+_ACTIVATIONS = (None, "relu", "elu")
 _COMBINES = ("add", "concat")
 
 
@@ -68,33 +69,62 @@ class GraphSAGELayer(GNNLayer):
             "activation": self.activation,
         }
 
-    def _activate(self, x: Tensor) -> Tensor:
-        if self.activation is None:
-            return x
-        if self.activation == "relu":
-            return ops.relu(x)
-        if self.activation == "elu":
-            return ops.elu(x)
-        raise ValueError(f"unsupported activation {self.activation!r}")
-
     # ---------------------------------------------------------------- batch
     def forward(self, h: Tensor, block: EdgeBlock) -> Tensor:
-        messages = ops.gather_rows(h, block.src)
-        n, offsets = block.num_nodes, block.kernel_offsets
-        if self.aggregator == "mean":
-            agg = ops.segment_mean(messages, block.dst, n, row_offsets=offsets)
-        elif self.aggregator == "sum":
-            agg = ops.segment_sum(messages, block.dst, n, row_offsets=offsets)
-        else:  # max
-            agg = ops.segment_max(messages, block.dst, block.num_nodes)
-        self_part = h @ self.w_self
-        neigh_part = agg @ self.w_neigh
+        """One tape node: ``act(h W_self + AGG(h) W_neigh + b)`` (or the two
+        halves concatenated), with a hand-written backward that computes,
+        array for array, what the tape of its elementary ops computed."""
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"unsupported activation {self.activation!r}")
+        kernel = ops.ACTIVATION_KERNELS[self.activation]
+        x, src, dst, n = h.data, block.src, block.dst, block.num_nodes
+        w_self, w_neigh, bias = self.w_self, self.w_neigh, self.bias
+        messages = x[src]
+        if self.aggregator == "max":
+            agg = ops.segment_max_array(messages, dst, n)
+        else:
+            agg = ops.segment_sum_array(messages, dst, n, block.kernel_offsets)
+            if self.aggregator == "mean":
+                counts = ops.segment_counts(dst, n, agg.ndim)
+                agg = agg / counts
+        self_part = matmul(x, w_self.data)
+        neigh_part = matmul(agg, w_neigh.data)
         if self.combine == "add":
-            return self._activate(self_part + neigh_part + self.bias)
-        return ops.concat(
-            [self._activate(self_part + self.bias), self._activate(neigh_part + self.bias)],
-            axis=-1,
-        )
+            out, grad_of = kernel(self_part + neigh_part + bias.data)
+        else:
+            out_self, grad_of_self = kernel(self_part + bias.data)
+            out_neigh, grad_of_neigh = kernel(neigh_part + bias.data)
+            out = np.concatenate([out_self, out_neigh], axis=-1)
+            d = self.out_dim_
+
+        def backward(grad):
+            if self.combine == "add":
+                g_self = g_neigh = grad_of(grad)
+                g_bias = g_self.sum(axis=0)
+            else:
+                g_self = grad_of_self(np.ascontiguousarray(grad[:, :d]))
+                g_neigh = grad_of_neigh(np.ascontiguousarray(grad[:, d:]))
+                g_bias = g_self.sum(axis=0) + g_neigh.sum(axis=0)
+            if bias.requires_grad:
+                bias._accumulate_owned(g_bias)
+            if w_self.requires_grad:
+                w_self._accumulate_owned(x.T @ g_self)
+            if w_neigh.requires_grad:
+                w_neigh._accumulate_owned(agg.T @ g_neigh)
+            if not h.requires_grad:
+                return
+            g_agg = g_neigh @ w_neigh.data.T
+            if self.aggregator == "max":
+                g_messages = ops.segment_max_grad(g_agg, messages, agg, dst, n)
+            elif self.aggregator == "mean":
+                g_messages = (g_agg / counts)[dst]
+            else:
+                g_messages = g_agg[dst]
+            g_h = ops.scatter_sum(g_messages, src, len(x))
+            g_h += g_self @ w_self.data.T
+            h._accumulate_owned(g_h)
+
+        return Tensor._make(out, (h, w_self, w_neigh, bias), backward)
 
 
 class GraphSAGEModel(GNNModel):

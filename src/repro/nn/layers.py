@@ -6,19 +6,10 @@ import numpy as np
 
 from repro.nn import init, ops
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, matmul
 from repro.utils.rng import new_rng
 
 __all__ = ["Dense", "Dropout"]
-
-_ACTIVATIONS = {
-    None: lambda x: x,
-    "relu": ops.relu,
-    "elu": ops.elu,
-    "tanh": ops.tanh,
-    "sigmoid": ops.sigmoid,
-    "leaky_relu": ops.leaky_relu,
-}
 
 
 class Dense(Module):
@@ -37,7 +28,7 @@ class Dense(Module):
         seed: int | np.random.Generator | None = None,
     ):
         super().__init__()
-        if activation not in _ACTIVATIONS:
+        if activation not in ops.ACTIVATION_KERNELS:
             raise ValueError(f"unknown activation {activation!r}")
         rng = new_rng(seed)
         self.in_dim = in_dim
@@ -47,10 +38,27 @@ class Dense(Module):
         self.bias = Parameter(init.zeros(out_dim), name="bias") if use_bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return _ACTIVATIONS[self.activation](out)
+        """One tape node, with a hand-written backward that computes, array
+        for array, what the tape of its elementary ops computed."""
+        if x.data.ndim != 2:
+            raise ValueError(f"Dense expects a 2-D input, got {x.data.shape}")
+        weight, bias = self.weight, self.bias
+        out = matmul(x.data, weight.data)
+        if bias is not None:
+            out = out + bias.data
+        out, grad_of = ops.ACTIVATION_KERNELS[self.activation](out)
+
+        def backward(grad):
+            g = grad_of(grad)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate_owned(g.sum(axis=0))
+            if weight.requires_grad:
+                weight._accumulate_owned(x.data.T @ g)
+            if x.requires_grad:
+                x._accumulate_owned(g @ weight.data.T)
+
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        return Tensor._make(out, parents, backward)
 
 
 class Dropout(Module):

@@ -15,6 +15,8 @@ a segment sum is a gather).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.tensor import Tensor, unbroadcast
@@ -29,6 +31,7 @@ __all__ = [
     "elu",
     "sigmoid",
     "tanh",
+    "ACTIVATION_KERNELS",
     "softmax",
     "log_softmax",
     "dropout",
@@ -36,8 +39,12 @@ __all__ = [
     "concat",
     "gather_rows",
     "segment_sum",
+    "segment_sum_array",
+    "segment_counts",
     "segment_mean",
     "segment_max",
+    "segment_max_array",
+    "segment_max_grad",
     "segment_softmax",
     "SEGMENT_ROWS",
     "reduceat_sum",
@@ -87,56 +94,81 @@ def clip(x: Tensor, low: float, high: float) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = (x.data > 0).astype(np.float32)
+# -------------------------------------------------------------- activations
+# An activation kernel maps an array to ``(out, grad_of)``: its output, and
+# the function that turns the output's gradient into the input's.  The ops
+# below wrap one in a tape node; the one-node layer blocks (GraphSAGE, the
+# dense head) call it on arrays inside their own node.
+def _identity_kernel(x: np.ndarray):
+    return x, lambda grad: grad
+
+
+def _relu_kernel(x: np.ndarray):
+    mask = (x > 0).astype(np.float32)
+    return x * mask, lambda grad: grad * mask
+
+
+def _leaky_relu_kernel(x: np.ndarray, negative_slope: float = 0.2):
+    scale = np.where(x > 0, np.float32(1.0), np.float32(negative_slope))
+    return x * scale, lambda grad: grad * scale
+
+
+def _elu_kernel(x: np.ndarray, alpha: float = 1.0):
+    neg = alpha * (np.exp(np.minimum(x, 0.0)) - 1.0)
+    out = np.where(x > 0, x, neg).astype(np.float32)
+    deriv = np.where(x > 0, np.float32(1.0), (neg + alpha).astype(np.float32))
+    return out, lambda grad: grad * deriv
+
+
+def _sigmoid_kernel(x: np.ndarray):
+    out = 1.0 / (1.0 + np.exp(-x))
+    return out.astype(np.float32), lambda grad: grad * out * (1.0 - out)
+
+
+def _tanh_kernel(x: np.ndarray):
+    out = np.tanh(x)
+    return out, lambda grad: grad * (1.0 - out**2)
+
+
+ACTIVATION_KERNELS = {
+    None: _identity_kernel,
+    "relu": _relu_kernel,
+    "elu": _elu_kernel,
+    "tanh": _tanh_kernel,
+    "sigmoid": _sigmoid_kernel,
+    "leaky_relu": _leaky_relu_kernel,
+}
+"""Activation name (as model configs spell it) -> array kernel."""
+
+
+def _pointwise(x: Tensor, kernel) -> Tensor:
+    out_data, grad_of = kernel(x.data)
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(grad * mask)
+            x._accumulate(grad_of(grad))
 
-    return Tensor._make(x.data * mask, (x,), backward)
+    return Tensor._make(out_data, (x,), backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    return _pointwise(x, _relu_kernel)
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    scale = np.where(x.data > 0, np.float32(1.0), np.float32(negative_slope))
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * scale)
-
-    return Tensor._make(x.data * scale, (x,), backward)
+    return _pointwise(x, lambda data: _leaky_relu_kernel(data, negative_slope))
 
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    neg = alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0)
-    out_data = np.where(x.data > 0, x.data, neg).astype(np.float32)
-    deriv = np.where(x.data > 0, np.float32(1.0), (neg + alpha).astype(np.float32))
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * deriv)
-
-    return Tensor._make(out_data, (x,), backward)
+    return _pointwise(x, lambda data: _elu_kernel(data, alpha))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * out_data * (1.0 - out_data))
-
-    return Tensor._make(out_data.astype(np.float32), (x,), backward)
+    return _pointwise(x, _sigmoid_kernel)
 
 
 def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * (1.0 - out_data**2))
-
-    return Tensor._make(out_data, (x,), backward)
+    return _pointwise(x, _tanh_kernel)
 
 
 # ------------------------------------------------------------------ softmax
@@ -218,15 +250,15 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
 # -------------------------------------------------------------- graph ops --
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows ``x[indices]`` (axis 0); grad scatters back with ``add.at``."""
+    """Select rows ``x[indices]`` (axis 0); grad scatters back with
+    :func:`scatter_sum`."""
     indices = np.asarray(indices, dtype=np.int64)
     out_data = x.data[indices]
 
     def backward(grad):
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, indices, grad)
-            x._accumulate(gx)
+            rows = grad.reshape((indices.size,) + x.data.shape[1:])
+            x._accumulate_owned(scatter_sum(rows, indices.reshape(-1), len(x.data)))
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -241,11 +273,25 @@ destination row ends, and ``reduceat`` sums each row in edge order either
 way.  Measured single-threaded on a 2-vCPU Xeon VM (2 MiB L2 per core)."""
 
 
+def _scatter_rows(ufunc: np.ufunc, out: np.ndarray, row_ids: np.ndarray, values: np.ndarray):
+    """``ufunc.at(out, row_ids, values)`` for 1-D ``row_ids`` and ``values``
+    aligned with them, run over flat views with one index per element.
+    Each element still takes its values in ``row_ids`` order, so ``out``
+    gets the bits of the row-wise call; but numpy's ``ufunc.at`` has a fast
+    path for one flat index that the row-wise call misses (59 µs against
+    228 µs for 1 390 rows of 16 on a 2-vCPU Xeon VM)."""
+    width = math.prod(out.shape[1:])
+    flat = (row_ids[:, None] * width + np.arange(width)).reshape(-1)
+    ufunc.at(out.reshape(-1), flat, values.reshape(-1))
+
+
 def scatter_sum(values: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
     """Segment-sum forward by unbuffered ``np.add.at`` scatter, for segment
-    ids in any order: AGL_base's aggregation in Table 4, and GraphInfer's."""
+    ids in any order: AGL_base's aggregation in Table 4, and GraphInfer's;
+    also every gather's backward.  A segment sums its rows in id order,
+    starting from zero."""
     out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
-    np.add.at(out, segment_ids, values)
+    _scatter_rows(np.add, out, segment_ids, values)
     return out
 
 
@@ -271,6 +317,30 @@ def reduceat_sum(
     return out
 
 
+def segment_sum_array(
+    values: np.ndarray,
+    segment_ids: np.ndarray,
+    num_segments: int,
+    row_offsets: np.ndarray | None = None,
+) -> np.ndarray:
+    """The forward of :func:`segment_sum` on arrays (``segment_ids`` int64)."""
+    if segment_ids.ndim != 1 or len(segment_ids) != values.shape[0]:
+        raise ValueError("segment_ids must be 1-D and aligned with values rows")
+    if row_offsets is None:
+        if len(segment_ids) and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
+            raise ValueError("segment id out of range")
+        return scatter_sum(values, segment_ids, num_segments)
+    if row_offsets[-1] != len(segment_ids):
+        raise ValueError(
+            f"row_offsets end at {row_offsets[-1]}, not at these "
+            f"{len(segment_ids)} segment ids: they belong to another block"
+        )
+    row_ids = segment_ids[row_offsets[:-1]]
+    if len(row_ids) and (row_ids[0] < 0 or row_ids[-1] >= num_segments):
+        raise ValueError("segment id out of range")
+    return reduceat_sum(values, row_offsets, row_ids, num_segments)
+
+
 def segment_sum(
     values: Tensor,
     segment_ids: np.ndarray,
@@ -287,28 +357,20 @@ def segment_sum(
     ``grad[segment_ids]`` (a gather).
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if segment_ids.ndim != 1 or len(segment_ids) != values.data.shape[0]:
-        raise ValueError("segment_ids must be 1-D and aligned with values rows")
-    if row_offsets is None:
-        if len(segment_ids) and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
-            raise ValueError("segment id out of range")
-        out_data = scatter_sum(values.data, segment_ids, num_segments)
-    else:
-        if row_offsets[-1] != len(segment_ids):
-            raise ValueError(
-                f"row_offsets end at {row_offsets[-1]}, not at these "
-                f"{len(segment_ids)} segment ids: they belong to another block"
-            )
-        row_ids = segment_ids[row_offsets[:-1]]
-        if len(row_ids) and (row_ids[0] < 0 or row_ids[-1] >= num_segments):
-            raise ValueError("segment id out of range")
-        out_data = reduceat_sum(values.data, row_offsets, row_ids, num_segments)
+    out_data = segment_sum_array(values.data, segment_ids, num_segments, row_offsets)
 
     def backward(grad):
         if values.requires_grad:
             values._accumulate(grad[segment_ids])
 
     return Tensor._make(out_data, (values,), backward)
+
+
+def segment_counts(segment_ids: np.ndarray, num_segments: int, ndim: int) -> np.ndarray:
+    """Rows per segment as float32, clamped to 1 (an empty segment's average
+    is zero), shaped to divide a ``ndim``-D segment sum."""
+    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float32)
+    return np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (ndim - 1))
 
 
 def segment_mean(
@@ -322,10 +384,38 @@ def segment_mean(
     The sum is divided by the count (not multiplied by its reciprocal), as
     ``np.mean`` does: a node's average has the bits of the mean of its rows."""
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float32)
-    counts = np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (values.data.ndim - 1))
+    counts = segment_counts(segment_ids, num_segments, values.data.ndim)
     total = segment_sum(values, segment_ids, num_segments, row_offsets)
     return total / Tensor(counts)
+
+
+def segment_max_array(
+    values: np.ndarray, segment_ids: np.ndarray, num_segments: int
+) -> np.ndarray:
+    """The forward of :func:`segment_max` on arrays (``segment_ids`` int64)."""
+    out = np.full((num_segments,) + values.shape[1:], -np.inf, dtype=np.float32)
+    _scatter_rows(np.maximum, out, segment_ids, values)
+    empty = ~np.isin(np.arange(num_segments), segment_ids)
+    if empty.any():
+        out[empty] = 0.0
+    return out
+
+
+def segment_max_grad(
+    grad: np.ndarray,
+    values: np.ndarray,
+    out: np.ndarray,
+    segment_ids: np.ndarray,
+    num_segments: int,
+) -> np.ndarray:
+    """The gradient of ``values`` under ``out = segment_max_array(values,
+    ...)``: each segment's gradient goes to the rows that reach its max,
+    split equally between exact ties."""
+    winners = (values == out[segment_ids]).astype(np.float32)
+    # Split gradient across ties so total gradient mass is preserved.
+    tie_count = scatter_sum(winners, segment_ids, num_segments)
+    tie_count = np.maximum(tie_count, 1.0)
+    return grad[segment_ids] * winners / tie_count[segment_ids]
 
 
 def segment_max(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -336,21 +426,13 @@ def segment_max(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     continuous activations, so this choice is invisible in practice).
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    tail = values.data.shape[1:]
-    out_data = np.full((num_segments,) + tail, -np.inf, dtype=np.float32)
-    np.maximum.at(out_data, segment_ids, values.data)
-    empty = ~np.isin(np.arange(num_segments), segment_ids)
-    if empty.any():
-        out_data[empty] = 0.0
+    out_data = segment_max_array(values.data, segment_ids, num_segments)
 
     def backward(grad):
-        if not values.requires_grad:
-            return
-        winners = (values.data == out_data[segment_ids]).astype(np.float32)
-        # Split gradient across ties so total gradient mass is preserved.
-        tie_count = scatter_sum(winners, segment_ids, num_segments)
-        tie_count = np.maximum(tie_count, 1.0)
-        values._accumulate(grad[segment_ids] * winners / tie_count[segment_ids])
+        if values.requires_grad:
+            values._accumulate(
+                segment_max_grad(grad, values.data, out_data, segment_ids, num_segments)
+            )
 
     return Tensor._make(out_data, (values,), backward)
 

@@ -19,6 +19,26 @@ Design choices (kept deliberately boring):
   (:func:`matmul`), so a row's bits never depend on which other rows share
   its batch — the property that lets GraphInfer batch its merges and still
   give every node the bits a one-sample batch gives it.
+
+Composite ops and one-node blocks.  The ops of :mod:`repro.nn.ops` and the
+arithmetic here are *composite*: a model built from them records a node
+per op, and each node costs an object, a closure, a visit of the
+topological sort and a copy of its gradient — on GNN batches of a few
+hundred rows, more than the arithmetic.  The blocks a training step runs
+on every batch — ``GraphSAGELayer``, ``Dense``, the link-prediction
+readout and both losses — each record **one** node instead, over plain
+arrays, with a hand-written backward.  The rule for such a block: it
+computes, array for array, the values the composite tape of its
+elementary ops would, with the same numpy expressions, so every loss and
+every parameter keeps its bits (``tests/test_golden_trajectories.py`` pins
+them against digests recorded on the composite tape).  Float addition is
+commutative but not associative, so where an array receives gradient from
+several uses, the block sums the contributions in the order the tape's
+reverse sweep accumulated them: for two contributions any order gives the
+same bits; from three on, the order is read off the composite tape and
+pinned on large random batches (the BCE logits take four).  A block hands
+its fresh gradient arrays to :meth:`Tensor._accumulate_owned`, which keeps
+the first one instead of copying it.
 """
 
 from __future__ import annotations
@@ -122,6 +142,14 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = grad.astype(np.float32, copy=True)
+        else:
+            self.grad += grad
+
+    def _accumulate_owned(self, grad: np.ndarray) -> None:
+        """:meth:`_accumulate` for a float32 array made for this call alone
+        (a one-node block's backward): the first one is kept, not copied."""
+        if self.grad is None:
+            self.grad = grad
         else:
             self.grad += grad
 

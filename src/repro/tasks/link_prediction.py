@@ -69,11 +69,22 @@ class LinkPrediction(Task):
         )
 
     def readout(self, h_targets, pair_index, head):
-        from repro.nn import ops
+        """``<h_u, h_v>`` per pair as one tape node, with a hand-written
+        backward that computes, array for array, what the tape of its
+        elementary ops computed."""
+        from repro.nn import Tensor, ops
 
-        h_src = ops.gather_rows(h_targets, pair_index[:, 0])
-        h_dst = ops.gather_rows(h_targets, pair_index[:, 1])
-        return (h_src * h_dst).sum(axis=1)
+        h = h_targets.data
+        src, dst = pair_index[:, 0], pair_index[:, 1]
+        h_src, h_dst = h[src], h[dst]
+
+        def backward(grad):
+            g = grad[:, None]
+            g_h = ops.scatter_sum(g * h_dst, src, len(h))
+            g_h += ops.scatter_sum(g * h_src, dst, len(h))
+            h_targets._accumulate_owned(g_h)
+
+        return Tensor._make((h_src * h_dst).sum(axis=1), (h_targets,), backward)
 
     def loss(self, logits, labels):
         from repro.nn import bce_with_logits_loss

@@ -279,6 +279,43 @@ class TestWarmWorkerStart:
         loaded = ["numpy", "repro.core.infer"]
         assert proc.stdout.strip() == str([(1, loaded), (2, loaded)])
 
+    def test_jobs_load_nothing_into_a_fresh_worker(self):
+        """Whatever a pipeline's tasks would load lazily — ``numpy.ma``
+        (``np.unique``), ``numpy.random`` (a sampler draw), a pipeline
+        module — the forkserver loaded before the worker forked: GraphFlat
+        and GraphInfer, node- and edge-level, add no module to it."""
+        from repro.core.graphflat import GraphFlatConfig, graph_flat
+        from repro.core.infer import GraphInferConfig, graph_infer
+        from repro.datasets import labeled_edges_like, uug_like
+        from repro.nn.gnn import GraphSAGEModel
+
+        def worker_modules(runtime):
+            pool, _ = runtime._backend._pool_handle()
+            probe = "(__import__('os').getpid(), sorted(__import__('sys').modules))"
+            return pool.submit(eval, probe).result()
+
+        ds = uug_like(seed=2, num_nodes=120, avg_degree=4, feature_dim=6, num_hubs=1,
+                      hub_degree=20)
+        nodes, edges = labeled_edges_like(seed=2, num_nodes=80, num_edges=300,
+                                          feature_dim=6)
+        with LocalRuntime("processes", max_workers=1) as runtime:
+            pid, before = worker_modules(runtime)
+            graph_flat(ds.nodes, ds.edges, ds.train_ids,
+                       GraphFlatConfig(hops=2, max_neighbors=5, hub_threshold=10),
+                       runtime=runtime)
+            graph_flat(nodes, edges, config=GraphFlatConfig(
+                hops=2, max_neighbors=5, task="link_prediction", edge_targets=20,
+            ), runtime=runtime)
+            graph_infer(GraphSAGEModel(6, 8, 3, num_layers=2, seed=0), ds.nodes,
+                        ds.edges, GraphInferConfig(max_neighbors=5), runtime=runtime)
+            graph_infer(GraphSAGEModel(6, 8, 2, num_layers=2, seed=0), nodes, edges,
+                        GraphInferConfig(max_neighbors=5, task="link_prediction"),
+                        runtime=runtime)
+            assert runtime.round_stats  # the jobs ran on this pool
+            after_pid, after = worker_modules(runtime)
+        assert after_pid == pid
+        assert sorted(set(after) - set(before)) == []
+
     def test_failed_warm_up_degrades_silently(self, monkeypatch):
         from multiprocessing import forkserver
 
@@ -323,6 +360,43 @@ def run_guardless_script(tmp_path):
     )
 
 
+_STRANDING_SCRIPT = """
+import os, sys
+sys.path.insert(0, {src!r})
+from repro.mapreduce import LocalRuntime
+
+runtime = LocalRuntime("processes", max_workers=1)
+print(runtime._spill_root(), flush=True)  # makes its temp spill session
+sys.stdin.read()  # lives until told to die
+os._exit(0)  # without closing the runtime: the session stays
+"""
+
+
+def strand_spill_sessions(tmp_path, count: int) -> list[Path]:
+    """Run :data:`_STRANDING_SCRIPT` in ``count`` processes at once, with
+    ``tmp_path`` as their temp dir (all live while each makes its session,
+    so none sweeps another's); returns the sessions they left behind."""
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = tmp_path / "strand.py"
+    script.write_text(_STRANDING_SCRIPT.format(src=str(src)))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, str(script)], cwd=tmp_path,
+            env={**os.environ, "TMPDIR": str(tmp_path)},
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        for _ in range(count)
+    ]
+    sessions = [Path(proc.stdout.readline().strip()) for proc in procs]
+    for proc in procs:
+        proc.communicate(timeout=60)
+        assert proc.returncode == 0
+    return sessions
+
+
 def _session_owner_alive(session: Path) -> bool:
     """Whether the process a ``mr<pid>.h<hosttag>.<token>`` session names
     still exists."""
@@ -349,18 +423,17 @@ class TestPoolFailures:
         assert 'if __name__ == "__main__":' in last, proc.stderr[-3000:]
         assert last.startswith("repro.mapreduce.job.JobFailedError"), last
 
-    def test_the_spill_sessions_its_workers_strand_are_swept(self, tmp_path, monkeypatch):
-        """The guard-less script's workers each start a spilling runtime and
-        die without closing it, stranding their sessions under
+    def test_the_spill_sessions_dead_runtimes_strand_are_swept(self, tmp_path, monkeypatch):
+        """Two processes each open a spilling runtime and die without
+        closing it, stranding their sessions under
         ``<tempdir>/repro-mr-spill-<uid>/``; the next spilling runtime on
         that temp dir reaps every session whose pid is dead."""
         import tempfile
         import time
 
-        assert run_guardless_script(tmp_path).returncode != 0
+        stranded = strand_spill_sessions(tmp_path, 2)
         root = tmp_path / f"repro-mr-spill-{os.getuid()}"
-        stranded = list(root.iterdir())
-        assert stranded, "the script's workers left no session to sweep"
+        assert sorted(root.iterdir()) == sorted(stranded)
         deadline = time.monotonic() + 30
         while any(map(_session_owner_alive, stranded)):
             assert time.monotonic() < deadline, "a stranded session's owner lives on"
