@@ -140,6 +140,7 @@ def run_graphflat(args) -> dict:
                 ds.nodes, ds.edges, targets, config, fs=fs, dataset_name="flat"
             )
         wall = time.perf_counter() - start
+        largest_shard = max(path.stat().st_size for path in fs.shards("flat"))
     return {
         "wall_s": wall,
         "records": result.num_targets,
@@ -154,6 +155,9 @@ def run_graphflat(args) -> dict:
         # frames and one I/O buffer per run file a reducer merges
         "reader_bound_mib": run_files[0] * (2 * _CHUNK_BYTES + _IO_BUFFER_BYTES) / 2**20,
         "rss_workers_mib": workers.mib,
+        # what one final-round reducer wrote: the worker peak above holds
+        # that task's whole partition, so the two read as Finding M's ratio
+        "largest_shard_mib": largest_shard / 2**20,
         **_rss_mib(),
     }
 

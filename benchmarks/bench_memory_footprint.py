@@ -131,7 +131,9 @@ def bench_dataflow_memory_grid(benchmark):
     (``files x (_CHUNK_BYTES + _IO_BUFFER_BYTES)``, ``mapreduce/spill.py``);
     ``rss`` is the parent's peak resident set and ``rss-wkr`` the highest
     peak of any pool worker (sampled from ``/proc``), the side the bound
-    is about — each worker's whole interpreter, not its spill reads alone."""
+    is about — each worker's whole interpreter, not its spill reads alone;
+    ``shard`` is the largest shard a final-round reducer wrote, which that
+    reducer holds while it writes it."""
 
     def run_grid():
         return [(stage, opts, _run_cell(stage, **opts)) for stage, opts in GRID]
@@ -142,7 +144,8 @@ def bench_dataflow_memory_grid(benchmark):
         "Dataflow memory grid (fresh interpreter per cell; processes backend):",
         "",
         f"  {'stage':<10} {'cell':<22} {'wall':>8} {'records':>8} "
-        f"{'spill':>10} {'peak-red':>9} {'files':>6} {'bound':>8} {'rss':>9} {'rss-wkr':>9}",
+        f"{'spill':>10} {'peak-red':>9} {'files':>6} {'bound':>8} {'rss':>9} {'rss-wkr':>9} "
+        f"{'shard':>9}",
     ]
     for stage, opts, cell in cells:
         tag = " ".join(f"{k}={v}" for k, v in opts.items())
@@ -150,6 +153,7 @@ def bench_dataflow_memory_grid(benchmark):
         peak = cell.get("peak_reducer_buffer_mib")
         files = cell.get("run_files")
         bound = cell.get("reader_bound_mib")
+        shard = cell.get("largest_shard_mib")
         lines.append(
             f"  {stage:<10} {tag:<22} {cell['wall_s']:7.2f}s "
             f"{cell['records']:8d} "
@@ -157,7 +161,8 @@ def bench_dataflow_memory_grid(benchmark):
             f"{(f'{peak:7.2f}M' if peak is not None else '      -')} "
             f"{(f'{files:6d}' if files is not None else '     -')} "
             f"{(f'{bound:7.2f}M' if bound is not None else '       -')} "
-            f"{cell['rss_self_mib']:7.1f}M {cell['rss_workers_mib']:7.1f}M"
+            f"{cell['rss_self_mib']:7.1f}M {cell['rss_workers_mib']:7.1f}M "
+            f"{(f'{shard:7.1f}M' if shard is not None else '       -')}"
         )
     flats = [c for s, _, c in cells if s == "graphflat"]
     if len(flats) >= 3:

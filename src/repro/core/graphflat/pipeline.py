@@ -8,9 +8,10 @@ with *subgraphs* as the self information.
   kernel (:class:`MergeReducer`).
 * **Pairing** (edge-level tasks): one extra round joins the two endpoint
   neighborhoods of every target edge (:class:`PairReducer`).
-* **Storing**: final self informations of the target nodes are flattened
-  (``repro.proto``) and written to the DFS, one columnar shard per
-  final-round reducer (:class:`SampleStore`).
+* **Storing**: the final round hands its store each batch of target
+  neighborhoods flattened as stacked arrays, which go to the DFS as they
+  are, one columnar shard per final-round reducer (:class:`SampleStore`) —
+  no sample is split out as an object on the way.
 
 Everything about the rounds themselves — the in-degree count hub detection
 needs, keys, gates, re-indexing, placement, who writes the shards — is the
@@ -19,7 +20,7 @@ engine's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,14 +40,14 @@ from repro.core.propagation import (
     merge_batch_cuts,
     run_dataflow,
 )
-from repro.graph.subgraph import GraphFeature, merge_groups
+from repro.graph.subgraph import StackedFeatures, merge_groups
 from repro.graph.tables import EdgeTable, NodeTable
 from repro.mapreduce.fs import DistFileSystem
 from repro.mapreduce.runtime import LocalRuntime, RunStats
-from repro.mapreduce.shuffle import RecordBatch, record_sizes
+from repro.mapreduce.shuffle import RecordBatch
 from repro.mapreduce.spill import MERGE_BATCH_BYTES
 from repro.proto.codec import encode_sample
-from repro.proto.columnar import write_sample_shard
+from repro.proto.columnar import write_stacked_shard
 from repro.proto.framing import Column, concat_columns
 from repro.tasks import make_task
 
@@ -205,24 +206,19 @@ def graph_flat(
             fs=fs,
             dataset_name=dataset_name,
         )
-        summaries, samples = out.summaries, None
-        if out.data is not None:
-            samples, n_nodes, n_edges = store.encode(out.data)
-            summaries = [(len(samples), n_nodes, n_edges)]
+        samples = None
+        if fs is None:
+            samples = [record for records, _, _ in out.parts for record in records]
         return GraphFlatResult(
-            num_targets=sum(count for count, _, _ in summaries),
+            num_targets=sum(len(n_nodes) for _, n_nodes, _ in out.parts),
             hops=config.hops,
             task=config.task,
             dataset=None if fs is None else dataset_name,
             samples=samples,
             hub_nodes=sorted(out.hubs),
             round_stats=out.round_stats,
-            neighborhood_nodes=np.asarray(
-                [n for _, n_nodes, _ in summaries for n in n_nodes], dtype=np.int64
-            ),
-            neighborhood_edges=np.asarray(
-                [n for _, _, n_edges in summaries for n in n_edges], dtype=np.int64
-            ),
+            neighborhood_nodes=np.concatenate([n_nodes for _, n_nodes, _ in out.parts]),
+            neighborhood_edges=np.concatenate([n_edges for _, _, n_edges in out.parts]),
             receptive_nodes=(in_field, len(nodes)),
             propagations=(needed.propagations(dst), config.hops * len(dst)),
         )
@@ -248,13 +244,13 @@ class _LabelTable:
         order = np.argsort(ids, kind="stable")
         return cls(ids[order], np.asarray(nodes.labels)[order])
 
-    def __call__(self, node_id: int):
+    def of(self, node_ids: np.ndarray) -> np.ndarray | None:
+        """The labels of ``node_ids``: an int64 vector, a float32 matrix
+        (multi-label rows), or ``None`` for an unlabeled table."""
         if self.values is None:
             return None
-        label = self.values[int(np.searchsorted(self.ids, node_id))]
-        if np.ndim(label) == 0:
-            return int(label)
-        return np.asarray(label, dtype=np.float32)
+        labels = self.values[np.searchsorted(self.ids, node_ids)]
+        return labels.astype(np.int64 if labels.ndim == 1 else np.float32)
 
 
 @dataclass(frozen=True)
@@ -264,82 +260,81 @@ class _EdgeLabelTable:
 
     values: np.ndarray
 
-    def __call__(self, edge_index: int) -> int:
-        return int(self.values[int(edge_index)])
+    def of(self, edge_indices: np.ndarray) -> np.ndarray:
+        return self.values[edge_indices].astype(np.int64)
 
 
 @dataclass(frozen=True)
 class _TypeTable:
-    """Picklable node/edge type lookup for heterogeneous tables.
+    """Picklable node/edge type lookup for heterogeneous tables, as sorted
+    arrays: node ids and their types; edges as ``(src rank, dst rank)``
+    keys packed into one int64 over the sorted ``edge_ids`` and their
+    types.
 
     Types ride *outside* the MapReduce rounds: the shuffled SubgraphInfo
     records stay exactly as they were (byte-identical spills), and types
-    are attached to the flattened GraphFeatures at the storage boundary
-    (:class:`SampleStore`)."""
+    are attached to the final round's stacked samples at the storage
+    boundary (:class:`SampleStore`) — one lookup per column per batch."""
 
-    node_types: dict[int, int] | None
-    edge_types: dict[tuple[int, int], int] | None
+    node_ids: np.ndarray | None
+    node_types: np.ndarray | None
+    edge_ids: np.ndarray | None
+    edge_keys: np.ndarray | None
+    edge_types: np.ndarray | None
 
     @classmethod
     def from_tables(cls, nodes: NodeTable, edges: EdgeTable) -> "_TypeTable | None":
+        """``edges`` is coalesced: one type per ``(src, dst)``."""
         if nodes.types is None and edges.types is None:
             return None
-        node_types = None
+        node_ids = node_types = edge_ids = edge_keys = edge_types = None
         if nodes.types is not None:
-            node_types = {
-                int(i): int(t) for i, t in zip(nodes.ids.tolist(), nodes.types.tolist())
-            }
-        edge_types = None
+            ids = np.asarray(nodes.ids, dtype=np.int64)
+            order = np.argsort(ids, kind="stable")
+            node_ids, node_types = ids[order], np.asarray(nodes.types, dtype=np.int64)[order]
         if edges.types is not None:
-            edge_types = {
-                (int(s), int(d)): int(t)
-                for s, d, t in zip(
-                    edges.src.tolist(), edges.dst.tolist(), edges.types.tolist()
-                )
-            }
-        return cls(node_types, edge_types)
+            src = np.asarray(edges.src, dtype=np.int64)
+            dst = np.asarray(edges.dst, dtype=np.int64)
+            edge_ids = np.unique(np.concatenate([src, dst]))
+            keys = _edge_keys(edge_ids, src, dst)
+            order = np.argsort(keys, kind="stable")
+            edge_keys, edge_types = keys[order], np.asarray(edges.types, dtype=np.int64)[order]
+        return cls(node_ids, node_types, edge_ids, edge_keys, edge_types)
 
-    def attach(self, gf: GraphFeature) -> GraphFeature:
-        node_type = None
+    def attach(self, stacked: StackedFeatures) -> StackedFeatures:
+        node_type = edge_type = None
         if self.node_types is not None:
-            node_type = np.asarray(
-                [self.node_types[int(i)] for i in gf.node_ids.tolist()], dtype=np.int64
-            )
-        edge_type = None
+            node_type = self.node_types[np.searchsorted(self.node_ids, stacked.node_ids)]
         if self.edge_types is not None:
-            g_src = gf.node_ids[gf.edge_src].tolist()
-            g_dst = gf.node_ids[gf.edge_dst].tolist()
-            edge_type = np.asarray(
-                [self.edge_types[(int(s), int(d))] for s, d in zip(g_src, g_dst)],
-                dtype=np.int64,
+            base = np.repeat(stacked.node_offsets[:-1], np.diff(stacked.edge_offsets))
+            keys = _edge_keys(
+                self.edge_ids,
+                stacked.node_ids[base + stacked.edge_src],
+                stacked.node_ids[base + stacked.edge_dst],
             )
-        return GraphFeature(
-            gf.target_ids,
-            gf.node_ids,
-            gf.x,
-            gf.hops,
-            gf.edge_src,
-            gf.edge_dst,
-            gf.edge_feat,
-            gf.edge_weight,
-            node_type,
-            edge_type,
-        )
+            edge_type = self.edge_types[np.searchsorted(self.edge_keys, keys)]
+        return replace(stacked, node_type=node_type, edge_type=edge_type)
+
+
+def _edge_keys(ids: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """One int64 per edge, ordered like ``(src, dst)``: the endpoints'
+    ranks in the sorted ``ids``."""
+    return np.searchsorted(ids, src) * len(ids) + np.searchsorted(ids, dst)
 
 
 @dataclass(frozen=True)
 class SampleStore:
-    """Storing (§3.2.1): flatten the final round's output pairs to ``(id,
-    label, GraphFeature)`` triples and write them — as one columnar shard
-    per final partition (reducer-side; the triples go straight into the
-    shard writer, no per-sample re-framing pass) or as wire records for the
-    in-memory result.  Either way the trailing summary is the per-sample
-    ``(n_nodes, n_edges)`` lists.
+    """Storing (§3.2.1): a final partition's record batches — stacked
+    samples keyed by sample id — get their ids, labels and types attached
+    with one array lookup each per batch, and are written as one columnar
+    shard (reducer-side, the batches' arrays straight into the writer) or
+    encoded to wire records for the in-memory result.  Either way the
+    trailing summary is the per-sample node and edge counts.
 
-    Both final-round shapes yield flattened GraphFeatures: node flows keyed
-    by node (:meth:`MergeReducer.final_rows`), edge flows joined per target
-    edge and keyed by edge index (``labels`` is the matching lookup either
-    way)."""
+    Both final-round shapes yield stacked samples: node flows keyed by node
+    (:meth:`MergeReducer.stored`), edge flows joined per target edge and
+    keyed by edge index (:class:`PairReducer`; ``labels`` is the matching
+    lookup either way)."""
 
     labels: _LabelTable | _EdgeLabelTable
     types: _TypeTable | None
@@ -347,27 +342,27 @@ class SampleStore:
 
     kind = "samples"
 
-    def flatten(self, pairs):
-        triples: list[tuple] = []
-        n_nodes: list[int] = []
-        n_edges: list[int] = []
-        for sample_id, (tag, gf) in pairs:
-            if tag != "final":  # pragma: no cover - defensive
-                raise RuntimeError(f"unexpected record tag {tag!r} after final round")
-            if self.types is not None:
-                gf = self.types.attach(gf)
-            n_nodes.append(gf.num_nodes)
-            n_edges.append(gf.num_edges)
-            triples.append((sample_id, self.labels(sample_id), gf))
-        return triples, n_nodes, n_edges
+    def _stacked(self, batches) -> tuple[list[StackedFeatures], np.ndarray, np.ndarray]:
+        stacked = []
+        for batch in batches:
+            ids = np.asarray(batch.keys, dtype=np.int64)
+            samples = replace(batch.values, sample_ids=ids, labels=self.labels.of(ids))
+            stacked.append(samples if self.types is None else self.types.attach(samples))
+        none = [np.zeros(0, dtype=np.int64)]
+        n_nodes = np.concatenate(none + [np.diff(samples.node_offsets) for samples in stacked])
+        n_edges = np.concatenate(none + [np.diff(samples.edge_offsets) for samples in stacked])
+        return stacked, n_nodes, n_edges
 
-    def write_shard(self, path, pairs):
-        triples, n_nodes, n_edges = self.flatten(pairs)
-        return write_sample_shard(path, triples, task=self.task), n_nodes, n_edges
+    def write_shard(self, path, batches):
+        stacked, n_nodes, n_edges = self._stacked(batches)
+        return write_stacked_shard(path, stacked, task=self.task), n_nodes, n_edges
 
-    def encode(self, pairs):
-        triples, n_nodes, n_edges = self.flatten(pairs)
-        return [encode_sample(*triple) for triple in triples], n_nodes, n_edges
+    def collect(self, batches):
+        stacked, n_nodes, n_edges = self._stacked(batches)
+        records = [
+            encode_sample(*part.sample(i)) for part in stacked for i in range(part.num_samples)
+        ]
+        return records, n_nodes, n_edges
 
 
 class MergeReducer(MessagePassingReducer):
@@ -382,45 +377,14 @@ class MergeReducer(MessagePassingReducer):
             batch.selves, batch.neighbors, batch.offsets, batch.weight, batch.edge_feat
         )
 
-    def final_rows(self, node_ids: list[int], infos: Column) -> RecordBatch:
-        if self.edge_fanout is not None:
-            return super().final_rows(node_ids, infos)
-        values = [(self.final_tag, gf) for gf in _features(stack_flattened(infos))]
-        return RecordBatch(list(node_ids), values, lambda: record_sizes(values))
-
-
-def _features(stacked) -> list[GraphFeature]:
-    """The samples of :func:`~repro.core.graphflat.records.stack_flattened`
-    output, each a GraphFeature over slices of its arrays — what
-    ``SubgraphInfo.to_graph_feature`` makes of each."""
-    node_at = stacked.node_offsets.tolist()
-    edge_at = stacked.edge_offsets.tolist()
-    edge_feat = stacked.edge_feat
-    features = []
-    for g, target in enumerate(stacked.target_ids.tolist()):
-        n = slice(node_at[g], node_at[g + 1])
-        e = slice(edge_at[g], edge_at[g + 1])
-        features.append(
-            GraphFeature._of(
-                np.asarray([target]),
-                stacked.node_ids[n],
-                stacked.x[n],
-                stacked.hops[n],
-                stacked.edge_src[e],
-                stacked.edge_dst[e],
-                None if edge_feat is None or e.start == e.stop else edge_feat[e],
-                stacked.edge_weight[e],
-                None,
-                None,
-            )
-        )
-    return features
+    def stored(self, infos: Column) -> StackedFeatures:
+        return stack_flattened(infos)
 
 
 @dataclass(frozen=True)
 class PairReducer:
     """Edge-task pairing round: join the two endpoint neighborhoods of each
-    target edge into a single GraphFeature whose targets are the *ordered*
+    target edge into a single sample whose targets are the *ordered*
     ``[src, dst]`` pair.
 
     Receives exactly two ``("end", role, SubgraphInfo)`` records per edge
@@ -432,12 +396,12 @@ class PairReducer:
     dst, edge by edge) and merged by one
     :func:`~repro.graph.subgraph.merge_groups` call, one group per edge —
     deduplicating overlapping neighborhoods exactly like the trainer's batch
-    merge.  The ordered target pair is then re-imposed on each merged edge
-    (the merge sorts its targets, but edge readout needs to know which
-    endpoint is which), and the edges leave in key order.  A joined
-    neighborhood carries edge features when it has edges (and the graph
-    has them), whichever endpoint they came from — none when it has no
-    edges, as a node sample flattens."""
+    merge.  The buffer leaves as one batch of stacked samples in key
+    order, the merged columns with the ordered target pairs re-imposed (the
+    merge sorts its targets, but edge readout needs to know which endpoint
+    is which).  A joined neighborhood carries edge features when it has
+    edges (and the graph has them), whichever endpoint they came from —
+    none when it has no edges, as a node sample flattens."""
 
     def reduce_segments(self, segments):
         parts, nbytes = [], 0  # the open buffer: stretches (segment, start, stop) of groups
@@ -469,46 +433,10 @@ class PairReducer:
             counts.append(np.diff(segment.bounds[start : stop + 1]))
         values = concat_columns(columns)
         counts = np.concatenate(counts)
-        roles = values.children[1].values
-        infos = values.children[2]
-        starts = np.cumsum(counts) - counts
-        # one record per role, src first: within each edge, by role
-        order = np.lexsort((roles, np.repeat(np.arange(len(keys)), counts)))
-        ranked = roles[order]
-        bad = counts != 2
-        bad[~bad] = (ranked[starts[~bad]] != 0) | (ranked[starts[~bad] + 1] != 1)
-        if bad.any():
-            at = int(np.flatnonzero(bad)[0])
-            got = ranked[starts[at] : starts[at] + counts[at]].tolist()
-            raise RuntimeError(
-                f"target edge {keys[at]} expected one record per endpoint "
-                f"role, got roles {got}"
-            )
-        stacked = stack_flattened(infos.take(order))
-        merged = merge_groups(stacked, np.arange(0, len(order) + 1, 2))
-        pairs = stacked.target_ids.reshape(-1, 2)
-        node_at = merged.node_offsets.tolist()
-        edge_at = merged.edge_offsets.tolist()
-        edge_feat = merged.edge_feat
-        features = []
-        for g, targets in enumerate(pairs):
-            n = slice(node_at[g], node_at[g + 1])
-            e = slice(edge_at[g], edge_at[g + 1])
-            features.append(
-                (
-                    "final",
-                    GraphFeature._of(
-                        targets,
-                        merged.node_ids[n],
-                        merged.x[n],
-                        merged.hops[n],
-                        merged.edge_src[e],
-                        merged.edge_dst[e],
-                        None if edge_feat is None or e.start == e.stop else edge_feat[e],
-                        merged.edge_weight[e],
-                        None,
-                        None,
-                    ),
-                )
-            )
-        return RecordBatch(keys, features, lambda: record_sizes(features))
+        order = EdgeFanout.endpoints(keys, values.children[1].values, counts, "target edge")
+        stacked = stack_flattened(values.children[2].take(order))
+        pairs = np.arange(0, len(order) + 1, 2)
+        merged = merge_groups(stacked, pairs)._asdict()
+        del merged["target_index"]
+        merged.update(target_offsets=pairs, target_ids=stacked.target_ids)
+        return RecordBatch(keys, StackedFeatures(**merged), None)

@@ -165,21 +165,9 @@ class SubgraphInfo:
         return f"SubgraphInfo(root={self.root}, nodes={self.num_nodes}, edges={self.num_edges})"
 
     def to_graph_feature(self) -> GraphFeature:
-        """Flatten to the storage/training form (§3.2.1 "Storing").  The
-        columns are already in the stored order — nodes by id, edges by
-        ``(dst, src)`` — so the flattened bytes are identical no matter how
-        reducers were partitioned (re-indexing, retries, ...)."""
-        c = self.columns
-        return GraphFeature(
-            np.asarray([self.root]),
-            c.ids,
-            c.x.astype(np.float32),
-            c.hops,
-            np.searchsorted(c.ids, c.src),
-            np.searchsorted(c.ids, c.dst),
-            None if c.edge_feat is None else c.edge_feat.astype(np.float32),
-            c.weight.astype(np.float32),
-        )
+        """Flatten to the storage/training form (§3.2.1 "Storing"): the
+        record's one row of :func:`stack_flattened`."""
+        return stack_flattened(columnize([self])).feature(0)
 
 
 @dataclass
@@ -327,10 +315,13 @@ def _levels(column: Column):
 
 
 def stack_flattened(column: Column) -> StackedFeatures:
-    """What :meth:`SubgraphInfo.to_graph_feature` makes of each subgraph of
-    ``column``, stacked in row order — one target (the root) per sample,
+    """The storage/training form of each subgraph of ``column`` (§3.2.1
+    "Storing"), stacked in row order — one target (the root) per sample,
     edge endpoints local to the sample, float32 features and weights — read
-    as one block, without a per-record object."""
+    as one block, without a per-record object.  The columns are already in
+    the stored order — nodes by id, edges by ``(dst, src)`` — so the
+    flattened bytes are identical no matter how reducers were partitioned
+    (re-indexing, retries, ...)."""
     roots, node_offsets, (ids, hops, x), edge_offsets, (src, dst, weight, edge_feat) = (
         _levels(column)
     )
@@ -353,12 +344,12 @@ def stack_flattened(column: Column) -> StackedFeatures:
         node_offsets=node_offsets,
         node_ids=ids,
         hops=hops,
-        x=x.astype(np.float32),
+        x=x.astype(np.float32, copy=False),
         edge_offsets=edge_offsets,
         edge_src=local_src,
         edge_dst=local_dst,
         edge_weight=weight.astype(np.float32),
-        edge_feat=None if edge_feat is None else edge_feat.astype(np.float32),
+        edge_feat=None if edge_feat is None else edge_feat.astype(np.float32, copy=False),
     )
 
 

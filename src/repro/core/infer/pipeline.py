@@ -206,14 +206,12 @@ def graph_infer(
         # crashes (retries read the same slab; nothing is republished per
         # attempt).
         slab, model_slices = publish(ModelSlices(tuple(slices)), runtime.needs_pickling)
+        # K embedding rounds, the Kth applying the prediction slice — or, for
+        # edge tasks, fanning out to the candidate edges' pairing round.
         reducers = [partial(EmbeddingReducer, model=model_slices)] * total_rounds
         final = None
         if task_obj.edge_level:
-            # K embedding rounds, then the candidate edges' pairing round.
             final = ("predict", EdgeScoreReducer(model_slices, config.task))
-        else:
-            # K embedding rounds, the Kth applying the prediction slice.
-            reducers[-1] = partial(EmbeddingReducer, model=model_slices, predicts=True)
         try:
             out = run_dataflow(
                 "graphinfer",
@@ -235,11 +233,16 @@ def graph_infer(
             if slab is not None:
                 slab.close()
 
-        scores = None if out.data is None else {int(v): s for v, s in out.data}
+        scores = None
+        if fs is None:
+            scores = {
+                int(v): row
+                for batches in out.parts
+                for ids, rows in batches
+                for v, row in zip(ids.tolist(), rows)
+            }
         return GraphInferResult(
-            num_nodes=(
-                sum(count for (count,) in out.summaries) if scores is None else len(scores)
-            ),
+            num_nodes=sum(count for (count,) in out.parts) if scores is None else len(scores),
             scores=scores,
             dataset=None if fs is None else dataset_name,
             round_stats=out.round_stats,
@@ -266,12 +269,11 @@ class EmbeddingReducer(MessagePassingReducer):
     Under a pickling runtime the carrier is a slab locator, so the pickled
     reducer carries no parameter arrays at all.
 
-    The Kth round of a node task also applies the prediction slice
-    (``predicts``) and writes each node's scores instead of its
-    embedding — no round re-shuffles the embeddings only to score them."""
+    The Kth round of a node task also applies the prediction slice and
+    hands the store the batch's score matrix instead of its embeddings — no
+    round re-shuffles the embeddings only to score them."""
 
     model: Inline | SlabLocator = field(kw_only=True)
-    predicts: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         self._layer = None
@@ -295,21 +297,15 @@ class EmbeddingReducer(MessagePassingReducer):
             self._head = self.model.get()[-1].materialize()
         return self._head
 
-    def final_rows(self, node_ids: list[int], infos: list) -> RecordBatch:
-        """``(node, scores)``: ``h @ W (+ b)`` as float32, for the whole
-        batch in one call made of vector-matrix products — so a node's
-        scores have the bits of its own ``h @ W``, whatever else is in the
-        batch."""
-        if not self.predicts:
-            return super().final_rows(node_ids, infos)
+    def stored(self, infos: list) -> ArrayColumn:
+        """The batch's scores: ``h @ W (+ b)`` as float32, in one call made
+        of vector-matrix products — so a node's scores have the bits of its
+        own ``h @ W``, whatever else is in the batch."""
         head = self.head
         scores = (np.stack(infos)[:, None, :] @ head.weight.data)[:, 0]
         if head.bias is not None:
             scores = scores + head.bias.data
-        scores = list(scores.astype(np.float32))
-        return RecordBatch(list(node_ids), scores, lambda: np.fromiter(
-            (8 + s.nbytes for s in scores), dtype=np.int64, count=len(scores)
-        ))
+        return ArrayColumn(scores.astype(np.float32))
 
     def merge_batch(self, batch: NodeBatch) -> list[np.ndarray]:
         """The layer's ``forward`` over one block: the batch's self rows
@@ -337,14 +333,19 @@ def _matrix(column: Column) -> np.ndarray:
 
 
 class PredictionStore:
-    """Storing for predictions: the final round's ``(id, scores)`` pairs as
-    one columnar shard per final partition (reducer-side).  No summary
-    beyond the count."""
+    """Storing for predictions: a final partition's record batches — node
+    or candidate ids keyed to one score matrix each — as one columnar shard
+    (reducer-side), or in memory as ``(ids, scores)`` arrays per batch.  No
+    summary beyond the count."""
 
     kind = "predictions"
 
-    def write_shard(self, path, pairs):
-        return (write_prediction_shard(path, [(int(v), s) for v, s in pairs]),)
+    @staticmethod
+    def collect(batches) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(np.asarray(b.keys, dtype=np.int64), b.values.matrix) for b in batches]
+
+    def write_shard(self, path, batches):
+        return (write_prediction_shard(path, self.collect(batches)),)
 
 
 @dataclass
@@ -352,10 +353,11 @@ class EdgeScoreReducer:
     """Edge-task prediction round: pair up the two endpoint embeddings a
     candidate edge received from the Kth embedding round and apply the
     task's score function (dot product for link prediction, the head over
-    the Hadamard product for edge classification).  The prediction slice
-    (the last of the carried :class:`~repro.core.infer.segmentation.ModelSlices`)
-    is materialized lazily per process — link prediction simply ignores
-    it."""
+    the Hadamard product for edge classification) — for a segment of
+    candidate edges at a time, one :meth:`~repro.tasks.base.Task.infer_scores`
+    call per emitted batch.  The prediction slice (the last of the carried
+    :class:`~repro.core.infer.segmentation.ModelSlices`) is materialized
+    lazily per process — link prediction simply ignores it."""
 
     model: Inline | SlabLocator
     task_name: str
@@ -382,17 +384,14 @@ class EdgeScoreReducer:
             self._task = make_task(self.task_name)
         return self._task
 
-    def __call__(self, edge_index, values):
-        by_role: dict[int, np.ndarray] = {}
-        for value in values:
-            if value[0] == "end":
-                by_role[int(value[1])] = value[2]
-        if sorted(by_role) != [0, 1]:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"candidate edge {edge_index} received roles {sorted(by_role)}; "
-                "expected exactly one src (0) and one dst (1) embedding"
-            )
+    def reduce_segments(self, segments):
         head = self.head
         bias = None if head.bias is None else head.bias.data
-        scores = self.task.infer_scores(by_role[0], by_role[1], head.weight.data, bias)
-        yield edge_index, np.asarray(scores, dtype=np.float32)
+        for segment in segments:
+            keys, values = segment.key_list(), segment.values()
+            order = EdgeFanout.endpoints(
+                keys, values.children[1].values, segment.counts(), "candidate edge"
+            )
+            h = _matrix(values.children[2].take(order).materialized())
+            scores = self.task.infer_scores(h[0::2], h[1::2], head.weight.data, bias)
+            yield RecordBatch(keys, ArrayColumn(np.asarray(scores, dtype=np.float32)), None)

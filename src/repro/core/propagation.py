@@ -492,6 +492,26 @@ class EdgeFanout:
         the index of its node in ``node_ids`` and its CSR row."""
         return _csr_rows(self.ids, self.offsets, node_ids)
 
+    @staticmethod
+    def endpoints(keys: list, roles: np.ndarray, counts: np.ndarray, what: str) -> np.ndarray:
+        """For a joining round's groups — target edge ``keys[g]`` with its
+        ``counts[g]`` ``("end", role, info)`` records, whose roles are
+        ``roles`` end to end — the record positions, src then dst edge by
+        edge.  An edge without exactly one record per role is a
+        ``RuntimeError`` naming it (``what``: the kind of edge)."""
+        starts = np.cumsum(counts) - counts
+        order = np.lexsort((roles, np.repeat(np.arange(len(keys)), counts)))
+        ranked = roles[order]
+        bad = counts != 2
+        bad[~bad] = (ranked[starts[~bad]] != 0) | (ranked[starts[~bad] + 1] != 1)
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            got = ranked[starts[at] : starts[at] + counts[at]].tolist()
+            raise RuntimeError(
+                f"{what} {keys[at]} expected one record per endpoint role, got roles {got}"
+            )
+        return order
+
 
 # ----------------------------------------------------------------- reducers
 @dataclass(frozen=True)
@@ -946,10 +966,10 @@ class PartialReducer:
 class MessagePassingReducer:
     """The paper's Reduce: merge self + in-edge info, propagate via
     out-edges (or emit the result on the last round).  Subclasses say what
-    merging means (:meth:`merge_batch`) and how the last round tags its
-    output (``final_tag``, or :meth:`final_rows` itself); reading the
-    shuffled kinds of information, the receptive-field gate, sampling,
-    batching and every emission are shared.
+    merging means (:meth:`merge_batch`) and what the last round of a node
+    flow hands the store (:meth:`stored`); reading the shuffled kinds of
+    information, the receptive-field gate, sampling, batching and every
+    emission are shared.
 
     The reducer takes its partition's whole group stream
     (:meth:`reduce_segments`, the runtime's ``Reducer.run()``) a segment at
@@ -974,14 +994,17 @@ class MessagePassingReducer:
     is keyed to the target/candidate edges the node terminates instead of
     the node itself, for the joining round that follows."""
 
-    final_tag = "final"
-
     def merge_batch(self, batch: NodeBatch):
         """The next self information of each node of ``batch`` — from its
         current one and its sampled in-edges — in batch order, as what
         ``in_record.info_column`` takes (a list, or a column).  Must not
         mutate any input: the previous round's information is shared with
         every reducer it was propagated to."""
+        raise NotImplementedError
+
+    def stored(self, infos):
+        """What the store takes of a node flow's final batch: the merged
+        ``infos`` as arrays, in batch order — never an object per node."""
         raise NotImplementedError
 
     def reduce_segments(self, segments):
@@ -1040,7 +1063,8 @@ class MessagePassingReducer:
     def final_rows(self, node_ids: list[int], infos) -> RecordBatch:
         """The Kth round's output: "in the Kth round ... only need to output
         it rather than all of the three information" (§3.4) — keyed by node,
-        or fanned out to the target edges a node terminates."""
+        as the batch's arrays for the store (:meth:`stored`; nothing sizes
+        them), or fanned out to the target edges a node terminates."""
         record = self.routing.in_record
         if self.edge_fanout is not None:
             # The result is shared across emissions — the joining round
@@ -1060,12 +1084,7 @@ class MessagePassingReducer:
             )
             # ("end", role, info): 8 + 11 + 8 + S
             return RecordBatch(keys, values, lambda: 27 + record.info_approx(info)[owners])
-        tag = self.final_tag
-        return RecordBatch(
-            list(node_ids),
-            [(tag, info) for info in infos],
-            lambda: 16 + len(tag) + record.info_approx(record.info_column(infos)),
-        )
+        return RecordBatch(list(node_ids), self.stored(infos), None)
 
 
 # ---------------------------------------------------------------------- hubs
@@ -1104,17 +1123,22 @@ def canonical_tables(nodes: NodeTable, edges: EdgeTable) -> tuple[EdgeTable, Rec
 
 @dataclass(frozen=True)
 class ShardSink:
-    """Reducer-owned columnar sink: the final-round reducer streams its
-    output pairs straight into one AGLC shard (``part-<task>``), buffering
-    one shard's records — never the whole dataset.  ``writer.write_shard``
-    returns ``(count, ...)``; the parent only ever sees these summaries."""
+    """The storing step, reducer-side: each final-round reducer hands its
+    record batches — their arrays, a batch at a time — to ``writer``, which
+    holds its partition's arrays once, as the batches came, and writes its
+    own AGLC shard (``writer.write_shard(part-<task>, batches)``) or, with
+    no ``directory``, returns the partition in memory
+    (``writer.collect(batches)``).  Only what those return reaches the
+    parent — never the whole dataset."""
 
-    directory: str
     writer: object
+    directory: str | None = None
 
-    def store(self, task_index: int, pairs):
+    def store(self, task_index: int, batches):
+        if self.directory is None:
+            return self.writer.collect(batches)
         return self.writer.write_shard(
-            Path(self.directory) / f"part-{task_index:05d}", pairs
+            Path(self.directory) / f"part-{task_index:05d}", batches
         )
 
 
@@ -1124,11 +1148,10 @@ class DataflowOutput:
 
     hubs: frozenset[int]
     round_stats: list[RunStats]
-    summaries: list[tuple] | None = None
-    """DFS output: what the store reported, ``(count, ...)`` per shard —
-    one per final partition."""
-    data: list | None = None
-    """No DFS: the final round's output pairs, in partition-major order."""
+    parts: list
+    """What the store returned per final partition, in partition order:
+    ``write_shard``'s ``(count, ...)`` summaries with a DFS, else
+    ``collect``'s in-memory output."""
 
 
 @single_threaded_blas()
@@ -1162,16 +1185,17 @@ def run_dataflow(
     Every round partitions by the hash default
     (:func:`~repro.mapreduce.shuffle.default_partition`).
 
-    ``store`` is the pipeline's storing step (§3.2.1 "Storing"):
-    ``store.kind`` names the record kind and ``store.write_shard(path,
-    pairs)`` flattens one final partition into a columnar shard, returning
-    ``(count, ...)``.
+    ``store`` is the pipeline's storing step (§3.2.1 "Storing"), fed one
+    final partition's record batches (:class:`ShardSink`): ``store.kind``
+    names the record kind, ``store.write_shard(path, batches)`` writes the
+    partition's arrays as a columnar shard, returning ``(count, ...)``, and
+    ``store.collect(batches)`` returns them in memory.
 
     Two outcomes: with a DFS (``fs``) every final-round reducer writes its
     own shard (shard order = partition order and keys are sorted within a
     partition, so ``read_dataset`` yields the in-memory result's record
     stream exactly) and only the per-shard summaries come back; with no DFS
-    the final round's pairs are returned in memory.
+    each final partition comes back as ``collect`` made it.
 
     BLAS runs on one thread, process-wide, while the call is in flight
     (:mod:`repro.utils.blas`); ``processes`` pool workers pin it for life.
@@ -1184,20 +1208,16 @@ def run_dataflow(
         edges_slab, out_edges = publish(OutEdges.of(edges), runtime.needs_pickling)
         routing = Routing(hubs, config.reindex_fanout, needed, in_record, out_edges)
         jobs = _job_chain(name, config, routing, seed, reducers, final, edge_fanout)
-        if fs is None:
-            data = runtime.run_rounds(jobs, rows)
-            return DataflowOutput(hubs, list(runtime.round_stats), data=data)
-        directory = fs.prepare_dataset(dataset_name)
-        summaries = runtime.run_rounds(
-            jobs, rows, final_sink=ShardSink(str(directory), store)
-        )
-        fs.finalize_dataset(
-            dataset_name,
-            record_counts=[summary[0] for summary in summaries],
-            kind=store.kind,
-            task=config.recorded_task,
-        )
-        return DataflowOutput(hubs, list(runtime.round_stats), summaries)
+        directory = None if fs is None else str(fs.prepare_dataset(dataset_name))
+        parts = runtime.run_rounds(jobs, rows, final_sink=ShardSink(store, directory))
+        if fs is not None:
+            fs.finalize_dataset(
+                dataset_name,
+                record_counts=[summary[0] for summary in parts],
+                kind=store.kind,
+                task=config.recorded_task,
+            )
+        return DataflowOutput(hubs, list(runtime.round_stats), parts)
     finally:
         # Single unlink point for the side-input slab — covers failed rounds
         # too.

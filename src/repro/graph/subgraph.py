@@ -60,7 +60,9 @@ class GraphFeature:
         ``(m,) int64`` **local** indices into ``node_ids``.  Edge direction is
         ``src -> dst`` exactly as in the edge table.
     edge_feat:
-        ``(m, fe) float32`` or ``None`` when the graph has no edge features.
+        ``(m, fe) float32``, or ``None`` when the graph has no edge features
+        or the sample has no edges — one convention for every form of a
+        sample: in memory, on the wire and read back from a shard.
     edge_weight:
         ``(m,) float32`` positive weights (``A_{v,u}``).
     node_type / edge_type:
@@ -100,15 +102,6 @@ class GraphFeature:
         if self.edge_type is not None:
             self.edge_type = np.asarray(self.edge_type, dtype=np.int64)
         self._validate()
-
-    @classmethod
-    def _of(cls, *columns) -> "GraphFeature":
-        """A feature over the ten columns in constructor order, already
-        typed and consistent (a merge kernel's output) — built without
-        checking them again."""
-        feature = cls.__new__(cls)
-        feature.__dict__.update(zip(_COLUMNS, columns), _pos=None)
-        return feature
 
     def _validate(self) -> None:
         n, m = len(self.node_ids), len(self.edge_src)
@@ -189,12 +182,6 @@ class GraphFeature:
 
     def max_hop(self) -> int:
         return int(self.hops.max(initial=0))
-
-
-_COLUMNS = (
-    "target_ids", "node_ids", "x", "hops", "edge_src", "edge_dst",
-    "edge_feat", "edge_weight", "node_type", "edge_type",
-)
 
 
 def split_by_source(which: np.ndarray | None, num_sources: int) -> list[np.ndarray] | None:
@@ -297,8 +284,12 @@ class StackedFeatures:
         """Stack in-memory features by concatenation."""
         if not features:
             raise ValueError("cannot merge an empty batch")
-        fe_dims = {f.edge_feature_dim for f in features}
-        if len(fe_dims) != 1:
+        # A sample without edges carries no edge features, so it agrees
+        # with any edge feature dim.
+        fe_dims = {
+            f.edge_feature_dim for f in features if f.num_edges or f.edge_feat is not None
+        }
+        if len(fe_dims) > 1:
             raise ValueError(f"inconsistent edge feature dims in batch: {fe_dims}")
         fn_dims = {f.feature_dim for f in features}
         if len(fn_dims) != 1:
@@ -318,16 +309,13 @@ class StackedFeatures:
             return column(name)
 
         edge_feat = None
-        if features[0].edge_feat is not None:
-            width = fe_dims.pop()
+        width = fe_dims.pop() if fe_dims else 0
+        if width:
             edge_feat = np.concatenate(
                 [
-                    f.edge_feat
-                    if f.edge_feat is not None
-                    else np.zeros((f.num_edges, width), np.float32)
+                    np.zeros((0, width), np.float32) if f.edge_feat is None else f.edge_feat
                     for f in features
-                ],
-                axis=0,
+                ]
             )
         return cls(
             target_offsets=offsets([len(f.target_ids) for f in features]),
@@ -346,6 +334,37 @@ class StackedFeatures:
             sample_ids=sample_ids,
             labels=labels,
         )
+
+    def feature(self, i: int) -> GraphFeature:
+        """Sample ``i`` as a GraphFeature over slices of the columns (``x``
+        a matrix); it carries no edge features when it has no edges."""
+        t = slice(*self.target_offsets[i : i + 2].tolist())
+        n = slice(*self.node_offsets[i : i + 2].tolist())
+        e = slice(*self.edge_offsets[i : i + 2].tolist())
+
+        def part(column, rows):
+            return None if column is None else column[rows]
+
+        return GraphFeature(
+            self.target_ids[t],
+            self.node_ids[n],
+            self.x[n],
+            self.hops[n],
+            self.edge_src[e],
+            self.edge_dst[e],
+            part(self.edge_feat, e) if e.stop > e.start else None,
+            self.edge_weight[e],
+            part(self.node_type, n),
+            part(self.edge_type, e),
+        )
+
+    def sample(self, i: int) -> tuple[int, int | np.ndarray | None, GraphFeature]:
+        """Sample ``i`` as a ``(sample_id, label, GraphFeature)`` triple, the
+        label an ``int``, a float32 vector or ``None``."""
+        labels = self.labels
+        if labels is not None:
+            labels = int(labels[i]) if labels.ndim == 1 else labels[i]
+        return int(self.sample_ids[i]), labels, self.feature(i)
 
 
 class MergedSubgraph(NamedTuple):

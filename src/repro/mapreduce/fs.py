@@ -36,7 +36,9 @@ import shutil
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from repro.proto.codec import CodecError
+import numpy as np
+
+from repro.proto.codec import CodecError, decode_prediction
 from repro.proto.columnar import (
     ColumnarShard,
     shard_record_count,
@@ -106,7 +108,13 @@ class DistFileSystem:
             start = end
             path = directory / f"part-{shard:05d}"
             if kind == "predictions":
-                counts.append(write_prediction_shard(path, bucket))
+                pairs = [
+                    decode_prediction(p) if isinstance(p, (bytes, bytearray)) else p
+                    for p in bucket
+                ]
+                ids = np.asarray([int(v) for v, _ in pairs], dtype=np.int64)
+                parts = [(ids, np.stack([np.ravel(s) for _, s in pairs]))] if pairs else []
+                counts.append(write_prediction_shard(path, parts))
             else:
                 counts.append(write_sample_shard(path, bucket, task=task))
         self.finalize_dataset(name, kind=kind, record_counts=counts, task=task)

@@ -334,10 +334,10 @@ class _SpillSource:
 
 @dataclass(frozen=True)
 class _CollectSink:
-    """Terminal round: reducer output pairs go back to the caller."""
+    """Terminal round: reducer output goes back to the caller as pairs."""
 
-    def store(self, task_index: int, pairs):
-        return list(pairs)
+    def store(self, task_index: int, batches):
+        return [pair for batch in batches for pair in batch.pairs()]
 
 
 class _BucketWriter:
@@ -606,9 +606,9 @@ def _run_task(fn: Callable, source, sink, task_index: int):
     through here, where the group counters are kept — from a segment's
     boundary arrays, never per group — and the deadline is checked: once
     per group of the object API, once per segment and once per emitted
-    batch of the segment one.  A shuffle sink takes batches — pairs reach
-    it through the one adapter, :func:`~repro.mapreduce.shuffle.pair_batches`;
-    a final sink takes pairs."""
+    batch of the segment one.  Every sink takes batches — the object API's
+    pairs reach it through the one adapter,
+    :func:`~repro.mapreduce.shuffle.pair_batches`."""
     counters = [0, 0, 0]  # produced records, groups, largest group
     grouped = not isinstance(source, _ChunkSource)
     segmented = hasattr(fn, "reduce_segments")
@@ -641,14 +641,7 @@ def _run_task(fn: Callable, source, sink, task_index: int):
             counters[0] += len(batch)
             yield batch
 
-    takes_batches = isinstance(sink, (_ShuffleSink, _SplitSink))
-    if not segmented:
-        stream = pair_batches(pairs()) if takes_batches else pairs()
-    elif takes_batches:
-        stream = batches()
-    else:
-        stream = (pair for batch in batches() for pair in batch.pairs())
-    stored = sink.store(task_index, stream)
+    stored = sink.store(task_index, batches() if segmented else pair_batches(pairs()))
     return stored, counters[0], counters[1], counters[2]
 
 
@@ -895,10 +888,11 @@ class LocalRuntime:
 
         ``final_sink`` replaces the terminal collect: instead of shipping
         the last round's output pairs back to the parent, each final
-        reducer streams its pairs into ``final_sink.store(task_index,
-        pairs)`` — e.g. writing its own columnar shard — and only the
-        per-partition summaries return (as the result list, in partition
-        order).  The sink must be picklable under the process backend."""
+        reducer streams its record batches into
+        ``final_sink.store(task_index, batches)`` — e.g. writing its own
+        columnar shard from the batches' arrays — and only what that
+        returns comes back (as the result list, in partition order).  The
+        sink must be picklable under the process backend."""
         data = inputs if isinstance(inputs, RecordBatch) else list(inputs)
         if not jobs:
             return data

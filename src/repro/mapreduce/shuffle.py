@@ -302,13 +302,17 @@ def record_sizes(values: list) -> np.ndarray:
 
 
 class RecordBatch:
-    """Rows on their way into a shuffle: a key column, a value column and
-    each row's size as :func:`~repro.proto.framing.approx_nbytes` counts it
-    — an ``int64`` array, or a function computing one, which only a writer
-    that budgets bytes calls.  The values are a
-    :class:`~repro.proto.framing.Column` (what the propagation engine
-    emits), or a list of value objects (what the pair adapter cuts).  The
-    keys are factorized (:meth:`key_codes`) at most once per batch."""
+    """Rows on their way into a shuffle or a final sink: a key column, a
+    value column and each row's size as
+    :func:`~repro.proto.framing.approx_nbytes` counts it — an ``int64``
+    array, or a function computing one, which only a writer that budgets
+    bytes calls.  The values are a :class:`~repro.proto.framing.Column`
+    (what the propagation engine emits), or a list of value objects (what
+    the pair adapter cuts).  A final round's batches go to a final sink's
+    ``store(task_index, batches)`` — the terminal collect flattens them to
+    pairs, a pipeline's store takes their arrays — so their values may be
+    whatever arrays that store takes, unsized (``nbytes=None``).  The keys
+    are factorized (:meth:`key_codes`) at most once per batch."""
 
     __slots__ = ("keys", "values", "_nbytes", "_codes")
 
@@ -357,13 +361,15 @@ class RecordBatch:
 
 
 def pair_batches(pairs, rows: int = PAIR_BATCH_ROWS):
-    """The adapter from pair streams to the batch writers: ``(key, value)``
-    pairs cut into :class:`RecordBatch` es of ``rows`` rows, sized by
-    :func:`record_sizes`."""
+    """The adapter from pair streams to the sinks: ``(key, value)`` pairs
+    cut into :class:`RecordBatch` es of ``rows`` rows, sized by
+    :func:`record_sizes` if a writer asks."""
     pairs = iter(pairs)
     while chunk := list(islice(pairs, rows)):
         values = [pair[1] for pair in chunk]
-        yield RecordBatch([pair[0] for pair in chunk], values, record_sizes(values))
+        yield RecordBatch(
+            [pair[0] for pair in chunk], values, lambda values=values: record_sizes(values)
+        )
 
 
 class Segment:

@@ -54,7 +54,6 @@ from repro.graph.subgraph import (
 )
 from repro.proto.codec import (
     CodecError,
-    decode_prediction,
     decode_sample,
     encode_prediction,
     encode_sample,
@@ -83,44 +82,45 @@ _HEAD = struct.Struct("<4sBxII")  # magic, version, pad, header_len, header_crc
 _LABEL_KINDS = ("none", "int", "vector")
 
 
+_STACKED = (
+    "target_offsets", "target_ids", "node_offsets", "node_ids", "hops", "x",
+    "edge_offsets", "edge_src", "edge_dst", "edge_weight",
+)
+"""The blocks every samples shard has, in
+:class:`~repro.graph.subgraph.StackedFeatures` field order."""
+
+
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def _write_atomic(path: str | Path, data: bytes) -> None:
-    """Commit a shard via temp file + ``os.replace`` so a writer that dies
-    mid-write (a reducer-owned sink task, say) can never leave a truncated
-    shard under the final name — re-executions simply overwrite."""
-    final = Path(path)
-    tmp = final.with_name(f"{final.name}.tmp{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, final)
-
-
-def _pack(
-    arrays: list[tuple[str, np.ndarray]],
+def _write_shard(
+    path: str | Path,
+    blocks: list[tuple[str, str, tuple, list[np.ndarray]]],
     kind: str,
     meta: dict,
     num_records: int,
     version: int = _VERSION,
-) -> bytes:
-    """Assemble header + aligned blocks into one shard byte string."""
-    blocks: list[tuple[dict, bytes]] = []
-    for name, arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype.byteorder == ">":  # shards are little-endian on disk
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        blocks.append(
-            (
-                {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)},
-                arr.tobytes(),
-            )
-        )
+) -> int:
+    """Write one shard: ``blocks`` are ``(name, dtype, shape, parts)``, the
+    block's rows being its parts end to end — a column's per-batch arrays,
+    cast to the block's little-endian ``dtype`` one part at a time.  The
+    header is rendered from the shapes alone, then streamed into a temp
+    file with every block 64-byte aligned after it, and the file is
+    committed by ``os.replace``: a writer that dies mid-write (a
+    reducer-owned sink task, say) never leaves a truncated shard under the
+    final name, and re-executions simply overwrite.  No block, and no
+    shard, is ever one ``bytes``.  Returns ``num_records``."""
+    sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for _, dtype, shape, _ in blocks]
+
     # Two passes: header length depends on offsets, offsets depend on header
     # length.  Fix the header size with a draft that has final digit widths
     # (offsets only grow monotonically, so pad the draft with max offsets).
     def render(offsets: list[int]) -> bytes:
-        table = [dict(spec, offset=off) for (spec, _), off in zip(blocks, offsets)]
+        table = [
+            {"dtype": dtype, "name": name, "offset": off, "shape": list(shape)}
+            for (name, dtype, shape, _), off in zip(blocks, offsets)
+        ]
         header = {
             "arrays": table,
             "kind": kind,
@@ -132,12 +132,11 @@ def _pack(
     offsets = [0] * len(blocks)
     raw = render(offsets)
     for _ in range(4):  # converges once offsets' digit counts stabilise
-        data_start = _align(_HEAD.size + len(raw))
-        cursor = data_start
+        cursor = _align(_HEAD.size + len(raw))
         new_offsets = []
-        for _, payload in blocks:
+        for size in sizes:
             new_offsets.append(cursor)
-            cursor = _align(cursor + len(payload))
+            cursor = _align(cursor + size)
         new_raw = render(new_offsets)
         if len(new_raw) == len(raw) and new_offsets == offsets:
             raw = new_raw
@@ -146,141 +145,162 @@ def _pack(
     else:  # pragma: no cover - defensive; 4 passes always suffice
         raise RuntimeError("columnar header failed to stabilise")
 
-    out = bytearray(_HEAD.pack(SHARD_MAGIC, version, len(raw), zlib.crc32(raw) & 0xFFFFFFFF))
-    out += raw
-    for (_, payload), off in zip(blocks, offsets):
-        out += b"\x00" * (off - len(out))
-        out += payload
-    return bytes(out)
+    final = Path(path)
+    tmp = final.with_name(f"{final.name}.tmp{os.getpid()}")
+    with open(tmp, "wb") as fh:
+        fh.write(_HEAD.pack(SHARD_MAGIC, version, len(raw), zlib.crc32(raw) & 0xFFFFFFFF))
+        fh.write(raw)
+        at = _HEAD.size + len(raw)
+        for (_, dtype, _, parts), off, size in zip(blocks, offsets, sizes):
+            fh.write(bytes(off - at))
+            for part in parts:
+                fh.write(np.ascontiguousarray(part, dtype=dtype).reshape(-1).view(np.uint8))
+            at = off + size
+    os.replace(tmp, final)
+    return num_records
+
+
+def _all_or_none(parts: list, mix: str) -> bool:
+    """Whether every part is set (``False`` for none); a mix is refused."""
+    if any(part is None for part in parts) and any(part is not None for part in parts):
+        raise ValueError(f"columnar shard mixes {mix}")
+    return bool(parts) and parts[0] is not None
+
+
+def _block(name: str, dtype: str, parts: list[np.ndarray], empty: tuple) -> tuple:
+    """A block of ``parts`` end to end; of shape ``empty`` with no parts."""
+    if not parts:
+        return name, dtype, empty, []
+    return name, dtype, (sum(len(part) for part in parts), *parts[0].shape[1:]), parts
+
+
+def _offsets(tables: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-batch offset tables as the parts of the shard's one table."""
+    parts, base = [np.zeros(1, dtype=np.int64)], 0
+    for table in tables:
+        parts.append(table[1:] - table[0] + base)
+        base += int(table[-1] - table[0])
+    return parts
 
 
 # ------------------------------------------------------------------ writers
-def write_sample_shard(path: str | Path, samples, task: str | None = None) -> int:
-    """Write GraphFlat training triples as one columnar shard.
+def write_stacked_shard(
+    path: str | Path, batches: list[StackedFeatures], task: str | None = None
+) -> int:
+    """Write GraphFlat samples — stacked batches with their ``sample_ids``
+    and ``labels`` (``None``, an int vector or a float32 matrix) — as one
+    columnar shard, each column's per-batch parts in batch order.  Returns
+    the record count.
 
-    ``samples`` is an iterable of either wire-format ``bytes`` records or
-    decoded ``(target_id, label, GraphFeature)`` triples — GraphFlat hands
-    the triples straight from its final reduce, skipping the per-sample
-    re-framing pass entirely.  Returns the record count.
-
-    ``task`` tags the shard with a non-default task name (edge-level
-    tasks key records by target-edge index, not node id).  A task tag or
-    typed (heterogeneous) per-record blocks gate the shard to header
-    version 2; plain node-classification shards stay byte-identical v1.
+    ``task`` tags the shard with a non-default task name (edge-level tasks
+    key records by target-edge index, not node id).  A task tag or typed
+    (heterogeneous) per-record blocks gate the shard to header version 2;
+    plain node-classification shards stay byte-identical v1.  A batch
+    without edges may leave ``edge_feat`` unset beside edge-featured ones:
+    a sample without edges carries no edge features.
     """
+    batches = [batch for batch in batches if batch.num_samples]
+    n = sum(batch.num_samples for batch in batches)
+
+    def column(name: str) -> list:
+        return [getattr(batch, name) for batch in batches]
+
+    labels = column("labels")
+    label_kind = "none"
+    if _all_or_none(labels, "labeled and unlabeled samples"):
+        label_kind = "int" if labels[0].ndim == 1 else "vector"
+    if len({batch.x.shape[1:] for batch in batches}) > 1:
+        raise ValueError("columnar shard requires a uniform node feature dim")
+    featured = [
+        batch.edge_feat for batch in batches
+        if batch.edge_feat is not None or len(batch.edge_src)
+    ]
+    if not _all_or_none(featured, "edge-featured and bare samples"):
+        featured = []
+    if len({part.shape[1:] for part in featured}) > 1:
+        raise ValueError("columnar shard requires a uniform edge feature dim")
+    fn = batches[0].x.shape[1] if batches else 0
+    fe = featured[0].shape[1] if featured else 0
+
+    blocks = [
+        _block("sample_ids", "<i8", column("sample_ids"), (0,)),
+        ("target_offsets", "<i8", (n + 1,), _offsets(column("target_offsets"))),
+        _block("target_ids", "<i8", column("target_ids"), (0,)),
+        ("node_offsets", "<i8", (n + 1,), _offsets(column("node_offsets"))),
+        _block("node_ids", "<i8", column("node_ids"), (0,)),
+        _block("hops", "<i8", column("hops"), (0,)),
+        _block("x", "<f4", column("x"), (0, fn)),
+        ("edge_offsets", "<i8", (n + 1,), _offsets(column("edge_offsets"))),
+        _block("edge_src", "<i8", column("edge_src"), (0,)),
+        _block("edge_dst", "<i8", column("edge_dst"), (0,)),
+        _block("edge_weight", "<f4", column("edge_weight"), (0,)),
+    ]
+    if fe:
+        blocks.append(_block("edge_feat", "<f4", featured, (0, fe)))
+    meta = {}
+    for name, count in (("node_type", "num_node_types"), ("edge_type", "num_edge_types")):
+        types = column(name)
+        if not _all_or_none(types, "typed and untyped samples"):
+            continue
+        blocks.append(_block(name, "<i8", types, (0,)))
+        meta[count] = max(int(part.max(initial=-1)) for part in types) + 1
+    if label_kind != "none":
+        blocks.insert(1, _block("labels", "<i8" if label_kind == "int" else "<f4", labels, ()))
+
+    # Extended (v2) header fields only when the extension is actually used —
+    # the default node-classification shard must not change by a byte.
+    extended = bool(meta)
+    if task is not None and task != "node_classification":
+        meta["task"] = task
+        extended = True
+    meta.update(
+        edge_feature_dim=int(fe),
+        feature_dim=int(fn),
+        label=label_kind,
+        label_dim=int(labels[0].shape[1]) if label_kind == "vector" else 0,
+    )
+    version = _TYPED_VERSION if extended else _VERSION
+    return _write_shard(path, blocks, "samples", meta, n, version=version)
+
+
+def write_sample_shard(path: str | Path, samples, task: str | None = None) -> int:
+    """Write training triples — decoded ``(target_id, label, GraphFeature)``
+    or their wire-format ``bytes`` — as one columnar shard: a thin adapter
+    (:meth:`~repro.graph.subgraph.StackedFeatures.from_features`) onto
+    :func:`write_stacked_shard`.  Returns the record count."""
     triples = [
         decode_sample(s) if isinstance(s, (bytes, bytearray)) else s for s in samples
     ]
-    n = len(triples)
-    sample_ids = np.asarray([int(t) for t, _, _ in triples], dtype=np.int64)
-
-    label_kind = "none"
-    labels: np.ndarray | None = None
-    if n and triples[0][1] is not None:
-        if any(lbl is None for _, lbl, _ in triples):
-            raise ValueError("columnar shard mixes labeled and unlabeled samples")
-        if np.ndim(triples[0][1]) == 0:
-            label_kind = "int"
-            labels = np.asarray([int(lbl) for _, lbl, _ in triples], dtype=np.int64)
-        else:
-            label_kind = "vector"
-            labels = np.stack(
-                [np.atleast_1d(np.asarray(lbl, dtype=np.float32)) for _, lbl, _ in triples]
-            )
-    elif any(lbl is not None for _, lbl, _ in triples):
-        raise ValueError("columnar shard mixes labeled and unlabeled samples")
-
-    gfs = [gf for _, _, gf in triples]
-    fn = gfs[0].feature_dim if gfs else 0
-    fe = gfs[0].edge_feature_dim if gfs else 0
-    if any(gf.feature_dim != fn for gf in gfs):
-        raise ValueError("columnar shard requires a uniform node feature dim")
-    if any(gf.edge_feature_dim != fe for gf in gfs):
-        raise ValueError("columnar shard requires a uniform edge feature dim")
-
-    def offsets(counts) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(np.int64)
-
-    def stack(rows, dtype, width=None):
-        if rows:
-            return np.concatenate(rows).astype(dtype, copy=False)
-        shape = (0,) if width is None else (0, width)
-        return np.zeros(shape, dtype=dtype)
-
-    arrays: list[tuple[str, np.ndarray]] = [
-        ("sample_ids", sample_ids),
-        ("target_offsets", offsets([len(gf.target_ids) for gf in gfs])),
-        ("target_ids", stack([gf.target_ids for gf in gfs], np.int64)),
-        ("node_offsets", offsets([gf.num_nodes for gf in gfs])),
-        ("node_ids", stack([gf.node_ids for gf in gfs], np.int64)),
-        ("hops", stack([gf.hops for gf in gfs], np.int64)),
-        ("x", stack([gf.x for gf in gfs], np.float32, width=fn)),
-        ("edge_offsets", offsets([gf.num_edges for gf in gfs])),
-        ("edge_src", stack([gf.edge_src for gf in gfs], np.int64)),
-        ("edge_dst", stack([gf.edge_dst for gf in gfs], np.int64)),
-        ("edge_weight", stack([gf.edge_weight for gf in gfs], np.float32)),
-    ]
-    if fe:
-        if any(gf.edge_feat is None for gf in gfs):
-            raise ValueError("columnar shard mixes edge-featured and bare samples")
-        arrays.append(("edge_feat", stack([gf.edge_feat for gf in gfs], np.float32, width=fe)))
-    typed_nodes = bool(gfs) and gfs[0].node_type is not None
-    typed_edges = bool(gfs) and gfs[0].edge_type is not None
-    if typed_nodes:
-        if any(gf.node_type is None for gf in gfs):
-            raise ValueError("columnar shard mixes typed and untyped samples")
-        arrays.append(("node_type", stack([gf.node_type for gf in gfs], np.int64)))
-    if typed_edges:
-        if any(gf.edge_type is None for gf in gfs):
-            raise ValueError("columnar shard mixes typed and untyped samples")
-        arrays.append(("edge_type", stack([gf.edge_type for gf in gfs], np.int64)))
-    if labels is not None:
-        arrays.insert(1, ("labels", labels))
-
-    meta = {
-        "edge_feature_dim": int(fe),
-        "feature_dim": int(fn),
-        "label": label_kind,
-        "label_dim": 0 if label_kind != "vector" else int(labels.shape[1]),
-    }
-    # Extended (v2) header fields only when the extension is actually used —
-    # the default node-classification shard must not change by a byte.
-    extended = typed_nodes or typed_edges or (
-        task is not None and task != "node_classification"
+    if not triples:
+        return write_stacked_shard(path, [], task=task)
+    labels = [label for _, label, _ in triples]
+    if not _all_or_none(labels, "labeled and unlabeled samples"):
+        labels = None
+    elif np.ndim(labels[0]) == 0:
+        labels = np.asarray([int(label) for label in labels], dtype=np.int64)
+    else:
+        labels = np.stack([np.atleast_1d(np.asarray(lbl, dtype=np.float32)) for lbl in labels])
+    stacked = StackedFeatures.from_features(
+        [gf for _, _, gf in triples],
+        sample_ids=np.asarray([int(t) for t, _, _ in triples], dtype=np.int64),
+        labels=labels,
     )
-    if task is not None and task != "node_classification":
-        meta["task"] = task
-    if typed_nodes:
-        meta["num_node_types"] = int(
-            max(int(gf.node_type.max(initial=-1)) for gf in gfs) + 1
-        )
-    if typed_edges:
-        meta["num_edge_types"] = int(
-            max(int(gf.edge_type.max(initial=-1)) for gf in gfs) + 1
-        )
-    version = _TYPED_VERSION if extended else _VERSION
-    _write_atomic(path, _pack(arrays, "samples", meta, n, version=version))
-    return n
+    return write_stacked_shard(path, [stacked], task=task)
 
 
-def write_prediction_shard(path: str | Path, predictions) -> int:
-    """Write GraphInfer ``(node_id, scores)`` records as one columnar shard."""
-    records = [
-        decode_prediction(p) if isinstance(p, (bytes, bytearray)) else p
-        for p in predictions
+def write_prediction_shard(path: str | Path, parts: list[tuple[np.ndarray, np.ndarray]]) -> int:
+    """Write GraphInfer predictions — per batch, its ``node_ids`` and their
+    ``(rows, score_dim)`` scores — as one columnar shard.  Returns the
+    record count."""
+    parts = [(ids, scores) for ids, scores in parts if len(ids)]
+    n = sum(len(ids) for ids, _ in parts)
+    scores = [s.reshape(len(s), -1) for _, s in parts]
+    blocks = [
+        _block("node_ids", "<i8", [ids for ids, _ in parts], (0,)),
+        _block("scores", "<f4", scores, (0, 0)),
     ]
-    n = len(records)
-    node_ids = np.asarray([int(v) for v, _ in records], dtype=np.int64)
-    dim = len(np.ravel(records[0][1])) if records else 0
-    scores = (
-        np.stack([np.asarray(s, dtype=np.float32).ravel() for _, s in records])
-        if records
-        else np.zeros((0, 0), dtype=np.float32)
-    )
-    arrays = [("node_ids", node_ids), ("scores", scores)]
-    meta = {"score_dim": int(dim)}
-    _write_atomic(path, _pack(arrays, "predictions", meta, n))
-    return n
+    meta = {"score_dim": int(scores[0].shape[1]) if scores else 0}
+    return _write_shard(path, blocks, "predictions", meta, n)
 
 
 # ------------------------------------------------------------------- reader
@@ -335,6 +355,7 @@ class ColumnarShard:
             else np.zeros(0, dtype=np.uint8)
         )
         self._views: dict[str, np.ndarray] = {}
+        self._stacked: StackedFeatures | None = None
 
     def __len__(self) -> int:
         return self.num_records
@@ -374,41 +395,30 @@ class ColumnarShard:
             raise CodecError(f"{self.path}: shard holds {self.kind!r}, not {expected!r}")
 
     # ------------------------------------------------------------- samples
-    def label(self, i: int):
+    def stacked(self) -> StackedFeatures:
+        """The whole shard as one stacked record of views into the mapping."""
+        if self._stacked is not None:
+            return self._stacked
         self._check_kind("samples")
-        if self.label_kind == "none":
-            return None
-        if self.label_kind == "int":
-            return int(self.array("labels")[i])
-        return self.array("labels")[i]
 
-    def graph_feature(self, i: int) -> GraphFeature:
-        self._check_kind("samples")
-        t = self.array("target_offsets")
-        n = self.array("node_offsets")
-        e = self.array("edge_offsets")
-        tl, th = int(t[i]), int(t[i + 1])
-        nl, nh = int(n[i]), int(n[i + 1])
-        el, eh = int(e[i]), int(e[i + 1])
-        fe = int(self.meta.get("edge_feature_dim", 0))
-        return GraphFeature(
-            self.array("target_ids")[tl:th],
-            self.array("node_ids")[nl:nh],
-            self.array("x")[nl:nh],
-            self.array("hops")[nl:nh],
-            self.array("edge_src")[el:eh],
-            self.array("edge_dst")[el:eh],
-            self.array("edge_feat")[el:eh] if fe else None,
-            self.array("edge_weight")[el:eh],
-            self.array("node_type")[nl:nh] if "node_type" in self._specs else None,
-            self.array("edge_type")[el:eh] if "edge_type" in self._specs else None,
+        def optional(name):
+            return self.array(name) if name in self._specs else None
+
+        self._stacked = StackedFeatures(
+            *(self.array(name) for name in _STACKED),
+            edge_feat=optional("edge_feat"),
+            node_type=optional("node_type"),
+            edge_type=optional("edge_type"),
+            sample_ids=self.array("sample_ids"),
+            labels=optional("labels"),
         )
+        return self._stacked
 
-    def sample(self, i: int):
+    def sample(self, i: int) -> tuple[int, int | np.ndarray | None, GraphFeature]:
         """Decoded ``(target_id, label, GraphFeature)`` triple for row ``i``."""
         if not 0 <= i < self.num_records:
             raise IndexError(f"shard has {self.num_records} records")
-        return int(self.array("sample_ids")[i]), self.label(i), self.graph_feature(i)
+        return self.stacked().sample(i)
 
     def gather(self, rows) -> StackedFeatures:
         """The samples at ``rows``, in that order, as one stacked record
@@ -428,12 +438,10 @@ class ColumnarShard:
         """
         if self.kind == "samples":
             for i in range(self.num_records):
-                target_id, label, gf = self.sample(i)
-                yield encode_sample(target_id, label, gf)
+                yield encode_sample(*self.sample(i))
         elif self.kind == "predictions":
             for i in range(self.num_records):
-                node_id, scores = self.prediction(i)
-                yield encode_prediction(node_id, scores)
+                yield encode_prediction(*self.prediction(i))
         else:  # pragma: no cover - defensive
             raise CodecError(f"unknown columnar shard kind {self.kind!r}")
 
@@ -494,6 +502,9 @@ def gather_samples(
     def optional(name, groups, positions):
         return _read(shards, groups, name, positions) if name in head._specs else None
 
+    # A batch without edges carries no edge features, like a sample.
+    edge_feat = optional("edge_feat", e_groups, e_pos) if len(e_pos) else None
+
     return StackedFeatures(
         target_offsets=t_off,
         target_ids=_read(shards, t_groups, "target_ids", t_pos),
@@ -505,7 +516,7 @@ def gather_samples(
         edge_src=_read(shards, e_groups, "edge_src", e_pos),
         edge_dst=_read(shards, e_groups, "edge_dst", e_pos),
         edge_weight=_read(shards, e_groups, "edge_weight", e_pos),
-        edge_feat=optional("edge_feat", e_groups, e_pos),
+        edge_feat=edge_feat,
         node_type=optional("node_type", n_groups, n_pos),
         edge_type=optional("edge_type", e_groups, e_pos),
         sample_ids=_read(shards, samples, "sample_ids", rows),

@@ -131,8 +131,10 @@ class Task:
         head_weight: np.ndarray | None,
         head_bias: np.ndarray | None,
     ) -> np.ndarray:
-        """Numpy-only scores for one target edge (GraphInfer's final
-        reduce); must match :meth:`readout` on the same embeddings."""
+        """Numpy-only ``(E, c)`` scores of a batch of target edges from
+        their ``(E, d)`` endpoint embeddings (GraphInfer's final reduce,
+        one call per batch); must match :meth:`readout` on the same
+        embeddings, each edge's scores with the bits of that edge alone."""
         raise NotImplementedError
 
 

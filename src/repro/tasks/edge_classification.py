@@ -63,7 +63,8 @@ class EdgeClassification(Task):
         return "accuracy"
 
     def infer_scores(self, h_src, h_dst, head_weight, head_bias):
-        scores = (h_src * h_dst) @ head_weight
+        # Vector-matrix products, stacked: each edge's are its own bits.
+        scores = ((h_src * h_dst)[:, None, :] @ head_weight)[:, 0]
         if head_bias is not None:
             scores = scores + head_bias
         return scores.astype(np.float32)

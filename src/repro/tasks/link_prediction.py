@@ -96,7 +96,9 @@ class LinkPrediction(Task):
         return "auc"
 
     def infer_scores(self, h_src, h_dst, head_weight, head_bias):
-        return np.asarray([np.dot(h_src, h_dst)], dtype=np.float32)
+        # One dot product per edge, stacked: each has the bits of its own
+        # ``np.dot`` (``(a * b).sum(1)`` would not).
+        return (h_src[:, None, :] @ h_dst[:, :, None])[:, 0].astype(np.float32)
 
 
 register_task(LinkPrediction())

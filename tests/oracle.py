@@ -808,8 +808,9 @@ def oracle_merge(features: list[GraphFeature]) -> GraphFeature:
     if len(features) == 1:
         return features[0].sorted_by_destination()
 
-    fe_dims = {f.edge_feature_dim for f in features}
-    if len(fe_dims) != 1:
+    # A sample without edges carries no edge features: it agrees with any dim.
+    fe_dims = {f.edge_feature_dim for f in features if f.num_edges or f.edge_feat is not None}
+    if len(fe_dims) > 1:
         raise ValueError(f"inconsistent edge feature dims in batch: {fe_dims}")
     fn_dims = {f.feature_dim for f in features}
     if len(fn_dims) != 1:
@@ -828,14 +829,13 @@ def oracle_merge(features: list[GraphFeature]) -> GraphFeature:
     g_src = np.concatenate([f.node_ids[f.edge_src] for f in features])
     g_dst = np.concatenate([f.node_ids[f.edge_dst] for f in features])
     g_w = np.concatenate([f.edge_weight for f in features])
+    fe = max(fe_dims, default=0)
     g_ef = (
         None
-        if features[0].edge_feat is None
+        if not fe
         else np.concatenate(
             [
-                f.edge_feat
-                if f.edge_feat is not None
-                else np.zeros((f.num_edges, fe_dims.pop()), np.float32)
+                f.edge_feat if f.edge_feat is not None else np.zeros((0, fe), np.float32)
                 for f in features
             ],
             axis=0,

@@ -46,11 +46,8 @@ CORPUS = [(i, line) for i, line in enumerate(["a b b", "b c", "a a a c", ""])]
 class CountSink:
     """Final-round sink that keeps nothing: the constant-memory baseline."""
 
-    def store(self, task_index, pairs):
-        count = 0
-        for _ in pairs:
-            count += 1
-        return count
+    def store(self, task_index, batches):
+        return sum(len(batch) for batch in batches)
 
 
 # --------------------------------------------------------------------------
@@ -249,6 +246,42 @@ class TestBoundedReducerMemory:
         assert small_bytes > 8 * 2 * _CHUNK_BYTES  # 8 runs of 2 chunks and more
         assert large_bytes >= 6 * small_bytes  # the shard really grew ~8x
         assert large_peak < 2 * small_peak + _CHUNK_BYTES
+
+
+    def test_final_round_holds_its_shard_about_once(self, tmp_path, monkeypatch):
+        """A final-round reduce task writes its shard from the batches'
+        arrays as they came — it holds its partition once, not a split,
+        restacked and packed copy of it: its tracemalloc peak stays within
+        3x the largest shard written (a serial spilled GraphFlat on a
+        quarter-scale ``cora_like``, the memory grid's job)."""
+        from repro.core.propagation import ShardSink
+        from repro.datasets import cora_like
+        from repro.mapreduce import runtime
+
+        peaks = []
+        run_task = runtime._run_task
+
+        def traced(fn, source, sink, task_index):
+            if not isinstance(sink, ShardSink):
+                return run_task(fn, source, sink, task_index)
+            tracemalloc.start()
+            try:
+                return run_task(fn, source, sink, task_index)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(runtime, "_run_task", traced)
+        ds = cora_like(seed=0, num_nodes=200, num_edges=600)
+        config = GraphFlatConfig(
+            hops=2, max_neighbors=15, num_reducers=4, spill_dir=tmp_path / "spill",
+            spill_run_records=2048, spill_run_bytes=1 << 18,
+        )
+        fs = DistFileSystem(tmp_path / "dfs")
+        graph_flat(ds.nodes, ds.edges, ds.nodes.ids[:100], config, fs=fs, dataset_name="f")
+        largest = max(path.stat().st_size for path in fs.shards("f"))
+        assert len(peaks) == 4 and largest > 1 << 20
+        assert max(peaks) <= 3 * largest, (max(peaks), largest)
 
 
 # --------------------------------------------------------------------------

@@ -540,8 +540,8 @@ class TestBatchedMerge:
                     ])])
 
         class Discard:
-            def store(self, task_index, pairs):
-                return sum(1 for _ in pairs)
+            def store(self, task_index, batches):
+                return sum(len(batch) for batch in batches)
 
         routing = Routing(frozenset(), 4, ReceptiveField(None, 2), InEdgeInfo, NO_OUT_EDGES)
         reducer = MergeReducer(make_sampler("uniform", 8, seed=0), 2, 2, routing)
@@ -1206,8 +1206,7 @@ class TestRecordsAsColumns:
                 np.array([7]),
             )]
         )
-        [(node, (tag, merged))] = batch.pairs()
-        assert (node, tag) == (7, "final") and merged.num_nodes > 1
+        assert batch.keys == [7] and batch.values.feature(0).num_nodes > 1
         [neighbors] = seen
         assert type(neighbors) is RaggedColumn and neighbors.blocks == [block]
         assert len(neighbors) == 3

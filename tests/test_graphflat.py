@@ -19,6 +19,7 @@ from repro.core.graphflat.pipeline import PairReducer
 from repro.core.graphflat.records import merge_neighborhoods
 from repro.graph import AttributedGraph
 from repro.graph.subgraph import GraphFeature
+from repro.graph.tables import EdgeTable, NodeTable
 from repro.mapreduce import DistFileSystem, FaultPlan, LocalRuntime
 from repro.proto import decode_sample
 from repro.proto.framing import columnize, concat_columns, decode_columns, encode_columns
@@ -240,6 +241,51 @@ class TestStoring:
         assert fs.num_shards("flat/written") == 2
         assert list(fs.read_dataset("flat/reducer")) == samples
         assert list(fs.read_dataset("flat/written")) == samples
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    @pytest.mark.parametrize("task", ["node_classification", "link_prediction"])
+    def test_edge_featured_graphs_store_zero_edge_samples(self, tmp_path, backend, task):
+        """Edges ``i -> i + 4`` with features: nodes 0-3 have no in-edges,
+        so their samples (and a negative pair of two of them) have no edges
+        and carry no edge features while the others do.  The DFS takes the
+        mix, at one reducer and at four, and reads back the in-memory
+        stream."""
+        nodes = NodeTable(np.arange(8), np.eye(8, 4, dtype=np.float32), np.arange(8) % 2)
+        edges = EdgeTable(
+            np.arange(4), np.arange(4, 8), np.arange(12, dtype=np.float32).reshape(4, 3),
+            labels=np.arange(4) % 2,
+        )
+        knobs = dict(hops=2, task=task, seed=0, negative_ratio=2, **NO_SAMPLING)
+        targets = None if task == "link_prediction" else nodes.ids
+        fs = DistFileSystem(tmp_path)
+        with LocalRuntime(backend, max_workers=2, spill_dir=tmp_path / "spill") as runtime:
+            for reducers in (1, 4):
+                config = GraphFlatConfig(num_reducers=reducers, **knobs)
+                samples = graph_flat(nodes, edges, targets, config).samples
+                graph_flat(nodes, edges, targets, config, runtime, fs=fs, dataset_name="f")
+                assert list(fs.read_dataset("f")) == samples
+                bare = [gf for _, _, gf in map(decode_sample, samples) if not gf.num_edges]
+                assert bare and all(gf.edge_feat is None for gf in bare)
+                assert any(gf.edge_feature_dim == 3 for _, _, gf in map(decode_sample, samples))
+
+    @pytest.mark.parametrize("task", ["node_classification", "link_prediction"])
+    def test_a_dfs_run_builds_no_graph_feature(self, mini_cora, tmp_path, monkeypatch, task):
+        """The final round hands its store arrays: writing the dataset
+        builds no per-sample object (the budget of the storing step)."""
+        built, post_init = [], GraphFeature.__post_init__
+        monkeypatch.setattr(
+            GraphFeature, "__post_init__", lambda gf: built.append(gf) or post_init(gf)
+        )
+        ds = mini_cora
+        config = GraphFlatConfig(
+            hops=2, task=task, edge_targets=40, num_reducers=4, spill_dir=tmp_path / "spill"
+        )
+        targets = ds.nodes.ids[:40] if task == "node_classification" else None
+        fs = DistFileSystem(tmp_path / "dfs")
+        result = graph_flat(ds.nodes, ds.edges, targets, config, fs=fs, dataset_name="f")
+        assert result.num_targets >= 40 and built == []
+        assert len(list(fs.read_dataset("f"))) == result.num_targets
+        assert built  # the reader does build them
 
 
 def kernel(batch, form=columnize):
@@ -474,11 +520,10 @@ class TestPairingRound:
             patch.setattr(pipeline, "MERGE_BATCH_BYTES", budget)
             batches = list(PairReducer().reduce_segments(iter(pair_segments(rng, ends, chunk))))
         assert len(batches) == (edges if budget == 1 else 1)
-        pairs = [pair for batch in batches for pair in batch.pairs()]
-        assert [key for key, _ in pairs] == list(range(edges))
-        for (_, (tag, got)), (src, dst) in zip(pairs, ends):
-            assert tag == "final"
-            assert_same_feature(got, oracle_pair(src, dst))
+        assert [key for batch in batches for key in batch.keys] == list(range(edges))
+        got = [batch.values.feature(i) for batch in batches for i in range(len(batch))]
+        for feature, (src, dst) in zip(got, ends):
+            assert_same_feature(feature, oracle_pair(src, dst))
 
     def test_a_missing_role_keeps_its_error(self):
         rng = np.random.default_rng(3)

@@ -246,6 +246,39 @@ class TestOutput:
         np.testing.assert_allclose(decoded[probe], ref[probe], rtol=1e-6)
 
 
+    def test_candidate_edges_are_scored_a_batch_per_call(self, tmp_path, monkeypatch):
+        """Link prediction's scoring round calls ``infer_scores`` at most
+        once per batch it emits — never once per candidate edge — and on a
+        spilled run too."""
+        from repro.core.infer.pipeline import EdgeScoreReducer
+        from repro.datasets import labeled_edges_like
+        from repro.tasks import make_task
+
+        nodes, edges = labeled_edges_like(seed=7, num_nodes=100, num_edges=360, feature_dim=6)
+        model = GraphSAGEModel(6, 8, 2, num_layers=2, seed=0)
+        task = type(make_task("link_prediction"))
+        calls, emitted = [0], [0]
+        infer_scores, reduce_segments = task.infer_scores, EdgeScoreReducer.reduce_segments
+
+        def counted_scores(self, *args):
+            calls[0] += 1
+            return infer_scores(self, *args)
+
+        def counted_batches(self, segments):
+            for batch in reduce_segments(self, segments):
+                emitted[0] += 1
+                yield batch
+
+        monkeypatch.setattr(task, "infer_scores", counted_scores)
+        monkeypatch.setattr(EdgeScoreReducer, "reduce_segments", counted_batches)
+        for spill_dir in (None, tmp_path):
+            calls[0] = emitted[0] = 0
+            config = GraphInferConfig(task="link_prediction", num_reducers=4, spill_dir=spill_dir)
+            result = graph_infer(model, nodes, edges, config)
+            assert result.num_nodes == len(edges.coalesce())
+            assert 0 < calls[0] <= emitted[0] and 10 * emitted[0] < result.num_nodes
+
+
 def _ref_distance_to_targets(edges, target_set, max_hops):
     """The dict-loop BFS, kept as the reference the numpy-frontier version
     (shared by GraphFlat and GraphInfer) must reproduce exactly."""

@@ -360,8 +360,9 @@ class TestEngineRowSizes:
         )
         assert_sizes_are_approx_nbytes(partials)
 
+        # A node flow's final rows go to its store unsized; fanned-out ones
+        # are shuffled into the joining round.
         reducer = MessagePassingReducer(make_sampler("uniform", 8, 0), 2, 2, route)
-        assert_sizes_are_approx_nbytes(reducer.final_rows([1, 3], infos([1, 3])))
         reducer.edge_fanout = EdgeFanout.from_pairs([1, 3], [3, 1])
         assert_sizes_are_approx_nbytes(reducer.final_rows([1, 3], infos([1, 3])))
 
