@@ -25,8 +25,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.graphflat import GraphFlatConfig, graph_flat
-from repro.core.trainer import BatchPipeline, decode_samples
+from repro.core.trainer import BatchPipeline, as_sample_source
 from repro.nn.gnn import EdgeBlock
 
 from .conftest import emit
@@ -59,8 +61,9 @@ def bench_memory_footprint(benchmark, bench_uug):
     )
     flat = graph_flat(ds.nodes, ds.edges, ds.train_ids[:800], config)
     disk_bytes = sum(len(r) for r in flat.samples)
-    samples = decode_samples(flat.samples)
-    batches = [samples[i : i + 32] for i in range(0, len(samples), 32)]
+    source = as_sample_source(flat.samples)
+    order = np.arange(len(source))
+    batches = [source.batch(order[i : i + 32]) for i in range(0, len(source), 32)]
 
     def peak_batch_bytes() -> int:
         peak = 0

@@ -5,8 +5,9 @@ Components map one-to-one onto the paper's Figure 4:
 * :mod:`vectorize` — merge a window of batches of GraphFeatures and build
   each batch's three matrices ``A_B`` (destination-sorted sparse
   adjacency), ``X_B``, ``E_B``;
-* :mod:`dataset` — sample sources (in-memory lists, or
-  zero-copy slicing over mmap'd columnar DFS shards);
+* :mod:`dataset` — sample sources: stacked sample columns addressed by
+  ``(shard, row)`` locators, the shards mmap'd DFS files or in-memory
+  data stacked once;
 * :mod:`pruning` — per-layer pruned adjacencies ``A^(k)_B`` (graph-level
   optimization);
 * edge partitioning (edge/operator-level optimization) is the sorted
@@ -27,8 +28,6 @@ from repro.core.trainer.vectorize import (
 )
 from repro.core.trainer.dataset import (
     ColumnarDataset,
-    ColumnarSlice,
-    MemorySamples,
     SampleSource,
     as_sample_source,
     open_sample_source,
@@ -43,8 +42,6 @@ __all__ = [
     "vectorize_batch",
     "vectorize_window",
     "ColumnarDataset",
-    "ColumnarSlice",
-    "MemorySamples",
     "SampleSource",
     "as_sample_source",
     "open_sample_source",

@@ -1,27 +1,30 @@
 """Sample sources — the trainer's view of a dataset.
 
-GraphTrainer used to accept only in-memory lists (wire bytes or decoded
-:class:`TrainSample` objects).  A :class:`SampleSource` generalises that to
-"anything with random access to N training triples", which is what lets the
-trainer run off mmap'd columnar shards without materialising — or even
-decoding — the dataset:
+A :class:`SampleSource` is stacked sample columns addressed by ``(shard,
+row)`` locators — two ints per sample.  A shard is either a committed
+columnar file of a DFS dataset, named by its path and mmap'd through a
+per-process cache, or one in-memory
+:class:`~repro.proto.columnar.ColumnarShard` holding the same blocks:
 
-* :class:`MemorySamples` — wraps a list (decoding wire bytes once), the old
-  behavior;
-* :class:`ColumnarDataset` — random access over the columnar shards of a
-  DFS dataset.  ``batch()`` returns a tiny picklable
-  :class:`ColumnarBatchRef` instead of sample objects, so a process-pool
-  prefetch worker ships a few ints per batch and slices the shard out of
-  its own mapping (per-process shard cache).  The ref's ``gather()`` hands
-  the batch over as stacked columns (``repro.graph.subgraph.StackedFeatures``)
-  — the training loop never builds a per-sample object; ``load_samples()``
-  still decodes them for callers that want objects.
+* :class:`ColumnarDataset` — every row of a DFS dataset's shards, opened
+  by :func:`open_sample_source`;
+* :func:`as_sample_source` — wire bytes or decoded :class:`TrainSample`
+  objects, decoded and stacked once into one in-memory shard.
 
-:func:`open_sample_source` opens a committed DFS dataset as a
-:class:`ColumnarDataset`.  Both sources present samples in the order they
-were produced (``read_dataset`` order, shard-major, for a DFS dataset), so
-training off the DFS or off the in-memory ``graph_flat`` result gives
-bit-identical per-epoch losses (tested).
+``batch()`` returns a tiny :class:`ColumnarBatchRef` (the same shards plus
+the batch's locators).  The ref's ``gather()`` hands the batch over as
+stacked columns (``repro.graph.subgraph.StackedFeatures``), sliced out of
+the shards, so an epoch never builds a per-sample object;
+``load_samples()`` still decodes them for callers that want objects.
+Labels and ids are read from the ``labels`` / ``sample_ids`` columns.
+
+A pickled source or ref — a process-prefetch window, a distributed
+worker's data assignment, a remote worker's train spec — carries its file
+shards as paths and each in-memory shard cut down to the rows its locators
+address.  A source presents samples in the order they were produced
+(``read_dataset`` order, shard-major, for a DFS dataset), so training off
+the DFS or off the in-memory ``graph_flat`` result gives bit-identical
+per-epoch losses (tested).
 """
 
 from __future__ import annotations
@@ -31,102 +34,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.trainer.vectorize import TrainSample, decode_samples
+from repro.core.trainer.vectorize import TrainSample, decode_samples, stack_samples
 from repro.graph.subgraph import StackedFeatures
 from repro.proto.columnar import ColumnarShard, gather_column, gather_samples
 
 __all__ = [
     "ColumnarBatchRef",
     "ColumnarDataset",
-    "ColumnarSlice",
-    "MemorySamples",
     "SampleSource",
     "as_sample_source",
     "open_sample_source",
 ]
-
-
-class SampleSource:
-    """Random-access source of :class:`TrainSample` records.
-
-    Subclasses implement ``__len__``, :meth:`sample` and :meth:`ids`;
-    :meth:`batch` may return any object the
-    :class:`~repro.core.trainer.pipeline.BatchPipeline` preparer
-    understands (a list of samples, or a picklable ref with a
-    ``gather()`` method).
-    """
-
-    def __len__(self) -> int:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def sample(self, i: int) -> TrainSample:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def ids(self) -> np.ndarray:
-        """``(N,) int64`` target id of every sample, in source order."""
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def batch(self, indices: np.ndarray):
-        """Pipeline-ready batch for ``indices`` (in the given order)."""
-        return [self.sample(int(i)) for i in indices]
-
-    def iter_samples(self):
-        for i in range(len(self)):
-            yield self.sample(i)
-
-    # ------------------------------------------------------------- labels
-    @property
-    def label_kind(self) -> str:
-        """``"none"`` / ``"int"`` / ``"vector"`` — homogeneous per source."""
-        if not len(self):
-            return "none"
-        label = self.sample(0).label
-        if label is None:
-            return "none"
-        return "int" if np.ndim(label) == 0 else "vector"
-
-    @property
-    def label_dim(self) -> int:
-        """Vector-label width (0 for int/absent labels)."""
-        if self.label_kind != "vector":
-            return 0
-        return len(self.sample(0).label)
-
-    def max_int_label(self) -> int:
-        if self.label_kind != "int":
-            raise ValueError("max_int_label needs int labels")
-        return max(int(s.label) for s in self.iter_samples())
-
-    def labels_by_id(self) -> dict[int, object]:
-        """Target id -> label (evaluation-time lookup)."""
-        return {int(s.target_id): s.label for s in self.iter_samples()}
-
-
-class MemorySamples(SampleSource):
-    """The in-memory source: a decoded list of :class:`TrainSample`."""
-
-    def __init__(self, samples: list[TrainSample]):
-        self._samples = list(samples)
-        self._ids: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def sample(self, i: int) -> TrainSample:
-        return self._samples[i]
-
-    def ids(self) -> np.ndarray:
-        if self._ids is None:
-            self._ids = np.asarray(
-                [int(s.target_id) for s in self._samples], dtype=np.int64
-            )
-        return self._ids
-
-    def batch(self, indices) -> list[TrainSample]:
-        return [self._samples[int(i)] for i in indices]
-
-    def iter_samples(self):
-        return iter(self._samples)
 
 
 # Per-process cache so pool workers mmap each shard once, not per batch.
@@ -155,98 +73,134 @@ def _cached_shard(path: str) -> ColumnarShard:
     return shard
 
 
-def _open_shards(shard_paths: tuple[str, ...], locators: np.ndarray):
+def _shard(entry: str | ColumnarShard) -> ColumnarShard:
+    """A shard list entry: a file path (through the cache) or a held shard."""
+    return _cached_shard(entry) if isinstance(entry, str) else entry
+
+
+def _open_shards(shards: tuple, locators: np.ndarray):
     """Resolve the shards a locator array touches, each once: returns
     ``(shards, shard_of, rows)`` with ``shard_of`` indexing ``shards``."""
     used, shard_of = np.unique(locators[:, 0], return_inverse=True)
-    shards = [_cached_shard(shard_paths[index]) for index in used]
-    return shards, shard_of, locators[:, 1]
+    return [_shard(shards[index]) for index in used], shard_of, locators[:, 1]
 
 
-def _iter_samples(shard_paths: tuple[str, ...], locators: np.ndarray):
-    """Decode the located samples one by one, in locator order."""
-    shards, shard_of, rows = _open_shards(shard_paths, locators)
-    for k, row in zip(shard_of.tolist(), rows.tolist()):
-        yield TrainSample(*shards[k].sample(row))
+def _portable(shards: tuple, locators: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """What a pickled source or ref carries: file shards as their paths,
+    each in-memory shard cut down to the rows ``locators`` address, and the
+    locators renumbered to match."""
+    if all(isinstance(entry, str) for entry in shards):
+        return shards, locators
+    shards, locators = list(shards), locators.copy()
+    for k, entry in enumerate(shards):
+        if not isinstance(entry, str):
+            mine = locators[:, 0] == k
+            rows, locators[mine, 1] = np.unique(locators[mine, 1], return_inverse=True)
+            shards[k] = entry.subset(rows)
+    return tuple(shards), locators
+
+
+def _every_row(sizes: list[int]) -> np.ndarray:
+    """``(N, 2) int64`` locators of every row of shards of ``sizes``,
+    shard-major."""
+    starts = np.cumsum([0] + sizes[:-1])
+    shard = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    rows = np.arange(sum(sizes), dtype=np.int64) - np.repeat(starts, sizes)
+    return np.stack([shard, rows], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
 class ColumnarBatchRef:
-    """Picklable pointer to one batch: shard paths + ``(B, 2) int64``
+    """Picklable pointer to one batch: a source's shards + ``(B, 2) int64``
     ``(shard, row)`` locators.
 
     This is what crosses the process boundary under the ``processes``
-    prefetch backend — a few dozen ints instead of the batch's tensors.
+    prefetch backend — over file shards, a few dozen ints instead of the
+    batch's tensors; over an in-memory shard, the batch's own rows.
     """
 
-    shard_paths: tuple[str, ...]
+    shards: tuple
     locators: np.ndarray = field(repr=False)
+
+    def __reduce__(self):
+        return ColumnarBatchRef, _portable(self.shards, self.locators)
 
     def gather(self) -> StackedFeatures:
         """The batch as stacked columns in locator order, sliced straight
-        out of the shard mappings — what the trainer vectorizes."""
-        return gather_samples(*_open_shards(self.shard_paths, self.locators))
+        out of the shards — what the trainer vectorizes."""
+        return gather_samples(*_open_shards(self.shards, self.locators))
 
     @staticmethod
     def gather_window(refs: list["ColumnarBatchRef"]) -> StackedFeatures:
-        """Several batches of one source as one stacked record, batch after
-        batch: one gather over their locators end to end."""
-        paths = refs[0].shard_paths
-        if any(ref.shard_paths != paths for ref in refs):
-            raise ValueError("a window's batches must come from one source")
-        return gather_samples(
-            *_open_shards(paths, np.concatenate([ref.locators for ref in refs]))
-        )
+        """Several batches as one stacked record, batch after batch: one
+        gather over their locators end to end.  Refs unpickled apart each
+        carry their own in-memory shard; their shard lists are joined."""
+        shards = refs[0].shards
+        if all(ref.shards == shards for ref in refs):
+            locators = np.concatenate([ref.locators for ref in refs])
+        else:
+            bases = np.cumsum([0] + [len(ref.shards) for ref in refs])
+            shards = tuple(entry for ref in refs for entry in ref.shards)
+            locators = np.concatenate(
+                [ref.locators + (base, 0) for ref, base in zip(refs, bases)]
+            )
+        return gather_samples(*_open_shards(shards, locators))
 
     def load_samples(self) -> list[TrainSample]:
-        """The batch as decoded per-sample objects (the list feeder)."""
-        return list(_iter_samples(self.shard_paths, self.locators))
+        """The batch as decoded per-sample objects."""
+        shards, shard_of, rows = _open_shards(self.shards, self.locators)
+        return [
+            TrainSample(*shards[k].sample(row))
+            for k, row in zip(shard_of.tolist(), rows.tolist())
+        ]
 
 
 @dataclass(eq=False)
-class ColumnarSlice(SampleSource):
-    """Picklable worker shard: a fixed subsequence of a columnar dataset.
+class SampleSource:
+    """Random access to N training samples: shards (file paths or
+    in-memory :class:`~repro.proto.columnar.ColumnarShard`) plus ``(N, 2)
+    int64`` ``(shard, row)`` locators.
 
-    This is how a distributed-training worker *process* receives its data
-    assignment: shard paths plus ``(N, 2) int64`` ``(shard, row)`` locators
-    — two ints per sample — instead of the samples themselves.  The worker
-    opens the mmap'd shards through the per-process cache, so sample bytes
-    never transit the parent.  Built by :meth:`ColumnarDataset.slice`.
-    Labels and ids are answered from the shard columns; no sample is
-    decoded for them.
+    :meth:`slice` is how a distributed-training worker receives its data
+    assignment — picklable, two ints per sample over file shards, so the
+    worker opens the mmap'd shards through the per-process cache and
+    sample bytes never transit the parent.  Labels and ids are answered
+    from the shard columns; no sample is decoded for them.
     """
 
-    shard_paths: tuple[str, ...]
+    shards: tuple
     locators: np.ndarray = field(repr=False)
+
+    def __reduce__(self):
+        return SampleSource, _portable(self.shards, self.locators)
 
     def __len__(self) -> int:
         return len(self.locators)
 
     def sample(self, i: int) -> TrainSample:
         shard, row = self.locators[int(i)]
-        return TrainSample(*_cached_shard(self.shard_paths[shard]).sample(int(row)))
-
-    def iter_samples(self):
-        return _iter_samples(self.shard_paths, self.locators)
+        return TrainSample(*_shard(self.shards[shard]).sample(int(row)))
 
     def _column(self, name: str) -> np.ndarray:
         """Per-sample shard column ``name`` in source order."""
-        return gather_column(*_open_shards(self.shard_paths, self.locators), name)
+        return gather_column(*_open_shards(self.shards, self.locators), name)
 
     def ids(self) -> np.ndarray:
+        """``(N,) int64`` target id of every sample, in source order."""
         if not len(self):
             return np.zeros(0, dtype=np.int64)
         return self._column("sample_ids")
 
     def batch(self, indices) -> ColumnarBatchRef:
+        """Pipeline-ready batch for ``indices`` (in the given order)."""
         return ColumnarBatchRef(
-            self.shard_paths, self.locators[np.asarray(indices, dtype=np.int64)]
+            self.shards, self.locators[np.asarray(indices, dtype=np.int64)]
         )
 
-    def slice(self, indices) -> "ColumnarSlice":
+    def slice(self, indices) -> "SampleSource":
         """Picklable sub-source over ``indices`` (worker shard assignment)."""
-        return ColumnarSlice(
-            self.shard_paths, self.locators[np.asarray(indices, dtype=np.int64)]
+        return SampleSource(
+            self.shards, self.locators[np.asarray(indices, dtype=np.int64)]
         )
 
     # ------------------------------------------------------------- labels
@@ -255,14 +209,16 @@ class ColumnarSlice(SampleSource):
         per dataset); empty for an empty source."""
         if not len(self):
             return {}
-        return _cached_shard(self.shard_paths[self.locators[0, 0]]).meta
+        return _shard(self.shards[self.locators[0, 0]]).meta
 
     @property
     def label_kind(self) -> str:
+        """``"none"`` / ``"int"`` / ``"vector"`` — homogeneous per source."""
         return self._meta().get("label", "none")
 
     @property
     def label_dim(self) -> int:
+        """Vector-label width (0 for int/absent labels)."""
         meta = self._meta()
         return int(meta.get("label_dim", 0)) if meta.get("label") == "vector" else 0
 
@@ -272,6 +228,7 @@ class ColumnarSlice(SampleSource):
         return int(self._column("labels").max())
 
     def labels_by_id(self) -> dict[int, object]:
+        """Target id -> label (evaluation-time lookup)."""
         kind = self.label_kind
         ids = self.ids().tolist()
         if kind == "none":
@@ -280,30 +237,29 @@ class ColumnarSlice(SampleSource):
         return dict(zip(ids, labels.tolist() if kind == "int" else labels))
 
 
-class ColumnarDataset(ColumnarSlice):
-    """Random access over the columnar shards of one dataset: the slice
+class ColumnarDataset(SampleSource):
+    """Random access over the columnar shards of one dataset: the source
     that covers every row.
 
     Global sample index is shard-major (shard 0's rows, then shard 1's …),
-    matching ``DistFileSystem.read_dataset`` order.
+    matching ``DistFileSystem.read_dataset`` order.  Shard paths are made
+    absolute, so a worker in another directory — or on another host that
+    mounts the same filesystem — resolves them alike.
     """
 
     def __init__(self, shard_paths):
-        paths = tuple(str(p) for p in shard_paths)
+        paths = tuple(os.path.abspath(p) for p in shard_paths)
         if not paths:
             raise ValueError("columnar dataset has no shards")
-        blocks = []
-        for index, path in enumerate(paths):
+        sizes = []
+        for path in paths:
             shard = _cached_shard(path)
             if shard.kind != "samples":
                 raise ValueError(
                     f"{shard.path} holds {shard.kind!r} records, not training samples"
                 )
-            block = np.empty((len(shard), 2), dtype=np.int64)
-            block[:, 0] = index
-            block[:, 1] = np.arange(len(shard))
-            blocks.append(block)
-        super().__init__(paths, np.concatenate(blocks))
+            sizes.append(len(shard))
+        super().__init__(paths, _every_row(sizes))
 
     def sample(self, i: int) -> TrainSample:
         if not 0 <= i < len(self):
@@ -312,13 +268,16 @@ class ColumnarDataset(ColumnarSlice):
 
 
 def as_sample_source(data) -> SampleSource:
-    """Coerce trainer input — a source, wire bytes, or decoded samples."""
+    """Trainer input as a source: a source as it is; wire bytes or decoded
+    :class:`TrainSample` objects decoded and stacked once, in order, into
+    one in-memory shard."""
     if isinstance(data, SampleSource):
         return data
-    data = list(data)
-    if data and isinstance(data[0], (bytes, bytearray)):
-        return MemorySamples(decode_samples(data))
-    return MemorySamples(data)
+    samples = list(data)
+    if samples and isinstance(samples[0], (bytes, bytearray)):
+        samples = decode_samples(samples)
+    shard = ColumnarShard.from_stacked([stack_samples(samples)] if samples else [])
+    return SampleSource((shard,), _every_row([len(shard)]))
 
 
 def open_sample_source(fs, name: str) -> SampleSource:

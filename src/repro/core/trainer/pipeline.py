@@ -4,9 +4,9 @@
 including data reading and subgraph vectorization, and model computation
 stage.  The two stages operate in a parallel manner."
 
-Preprocessing (decode + vectorize) works a *window* at a time: up to
+Preprocessing (gather + vectorize) works a *window* at a time: up to
 :data:`QUEUE_DEPTH` consecutive batches are read together — one shard
-gather or one stacking — and vectorized by one
+gather — and vectorized by one
 :func:`~repro.core.trainer.vectorize.vectorize_window` call, so the fixed
 cost of a merge is paid per window, not per batch.
 
@@ -20,11 +20,11 @@ way the paper describes: a producer thread hands windows to a
 preprocessing pool from the MapReduce backend registry
 (``serial``/``threads``/``processes``) and feeds a bounded queue the
 training loop drains; with ``backend="processes"`` windows are prepared
-across cores.  Batches may be lists of wire-format bytes, decoded
-:class:`TrainSample` objects, or columnar batch refs
-(:class:`~repro.core.trainer.dataset.ColumnarBatchRef`, picklable shard
-locators), which is what keeps the process backend's per-window IPC to a
-few ints each way plus the prepared tensors back.
+across cores.  Batches are sample-source batch refs
+(:class:`~repro.core.trainer.dataset.ColumnarBatchRef`: shards plus
+``(shard, row)`` locators), which keeps the process backend's per-window
+IPC to a few ints per batch over file shards (the window's own rows over
+an in-memory shard) plus the prepared tensors back.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from itertools import islice
 import numpy as np
 
 from repro.core.trainer.dataset import ColumnarBatchRef
-from repro.core.trainer.vectorize import decode_samples, stack_samples, vectorize_window
+from repro.core.trainer.vectorize import vectorize_window
 from repro.graph.subgraph import StackedFeatures
 from repro.mapreduce.backends import (
     BACKEND_REGISTRY,
@@ -91,25 +91,14 @@ class BatchPreparer:
     edge_level: bool = False
 
     @staticmethod
-    def resolve(window: list) -> tuple[StackedFeatures, np.ndarray]:
-        """The window as one stacked record plus its batch offsets:
-        columnar refs are gathered together, bytes decoded and sample lists
-        stacked together."""
-        if isinstance(window[0], ColumnarBatchRef):
-            sizes = [len(batch.locators) for batch in window]
-            stacked = ColumnarBatchRef.gather_window(window)
-        else:
-            batches = [
-                decode_samples(batch)
-                if batch and isinstance(batch[0], (bytes, bytearray))
-                else batch
-                for batch in window
-            ]
-            sizes = [len(batch) for batch in batches]
-            stacked = stack_samples([sample for batch in batches for sample in batch])
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        return stacked, offsets
+    def resolve(window: list[ColumnarBatchRef]) -> tuple[StackedFeatures, np.ndarray]:
+        """The window as one stacked record — its batch refs gathered
+        together — plus its batch offsets."""
+        offsets = np.zeros(len(window) + 1, dtype=np.int64)
+        np.cumsum([len(ref.locators) for ref in window], out=offsets[1:])
+        if not offsets[-1]:  # no rows, so no shard to gather columns from
+            raise ValueError("cannot merge an empty batch")
+        return ColumnarBatchRef.gather_window(window), offsets
 
     def __call__(self, window: list) -> tuple[Prepared, tuple[float, float]]:
         """Returns ``(prepared, (start, stop))`` — one ``(inputs, labels)``
@@ -153,11 +142,9 @@ class BatchPipeline:
     Parameters
     ----------
     batches:
-        iterable of batches; each batch is a list of wire-format ``bytes``
-        records, already-decoded :class:`TrainSample` objects, or a
-        :class:`~repro.core.trainer.dataset.ColumnarBatchRef` (columnar
-        shard slice).  Consecutive batches are prepared a window of
-        :data:`QUEUE_DEPTH` at a time.
+        iterable of :class:`~repro.core.trainer.dataset.ColumnarBatchRef`
+        (what ``SampleSource.batch`` returns).  Consecutive batches are
+        prepared a window of :data:`QUEUE_DEPTH` at a time.
     num_layers / pruning / edge_partition:
         forwarded to :func:`vectorize_window`.
     enabled:

@@ -122,13 +122,13 @@ class GraphTrainer:
     # ----------------------------------------------------------------- data
     @staticmethod
     def _as_source(data) -> SampleSource:
-        """Accept wire bytes, decoded samples, or any :class:`SampleSource`
-        (e.g. an mmap'd columnar dataset)."""
+        """Accept any :class:`SampleSource` (e.g. an mmap'd columnar
+        dataset), or wire bytes / decoded samples, stacked once into one."""
         return as_sample_source(data)
 
     def _make_batches(self, source: SampleSource, shuffle: bool) -> list[tuple]:
-        """``(batch, index_array)`` pairs; the batch object is whatever the
-        source hands the pipeline (sample lists, or columnar batch refs)."""
+        """``(batch ref, index_array)`` pairs, the refs what the pipeline
+        gathers."""
         order = np.arange(len(source))
         if shuffle:
             self._rng.shuffle(order)

@@ -25,6 +25,7 @@ from repro.core.trainer.pruning import layer_edge_masks
 from repro.graph.subgraph import GraphFeature, MergedGroups, StackedFeatures, merge_groups
 from repro.nn.gnn.block import BatchInputs, EdgeBlock
 from repro.proto.codec import decode_sample
+from repro.proto.columnar import stack_triples
 
 __all__ = [
     "TrainSample",
@@ -51,22 +52,10 @@ def decode_samples(records) -> list[TrainSample]:
 
 
 def stack_samples(samples: list[TrainSample]) -> StackedFeatures:
-    """Stack decoded samples (memory/row sources, wire bytes) into the
-    columns :func:`vectorize_window` works on."""
-    raw = [s.label for s in samples]
-    labels = None
-    if any(label is not None for label in raw):
-        if any(label is None for label in raw):
-            raise ValueError("batch mixes labeled and unlabeled samples")
-        if np.ndim(raw[0]) == 0:
-            labels = np.asarray([int(label) for label in raw], dtype=np.int64)
-        else:
-            labels = np.stack([np.asarray(label, dtype=np.float32) for label in raw])
-    return StackedFeatures.from_features(
-        [s.graph_feature for s in samples],
-        sample_ids=np.asarray([int(s.target_id) for s in samples], dtype=np.int64),
-        labels=labels,
-    )
+    """Stack decoded samples into the columns :func:`vectorize_window`
+    works on (what :func:`vectorize_batch` does to a sample list, and what
+    an in-memory sample source holds)."""
+    return stack_triples([(s.target_id, s.label, s.graph_feature) for s in samples])
 
 
 def partitioned_backend_factory(num_partitions: int = 4, threads: int = 1) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.gnn.base import GNNLayer
 from repro.nn.gnn.gat import GATLayer, GATModel
 from repro.nn.gnn.gcn import GCNLayer, GCNModel
 from repro.nn.gnn.geniepath import GeniePathLayer, GeniePathModel
@@ -51,6 +50,3 @@ def build_model(name: str, **kwargs):
         raise KeyError(f"unknown model {name!r}; known: {sorted(MODEL_REGISTRY)}")
     return MODEL_REGISTRY[name](**kwargs)
 
-
-def is_gnn_layer(obj) -> bool:
-    return isinstance(obj, GNNLayer)

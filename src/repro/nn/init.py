@@ -1,4 +1,4 @@
-"""Weight initializers (Glorot/Xavier, Kaiming/He, constants).
+"""Weight initializers (Glorot/Xavier uniform, zeros).
 
 All take an explicit ``numpy.random.Generator`` — reproducible experiments
 need seedable initialisation, and the PS workers must be able to agree on
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "zeros", "ones", "constant"]
+__all__ = ["xavier_uniform", "zeros"]
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -28,28 +28,6 @@ def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.nda
     return rng.uniform(-a, a, size=shape).astype(np.float32)
 
 
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot normal: N(0, gain^2 * 2/(fan_in+fan_out))."""
-    fan_in, fan_out = _fans(tuple(shape))
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return (rng.standard_normal(size=shape) * std).astype(np.float32)
-
-
-def kaiming_uniform(shape, rng: np.random.Generator, negative_slope: float = 0.0) -> np.ndarray:
-    """He et al. (2015) uniform, for ReLU-family activations."""
-    fan_in, _ = _fans(tuple(shape))
-    gain = np.sqrt(2.0 / (1.0 + negative_slope**2))
-    bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
 
-
-def ones(shape) -> np.ndarray:
-    return np.ones(shape, dtype=np.float32)
-
-
-def constant(shape, value: float) -> np.ndarray:
-    return np.full(shape, value, dtype=np.float32)

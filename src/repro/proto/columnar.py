@@ -65,6 +65,7 @@ __all__ = [
     "gather_column",
     "gather_samples",
     "shard_record_count",
+    "stack_triples",
     "write_prediction_shard",
     "write_sample_shard",
 ]
@@ -163,7 +164,7 @@ def _write_shard(
 def _all_or_none(parts: list, mix: str) -> bool:
     """Whether every part is set (``False`` for none); a mix is refused."""
     if any(part is None for part in parts) and any(part is not None for part in parts):
-        raise ValueError(f"columnar shard mixes {mix}")
+        raise ValueError(f"batch mixes {mix}")
     return bool(parts) and parts[0] is not None
 
 
@@ -184,21 +185,11 @@ def _offsets(tables: list[np.ndarray]) -> list[np.ndarray]:
 
 
 # ------------------------------------------------------------------ writers
-def write_stacked_shard(
-    path: str | Path, batches: list[StackedFeatures], task: str | None = None
-) -> int:
-    """Write GraphFlat samples — stacked batches with their ``sample_ids``
-    and ``labels`` (``None``, an int vector or a float32 matrix) — as one
-    columnar shard, each column's per-batch parts in batch order.  Returns
-    the record count.
-
-    ``task`` tags the shard with a non-default task name (edge-level tasks
-    key records by target-edge index, not node id).  A task tag or typed
-    (heterogeneous) per-record blocks gate the shard to header version 2;
-    plain node-classification shards stay byte-identical v1.  A batch
-    without edges may leave ``edge_feat`` unset beside edge-featured ones:
-    a sample without edges carries no edge features.
-    """
+def _sample_blocks(batches: list[StackedFeatures], task: str | None):
+    """The blocks of a samples shard holding ``batches`` end to end, as
+    :func:`_write_shard` takes them: ``(blocks, meta, num_records,
+    version)``.  Shared by the writer and the in-memory shard, so both hold
+    the same columns."""
     batches = [batch for batch in batches if batch.num_samples]
     n = sum(batch.num_samples for batch in batches)
 
@@ -259,20 +250,35 @@ def write_stacked_shard(
         label=label_kind,
         label_dim=int(labels[0].shape[1]) if label_kind == "vector" else 0,
     )
-    version = _TYPED_VERSION if extended else _VERSION
+    return blocks, meta, n, _TYPED_VERSION if extended else _VERSION
+
+
+def write_stacked_shard(
+    path: str | Path, batches: list[StackedFeatures], task: str | None = None
+) -> int:
+    """Write GraphFlat samples — stacked batches with their ``sample_ids``
+    and ``labels`` (``None``, an int vector or a float32 matrix) — as one
+    columnar shard, each column's per-batch parts in batch order.  Returns
+    the record count.
+
+    ``task`` tags the shard with a non-default task name (edge-level tasks
+    key records by target-edge index, not node id).  A task tag or typed
+    (heterogeneous) per-record blocks gate the shard to header version 2;
+    plain node-classification shards stay byte-identical v1.  A batch
+    without edges may leave ``edge_feat`` unset beside edge-featured ones:
+    a sample without edges carries no edge features.
+    """
+    blocks, meta, n, version = _sample_blocks(batches, task)
     return _write_shard(path, blocks, "samples", meta, n, version=version)
 
 
-def write_sample_shard(path: str | Path, samples, task: str | None = None) -> int:
-    """Write training triples — decoded ``(target_id, label, GraphFeature)``
-    or their wire-format ``bytes`` — as one columnar shard: a thin adapter
-    (:meth:`~repro.graph.subgraph.StackedFeatures.from_features`) onto
-    :func:`write_stacked_shard`.  Returns the record count."""
-    triples = [
-        decode_sample(s) if isinstance(s, (bytes, bytearray)) else s for s in samples
-    ]
-    if not triples:
-        return write_stacked_shard(path, [], task=task)
+def stack_triples(triples) -> StackedFeatures:
+    """Training triples — decoded ``(target_id, label, GraphFeature)`` or
+    their wire-format ``bytes`` — stacked into one record
+    (:meth:`~repro.graph.subgraph.StackedFeatures.from_features`) with their
+    ``sample_ids`` and ``labels``: an ``int64`` vector for int labels, a
+    ``float32`` matrix for vector labels, ``None`` for none."""
+    triples = [decode_sample(t) if isinstance(t, (bytes, bytearray)) else t for t in triples]
     labels = [label for _, label, _ in triples]
     if not _all_or_none(labels, "labeled and unlabeled samples"):
         labels = None
@@ -280,12 +286,20 @@ def write_sample_shard(path: str | Path, samples, task: str | None = None) -> in
         labels = np.asarray([int(label) for label in labels], dtype=np.int64)
     else:
         labels = np.stack([np.atleast_1d(np.asarray(lbl, dtype=np.float32)) for lbl in labels])
-    stacked = StackedFeatures.from_features(
+    return StackedFeatures.from_features(
         [gf for _, _, gf in triples],
         sample_ids=np.asarray([int(t) for t, _, _ in triples], dtype=np.int64),
         labels=labels,
     )
-    return write_stacked_shard(path, [stacked], task=task)
+
+
+def write_sample_shard(path: str | Path, samples, task: str | None = None) -> int:
+    """Write training triples — decoded ``(target_id, label, GraphFeature)``
+    or their wire-format ``bytes`` — as one columnar shard: a thin adapter
+    (:func:`stack_triples`) onto :func:`write_stacked_shard`.  Returns the
+    record count."""
+    samples = list(samples)
+    return write_stacked_shard(path, [stack_triples(samples)] if samples else [], task=task)
 
 
 def write_prediction_shard(path: str | Path, parts: list[tuple[np.ndarray, np.ndarray]]) -> int:
@@ -328,7 +342,8 @@ def shard_record_count(path: str | Path) -> int:
 
 
 class ColumnarShard:
-    """Zero-copy reader over one columnar shard file.
+    """Zero-copy reader over one columnar shard file — or the same blocks
+    held in memory.
 
     The file is mmap'd once; every array is a read-only view into that
     mapping, so opening a shard costs the header parse and nothing else.
@@ -336,6 +351,10 @@ class ColumnarShard:
     the mapping (vectorized decode: pure slicing, no varint loops);
     ``gather(rows)`` skips the objects and returns the batch as stacked
     columns, which is what the trainer reads.
+
+    :meth:`from_stacked` builds a samples shard with no file (``path`` is
+    ``None``): the arrays :func:`write_stacked_shard` would write, held as
+    they are, so everything above reads it the same way.
     """
 
     def __init__(self, path: str | Path):
@@ -356,6 +375,39 @@ class ColumnarShard:
         )
         self._views: dict[str, np.ndarray] = {}
         self._stacked: StackedFeatures | None = None
+
+    @classmethod
+    def from_stacked(cls, batches: list[StackedFeatures]) -> "ColumnarShard":
+        """An in-memory samples shard holding ``batches`` end to end."""
+        blocks, meta, n, _ = _sample_blocks(batches, None)
+        arrays = {
+            name: np.concatenate(parts or [np.zeros(shape)]).astype(dtype, copy=False)
+            for name, dtype, shape, parts in blocks
+        }
+        return cls._held(arrays, meta, n)
+
+    @classmethod
+    def _held(cls, arrays: dict[str, np.ndarray], meta: dict, num_records: int):
+        shard = cls.__new__(cls)
+        shard.path = None
+        shard.kind = "samples"
+        shard.num_records = num_records
+        shard.meta = meta
+        shard._specs = dict.fromkeys(arrays)  # names only: every view is held
+        shard._buf = None
+        shard._views = arrays
+        shard._stacked = None
+        return shard
+
+    def subset(self, rows) -> "ColumnarShard":
+        """The samples at ``rows``, in that order, as an in-memory shard with
+        this shard's blocks and meta (what a pickled sample source ships)."""
+        gathered = self.gather(rows)
+        arrays = {name: getattr(gathered, name) for name in self._specs}
+        arrays["x"] = gathered.node_features()
+        if "edge_feat" in arrays and arrays["edge_feat"] is None:  # no edges
+            arrays["edge_feat"] = self.array("edge_feat")[:0]
+        return self._held(arrays, self.meta, len(rows))
 
     def __len__(self) -> int:
         return self.num_records

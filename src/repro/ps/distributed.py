@@ -14,13 +14,11 @@ Two worker backends:
   of the pipeline finally shards across cores.  Requires a cross-process
   transport — ``shm`` (the shared-memory slabs of :mod:`repro.ps.shm`) or
   ``tcp`` (socket clients of :mod:`repro.ps.tcp`); each worker receives a
-  picklable :class:`~repro.core.trainer.dataset.ColumnarSlice` — shard
-  paths plus row locators, never the samples themselves — and opens its
-  mmap'd columnar shards directly.  In-memory inputs are spilled once to
-  a temporary columnar dataset so the same never-transit property holds.
-  Epochs are barriered: workers report their epoch loss and wait on a
-  gate while the parent evaluates the server parameters, exactly like the
-  thread path's per-epoch join.
+  picklable slice of the sample source — a DFS dataset's shard paths plus
+  row locators, so it opens its mmap'd columnar shards directly, or the
+  worker's own rows of an in-memory source.  Epochs are barriered: workers
+  report their epoch loss and wait on a gate while the parent evaluates
+  the server parameters, exactly like the thread path's per-epoch join.
 
 On top of either backend, ``remote_workers`` hands every worker shard to
 *joining* processes instead of spawning them: the trainer opens a
@@ -37,10 +35,7 @@ only move bytes.
 
 from __future__ import annotations
 
-import os
 import queue as queue_mod
-import shutil
-import tempfile
 import threading
 import time
 import traceback
@@ -48,9 +43,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.trainer.dataset import ColumnarDataset, as_sample_source
+from repro.core.trainer.dataset import as_sample_source
 from repro.core.trainer.trainer import GraphTrainer, TrainerConfig
-from repro.core.trainer.vectorize import TrainSample
 from repro.ps.server import ParameterServerGroup
 
 __all__ = ["DistributedConfig", "DistributedTrainer", "WorkerError"]
@@ -122,8 +116,9 @@ class _ProcessWorker:
 
     Same pattern as the MapReduce reducers — a top-level dataclass, not a
     closure — so the spawn/forkserver pickler can ship it.  Everything it
-    carries is small: the model factory, the config, a columnar slice
-    (paths + locators) and the shm client (slab names + control handles).
+    carries is small: the model factory, the config, a sample-source slice
+    (shard paths + locators, or the worker's own in-memory rows) and the
+    shm client (slab names + control handles).
     """
 
     worker_id: int
@@ -210,47 +205,18 @@ class DistributedTrainer:
         return replace(self.config, seed=self.config.seed + 1000 * worker_id)
 
     # ------------------------------------------------------------------ data
-    def _partition_indices(self, num_samples: int) -> list[np.ndarray]:
-        """Round-robin index shards; BSP additionally trims to equal sizes
-        so every step has a full complement of gradients (no barrier
-        stalls)."""
-        order = np.arange(num_samples)
+    def _worker_slices(self, source) -> list:
+        """Round-robin worker slices of ``source``; BSP additionally trims
+        them to equal sizes so every step has a full complement of
+        gradients (no barrier stalls)."""
+        order = np.arange(len(source))
         shards = [order[w :: self.dist.num_workers] for w in range(self.dist.num_workers)]
         if self.dist.mode == "bsp":
             smallest = min(len(s) for s in shards)
             usable = (smallest // self.config.batch_size) * self.config.batch_size
             usable = max(usable, min(smallest, self.config.batch_size))
             shards = [s[:usable] for s in shards]
-        return shards
-
-    def partition(self, samples: list[TrainSample]) -> list[list[TrainSample]]:
-        """Materialised per-worker sample shards (the thread path's view)."""
-        return [
-            [samples[int(i)] for i in idx]
-            for idx in self._partition_indices(len(samples))
-        ]
-
-    def _ensure_columnar(self, source) -> tuple[ColumnarDataset, object]:
-        """Process workers address their samples by (shard, row) locators;
-        anything not already columnar is spilled once to a temporary
-        single-shard columnar dataset (preserving sample order) so worker
-        shards stay a few ints per sample."""
-        if isinstance(source, ColumnarDataset):
-            return source, None
-        from repro.mapreduce.fs import DistFileSystem
-
-        tmp = tempfile.mkdtemp(prefix="agl-dist-train-")
-        fs = DistFileSystem(tmp)
-        fs.write_dataset(
-            "train",
-            (
-                (s.target_id, s.label, s.graph_feature)
-                for s in source.iter_samples()
-            ),
-            num_shards=1,
-        )
-        dataset = ColumnarDataset([str(p) for p in fs.shards("train")])
-        return dataset, tmp
+        return [source.slice(idx) for idx in shards]
 
     # ------------------------------------------------------------------ fit
     def fit(self, train_samples, val_samples=None, metric: str | None = None) -> list[dict]:
@@ -277,8 +243,7 @@ class DistributedTrainer:
 
     # ------------------------------------------------------------- threads
     def _fit_threads(self, source, val, metric: str | None) -> list[dict]:
-        samples = list(source.iter_samples())
-        shards = self.partition(samples)
+        shards = self._worker_slices(source)
 
         for epoch in range(self.config.epochs):
             start = time.perf_counter()
@@ -322,8 +287,7 @@ class DistributedTrainer:
 
     # ------------------------------------------------------------ processes
     def _fit_processes(self, source, val, metric: str | None) -> list[dict]:
-        columnar, spill_dir = self._ensure_columnar(source)
-        shards = [columnar.slice(idx) for idx in self._partition_indices(len(columnar))]
+        shards = self._worker_slices(source)
         # Either cross-process transport exposes the same parent-side handle
         # surface: ``ctx`` (the agreed start-method), ``mark_dead`` (excuse a
         # corpse from every barrier) and ``server_error``.
@@ -435,8 +399,6 @@ class DistributedTrainer:
                 if p.is_alive():  # pragma: no cover - hung worker
                     p.terminate()
                     p.join(timeout=5)
-            if spill_dir is not None:
-                shutil.rmtree(spill_dir, ignore_errors=True)
         self._raise_worker_errors([errors[w] for w in sorted(errors)])
         return self.history
 
@@ -445,22 +407,16 @@ class DistributedTrainer:
         """Serve every worker shard to joining ``repro worker --join`` peers.
 
         The hub's control plane carries only small coordination frames; the
-        per-worker train specs (model factory, config, columnar slice) ride
+        per-worker train specs (model factory, config, source slice) ride
         the broadcast plane, and gradients/parameters flow worker <-> TCP
-        parameter server directly.  Shard paths must be reachable from the
-        joining hosts (shared filesystem), exactly like the spill dir of
-        the shared-dir shuffle transport."""
+        parameter server directly.  A DFS source's shard paths must be
+        reachable from the joining hosts (shared filesystem), exactly like
+        the spill dir of the shared-dir shuffle transport; an in-memory
+        source's slices carry their rows."""
         from repro.transport.worker import TrainSpec
 
         ps_host, ps_port = self.group.tcp_endpoint
-        columnar, spill_dir = self._ensure_columnar(source)
-        shards = [columnar.slice(idx) for idx in self._partition_indices(len(columnar))]
-        # Joining workers resolve shard paths from *their* working
-        # directory — absolutize so relative DFS roots survive the trip.
-        shards = [
-            replace(s, shard_paths=tuple(os.path.abspath(p) for p in s.shard_paths))
-            for s in shards
-        ]
+        shards = self._worker_slices(source)
         hub = self._hub
         try:
             for w in range(self.dist.num_workers):
@@ -496,8 +452,6 @@ class DistributedTrainer:
         finally:
             hub.close()
             self._hub = None
-            if spill_dir is not None:
-                shutil.rmtree(spill_dir, ignore_errors=True)
         return self.history
 
     @property

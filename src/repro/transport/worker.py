@@ -19,7 +19,7 @@ reports its epoch loss, the parent evaluates the server parameters, and
 only then does the next epoch begin — which is why BSP trajectories stay
 bit-identical to local training at a fixed seed.
 
-Control payloads are pickled (model factories and columnar slices cross
+Control payloads are pickled (model factories and sample-source slices cross
 the wire), so the hub must only be exposed to trusted cluster peers —
 the same trust model as every other coordinator port.
 """
@@ -46,10 +46,11 @@ _JOIN_RETRY_S = 0.2
 class TrainSpec:
     """Everything one remote worker needs to train its shard.
 
-    ``shard`` is a picklable columnar slice — shard *paths* plus row
-    locators, so the dataset itself must live on a filesystem the joining
-    host can reach (the shared-dir shuffle transport's ``spill_dir``
-    contract, applied to training data)."""
+    ``shard`` is a picklable sample-source slice.  A DFS source's slice is
+    shard *paths* plus row locators, so only a DFS dataset must live on a
+    filesystem the joining host can reach (the shared-dir shuffle
+    transport's ``spill_dir`` contract, applied to training data); an
+    in-memory source's slice carries the worker's rows themselves."""
 
     worker_id: int
     model_factory: object

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["new_rng", "spawn_rngs", "RngMixin"]
+__all__ = ["new_rng", "spawn_rngs"]
 
 
 def new_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
@@ -37,17 +37,3 @@ def spawn_rngs(seed: int | None, n: int) -> list[np.random.Generator]:
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(n)]
 
-
-class RngMixin:
-    """Mixin giving a class a lazily-created, seedable ``self.rng``."""
-
-    def __init__(self, seed: int | np.random.Generator | None = None):
-        self._rng = new_rng(seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._rng
-
-    def reseed(self, seed: int | np.random.Generator | None) -> None:
-        """Replace the generator (e.g. between benchmark repetitions)."""
-        self._rng = new_rng(seed)

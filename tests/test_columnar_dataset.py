@@ -16,10 +16,8 @@ from repro.core.trainer import (
     BatchPipeline,
     ColumnarDataset,
     GraphTrainer,
-    SampleSource,
     TrainerConfig,
     as_sample_source,
-    decode_samples,
     open_sample_source,
 )
 from repro.graph.subgraph import GraphFeature
@@ -457,7 +455,7 @@ class TestColumnarDatasetSource:
         assert len(calls) == touched
 
     def test_slice_is_picklable_sub_source(self, dfs):
-        """ColumnarSlice — the process-worker shard assignment — round-trips
+        """A slice — the process-worker shard assignment — round-trips
         through pickle and serves the same samples as direct indexing."""
         import pickle
 
@@ -475,13 +473,42 @@ class TestColumnarDatasetSource:
             col.sample(6).target_id, col.sample(4).target_id,
         ]
 
+    def test_in_memory_source_pickles_only_the_rows_it_addresses(self, dfs_and_memory):
+        """A slice or batch ref over an in-memory source ships its own rows,
+        and a window of refs unpickled apart gathers what the source's own
+        refs gather."""
+        import pickle
+
+        from repro.core.trainer.dataset import ColumnarBatchRef
+        from repro.proto.columnar import ColumnarShard
+
+        _, samples = dfs_and_memory
+        memory = as_sample_source(samples)
+        (shard,) = memory.shards
+        assert isinstance(shard, ColumnarShard) and shard.path is None
+        piece = pickle.loads(pickle.dumps(memory.slice([5, 2, 5])))
+        assert len(piece.shards[0]) == 2
+        np.testing.assert_array_equal(piece.ids(), memory.ids()[[5, 2, 5]])
+        assert piece.labels_by_id() == {
+            int(i): memory.labels_by_id()[int(i)] for i in memory.ids()[[5, 2]]
+        }
+        parts = [[3, 0], [7, 3, 1], [len(memory) - 1]]
+        refs = [memory.batch(part) for part in parts]
+        apart = [pickle.loads(pickle.dumps(ref)) for ref in refs]
+        assert len({id(ref.shards[0]) for ref in apart}) == len(parts)
+        want = ColumnarBatchRef.gather_window(refs)
+        got = ColumnarBatchRef.gather_window(apart)
+        for name in ("target_offsets", "node_ids", "hops", "edge_src", "sample_ids", "labels"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(got.node_features(), want.node_features())
+
     def test_slice_answers_labels_from_the_columns(self, dfs, monkeypatch):
         """``labels_by_id`` & co. on a slice read the ``labels`` /
-        ``sample_ids`` columns; the base-class versions (decode every
-        sample) are the reference."""
+        ``sample_ids`` columns; decoding every sample is the reference."""
         col = open_sample_source(dfs, "flat/columnar")
         sliced = col.slice(np.asarray([4, 1, 6, 1, len(col) - 1]))
-        expected = SampleSource.labels_by_id(sliced)
+        decoded = [sliced.sample(i) for i in range(len(sliced))]
+        expected = {s.target_id: s.label for s in decoded}
         assert len(expected) == 4
         monkeypatch.setattr(
             GraphFeature, "__post_init__", lambda self: pytest.fail("decoded a sample")
@@ -542,7 +569,7 @@ class TestColumnarDatasetSource:
 class TestTrainingIdentityDfsVsMemory:
     """Acceptance: the columnar DFS dataset trains to numerically identical
     per-epoch losses/metrics as the in-memory ``graph_flat`` result of the
-    same run (``MemorySamples``), across prefetch backends x workers."""
+    same run (``as_sample_source``), across prefetch backends x workers."""
 
     @pytest.fixture(scope="class")
     def sources(self, tmp_path_factory):
@@ -577,6 +604,7 @@ class TestTrainingIdentityDfsVsMemory:
             ("dfs", "threads", 3),
             ("dfs", "serial", 1),
             ("memory", "threads", 3),
+            ("memory", "processes", 2),
         ],
     )
     def test_loss_trajectory_identical(self, sources, source, backend, workers):
@@ -596,8 +624,9 @@ class TestTrainingIdentityDfsVsMemory:
 
 class TestPipelineWorkerPool:
     def _batches(self, flat_cora):
-        samples = decode_samples(flat_cora)
-        return [samples[i : i + 6] for i in range(0, len(samples), 6)]
+        source = as_sample_source(flat_cora)
+        order = np.arange(len(source))
+        return [source.batch(order[i : i + 6]) for i in range(0, len(source), 6)]
 
     def test_pool_matches_single_thread(self, flat_cora):
         batches = self._batches(flat_cora)
@@ -609,7 +638,7 @@ class TestPipelineWorkerPool:
             np.testing.assert_array_equal(l1, l2)
 
     def test_pool_errors_surface(self, flat_cora):
-        batches = self._batches(flat_cora) + [[]]  # empty batch raises
+        batches = self._batches(flat_cora) + [as_sample_source(flat_cora).batch([])]
         with pytest.raises(ValueError):
             list(BatchPipeline(batches, 2, backend="threads", workers=3))
 

@@ -365,10 +365,11 @@ class TestShmBatchHandoff:
         """The hand-off follows the backend: ``processes`` returns every
         batch through a slab, ``threads`` hands over references — array for
         array the same batches."""
-        from repro.core.trainer import pipeline
+        from repro.core.trainer import as_sample_source, pipeline
         from repro.core.trainer.pipeline import BatchPipeline
 
-        batches = [[_mk_sample(i * 3 + j, rng) for j in range(3)] for i in range(4)]
+        source = as_sample_source([_mk_sample(i, rng) for i in range(12)])
+        batches = [source.batch(np.arange(i * 3, i * 3 + 3)) for i in range(4)]
 
         def run(backend):
             pipe = BatchPipeline(batches, num_layers=2, backend=backend, workers=2)

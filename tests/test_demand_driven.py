@@ -1021,7 +1021,7 @@ class TestTrainerBudget:
             fs=fs, dataset_name="train",
         )
         source = open_sample_source(fs, "train")
-        assert len(source.shard_paths) == 4
+        assert len(source.shards) == 4
         trainer = GraphTrainer(
             GCNModel(ds.feature_dim, 8, ds.num_classes, num_layers=2, seed=0),
             TrainerConfig(batch_size=16, seed=0),
@@ -1061,6 +1061,83 @@ class TestTrainerBudget:
         assert np.isfinite(loss)
         assert built["GraphFeature"] == 0 and built["TrainSample"] == 0, built
         assert 0 < built["stat"] <= built["batch x shard"], built
+
+    @staticmethod
+    def _count_objects(monkeypatch) -> dict:
+        """Count ``GraphFeature`` / ``TrainSample`` constructions and
+        ``StackedFeatures.from_features`` calls from here on."""
+        from repro.core.trainer.vectorize import TrainSample
+        from repro.graph.subgraph import StackedFeatures
+
+        built = {"GraphFeature": 0, "TrainSample": 0, "from_features": 0}
+
+        def counting(cls, name, method):
+            original = getattr(cls, method)
+
+            def wrapper(self, *args, **kwargs):
+                built[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        counting(GraphFeature, "GraphFeature", "__post_init__")
+        counting(TrainSample, "TrainSample", "__init__")
+        from_features = StackedFeatures.from_features.__func__
+
+        def counting_from_features(cls, *args, **kwargs):
+            built["from_features"] += 1
+            return from_features(cls, *args, **kwargs)
+
+        monkeypatch.setattr(StackedFeatures, "from_features", classmethod(counting_from_features))
+        return built
+
+    @staticmethod
+    def _flat(**kwargs):
+        ds = uug_like(
+            seed=11, num_nodes=200, avg_degree=6, feature_dim=8, num_hubs=2, hub_degree=30
+        )
+        config = GraphFlatConfig(hops=2, max_neighbors=6, num_reducers=4, seed=0)
+        return ds, graph_flat(ds.nodes, ds.edges, ds.train_ids[:50], config, **kwargs)
+
+    def test_in_memory_epoch_budget(self, monkeypatch):
+        """In-memory samples are decoded and stacked once, into the source:
+        an epoch over it gathers its windows from those columns — no
+        ``StackedFeatures.from_features`` call, no ``GraphFeature`` or
+        ``TrainSample`` built."""
+        from repro.core.trainer import GraphTrainer, TrainerConfig, as_sample_source
+        from repro.nn.gnn import GCNModel
+
+        ds, flat = self._flat()
+        source = as_sample_source(flat.samples)
+        trainer = GraphTrainer(
+            GCNModel(ds.feature_dim, 8, ds.num_classes, num_layers=2, seed=0),
+            TrainerConfig(batch_size=16, seed=0),
+        )
+        built = self._count_objects(monkeypatch)
+        assert np.isfinite(trainer.train_epoch(source))
+        assert built == {"GraphFeature": 0, "TrainSample": 0, "from_features": 0}, built
+
+    def test_distributed_threads_epoch_budget(self, tmp_path, monkeypatch):
+        """Thread workers train on slices of a columnar dataset, as process
+        workers do: a fit decodes no sample into a ``GraphFeature``."""
+        from repro.core.trainer import TrainerConfig, open_sample_source
+        from repro.mapreduce import DistFileSystem
+        from repro.nn.gnn import GCNModel
+        from repro.ps import DistributedConfig, DistributedTrainer
+
+        fs = DistFileSystem(tmp_path)
+        ds, _ = self._flat(fs=fs, dataset_name="train")
+        source = open_sample_source(fs, "train")
+        trainer = DistributedTrainer(
+            lambda: GCNModel(ds.feature_dim, 8, ds.num_classes, num_layers=2, seed=0),
+            TrainerConfig(batch_size=8, epochs=1, seed=0),
+            DistributedConfig(num_workers=2, num_servers=1, mode="bsp"),
+        )
+        built = self._count_objects(monkeypatch)
+        with trainer:
+            history = trainer.fit(source)
+        assert np.isfinite(history[0]["loss"])
+        assert built == {"GraphFeature": 0, "TrainSample": 0, "from_features": 0}, built
 
 
 # ------------------------------------------------------- records as columns

@@ -21,6 +21,7 @@ from repro.core.graphflat import GraphFlatConfig, graph_flat
 from repro.core.trainer import (
     ColumnarDataset,
     TrainSample,
+    as_sample_source,
     open_sample_source,
     vectorize_batch,
     vectorize_window,
@@ -265,7 +266,7 @@ class TestGraphFlatDatasets:
     @pytest.mark.parametrize("pruning", [True, False])
     def test_bit_identical(self, fs, name, pruning):
         source = open_sample_source(fs, name)
-        assert isinstance(source, ColumnarDataset) and len(source.shard_paths) == 4
+        assert isinstance(source, ColumnarDataset) and len(source.shards) == 4
         edge_level = name != "node_classification"
         order = np.random.default_rng(0).permutation(len(source))
         for lo in range(0, len(order), 16):
@@ -591,13 +592,19 @@ class TestWindowsOverShards:
             assert_same_batch(got, want)
 
     def test_a_malformed_batch_fails_its_window_naming_the_sample(self):
+        def refs(batches):
+            """The batches as refs into one in-memory source."""
+            source = as_sample_source([s for batch in batches for s in batch])
+            bounds = np.cumsum([0] + [len(batch) for batch in batches])
+            return [source.batch(np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+
         rng = np.random.default_rng(13)
         good = random_samples(rng, 9, edge_level=True)
         node_level = random_samples(np.random.default_rng(14), 1)[0]
         lone = TrainSample(99, 1, node_level.graph_feature)  # one target only
         prepare = BatchPreparer(2, edge_level=True)
         with pytest.raises(ValueError, match="exactly two targets.*sample 99 has 1"):
-            prepare([good[:3], good[3:6], [good[6], lone], good[7:]])
+            prepare(refs([good[:3], good[3:6], [good[6], lone], good[7:]]))
 
         gf = next(s.graph_feature for s in good if s.graph_feature.num_edges)
         src = gf.edge_src.copy()
@@ -605,4 +612,4 @@ class TestWindowsOverShards:
         bad = GraphFeature.__new__(GraphFeature)
         bad.__dict__.update(vars(gf), edge_src=src)
         with pytest.raises(ValueError, match=r"edge endpoints out of range \(sample 4\)"):
-            prepare([good[:3], [TrainSample(4, 1, bad)], good[6:]])
+            prepare(refs([good[:3], [TrainSample(4, 1, bad)], good[6:]]))

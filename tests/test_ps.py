@@ -167,12 +167,13 @@ class TestDistributedTrainer:
         trainer = DistributedTrainer(
             factory, TrainerConfig(batch_size=4), DistributedConfig(num_workers=3)
         )
-        from repro.core.trainer import decode_samples
+        from repro.core.trainer import as_sample_source
 
-        samples = decode_samples(train)
-        shards = trainer.partition(samples)
-        ids = [s.target_id for shard in shards for s in shard]
-        assert sorted(ids) == sorted(s.target_id for s in samples)
+        source = as_sample_source(train)
+        slices = trainer._worker_slices(source)
+        assert len(slices) == 3
+        ids = np.concatenate([piece.ids() for piece in slices])
+        assert sorted(ids.tolist()) == sorted(source.ids().tolist())
 
 
 class TestSimulator:

@@ -194,6 +194,61 @@ def _fit(ds, train, val, **dist_overrides):
     return history, stats
 
 
+def _fit_remote(ds, train, val):
+    """BSP fit whose two workers join through the hub from a thread."""
+    from repro.transport.worker import run_worker
+
+    dist = DistributedConfig(
+        num_workers=2, num_servers=2, mode="bsp", seed=1,
+        transport="tcp", remote_workers=2,
+    )
+    with DistributedTrainer(
+        _factory(ds), TrainerConfig(batch_size=4, epochs=3, lr=0.02, seed=1), dist
+    ) as trainer:
+        joiner = threading.Thread(
+            target=run_worker, args=trainer.hub_endpoint, kwargs={"capacity": 2},
+            daemon=True,
+        )
+        joiner.start()
+        history = trainer.fit(train, val_samples=val)
+        joiner.join(timeout=30)
+        assert not joiner.is_alive()
+    return history
+
+
+class TestInMemorySourceTravels:
+    @pytest.mark.parametrize("workers", ["processes", "remote"])
+    def test_matches_the_dfs_source_without_a_temp_dataset(
+        self, flat_small, tmp_path, monkeypatch, workers
+    ):
+        """An in-memory source reaches process and hub-joined workers as
+        each worker's own rows: the losses are the DFS dataset's bit for
+        bit, and no temporary dataset is written for it."""
+        import multiprocessing.util
+        import tempfile
+
+        from repro.core.trainer import open_sample_source
+        from repro.mapreduce import DistFileSystem
+
+        ds, train, val = flat_small
+        fs = DistFileSystem(tmp_path)
+        fs.write_dataset("train", train, num_shards=3)
+
+        def fit(data):
+            if workers == "remote":
+                history = _fit_remote(ds, data, val)
+            else:
+                history, _ = _fit(ds, data, val, worker_backend="processes", transport="tcp")
+            return [(entry["loss"], entry["val_metric"]) for entry in history]
+
+        want = fit(open_sample_source(fs, "train"))
+        multiprocessing.util.get_temp_dir()  # multiprocessing's own, made once
+        monkeypatch.setattr(
+            tempfile, "mkdtemp", lambda *a, **k: pytest.fail("made a temp dir")
+        )
+        assert fit(train) == want
+
+
 class TestTcpTraining:
     def test_bsp_bit_exact_local_vs_tcp_threads(self, flat_small):
         """The tentpole acceptance bar: same seed, local vs socket PS =>

@@ -13,6 +13,7 @@ from repro.core.trainer import (
     BatchPipeline,
     GraphTrainer,
     TrainerConfig,
+    as_sample_source,
     decode_samples,
     layer_edge_masks,
     partitioned_backend_factory,
@@ -251,7 +252,9 @@ class TestEdgePartition:
 
 class TestBatchPipeline:
     def _batches(self, cora_samples):
-        return [cora_samples[i : i + 6] for i in range(0, len(cora_samples), 6)]
+        source = as_sample_source(cora_samples)
+        order = np.arange(len(source))
+        return [source.batch(order[i : i + 6]) for i in range(0, len(source), 6)]
 
     def test_pipelined_equals_sequential(self, cora_samples):
         batches = self._batches(cora_samples)
@@ -268,13 +271,15 @@ class TestBatchPipeline:
             ds.nodes, ds.edges, ds.train_ids[:6],
             GraphFlatConfig(hops=1, max_neighbors=10**9, hub_threshold=10**9),
         )
-        out = list(BatchPipeline([res.samples], 1))
+        source = as_sample_source(res.samples)
+        out = list(BatchPipeline([source.batch(np.arange(len(source)))], 1))
         assert len(out) == 1
         assert out[0][1] is not None
 
-    def test_producer_errors_surface(self):
+    def test_producer_errors_surface(self, cora_samples):
+        empty = as_sample_source(cora_samples).batch([])
         with pytest.raises(ValueError):
-            list(BatchPipeline([[]], 2, enabled=True))  # empty batch
+            list(BatchPipeline([empty], 2, enabled=True))
 
     def test_preprocess_time_recorded(self, cora_samples):
         timers = TimerRegistry()
